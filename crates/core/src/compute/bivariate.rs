@@ -22,7 +22,7 @@ use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{un, ComputeContext};
-use super::kernels::{self, hex_center, hex_scales};
+use super::kernels::{self, hex_center, hex_scales, Rows};
 use super::univariate::fmt_num;
 
 /// Run `plot(df, x, y)`, dispatching on the semantic type pair.
@@ -53,8 +53,8 @@ fn numeric_numeric(
     let pairs = kernels::pair_values(ctx, x, y);
     let hex = kernels::hexbin(ctx, x, y, ctx.config.hexbin.gridsize);
     let binned = kernels::binned_numeric(ctx, x, y, ctx.config.box_plot.bins);
-    let mx = kernels::moments(ctx, x, None);
-    let my = kernels::moments(ctx, y, None);
+    let mx = kernels::moments(ctx, x);
+    let my = kernels::moments(ctx, y);
     let outs = ctx.execute_checked(&[pairs, hex, binned, mx, my])?;
 
     let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
@@ -119,7 +119,7 @@ fn numeric_categorical(
     num: &str,
 ) -> EdaResult<Intermediates> {
     // Stage 1 (Dask phase): category frequencies.
-    let freq_node = kernels::freq(ctx, cat, None);
+    let freq_node = kernels::freq(ctx, cat, Rows::All);
     let outs = ctx.execute_checked(&[freq_node])?;
     // Pandas phase: tiny top-k on the reduced table.
     let freq = un::<FreqTable>(&outs[0]);
@@ -180,8 +180,8 @@ fn categorical_categorical(
     y: &str,
 ) -> EdaResult<Intermediates> {
     // Stage 1: both frequency tables.
-    let fx = kernels::freq(ctx, x, None);
-    let fy = kernels::freq(ctx, y, None);
+    let fx = kernels::freq(ctx, x, Rows::All);
+    let fy = kernels::freq(ctx, y, Rows::All);
     let outs = ctx.execute_checked(&[fx, fy])?;
     let keep_x: Vec<String> = un::<FreqTable>(&outs[0])
         .top_k(ctx.config.crosstab.ngroups_x)

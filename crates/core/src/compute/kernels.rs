@@ -3,9 +3,9 @@
 //! Each function adds a map/tree-reduce sub-plan to the context's graph
 //! and returns the node holding the reduced result. Structural keys cover
 //! the kernel name, the column(s), the relevant config, and — for the
-//! missing-impact variants — which column's nulls get dropped first, so
-//! two visualizations needing the same statistic share one plan and
-//! different configurations never collide.
+//! missing-impact variants — the [`Rows`] they aggregate, so two
+//! visualizations needing the same statistic share one plan and different
+//! configurations never collide.
 //!
 //! Kernels whose bin grid depends on data extrema (histogram, hexbin,
 //! binned boxes, multi-line) take the reduced [`Moments`] node as an extra
@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eda_dataframe::{Column, DataFrame};
+use eda_dataframe::{Column, DataFrame, Selection};
 use eda_stats::corr::PearsonPartial;
 use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
@@ -38,20 +38,49 @@ pub struct ColMeta {
     pub nulls: usize,
 }
 
-/// Optionally drop rows where `drop` is null, then borrow `col`.
+/// Which rows of each partition a kernel aggregates.
 ///
-/// Shared preprocessing of every missing-impact kernel. Returns `None`
-/// when the partition is left unchanged (fast path: borrow directly).
-fn maybe_dropped(df: &DataFrame, drop: Option<&str>) -> Option<DataFrame> {
-    drop.map(|d| df.drop_nulls_in(d).expect("column exists"))
+/// `plot_missing(df, x)` compares every column before and after dropping
+/// the rows where `x` is null. Counts subtract exactly, so the *after*
+/// side is planned as the same kernel over only the rows `x` drops
+/// ([`Rows::NullIn`]: O(nulls(x)) per column, empty for a partition where
+/// `x` has no nulls) and derived as `after = before − dropped`; order
+/// statistics, which do not subtract, read the rows `x` keeps
+/// ([`Rows::ValidIn`]). Either way the rows are read in place through a
+/// [`Selection`] — no kernel copies a filtered partition.
+#[derive(Debug, Clone)]
+pub enum Rows {
+    /// Every row.
+    All,
+    /// The rows where the named column is null.
+    NullIn(String),
+    /// The rows where the named column is non-null.
+    ValidIn(String),
+}
+
+impl Rows {
+    /// Key/name suffix: the same kernel over different rows is a
+    /// different task.
+    fn tag(&self) -> String {
+        match self {
+            Rows::All => String::new(),
+            Rows::NullIn(x) => format!("|nullsof:{x}"),
+            Rows::ValidIn(x) => format!("|validin:{x}"),
+        }
+    }
+
+    /// These rows of one partition.
+    fn select<'d>(&self, df: &'d DataFrame) -> Selection<'d> {
+        match self {
+            Rows::All => Selection::All,
+            Rows::NullIn(x) => col(df, x).null_rows(),
+            Rows::ValidIn(x) => col(df, x).valid_rows(),
+        }
+    }
 }
 
 fn col<'d>(df: &'d DataFrame, name: &str) -> &'d Column {
     df.column(name).expect("column exists")
-}
-
-fn drop_tag(drop: Option<&str>) -> String {
-    drop.map_or_else(String::new, |d| format!("|dropna:{d}"))
 }
 
 /// The column's float buffer when every windowed row is valid — either
@@ -72,21 +101,17 @@ fn all_valid_f64(c: &Column) -> Option<&[f64]> {
 // Scalar / sketch kernels
 // ---------------------------------------------------------------------------
 
-/// Row/null counts of `column` (optionally after dropping rows null in
-/// `drop`).
-pub fn col_meta(ctx: &mut ComputeContext<'_>, column: &str, drop: Option<&str>) -> NodeId {
+/// Row/null counts of `column`.
+pub fn col_meta(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
-    let dropped = drop.map(str::to_string);
-    let params = ctx.params(TaskKey::params(&format!("meta:{column}{}", drop_tag(drop))));
+    let params = ctx.params(TaskKey::params(&format!("meta:{column}")));
     ops::map_reduce(
         &mut ctx.graph,
-        &format!("col_meta:{column}{}", drop_tag(drop)),
+        &format!("col_meta:{column}"),
         params,
         &ctx.sources.clone(),
         move |df| {
-            let filtered = maybe_dropped(df, dropped.as_deref());
-            let frame = filtered.as_ref().unwrap_or(df);
-            let c = col(frame, &name);
+            let c = col(df, &name);
             pl(ColMeta { len: c.len(), nulls: c.null_count() })
         },
         |a, b| {
@@ -97,19 +122,16 @@ pub fn col_meta(ctx: &mut ComputeContext<'_>, column: &str, drop: Option<&str>) 
 }
 
 /// Moments sketch over a numeric column.
-pub fn moments(ctx: &mut ComputeContext<'_>, column: &str, drop: Option<&str>) -> NodeId {
+pub fn moments(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
-    let dropped = drop.map(str::to_string);
-    let params = ctx.params(TaskKey::params(&format!("moments:{column}{}", drop_tag(drop))));
+    let params = ctx.params(TaskKey::params(&format!("moments:{column}")));
     ops::map_reduce(
         &mut ctx.graph,
-        &format!("moments:{column}{}", drop_tag(drop)),
+        &format!("moments:{column}"),
         params,
         &ctx.sources.clone(),
         move |df| {
-            let filtered = maybe_dropped(df, dropped.as_deref());
-            let frame = filtered.as_ref().unwrap_or(df);
-            let c = col(frame, &name);
+            let c = col(df, &name);
             let mut m = Moments::new();
             match all_valid_f64(c) {
                 // Null-free float window: feed the buffer to the sketch
@@ -147,23 +169,22 @@ pub fn moments(ctx: &mut ComputeContext<'_>, column: &str, drop: Option<&str>) -
     )
 }
 
-/// Fully sorted non-null values of a numeric column (feeds quantiles,
-/// box plot, Q-Q plot — computed once, shared by all three).
-pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, drop: Option<&str>) -> NodeId {
+/// Fully sorted non-null values of a numeric column over `rows` (feeds
+/// quantiles, box plot, Q-Q plot — computed once, shared by all three).
+pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
     let name = column.to_string();
-    let dropped = drop.map(str::to_string);
-    let params = ctx.params(TaskKey::params(&format!("sorted:{column}{}", drop_tag(drop))));
+    let params = ctx.params(TaskKey::params(&format!("sorted:{column}{}", rows.tag())));
     ops::map_reduce(
         &mut ctx.graph,
-        &format!("sorted_values:{column}{}", drop_tag(drop)),
+        &format!("sorted_values:{column}{}", rows.tag()),
         params,
         &ctx.sources.clone(),
         move |df| {
-            let filtered = maybe_dropped(df, dropped.as_deref());
-            let frame = filtered.as_ref().unwrap_or(df);
-            let c = col(frame, &name);
-            let mut v: Vec<f64> = Vec::with_capacity(c.len() - c.null_count());
-            c.for_each_numeric(|x| {
+            let c = col(df, &name);
+            let rows = rows.select(df);
+            let mut v: Vec<f64> =
+                Vec::with_capacity(rows.count(c.len()).min(c.len() - c.null_count()));
+            c.for_each_numeric_in(rows, |x| {
                 if !x.is_nan() {
                     v.push(x);
                 }
@@ -196,51 +217,39 @@ fn merge_sorted(a: &[f64], b: &[f64]) -> Vec<f64> {
 
 /// Histogram over a numeric column. Bin range comes from the reduced
 /// moments payload at execution time, so the whole thing stays lazy.
-pub fn histogram(
-    ctx: &mut ComputeContext<'_>,
-    column: &str,
-    bins: usize,
-    drop: Option<&str>,
-) -> NodeId {
-    let m = moments(ctx, column, drop);
-    histogram_with_range(ctx, column, bins, drop, m)
+pub fn histogram(ctx: &mut ComputeContext<'_>, column: &str, bins: usize) -> NodeId {
+    let m = moments(ctx, column);
+    histogram_with_range(ctx, column, bins, Rows::All, m)
 }
 
-/// Histogram whose bin range comes from an explicit moments node — the
-/// before/after comparisons of `plot_missing` bin both variants on the
-/// *before* range so the bars are comparable.
+/// Histogram of `rows` whose bin range comes from an explicit moments
+/// node — the before/after comparisons of `plot_missing` bin the dropped
+/// rows on the *before* range so the two sides subtract bin by bin.
 pub fn histogram_with_range(
     ctx: &mut ComputeContext<'_>,
     column: &str,
     bins: usize,
-    drop: Option<&str>,
+    rows: Rows,
     m: NodeId,
 ) -> NodeId {
     let name = column.to_string();
-    let dropped = drop.map(str::to_string);
-    let params = ctx.params(TaskKey::params(&format!(
-        "hist:{column}:{bins}{}",
-        drop_tag(drop)
-    )));
-    let task_name = format!("histogram:{column}{}", drop_tag(drop));
+    let params = ctx.params(TaskKey::params(&format!("hist:{column}:{bins}{}", rows.tag())));
+    let task_name = format!("histogram:{column}{}", rows.tag());
     let mapped: Vec<NodeId> = ctx
         .sources
         .clone()
         .iter()
         .map(|&p| {
-            let name = name.clone();
-            let dropped = dropped.clone();
+            let (name, rows) = (name.clone(), rows.clone());
             ctx.graph.op(&task_name, params, vec![p, m], move |inputs| {
-                let frame_arc = payload_frame(&inputs[0]);
+                let frame = payload_frame(&inputs[0]);
                 let mom = un::<Moments>(&inputs[1]);
-                let filtered = maybe_dropped(&frame_arc, dropped.as_deref());
-                let frame = filtered.as_ref().unwrap_or(&frame_arc);
                 let mut h = Histogram::new(mom.min, mom.max, bins);
-                let c = col(frame, &name);
-                match all_valid_f64(c) {
+                let c = col(&frame, &name);
+                match (all_valid_f64(c), rows.select(&frame)) {
                     // Counts are integers, so the morsel merge is exact:
                     // splitting cannot change the histogram.
-                    Some(vals) => match morsel::run_rows(
+                    (Some(vals), Selection::All) => match morsel::run_rows(
                         vals.len(),
                         std::mem::size_of::<f64>(),
                         |r| {
@@ -256,7 +265,17 @@ pub fn histogram_with_range(
                         Some(filled) => h = filled,
                         None => h.fill_slice(vals),
                     },
-                    None => c.for_each_numeric(|v| h.push(v)).expect("numeric"),
+                    // Some rows of a null-free float window: gather them
+                    // (O(selected)) and take the slice entry point the
+                    // whole window takes. With `simd` it classifies edge
+                    // values differently from `push`, and `before −
+                    // dropped` needs each value in one bin on both sides.
+                    (Some(_), rows) => {
+                        let mut picked = Vec::with_capacity(rows.count(c.len()));
+                        c.for_each_numeric_in(rows, |v| picked.push(v)).expect("numeric");
+                        h.fill_slice(&picked);
+                    }
+                    (None, rows) => c.for_each_numeric_in(rows, |v| h.push(v)).expect("numeric"),
                 }
                 pl(h)
             })
@@ -269,23 +288,25 @@ pub fn histogram_with_range(
     })
 }
 
-/// Frequency table over any column's display values.
-pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, drop: Option<&str>) -> NodeId {
+/// Frequency table over the display values of any column's `rows`.
+pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
     let name = column.to_string();
-    let dropped = drop.map(str::to_string);
-    let params = ctx.params(TaskKey::params(&format!("freq:{column}{}", drop_tag(drop))));
+    let params = ctx.params(TaskKey::params(&format!("freq:{column}{}", rows.tag())));
     ops::map_reduce(
         &mut ctx.graph,
-        &format!("freq:{column}{}", drop_tag(drop)),
+        &format!("freq:{column}{}", rows.tag()),
         params,
         &ctx.sources.clone(),
         move |df| {
-            let filtered = maybe_dropped(df, dropped.as_deref());
-            let frame = filtered.as_ref().unwrap_or(df);
+            let c = col(df, &name);
+            let rows = rows.select(df);
             let mut t = FreqTable::new();
-            for v in col(frame, &name).display_iter() {
-                t.push_owned(v);
-            }
+            let mut valid = 0;
+            c.for_each_display_in(rows, |v| {
+                t.push(Some(v));
+                valid += 1;
+            });
+            t.nulls = (rows.count(c.len()) - valid) as u64;
             pl(t)
         },
         |a, b| {
@@ -574,7 +595,7 @@ pub fn binned_numeric(
     y: &str,
     bins: usize,
 ) -> NodeId {
-    let mx = moments(ctx, x, None);
+    let mx = moments(ctx, x);
     let (xn, yn) = (x.to_string(), y.to_string());
     let params = ctx.params(TaskKey::params(&format!("binned:{x}:{y}:{bins}")));
     let task_name = format!("binned_numeric:{x}:{y}");
@@ -623,8 +644,8 @@ pub fn binned_numeric(
 /// Hexagonal binning of two numeric columns (pointy-top axial grid over
 /// the data ranges; ranges from the reduced moments at execution time).
 pub fn hexbin(ctx: &mut ComputeContext<'_>, x: &str, y: &str, gridsize: usize) -> NodeId {
-    let mx = moments(ctx, x, None);
-    let my = moments(ctx, y, None);
+    let mx = moments(ctx, x);
+    let my = moments(ctx, y);
     let (xn, yn) = (x.to_string(), y.to_string());
     let params = ctx.params(TaskKey::params(&format!("hexbin:{x}:{y}:{gridsize}")));
     let task_name = format!("hexbin:{x}:{y}");
@@ -709,7 +730,7 @@ pub fn multi_line(
     keep: &[String],
     bins: usize,
 ) -> NodeId {
-    let m = moments(ctx, num, None);
+    let m = moments(ctx, num);
     let (cn, nn) = (cat.to_string(), num.to_string());
     let keep: Arc<Vec<String>> = Arc::new(keep.to_vec());
     let params = ctx.params(TaskKey::params(&format!(
@@ -806,21 +827,14 @@ mod tests {
 
     #[test]
     fn col_meta_counts() {
-        let meta: ColMeta = run_one(|ctx| col_meta(ctx, "num", None));
+        let meta: ColMeta = run_one(|ctx| col_meta(ctx, "num"));
         assert_eq!(meta.len, 200);
         assert_eq!(meta.nulls, 20);
     }
 
     #[test]
-    fn col_meta_after_drop() {
-        // Dropping num's nulls leaves 180 rows; cat null where i%13==0.
-        let meta: ColMeta = run_one(|ctx| col_meta(ctx, "cat", Some("num")));
-        assert_eq!(meta.len, 180);
-    }
-
-    #[test]
     fn moments_match_direct_computation() {
-        let m: Moments = run_one(|ctx| moments(ctx, "num", None));
+        let m: Moments = run_one(|ctx| moments(ctx, "num"));
         assert_eq!(m.count, 180);
         let direct: Vec<f64> = (0..200)
             .filter(|i| i % 10 != 0)
@@ -834,7 +848,7 @@ mod tests {
 
     #[test]
     fn sorted_values_are_sorted_and_complete() {
-        let v: Vec<f64> = run_one(|ctx| sorted_values(ctx, "num", None));
+        let v: Vec<f64> = run_one(|ctx| sorted_values(ctx, "num", Rows::All));
         assert_eq!(v.len(), 180);
         assert!(v.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(v[0], 1.0);
@@ -843,7 +857,7 @@ mod tests {
 
     #[test]
     fn histogram_covers_all_values() {
-        let h: Histogram = run_one(|ctx| histogram(ctx, "num", 10, None));
+        let h: Histogram = run_one(|ctx| histogram(ctx, "num", 10));
         assert_eq!(h.total(), 180);
         assert_eq!(h.nbins(), 10);
         assert_eq!(h.min, 1.0);
@@ -852,7 +866,7 @@ mod tests {
 
     #[test]
     fn freq_counts_categories() {
-        let t: FreqTable = run_one(|ctx| freq(ctx, "cat", None));
+        let t: FreqTable = run_one(|ctx| freq(ctx, "cat", Rows::All));
         assert_eq!(t.distinct(), 4);
         assert_eq!(t.total() + t.nulls, 200);
     }
@@ -936,29 +950,56 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let a = moments(&mut ctx, "num", None);
+        let a = moments(&mut ctx, "num");
         let before = ctx.graph.len();
-        let b = moments(&mut ctx, "num", None);
+        let b = moments(&mut ctx, "num");
         assert_eq!(a, b);
         assert_eq!(ctx.graph.len(), before);
         // The histogram reuses the same moments node.
-        let _h = histogram(&mut ctx, "num", 10, None);
-        let c = moments(&mut ctx, "num", None);
+        let _h = histogram(&mut ctx, "num", 10);
+        let c = moments(&mut ctx, "num");
         assert_eq!(a, c);
     }
 
     #[test]
-    fn drop_variants_do_not_collide() {
+    fn row_variants_do_not_collide_and_partition_the_column() {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let plain = moments(&mut ctx, "num2", None);
-        let dropped = moments(&mut ctx, "num2", Some("num"));
-        assert_ne!(plain, dropped);
-        let outs = ctx.execute(&[plain, dropped]);
-        let (mp, md) = (un::<Moments>(&outs[0]), un::<Moments>(&outs[1]));
-        assert_eq!(mp.count, 200);
-        assert_eq!(md.count, 180);
+        // `num` is null where i % 10 == 0 (20 rows), `cat` where i % 13 == 0.
+        let all = freq(&mut ctx, "cat", Rows::All);
+        let dropped = freq(&mut ctx, "cat", Rows::NullIn("num".into()));
+        let by_cat = freq(&mut ctx, "cat", Rows::NullIn("cat".into()));
+        let kept = sorted_values(&mut ctx, "num2", Rows::ValidIn("num".into()));
+        let whole = sorted_values(&mut ctx, "num2", Rows::All);
+        assert_eq!(
+            [all, dropped, by_cat, kept, whole].iter().collect::<std::collections::HashSet<_>>().len(),
+            5
+        );
+        let outs = ctx.execute(&[all, dropped, by_cat, kept, whole]);
+        let (all, dropped, by_cat) =
+            (un::<FreqTable>(&outs[0]), un::<FreqTable>(&outs[1]), un::<FreqTable>(&outs[2]));
+        assert_eq!(all.total() + all.nulls, 200);
+        // Rows 0 and 130 are null in both columns.
+        assert_eq!((dropped.total(), dropped.nulls), (18, 2));
+        assert_eq!((by_cat.total(), by_cat.nulls), (0, 16));
+        assert_eq!(un::<Vec<f64>>(&outs[3]).len(), 180);
+        assert_eq!(un::<Vec<f64>>(&outs[4]).len(), 200);
+    }
+
+    #[test]
+    fn dropped_histogram_subtracts_to_the_kept_rows() {
+        let df = frame();
+        let cfg = Config::default();
+        let mut ctx = ComputeContext::new(&df, &cfg);
+        let m = moments(&mut ctx, "num2");
+        let before = histogram_with_range(&mut ctx, "num2", 7, Rows::All, m);
+        let dropped = histogram_with_range(&mut ctx, "num2", 7, Rows::NullIn("num".into()), m);
+        let outs = ctx.execute(&[before, dropped]);
+        let after = un::<Histogram>(&outs[0]).minus(un::<Histogram>(&outs[1]));
+        let mut direct = Histogram::new(0.0, 398.0, 7);
+        direct.extend((0..200).filter(|i| i % 10 != 0).map(|i| (i * 2) as f64));
+        assert_eq!(after, direct);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //!   nullity correlation heatmap, dendrogram.
 //! * `plot_missing(df, x)` → for every other column, its distribution
 //!   before vs after dropping the rows where `x` is null. The paper's
-//!   Figure 5 calls this the most expensive fine-grained task ("it
-//!   computes two frequency distributions for each column") — our
-//!   benchmark asserts the same.
+//!   Figure 5 calls this the most expensive fine-grained task because "it
+//!   computes two frequency distributions for each column". Here the
+//!   second one covers only the rows `x` drops ([`Rows::NullIn`]) and
+//!   `after = before − dropped`, exact because counts are integers; the
+//!   *before* node is the one `plot(df, x)` and `create_report` plan too.
 //! * `plot_missing(df, x, y)` → histogram, PDF, CDF, box plot of `y`
 //!   before vs after dropping `x`'s missing rows.
 
@@ -23,7 +25,7 @@ use crate::insights::{similarity_insight, Insight};
 use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{un, ComputeContext};
-use super::kernels::{self, ColMeta};
+use super::kernels::{self, ColMeta, Rows};
 
 /// Run `plot_missing(df)`.
 pub fn compute_missing_overview(
@@ -32,7 +34,7 @@ pub fn compute_missing_overview(
     let names: Vec<String> = ctx.df.names().to_vec();
     let metas: Vec<NodeId> = names
         .iter()
-        .map(|n| kernels::col_meta(ctx, n, None))
+        .map(|n| kernels::col_meta(ctx, n))
         .collect();
     let indicators: Vec<NodeId> = names
         .iter()
@@ -81,6 +83,40 @@ pub fn compute_missing_overview(
     Ok((ims, Vec::new()))
 }
 
+/// Plan one column's comparison for dropping `x`'s null rows: its
+/// distribution over every row (*before*), and over only the rows `x`
+/// drops. Numeric columns bin both on the *before* range so the
+/// histograms subtract bin by bin.
+fn plan_compare(ctx: &mut ComputeContext<'_>, name: &str, x: &str, sem: SemanticType) -> [NodeId; 2] {
+    let sides = [Rows::All, Rows::NullIn(x.to_string())];
+    match sem {
+        SemanticType::Numerical => {
+            let (m, bins) = (kernels::moments(ctx, name), ctx.config.hist.bins);
+            sides.map(|rows| kernels::histogram_with_range(ctx, name, bins, rows, m))
+        }
+        SemanticType::Categorical => sides.map(|rows| kernels::freq(ctx, name, rows)),
+    }
+}
+
+fn compare_histogram(before: &Histogram, after: &Histogram) -> Inter {
+    Inter::CompareHistogram {
+        edges: before.edges(),
+        before: before.counts.clone(),
+        after: after.counts.clone(),
+    }
+}
+
+/// Bars for the `ngroups` most frequent categories *before*; what remains
+/// of each after the drop is its count minus its dropped rows.
+fn compare_bars(before: &FreqTable, dropped: &FreqTable, ngroups: usize) -> Inter {
+    let top = before.top_k(ngroups);
+    Inter::CompareBars {
+        before: top.iter().map(|(_, n)| *n).collect(),
+        after: top.iter().map(|(c, n)| n - dropped.count(c)).collect(),
+        categories: top.into_iter().map(|(c, _)| c).collect(),
+    }
+}
+
 /// Run `plot_missing(df, x)`: before/after distributions for every other
 /// column.
 pub fn compute_missing_impact(
@@ -88,94 +124,39 @@ pub fn compute_missing_impact(
     x: &str,
 ) -> EdaResult<(Intermediates, Vec<Insight>)> {
     ctx.df.column(x)?; // existence check
-    let others: Vec<String> = ctx
+    let others: Vec<(String, SemanticType)> = ctx
         .df
-        .names()
         .iter()
-        .filter(|n| n.as_str() != x)
-        .cloned()
+        .filter(|(n, _)| *n != x)
+        .map(|(n, col)| (n.to_string(), detect(col, ctx.config.types.low_cardinality)))
         .collect();
 
-    // Plan both variants of every column into ONE graph — the "two
-    // frequency distributions per column" the paper calls out.
-    enum Plan {
-        Numeric { name: String },
-        Categorical { name: String },
-    }
-    let mut plans = Vec::with_capacity(others.len());
+    // Plan both sides of every column into ONE graph.
     let mut outputs = Vec::with_capacity(others.len() * 2);
-    for name in &others {
-        let col = ctx.df.column(name).expect("iterating names");
-        match detect(col, ctx.config.types.low_cardinality) {
-            SemanticType::Numerical => {
-                // Shared bin range: the BEFORE moments anchor both.
-                let m_before = kernels::moments(ctx, name, None);
-                let before =
-                    kernels::histogram_with_range(ctx, name, ctx.config.hist.bins, None, m_before);
-                let after = kernels::histogram_with_range(
-                    ctx,
-                    name,
-                    ctx.config.hist.bins,
-                    Some(x),
-                    m_before,
-                );
-                outputs.push(before);
-                outputs.push(after);
-                plans.push(Plan::Numeric { name: name.clone() });
-            }
-            SemanticType::Categorical => {
-                let before = kernels::freq(ctx, name, None);
-                let after = kernels::freq(ctx, name, Some(x));
-                outputs.push(before);
-                outputs.push(after);
-                plans.push(Plan::Categorical { name: name.clone() });
-            }
-        }
+    for (name, sem) in &others {
+        outputs.extend(plan_compare(ctx, name, x, *sem));
     }
     let outs = ctx.execute_checked(&outputs)?;
 
     let mut ims = Intermediates::new();
     let mut insights = Vec::new();
-    let mut cursor = 0;
-    for plan in &plans {
-        match plan {
-            Plan::Numeric { name } => {
-                let before = un::<Histogram>(&outs[cursor]);
-                let after = un::<Histogram>(&outs[cursor + 1]);
-                cursor += 2;
+    for ((name, sem), sides) in others.iter().zip(outs.chunks_exact(2)) {
+        match sem {
+            SemanticType::Numerical => {
+                let before = un::<Histogram>(&sides[0]);
+                let after = before.minus(un::<Histogram>(&sides[1]));
                 // Similarity insight via KS over the binned distributions.
-                if let Some(ks) = histogram_ks(before, after) {
+                if let Some(ks) = histogram_ks(before, &after) {
                     if let Some(i) = similarity_insight(name, ks, &ctx.config.insight) {
                         insights.push(i);
                     }
                 }
-                ims.push(
-                    format!("compare_histogram:{name}"),
-                    Inter::CompareHistogram {
-                        edges: before.edges(),
-                        before: before.counts.clone(),
-                        after: after.counts.clone(),
-                    },
-                );
+                ims.push(format!("compare_histogram:{name}"), compare_histogram(before, &after));
             }
-            Plan::Categorical { name } => {
-                let before = un::<FreqTable>(&outs[cursor]);
-                let after = un::<FreqTable>(&outs[cursor + 1]);
-                cursor += 2;
-                let top = before.top_k(ctx.config.bar.ngroups);
-                let categories: Vec<String> = top.iter().map(|(c, _)| c.clone()).collect();
-                let before_counts: Vec<u64> = top.iter().map(|(_, c)| *c).collect();
-                let after_counts: Vec<u64> =
-                    categories.iter().map(|c| after.count(c)).collect();
-                ims.push(
-                    format!("compare_bars:{name}"),
-                    Inter::CompareBars {
-                        categories,
-                        before: before_counts,
-                        after: after_counts,
-                    },
-                );
-            }
+            SemanticType::Categorical => ims.push(
+                format!("compare_bars:{name}"),
+                compare_bars(un(&sides[0]), un(&sides[1]), ctx.config.bar.ngroups),
+            ),
         }
     }
     Ok((ims, insights))
@@ -188,56 +169,31 @@ pub fn compute_missing_pair(
     y: &str,
 ) -> EdaResult<(Intermediates, Vec<Insight>)> {
     ctx.df.column(x)?;
-    let ycol = ctx.df.column(y)?;
-    match detect(ycol, ctx.config.types.low_cardinality) {
+    let sem = detect(ctx.df.column(y)?, ctx.config.types.low_cardinality);
+    let [before, dropped] = plan_compare(ctx, y, x, sem);
+    let mut ims = Intermediates::new();
+    match sem {
         SemanticType::Categorical => {
             // Categorical y: before/after bars only.
-            let before = kernels::freq(ctx, y, None);
-            let after = kernels::freq(ctx, y, Some(x));
-            let outs = ctx.execute_checked(&[before, after])?;
-            let before = un::<FreqTable>(&outs[0]);
-            let after = un::<FreqTable>(&outs[1]);
-            let top = before.top_k(ctx.config.bar.ngroups);
-            let categories: Vec<String> = top.iter().map(|(c, _)| c.clone()).collect();
-            let mut ims = Intermediates::new();
+            let outs = ctx.execute_checked(&[before, dropped])?;
             ims.push(
                 "compare_bars",
-                Inter::CompareBars {
-                    before: top.iter().map(|(_, c)| *c).collect(),
-                    after: categories.iter().map(|c| after.count(c)).collect(),
-                    categories,
-                },
+                compare_bars(un(&outs[0]), un(&outs[1]), ctx.config.bar.ngroups),
             );
             Ok((ims, Vec::new()))
         }
         SemanticType::Numerical => {
-            let m_before = kernels::moments(ctx, y, None);
-            let h_before =
-                kernels::histogram_with_range(ctx, y, ctx.config.hist.bins, None, m_before);
-            let h_after = kernels::histogram_with_range(
-                ctx,
-                y,
-                ctx.config.hist.bins,
-                Some(x),
-                m_before,
-            );
-            let s_before = kernels::sorted_values(ctx, y, None);
-            let s_after = kernels::sorted_values(ctx, y, Some(x));
-            let outs = ctx.execute_checked(&[h_before, h_after, s_before, s_after])?;
+            // Order statistics do not subtract: the after side sorts the
+            // rows `x` keeps, gathered in place.
+            let s_before = kernels::sorted_values(ctx, y, Rows::All);
+            let s_after = kernels::sorted_values(ctx, y, Rows::ValidIn(x.to_string()));
+            let outs = ctx.execute_checked(&[before, dropped, s_before, s_after])?;
             let hb = un::<Histogram>(&outs[0]);
-            let ha = un::<Histogram>(&outs[1]);
+            let ha = &hb.minus(un::<Histogram>(&outs[1]));
             let sb = un::<Vec<f64>>(&outs[2]);
             let sa = un::<Vec<f64>>(&outs[3]);
 
-            let mut ims = Intermediates::new();
-            ims.push(
-                "compare_histogram",
-                Inter::CompareHistogram {
-                    edges: hb.edges(),
-                    before: hb.counts.clone(),
-                    after: ha.counts.clone(),
-                },
-            );
+            ims.push("compare_histogram", compare_histogram(hb, ha));
             // PDF and CDF curves over the shared bin centers.
             let centers: Vec<f64> = hb.edges().windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
             for (label, hist) in [("before", hb), ("after", ha)] {

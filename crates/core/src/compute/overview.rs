@@ -13,7 +13,7 @@ use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
 use super::ctx::{un, ComputeContext};
-use super::kernels::{self, ColMeta};
+use super::kernels::{self, ColMeta, Rows};
 use super::univariate::bar_from_freq;
 
 /// Per-column plan entry of the overview.
@@ -66,13 +66,13 @@ pub fn plan_overview(ctx: &mut ComputeContext<'_>) -> OverviewPlan {
             let col = ctx.df.column(&name).expect("iterating frame names");
             match detect(col, ctx.config.types.low_cardinality) {
                 SemanticType::Numerical => OverviewColumnPlan::Numeric {
-                    meta: kernels::col_meta(ctx, &name, None),
-                    hist: kernels::histogram(ctx, &name, ctx.config.hist.bins, None),
+                    meta: kernels::col_meta(ctx, &name),
+                    hist: kernels::histogram(ctx, &name, ctx.config.hist.bins),
                     name,
                 },
                 SemanticType::Categorical => OverviewColumnPlan::Categorical {
-                    meta: kernels::col_meta(ctx, &name, None),
-                    freq: kernels::freq(ctx, &name, None),
+                    meta: kernels::col_meta(ctx, &name),
+                    freq: kernels::freq(ctx, &name, Rows::All),
                     name,
                 },
             }

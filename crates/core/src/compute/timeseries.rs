@@ -42,7 +42,7 @@ pub fn compute_timeseries(
 
     // Dask phase: gather complete pairs + value moments in one graph.
     let pairs_node = kernels::pair_values(ctx, time, value);
-    let m_node = kernels::moments(ctx, value, None);
+    let m_node = kernels::moments(ctx, value);
     let outs = ctx.execute_checked(&[pairs_node, m_node])?;
     let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
     let moments = un::<Moments>(&outs[1]);

@@ -25,7 +25,7 @@ use crate::insights::{categorical_insights, numeric_insights, Insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
 use super::ctx::{un, ComputeContext};
-use super::kernels::{self, ColMeta};
+use super::kernels::{self, ColMeta, Rows};
 
 /// Graph nodes of a numeric univariate panel.
 #[derive(Debug, Clone, Copy)]
@@ -52,10 +52,10 @@ impl NumericPlan {
 /// Add the numeric univariate plan for `column`.
 pub fn plan_numeric(ctx: &mut ComputeContext<'_>, column: &str) -> NumericPlan {
     NumericPlan {
-        meta: kernels::col_meta(ctx, column, None),
-        moments: kernels::moments(ctx, column, None),
-        sorted: kernels::sorted_values(ctx, column, None),
-        hist: kernels::histogram(ctx, column, ctx.config.hist.bins, None),
+        meta: kernels::col_meta(ctx, column),
+        moments: kernels::moments(ctx, column),
+        sorted: kernels::sorted_values(ctx, column, Rows::All),
+        hist: kernels::histogram(ctx, column, ctx.config.hist.bins),
     }
 }
 
@@ -88,8 +88,8 @@ impl CategoricalPlan {
 /// Add the categorical univariate plan for `column`.
 pub fn plan_categorical(ctx: &mut ComputeContext<'_>, column: &str) -> CategoricalPlan {
     CategoricalPlan {
-        meta: kernels::col_meta(ctx, column, None),
-        freq: kernels::freq(ctx, column, None),
+        meta: kernels::col_meta(ctx, column),
+        freq: kernels::freq(ctx, column, Rows::All),
         text: kernels::text_stats(ctx, column),
     }
 }

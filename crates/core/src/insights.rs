@@ -205,8 +205,7 @@ pub fn categorical_insights(
         });
     }
     // Uniformity via chi-square over the observed category counts.
-    let counts: Vec<u64> = freq.sorted().iter().map(|(_, c)| *c).collect();
-    if let Some((stat, df)) = chi_square_uniform(&counts) {
+    if let Some((stat, df)) = chi_square_uniform(&freq.counts_desc()) {
         let p = chi_square_pvalue(stat, df);
         if p > cfg.uniform_p {
             out.push(Insight {

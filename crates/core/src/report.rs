@@ -138,7 +138,7 @@ impl Report {
 
         let missing_metas: Vec<_> = names
             .iter()
-            .map(|n| kernels::col_meta(&mut ctx, n, None))
+            .map(|n| kernels::col_meta(&mut ctx, n))
             .collect();
         let missing_indicators: Vec<_> = names
             .iter()

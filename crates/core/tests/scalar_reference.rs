@@ -1,0 +1,82 @@
+//! `engine.simd = false` is a process-wide latch (the vector/scalar choice
+//! is not part of task keys), so a test that depends on it cannot share a
+//! process with tests that run under the default: any of them flips the
+//! latch back mid-run. This file holds that one test and nothing else.
+
+use eda_core::json::intermediates_to_json;
+use eda_core::{plot, Config, Inter};
+use eda_dataframe::{Column, DataFrame};
+
+#[test]
+fn morsels_and_simd_off_reproduce_scalar_reference() {
+    use eda_stats::histogram::Histogram;
+    use eda_stats::moments::Moments;
+
+    // Large enough that the morsel engine engages under the default
+    // 256 KiB budget (100k f64 rows ≈ 780 KiB), single partition so
+    // the scalar reference below replays the exact legacy fold.
+    let n = 100_000usize;
+    let vals: Vec<f64> =
+        (0..n as u64).map(|i| ((i * 2654435761) % 10_000) as f64 / 7.0 - 500.0).collect();
+    let df =
+        DataFrame::new(vec![("v".into(), Column::from_f64(vals.clone()))]).unwrap();
+    let base = vec![
+        ("engine.npartitions", "1"),
+        ("engine.cache_budget_bytes", "0"),
+    ];
+    let cfg_of = |extra: &[(&str, &str)]| {
+        let mut pairs = base.clone();
+        pairs.extend_from_slice(extra);
+        Config::from_pairs(pairs).unwrap()
+    };
+    let legacy = cfg_of(&[("engine.morsel_bytes", "0"), ("engine.simd", "false")]);
+
+    // Golden: with both knobs off the pipeline must reproduce the
+    // sequential scalar sketches bit for bit.
+    let a = plot(&df, &["v"], &legacy).unwrap();
+    let mut m = Moments::new();
+    for &v in &vals {
+        m.push(v);
+    }
+    let mut h = Histogram::new(m.min, m.max, 50);
+    for &v in &vals {
+        h.push(v);
+    }
+    let Some(Inter::Histogram { edges, counts }) = a.get("histogram") else {
+        panic!("univariate analysis must produce a histogram");
+    };
+    let expect_edges = h.edges();
+    assert_eq!(edges.len(), expect_edges.len());
+    for (got, want) in edges.iter().zip(&expect_edges) {
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
+    assert_eq!(counts, &h.counts);
+
+    // Turning morsels (and compiled-in SIMD) back on may reassociate
+    // float sums, but every integer-exact output — bin counts and
+    // the extrema-derived edges — must not move.
+    let fast = cfg_of(&[]);
+    let b = plot(&df, &["v"], &fast).unwrap();
+    let Some(Inter::Histogram { edges: fe, counts: fc }) = b.get("histogram") else {
+        panic!("univariate analysis must produce a histogram");
+    };
+    for (got, want) in fe.iter().zip(&expect_edges) {
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
+    assert_eq!(fc, &h.counts);
+
+    // Worker count and steal interleavings must never reach the
+    // output bytes: the morsel fold is in index order by design.
+    let w1 = plot(&df, &["v"], &cfg_of(&[("engine.workers", "1")])).unwrap();
+    let w4 = plot(&df, &["v"], &cfg_of(&[("engine.workers", "4")])).unwrap();
+    assert_eq!(
+        intermediates_to_json(&w1.intermediates),
+        intermediates_to_json(&w4.intermediates)
+    );
+    // And the legacy path itself is reproducible byte for byte.
+    let a2 = plot(&df, &["v"], &legacy).unwrap();
+    assert_eq!(
+        intermediates_to_json(&a.intermediates),
+        intermediates_to_json(&a2.intermediates)
+    );
+}

@@ -224,24 +224,61 @@ impl Bitmap {
         (offset..offset + self.len).map(move |j| (bytes[j / 8] >> (j % 8)) & 1 == 1)
     }
 
-    /// Call `f` with the window-relative index of every set bit. Skips
-    /// whole zero bytes at a time and visits set bits via trailing-zero
-    /// scans, so sparse validity costs ~n/8 byte loads instead of n bit
-    /// tests.
-    pub fn for_each_set(&self, mut f: impl FnMut(usize)) {
-        if self.len == 0 {
-            return;
+    /// Bits `[64 * w, 64 * w + 64)` of the window as one little-endian
+    /// word (bit `i` of the window is bit `i % 64` of word `i / 64`), with
+    /// everything past the window's end zeroed. Two loads and a shift
+    /// whatever the window's bit offset, which is what lets the walkers
+    /// below treat sliced, non-byte-aligned windows like owned ones.
+    #[inline]
+    fn word(&self, w: usize) -> u64 {
+        let start = self.offset + w * 64;
+        let tail = self.bytes.get(start / 8..).unwrap_or(&[]);
+        let lo = tail.first_chunk::<8>().copied().unwrap_or_else(|| {
+            // Fewer than eight bytes left in the buffer: zero-pad.
+            let mut padded = [0u8; 8];
+            padded.iter_mut().zip(tail).for_each(|(dst, src)| *dst = *src);
+            padded
+        });
+        let shift = start % 8;
+        let mut word = u64::from_le_bytes(lo) >> shift;
+        if shift != 0 {
+            word |= u64::from(tail.get(8).copied().unwrap_or(0)) << (64 - shift);
         }
-        let first = self.offset / 8;
-        let last = (self.offset + self.len - 1) / 8;
-        for byte in first..=last {
-            let mut w = self.masked_byte(byte);
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                f(byte * 8 + bit - self.offset);
-                w &= w - 1;
+        word & full_word(self.len, w)
+    }
+
+    /// Call `f` with the index of every set bit of each word `word_of`
+    /// yields for this window, in ascending order. Zero words cost one
+    /// compare; set bits are found by trailing-zero scans.
+    #[inline]
+    fn for_each_bit(&self, word_of: impl Fn(usize) -> u64, mut f: impl FnMut(usize)) {
+        for w in 0..self.len.div_ceil(64) {
+            let mut bits = word_of(w);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
+    }
+
+    /// Call `f` with the window-relative index of every set bit. Walks
+    /// 64-bit words, so sparse validity costs ~n/64 loads instead of n
+    /// bit tests.
+    pub fn for_each_set(&self, f: impl FnMut(usize)) {
+        self.for_each_bit(|w| self.word(w), f);
+    }
+
+    /// Call `f` with the window-relative index of every clear bit — the
+    /// null rows of a validity window, in O(n/64 + nulls).
+    pub fn for_each_unset(&self, f: impl FnMut(usize)) {
+        self.for_each_bit(|w| !self.word(w) & full_word(self.len, w), f);
+    }
+
+    /// Call `f` with every index set in both equal-length windows
+    /// (`self & other`), without materialising the intersection.
+    pub fn for_each_set_in_both(&self, other: &Bitmap, f: impl FnMut(usize)) {
+        assert_eq!(self.len, other.len, "bitmap length mismatch in for_each_set_in_both()");
+        self.for_each_bit(|w| self.word(w) & other.word(w), f);
     }
 
     /// An O(1) zero-copy view of `len` bits starting at `start`; shares
@@ -287,6 +324,66 @@ impl Bitmap {
                 *last &= (1u8 << tail) - 1;
             }
         }
+    }
+}
+
+/// A set of rows of one window, named by a validity window instead of
+/// materialised. The rows `DataFrame::drop_nulls_in(x)` keeps are `x`'s
+/// set validity bits and the rows it drops are the clear ones, so a kernel
+/// that aggregates "column `c` over the rows where `x` is null" walks two
+/// bitmaps and copies nothing. Built by [`crate::Column::valid_rows`] and
+/// [`crate::Column::null_rows`].
+#[derive(Debug, Clone, Copy)]
+pub enum Selection<'a> {
+    /// Every row.
+    All,
+    /// No row.
+    Empty,
+    /// The rows whose bit is set.
+    Set(&'a Bitmap),
+    /// The rows whose bit is clear.
+    Unset(&'a Bitmap),
+}
+
+impl Selection<'_> {
+    /// Number of selected rows in a window of `len` rows.
+    pub fn count(&self, len: usize) -> usize {
+        match self {
+            Selection::All => len,
+            Selection::Empty => 0,
+            Selection::Set(mask) => mask.count_set(),
+            Selection::Unset(mask) => mask.count_unset(),
+        }
+    }
+
+    /// Call `f`, in row order, with every selected row of a `len`-row
+    /// window that is also set in `validity` (every selected row when
+    /// `None`). Costs O(len/64) word operations plus one call per visited
+    /// row; an [`Selection::Unset`] selection tests `validity` per
+    /// selected row instead, which is O(nulls).
+    pub fn for_each(&self, len: usize, validity: Option<&Bitmap>, mut f: impl FnMut(usize)) {
+        match (*self, validity) {
+            (Selection::Empty, _) => {}
+            (Selection::All, None) => (0..len).for_each(f),
+            (Selection::All, Some(only)) | (Selection::Set(only), None) => only.for_each_set(f),
+            (Selection::Set(mask), Some(valid)) => mask.for_each_set_in_both(valid, f),
+            (Selection::Unset(mask), None) => mask.for_each_unset(f),
+            (Selection::Unset(mask), Some(valid)) => mask.for_each_unset(|i| {
+                if valid.get(i) {
+                    f(i);
+                }
+            }),
+        }
+    }
+}
+
+/// Word `w` of an all-set window of `len` bits: all ones, except that the
+/// last word keeps only the bits inside the window.
+#[inline]
+fn full_word(len: usize, w: usize) -> u64 {
+    match len.saturating_sub(w * 64) {
+        n if n >= 64 => u64::MAX,
+        n => (1u64 << n) - 1,
     }
 }
 
@@ -419,6 +516,83 @@ mod tests {
         view.for_each_set(|i| seen.push(i));
         let expected: Vec<usize> = (0..101).filter(|&i| bits[i + 9]).collect();
         assert_eq!(seen, expected);
+    }
+
+    /// Windows that start and end off byte and word boundaries, are
+    /// shorter than a word, span several, and touch the buffer's end.
+    const WINDOWS: [(usize, usize); 10] =
+        [(0, 257), (1, 250), (7, 9), (8, 64), (13, 0), (250, 7), (63, 65), (3, 4), (64, 128), (129, 128)];
+
+    #[test]
+    fn for_each_unset_on_sliced_windows() {
+        let bits: Vec<bool> = (0..257).map(|i| i % 5 == 0 || i % 11 == 3).collect();
+        let bm = Bitmap::from_iter(bits.iter().copied());
+        for (start, len) in WINDOWS {
+            let view = bm.slice(start, len);
+            let mut seen = Vec::new();
+            view.for_each_unset(|i| seen.push(i));
+            let expected: Vec<usize> = (0..len).filter(|&i| !bits[start + i]).collect();
+            assert_eq!(seen, expected, "window ({start},{len})");
+            assert_eq!(seen.len(), view.count_unset());
+            // A slice of a slice composes the offsets.
+            if len > 10 {
+                let mut inner = Vec::new();
+                view.slice(5, len - 10).for_each_unset(|i| inner.push(i));
+                let expected: Vec<usize> =
+                    (0..len - 10).filter(|&i| !bits[start + 5 + i]).collect();
+                assert_eq!(inner, expected, "inner window of ({start},{len})");
+            }
+        }
+        // Bits past the window never leak in, even when the buffer holds
+        // clear bits right after it.
+        let mut none = Vec::new();
+        Bitmap::filled(70, true).slice(0, 65).for_each_unset(|i| none.push(i));
+        assert!(none.is_empty());
+        let mut all = Vec::new();
+        Bitmap::filled(70, false).slice(3, 65).for_each_unset(|i| all.push(i));
+        assert_eq!(all, (0..65).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_set_in_both_matches_and() {
+        let a_bits: Vec<bool> = (0..300).map(|i| i % 3 != 0).collect();
+        let b_bits: Vec<bool> = (0..300).map(|i| i % 7 != 2).collect();
+        let a = Bitmap::from_iter(a_bits.iter().copied());
+        let b = Bitmap::from_iter(b_bits.iter().copied());
+        // The two windows sit at different bit offsets of their buffers.
+        for (start, len) in WINDOWS {
+            let (va, vb) = (a.slice(start, len), b.slice(start + 19, len));
+            let mut seen = Vec::new();
+            va.for_each_set_in_both(&vb, |i| seen.push(i));
+            let expected: Vec<usize> =
+                (0..len).filter(|&i| a_bits[start + i] && b_bits[start + 19 + i]).collect();
+            assert_eq!(seen, expected, "window ({start},{len})");
+        }
+    }
+
+    #[test]
+    fn selection_visits_selected_valid_rows() {
+        let mask_bits: Vec<bool> = (0..150).map(|i| i % 4 != 1).collect();
+        let valid_bits: Vec<bool> = (0..150).map(|i| i % 6 != 0).collect();
+        let mask = Bitmap::from_iter(mask_bits.iter().copied()).slice(5, 140);
+        let valid = Bitmap::from_iter(valid_bits.iter().copied()).slice(5, 140);
+        let run = |sel: Selection<'_>, validity: Option<&Bitmap>| {
+            let mut seen = Vec::new();
+            sel.for_each(140, validity, |i| seen.push(i));
+            seen
+        };
+        let rows = |pick: &dyn Fn(usize) -> bool| (0..140).filter(|&i| pick(i + 5)).collect::<Vec<_>>();
+        assert_eq!(run(Selection::All, None), (0..140).collect::<Vec<_>>());
+        assert_eq!(run(Selection::All, Some(&valid)), rows(&|i| valid_bits[i]));
+        assert_eq!(run(Selection::Empty, Some(&valid)), Vec::<usize>::new());
+        assert_eq!(run(Selection::Set(&mask), None), rows(&|i| mask_bits[i]));
+        assert_eq!(run(Selection::Set(&mask), Some(&valid)), rows(&|i| mask_bits[i] && valid_bits[i]));
+        assert_eq!(run(Selection::Unset(&mask), None), rows(&|i| !mask_bits[i]));
+        assert_eq!(run(Selection::Unset(&mask), Some(&valid)), rows(&|i| !mask_bits[i] && valid_bits[i]));
+        assert_eq!(Selection::All.count(140), 140);
+        assert_eq!(Selection::Empty.count(140), 0);
+        assert_eq!(Selection::Set(&mask).count(140), mask.count_set());
+        assert_eq!(Selection::Unset(&mask).count(140), mask.count_unset());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{Bitmap, Selection};
 use crate::dtype::DataType;
 use crate::error::{Error, Result};
 use crate::fingerprint::Fnv;
@@ -75,6 +75,21 @@ impl<T> TypedData<T> {
         match &self.validity {
             None => Box::new(vals.iter().map(Some)),
             Some(bm) => Box::new(vals.iter().zip(bm.iter()).map(|(v, ok)| ok.then_some(v))),
+        }
+    }
+
+    /// Call `f` with every valid value whose row is in `rows`, in row
+    /// order. Whole-window reads without nulls are a tight slice loop;
+    /// everything else walks the selection and validity words together.
+    fn for_each_in(&self, rows: Selection<'_>, mut f: impl FnMut(&T)) {
+        let vals = self.as_slice();
+        match (rows, &self.validity) {
+            (Selection::All, None) => vals.iter().for_each(f),
+            // Sliced windows keep their bitmap even when every surviving
+            // row is valid; one popcount pass beats a per-row bit walk on
+            // every kernel call.
+            (Selection::All, Some(bm)) if bm.all_set() => vals.iter().for_each(f),
+            (rows, validity) => rows.for_each(vals.len(), validity.as_ref(), |i| f(&vals[i])),
         }
     }
 }
@@ -237,6 +252,18 @@ impl Column {
             Column::Str(d) => d.validity.as_ref(),
             Column::Bool(d) => d.validity.as_ref(),
         }
+    }
+
+    /// The rows where this column is non-null — the rows
+    /// [`crate::DataFrame::drop_nulls_in`] keeps.
+    pub fn valid_rows(&self) -> Selection<'_> {
+        self.validity().map_or(Selection::All, Selection::Set)
+    }
+
+    /// The rows where this column is null — the rows
+    /// [`crate::DataFrame::drop_nulls_in`] drops.
+    pub fn null_rows(&self) -> Selection<'_> {
+        self.validity().map_or(Selection::Empty, Selection::Unset)
     }
 
     /// The validity bitmap as a materialized mask (all-true when absent).
@@ -445,36 +472,40 @@ impl Column {
 
     /// Call `f` with every valid numeric value (ints widened), in row
     /// order. The no-null case is a tight slice loop; with nulls, the
-    /// validity bitmap is walked byte-at-a-time (whole zero bytes are
+    /// validity bitmap is walked a word at a time (whole zero words are
     /// skipped). Errors on non-numeric columns.
-    pub fn for_each_numeric(&self, mut f: impl FnMut(f64)) -> Result<()> {
+    pub fn for_each_numeric(&self, f: impl FnMut(f64)) -> Result<()> {
+        self.for_each_numeric_in(Selection::All, f)
+    }
+
+    /// [`Column::for_each_numeric`] restricted to the rows in `rows` —
+    /// the values a filtered copy of the column would hold, read in
+    /// place.
+    pub fn for_each_numeric_in(&self, rows: Selection<'_>, mut f: impl FnMut(f64)) -> Result<()> {
         match self {
-            Column::Float64(d) => {
-                let vals = d.as_slice();
-                match &d.validity {
-                    None => vals.iter().for_each(|&v| f(v)),
-                    // Sliced windows keep their bitmap even when every
-                    // surviving row is valid; one popcount pass beats a
-                    // per-row bit walk on every kernel call.
-                    Some(bm) if bm.all_set() => vals.iter().for_each(|&v| f(v)),
-                    Some(bm) => bm.for_each_set(|i| f(vals[i])),
-                }
-                Ok(())
+            Column::Float64(d) => d.for_each_in(rows, |&v| f(v)),
+            Column::Int64(d) => d.for_each_in(rows, |&v| f(v as f64)),
+            other => {
+                return Err(Error::TypeMismatch {
+                    context: "for_each_numeric".into(),
+                    expected: "numeric",
+                    got: other.dtype().name(),
+                })
             }
-            Column::Int64(d) => {
-                let vals = d.as_slice();
-                match &d.validity {
-                    None => vals.iter().for_each(|&v| f(v as f64)),
-                    Some(bm) if bm.all_set() => vals.iter().for_each(|&v| f(v as f64)),
-                    Some(bm) => bm.for_each_set(|i| f(vals[i] as f64)),
-                }
-                Ok(())
-            }
-            other => Err(Error::TypeMismatch {
-                context: "for_each_numeric".into(),
-                expected: "numeric",
-                got: other.dtype().name(),
-            }),
+        }
+        Ok(())
+    }
+
+    /// Call `f` with the display form ([`Column::display_iter`]'s) of
+    /// every non-null row in `rows`, in row order. `Str` columns lend
+    /// their buffers, so counting their categories allocates nothing per
+    /// row.
+    pub fn for_each_display_in(&self, rows: Selection<'_>, mut f: impl FnMut(&str)) {
+        match self {
+            Column::Float64(d) => d.for_each_in(rows, |&v| f(&format_float(v))),
+            Column::Int64(d) => d.for_each_in(rows, |v| f(&v.to_string())),
+            Column::Str(d) => d.for_each_in(rows, |v| f(v)),
+            Column::Bool(d) => d.for_each_in(rows, |&v| f(if v { "true" } else { "false" })),
         }
     }
 
@@ -808,6 +839,40 @@ mod tests {
         let expected: Vec<f64> = (3..13).filter(|i| i % 4 != 1).map(|i| i as f64).collect();
         assert_eq!(seen, expected);
         assert!(Column::from_strs(&["x"]).for_each_numeric(|_| {}).is_err());
+    }
+
+    #[test]
+    fn selection_visitors_match_a_filtered_copy() {
+        let x = Column::from_opt_i64((0..90).map(|i| (i % 4 != 2).then_some(i)).collect());
+        let num = Column::from_opt_f64((0..90).map(|i| (i % 7 != 0).then_some(i as f64 / 2.0)).collect());
+        let int = Column::from_opt_i64((0..90).map(|i| (i % 5 != 1).then_some(i % 6)).collect());
+        let text = Column::from_opt_string((0..90).map(|i| (i % 9 != 3).then(|| format!("s{}", i % 8))).collect());
+        let flag = Column::from_opt_bool((0..90).map(|i| (i % 10 != 4).then_some(i % 3 == 0)).collect());
+        // A non-aligned window, as a partition would be.
+        let (start, len) = (11, 70);
+        let x = x.slice(start, len);
+        let kept = x.validity_mask();
+        let dropped: Bitmap = kept.iter().map(|b| !b).collect();
+        for c in [&num, &int, &text, &flag] {
+            let c = c.slice(start, len);
+            for (rows, mask) in [(x.valid_rows(), &kept), (x.null_rows(), &dropped)] {
+                let copy = c.filter(mask).unwrap();
+                let mut shown = Vec::new();
+                c.for_each_display_in(rows, |s| shown.push(s.to_string()));
+                assert_eq!(shown, copy.display_iter().flatten().collect::<Vec<_>>());
+                assert_eq!(rows.count(len) - shown.len(), copy.null_count());
+                if let Ok(expected) = copy.numeric_nonnull() {
+                    let mut seen = Vec::new();
+                    c.for_each_numeric_in(rows, |v| seen.push(v)).unwrap();
+                    assert_eq!(seen, expected);
+                }
+            }
+        }
+        assert!(text.for_each_numeric_in(x.null_rows(), |_| {}).is_err());
+        // A column without nulls keeps every row and drops none.
+        let full = Column::from_i64(vec![1, 2, 3]);
+        assert!(matches!(full.valid_rows(), Selection::All));
+        assert!(matches!(full.null_rows(), Selection::Empty));
     }
 
     #[test]

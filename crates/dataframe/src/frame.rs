@@ -339,7 +339,9 @@ impl DataFrame {
         self.filter(&mask).expect("mask length matches")
     }
 
-    /// Rows where the named column is non-null.
+    /// Rows where the named column is non-null. Copies every column; the
+    /// EDA kernels read the same rows in place ([`Column::valid_rows`])
+    /// and are tested against this.
     pub fn drop_nulls_in(&self, name: &str) -> Result<DataFrame> {
         let mask = self.column(name)?.validity_mask();
         self.filter(&mask)
@@ -358,10 +360,7 @@ impl DataFrame {
                 Column::Float64(_) => 8 * c.len(),
                 Column::Int64(_) => 8 * c.len(),
                 Column::Bool(_) => c.len(),
-                Column::Str(_) => c
-                    .display_iter()
-                    .map(|s| s.map_or(0, |s| s.len() + 24))
-                    .sum(),
+                Column::Str(d) => d.opt_iter().map(|s| s.map_or(0, |s| s.len() + 24)).sum(),
             })
             .sum()
     }
@@ -548,8 +547,14 @@ mod tests {
     }
 
     #[test]
-    fn memory_size_positive() {
-        assert!(sample().memory_size() > 0);
+    fn memory_size_counts_fixed_widths_and_string_bytes() {
+        // 4 × i64 + 4 × f64 + 4 × (1 byte + 24 header).
+        assert_eq!(sample().memory_size(), 32 + 32 + 100);
+        // Null string cells hold nothing; sliced windows count their rows only.
+        let s = Column::from_opt_string(vec![Some("abc".into()), None, Some("de".into())]);
+        let df = DataFrame::new(vec![("s".into(), s)]).unwrap();
+        assert_eq!(df.memory_size(), 27 + 26);
+        assert_eq!(df.slice(1, 2).memory_size(), 26);
     }
 
     #[test]

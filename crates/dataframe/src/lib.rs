@@ -43,7 +43,7 @@ pub(crate) mod fingerprint;
 pub mod frame;
 pub mod value;
 
-pub use bitmap::Bitmap;
+pub use bitmap::{Bitmap, Selection};
 pub use builder::{BoolBuilder, ColumnBuilder, F64Builder, I64Builder, StrBuilder};
 pub use column::Column;
 pub use dtype::DataType;

@@ -30,10 +30,11 @@ impl FreqTable {
         t
     }
 
-    /// Accumulate one value (`None` counts as null).
+    /// Accumulate one value (`None` counts as null). The key is borrowed:
+    /// a `String` is allocated only the first time a category is seen.
     pub fn push(&mut self, value: Option<&str>) {
         match value {
-            Some(v) => *self.counts.entry(v.to_string()).or_insert(0) += 1,
+            Some(v) => self.add(v, 1),
             None => self.nulls += 1,
         }
     }
@@ -46,12 +47,40 @@ impl FreqTable {
         }
     }
 
+    fn add(&mut self, category: &str, n: u64) {
+        match self.counts.get_mut(category) {
+            Some(count) => *count += n,
+            None => {
+                self.counts.insert(category.to_string(), n);
+            }
+        }
+    }
+
     /// Merge another table into this one.
     pub fn merge(&mut self, other: &FreqTable) {
         for (k, v) in &other.counts {
-            *self.counts.entry(k.clone()).or_insert(0) += v;
+            self.add(k, *v);
         }
         self.nulls += other.nulls;
+    }
+
+    /// The table of the rows that remain once the rows counted in
+    /// `dropped` are removed. `dropped` must count a subset of the rows
+    /// counted here; counts are integers, so the result equals counting
+    /// the remaining rows from scratch — categories that reach zero
+    /// disappear rather than linger with a zero count.
+    pub fn minus(&self, dropped: &FreqTable) -> FreqTable {
+        let mut out = self.clone();
+        for (k, n) in &dropped.counts {
+            match out.counts.get_mut(k) {
+                Some(count) if *count > *n => *count -= n,
+                _ => {
+                    out.counts.remove(k);
+                }
+            }
+        }
+        out.nulls = out.nulls.saturating_sub(dropped.nulls);
+        out
     }
 
     /// Number of distinct categories.
@@ -70,22 +99,24 @@ impl FreqTable {
     }
 
     /// The `k` most frequent `(category, count)` pairs, ties broken by
-    /// category name so results are deterministic.
+    /// category name so results are deterministic. Selects over borrowed
+    /// keys in O(distinct) and clones only the `k` entries it returns.
     pub fn top_k(&self, k: usize) -> Vec<(String, u64)> {
-        let mut entries: Vec<(String, u64)> = self
-            .counts
-            .iter()
-            .map(|(c, &n)| (c.clone(), n))
-            .collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        entries.truncate(k);
-        entries
+        let rank = |a: &(&str, u64), b: &(&str, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0));
+        let mut entries: Vec<(&str, u64)> = self.iter().collect();
+        if k < entries.len() {
+            entries.select_nth_unstable_by(k, rank);
+            entries.truncate(k);
+        }
+        entries.sort_unstable_by(rank);
+        entries.into_iter().map(|(c, n)| (c.to_string(), n)).collect()
     }
 
-    /// All `(category, count)` pairs sorted by descending count
-    /// (deterministic tie-break by name).
-    pub fn sorted(&self) -> Vec<(String, u64)> {
-        self.top_k(usize::MAX)
+    /// Every category's count in descending order, without the names.
+    pub fn counts_desc(&self) -> Vec<u64> {
+        let mut counts: Vec<u64> = self.counts.values().copied().collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        counts
     }
 
     /// The most frequent category and its count.
@@ -159,6 +190,35 @@ mod tests {
                 ("c".to_string(), 2)
             ]
         );
+    }
+
+    #[test]
+    fn top_k_selection_matches_a_full_sort() {
+        // Many ties, k below, at and above the number of categories.
+        let mut t = FreqTable::new();
+        for i in 0..500u32 {
+            t.push(Some(&format!("c{:03}", i * 7919 % 97)));
+        }
+        let mut full: Vec<(String, u64)> = t.iter().map(|(c, n)| (c.to_string(), n)).collect();
+        full.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        for k in [0, 1, 2, 10, 96, 97, 98, usize::MAX] {
+            assert_eq!(t.top_k(k), full[..k.min(full.len())], "k = {k}");
+        }
+        assert_eq!(t.counts_desc(), full.iter().map(|(_, n)| *n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn minus_subtracts_counts_and_drops_emptied_categories() {
+        let before = sample();
+        let dropped = FreqTable::from_iter(vec![Some("a"), Some("c"), None, Some("b"), Some("b")]);
+        let after = before.minus(&dropped);
+        assert_eq!(after, FreqTable::from_iter(vec![Some("a"), Some("a")]));
+        // "b" and "c" are gone, not present with a zero count.
+        assert_eq!(after.distinct(), 1);
+        assert!(after.iter().all(|(_, n)| n > 0));
+        assert_eq!(after.nulls, 0);
+        assert_eq!(before.minus(&FreqTable::new()), before);
+        assert_eq!(before.minus(&before), FreqTable::new());
     }
 
     #[test]

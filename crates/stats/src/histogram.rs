@@ -145,14 +145,32 @@ impl Histogram {
     ///
     /// Panics if the grids differ — partials must come from the same plan.
     pub fn merge(&mut self, other: &Histogram) {
+        self.merge_with(other, |a, b| a + b);
+    }
+
+    /// Combine every counter with `other`'s over the identical grid.
+    fn merge_with(&mut self, other: &Histogram, op: impl Fn(u64, u64) -> u64) {
         assert_eq!(self.min, other.min, "histogram grids differ (min)");
         assert_eq!(self.max, other.max, "histogram grids differ (max)");
         assert_eq!(self.nbins(), other.nbins(), "histogram grids differ (bins)");
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+            *a = op(*a, *b);
         }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
+        self.underflow = op(self.underflow, other.underflow);
+        self.overflow = op(self.overflow, other.overflow);
+    }
+
+    /// The histogram of the values that remain once those counted in
+    /// `dropped` are removed. `dropped` must be filled over the identical
+    /// grid, through the same entry point, from a subset of the values
+    /// counted here; counts are integers, so the result equals filling
+    /// the remaining values from scratch.
+    ///
+    /// Panics if the grids differ — both sides must come from the same plan.
+    pub fn minus(&self, dropped: &Histogram) -> Histogram {
+        let mut out = self.clone();
+        out.merge_with(dropped, u64::saturating_sub);
+        out
     }
 
     /// Total count captured in bins (excluding under/overflow).
@@ -272,6 +290,22 @@ mod tests {
             merged.merge(&part);
         }
         assert_eq!(merged, whole);
+    }
+
+    #[test]
+    fn minus_equals_filling_the_remaining_values() {
+        let data: Vec<f64> = (0..500).map(|i| (i % 97) as f64 - 3.0).collect();
+        let fill = |values: &mut dyn Iterator<Item = f64>| {
+            // Range narrower than the data, so under/overflow subtract too.
+            let mut h = Histogram::new(0.0, 90.0, 12);
+            h.extend(values);
+            h
+        };
+        let before = fill(&mut data.iter().copied());
+        let dropped = fill(&mut data.iter().copied().step_by(3));
+        let kept = fill(&mut data.iter().copied().enumerate().filter(|(i, _)| i % 3 != 0).map(|(_, v)| v));
+        assert_eq!(before.minus(&dropped), kept);
+        assert_eq!(before.minus(&Histogram::new(0.0, 90.0, 12)), before);
     }
 
     #[test]
