@@ -8,13 +8,15 @@
 //!   entirely in-graph (`engine.eager_finish`, paper §5.2);
 //! * **partitioning** — report cost vs partition count.
 
+use std::time::Duration;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eda_bench::EnginePolicy;
 use eda_core::compute::overview::plan_overview;
 use eda_core::compute::ComputeContext;
 use eda_core::{create_report, plot_correlation, Config};
 use eda_datagen::{generate, kaggle_spec_by_name};
 use eda_dataframe::DataFrame;
-use eda_taskgraph::Engine;
 
 fn dataset() -> DataFrame {
     let spec = kaggle_spec_by_name("adult").expect("table 2 spec").scaled(0.2);
@@ -38,21 +40,18 @@ fn ablation_lazy(c: &mut Criterion) {
     let cfg = Config::default();
     let mut group = c.benchmark_group("ablation_lazy");
     let engines = [
-        ("lazy_parallel", Engine::LazyParallel { workers: cfg.engine.workers }),
-        ("eager_per_op", Engine::EagerPerOp { workers: cfg.engine.workers }),
-        (
-            "heavy_scheduler",
-            Engine::HeavyScheduler { workers: cfg.engine.workers, overhead_us: 500 },
-        ),
-        ("single_thread", Engine::SingleThread),
+        ("lazy_parallel", EnginePolicy::LazyParallel),
+        ("eager_per_op", EnginePolicy::EagerPerOp),
+        ("heavy_scheduler", EnginePolicy::HeavyScheduler(Duration::from_micros(500))),
+        ("single_thread", EnginePolicy::SingleThread),
     ];
-    for (label, engine) in engines {
+    for (label, policy) in engines {
         group.bench_function(BenchmarkId::new("overview", label), |b| {
             b.iter(|| {
                 let mut ctx = ComputeContext::new(&df, &cfg);
                 let plan = plan_overview(&mut ctx);
                 let outputs = plan.outputs();
-                ctx.execute_with(engine, &outputs)
+                policy.execute(&mut ctx.graph, &outputs, cfg.engine.workers)
             })
         });
     }

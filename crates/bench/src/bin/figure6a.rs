@@ -4,17 +4,18 @@
 //! Usage: `cargo run -p eda-bench --release --bin figure6a [--rows 1000000]`
 //!
 //! The paper compares Dask, Modin, Koalas and PySpark and finds
-//! Dask < Modin < Koalas/PySpark; the engine variants encode the same
+//! Dask < Modin < Koalas/PySpark; the policies encode the same
 //! structural differences (shared lazy graph, eager per-op, per-task
-//! scheduling overhead — see `eda_taskgraph::engine`).
+//! scheduling overhead — see `eda_bench::EnginePolicy`).
 
-use eda_bench::{arg_f64, fmt_secs, machine_context, measure, print_table};
+use std::time::Duration;
+
+use eda_bench::{arg_f64, fmt_secs, machine_context, measure, print_table, EnginePolicy};
 use eda_core::compute::overview::plan_overview;
 use eda_core::compute::ComputeContext;
 use eda_core::Config;
 use eda_datagen::bitcoin::bitcoin_spec;
 use eda_datagen::generate;
-use eda_taskgraph::Engine;
 
 fn main() {
     let rows = arg_f64("--rows", 1_000_000.0) as usize;
@@ -30,24 +31,19 @@ fn main() {
     // Per-task scheduling latency for the heavy engine: modelled on the
     // millisecond-scale per-task driver overhead JVM engines pay.
     let engines = [
-        Engine::LazyParallel { workers },
-        Engine::EagerPerOp { workers },
-        Engine::HeavyScheduler { workers, overhead_us: 2_000 },
-        Engine::SingleThread,
+        ("LazyParallel (Dask)", EnginePolicy::LazyParallel),
+        ("EagerPerOp (Modin)", EnginePolicy::EagerPerOp),
+        ("HeavyScheduler (Koalas/PySpark)", EnginePolicy::HeavyScheduler(Duration::from_millis(2))),
+        ("SingleThread (Pandas)", EnginePolicy::SingleThread),
     ];
 
     let mut rows_out = Vec::new();
-    for engine in engines {
+    for (name, policy) in engines {
         let mut ctx = ComputeContext::new(&df, &cfg);
         let plan = plan_overview(&mut ctx);
         let outputs = plan.outputs();
-        let (_, d) = measure(|| ctx.execute_with(engine, &outputs));
-        let stats = ctx.last_stats.expect("executed");
-        rows_out.push(vec![
-            engine.name().to_string(),
-            fmt_secs(d),
-            stats.tasks_run.to_string(),
-        ]);
+        let ((_, tasks_run), d) = measure(|| policy.execute(&mut ctx.graph, &outputs, workers));
+        rows_out.push(vec![name.to_string(), fmt_secs(d), tasks_run.to_string()]);
     }
     print_table(&["Engine", "Time", "Tasks run"], &rows_out);
     println!();

@@ -8,7 +8,7 @@
 //! |--------|------------|
 //! | `table2` | Table 2: report time, baseline vs DataPrep, 15 datasets |
 //! | `figure5` | Figure 5: % of fine-grained tasks within 0.5/1/2/5 s |
-//! | `figure6a` | Figure 6(a): engine comparison on the bitcoin shape |
+//! | `figure6a` | Figure 6(a): engine comparison on the bitcoin shape ([`EnginePolicy`]) |
 //! | `figure6b` | Figure 6(b): report time vs data size, both tools |
 //! | `figure6c` | Figure 6(c): simulated cluster scale-out |
 //! | `figure7` | Figure 7 + §6.3: the user-study simulation |
@@ -22,6 +22,68 @@
 pub mod regress;
 
 use std::time::{Duration, Instant};
+
+use eda_taskgraph::scheduler::{run, ExecOptions};
+use eda_taskgraph::{FaultInjector, NodeId, TaskGraph, TaskOutcome};
+
+/// The execution models of the paper's Figure 6(a). The paper explains
+/// its ranking structurally (§5.1): Dask evaluates one shared lazy graph;
+/// Modin evaluates eagerly per operation, so nothing is shared across
+/// visualizations; Koalas and PySpark are lazy but pay heavy per-task
+/// scheduling overhead on a single node. Every policy drives the same
+/// [`TaskGraph`] through the one executor ([`run`]), so the comparison
+/// isolates the scheduling model.
+#[derive(Debug, Clone, Copy)]
+pub enum EnginePolicy {
+    /// One shared lazy graph over the worker threads (the Dask model —
+    /// DataPrep.EDA's choice).
+    LazyParallel,
+    /// One run per requested output, recomputing any shared dependencies
+    /// (the Modin model: no cross-visualization optimization).
+    EagerPerOp,
+    /// One shared lazy graph whose every task first stalls this long (the
+    /// Koalas/PySpark model: driver/JVM overhead per task).
+    HeavyScheduler(Duration),
+    /// One shared lazy graph on the calling thread (the plain-Pandas model).
+    SingleThread,
+}
+
+impl EnginePolicy {
+    /// Execute `outputs` of `graph` under this policy with `workers`
+    /// threads: the outcomes in output order, and how many tasks ran.
+    pub fn execute(
+        self,
+        graph: &mut TaskGraph,
+        outputs: &[NodeId],
+        workers: usize,
+    ) -> (Vec<TaskOutcome>, usize) {
+        let shared = |graph: &TaskGraph, outputs: &[NodeId], workers: usize| {
+            let r = run(graph, outputs, workers, &ExecOptions::default());
+            (r.outcomes, r.stats.tasks_run)
+        };
+        match self {
+            EnginePolicy::LazyParallel => shared(graph, outputs, workers),
+            EnginePolicy::SingleThread => shared(graph, outputs, 1),
+            EnginePolicy::HeavyScheduler(overhead) => {
+                // The empty substring matches every task name, so every
+                // dispatch stalls — inside its span, where a trace shows it.
+                graph.set_fault_injector(FaultInjector::stall_on("", overhead));
+                let result = shared(graph, outputs, workers);
+                graph.clear_fault_injector();
+                result
+            }
+            EnginePolicy::EagerPerOp => {
+                let mut all = (Vec::with_capacity(outputs.len()), 0);
+                for out in outputs {
+                    let (outcomes, tasks_run) = shared(graph, std::slice::from_ref(out), workers);
+                    all.0.extend(outcomes);
+                    all.1 += tasks_run;
+                }
+                all
+            }
+        }
+    }
+}
 
 /// Time one invocation.
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
@@ -133,6 +195,93 @@ pub fn machine_context() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eda_taskgraph::{Payload, TaskKey};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    const POLICIES: [EnginePolicy; 4] = [
+        EnginePolicy::LazyParallel,
+        EnginePolicy::EagerPerOp,
+        EnginePolicy::HeavyScheduler(Duration::from_micros(10)),
+        EnginePolicy::SingleThread,
+    ];
+
+    fn int(v: i64) -> Payload {
+        Arc::new(v)
+    }
+
+    fn get(p: &Payload) -> i64 {
+        *p.downcast_ref::<i64>().expect("i64")
+    }
+
+    /// A graph with one expensive shared node feeding two outputs, where
+    /// the expensive node counts its executions.
+    fn shared_graph(counter: Arc<AtomicUsize>) -> (TaskGraph, Vec<NodeId>) {
+        let mut g = TaskGraph::new();
+        let src = g.source("src", TaskKey::leaf("src", 0), move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            int(7)
+        });
+        let o1 = g.op("a", 0, vec![src], |d| int(get(&d[0]) + 1));
+        let o2 = g.op("b", 0, vec![src], |d| int(get(&d[0]) + 2));
+        (g, vec![o1, o2])
+    }
+
+    #[test]
+    fn all_engines_agree_on_results() {
+        for policy in POLICIES {
+            let (mut g, outs) = shared_graph(Arc::default());
+            let (outcomes, _) = policy.execute(&mut g, &outs, 2);
+            assert_eq!(get(outcomes[0].payload().expect("a ok")), 8, "{policy:?}");
+            assert_eq!(get(outcomes[1].payload().expect("b ok")), 9, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn lazy_shares_eager_recomputes() {
+        for (policy, source_runs) in [(EnginePolicy::LazyParallel, 1), (EnginePolicy::EagerPerOp, 2)] {
+            let counter = Arc::new(AtomicUsize::new(0));
+            let (mut g, outs) = shared_graph(Arc::clone(&counter));
+            policy.execute(&mut g, &outs, 2);
+            assert_eq!(counter.load(Ordering::SeqCst), source_runs, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn eager_runs_more_tasks() {
+        let (mut g, outs) = shared_graph(Arc::default());
+        let (_, lazy) = EnginePolicy::LazyParallel.execute(&mut g, &outs, 1);
+        let (mut g2, outs2) = shared_graph(Arc::default());
+        let (_, eager) = EnginePolicy::EagerPerOp.execute(&mut g2, &outs2, 1);
+        assert_eq!(lazy, 3); // src, a, b
+        assert_eq!(eager, 4); // (src, a), (src, b)
+    }
+
+    #[test]
+    fn heavy_scheduler_is_slower_than_lazy() {
+        let (mut g, outs) = shared_graph(Arc::default());
+        let (_, lazy) = measure(|| EnginePolicy::LazyParallel.execute(&mut g, &outs, 1));
+        let (mut g2, outs2) = shared_graph(Arc::default());
+        let heavy = EnginePolicy::HeavyScheduler(Duration::from_millis(3));
+        let (_, heavy) = measure(|| heavy.execute(&mut g2, &outs2, 1));
+        assert!(heavy > lazy);
+        assert!(heavy >= Duration::from_millis(9)); // 3 tasks x 3 ms
+    }
+
+    #[test]
+    fn every_engine_isolates_a_panicking_node() {
+        for policy in POLICIES {
+            let mut g = TaskGraph::new();
+            let bad = g.source("bad", TaskKey::leaf("bad", 0), || -> Payload {
+                panic!("kernel bug")
+            });
+            let good = g.source("good", TaskKey::leaf("good", 0), || int(5));
+            let (outcomes, tasks_run) = policy.execute(&mut g, &[bad, good], 2);
+            assert!(outcomes[0].is_failed(), "{policy:?}");
+            assert_eq!(get(outcomes[1].payload().expect("good ok")), 5, "{policy:?}");
+            assert_eq!(tasks_run, 1, "{policy:?}");
+        }
+    }
 
     #[test]
     fn measure_returns_value_and_time() {

@@ -11,13 +11,11 @@ use std::sync::Arc;
 use eda_dataframe::DataFrame;
 use eda_taskgraph::graph::Payload;
 use eda_taskgraph::outcome::TaskOutcome;
-use eda_taskgraph::scheduler::{
-    run_pool_opts, run_single_thread_opts, ExecOptions, ProgressObserver,
-};
+use eda_taskgraph::scheduler::{self, ExecOptions, ProgressObserver};
 use eda_taskgraph::govern::{self, CancelToken, MemoryGauge, RetryPolicy};
 use eda_taskgraph::{
-    AdmissionGate, CacheHandle, Engine, ExecStats, NodeId, PartitionedFrame, PayloadSizer,
-    ResultCache, TaskGraph,
+    AdmissionGate, CacheHandle, ExecStats, NodeId, PartitionedFrame, PayloadSizer, ResultCache,
+    TaskGraph,
 };
 
 use crate::config::Config;
@@ -232,12 +230,11 @@ impl<'a> ComputeContext<'a> {
         }
     }
 
-    /// Execute the graph for `outputs` under the configured engine
+    /// Execute the graph for `outputs` with the configured workers
     /// (stage 3 of Figure 4) and record stats. Returns one outcome per
     /// output; failed tasks don't poison the rest of the graph.
     pub fn execute_outcomes(&mut self, outputs: &[NodeId]) -> Vec<TaskOutcome> {
         let opts = ExecOptions {
-            per_task_latency: std::time::Duration::ZERO,
             deadline: self.deadline(),
             observer: self.progress.as_ref().map(Arc::clone),
             trace: self.config.engine.profile,
@@ -252,18 +249,9 @@ impl<'a> ComputeContext<'a> {
             metrics: self.config.engine.metrics,
             morsel_bytes: self.config.engine.morsel_bytes,
         };
-        // `engine.simd = false` forces the scalar kernels even in builds
-        // carrying the `simd` feature (a process-wide latch, like the
-        // metrics one: the vector/scalar choice is not part of task
-        // keys, so per-run flapping would confuse cached results).
-        eda_stats::vector::set_force_scalar(!self.config.engine.simd);
-        // workers <= 1 means the in-place topological scheduler: no pool
-        // to spin up, and fault-tolerance behaviour stays identical.
-        let result = if self.config.engine.workers <= 1 {
-            run_single_thread_opts(&self.graph, outputs, &opts)
-        } else {
-            run_pool_opts(&self.graph, outputs, self.config.engine.workers, &opts)
-        };
+        // workers <= 1 runs every task on this thread: nothing to spin
+        // up, and fault-tolerance behaviour stays identical.
+        let result = scheduler::run(&self.graph, outputs, self.config.engine.workers, &opts);
         self.last_stats = Some(result.stats);
         result.outcomes
     }
@@ -292,19 +280,6 @@ impl<'a> ComputeContext<'a> {
         Ok(outcomes.into_iter().map(TaskOutcome::unwrap).collect())
     }
 
-    /// Execute under an explicit engine (used by the engine-comparison
-    /// benchmark, Figure 6a). Honours `engine.profile` so benchmark runs
-    /// can emit traces too.
-    pub fn execute_with(&mut self, engine: Engine, outputs: &[NodeId]) -> Vec<Payload> {
-        let opts = ExecOptions {
-            trace: self.config.engine.profile,
-            ..ExecOptions::default()
-        };
-        let result = engine.execute_opts(&self.graph, outputs, &opts);
-        let payloads = result.outputs();
-        self.last_stats = Some(result.stats);
-        payloads
-    }
 }
 
 /// Wrap a value as a task payload.

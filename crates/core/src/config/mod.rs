@@ -235,13 +235,6 @@ pub struct EngineConfig {
     /// bit-identical to the pre-morsel engine. Purely a scheduling
     /// knob — never part of task keys.
     pub morsel_bytes: usize,
-    /// Route the slice kernels through the lane-parallel vector shapes
-    /// in `eda_stats::vector` (AVX2 when the build carries the `simd`
-    /// feature and the CPU has it; the autovectorized fallback
-    /// otherwise). Only meaningful in builds with the `simd` feature —
-    /// without it this flag is ignored and the scalar kernels run.
-    /// `false` forces the scalar kernels even in `simd` builds.
-    pub simd: bool,
     /// Target chunk size in bytes for parallel CSV ingestion. The
     /// reader scans record boundaries once, splits the file into
     /// chunks of roughly this size, and parses them concurrently on
@@ -355,7 +348,6 @@ impl Default for Config {
                 max_concurrent_runs: 0,
                 metrics: false,
                 morsel_bytes: 256 << 10,
-                simd: true,
                 ingest_chunk_bytes: 8 << 20,
                 mmap: false,
             },
@@ -470,7 +462,6 @@ impl Config {
             }
             "engine.metrics" => self.engine.metrics = bool_of(key, value)?,
             "engine.morsel_bytes" => self.engine.morsel_bytes = usize_of(key, value)?,
-            "engine.simd" => self.engine.simd = bool_of(key, value)?,
             "engine.ingest_chunk_bytes" => {
                 self.engine.ingest_chunk_bytes = usize_of(key, value)?
             }

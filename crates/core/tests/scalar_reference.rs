@@ -1,7 +1,7 @@
-//! `engine.simd = false` is a process-wide latch (the vector/scalar choice
-//! is not part of task keys), so a test that depends on it cannot share a
-//! process with tests that run under the default: any of them flips the
-//! latch back mid-run. This file holds that one test and nothing else.
+//! `eda_stats::vector::set_force_scalar` is a process-wide latch (the
+//! vector/scalar choice is not part of task keys), so a test that sets it
+//! cannot share a process with tests that expect the build's default
+//! kernels. This file holds that one test and nothing else.
 
 use eda_core::json::intermediates_to_json;
 use eda_core::{plot, Config, Inter};
@@ -29,10 +29,12 @@ fn morsels_and_simd_off_reproduce_scalar_reference() {
         pairs.extend_from_slice(extra);
         Config::from_pairs(pairs).unwrap()
     };
-    let legacy = cfg_of(&[("engine.morsel_bytes", "0"), ("engine.simd", "false")]);
+    let legacy = cfg_of(&[("engine.morsel_bytes", "0")]);
 
-    // Golden: with both knobs off the pipeline must reproduce the
+    // Golden: with morsels off and the scalar kernels forced (a no-op in
+    // builds without the `simd` feature) the pipeline must reproduce the
     // sequential scalar sketches bit for bit.
+    eda_stats::vector::set_force_scalar(true);
     let a = plot(&df, &["v"], &legacy).unwrap();
     let mut m = Moments::new();
     for &v in &vals {
@@ -52,9 +54,17 @@ fn morsels_and_simd_off_reproduce_scalar_reference() {
     }
     assert_eq!(counts, &h.counts);
 
+    // And the legacy path itself is reproducible byte for byte.
+    let a2 = plot(&df, &["v"], &legacy).unwrap();
+    assert_eq!(
+        intermediates_to_json(&a.intermediates),
+        intermediates_to_json(&a2.intermediates)
+    );
+
     // Turning morsels (and compiled-in SIMD) back on may reassociate
     // float sums, but every integer-exact output — bin counts and
     // the extrema-derived edges — must not move.
+    eda_stats::vector::set_force_scalar(false);
     let fast = cfg_of(&[]);
     let b = plot(&df, &["v"], &fast).unwrap();
     let Some(Inter::Histogram { edges: fe, counts: fc }) = b.get("histogram") else {
@@ -72,11 +82,5 @@ fn morsels_and_simd_off_reproduce_scalar_reference() {
     assert_eq!(
         intermediates_to_json(&w1.intermediates),
         intermediates_to_json(&w4.intermediates)
-    );
-    // And the legacy path itself is reproducible byte for byte.
-    let a2 = plot(&df, &["v"], &legacy).unwrap();
-    assert_eq!(
-        intermediates_to_json(&a.intermediates),
-        intermediates_to_json(&a2.intermediates)
     );
 }

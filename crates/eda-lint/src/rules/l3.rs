@@ -2,9 +2,9 @@
 //!
 //! Invariant: any two mutexes the scheduler/cache core can hold at the
 //! same time must always be acquired in the same global order, or two
-//! threads can deadlock (`run_pool` workers consult the `ResultCache`
-//! while the coordinator owns per-node result slots; the session cache
-//! registry wraps both). The rule extracts every lock acquisition in the
+//! threads can deadlock (concurrent runs consult one `ResultCache`
+//! while the admission gate and the session cache registry hold their
+//! own locks around them). The rule extracts every lock acquisition in the
 //! workspace, tracks which locks are (possibly) still held when the next
 //! acquisition or call happens, propagates lock-sets through the
 //! workspace call graph to a fixed point, and reports any cycle in the

@@ -23,8 +23,8 @@
 //!
 //! The vector shape is only *used* by the public kernel entry points when
 //! the `simd` feature is compiled in **and** the process-wide
-//! [`set_force_scalar`] override (the `engine.simd = false` knob) is not
-//! set; default builds are untouched. The vector shape is always
+//! [`set_force_scalar`] override (the scalar-reference tests' switch) is
+//! not set; default builds are untouched. The vector shape is always
 //! *compiled*, so benchmarks and property tests can compare both paths in
 //! any build.
 
@@ -44,8 +44,9 @@ pub const LANES: usize = 8;
 const SUB_BLOCK: usize = 1024;
 
 /// Process-wide override forcing the scalar kernel shapes even when the
-/// `simd` feature is compiled in. Set from the `engine.simd = false`
-/// knob; reads are a single relaxed load on the slice entry points.
+/// `simd` feature is compiled in. Set only by tests that need the scalar
+/// kernels as their reference; reads are a single relaxed load on the
+/// slice entry points.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Force (or un-force) the scalar kernel shapes at runtime. `true`

@@ -18,7 +18,7 @@
 //! inserts evict least-recently-used entries until the total fits, and an
 //! entry larger than the whole budget is simply not admitted. A budget of
 //! zero disables the cache entirely (every probe misses, inserts are
-//! dropped), which schedulers rely on for bit-identical uncached runs.
+//! dropped), which the executor relies on for bit-identical uncached runs.
 //!
 //! Schedulers consult the cache before dispatch through a [`CacheHandle`]
 //! (cache + the current run's data fingerprint) carried on

@@ -3,9 +3,8 @@
 //! A [`TaskGraph`] is a DAG under construction: `eda-core` adds one task
 //! per statistic/transform, and shared subcomputations collapse onto a
 //! single node through structural-key deduplication. Nothing executes until
-//! a [`crate::scheduler`] (via an [`crate::engine::Engine`]) is asked for
-//! specific output nodes — the same lazy-then-optimize-then-execute flow
-//! Dask gives the paper.
+//! [`crate::scheduler::run`] is asked for specific output nodes — the
+//! same lazy-then-optimize-then-execute flow Dask gives the paper.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -55,7 +54,7 @@ pub struct TaskGraph {
     dedup: bool,
     /// Number of insertions answered by an existing node.
     cse_hits: usize,
-    /// Optional fault-injection hook consulted by schedulers at each
+    /// Optional fault-injection hook consulted by the executor at each
     /// dispatch (testing only; `None` in production graphs).
     fault: Option<Arc<FaultInjector>>,
 }
@@ -167,33 +166,8 @@ impl TaskGraph {
         id
     }
 
-    /// The set of nodes reachable from `outputs` (dead-node pruning): the
-    /// executor only runs these. Returned as a boolean mask over node ids.
-    pub fn reachable(&self, outputs: &[NodeId]) -> Vec<bool> {
-        let mut live = vec![false; self.tasks.len()];
-        let mut stack: Vec<NodeId> = outputs.to_vec();
-        while let Some(id) = stack.pop() {
-            if live[id] {
-                continue;
-            }
-            live[id] = true;
-            stack.extend(self.tasks[id].deps.iter().copied());
-        }
-        live
-    }
-
-    /// Topological order restricted to nodes live for `outputs`.
-    ///
-    /// Dependencies precede dependents. Insertion order already guarantees
-    /// acyclicity (dependencies must exist before dependents), so this is a
-    /// filtered identity walk.
-    pub fn topo_order(&self, outputs: &[NodeId]) -> Vec<NodeId> {
-        let live = self.reachable(outputs);
-        (0..self.tasks.len()).filter(|&i| live[i]).collect()
-    }
-
-    /// Indegree (number of live dependencies) per live node; used by the
-    /// parallel scheduler.
+    /// Indegree (number of dependencies) per live node, zero for the
+    /// rest; the executor counts these down as dependencies complete.
     pub fn live_indegrees(&self, live: &[bool]) -> Vec<usize> {
         self.tasks
             .iter()
@@ -262,35 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn reachable_prunes_dead_nodes() {
-        let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(1));
-        let b = g.source("b", TaskKey::leaf("b", 0), || int(2));
-        let c = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-        let _dead = g.op("inc", 0, vec![b], |d| int(get(&d[0]) + 1));
-        let live = g.reachable(&[c]);
-        assert_eq!(live, vec![true, false, true, false]);
-    }
-
-    #[test]
-    fn topo_order_is_dependency_first() {
-        let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(1));
-        let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-        let c = g.op("sum", 0, vec![a, b], |d| int(get(&d[0]) + get(&d[1])));
-        let order = g.topo_order(&[c]);
-        let pos = |id: NodeId| order.iter().position(|&x| x == id).unwrap();
-        assert!(pos(a) < pos(b));
-        assert!(pos(b) < pos(c));
-    }
-
-    #[test]
     fn dependents_and_indegrees() {
         let mut g = TaskGraph::new();
         let a = g.source("a", TaskKey::leaf("a", 0), || int(1));
         let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
         let c = g.op("dec", 0, vec![a], |d| int(get(&d[0]) - 1));
-        let live = g.reachable(&[b, c]);
+        let live = vec![true; g.len()];
         assert_eq!(g.live_indegrees(&live), vec![0, 1, 1]);
         let deps = g.live_dependents(&live);
         assert_eq!(deps[a], vec![b, c]);

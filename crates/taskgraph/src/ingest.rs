@@ -1,15 +1,15 @@
-//! Ingestion fan-out: independent chunk jobs on the worker pool.
+//! Ingestion fan-out: independent chunk jobs on the graph executor.
 //!
 //! Chunked readers (the `eda-io` CSV pipeline) need a narrower contract
 //! than a full task graph: N index-addressed jobs with no edges between
-//! them, executed on the shared pool with the usual governance
+//! them, executed by [`crate::scheduler::run`] with the usual governance
 //! (cancellation checked at every dispatch — i.e. at chunk boundaries —
 //! memory budgets, retries, tracing), results handed back in index order
 //! regardless of completion interleaving.
 //!
 //! Two shapes:
 //!
-//! * [`run_chunk_tasks`] — one pool run over all `count` jobs. Payloads
+//! * [`run_chunk_tasks`] — one run over all `count` jobs. Payloads
 //!   for every chunk are live at once; right when the caller folds them
 //!   all into one output (building a frame is O(file) anyway).
 //! * [`run_chunk_waves`] — jobs executed in bounded waves of
@@ -24,9 +24,10 @@ use std::sync::Arc;
 use crate::graph::{Payload, TaskGraph};
 use crate::key::TaskKey;
 use crate::outcome::TaskOutcome;
-use crate::scheduler::{run_pool_opts, ExecOptions, ExecResult};
+use crate::scheduler::{run, ExecOptions, ExecResult};
 
-/// Run `count` independent chunk jobs on the pool; `job(i)` produces
+/// Run `count` independent chunk jobs on `workers` threads (the calling
+/// thread itself when `workers <= 1`); `job(i)` produces
 /// chunk `i`'s payload. Outcomes come back in index order. Jobs run under
 /// the full [`ExecOptions`] contract: a fired cancel token stops
 /// dispatching at the next chunk boundary, panics isolate to their chunk,
@@ -112,7 +113,7 @@ where
             graph.source(&name, TaskKey::leaf(&name, index as u64), move || job(index))
         })
         .collect();
-    run_pool_opts(&graph, &outputs, workers, opts)
+    run(&graph, &outputs, workers, opts)
 }
 
 #[cfg(test)]
@@ -133,6 +134,23 @@ mod tests {
         let r = run_chunk_tasks("t", 16, |i| payload(i * 10), 4, &ExecOptions::default());
         let got: Vec<_> = r.outcomes.iter().map(|o| as_usize(o).unwrap()).collect();
         assert_eq!(got, (0..16).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_worker_runs_chunks_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let job = move |i| {
+            assert_eq!(std::thread::current().id(), caller, "chunk {i} left the calling thread");
+            payload(i)
+        };
+        let r = run_chunk_tasks("t", 8, job, 1, &ExecOptions::default());
+        assert!(r.outcomes.iter().all(|o| o.is_ok()), "{:?}", r.first_failure());
+        let mut folded = 0;
+        run_chunk_waves("t", 8, job, 1, 2, &ExecOptions::default(), |_, outcomes| {
+            folded += outcomes.iter().filter(|o| o.is_ok()).count();
+            true
+        });
+        assert_eq!(folded, 8);
     }
 
     #[test]

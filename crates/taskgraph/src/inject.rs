@@ -5,8 +5,8 @@
 //! the fault-tolerance machinery can be tested deterministically, end to
 //! end, through the public API.
 //!
-//! A [`FaultInjector`] holds a list of [`FaultPlan`]s. The schedulers
-//! consult the injector (when one is attached to the graph) at every
+//! A [`FaultInjector`] holds a list of [`FaultPlan`]s. The executor
+//! consults the injector (when one is attached to the graph) at every
 //! task dispatch; a matching plan makes that dispatch panic, stall, or
 //! return a garbage payload instead of/around running the real task.
 //!
@@ -137,7 +137,7 @@ impl FaultInjector {
         }])
     }
 
-    /// Called by schedulers at each dispatch: returns the fault to
+    /// Called by the executor at each dispatch: returns the fault to
     /// apply, if any, and advances the dispatch counter. Re-executions
     /// (retries) count as fresh dispatches, which is what lets a
     /// [`FaultMode::TransientPanic`] plan exhaust itself and the retry

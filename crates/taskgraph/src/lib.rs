@@ -16,11 +16,12 @@
 //!   *common-subexpression-elimination* that shares computations between
 //!   visualizations (e.g. quantiles feeding stats table, box plot, and Q-Q
 //!   plot are computed once).
-//! * [`scheduler`] — executors: a single-thread topological runner and a
-//!   multi-worker pool (crossbeam channels) that runs ready tasks as their
-//!   dependencies complete. Both isolate panics per task
-//!   ([`outcome::TaskOutcome`]), skip dependents of failed nodes instead of
-//!   aborting the run, and support per-task deadlines.
+//! * [`scheduler`] — the executor: one entry point, [`scheduler::run`],
+//!   that runs ready tasks as their dependencies complete — on the
+//!   calling thread with one worker, on a pool of threads (crossbeam
+//!   channels) with more. It isolates panics per task
+//!   ([`outcome::TaskOutcome`]), skips dependents of failed nodes instead
+//!   of aborting the run, and supports per-task deadlines.
 //! * [`inject`] — a deterministic fault-injection harness (panic / stall /
 //!   garbage payload / transient failure / wedge at a chosen task) used to
 //!   test the fault tolerance end to end.
@@ -28,11 +29,6 @@
 //!   per-run memory gauges, retry-with-backoff policies, and a
 //!   process-wide admission gate, all inert unless attached via
 //!   [`scheduler::ExecOptions`].
-//! * [`engine::Engine`] — the engine variants compared in the paper's
-//!   Figure 6(a): `LazyParallel` (Dask), `EagerPerOp` (Modin: one graph per
-//!   output, no cross-output sharing), `HeavyScheduler` (Koalas/PySpark:
-//!   lazy but with per-task scheduling latency), and `SingleThread`
-//!   (Pandas).
 //! * [`partition`] — chunked dataframes with the *chunk-size precompute*
 //!   stage the paper adds before graph construction, plus map/tree-reduce
 //!   combinators.
@@ -46,7 +42,6 @@
 
 pub mod cache;
 pub mod cluster;
-pub mod engine;
 pub mod govern;
 pub mod graph;
 pub mod ingest;
@@ -62,7 +57,6 @@ pub mod stats;
 pub mod trace;
 
 pub use cache::{CacheHandle, PayloadSizer, ResultCache};
-pub use engine::Engine;
 pub use govern::{
     AdmissionGate, AdmissionPermit, CancelReason, CancelToken, MemoryGauge, Overloaded,
     RetryPolicy,

@@ -23,8 +23,8 @@
 //!
 //! Everything hangs off one [`MetricsRegistry`] singleton ([`global`]).
 //! Recording is opt-in per run (`ExecOptions::metrics`, surfaced as the
-//! `engine.metrics` knob): when the knob is off the schedulers never
-//! touch the registry, and output stays bit-identical. The registry
+//! `engine.metrics` knob): when the knob is off the executor never
+//! touches the registry, and output stays bit-identical. The registry
 //! itself additionally carries an `enabled` latch for recorders that
 //! cannot see run options (the kernel morsel probe in `eda-stats`).
 //!
@@ -489,7 +489,7 @@ impl MetricsRegistry {
     }
 
     /// Fold one finished run's [`ExecStats`] into the lifetime series.
-    /// Called by the schedulers after stats are final; per-task series
+    /// Called by the executor after stats are final; per-task series
     /// ([`MetricsRegistry::task_duration_us`]) are recorded live at task
     /// completion instead.
     pub fn record_run(&self, stats: &ExecStats) {

@@ -232,17 +232,17 @@ struct Ctx {
 }
 
 thread_local! {
-    /// Morsel context of the scheduler that owns this thread, installed
-    /// by [`engage`] around the worker loop (pool) or the whole run
-    /// (single-thread). Kernels read it through [`run_rows`] without any
-    /// plumbing through the task-graph closures.
+    /// Morsel context of the run that owns this thread, installed by
+    /// [`engage`] around the worker loop (pool) or the dispatch loop
+    /// (inline execution). Kernels read it through [`run_rows`] without
+    /// any plumbing through the task-graph closures.
     static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
 }
 
 /// Install a morsel context on this thread for the duration of the
 /// returned guard. `morsel_bytes == 0` still installs (and disables
 /// splitting); `budget` is the pool's shared idle-capacity tracker, or
-/// `None` when no helpers may be spawned (single-thread scheduler).
+/// `None` when no helpers may be spawned (tasks run on the calling thread).
 pub fn engage(morsel_bytes: usize, budget: Option<Arc<HelperBudget>>) -> EngageGuard {
     let prev = CTX.with(|c| c.replace(Some(Ctx { morsel_bytes, budget })));
     EngageGuard { prev }

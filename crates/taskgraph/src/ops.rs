@@ -112,7 +112,7 @@ where
 mod tests {
     use super::*;
     use crate::partition::PartitionedFrame;
-    use crate::scheduler::run_single_thread;
+    use crate::scheduler::{run, ExecOptions};
     use eda_dataframe::Column;
 
     fn frame(n: usize) -> DataFrame {
@@ -158,7 +158,7 @@ mod tests {
         let pf = PartitionedFrame::from_frame(&frame(100), 7);
         let mut g = TaskGraph::new();
         let out = build_sum(&mut g, &pf, 0);
-        let r = run_single_thread(&g, &[out]);
+        let r = run(&g, &[out], 1, &ExecOptions::default());
         assert_eq!(sum_payload(&r.outputs()[0]), (0..100).sum::<i64>());
     }
 
@@ -187,7 +187,7 @@ mod tests {
         let pf = PartitionedFrame::from_frame(&frame(10), 1);
         let mut g = TaskGraph::new();
         let out = build_sum(&mut g, &pf, 0);
-        let r = run_single_thread(&g, &[out]);
+        let r = run(&g, &[out], 1, &ExecOptions::default());
         assert_eq!(sum_payload(&r.outputs()[0]), 45);
     }
 
@@ -196,7 +196,7 @@ mod tests {
         let pf = PartitionedFrame::from_frame(&frame(9), 3);
         let mut g = TaskGraph::new();
         let out = build_sum(&mut g, &pf, 0);
-        let r = run_single_thread(&g, &[out]);
+        let r = run(&g, &[out], 1, &ExecOptions::default());
         assert_eq!(sum_payload(&r.outputs()[0]), 36);
     }
 
@@ -215,7 +215,7 @@ mod tests {
         let doubled = finish(&mut g, "double", 0, vec![sum], |d| {
             Arc::new(sum_payload(&d[0]) * 2)
         });
-        let r = run_single_thread(&g, &[doubled]);
+        let r = run(&g, &[doubled], 1, &ExecOptions::default());
         assert_eq!(sum_payload(&r.outputs()[0]), 2 * (0..20).sum::<i64>());
     }
 }

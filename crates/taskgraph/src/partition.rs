@@ -276,7 +276,7 @@ mod tests {
         let pf = PartitionedFrame::from_frame(&frame(6), 3);
         let mut g = TaskGraph::new();
         let nodes = pf.source_nodes(&mut g);
-        let r = crate::scheduler::run_single_thread(&g, &nodes);
+        let r = crate::scheduler::run(&g, &nodes, 1, &Default::default());
         let f0 = payload_frame(&r.outputs()[0]);
         assert_eq!(f0.nrows(), 2);
     }

@@ -1,18 +1,25 @@
-//! Graph executors.
+//! The graph executor.
 //!
-//! Two schedulers share the same contract: run the live subgraph for the
-//! requested outputs, dependencies before dependents, and return one
-//! [`TaskOutcome`] per requested output plus [`ExecStats`].
+//! [`run`] is the only entry point: it executes the live subgraph for the
+//! requested outputs, dependencies before dependents, and returns one
+//! [`TaskOutcome`] per requested output plus [`ExecStats`]. A run is one
+//! plan → dispatch → finish sequence:
 //!
-//! * [`run_single_thread`] walks the pruned topological order in the
-//!   calling thread — the "Pandas phase" executor, and the baseline for
-//!   scheduling-overhead comparisons.
-//! * [`run_pool`] drives a crossbeam-channel worker pool: ready tasks are
-//!   pushed to workers, completions decrement dependent indegrees, newly
-//!   ready tasks are pushed in turn. An optional per-task latency models
-//!   heavyweight schedulers (the paper's Koalas/PySpark comparison).
+//! * **plan** — `Plan::build` walks back from the outputs, probing the
+//!   cross-run cache on the way. A hit completes its node before
+//!   anything dispatches, and its upstream cone never becomes live.
+//! * **dispatch** — a task is ready once all its dependencies have
+//!   completed; ready tasks leave the ready set smallest id first, and
+//!   each completion releases its dependents. The worker count decides
+//!   only *who calls `execute_node`*: with `workers <= 1` the calling
+//!   thread runs each ready task itself (no thread, no channel — the
+//!   "Pandas phase" executor); with `workers = n`, n threads take tasks
+//!   off a channel and send what they produced back. Results, spans,
+//!   counters, cache inserts and observer calls are kept by the calling
+//!   thread either way (`Ledger`).
+//! * **finish** — the ledger is tallied into [`ExecStats`] once.
 //!
-//! Both are fault tolerant: every task body runs under
+//! Execution is fault tolerant: every task body runs under
 //! `std::panic::catch_unwind`, so a panicking kernel produces a
 //! [`TaskOutcome::Failed`] for its node, its dependents are recorded as
 //! `Skipped` without running, and every *other* branch of the graph
@@ -20,17 +27,20 @@
 //! ([`ExecOptions::deadline`]) marks over-budget tasks `TimedOut` with
 //! the same skip propagation.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use parking_lot::Mutex;
 
 use crate::cache::{CacheHandle, PayloadSizer};
 use crate::govern::{self, CancelToken, MemoryGauge, RetryPolicy};
 use crate::graph::{NodeId, Payload, TaskGraph};
 use crate::inject::{FaultMode, Garbage};
+use crate::morsel::{self, HelperBudget};
 use crate::outcome::{TaskError, TaskFailure, TaskOutcome};
 use crate::stats::ExecStats;
 use crate::trace::{self, LogLevel, RunTrace, SpanStatus, TaskSpan};
@@ -40,14 +50,9 @@ use crate::trace::{self, LogLevel, RunTrace, SpanStatus, TaskSpan};
 /// paper's Figure 1 (part B).
 pub type ProgressObserver = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
-/// Knobs shared by both schedulers.
+/// Knobs of one [`run`].
 #[derive(Clone, Default)]
 pub struct ExecOptions {
-    /// Fixed scheduling delay before each task, modelling engines whose
-    /// driver adds per-task overhead (paper §5.1's explanation of
-    /// Koalas/PySpark single-node behaviour). `Duration::ZERO` for the
-    /// Dask-like engine.
-    pub per_task_latency: Duration,
     /// Per-task wall-clock budget. A task that finishes later than this
     /// is recorded as `TimedOut` and its dependents are skipped. `None`
     /// disables the check.
@@ -59,10 +64,11 @@ pub struct ExecOptions {
     /// around every recording site and allocate nothing.
     pub trace: bool,
     /// Cross-run result cache plus the current data fingerprint. When
-    /// set, both schedulers probe the cache before dispatch (a hit
+    /// set, the plan probes the cache before dispatch (a hit
     /// short-circuits the node and transitively satisfies its
-    /// dependents) and insert successful derived results after. `None`
-    /// executes everything, bit-identical to the pre-cache behaviour.
+    /// dependents) and successful derived results are inserted after.
+    /// `None` executes everything, bit-identical to the pre-cache
+    /// behaviour.
     pub cache: Option<CacheHandle>,
     /// Run-level cancellation token ([`crate::govern`]). Checked before
     /// every dispatch and installed as the thread's current token around
@@ -106,7 +112,7 @@ pub struct ExecOptions {
 pub struct ExecResult {
     /// Per-output outcomes, parallel to the requested output ids.
     pub outcomes: Vec<TaskOutcome>,
-    /// What the scheduler did.
+    /// What the executor did.
     pub stats: ExecStats,
 }
 
@@ -130,55 +136,88 @@ impl ExecResult {
     }
 }
 
-/// Execute in the calling thread, in topological order.
-pub fn run_single_thread(graph: &TaskGraph, outputs: &[NodeId]) -> ExecResult {
-    run_single_thread_opts(graph, outputs, &ExecOptions::default())
+/// Execute `outputs` of `graph` with `workers` threads running tasks
+/// (`workers <= 1`: the calling thread runs them itself and nothing is
+/// spawned). See the module docs for the plan → dispatch → finish shape.
+pub fn run(
+    graph: &TaskGraph,
+    outputs: &[NodeId],
+    workers: usize,
+    opts: &ExecOptions,
+) -> ExecResult {
+    let workers = workers.max(1);
+    let started = Instant::now();
+    let run_id = trace::next_run_id();
+    let plan = Plan::build(graph, outputs, opts.cache.as_ref());
+    let mut ledger = Ledger::open(graph, opts, &plan, started);
+    let execute = |id: NodeId, inputs: &[TaskOutcome]| {
+        execute_node(graph, id, inputs, opts, started, run_id)
+    };
+    std::thread::scope(|scope| {
+        // A run with nothing to execute (no outputs, or every live node
+        // answered by the cache) spawns nothing either.
+        let mut pool = (workers > 1 && !ledger.ready.is_empty())
+            .then(|| Pool::spawn(scope, workers, opts.morsel_bytes, &execute));
+        // Inline tasks get a morsel context without a helper budget:
+        // kernels still split (for bounded-latency cancellation probes)
+        // but no helpers ever spawn.
+        let _morsel = pool.is_none().then(|| morsel::engage(opts.morsel_bytes, None));
+        loop {
+            while let Some(Reverse(id)) = ledger.ready.pop() {
+                let inputs = ledger.inputs(id);
+                match &mut pool {
+                    Some(pool) => pool.submit(id, inputs),
+                    None => ledger.complete(id, 0, execute(id, &inputs)),
+                }
+            }
+            // Inline, an empty ready set means the run is over; with a
+            // pool it means waiting for a task in flight to release more.
+            let Some((id, worker, executed)) = pool.as_mut().and_then(Pool::next_done) else {
+                break;
+            };
+            ledger.complete(id, worker, executed);
+        }
+        if let Some(pool) = pool {
+            pool.shut_down();
+        }
+    });
+    ledger.finish(outputs, workers, run_id)
 }
 
 /// Cache-aware liveness plan: which nodes this run must touch, and which
 /// of those are already satisfied by the cross-run cache.
-struct CachePlan {
-    /// `(payload, byte estimate)` for nodes answered by the cache.
-    hits: Vec<Option<(Payload, usize)>>,
-    /// Nodes this run needs. Unlike [`TaskGraph::reachable`], the reverse
-    /// walk *stops* at cache hits, so a hit transitively satisfies its
-    /// whole upstream cone — those dependencies are not live and never
-    /// dispatch.
+struct Plan {
+    /// Nodes this run needs (dead-node pruning: nothing else executes).
+    /// The reverse walk from the outputs *stops* at cache hits, so a hit
+    /// transitively satisfies its whole upstream cone — those
+    /// dependencies are not live and never dispatch.
     live: Vec<bool>,
-    /// Number of cache hits among live nodes.
-    hit_count: usize,
+    /// `(payload, byte estimate)` for live nodes answered by the cache,
+    /// in node order.
+    hits: BTreeMap<NodeId, (Payload, usize)>,
     /// Number of probed-but-absent derived nodes.
     misses: usize,
-    /// Estimated payload bytes served from the cache.
-    bytes_saved: usize,
 }
 
-impl CachePlan {
-    /// Probe the cache along a reverse DFS from `outputs`. Only derived
-    /// nodes (with dependencies) are probed: sources hold their payload
-    /// by construction, so caching them buys nothing and would pin input
-    /// data in the cache.
-    fn build(graph: &TaskGraph, outputs: &[NodeId], handle: &CacheHandle) -> CachePlan {
-        let mut plan = CachePlan {
-            hits: (0..graph.len()).map(|_| None).collect(),
-            live: vec![false; graph.len()],
-            hit_count: 0,
-            misses: 0,
-            bytes_saved: 0,
-        };
-        let probe = handle.cache.enabled();
+impl Plan {
+    /// Mark what is live along a reverse DFS from `outputs`, probing
+    /// `cache` (when one is attached and enabled) on the way. Only
+    /// derived nodes (with dependencies) are probed: sources hold their
+    /// payload by construction, so caching them buys nothing and would
+    /// pin input data in the cache.
+    fn build(graph: &TaskGraph, outputs: &[NodeId], cache: Option<&CacheHandle>) -> Plan {
+        let mut plan = Plan { live: vec![false; graph.len()], hits: BTreeMap::new(), misses: 0 };
+        let cache = cache.filter(|handle| handle.cache.enabled());
         let mut stack: Vec<NodeId> = outputs.to_vec();
         while let Some(id) = stack.pop() {
-            if plan.live[id] {
-                continue;
+            match plan.live.get_mut(id) {
+                Some(seen) if !*seen => *seen = true,
+                _ => continue,
             }
-            plan.live[id] = true;
             let task = graph.task(id);
-            if probe && !task.deps.is_empty() {
+            if let Some(handle) = cache.filter(|_| !task.deps.is_empty()) {
                 if let Some(found) = handle.cache.get(handle.fingerprint, task.key) {
-                    plan.hit_count += 1;
-                    plan.bytes_saved += found.1;
-                    plan.hits[id] = Some(found);
+                    plan.hits.insert(id, found);
                     continue; // upstream cone satisfied; don't traverse
                 }
                 plan.misses += 1;
@@ -187,35 +226,261 @@ impl CachePlan {
         }
         plan
     }
+}
 
-    /// Zero-width span for a cache hit (start == end == `at`).
-    fn span(&self, graph: &TaskGraph, id: NodeId, worker: usize, at: Duration) -> TaskSpan {
-        let task = graph.task(id);
-        TaskSpan {
-            node: id,
-            name: task.name.clone(),
-            worker,
-            start: at,
-            end: at,
-            queue_wait: Duration::ZERO,
-            status: SpanStatus::Cached,
-            payload_bytes: self.hits[id].as_ref().map_or(0, |(_, b)| *b),
-            deps: task.deps.clone(),
+/// What `execute_node` hands back: the outcome, the span timing when
+/// the run is traced, and how many times the task was re-executed.
+type Executed = (TaskOutcome, Option<SpanTiming>, usize);
+
+/// The calling thread's books for one run: which tasks are ready, what
+/// every completed node produced, and the counters the finish reports.
+/// Worker threads never touch it — they only turn inputs into an
+/// [`Executed`] — so nothing in here is locked or atomic.
+struct Ledger<'a> {
+    graph: &'a TaskGraph,
+    opts: &'a ExecOptions,
+    plan: &'a Plan,
+    started: Instant,
+    live_count: usize,
+    /// The consumers of each node that will execute, and how many
+    /// dependencies each of them still waits for.
+    dependents: Vec<Vec<NodeId>>,
+    indegrees: Vec<usize>,
+    /// Tasks whose dependencies have all completed. Node ids are a
+    /// topological order, so popping the smallest first makes an inline
+    /// run visit live nodes in id order — which fixes the order of gauge
+    /// charges and cache inserts, hence what a tight budget admits.
+    ready: BinaryHeap<Reverse<NodeId>>,
+    results: Vec<Option<TaskOutcome>>,
+    completed: usize,
+    spans: Vec<TaskSpan>,
+    evictions: usize,
+    retried_tasks: usize,
+}
+
+impl<'a> Ledger<'a> {
+    /// Seed the ready set and complete the plan's cache hits: store
+    /// their payloads, record zero-width spans, and release their
+    /// dependents so a hit transitively satisfies its subtree.
+    fn open(
+        graph: &'a TaskGraph,
+        opts: &'a ExecOptions,
+        plan: &'a Plan,
+        started: Instant,
+    ) -> Ledger<'a> {
+        // Only nodes that will execute wait for their dependencies: a
+        // cache hit never reads its inputs, even when an upstream cone
+        // stays live through a sibling path.
+        let executes: Vec<bool> = (plan.live.iter().enumerate())
+            .map(|(id, &live)| live && !plan.hits.contains_key(&id))
+            .collect();
+        let indegrees = graph.live_indegrees(&executes);
+        let ready = (executes.iter().zip(&indegrees).enumerate())
+            .filter(|&(_, (&executes, &indegree))| executes && indegree == 0)
+            .map(|(id, _)| Reverse(id))
+            .collect();
+        let mut ledger = Ledger {
+            graph,
+            opts,
+            plan,
+            started,
+            live_count: plan.live.iter().filter(|&&live| live).count(),
+            dependents: graph.live_dependents(&executes),
+            indegrees,
+            ready,
+            results: vec![None; graph.len()],
+            completed: 0,
+            spans: Vec::new(),
+            evictions: 0,
+            retried_tasks: 0,
+        };
+        for (&id, (payload, bytes)) in &plan.hits {
+            if opts.trace {
+                let now = started.elapsed();
+                ledger.spans.push(make_span(graph, id, 0, (now, now, *bytes), SpanStatus::Cached));
+            }
+            ledger.settle(id, TaskOutcome::Ok(Arc::clone(payload)));
+        }
+        ledger
+    }
+
+    /// What `id` completed with, or — `id` never completed, a broken
+    /// executor invariant — an `Internal` failure saying `if_missing`.
+    fn outcome_of(&self, id: NodeId, if_missing: &str) -> TaskOutcome {
+        let recorded = self.results.get(id).cloned().flatten();
+        recorded.unwrap_or_else(|| internal_failure(self.graph, id, if_missing))
+    }
+
+    /// The outcomes of `id`'s dependencies, in dependency order. They
+    /// completed (with whatever outcome) before `id` became ready; a
+    /// missing one flows into the normal skip propagation instead of
+    /// panicking.
+    fn inputs(&self, id: NodeId) -> Vec<TaskOutcome> {
+        let deps = self.graph.task(id).deps.iter();
+        deps.map(|&dep| self.outcome_of(dep, "dependency result missing at dispatch")).collect()
+    }
+
+    /// Book one executed task: its span, retry and eviction counts, the
+    /// cache insert, then its outcome.
+    fn complete(&mut self, id: NodeId, worker: usize, (outcome, timing, retries): Executed) {
+        self.retried_tasks += usize::from(retries > 0);
+        if let Some(timing) = timing {
+            // A task that succeeded only after transient-failure retries
+            // is marked `Retried` so traces show where the retry
+            // machinery earned its keep.
+            let status = if retries > 0 && outcome.is_ok() {
+                SpanStatus::Retried
+            } else {
+                SpanStatus::of(&outcome)
+            };
+            self.spans.push(make_span(self.graph, id, worker, timing, status));
+        }
+        self.evictions += cache_insert(self.opts, self.graph, id, &outcome);
+        self.settle(id, outcome);
+    }
+
+    /// Record `id`'s outcome — failures complete like any other task, so
+    /// counting is unaffected by faults — tell the observer, and move
+    /// dependents that were waiting only for `id` to the ready set.
+    fn settle(&mut self, id: NodeId, outcome: TaskOutcome) {
+        if let Some(slot) = self.results.get_mut(id) {
+            *slot = Some(outcome);
+        }
+        self.completed += 1;
+        if let Some(observer) = &self.opts.observer {
+            observer(self.completed, self.live_count);
+        }
+        for &dep in self.dependents.get(id).into_iter().flatten() {
+            let Some(waiting_for) = self.indegrees.get_mut(dep) else { continue };
+            *waiting_for -= 1;
+            if *waiting_for == 0 {
+                self.ready.push(Reverse(dep));
+            }
+        }
+    }
+
+    /// Fold the books into the run's [`ExecResult`]. A node without a
+    /// result here means every worker died outside `catch_unwind`: the
+    /// run degrades to a partial one with a named cause.
+    fn finish(self, outputs: &[NodeId], workers: usize, run_id: u64) -> ExecResult {
+        let unfinished = "task never completed (scheduler degraded to a partial run)";
+        let outcomes = outputs.iter().map(|&id| self.outcome_of(id, unfinished)).collect();
+        let live_outcomes = (self.plan.live.iter().enumerate())
+            .filter(|&(_, &live)| live)
+            .map(|(id, _)| self.outcome_of(id, unfinished));
+        let elapsed = self.started.elapsed();
+        let mut stats = tally(live_outcomes, self.live_count, self.graph, workers, elapsed, run_id);
+        if self.opts.trace {
+            stats.trace = Some(Arc::new(RunTrace::from_spans(self.spans, workers, elapsed)));
+        }
+        stats.tasks_retried = self.retried_tasks;
+        // Hit nodes carry `Ok` outcomes, so `tally` counted them as
+        // executed; reclassify them.
+        stats.tasks_run = stats.tasks_run.saturating_sub(self.plan.hits.len());
+        stats.cache_hits = self.plan.hits.len();
+        stats.cache_misses = self.plan.misses;
+        stats.cache_bytes_saved = self.plan.hits.values().map(|(_, bytes)| bytes).sum();
+        stats.cache_evictions = self.evictions;
+        if let Some(gauge) = &self.opts.gauge {
+            stats.mem_peak_bytes = gauge.peak();
+        }
+        apply_metrics(&mut stats, self.opts);
+        ExecResult { outcomes, stats }
+    }
+}
+
+/// A task on its way to a worker: the node and its dependencies' outcomes.
+type Job = (NodeId, Vec<TaskOutcome>);
+
+/// The `workers > 1` way of calling `execute_node`: n scoped threads
+/// that take [`Job`]s off one channel and send `(node, worker, result)`
+/// back on another.
+struct Pool<'scope> {
+    jobs: channel::Sender<Job>,
+    done: channel::Receiver<(NodeId, usize, Executed)>,
+    in_flight: usize,
+    handles: Vec<ScopedJoinHandle<'scope, ()>>,
+}
+
+impl<'scope> Pool<'scope> {
+    fn spawn<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        workers: usize,
+        morsel_bytes: usize,
+        execute: &'env (dyn Fn(NodeId, &[TaskOutcome]) -> Executed + Sync),
+    ) -> Pool<'scope> {
+        let (jobs, jobs_rx) = channel::unbounded::<Job>();
+        let (done_tx, done) = channel::unbounded();
+        // Shared idle-capacity tracker: workers parked on the empty job
+        // queue are capacity a running kernel may donate to morsel helpers.
+        let budget = Arc::new(HelperBudget::new());
+        let handles = (0..workers)
+            .map(|worker| {
+                let (jobs_rx, done_tx, budget) =
+                    (jobs_rx.clone(), done_tx.clone(), Arc::clone(&budget));
+                scope.spawn(move || {
+                    let _morsel = morsel::engage(morsel_bytes, Some(Arc::clone(&budget)));
+                    loop {
+                        // The park window around the blocking receive is
+                        // exactly when this worker's capacity is stealable.
+                        budget.enter_idle();
+                        let received = jobs_rx.recv();
+                        budget.exit_idle();
+                        let Ok((id, inputs)) = received else { break };
+                        if done_tx.send((id, worker, execute(id, &inputs))).is_err() {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Workers hold the only senders of `done`: if every worker dies,
+        // `next_done` disconnects instead of hanging forever.
+        Pool { jobs, done, in_flight: 0, handles }
+    }
+
+    /// Queue a task for the next free worker. The send only fails once
+    /// every worker is gone; the node then stays without a result and
+    /// [`Ledger::finish`] names it.
+    fn submit(&mut self, id: NodeId, inputs: Vec<TaskOutcome>) {
+        if self.jobs.send((id, inputs)).is_ok() {
+            self.in_flight += 1;
+        }
+    }
+
+    /// Block for the next finished task; `None` when nothing is in
+    /// flight, or when every worker is gone — only possible if one died
+    /// outside `catch_unwind`.
+    fn next_done(&mut self) -> Option<(NodeId, usize, Executed)> {
+        if self.in_flight == 0 {
+            return None;
+        }
+        self.in_flight -= 1;
+        self.done.recv().ok()
+    }
+
+    /// Closing the job channel terminates the workers. Joining them by
+    /// hand keeps a lost worker's panic from re-raising out of the scope.
+    fn shut_down(self) {
+        drop(self.jobs);
+        for handle in self.handles {
+            let _ = handle.join();
         }
     }
 }
 
-/// A `Failed` outcome recording a broken scheduler invariant at `id`
-/// (a dependency result missing at dispatch, a closed work queue, a
-/// lost worker). Schedulers return these instead of panicking so a
-/// violated invariant degrades to a partial report with a named cause.
+/// A `Failed` outcome recording a broken executor invariant at `id`
+/// (a dependency result missing at dispatch, a lost worker). [`run`]
+/// returns these instead of panicking so a violated invariant degrades
+/// to a partial report with a named cause.
 fn internal_failure(graph: &TaskGraph, id: NodeId, msg: &str) -> TaskOutcome {
-    TaskOutcome::Failed(Arc::new(TaskError {
-        task: id,
-        name: graph.task(id).name.clone(),
-        failure: TaskFailure::Internal(msg.to_string()),
-        elapsed: Duration::ZERO,
-    }))
+    failed(graph, id, TaskFailure::Internal(msg.to_string()), Duration::ZERO)
+}
+
+/// The `Failed` outcome of node `id`.
+fn failed(graph: &TaskGraph, id: NodeId, failure: TaskFailure, elapsed: Duration) -> TaskOutcome {
+    let name = graph.task(id).name.clone();
+    TaskOutcome::Failed(Arc::new(TaskError { task: id, name, failure, elapsed }))
 }
 
 /// Insert a successful derived result into the cache, returning the
@@ -247,95 +512,6 @@ fn cache_insert(opts: &ExecOptions, graph: &TaskGraph, id: NodeId, outcome: &Tas
     }
 }
 
-/// [`run_single_thread`] with explicit [`ExecOptions`].
-pub fn run_single_thread_opts(
-    graph: &TaskGraph,
-    outputs: &[NodeId],
-    opts: &ExecOptions,
-) -> ExecResult {
-    let started = Instant::now();
-    let run_id = trace::next_run_id();
-    // Morsel context without a helper budget: kernels still split (for
-    // bounded-latency cancellation probes) but no helpers ever spawn.
-    let _morsel = crate::morsel::engage(opts.morsel_bytes, None);
-    let plan = opts.cache.as_ref().map(|h| CachePlan::build(graph, outputs, h));
-    let order: Vec<NodeId> = match &plan {
-        Some(p) => (0..graph.len()).filter(|&i| p.live[i]).collect(),
-        None => graph.topo_order(outputs),
-    };
-    let mut results: Vec<Option<TaskOutcome>> = vec![None; graph.len()];
-    let mut span_buf: Vec<TaskSpan> = Vec::new();
-    let mut evictions = 0usize;
-    let mut retried_tasks = 0usize;
-    for (done, &id) in order.iter().enumerate() {
-        if let Some(p) = &plan {
-            if let Some((payload, _)) = &p.hits[id] {
-                if opts.trace {
-                    span_buf.push(p.span(graph, id, 0, started.elapsed()));
-                }
-                results[id] = Some(TaskOutcome::Ok(Arc::clone(payload)));
-                if let Some(obs) = &opts.observer {
-                    obs(done + 1, order.len());
-                }
-                continue;
-            }
-        }
-        let inputs: Vec<TaskOutcome> = graph
-            .task(id)
-            .deps
-            .iter()
-            .map(|&d| {
-                results[d].clone().unwrap_or_else(|| {
-                    internal_failure(graph, d, "dependency result missing at dispatch")
-                })
-            })
-            .collect();
-        let (outcome, timing, retries) = execute_node(graph, id, &inputs, opts, started, run_id);
-        retried_tasks += usize::from(retries > 0);
-        if let Some(timing) = timing {
-            span_buf.push(make_span(graph, id, 0, timing, &outcome, retries));
-        }
-        evictions += cache_insert(opts, graph, id, &outcome);
-        results[id] = Some(outcome);
-        if let Some(obs) = &opts.observer {
-            obs(done + 1, order.len());
-        }
-    }
-    let outcomes = outputs
-        .iter()
-        .map(|&id| {
-            results[id]
-                .clone()
-                .unwrap_or_else(|| internal_failure(graph, id, "requested output never completed"))
-        })
-        .collect();
-    let elapsed = started.elapsed();
-    let run_trace = opts
-        .trace
-        .then(|| Arc::new(RunTrace::from_buffers(vec![span_buf], 1, elapsed)));
-    let mut stats = tally(
-        order.iter().filter_map(|&id| results[id].as_ref()),
-        order.len(),
-        graph,
-        1,
-        elapsed,
-        run_trace,
-        run_id,
-    );
-    stats.tasks_retried = retried_tasks;
-    apply_cache_stats(&mut stats, plan.as_ref(), evictions);
-    apply_gauge_stats(&mut stats, opts);
-    apply_metrics(&mut stats, opts);
-    ExecResult { outcomes, stats }
-}
-
-/// Record the run's memory high-water mark when a gauge was attached.
-fn apply_gauge_stats(stats: &mut ExecStats, opts: &ExecOptions) {
-    if let Some(gauge) = &opts.gauge {
-        stats.mem_peak_bytes = gauge.peak();
-    }
-}
-
 /// Fold the finished run into the process-lifetime registry and attach
 /// a fresh snapshot, when the run opted in. Runs last so the snapshot
 /// already reflects this run's own counters.
@@ -349,263 +525,6 @@ fn apply_metrics(stats: &mut ExecStats, opts: &ExecOptions) {
         }
         stats.metrics = Some(Arc::new(registry.snapshot()));
     }
-}
-
-/// Fold a run's cache activity into its stats. Hit nodes carry `Ok`
-/// outcomes, so `tally` counted them as executed; reclassify them.
-fn apply_cache_stats(stats: &mut ExecStats, plan: Option<&CachePlan>, evictions: usize) {
-    if let Some(p) = plan {
-        stats.tasks_run = stats.tasks_run.saturating_sub(p.hit_count);
-        stats.cache_hits = p.hit_count;
-        stats.cache_misses = p.misses;
-        stats.cache_bytes_saved = p.bytes_saved;
-        stats.cache_evictions = evictions;
-    }
-}
-
-/// Execute over a pool of `workers` threads.
-///
-/// `per_task_latency` injects a fixed scheduling delay before each task,
-/// modelling engines whose driver adds per-task overhead (paper §5.1's
-/// explanation of Koalas/PySpark single-node behaviour). Use
-/// `Duration::ZERO` for the Dask-like engine.
-pub fn run_pool(
-    graph: &TaskGraph,
-    outputs: &[NodeId],
-    workers: usize,
-    per_task_latency: Duration,
-) -> ExecResult {
-    run_pool_opts(
-        graph,
-        outputs,
-        workers,
-        &ExecOptions { per_task_latency, ..ExecOptions::default() },
-    )
-}
-
-/// [`run_pool`] with an optional progress observer called after each
-/// completed task.
-pub fn run_pool_observed(
-    graph: &TaskGraph,
-    outputs: &[NodeId],
-    workers: usize,
-    per_task_latency: Duration,
-    observer: Option<ProgressObserver>,
-) -> ExecResult {
-    run_pool_opts(
-        graph,
-        outputs,
-        workers,
-        &ExecOptions { per_task_latency, observer, ..ExecOptions::default() },
-    )
-}
-
-/// [`run_pool`] with explicit [`ExecOptions`].
-pub fn run_pool_opts(
-    graph: &TaskGraph,
-    outputs: &[NodeId],
-    workers: usize,
-    opts: &ExecOptions,
-) -> ExecResult {
-    let workers = workers.max(1);
-    let started = Instant::now();
-    let run_id = trace::next_run_id();
-    let plan = opts.cache.as_ref().map(|h| CachePlan::build(graph, outputs, h));
-    let live = match &plan {
-        Some(p) => p.live.clone(),
-        None => graph.reachable(outputs),
-    };
-    let live_count = live.iter().filter(|&&b| b).count();
-    if live_count == 0 {
-        let trace = opts
-            .trace
-            .then(|| Arc::new(RunTrace::from_buffers(Vec::new(), workers, started.elapsed())));
-        let mut stats =
-            tally(std::iter::empty(), 0, graph, workers, started.elapsed(), trace, run_id);
-        apply_metrics(&mut stats, opts);
-        return ExecResult { outcomes: Vec::new(), stats };
-    }
-    let dependents = graph.live_dependents(&live);
-    let mut indegrees = graph.live_indegrees(&live);
-
-    let results: Arc<Vec<Mutex<Option<TaskOutcome>>>> =
-        Arc::new((0..graph.len()).map(|_| Mutex::new(None)).collect());
-
-    let (ready_tx, ready_rx) = channel::unbounded::<NodeId>();
-    let (done_tx, done_rx) = channel::unbounded::<NodeId>();
-
-    // Cache hits complete before anything dispatches: store their
-    // payloads, record zero-width spans, and release their dependents'
-    // indegrees so the hit transitively satisfies its subtree.
-    let mut precompleted = 0usize;
-    let mut hit_spans: Vec<TaskSpan> = Vec::new();
-    let evictions = std::sync::atomic::AtomicUsize::new(0);
-    let retried_tasks = std::sync::atomic::AtomicUsize::new(0);
-    if let Some(p) = &plan {
-        for id in 0..graph.len() {
-            if let Some((payload, _)) = &p.hits[id] {
-                *results[id].lock() = Some(TaskOutcome::Ok(Arc::clone(payload)));
-                if opts.trace {
-                    hit_spans.push(p.span(graph, id, 0, started.elapsed()));
-                }
-                precompleted += 1;
-                if let Some(obs) = &opts.observer {
-                    obs(precompleted, live_count);
-                }
-                for &dep in &dependents[id] {
-                    indegrees[dep] -= 1;
-                }
-            }
-        }
-    }
-    let is_hit = |id: NodeId| plan.as_ref().is_some_and(|p| p.hits[id].is_some());
-
-    // Seed the ready queue. The channel cannot be closed here (we still
-    // hold a receiver), but if it ever were, record the failure instead
-    // of panicking — the disconnect path below finishes the run.
-    for (id, &is_live) in live.iter().enumerate() {
-        if is_live && indegrees[id] == 0 && !is_hit(id) && ready_tx.send(id).is_err() {
-            *results[id].lock() =
-                Some(internal_failure(graph, id, "work queue closed while seeding"));
-        }
-    }
-
-    // Each worker owns its span buffer (no lock on the recording path);
-    // buffers come back through the join handles and merge afterwards.
-    let mut span_buffers: Vec<Vec<TaskSpan>> = vec![hit_spans];
-    // Shared idle-capacity tracker: workers parked on the empty ready
-    // queue are capacity a running kernel may donate to morsel helpers.
-    let helper_budget = Arc::new(crate::morsel::HelperBudget::new());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for worker_id in 0..workers {
-            let ready_rx = ready_rx.clone();
-            let done_tx = done_tx.clone();
-            let results = Arc::clone(&results);
-            let evictions = &evictions;
-            let retried_tasks = &retried_tasks;
-            let budget = Arc::clone(&helper_budget);
-            handles.push(scope.spawn(move || {
-                let _morsel =
-                    crate::morsel::engage(opts.morsel_bytes, Some(Arc::clone(&budget)));
-                let mut span_buf: Vec<TaskSpan> = Vec::new();
-                loop {
-                    // The park window around the blocking receive is
-                    // exactly when this worker's capacity is stealable.
-                    budget.enter_idle();
-                    let received = ready_rx.recv();
-                    budget.exit_idle();
-                    let Ok(id) = received else { break };
-                    // Dependencies completed (with whatever outcome)
-                    // before this node became ready. A missing result is
-                    // a readiness-invariant violation; it flows into the
-                    // normal skip propagation instead of panicking.
-                    let inputs: Vec<TaskOutcome> = graph
-                        .task(id)
-                        .deps
-                        .iter()
-                        .map(|&d| {
-                            results[d].lock().clone().unwrap_or_else(|| {
-                                internal_failure(
-                                    graph,
-                                    d,
-                                    "dependency result missing at dispatch",
-                                )
-                            })
-                        })
-                        .collect();
-                    let (outcome, timing, retries) =
-                        execute_node(graph, id, &inputs, opts, started, run_id);
-                    if retries > 0 {
-                        retried_tasks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    if let Some(timing) = timing {
-                        span_buf.push(make_span(graph, id, worker_id, timing, &outcome, retries));
-                    }
-                    let n = cache_insert(opts, graph, id, &outcome);
-                    if n > 0 {
-                        evictions.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    *results[id].lock() = Some(outcome);
-                    if done_tx.send(id).is_err() {
-                        break;
-                    }
-                }
-                span_buf
-            }));
-        }
-        // Workers hold the only remaining senders: if every worker dies,
-        // `done_rx.recv()` disconnects instead of hanging forever.
-        drop(done_tx);
-
-        // Coordinator: track completions, release newly ready tasks.
-        // Failed tasks complete like any other (their outcome is the
-        // error), so counting is unaffected by faults. Cache hits were
-        // pre-completed above.
-        let mut completed = precompleted;
-        while completed < live_count {
-            let Ok(id) = done_rx.recv() else {
-                // Every worker is gone — only possible if one died
-                // outside `catch_unwind`. Degrade to a partial run:
-                // unfinished nodes become `Internal` failures below.
-                break;
-            };
-            completed += 1;
-            if let Some(obs) = &opts.observer {
-                obs(completed, live_count);
-            }
-            for &dep in &dependents[id] {
-                indegrees[dep] -= 1;
-                // A cache hit with live dependencies (its payload can be
-                // served while an upstream cone is still live through a
-                // sibling path) was pre-completed above — its dependents
-                // were already released there, so re-dispatching it here
-                // would double-count and underflow their indegrees.
-                if indegrees[dep] == 0 && !is_hit(dep) && ready_tx.send(dep).is_err() {
-                    // Workers already gone; the recv above disconnects
-                    // on the next iteration and ends the run.
-                    *results[dep].lock() =
-                        Some(internal_failure(graph, dep, "work queue closed mid-run"));
-                }
-            }
-        }
-        // Closing the channel terminates the workers.
-        drop(ready_tx);
-        for handle in handles {
-            // A lost worker loses its span buffer, not the run.
-            if let Ok(buf) = handle.join() {
-                span_buffers.push(buf);
-            }
-        }
-    });
-
-    let unfinished = |id: NodeId| {
-        internal_failure(graph, id, "task never completed (scheduler degraded to a partial run)")
-    };
-    let outcomes = outputs
-        .iter()
-        .map(|&id| results[id].lock().clone().unwrap_or_else(|| unfinished(id)))
-        .collect();
-    let live_outcomes: Vec<TaskOutcome> = live
-        .iter()
-        .enumerate()
-        .filter(|&(_, &l)| l)
-        .map(|(id, _)| results[id].lock().clone().unwrap_or_else(|| unfinished(id)))
-        .collect();
-    let elapsed = started.elapsed();
-    let run_trace =
-        opts.trace.then(|| Arc::new(RunTrace::from_buffers(span_buffers, workers, elapsed)));
-    let mut stats =
-        tally(live_outcomes.iter(), live_count, graph, workers, elapsed, run_trace, run_id);
-    stats.tasks_retried = retried_tasks.load(std::sync::atomic::Ordering::Relaxed);
-    apply_cache_stats(
-        &mut stats,
-        plan.as_ref(),
-        evictions.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    apply_gauge_stats(&mut stats, opts);
-    apply_metrics(&mut stats, opts);
-    ExecResult { outcomes, stats }
 }
 
 /// `(start, end, payload_bytes)` of one dispatched task, as offsets from
@@ -627,7 +546,7 @@ fn execute_node(
     opts: &ExecOptions,
     origin: Instant,
     run_id: u64,
-) -> (TaskOutcome, Option<SpanTiming>, usize) {
+) -> Executed {
     let task = graph.task(id);
     let zero_width = || {
         opts.trace.then(|| {
@@ -639,16 +558,8 @@ fn execute_node(
     // Cancelled without opening a span or touching the body, so a
     // cancelled run drains its remaining dispatches in microseconds.
     if let Some(reason) = opts.cancel.as_ref().and_then(CancelToken::cancelled) {
-        return (
-            TaskOutcome::Failed(Arc::new(TaskError {
-                task: id,
-                name: task.name.clone(),
-                failure: TaskFailure::Cancelled(reason),
-                elapsed: Duration::ZERO,
-            })),
-            zero_width(),
-            0,
-        );
+        let cancelled = TaskFailure::Cancelled(reason);
+        return (failed(graph, id, cancelled, Duration::ZERO), zero_width(), 0);
     }
     // An upstream failure poisons only this subtree: record a skip
     // pointing at the transitive root cause and move on. The skip
@@ -656,27 +567,14 @@ fn execute_node(
     // depth.
     if let Some(err) = inputs.iter().find_map(|o| o.error()) {
         let (root_cause, root_name) = err.root_cause();
-        return (
-            TaskOutcome::Failed(Arc::new(TaskError {
-                task: id,
-                name: task.name.clone(),
-                failure: TaskFailure::Skipped {
-                    root_cause,
-                    root_name: root_name.to_string(),
-                    root_failure: err.root_description(),
-                },
-                elapsed: err.elapsed,
-            })),
-            zero_width(),
-            0,
-        );
+        let skipped = TaskFailure::Skipped {
+            root_cause,
+            root_name: root_name.to_string(),
+            root_failure: err.root_description(),
+        };
+        return (failed(graph, id, skipped, err.elapsed), zero_width(), 0);
     }
-    // The span opens before the injected scheduling latency so heavy-
-    // scheduler traces show the overhead they model.
     let span_start = opts.trace.then(|| origin.elapsed());
-    if opts.per_task_latency > Duration::ZERO {
-        spin_for(opts.per_task_latency);
-    }
     // The failed-input check above guarantees every input carries a
     // payload; if that invariant ever breaks, fail this node instead of
     // panicking the worker.
@@ -780,14 +678,7 @@ fn classify_result(
     elapsed: Duration,
     opts: &ExecOptions,
 ) -> TaskOutcome {
-    let fail = |failure: TaskFailure| {
-        TaskOutcome::Failed(Arc::new(TaskError {
-            task: id,
-            name: graph.task(id).name.clone(),
-            failure,
-            elapsed,
-        }))
-    };
+    let fail = |failure: TaskFailure| failed(graph, id, failure, elapsed);
     match result {
         Ok(payload) => {
             if let Some(reason) = opts.cancel.as_ref().and_then(CancelToken::cancelled) {
@@ -829,25 +720,17 @@ fn payload_cost(opts: &ExecOptions, payload: &Payload) -> usize {
         .map_or_else(|| trace::estimate_payload_bytes(payload), |h| h.payload_bytes(payload))
 }
 
-/// Build the [`TaskSpan`] for one dispatched task. `queue_wait` is
-/// derived later (in [`RunTrace::from_buffers`]) from dependency
-/// completion times, so it is zero here. A task that succeeded only
-/// after transient-failure retries is marked `Retried` so traces show
-/// where the retry machinery earned its keep.
+/// Build the [`TaskSpan`] for one live node. `queue_wait` is derived
+/// later (in [`RunTrace::from_spans`]) from dependency completion times,
+/// so it is zero here.
 fn make_span(
     graph: &TaskGraph,
     id: NodeId,
     worker: usize,
     (start, end, payload_bytes): SpanTiming,
-    outcome: &TaskOutcome,
-    retries: usize,
+    status: SpanStatus,
 ) -> TaskSpan {
     let task = graph.task(id);
-    let status = if retries > 0 && outcome.is_ok() {
-        SpanStatus::Retried
-    } else {
-        SpanStatus::of(outcome)
-    };
     TaskSpan {
         node: id,
         name: task.name.clone(),
@@ -893,15 +776,13 @@ fn catch_task_panic<F: FnOnce() -> Payload>(f: F) -> Result<Payload, String> {
     })
 }
 
-/// Fold per-node outcomes into [`ExecStats`], attaching the run trace
-/// when one was recorded.
-fn tally<'a>(
-    live_outcomes: impl Iterator<Item = &'a TaskOutcome>,
+/// Fold per-node outcomes into [`ExecStats`].
+fn tally(
+    live_outcomes: impl Iterator<Item = TaskOutcome>,
     live_count: usize,
     graph: &TaskGraph,
     workers: usize,
     elapsed: Duration,
-    trace: Option<Arc<RunTrace>>,
     run_id: u64,
 ) -> ExecStats {
     let mut stats = ExecStats {
@@ -910,11 +791,10 @@ fn tally<'a>(
         cse_hits: graph.cse_hits(),
         workers,
         elapsed,
-        trace,
         ..ExecStats::default()
     };
     for outcome in live_outcomes {
-        match outcome {
+        match &outcome {
             TaskOutcome::Ok(_) => stats.tasks_run += 1,
             TaskOutcome::Failed(err) => match err.failure {
                 TaskFailure::Panicked(_) | TaskFailure::Internal(_) => stats.tasks_failed += 1,
@@ -948,15 +828,6 @@ fn tally<'a>(
     stats
 }
 
-/// Busy-wait for `d` (sleep granularity is far too coarse for the
-/// microsecond-scale overheads the engine comparison injects).
-fn spin_for(d: Duration) {
-    let end = Instant::now() + d;
-    while Instant::now() < end {
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -972,6 +843,11 @@ mod tests {
         *p.downcast_ref::<i64>().expect("i64")
     }
 
+    /// `run` with default options.
+    fn run_plain(graph: &TaskGraph, outputs: &[NodeId], workers: usize) -> ExecResult {
+        run(graph, outputs, workers, &ExecOptions::default())
+    }
+
     fn diamond() -> (TaskGraph, NodeId) {
         // a -> (b, c) -> d
         let mut g = TaskGraph::new();
@@ -983,23 +859,53 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_diamond() {
+    fn diamond_runs_at_every_worker_count() {
         let (g, out) = diamond();
-        let r = run_single_thread(&g, &[out]);
-        assert_eq!(get(&r.outputs()[0]), 31);
-        assert_eq!(r.stats.tasks_run, 4);
-        assert_eq!(r.stats.workers, 1);
-        assert!(r.stats.fully_succeeded());
+        for workers in [0, 1, 2, 4] {
+            let r = run_plain(&g, &[out], workers);
+            assert_eq!(get(&r.outputs()[0]), 31, "workers={workers}");
+            assert_eq!(r.stats.tasks_run, 4);
+            // The configured count is reported; 0 means "just me".
+            assert_eq!(r.stats.workers, workers.max(1));
+            assert!(r.stats.fully_succeeded());
+        }
     }
 
     #[test]
-    fn pool_diamond_matches_single_thread() {
-        let (g, out) = diamond();
-        for workers in [1, 2, 4] {
-            let r = run_pool(&g, &[out], workers, Duration::ZERO);
-            assert_eq!(get(&r.outputs()[0]), 31, "workers={workers}");
-            assert_eq!(r.stats.tasks_run, 4);
+    fn worker_count_decides_which_threads_run_tasks() {
+        use std::thread::{current, ThreadId};
+        // Three sources that each wait for the other two: with three
+        // workers they can only finish on three distinct threads.
+        let graph_of = |parties: usize| {
+            let seen: Arc<parking_lot::Mutex<Vec<ThreadId>>> = Arc::default();
+            let barrier = Arc::new(std::sync::Barrier::new(parties));
+            let mut g = TaskGraph::new();
+            let outs: Vec<NodeId> = (0..3)
+                .map(|i| {
+                    let (seen, barrier) = (Arc::clone(&seen), Arc::clone(&barrier));
+                    g.source("who", TaskKey::leaf("who", i), move || {
+                        seen.lock().push(current().id());
+                        barrier.wait();
+                        int(0)
+                    })
+                })
+                .collect();
+            (g, outs, seen)
+        };
+
+        // One worker (or none): every body runs on the calling thread.
+        for workers in [0, 1] {
+            let (g, outs, seen) = graph_of(1);
+            run_plain(&g, &outs, workers);
+            assert_eq!(*seen.lock(), vec![current().id(); 3], "workers={workers}");
         }
+
+        let (g, outs, seen) = graph_of(3);
+        let r = run_plain(&g, &outs, 3);
+        assert_eq!(r.stats.workers, 3);
+        let threads: std::collections::HashSet<ThreadId> = seen.lock().iter().copied().collect();
+        assert_eq!(threads.len(), 3);
+        assert!(!threads.contains(&current().id()));
     }
 
     #[test]
@@ -1012,15 +918,13 @@ mod tests {
             int(99)
         });
         let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-        let r = run_single_thread(&g, &[b]);
-        assert_eq!(get(&r.outputs()[0]), 2);
-        assert_eq!(RUNS.load(Ordering::SeqCst), 0);
-        assert_eq!(r.stats.tasks_run, 2);
-        assert_eq!(r.stats.pruned(), 1);
-
-        let r2 = run_pool(&g, &[b], 2, Duration::ZERO);
-        assert_eq!(get(&r2.outputs()[0]), 2);
-        assert_eq!(RUNS.load(Ordering::SeqCst), 0);
+        for workers in [1, 2] {
+            let r = run_plain(&g, &[b], workers);
+            assert_eq!(get(&r.outputs()[0]), 2);
+            assert_eq!(RUNS.load(Ordering::SeqCst), 0);
+            assert_eq!(r.stats.tasks_run, 2);
+            assert_eq!(r.stats.pruned(), 1);
+        }
     }
 
     #[test]
@@ -1038,7 +942,7 @@ mod tests {
         assert_eq!(shared1, shared2);
         let u1 = g.op("plus1", 0, vec![shared1], |d| int(get(&d[0]) + 1));
         let u2 = g.op("plus2", 0, vec![shared2], |d| int(get(&d[0]) + 2));
-        let r = run_pool(&g, &[u1, u2], 2, Duration::ZERO);
+        let r = run_plain(&g, &[u1, u2], 2);
         assert_eq!(get(&r.outputs()[0]), 51);
         assert_eq!(get(&r.outputs()[1]), 52);
         assert_eq!(counter.load(Ordering::SeqCst), 1);
@@ -1049,7 +953,7 @@ mod tests {
     fn multiple_outputs_order_preserved() {
         let (g, out) = diamond();
         // Request outputs in reverse creation order.
-        let r = run_single_thread(&g, &[out, 0]);
+        let r = run_plain(&g, &[out, 0], 1);
         assert_eq!(get(&r.outputs()[0]), 31);
         assert_eq!(get(&r.outputs()[1]), 10);
     }
@@ -1057,36 +961,45 @@ mod tests {
     #[test]
     fn empty_outputs() {
         let (g, _) = diamond();
-        let r = run_pool(&g, &[], 2, Duration::ZERO);
+        let r = run_plain(&g, &[], 2);
         assert!(r.outcomes.is_empty());
         assert_eq!(r.stats.tasks_run, 0);
-    }
 
-    #[test]
-    fn per_task_latency_slows_execution() {
-        let (g, out) = diamond();
-        let fast = run_pool(&g, &[out], 1, Duration::ZERO);
-        let slow = run_pool(&g, &[out], 1, Duration::from_millis(2));
-        assert!(slow.stats.elapsed > fast.stats.elapsed);
-        assert!(slow.stats.elapsed >= Duration::from_millis(8)); // 4 tasks × 2ms
-        assert_eq!(get(&slow.outputs()[0]), 31);
+        // An empty run goes through the same finish as any other: with
+        // a cache handle and a gauge that earlier work already charged,
+        // its stats do not depend on the worker count.
+        let gauge = MemoryGauge::new(1 << 10);
+        gauge.try_charge(100).expect("within budget");
+        let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
+        let opts = ExecOptions { gauge: Some(gauge), ..cache_opts(&cache) };
+        let stats_at = |workers: usize| {
+            let mut stats = run(&g, &[], workers, &opts).stats;
+            stats.elapsed = Duration::ZERO;
+            stats.workers = 0;
+            stats
+        };
+        let inline = stats_at(1);
+        assert_eq!(inline.mem_peak_bytes, 100);
+        for workers in [2, 4] {
+            assert_eq!(stats_at(workers), inline, "workers={workers}");
+        }
     }
 
     #[test]
     fn progress_observer_sees_every_completion() {
         let (g, out) = diamond();
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let obs: ProgressObserver = Arc::new(move |done, total| {
-            seen2.lock().push((done, total));
-        });
-        let r = run_pool_observed(&g, &[out], 2, Duration::ZERO, Some(obs));
-        assert_eq!(get(&r.outputs()[0]), 31);
-        let events = seen.lock().clone();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events.last(), Some(&(4, 4)));
-        // Monotone completion counter.
-        assert!(events.windows(2).all(|w| w[0].0 < w[1].0));
+        for workers in [1, 2, 4] {
+            let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let seen2 = Arc::clone(&seen);
+            let obs: ProgressObserver = Arc::new(move |done, total| {
+                seen2.lock().push((done, total));
+            });
+            let opts = ExecOptions { observer: Some(obs), ..Default::default() };
+            let r = run(&g, &[out], workers, &opts);
+            assert_eq!(get(&r.outputs()[0]), 31);
+            // One call per completion, counting up to the live total.
+            assert_eq!(*seen.lock(), vec![(1, 4), (2, 4), (3, 4), (4, 4)], "workers={workers}");
+        }
     }
 
     #[test]
@@ -1110,7 +1023,7 @@ mod tests {
             }
             layer = next;
         }
-        let r = run_pool(&g, &[layer[0]], 4, Duration::ZERO);
+        let r = run_plain(&g, &[layer[0]], 4);
         assert_eq!(get(&r.outputs()[0]), (0..100).sum::<i64>());
     }
 
@@ -1130,33 +1043,21 @@ mod tests {
     }
 
     #[test]
-    fn panic_is_isolated_single_thread() {
-        let (g, _bad, c, d, f) = faulty_graph();
-        let r = run_single_thread(&g, &[d, c, f]);
-        // d skipped because bad panicked...
-        let err = r.outcomes[0].error().expect("d failed");
-        assert!(matches!(err.failure, TaskFailure::Skipped { .. }), "{err}");
-        assert_eq!(err.root_cause().1, "bad");
-        // ...but the sibling branch and the independent branch completed.
-        assert_eq!(get(r.outcomes[1].payload().expect("c ok")), 20);
-        assert_eq!(get(r.outcomes[2].payload().expect("f ok")), 8);
-        assert_eq!(r.stats.tasks_failed, 1);
-        assert_eq!(r.stats.tasks_skipped, 1);
-        assert_eq!(r.stats.tasks_run, 4); // a, c, e, f
-        assert!(!r.stats.fully_succeeded());
-    }
-
-    #[test]
-    fn panic_is_isolated_pool() {
+    fn panic_is_isolated() {
         let (g, _bad, c, d, f) = faulty_graph();
         for workers in [1, 2, 4] {
-            let r = run_pool(&g, &[d, c, f], workers, Duration::ZERO);
-            assert!(r.outcomes[0].is_failed(), "workers={workers}");
+            let r = run_plain(&g, &[d, c, f], workers);
+            // d skipped because bad panicked...
+            let err = r.outcomes[0].error().expect("d failed");
+            assert!(matches!(err.failure, TaskFailure::Skipped { .. }), "workers={workers}: {err}");
+            assert_eq!(err.root_cause().1, "bad");
+            // ...but the sibling branch and the independent branch completed.
             assert_eq!(get(r.outcomes[1].payload().expect("c ok")), 20);
             assert_eq!(get(r.outcomes[2].payload().expect("f ok")), 8);
             assert_eq!(r.stats.tasks_failed, 1);
             assert_eq!(r.stats.tasks_skipped, 1);
-            assert_eq!(r.stats.tasks_run, 4);
+            assert_eq!(r.stats.tasks_run, 4); // a, c, e, f
+            assert!(!r.stats.fully_succeeded());
         }
     }
 
@@ -1167,7 +1068,7 @@ mod tests {
         let bad = g.op("bad", 0, vec![a], |_| -> Payload { panic!("boom") });
         let mid = g.op("mid", 0, vec![bad], |d| int(get(&d[0])));
         let leaf = g.op("leaf", 0, vec![mid], |d| int(get(&d[0])));
-        let r = run_single_thread(&g, &[leaf]);
+        let r = run_plain(&g, &[leaf], 1);
         let err = r.outcomes[0].error().expect("leaf failed");
         // Root cause is `bad`, not the intermediate skip.
         assert_eq!(err.root_cause(), (bad, "bad"));
@@ -1181,7 +1082,7 @@ mod tests {
         let bad = g.source("bad", TaskKey::leaf("bad", 0), || -> Payload {
             panic!("specific diagnostic {}", 42)
         });
-        let r = run_pool(&g, &[bad], 2, Duration::ZERO);
+        let r = run_plain(&g, &[bad], 2);
         let err = r.outcomes[0].error().expect("failed");
         assert!(
             matches!(&err.failure, TaskFailure::Panicked(m) if m.contains("specific diagnostic 42")),
@@ -1199,10 +1100,8 @@ mod tests {
         let fast = g.source("fast", TaskKey::leaf("fast", 0), || int(2));
         let dep = g.op("dep", 0, vec![slow], |d| int(get(&d[0])));
         let opts = ExecOptions { deadline: Some(Duration::from_millis(2)), ..Default::default() };
-        for r in [
-            run_single_thread_opts(&g, &[dep, fast], &opts),
-            run_pool_opts(&g, &[dep, fast], 2, &opts),
-        ] {
+        for workers in [1, 2, 4] {
+            let r = run(&g, &[dep, fast], workers, &opts);
             let err = r.outcomes[0].error().expect("dep failed");
             assert!(matches!(err.failure, TaskFailure::Skipped { .. }), "{err}");
             assert_eq!(get(r.outcomes[1].payload().expect("fast ok")), 2);
@@ -1215,7 +1114,7 @@ mod tests {
     #[test]
     fn no_deadline_means_no_timeouts() {
         let (g, out) = diamond();
-        let r = run_pool(&g, &[out], 2, Duration::ZERO);
+        let r = run_plain(&g, &[out], 2);
         assert_eq!(r.stats.tasks_timed_out, 0);
     }
 
@@ -1223,7 +1122,7 @@ mod tests {
     fn injected_panic_via_graph_injector() {
         let (mut g, out) = diamond();
         g.set_fault_injector(FaultInjector::panic_on("dbl"));
-        let r = run_pool(&g, &[out], 2, Duration::ZERO);
+        let r = run_plain(&g, &[out], 2);
         let err = r.outcomes[0].error().expect("sum skipped");
         assert_eq!(err.root_cause().1, "dbl");
         assert_eq!(r.stats.tasks_failed, 1);
@@ -1233,7 +1132,7 @@ mod tests {
     fn injected_garbage_fails_downstream_consumer() {
         let (mut g, out) = diamond();
         g.set_fault_injector(FaultInjector::garbage_on("inc"));
-        let r = run_single_thread(&g, &[out]);
+        let r = run_plain(&g, &[out], 1);
         // `inc` returned Garbage; `sum` panicked on the downcast and the
         // failure is attributed to `sum`.
         let err = r.outcomes[0].error().expect("sum failed");
@@ -1247,7 +1146,7 @@ mod tests {
         let (mut g, out) = diamond();
         g.set_fault_injector(FaultInjector::stall_on("inc", Duration::from_millis(20)));
         let opts = ExecOptions { deadline: Some(Duration::from_millis(2)), ..Default::default() };
-        let r = run_pool_opts(&g, &[out], 2, &opts);
+        let r = run(&g, &[out], 2, &opts);
         let err = r.outcomes[0].error().expect("sum skipped");
         assert_eq!(err.root_cause().1, "inc");
         assert_eq!(r.stats.tasks_timed_out, 1);
@@ -1266,7 +1165,7 @@ mod tests {
         let opts = cache_opts(&cache);
 
         let (g, out) = diamond();
-        let cold = run_single_thread_opts(&g, &[out], &opts);
+        let cold = run(&g, &[out], 1, &opts);
         assert_eq!(get(&cold.outputs()[0]), 31);
         assert_eq!(cold.stats.cache_hits, 0);
         assert_eq!(cold.stats.cache_misses, 3); // b, c, d (source not probed)
@@ -1285,7 +1184,7 @@ mod tests {
         let c = g2.op("dbl", 0, vec![a], |d| int(get(&d[0]) * 2));
         let d = g2.op("sum", 0, vec![b, c], |d| int(get(&d[0]) + get(&d[1])));
 
-        let warm = run_single_thread_opts(&g2, &[d], &opts);
+        let warm = run(&g2, &[d], 1, &opts);
         assert_eq!(get(&warm.outputs()[0]), 31);
         // The terminal hit satisfies the whole cone: nothing executes.
         assert_eq!(warm.stats.cache_hits, 1);
@@ -1299,12 +1198,12 @@ mod tests {
         let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
         let opts = cache_opts(&cache);
         let (g, out) = diamond();
-        let cold = run_pool_opts(&g, &[out], 3, &opts);
+        let cold = run(&g, &[out], 3, &opts);
         assert_eq!(get(&cold.outputs()[0]), 31);
         assert_eq!(cold.stats.cache_misses, 3);
 
         let (g2, out2) = diamond();
-        let warm = run_pool_opts(&g2, &[out2], 3, &opts);
+        let warm = run(&g2, &[out2], 3, &opts);
         assert_eq!(get(&warm.outputs()[0]), 31);
         assert_eq!(warm.stats.cache_hits, 1);
         assert_eq!(warm.stats.tasks_run, 0);
@@ -1318,12 +1217,12 @@ mod tests {
         let mut g = TaskGraph::new();
         let a = g.source("a", TaskKey::leaf("a", 0), || int(10));
         let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-        run_single_thread_opts(&g, &[b], &opts);
+        run(&g, &[b], 1, &opts);
 
         // Warm run wants the full diamond: `inc` hits, `dbl` needs the
         // source so the source re-executes, `sum` is a miss.
         let (g2, out) = diamond();
-        let warm = run_single_thread_opts(&g2, &[out], &opts);
+        let warm = run(&g2, &[out], 1, &opts);
         assert_eq!(get(&warm.outputs()[0]), 31);
         assert_eq!(warm.stats.cache_hits, 1); // inc
         assert_eq!(warm.stats.cache_misses, 2); // dbl, sum
@@ -1338,14 +1237,14 @@ mod tests {
             cache: Some(CacheHandle::new(Arc::clone(&cache), 1)),
             ..Default::default()
         };
-        run_single_thread_opts(&g, &[out], &opts_a);
+        run(&g, &[out], 1, &opts_a);
 
         let opts_b = ExecOptions {
             cache: Some(CacheHandle::new(Arc::clone(&cache), 2)),
             ..Default::default()
         };
         let (g2, out2) = diamond();
-        let r = run_single_thread_opts(&g2, &[out2], &opts_b);
+        let r = run(&g2, &[out2], 1, &opts_b);
         assert_eq!(r.stats.cache_hits, 0, "entries are namespaced by data fingerprint");
         assert_eq!(r.stats.tasks_run, 4);
     }
@@ -1356,14 +1255,14 @@ mod tests {
         let opts = cache_opts(&cache);
         let (mut g, out) = diamond();
         g.set_fault_injector(FaultInjector::panic_on("dbl"));
-        let r = run_single_thread_opts(&g, &[out], &opts);
+        let r = run(&g, &[out], 1, &opts);
         assert!(r.outcomes[0].is_failed());
         // `inc` succeeded and was cached; `dbl` failed and `sum` was
         // skipped — neither may be served from the cache later.
         assert_eq!(cache.len(), 1);
 
         let (g2, out2) = diamond();
-        let warm = run_single_thread_opts(&g2, &[out2], &opts);
+        let warm = run(&g2, &[out2], 1, &opts);
         assert_eq!(get(&warm.outputs()[0]), 31, "healthy rerun recomputes the failed cone");
         assert_eq!(warm.stats.cache_hits, 1); // inc only
     }
@@ -1374,7 +1273,7 @@ mod tests {
         let opts = cache_opts(&cache);
         let (mut g, out) = diamond();
         g.set_fault_injector(FaultInjector::panic_on("dbl"));
-        let r = run_pool_opts(&g, &[out], 2, &opts);
+        let r = run(&g, &[out], 2, &opts);
         assert!(r.outcomes[0].is_failed());
         assert_eq!(cache.len(), 1);
     }
@@ -1384,9 +1283,9 @@ mod tests {
         let cache = Arc::new(crate::cache::ResultCache::new(0));
         let opts = cache_opts(&cache);
         let (g, out) = diamond();
-        let r1 = run_single_thread_opts(&g, &[out], &opts);
+        let r1 = run(&g, &[out], 1, &opts);
         let (g2, out2) = diamond();
-        let r2 = run_single_thread_opts(&g2, &[out2], &opts);
+        let r2 = run(&g2, &[out2], 1, &opts);
         for r in [&r1, &r2] {
             assert_eq!(get(&r.outputs()[0]), 31);
             assert_eq!(r.stats.tasks_run, 4);
@@ -1405,9 +1304,9 @@ mod tests {
             ..Default::default()
         };
         let (g, out) = diamond();
-        run_single_thread_opts(&g, &[out], &opts);
+        run(&g, &[out], 1, &opts);
         let (g2, out2) = diamond();
-        let warm = run_pool_opts(&g2, &[out2], 2, &opts);
+        let warm = run(&g2, &[out2], 2, &opts);
         let trace = warm.stats.trace.as_ref().expect("traced run");
         let cached: Vec<_> = trace
             .spans
@@ -1427,10 +1326,8 @@ mod tests {
         token.cancel();
         let opts = ExecOptions { cancel: Some(token), ..Default::default() };
         let (g, out) = diamond();
-        for r in [
-            run_single_thread_opts(&g, &[out], &opts),
-            run_pool_opts(&g, &[out], 2, &opts),
-        ] {
+        for workers in [1, 2, 4] {
+            let r = run(&g, &[out], workers, &opts);
             let err = r.outcomes[0].error().expect("cancelled");
             assert!(
                 matches!(err.failure, TaskFailure::Cancelled(crate::govern::CancelReason::Requested)),
@@ -1453,7 +1350,7 @@ mod tests {
         g.set_fault_injector(FaultInjector::wedge_on("inc", Duration::from_secs(30)));
         let opts = ExecOptions { deadline: Some(Duration::from_millis(30)), ..Default::default() };
         let started = Instant::now();
-        let r = run_pool_opts(&g, &[out], 2, &opts);
+        let r = run(&g, &[out], 2, &opts);
         let wall = started.elapsed();
         assert!(wall < Duration::from_secs(5), "worker held for {wall:?}");
         assert_eq!(r.stats.tasks_timed_out, 1);
@@ -1472,7 +1369,7 @@ mod tests {
             token.cancel();
         });
         let started = Instant::now();
-        let r = run_pool_opts(&g, &[out], 2, &opts);
+        let r = run(&g, &[out], 2, &opts);
         let wall = started.elapsed();
         canceller.join().expect("canceller");
         assert!(wall < Duration::from_secs(5), "cancel did not reclaim the worker: {wall:?}");
@@ -1491,7 +1388,7 @@ mod tests {
         let outputs: Vec<NodeId> = (0..8).collect();
         let token = CancelToken::with_deadline(Duration::from_millis(30));
         let opts = ExecOptions { cancel: Some(token), ..Default::default() };
-        let r = run_single_thread_opts(&g, &outputs, &opts);
+        let r = run(&g, &outputs, 1, &opts);
         // The first task or two complete; once the deadline passes, the
         // rest are recorded Cancelled(DeadlineExceeded) without running.
         assert!(r.stats.tasks_cancelled > 0, "{:?}", r.stats);
@@ -1514,17 +1411,11 @@ mod tests {
     fn transient_failure_retries_and_unskips_downstream() {
         // `inc` fails transiently once; with one retry allowed the whole
         // downstream cone must complete as if nothing happened.
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::transient_on("inc", 1));
         let opts = ExecOptions { retry: RetryPolicy::retries(2), ..Default::default() };
-        for r in [
-            run_single_thread_opts(&g, &[out], &opts),
-            {
-                let (mut g2, out2) = diamond();
-                g2.set_fault_injector(FaultInjector::transient_on("inc", 1));
-                run_pool_opts(&g2, &[out2], 2, &opts)
-            },
-        ] {
+        for workers in [1, 2, 4] {
+            let (mut g, out) = diamond();
+            g.set_fault_injector(FaultInjector::transient_on("inc", 1));
+            let r = run(&g, &[out], workers, &opts);
             assert_eq!(get(r.outcomes[0].payload().expect("sum ok after retry")), 31);
             assert!(r.stats.fully_succeeded(), "{:?}", r.stats);
             assert_eq!(r.stats.tasks_retried, 1);
@@ -1536,7 +1427,7 @@ mod tests {
     fn transient_failure_without_retries_still_fails() {
         let (mut g, out) = diamond();
         g.set_fault_injector(FaultInjector::transient_on("inc", 1));
-        let r = run_single_thread_opts(&g, &[out], &ExecOptions::default());
+        let r = run(&g, &[out], 1, &ExecOptions::default());
         assert!(r.outcomes[0].is_failed());
         assert_eq!(r.stats.tasks_retried, 0);
         assert_eq!(r.stats.tasks_failed, 1);
@@ -1548,7 +1439,7 @@ mod tests {
         g.set_fault_injector(FaultInjector::transient_on("inc", 1));
         let opts =
             ExecOptions { retry: RetryPolicy::retries(1), trace: true, ..Default::default() };
-        let r = run_single_thread_opts(&g, &[out], &opts);
+        let r = run(&g, &[out], 1, &opts);
         let trace = r.stats.trace.as_ref().expect("traced");
         let retried: Vec<_> =
             trace.spans.iter().filter(|s| s.status == SpanStatus::Retried).collect();
@@ -1566,7 +1457,7 @@ mod tests {
             panic!("deterministic bug")
         });
         let opts = ExecOptions { retry: RetryPolicy::retries(3), ..Default::default() };
-        let r = run_single_thread_opts(&g, &[bad], &opts);
+        let r = run(&g, &[bad], 1, &opts);
         assert!(r.outcomes[0].is_failed());
         assert_eq!(counter.load(Ordering::SeqCst), 1, "permanent failures run once");
         assert_eq!(r.stats.tasks_retried, 0);
@@ -1580,7 +1471,7 @@ mod tests {
         let (g, out) = diamond();
         let gauge = MemoryGauge::new(20);
         let opts = ExecOptions { gauge: Some(gauge.clone()), ..Default::default() };
-        let r = run_single_thread_opts(&g, &[out], &opts);
+        let r = run(&g, &[out], 1, &opts);
         let err = r.outcomes[0].error().expect("sum degraded");
         assert!(err.root_description().contains("memory budget"), "{err}");
         assert_eq!(r.stats.tasks_budget_exceeded, 1);
@@ -1594,7 +1485,7 @@ mod tests {
     #[test]
     fn no_gauge_means_no_budget_failures() {
         let (g, out) = diamond();
-        let r = run_pool(&g, &[out], 2, Duration::ZERO);
+        let r = run_plain(&g, &[out], 2);
         assert_eq!(r.stats.tasks_budget_exceeded, 0);
         assert_eq!(r.stats.mem_peak_bytes, 0);
     }
@@ -1606,7 +1497,7 @@ mod tests {
         token.cancel();
         let opts = ExecOptions { cancel: Some(token), ..cache_opts(&cache) };
         let (g, out) = diamond();
-        let r = run_pool_opts(&g, &[out], 2, &opts);
+        let r = run(&g, &[out], 2, &opts);
         assert!(r.outcomes[0].is_failed());
         assert!(cache.is_empty(), "cancelled runs must not seed the cache");
     }
@@ -1626,7 +1517,7 @@ mod tests {
         let cache = Arc::new(crate::cache::ResultCache::new(2000));
         let gauge = MemoryGauge::new(5000);
         let opts = ExecOptions { gauge: Some(gauge.clone()), ..cache_opts(&cache) };
-        let r = run_single_thread_opts(&g, &ops, &opts);
+        let r = run(&g, &ops, 1, &opts);
         assert_eq!(r.stats.tasks_budget_exceeded, 2, "{:?}", r.stats);
         assert_eq!(r.stats.tasks_run, 7); // src + six ops
         assert!(r.stats.cache_evictions > 0, "{:?}", r.stats);
@@ -1641,9 +1532,9 @@ mod tests {
         // Knobs at rest (no token, no gauge, zero retries) must be
         // bit-identical to pre-governance behaviour.
         let (g, out) = diamond();
-        let mut plain = run_single_thread(&g, &[out]).stats;
+        let mut plain = run_plain(&g, &[out], 1).stats;
         let (g2, out2) = diamond();
-        let mut governed = run_single_thread_opts(&g2, &[out2], &ExecOptions::default()).stats;
+        let mut governed = run(&g2, &[out2], 1, &ExecOptions::default()).stats;
         plain.elapsed = Duration::ZERO;
         governed.elapsed = Duration::ZERO;
         assert_eq!(plain, governed);
@@ -1661,7 +1552,7 @@ mod tests {
             // injector must reach it, as it must reach graphs built
             // inside create_report.
             let (g, out) = diamond();
-            run_pool(&g, &[out], 2, Duration::ZERO)
+            run_plain(&g, &[out], 2)
         };
         assert!(r.outcomes[0].is_failed());
         assert_eq!(inj.triggered(), 1);

@@ -22,7 +22,7 @@ pub struct ExecStats {
     pub total_nodes: usize,
     /// Insertions answered by CSE during graph construction.
     pub cse_hits: usize,
-    /// Worker threads used.
+    /// Configured worker count (with 1, tasks ran on the calling thread).
     pub workers: usize,
     /// Wall-clock execution time.
     pub elapsed: Duration,
@@ -66,10 +66,10 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Nodes skipped by dead-node pruning. Saturating: retries and
-    /// engine-level stat merging can legitimately push `live_nodes` past
-    /// `total_nodes` (EagerPerOp sums live counts across sub-runs), and
-    /// "no pruning" is the honest answer then — not an underflow panic.
+    /// Nodes skipped by dead-node pruning. Saturating: a caller that
+    /// sums the stats of several runs over one graph can push
+    /// `live_nodes` past `total_nodes`, and "no pruning" is the honest
+    /// answer then — not an underflow panic.
     pub fn pruned(&self) -> usize {
         self.total_nodes.saturating_sub(self.live_nodes)
     }
@@ -96,8 +96,8 @@ mod tests {
 
     #[test]
     fn pruned_saturates_when_live_exceeds_total() {
-        // EagerPerOp merges live counts across per-output sub-runs, so a
-        // shared dependency is "live" more than once.
+        // Summing live counts across per-output runs counts a shared
+        // dependency as "live" more than once.
         let s = ExecStats { live_nodes: 12, total_nodes: 10, ..Default::default() };
         assert_eq!(s.pruned(), 0);
     }

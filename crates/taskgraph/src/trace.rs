@@ -5,10 +5,11 @@
 //! [`crate::stats::ExecStats`] counters cannot show either. This module
 //! records one [`TaskSpan`] per dispatched task — node, name, worker,
 //! start/end offsets from the run origin, outcome, payload-size
-//! estimate — into a plain per-worker `Vec` (each worker owns its
-//! buffer, so recording takes no lock), merges the buffers into a
-//! [`RunTrace`] attached to `ExecStats`, and derives everything a perf
-//! PR needs to attribute a speedup:
+//! estimate. Whoever executes a task times it; the executor's calling
+//! thread collects the spans in a plain `Vec` (recording takes no
+//! lock), turns them into a [`RunTrace`] attached to `ExecStats`, and
+//! this module derives everything a perf PR needs to attribute a
+//! speedup:
 //!
 //! * exporters — Chrome `trace_event` JSON ([`RunTrace::to_chrome_trace`],
 //!   loadable in `chrome://tracing` / Perfetto) and collapsed-stack lines
@@ -17,10 +18,10 @@
 //!   histogram, top-K slowest tasks, CSE/prune savings in estimated task
 //!   time;
 //! * structured logs — a `RUST_LOG`-style `EDA_LOG` env filter gating
-//!   compact `key=value` lines from the schedulers.
+//!   compact `key=value` lines from the executor.
 //!
 //! Tracing is off unless [`crate::scheduler::ExecOptions::trace`] is set:
-//! the schedulers branch around every recording site, so untraced runs
+//! the executor branches around every recording site, so untraced runs
 //! pay one predictable-false branch per task and allocate nothing.
 
 use std::collections::HashMap;
@@ -104,7 +105,7 @@ pub struct TaskSpan {
     pub node: NodeId,
     /// Task name (op label), e.g. `"histogram:price"`.
     pub name: String,
-    /// Worker that ran the task (`0` on the single-thread scheduler).
+    /// Worker that ran the task (`0` when the calling thread ran it).
     pub worker: usize,
     /// Offset from run origin at which the task started.
     pub start: Duration,
@@ -161,14 +162,9 @@ pub const QUEUE_WAIT_EDGES: [(Duration, &str); 6] = [
 ];
 
 impl RunTrace {
-    /// Merge per-worker span buffers into one trace, deriving each
+    /// Build a run's trace from its spans (in any order), deriving each
     /// span's queue wait from its dependencies' completion times.
-    pub fn from_buffers(
-        buffers: Vec<Vec<TaskSpan>>,
-        workers: usize,
-        elapsed: Duration,
-    ) -> RunTrace {
-        let mut spans: Vec<TaskSpan> = buffers.into_iter().flatten().collect();
+    pub fn from_spans(mut spans: Vec<TaskSpan>, workers: usize, elapsed: Duration) -> RunTrace {
         spans.sort_by_key(|s| s.node);
         let ends: HashMap<NodeId, Duration> =
             spans.iter().map(|s| (s.node, s.end)).collect();
@@ -181,26 +177,6 @@ impl RunTrace {
                 .unwrap_or(Duration::ZERO);
             span.queue_wait = span.start.saturating_sub(ready);
         }
-        RunTrace { spans, workers, elapsed }
-    }
-
-    /// Concatenate the traces of sequential sub-runs (the EagerPerOp
-    /// engine runs one graph per output), shifting each sub-run's spans
-    /// by the offset at which it started.
-    pub fn merge_sequential(
-        parts: Vec<(Duration, RunTrace)>,
-        workers: usize,
-        elapsed: Duration,
-    ) -> RunTrace {
-        let mut spans = Vec::new();
-        for (offset, part) in parts {
-            for mut span in part.spans {
-                span.start += offset;
-                span.end += offset;
-                spans.push(span);
-            }
-        }
-        spans.sort_by_key(|s| (s.start, s.node));
         RunTrace { spans, workers, elapsed }
     }
 
@@ -450,7 +426,7 @@ fn json_escape(s: &str) -> String {
 // Structured logging with a RUST_LOG-style env filter.
 // ---------------------------------------------------------------------------
 
-/// Allocate a process-unique run id. The schedulers stamp one on every
+/// Allocate a process-unique run id. The executor stamps one on every
 /// structured log line (`run_id=<n>`) so the interleaved stderr of
 /// concurrent runs can be correlated back into per-run streams.
 pub fn next_run_id() -> u64 {
@@ -556,10 +532,12 @@ mod tests {
 
     fn diamond_trace() -> RunTrace {
         // a(0..100) -> b(110..300 on w0), c(120..200 on w1) -> d(310..400)
-        RunTrace::from_buffers(
+        RunTrace::from_spans(
             vec![
-                vec![span(0, "a", 0, 0, 100, vec![]), span(1, "b", 0, 110, 300, vec![0])],
-                vec![span(2, "c", 1, 120, 200, vec![0]), span(3, "d", 1, 310, 400, vec![1, 2])],
+                span(0, "a", 0, 0, 100, vec![]),
+                span(1, "b", 0, 110, 300, vec![0]),
+                span(2, "c", 1, 120, 200, vec![0]),
+                span(3, "d", 1, 310, 400, vec![1, 2]),
             ],
             2,
             Duration::from_micros(400),
@@ -735,23 +713,6 @@ mod tests {
     fn json_escaping() {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json_escape("x\ny"), "x\\ny");
-    }
-
-    #[test]
-    fn merge_sequential_offsets_spans() {
-        let part = RunTrace::from_buffers(
-            vec![vec![span(0, "a", 0, 0, 100, vec![])]],
-            1,
-            Duration::from_micros(100),
-        );
-        let merged = RunTrace::merge_sequential(
-            vec![(Duration::ZERO, part.clone()), (Duration::from_micros(500), part)],
-            1,
-            Duration::from_micros(600),
-        );
-        assert_eq!(merged.spans.len(), 2);
-        assert_eq!(merged.spans[1].start, Duration::from_micros(500));
-        assert_eq!(merged.spans[1].end, Duration::from_micros(600));
     }
 
     #[test]

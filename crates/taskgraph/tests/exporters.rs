@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use eda_taskgraph::graph::Payload;
 use eda_taskgraph::metrics::MetricsRegistry;
-use eda_taskgraph::scheduler::{run_single_thread_opts, ExecOptions};
+use eda_taskgraph::scheduler::{run, ExecOptions};
 use eda_taskgraph::{TaskGraph, TaskKey};
 
 // ---------------------------------------------------------------------
@@ -313,7 +313,7 @@ fn hostile_trace() -> Arc<eda_taskgraph::RunTrace> {
             })
         })
         .collect();
-    let r = run_single_thread_opts(&g, &outs, &ExecOptions { trace: true, ..ExecOptions::default() });
+    let r = run(&g, &outs, 1, &ExecOptions { trace: true, ..ExecOptions::default() });
     r.stats.trace.expect("trace attached")
 }
 

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use eda_taskgraph::scheduler::{run_pool_opts, ExecOptions};
+use eda_taskgraph::scheduler::{run, ExecOptions};
 use eda_taskgraph::{CacheHandle, NodeId, Payload, ResultCache, TaskGraph, TaskKey};
 use loom::sync::atomic::{AtomicUsize, Ordering};
 
@@ -137,7 +137,7 @@ fn scheduler_claims_vs_cache_plan_pruning() {
                     cache: Some(CacheHandle::new(cache, 0xF00D)),
                     ..Default::default()
                 };
-                let r = run_pool_opts(&g, &[out], 2, &opts);
+                let r = run(&g, &[out], 2, &opts);
                 assert_eq!(get(r.outcomes[0].payload().expect("sum ok")), 31);
                 // Whatever the interleaving, every live node is either
                 // served by the plan or executed exactly once.
@@ -159,7 +159,7 @@ fn scheduler_claims_vs_cache_plan_pruning() {
             cache: Some(CacheHandle::new(Arc::clone(&cache), 0xF00D)),
             ..Default::default()
         };
-        let r = run_pool_opts(&g, &[out], 2, &opts);
+        let r = run(&g, &[out], 2, &opts);
         assert_eq!(get(r.outcomes[0].payload().expect("sum ok")), 31);
         assert_eq!(r.stats.cache_hits, 1, "terminal hit satisfies the cone");
         assert_eq!(r.stats.tasks_run, 0);
@@ -182,7 +182,7 @@ fn scheduler_work_queue_claims_each_node_once() {
         let shared = g.op("expensive", 0, vec![src], |d| int(get(&d[0]) * 10));
         let u1 = g.op("plus1", 0, vec![shared], |d| int(get(&d[0]) + 1));
         let u2 = g.op("plus2", 0, vec![shared], |d| int(get(&d[0]) + 2));
-        let r = run_pool_opts(&g, &[u1, u2], 3, &ExecOptions::default());
+        let r = run(&g, &[u1, u2], 3, &ExecOptions::default());
         assert_eq!(get(r.outcomes[0].payload().expect("u1")), 51);
         assert_eq!(get(r.outcomes[1].payload().expect("u2")), 52);
         assert_eq!(counter.load(Ordering::SeqCst), 1, "source claimed twice");
@@ -201,7 +201,7 @@ fn pool_panic_isolation_holds_under_stress() {
         let bad = g.op("bad", 0, vec![a], |_| -> Payload { panic!("kernel exploded") });
         let c = g.op("dbl", 0, vec![a], |d| int(get(&d[0]) * 2));
         let d = g.op("sum", 0, vec![bad, c], |d| int(get(&d[0]) + get(&d[1])));
-        let r = run_pool_opts(&g, &[d, c], 2, &ExecOptions::default());
+        let r = run(&g, &[d, c], 2, &ExecOptions::default());
         let err = r.outcomes[0].error().expect("sum failed");
         assert_eq!(err.root_cause().1, "bad");
         assert_eq!(get(r.outcomes[1].payload().expect("dbl ok")), 20);
@@ -227,10 +227,10 @@ fn pool_hit_with_live_dependency_is_not_redispatched() {
     let mut g = TaskGraph::new();
     let a = g.source("a", TaskKey::leaf("a", 0), || int(10));
     let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-    run_pool_opts(&g, &[b], 2, &opts);
+    run(&g, &[b], 2, &opts);
     // The full diamond now sees `inc` as a hit while `a` is live via `dbl`.
     let (g, out) = diamond();
-    let r = run_pool_opts(&g, &[out], 2, &opts);
+    let r = run(&g, &[out], 2, &opts);
     assert_eq!(get(r.outcomes[0].payload().expect("sum ok")), 31);
     assert_eq!(r.stats.cache_hits, 1, "inc served from cache");
     assert_eq!(r.stats.cache_hits + r.stats.tasks_run, r.stats.live_nodes);

@@ -1,6 +1,7 @@
-//! Property-based tests for the task-graph engine: every execution
-//! strategy computes the same values on randomly shaped DAGs, CSE never
-//! changes results, and dead-node pruning never executes unreachable work.
+//! Property-based tests for the task-graph engine: every worker count
+//! computes the same outcomes and counters on randomly shaped DAGs, CSE
+//! never changes results, and dead-node pruning never executes
+//! unreachable work.
 
 // Test code asserts freely; the package-level unwrap/expect deny
 // targets shipped code.
@@ -8,12 +9,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use eda_taskgraph::graph::{NodeId, Payload, TaskGraph};
 use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::morsel;
-use eda_taskgraph::scheduler::{run_pool, run_single_thread};
+use eda_taskgraph::scheduler::{run, ExecOptions, ExecResult};
+use eda_taskgraph::{
+    CacheHandle, FaultInjector, FaultMode, FaultPlan, FaultTarget, ResultCache, SpanStatus,
+};
 use proptest::prelude::*;
 
 fn int(v: i64) -> Payload {
@@ -22,6 +25,38 @@ fn int(v: i64) -> Payload {
 
 fn get(p: &Payload) -> i64 {
     *p.downcast_ref::<i64>().expect("i64")
+}
+
+/// `run` with default options.
+fn run_plain(graph: &TaskGraph, outputs: &[NodeId], workers: usize) -> ExecResult {
+    run(graph, outputs, workers, &ExecOptions::default())
+}
+
+/// One output: its value, or how it failed and which node caused it.
+type OutputSig = Result<i64, (&'static str, NodeId)>;
+
+/// Everything about a run that must not depend on who executed it: every
+/// output's signature plus the executor's counters.
+fn signature(r: &ExecResult) -> (Vec<OutputSig>, [usize; 7]) {
+    let outcomes = r
+        .outcomes
+        .iter()
+        .map(|o| match o.error() {
+            None => Ok(get(o.payload().expect("ok outcome"))),
+            Some(err) => Err((SpanStatus::of(o).label(), err.root_cause().0)),
+        })
+        .collect();
+    let s = &r.stats;
+    let counters = [
+        s.tasks_run,
+        s.tasks_failed,
+        s.tasks_skipped,
+        s.tasks_timed_out,
+        s.tasks_retried,
+        s.cache_hits,
+        s.cache_misses,
+    ];
+    (outcomes, counters)
 }
 
 /// A random DAG spec: `ops[k] = (opcode, dep_a, dep_b)` where deps point
@@ -66,17 +101,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn all_schedulers_agree(spec in arb_dag(), workers in 1usize..5) {
-        let (g, nodes) = build(&spec, true);
+    fn all_worker_counts_agree(spec in arb_dag(), poisoned in any::<usize>()) {
+        // One node panics on every dispatch; each worker count then runs
+        // the graph cold and again warm against its own fresh cache.
+        let (mut g, nodes) = build(&spec, true);
+        g.set_fault_injector(FaultInjector::new(vec![FaultPlan {
+            target: FaultTarget::Node(poisoned % g.len()),
+            mode: FaultMode::Panic,
+        }]));
         let outputs = vec![*nodes.last().expect("non-empty"), nodes[0]];
-        let single = run_single_thread(&g, &outputs);
-        let pooled = run_pool(&g, &outputs, workers, Duration::ZERO);
-        let single_out = single.outputs();
-        let pooled_out = pooled.outputs();
-        for (a, b) in single_out.iter().zip(&pooled_out) {
-            prop_assert_eq!(get(a), get(b));
+        let cold_and_warm = |workers: usize| {
+            let cache = Arc::new(ResultCache::new(1 << 20));
+            let opts = ExecOptions {
+                cache: Some(CacheHandle::new(cache, 0xDA7A)),
+                ..ExecOptions::default()
+            };
+            let cold = run(&g, &outputs, workers, &opts);
+            let warm = run(&g, &outputs, workers, &opts);
+            (signature(&cold), signature(&warm))
+        };
+        let inline = cold_and_warm(1);
+        let ((cold_outcomes, cold_counters), (warm_outcomes, warm_counters)) = &inline;
+        // The warm run serves the healthy derived nodes it reaches from
+        // the cache: same outcomes, never more executions than cold.
+        prop_assert_eq!(cold_outcomes, warm_outcomes);
+        prop_assert!(warm_counters[0] <= cold_counters[0]);
+        for workers in [2, 3] {
+            prop_assert_eq!(&cold_and_warm(workers), &inline, "workers={}", workers);
         }
-        prop_assert_eq!(single.stats.tasks_run, pooled.stats.tasks_run);
     }
 
     #[test]
@@ -85,8 +137,8 @@ proptest! {
         let (g2, n2) = build(&spec, false);
         let o1 = vec![*n1.last().expect("non-empty")];
         let o2 = vec![*n2.last().expect("non-empty")];
-        let r1 = run_single_thread(&g1, &o1);
-        let r2 = run_single_thread(&g2, &o2);
+        let r1 = run_plain(&g1, &o1, 1);
+        let r2 = run_plain(&g2, &o2, 1);
         prop_assert_eq!(get(&r1.outputs()[0]), get(&r2.outputs()[0]));
         // Dedup can only shrink the graph.
         prop_assert!(g1.len() <= g2.len());
@@ -105,7 +157,7 @@ proptest! {
                 int(v)
             }));
         }
-        let r = run_pool(&g, &[nodes[0]], 2, Duration::ZERO);
+        let r = run_plain(&g, &[nodes[0]], 2);
         prop_assert_eq!(get(&r.outputs()[0]), spec.sources[0]);
         prop_assert_eq!(counter.load(Ordering::SeqCst), 1);
         prop_assert_eq!(r.stats.pruned(), g.len() - 1);
@@ -115,8 +167,8 @@ proptest! {
     fn repeated_execution_is_deterministic(spec in arb_dag()) {
         let (g, nodes) = build(&spec, true);
         let outputs = vec![*nodes.last().expect("non-empty")];
-        let a = run_pool(&g, &outputs, 3, Duration::ZERO);
-        let b = run_pool(&g, &outputs, 3, Duration::ZERO);
+        let a = run_plain(&g, &outputs, 3);
+        let b = run_plain(&g, &outputs, 3);
         prop_assert_eq!(get(&a.outputs()[0]), get(&b.outputs()[0]));
     }
 

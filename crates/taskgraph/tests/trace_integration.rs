@@ -1,7 +1,7 @@
 //! Tracer integration tests over the public scheduler API.
 //!
-//! The satellite acceptance bar: spans are emitted for every live node on
-//! both schedulers, worker ids stay within `0..workers`, span intervals
+//! The satellite acceptance bar: spans are emitted for every live node at
+//! every worker count, worker ids stay within `0..workers`, span intervals
 //! nest within `ExecStats.elapsed`, and the Chrome-trace JSON survives a
 //! serde-free hand parse.
 
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use eda_taskgraph::graph::Payload;
-use eda_taskgraph::scheduler::{run_pool_opts, run_single_thread_opts, ExecOptions, ExecResult};
+use eda_taskgraph::scheduler::{run, ExecOptions, ExecResult};
 use eda_taskgraph::{FaultInjector, NodeId, SpanStatus, TaskGraph, TaskKey};
 
 fn int(v: i64) -> Payload {
@@ -67,19 +67,11 @@ fn assert_trace_invariants(r: &ExecResult, workers: usize) {
 }
 
 #[test]
-fn single_thread_emits_span_per_live_node() {
-    let (g, outs) = layered_graph();
-    let r = run_single_thread_opts(&g, &outs, &traced());
-    assert_eq!(r.stats.tasks_run, 13); // 8 leaves + 4 mids + root
-    assert_trace_invariants(&r, 1);
-}
-
-#[test]
-fn pool_emits_span_per_live_node() {
+fn every_worker_count_emits_span_per_live_node() {
     for workers in [1, 2, 4] {
         let (g, outs) = layered_graph();
-        let r = run_pool_opts(&g, &outs, workers, &traced());
-        assert_eq!(r.stats.tasks_run, 13, "workers={workers}");
+        let r = run(&g, &outs, workers, &traced());
+        assert_eq!(r.stats.tasks_run, 13, "workers={workers}"); // 8 leaves + 4 mids + root
         assert_trace_invariants(&r, workers);
     }
 }
@@ -87,7 +79,7 @@ fn pool_emits_span_per_live_node() {
 #[test]
 fn untraced_runs_attach_no_trace() {
     let (g, outs) = layered_graph();
-    let r = run_pool_opts(&g, &outs, 2, &ExecOptions::default());
+    let r = run(&g, &outs, 2, &ExecOptions::default());
     assert!(r.stats.trace.is_none());
 }
 
@@ -95,7 +87,7 @@ fn untraced_runs_attach_no_trace() {
 fn skipped_nodes_get_spans_too() {
     let (mut g, outs) = layered_graph();
     g.set_fault_injector(FaultInjector::panic_on("add"));
-    let r = run_pool_opts(&g, &outs, 2, &traced());
+    let r = run(&g, &outs, 2, &traced());
     assert!(r.stats.tasks_failed >= 1);
     assert!(r.stats.tasks_skipped >= 1);
     assert_trace_invariants(&r, 2);
@@ -107,7 +99,7 @@ fn skipped_nodes_get_spans_too() {
 #[test]
 fn queue_wait_never_precedes_dependencies() {
     let (g, outs) = layered_graph();
-    let r = run_pool_opts(&g, &outs, 4, &traced());
+    let r = run(&g, &outs, 4, &traced());
     let trace = r.stats.trace.as_ref().unwrap();
     for span in trace.executed() {
         for &dep in &span.deps {
@@ -127,7 +119,7 @@ fn queue_wait_never_precedes_dependencies() {
 #[test]
 fn chrome_trace_roundtrips_through_hand_parsing() {
     let (g, outs) = layered_graph();
-    let r = run_pool_opts(&g, &outs, 2, &traced());
+    let r = run(&g, &outs, 2, &traced());
     let trace = r.stats.trace.as_ref().unwrap();
     let json = trace.to_chrome_trace();
 
@@ -181,7 +173,7 @@ fn chrome_trace_roundtrips_through_hand_parsing() {
 #[test]
 fn collapsed_stacks_cover_every_executed_name() {
     let (g, outs) = layered_graph();
-    let r = run_single_thread_opts(&g, &outs, &traced());
+    let r = run(&g, &outs, 1, &traced());
     let trace = r.stats.trace.as_ref().unwrap();
     let collapsed = trace.to_collapsed_stacks();
     for name in ["leaf", "add", "total"] {

@@ -3,7 +3,8 @@
 //! The acceptance bar: a `create_report` run where one column's kernels
 //! are rigged to fail still completes, renders every other section,
 //! reports the failure in the diagnostics panel, and counts the failure
-//! in `ExecStats` — on both the single-thread and the pool scheduler.
+//! in `ExecStats` — with tasks run inline (`engine.workers = 1`) and on
+//! the pool.
 
 use eda_core::{create_report, plot, Config, SectionStatus};
 use eda_dataframe::{Column, DataFrame};

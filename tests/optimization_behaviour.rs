@@ -1,13 +1,13 @@
 //! Integration tests for the paper's performance mechanisms: computation
-//! sharing, fine-grained task scoping, two-phase equivalence, and engine
-//! agreement — asserted on observable behaviour (task counts, results),
-//! not wall time.
+//! sharing, fine-grained task scoping, two-phase equivalence, and
+//! worker-count agreement — asserted on observable behaviour (task
+//! counts, results), not wall time.
 
 use dataprep_eda::prelude::*;
-use eda_core::compute::overview::plan_overview;
+use eda_core::compute::overview::{assemble_overview, plan_overview};
 use eda_core::compute::ComputeContext;
+use eda_core::json::intermediates_to_json;
 use eda_datagen::{generate, kaggle_spec_by_name};
-use eda_taskgraph::Engine;
 
 fn dataset() -> DataFrame {
     generate(&kaggle_spec_by_name("titanic").unwrap(), 42)
@@ -98,22 +98,23 @@ fn partition_count_does_not_change_results() {
 }
 
 #[test]
-fn all_engines_compute_identical_overview_payload_counts() {
+fn worker_count_does_not_change_overview_payloads() {
     let df = dataset();
-    let cfg = Config::default();
-    let mut expected: Option<usize> = None;
-    for engine in [
-        Engine::SingleThread,
-        Engine::LazyParallel { workers: 2 },
-        Engine::EagerPerOp { workers: 2 },
-    ] {
+    let mut expected: Option<String> = None;
+    for workers in ["1", "2", "4"] {
+        // Cache off, so every worker count computes its own payloads.
+        let cfg = Config::from_pairs(vec![
+            ("engine.workers", workers),
+            ("engine.cache_budget_bytes", "0"),
+        ])
+        .unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
         let plan = plan_overview(&mut ctx);
-        let outputs = plan.outputs();
-        let payloads = ctx.execute_with(engine, &outputs);
-        match expected {
-            None => expected = Some(payloads.len()),
-            Some(e) => assert_eq!(payloads.len(), e),
+        let payloads = ctx.execute(&plan.outputs());
+        let json = intermediates_to_json(&assemble_overview(&ctx, &plan, &payloads).0);
+        match &expected {
+            None => expected = Some(json),
+            Some(e) => assert_eq!(&json, e, "workers={workers}"),
         }
     }
 }
