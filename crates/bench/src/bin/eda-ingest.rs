@@ -1,14 +1,15 @@
 //! `eda-ingest` — the ingestion benchmark behind `BENCH_ingest.json`.
 //!
-//! Measures the chunked-parallel CSV pipeline against the sequential
-//! single-pass reader on the same synthetic file, plus the two claims
-//! the `.edaf` columnar format makes:
+//! Measures the chunked CSV pipeline against itself — one worker vs the
+//! host's cores, same reader, same chunks — on one synthetic file, plus
+//! the two claims the `.edaf` columnar format makes:
 //!
-//!   1. **Throughput** — rows/sec sequential vs parallel (8 workers,
-//!      chunk budget = file/8 so the file is well beyond 4× one chunk).
+//!   1. **Throughput** — rows/sec at `workers = 1` vs `--workers`
+//!      (default: the host's cores, recorded as `host_cores`; chunk
+//!      budget = file/8 so the file is well beyond 4× one chunk).
 //!   2. **Bounded staging** — allocator-counted peak of the streaming
 //!      fold ([`eda_io::fold_csv`], chunks dropped per wave) vs the
-//!      full-frame sequential load.
+//!      full-frame load.
 //!   3. **O(1) projection** — reading one column out of `.edaf` via the
 //!      footer vs re-parsing the whole CSV.
 //!
@@ -18,22 +19,34 @@
 //!
 //! The JSON keys are gated by `bench-regress --experiment ingest` on the
 //! ratio metrics only (`parallel_speedup`, `staging_reduction`,
-//! `projection_speedup`); absolute times vary with runner hardware.
+//! `projection_speedup`); absolute times vary with runner hardware, and
+//! `parallel_speedup` is compared only between equal `host_cores`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::time::Duration;
 
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, peak_rss_bytes, print_table};
 use eda_io::{fold_csv, read_csv_chunked, read_edaf_columns, write_edaf, IngestOptions};
 
-/// Counting allocator: tracks the live set and a resettable high-water
-/// mark so each pipeline stage reports its own staging peak.
+/// Counting allocator: while [`counted`] runs, tracks the bytes live
+/// above its starting point and their high-water mark, so each pipeline
+/// stage reports its own staging peak.
 struct CountingAlloc;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Record a change of the live set (signed: memory from before the
+/// counted run may be freed inside it).
+fn record(delta: isize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: defers all allocation to `System`; the atomic bookkeeping
 // around it performs no allocation and cannot panic.
@@ -41,8 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
+            record(layout.size() as isize);
         }
         p
     }
@@ -51,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // SAFETY: forwards the caller's (ptr, layout) contract to System
         // unchanged.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        record(-(layout.size() as isize));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -59,14 +71,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // to System unchanged.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            let live = if new_size >= layout.size() {
-                LIVE.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
-                    - layout.size()
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed)
-                    - (layout.size() - new_size)
-            };
-            PEAK.fetch_max(live, Ordering::Relaxed);
+            record(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -75,17 +80,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Reset the stage peak to the current live set and return the live
-/// bytes at the reset point.
-fn reset_peak() -> usize {
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    live
-}
-
-/// Bytes the current stage allocated above its starting live set.
-fn stage_peak(live_at_start: usize) -> usize {
-    PEAK.load(Ordering::Relaxed).saturating_sub(live_at_start)
+/// Run `f` with the allocator counting: its result, and the most bytes
+/// it had live at once. Counting is off everywhere else — two contended
+/// atomics per allocation slow a two-worker parse more than a one-worker
+/// one (this bench measured a "speedup" of 0.84 counted and 1.23 not), so
+/// no timed run carries them.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING.store(false, Ordering::SeqCst);
+    (out, PEAK.load(Ordering::Relaxed).max(0) as usize)
 }
 
 /// Deterministic xorshift so the file is identical across runs.
@@ -135,7 +141,8 @@ fn rows_per_s(rows: usize, d: Duration) -> f64 {
 fn main() {
     let rows =
         if arg_flag("--smoke") { 100_000 } else { arg_f64("--rows", 500_000.0) as usize };
-    let workers = arg_f64("--workers", 8.0) as usize;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = arg_f64("--workers", host_cores as f64) as usize;
     const ITERS: usize = 3;
 
     let dir = std::env::temp_dir().join(format!("eda_ingest_bench_{}", std::process::id()));
@@ -155,65 +162,58 @@ fn main() {
     println!("{}", machine_context());
     println!();
 
-    let seq_opts = IngestOptions { chunk_bytes: 0, workers: 1, ..IngestOptions::default() };
+    // Both sides are the one reader over the same chunks; only the
+    // worker count differs, so their ratio measures parallelism.
+    let seq_opts = IngestOptions { chunk_bytes, workers: 1, ..IngestOptions::default() };
     let par_opts = IngestOptions { chunk_bytes, workers, ..IngestOptions::default() };
 
-    // Correctness gate before timing anything: chunked-parallel must be
-    // bit-identical (logical content fingerprint) to sequential.
-    let seq_frame = read_csv_chunked(&csv_path, &seq_opts).expect("sequential read");
+    // Correctness gate before timing anything: the parallel load must be
+    // bit-identical (logical content fingerprint) to the one-worker load.
+    let seq_frame = read_csv_chunked(&csv_path, &seq_opts).expect("one-worker read");
     let par_frame = read_csv_chunked(&csv_path, &par_opts).expect("parallel read");
-    assert_eq!(seq_frame, par_frame, "parallel ingest must equal sequential");
+    assert_eq!(seq_frame, par_frame, "parallel ingest must equal the one-worker load");
     assert_eq!(
         seq_frame.content_fingerprint(),
         par_frame.content_fingerprint(),
-        "parallel ingest must be bit-identical to sequential"
+        "parallel ingest must be bit-identical to the one-worker load"
     );
     drop(par_frame);
 
-    // Stage 1: sequential single-pass load.
-    let live = reset_peak();
-    let mut seq_time = Duration::MAX;
-    let mut seq_peak = 0usize;
-    for i in 0..ITERS {
-        let (out, t) = measure(|| read_csv_chunked(&csv_path, &seq_opts).expect("seq read"));
-        if i == 0 {
-            seq_peak = stage_peak(live);
-        }
-        seq_time = seq_time.min(t);
+    // Stages 1 and 2: one-worker load (every chunk on the calling
+    // thread), then the parallel load. One counted run for the staging
+    // peak, then the timed ones.
+    let stage = |opts: &IngestOptions| {
+        let (out, peak) = counted(|| read_csv_chunked(&csv_path, opts).expect("csv read"));
         drop(out);
-    }
-
-    // Stage 2: chunked-parallel load.
-    let live = reset_peak();
-    let mut par_time = Duration::MAX;
-    let mut par_peak = 0usize;
-    for i in 0..ITERS {
-        let (out, t) = measure(|| read_csv_chunked(&csv_path, &par_opts).expect("par read"));
-        if i == 0 {
-            par_peak = stage_peak(live);
+        let mut time = Duration::MAX;
+        for _ in 0..ITERS {
+            let (out, t) = measure(|| read_csv_chunked(&csv_path, opts).expect("csv read"));
+            time = time.min(t);
+            drop(out);
         }
-        par_time = par_time.min(t);
-        drop(out);
-    }
+        (time, peak)
+    };
+    let (seq_time, seq_peak) = stage(&seq_opts);
+    let (par_time, par_peak) = stage(&par_opts);
 
     // Stage 3: streaming fold — chunks dropped per wave, so the peak
     // must stay O(chunk × workers × wave_factor), not O(file). A tight
     // budget (file/32, 2 workers → 4-chunk waves) keeps at most ~1/8 of
-    // the file staged at once; the sequential load above stages all of
+    // the file staged at once; the full-frame loads above stage all of
     // it.
     let stream_opts = IngestOptions {
         chunk_bytes: (file_bytes as usize / 32).max(4096),
         workers: 2,
         ..IngestOptions::default()
     };
-    let live = reset_peak();
     let mut fold_rows = 0u64;
-    let outcome = fold_csv(&csv_path, &stream_opts, |chunk| {
-        fold_rows += chunk.nrows() as u64;
-        Ok(())
-    })
-    .expect("fold run");
-    let stream_peak = stage_peak(live);
+    let (outcome, stream_peak) = counted(|| {
+        fold_csv(&csv_path, &stream_opts, |chunk| {
+            fold_rows += chunk.nrows() as u64;
+            Ok(())
+        })
+        .expect("fold run")
+    });
     assert_eq!(fold_rows, rows as u64, "fold must see every row exactly once");
     assert_eq!(outcome.rows, rows as u64);
 
@@ -240,7 +240,7 @@ fn main() {
         &["Stage", "Time", "Rows/s", "Stage peak heap"],
         &[
             vec![
-                "sequential parse".into(),
+                "one-worker parse".into(),
                 fmt_us(seq_time),
                 fmt_meps(rows_per_s(rows, seq_time)),
                 fmt_bytes(seq_peak),
@@ -281,7 +281,7 @@ fn main() {
     if let Some(path) = arg_str("--json") {
         let json = format!(
             concat!(
-                "{{\"experiment\":\"ingest\",\"rows\":{},\"workers\":{},",
+                "{{\"experiment\":\"ingest\",\"rows\":{},\"workers\":{},\"host_cores\":{},",
                 "\"file_bytes\":{},\"chunk_bytes\":{},",
                 "\"seq_us\":{},\"par_us\":{},",
                 "\"seq_rows_per_s\":{:.0},\"par_rows_per_s\":{:.0},",
@@ -293,6 +293,7 @@ fn main() {
             ),
             rows,
             workers,
+            host_cores,
             file_bytes,
             chunk_bytes,
             seq_time.as_micros(),

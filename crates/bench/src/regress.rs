@@ -186,6 +186,12 @@ pub struct MetricSpec {
     pub tolerance_scale: f64,
 }
 
+/// Gated ratios that depend on how many cores ran the benchmark. They
+/// are compared only when both files record the same `host_cores`;
+/// across different hosts they are reported as not compared instead of
+/// passing or failing on hardware.
+pub const SAME_HOST_ONLY: &[&str] = &["parallel_speedup"];
+
 /// Schema + gate description of one benchmark experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentSpec {
@@ -287,6 +293,7 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "experiment",
             "rows",
             "workers",
+            "host_cores",
             "file_bytes",
             "chunk_bytes",
             "seq_us",
@@ -339,6 +346,10 @@ pub struct Delta {
     /// Whether the fresh value falls outside the tolerance band on the
     /// bad side.
     pub regressed: bool,
+    /// `(baseline, fresh)` core counts when the metric was not compared
+    /// because they differ ([`SAME_HOST_ONLY`]); such a delta
+    /// never regresses.
+    pub hosts_differ: Option<(f64, f64)>,
 }
 
 /// Validate `doc` against `spec`: every required key present, every
@@ -377,23 +388,30 @@ pub fn compare(
 ) -> Result<Vec<Delta>, String> {
     validate(spec, baseline, "baseline")?;
     validate(spec, fresh, "fresh")?;
+    let num = |doc: &FlatJson, key: &str| get(doc, key).and_then(JsonValue::as_num);
     let mut out = Vec::new();
     for m in spec.gated {
         // validate() proved both keys exist and are numeric.
-        let base = get(baseline, m.key).and_then(JsonValue::as_num).unwrap_or(0.0);
-        let new = get(fresh, m.key).and_then(JsonValue::as_num).unwrap_or(0.0);
-        let band = (tolerance * m.tolerance_scale).min(0.95);
-        let regressed = if m.higher_is_better {
-            new < base * (1.0 - band)
-        } else {
-            new > base * (1.0 + band)
+        let base = num(baseline, m.key).unwrap_or(0.0);
+        let new = num(fresh, m.key).unwrap_or(0.0);
+        let hosts_differ = match (num(baseline, "host_cores"), num(fresh, "host_cores")) {
+            (Some(b), Some(f)) if SAME_HOST_ONLY.contains(&m.key) && b != f => Some((b, f)),
+            _ => None,
         };
+        let band = (tolerance * m.tolerance_scale).min(0.95);
+        let regressed = hosts_differ.is_none()
+            && if m.higher_is_better {
+                new < base * (1.0 - band)
+            } else {
+                new > base * (1.0 + band)
+            };
         out.push(Delta {
             metric: m.key,
             baseline: base,
             fresh: new,
             ratio: if base == 0.0 { 1.0 } else { new / base },
             regressed,
+            hosts_differ,
         });
     }
     Ok(out)
@@ -414,7 +432,11 @@ pub fn summary(experiment: &str, deltas: &[Delta], tolerance: f64) -> String {
             d.baseline,
             d.fresh,
             (d.ratio - 1.0) * 100.0,
-            if d.regressed { "REGRESSED" } else { "ok" },
+            match d.hosts_differ {
+                Some((b, f)) => format!("not compared (host_cores {b} vs {f})"),
+                None if d.regressed => "REGRESSED".to_string(),
+                None => "ok".to_string(),
+            },
         );
     }
     let failed = deltas.iter().filter(|d| d.regressed).count();
@@ -540,6 +562,41 @@ mod tests {
         assert!(text.contains("hit_rate"), "{text}");
         assert!(text.contains("verdict: pass"), "{text}");
         assert!(text.contains("+0.0%"), "{text}");
+    }
+
+    #[test]
+    fn parallel_speedup_is_not_compared_across_hosts() {
+        let spec = experiment("ingest").unwrap();
+        let doc = |host_cores: f64, parallel_speedup: f64| -> FlatJson {
+            let mut doc: FlatJson = vec![("experiment".into(), JsonValue::Str("ingest".into()))];
+            for &key in spec.required.iter().filter(|&&k| k != "experiment") {
+                let value = match key {
+                    "host_cores" => host_cores,
+                    "parallel_speedup" => parallel_speedup,
+                    _ => 10.0,
+                };
+                doc.push((key.into(), JsonValue::Num(value)));
+            }
+            doc
+        };
+        let of = |deltas: &[Delta], metric: &str| {
+            deltas.iter().find(|d| d.metric == metric).cloned().unwrap()
+        };
+        // Same host: a collapse from 1.6x to 0.5x fails the gate.
+        let same = compare(spec, &doc(2.0, 1.6), &doc(2.0, 0.5), 0.15).unwrap();
+        assert!(of(&same, "parallel_speedup").regressed);
+        // 2 cores vs 8: the same numbers say nothing about the code. The
+        // other ratios are still compared.
+        let other = compare(spec, &doc(2.0, 1.6), &doc(8.0, 0.5), 0.15).unwrap();
+        let speedup = of(&other, "parallel_speedup");
+        assert!(!speedup.regressed);
+        assert_eq!(speedup.hosts_differ, Some((2.0, 8.0)));
+        assert_eq!(of(&other, "staging_reduction").hosts_differ, None);
+        assert!(summary("ingest", &other, 0.15).contains("not compared (host_cores 2 vs 8)"));
+        // A file that never recorded its host is refused outright.
+        let mut unrecorded = doc(2.0, 1.6);
+        unrecorded.retain(|(k, _)| k != "host_cores");
+        assert!(compare(spec, &unrecorded, &doc(2.0, 1.6), 0.15).unwrap_err().contains("host_cores"));
     }
 
     #[test]

@@ -235,20 +235,6 @@ pub struct EngineConfig {
     /// bit-identical to the pre-morsel engine. Purely a scheduling
     /// knob — never part of task keys.
     pub morsel_bytes: usize,
-    /// Target chunk size in bytes for parallel CSV ingestion. The
-    /// reader scans record boundaries once, splits the file into
-    /// chunks of roughly this size, and parses them concurrently on
-    /// the worker pool; peak staging memory is O(chunk × workers)
-    /// instead of O(file). `0` disables chunking — loads then run the
-    /// sequential single-pass reader, bit-identical to the pre-chunk
-    /// engine. Purely an ingestion knob — never part of task keys.
-    pub ingest_chunk_bytes: usize,
-    /// Memory-map input files during ingestion instead of buffered
-    /// positional reads (zero-copy chunk access on platforms that
-    /// support it; silently falls back to buffered reads elsewhere).
-    /// Results are identical either way — this only changes the I/O
-    /// path. Never part of task keys.
-    pub mmap: bool,
 }
 
 /// Figure-size parameters consumed by the render layer.
@@ -348,8 +334,6 @@ impl Default for Config {
                 max_concurrent_runs: 0,
                 metrics: false,
                 morsel_bytes: 256 << 10,
-                ingest_chunk_bytes: 8 << 20,
-                mmap: false,
             },
             display: DisplayConfig { width: 450, height: 300 },
         }
@@ -462,10 +446,6 @@ impl Config {
             }
             "engine.metrics" => self.engine.metrics = bool_of(key, value)?,
             "engine.morsel_bytes" => self.engine.morsel_bytes = usize_of(key, value)?,
-            "engine.ingest_chunk_bytes" => {
-                self.engine.ingest_chunk_bytes = usize_of(key, value)?
-            }
-            "engine.mmap" => self.engine.mmap = bool_of(key, value)?,
             "display.width" => self.display.width = usize_of(key, value)?.max(50),
             "display.height" => self.display.height = usize_of(key, value)?.max(50),
             _ => {

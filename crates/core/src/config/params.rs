@@ -64,8 +64,6 @@ pub const PARAMS: &[ParamSpec] = &[
     ParamSpec { key: "engine.max_concurrent_runs", default: "0", description: "Max analyses running at once; queued past that, shed past a bounded queue (0 = unlimited)" },
     ParamSpec { key: "engine.metrics", default: "false", description: "Record runs into the process-lifetime telemetry registry (Prometheus/JSON exportable)" },
     ParamSpec { key: "engine.morsel_bytes", default: "262144", description: "Morsel size for intra-task work stealing; idle workers steal morsels from skewed partitions (0 = off, bit-identical whole-slice kernels)" },
-    ParamSpec { key: "engine.ingest_chunk_bytes", default: "8388608", description: "Chunk size for parallel CSV ingestion; the file parses as concurrent ~N-byte chunks with O(chunk x workers) staging memory (0 = sequential single-pass reader, bit-identical)" },
-    ParamSpec { key: "engine.mmap", default: "false", description: "Memory-map input files during ingestion for zero-copy chunk access (falls back to buffered positional reads where unsupported; results identical)" },
     ParamSpec { key: "display.width", default: "450", description: "Figure width in pixels" },
     ParamSpec { key: "display.height", default: "300", description: "Figure height in pixels" },
 ];
@@ -91,7 +89,6 @@ mod tests {
                 || p.key.ends_with("eager_finish")
                 || p.key.ends_with("profile")
                 || p.key.ends_with("metrics")
-                || p.key.ends_with("engine.mmap")
                 || p.key.ends_with("violin.enabled")
                 || p.key == "violin.enabled"
             {

@@ -3,11 +3,9 @@
 //!
 //! [`load_data`] is the front door the CLI and library callers use: it
 //! dispatches on file extension (`.edaf` → footer-driven columnar read,
-//! anything else → CSV) and routes the engine knobs
-//! (`engine.ingest_chunk_bytes`, `engine.workers`, `engine.mmap`) into
-//! the `eda-io` pipeline. With `engine.ingest_chunk_bytes = 0` CSV
-//! loads run the sequential single-pass reader, bit-identical to the
-//! pre-chunk engine.
+//! anything else → CSV) and hands `engine.workers` to the `eda-io`
+//! pipeline — the one CSV reader, whose frame is the same at every
+//! worker count.
 
 use std::path::Path;
 
@@ -18,20 +16,11 @@ use eda_io::edaf::{read_edaf, write_edaf, EdafInfo};
 use crate::config::Config;
 use crate::error::EdaResult;
 
-/// Translate the engine knobs into ingestion options.
-fn ingest_options(config: &Config) -> IngestOptions {
-    IngestOptions {
-        chunk_bytes: config.engine.ingest_chunk_bytes,
-        workers: config.engine.workers,
-        mmap: config.engine.mmap,
-        ..IngestOptions::default()
-    }
-}
-
-/// Load a CSV file through the chunked parallel pipeline (or the
-/// sequential reader when `engine.ingest_chunk_bytes = 0`).
+/// Load a CSV file through the chunked parallel pipeline on
+/// `engine.workers` threads.
 pub fn load_csv<P: AsRef<Path>>(path: P, config: &Config) -> EdaResult<DataFrame> {
-    Ok(read_csv_chunked(path, &ingest_options(config))?)
+    let opts = IngestOptions { workers: config.engine.workers, ..IngestOptions::default() };
+    Ok(read_csv_chunked(path, &opts)?)
 }
 
 /// Load a data file, dispatching on extension: `.edaf` reads the
@@ -75,20 +64,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_and_sequential_loads_agree() {
-        let path = temp("knobs.csv", CSV);
-        let mut seq_cfg = Config::default();
-        seq_cfg.set("engine.ingest_chunk_bytes", "0").unwrap();
-        let mut par_cfg = Config::default();
-        par_cfg.set("engine.ingest_chunk_bytes", "8").unwrap();
-        let seq = load_csv(&path, &seq_cfg).unwrap();
-        let par = load_csv(&path, &par_cfg).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(seq.content_fingerprint(), par.content_fingerprint());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn convert_then_load_round_trips() {
         let csv_path = temp("convert.csv", CSV);
         let edaf_path = temp("convert.edaf", "");
@@ -101,16 +76,5 @@ mod tests {
         for p in [csv_path, edaf_path] {
             std::fs::remove_file(&p).ok();
         }
-    }
-
-    #[test]
-    fn mmap_knob_loads_identically() {
-        let path = temp("mmap.csv", CSV);
-        let mut cfg = Config::default();
-        cfg.set("engine.mmap", "true").unwrap();
-        let mapped = load_csv(&path, &cfg).unwrap();
-        let buffered = load_csv(&path, &Config::default()).unwrap();
-        assert_eq!(mapped, buffered);
-        std::fs::remove_file(&path).ok();
     }
 }

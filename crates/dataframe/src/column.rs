@@ -630,8 +630,21 @@ impl Column {
                 });
             }
         }
-        // Concat is only used on small reduce-side data, never in the hot
-        // per-partition path, so plain appends are fine.
+        if let [only] = parts {
+            // One part shares its buffers instead of copying them. Like
+            // the copy below, the result carries a bitmap only when the
+            // window has nulls.
+            let mut shared = (*only).clone();
+            if shared.null_count() == 0 {
+                match &mut shared {
+                    Column::Float64(d) => d.validity = None,
+                    Column::Int64(d) => d.validity = None,
+                    Column::Str(d) => d.validity = None,
+                    Column::Bool(d) => d.validity = None,
+                }
+            }
+            return Ok(shared);
+        }
         let total: usize = parts.iter().map(|p| p.len()).sum();
         let any_null = parts.iter().any(|p| p.null_count() > 0);
         macro_rules! concat_typed {
@@ -917,6 +930,23 @@ mod tests {
         let right = c.slice(13, 17);
         let back = Column::concat(&[&left, &right]).unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn concat_of_one_part_shares_its_buffer() {
+        let whole = Column::from_opt_string(vec![Some("a".into()), None, Some("c".into())]);
+        let same = Column::concat(&[&whole]).unwrap();
+        assert_eq!(same, whole);
+        assert_eq!(same.fingerprint(), whole.fingerprint(), "one part must not be copied");
+        // A window that left the nulls behind drops its bitmap, exactly
+        // as the many-part copy does.
+        let tail = whole.slice(2, 1);
+        assert!(tail.validity().is_some());
+        let shared = Column::concat(&[&tail]).unwrap();
+        assert!(shared.validity().is_none());
+        let copied = Column::concat(&[&tail, &tail.slice(0, 0)]).unwrap();
+        assert_eq!(shared, copied);
+        assert_eq!(shared.content_fingerprint(), copied.content_fingerprint());
     }
 
     #[test]

@@ -1,45 +1,52 @@
-//! Chunk-granular CSV parsing: the pure (no I/O, no threads) substrate of
-//! the parallel out-of-core reader in `eda-io`.
-//!
-//! The pipeline splits into three phases, each implemented here so the
-//! orchestrator only moves bytes and schedules tasks:
+//! The CSV → typed-columns pipeline, chunk by chunk: pure (no I/O, no
+//! threads), and the only implementation of each of its phases.
+//! [`super::read_csv_str`] maps it inline over one text; `eda-io` adds
+//! byte access and maps it in parallel.
 //!
 //! 1. **Boundary scan** ([`BoundaryScanner`] / [`chunk_specs`]): a single
 //!    streaming pass over raw bytes that tracks RFC-4180 quote parity and
 //!    cuts the stream into ~`chunk_bytes` spans that always end on a
 //!    record boundary — a quoted embedded newline never splits a record
-//!    across chunks. Memory is O(#chunks): only `(offset, len,
-//!    first_record)` triples are retained, never the bytes.
-//! 2. **Per-chunk parse** ([`parse_chunk`]): the sequential reader's
-//!    two-pass algorithm applied to one chunk — parse records to raw
-//!    fields (retained only for the chunk's lifetime), widen a
-//!    caller-supplied schema hint when fields contradict it, then build
-//!    typed columns. Chunks are independent, so this is what the worker
-//!    pool parallelizes. Errors carry absolute 1-based record numbers and
-//!    absolute byte offsets, rebased from `chunk_offset`.
-//! 3. **Fold** ([`global_schema`], [`cast_int_to_float`],
-//!    [`reparse_chunk_column_str`]): per-column chunk results are joined
-//!    under the widened global schema in chunk-index order. The only
-//!    lossless numeric promotion is i64 → f64 (bit-identical to re-parsing
-//!    the text, both round half-to-even); every other promotion targets
-//!    `Str` and must re-read the chunk's bytes to recover the exact raw
-//!    field text ("widening repair") — rare, bounded to the affected
-//!    chunks and column.
+//!    across chunks. It also notes where the leading records that form
+//!    the type-inference sample end. Memory is O(#chunks): only
+//!    `(offset, len, first_record)` triples are retained, never the bytes.
+//! 2. **Schema sample** ([`sample_schema`]): column names and a schema
+//!    hint from the header plus the first `infer_rows` data records.
+//! 3. **Per-chunk parse** ([`parse_chunk`]): two passes over one chunk —
+//!    parse records to raw fields (retained only for the chunk's
+//!    lifetime), widening the hinted schema when fields contradict it,
+//!    then build typed columns. Chunks are independent, so this is the
+//!    step a worker pool parallelizes. Errors carry absolute 1-based
+//!    record numbers and absolute byte offsets.
+//! 4. **Fold** ([`fold_chunks`]): per-chunk columns are joined under the
+//!    widened global schema in chunk order. The only lossless numeric
+//!    promotion is i64 → f64 (bit-identical to re-parsing the text, both
+//!    round half-to-even); every other promotion targets `Str` and must
+//!    re-read the chunk's text to recover the exact raw field spellings
+//!    ("widening repair") — rare, and bounded to the affected chunks.
 //!
-//! Determinism: for a fixed input the frame produced via any chunking
-//! (including one chunk) is bit-identical to [`super::read_csv_str`],
-//! provided the schema hint is sampled from the same leading
-//! `infer_rows` records — see `global_schema` for why the widening join
-//! is chunking-invariant.
+//! Determinism: the frame is bit-identical for every chunking of a fixed
+//! input, because the hint is always sampled from the same leading
+//! records and the widening join is chunking-invariant (see
+//! [`global_schema`]). That is what makes [`DEFAULT_CHUNK_BYTES`] a free
+//! choice.
 
 use crate::builder::ColumnBuilder;
 use crate::column::Column;
 use crate::dtype::DataType;
 use crate::error::{Error, Result};
+use crate::frame::DataFrame;
 
 use super::infer::{infer_dtype, infer_schema, is_null_field, widen};
 use super::parser::{parse_line, split_records_offsets};
-use super::reader::{ragged_row, CsvOptions};
+use super::reader::CsvOptions;
+
+/// Chunk size every reader uses unless a library caller asks otherwise.
+/// Measured, not derived (EXPERIMENTS.md, "One CSV reader"): raw-field
+/// staging is several times a chunk's text, so chunks of about a
+/// megabyte parse faster than one file-sized chunk even on one thread,
+/// and leave every worker several chunks on files of a few megabytes.
+pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 
 /// One chunk of the byte stream: `len` bytes starting at absolute
 /// `offset`, guaranteed to begin and end on record boundaries.
@@ -60,37 +67,39 @@ pub struct ChunkSpec {
 /// Feed the byte stream in arbitrary blocks; the scanner emits
 /// [`ChunkSpec`]s whose spans end at the first record boundary at or past
 /// the `chunk_bytes` budget. State is O(1): quote parity, a record
-/// counter, and the current chunk's start. Works on raw bytes — UTF-8
-/// validation happens later, per chunk (safe because `"` and `\n` are
-/// ASCII and UTF-8 continuation bytes never collide with ASCII).
+/// counter, the current chunk's start and the end of the sample. Works on
+/// raw bytes — UTF-8 validation happens later, per chunk (safe because
+/// `"` and `\n` are ASCII and UTF-8 continuation bytes never collide with
+/// ASCII).
 #[derive(Debug)]
 pub struct BoundaryScanner {
     chunk_bytes: usize,
+    sample_records: usize,
     pos: u64,
     in_quotes: bool,
     /// Records completed so far across the whole stream.
     records_done: usize,
     chunk_start: u64,
     chunk_first_record: usize,
+    /// Where record number `sample_records` ended, once seen.
+    sample_end: Option<u64>,
 }
 
 impl BoundaryScanner {
-    /// A scanner cutting chunks of at least `chunk_bytes` bytes
-    /// (clamped to ≥ 1).
-    pub fn new(chunk_bytes: usize) -> Self {
+    /// A scanner cutting chunks of at least `chunk_bytes` bytes (clamped
+    /// to ≥ 1) that also notes where the first `sample_records` records
+    /// ([`CsvOptions::sample_records`]) end.
+    pub fn new(chunk_bytes: usize, sample_records: usize) -> Self {
         BoundaryScanner {
             chunk_bytes: chunk_bytes.max(1),
+            sample_records,
             pos: 0,
             in_quotes: false,
             records_done: 0,
             chunk_start: 0,
             chunk_first_record: 1,
+            sample_end: None,
         }
-    }
-
-    /// Total bytes fed so far.
-    pub fn bytes_seen(&self) -> u64 {
-        self.pos
     }
 
     /// Scan the next block of the stream, appending any completed chunks.
@@ -101,6 +110,9 @@ impl BoundaryScanner {
                 b'"' => self.in_quotes = !self.in_quotes,
                 b'\n' if !self.in_quotes => {
                     self.records_done += 1;
+                    if self.records_done == self.sample_records {
+                        self.sample_end = Some(self.pos);
+                    }
                     if self.pos - self.chunk_start >= self.chunk_bytes as u64 {
                         self.close_chunk(self.pos, out);
                     }
@@ -111,13 +123,16 @@ impl BoundaryScanner {
     }
 
     /// Flush the trailing partial chunk (a final record without a newline
-    /// still terminates at end-of-stream).
-    pub fn finish(mut self, out: &mut Vec<ChunkSpec>) {
+    /// still terminates at end-of-stream) and return the length of the
+    /// stream's leading whole-record prefix that holds the sample: the
+    /// first `sample_records` records, or everything when there are fewer.
+    pub fn finish(mut self, out: &mut Vec<ChunkSpec>) -> u64 {
         if self.pos > self.chunk_start {
             let end = self.pos;
             self.records_done += 1; // the unterminated final record
             self.close_chunk(end, out);
         }
+        self.sample_end.unwrap_or(self.pos)
     }
 
     fn close_chunk(&mut self, end: u64, out: &mut Vec<ChunkSpec>) {
@@ -131,19 +146,26 @@ impl BoundaryScanner {
     }
 }
 
-/// Chunk an in-memory byte slice in one call (mmap / `&str` sources).
-pub fn chunk_specs(bytes: &[u8], chunk_bytes: usize) -> Vec<ChunkSpec> {
+/// Scan an in-memory byte slice in one call: its chunks and the length
+/// of its sample prefix.
+pub fn chunk_specs(
+    bytes: &[u8],
+    chunk_bytes: usize,
+    sample_records: usize,
+) -> (Vec<ChunkSpec>, usize) {
     let mut out = Vec::new();
-    let mut scanner = BoundaryScanner::new(chunk_bytes);
+    let mut scanner = BoundaryScanner::new(chunk_bytes, sample_records);
     scanner.feed(bytes, &mut out);
-    scanner.finish(&mut out);
-    out
+    let sample_len = scanner.finish(&mut out) as usize;
+    (out, sample_len)
 }
 
 /// Typed columns parsed from one chunk, at the chunk's (possibly still
 /// narrow) local schema.
 #[derive(Debug, Clone)]
 pub struct ParsedChunk {
+    /// The chunk these columns were parsed from.
+    pub spec: ChunkSpec,
     /// Per-column dtypes after widening the hint by this chunk's fields.
     pub dtypes: Vec<DataType>,
     /// One column per schema slot, all of length `nrows`.
@@ -152,104 +174,130 @@ pub struct ParsedChunk {
     pub nrows: usize,
 }
 
+/// The records of one chunk as `(record number, byte offset, text)`,
+/// numbered and positioned absolutely in the stream. A UTF-8 byte-order
+/// mark opening the stream belongs to no field and is skipped here, the
+/// one place the header record is read from.
+fn records(text: &str, spec: ChunkSpec) -> impl ExactSizeIterator<Item = (usize, u64, &str)> {
+    const BOM: char = '\u{feff}';
+    let (text, base) = match text.strip_prefix(BOM) {
+        Some(rest) if spec.offset == 0 => (rest, BOM.len_utf8() as u64),
+        _ => (text, spec.offset),
+    };
+    split_records_offsets(text)
+        .into_iter()
+        .enumerate()
+        .map(move |(i, (offset, record))| (spec.first_record + i, base + offset, record))
+}
+
+/// Split one record into exactly `ncols` fields.
+fn parse_row(record: (usize, u64, &str), ncols: usize, opts: &CsvOptions) -> Result<Vec<String>> {
+    let (line, offset, text) = record;
+    let row = parse_line(text, opts.separator, line)?;
+    if row.len() != ncols {
+        return Err(Error::Malformed {
+            line,
+            offset: Some(offset),
+            column: None,
+            message: format!("expected {ncols} fields, found {}", row.len()),
+        });
+    }
+    Ok(row)
+}
+
 /// Column names and a sampled schema hint from the leading bytes of the
-/// stream. `sample_text` must span whole records (the caller cuts it on a
-/// record boundary) and should contain the header plus up to
+/// stream. `sample_text` must span whole records (the scanner's sample
+/// prefix does) and should contain the header plus up to
 /// `opts.infer_rows` data records; extra records are ignored.
 ///
-/// Matches the sequential reader exactly: the schema is inferred from the
-/// first `infer_rows` data records regardless of where chunk boundaries
-/// later fall, which is what makes the final widened schema (and thus the
-/// output frame) independent of the chunking.
+/// The schema is inferred from the first `infer_rows` data records
+/// regardless of where chunk boundaries later fall, which is what makes
+/// the final widened schema (and thus the output frame) independent of
+/// the chunking. Empty text has no columns.
 pub fn sample_schema(sample_text: &str, opts: &CsvOptions) -> Result<(Vec<String>, Vec<DataType>)> {
-    let records = split_records_offsets(sample_text);
-    let Some(&(_, first)) = records.first() else {
+    let spec = ChunkSpec { offset: 0, len: sample_text.len(), first_record: 1 };
+    let mut records = records(sample_text, spec).peekable();
+    let Some(&(_, _, first)) = records.peek() else {
         return Ok((Vec::new(), Vec::new()));
     };
-    let (header, data, first_data_line) = if opts.has_header {
-        (parse_line(first, opts.separator, 1)?, &records[1..], 2usize)
+    let first = parse_line(first, opts.separator, 1)?;
+    let names: Vec<String> = if opts.has_header {
+        records.next();
+        first
     } else {
-        let ncols = parse_line(first, opts.separator, 1)?.len();
-        let header = (0..ncols).map(|i| format!("column_{i}")).collect();
-        (header, &records[..], 1usize)
+        (0..first.len()).map(|i| format!("column_{i}")).collect()
     };
-    let ncols = header.len();
-    let mut sample: Vec<Vec<String>> = Vec::new();
-    for (i, (off, rec)) in data.iter().take(opts.infer_rows).enumerate() {
-        let row = parse_line(rec, opts.separator, first_data_line + i)?;
-        if row.len() != ncols {
-            return Err(ragged_row(first_data_line + i, *off, ncols, row.len()));
-        }
-        sample.push(row);
-    }
-    let schema = infer_schema(sample.iter(), ncols);
-    Ok((header, schema))
+    let sample = records
+        .take(opts.infer_rows)
+        .map(|record| parse_row(record, names.len(), opts))
+        .collect::<Result<Vec<_>>>()?;
+    let hint = infer_schema(sample.iter(), names.len());
+    Ok((names, hint))
 }
 
 /// Parse one chunk's text into typed columns.
 ///
-/// * `chunk_offset` — absolute byte offset of `text` within the source,
-///   for error rebasing.
-/// * `first_record` — absolute 1-based record number of the chunk's first
-///   record (the header is record 1).
-/// * `skip_first` — true only for the first chunk of a stream with a
-///   header row.
-/// * `hint` — sampled schema; the chunk widens it locally when its fields
-///   contradict it. `names` supplies error context and the column count.
+/// * `spec` — where `text` sits in the source: errors are rebased to its
+///   absolute offset and record number, and the chunk that starts at
+///   record 1 skips the header row (when there is one).
+/// * `schema` — the sampled hint, or the global schema when re-reading a
+///   chunk for [`fold_chunks`]; the chunk widens it locally when its
+///   fields contradict it. `names` supplies error context and the column
+///   count.
 pub fn parse_chunk(
     text: &str,
-    chunk_offset: u64,
-    first_record: usize,
-    skip_first: bool,
-    hint: &[DataType],
+    spec: ChunkSpec,
+    schema: &[DataType],
     names: &[String],
     opts: &CsvOptions,
 ) -> Result<ParsedChunk> {
     let ncols = names.len();
-    let records = split_records_offsets(text);
-    let data = if skip_first && !records.is_empty() { &records[1..] } else { &records[..] };
-    let first_data_record = if skip_first { first_record + 1 } else { first_record };
+    let header_rows = usize::from(opts.has_header && spec.first_record == 1);
+    let data = records(text, spec).skip(header_rows);
+    let nrows = data.len();
 
     // Pass 1: records → raw fields, widening the hinted schema. Raw
     // fields live only for this chunk.
-    let mut dtypes: Vec<DataType> = hint.to_vec();
+    let mut dtypes: Vec<DataType> = schema.to_vec();
     dtypes.resize(ncols, DataType::Str);
-    let mut raw_columns: Vec<Vec<Option<String>>> = vec![Vec::with_capacity(data.len()); ncols];
-    for (i, (rec_off, rec)) in data.iter().enumerate() {
-        let line = first_data_record + i;
-        let row = parse_line(rec, opts.separator, line)?;
-        if row.len() != ncols {
-            return Err(ragged_row(line, chunk_offset + rec_off, ncols, row.len()));
-        }
-        for (c, field) in row.into_iter().enumerate() {
+    let mut raw_columns: Vec<Vec<Option<String>>> = vec![Vec::with_capacity(nrows); ncols];
+    for record in data {
+        let row = parse_row(record, ncols, opts)?;
+        for ((field, raws), dtype) in row.into_iter().zip(&mut raw_columns).zip(&mut dtypes) {
             if is_null_field(&field, &opts.extra_nulls) {
-                raw_columns[c].push(None);
+                raws.push(None);
             } else {
                 if let Some(t) = infer_dtype(&field) {
-                    dtypes[c] = widen(dtypes[c], t);
+                    *dtype = widen(*dtype, t);
                 }
-                raw_columns[c].push(Some(field));
+                raws.push(Some(field));
             }
         }
     }
 
-    // Pass 2: raw fields → typed columns at the chunk-final schema.
-    let nrows = data.len();
+    // Pass 2: raw fields → typed columns at the chunk-final schema. The
+    // raw fields are freed together when the chunk is done: freeing each
+    // column's as soon as it is built saves ~3 MB of peak RSS on a 5 MB
+    // text-heavy file and costs 10-19% of its load (EXPERIMENTS.md, "One
+    // CSV reader").
     let mut columns = Vec::with_capacity(ncols);
-    for (c, raws) in raw_columns.into_iter().enumerate() {
-        let mut builder = ColumnBuilder::for_dtype(dtypes[c]);
-        for field in &raws {
+    for ((raws, &dtype), name) in raw_columns.iter().zip(&dtypes).zip(names) {
+        let mut builder = ColumnBuilder::for_dtype(dtype);
+        for field in raws {
             match field {
                 None => builder.push_null(),
                 Some(f) => {
                     if !builder.push_parsed(f) {
+                        // infer_dtype + widen guarantee parseability; a
+                        // failure here is a logic error worth surfacing
+                        // as a recoverable error rather than a panic.
                         return Err(Error::Malformed {
                             line: 0,
-                            offset: Some(chunk_offset),
-                            column: names.get(c).cloned(),
+                            offset: Some(spec.offset),
+                            column: Some(name.clone()),
                             message: format!(
                                 "field {f:?} does not parse as inferred type {}",
-                                dtypes[c].name()
+                                dtype.name()
                             ),
                         });
                     }
@@ -258,15 +306,18 @@ pub fn parse_chunk(
         }
         columns.push(builder.finish());
     }
-    Ok(ParsedChunk { dtypes, columns, nrows })
+    Ok(ParsedChunk { spec, dtypes, columns, nrows })
 }
 
 /// Join of per-chunk schemas: the widened global schema. Because
 /// [`widen`] is an associative, commutative, idempotent join on the
-/// bool → i64 → f64 → str lattice, the result equals the sequential
-/// reader's schema (hint joined with every field's type) for any
-/// chunking — this is the invariant behind the bit-identical guarantee.
-pub fn global_schema(hint: &[DataType], chunk_dtypes: &[Vec<DataType>]) -> Vec<DataType> {
+/// bool → i64 → f64 → str lattice, the result is the hint joined with
+/// every field's type for any chunking — this is the invariant behind
+/// the bit-identical guarantee.
+pub fn global_schema<'a>(
+    hint: &[DataType],
+    chunk_dtypes: impl IntoIterator<Item = &'a Vec<DataType>>,
+) -> Vec<DataType> {
     let mut global = hint.to_vec();
     for dts in chunk_dtypes {
         for (g, &d) in global.iter_mut().zip(dts) {
@@ -277,17 +328,16 @@ pub fn global_schema(hint: &[DataType], chunk_dtypes: &[Vec<DataType>]) -> Vec<D
 }
 
 /// Whether a chunk column at `have` can fold into global dtype `want`
-/// without re-reading the chunk's bytes. i64 → f64 is the one lossless
+/// without re-reading the chunk's text. i64 → f64 is the one lossless
 /// in-memory promotion; promotions into `Str` lost the raw spelling
-/// (`" 7"`, `"True"`, `"1.50"`) at parse time and need
-/// [`reparse_chunk_column_str`].
+/// (`" 7"`, `"True"`, `"1.50"`) at parse time.
 pub fn needs_text_repair(have: DataType, want: DataType) -> bool {
     have != want && !(have == DataType::Int64 && want == DataType::Float64)
 }
 
 /// Numeric i64 → f64 promotion, preserving validity. `v as f64` rounds
 /// half-to-even exactly like parsing the original integer literal as a
-/// float, so this is bit-identical to the sequential reader's output.
+/// float, so this is bit-identical to parsing the text as f64.
 pub fn cast_int_to_float(col: &Column) -> Column {
     let vals: Vec<f64> = match col.i64_values() {
         Some(ints) => ints.iter().map(|&v| v as f64).collect(),
@@ -296,55 +346,59 @@ pub fn cast_int_to_float(col: &Column) -> Column {
     Column::from_f64_validity(vals, col.validity().cloned())
 }
 
-/// Widening repair: rebuild one column of one chunk as `Str` from the
-/// chunk's original text, recovering the exact raw field spellings that
-/// typed parsing discarded. Same record-numbering contract as
-/// [`parse_chunk`].
-pub fn reparse_chunk_column_str(
-    text: &str,
-    chunk_offset: u64,
-    first_record: usize,
-    skip_first: bool,
-    col: usize,
-    ncols: usize,
-    opts: &CsvOptions,
-) -> Result<Column> {
-    let records = split_records_offsets(text);
-    let data = if skip_first && !records.is_empty() { &records[1..] } else { &records[..] };
-    let first_data_record = if skip_first { first_record + 1 } else { first_record };
-    let mut builder = ColumnBuilder::for_dtype(DataType::Str);
-    for (i, (rec_off, rec)) in data.iter().enumerate() {
-        let line = first_data_record + i;
-        let mut row = parse_line(rec, opts.separator, line)?;
-        if row.len() != ncols {
-            return Err(ragged_row(line, chunk_offset + rec_off, ncols, row.len()));
-        }
-        let field = std::mem::take(&mut row[col]);
-        if is_null_field(&field, &opts.extra_nulls) {
-            builder.push_null();
-        } else if !builder.push_parsed(&field) {
-            return Err(Error::Malformed {
-                line,
-                offset: Some(chunk_offset + rec_off),
-                column: None,
-                message: format!("field {field:?} does not parse as str"),
-            });
+/// Join parsed chunks, in chunk order, into one frame under the widened
+/// global schema. `reparse(spec, schema)` re-reads one chunk's text and
+/// parses it again under `schema` (a [`parse_chunk`] call over wherever
+/// the caller keeps the bytes).
+pub fn fold_chunks(
+    names: &[String],
+    hint: &[DataType],
+    mut chunks: Vec<ParsedChunk>,
+    mut reparse: impl FnMut(ChunkSpec, &[DataType]) -> Result<ParsedChunk>,
+) -> Result<DataFrame> {
+    let global = global_schema(hint, chunks.iter().map(|chunk| &chunk.dtypes));
+    for chunk in &mut chunks {
+        // Widening repair: this chunk parsed a column as a narrower type
+        // before some other chunk forced Str; the exact raw spellings
+        // only exist in the source text. Parsed under the global schema
+        // every column of the chunk comes out at its final type.
+        if chunk.dtypes.iter().zip(&global).any(|(&have, &want)| needs_text_repair(have, want)) {
+            *chunk = reparse(chunk.spec, &global)?;
         }
     }
-    Ok(builder.finish())
+    let mut pairs: Vec<(String, Column)> = Vec::with_capacity(names.len());
+    for (c, (name, &want)) in names.iter().zip(&global).enumerate() {
+        let parts: Vec<Column> = chunks
+            .iter()
+            .filter_map(|chunk| chunk.columns.get(c))
+            .map(|col| if col.dtype() == want { col.clone() } else { cast_int_to_float(col) })
+            .collect();
+        pairs.push((name.clone(), Column::concat(&parts.iter().collect::<Vec<_>>())?));
+    }
+    DataFrame::new(pairs)
 }
 
-/// Re-expose the sequential reader's invalid-UTF-8 error shape for chunk
-/// validation: `base` is the chunk's absolute offset, so the reported
-/// byte is absolute in the file.
+/// The canonical invalid-UTF-8 error for a failed validation whose input
+/// started at absolute byte `base` of the source, so the reported byte is
+/// absolute in the file.
 pub fn utf8_error(e: &std::str::Utf8Error, base: u64) -> Error {
-    super::reader::utf8_error(e, base)
+    let offset = base + e.valid_up_to() as u64;
+    Error::Malformed {
+        line: 0,
+        offset: Some(offset),
+        column: None,
+        message: format!("file is not valid UTF-8 (first bad byte at offset {offset})"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csv::read_csv_str;
+
+    fn specs_of(text: &str, chunk_bytes: usize) -> Vec<ChunkSpec> {
+        chunk_specs(text.as_bytes(), chunk_bytes, 1).0
+    }
 
     fn specs_cover(text: &str, specs: &[ChunkSpec]) {
         let mut pos = 0u64;
@@ -358,7 +412,7 @@ mod tests {
     #[test]
     fn scanner_cuts_on_record_boundaries() {
         let text = "a,b\n1,2\n3,4\n5,6\n";
-        let specs = chunk_specs(text.as_bytes(), 5);
+        let specs = specs_of(text, 5);
         specs_cover(text, &specs);
         assert!(specs.len() > 1);
         for s in &specs {
@@ -373,7 +427,7 @@ mod tests {
     fn scanner_never_cuts_inside_quotes() {
         let text = "h\n\"long\nquoted\nfield\",x\ntail\n";
         for budget in 1..text.len() + 1 {
-            let specs = chunk_specs(text.as_bytes(), budget);
+            let specs = specs_of(text, budget);
             specs_cover(text, &specs);
             for s in &specs {
                 let span = &text[s.offset as usize..s.offset as usize + s.len];
@@ -386,25 +440,42 @@ mod tests {
     #[test]
     fn scanner_incremental_feed_matches_whole_slice() {
         let text = "a,b\n\"x\ny\",2\nlast";
-        let whole = chunk_specs(text.as_bytes(), 4);
+        let whole = chunk_specs(text.as_bytes(), 4, 2);
         for block in 1..6 {
             let mut out = Vec::new();
-            let mut sc = BoundaryScanner::new(4);
+            let mut sc = BoundaryScanner::new(4, 2);
             for chunk in text.as_bytes().chunks(block) {
                 sc.feed(chunk, &mut out);
             }
-            sc.finish(&mut out);
-            assert_eq!(out, whole, "block size {block}");
+            let sample_len = sc.finish(&mut out) as usize;
+            assert_eq!((out, sample_len), whole, "block size {block}");
         }
     }
 
     #[test]
     fn scanner_first_record_numbers() {
         let text = "h\na\nb\nc\nd\n";
-        let specs = chunk_specs(text.as_bytes(), 2);
+        let specs = specs_of(text, 2);
         // Chunks of "h\n", "a\n", ... records 1..=5.
         let firsts: Vec<usize> = specs.iter().map(|s| s.first_record).collect();
         assert_eq!(firsts, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn scanner_notes_where_the_sample_ends() {
+        // Records: header, a quoted two-line record, "2", unterminated "3".
+        let text = "h\n\"x\ny\"\n2\n3";
+        for chunk_bytes in [1, 4, 100] {
+            let sample = |records| &text[..chunk_specs(text.as_bytes(), chunk_bytes, records).1];
+            assert_eq!(sample(1), "h\n");
+            assert_eq!(sample(2), "h\n\"x\ny\"\n");
+            assert_eq!(sample(3), "h\n\"x\ny\"\n2\n");
+            // The unterminated last record ends with the stream, and so
+            // does a sample that wants more records than there are.
+            assert_eq!(sample(4), text);
+            assert_eq!(sample(1000), text);
+        }
+        assert_eq!(chunk_specs(b"", 4, 3), (Vec::new(), 0));
     }
 
     #[test]
@@ -412,7 +483,8 @@ mod tests {
         let text = "a,b,c\n1,x,true\n2.5,y,false\n,z,\n";
         let opts = CsvOptions::default();
         let (names, hint) = sample_schema(text, &opts).unwrap();
-        let parsed = parse_chunk(text, 0, 1, true, &hint, &names, &opts).unwrap();
+        let whole = ChunkSpec { offset: 0, len: text.len(), first_record: 1 };
+        let parsed = parse_chunk(text, whole, &hint, &names, &opts).unwrap();
         let seq = read_csv_str(text, &opts).unwrap();
         assert_eq!(parsed.nrows, seq.nrows());
         for (c, name) in names.iter().enumerate() {
@@ -427,9 +499,9 @@ mod tests {
         // Chunk starting at absolute offset 100, first record number 11.
         let text = "1,2\n3\n";
         let opts = CsvOptions::default();
-        let err =
-            parse_chunk(text, 100, 11, false, &[DataType::Int64; 2], &["a".into(), "b".into()], &opts)
-                .unwrap_err();
+        let spec = ChunkSpec { offset: 100, len: text.len(), first_record: 11 };
+        let names = ["a".to_string(), "b".to_string()];
+        let err = parse_chunk(text, spec, &[DataType::Int64; 2], &names, &opts).unwrap_err();
         match err {
             Error::Malformed { line, offset, .. } => {
                 assert_eq!(line, 12);
@@ -461,12 +533,30 @@ mod tests {
 
     #[test]
     fn repair_recovers_raw_spelling() {
-        // "07" infers as Int64 (parses as 7) but the raw spelling must
-        // survive a widening to Str.
-        let text = "07,x\n1.50,y\n";
-        let opts = CsvOptions::default();
-        let col = reparse_chunk_column_str(text, 0, 2, false, 0, 2, &opts).unwrap();
-        assert_eq!(col.str_values().unwrap(), &["07".to_string(), "1.50".to_string()][..]);
+        // "07" infers as Int64 (parses as 7) and "1.50" as Float64, but
+        // the raw spellings must survive the column's widening to Str:
+        // the fold re-reads exactly the chunk that parsed them narrower.
+        let chunks = ["07,x\n1.50,y\n", "oops,z\n"];
+        let opts = CsvOptions { has_header: false, ..CsvOptions::default() };
+        let names = ["a".to_string(), "b".to_string()];
+        let hint = [DataType::Int64, DataType::Str];
+        let specs = [
+            ChunkSpec { offset: 0, len: chunks[0].len(), first_record: 1 },
+            ChunkSpec { offset: chunks[0].len() as u64, len: chunks[1].len(), first_record: 3 },
+        ];
+        let parse = |k: usize, schema: &[DataType]| {
+            parse_chunk(chunks[k], specs[k], schema, &names, &opts)
+        };
+        let parsed = vec![parse(0, &hint).unwrap(), parse(1, &hint).unwrap()];
+        assert_eq!(parsed[0].dtypes, [DataType::Float64, DataType::Str]);
+        let mut reread = Vec::new();
+        let df = fold_chunks(&names, &hint, parsed, |spec, schema| {
+            reread.push(spec);
+            parse(usize::from(spec != specs[0]), schema)
+        })
+        .unwrap();
+        assert_eq!(reread, [specs[0]]);
+        assert_eq!(df.column("a").unwrap().str_values().unwrap(), ["07", "1.50", "oops"]);
     }
 
     #[test]

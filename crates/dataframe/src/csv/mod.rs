@@ -1,10 +1,12 @@
 //! CSV ingestion and export.
 //!
 //! The reader performs RFC-4180-style parsing (quoted fields, embedded
-//! separators/newlines, doubled quotes) and two-pass type inference:
-//! a sampling pass picks the narrowest type each column fits
-//! (bool → i64 → f64 → str) and the build pass parses into typed builders,
-//! widening on the fly if later rows contradict the sample.
+//! separators/newlines, doubled quotes) and sampled type inference: the
+//! leading records pick the narrowest type each column fits
+//! (bool → i64 → f64 → str), the text then parses chunk by chunk into
+//! typed builders, widening when later rows contradict the sample. There
+//! is one implementation ([`chunk`]); [`read_csv_str`] runs it inline and
+//! `eda-io` runs it on a worker pool, with identical output.
 
 mod infer;
 mod parser;

@@ -1,14 +1,17 @@
-//! CSV → [`DataFrame`] reader.
+//! CSV → [`DataFrame`] reader: the chunk pipeline of [`super::chunk`]
+//! mapped inline, on the calling thread, over one in-memory text.
 
 use std::fs;
 use std::path::Path;
 
-use crate::builder::ColumnBuilder;
+use crate::dtype::DataType;
 use crate::error::{Error, Result};
 use crate::frame::DataFrame;
 
-use super::infer::{infer_schema, is_null_field, widen};
-use super::parser::{parse_line, split_records_offsets};
+use super::chunk::{
+    chunk_specs, fold_chunks, parse_chunk, sample_schema, utf8_error, ChunkSpec,
+    DEFAULT_CHUNK_BYTES,
+};
 
 /// Options controlling CSV ingestion.
 #[derive(Debug, Clone)]
@@ -34,6 +37,15 @@ impl Default for CsvOptions {
     }
 }
 
+impl CsvOptions {
+    /// Leading records the type-inference sample spans: the header plus
+    /// `infer_rows` data records, and never fewer than the one record
+    /// that fixes the column count.
+    pub fn sample_records(&self) -> usize {
+        usize::from(self.has_header).saturating_add(self.infer_rows).max(1)
+    }
+}
+
 /// Read a CSV file from disk with default options.
 ///
 /// Invalid UTF-8 is a recoverable [`Error::Malformed`] naming the byte
@@ -44,111 +56,20 @@ pub fn read_csv<P: AsRef<Path>>(path: P) -> Result<DataFrame> {
     read_csv_str(&text, &CsvOptions::default())
 }
 
-/// Build the canonical invalid-UTF-8 error for a failed validation whose
-/// input started at absolute byte `base` of the source.
-pub(crate) fn utf8_error(e: &std::str::Utf8Error, base: u64) -> Error {
-    let offset = base + e.valid_up_to() as u64;
-    Error::Malformed {
-        line: 0,
-        offset: Some(offset),
-        column: None,
-        message: format!("file is not valid UTF-8 (first bad byte at offset {offset})"),
-    }
-}
-
-pub(crate) fn ragged_row(line: usize, offset: u64, expected: usize, found: usize) -> Error {
-    Error::Malformed {
-        line,
-        offset: Some(offset),
-        column: None,
-        message: format!("expected {expected} fields, found {found}"),
-    }
-}
-
 /// Parse CSV text into a frame.
 pub fn read_csv_str(text: &str, options: &CsvOptions) -> Result<DataFrame> {
-    let records = split_records_offsets(text);
-    if records.is_empty() {
-        return Ok(DataFrame::empty());
-    }
-
-    let (header, data_records, first_data_line) = if options.has_header {
-        let header = parse_line(records[0].1, options.separator, 1)?;
-        (header, &records[1..], 2usize)
-    } else {
-        let ncols = parse_line(records[0].1, options.separator, 1)?.len();
-        let header = (0..ncols).map(|i| format!("column_{i}")).collect();
-        (header, &records[..], 1usize)
+    let (specs, sample_len) =
+        chunk_specs(text.as_bytes(), DEFAULT_CHUNK_BYTES, options.sample_records());
+    let (names, hint) = sample_schema(text.get(..sample_len).unwrap_or(text), options)?;
+    let parse = |spec: ChunkSpec, schema: &[DataType]| {
+        let start = spec.offset as usize;
+        let span = text
+            .get(start..start + spec.len)
+            .ok_or_else(|| Error::Io(format!("chunk at byte {start} is not a span of the text")))?;
+        parse_chunk(span, spec, schema, &names, options)
     };
-    let ncols = header.len();
-
-    // Pass 1: parse a sample and infer types.
-    let sample: Result<Vec<Vec<String>>> = data_records
-        .iter()
-        .take(options.infer_rows)
-        .enumerate()
-        .map(|(i, (_, rec))| parse_line(rec, options.separator, first_data_line + i))
-        .collect();
-    let sample = sample?;
-    for (i, row) in sample.iter().enumerate() {
-        if row.len() != ncols {
-            return Err(ragged_row(first_data_line + i, data_records[i].0, ncols, row.len()));
-        }
-    }
-    let mut schema = infer_schema(sample.iter(), ncols);
-
-    // Pass 2: build columns, widening when a later field contradicts the
-    // sampled type. Widening restarts the affected column from raw fields,
-    // so all raw fields are retained until the end.
-    let mut raw_columns: Vec<Vec<Option<String>>> = vec![Vec::new(); ncols];
-    for (i, (rec_offset, rec)) in data_records.iter().enumerate() {
-        let row = if i < sample.len() {
-            sample[i].clone()
-        } else {
-            parse_line(rec, options.separator, first_data_line + i)?
-        };
-        if row.len() != ncols {
-            return Err(ragged_row(first_data_line + i, *rec_offset, ncols, row.len()));
-        }
-        for (c, field) in row.into_iter().enumerate() {
-            if is_null_field(&field, &options.extra_nulls) {
-                raw_columns[c].push(None);
-            } else {
-                if let Some(t) = super::infer::infer_dtype(&field) {
-                    schema[c] = widen(schema[c], t);
-                }
-                raw_columns[c].push(Some(field));
-            }
-        }
-    }
-
-    let mut pairs = Vec::with_capacity(ncols);
-    for (c, name) in header.into_iter().enumerate() {
-        let mut builder = ColumnBuilder::for_dtype(schema[c]);
-        for field in &raw_columns[c] {
-            match field {
-                None => builder.push_null(),
-                Some(f) => {
-                    if !builder.push_parsed(f) {
-                        // infer_dtype + widen guarantee parseability; a
-                        // failure here is a logic error worth surfacing
-                        // as a recoverable error rather than a panic.
-                        return Err(Error::Malformed {
-                            line: 0,
-                            offset: None,
-                            column: Some(name),
-                            message: format!(
-                                "field {f:?} does not parse as inferred type {}",
-                                schema[c].name()
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        pairs.push((name, builder.finish()));
-    }
-    DataFrame::new(pairs)
+    let chunks = specs.iter().map(|&spec| parse(spec, &hint)).collect::<Result<Vec<_>>>()?;
+    fold_chunks(&names, &hint, chunks, parse)
 }
 
 #[cfg(test)]

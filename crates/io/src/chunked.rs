@@ -1,71 +1,71 @@
 //! Parallel chunked CSV ingestion.
 //!
-//! The pipeline (DESIGN.md §16):
+//! The pipeline (DESIGN.md §16) is `eda_dataframe::csv::chunk`'s — the
+//! one CSV reader — with byte access and a worker pool added:
 //!
 //! ```text
 //! bytes ──► boundary scan ──► chunk specs ──► pool: parse chunk i ──► fold
 //!           (1 streaming       (offset,len,     (independent tasks,     (widen → cast/
-//!            pass, O(1)         first_record)    taskgraph workers)      repair → concat)
+//!            pass, O(1)         first_record)    in waves)               repair → concat)
 //!            state)
 //! ```
 //!
 //! * The **boundary scan** streams the source once through the
 //!   quote-aware [`BoundaryScanner`], producing `~chunk_bytes` spans
-//!   that end on record boundaries, and captures the leading records as
-//!   the type-inference sample — the *same* first `infer_rows` records
-//!   the sequential reader samples, which is what makes the final frame
-//!   independent of the chunking.
+//!   that end on record boundaries, and notes where the leading records
+//!   that form the type-inference sample end — the *same* first
+//!   `infer_rows` records whatever the chunking, which is what makes the
+//!   final frame independent of it.
 //! * **Chunk tasks** run on the shared worker pool via
 //!   [`eda_taskgraph::ingest`]: each reads its own byte range
-//!   (positional `pread`, an mmap subslice, or an in-memory subslice —
-//!   never a shared cursor), validates UTF-8, and parses to typed
-//!   columns with the sequential reader's two-pass algorithm. Raw field
+//!   (positional `pread` or an in-memory subslice — never a shared
+//!   cursor), validates UTF-8, and parses to typed columns. Raw field
 //!   strings live only for one chunk, so peak staging memory is
 //!   O(chunk × workers), not O(file).
-//! * The **fold** joins per-chunk schemas under the widening lattice,
-//!   promotes i64 chunks to f64 numerically (bit-identical to
-//!   re-parsing), re-reads the rare chunks whose column widened to
-//!   `Str` ("widening repair" — exact raw spellings recovered from the
-//!   source), and concatenates in chunk-index order.
-//!
-//! `chunk_bytes = 0` bypasses all of this and runs today's sequential
-//! single-pass reader — bit-for-bit, matching the governance/SIMD
-//! "bit-identical when off" convention.
+//! * [`for_each_chunk`] is the one driver of those two steps; it hands
+//!   each parsed chunk, in file order, to a callback. [`read_csv_chunked`]
+//!   collects them (one wave: it keeps them all anyway) and **folds**
+//!   ([`fold_chunks`]: schemas joined under the widening lattice, i64
+//!   chunks promoted to f64 numerically, the rare chunks whose column
+//!   widened to `Str` re-read from the source, concatenation in chunk
+//!   order); [`crate::stream::fold_csv`] hands each to the caller's fold
+//!   and drops it, in bounded waves.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use eda_dataframe::csv::chunk::{
-    self, cast_int_to_float, global_schema, needs_text_repair, parse_chunk, sample_schema,
-    BoundaryScanner, ChunkSpec, ParsedChunk,
+    fold_chunks, parse_chunk, sample_schema, utf8_error, BoundaryScanner, ChunkSpec, ParsedChunk,
+    DEFAULT_CHUNK_BYTES,
 };
-use eda_dataframe::csv::{read_csv_str, CsvOptions};
-use eda_dataframe::{Column, DataFrame, DataType, Error, Result};
+use eda_dataframe::csv::CsvOptions;
+use eda_dataframe::{DataFrame, DataType, Error, Result};
 use eda_taskgraph::cache::PayloadSizer;
-use eda_taskgraph::ingest::run_chunk_tasks;
+use eda_taskgraph::ingest::{run_chunk_waves, WaveStats};
 use eda_taskgraph::scheduler::ExecOptions;
+use eda_taskgraph::Payload;
 
 use crate::source::ByteSource;
 
 /// Block size of the boundary-scan streaming pass.
 const SCAN_BLOCK_BYTES: usize = 256 * 1024;
 
-/// Knobs for chunked ingestion. `exec` carries the run-level governance
-/// (cancel token, memory gauge, retries, tracing) checked at every chunk
-/// boundary by the pool scheduler.
+/// Chunks dispatched per worker per wave for a caller that drops each
+/// chunk once it has seen it: what bounds such a fold's memory.
+pub(crate) const STREAMING_WAVE_FACTOR: usize = 2;
+
+/// Parameters of chunked ingestion. `exec` carries the run-level
+/// governance (cancel token, memory gauge, retries, tracing) checked at
+/// every chunk boundary by the executor.
 #[derive(Clone)]
 pub struct IngestOptions {
-    /// CSV dialect and inference options (shared with the sequential
-    /// reader).
+    /// CSV dialect and inference options.
     pub csv: CsvOptions,
-    /// Target chunk size in bytes (`engine.ingest_chunk_bytes`). `0`
-    /// runs the sequential single-pass reader, bit-for-bit.
+    /// Target chunk size in bytes ([`DEFAULT_CHUNK_BYTES`] unless a
+    /// caller sizes chunks itself); the frame is the same at any value.
     pub chunk_bytes: usize,
     /// Worker threads for the parse pool (`engine.workers`).
     pub workers: usize,
-    /// Map files instead of buffered positional reads (`engine.mmap`);
-    /// ignored where unsupported.
-    pub mmap: bool,
     /// Scheduler options for the chunk tasks (cancellation, budgets,
     /// retries, tracing, metrics).
     pub exec: ExecOptions,
@@ -75,125 +75,55 @@ impl Default for IngestOptions {
     fn default() -> Self {
         IngestOptions {
             csv: CsvOptions::default(),
-            chunk_bytes: 8 * 1024 * 1024,
+            chunk_bytes: DEFAULT_CHUNK_BYTES,
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            mmap: false,
             exec: ExecOptions::default(),
         }
     }
 }
 
-/// Everything the parallel phase needs, produced by the single
-/// sequential boundary-scan pass.
-pub(crate) struct Prepared {
+/// What the single boundary-scan pass learned about a stream.
+pub(crate) struct Plan {
     pub names: Vec<String>,
     pub hint: Vec<DataType>,
     pub specs: Vec<ChunkSpec>,
 }
 
-/// Captures the leading records of the stream (header + up to
-/// `infer_rows` data records) during the boundary scan, cut on a record
-/// boundary so the capture always parses cleanly.
-struct SampleCapture {
-    buf: Vec<u8>,
-    records_needed: usize,
-    records_done: usize,
-    in_quotes: bool,
-    complete_len: usize,
-    done: bool,
-}
-
-impl SampleCapture {
-    fn new(records_needed: usize) -> Self {
-        SampleCapture {
-            buf: Vec::new(),
-            records_needed: records_needed.max(1),
-            records_done: 0,
-            in_quotes: false,
-            complete_len: 0,
-            done: false,
-        }
-    }
-
-    fn feed(&mut self, block: &[u8]) {
-        if self.done {
-            return;
-        }
-        for &b in block {
-            self.buf.push(b);
-            match b {
-                b'"' => self.in_quotes = !self.in_quotes,
-                b'\n' if !self.in_quotes => {
-                    self.records_done += 1;
-                    self.complete_len = self.buf.len();
-                    if self.records_done >= self.records_needed {
-                        self.done = true;
-                        return;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The captured whole-record prefix. End-of-stream terminates a
-    /// trailing unterminated record.
-    fn finish(mut self, stream_len: u64) -> Vec<u8> {
-        if !self.done && self.buf.len() as u64 == stream_len {
-            self.complete_len = self.buf.len();
-        }
-        self.buf.truncate(self.complete_len);
-        self.buf
-    }
-}
-
 /// One sequential pass over the source: chunk specs + inference sample.
-pub(crate) fn prepare(source: &ByteSource, opts: &IngestOptions) -> Result<Option<Prepared>> {
-    if source.is_empty() {
-        return Ok(None);
-    }
-    let header_records = if opts.csv.has_header { 1 } else { 0 };
-    let mut scanner = BoundaryScanner::new(opts.chunk_bytes.max(1));
-    let mut capture = SampleCapture::new(header_records + opts.csv.infer_rows);
+/// An empty stream has no chunks and no columns.
+fn scan(source: &ByteSource, opts: &IngestOptions) -> Result<Plan> {
+    let mut scanner = BoundaryScanner::new(opts.chunk_bytes, opts.csv.sample_records());
     let mut specs = Vec::new();
-    source.scan_blocks(SCAN_BLOCK_BYTES, |block| {
-        capture.feed(block);
-        scanner.feed(block, &mut specs);
-    })?;
-    scanner.finish(&mut specs);
-    let sample_bytes = capture.finish(source.len());
-    let sample_text =
-        std::str::from_utf8(&sample_bytes).map_err(|e| chunk::utf8_error(&e, 0))?;
-    let (names, hint) = sample_schema(sample_text, &opts.csv)?;
-    if names.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(Prepared { names, hint, specs }))
+    source.scan_blocks(SCAN_BLOCK_BYTES, |block| scanner.feed(block, &mut specs))?;
+    let sample_len = scanner.finish(&mut specs) as usize;
+    let (names, hint) = source.with_chunk(0, sample_len, |bytes| {
+        sample_schema(std::str::from_utf8(bytes).map_err(|e| utf8_error(&e, 0))?, &opts.csv)
+    })??;
+    Ok(Plan { names, hint, specs })
 }
 
 /// A chunk task's payload: the parse result, kept as a value so panics
 /// stay reserved for real faults and parse problems travel as data.
-pub(crate) type ChunkResult = std::result::Result<ParsedChunk, Error>;
+type ChunkResult = std::result::Result<ParsedChunk, Error>;
 
-/// Parse chunk `spec` straight off the source.
-pub(crate) fn parse_spec(
+/// Parse chunk `spec` straight off the source under `schema`.
+fn parse_spec(
     source: &ByteSource,
     spec: ChunkSpec,
-    skip_first: bool,
-    hint: &[DataType],
+    schema: &[DataType],
     names: &[String],
     csv: &CsvOptions,
 ) -> ChunkResult {
     source.with_chunk(spec.offset, spec.len, |bytes| {
-        let text = std::str::from_utf8(bytes).map_err(|e| chunk::utf8_error(&e, spec.offset))?;
-        parse_chunk(text, spec.offset, spec.first_record, skip_first, hint, names, csv)
+        let text = std::str::from_utf8(bytes).map_err(|e| utf8_error(&e, spec.offset))?;
+        parse_chunk(text, spec, schema, names, csv)
     })?
 }
 
 /// A [`PayloadSizer`] that prices chunk payloads by their typed column
 /// bytes, so memory budgets ([`ExecOptions::gauge`]) see honest numbers
 /// during ingestion.
-pub fn chunk_payload_sizer() -> PayloadSizer {
+fn chunk_payload_sizer() -> PayloadSizer {
     Arc::new(|payload| {
         payload.downcast_ref::<ChunkResult>().map(|r| match r {
             Ok(parsed) => parsed
@@ -212,132 +142,94 @@ pub fn chunk_payload_sizer() -> PayloadSizer {
     })
 }
 
-/// Read a CSV file through the chunked parallel pipeline. With
-/// `chunk_bytes = 0` this is exactly the sequential single-pass reader.
-pub fn read_csv_chunked<P: AsRef<Path>>(path: P, opts: &IngestOptions) -> Result<DataFrame> {
-    if opts.chunk_bytes == 0 {
-        let bytes = std::fs::read(path)?;
-        let text =
-            std::str::from_utf8(&bytes).map_err(|e| chunk::utf8_error(&e, 0))?;
-        return read_csv_str(text, &opts.csv);
+/// The one chunk driver: scan `source` once, parse its chunks on the
+/// worker pool in waves of `workers × wave_factor`, and hand each parsed
+/// chunk to `each` in file order; chunks `each` does not keep are freed
+/// as their wave retires. Cancellation and budgets are enforced by the
+/// executor at chunk granularity. The first error — a chunk's, by
+/// position in the file, or the callback's — stops the run and is the one
+/// reported.
+pub(crate) fn for_each_chunk(
+    source: &Arc<ByteSource>,
+    opts: &IngestOptions,
+    wave_factor: usize,
+    mut each: impl FnMut(&Plan, ParsedChunk) -> Result<()>,
+) -> Result<(Arc<Plan>, WaveStats)> {
+    let plan = Arc::new(scan(source, opts)?);
+    let job = {
+        let (source, plan, csv) = (Arc::clone(source), Arc::clone(&plan), opts.csv.clone());
+        move |i: usize| -> Payload {
+            let outcome: ChunkResult = match plan.specs.get(i) {
+                Some(&spec) => parse_spec(&source, spec, &plan.hint, &plan.names, &csv),
+                None => Err(Error::Io(format!("chunk {i} out of range"))),
+            };
+            Arc::new(outcome)
+        }
+    };
+    let mut exec = opts.exec.clone();
+    if exec.sizer.is_none() {
+        exec.sizer = Some(chunk_payload_sizer());
     }
-    let source = ByteSource::open(path.as_ref(), opts.mmap)?;
-    ingest(Arc::new(source), opts)
+
+    let mut failure: Option<Error> = None;
+    let count = plan.specs.len();
+    let waves = run_chunk_waves("csv", count, job, opts.workers, wave_factor, &exec, |base, outcomes| {
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            let delivered = match outcome.payload().and_then(|p| p.downcast_ref::<ChunkResult>()) {
+                // Cloning a chunk is cheap: columns are Arc-backed buffers.
+                Some(Ok(parsed)) => each(&plan, parsed.clone()),
+                Some(Err(e)) => Err(e.clone()),
+                None => {
+                    let detail = outcome.error().map_or_else(
+                        || "chunk task produced no payload".to_string(),
+                        |e| e.root_description(),
+                    );
+                    Err(Error::Io(format!("ingest chunk {} failed: {detail}", base + i)))
+                }
+            };
+            if let Err(e) = delivered {
+                failure = Some(e);
+                return false;
+            }
+        }
+        true
+    });
+    match failure {
+        Some(e) => Err(e),
+        None => Ok((plan, waves)),
+    }
+}
+
+/// Read a CSV file through the chunked parallel pipeline.
+pub fn read_csv_chunked<P: AsRef<Path>>(path: P, opts: &IngestOptions) -> Result<DataFrame> {
+    ingest(&Arc::new(ByteSource::open(path.as_ref())?), opts)
 }
 
 /// Chunked ingestion over in-memory CSV text (copies the text once into
 /// the shared source buffer; chunk parsing then borrows subslices).
 pub fn read_csv_str_chunked(text: &str, opts: &IngestOptions) -> Result<DataFrame> {
-    if opts.chunk_bytes == 0 {
-        return read_csv_str(text, &opts.csv);
-    }
-    let source = ByteSource::from_bytes(text.as_bytes().to_vec());
-    ingest(Arc::new(source), opts)
+    ingest(&Arc::new(ByteSource::from_bytes(text.as_bytes().to_vec())), opts)
 }
 
-/// The parallel phase shared by both entry points.
-fn ingest(source: Arc<ByteSource>, opts: &IngestOptions) -> Result<DataFrame> {
-    let Some(Prepared { names, hint, specs }) = prepare(&source, opts)? else {
-        return Ok(DataFrame::empty());
-    };
-
-    // Fan the chunk parses out on the worker pool. Cancellation and
-    // budgets are enforced by the scheduler at chunk granularity.
-    let job_ctx = Arc::new((Arc::clone(&source), specs.clone(), hint.clone(), names.clone(), opts.csv.clone()));
-    let has_header = opts.csv.has_header;
-    let mut exec = opts.exec.clone();
-    if exec.sizer.is_none() {
-        exec.sizer = Some(chunk_payload_sizer());
-    }
-    let result = run_chunk_tasks(
-        "csv",
-        specs.len(),
-        move |i| {
-            let (source, specs, hint, names, csv) = &*job_ctx;
-            let outcome: ChunkResult = match specs.get(i) {
-                Some(&spec) => parse_spec(source, spec, has_header && i == 0, hint, names, csv),
-                None => Err(Error::Io(format!("chunk {i} out of range"))),
-            };
-            Arc::new(outcome)
-        },
-        opts.workers,
-        &exec,
-    );
-
-    // Collect in chunk-index order; the first error (by position in the
-    // file's chunk order) wins, exactly one error is reported.
-    let mut chunks: Vec<ParsedChunk> = Vec::with_capacity(specs.len());
-    for (i, outcome) in result.outcomes.into_iter().enumerate() {
-        match outcome.payload().and_then(|p| p.downcast_ref::<ChunkResult>()) {
-            // Cloning a chunk is cheap: columns are Arc-backed buffers.
-            Some(Ok(parsed)) => chunks.push(parsed.clone()),
-            Some(Err(e)) => return Err(e.clone()),
-            None => {
-                let detail = outcome
-                    .error()
-                    .map_or_else(|| "chunk task produced no payload".to_string(), |e| e.root_description());
-                return Err(Error::Io(format!("ingest chunk {i} failed: {detail}")));
-            }
-        }
-    }
-
-    fold_chunks(&source, &specs, chunks, &names, &hint, &opts.csv, has_header)
-}
-
-/// Join per-chunk columns under the widened global schema.
-fn fold_chunks(
-    source: &ByteSource,
-    specs: &[ChunkSpec],
-    chunks: Vec<ParsedChunk>,
-    names: &[String],
-    hint: &[DataType],
-    csv: &CsvOptions,
-    has_header: bool,
-) -> Result<DataFrame> {
-    let chunk_dtypes: Vec<Vec<DataType>> = chunks.iter().map(|c| c.dtypes.clone()).collect();
-    let global = global_schema(hint, &chunk_dtypes);
-    let ncols = names.len();
-
-    let mut pairs: Vec<(String, Column)> = Vec::with_capacity(ncols);
-    for (c, name) in names.iter().enumerate() {
-        let mut parts: Vec<Column> = Vec::with_capacity(chunks.len());
-        for (k, parsed) in chunks.iter().enumerate() {
-            let have = parsed.dtypes[c];
-            let want = global[c];
-            let col = if have == want {
-                parsed.columns[c].clone()
-            } else if !needs_text_repair(have, want) {
-                cast_int_to_float(&parsed.columns[c])
-            } else {
-                // Widening repair: this chunk parsed the column as a
-                // narrower type before some other chunk forced Str; the
-                // exact raw spellings only exist in the source bytes.
-                let spec = specs[k];
-                source.with_chunk(spec.offset, spec.len, |bytes| {
-                    let text = std::str::from_utf8(bytes)
-                        .map_err(|e| chunk::utf8_error(&e, spec.offset))?;
-                    chunk::reparse_chunk_column_str(
-                        text,
-                        spec.offset,
-                        spec.first_record,
-                        has_header && k == 0,
-                        c,
-                        ncols,
-                        csv,
-                    )
-                })??
-            };
-            parts.push(col);
-        }
-        let refs: Vec<&Column> = parts.iter().collect();
-        pairs.push((name.clone(), Column::concat(&refs)?));
-    }
-    DataFrame::new(pairs)
+/// Collect every chunk, then fold them into one frame. Every chunk is
+/// kept, so bounding the wave would bound nothing and only make the
+/// workers meet at a barrier per wave (EXPERIMENTS.md, "One CSV reader":
+/// 14% of a 41 MB load on two workers): one wave.
+fn ingest(source: &Arc<ByteSource>, opts: &IngestOptions) -> Result<DataFrame> {
+    let mut chunks: Vec<ParsedChunk> = Vec::new();
+    let (plan, _) = for_each_chunk(source, opts, usize::MAX, |_, parsed| {
+        chunks.push(parsed);
+        Ok(())
+    })?;
+    fold_chunks(&plan.names, &plan.hint, chunks, |spec, schema| {
+        parse_spec(source, spec, schema, &plan.names, &opts.csv)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eda_dataframe::csv::read_csv_str;
 
     fn tiny(chunk_bytes: usize) -> IngestOptions {
         IngestOptions { chunk_bytes, workers: 4, ..IngestOptions::default() }
@@ -436,6 +328,8 @@ mod tests {
 
     #[test]
     fn zero_chunk_bytes_is_sequential_golden() {
+        // `0` selects nothing: the scanner clamps it to one byte, i.e.
+        // one record per chunk.
         let csv = "a,b\n1,x\n2.5,\"y,z\"\n";
         let seq = read_csv_str(csv, &CsvOptions::default()).unwrap();
         let off = read_csv_str_chunked(csv, &tiny(0)).unwrap();

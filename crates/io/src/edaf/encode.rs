@@ -89,13 +89,17 @@ pub fn encode_i64_rle(values: &[i64]) -> Vec<u8> {
 }
 
 /// Decode `count` i64 values from a page with encoding id `enc`.
+///
+/// `count` comes from the file's footer, so nothing is allocated for it
+/// until the page is known to hold that many values.
 pub fn decode_i64(enc: u8, buf: &[u8], count: usize) -> Result<Vec<i64>> {
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::new();
     match enc {
         super::ENC_RAW => {
-            if buf.len() != count * 8 {
+            if count.checked_mul(8) != Some(buf.len()) {
                 return Err(corrupt("raw i64 page length mismatch", 0));
             }
+            out.reserve_exact(count);
             for chunk in buf.chunks_exact(8) {
                 let mut b = [0u8; 8];
                 b.copy_from_slice(chunk);
@@ -103,6 +107,8 @@ pub fn decode_i64(enc: u8, buf: &[u8], count: usize) -> Result<Vec<i64>> {
             }
         }
         super::ENC_DELTA => {
+            check_count(count, buf)?;
+            out.reserve_exact(count);
             let mut pos = 0;
             let mut prev = 0i64;
             for _ in 0..count {
@@ -120,8 +126,12 @@ pub fn decode_i64(enc: u8, buf: &[u8], count: usize) -> Result<Vec<i64>> {
                 let v = unzigzag(read_varint(buf, &mut pos)?);
                 let run = usize::try_from(run)
                     .ok()
-                    .filter(|r| *r > 0 && out.len() + r <= count)
+                    .filter(|r| *r > 0 && *r <= count - out.len())
                     .ok_or_else(|| corrupt("rle run overruns page", pos))?;
+                // A run's length is bounded by the footer's count alone,
+                // never by the page's size: memory for it may not exist.
+                out.try_reserve(run)
+                    .map_err(|_| corrupt("rle run exceeds available memory", pos))?;
                 out.extend(std::iter::repeat_n(v, run));
             }
             if pos != buf.len() {
@@ -144,7 +154,7 @@ pub fn encode_f64_raw(values: &[f64]) -> Vec<u8> {
 
 /// Decode a raw f64 page.
 pub fn decode_f64(buf: &[u8], count: usize) -> Result<Vec<f64>> {
-    if buf.len() != count * 8 {
+    if count.checked_mul(8) != Some(buf.len()) {
         return Err(corrupt("raw f64 page length mismatch", 0));
     }
     let mut out = Vec::with_capacity(count);
@@ -228,6 +238,7 @@ pub fn decode_str(enc: u8, buf: &[u8], count: usize) -> Result<Vec<String>> {
         *pos = end;
         Ok(s)
     };
+    check_count(count, buf)?;
     let out = match enc {
         super::ENC_RAW => {
             let mut out = Vec::with_capacity(count);
@@ -238,6 +249,7 @@ pub fn decode_str(enc: u8, buf: &[u8], count: usize) -> Result<Vec<String>> {
         }
         super::ENC_DICT => {
             let dict_len = read_varint(buf, &mut pos)? as usize;
+            check_count(dict_len, buf)?;
             let mut dict = Vec::with_capacity(dict_len);
             for _ in 0..dict_len {
                 dict.push(read_one(&mut pos)?);
@@ -256,6 +268,16 @@ pub fn decode_str(enc: u8, buf: &[u8], count: usize) -> Result<Vec<String>> {
         return Err(corrupt("trailing bytes after string page", pos));
     }
     Ok(out)
+}
+
+/// Every value of a varint-coded page occupies at least one byte, so a
+/// count above the page's length is corrupt — checked before anything is
+/// allocated for `count` values.
+fn check_count(count: usize, buf: &[u8]) -> Result<()> {
+    if count > buf.len() {
+        return Err(corrupt("page is too short for its value count", buf.len()));
+    }
+    Ok(())
 }
 
 fn corrupt(message: &str, offset: usize) -> Error {
@@ -371,5 +393,30 @@ mod tests {
         assert!(decode_str(ENC_DICT, &[1, 0], 1).is_err());
         let bad_utf8 = [2u8, 0xff, 0xfe];
         assert!(decode_str(ENC_RAW, &bad_utf8, 1).is_err());
+    }
+
+    #[test]
+    fn counts_beyond_the_page_error_before_allocating() {
+        // Counts a hostile footer can claim: too many values for memory
+        // (`1 << 40`), for `Vec`'s capacity (`1 << 61`), for `count * 8`.
+        let page = encode_i64_rle(&[7; 41]);
+        for count in [1usize << 40, 1 << 61, usize::MAX] {
+            for enc in [ENC_RAW, ENC_DELTA, ENC_RLE] {
+                assert!(decode_i64(enc, &page, count).is_err(), "i64 enc {enc}, count {count}");
+            }
+            assert!(decode_f64(&[0; 8], count).is_err());
+            for enc in [ENC_RAW, ENC_DICT] {
+                assert!(decode_str(enc, &[1, b'a', 0], count).is_err(), "str enc {enc}");
+            }
+        }
+        // One run as long as the hostile count, and a dictionary that
+        // claims 2^56 - 1 entries.
+        let mut run = Vec::new();
+        write_varint(&mut run, 1 << 61);
+        write_varint(&mut run, zigzag(7));
+        assert!(decode_i64(ENC_RLE, &run, 1 << 61).is_err());
+        let mut dict = vec![0xff; 7];
+        dict.extend([0x7f, 1, b'a', 0]);
+        assert!(decode_str(ENC_DICT, &dict, 1).is_err());
     }
 }

@@ -2,29 +2,26 @@
 //!
 //! Two subsystems (DESIGN.md §16):
 //!
-//! * **Chunked CSV ingestion** ([`chunked`], [`stream`]) — a
-//!   bounded-memory reader that scans record boundaries once
-//!   (quote-aware), splits the stream into ~`engine.ingest_chunk_bytes`
-//!   spans, parses them in parallel on the taskgraph worker pool, and
-//!   folds the typed per-chunk columns back in order. The result is
-//!   bit-identical to the sequential reader for every chunking, and
-//!   `chunk_bytes = 0` *is* the sequential reader. [`stream`] adds
-//!   wave-bounded folds that never materialise the frame — statistics
-//!   over files larger than RAM.
+//! * **Chunked CSV ingestion** ([`chunked`], [`stream`]) — the one CSV
+//!   reader (`eda_dataframe::csv::chunk`: boundary scan, schema sample,
+//!   per-chunk parse, fold) given byte access ([`source::ByteSource`]:
+//!   in-memory, or buffered positional file reads) and a parallel map on
+//!   the taskgraph worker pool. One driver scans record boundaries once
+//!   (quote-aware), parses the ~1 MiB chunks on the pool and hands them
+//!   on in file order: [`chunked`] collects and folds them into a frame
+//!   that is bit-identical for every chunking and worker count;
+//!   [`stream`] takes them in bounded waves and folds them without ever
+//!   materialising the frame — statistics over files larger than RAM.
 //! * **`.edaf` binary columnar format** ([`edaf`]) — typed column
 //!   pages with null bitmaps, dictionary/varint/RLE encodings and a
 //!   footer of per-column offsets, so projecting one column out of a
 //!   wide file is O(that column), not O(parse everything).
-//!
-//! Byte access is abstracted by [`source::ByteSource`]: in-memory,
-//! buffered positional reads, or an `mmap` behind the `engine.mmap`
-//! knob ([`mmap`]).
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chunked;
 pub mod edaf;
-pub mod mmap;
 pub mod source;
 pub mod stream;
 

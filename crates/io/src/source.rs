@@ -3,10 +3,8 @@
 //! A [`ByteSource`] abstracts where the stream's bytes live so the
 //! chunk workers stay oblivious:
 //!
-//! * `Mem` — an owned in-memory buffer (the `read_csv_str` path);
-//!   chunks are zero-copy subslices.
-//! * `Mmap` — a read-only file mapping ([`crate::mmap`], behind the
-//!   `engine.mmap` knob); chunks are zero-copy subslices of the map.
+//! * `Mem` — an owned in-memory buffer (the `read_csv_str_chunked`
+//!   path); chunks are zero-copy subslices.
 //! * `File` — positional reads (`pread`) into per-chunk scratch
 //!   buffers; no shared cursor, so parallel workers never contend, and
 //!   resident memory stays bounded by chunk × workers.
@@ -19,31 +17,20 @@ use std::path::Path;
 
 use eda_dataframe::{Error, Result};
 
-use crate::mmap::MmapRegion;
-
 /// Where the stream's bytes come from. Shared across worker threads via
 /// `Arc`; all access is positional and immutable.
 pub enum ByteSource {
     /// Owned in-memory bytes.
     Mem(Vec<u8>),
-    /// A read-only mmap of the whole file.
-    Mmap(MmapRegion, u64),
     /// An open file read positionally per chunk.
     File(File, u64),
 }
 
 impl ByteSource {
-    /// Open `path`, preferring an mmap when `use_mmap` is set and the
-    /// platform supports it (silently falling back to positional reads
-    /// otherwise — the knob is a hint, not a contract).
-    pub fn open(path: &Path, use_mmap: bool) -> Result<ByteSource> {
+    /// Open `path` for positional reads.
+    pub fn open(path: &Path) -> Result<ByteSource> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        if use_mmap && len > 0 {
-            if let Ok(region) = MmapRegion::map(&file, len as usize) {
-                return Ok(ByteSource::Mmap(region, len));
-            }
-        }
         Ok(ByteSource::File(file, len))
     }
 
@@ -56,7 +43,7 @@ impl ByteSource {
     pub fn len(&self) -> u64 {
         match self {
             ByteSource::Mem(b) => b.len() as u64,
-            ByteSource::Mmap(_, len) | ByteSource::File(_, len) => *len,
+            ByteSource::File(_, len) => *len,
         }
     }
 
@@ -65,27 +52,21 @@ impl ByteSource {
         self.len() == 0
     }
 
-    /// Whether chunk access is zero-copy (no per-chunk read syscalls).
-    pub fn is_zero_copy(&self) -> bool {
-        !matches!(self, ByteSource::File(..))
-    }
-
     /// Run `f` over the chunk `[start, start + len)`, borrowing the
-    /// bytes for `Mem`/`Mmap` and reading into a scratch buffer for
-    /// `File`. The scratch allocation is the only per-chunk cost of the
-    /// buffered path.
+    /// bytes for `Mem` and reading into a scratch buffer for `File`. The
+    /// scratch allocation is the only per-chunk cost of the file path.
     pub fn with_chunk<T>(&self, start: u64, len: usize, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
-        let end = start.checked_add(len as u64).filter(|&e| e <= self.len()).ok_or_else(|| {
+        let out_of_bounds = || {
             Error::Io(format!(
                 "chunk [{start}, {start}+{len}) out of bounds for source of {} bytes",
                 self.len()
             ))
-        })?;
-        let _ = end;
+        };
+        let end = start.checked_add(len as u64).filter(|&e| e <= self.len());
+        let end = end.ok_or_else(out_of_bounds)?;
         match self {
-            ByteSource::Mem(b) => Ok(f(&b[start as usize..start as usize + len])),
-            ByteSource::Mmap(region, _) => {
-                Ok(f(&region.as_slice()[start as usize..start as usize + len]))
+            ByteSource::Mem(b) => {
+                b.get(start as usize..end as usize).map(f).ok_or_else(out_of_bounds)
             }
             ByteSource::File(file, _) => {
                 let mut buf = vec![0u8; len];
@@ -96,36 +77,27 @@ impl ByteSource {
     }
 
     /// Stream the whole source through `f` in blocks of `block_bytes`
-    /// (the boundary-scan pass). Zero-copy sources hand out subslices;
-    /// the file path reuses one scratch buffer, keeping the pass O(block)
-    /// in memory.
+    /// (the boundary-scan pass). `Mem` hands out subslices; the file
+    /// path reuses one scratch buffer, keeping the pass O(block) in
+    /// memory.
     pub fn scan_blocks(&self, block_bytes: usize, mut f: impl FnMut(&[u8])) -> Result<()> {
         let block_bytes = block_bytes.max(4096);
         match self {
-            ByteSource::Mem(b) => {
-                for block in b.chunks(block_bytes) {
-                    f(block);
-                }
-                Ok(())
-            }
-            ByteSource::Mmap(region, _) => {
-                for block in region.as_slice().chunks(block_bytes) {
-                    f(block);
-                }
-                Ok(())
-            }
+            ByteSource::Mem(b) => b.chunks(block_bytes).for_each(f),
             ByteSource::File(file, len) => {
                 let mut buf = vec![0u8; block_bytes];
                 let mut pos = 0u64;
                 while pos < *len {
                     let n = block_bytes.min((*len - pos) as usize);
-                    read_exact_at(file, &mut buf[..n], pos)?;
-                    f(&buf[..n]);
+                    // eda-lint: allow(EDA-L5) n <= block_bytes == buf.len()
+                    let block = &mut buf[..n];
+                    read_exact_at(file, block, pos)?;
+                    f(block);
                     pos += n as u64;
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 }
 
@@ -166,7 +138,7 @@ mod tests {
         let data = b"0123456789abcdef".to_vec();
         let path = temp_file("agree.bin", &data);
         let mem = ByteSource::from_bytes(data.clone());
-        let file = ByteSource::open(&path, false).unwrap();
+        let file = ByteSource::open(&path).unwrap();
         assert_eq!(mem.len(), file.len());
         for (start, len) in [(0u64, 4usize), (4, 8), (12, 4), (0, 16), (16, 0)] {
             let a = mem.with_chunk(start, len, |b| b.to_vec()).unwrap();
@@ -177,33 +149,21 @@ mod tests {
     }
 
     #[test]
-    fn mmap_source_reads_like_buffered() {
-        let data: Vec<u8> = (0..=255u8).collect();
-        let path = temp_file("mmap.bin", &data);
-        let mapped = ByteSource::open(&path, true).unwrap();
-        let buffered = ByteSource::open(&path, false).unwrap();
-        assert!(!buffered.is_zero_copy());
-        let a = mapped.with_chunk(100, 50, |b| b.to_vec()).unwrap();
-        let b = buffered.with_chunk(100, 50, |b| b.to_vec()).unwrap();
-        assert_eq!(a, b);
-        if crate::mmap::SUPPORTED {
-            assert!(mapped.is_zero_copy(), "mmap knob must engage on linux");
+    fn out_of_bounds_chunk_is_an_error() {
+        let data = vec![1, 2, 3];
+        let path = temp_file("bounds.bin", &data);
+        for src in [ByteSource::from_bytes(data), ByteSource::open(&path).unwrap()] {
+            assert!(src.with_chunk(2, 2, |_| ()).is_err());
+            assert!(src.with_chunk(u64::MAX, 2, |_| ()).is_err());
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn out_of_bounds_chunk_is_an_error() {
-        let mem = ByteSource::from_bytes(vec![1, 2, 3]);
-        assert!(mem.with_chunk(2, 2, |_| ()).is_err());
-        assert!(mem.with_chunk(u64::MAX, 2, |_| ()).is_err());
     }
 
     #[test]
     fn scan_blocks_covers_everything() {
         let data: Vec<u8> = (0..100u8).collect();
         let path = temp_file("scan.bin", &data);
-        for src in [ByteSource::from_bytes(data.clone()), ByteSource::open(&path, false).unwrap()] {
+        for src in [ByteSource::from_bytes(data.clone()), ByteSource::open(&path).unwrap()] {
             let mut seen = Vec::new();
             src.scan_blocks(4096, |b| seen.extend_from_slice(b)).unwrap();
             assert_eq!(seen, data);

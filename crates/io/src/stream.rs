@@ -1,11 +1,11 @@
 //! Out-of-core folds: statistics over CSVs that never fit in memory.
 //!
-//! [`fold_csv`] runs the same boundary-scan + parallel-parse pipeline as
-//! [`crate::chunked`], but instead of concatenating chunk columns into
+//! [`fold_csv`] runs the reader's one chunk driver
+//! ([`crate::chunked::for_each_chunk`]: boundary scan, then parallel
+//! parse in bounded waves), but instead of collecting chunk columns into
 //! one frame it hands each parsed chunk to a fold callback and *drops
-//! it*. Chunks execute in bounded waves
-//! ([`eda_taskgraph::ingest::run_chunk_waves`]), so peak memory is
-//! O(chunk × workers × wave_factor) no matter how long the stream is.
+//! it*, so peak memory is O(chunk × workers × wave factor) no matter how
+//! long the stream is.
 //!
 //! [`read_overview`] is the canonical fold: it merges every chunk into
 //! an [`eda_stats::FrameSketch`] (mergeable moments + frequency
@@ -15,14 +15,11 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use eda_dataframe::csv::chunk::ParsedChunk;
-use eda_dataframe::{Column, DataFrame, Error, Result};
+use eda_dataframe::{Column, DataFrame, Result};
 use eda_stats::{ColumnSketch, FrameSketch};
-use eda_taskgraph::ingest::{run_chunk_waves, WaveStats};
+use eda_taskgraph::ingest::WaveStats;
 
-use crate::chunked::{
-    chunk_payload_sizer, parse_spec, prepare, ChunkResult, IngestOptions, Prepared,
-};
+use crate::chunked::{for_each_chunk, IngestOptions, STREAMING_WAVE_FACTOR};
 use crate::source::ByteSource;
 
 /// How a fold run ended.
@@ -49,78 +46,17 @@ where
     P: AsRef<Path>,
     F: FnMut(DataFrame) -> Result<()>,
 {
-    let source = Arc::new(ByteSource::open(path.as_ref(), opts.mmap)?);
-    let chunk_bytes = if opts.chunk_bytes == 0 { 8 * 1024 * 1024 } else { opts.chunk_bytes };
-    let scan_opts = IngestOptions { chunk_bytes, ..opts.clone() };
-    let Some(Prepared { names, hint, specs }) = prepare(&source, &scan_opts)? else {
-        return Ok(FoldOutcome { rows: 0, chunks: 0, waves: WaveStats::default() });
-    };
-
-    let job_ctx =
-        Arc::new((Arc::clone(&source), specs.clone(), hint, names.clone(), opts.csv.clone()));
-    let has_header = opts.csv.has_header;
-    let mut exec = opts.exec.clone();
-    if exec.sizer.is_none() {
-        exec.sizer = Some(chunk_payload_sizer());
-    }
-
+    let source = Arc::new(ByteSource::open(path.as_ref())?);
     let mut rows = 0u64;
     let mut chunks = 0usize;
-    let mut failure: Option<Error> = None;
-    let waves = run_chunk_waves(
-        "csv-fold",
-        specs.len(),
-        move |i| {
-            let (source, specs, hint, names, csv) = &*job_ctx;
-            let outcome: ChunkResult = match specs.get(i) {
-                Some(&spec) => parse_spec(source, spec, has_header && i == 0, hint, names, csv),
-                None => Err(Error::Io(format!("chunk {i} out of range"))),
-            };
-            Arc::new(outcome)
-        },
-        opts.workers,
-        2,
-        &exec,
-        |base, outcomes| {
-            for (off, outcome) in outcomes.into_iter().enumerate() {
-                let parsed = match outcome.payload().and_then(|p| p.downcast_ref::<ChunkResult>())
-                {
-                    Some(Ok(parsed)) => parsed.clone(),
-                    Some(Err(e)) => {
-                        failure = Some(e.clone());
-                        return false;
-                    }
-                    None => {
-                        let detail = outcome.error().map_or_else(
-                            || "chunk task produced no payload".to_string(),
-                            |e| e.root_description(),
-                        );
-                        failure = Some(Error::Io(format!(
-                            "ingest chunk {} failed: {detail}",
-                            base + off
-                        )));
-                        return false;
-                    }
-                };
-                let nrows = parsed.nrows;
-                match chunk_frame(parsed, &names).and_then(&mut fold) {
-                    Ok(()) => {
-                        rows += nrows as u64;
-                        chunks += 1;
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        return false;
-                    }
-                }
-            }
-            true
-        },
-    );
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(FoldOutcome { rows, chunks, waves }),
-    }
+    let (_, waves) = for_each_chunk(&source, opts, STREAMING_WAVE_FACTOR, |plan, parsed| {
+        // The chunk as a frame under its chunk-local schema.
+        fold(DataFrame::new(plan.names.iter().cloned().zip(parsed.columns).collect())?)?;
+        rows += parsed.nrows as u64;
+        chunks += 1;
+        Ok(())
+    })?;
+    Ok(FoldOutcome { rows, chunks, waves })
 }
 
 /// Fold an entire CSV into a [`FrameSketch`] at bounded memory.
@@ -173,15 +109,11 @@ pub fn sketch_frame(frame: &DataFrame) -> FrameSketch {
     sketch
 }
 
-/// Turn a parsed chunk into a frame under its chunk-local schema.
-fn chunk_frame(parsed: ParsedChunk, names: &[String]) -> Result<DataFrame> {
-    DataFrame::new(names.iter().cloned().zip(parsed.columns).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eda_dataframe::csv::read_csv_str;
+    use eda_dataframe::Error;
     use std::io::Write;
 
     fn temp_csv(name: &str, contents: &str) -> std::path::PathBuf {

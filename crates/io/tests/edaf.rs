@@ -1,6 +1,7 @@
 //! `.edaf` format integration tests: round-trips across every dtype
 //! (nulls included), O(1) column projection, footer metadata, and
-//! corruption handling.
+//! corruption handling — hostile footer counts and random byte damage
+//! must come back as errors, never as a panic or an absurd allocation.
 
 // Test code asserts freely; the package-level unwrap/expect deny
 // targets shipped code.
@@ -8,6 +9,7 @@
 use eda_dataframe::csv::{read_csv_str, CsvOptions};
 use eda_dataframe::{Column, DataFrame, DataType, Error};
 use eda_io::edaf::{edaf_info, read_edaf, read_edaf_columns, write_edaf};
+use proptest::prelude::*;
 use std::io::Write;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -141,5 +143,86 @@ fn corrupt_and_foreign_files_error_cleanly() {
 
     for p in [not_edaf, valid, cut] {
         std::fs::remove_file(&p).ok();
+    }
+}
+
+/// A footer whose counts promise more values than the page holds must be
+/// refused before anything is allocated for them: `1 << 40` values once
+/// aborted the process in `Vec::with_capacity`, `1 << 61` panicked with
+/// a capacity overflow.
+#[test]
+fn hostile_footer_counts_error_before_allocating() {
+    const ROWS: usize = 41;
+    // One null-free column per dtype and page encoding the writer picks
+    // between; (name, column, encoding id the writer must have chosen).
+    let distinct = |i: usize| (i as i64).wrapping_mul(0x5851_f42d_4c95_7f2d) | 1 << 40;
+    let cases: Vec<(&str, Column, u8)> = vec![
+        ("f64", Column::from_f64((0..ROWS).map(|i| i as f64 + 0.5).collect()), 0),
+        ("i64_raw", Column::from_i64((0..ROWS).map(distinct).collect()), 0),
+        ("i64_delta", Column::from_i64((0..ROWS).map(|i| 1000 + i as i64).collect()), 1),
+        ("i64_rle", Column::from_i64(vec![7; ROWS]), 2),
+        ("str_plain", Column::from_string((0..ROWS).map(|i| format!("v{i}")).collect()), 0),
+        ("str_dict", Column::from_string((0..ROWS).map(|i| format!("c{}", i % 2)).collect()), 1),
+        ("bool", Column::from_bool((0..ROWS).map(|i| i % 3 == 0).collect()), 0),
+    ];
+    for (name, column, encoding) in cases {
+        let df = DataFrame::new(vec![("c".into(), column)]).unwrap();
+        let path = temp_path(&format!("hostile_{name}.edaf"));
+        let info = write_edaf(&path, &df).unwrap();
+        assert_eq!(info.columns[0].encoding, encoding, "{name}: writer picked another encoding");
+        assert!(!info.columns[0].has_validity);
+        let bytes = std::fs::read(&path).unwrap();
+        // The footer of a one-column file ends: ... valid_count:u64
+        // nrows:u64 fingerprint:u64, then the 8-byte trailer.
+        let nrows_at = bytes.len() - 24;
+        let valid_count_at = bytes.len() - 32;
+        for at in [nrows_at, valid_count_at] {
+            assert_eq!(bytes[at..at + 8], (ROWS as u64).to_le_bytes(), "{name}: footer layout");
+        }
+        for hostile in [1u64 << 40, 1 << 61, u64::MAX] {
+            let mut bad = bytes.clone();
+            for at in [nrows_at, valid_count_at] {
+                bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            }
+            std::fs::write(&path, &bad).unwrap();
+            let err = read_edaf(&path).unwrap_err();
+            assert!(
+                matches!(err, Error::Malformed { offset: Some(_), .. }),
+                "{name}, count {hostile}: {err:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Flip bits anywhere in a four-dtype file (header, validity bitmaps,
+    /// pages, footer, trailer), maybe cut it short: reading it is `Ok` or
+    /// `Err`, never a panic or an abort.
+    #[test]
+    fn damaged_files_read_or_error_but_never_panic(
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+        cut in prop::option::of(any::<usize>()),
+    ) {
+        let path = temp_path("damaged.edaf");
+        write_edaf(&path, &all_types_frame()).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        for (at, mask) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+        }
+        if let Some(cut) = cut {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        match read_edaf(&path) {
+            // Damage the format cannot see (a flipped value bit) still
+            // yields a well-formed frame.
+            Ok(df) => prop_assert_eq!(df.ncols(), 4),
+            Err(e) => prop_assert!(matches!(e, Error::Malformed { .. } | Error::Io(_)), "{e:?}"),
+        }
+        let _ = edaf_info(&path);
     }
 }

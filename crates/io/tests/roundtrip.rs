@@ -1,7 +1,10 @@
 //! Chunking-invariance property tests: any valid CSV — embedded
 //! newlines, quotes, CRLF endings, nulls, mixed types — parses to a
-//! bit-identical frame through the sequential reader, the 1-chunk
-//! pipeline, and the k-chunk pipeline at *any* chunk size.
+//! bit-identical frame through the inline reader (`read_csv_str`) and
+//! the parallel one (`read_csv_str_chunked`) at *any* chunk size and
+//! worker count, and that frame is the one the sequential two-pass
+//! reader this pipeline replaced produces (kept as the test-only
+//! [`oracle`]).
 //!
 //! The property deliberately compares readers over the *same* text
 //! rather than values through a write/read cycle: the invariant under
@@ -10,9 +13,15 @@
 // Test code asserts freely; the package-level unwrap/expect deny
 // targets shipped code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+mod oracle;
+
+use eda_dataframe::csv::chunk::{
+    chunk_specs, fold_chunks, parse_chunk, sample_schema, ParsedChunk, DEFAULT_CHUNK_BYTES,
+};
 use eda_dataframe::csv::{read_csv_str, CsvOptions};
-use eda_dataframe::DataFrame;
-use eda_io::chunked::{read_csv_str_chunked, IngestOptions};
+use eda_dataframe::{DataFrame, DataType};
+use eda_io::chunked::{read_csv_chunked, read_csv_str_chunked, IngestOptions};
+use eda_io::stream::fold_csv;
 use proptest::prelude::*;
 
 /// CSV-encode one field: quote (and double inner quotes) whenever the
@@ -82,6 +91,14 @@ fn opts(chunk_bytes: usize, workers: usize) -> IngestOptions {
     IngestOptions { chunk_bytes, workers, ..IngestOptions::default() }
 }
 
+fn temp_csv(name: &str, contents: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("eda_io_roundtrip_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, contents).unwrap();
+    path
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -89,17 +106,19 @@ proptest! {
     fn chunked_reader_is_chunking_invariant(
         csv in arb_csv(),
         chunk_bytes in 1usize..200,
-        workers in 1usize..5,
+        workers in prop::sample::select(vec![1usize, 2, 4]),
     ) {
-        let seq = read_csv_str(&csv, &CsvOptions::default()).unwrap();
+        let want = oracle::read_csv_str(&csv, &CsvOptions::default()).unwrap();
+        let inline = read_csv_str(&csv, &CsvOptions::default()).unwrap();
+        assert_bit_identical(&want, &inline, "read_csv_str");
         // One chunk large enough to hold everything: the degenerate
-        // parallel case.
-        let one = read_csv_str_chunked(&csv, &opts(1 << 24, workers)).unwrap();
-        assert_bit_identical(&seq, &one, "1-chunk");
+        // parallel case, and the size production runs at.
+        let one = read_csv_str_chunked(&csv, &opts(DEFAULT_CHUNK_BYTES, workers)).unwrap();
+        assert_bit_identical(&want, &one, "1-chunk");
         // Many chunks at an adversarial size (down to 1 byte: every
         // record its own chunk).
         let many = read_csv_str_chunked(&csv, &opts(chunk_bytes, workers)).unwrap();
-        assert_bit_identical(&seq, &many, &format!("chunk_bytes={chunk_bytes}"));
+        assert_bit_identical(&want, &many, &format!("chunk_bytes={chunk_bytes}"));
     }
 
     #[test]
@@ -107,9 +126,10 @@ proptest! {
         nrows in 1usize..30,
         bad_row in 0usize..30,
         chunk_bytes in 1usize..64,
+        workers in prop::sample::select(vec![1usize, 2, 4]),
     ) {
-        // Exactly one structural error: the chunked reader must report
-        // the same error (line, offset, message) as the sequential one.
+        // Exactly one structural error: every reader must report the
+        // same error (line, offset, message) as the sequential oracle.
         let bad_row = bad_row % nrows;
         let mut csv = String::from("a,b\n");
         for i in 0..nrows {
@@ -119,8 +139,101 @@ proptest! {
                 csv.push_str(&format!("{i},{i}\n"));
             }
         }
-        let seq = read_csv_str(&csv, &CsvOptions::default()).unwrap_err();
-        let par = read_csv_str_chunked(&csv, &opts(chunk_bytes, 3)).unwrap_err();
-        prop_assert_eq!(seq, par);
+        let want = oracle::read_csv_str(&csv, &CsvOptions::default()).unwrap_err();
+        prop_assert_eq!(&want, &read_csv_str(&csv, &CsvOptions::default()).unwrap_err());
+        for chunk_bytes in [chunk_bytes, DEFAULT_CHUNK_BYTES] {
+            let par = read_csv_str_chunked(&csv, &opts(chunk_bytes, workers)).unwrap_err();
+            prop_assert_eq!(&want, &par);
+        }
+    }
+}
+
+/// One driver, two folds: the chunks `fold_csv` hands out are the ones
+/// `read_csv_chunked` folds. The input makes the frame fold work for its
+/// result: column `s` meets a float after its ints (numeric cast), column
+/// `n` a float and then text (every earlier chunk is re-read, which is
+/// what recovers "07").
+#[test]
+fn streamed_chunks_fold_to_the_ingested_frame() {
+    let mut csv = String::from("n,s\n07,1\n");
+    for i in 0..40 {
+        csv.push_str(&format!("{i},{i}\n"));
+    }
+    csv.push_str("2.5,1.5\n");
+    for i in 0..10 {
+        csv.push_str(&format!("{i},{i}\n"));
+    }
+    csv.push_str("oops,3\n");
+    let path = temp_csv("two_folds.csv", &csv);
+    let opts = IngestOptions { csv: CsvOptions { infer_rows: 5, ..CsvOptions::default() }, ..opts(32, 2) };
+
+    let (specs, sample_len) = chunk_specs(csv.as_bytes(), opts.chunk_bytes, opts.csv.sample_records());
+    let (names, hint) = sample_schema(&csv[..sample_len], &opts.csv).unwrap();
+    assert_eq!(hint, [DataType::Int64, DataType::Int64]);
+    let mut chunks: Vec<ParsedChunk> = Vec::new();
+    let outcome = fold_csv(&path, &opts, |frame| {
+        let columns: Vec<_> =
+            names.iter().map(|name| frame.column(name).unwrap().clone()).collect();
+        chunks.push(ParsedChunk {
+            spec: specs[chunks.len()],
+            dtypes: columns.iter().map(|c| c.dtype()).collect(),
+            columns,
+            nrows: frame.nrows(),
+        });
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(outcome.chunks, specs.len());
+    assert!(specs.len() > 4, "the input must span several chunks");
+    assert_eq!(chunks[0].dtypes, [DataType::Int64, DataType::Int64], "chunk-local schema");
+
+    let mut repaired = 0;
+    let streamed = fold_chunks(&names, &hint, chunks, |spec, schema| {
+        repaired += 1;
+        let start = spec.offset as usize;
+        parse_chunk(&csv[start..start + spec.len], spec, schema, &names, &opts.csv)
+    })
+    .unwrap();
+    assert!(repaired > 0, "the input must need a widening repair");
+
+    let ingested = read_csv_chunked(&path, &opts).unwrap();
+    assert_bit_identical(&ingested, &streamed, "fold_csv chunks vs read_csv_chunked");
+    assert_bit_identical(&oracle::read_csv_str(&csv, &opts.csv).unwrap(), &ingested, "oracle");
+    assert_eq!(ingested.column("n").unwrap().str_values().unwrap()[0], "07");
+    assert_eq!(ingested.column("s").unwrap().dtype(), DataType::Float64);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Chunk edges at the file's own edges: a file of exactly k × chunk_bytes
+/// bytes cuts into exactly k chunks with no empty tail, and a last record
+/// without a newline still ends at end-of-file.
+#[test]
+fn exact_multiple_and_unterminated_files() {
+    // Every record, header included, is 6 bytes.
+    let mut csv = String::from("aa,bb\n");
+    for i in 10..21 {
+        csv.push_str(&format!("{i},x{}\n", i % 10));
+    }
+    assert_eq!(csv.len(), 72);
+    let unterminated = csv.trim_end().to_string();
+    for (name, text, chunk_bytes, want_chunks) in [
+        ("exact6.csv", &csv, 6, 12),
+        ("exact24.csv", &csv, 24, 3),
+        ("exact72.csv", &csv, 72, 1),
+        ("open6.csv", &unterminated, 6, 12),
+        ("open24.csv", &unterminated, 24, 3),
+        ("open71.csv", &unterminated, 71, 1),
+    ] {
+        let path = temp_csv(name, text);
+        let want = oracle::read_csv_str(text, &CsvOptions::default()).unwrap();
+        assert_eq!(want.nrows(), 11);
+        for workers in [1, 2, 4] {
+            let opts = opts(chunk_bytes, workers);
+            let got = read_csv_chunked(&path, &opts).unwrap();
+            assert_bit_identical(&want, &got, &format!("{name}, {workers} workers"));
+            let streamed = fold_csv(&path, &opts, |_| Ok(())).unwrap();
+            assert_eq!((streamed.chunks, streamed.rows), (want_chunks, 11), "{name}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -7,43 +7,20 @@
 //! memory budgets, retries, tracing), results handed back in index order
 //! regardless of completion interleaving.
 //!
-//! Two shapes:
-//!
-//! * [`run_chunk_tasks`] — one run over all `count` jobs. Payloads
-//!   for every chunk are live at once; right when the caller folds them
-//!   all into one output (building a frame is O(file) anyway).
-//! * [`run_chunk_waves`] — jobs executed in bounded waves of
-//!   `workers × wave_factor`, with a fold callback between waves and
-//!   payloads dropped as each wave retires. This is the out-of-core
-//!   shape: peak memory is O(chunk × wave) however long the stream is,
-//!   which is what lets streaming statistics run over data larger than
-//!   RAM.
+//! [`run_chunk_waves`] is the one shape: jobs executed in bounded waves
+//! of `workers × wave_factor`, with a fold callback between waves and
+//! payloads dropped as each wave retires. Peak memory is O(chunk × wave)
+//! however long the stream is, which is what lets streaming statistics
+//! run over data larger than RAM; a caller that keeps every payload
+//! (building a frame is O(file) anyway) asks for a wave that holds them
+//! all and pays for no barrier between waves.
 
 use std::sync::Arc;
 
 use crate::graph::{Payload, TaskGraph};
 use crate::key::TaskKey;
 use crate::outcome::TaskOutcome;
-use crate::scheduler::{run, ExecOptions, ExecResult};
-
-/// Run `count` independent chunk jobs on `workers` threads (the calling
-/// thread itself when `workers <= 1`); `job(i)` produces
-/// chunk `i`'s payload. Outcomes come back in index order. Jobs run under
-/// the full [`ExecOptions`] contract: a fired cancel token stops
-/// dispatching at the next chunk boundary, panics isolate to their chunk,
-/// and the memory gauge prices every payload.
-pub fn run_chunk_tasks<F>(
-    label: &str,
-    count: usize,
-    job: F,
-    workers: usize,
-    opts: &ExecOptions,
-) -> ExecResult
-where
-    F: Fn(usize) -> Payload + Send + Sync + 'static,
-{
-    run_range(label, 0, count, &Arc::new(job), workers, opts)
-}
+use crate::scheduler::{run, ExecOptions};
 
 /// Summary of a wave-bounded ingest run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +33,16 @@ pub struct WaveStats {
     pub stopped_early: bool,
 }
 
-/// Run `count` chunk jobs in waves of `workers × wave_factor`, calling
-/// `fold(first_index, outcomes)` after each wave. Returning `false` from
-/// the fold stops the run (error found, token fired, enough data).
-/// Payloads never outlive their wave, so peak memory is bounded by the
-/// wave size — the executor for folds over streams larger than RAM.
+/// Run `count` independent chunk jobs on `workers` threads (the calling
+/// thread itself when `workers <= 1`) in waves of `workers × wave_factor`;
+/// `job(i)` produces chunk `i`'s payload. After each wave
+/// `fold(first_index, outcomes)` receives its outcomes in index order;
+/// returning `false` stops the run (error found, token fired, enough
+/// data). Jobs run under the full [`ExecOptions`] contract: a fired
+/// cancel token stops dispatching at the next chunk boundary, panics
+/// isolate to their chunk, and the memory gauge prices every payload.
+/// Payloads never outlive their wave unless the fold keeps them, so peak
+/// memory is bounded by the wave size.
 pub fn run_chunk_waves<F>(
     label: &str,
     count: usize,
@@ -74,12 +56,22 @@ where
     F: Fn(usize) -> Payload + Send + Sync + 'static,
 {
     let job = Arc::new(job);
-    let wave = workers.max(1) * wave_factor.max(1);
+    let name = format!("ingest:{label}");
+    let wave = workers.max(1).saturating_mul(wave_factor.max(1));
     let mut stats = WaveStats::default();
     let mut base = 0;
     while base < count {
         let n = wave.min(count - base);
-        let result = run_range(label, base, n, &job, workers, opts);
+        // Chunk payloads are positional per run, not content-addressed:
+        // dedup off so the result cache can never alias two runs' chunks.
+        let mut graph = TaskGraph::without_dedup();
+        let outputs: Vec<_> = (base..base + n)
+            .map(|index| {
+                let job = Arc::clone(&job);
+                graph.source(&name, TaskKey::leaf(&name, index as u64), move || job(index))
+            })
+            .collect();
+        let result = run(&graph, &outputs, workers, opts);
         stats.waves += 1;
         stats.tasks_delivered += result.outcomes.len();
         if !fold(base, result.outcomes) {
@@ -89,31 +81,6 @@ where
         base += n;
     }
     stats
-}
-
-fn run_range<F>(
-    label: &str,
-    base: usize,
-    count: usize,
-    job: &Arc<F>,
-    workers: usize,
-    opts: &ExecOptions,
-) -> ExecResult
-where
-    F: Fn(usize) -> Payload + Send + Sync + 'static,
-{
-    // Chunk payloads are positional per run, not content-addressed:
-    // dedup off so the result cache can never alias two runs' chunks.
-    let mut graph = TaskGraph::without_dedup();
-    let name = format!("ingest:{label}");
-    let outputs: Vec<_> = (0..count)
-        .map(|i| {
-            let job = Arc::clone(job);
-            let index = base + i;
-            graph.source(&name, TaskKey::leaf(&name, index as u64), move || job(index))
-        })
-        .collect();
-    run(&graph, &outputs, workers, opts)
 }
 
 #[cfg(test)]
@@ -129,10 +96,24 @@ mod tests {
         o.payload().and_then(|p| p.downcast_ref::<usize>()).copied()
     }
 
+    /// Every outcome of a run, kept across its waves.
+    fn collect<F>(count: usize, job: F, workers: usize, opts: &ExecOptions) -> Vec<TaskOutcome>
+    where
+        F: Fn(usize) -> Payload + Send + Sync + 'static,
+    {
+        let mut all = Vec::new();
+        run_chunk_waves("t", count, job, workers, 2, opts, |base, outcomes| {
+            assert_eq!(base, all.len(), "waves must arrive in index order");
+            all.extend(outcomes);
+            true
+        });
+        all
+    }
+
     #[test]
     fn outcomes_in_index_order() {
-        let r = run_chunk_tasks("t", 16, |i| payload(i * 10), 4, &ExecOptions::default());
-        let got: Vec<_> = r.outcomes.iter().map(|o| as_usize(o).unwrap()).collect();
+        let outcomes = collect(16, |i| payload(i * 10), 4, &ExecOptions::default());
+        let got: Vec<_> = outcomes.iter().map(|o| as_usize(o).unwrap()).collect();
         assert_eq!(got, (0..16).map(|i| i * 10).collect::<Vec<_>>());
     }
 
@@ -143,30 +124,20 @@ mod tests {
             assert_eq!(std::thread::current().id(), caller, "chunk {i} left the calling thread");
             payload(i)
         };
-        let r = run_chunk_tasks("t", 8, job, 1, &ExecOptions::default());
-        assert!(r.outcomes.iter().all(|o| o.is_ok()), "{:?}", r.first_failure());
-        let mut folded = 0;
-        run_chunk_waves("t", 8, job, 1, 2, &ExecOptions::default(), |_, outcomes| {
-            folded += outcomes.iter().filter(|o| o.is_ok()).count();
-            true
-        });
-        assert_eq!(folded, 8);
+        let outcomes = collect(8, job, 1, &ExecOptions::default());
+        assert_eq!(outcomes.len(), 8);
+        assert!(outcomes.iter().all(|o| o.is_ok()), "a chunk failed: {outcomes:?}");
     }
 
     #[test]
     fn panicking_chunk_isolates() {
-        let r = run_chunk_tasks(
-            "t",
-            8,
-            |i| {
-                assert!(i != 3, "injected chunk failure");
-                payload(i)
-            },
-            4,
-            &ExecOptions::default(),
-        );
-        assert!(r.outcomes[3].is_failed());
-        for (i, o) in r.outcomes.iter().enumerate() {
+        let job = |i| {
+            assert!(i != 3, "injected chunk failure");
+            payload(i)
+        };
+        let outcomes = collect(8, job, 4, &ExecOptions::default());
+        assert!(outcomes[3].is_failed());
+        for (i, o) in outcomes.iter().enumerate() {
             if i != 3 {
                 assert_eq!(as_usize(o), Some(i), "chunk {i} must survive chunk 3's panic");
             }
@@ -178,8 +149,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let opts = ExecOptions { cancel: Some(token), ..ExecOptions::default() };
-        let r = run_chunk_tasks("t", 8, payload, 4, &opts);
-        assert!(r.outcomes.iter().all(|o| o.is_failed()), "no chunk may run after cancel");
+        let outcomes = collect(8, payload, 4, &opts);
+        assert_eq!(outcomes.len(), 8);
+        assert!(outcomes.iter().all(|o| o.is_failed()), "no chunk may run after cancel");
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use govern::{
     RetryPolicy,
 };
 pub use graph::{NodeId, Payload, TaskGraph};
-pub use ingest::{run_chunk_tasks, run_chunk_waves, WaveStats};
+pub use ingest::{run_chunk_waves, WaveStats};
 pub use inject::{FaultInjector, FaultMode, FaultPlan, FaultTarget};
 pub use key::TaskKey;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

@@ -10,9 +10,8 @@
 //! ```
 //!
 //! `<data>` is a CSV file, or an `.edaf` binary columnar file (written
-//! by `convert`) whose columns load without re-parsing. CSV ingestion
-//! honours `engine.ingest_chunk_bytes` / `engine.workers` /
-//! `engine.mmap` for chunked parallel loads.
+//! by `convert`) whose columns load without re-parsing. CSV files are
+//! parsed in parallel chunks on `engine.workers` threads.
 //!
 //! Single-column tasks also print their stats tables and charts to the
 //! terminal (ASCII), mirroring the notebook experience of the paper's
@@ -68,7 +67,7 @@ fn usage() -> String {
      dataprep ts      <data> <time-col> <value-col> [-o out.html]\n  \
      dataprep convert <in.csv> <out.edaf> [-c key=value]...\n\n\
      <data> is a CSV file or an .edaf columnar file written by convert\n\
-     config keys are the how-to-guide keys, e.g. -c hist.bins=200 or -c engine.ingest_chunk_bytes=4194304\n\
+     config keys are the how-to-guide keys, e.g. -c hist.bins=200 or -c engine.workers=4\n\
      --metrics <path> dumps process telemetry after the run (.json = JSON, else Prometheus text)"
         .to_string()
 }
