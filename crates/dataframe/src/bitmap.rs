@@ -307,11 +307,53 @@ impl Bitmap {
         Bitmap::from_iter(self.iter().zip(other.iter()).map(|(a, b)| a && b))
     }
 
-    /// Append all bits of `other`.
-    pub fn extend_from(&mut self, other: &Bitmap) {
-        for b in other.iter() {
-            self.push(b);
+    /// Make the buffer uniquely owned and exactly as long as the window,
+    /// with the unused bits of its last byte clear (the window may be a
+    /// truncation of a longer buffer): the state bulk appends start from.
+    fn owned_bytes(&mut self) -> &mut Vec<u8> {
+        self.make_unique();
+        let len = self.len;
+        let bytes = Arc::make_mut(&mut self.bytes);
+        bytes.truncate(len.div_ceil(8));
+        if let Some(last) = bytes.last_mut().filter(|_| !len.is_multiple_of(8)) {
+            *last &= (1u8 << (len % 8)) - 1;
         }
+        bytes
+    }
+
+    /// Append `n` bits of `value`, whole bytes at a time.
+    pub fn extend_filled(&mut self, n: usize, value: bool) {
+        let (used, len) = (self.len % 8, self.len + n);
+        let bytes = self.owned_bytes();
+        if let Some(last) = bytes.last_mut().filter(|_| value && used != 0) {
+            *last |= 0xFFu8 << used;
+        }
+        bytes.resize(len.div_ceil(8), if value { 0xFF } else { 0x00 });
+        self.len = len;
+        self.mask_tail();
+    }
+
+    /// Append all bits of `other`, a 64-bit word at a time.
+    pub fn extend_from(&mut self, other: &Bitmap) {
+        // A word is a multiple of eight bits, so every word lands at the
+        // same bit offset within a byte as the first.
+        let used = self.len % 8;
+        let bytes = self.owned_bytes();
+        for w in 0..other.len.div_ceil(64) {
+            let word = other.word(w);
+            let nbits = (other.len - w * 64).min(64);
+            // The bits that complete the last byte, then the rest as new
+            // bytes. `word` is zero past `nbits`, so the tail stays clear.
+            let (rest, rest_bits) = match bytes.last_mut().filter(|_| used != 0) {
+                Some(last) => {
+                    *last |= (word << used) as u8;
+                    (word >> (8 - used), nbits.saturating_sub(8 - used))
+                }
+                None => (word, nbits),
+            };
+            bytes.extend(rest.to_le_bytes().iter().take(rest_bits.div_ceil(8)));
+        }
+        self.len += other.len;
     }
 
     /// Clear the unused bits of the last byte so whole-byte scans stay
@@ -643,6 +685,34 @@ mod tests {
             a.iter().collect::<Vec<_>>(),
             vec![true, false, false, true, true]
         );
+    }
+
+    #[test]
+    fn bulk_appends_match_bit_by_bit() {
+        // Every destination bit offset x every source window offset and
+        // length around the byte and word edges, on a destination that is
+        // a truncation of a longer all-ones buffer (stale bits past its
+        // end must not leak into the result).
+        let bit = |i: usize| i % 3 == 1 || i % 7 == 2;
+        let source = Bitmap::from_iter((0..200).map(bit));
+        for dst_len in 0..18 {
+            for (start, len) in [(0, 0), (0, 1), (3, 7), (5, 64), (8, 65), (1, 130), (62, 138)] {
+                let mut want: Vec<bool> = vec![true; dst_len];
+                want.extend((start..start + len).map(bit));
+                let mut got = Bitmap::filled(40, true).slice(0, dst_len);
+                got.extend_from(&source.slice(start, len));
+                assert_eq!(got.iter().collect::<Vec<_>>(), want, "{dst_len} + [{start}; {len}]");
+                assert_eq!(got, Bitmap::from_iter(want.iter().copied()), "tail bits stay clear");
+                for value in [true, false] {
+                    let mut filled = got.clone();
+                    filled.extend_filled(len, value);
+                    let mut want = want.clone();
+                    want.extend(std::iter::repeat_n(value, len));
+                    assert_eq!(filled.iter().collect::<Vec<_>>(), want, "fill {len} x {value}");
+                    assert_eq!(filled.count_set(), want.iter().filter(|&&b| b).count());
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Builders let the CSV reader (and data generators) append values one at a
 //! time without knowing the final length, then freeze into an immutable
-//! [`Column`]. Each builder tracks nullity lazily: the bitmap is only
-//! allocated once the first null arrives.
+//! [`Column`]. Each builder tracks nullity lazily: appending a value
+//! touches no bitmap, a null only notes its row, and the bitmap is built
+//! once, at the end, when there was at least one null.
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
@@ -115,13 +116,27 @@ pub(crate) fn parse_bool(field: &str) -> Option<bool> {
     }
 }
 
+/// The validity of `len` rows of which `nulls` are null: no bitmap at all
+/// without a null.
+fn validity_from_nulls(len: usize, nulls: &[usize]) -> Option<Bitmap> {
+    if nulls.is_empty() {
+        return None;
+    }
+    let mut validity = Bitmap::filled(len, true);
+    for &row in nulls {
+        validity.set(row, false);
+    }
+    Some(validity)
+}
+
 macro_rules! typed_builder {
     ($name:ident, $t:ty, $default:expr, $variant:ident, $doc:literal) => {
         #[doc = $doc]
         #[derive(Debug, Default)]
         pub struct $name {
             values: Vec<$t>,
-            validity: Option<Bitmap>,
+            /// Rows that hold a null, ascending.
+            nulls: Vec<usize>,
         }
 
         impl $name {
@@ -132,7 +147,7 @@ macro_rules! typed_builder {
 
             /// An empty builder with reserved capacity.
             pub fn with_capacity(cap: usize) -> Self {
-                $name { values: Vec::with_capacity(cap), validity: None }
+                $name { values: Vec::with_capacity(cap), nulls: Vec::new() }
             }
 
             /// Number of values appended so far.
@@ -145,12 +160,14 @@ macro_rules! typed_builder {
                 self.values.is_empty()
             }
 
+            /// Append a value.
+            pub fn push(&mut self, v: $t) {
+                self.values.push(v);
+            }
+
             /// Append a null.
             pub fn push_null(&mut self) {
-                let validity = self.validity.get_or_insert_with(|| {
-                    Bitmap::filled(self.values.len(), true)
-                });
-                validity.push(false);
+                self.nulls.push(self.values.len());
                 self.values.push($default);
             }
 
@@ -166,7 +183,8 @@ macro_rules! typed_builder {
             /// and the lazily built bitmap straight to the column — no
             /// `Vec<Option<_>>` staging pass.
             pub fn finish(self) -> Column {
-                Column::$variant(self.values, self.validity)
+                let validity = validity_from_nulls(self.values.len(), &self.nulls);
+                Column::$variant(self.values, validity)
             }
         }
     };
@@ -176,41 +194,12 @@ typed_builder!(F64Builder, f64, 0.0, from_f64_validity, "Builder for float colum
 typed_builder!(I64Builder, i64, 0, from_i64_validity, "Builder for integer columns.");
 typed_builder!(BoolBuilder, bool, false, from_bool_validity, "Builder for boolean columns.");
 
-impl F64Builder {
-    /// Append a value.
-    pub fn push(&mut self, v: f64) {
-        if let Some(validity) = &mut self.validity {
-            validity.push(true);
-        }
-        self.values.push(v);
-    }
-}
-
-impl I64Builder {
-    /// Append a value.
-    pub fn push(&mut self, v: i64) {
-        if let Some(validity) = &mut self.validity {
-            validity.push(true);
-        }
-        self.values.push(v);
-    }
-}
-
-impl BoolBuilder {
-    /// Append a value.
-    pub fn push(&mut self, v: bool) {
-        if let Some(validity) = &mut self.validity {
-            validity.push(true);
-        }
-        self.values.push(v);
-    }
-}
-
 /// Builder for string columns.
 #[derive(Debug, Default)]
 pub struct StrBuilder {
     values: Vec<String>,
-    validity: Option<Bitmap>,
+    /// Rows that hold a null, ascending.
+    nulls: Vec<usize>,
 }
 
 impl StrBuilder {
@@ -221,7 +210,7 @@ impl StrBuilder {
 
     /// An empty builder with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        StrBuilder { values: Vec::with_capacity(cap), validity: None }
+        StrBuilder { values: Vec::with_capacity(cap), nulls: Vec::new() }
     }
 
     /// Number of values appended so far.
@@ -236,26 +225,17 @@ impl StrBuilder {
 
     /// Append a value.
     pub fn push(&mut self, v: &str) {
-        if let Some(validity) = &mut self.validity {
-            validity.push(true);
-        }
         self.values.push(v.to_string());
     }
 
     /// Append an owned value.
     pub fn push_string(&mut self, v: String) {
-        if let Some(validity) = &mut self.validity {
-            validity.push(true);
-        }
         self.values.push(v);
     }
 
     /// Append a null.
     pub fn push_null(&mut self) {
-        let validity = self
-            .validity
-            .get_or_insert_with(|| Bitmap::filled(self.values.len(), true));
-        validity.push(false);
+        self.nulls.push(self.values.len());
         self.values.push(String::new());
     }
 
@@ -271,7 +251,8 @@ impl StrBuilder {
     /// lazily built bitmap straight to the column — no `Vec<Option<_>>`
     /// staging pass.
     pub fn finish(self) -> Column {
-        Column::from_string_validity(self.values, self.validity)
+        let validity = validity_from_nulls(self.values.len(), &self.nulls);
+        Column::from_string_validity(self.values, validity)
     }
 }
 

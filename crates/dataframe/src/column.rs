@@ -68,6 +68,22 @@ impl<T> TypedData<T> {
         }
     }
 
+    /// Append the window's values to `out`: moved when this is the only
+    /// reference to the buffer, cloned when it is shared.
+    fn append_to(mut self, out: &mut Vec<T>)
+    where
+        T: Clone,
+    {
+        let (offset, end) = (self.offset, self.offset + self.len);
+        match Arc::get_mut(&mut self.values) {
+            Some(owned) => {
+                owned.truncate(end);
+                out.extend(owned.drain(offset..));
+            }
+            None => out.extend_from_slice(self.as_slice()),
+        }
+    }
+
     /// Iterate the window as `Option<&T>` without per-element bounds or
     /// validity asserts: the no-null path is a plain slice walk.
     pub(crate) fn opt_iter(&self) -> Box<dyn Iterator<Item = Option<&T>> + '_> {
@@ -619,9 +635,16 @@ impl Column {
 
     /// Vertically concatenate columns of the same type.
     pub fn concat(parts: &[&Column]) -> Result<Column> {
+        Column::concat_owned(parts.iter().map(|&part| part.clone()).collect())
+    }
+
+    /// [`Column::concat`] over parts the caller gives up: values of a part
+    /// that is the only reference to its buffer are moved into the result
+    /// rather than cloned, which for strings means no allocation per row.
+    pub fn concat_owned(parts: Vec<Column>) -> Result<Column> {
         let first = parts.first().ok_or_else(|| Error::Io("concat of zero columns".into()))?;
         let dtype = first.dtype();
-        for p in parts {
+        for p in &parts {
             if p.dtype() != dtype {
                 return Err(Error::TypeMismatch {
                     context: "concat".into(),
@@ -630,21 +653,23 @@ impl Column {
                 });
             }
         }
-        if let [only] = parts {
-            // One part shares its buffers instead of copying them. Like
-            // the copy below, the result carries a bitmap only when the
-            // window has nulls.
-            let mut shared = (*only).clone();
-            if shared.null_count() == 0 {
-                match &mut shared {
-                    Column::Float64(d) => d.validity = None,
-                    Column::Int64(d) => d.validity = None,
-                    Column::Str(d) => d.validity = None,
-                    Column::Bool(d) => d.validity = None,
+        let parts = match <[Column; 1]>::try_from(parts) {
+            Ok([mut only]) => {
+                // One part keeps its buffers instead of copying them. Like
+                // the copy below, the result carries a bitmap only when
+                // the window has nulls.
+                if only.null_count() == 0 {
+                    match &mut only {
+                        Column::Float64(d) => d.validity = None,
+                        Column::Int64(d) => d.validity = None,
+                        Column::Str(d) => d.validity = None,
+                        Column::Bool(d) => d.validity = None,
+                    }
                 }
+                return Ok(only);
             }
-            return Ok(shared);
-        }
+            Err(parts) => parts,
+        };
         let total: usize = parts.iter().map(|p| p.len()).sum();
         let any_null = parts.iter().any(|p| p.null_count() > 0);
         macro_rules! concat_typed {
@@ -653,17 +678,13 @@ impl Column {
                 let mut validity = if any_null { Some(Bitmap::new()) } else { None };
                 for p in parts {
                     if let Column::$variant(d) = p {
-                        values.extend(d.as_slice().iter().cloned());
                         if let Some(v) = &mut validity {
                             match &d.validity {
                                 Some(src) => v.extend_from(src),
-                                None => {
-                                    for _ in 0..d.len() {
-                                        v.push(true);
-                                    }
-                                }
+                                None => v.extend_filled(d.len(), true),
                             }
                         }
+                        d.append_to(&mut values);
                     }
                 }
                 Column::$variant(TypedData::new(values, validity))
@@ -690,10 +711,18 @@ impl Column {
 /// Format a float the way cells are displayed (no trailing `.0` noise for
 /// integral values).
 fn format_float(v: f64) -> String {
+    let mut out = String::new();
+    // Formatting into a `String` cannot fail.
+    let _ = write_float(&mut out, v);
+    out
+}
+
+/// Append [`format_float`]'s text for `v` to `out`.
+pub(crate) fn write_float(out: &mut impl std::fmt::Write, v: f64) -> std::fmt::Result {
     if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.0}")
+        write!(out, "{v:.0}")
     } else {
-        format!("{v}")
+        write!(out, "{v}")
     }
 }
 
@@ -947,6 +976,33 @@ mod tests {
         let copied = Column::concat(&[&tail, &tail.slice(0, 0)]).unwrap();
         assert_eq!(shared, copied);
         assert_eq!(shared.content_fingerprint(), copied.content_fingerprint());
+    }
+
+    #[test]
+    fn concat_owned_moves_strings_out_of_parts_it_alone_holds() {
+        let text = |c: &Column| -> Vec<*const u8> {
+            c.str_values().unwrap().iter().map(|s| s.as_ptr()).collect()
+        };
+        let a = Column::from_strs(&["alpha", "beta"]);
+        let b = Column::from_opt_string(vec![Some("gamma".into()), None]);
+        // A window over a buffer nothing else references any more.
+        let window = Column::from_strs(&["cut", "delta", "epsilon"]).slice(1, 2);
+        // A part someone else still holds: its strings must be cloned.
+        let shared = Column::from_strs(&["zeta"]);
+        let holder = shared.clone();
+        let want = Column::concat(&[&a, &b, &window, &shared]).unwrap();
+        let (at_a, at_b, at_window, at_shared) = (text(&a), text(&b), text(&window), text(&shared));
+
+        let got = Column::concat_owned(vec![a, b, window, shared]).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.content_fingerprint(), want.content_fingerprint());
+        assert_eq!(got.null_count(), 1);
+        let at = text(&got);
+        assert_eq!(at[..2], at_a[..], "moved, not reallocated");
+        assert_eq!(at[2], at_b[0]);
+        assert_eq!(at[4..6], at_window[..], "the window's rows, moved");
+        assert_ne!(at[6], at_shared[0], "a shared buffer is copied");
+        assert_eq!(holder.str_values().unwrap(), ["zeta"]);
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //!    `(offset, len, first_record)` triples are retained, never the bytes.
 //! 2. **Schema sample** ([`sample_schema`]): column names and a schema
 //!    hint from the header plus the first `infer_rows` data records.
-//! 3. **Per-chunk parse** ([`parse_chunk`]): two passes over one chunk —
-//!    parse records to raw fields (retained only for the chunk's
-//!    lifetime), widening the hinted schema when fields contradict it,
-//!    then build typed columns. Chunks are independent, so this is the
+//! 3. **Per-chunk parse** ([`parse_chunk`]): one pass over the chunk's
+//!    text — records are found lazily, each field is lent by the
+//!    tokenizer as a slice of the text, null-checked once and parsed
+//!    straight into its column's typed builder at the hinted type; no
+//!    field is staged as a `String`. A column with a field that
+//!    contradicts the hint stops building and joins types for the rest
+//!    of the pass, and a second pass over the same text then builds just
+//!    those columns at the joined type: one pass when the sample was
+//!    right, two when it was not. Chunks are independent, so this is the
 //!    step a worker pool parallelizes. Errors carry absolute 1-based
 //!    record numbers and absolute byte offsets.
 //! 4. **Fold** ([`fold_chunks`]): per-chunk columns are joined under the
@@ -37,15 +42,17 @@ use crate::dtype::DataType;
 use crate::error::{Error, Result};
 use crate::frame::DataFrame;
 
-use super::infer::{infer_dtype, infer_schema, is_null_field, widen};
-use super::parser::{parse_line, split_records_offsets};
+use super::infer::{infer_dtype, is_null_field, widen};
+use super::parser::{self, record_end, Separator};
 use super::reader::CsvOptions;
 
 /// Chunk size every reader uses unless a library caller asks otherwise.
-/// Measured, not derived (EXPERIMENTS.md, "One CSV reader"): raw-field
-/// staging is several times a chunk's text, so chunks of about a
-/// megabyte parse faster than one file-sized chunk even on one thread,
-/// and leave every worker several chunks on files of a few megabytes.
+/// Measured, not derived (EXPERIMENTS.md, "CSV parse without a `String`
+/// per field"): a chunk stages only its own text and typed columns, so on
+/// one thread the size is free (512 KiB to 4 MiB read within 2% of each
+/// other); what is left is parallelism — at 4 MiB a file of a few
+/// megabytes is one or two chunks and two workers load it up to 1.6x
+/// slower, while 512 KiB, 1 MiB and 2 MiB cannot be told apart.
 pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 
 /// One chunk of the byte stream: `len` bytes starting at absolute
@@ -103,23 +110,23 @@ impl BoundaryScanner {
     }
 
     /// Scan the next block of the stream, appending any completed chunks.
+    /// Record ends are found a word at a time ([`record_end`]): only words
+    /// that hold a quote, or lie inside a quoted field, are read byte by
+    /// byte.
     pub fn feed(&mut self, block: &[u8], out: &mut Vec<ChunkSpec>) {
-        for &b in block {
-            self.pos += 1;
-            match b {
-                b'"' => self.in_quotes = !self.in_quotes,
-                b'\n' if !self.in_quotes => {
-                    self.records_done += 1;
-                    if self.records_done == self.sample_records {
-                        self.sample_end = Some(self.pos);
-                    }
-                    if self.pos - self.chunk_start >= self.chunk_bytes as u64 {
-                        self.close_chunk(self.pos, out);
-                    }
-                }
-                _ => {}
+        let mut rest = block;
+        while let Some(newline) = record_end(rest, &mut self.in_quotes) {
+            self.pos += newline as u64 + 1;
+            self.records_done += 1;
+            if self.records_done == self.sample_records {
+                self.sample_end = Some(self.pos);
             }
+            if self.pos - self.chunk_start >= self.chunk_bytes as u64 {
+                self.close_chunk(self.pos, out);
+            }
+            rest = rest.get(newline + 1..).unwrap_or_default();
         }
+        self.pos += rest.len() as u64;
     }
 
     /// Flush the trailing partial chunk (a final record without a newline
@@ -178,31 +185,50 @@ pub struct ParsedChunk {
 /// numbered and positioned absolutely in the stream. A UTF-8 byte-order
 /// mark opening the stream belongs to no field and is skipped here, the
 /// one place the header record is read from.
-fn records(text: &str, spec: ChunkSpec) -> impl ExactSizeIterator<Item = (usize, u64, &str)> {
+fn records(text: &str, spec: ChunkSpec) -> impl Iterator<Item = (usize, u64, &str)> {
     const BOM: char = '\u{feff}';
     let (text, base) = match text.strip_prefix(BOM) {
         Some(rest) if spec.offset == 0 => (rest, BOM.len_utf8() as u64),
         _ => (text, spec.offset),
     };
-    split_records_offsets(text)
-        .into_iter()
+    parser::records(text)
         .enumerate()
         .map(move |(i, (offset, record))| (spec.first_record + i, base + offset, record))
 }
 
-/// Split one record into exactly `ncols` fields.
-fn parse_row(record: (usize, u64, &str), ncols: usize, opts: &CsvOptions) -> Result<Vec<String>> {
+#[cfg(test)]
+thread_local! {
+    /// Records tokenized on this thread: how tests count a chunk's passes.
+    static RECORDS_TOKENIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Tokenize one record, lending `each` every field with its column
+/// index (indices past `ncols` included), and check that there were
+/// exactly `ncols`. A quoting error anywhere in the record is reported
+/// before a wrong field count.
+fn for_each_field(
+    record: (usize, u64, &str),
+    ncols: usize,
+    sep: Separator,
+    mut each: impl FnMut(usize, &str) -> Result<()>,
+) -> Result<()> {
+    #[cfg(test)]
+    RECORDS_TOKENIZED.with(|n| n.set(n.get() + 1));
     let (line, offset, text) = record;
-    let row = parse_line(text, opts.separator, line)?;
-    if row.len() != ncols {
+    let mut found = 0;
+    for field in parser::fields(text, sep, line) {
+        each(found, &field?)?;
+        found += 1;
+    }
+    if found != ncols {
         return Err(Error::Malformed {
             line,
             offset: Some(offset),
             column: None,
-            message: format!("expected {ncols} fields, found {}", row.len()),
+            message: format!("expected {ncols} fields, found {found}"),
         });
     }
-    Ok(row)
+    Ok(())
 }
 
 /// Column names and a sampled schema hint from the leading bytes of the
@@ -213,26 +239,66 @@ fn parse_row(record: (usize, u64, &str), ncols: usize, opts: &CsvOptions) -> Res
 /// The schema is inferred from the first `infer_rows` data records
 /// regardless of where chunk boundaries later fall, which is what makes
 /// the final widened schema (and thus the output frame) independent of
-/// the chunking. Empty text has no columns.
+/// the chunking. A column whose sample is entirely null is hinted `Str`.
+/// Empty text has no columns.
 pub fn sample_schema(sample_text: &str, opts: &CsvOptions) -> Result<(Vec<String>, Vec<DataType>)> {
     let spec = ChunkSpec { offset: 0, len: sample_text.len(), first_record: 1 };
+    let sep = Separator::new(opts.separator);
     let mut records = records(sample_text, spec).peekable();
     let Some(&(_, _, first)) = records.peek() else {
         return Ok((Vec::new(), Vec::new()));
     };
-    let first = parse_line(first, opts.separator, 1)?;
+    let first = parser::fields(first, sep, 1)
+        .map(|field| field.map(|f| f.into_owned()))
+        .collect::<Result<Vec<String>>>()?;
     let names: Vec<String> = if opts.has_header {
         records.next();
         first
     } else {
         (0..first.len()).map(|i| format!("column_{i}")).collect()
     };
-    let sample = records
-        .take(opts.infer_rows)
-        .map(|record| parse_row(record, names.len(), opts))
-        .collect::<Result<Vec<_>>>()?;
-    let hint = infer_schema(sample.iter(), names.len());
+    let mut sampled: Vec<Option<DataType>> = vec![None; names.len()];
+    for record in records.take(opts.infer_rows) {
+        for_each_field(record, names.len(), sep, |c, field| {
+            if let (Some(seen), Some(t)) = (sampled.get_mut(c), infer_dtype(field, &opts.extra_nulls)) {
+                *seen = Some(seen.map_or(t, |prev| widen(prev, t)));
+            }
+            Ok(())
+        })?;
+    }
+    let hint = sampled.into_iter().map(|t| t.unwrap_or(DataType::Str)).collect();
     Ok((names, hint))
+}
+
+/// One column of a chunk during the typed pass.
+struct Slot {
+    /// The schema's type for the column, joined with the type of every
+    /// field read since one contradicted it.
+    dtype: DataType,
+    /// The column so far; `None` from the first field that does not parse
+    /// as `dtype`, after which the pass only joins types for this column.
+    builder: Option<ColumnBuilder>,
+}
+
+impl Slot {
+    fn push(&mut self, field: &str, extra_nulls: &[String]) {
+        let Some(builder) = &mut self.builder else {
+            if self.dtype != DataType::Str {
+                if let Some(t) = infer_dtype(field, extra_nulls) {
+                    self.dtype = widen(self.dtype, t);
+                }
+            }
+            return;
+        };
+        if is_null_field(field, extra_nulls) {
+            builder.push_null();
+        } else if !builder.push_parsed(field) {
+            // Every earlier field parsed as the schema's type, so the join
+            // from here on equals the join over the whole column.
+            self.dtype = widen(self.dtype, infer_dtype(field, extra_nulls).unwrap_or(DataType::Str));
+            self.builder = None;
+        }
+    }
 }
 
 /// Parse one chunk's text into typed columns.
@@ -252,60 +318,68 @@ pub fn parse_chunk(
     opts: &CsvOptions,
 ) -> Result<ParsedChunk> {
     let ncols = names.len();
+    let sep = Separator::new(opts.separator);
     let header_rows = usize::from(opts.has_header && spec.first_record == 1);
-    let data = records(text, spec).skip(header_rows);
-    let nrows = data.len();
+    let data = || records(text, spec).skip(header_rows);
 
-    // Pass 1: records → raw fields, widening the hinted schema. Raw
-    // fields live only for this chunk.
-    let mut dtypes: Vec<DataType> = schema.to_vec();
-    dtypes.resize(ncols, DataType::Str);
-    let mut raw_columns: Vec<Vec<Option<String>>> = vec![Vec::with_capacity(nrows); ncols];
-    for record in data {
-        let row = parse_row(record, ncols, opts)?;
-        for ((field, raws), dtype) in row.into_iter().zip(&mut raw_columns).zip(&mut dtypes) {
-            if is_null_field(&field, &opts.extra_nulls) {
-                raws.push(None);
-            } else {
-                if let Some(t) = infer_dtype(&field) {
-                    *dtype = widen(*dtype, t);
-                }
-                raws.push(Some(field));
+    // Typed pass: every field goes from the text into its column's
+    // builder at the schema's type. A column with a field that contradicts
+    // the schema stops building and joins types instead; the pass still
+    // reads every record, so the first malformed one is what it reports.
+    let mut slots: Vec<Slot> = (0..ncols)
+        .map(|c| {
+            let dtype = schema.get(c).copied().unwrap_or(DataType::Str);
+            Slot { dtype, builder: Some(ColumnBuilder::for_dtype(dtype)) }
+        })
+        .collect();
+    let mut nrows = 0;
+    for record in data() {
+        for_each_field(record, ncols, sep, |c, field| {
+            if let Some(slot) = slots.get_mut(c) {
+                slot.push(field, &opts.extra_nulls);
             }
+            Ok(())
+        })?;
+        nrows += 1;
+    }
+
+    // Widening pass, only when the schema was wrong for this chunk: the
+    // contradicted columns are built again from the same text at the type
+    // they joined to.
+    let mut rebuilt: Vec<Option<ColumnBuilder>> = slots
+        .iter()
+        .map(|slot| slot.builder.is_none().then(|| ColumnBuilder::for_dtype(slot.dtype)))
+        .collect();
+    if rebuilt.iter().any(Option::is_some) {
+        for record in data() {
+            for_each_field(record, ncols, sep, |c, field| {
+                let Some(Some(builder)) = rebuilt.get_mut(c) else { return Ok(()) };
+                if is_null_field(field, &opts.extra_nulls) {
+                    builder.push_null();
+                } else if !builder.push_parsed(field) {
+                    // The join guarantees parseability; a failure here is
+                    // a logic error worth surfacing as a recoverable
+                    // error rather than a panic.
+                    let dtype = slots.get(c).map_or("?", |slot| slot.dtype.name());
+                    return Err(Error::Malformed {
+                        line: 0,
+                        offset: Some(spec.offset),
+                        column: names.get(c).cloned(),
+                        message: format!("field {field:?} does not parse as inferred type {dtype}"),
+                    });
+                }
+                Ok(())
+            })?;
         }
     }
 
-    // Pass 2: raw fields → typed columns at the chunk-final schema. The
-    // raw fields are freed together when the chunk is done: freeing each
-    // column's as soon as it is built saves ~3 MB of peak RSS on a 5 MB
-    // text-heavy file and costs 10-19% of its load (EXPERIMENTS.md, "One
-    // CSV reader").
-    let mut columns = Vec::with_capacity(ncols);
-    for ((raws, &dtype), name) in raw_columns.iter().zip(&dtypes).zip(names) {
-        let mut builder = ColumnBuilder::for_dtype(dtype);
-        for field in raws {
-            match field {
-                None => builder.push_null(),
-                Some(f) => {
-                    if !builder.push_parsed(f) {
-                        // infer_dtype + widen guarantee parseability; a
-                        // failure here is a logic error worth surfacing
-                        // as a recoverable error rather than a panic.
-                        return Err(Error::Malformed {
-                            line: 0,
-                            offset: Some(spec.offset),
-                            column: Some(name.clone()),
-                            message: format!(
-                                "field {f:?} does not parse as inferred type {}",
-                                dtype.name()
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        columns.push(builder.finish());
-    }
+    let dtypes = slots.iter().map(|slot| slot.dtype).collect();
+    let columns = slots
+        .into_iter()
+        .zip(rebuilt)
+        .filter_map(|(slot, rebuilt)| slot.builder.or(rebuilt))
+        .map(ColumnBuilder::finish)
+        .collect();
     Ok(ParsedChunk { spec, dtypes, columns, nrows })
 }
 
@@ -366,14 +440,17 @@ pub fn fold_chunks(
             *chunk = reparse(chunk.spec, &global)?;
         }
     }
+    // Column by column, the parts move out of the consumed chunks into the
+    // concatenation and are freed as it goes.
+    let mut columns: Vec<_> = chunks.into_iter().map(|chunk| chunk.columns.into_iter()).collect();
     let mut pairs: Vec<(String, Column)> = Vec::with_capacity(names.len());
-    for (c, (name, &want)) in names.iter().zip(&global).enumerate() {
-        let parts: Vec<Column> = chunks
-            .iter()
-            .filter_map(|chunk| chunk.columns.get(c))
-            .map(|col| if col.dtype() == want { col.clone() } else { cast_int_to_float(col) })
+    for (name, &want) in names.iter().zip(&global) {
+        let parts = columns
+            .iter_mut()
+            .filter_map(Iterator::next)
+            .map(|col| if col.dtype() == want { col } else { cast_int_to_float(&col) })
             .collect();
-        pairs.push((name.clone(), Column::concat(&parts.iter().collect::<Vec<_>>())?));
+        pairs.push((name.clone(), Column::concat_owned(parts)?));
     }
     DataFrame::new(pairs)
 }
@@ -452,6 +529,78 @@ mod tests {
         }
     }
 
+    /// The scanner as it was before it took words: one `match` per byte.
+    fn per_byte_reference(
+        bytes: &[u8],
+        chunk_bytes: usize,
+        sample_records: usize,
+    ) -> (Vec<ChunkSpec>, usize) {
+        let (mut out, mut in_quotes, mut records_done) = (Vec::new(), false, 0);
+        let (mut chunk_start, mut chunk_first_record, mut sample_end) = (0, 1, None);
+        let mut close = |end: usize, records_done: usize, out: &mut Vec<ChunkSpec>| {
+            out.push(ChunkSpec {
+                offset: chunk_start as u64,
+                len: end - chunk_start,
+                first_record: chunk_first_record,
+            });
+            chunk_start = end;
+            chunk_first_record = records_done + 1;
+        };
+        for (i, &b) in bytes.iter().enumerate() {
+            match b {
+                b'"' => in_quotes = !in_quotes,
+                b'\n' if !in_quotes => {
+                    records_done += 1;
+                    if records_done == sample_records {
+                        sample_end = Some(i + 1);
+                    }
+                    if i + 1 - out.last().map_or(0, |s: &ChunkSpec| s.offset as usize + s.len)
+                        >= chunk_bytes
+                    {
+                        close(i + 1, records_done, &mut out);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let closed = out.last().map_or(0, |s| s.offset as usize + s.len);
+        if bytes.len() > closed {
+            close(bytes.len(), records_done + 1, &mut out);
+        }
+        (out, sample_end.unwrap_or(bytes.len()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Soups dense in quotes and newlines, long enough to span many
+        /// words, fed in blocks of every size 1..=17 after a first block
+        /// of 0..8 bytes, so words start at every offset of the stream
+        /// and every quote and newline meets every lane of a word.
+        #[test]
+        fn word_at_a_time_feed_matches_the_per_byte_scanner(
+            soup in "[ab\"\n\r]{0,160}",
+            chunk_bytes in 1usize..40,
+            sample_records in 1usize..12,
+        ) {
+            use proptest::prop_assert_eq;
+            let bytes = soup.as_bytes();
+            let want = per_byte_reference(bytes, chunk_bytes, sample_records);
+            prop_assert_eq!(&chunk_specs(bytes, chunk_bytes, sample_records), &want);
+            for block in 1..=17 {
+                for lead in 0..8usize.min(bytes.len() + 1) {
+                    let mut out = Vec::new();
+                    let mut scanner = BoundaryScanner::new(chunk_bytes, sample_records);
+                    let (head, rest) = bytes.split_at(lead);
+                    scanner.feed(head, &mut out);
+                    rest.chunks(block).for_each(|b| scanner.feed(b, &mut out));
+                    let sample_len = scanner.finish(&mut out) as usize;
+                    prop_assert_eq!(&(out, sample_len), &want, "block {} after {}", block, lead);
+                }
+            }
+        }
+    }
+
     #[test]
     fn scanner_first_record_numbers() {
         let text = "h\na\nb\nc\nd\n";
@@ -509,6 +658,82 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// `parse_chunk` over all of `text` under `hint`, and how many times
+    /// it tokenized a record.
+    fn parse_counting(text: &str, hint: &[DataType], opts: &CsvOptions) -> (Result<ParsedChunk>, usize) {
+        let names: Vec<String> = (0..hint.len()).map(|i| format!("c{i}")).collect();
+        let spec = ChunkSpec { offset: 0, len: text.len(), first_record: 1 };
+        let before = RECORDS_TOKENIZED.with(|n| n.get());
+        let parsed = parse_chunk(text, spec, hint, &names, opts);
+        (parsed, RECORDS_TOKENIZED.with(|n| n.get()) - before)
+    }
+
+    #[test]
+    fn one_pass_when_the_hint_holds_two_when_it_does_not() {
+        use DataType::*;
+        let opts = CsvOptions { has_header: false, ..CsvOptions::default() };
+        let text = "1,x,true\n2,,false\nNA,z,\n4,w,TRUE\n";
+        let (parsed, tokenized) = parse_counting(text, &[Int64, Str, Bool], &opts);
+        let parsed = parsed.unwrap();
+        assert_eq!((parsed.nrows, tokenized), (4, 4), "right hint: every record read once");
+        assert_eq!(parsed.dtypes, [Int64, Str, Bool]);
+
+        // A hint that is merely narrower than needed still costs one pass
+        // when it holds for a column, and a second one only for the chunk
+        // that contradicts it: ints then a float, bools then text.
+        let (parsed, tokenized) = parse_counting("1,true\n2,false\n2.5,no\n3,true\n", &[Int64, Bool], &opts);
+        let parsed = parsed.unwrap();
+        assert_eq!((parsed.nrows, tokenized), (4, 8), "contradicted hint: every record read twice");
+        assert_eq!(parsed.dtypes, [Float64, Str]);
+        assert_eq!(parsed.columns[0].f64_values().unwrap(), [1.0, 2.0, 2.5, 3.0]);
+        assert_eq!(parsed.columns[1].str_values().unwrap(), ["true", "false", "no", "true"]);
+    }
+
+    #[test]
+    fn widened_columns_join_every_field_and_keep_raw_spellings() {
+        use DataType::*;
+        let opts = CsvOptions { has_header: false, ..CsvOptions::default() };
+        // Column 0: the contradiction (1.5) comes first and text later, so
+        // the join must keep going after the builder stopped. Column 1:
+        // bool against int is `Str`, not a numeric promotion. Column 2
+        // holds; column 3 widens on its last field; nulls join nothing.
+        let text = "07,true,1,1\n1.5,NA,2,2\n,3,3,\n x ,false,4,4.25\n";
+        let (parsed, tokenized) = parse_counting(text, &[Int64, Bool, Int64, Int64], &opts);
+        let parsed = parsed.unwrap();
+        assert_eq!(tokenized, 8);
+        assert_eq!(parsed.dtypes, [Str, Str, Int64, Float64]);
+        assert_eq!(parsed.columns[0].str_values().unwrap(), ["07", "1.5", "", " x "]);
+        assert_eq!(parsed.columns[0].null_count(), 1);
+        assert_eq!(parsed.columns[1].str_values().unwrap(), ["true", "", "3", "false"]);
+        assert_eq!(parsed.columns[2].i64_values().unwrap(), [1, 2, 3, 4]);
+        assert_eq!(parsed.columns[3].f64_values().unwrap(), [1.0, 2.0, 0.0, 4.25]);
+        assert_eq!(parsed.columns[3].null_count(), 1);
+    }
+
+    #[test]
+    fn a_contradiction_does_not_mask_a_later_malformed_record() {
+        use DataType::*;
+        let opts = CsvOptions { has_header: false, ..CsvOptions::default() };
+        // Record 2 contradicts the hint; record 4 is ragged; record 5 has
+        // a quoting error. The first in file order is the one reported,
+        // in one pass.
+        let text = "1,2\noops,3\n4,5\n6\n7,\"8\n";
+        let (parsed, tokenized) = parse_counting(text, &[Int64, Int64], &opts);
+        assert_eq!(tokenized, 4);
+        match parsed.unwrap_err() {
+            Error::Malformed { line: 4, offset: Some(15), column: None, message } => {
+                assert_eq!(message, "expected 2 fields, found 1");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Within one record a quoting error is reported before its count.
+        let (parsed, _) = parse_counting("1,2\nx,y,\"z\n", &[Int64, Int64], &opts);
+        assert_eq!(
+            parsed.unwrap_err(),
+            Error::Csv { line: 2, message: "unterminated quoted field".into() }
+        );
     }
 
     #[test]

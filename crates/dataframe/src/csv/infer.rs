@@ -7,21 +7,26 @@
 use crate::builder::{parse_bool, parse_f64};
 use crate::dtype::DataType;
 
-/// Default spellings treated as null (after trimming).
-pub(crate) const NULL_LEXICON: &[&str] = &["", "NA", "N/A", "na", "null", "NULL", "None", "nan", "NaN"];
+/// Whether trimmed text spells null: the built-in lexicon plus
+/// caller-supplied extras.
+fn spells_null(trimmed: &str, extra: &[String]) -> bool {
+    matches!(trimmed, "" | "NA" | "N/A" | "na" | "null" | "NULL" | "None" | "nan" | "NaN")
+        || extra.iter().any(|n| n == trimmed)
+}
 
 /// Whether a field (after trim) spells null: the built-in lexicon plus
 /// caller-supplied extras. Public so the chunked reader in `eda-io`
 /// shares the exact null semantics.
 pub fn is_null_field(field: &str, extra: &[String]) -> bool {
-    let t = field.trim();
-    NULL_LEXICON.contains(&t) || extra.iter().any(|n| n == t)
+    spells_null(field.trim(), extra)
 }
 
-/// The narrowest type a single field parses as (`None` for null fields).
-pub fn infer_dtype(field: &str) -> Option<DataType> {
+/// The narrowest type a single field parses as; `None` for a field that
+/// spells null under `extra_nulls` ([`is_null_field`]), which therefore
+/// never votes on a column's type.
+pub fn infer_dtype(field: &str, extra_nulls: &[String]) -> Option<DataType> {
     let t = field.trim();
-    if is_null_field(t, &[]) {
+    if spells_null(t, extra_nulls) {
         return None;
     }
     if parse_bool(t).is_some() {
@@ -47,44 +52,22 @@ pub fn widen(a: DataType, b: DataType) -> DataType {
     }
 }
 
-/// Infer a type per column from sampled rows of raw fields.
-///
-/// Columns whose sample is entirely null default to `Str`.
-pub fn infer_schema<'a, R>(rows: R, ncols: usize) -> Vec<DataType>
-where
-    R: IntoIterator<Item = &'a Vec<String>>,
-{
-    let mut types: Vec<Option<DataType>> = vec![None; ncols];
-    for row in rows {
-        for (i, field) in row.iter().enumerate().take(ncols) {
-            if let Some(t) = infer_dtype(field) {
-                types[i] = Some(match types[i] {
-                    Some(prev) => widen(prev, t),
-                    None => t,
-                });
-            }
-        }
-    }
-    types
-        .into_iter()
-        .map(|t| t.unwrap_or(DataType::Str))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::chunk::sample_schema;
+    use crate::csv::CsvOptions;
 
     #[test]
     fn single_field_inference() {
-        assert_eq!(infer_dtype("true"), Some(DataType::Bool));
-        assert_eq!(infer_dtype("42"), Some(DataType::Int64));
-        assert_eq!(infer_dtype("-4.5"), Some(DataType::Float64));
-        assert_eq!(infer_dtype("4e3"), Some(DataType::Float64));
-        assert_eq!(infer_dtype("hello"), Some(DataType::Str));
-        assert_eq!(infer_dtype(""), None);
-        assert_eq!(infer_dtype("NA"), None);
-        assert_eq!(infer_dtype(" null "), None);
+        assert_eq!(infer_dtype("true", &[]), Some(DataType::Bool));
+        assert_eq!(infer_dtype("42", &[]), Some(DataType::Int64));
+        assert_eq!(infer_dtype("-4.5", &[]), Some(DataType::Float64));
+        assert_eq!(infer_dtype("4e3", &[]), Some(DataType::Float64));
+        assert_eq!(infer_dtype("hello", &[]), Some(DataType::Str));
+        assert_eq!(infer_dtype("", &[]), None);
+        assert_eq!(infer_dtype("NA", &[]), None);
+        assert_eq!(infer_dtype(" null ", &[]), None);
     }
 
     #[test]
@@ -97,28 +80,30 @@ mod tests {
         assert_eq!(widen(Bool, Bool), Bool);
     }
 
+    fn sampled(text: &str) -> Vec<DataType> {
+        let opts = CsvOptions { has_header: false, ..CsvOptions::default() };
+        sample_schema(text, &opts).unwrap().1
+    }
+
     #[test]
     fn schema_from_rows() {
-        let rows = vec![
-            vec!["1".to_string(), "x".to_string(), "true".to_string(), "".to_string()],
-            vec!["2.5".to_string(), "y".to_string(), "false".to_string(), "NA".to_string()],
-        ];
-        let schema = infer_schema(&rows, 4);
         assert_eq!(
-            schema,
+            sampled("1,x,true,\n2.5,y,false,NA\n"),
             vec![DataType::Float64, DataType::Str, DataType::Bool, DataType::Str]
         );
     }
 
     #[test]
     fn all_null_column_defaults_to_str() {
-        let rows = vec![vec!["".to_string()], vec!["NA".to_string()]];
-        assert_eq!(infer_schema(&rows, 1), vec![DataType::Str]);
+        assert_eq!(sampled("\nNA\n"), vec![DataType::Str]);
     }
 
     #[test]
     fn custom_null_lexicon() {
-        assert!(is_null_field("-", &["-".to_string()]));
+        let dash = ["-".to_string()];
+        assert!(is_null_field("-", &dash));
         assert!(!is_null_field("-", &[]));
+        assert_eq!(infer_dtype(" - ", &dash), None);
+        assert_eq!(infer_dtype("-", &[]), Some(DataType::Str));
     }
 }

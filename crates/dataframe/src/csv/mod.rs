@@ -15,7 +15,7 @@ mod writer;
 
 pub mod chunk;
 
-pub use infer::{infer_dtype, infer_schema, is_null_field, widen};
-pub use parser::{parse_line, split_records, split_records_offsets};
+pub use infer::{infer_dtype, is_null_field, widen};
+pub use parser::{fields, records, Fields, Records, Separator};
 pub use reader::{read_csv, read_csv_str, CsvOptions};
 pub use writer::{write_csv, write_csv_string};

@@ -1,56 +1,116 @@
 //! [`DataFrame`] → CSV writer.
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use crate::error::Result;
+use crate::bitmap::Bitmap;
+use crate::column::write_float;
+use crate::dtype::DataType;
+use crate::error::{Error, Result};
 use crate::frame::DataFrame;
 
 /// Serialize a frame to CSV text.
 pub fn write_csv_string(df: &DataFrame) -> String {
     let mut out = String::new();
-    let header: Vec<String> = df.names().iter().map(|n| escape(n)).collect();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    // One display iterator per column, advanced in lockstep: each walks
-    // its column's buffer window directly instead of paying a name lookup
-    // plus bounds check for every cell.
-    let mut cols: Vec<_> = df
-        .iter()
-        .map(|(_, c)| (c.dtype() == crate::dtype::DataType::Str, c.display_iter()))
-        .collect();
-    for _ in 0..df.nrows() {
-        for (i, (is_str, cells)) in cols.iter_mut().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match cells.next().expect("iterator covers nrows") {
-                None => {}
-                Some(cell) if *is_str => out.push_str(&escape(&cell)),
-                Some(cell) => out.push_str(&cell),
-            }
-        }
-        out.push('\n');
-    }
+    for_each_line(df, |line| {
+        out.push_str(line);
+        Ok(())
+    })
+    .expect("formatting into a String cannot fail");
     out
 }
 
-/// Write a frame to a CSV file.
+/// Write a frame to a CSV file, a line at a time: neither the file nor
+/// any cell is materialised as a `String` of its own.
 pub fn write_csv<P: AsRef<Path>>(df: &DataFrame, path: P) -> Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(write_csv_string(df).as_bytes())?;
+    for_each_line(df, |line| Ok(w.write_all(line.as_bytes())?))?;
     w.flush()?;
     Ok(())
 }
 
-/// Quote a field when it contains separators, quotes, or newlines.
-fn escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// One column's cells, read in place.
+enum Cells<'a> {
+    F64(&'a [f64]),
+    I64(&'a [i64]),
+    Str(&'a [String]),
+    Bool(&'a [bool]),
+}
+
+impl Cells<'_> {
+    /// Append the text of the (valid) cell at `row`.
+    fn write(&self, line: &mut String, row: usize) -> std::fmt::Result {
+        match self {
+            Cells::F64(vals) => vals.get(row).map_or(Ok(()), |&v| write_float(line, v)),
+            Cells::I64(vals) => vals.get(row).map_or(Ok(()), |v| write!(line, "{v}")),
+            Cells::Bool(vals) => vals.get(row).map_or(Ok(()), |v| write!(line, "{v}")),
+            Cells::Str(vals) => {
+                vals.get(row).into_iter().for_each(|v| escape_into(line, v));
+                Ok(())
+            }
+        }
     }
+}
+
+/// Lend `sink` the header line and then every row's line (terminator
+/// included), all formatted into one reused buffer. Columns are walked in
+/// lockstep by row index over their buffer windows.
+fn for_each_line(df: &DataFrame, mut sink: impl FnMut(&str) -> Result<()>) -> Result<()> {
+    let mut line = String::new();
+    for (i, name) in df.names().iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        escape_into(&mut line, name);
+    }
+    line.push('\n');
+    sink(&line)?;
+
+    let cols: Vec<(Cells<'_>, Option<&Bitmap>)> = df
+        .iter()
+        .map(|(_, col)| {
+            let cells = match col.dtype() {
+                DataType::Float64 => Cells::F64(col.f64_values().unwrap_or_default()),
+                DataType::Int64 => Cells::I64(col.i64_values().unwrap_or_default()),
+                DataType::Str => Cells::Str(col.str_values().unwrap_or_default()),
+                DataType::Bool => Cells::Bool(col.bool_values().unwrap_or_default()),
+            };
+            (cells, col.validity())
+        })
+        .collect();
+    for row in 0..df.nrows() {
+        line.clear();
+        for (i, (cells, validity)) in cols.iter().enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            if validity.is_none_or(|v| v.get(row)) {
+                cells.write(&mut line, row).map_err(|e| Error::Io(e.to_string()))?;
+            }
+        }
+        line.push('\n');
+        sink(&line)?;
+    }
+    Ok(())
+}
+
+/// Append `field`, quoted when it contains separators, quotes, or
+/// newlines.
+fn escape_into(out: &mut String, field: &str) {
+    if !field.contains([',', '"', '\n', '\r']) {
+        out.push_str(field);
+        return;
+    }
+    out.push('"');
+    for (i, segment) in field.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(segment);
+    }
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -100,10 +160,18 @@ mod tests {
 
     #[test]
     fn escape_rules() {
+        let escape = |field: &str| {
+            let mut out = String::from("x,");
+            escape_into(&mut out, field);
+            out.split_off(2)
+        };
         assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape(""), "");
         assert_eq!(escape("a,b"), "\"a,b\"");
         assert_eq!(escape("q\"q"), "\"q\"\"q\"");
+        assert_eq!(escape("\"\""), "\"\"\"\"\"\"");
         assert_eq!(escape("l\nl"), "\"l\nl\"");
+        assert_eq!(escape("l\rl"), "\"l\rl\"");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * **Chunk tasks** run on the shared worker pool via
 //!   [`eda_taskgraph::ingest`]: each reads its own byte range
 //!   (positional `pread` or an in-memory subslice — never a shared
-//!   cursor), validates UTF-8, and parses to typed columns. Raw field
-//!   strings live only for one chunk, so peak staging memory is
-//!   O(chunk × workers), not O(file).
+//!   cursor), validates UTF-8, and parses to typed columns. Fields are
+//!   slices of the chunk's text, so what a task stages is that text and
+//!   the columns it builds: O(chunk × workers), not O(file).
 //! * [`for_each_chunk`] is the one driver of those two steps; it hands
 //!   each parsed chunk, in file order, to a callback. [`read_csv_chunked`]
 //!   collects them (one wave: it keeps them all anyway) and **folds**

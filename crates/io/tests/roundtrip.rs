@@ -18,8 +18,8 @@ mod oracle;
 use eda_dataframe::csv::chunk::{
     chunk_specs, fold_chunks, parse_chunk, sample_schema, ParsedChunk, DEFAULT_CHUNK_BYTES,
 };
-use eda_dataframe::csv::{read_csv_str, CsvOptions};
-use eda_dataframe::{DataFrame, DataType};
+use eda_dataframe::csv::{fields, read_csv_str, records, CsvOptions, Separator};
+use eda_dataframe::{DataFrame, DataType, Result};
 use eda_io::chunked::{read_csv_chunked, read_csv_str_chunked, IngestOptions};
 use eda_io::stream::fold_csv;
 use proptest::prelude::*;
@@ -97,6 +97,75 @@ fn temp_csv(name: &str, contents: &str) -> std::path::PathBuf {
     let path = dir.join(name);
     std::fs::write(&path, contents).unwrap();
     path
+}
+
+/// The borrowed-field tokenizer's fields, materialised like the oracle's.
+fn tokenize(record: &str, sep: char, line_no: usize) -> Result<Vec<String>> {
+    fields(record, Separator::new(sep), line_no).map(|f| f.map(|f| f.into_owned())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Hostile records — quotes at field start and mid-field, `""`,
+    /// quoted separators and newlines, `\r`, trailing separators, the
+    /// empty record, a character sharing the multi-byte separator's lead
+    /// byte — tokenize to the fields, or the `Error::Csv`, of the
+    /// `String`-per-field tokenizer this one replaced, under every
+    /// separator (one of them the quote itself).
+    #[test]
+    fn tokenizer_matches_the_oracle_on_hostile_records(
+        record in "[ab\",;\t§¢ \n\r]{0,14}",
+        line_no in 1usize..1000,
+    ) {
+        for sep in [',', ';', '\t', '§', '"'] {
+            prop_assert_eq!(
+                tokenize(&record, sep, line_no),
+                oracle::parse_line(&record, sep, line_no),
+                "separator {:?}", sep
+            );
+        }
+    }
+
+    /// Quote-parity record splitting: same records, same offsets, CRLF
+    /// and unterminated or unbalanced tails included.
+    #[test]
+    fn record_splitting_matches_the_oracle(text in "[a\",\n\r]{0,40}") {
+        let want = oracle::split_records_offsets(&text);
+        prop_assert_eq!(records(&text).collect::<Vec<_>>(), want.clone());
+        let bare: Vec<&str> = want.into_iter().map(|(_, record)| record).collect();
+        prop_assert_eq!(oracle::split_records(&text), bare);
+    }
+}
+
+#[test]
+fn tokenizer_matches_the_oracle_on_the_named_cases() {
+    for record in [
+        "", ",", "a,", ",a", "\"\"", "\"\"\"\"", "\"a\"\"b\",c", "a\"b", "\"a\"b", "\"a", "\"a\"\"",
+        "\"a,b\",\"c\nd\"", "a\r", "\"a\"\r", "x,\"y\",", "§", "a§\"b§c\"§", "¢§¢",
+    ] {
+        for sep in [',', ';', '\t', '§'] {
+            assert_eq!(tokenize(record, sep, 7), oracle::parse_line(record, sep, 7), "{record:?} {sep:?}");
+        }
+    }
+}
+
+/// `CsvOptions::extra_nulls` reaches schema sampling: a custom null
+/// spelling gives the same column whether or not it falls inside the
+/// sample (it used to vote `Str` inside it).
+#[test]
+fn custom_nulls_do_not_vote_on_the_sampled_type() {
+    let text = "a\n1\n-\n2\n";
+    let nulls = vec!["-".to_string()];
+    let inside = CsvOptions { extra_nulls: nulls.clone(), ..CsvOptions::default() };
+    let outside = CsvOptions { extra_nulls: nulls, infer_rows: 1, ..CsvOptions::default() };
+    for opts in [&inside, &outside] {
+        let df = read_csv_str(text, opts).unwrap();
+        let a = df.column("a").unwrap();
+        assert_eq!((a.dtype(), a.null_count()), (DataType::Int64, 1), "infer_rows {}", opts.infer_rows);
+        assert_eq!(a.i64_values().unwrap(), [1, 0, 2]);
+        assert_bit_identical(&oracle::read_csv_str(text, opts).unwrap(), &df, "oracle");
+    }
 }
 
 proptest! {
