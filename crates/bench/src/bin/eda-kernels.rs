@@ -1,42 +1,27 @@
-//! Kernel-engine microbenchmark: scalar vs vector hot-kernel shapes,
-//! plus the morsel-driven skewed-partition stage experiment.
+//! Kernel microbenchmark: scalar vs vector hot-kernel shapes.
 //!
-//! Two claims from DESIGN.md §15 are measured and gated:
-//!
-//! * **Vectorization** — the lane-parallel kernel shapes in
-//!   `eda_stats::vector` (moments power sums, histogram reciprocal
-//!   binning, min/max select lanes, Pearson chunk sums, nullity
-//!   popcounts) sustain a multiple of the scalar streaming updates'
-//!   throughput. Compiled with `--features simd` the moments/minmax inner
-//!   loops dispatch to AVX2 intrinsics when the CPU has them; without it
-//!   they are the autovectorized fallback — bit-identical, narrower.
-//! * **Morsel stealing** — on a skewed partitioning (one partition
-//!   holding 90% of the rows) the morsel engine levels per-worker load.
-//!   Because stage latency on a multi-core box is the *makespan* (the
-//!   busiest worker), the gate metric is the deterministic row-makespan
-//!   ratio `max-rows-per-worker(off) / max-rows-per-worker(on)`, which
-//!   is what wall-clock speedup converges to with ≥ `--workers` cores
-//!   and is stable on the single-core CI runner where wall clock cannot
-//!   show parallel speedup at all. Wall-clock stage times are also
-//!   reported (ungated).
+//! The claim from DESIGN.md §15 that is measured and gated: the
+//! lane-parallel kernel shapes in `eda_stats::vector` (moments power
+//! sums, histogram reciprocal binning, min/max select lanes, Pearson
+//! chunk sums, nullity popcounts) sustain a multiple of the scalar
+//! streaming updates' throughput. Compiled with `--features simd` the
+//! moments/minmax inner loops dispatch to AVX2 intrinsics when the CPU
+//! has them; without it they are the autovectorized fallback —
+//! bit-identical, narrower. Every kernel runs on one thread; the host's
+//! core count is recorded as `host_cores` for context only.
 //!
 //! Usage:
 //! `cargo run -p eda-bench --release --features simd --bin eda-kernels -- --smoke --json /tmp/BENCH_kernels.json`
 //!
 //! * `--smoke` — CI-friendly dataset (200k rows).
 //! * `--rows <n>` — explicit row count (default 1,000,000; `--smoke` wins).
-//! * `--workers <n>` — worker threads for the skew stage (default 8).
 //! * `--json <path>` — write `BENCH_kernels.json` here.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, print_table};
 use eda_stats::vector;
 use eda_stats::{Histogram, Moments};
-use eda_taskgraph::morsel;
 
 /// Deterministic value stream: an LCG folded into a bounded float range,
 /// the same mix every run so scalar and vector process identical bytes.
@@ -109,7 +94,7 @@ fn meps(rows: usize, d: Duration) -> f64 {
 
 fn main() {
     let rows = if arg_flag("--smoke") { 200_000 } else { arg_f64("--rows", 1_000_000.0) as usize };
-    let workers = arg_f64("--workers", 8.0) as usize;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     const ITERS: usize = 9;
     const PASSES: usize = 3;
     const BINS: usize = 50;
@@ -212,9 +197,6 @@ fn main() {
     }
     let [mo, hi, mm, pe, nu] = res;
 
-    // --- skewed-partition morsel stage -----------------------------------
-    let skew = skew_stage(&data, workers);
-
     let rows_f = |d: Duration| format!("{:8.1}", meps(rows, d));
     let row = |name: &str, r: &AbResult| {
         vec![
@@ -234,35 +216,19 @@ fn main() {
             row("nullity", &nu),
         ],
     );
-    println!();
-    println!(
-        "skew stage ({} workers, 90% of rows in one partition):\n  \
-         morsels off: makespan {} rows, wall {:?}\n  \
-         morsels on:  makespan {} rows, wall {:?}  (stolen morsels: {})\n  \
-         makespan speedup: {:.2}x",
-        workers,
-        skew.makespan_off,
-        skew.wall_off,
-        skew.makespan_on,
-        skew.wall_on,
-        skew.stolen,
-        skew.makespan_off as f64 / skew.makespan_on as f64,
-    );
 
     if let Some(path) = arg_str("--json") {
         let json = format!(
             concat!(
-                "{{\"experiment\":\"kernels\",\"rows\":{},\"workers\":{},\n",
+                "{{\"experiment\":\"kernels\",\"rows\":{},\"host_cores\":{},\n",
                 "\"moments_scalar_meps\":{:.3},\"moments_vector_meps\":{:.3},\"moments_speedup\":{:.4},\n",
                 "\"histogram_scalar_meps\":{:.3},\"histogram_vector_meps\":{:.3},\"histogram_speedup\":{:.4},\n",
                 "\"minmax_scalar_meps\":{:.3},\"minmax_vector_meps\":{:.3},\"minmax_speedup\":{:.4},\n",
                 "\"pearson_scalar_meps\":{:.3},\"pearson_vector_meps\":{:.3},\"pearson_speedup\":{:.4},\n",
-                "\"nullity_scalar_meps\":{:.3},\"nullity_vector_meps\":{:.3},\"nullity_speedup\":{:.4},\n",
-                "\"skew_makespan_off_rows\":{},\"skew_makespan_on_rows\":{},\"skew_makespan_speedup\":{:.4},\n",
-                "\"skew_wall_off_us\":{},\"skew_wall_on_us\":{},\"skew_stolen_morsels\":{}}}"
+                "\"nullity_scalar_meps\":{:.3},\"nullity_vector_meps\":{:.3},\"nullity_speedup\":{:.4}}}"
             ),
             rows,
-            workers,
+            host_cores,
             meps(rows, mo.scalar),
             meps(rows, mo.vector),
             mo.speedup,
@@ -278,116 +244,8 @@ fn main() {
             meps(rows, nu.scalar),
             meps(rows, nu.vector),
             nu.speedup,
-            skew.makespan_off,
-            skew.makespan_on,
-            skew.makespan_off as f64 / skew.makespan_on as f64,
-            skew.wall_off.as_micros(),
-            skew.wall_on.as_micros(),
-            skew.stolen,
         );
         std::fs::write(&path, json).expect("write kernels json");
         println!("\nwrote {path}");
     }
-}
-
-struct SkewResult {
-    makespan_off: u64,
-    makespan_on: u64,
-    wall_off: Duration,
-    wall_on: Duration,
-    stolen: u64,
-}
-
-/// The skewed-partition stage: `workers + 1` partitions where partition 0
-/// holds 90% of the rows, each mapped through the moments kernel on a
-/// worker pool built from the morsel engine's own primitives. "Morsels
-/// off" (`morsel_bytes = 0`) pins each partition to the worker that
-/// claims it; "morsels on" lets workers that run out of partitions mark
-/// themselves idle on the shared [`morsel::HelperBudget`], which the
-/// giant partition's owner converts into helper threads stealing ~256 KiB
-/// morsels off the shared deque. Rows are attributed to the OS thread
-/// that processed them — each helper corresponds to exactly one donated
-/// idle worker, so the per-thread maximum is the stage makespan.
-///
-/// The map closure yields at each morsel boundary: on the single-core CI
-/// runner one OS timeslice exceeds the whole stage, which would let the
-/// owner drain every morsel before a helper ever runs; yielding emulates
-/// the concurrent progress that ≥`workers` cores provide automatically,
-/// and is noise on a real multi-core box.
-fn skew_stage(data: &[f64], workers: usize) -> SkewResult {
-    let giant = data.len() * 9 / 10;
-    let small = (data.len() - giant) / workers.max(1);
-    let mut parts: Vec<&[f64]> = vec![&data[..giant]];
-    let mut at = giant;
-    for _ in 0..workers {
-        let end = (at + small).max(at).min(data.len());
-        parts.push(&data[at..end]);
-        at = end;
-    }
-
-    let registry = eda_taskgraph::metrics::global();
-    registry.set_enabled(true);
-    let run = |morsel_bytes: usize| -> (u64, Duration, u64) {
-        let stolen_before = registry.morsels_stolen_total.get();
-        let rows_by_thread: Mutex<HashMap<std::thread::ThreadId, u64>> =
-            Mutex::new(HashMap::new());
-        let note = |n: usize| {
-            let mut map = rows_by_thread.lock().expect("rows map");
-            *map.entry(std::thread::current().id()).or_insert(0) += n as u64;
-        };
-        let budget = Arc::new(morsel::HelperBudget::new());
-        let next = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..workers.max(1) {
-                s.spawn(|| {
-                    let _ctx = morsel::engage(morsel_bytes, Some(Arc::clone(&budget)));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(vals) = parts.get(i).copied() else { break };
-                        let m = morsel::run_rows(
-                            vals.len(),
-                            std::mem::size_of::<f64>(),
-                            |r| {
-                                let mut m = Moments::new();
-                                m.push_slice(&vals[r.clone()]);
-                                note(r.len());
-                                std::thread::yield_now(); // see doc comment
-                                m
-                            },
-                            |mut a, b| {
-                                a.merge(&b);
-                                a
-                            },
-                        )
-                        .unwrap_or_else(|| {
-                            let mut m = Moments::new();
-                            m.push_slice(vals);
-                            note(vals.len());
-                            m
-                        });
-                        std::hint::black_box(m);
-                        // A partition boundary is a scheduling point in
-                        // both modes — without it, on a single core the
-                        // first worker drains every partition before the
-                        // others are even scheduled.
-                        std::thread::yield_now();
-                    }
-                    // Out of partitions: this worker's capacity is now
-                    // donatable to whoever is still grinding the giant.
-                    budget.enter_idle();
-                });
-            }
-        });
-        let wall = t0.elapsed();
-        let makespan =
-            rows_by_thread.lock().expect("rows map").values().copied().max().unwrap_or(0);
-        (makespan, wall, registry.morsels_stolen_total.get() - stolen_before)
-    };
-    // Warm up both paths once, then time.
-    run(0);
-    run(morsel::DEFAULT_MORSEL_BYTES);
-    let (makespan_off, wall_off, _) = run(0);
-    let (makespan_on, wall_on, stolen) = run(morsel::DEFAULT_MORSEL_BYTES);
-    SkewResult { makespan_off, makespan_on, wall_off, wall_on, stolen }
 }

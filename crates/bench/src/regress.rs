@@ -251,7 +251,7 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         required: &[
             "experiment",
             "rows",
-            "workers",
+            "host_cores",
             "moments_scalar_meps",
             "moments_vector_meps",
             "moments_speedup",
@@ -267,24 +267,13 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "nullity_scalar_meps",
             "nullity_vector_meps",
             "nullity_speedup",
-            "skew_makespan_off_rows",
-            "skew_makespan_on_rows",
-            "skew_makespan_speedup",
-            "skew_wall_off_us",
-            "skew_wall_on_us",
-            "skew_stolen_morsels",
         ],
         gated: &[
-            // Vector-vs-scalar and morsels-on-vs-off ratios on the same
-            // machine; the wide scale absorbs shared-runner noise like
-            // the wall-clock speedups above.
+            // Vector-vs-scalar ratios on the same machine; the wide scale
+            // absorbs shared-runner noise like the wall-clock speedups
+            // above.
             MetricSpec { key: "moments_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             MetricSpec { key: "histogram_speedup", higher_is_better: true, tolerance_scale: 4.0 },
-            MetricSpec {
-                key: "skew_makespan_speedup",
-                higher_is_better: true,
-                tolerance_scale: 4.0,
-            },
         ],
     },
     ExperimentSpec {

@@ -5,7 +5,7 @@
 //! overview, one is detailed single-column analysis, two is pair analysis.
 
 use eda_dataframe::DataFrame;
-use eda_taskgraph::{ExecStats, MetricsSnapshot};
+use eda_taskgraph::ExecStats;
 
 use crate::compute::{
     bivariate, correlation, ctx::ComputeContext, missing, overview, timeseries, univariate,
@@ -147,43 +147,6 @@ fn check_columns(function: &'static str, columns: &[&str], max: usize) -> EdaRes
     Ok(())
 }
 
-/// Admission control (`engine.max_concurrent_runs`): claim a slot on the
-/// process-wide gate, blocking in its bounded queue when the process is
-/// at capacity and shedding with [`EdaError::Overloaded`] past the queue
-/// bound. `None` (no permit to hold) when the knob is off.
-fn admit(config: &Config) -> EdaResult<Option<eda_taskgraph::AdmissionPermit>> {
-    match crate::compute::ctx::admission_gate(config.engine.max_concurrent_runs) {
-        None => Ok(None),
-        Some(gate) => match gate.try_admit() {
-            Ok(permit) => Ok(Some(permit)),
-            Err(over) => {
-                if config.engine.metrics {
-                    let m = eda_taskgraph::metrics::global();
-                    m.set_enabled(true);
-                    m.admission_shed_total.incr();
-                }
-                Err(EdaError::Overloaded { running: over.running, queued: over.queued })
-            }
-        },
-    }
-}
-
-/// Freeze the process-lifetime telemetry registry into a
-/// [`MetricsSnapshot`] (Prometheus text via
-/// [`MetricsSnapshot::to_prometheus`], JSON via
-/// [`MetricsSnapshot::to_json`]).
-///
-/// The registry only accumulates from runs configured with
-/// `engine.metrics`; before any such run every series reads zero.
-///
-/// ```
-/// let snap = eda_core::metrics_snapshot();
-/// assert!(snap.to_prometheus().contains("eda_runs_total"));
-/// ```
-pub fn metrics_snapshot() -> MetricsSnapshot {
-    eda_taskgraph::metrics::global().snapshot()
-}
-
 /// Whether a section failure is a memory-budget refusal — the trigger of
 /// the degradation ladder. The phrase is pinned by `EdaError`'s (and the
 /// scheduler's) budget Display forms, including skip messages that chain
@@ -261,7 +224,6 @@ fn degraded(task: TaskKind, stats: Option<ExecStats>, err: EdaError) -> EdaResul
 /// bivariate (2) analysis.
 pub fn plot(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Analysis> {
     check_columns("plot", columns, 2)?;
-    let _permit = admit(config)?;
     let sampled = maybe_sample(df, config);
     let (df, note) = match &sampled {
         Some((s, n)) => (s, Some(n.clone())),
@@ -343,7 +305,6 @@ pub fn plot_correlation(
     config: &Config,
 ) -> EdaResult<Analysis> {
     check_columns("plot_correlation", columns, 2)?;
-    let _permit = admit(config)?;
     with_budget_ladder(df, |df| plot_correlation_inner(df, columns, config))
 }
 
@@ -384,7 +345,6 @@ fn plot_correlation_inner(
 /// of one column's missing rows on the rest (1), or on one column (2).
 pub fn plot_missing(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Analysis> {
     check_columns("plot_missing", columns, 2)?;
-    let _permit = admit(config)?;
     with_budget_ladder(df, |df| plot_missing_inner(df, columns, config))
 }
 
@@ -427,7 +387,6 @@ pub fn plot_timeseries(
     value: &str,
     config: &Config,
 ) -> EdaResult<Analysis> {
-    let _permit = admit(config)?;
     let sampled = maybe_sample(df, config);
     let (df, note) = match &sampled {
         Some((s, n)) => (s, Some(n.clone())),
@@ -459,12 +418,10 @@ fn plot_timeseries_inner(
 /// `create_report(df, config)`: the full profile report. See
 /// [`crate::report`].
 ///
-/// Governed like the `plot*` calls: admission-controlled
-/// (`engine.max_concurrent_runs`) and budget-laddered — a report whose
-/// sections degrade on the run memory budget is recomputed once over a
-/// sampled frame and flagged approximate.
+/// Budget-laddered like the `plot*` calls: a report whose sections
+/// degrade on the run memory budget is recomputed once over a sampled
+/// frame and flagged approximate.
 pub fn create_report(df: &DataFrame, config: &Config) -> EdaResult<crate::report::Report> {
-    let _permit = admit(config)?;
     let report = crate::report::Report::create(df, config)?;
     let budget_failed = report.failed_sections().iter().any(|(_, s)| over_budget(s));
     if budget_failed {

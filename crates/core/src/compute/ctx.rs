@@ -12,10 +12,9 @@ use eda_dataframe::DataFrame;
 use eda_taskgraph::graph::Payload;
 use eda_taskgraph::outcome::TaskOutcome;
 use eda_taskgraph::scheduler::{self, ExecOptions, ProgressObserver};
-use eda_taskgraph::govern::{self, CancelToken, MemoryGauge, RetryPolicy};
+use eda_taskgraph::govern::{self, CancelToken, MemoryGauge};
 use eda_taskgraph::{
-    AdmissionGate, CacheHandle, ExecStats, NodeId, PartitionedFrame, PayloadSizer, ResultCache,
-    TaskGraph,
+    CacheHandle, ExecStats, NodeId, PartitionedFrame, PayloadSizer, ResultCache, TaskGraph,
 };
 
 use crate::config::Config;
@@ -40,26 +39,6 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
             let cache = Arc::new(ResultCache::new(budget));
             *guard = Some((budget, Arc::clone(&cache)));
             cache
-        }
-    }
-}
-
-/// The process-wide admission gate (`engine.max_concurrent_runs`).
-/// Mirrors [`session_cache`]: one gate per configured capacity, replaced
-/// when the capacity changes. Returns `None` when admission is off.
-pub(crate) fn admission_gate(capacity: usize) -> Option<Arc<AdmissionGate>> {
-    if capacity == 0 {
-        return None;
-    }
-    static GATE: std::sync::Mutex<Option<(usize, Arc<AdmissionGate>)>> =
-        std::sync::Mutex::new(None);
-    let mut guard = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    match &*guard {
-        Some((c, gate)) if *c == capacity => Some(Arc::clone(gate)),
-        _ => {
-            let gate = AdmissionGate::new(capacity);
-            *guard = Some((capacity, Arc::clone(&gate)));
-            Some(gate)
         }
     }
 }
@@ -122,24 +101,6 @@ impl<'a> ComputeContext<'a> {
         // answers false, so ungoverned runs are unaffected.
         static HOOK: std::sync::Once = std::sync::Once::new();
         HOOK.call_once(|| eda_stats::interrupt::register(govern::interrupted));
-        // Telemetry opt-in (`engine.metrics`): latch the process registry
-        // on and connect the kernels' morsel probe to it. The latch stays
-        // on for the process lifetime once any run opts in; runs without
-        // the knob still never record scheduler-side series because those
-        // paths are gated on `ExecOptions::metrics`, not the latch.
-        if config.engine.metrics {
-            eda_taskgraph::metrics::global().set_enabled(true);
-            static MORSEL_HOOK: std::sync::Once = std::sync::Once::new();
-            MORSEL_HOOK.call_once(|| {
-                eda_stats::telemetry::register(|rows| {
-                    let m = eda_taskgraph::metrics::global();
-                    if m.enabled() {
-                        m.morsels_total.incr();
-                        m.morsel_rows_total.add(rows);
-                    }
-                });
-            });
-        }
         // Stage 1 of Figure 4: precompute chunk-size information.
         // "Dask is slow on tiny data" (§5.2): scheduling many partitions
         // of a small frame is pure overhead, so the partition count is
@@ -241,13 +202,10 @@ impl<'a> ComputeContext<'a> {
             cache: self.cache_handle(),
             cancel: self.cancel.clone(),
             gauge: self.gauge.clone(),
-            retry: RetryPolicy::retries(self.config.engine.task_retries),
             // Budgets must price payloads by their real footprint even
             // when the result cache is off, so the domain sizer is always
             // passed alongside the gauge.
             sizer: self.gauge.is_some().then(payload_sizer),
-            metrics: self.config.engine.metrics,
-            morsel_bytes: self.config.engine.morsel_bytes,
         };
         // workers <= 1 runs every task on this thread: nothing to spin
         // up, and fault-tolerance behaviour stays identical.

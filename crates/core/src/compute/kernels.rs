@@ -22,7 +22,6 @@ use eda_stats::histogram::Histogram;
 use eda_stats::moments::Moments;
 use eda_stats::text::TextStats;
 use eda_taskgraph::key::TaskKey;
-use eda_taskgraph::morsel;
 use eda_taskgraph::ops;
 use eda_taskgraph::partition::payload_frame;
 use eda_taskgraph::NodeId;
@@ -86,8 +85,8 @@ fn col<'d>(df: &'d DataFrame, name: &str) -> &'d Column {
 /// The column's float buffer when every windowed row is valid — either
 /// no bitmap at all, or a sliced window whose bitmap is all-set (slices
 /// keep their parent's bitmap, so `validity()` alone under-reports this
-/// case). This is the shape the vector kernels and the morsel engine
-/// consume as whole contiguous slices.
+/// case). This is the shape the vector kernels consume as whole
+/// contiguous slices.
 fn all_valid_f64(c: &Column) -> Option<&[f64]> {
     let vals = c.f64_values()?;
     match c.validity() {
@@ -135,28 +134,8 @@ pub fn moments(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
             let mut m = Moments::new();
             match all_valid_f64(c) {
                 // Null-free float window: feed the buffer to the sketch
-                // as contiguous slices — split into stealable morsels
-                // when the scheduler has engaged a morsel context.
-                Some(vals) => {
-                    m = morsel::run_rows(
-                        vals.len(),
-                        std::mem::size_of::<f64>(),
-                        |r| {
-                            let mut part = Moments::new();
-                            part.push_slice(&vals[r]);
-                            part
-                        },
-                        |mut a, b| {
-                            a.merge(&b);
-                            a
-                        },
-                    )
-                    .unwrap_or_else(|| {
-                        let mut whole = Moments::new();
-                        whole.push_slice(vals);
-                        whole
-                    });
-                }
+                // as one contiguous slice.
+                Some(vals) => m.push_slice(vals),
                 None => c.for_each_numeric(|v| m.push(v)).expect("numeric"),
             }
             pl(m)
@@ -247,24 +226,7 @@ pub fn histogram_with_range(
                 let mut h = Histogram::new(mom.min, mom.max, bins);
                 let c = col(&frame, &name);
                 match (all_valid_f64(c), rows.select(&frame)) {
-                    // Counts are integers, so the morsel merge is exact:
-                    // splitting cannot change the histogram.
-                    (Some(vals), Selection::All) => match morsel::run_rows(
-                        vals.len(),
-                        std::mem::size_of::<f64>(),
-                        |r| {
-                            let mut part = Histogram::new(mom.min, mom.max, bins);
-                            part.fill_slice(&vals[r]);
-                            part
-                        },
-                        |mut a, b| {
-                            a.merge(&b);
-                            a
-                        },
-                    ) {
-                        Some(filled) => h = filled,
-                        None => h.fill_slice(vals),
-                    },
+                    (Some(vals), Selection::All) => h.fill_slice(vals),
                     // Some rows of a null-free float window: gather them
                     // (O(selected)) and take the slice entry point the
                     // whole window takes. With `simd` it classifies edge
@@ -366,26 +328,7 @@ pub fn pearson_partial(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId
             let mut p = PearsonPartial::new();
             let (cx, cy) = (col(df, &xn), col(df, &yn));
             match (all_valid_f64(cx), all_valid_f64(cy)) {
-                (Some(xs), Some(ys)) if xs.len() == ys.len() => {
-                    p = morsel::run_rows(
-                        xs.len(),
-                        2 * std::mem::size_of::<f64>(),
-                        |r| {
-                            let mut part = PearsonPartial::new();
-                            part.push_slices(&xs[r.clone()], &ys[r]);
-                            part
-                        },
-                        |mut a, b| {
-                            a.merge(&b);
-                            a
-                        },
-                    )
-                    .unwrap_or_else(|| {
-                        let mut whole = PearsonPartial::new();
-                        whole.push_slices(xs, ys);
-                        whole
-                    });
-                }
+                (Some(xs), Some(ys)) if xs.len() == ys.len() => p.push_slices(xs, ys),
                 _ => {
                     let xs = cx.numeric_iter().expect("numeric");
                     let ys = cy.numeric_iter().expect("numeric");

@@ -207,34 +207,9 @@ pub struct EngineConfig {
     pub memory_budget_bytes: usize,
     /// Whole-run wall-clock deadline in milliseconds (0 = unlimited).
     /// Unlike `task_deadline_ms` this cancels the *run*: in-flight
-    /// kernels observe the cancellation at morsel boundaries and stop,
+    /// kernels observe the cancellation at their next poll and stop,
     /// workers are reclaimed, and remaining tasks are cancelled.
     pub run_deadline_ms: u64,
-    /// Retries for transiently-failing tasks (0 = no retries). A task
-    /// whose failure classifies as transient is re-executed up to this
-    /// many times with deterministic exponential backoff before the
-    /// failure is recorded.
-    pub task_retries: usize,
-    /// Maximum analyses executing concurrently in this process
-    /// (0 = unlimited). Excess callers queue (bounded at twice this
-    /// value) and are admitted as slots free; past the queue bound,
-    /// calls are shed immediately with `Overloaded`.
-    pub max_concurrent_runs: usize,
-    /// Record this run into the process-lifetime telemetry registry
-    /// (counters, gauges, latency histograms; see
-    /// `eda_core::metrics_snapshot` and the Prometheus/JSON exporters)
-    /// and attach a registry snapshot to the run's stats. Off by
-    /// default: unmetered runs skip every recording site and output is
-    /// bit-identical. Purely observational — never part of task keys.
-    pub metrics: bool,
-    /// Morsel size in bytes for intra-task work stealing. Kernels over
-    /// null-free float windows split their row ranges into morsels of
-    /// roughly this many bytes on a shared deque so idle workers can
-    /// steal from a straggling (skewed) partition mid-stage. `0`
-    /// disables splitting — kernels keep their whole-slice paths,
-    /// bit-identical to the pre-morsel engine. Purely a scheduling
-    /// knob — never part of task keys.
-    pub morsel_bytes: usize,
 }
 
 /// Figure-size parameters consumed by the render layer.
@@ -330,10 +305,6 @@ impl Default for Config {
                 cache_budget_bytes: 256 << 20,
                 memory_budget_bytes: 0,
                 run_deadline_ms: 0,
-                task_retries: 0,
-                max_concurrent_runs: 0,
-                metrics: false,
-                morsel_bytes: 256 << 10,
             },
             display: DisplayConfig { width: 450, height: 300 },
         }
@@ -440,12 +411,6 @@ impl Config {
             "engine.run_deadline_ms" => {
                 self.engine.run_deadline_ms = usize_of(key, value)? as u64
             }
-            "engine.task_retries" => self.engine.task_retries = usize_of(key, value)?,
-            "engine.max_concurrent_runs" => {
-                self.engine.max_concurrent_runs = usize_of(key, value)?
-            }
-            "engine.metrics" => self.engine.metrics = bool_of(key, value)?,
-            "engine.morsel_bytes" => self.engine.morsel_bytes = usize_of(key, value)?,
             "display.width" => self.display.width = usize_of(key, value)?.max(50),
             "display.height" => self.display.height = usize_of(key, value)?.max(50),
             _ => {
@@ -526,9 +491,21 @@ mod tests {
 
     #[test]
     fn unknown_key_errors() {
+        // A typo, and the four engine keys that left with their mechanisms.
         let mut c = Config::default();
-        let e = c.set("nope.nothing", "1").unwrap_err();
-        assert!(matches!(e, EdaError::Config { .. }));
+        for key in [
+            "nope.nothing",
+            "engine.morsel_bytes",
+            "engine.metrics",
+            "engine.max_concurrent_runs",
+            "engine.task_retries",
+        ] {
+            let e = c.set(key, "1").unwrap_err();
+            assert!(
+                matches!(&e, EdaError::Config { message, .. } if message.contains("unknown parameter")),
+                "{key}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -60,10 +60,6 @@ pub const PARAMS: &[ParamSpec] = &[
     ParamSpec { key: "engine.cache_budget_bytes", default: "268435456", description: "Byte budget for the cross-call result cache; LRU-evicted past it (0 = caching off)" },
     ParamSpec { key: "engine.memory_budget_bytes", default: "0", description: "Per-run memory budget; over-budget tasks degrade to a sampled approximation (0 = unlimited)" },
     ParamSpec { key: "engine.run_deadline_ms", default: "0", description: "Whole-run wall-clock deadline in ms; cancels in-flight work cooperatively (0 = unlimited)" },
-    ParamSpec { key: "engine.task_retries", default: "0", description: "Retries for transiently-failing tasks, with exponential backoff (0 = none)" },
-    ParamSpec { key: "engine.max_concurrent_runs", default: "0", description: "Max analyses running at once; queued past that, shed past a bounded queue (0 = unlimited)" },
-    ParamSpec { key: "engine.metrics", default: "false", description: "Record runs into the process-lifetime telemetry registry (Prometheus/JSON exportable)" },
-    ParamSpec { key: "engine.morsel_bytes", default: "262144", description: "Morsel size for intra-task work stealing; idle workers steal morsels from skewed partitions (0 = off, bit-identical whole-slice kernels)" },
     ParamSpec { key: "display.width", default: "450", description: "Figure width in pixels" },
     ParamSpec { key: "display.height", default: "300", description: "Figure height in pixels" },
 ];
@@ -88,7 +84,6 @@ mod tests {
             } else if p.key.ends_with("share_computations")
                 || p.key.ends_with("eager_finish")
                 || p.key.ends_with("profile")
-                || p.key.ends_with("metrics")
                 || p.key.ends_with("violin.enabled")
                 || p.key == "violin.enabled"
             {

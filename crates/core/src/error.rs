@@ -68,14 +68,6 @@ pub enum EdaError {
         /// The configured budget.
         budget: usize,
     },
-    /// The process is at `engine.max_concurrent_runs` and the admission
-    /// queue is full; the call was shed without running.
-    Overloaded {
-        /// Analyses running when the call was shed.
-        running: usize,
-        /// Callers already queued when the call was shed.
-        queued: usize,
-    },
 }
 
 impl fmt::Display for EdaError {
@@ -103,11 +95,6 @@ impl fmt::Display for EdaError {
                 f,
                 "task {task:?} exceeded the run memory budget: \
                  {requested} bytes requested, {used} of {budget} bytes used"
-            ),
-            EdaError::Overloaded { running, queued } => write!(
-                f,
-                "analysis shed: {running} runs active and {queued} queued \
-                 (engine.max_concurrent_runs)"
             ),
         }
     }
@@ -254,10 +241,6 @@ mod tests {
         // The "memory budget" phrase is load-bearing: the degradation
         // ladder in the public API detects budget failures through it.
         assert!(e.to_string().contains("memory budget"), "{e}");
-
-        let shed = EdaError::Overloaded { running: 2, queued: 4 };
-        let s = shed.to_string();
-        assert!(s.contains("2 runs") && s.contains("4 queued"), "{s}");
     }
 
     #[test]

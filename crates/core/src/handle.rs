@@ -3,7 +3,8 @@
 //! [`AnalysisHandle`] runs an EDA call on its own thread with a
 //! run-wide [`CancelToken`] armed: [`AnalysisHandle::cancel`] flips the
 //! token, the scheduler stops dispatching, in-flight kernels observe the
-//! flag at morsel boundaries and bail, and the call returns promptly
+//! flag at their next poll (every `eda_stats::interrupt::CHECK_INTERVAL`
+//! elements) and bail, and the call returns promptly
 //! with cancellation diagnostics (sections that already completed are
 //! kept — see [`crate::api::SectionStatus`]).
 //!
@@ -44,7 +45,7 @@ impl<T: Send + 'static> AnalysisHandle<T> {
 impl<T> AnalysisHandle<T> {
     /// Ask the analysis to stop. Cooperative and idempotent: the
     /// scheduler cancels remaining tasks and in-flight kernels bail at
-    /// their next morsel boundary, after which [`Self::join`] returns.
+    /// their next interruption poll, after which [`Self::join`] returns.
     pub fn cancel(&self) {
         self.token.cancel();
     }

@@ -52,10 +52,9 @@ pub mod load;
 pub mod report;
 
 pub use api::{
-    create_report, metrics_snapshot, plot, plot_correlation, plot_missing, plot_timeseries,
-    Analysis, SectionStatus, TaskKind,
+    create_report, plot, plot_correlation, plot_missing, plot_timeseries, Analysis,
+    SectionStatus, TaskKind,
 };
-pub use eda_taskgraph::MetricsSnapshot;
 pub use config::Config;
 pub use handle::{create_report_handle, plot_handle, AnalysisHandle};
 pub use dtype::SemanticType;

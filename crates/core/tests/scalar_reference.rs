@@ -8,34 +8,29 @@ use eda_core::{plot, Config, Inter};
 use eda_dataframe::{Column, DataFrame};
 
 #[test]
-fn morsels_and_simd_off_reproduce_scalar_reference() {
+fn simd_off_reproduces_scalar_reference() {
     use eda_stats::histogram::Histogram;
     use eda_stats::moments::Moments;
 
-    // Large enough that the morsel engine engages under the default
-    // 256 KiB budget (100k f64 rows ≈ 780 KiB), single partition so
-    // the scalar reference below replays the exact legacy fold.
+    // Single partition so the scalar reference below replays the exact
+    // whole-slice fold.
     let n = 100_000usize;
     let vals: Vec<f64> =
         (0..n as u64).map(|i| ((i * 2654435761) % 10_000) as f64 / 7.0 - 500.0).collect();
     let df =
         DataFrame::new(vec![("v".into(), Column::from_f64(vals.clone()))]).unwrap();
-    let base = vec![
-        ("engine.npartitions", "1"),
-        ("engine.cache_budget_bytes", "0"),
-    ];
     let cfg_of = |extra: &[(&str, &str)]| {
-        let mut pairs = base.clone();
+        let mut pairs = vec![("engine.npartitions", "1"), ("engine.cache_budget_bytes", "0")];
         pairs.extend_from_slice(extra);
         Config::from_pairs(pairs).unwrap()
     };
-    let legacy = cfg_of(&[("engine.morsel_bytes", "0")]);
+    let cfg = cfg_of(&[]);
 
-    // Golden: with morsels off and the scalar kernels forced (a no-op in
-    // builds without the `simd` feature) the pipeline must reproduce the
-    // sequential scalar sketches bit for bit.
+    // Golden: with the scalar kernels forced (a no-op in builds without
+    // the `simd` feature) the pipeline must reproduce the sequential
+    // scalar sketches bit for bit.
     eda_stats::vector::set_force_scalar(true);
-    let a = plot(&df, &["v"], &legacy).unwrap();
+    let a = plot(&df, &["v"], &cfg).unwrap();
     let mut m = Moments::new();
     for &v in &vals {
         m.push(v);
@@ -54,19 +49,18 @@ fn morsels_and_simd_off_reproduce_scalar_reference() {
     }
     assert_eq!(counts, &h.counts);
 
-    // And the legacy path itself is reproducible byte for byte.
-    let a2 = plot(&df, &["v"], &legacy).unwrap();
+    // And the scalar path itself is reproducible byte for byte.
+    let a2 = plot(&df, &["v"], &cfg).unwrap();
     assert_eq!(
         intermediates_to_json(&a.intermediates),
         intermediates_to_json(&a2.intermediates)
     );
 
-    // Turning morsels (and compiled-in SIMD) back on may reassociate
-    // float sums, but every integer-exact output — bin counts and
-    // the extrema-derived edges — must not move.
+    // Turning compiled-in SIMD back on may reassociate float sums, but
+    // every integer-exact output — bin counts and the extrema-derived
+    // edges — must not move.
     eda_stats::vector::set_force_scalar(false);
-    let fast = cfg_of(&[]);
-    let b = plot(&df, &["v"], &fast).unwrap();
+    let b = plot(&df, &["v"], &cfg).unwrap();
     let Some(Inter::Histogram { edges: fe, counts: fc }) = b.get("histogram") else {
         panic!("univariate analysis must produce a histogram");
     };
@@ -75,8 +69,7 @@ fn morsels_and_simd_off_reproduce_scalar_reference() {
     }
     assert_eq!(fc, &h.counts);
 
-    // Worker count and steal interleavings must never reach the
-    // output bytes: the morsel fold is in index order by design.
+    // Worker count must never reach the output bytes.
     let w1 = plot(&df, &["v"], &cfg_of(&[("engine.workers", "1")])).unwrap();
     let w4 = plot(&df, &["v"], &cfg_of(&[("engine.workers", "4")])).unwrap();
     assert_eq!(

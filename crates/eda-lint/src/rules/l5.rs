@@ -21,7 +21,7 @@
 //! Approximation: ⊤ (unresolved) calls are treated as *non-panicking* —
 //! a closure handed to the scheduler is invisible to this rule. The
 //! roots list compensates by rooting every dispatch layer (scheduler
-//! entry, morsel kernels, stats kernels, io folds) directly, so the
+//! entry, stats kernels, io folds) directly, so the
 //! code a closure jumps into is itself a root. Messages contain no line
 //! numbers so baseline entries survive unrelated edits.
 

@@ -3,7 +3,7 @@
 //! Invariant: the governance layer's `CancelToken` / run deadline only
 //! works if long-running kernels actually *poll* it. The kernels do
 //! this through the `stats::interrupt` probe (or the taskgraph
-//! `govern::interrupted` twin) at morsel/chunk boundaries. A new kernel
+//! `govern::interrupted` twin) at chunk boundaries. A new kernel
 //! that forgets the poll reintroduces the exact failure governance was
 //! built to kill: a wedged kernel pins a worker until process death.
 //!

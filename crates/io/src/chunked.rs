@@ -55,7 +55,7 @@ const SCAN_BLOCK_BYTES: usize = 256 * 1024;
 pub(crate) const STREAMING_WAVE_FACTOR: usize = 2;
 
 /// Parameters of chunked ingestion. `exec` carries the run-level
-/// governance (cancel token, memory gauge, retries, tracing) checked at
+/// governance (cancel token, memory gauge, tracing) checked at
 /// every chunk boundary by the executor.
 #[derive(Clone)]
 pub struct IngestOptions {
@@ -67,7 +67,7 @@ pub struct IngestOptions {
     /// Worker threads for the parse pool (`engine.workers`).
     pub workers: usize,
     /// Scheduler options for the chunk tasks (cancellation, budgets,
-    /// retries, tracing, metrics).
+    /// tracing).
     pub exec: ExecOptions,
 }
 

@@ -15,9 +15,6 @@ use crate::theme;
 fn status_fill(status: SpanStatus) -> &'static str {
     match status {
         SpanStatus::Ok => theme::PRIMARY,
-        // A retried span ultimately succeeded; its color tracks Ok so the
-        // timeline reads by final outcome (the count lives in the metrics).
-        SpanStatus::Retried => theme::PRIMARY,
         SpanStatus::Failed | SpanStatus::BudgetExceeded => theme::HIGHLIGHT,
         SpanStatus::TimedOut => theme::SECONDARY,
         SpanStatus::Skipped => theme::GRID,

@@ -140,12 +140,6 @@ pub fn performance_panel(stats: &ExecStats, display: &DisplayConfig) -> String {
             stats.tasks_cancelled
         ));
     }
-    if stats.tasks_retried > 0 {
-        rows.push_str(&format!(
-            "<tr><td>tasks retried</td><td>{}</td></tr>",
-            stats.tasks_retried
-        ));
-    }
     if stats.tasks_budget_exceeded > 0 {
         rows.push_str(&format!(
             "<tr class=\"highlight\"><td>tasks over memory budget</td><td>{}</td></tr>",
@@ -185,95 +179,7 @@ pub fn performance_panel(stats: &ExecStats, display: &DisplayConfig) -> String {
         html.push_str(&format!("<tr><td>{bucket}</td><td>{count}</td></tr>"));
     }
     html.push_str("</table>");
-
-    // Process-lifetime telemetry (`engine.metrics`). The snapshot only
-    // rides on stats when the run opted in, so unmetered output — the
-    // bit-identical guarantee — never reaches this block.
-    if let Some(snap) = &stats.metrics {
-        html.push_str(&lifetime_rows(snap));
-    }
     html
-}
-
-/// The "Process lifetime" row group of the Performance tab: cumulative
-/// registry series across every metered run of this process, not just
-/// the run being rendered.
-fn lifetime_rows(snap: &eda_taskgraph::MetricsSnapshot) -> String {
-    let c = |name| snap.counter(name).unwrap_or(0);
-    let g = |name| snap.gauge(name).unwrap_or(0);
-    let mut rows = format!(
-        "<h4>Process lifetime</h4><table class=\"eda-stats\">\
-         <tr><td>runs recorded</td><td>{}</td></tr>\
-         <tr><td>tasks run / pruned</td><td>{} / {}</td></tr>",
-        c("eda_runs_total"),
-        c("eda_tasks_run_total"),
-        c("eda_tasks_pruned_total"),
-    );
-    let hits = c("eda_cache_hits_total");
-    let misses = c("eda_cache_misses_total");
-    if hits + misses > 0 {
-        rows.push_str(&format!(
-            "<tr><td>lifetime cache</td><td>{} hits / {} misses ({:.0}% hit rate)</td></tr>",
-            hits,
-            misses,
-            100.0 * hits as f64 / (hits + misses) as f64,
-        ));
-    }
-    if g("eda_cache_budget_bytes") > 0 {
-        rows.push_str(&format!(
-            "<tr><td>cache residency</td><td>{} of {}</td></tr>",
-            fmt_bytes(g("eda_cache_resident_bytes") as usize),
-            fmt_bytes(g("eda_cache_budget_bytes") as usize),
-        ));
-    }
-    if c("eda_admission_shed_total") > 0 {
-        rows.push_str(&format!(
-            "<tr class=\"highlight\"><td>runs shed by admission</td><td>{}</td></tr>",
-            c("eda_admission_shed_total"),
-        ));
-    }
-    if c("eda_budget_trip_runs_total") > 0 {
-        rows.push_str(&format!(
-            "<tr class=\"highlight\"><td>runs over memory budget</td><td>{}</td></tr>",
-            c("eda_budget_trip_runs_total"),
-        ));
-    }
-    if g("eda_mem_peak_bytes") > 0 {
-        rows.push_str(&format!(
-            "<tr><td>peak charged memory</td><td>{}</td></tr>",
-            fmt_bytes(g("eda_mem_peak_bytes") as usize),
-        ));
-    }
-    if c("eda_morsels_total") > 0 {
-        // Rows per microsecond of run wall time is numerically million
-        // elements per second — the unit the kernel bench reports.
-        let throughput = snap
-            .histogram("eda_run_duration_us")
-            .filter(|h| h.sum > 0)
-            .map(|h| format!(", {:.0} Me/s", c("eda_morsel_rows_total") as f64 / h.sum as f64))
-            .unwrap_or_default();
-        rows.push_str(&format!(
-            "<tr><td>kernel morsels</td><td>{} ({} rows{throughput})</td></tr>",
-            c("eda_morsels_total"),
-            c("eda_morsel_rows_total"),
-        ));
-    }
-    if c("eda_morsels_split_total") > 0 {
-        rows.push_str(&format!(
-            "<tr><td>work-stealing morsels</td><td>{} split, {} stolen by helpers</td></tr>",
-            c("eda_morsels_split_total"),
-            c("eda_morsels_stolen_total"),
-        ));
-    }
-    if let Some(h) = snap.histogram("eda_task_duration_us") {
-        if let (Some(p50), Some(p99)) = (h.quantile(0.5), h.quantile(0.99)) {
-            rows.push_str(&format!(
-                "<tr><td>task duration p50 / p99</td><td>≤{p50}µs / ≤{p99}µs</td></tr>",
-            ));
-        }
-    }
-    rows.push_str("</table>");
-    rows
 }
 
 /// Human-readable tab title from an intermediate name
@@ -581,7 +487,7 @@ mod tests {
         let a = plot(&df, &["price"], &cfg).unwrap();
         let html = render_analysis_html(&a, &cfg.display);
         // Ungoverned runs: no governance rows at all.
-        for row in ["tasks cancelled", "tasks retried", "tasks over memory budget", "peak charged memory"] {
+        for row in ["tasks cancelled", "tasks over memory budget", "peak charged memory"] {
             assert!(!html.contains(row), "unexpected row {row:?}");
         }
         // A profiled run with a memory budget shows the gauge peak.

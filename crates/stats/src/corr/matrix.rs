@@ -43,8 +43,8 @@ impl CorrMatrix {
         };
         let mut cells = vec![None; m * m];
         for i in 0..m {
-            // Each pair costs O(n) .. O(n log n); the pair boundary is the
-            // natural morsel for cooperative interruption on wide frames.
+            // Each pair costs O(n) .. O(n log n); the row boundary is the
+            // natural poll point for cooperative interruption on wide frames.
             // Remaining cells stay `None` — the bailed result is discarded
             // by the governed scheduler.
             if crate::interrupt::interrupted() {
@@ -62,8 +62,6 @@ impl CorrMatrix {
                 cells[i * m + j] = r;
                 cells[j * m + i] = r;
             }
-            // One matrix row is the morsel here; report its row count.
-            crate::telemetry::record_morsel(columns[i].1.len());
         }
         CorrMatrix {
             labels: columns.iter().map(|(n, _)| n.clone()).collect(),

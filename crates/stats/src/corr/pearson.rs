@@ -51,8 +51,8 @@ impl PearsonPartial {
     }
 
     /// Accumulate a pair of parallel slices (co-indexed columns),
-    /// polling the cooperative-interruption probe and reporting morsel
-    /// telemetry every [`crate::interrupt::CHECK_INTERVAL`] pairs.
+    /// polling the cooperative-interruption probe every
+    /// [`crate::interrupt::CHECK_INTERVAL`] pairs.
     /// Takes the vector shape when [`crate::vector::simd_enabled`].
     pub fn push_slices(&mut self, x: &[f64], y: &[f64]) {
         if crate::vector::simd_enabled() {
@@ -70,7 +70,6 @@ impl PearsonPartial {
             for (a, b) in x[start..end].iter().zip(&y[start..end]) {
                 self.push(*a, *b);
             }
-            crate::telemetry::record_morsel(end - start);
             start = end;
         }
     }

@@ -104,24 +104,11 @@ impl Histogram {
     /// every [`crate::interrupt::CHECK_INTERVAL`] values and bails early
     /// when it fires (the partial grid is discarded by the scheduler).
     pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        const MORSEL: usize = crate::interrupt::CHECK_INTERVAL;
-        let mut seen = 0usize;
         for (i, v) in values.into_iter().enumerate() {
-            if i % MORSEL == 0 {
-                if crate::interrupt::interrupted() {
-                    return;
-                }
-                if i > 0 {
-                    crate::telemetry::record_morsel(MORSEL);
-                }
+            if i % crate::interrupt::CHECK_INTERVAL == 0 && crate::interrupt::interrupted() {
+                return;
             }
             self.push(v);
-            seen = i + 1;
-        }
-        // The trailing (possibly partial) morsel reports after the loop.
-        if seen > 0 {
-            let tail = seen % MORSEL;
-            crate::telemetry::record_morsel(if tail == 0 { MORSEL } else { tail });
         }
     }
 
@@ -131,8 +118,8 @@ impl Histogram {
     /// counts — see [`crate::vector::histogram_fill`]) when
     /// [`crate::vector::simd_enabled`], else to the scalar per-value loop
     /// bit-identically to [`Histogram::extend`]. Both poll the
-    /// interruption probe and report morsel telemetry per
-    /// [`crate::interrupt::CHECK_INTERVAL`] values.
+    /// interruption probe every [`crate::interrupt::CHECK_INTERVAL`]
+    /// values.
     pub fn fill_slice(&mut self, values: &[f64]) {
         if crate::vector::simd_enabled() {
             crate::vector::histogram_fill(self, values);

@@ -5,8 +5,8 @@
 //! (`eda-taskgraph::govern`). Rather than depending on the scheduler,
 //! the crate exposes a process-wide probe slot: the runtime layer
 //! registers a check function once ([`register`]), and kernels poll
-//! [`interrupted`] at morsel boundaries — every few thousand elements —
-//! bailing early when it fires. The partial result a bailed kernel
+//! [`interrupted`] every [`CHECK_INTERVAL`] elements, bailing early
+//! when it fires. The partial result a bailed kernel
 //! returns is discarded by the scheduler (the task is recorded
 //! `Cancelled`/`TimedOut`), so correctness never depends on it.
 //!

@@ -46,7 +46,6 @@ pub mod quantile;
 pub mod rank;
 pub mod regression;
 pub mod stream;
-pub mod telemetry;
 pub mod text;
 pub mod timeseries;
 pub mod vector;

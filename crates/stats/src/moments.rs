@@ -80,7 +80,6 @@ impl Moments {
             for &v in chunk {
                 self.push(v);
             }
-            crate::telemetry::record_morsel(chunk.len());
         }
     }
 

@@ -280,8 +280,7 @@ fn finish_moments(l: &MomentLanes, shift: f64) -> Moments {
 /// Moments of one chunk via the lane-parallel shifted-power-sum kernel.
 ///
 /// The result is a mergeable [`Moments`] partial: callers fold chunks
-/// together with [`Moments::merge`] (Pébay), which is exactly what the
-/// morsel engine does with per-morsel states.
+/// together with [`Moments::merge`] (Pébay).
 pub fn moments_chunk(values: &[f64]) -> Moments {
     if values.is_empty() {
         return Moments::new();
@@ -304,8 +303,7 @@ pub fn moments_chunk(values: &[f64]) -> Moments {
 
 /// Vector-shape slice accumulation for [`Moments`]: per-chunk lane
 /// kernels merged with Pébay, polling the cooperative-interruption probe
-/// and reporting morsel telemetry at the same cadence as the scalar
-/// entry point.
+/// at the same cadence as the scalar entry point.
 pub fn moments_slice(m: &mut Moments, values: &[f64]) {
     for chunk in values.chunks(crate::interrupt::CHECK_INTERVAL) {
         if crate::interrupt::interrupted() {
@@ -313,7 +311,6 @@ pub fn moments_slice(m: &mut Moments, values: &[f64]) {
         }
         let part = moments_chunk(chunk);
         m.merge(&part);
-        crate::telemetry::record_morsel(chunk.len());
     }
 }
 
@@ -390,7 +387,7 @@ const HIST_STRIPES: usize = 4;
 /// * out-of-range and non-finite values are classified branchlessly into
 ///   sentinel bins and folded into `underflow`/`overflow` at the end.
 ///
-/// Polls the interruption probe / reports telemetry per
+/// Polls the interruption probe per
 /// [`crate::interrupt::CHECK_INTERVAL`] chunk like every slice kernel.
 pub fn histogram_fill(h: &mut Histogram, values: &[f64]) {
     if h.is_degenerate() {
@@ -402,7 +399,6 @@ pub fn histogram_fill(h: &mut Histogram, values: &[f64]) {
             for &v in chunk {
                 h.push(v);
             }
-            crate::telemetry::record_morsel(chunk.len());
         }
         return;
     }
@@ -420,7 +416,6 @@ pub fn histogram_fill(h: &mut Histogram, values: &[f64]) {
             return;
         }
         hist_chunk(chunk, min, max, inv_width, nbins, &mut stripes);
-        crate::telemetry::record_morsel(chunk.len());
     }
     // eda-lint: allow(EDA-L6) folds HIST_STRIPES x nbins counters, independent of row count
     for s in 0..HIST_STRIPES {
@@ -579,7 +574,7 @@ pub fn pearson_chunk(x: &[f64], y: &[f64]) -> PearsonPartial {
 }
 
 /// Vector-shape paired-slice accumulation for [`PearsonPartial`], with
-/// the standard interruption/telemetry cadence.
+/// the standard interruption cadence.
 pub fn pearson_slices(p: &mut PearsonPartial, x: &[f64], y: &[f64]) {
     let len = x.len().min(y.len());
     let step = crate::interrupt::CHECK_INTERVAL;
@@ -591,7 +586,6 @@ pub fn pearson_slices(p: &mut PearsonPartial, x: &[f64], y: &[f64]) {
         let end = (start + step).min(len);
         let part = pearson_chunk(&x[start..end], &y[start..end]);
         p.merge(&part);
-        crate::telemetry::record_morsel(end - start);
         start = end;
     }
 }

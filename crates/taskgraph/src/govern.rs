@@ -1,24 +1,19 @@
-//! Resource governance: cancellation tokens, memory gauges, retry
-//! policies, and admission control.
+//! Resource governance: cancellation tokens and memory gauges.
 //!
-//! The paper's engine assumes each `plot*` call may consume the whole
-//! machine; a multi-tenant deployment cannot. This module makes a run a
+//! One notebook user's `plot*` call may take the whole machine, but it
+//! must still be stoppable and bounded. This module makes a run a
 //! *governable unit*:
 //!
 //! - [`CancelToken`] — cooperative cancellation observed between
-//!   scheduler dispatches and at morsel boundaries inside kernels (via
-//!   the thread-local [`interrupted`] probe). A token can carry a
+//!   scheduler dispatches and inside kernels every
+//!   `eda_stats::interrupt::CHECK_INTERVAL` elements (via the
+//!   thread-local [`interrupted`] probe). A token can carry a
 //!   deadline so `engine.run_deadline_ms` actually stops in-flight work
 //!   instead of merely marking tasks timed out after the fact.
 //! - [`MemoryGauge`] — per-run payload-byte accounting against a budget.
 //!   A task whose output would blow the budget fails with
 //!   `TaskFailure::BudgetExceeded` and degrades its section; the process
 //!   never OOMs.
-//! - [`RetryPolicy`] — deterministic exponential backoff for transient
-//!   task failures.
-//! - [`AdmissionGate`] — a process-wide semaphore with a bounded wait
-//!   queue; runs beyond the queue bound are shed immediately instead of
-//!   piling up.
 //!
 //! Everything here is panic-free (enforced by eda-lint L2): governance
 //! code runs on the failure path, where a panic would turn a degraded
@@ -28,8 +23,6 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 // ---------------------------------------------------------------------------
 // Cancellation
@@ -142,16 +135,9 @@ impl Drop for CurrentGuard {
     }
 }
 
-/// The token currently installed on this thread, if any. Morsel helper
-/// threads ([`crate::morsel`]) clone it through this accessor so stolen
-/// morsels observe the owning task's cancellation.
-pub fn current_token() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
 /// Whether the current task's token (if any) has fired. This is the
-/// morsel-boundary probe: kernels call it every few thousand elements
-/// and bail early; the scheduler then discards the partial result.
+/// kernels' probe: they call it every few thousand elements and bail
+/// early; the scheduler then discards the partial result.
 /// Always `false` outside a governed task.
 pub fn interrupted() -> bool {
     CURRENT.with(|c| c.borrow().as_ref().is_some_and(CancelToken::is_cancelled))
@@ -286,152 +272,9 @@ impl MemoryGauge {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Retry policy
-// ---------------------------------------------------------------------------
-
-/// Deterministic exponential backoff for transient task failures.
-///
-/// Attempt `k` (1-based) sleeps `base_backoff * 2^(k-1)`, capped at
-/// [`RetryPolicy::MAX_BACKOFF`]. No jitter: reproducibility matters more
-/// here than thundering-herd avoidance (retries are per-task within one
-/// process, not a distributed fleet).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Re-executions allowed per task after the first failure
-    /// (`engine.task_retries`). Zero disables retry entirely.
-    pub max_retries: usize,
-    /// Backoff before the first retry; doubles each further attempt.
-    pub base_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 0, base_backoff: Duration::from_millis(1) }
-    }
-}
-
-impl RetryPolicy {
-    /// Ceiling on any single backoff sleep.
-    pub const MAX_BACKOFF: Duration = Duration::from_millis(250);
-
-    /// A policy allowing `max_retries` re-executions with the default
-    /// 1 ms base backoff.
-    pub fn retries(max_retries: usize) -> Self {
-        RetryPolicy { max_retries, ..Default::default() }
-    }
-
-    /// The sleep before retry attempt `attempt` (1-based).
-    pub fn backoff(&self, attempt: usize) -> Duration {
-        let shift = attempt.saturating_sub(1).min(16) as u32;
-        self.base_backoff
-            .checked_mul(1u32 << shift)
-            .map_or(Self::MAX_BACKOFF, |d| d.min(Self::MAX_BACKOFF))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Admission control
-// ---------------------------------------------------------------------------
-
-/// The gate refused admission: the run queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Overloaded {
-    /// Runs currently executing.
-    pub running: usize,
-    /// Runs already queued waiting for a slot.
-    pub queued: usize,
-}
-
-#[derive(Debug, Default)]
-struct GateState {
-    running: usize,
-    waiting: usize,
-}
-
-/// Process-wide semaphore bounding concurrent runs
-/// (`engine.max_concurrent_runs`) with a bounded wait queue.
-///
-/// Up to `capacity` runs execute at once; up to `max_queue` more block
-/// waiting for a slot (backpressure); anything beyond that is shed with
-/// [`Overloaded`] so latency stays bounded under a request flood.
-#[derive(Debug)]
-pub struct AdmissionGate {
-    capacity: usize,
-    max_queue: usize,
-    state: Mutex<GateState>,
-    slot_freed: Condvar,
-}
-
-impl AdmissionGate {
-    /// A gate admitting `capacity` concurrent runs and queueing at most
-    /// `2 * capacity` more. A zero capacity is clamped to one.
-    pub fn new(capacity: usize) -> Arc<Self> {
-        let capacity = capacity.max(1);
-        Self::with_queue(capacity, capacity * 2)
-    }
-
-    /// A gate with an explicit queue bound.
-    pub fn with_queue(capacity: usize, max_queue: usize) -> Arc<Self> {
-        Arc::new(AdmissionGate {
-            capacity: capacity.max(1),
-            max_queue,
-            state: Mutex::new(GateState::default()),
-            slot_freed: Condvar::new(),
-        })
-    }
-
-    /// Acquire a run slot, blocking while the queue has room; shed with
-    /// [`Overloaded`] when it does not. The slot is released when the
-    /// returned permit drops.
-    pub fn try_admit(self: &Arc<Self>) -> Result<AdmissionPermit, Overloaded> {
-        let mut state = self.state.lock();
-        if state.running >= self.capacity {
-            if state.waiting >= self.max_queue {
-                return Err(Overloaded { running: state.running, queued: state.waiting });
-            }
-            state.waiting += 1;
-            while state.running >= self.capacity {
-                // eda-lint: allow(EDA-L7) Condvar::wait releases the mutex atomically while parked
-                state = self.slot_freed.wait(state);
-            }
-            state.waiting -= 1;
-        }
-        state.running += 1;
-        Ok(AdmissionPermit { gate: Arc::clone(self) })
-    }
-
-    /// Runs currently holding a slot.
-    pub fn running(&self) -> usize {
-        self.state.lock().running
-    }
-
-    /// Runs currently queued for a slot.
-    pub fn queued(&self) -> usize {
-        self.state.lock().waiting
-    }
-}
-
-/// An admitted run's slot; dropping it frees the slot and wakes one
-/// queued run.
-#[derive(Debug)]
-pub struct AdmissionPermit {
-    gate: Arc<AdmissionGate>,
-}
-
-impl Drop for AdmissionPermit {
-    fn drop(&mut self) {
-        let mut state = self.gate.state.lock();
-        state.running = state.running.saturating_sub(1);
-        drop(state);
-        self.gate.slot_freed.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn token_cancel_propagates_to_clones_and_children() {
@@ -527,53 +370,5 @@ mod tests {
         let h = g.clone();
         assert!(h.try_charge(10).is_ok());
         assert!(g.try_charge(1).is_err());
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let p = RetryPolicy { max_retries: 5, base_backoff: Duration::from_millis(2) };
-        assert_eq!(p.backoff(1), Duration::from_millis(2));
-        assert_eq!(p.backoff(2), Duration::from_millis(4));
-        assert_eq!(p.backoff(3), Duration::from_millis(8));
-        assert_eq!(p.backoff(1000), RetryPolicy::MAX_BACKOFF);
-    }
-
-    #[test]
-    fn gate_admits_up_to_capacity_then_sheds_past_queue() {
-        let gate = AdmissionGate::with_queue(1, 0);
-        let permit = gate.try_admit();
-        assert!(permit.is_ok());
-        // Queue bound is zero, so a second concurrent run is shed.
-        assert_eq!(gate.try_admit().map(|_| ()), Err(Overloaded { running: 1, queued: 0 }));
-        drop(permit);
-        assert!(gate.try_admit().is_ok());
-    }
-
-    #[test]
-    fn gate_queues_and_wakes_waiters() {
-        let gate = AdmissionGate::with_queue(1, 4);
-        let order = Arc::new(AtomicUsize::new(0));
-        let first = gate.try_admit();
-        assert!(first.is_ok());
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let gate = Arc::clone(&gate);
-                let order = Arc::clone(&order);
-                std::thread::spawn(move || {
-                    let permit = gate.try_admit();
-                    assert!(permit.is_ok());
-                    order.fetch_add(1, Ordering::SeqCst)
-                })
-            })
-            .collect();
-        // Waiters block until the first permit drops.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(order.load(Ordering::SeqCst), 0);
-        drop(first);
-        for h in handles {
-            assert!(h.join().is_ok());
-        }
-        assert_eq!(order.load(Ordering::SeqCst), 3);
-        assert_eq!(gate.running(), 0);
     }
 }

@@ -4,7 +4,7 @@
 //! than a full task graph: N index-addressed jobs with no edges between
 //! them, executed by [`crate::scheduler::run`] with the usual governance
 //! (cancellation checked at every dispatch — i.e. at chunk boundaries —
-//! memory budgets, retries, tracing), results handed back in index order
+//! memory budgets, tracing), results handed back in index order
 //! regardless of completion interleaving.
 //!
 //! [`run_chunk_waves`] is the one shape: jobs executed in bounded waves

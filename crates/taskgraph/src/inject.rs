@@ -37,14 +37,6 @@ pub enum FaultMode {
     /// Return a payload of a type no consumer expects (models a
     /// corrupted intermediate; dependents blow up on downcast).
     Garbage,
-    /// Panic with an "injected fault: transient" message for the first
-    /// `failures` matching dispatches of this plan, then let the task
-    /// run normally (models a flaky kernel; exercises
-    /// [`crate::govern::RetryPolicy`]).
-    TransientPanic {
-        /// How many matching dispatches fail before the task heals.
-        failures: usize,
-    },
     /// Wedge the task: spin (observing the current
     /// [`crate::govern::CancelToken`]) for up to the given duration
     /// before running the real task. Unlike [`FaultMode::Stall`], a
@@ -80,9 +72,6 @@ pub struct FaultPlan {
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     plans: Vec<FaultPlan>,
-    /// Per-plan trigger counts (parallel to `plans`), so bounded modes
-    /// like [`FaultMode::TransientPanic`] know when to stop firing.
-    hits: Vec<AtomicUsize>,
     dispatched: AtomicUsize,
     triggered: AtomicUsize,
 }
@@ -90,8 +79,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Build an injector from explicit plans.
     pub fn new(plans: Vec<FaultPlan>) -> Arc<Self> {
-        let hits = plans.iter().map(|_| AtomicUsize::new(0)).collect();
-        Arc::new(FaultInjector { plans, hits, ..Default::default() })
+        Arc::new(FaultInjector { plans, ..Default::default() })
     }
 
     /// Convenience: panic every task whose name contains `substr`.
@@ -119,15 +107,6 @@ impl FaultInjector {
         }])
     }
 
-    /// Convenience: tasks whose name contains `substr` fail transiently
-    /// for their first `failures` dispatches, then heal.
-    pub fn transient_on(substr: &str, failures: usize) -> Arc<Self> {
-        Self::new(vec![FaultPlan {
-            target: FaultTarget::NameContains(substr.to_string()),
-            mode: FaultMode::TransientPanic { failures },
-        }])
-    }
-
     /// Convenience: wedge tasks whose name contains `substr` for up to
     /// `max` (they wake early if their cancel token fires).
     pub fn wedge_on(substr: &str, max: Duration) -> Arc<Self> {
@@ -138,32 +117,19 @@ impl FaultInjector {
     }
 
     /// Called by the executor at each dispatch: returns the fault to
-    /// apply, if any, and advances the dispatch counter. Re-executions
-    /// (retries) count as fresh dispatches, which is what lets a
-    /// [`FaultMode::TransientPanic`] plan exhaust itself and the retry
-    /// succeed.
+    /// apply, if any, and advances the dispatch counter.
     pub fn decide(&self, node: NodeId, name: &str) -> Option<FaultMode> {
         let n = self.dispatched.fetch_add(1, Ordering::SeqCst);
-        for (i, plan) in self.plans.iter().enumerate() {
+        for plan in &self.plans {
             let hit = match &plan.target {
                 FaultTarget::Nth(k) => *k == n,
                 FaultTarget::Node(id) => *id == node,
                 FaultTarget::NameContains(s) => name.contains(s.as_str()),
             };
-            if !hit {
-                continue;
+            if hit {
+                self.triggered.fetch_add(1, Ordering::SeqCst);
+                return Some(plan.mode.clone());
             }
-            if let FaultMode::TransientPanic { failures } = &plan.mode {
-                // Bounded plan: fire only for its first `failures` hits.
-                let seen = self.hits.get(i).map_or(0, |h| h.fetch_add(1, Ordering::SeqCst));
-                if seen >= *failures {
-                    continue;
-                }
-            } else if let Some(h) = self.hits.get(i) {
-                h.fetch_add(1, Ordering::SeqCst);
-            }
-            self.triggered.fetch_add(1, Ordering::SeqCst);
-            return Some(plan.mode.clone());
         }
         None
     }
@@ -248,17 +214,6 @@ mod tests {
         }]);
         assert_eq!(inj.decide(6, "x"), None);
         assert!(matches!(inj.decide(7, "x"), Some(FaultMode::Stall(_))));
-    }
-
-    #[test]
-    fn transient_plan_exhausts_after_configured_failures() {
-        let inj = FaultInjector::transient_on("flaky", 2);
-        assert!(matches!(inj.decide(0, "flaky:a"), Some(FaultMode::TransientPanic { .. })));
-        assert!(matches!(inj.decide(0, "flaky:a"), Some(FaultMode::TransientPanic { .. })));
-        // Third matching dispatch: the plan is spent, the task heals.
-        assert_eq!(inj.decide(0, "flaky:a"), None);
-        assert_eq!(inj.decide(1, "steady"), None);
-        assert_eq!(inj.triggered(), 2);
     }
 
     #[test]

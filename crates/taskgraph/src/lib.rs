@@ -23,17 +23,14 @@
 //!   ([`outcome::TaskOutcome`]), skips dependents of failed nodes instead
 //!   of aborting the run, and supports per-task deadlines.
 //! * [`inject`] — a deterministic fault-injection harness (panic / stall /
-//!   garbage payload / transient failure / wedge at a chosen task) used to
-//!   test the fault tolerance end to end.
-//! * [`govern`] — resource governance: cooperative cancellation tokens,
-//!   per-run memory gauges, retry-with-backoff policies, and a
-//!   process-wide admission gate, all inert unless attached via
+//!   garbage payload / wedge at a chosen task) used to test the fault
+//!   tolerance end to end.
+//! * [`govern`] — resource governance: cooperative cancellation tokens and
+//!   per-run memory gauges, inert unless attached via
 //!   [`scheduler::ExecOptions`].
 //! * [`partition`] — chunked dataframes with the *chunk-size precompute*
 //!   stage the paper adds before graph construction, plus map/tree-reduce
 //!   combinators.
-//! * [`cluster`] — a cost-model simulator for the scale-out experiment
-//!   (Figure 6(c)); see DESIGN.md for the substitution rationale.
 
 #![warn(missing_docs)]
 // Test code asserts; the crate-wide unwrap/expect deny (see
@@ -41,14 +38,11 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod cluster;
 pub mod govern;
 pub mod graph;
 pub mod ingest;
 pub mod inject;
 pub mod key;
-pub mod metrics;
-pub mod morsel;
 pub mod ops;
 pub mod outcome;
 pub mod partition;
@@ -57,15 +51,11 @@ pub mod stats;
 pub mod trace;
 
 pub use cache::{CacheHandle, PayloadSizer, ResultCache};
-pub use govern::{
-    AdmissionGate, AdmissionPermit, CancelReason, CancelToken, MemoryGauge, Overloaded,
-    RetryPolicy,
-};
+pub use govern::{CancelReason, CancelToken, MemoryGauge};
 pub use graph::{NodeId, Payload, TaskGraph};
 pub use ingest::{run_chunk_waves, WaveStats};
 pub use inject::{FaultInjector, FaultMode, FaultPlan, FaultTarget};
 pub use key::TaskKey;
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use outcome::{TaskError, TaskFailure, TaskOutcome};
 pub use partition::{ChunkMeta, PartitionedFrame};
 pub use stats::ExecStats;

@@ -57,19 +57,6 @@ pub enum TaskFailure {
     Internal(String),
 }
 
-impl TaskFailure {
-    /// Whether this failure is worth retrying ([`crate::govern::RetryPolicy`]).
-    ///
-    /// The contract is message-based: a panic whose payload mentions
-    /// `transient` (the marker `inject::FaultMode::TransientPanic` and
-    /// flaky-I/O kernels embed) is transient; everything else —
-    /// deterministic panics, deadline/budget violations, cancellations,
-    /// skips — is permanent and retrying would only repeat the failure.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, TaskFailure::Panicked(msg) if msg.contains("transient"))
-    }
-}
-
 /// A failed task: which node, its name, what went wrong, and how long it
 /// took to go wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,20 +255,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("memory budget") && s.contains("20"), "{s}");
         assert!(e.root_description().contains("memory budget"), "{}", e.root_description());
-    }
-
-    #[test]
-    fn transient_classification_is_message_based() {
-        assert!(TaskFailure::Panicked("injected fault: transient kernel failure".into())
-            .is_transient());
-        assert!(!TaskFailure::Panicked("boom".into()).is_transient());
-        assert!(!TaskFailure::Cancelled(CancelReason::Requested).is_transient());
-        assert!(!TaskFailure::BudgetExceeded { budget: 1, used: 0, requested: 2 }.is_transient());
-        assert!(!TaskFailure::TimedOut {
-            budget: Duration::from_millis(1),
-            elapsed: Duration::from_millis(2),
-        }
-        .is_transient());
     }
 
     #[test]

@@ -37,10 +37,9 @@ use std::time::{Duration, Instant};
 use crossbeam::channel;
 
 use crate::cache::{CacheHandle, PayloadSizer};
-use crate::govern::{self, CancelToken, MemoryGauge, RetryPolicy};
+use crate::govern::{self, CancelToken, MemoryGauge};
 use crate::graph::{NodeId, Payload, TaskGraph};
 use crate::inject::{FaultMode, Garbage};
-use crate::morsel::{self, HelperBudget};
 use crate::outcome::{TaskError, TaskFailure, TaskOutcome};
 use crate::stats::ExecStats;
 use crate::trace::{self, LogLevel, RunTrace, SpanStatus, TaskSpan};
@@ -73,8 +72,8 @@ pub struct ExecOptions {
     /// Run-level cancellation token ([`crate::govern`]). Checked before
     /// every dispatch and installed as the thread's current token around
     /// each task body (merged with the per-task `deadline`, if any) so
-    /// kernels can bail at morsel boundaries. `None` disables every
-    /// check, bit-identical to pre-governance behaviour.
+    /// kernels can bail at their next interruption poll. `None` disables
+    /// every check, bit-identical to pre-governance behaviour.
     pub cancel: Option<CancelToken>,
     /// Per-run memory budget gauge: each completed task's payload bytes
     /// are charged against it, and a refused charge fails the task with
@@ -82,29 +81,11 @@ pub struct ExecOptions {
     /// letting the run's footprint grow unbounded. `None` disables
     /// accounting entirely.
     pub gauge: Option<MemoryGauge>,
-    /// Retry policy for transient failures ([`TaskFailure::is_transient`]).
-    /// The default (zero retries) executes every task exactly once.
-    pub retry: RetryPolicy,
     /// Domain-aware payload pricing for the memory gauge. When set it is
     /// consulted first (before the cache's sizer and the generic
     /// estimator) so budgets see real payload sizes even when the result
     /// cache is disabled. `None` changes nothing.
     pub sizer: Option<PayloadSizer>,
-    /// Record this run into the process-lifetime
-    /// [`crate::metrics::MetricsRegistry`]: per-task durations at task
-    /// completion, the run's aggregate counters on finish, and a
-    /// [`crate::metrics::MetricsSnapshot`] attached to `ExecStats`. Off
-    /// by default: unmetered runs branch around every recording site and
-    /// stay bit-identical to pre-metrics behaviour.
-    pub metrics: bool,
-    /// Morsel size for intra-task work stealing ([`crate::morsel`]),
-    /// in payload bytes (`engine.morsel_bytes`). Kernels that opt in
-    /// split their row ranges into morsels of roughly this many bytes
-    /// and let idle pool workers steal them, levelling skewed
-    /// partitionings. `0` (the default) disables splitting entirely —
-    /// kernels keep their whole-slice paths, bit-identical to
-    /// pre-morsel behaviour.
-    pub morsel_bytes: usize,
 }
 
 /// Result of one execution: an outcome per requested output (same
@@ -129,11 +110,6 @@ impl ExecResult {
     pub fn first_failure(&self) -> Option<Arc<TaskError>> {
         self.outcomes.iter().find_map(|o| o.error().cloned())
     }
-
-    /// Errors for every failed output.
-    pub fn failures(&self) -> Vec<Arc<TaskError>> {
-        self.outcomes.iter().filter_map(|o| o.error().cloned()).collect()
-    }
 }
 
 /// Execute `outputs` of `graph` with `workers` threads running tasks
@@ -157,11 +133,7 @@ pub fn run(
         // A run with nothing to execute (no outputs, or every live node
         // answered by the cache) spawns nothing either.
         let mut pool = (workers > 1 && !ledger.ready.is_empty())
-            .then(|| Pool::spawn(scope, workers, opts.morsel_bytes, &execute));
-        // Inline tasks get a morsel context without a helper budget:
-        // kernels still split (for bounded-latency cancellation probes)
-        // but no helpers ever spawn.
-        let _morsel = pool.is_none().then(|| morsel::engage(opts.morsel_bytes, None));
+            .then(|| Pool::spawn(scope, workers, &execute));
         loop {
             while let Some(Reverse(id)) = ledger.ready.pop() {
                 let inputs = ledger.inputs(id);
@@ -228,9 +200,9 @@ impl Plan {
     }
 }
 
-/// What `execute_node` hands back: the outcome, the span timing when
-/// the run is traced, and how many times the task was re-executed.
-type Executed = (TaskOutcome, Option<SpanTiming>, usize);
+/// What `execute_node` hands back: the outcome, and the span timing when
+/// the run is traced.
+type Executed = (TaskOutcome, Option<SpanTiming>);
 
 /// The calling thread's books for one run: which tasks are ready, what
 /// every completed node produced, and the counters the finish reports.
@@ -255,7 +227,6 @@ struct Ledger<'a> {
     completed: usize,
     spans: Vec<TaskSpan>,
     evictions: usize,
-    retried_tasks: usize,
 }
 
 impl<'a> Ledger<'a> {
@@ -292,7 +263,6 @@ impl<'a> Ledger<'a> {
             completed: 0,
             spans: Vec::new(),
             evictions: 0,
-            retried_tasks: 0,
         };
         for (&id, (payload, bytes)) in &plan.hits {
             if opts.trace {
@@ -320,19 +290,11 @@ impl<'a> Ledger<'a> {
         deps.map(|&dep| self.outcome_of(dep, "dependency result missing at dispatch")).collect()
     }
 
-    /// Book one executed task: its span, retry and eviction counts, the
-    /// cache insert, then its outcome.
-    fn complete(&mut self, id: NodeId, worker: usize, (outcome, timing, retries): Executed) {
-        self.retried_tasks += usize::from(retries > 0);
+    /// Book one executed task: its span, the cache insert and the
+    /// evictions it forced, then its outcome.
+    fn complete(&mut self, id: NodeId, worker: usize, (outcome, timing): Executed) {
         if let Some(timing) = timing {
-            // A task that succeeded only after transient-failure retries
-            // is marked `Retried` so traces show where the retry
-            // machinery earned its keep.
-            let status = if retries > 0 && outcome.is_ok() {
-                SpanStatus::Retried
-            } else {
-                SpanStatus::of(&outcome)
-            };
+            let status = SpanStatus::of(&outcome);
             self.spans.push(make_span(self.graph, id, worker, timing, status));
         }
         self.evictions += cache_insert(self.opts, self.graph, id, &outcome);
@@ -373,7 +335,6 @@ impl<'a> Ledger<'a> {
         if self.opts.trace {
             stats.trace = Some(Arc::new(RunTrace::from_spans(self.spans, workers, elapsed)));
         }
-        stats.tasks_retried = self.retried_tasks;
         // Hit nodes carry `Ok` outcomes, so `tally` counted them as
         // executed; reclassify them.
         stats.tasks_run = stats.tasks_run.saturating_sub(self.plan.hits.len());
@@ -384,7 +345,6 @@ impl<'a> Ledger<'a> {
         if let Some(gauge) = &self.opts.gauge {
             stats.mem_peak_bytes = gauge.peak();
         }
-        apply_metrics(&mut stats, self.opts);
         ExecResult { outcomes, stats }
     }
 }
@@ -406,27 +366,15 @@ impl<'scope> Pool<'scope> {
     fn spawn<'env>(
         scope: &'scope Scope<'scope, 'env>,
         workers: usize,
-        morsel_bytes: usize,
         execute: &'env (dyn Fn(NodeId, &[TaskOutcome]) -> Executed + Sync),
     ) -> Pool<'scope> {
         let (jobs, jobs_rx) = channel::unbounded::<Job>();
         let (done_tx, done) = channel::unbounded();
-        // Shared idle-capacity tracker: workers parked on the empty job
-        // queue are capacity a running kernel may donate to morsel helpers.
-        let budget = Arc::new(HelperBudget::new());
         let handles = (0..workers)
             .map(|worker| {
-                let (jobs_rx, done_tx, budget) =
-                    (jobs_rx.clone(), done_tx.clone(), Arc::clone(&budget));
+                let (jobs_rx, done_tx) = (jobs_rx.clone(), done_tx.clone());
                 scope.spawn(move || {
-                    let _morsel = morsel::engage(morsel_bytes, Some(Arc::clone(&budget)));
-                    loop {
-                        // The park window around the blocking receive is
-                        // exactly when this worker's capacity is stealable.
-                        budget.enter_idle();
-                        let received = jobs_rx.recv();
-                        budget.exit_idle();
-                        let Ok((id, inputs)) = received else { break };
+                    while let Ok((id, inputs)) = jobs_rx.recv() {
                         if done_tx.send((id, worker, execute(id, &inputs))).is_err() {
                             break;
                         }
@@ -488,8 +436,8 @@ fn failed(graph: &TaskGraph, id: NodeId, failure: TaskFailure, elapsed: Duration
 /// admitted — failed, timed-out, and skipped tasks never populate the
 /// cache, so fault-injected runs cannot poison later ones. A run whose
 /// cancel token has fired, or whose memory gauge has refused a charge,
-/// stops inserting entirely: kernels may be bailing at morsel boundaries
-/// by then, and a degraded run must never seed later healthy ones.
+/// stops inserting entirely: kernels may be bailing mid-slice by then,
+/// and a degraded run must never seed later healthy ones.
 fn cache_insert(opts: &ExecOptions, graph: &TaskGraph, id: NodeId, outcome: &TaskOutcome) -> usize {
     let Some(handle) = &opts.cache else {
         return 0;
@@ -512,33 +460,16 @@ fn cache_insert(opts: &ExecOptions, graph: &TaskGraph, id: NodeId, outcome: &Tas
     }
 }
 
-/// Fold the finished run into the process-lifetime registry and attach
-/// a fresh snapshot, when the run opted in. Runs last so the snapshot
-/// already reflects this run's own counters.
-fn apply_metrics(stats: &mut ExecStats, opts: &ExecOptions) {
-    if opts.metrics {
-        let registry = crate::metrics::global();
-        registry.record_run(stats);
-        if let Some(handle) = &opts.cache {
-            registry.cache_resident_bytes.set(handle.cache.total_bytes() as u64);
-            registry.cache_budget_bytes.set(handle.cache.budget_bytes() as u64);
-        }
-        stats.metrics = Some(Arc::new(registry.snapshot()));
-    }
-}
-
 /// `(start, end, payload_bytes)` of one dispatched task, as offsets from
 /// the run origin. Only produced when tracing is on.
 type SpanTiming = (Duration, Duration, usize);
 
 /// Run one node given its input outcomes: short-circuit on a fired run
-/// token, skip on failed inputs, otherwise execute under `catch_unwind`
-/// (retrying transient failures per [`ExecOptions::retry`]), applying
-/// any injected fault, the optional deadline, and the optional memory
-/// gauge. When `opts.trace` is set, the second element carries the span
-/// timing for [`make_span`]; it is `None` on untraced runs so the hot
-/// path allocates nothing. The third element is how many times the task
-/// was re-executed after transient failures.
+/// token, skip on failed inputs, otherwise execute under `catch_unwind`,
+/// applying any injected fault, the optional deadline, and the optional
+/// memory gauge. When `opts.trace` is set, the second element carries
+/// the span timing for [`make_span`]; it is `None` on untraced runs so
+/// the hot path allocates nothing.
 fn execute_node(
     graph: &TaskGraph,
     id: NodeId,
@@ -559,7 +490,7 @@ fn execute_node(
     // cancelled run drains its remaining dispatches in microseconds.
     if let Some(reason) = opts.cancel.as_ref().and_then(CancelToken::cancelled) {
         let cancelled = TaskFailure::Cancelled(reason);
-        return (failed(graph, id, cancelled, Duration::ZERO), zero_width(), 0);
+        return (failed(graph, id, cancelled, Duration::ZERO), zero_width());
     }
     // An upstream failure poisons only this subtree: record a skip
     // pointing at the transitive root cause and move on. The skip
@@ -572,7 +503,7 @@ fn execute_node(
             root_name: root_name.to_string(),
             root_failure: err.root_description(),
         };
-        return (failed(graph, id, skipped, err.elapsed), zero_width(), 0);
+        return (failed(graph, id, skipped, err.elapsed), zero_width());
     }
     let span_start = opts.trace.then(|| origin.elapsed());
     // The failed-input check above guarantees every input carries a
@@ -584,78 +515,55 @@ fn execute_node(
         .collect::<Option<Vec<Payload>>>()
     else {
         let timing = span_start.map(|start| (start, origin.elapsed(), 0));
-        return (internal_failure(graph, id, "input outcome lost its payload"), timing, 0);
+        return (internal_failure(graph, id, "input outcome lost its payload"), timing);
     };
-    let mut retries = 0usize;
-    let (outcome, elapsed) = loop {
-        // Re-decided each attempt: retries count as fresh dispatches, so
-        // a bounded `TransientPanic` plan exhausts itself and the retry
-        // runs the real body.
-        let fault = graph.fault_injector().and_then(|inj| inj.decide(id, &task.name));
-        // The token the body observes at morsel boundaries: the run
-        // token capped by the per-task deadline (so a blown deadline
-        // interrupts the body instead of merely being noticed after it
-        // returns), or a deadline-only token when the run is otherwise
-        // ungoverned.
-        let attempt_token = match (&opts.cancel, opts.deadline) {
-            (Some(t), Some(budget)) => Some(t.capped(budget)),
-            (Some(t), None) => Some(t.clone()),
-            (None, Some(budget)) => Some(CancelToken::with_deadline(budget)),
-            (None, None) => None,
-        };
-        let started = Instant::now();
-        let result = {
-            let _current = attempt_token.map(govern::set_current);
-            catch_task_panic(|| match &fault {
-                // eda-lint: allow(EDA-L5) deliberate injected fault, caught by catch_unwind above
-                Some(FaultMode::Panic) => panic!("injected fault: panic"),
-                Some(FaultMode::TransientPanic { .. }) => {
-                    // eda-lint: allow(EDA-L5) deliberate injected fault, caught by catch_unwind above
-                    panic!("injected fault: transient kernel failure")
-                }
-                Some(FaultMode::Stall(d)) => {
-                    std::thread::sleep(*d);
-                    (task.run)(&payloads)
-                }
-                Some(FaultMode::Wedge(max)) => {
-                    // A wedged task spins observing its token: a fired
-                    // deadline or cancellation wakes it immediately and
-                    // the real body then runs (and is classified below),
-                    // so the worker thread is reclaimed at the deadline
-                    // instead of being held for the whole wedge.
-                    govern::wait_interrupted(*max);
-                    (task.run)(&payloads)
-                }
-                Some(FaultMode::Garbage) => Arc::new(Garbage) as Payload,
-                None => (task.run)(&payloads),
-            })
-        };
-        let elapsed = started.elapsed();
-        let outcome = classify_result(graph, id, result, elapsed, opts);
-        if let TaskOutcome::Failed(err) = &outcome {
-            let run_cancelled = opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-            if err.failure.is_transient() && retries < opts.retry.max_retries && !run_cancelled {
-                retries += 1;
-                std::thread::sleep(opts.retry.backoff(retries));
-                continue;
+    let fault = graph.fault_injector().and_then(|inj| inj.decide(id, &task.name));
+    // The token the body observes at its interruption polls: the run
+    // token capped by the per-task deadline (so a blown deadline
+    // interrupts the body instead of merely being noticed after it
+    // returns), or a deadline-only token when the run is otherwise
+    // ungoverned.
+    let task_token = match (&opts.cancel, opts.deadline) {
+        (Some(t), Some(budget)) => Some(t.capped(budget)),
+        (Some(t), None) => Some(t.clone()),
+        (None, Some(budget)) => Some(CancelToken::with_deadline(budget)),
+        (None, None) => None,
+    };
+    let started = Instant::now();
+    let result = {
+        let _current = task_token.map(govern::set_current);
+        catch_task_panic(|| match &fault {
+            // eda-lint: allow(EDA-L5) deliberate injected fault, caught by catch_unwind above
+            Some(FaultMode::Panic) => panic!("injected fault: panic"),
+            Some(FaultMode::Stall(d)) => {
+                std::thread::sleep(*d);
+                (task.run)(&payloads)
             }
-        }
-        break (outcome, elapsed);
+            Some(FaultMode::Wedge(max)) => {
+                // A wedged task spins observing its token: a fired
+                // deadline or cancellation wakes it immediately and
+                // the real body then runs (and is classified below),
+                // so the worker thread is reclaimed at the deadline
+                // instead of being held for the whole wedge.
+                govern::wait_interrupted(*max);
+                (task.run)(&payloads)
+            }
+            Some(FaultMode::Garbage) => Arc::new(Garbage) as Payload,
+            None => (task.run)(&payloads),
+        })
     };
-    if opts.metrics {
-        crate::metrics::global().task_duration_us.record_duration(elapsed);
-    }
+    let elapsed = started.elapsed();
+    let outcome = classify_result(graph, id, result, elapsed, opts);
     if trace::log_enabled(LogLevel::Debug) {
         trace::log(
             LogLevel::Debug,
             "eda::sched",
             format_args!(
-                "run_id={} task={} node={} status={} retries={} dur_us={}",
+                "run_id={} task={} node={} status={} dur_us={}",
                 run_id,
                 task.name,
                 id,
                 SpanStatus::of(&outcome).label(),
-                retries,
                 elapsed.as_micros()
             ),
         );
@@ -665,11 +573,11 @@ fn execute_node(
         let bytes = outcome.payload().map_or(0, trace::estimate_payload_bytes);
         (start, end, bytes)
     });
-    (outcome, timing, retries)
+    (outcome, timing)
 }
 
-/// Classify one attempt's raw result: a fired run token discards even a
-/// completed payload (kernels may have bailed mid-morsel, so it cannot
+/// Classify a task body's raw result: a fired run token discards even a
+/// completed payload (kernels may have bailed mid-slice, so it cannot
 /// be trusted), then the per-task deadline, then the memory gauge.
 fn classify_result(
     graph: &TaskGraph,
@@ -1408,62 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failure_retries_and_unskips_downstream() {
-        // `inc` fails transiently once; with one retry allowed the whole
-        // downstream cone must complete as if nothing happened.
-        let opts = ExecOptions { retry: RetryPolicy::retries(2), ..Default::default() };
-        for workers in [1, 2, 4] {
-            let (mut g, out) = diamond();
-            g.set_fault_injector(FaultInjector::transient_on("inc", 1));
-            let r = run(&g, &[out], workers, &opts);
-            assert_eq!(get(r.outcomes[0].payload().expect("sum ok after retry")), 31);
-            assert!(r.stats.fully_succeeded(), "{:?}", r.stats);
-            assert_eq!(r.stats.tasks_retried, 1);
-            assert_eq!(r.stats.tasks_run, 4);
-        }
-    }
-
-    #[test]
-    fn transient_failure_without_retries_still_fails() {
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::transient_on("inc", 1));
-        let r = run(&g, &[out], 1, &ExecOptions::default());
-        assert!(r.outcomes[0].is_failed());
-        assert_eq!(r.stats.tasks_retried, 0);
-        assert_eq!(r.stats.tasks_failed, 1);
-    }
-
-    #[test]
-    fn retried_tasks_appear_as_retried_spans() {
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::transient_on("inc", 1));
-        let opts =
-            ExecOptions { retry: RetryPolicy::retries(1), trace: true, ..Default::default() };
-        let r = run(&g, &[out], 1, &opts);
-        let trace = r.stats.trace.as_ref().expect("traced");
-        let retried: Vec<_> =
-            trace.spans.iter().filter(|s| s.status == SpanStatus::Retried).collect();
-        assert_eq!(retried.len(), 1);
-        assert_eq!(retried[0].name, "inc");
-    }
-
-    #[test]
-    fn permanent_panic_is_never_retried() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut g = TaskGraph::new();
-        let c2 = Arc::clone(&counter);
-        let bad = g.source("bad", TaskKey::leaf("bad", 0), move || -> Payload {
-            c2.fetch_add(1, Ordering::SeqCst);
-            panic!("deterministic bug")
-        });
-        let opts = ExecOptions { retry: RetryPolicy::retries(3), ..Default::default() };
-        let r = run(&g, &[bad], 1, &opts);
-        assert!(r.outcomes[0].is_failed());
-        assert_eq!(counter.load(Ordering::SeqCst), 1, "permanent failures run once");
-        assert_eq!(r.stats.tasks_retried, 0);
-    }
-
-    #[test]
     fn budget_denial_fails_task_and_degrades_downstream() {
         // i64 payloads estimate to 8 bytes each; a 20-byte budget admits
         // two tasks (a=8, inc=16), denies the third (dbl), and skips the
@@ -1529,8 +1381,8 @@ mod tests {
 
     #[test]
     fn governed_defaults_match_ungoverned_stats() {
-        // Knobs at rest (no token, no gauge, zero retries) must be
-        // bit-identical to pre-governance behaviour.
+        // Knobs at rest (no token, no gauge) must be bit-identical to
+        // pre-governance behaviour.
         let (g, out) = diamond();
         let mut plain = run_plain(&g, &[out], 1).stats;
         let (g2, out2) = diamond();
@@ -1539,7 +1391,6 @@ mod tests {
         governed.elapsed = Duration::ZERO;
         assert_eq!(plain, governed);
         assert_eq!(plain.tasks_cancelled, 0);
-        assert_eq!(plain.tasks_retried, 0);
         assert_eq!(plain.tasks_budget_exceeded, 0);
     }
 

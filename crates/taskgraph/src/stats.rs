@@ -45,9 +45,6 @@ pub struct ExecStats {
     /// Tasks recorded `Cancelled` because the run's
     /// [`crate::govern::CancelToken`] fired (request or run deadline).
     pub tasks_cancelled: usize,
-    /// Tasks that were re-executed at least once after a transient
-    /// failure ([`crate::govern::RetryPolicy`]).
-    pub tasks_retried: usize,
     /// Tasks whose output charge was refused by the run's
     /// [`crate::govern::MemoryGauge`]; their payloads were dropped.
     pub tasks_budget_exceeded: usize,
@@ -58,11 +55,6 @@ pub struct ExecStats {
     /// ([`crate::scheduler::ExecOptions::trace`]); `None` otherwise so
     /// untraced runs stay allocation-free.
     pub trace: Option<Arc<RunTrace>>,
-    /// Process-lifetime telemetry snapshot, taken right after this run
-    /// was folded into the registry — present only when the run recorded
-    /// metrics ([`crate::scheduler::ExecOptions::metrics`]); `None`
-    /// otherwise so unmetered runs stay bit-identical.
-    pub metrics: Option<Arc<crate::metrics::MetricsSnapshot>>,
 }
 
 impl ExecStats {

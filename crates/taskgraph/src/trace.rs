@@ -52,9 +52,6 @@ pub enum SpanStatus {
     /// The task ran but its output charge was refused by the run's
     /// memory gauge; the payload was dropped.
     BudgetExceeded,
-    /// The task produced a payload, but only after at least one
-    /// transient-failure retry.
-    Retried,
 }
 
 impl SpanStatus {
@@ -68,7 +65,6 @@ impl SpanStatus {
             SpanStatus::Cached => "cached",
             SpanStatus::Cancelled => "cancelled",
             SpanStatus::BudgetExceeded => "budget_exceeded",
-            SpanStatus::Retried => "retried",
         }
     }
 
@@ -639,17 +635,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_exceeded_and_retried_spans_export_as_complete_events() {
+    fn budget_exceeded_spans_export_as_complete_events() {
         let mut t = diamond_trace();
         t.spans[1].status = SpanStatus::BudgetExceeded;
-        t.spans[2].status = SpanStatus::Retried;
         let json = t.to_chrome_trace();
-        // Both ran on a worker: timeline-visible complete events.
+        // It ran on a worker: a timeline-visible complete event.
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 4);
         assert!(json.contains("\"status\":\"budget_exceeded\""), "{json}");
-        assert!(json.contains("\"status\":\"retried\""), "{json}");
         assert!(SpanStatus::BudgetExceeded.executed());
-        assert!(SpanStatus::Retried.executed());
     }
 
     #[test]

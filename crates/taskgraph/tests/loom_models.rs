@@ -235,47 +235,3 @@ fn pool_hit_with_live_dependency_is_not_redispatched() {
     assert_eq!(r.stats.cache_hits, 1, "inc served from cache");
     assert_eq!(r.stats.cache_hits + r.stats.tasks_run, r.stats.live_nodes);
 }
-
-/// The morsel deque's exactly-once claim invariant: an owner draining
-/// the front races thieves stealing from the back, and every slot is
-/// claimed exactly once in every interleaving (the advisory cursors may
-/// pass each other; the per-slot CAS must still arbitrate).
-#[test]
-fn steal_deque_claims_every_slot_exactly_once() {
-    use eda_taskgraph::morsel::StealDeque;
-    loom::model(|| {
-        const SLOTS: usize = 24;
-        let deque = Arc::new(StealDeque::new(SLOTS));
-        let claims: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..SLOTS).map(|_| AtomicUsize::new(0)).collect());
-        let mut handles = Vec::new();
-        {
-            // Owner: drains from the front until exhaustion.
-            let deque = Arc::clone(&deque);
-            let claims = Arc::clone(&claims);
-            handles.push(loom::thread::spawn(move || {
-                while let Some(i) = deque.claim_front() {
-                    claims[i].fetch_add(1, Ordering::SeqCst);
-                }
-            }));
-        }
-        for _ in 0..2 {
-            // Thieves: steal from the back.
-            let deque = Arc::clone(&deque);
-            let claims = Arc::clone(&claims);
-            handles.push(loom::thread::spawn(move || {
-                while let Some(i) = deque.claim_back() {
-                    claims[i].fetch_add(1, Ordering::SeqCst);
-                    loom::thread::yield_now();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("model thread");
-        }
-        for (i, c) in claims.iter().enumerate() {
-            assert_eq!(c.load(Ordering::SeqCst), 1, "slot {i} claimed {} times", c.load(Ordering::SeqCst));
-        }
-        assert_eq!(deque.remaining(), 0);
-    });
-}

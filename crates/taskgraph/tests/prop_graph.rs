@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use eda_taskgraph::graph::{NodeId, Payload, TaskGraph};
 use eda_taskgraph::key::TaskKey;
-use eda_taskgraph::morsel;
 use eda_taskgraph::scheduler::{run, ExecOptions, ExecResult};
 use eda_taskgraph::{
     CacheHandle, FaultInjector, FaultMode, FaultPlan, FaultTarget, ResultCache, SpanStatus,
@@ -37,7 +36,7 @@ type OutputSig = Result<i64, (&'static str, NodeId)>;
 
 /// Everything about a run that must not depend on who executed it: every
 /// output's signature plus the executor's counters.
-fn signature(r: &ExecResult) -> (Vec<OutputSig>, [usize; 7]) {
+fn signature(r: &ExecResult) -> (Vec<OutputSig>, [usize; 6]) {
     let outcomes = r
         .outcomes
         .iter()
@@ -52,7 +51,6 @@ fn signature(r: &ExecResult) -> (Vec<OutputSig>, [usize; 7]) {
         s.tasks_failed,
         s.tasks_skipped,
         s.tasks_timed_out,
-        s.tasks_retried,
         s.cache_hits,
         s.cache_misses,
     ];
@@ -170,45 +168,5 @@ proptest! {
         let a = run_plain(&g, &outputs, 3);
         let b = run_plain(&g, &outputs, 3);
         prop_assert_eq!(get(&a.outputs()[0]), get(&b.outputs()[0]));
-    }
-
-    #[test]
-    fn morsel_split_tiles_rows_in_order(
-        nrows in 0usize..5000,
-        row_bytes in 1usize..64,
-        morsel_bytes in 0usize..4096,
-    ) {
-        // For ANY morsel size the stage driver must hand out ranges that
-        // tile `0..nrows` exactly once, and fold them in index order —
-        // so a morsel-split fold equals the whole-partition fold for
-        // every mergeable accumulator, not just commutative ones.
-        let _ctx = morsel::engage(morsel_bytes, None);
-        let ranges = morsel::run_rows(
-            nrows,
-            row_bytes,
-            |r| vec![r],
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        );
-        match ranges {
-            // Declined: no splitting configured or the range fits in one
-            // morsel — the caller keeps its legacy whole-slice path.
-            None => {
-                let per = morsel::morsel_rows(row_bytes, morsel_bytes);
-                prop_assert!(morsel_bytes == 0 || per >= nrows || nrows == 0);
-            }
-            Some(rs) => {
-                prop_assert!(rs.len() > 1);
-                let mut next = 0usize;
-                for r in &rs {
-                    prop_assert_eq!(r.start, next);
-                    prop_assert!(r.end > r.start);
-                    next = r.end;
-                }
-                prop_assert_eq!(next, nrows);
-            }
-        }
     }
 }

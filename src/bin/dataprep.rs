@@ -1,7 +1,7 @@
 //! `dataprep` — a command-line front end for the task-centric EDA API.
 //!
 //! ```text
-//! dataprep report <data> [-o report.html] [-c key=value]... [--metrics out.prom|out.json]
+//! dataprep report <data> [-o report.html] [-c key=value]...
 //! dataprep plot <data> [col] [col2] [-o out.html] [-c key=value]...
 //! dataprep corr <data> [col] [col2] [-o out.html]
 //! dataprep missing <data> [col] [col2] [-o out.html]
@@ -27,7 +27,6 @@ struct Args {
     positional: Vec<String>,
     output: Option<String>,
     config_pairs: Vec<(String, String)>,
-    metrics: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -36,7 +35,6 @@ fn parse_args() -> Result<Args, String> {
     let mut positional = Vec::new();
     let mut output = None;
     let mut config_pairs = Vec::new();
-    let mut metrics = None;
     while let Some(a) = argv.next() {
         match a.as_str() {
             "-o" | "--output" => {
@@ -49,14 +47,11 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("expected key=value, got {pair:?}"))?;
                 config_pairs.push((k.to_string(), v.to_string()));
             }
-            "--metrics" => {
-                metrics = Some(argv.next().ok_or("missing value after --metrics")?);
-            }
             "-h" | "--help" => return Err(usage()),
             _ => positional.push(a),
         }
     }
-    Ok(Args { command, positional, output, config_pairs, metrics })
+    Ok(Args { command, positional, output, config_pairs })
 }
 
 fn usage() -> String {
@@ -67,8 +62,7 @@ fn usage() -> String {
      dataprep ts      <data> <time-col> <value-col> [-o out.html]\n  \
      dataprep convert <in.csv> <out.edaf> [-c key=value]...\n\n\
      <data> is a CSV file or an .edaf columnar file written by convert\n\
-     config keys are the how-to-guide keys, e.g. -c hist.bins=200 or -c engine.workers=4\n\
-     --metrics <path> dumps process telemetry after the run (.json = JSON, else Prometheus text)"
+     config keys are the how-to-guide keys, e.g. -c hist.bins=200 or -c engine.workers=4"
         .to_string()
 }
 
@@ -101,11 +95,6 @@ fn run() -> Result<(), String> {
     let df = load_data(path, &config).map_err(|e| format!("reading {path}: {e}"))?;
     eprintln!("loaded {path}: {} rows x {} columns", df.nrows(), df.ncols());
 
-    // `--metrics <path>` implies the knob: dumping an all-zero registry
-    // because the run never opted in would only confuse.
-    if args.metrics.is_some() {
-        config.set("engine.metrics", "true").map_err(|e| e.to_string())?;
-    }
     let columns: Vec<&str> = args.positional[1..].iter().map(String::as_str).collect();
 
     let html = match args.command.as_str() {
@@ -156,14 +145,6 @@ fn run() -> Result<(), String> {
 
     if let Some(out) = &args.output {
         std::fs::write(out, html).map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("wrote {out}");
-    }
-    if let Some(out) = &args.metrics {
-        // `.json` gets the JSON export; anything else the Prometheus
-        // text exposition format (the `/metrics` endpoint payload).
-        let snap = metrics_snapshot();
-        let body = if out.ends_with(".json") { snap.to_json() } else { snap.to_prometheus() };
-        std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
         eprintln!("wrote {out}");
     }
     Ok(())

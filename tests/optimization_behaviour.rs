@@ -99,22 +99,34 @@ fn partition_count_does_not_change_results() {
 
 #[test]
 fn worker_count_does_not_change_overview_payloads() {
-    let df = dataset();
-    let mut expected: Option<String> = None;
-    for workers in ["1", "2", "4"] {
-        // Cache off, so every worker count computes its own payloads.
-        let cfg = Config::from_pairs(vec![
-            ("engine.workers", workers),
-            ("engine.cache_budget_bytes", "0"),
-        ])
-        .unwrap();
-        let mut ctx = ComputeContext::new(&df, &cfg);
-        let plan = plan_overview(&mut ctx);
-        let payloads = ctx.execute(&plan.outputs());
-        let json = intermediates_to_json(&assemble_overview(&ctx, &plan, &payloads).0);
-        match &expected {
-            None => expected = Some(json),
-            Some(e) => assert_eq!(&json, e, "workers={workers}"),
+    // Null-free floats at 40k rows per partition: each partition's
+    // moments and histogram tasks take one whole slice well above the
+    // kernels' interruption interval.
+    let n = 80_000;
+    let wide_slices = DataFrame::new(vec![
+        ("a".into(), Column::from_f64((0..n).map(|i| ((i * 31) % 977) as f64 / 7.0).collect())),
+        ("b".into(), Column::from_f64((0..n).map(|i| ((i * 7) % 389) as f64 - 150.0).collect())),
+    ])
+    .unwrap();
+    for df in [dataset(), wide_slices] {
+        let mut expected: Option<String> = None;
+        for workers in ["1", "2", "4"] {
+            // Cache off, so every worker count computes its own payloads.
+            // (The partition count is capped at one per 8192 rows.)
+            let cfg = Config::from_pairs(vec![
+                ("engine.workers", workers),
+                ("engine.npartitions", "2"),
+                ("engine.cache_budget_bytes", "0"),
+            ])
+            .unwrap();
+            let mut ctx = ComputeContext::new(&df, &cfg);
+            let plan = plan_overview(&mut ctx);
+            let payloads = ctx.execute(&plan.outputs());
+            let json = intermediates_to_json(&assemble_overview(&ctx, &plan, &payloads).0);
+            match &expected {
+                None => expected = Some(json),
+                Some(e) => assert_eq!(&json, e, "workers={workers}"),
+            }
         }
     }
 }
