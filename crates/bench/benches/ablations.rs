@@ -4,17 +4,17 @@
 //!   the paper's "single Dask graph" optimization;
 //! * **lazy vs eager** — one shared graph vs per-output execution vs
 //!   heavy per-task scheduling (the Figure 6(a) engines, micro-scale);
-//! * **two-phase boundary** — correlation matrices finished eagerly vs
-//!   entirely in-graph (`engine.eager_finish`, paper §5.2);
+//! * **two-phase boundary** — correlation cells tiled per worker vs one
+//!   task per (method, pair) ([`CorrTiling`], paper §5.2);
 //! * **partitioning** — report cost vs partition count.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eda_bench::EnginePolicy;
+use eda_bench::{CorrTiling, EnginePolicy};
 use eda_core::compute::overview::plan_overview;
 use eda_core::compute::ComputeContext;
-use eda_core::{create_report, plot_correlation, Config};
+use eda_core::{create_report, Config};
 use eda_datagen::{generate, kaggle_spec_by_name};
 use eda_dataframe::DataFrame;
 
@@ -60,14 +60,13 @@ fn ablation_lazy(c: &mut Criterion) {
 
 fn ablation_twophase(c: &mut Criterion) {
     let df = dataset();
+    // Cache off: the second iteration would otherwise be served whole.
+    let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
     let mut group = c.benchmark_group("ablation_twophase");
-    for (label, eager) in [("eager_finish", "true"), ("all_graph", "false")] {
-        let cfg = Config::from_pairs(vec![("engine.eager_finish", eager)]).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("plot_correlation", label),
-            &cfg,
-            |b, cfg| b.iter(|| plot_correlation(&df, &[], cfg).expect("corr")),
-        );
+    for (label, tiling) in [("per_worker", CorrTiling::PerWorker), ("per_pair", CorrTiling::PerPair)] {
+        group.bench_function(BenchmarkId::new("plot_correlation", label), |b| {
+            b.iter(|| tiling.matrices(&df, &cfg).expect("corr"))
+        });
     }
     group.finish();
 }

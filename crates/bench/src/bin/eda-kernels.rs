@@ -1,10 +1,17 @@
-//! Kernel microbenchmark: scalar vs vector hot-kernel shapes.
+//! Kernel microbenchmark: scalar vs vector hot-kernel shapes, and
+//! correlation cells per pair vs over shared per-column prep.
 //!
 //! The claim from DESIGN.md §15 that is measured and gated: the
 //! lane-parallel kernel shapes in `eda_stats::vector` (moments power
 //! sums, histogram reciprocal binning, min/max select lanes, Pearson
-//! chunk sums, nullity popcounts) sustain a multiple of the scalar
-//! streaming updates' throughput. Compiled with `--features simd` the
+//! chunk sums) sustain a multiple of the scalar streaming updates'
+//! throughput. The `corr_cells` stage times the 300 column pairs of the
+//! credit shape (10k x 25, what `report_numeric` profiles) for each
+//! method twice: one pair-kernel call per cell (`CorrMethod::compute`),
+//! and `corr_cells` over columns prepared once (`ColumnPrep`, its cost
+//! reported separately — the three methods share it). Nullity has one
+//! path, word AND + popcount over validity bitmaps; its throughput is
+//! reported, not compared. Compiled with `--features simd` the
 //! moments/minmax inner loops dispatch to AVX2 intrinsics when the CPU
 //! has them; without it they are the autovectorized fallback —
 //! bit-identical, narrower. Every kernel runs on one thread; the host's
@@ -20,6 +27,9 @@
 use std::time::Duration;
 
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, print_table};
+use eda_dataframe::Bitmap;
+use eda_datagen::{generate, kaggle_spec_by_name};
+use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
 use eda_stats::vector;
 use eda_stats::{Histogram, Moments};
 
@@ -96,6 +106,8 @@ fn main() {
     let rows = if arg_flag("--smoke") { 200_000 } else { arg_f64("--rows", 1_000_000.0) as usize };
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     const ITERS: usize = 9;
+    // A round of the Kendall pair kernels is a quarter second.
+    const ITERS_CELLS: usize = 3;
     const PASSES: usize = 3;
     const BINS: usize = 50;
 
@@ -111,10 +123,35 @@ fn main() {
     let data = synth(rows);
     let (dmin, dmax) = vector::minmax(&data);
     let ys: Vec<f64> = data.iter().map(|v| v * 0.25 + 3.0).collect();
-    let na: Vec<bool> = (0..rows).map(|i| i % 7 == 0).collect();
-    let nb: Vec<bool> = (0..rows).map(|i| i % 11 == 0).collect();
+    let valid_a = Bitmap::from_iter((0..rows).map(|i| i % 7 != 0));
+    let valid_b = Bitmap::from_iter((0..rows).map(|i| i % 11 != 0));
 
-    // One full measurement pass over the five kernels; the suite runs
+    // The credit shape's numeric columns (no nulls), as `report_numeric`
+    // profiles them, and every pair of them.
+    let credit = {
+        let mut spec = kaggle_spec_by_name("credit").expect("table 2 spec");
+        spec.rows = 10_000;
+        generate(&spec, 42)
+    };
+    let columns: Vec<Vec<f64>> = credit
+        .iter()
+        .filter(|(_, c)| c.dtype().is_numeric())
+        .map(|(_, c)| c.to_f64_nan().expect("numeric"))
+        .collect();
+    let pairs = upper_triangle(columns.len());
+    let prepare = || columns.iter().map(|v| ColumnPrep::prepare(v)).collect::<Vec<_>>();
+    let preps = prepare();
+    let cols: Vec<Col<'_>> =
+        columns.iter().zip(&preps).map(|(values, prep)| Col { values, prep }).collect();
+    let cells_of = |method: CorrMethod| {
+        ab_of(
+            ITERS_CELLS,
+            || pairs.iter().map(|&(i, j)| method.compute(&columns[i], &columns[j])).collect::<Vec<_>>(),
+            || corr_cells(method, &cols, &pairs),
+        )
+    };
+
+    // One full measurement pass over the kernels; the suite runs
     // `PASSES` times and each kernel keeps its best pass (see [`merge`]).
     let suite = || {
         let mo = ab_of(
@@ -173,20 +210,10 @@ fn main() {
                 p
             },
         );
-        let nu = ab_of(
-            ITERS,
-            || {
-                let (mut a, mut b, mut ab) = (0u64, 0u64, 0u64);
-                for (x, y) in na.iter().zip(&nb) {
-                    a += u64::from(*x);
-                    b += u64::from(*y);
-                    ab += u64::from(*x && *y);
-                }
-                (a, b, ab)
-            },
-            || vector::count_joint(&na, &nb),
-        );
-        [mo, hi, mm, pe, nu]
+        let pc = cells_of(CorrMethod::Pearson);
+        let sc = cells_of(CorrMethod::Spearman);
+        let kc = cells_of(CorrMethod::KendallTau);
+        [mo, hi, mm, pe, pc, sc, kc]
     };
 
     let mut res = suite();
@@ -195,7 +222,14 @@ fn main() {
             *r = merge(*r, n);
         }
     }
-    let [mo, hi, mm, pe, nu] = res;
+    let [mo, hi, mm, pe, pc, sc, kc] = res;
+    let best_of = |f: &dyn Fn()| (0..ITERS * PASSES).map(|_| measure(f).1).min().expect("iterations");
+    let nullity = best_of(&|| {
+        std::hint::black_box(valid_a.count_unset_in_both(&valid_b));
+    });
+    let prep = best_of(&|| {
+        std::hint::black_box(prepare());
+    });
 
     let rows_f = |d: Duration| format!("{:8.1}", meps(rows, d));
     let row = |name: &str, r: &AbResult| {
@@ -213,8 +247,29 @@ fn main() {
             row("histogram", &hi),
             row("minmax", &mm),
             row("pearson", &pe),
-            row("nullity", &nu),
         ],
+    );
+    println!("\nnullity (word AND + popcount): {:.1} Me/s", meps(rows, nullity));
+
+    let pps = |d: Duration| pairs.len() as f64 / d.as_secs_f64();
+    let cell_row = |name: &str, r: &AbResult| {
+        vec![
+            name.into(),
+            format!("{:10.0}", pps(r.scalar)),
+            format!("{:10.0}", pps(r.vector)),
+            format!("{:6.2}x", r.speedup),
+        ]
+    };
+    println!(
+        "\ncorr_cells: {} pairs of {} x {} credit columns, prep {:.1} ms",
+        pairs.len(),
+        credit.nrows(),
+        columns.len(),
+        prep.as_secs_f64() * 1e3
+    );
+    print_table(
+        &["method", "per-pair pairs/s", "shared-prep pairs/s", "speedup"],
+        &[cell_row("pearson", &pc), cell_row("spearman", &sc), cell_row("kendall", &kc)],
     );
 
     if let Some(path) = arg_str("--json") {
@@ -225,7 +280,10 @@ fn main() {
                 "\"histogram_scalar_meps\":{:.3},\"histogram_vector_meps\":{:.3},\"histogram_speedup\":{:.4},\n",
                 "\"minmax_scalar_meps\":{:.3},\"minmax_vector_meps\":{:.3},\"minmax_speedup\":{:.4},\n",
                 "\"pearson_scalar_meps\":{:.3},\"pearson_vector_meps\":{:.3},\"pearson_speedup\":{:.4},\n",
-                "\"nullity_scalar_meps\":{:.3},\"nullity_vector_meps\":{:.3},\"nullity_speedup\":{:.4}}}"
+                "\"nullity_meps\":{:.3},\"corr_prep_ms\":{:.3},\n",
+                "\"pearson_pair_pps\":{:.1},\"pearson_cell_pps\":{:.1},\"pearson_cell_speedup\":{:.4},\n",
+                "\"spearman_pair_pps\":{:.1},\"spearman_cell_pps\":{:.1},\"spearman_cell_speedup\":{:.4},\n",
+                "\"kendall_pair_pps\":{:.1},\"kendall_cell_pps\":{:.1},\"kendall_cell_speedup\":{:.4}}}"
             ),
             rows,
             host_cores,
@@ -241,9 +299,17 @@ fn main() {
             meps(rows, pe.scalar),
             meps(rows, pe.vector),
             pe.speedup,
-            meps(rows, nu.scalar),
-            meps(rows, nu.vector),
-            nu.speedup,
+            meps(rows, nullity),
+            prep.as_secs_f64() * 1e3,
+            pps(pc.scalar),
+            pps(pc.vector),
+            pc.speedup,
+            pps(sc.scalar),
+            pps(sc.vector),
+            sc.speedup,
+            pps(kc.scalar),
+            pps(kc.vector),
+            kc.speedup,
         );
         std::fs::write(&path, json).expect("write kernels json");
         println!("\nwrote {path}");

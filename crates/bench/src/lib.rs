@@ -23,6 +23,12 @@ pub mod regress;
 
 use std::time::{Duration, Instant};
 
+use eda_core::compute::correlation;
+use eda_core::compute::ctx::{un, ComputeContext};
+use eda_core::error::EdaResult;
+use eda_core::Config;
+use eda_dataframe::DataFrame;
+use eda_stats::corr::CorrMatrix;
 use eda_taskgraph::scheduler::{run, ExecOptions};
 use eda_taskgraph::{FaultInjector, NodeId, TaskGraph, TaskOutcome};
 
@@ -82,6 +88,35 @@ impl EnginePolicy {
                 all
             }
         }
+    }
+}
+
+/// How finely `plot_correlation(df)`'s cells are cut into tasks — the
+/// two-phase boundary ablation (paper §5.2). Both policies drive the one
+/// planner, [`eda_core::compute::correlation::plan_matrix_tiles`], and
+/// produce identical matrices; only the task count differs.
+#[derive(Debug, Clone, Copy)]
+pub enum CorrTiling {
+    /// The engine's own choice: a few tiles per worker.
+    PerWorker,
+    /// One task per (method, column pair): with `n >> m` every task is
+    /// far smaller than its scheduling cost.
+    PerPair,
+}
+
+impl CorrTiling {
+    /// The three correlation matrices of `df` under this tiling, and how
+    /// many tasks ran.
+    pub fn matrices(self, df: &DataFrame, config: &Config) -> EdaResult<(Vec<CorrMatrix>, usize)> {
+        let mut ctx = ComputeContext::new(df, config);
+        let names = correlation::numeric_columns(&ctx);
+        let nodes = match self {
+            CorrTiling::PerWorker => correlation::plan_matrix_nodes(&mut ctx, &names),
+            CorrTiling::PerPair => correlation::plan_matrix_tiles(&mut ctx, &names, usize::MAX),
+        };
+        let outs = ctx.execute_checked(&nodes)?;
+        let tasks_run = ctx.last_stats.as_ref().map_or(0, |s| s.tasks_run);
+        Ok((outs.iter().map(|p| un::<CorrMatrix>(p).clone()).collect(), tasks_run))
     }
 }
 
@@ -188,7 +223,7 @@ pub fn peak_rss_bytes() -> u64 {
 pub fn machine_context() -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!(
-        "host: {cores} core(s); paper testbed: 8-core E7-4830, 64 GB — absolute times differ, shapes should hold"
+        "host_cores: {cores}; paper testbed: 8-core E7-4830, 64 GB — absolute times differ, shapes should hold"
     )
 }
 

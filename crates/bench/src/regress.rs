@@ -264,9 +264,17 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "pearson_scalar_meps",
             "pearson_vector_meps",
             "pearson_speedup",
-            "nullity_scalar_meps",
-            "nullity_vector_meps",
-            "nullity_speedup",
+            "nullity_meps",
+            "corr_prep_ms",
+            "pearson_pair_pps",
+            "pearson_cell_pps",
+            "pearson_cell_speedup",
+            "spearman_pair_pps",
+            "spearman_cell_pps",
+            "spearman_cell_speedup",
+            "kendall_pair_pps",
+            "kendall_cell_pps",
+            "kendall_cell_speedup",
         ],
         gated: &[
             // Vector-vs-scalar ratios on the same machine; the wide scale
@@ -274,6 +282,11 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             // above.
             MetricSpec { key: "moments_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             MetricSpec { key: "histogram_speedup", higher_is_better: true, tolerance_scale: 4.0 },
+            // Shared-prep cells vs one pair-kernel call per cell, same
+            // columns, back to back.
+            MetricSpec { key: "pearson_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
+            MetricSpec { key: "spearman_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
+            MetricSpec { key: "kendall_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
         ],
     },
     ExperimentSpec {

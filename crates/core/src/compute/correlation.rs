@@ -7,20 +7,27 @@
 //! * `plot_correlation(df, x, y)` → scatter plot with a regression line.
 //!
 //! This module is the paper's worked example of the two-phase boundary
-//! (§5.2). The heavy work — column gathers, per-column preparation
-//! (ranks + Kendall sort state), and one matrix-fill task per method —
-//! runs inside the graph, where it parallelizes across columns and is
-//! served by the cross-call result cache on repeat calls; only the cheap
-//! insight filtering stays eager. The `engine.eager_finish = false`
-//! ablation pushes even the per-pair coefficient computations into the
-//! graph as individual tasks, demonstrating why `n >> m` makes that
-//! granularity pure scheduler overhead.
+//! (§5.2): everything that touches rows runs inside the graph, and the
+//! finish only filters a handful of coefficients for insights.
+//!
+//! * `numeric_gather` → `corr_prep` per column: one argsort yields the
+//!   column's ranks, tie groups and moments ([`ColumnPrep`]). Shared by
+//!   structural key across every correlation call over a frame, and
+//!   served by the cross-call result cache on repeat calls.
+//! * `corr_matrix` tiles: a method's pair list — the upper triangle for a
+//!   matrix, row `x` for a vector — cut into contiguous runs of equal
+//!   length, one task each ([`corr_cells`]). A pair is always computed as
+//!   `(lower index, higher index)` by the same kernel, so a matrix, a
+//!   vector and any tiling of either agree bit for bit.
+//! * `corr_assemble` per method: copies the tiles into a [`CorrMatrix`].
+//!
+//! How many tiles is a function of `engine.workers` and the pair count
+//! ([`default_tiles`]); [`plan_matrix_tiles`] takes the count explicitly,
+//! which is how the per-pair granularity ablation is expressed.
 
-use eda_stats::corr::{
-    kendall_prep, kendall_tau, kendall_tau_prepped, pearson, spearman_from_ranks, CorrMatrix,
-    CorrMethod, KendallPrep,
-};
-use eda_stats::rank::ranks;
+use std::sync::Arc;
+
+use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMatrix, CorrMethod};
 use eda_stats::regression::LinearFit;
 use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::NodeId;
@@ -50,15 +57,12 @@ pub fn compute_correlation_overview(
     if names.len() < 2 {
         return Err(EdaError::EmptyInput("need at least two numeric columns"));
     }
-    let matrices = if ctx.config.engine.eager_finish {
-        matrices_two_phase(ctx, &names)?
-    } else {
-        matrices_all_graph(ctx, &names)?
-    };
+    let nodes = plan_matrix_nodes(ctx, &names);
+    let outs = ctx.execute_checked(&nodes)?;
 
     let mut ims = Intermediates::new();
     let mut insights = Vec::new();
-    for m in matrices {
+    for m in outs.iter().map(|p| un::<CorrMatrix>(p).clone()) {
         for (a, b, r) in m.strong_pairs(ctx.config.insight.correlation) {
             if let Some(i) = correlation_insight(&a, &b, m.method.name(), r, &ctx.config.insight)
             {
@@ -73,152 +77,105 @@ pub fn compute_correlation_overview(
     Ok((ims, insights))
 }
 
-/// Per-column state shared across every pair the column participates in —
-/// the correlation-matrix instance of the paper's computation sharing.
-/// Ranks back Spearman (pandas rank-once semantics); the Kendall prep
-/// (sort permutation + tie counts) exists only for NaN-free columns, with
-/// a per-pair fallback otherwise.
-#[derive(Debug, Clone)]
-pub struct ColumnPrep {
-    /// Raw values, NaN at nulls.
-    pub values: Vec<f64>,
-    /// Mid-ranks over the non-NaN values (NaN kept at null positions).
-    pub ranks: Vec<f64>,
-    /// Shared Kendall state (NaN-free columns only).
-    pub kendall: Option<KendallPrep>,
-}
-
-impl ColumnPrep {
-    /// Build the shared state for one gathered column.
-    pub fn prepare(values: Vec<f64>) -> ColumnPrep {
-        let ranks = ranks(&values);
-        let kendall = kendall_prep(&values);
-        ColumnPrep { values, ranks, kendall }
-    }
-}
-
-/// One matrix cell from two prepared columns.
-fn cell(method: CorrMethod, a: &ColumnPrep, b: &ColumnPrep) -> Option<f64> {
-    match method {
-        CorrMethod::Pearson => pearson(&a.values, &b.values),
-        CorrMethod::Spearman => spearman_from_ranks(&a.ranks, &b.ranks),
-        CorrMethod::KendallTau => match (&a.kendall, &b.kendall) {
-            (Some(ka), Some(kb)) => {
-                kendall_tau_prepped(&a.values, &b.values, ka, kb.tie_pairs)
-            }
-            _ => kendall_tau(&a.values, &b.values),
-        },
-    }
-}
-
-/// Plan one shared `corr_prep` node for a column: the gathered values
-/// fed through [`ColumnPrep::prepare`]. Shared (CSE) between the matrix
-/// path and the per-pair ablation path.
-pub fn plan_corr_prep(ctx: &mut ComputeContext<'_>, name: &str) -> NodeId {
+/// Plan one shared `corr_prep` node for a column: [`ColumnPrep::prepare`]
+/// of the gathered values. Returns `(gather, prep)` — cells read the raw
+/// values from the gather payload, the prep does not copy them.
+pub fn plan_corr_prep(ctx: &mut ComputeContext<'_>, name: &str) -> (NodeId, NodeId) {
     let gather = kernels::numeric_gather(ctx, name);
     let params = ctx.params(TaskKey::params(&format!("corrprep:{name}")));
-    ctx.graph.op("corr_prep", params, vec![gather], |inputs| {
-        pl(ColumnPrep::prepare(un::<Vec<f64>>(&inputs[0]).clone()))
-    })
+    let prep = ctx.graph.op("corr_prep", params, vec![gather], |inputs| {
+        pl(ColumnPrep::prepare(un::<Vec<f64>>(&inputs[0])))
+    });
+    (gather, prep)
 }
 
-/// Plan the three correlation matrices as graph tasks: per-column prep
-/// nodes feed one node per method that fills its whole `m×m` matrix.
-/// The heavy O(n log n) per-column preparation and the per-pair
-/// coefficients run *inside* the graph — parallel across columns, and
-/// served by the cross-call result cache on repeat calls — while the
-/// cheap insight filtering stays eager. Returns one node per
-/// [`CorrMethod::ALL`] entry, each with a [`CorrMatrix`] payload.
-pub fn plan_matrix_nodes(ctx: &mut ComputeContext<'_>, names: &[String]) -> Vec<NodeId> {
-    let preps: Vec<NodeId> = names.iter().map(|n| plan_corr_prep(ctx, n)).collect();
-    CorrMethod::ALL
-        .iter()
-        .map(|&method| {
-            let labels = names.to_vec();
-            let params =
-                ctx.params(TaskKey::params(&format!("corrmatrix:{}", method.name())));
-            ctx.graph.op("corr_matrix", params, preps.clone(), move |inputs| {
-                let preps: Vec<&ColumnPrep> =
-                    inputs.iter().map(un::<ColumnPrep>).collect();
-                let m = preps.len();
-                let mut cells = vec![None; m * m];
-                for i in 0..m {
-                    cells[i * m + i] = Some(1.0);
-                    for j in (i + 1)..m {
-                        let r = cell(method, preps[i], preps[j]);
-                        cells[i * m + j] = r;
-                        cells[j * m + i] = r;
-                    }
-                }
-                pl(CorrMatrix { labels: labels.clone(), method, cells })
+/// Tiles per method when nothing says otherwise: a few per worker, so
+/// the last tiles to finish are short, but never more than there are
+/// pairs.
+pub fn default_tiles(workers: usize, npairs: usize) -> usize {
+    (4 * workers).clamp(1, npairs.max(1))
+}
+
+/// Cut `0..npairs` into `tiles` contiguous ranges whose lengths differ by
+/// at most one (fewer ranges when there are fewer pairs).
+pub fn tile_bounds(npairs: usize, tiles: usize) -> Vec<(usize, usize)> {
+    let tiles = tiles.clamp(1, npairs.max(1));
+    (0..tiles).map(|t| (t * npairs / tiles, (t + 1) * npairs / tiles)).collect()
+}
+
+/// Plan `method` over `pairs` (indices into `columns`) as `tiles`
+/// `corr_matrix` tasks; their payloads, concatenated in order, are the
+/// coefficients of `pairs` in order. `scope` keeps the keys of different
+/// pair lists over the same columns apart.
+fn plan_cells(
+    ctx: &mut ComputeContext<'_>,
+    columns: &[(NodeId, NodeId)],
+    method: CorrMethod,
+    pairs: &[(usize, usize)],
+    tiles: usize,
+    scope: &str,
+) -> Vec<NodeId> {
+    let m = columns.len();
+    let deps: Vec<NodeId> =
+        columns.iter().map(|c| c.0).chain(columns.iter().map(|c| c.1)).collect();
+    tile_bounds(pairs.len(), tiles)
+        .into_iter()
+        .map(|(lo, hi)| {
+            let tile = pairs[lo..hi].to_vec();
+            let params = ctx.params(TaskKey::params(&format!(
+                "corrtile:{}:{scope}:{lo}:{hi}",
+                method.name()
+            )));
+            let name = format!("corr_matrix:{}:{lo}", method.name());
+            ctx.graph.op(&name, params, deps.clone(), move |inputs| {
+                let (gathers, preps) = inputs.split_at(m);
+                let cols: Vec<Col<'_>> = gathers
+                    .iter()
+                    .zip(preps)
+                    .map(|(g, p)| Col { values: un::<Vec<f64>>(g), prep: un::<ColumnPrep>(p) })
+                    .collect();
+                pl(corr_cells(method, &cols, &tile))
             })
         })
         .collect()
 }
 
-/// Two-phase path: gathers, preps, and matrix fills all run in the graph;
-/// only the insight filtering happens eagerly afterwards.
-fn matrices_two_phase(
-    ctx: &mut ComputeContext<'_>,
-    names: &[String],
-) -> EdaResult<Vec<CorrMatrix>> {
-    let nodes = plan_matrix_nodes(ctx, names);
-    let outs = ctx.execute_checked(&nodes)?;
-    Ok(outs.iter().map(|p| un::<CorrMatrix>(p).clone()).collect())
+/// Plan the three correlation matrices with the default tiling. Returns
+/// one node per [`CorrMethod::ALL`] entry, each with a [`CorrMatrix`]
+/// payload.
+pub fn plan_matrix_nodes(ctx: &mut ComputeContext<'_>, names: &[String]) -> Vec<NodeId> {
+    let npairs = names.len() * names.len().saturating_sub(1) / 2;
+    plan_matrix_tiles(ctx, names, default_tiles(ctx.config.engine.workers, npairs))
 }
 
-/// All-graph path (ablation): per-column prep nodes (shared) feed one
-/// task per (method, pair); assembly still happens at the end.
-fn matrices_all_graph(
+/// [`plan_matrix_nodes`] with an explicit number of tiles per method
+/// (clamped to the pair count, so `usize::MAX` is one task per pair).
+pub fn plan_matrix_tiles(
     ctx: &mut ComputeContext<'_>,
     names: &[String],
-) -> EdaResult<Vec<CorrMatrix>> {
-    let prep_nodes: Vec<NodeId> = names.iter().map(|n| plan_corr_prep(ctx, n)).collect();
-    let m = names.len();
-    let mut pair_nodes: Vec<(usize, usize, CorrMethod, NodeId)> = Vec::new();
-    for (mi, &method) in CorrMethod::ALL.iter().enumerate() {
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let params = ctx.params(TaskKey::params(&format!(
-                    "corrcell:{mi}:{}:{}",
-                    names[i], names[j]
-                )));
-                let node = ctx.graph.op(
-                    "corr_cell",
-                    params,
-                    vec![prep_nodes[i], prep_nodes[j]],
-                    move |inputs| {
-                        let a = un::<ColumnPrep>(&inputs[0]);
-                        let b = un::<ColumnPrep>(&inputs[1]);
-                        pl(cell(method, a, b))
-                    },
-                );
-                pair_nodes.push((i, j, method, node));
-            }
-        }
-    }
-    let outputs: Vec<NodeId> = pair_nodes.iter().map(|(_, _, _, n)| *n).collect();
-    let outs = ctx.execute_checked(&outputs)?;
-    Ok(CorrMethod::ALL
+    tiles: usize,
+) -> Vec<NodeId> {
+    let columns: Vec<(NodeId, NodeId)> = names.iter().map(|n| plan_corr_prep(ctx, n)).collect();
+    let pairs = upper_triangle(names.len());
+    let labels: Arc<[String]> = names.into();
+    CorrMethod::ALL
         .iter()
         .map(|&method| {
-            let mut cells = vec![None; m * m];
-            for i in 0..m {
-                cells[i * m + i] = Some(1.0);
-            }
-            for ((i, j, pm, _), payload) in pair_nodes.iter().zip(&outs) {
-                if *pm == method {
-                    let r = *un::<Option<f64>>(payload);
-                    cells[i * m + j] = r;
-                    cells[j * m + i] = r;
-                }
-            }
-            CorrMatrix { labels: names.to_vec(), method, cells }
+            let tile_nodes = plan_cells(ctx, &columns, method, &pairs, tiles, "matrix");
+            let labels = Arc::clone(&labels);
+            let params =
+                ctx.params(TaskKey::params(&format!("corrassemble:{}", method.name())));
+            let name = format!("corr_assemble:{}", method.name());
+            ctx.graph.op(&name, params, tile_nodes, move |tiles| {
+                let upper = tiles.iter().flat_map(|t| un::<Vec<Option<f64>>>(t).iter().copied());
+                pl(CorrMatrix::from_upper(labels.to_vec(), method, upper))
+            })
         })
-        .collect())
+        .collect()
 }
 
-/// Run `plot_correlation(df, x)`.
+/// Run `plot_correlation(df, x)`: row `x` of the three matrices, planned
+/// as that row's tiles over the columns' shared `corr_prep` nodes.
 pub fn compute_correlation_vector(
     ctx: &mut ComputeContext<'_>,
     x: &str,
@@ -228,29 +185,36 @@ pub fn compute_correlation_vector(
         return Err(EdaError::NotNumeric(x.to_string()));
     }
     let names = numeric_columns(ctx);
-    let others: Vec<String> = names.iter().filter(|n| *n != x).cloned().collect();
-    if others.is_empty() {
+    let Some(xi) = names.iter().position(|n| n == x) else {
+        return Err(EdaError::NotNumeric(x.to_string()));
+    };
+    if names.len() < 2 {
         return Err(EdaError::EmptyInput("no other numeric columns"));
     }
 
-    let gx = kernels::numeric_gather(ctx, x);
-    let gathers: Vec<NodeId> = others
+    let columns: Vec<(NodeId, NodeId)> = names.iter().map(|n| plan_corr_prep(ctx, n)).collect();
+    // The matrix computes cell (i, j) with i < j; so does its row.
+    let others: Vec<usize> = (0..names.len()).filter(|&j| j != xi).collect();
+    let pairs: Vec<(usize, usize)> = others.iter().map(|&j| (xi.min(j), xi.max(j))).collect();
+    let tiles = default_tiles(ctx.config.engine.workers, pairs.len());
+    let scope = format!("row:{x}");
+    let per_method: Vec<Vec<NodeId>> = CorrMethod::ALL
         .iter()
-        .map(|n| kernels::numeric_gather(ctx, n))
+        .map(|&method| plan_cells(ctx, &columns, method, &pairs, tiles, &scope))
         .collect();
-    let mut outputs = vec![gx];
-    outputs.extend(&gathers);
-    let outs = ctx.execute_checked(&outputs)?;
+    let outs = ctx.execute_checked(&per_method.concat())?;
 
-    let xv = un::<Vec<f64>>(&outs[0]);
-    let mut ims = Intermediates::new();
     let mut insights = Vec::new();
     let mut vectors = Vec::new();
-    for &method in &CorrMethod::ALL {
+    let mut outs = outs.iter();
+    for (&method, tile_nodes) in CorrMethod::ALL.iter().zip(&per_method) {
+        let cells = outs
+            .by_ref()
+            .take(tile_nodes.len())
+            .flat_map(|t| un::<Vec<Option<f64>>>(t).iter().copied());
         let mut entries = Vec::with_capacity(others.len());
-        for (name, p) in others.iter().zip(&outs[1..]) {
-            let yv = un::<Vec<f64>>(p);
-            let r = method.compute(xv, yv);
+        for (&j, r) in others.iter().zip(cells) {
+            let name = &names[j];
             if let Some(r) = r {
                 if let Some(i) =
                     correlation_insight(x, name, method.name(), r, &ctx.config.insight)
@@ -262,6 +226,7 @@ pub fn compute_correlation_vector(
         }
         vectors.push((method.name().to_string(), entries));
     }
+    let mut ims = Intermediates::new();
     ims.push("correlation_vectors", Inter::CorrVectors(vectors));
     Ok((ims, insights))
 }
@@ -327,8 +292,8 @@ pub fn matrix_labels(ims: &Intermediates) -> Vec<String> {
     }
 }
 
-/// Eager reference implementation used by tests to validate both pipeline
-/// paths: direct matrices over materialized columns.
+/// Eager reference implementation used by tests to validate the graph
+/// plan: one pair-kernel call per cell over materialized columns.
 #[doc(hidden)]
 pub fn reference_matrices(
     df: &eda_dataframe::DataFrame,
@@ -408,46 +373,102 @@ mod tests {
             .any(|i| i.columns == vec!["a".to_string(), "b".to_string()]));
     }
 
+    fn matrices(df: &DataFrame, names: &[String], tiles: Option<usize>) -> Vec<CorrMatrix> {
+        let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+        let mut ctx = ComputeContext::new(df, &cfg);
+        let nodes = match tiles {
+            None => plan_matrix_nodes(&mut ctx, names),
+            Some(tiles) => plan_matrix_tiles(&mut ctx, names, tiles),
+        };
+        let outs = ctx.execute_checked(&nodes).unwrap();
+        outs.iter().map(|p| un::<CorrMatrix>(p).clone()).collect()
+    }
+
     #[test]
     fn two_phase_and_all_graph_agree() {
+        // Every tiling runs the same cell kernel on the same argument
+        // order: equal bit for bit, nulls ("c") included.
         let df = frame();
         let names = vec!["a".to_string(), "b".to_string(), "c".to_string()];
-        let eager_cfg = Config::default();
-        let mut ctx = ComputeContext::new(&df, &eager_cfg);
-        let two_phase = matrices_two_phase(&mut ctx, &names).unwrap();
-
-        let lazy_cfg = Config::from_pairs(vec![("engine.eager_finish", "false")]).unwrap();
-        let mut ctx2 = ComputeContext::new(&df, &lazy_cfg);
-        let all_graph = matrices_all_graph(&mut ctx2, &names).unwrap();
-
-        let reference = reference_matrices(&df, &names);
-        for ((a, b), r) in two_phase.iter().zip(&all_graph).zip(&reference) {
-            assert_eq!(a.labels, b.labels);
-            for i in 0..a.size() {
-                for j in 0..a.size() {
-                    let (x, y, z) = (a.get(i, j), b.get(i, j), r.get(i, j));
-                    // The two DataPrep paths must agree exactly.
-                    match (x, y) {
-                        (Some(x), Some(y)) => assert!((x - y).abs() < 1e-12, "{x} vs {y}"),
-                        _ => assert_eq!(x, y),
+        let tiled = matrices(&df, &names, None);
+        for tiles in [1, 2, usize::MAX] {
+            assert_eq!(matrices(&df, &names, Some(tiles)), tiled, "tiles = {tiles}");
+        }
+        // The eager reference calls the pair kernels cell by cell: the
+        // same rank-once Spearman, an independent Pearson (streaming
+        // update, not a centered dot product) and the sorting Kendall.
+        for (ours, reference) in tiled.iter().zip(reference_matrices(&df, &names)) {
+            assert_eq!(ours.labels, reference.labels);
+            for (x, z) in ours.cells.iter().zip(&reference.cells) {
+                match (x, z) {
+                    (Some(x), Some(z)) if ours.method == CorrMethod::KendallTau => {
+                        assert_eq!(x, z)
                     }
-                    // Pearson and Kendall also match the per-pair
-                    // reference exactly (the Kendall prep path is exact;
-                    // NaN columns fall back to per-pair). Spearman uses
-                    // pandas rank-once semantics, which only coincides
-                    // with the SciPy per-pair reference when neither
-                    // column has nulls — column "c" has nulls, so those
-                    // cells may differ slightly; require closeness.
-                    match (x, z) {
-                        (Some(x), Some(z)) if a.method != CorrMethod::Spearman => {
-                            assert!((x - z).abs() < 1e-12, "{:?}: {x} vs ref {z}", a.method)
-                        }
-                        (Some(x), Some(z)) => {
-                            assert!((x - z).abs() < 0.15, "spearman: {x} vs ref {z}")
-                        }
-                        _ => assert_eq!(x, z),
+                    (Some(x), Some(z)) => {
+                        assert!((x - z).abs() < 1e-12, "{:?}: {x} vs {z}", ours.method)
                     }
+                    _ => assert_eq!(x, z),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn per_pair_tiling_runs_one_task_per_cell() {
+        let df = frame();
+        let names = vec!["a".to_string(), "b".to_string(), "c".to_string()];
+        let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+        let count = |tiles: usize| {
+            let mut ctx = ComputeContext::new(&df, &cfg);
+            let before = ctx.graph.len();
+            plan_matrix_tiles(&mut ctx, &names, tiles);
+            ctx.graph.len() - before
+        };
+        // 3 pairs per method instead of 1 tile, for each of 3 methods.
+        assert_eq!(count(usize::MAX) - count(1), 3 * (3 - 1));
+    }
+
+    #[test]
+    fn tile_bounds_cover_every_pair_exactly_once() {
+        for m in 2..=40usize {
+            let pairs = upper_triangle(m);
+            for workers in 1..=9 {
+                let tiles = default_tiles(workers, pairs.len());
+                let bounds = tile_bounds(pairs.len(), tiles);
+                assert_eq!(bounds.len(), tiles.min(pairs.len()));
+                let covered: Vec<(usize, usize)> =
+                    bounds.iter().flat_map(|&(lo, hi)| pairs[lo..hi].to_vec()).collect();
+                assert_eq!(covered, pairs, "m={m} workers={workers}");
+                let lens: Vec<usize> = bounds.iter().map(|(lo, hi)| hi - lo).collect();
+                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(*min >= 1 && max - min <= 1, "m={m} workers={workers}: {lens:?}");
+            }
+        }
+        assert_eq!(tile_bounds(0, 4), vec![(0, 0)]);
+        assert_eq!(tile_bounds(3, usize::MAX), vec![(0, 1), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn vector_is_the_matrix_row_bit_for_bit() {
+        // "c" has nulls: rank-once Spearman and the per-pair fallbacks
+        // must give the vector exactly what the matrix row holds.
+        let df = frame();
+        let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+        let mut ctx = ComputeContext::new(&df, &cfg);
+        let (matrix_ims, _) = compute_correlation_overview(&mut ctx).unwrap();
+        for x in ["a", "b", "c"] {
+            let mut ctx = ComputeContext::new(&df, &cfg);
+            let (ims, _) = compute_correlation_vector(&mut ctx, x).unwrap();
+            let Some(Inter::CorrVectors(vectors)) = ims.get("correlation_vectors") else {
+                panic!()
+            };
+            for (method, entries) in vectors {
+                let Some(Inter::Correlation(m)) =
+                    matrix_ims.get(&format!("correlation_matrix:{method}"))
+                else {
+                    panic!("missing {method}")
+                };
+                assert_eq!(entries, &m.vector_for(x).unwrap(), "{method} row {x}");
             }
         }
     }
@@ -457,20 +478,12 @@ mod tests {
         // On NaN-free columns the pandas and SciPy semantics coincide.
         let df = frame();
         let names = vec!["a".to_string(), "b".to_string()];
-        let cfg = Config::default();
-        let mut ctx = ComputeContext::new(&df, &cfg);
-        let ours = matrices_two_phase(&mut ctx, &names).unwrap();
-        let reference = reference_matrices(&df, &names);
-        for (a, r) in ours.iter().zip(&reference) {
-            for i in 0..a.size() {
-                for j in 0..a.size() {
-                    match (a.get(i, j), r.get(i, j)) {
-                        (Some(x), Some(z)) => assert!((x - z).abs() < 1e-12),
-                        (x, z) => assert_eq!(x, z),
-                    }
-                }
-            }
-        }
+        let spearman = &matrices(&df, &names, None)[1];
+        assert_eq!(spearman.method, CorrMethod::Spearman);
+        let (a, b) = (df.column("a").unwrap(), df.column("b").unwrap());
+        let per_pair =
+            eda_stats::corr::spearman(&a.to_f64_nan().unwrap(), &b.to_f64_nan().unwrap());
+        assert!((spearman.get(0, 1).unwrap() - per_pair.unwrap()).abs() < 1e-12);
     }
 
     #[test]

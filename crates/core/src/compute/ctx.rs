@@ -43,21 +43,28 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
     }
 }
 
-/// Domain sizer for the byte-budgeted cache: the taskgraph's structural
-/// estimate only knows primitive containers and charges a pointer-sized
-/// floor for opaque payloads, so the multi-megabyte correlation
-/// intermediates would be billed as ~16 bytes each and never evict.
-fn payload_sizer() -> PayloadSizer {
-    use crate::compute::correlation::ColumnPrep;
-    use eda_stats::corr::CorrMatrix;
+/// Domain sizer for the byte-budgeted cache and the run memory gauge: the
+/// taskgraph's structural estimate only knows primitive containers and
+/// charges a pointer-sized floor for opaque payloads, so the correlation
+/// and KDE intermediates would be billed ~16 bytes each, never evict and
+/// never trip `engine.memory_budget_bytes`. Each arm charges the heap
+/// bytes the payload owns (a `corr_prep` borrows its column from the
+/// gather payload, which is charged on its own).
+pub fn payload_sizer() -> PayloadSizer {
+    use eda_stats::corr::{ColumnPrep, CorrMatrix};
     Arc::new(|p: &Payload| {
         if let Some(prep) = p.downcast_ref::<ColumnPrep>() {
-            let kendall = prep.kendall.as_ref().map_or(0, |k| k.perm.len() * 4 + 8);
-            return Some((prep.values.len() + prep.ranks.len()) * 8 + kendall);
+            return Some(prep.heap_bytes());
+        }
+        if let Some(cells) = p.downcast_ref::<Vec<Option<f64>>>() {
+            return Some(cells.capacity() * 16);
+        }
+        if let Some((xs, ys)) = p.downcast_ref::<(Vec<f64>, Vec<f64>)>() {
+            return Some((xs.capacity() + ys.capacity()) * 8);
         }
         if let Some(m) = p.downcast_ref::<CorrMatrix>() {
-            let labels: usize = m.labels.iter().map(|l| l.len() + 24).sum();
-            return Some(m.cells.len() * 16 + labels);
+            let labels: usize = m.labels.iter().map(|l| l.capacity() + 24).sum();
+            return Some(m.cells.capacity() * 16 + labels);
         }
         None
     })

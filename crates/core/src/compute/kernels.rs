@@ -15,10 +15,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eda_dataframe::{Column, DataFrame, Selection};
-use eda_stats::corr::PearsonPartial;
+use eda_dataframe::{Bitmap, Column, DataFrame, Selection};
+use eda_stats::corr::{upper_triangle, PearsonPartial};
 use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
+use eda_stats::missing::{spectrum_ranges, NullCounts};
 use eda_stats::moments::Moments;
 use eda_stats::text::TextStats;
 use eda_taskgraph::key::TaskKey;
@@ -406,39 +407,65 @@ pub fn numeric_gather(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     )
 }
 
-/// Null-indicator vector of a column (`true` = missing), gathered in row
-/// order. Feeds the spectrum, nullity correlation, and dendrogram.
-pub fn null_indicator(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
-    let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("nulls:{column}")));
-    ops::map_reduce(
-        &mut ctx.graph,
-        &format!("null_indicator:{column}"),
-        params,
-        &ctx.sources.clone(),
-        move |df| {
-            let c = col(df, &name);
-            // Validity scans walk the bitmap's bytes, not per-row asserts;
-            // a column without a bitmap has no nulls at all, and an
-            // all-set bitmap short-circuits to the same bulk fill
-            // without visiting a single bit.
-            let v: Vec<bool> = match c.validity() {
-                None => vec![false; c.len()],
-                Some(bm) if bm.all_set() => vec![false; c.len()],
-                Some(bm) => {
-                    let mut v = vec![true; c.len()];
-                    bm.for_each_set(|i| v[i] = false);
-                    v
-                }
-            };
-            pl(v)
-        },
-        |a, b| {
-            let mut v = un::<Vec<bool>>(a).clone();
-            v.extend_from_slice(un::<Vec<bool>>(b));
-            pl(v)
-        },
-    )
+/// Integer nullity aggregates of the whole frame ([`NullCounts`]): nulls
+/// per column, rows where both columns of a pair are null, and nulls per
+/// spectrum bin (`bins` row ranges). Each partition counts its own
+/// validity windows a 64-row word at a time and the counts add up, so no
+/// row-length indicator is ever built. Feeds the four `plot_missing(df)`
+/// views.
+pub fn null_counts(ctx: &mut ComputeContext<'_>, bins: usize) -> NodeId {
+    let ranges = Arc::new(spectrum_ranges(ctx.pf.nrows(), bins));
+    let params = ctx.params(TaskKey::params(&format!("nulls:{bins}")));
+    let mapped: Vec<NodeId> = ctx
+        .sources
+        .clone()
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            let (first_row, _) = ctx.pf.meta.range(i);
+            let ranges = Arc::clone(&ranges);
+            ctx.graph.op("nulls", params, vec![p], move |inputs| {
+                pl(count_nulls(&payload_frame(&inputs[0]), first_row, &ranges))
+            })
+        })
+        .collect();
+    ops::tree_reduce(&mut ctx.graph, "nulls/reduce", params, &mapped, |a, b| {
+        let mut c = un::<NullCounts>(a).clone();
+        c.merge(un::<NullCounts>(b));
+        pl(c)
+    })
+}
+
+/// [`NullCounts`] of one partition whose first row is row `first_row` of
+/// the frame; `ranges` are the frame's spectrum bins.
+fn count_nulls(df: &DataFrame, first_row: usize, ranges: &[(usize, usize)]) -> NullCounts {
+    let rows = df.nrows();
+    // Only a window with a clear validity bit has anything to count.
+    let masks: Vec<Option<&Bitmap>> =
+        df.iter().map(|(_, c)| c.validity().filter(|bm| !bm.all_set())).collect();
+    let nulls = |mask: &Option<&Bitmap>, lo: usize, hi: usize| match mask {
+        Some(bm) if lo < hi => bm.slice(lo, hi - lo).count_unset(),
+        _ => 0,
+    };
+    NullCounts {
+        rows,
+        nulls: masks.iter().map(|m| nulls(m, 0, rows)).collect(),
+        co_nulls: upper_triangle(masks.len())
+            .into_iter()
+            .map(|(i, j)| match (masks[i], masks[j]) {
+                (Some(a), Some(b)) => a.count_unset_in_both(b),
+                _ => 0,
+            })
+            .collect(),
+        bin_nulls: ranges
+            .iter()
+            .map(|&(lo, hi)| {
+                // The part of the bin inside this partition, in its rows.
+                let clip = |row: usize| row.clamp(first_row, first_row + rows) - first_row;
+                masks.iter().map(|m| nulls(m, clip(lo), clip(hi))).collect()
+            })
+            .collect(),
+    }
 }
 
 /// Numeric values of `num` grouped by the (display) categories of `cat`,
@@ -828,13 +855,28 @@ mod tests {
     }
 
     #[test]
-    fn null_indicator_in_row_order() {
-        let v: Vec<bool> = run_one(|ctx| null_indicator(ctx, "num"));
-        assert_eq!(v.len(), 200);
-        assert!(v[0]);
-        assert!(!v[1]);
-        assert!(v[10]);
-        assert_eq!(v.iter().filter(|&&b| b).count(), 20);
+    fn null_counts_per_column_pair_and_bin() {
+        // `num` is null where i % 10 == 0, `cat` where i % 13 == 0; rows 0
+        // and 130 are null in both. Three partitions, four spectrum bins.
+        let df = frame();
+        let cfg = Config::from_pairs(vec![("engine.npartitions", "3")]).unwrap();
+        let mut ctx = ComputeContext::new(&df, &cfg);
+        // The 8192-rows-per-partition cap would leave one partition.
+        ctx.pf = eda_taskgraph::PartitionedFrame::from_frame(&df, 3);
+        ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
+        let node = null_counts(&mut ctx, 4);
+        let out = ctx.execute(&[node]);
+        let c = un::<NullCounts>(&out[0]);
+        assert_eq!(c.rows, 200);
+        assert_eq!(c.nulls, vec![20, 0, 16]);
+        // Pairs (num, num2), (num, cat), (num2, cat).
+        assert_eq!(c.co_nulls, vec![0, 2, 0]);
+        let per_bin = |step: usize, lo: usize, hi: usize| (lo..hi).filter(|i| i % step == 0).count();
+        let expected: Vec<Vec<usize>> = [(0, 50), (50, 100), (100, 150), (150, 200)]
+            .iter()
+            .map(|&(lo, hi)| vec![per_bin(10, lo, hi), 0, per_bin(13, lo, hi)])
+            .collect();
+        assert_eq!(c.bin_nulls, expected);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
 use eda_stats::hypothesis::ks_distance;
-use eda_stats::missing::{missing_spectrum, nullity_correlation, nullity_dendrogram, MissingSummary};
+use eda_stats::missing::{spectrum_ranges, MissingSpectrum, MissingSummary, NullCounts};
 use eda_stats::quantile::BoxPlot;
 use eda_taskgraph::NodeId;
 
@@ -25,62 +25,55 @@ use crate::insights::{similarity_insight, Insight};
 use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{un, ComputeContext};
-use super::kernels::{self, ColMeta, Rows};
+use super::kernels::{self, Rows};
 
 /// Run `plot_missing(df)`.
 pub fn compute_missing_overview(
     ctx: &mut ComputeContext<'_>,
 ) -> EdaResult<(Intermediates, Vec<Insight>)> {
-    let names: Vec<String> = ctx.df.names().to_vec();
-    let metas: Vec<NodeId> = names
-        .iter()
-        .map(|n| kernels::col_meta(ctx, n))
-        .collect();
-    let indicators: Vec<NodeId> = names
-        .iter()
-        .map(|n| kernels::null_indicator(ctx, n))
-        .collect();
-    let mut outputs = metas.clone();
-    outputs.extend(&indicators);
-    let outs = ctx.execute_checked(&outputs)?;
+    let node = plan_missing_overview(ctx);
+    let outs = ctx.execute_checked(&[node])?;
+    let ims = assemble_missing_overview(ctx.df.names(), ctx.config.spectrum.bins, un(&outs[0]));
+    Ok((ims, Vec::new()))
+}
 
-    // Pandas phase: assemble the four visualizations from the reduced
-    // indicator vectors.
+/// Plan the nullity overview — `plot_missing(df)` and the report's
+/// missing section alike: one node holding the frame's [`NullCounts`].
+pub fn plan_missing_overview(ctx: &mut ComputeContext<'_>) -> NodeId {
+    kernels::null_counts(ctx, ctx.config.spectrum.bins)
+}
+
+/// The four nullity views from the counts [`plan_missing_overview`]
+/// planned. Everything here is arithmetic on `columns²` integers.
+pub fn assemble_missing_overview(
+    names: &[String],
+    bins: usize,
+    counts: &NullCounts,
+) -> Intermediates {
     let mut ims = Intermediates::new();
     let summaries: Vec<MissingSummary> = names
         .iter()
-        .zip(&outs[..names.len()])
-        .map(|(n, p)| {
-            let meta = un::<ColMeta>(p);
-            MissingSummary { label: n.clone(), nulls: meta.nulls, total: meta.len }
-        })
+        .zip(&counts.nulls)
+        .map(|(n, &nulls)| MissingSummary { label: n.clone(), nulls, total: counts.rows })
         .collect();
     ims.push("missing_bar_chart", Inter::MissingBars(summaries));
-
-    let indicator_cols: Vec<(String, Vec<bool>)> = names
-        .iter()
-        .zip(&outs[names.len()..])
-        .map(|(n, p)| (n.clone(), un::<Vec<bool>>(p).clone()))
-        .collect();
     ims.push(
         "missing_spectrum",
-        Inter::Spectrum(missing_spectrum(&indicator_cols, ctx.config.spectrum.bins)),
+        Inter::Spectrum(MissingSpectrum {
+            labels: names.to_vec(),
+            row_ranges: spectrum_ranges(counts.rows, bins),
+            counts: counts.bin_nulls.clone(),
+        }),
     );
     ims.push(
         "nullity_correlation",
-        Inter::NullityCorr {
-            labels: names.clone(),
-            cells: nullity_correlation(&indicator_cols),
-        },
+        Inter::NullityCorr { labels: names.to_vec(), cells: counts.correlation() },
     );
     ims.push(
         "dendrogram",
-        Inter::Dendrogram {
-            labels: names,
-            merges: nullity_dendrogram(&indicator_cols),
-        },
+        Inter::Dendrogram { labels: names.to_vec(), merges: counts.dendrogram() },
     );
-    Ok((ims, Vec::new()))
+    ims
 }
 
 /// Plan one column's comparison for dropping `x`'s null rows: its

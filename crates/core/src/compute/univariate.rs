@@ -8,6 +8,11 @@
 //! The module is split into *plan* (add graph nodes) and *assemble*
 //! (turn reduced payloads into intermediates) so `create_report` can plan
 //! every column into one graph, execute once, and assemble per column.
+//! Assembly only reads small aggregates and formats them: anything with a
+//! per-row or per-sample loop is a graph node — the KDE curve (a million
+//! `exp` per column) is the `kde` task on the shared sorted-values node,
+//! so it runs on a worker, parallel across columns, and a repeated
+//! `plot(df, x)` or a warm `create_report` gets it from the result cache.
 
 use eda_stats::freq::FreqTable;
 use eda_stats::kde::kde_grid;
@@ -16,6 +21,7 @@ use eda_stats::qq::{normal_quantile, normal_qq_points};
 use eda_stats::quantile::{quantile_sorted, BoxPlot};
 use eda_stats::text::TextStats;
 use eda_taskgraph::graph::Payload;
+use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::NodeId;
 
 use crate::config::Config;
@@ -24,8 +30,13 @@ use crate::error::EdaResult;
 use crate::insights::{categorical_insights, numeric_insights, Insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
-use super::ctx::{un, ComputeContext};
+use super::ctx::{pl, un, ComputeContext};
 use super::kernels::{self, ColMeta, Rows};
+
+/// KDE curves are evaluated over at most this many of the sorted values
+/// (interactivity: kernel sums over millions of points would defeat the
+/// latency goal).
+const KDE_SAMPLE: usize = 5000;
 
 /// Graph nodes of a numeric univariate panel.
 #[derive(Debug, Clone, Copy)]
@@ -40,22 +51,31 @@ pub struct NumericPlan {
     pub sorted: NodeId,
     /// Histogram.
     pub hist: NodeId,
+    /// KDE curve `(xs, densities)` over a stride sample of `sorted`.
+    pub kde: NodeId,
 }
 
 impl NumericPlan {
     /// The output nodes to request from the engine.
     pub fn outputs(&self) -> Vec<NodeId> {
-        vec![self.meta, self.moments, self.sorted, self.hist]
+        vec![self.meta, self.moments, self.sorted, self.hist, self.kde]
     }
 }
 
 /// Add the numeric univariate plan for `column`.
 pub fn plan_numeric(ctx: &mut ComputeContext<'_>, column: &str) -> NumericPlan {
+    let sorted = kernels::sorted_values(ctx, column, Rows::All);
+    let grid = ctx.config.kde.grid;
+    let params = ctx.params(TaskKey::params(&format!("kde:{column}")));
+    let kde = ctx.graph.op(&format!("kde:{column}"), params, vec![sorted], move |inputs| {
+        pl(kde_grid(&stride_sample(un::<Vec<f64>>(&inputs[0]), KDE_SAMPLE), grid))
+    });
     NumericPlan {
         meta: kernels::col_meta(ctx, column),
         moments: kernels::moments(ctx, column),
-        sorted: kernels::sorted_values(ctx, column, Rows::All),
+        sorted,
         hist: kernels::histogram(ctx, column, ctx.config.hist.bins),
+        kde,
     }
 }
 
@@ -130,6 +150,7 @@ pub fn assemble_numeric(
     let moments = un::<Moments>(&outs[1]);
     let sorted = un::<Vec<f64>>(&outs[2]);
     let hist = un::<eda_stats::histogram::Histogram>(&outs[3]);
+    let (xs, ys) = un::<(Vec<f64>, Vec<f64>)>(&outs[4]);
 
     let box_plot = BoxPlot::from_sorted(sorted, config.box_plot.max_outliers);
     let insights = numeric_insights(column, meta, moments, box_plot.as_ref(), &config.insight);
@@ -143,10 +164,6 @@ pub fn assemble_numeric(
         "histogram",
         Inter::Histogram { edges: hist.edges(), counts: hist.counts.clone() },
     );
-    // KDE over a bounded sample of the sorted values (interactivity:
-    // kernel sums over millions of points would defeat the latency goal).
-    let sample = stride_sample(sorted, 5000);
-    let (xs, ys) = kde_grid(&sample, config.kde.grid);
     if config.violin.enabled {
         // The violin is the same density profile mirrored by the
         // renderer — shared computation, zero extra passes.
@@ -155,7 +172,7 @@ pub fn assemble_numeric(
             Inter::Violin { ys: xs.clone(), densities: ys.clone() },
         );
     }
-    ims.push("kde_plot", Inter::Kde { xs, ys });
+    ims.push("kde_plot", Inter::Kde { xs: xs.clone(), ys: ys.clone() });
     ims.push(
         "qq_plot",
         Inter::QQ(qq_from_sorted(sorted, config.qq.points)),

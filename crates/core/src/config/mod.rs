@@ -175,9 +175,6 @@ pub struct EngineConfig {
     /// Share structurally identical tasks (CSE). Disabled only by the
     /// sharing-ablation benchmark.
     pub share_computations: bool,
-    /// Run small-data finishing computations eagerly after the graph
-    /// (two-phase pipeline, paper §5.2) instead of as graph tasks.
-    pub eager_finish: bool,
     /// When non-zero and the frame is larger, compute on a systematic
     /// sample of about this many rows and flag the analysis as
     /// approximated (the paper's §7 sampling future-work, with the
@@ -298,7 +295,6 @@ impl Default for Config {
                 npartitions: default_npartitions(),
                 workers: default_workers(),
                 share_computations: true,
-                eager_finish: true,
                 sample_rows: 0,
                 task_deadline_ms: 0,
                 profile: false,
@@ -396,7 +392,6 @@ impl Config {
             "engine.share_computations" => {
                 self.engine.share_computations = bool_of(key, value)?
             }
-            "engine.eager_finish" => self.engine.eager_finish = bool_of(key, value)?,
             "engine.sample_rows" => self.engine.sample_rows = usize_of(key, value)?,
             "engine.task_deadline_ms" => {
                 self.engine.task_deadline_ms = usize_of(key, value)? as u64
@@ -467,7 +462,6 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.hist.bins, 50); // Figure 1's how-to guide example
         assert!(c.engine.share_computations);
-        assert!(c.engine.eager_finish);
         assert!(c.engine.workers >= 1);
     }
 
@@ -491,7 +485,7 @@ mod tests {
 
     #[test]
     fn unknown_key_errors() {
-        // A typo, and the four engine keys that left with their mechanisms.
+        // A typo, and the five engine keys that left with their mechanisms.
         let mut c = Config::default();
         for key in [
             "nope.nothing",
@@ -499,6 +493,7 @@ mod tests {
             "engine.metrics",
             "engine.max_concurrent_runs",
             "engine.task_retries",
+            "engine.eager_finish",
         ] {
             let e = c.set(key, "1").unwrap_err();
             assert!(
@@ -513,7 +508,7 @@ mod tests {
         let mut c = Config::default();
         assert!(c.set("hist.bins", "many").is_err());
         assert!(c.set("insight.skew", "x").is_err());
-        assert!(c.set("engine.eager_finish", "maybe").is_err());
+        assert!(c.set("engine.share_computations", "maybe").is_err());
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub const PARAMS: &[ParamSpec] = &[
     ParamSpec { key: "engine.npartitions", default: "2*cores", description: "Data partitions for the parallel phase" },
     ParamSpec { key: "engine.workers", default: "cores", description: "Worker threads" },
     ParamSpec { key: "engine.share_computations", default: "true", description: "Deduplicate shared computations across visualizations" },
-    ParamSpec { key: "engine.eager_finish", default: "true", description: "Run small-data finishing steps eagerly (two-phase pipeline)" },
     ParamSpec { key: "engine.sample_rows", default: "0", description: "Compute on ~this many sampled rows when the frame is larger (0 = exact)" },
     ParamSpec { key: "engine.task_deadline_ms", default: "0", description: "Per-task wall-clock budget in ms; over-budget tasks degrade their section (0 = unlimited)" },
     ParamSpec { key: "engine.profile", default: "false", description: "Trace every task and add a Performance tab (worker Gantt, slowest tasks) to HTML output" },
@@ -82,7 +81,6 @@ mod tests {
             let value = if p.key.starts_with("insight.") {
                 "0.5"
             } else if p.key.ends_with("share_computations")
-                || p.key.ends_with("eager_finish")
                 || p.key.ends_with("profile")
                 || p.key.ends_with("violin.enabled")
                 || p.key == "violin.enabled"

@@ -19,7 +19,7 @@ use eda_taskgraph::ExecStats;
 use crate::api::SectionStatus;
 use crate::compute::correlation::{self, numeric_columns};
 use crate::compute::ctx::{un, ComputeContext};
-use crate::compute::kernels::{self, ColMeta};
+use crate::compute::missing::{assemble_missing_overview, plan_missing_overview};
 use crate::compute::overview::{assemble_overview, plan_overview};
 use crate::compute::univariate::{
     assemble_categorical, assemble_numeric, plan_categorical, plan_numeric, CategoricalPlan,
@@ -29,10 +29,9 @@ use crate::config::Config;
 use crate::dtype::{detect, SemanticType};
 use crate::error::EdaResult;
 use crate::insights::Insight;
-use crate::intermediate::{Inter, Intermediates};
+use crate::intermediate::Intermediates;
 
 use eda_stats::corr::CorrMatrix;
-use eda_stats::missing::{missing_spectrum, MissingSummary};
 
 /// One variable section of the report.
 #[derive(Debug)]
@@ -127,23 +126,15 @@ impl Report {
             .collect();
 
         let corr_names = numeric_columns(&ctx);
-        // One matrix node per method: the O(n log n) per-column prep and
-        // the per-pair coefficients run inside the graph (parallel and
-        // cacheable); only insight filtering stays eager.
+        // One assembled matrix per method over tiled cell tasks; only
+        // insight filtering stays eager.
         let corr_nodes: Vec<_> = if corr_names.len() >= 2 {
             correlation::plan_matrix_nodes(&mut ctx, &corr_names)
         } else {
             Vec::new()
         };
 
-        let missing_metas: Vec<_> = names
-            .iter()
-            .map(|n| kernels::col_meta(&mut ctx, n))
-            .collect();
-        let missing_indicators: Vec<_> = names
-            .iter()
-            .map(|n| kernels::null_indicator(&mut ctx, n))
-            .collect();
+        let missing_node = plan_missing_overview(&mut ctx);
 
         // ---- execute once ---------------------------------------------------
         let mut outputs = overview_plan.outputs();
@@ -161,8 +152,7 @@ impl Report {
         let corr_start = outputs.len();
         outputs.extend(&corr_nodes);
         let missing_start = outputs.len();
-        outputs.extend(&missing_metas);
-        outputs.extend(&missing_indicators);
+        outputs.push(missing_node);
 
         let outcomes = ctx.execute_outcomes(&outputs);
         let stats = ctx.last_stats.clone().expect("executed");
@@ -240,42 +230,10 @@ impl Report {
         };
 
         let (missing, missing_status) = match section_payloads(&outcomes[missing_start..]) {
-            Ok(outs) => {
-                let mut missing = Intermediates::new();
-                let summaries: Vec<MissingSummary> = names
-                    .iter()
-                    .zip(&outs[..names.len()])
-                    .map(|(n, p)| {
-                        let meta = un::<ColMeta>(p);
-                        MissingSummary { label: n.clone(), nulls: meta.nulls, total: meta.len }
-                    })
-                    .collect();
-                missing.push("missing_bar_chart", Inter::MissingBars(summaries));
-                let indicator_cols: Vec<(String, Vec<bool>)> = names
-                    .iter()
-                    .zip(&outs[names.len()..])
-                    .map(|(n, p)| (n.clone(), un::<Vec<bool>>(p).clone()))
-                    .collect();
-                missing.push(
-                    "missing_spectrum",
-                    Inter::Spectrum(missing_spectrum(&indicator_cols, config.spectrum.bins)),
-                );
-                missing.push(
-                    "nullity_correlation",
-                    Inter::NullityCorr {
-                        labels: names.clone(),
-                        cells: eda_stats::missing::nullity_correlation(&indicator_cols),
-                    },
-                );
-                missing.push(
-                    "dendrogram",
-                    Inter::Dendrogram {
-                        labels: names.clone(),
-                        merges: eda_stats::missing::nullity_dendrogram(&indicator_cols),
-                    },
-                );
-                (missing, SectionStatus::Ok)
-            }
+            Ok(outs) => (
+                assemble_missing_overview(&names, config.spectrum.bins, un(&outs[0])),
+                SectionStatus::Ok,
+            ),
             Err(status) => (Intermediates::new(), status),
         };
 

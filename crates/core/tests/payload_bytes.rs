@@ -1,0 +1,95 @@
+//! `engine.cache_budget_bytes` and `engine.memory_budget_bytes` are only
+//! as honest as the bytes `payload_sizer` charges: this holds its prices
+//! for the correlation and KDE payloads against what the allocator
+//! actually handed out. One test, so nothing else allocates meanwhile.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use eda_core::compute::ctx::{payload_sizer, pl};
+use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMatrix, CorrMethod};
+use eda_stats::kde::kde_grid;
+use eda_taskgraph::Payload;
+
+/// The system allocator, counting live bytes.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is
+// bookkeeping only. `realloc` keeps its default (alloc + copy + dealloc),
+// which goes through the two methods below.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Build a payload and report the heap bytes it keeps alive.
+fn measured(build: impl FnOnce() -> Payload) -> (Payload, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let payload = build();
+    (payload, LIVE.load(Ordering::Relaxed) - before)
+}
+
+fn lcg(seed: u64, n: usize, modulus: u64) -> Vec<f64> {
+    let mut s = seed;
+    (0..n)
+        .map(|_| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) % modulus) as f64 / 7.0
+        })
+        .collect()
+}
+
+#[test]
+fn charged_bytes_are_within_a_tenth_of_the_heap_bytes() {
+    let sizer = payload_sizer();
+    let n = 10_000;
+    let distinct = lcg(1, n, 1 << 40);
+    let tied = lcg(2, n, 12);
+    let mut with_nulls = lcg(3, n, 1000);
+    with_nulls.iter_mut().step_by(9).for_each(|v| *v = f64::NAN);
+
+    let mut cases: Vec<(&str, Payload, usize)> = Vec::new();
+    let mut case = |name: &'static str, build: &dyn Fn() -> Payload| {
+        let (payload, real) = measured(build);
+        cases.push((name, payload, real));
+    };
+    case("corr_prep, distinct values", &|| pl(ColumnPrep::prepare(&distinct)));
+    case("corr_prep, twelve values", &|| pl(ColumnPrep::prepare(&tied)));
+    case("corr_prep, nulls", &|| pl(ColumnPrep::prepare(&with_nulls)));
+
+    let preps: Vec<ColumnPrep> =
+        [&distinct, &tied, &with_nulls].iter().map(|v| ColumnPrep::prepare(v)).collect();
+    let cols: Vec<Col<'_>> = [&distinct, &tied, &with_nulls]
+        .iter()
+        .zip(&preps)
+        .map(|(values, prep)| Col { values, prep })
+        .collect();
+    let twenty_five: Vec<Col<'_>> = cols.iter().cycle().take(25).copied().collect();
+    let pairs = upper_triangle(twenty_five.len());
+    case("corr_matrix tile", &|| pl(corr_cells(CorrMethod::Pearson, &twenty_five, &pairs)));
+    case("kde", &|| pl(kde_grid(&distinct[..5000], 200)));
+    case("corr_assemble", &|| {
+        let labels = (0..25).map(|i| format!("numeric_column_{i}")).collect();
+        pl(CorrMatrix::from_upper(labels, CorrMethod::Pearson, vec![Some(0.5); 300]))
+    });
+
+    for (name, payload, real) in &cases {
+        let charged = sizer(payload).unwrap_or_else(|| panic!("{name}: not priced"));
+        let off = charged.abs_diff(*real) as f64 / *real as f64;
+        assert!(off <= 0.10, "{name}: charged {charged} B for {real} B on the heap");
+    }
+}

@@ -281,6 +281,16 @@ impl Bitmap {
         self.for_each_bit(|w| self.word(w) & other.word(w), f);
     }
 
+    /// Number of positions clear in both equal-length windows: over two
+    /// validity windows, the rows where both columns are null. One AND
+    /// and one popcount per 64 rows, nothing materialised.
+    pub fn count_unset_in_both(&self, other: &Bitmap) -> usize {
+        assert_eq!(self.len, other.len, "bitmap length mismatch in count_unset_in_both()");
+        (0..self.len.div_ceil(64))
+            .map(|w| (!(self.word(w) | other.word(w)) & full_word(self.len, w)).count_ones() as usize)
+            .sum()
+    }
+
     /// An O(1) zero-copy view of `len` bits starting at `start`; shares
     /// the backing buffer with `self`.
     pub fn slice(&self, start: usize, len: usize) -> Bitmap {
@@ -609,6 +619,9 @@ mod tests {
             let expected: Vec<usize> =
                 (0..len).filter(|&i| a_bits[start + i] && b_bits[start + 19 + i]).collect();
             assert_eq!(seen, expected, "window ({start},{len})");
+            let both_clear =
+                (0..len).filter(|&i| !a_bits[start + i] && !b_bits[start + 19 + i]).count();
+            assert_eq!(va.count_unset_in_both(&vb), both_clear, "window ({start},{len})");
         }
     }
 

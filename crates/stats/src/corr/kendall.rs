@@ -8,8 +8,22 @@
 //!
 //! with `n0 = n(n-1)/2`, `n1`/`n2` tie pair counts in x/y, `n3` joint-tie
 //! pairs, `D` discordant pairs — the same formulation SciPy uses.
+//!
+//! Two entry points share the tie arithmetic and the inversion counter:
+//! [`kendall_tau`] for one pair of raw columns (it sorts the pair), and
+//! `kendall_cell` for two NaN-free columns prepared by
+//! [`super::ColumnPrep`], which needs no comparison sort — Knight's
+//! `(x, y)`-ordered sequence is scattered out of the two columns' own sort
+//! orders. On NaN-free columns the two agree bit for bit.
 
 use super::complete_pairs;
+use super::prep::Sorted;
+
+/// Sort key of a non-NaN value: `-0.0` and `0.0` compare equal, so they
+/// must tie — and sort as one value — rather than be ordered by sign bit.
+fn key(v: f64) -> f64 {
+    v + 0.0
+}
 
 /// Kendall's tau-b over pairwise-complete observations.
 ///
@@ -24,7 +38,9 @@ pub fn kendall_tau(x: &[f64], y: &[f64]) -> Option<f64> {
 
     // Sort indices by (x, y).
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_unstable_by(|&a, &b| xs[a].total_cmp(&xs[b]).then(ys[a].total_cmp(&ys[b])));
+    idx.sort_unstable_by(|&a, &b| {
+        key(xs[a]).total_cmp(&key(xs[b])).then(key(ys[a]).total_cmp(&key(ys[b])))
+    });
 
     let n0 = pairs(n as u64);
 
@@ -97,153 +113,148 @@ pub fn kendall_tau(x: &[f64], y: &[f64]) -> Option<f64> {
 }
 
 /// `k choose 2`.
-fn pairs(k: u64) -> u64 {
+pub(super) fn pairs(k: u64) -> u64 {
     k * k.saturating_sub(1) / 2
 }
 
-/// Count inversions (strictly decreasing pairs) with bottom-up merge sort.
+/// Runs this short are insertion-sorted before the merge passes start.
+const RUN: usize = 16;
+// The run pass polls per CHECK_INTERVAL block; blocks must not split runs.
+const _: () = assert!(crate::interrupt::CHECK_INTERVAL.is_multiple_of(RUN));
+
+/// Count inversions (strictly decreasing pairs) of `seq`: insertion-sorted
+/// runs of [`RUN`], then bottom-up merge passes that ping-pong between
+/// `seq` and `buf` (same length) instead of copying back. Either buffer
+/// may hold the sorted result afterwards.
 ///
-/// Returns `None` when the run is interrupted mid-count (polled once per
-/// O(n) merge pass, so cancellation latency is one pass).
-fn count_inversions(seq: &mut [f64], buf: &mut [f64]) -> Option<u64> {
-    let n = seq.len();
+/// Returns `None` when the run is interrupted mid-count (polled every
+/// [`crate::interrupt::CHECK_INTERVAL`] elements of the run pass and once
+/// per O(n) merge pass, so cancellation latency is one pass).
+fn count_inversions<T: Copy + PartialOrd>(seq: &mut [T], buf: &mut [T]) -> Option<u64> {
     let mut inversions = 0u64;
-    let mut width = 1;
-    while width < n {
+    for block in seq.chunks_mut(crate::interrupt::CHECK_INTERVAL) {
         if crate::interrupt::interrupted() {
             return None;
         }
-        let mut lo = 0;
-        while lo + width < n {
-            let mid = lo + width;
-            let hi = (lo + 2 * width).min(n);
-            inversions += merge_count(&seq[lo..hi], mid - lo, &mut buf[lo..hi]);
-            seq[lo..hi].copy_from_slice(&buf[lo..hi]);
-            lo += 2 * width;
+        inversions += block.chunks_mut(RUN).map(sort_run).sum::<u64>();
+    }
+    let (mut src, mut dst) = (seq, buf);
+    let mut width = RUN;
+    while width < src.len() {
+        if crate::interrupt::interrupted() {
+            return None;
         }
+        for (window, out) in src.chunks(2 * width).zip(dst.chunks_mut(2 * width)) {
+            inversions += merge_count(window, width, out);
+        }
+        std::mem::swap(&mut src, &mut dst);
         width *= 2;
     }
     Some(inversions)
 }
 
-/// Merge two sorted halves of `slice` (split at `mid`) into `out`,
-/// counting cross-half inversions.
-fn merge_count(slice: &[f64], mid: usize, out: &mut [f64]) -> u64 {
-    let (left, right) = slice.split_at(mid);
-    let mut inversions = 0u64;
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    // eda-lint: allow(EDA-L6) bounded to one merge window; count_inversions polls between passes
-    while i < left.len() && j < right.len() {
-        if left[i] <= right[j] {
-            out[k] = left[i];
-            i += 1;
-        } else {
-            // right[j] jumps ahead of all remaining left items: each is an
-            // inversion.
-            inversions += (left.len() - i) as u64;
-            out[k] = right[j];
-            j += 1;
+/// Insertion-sort one short run, counting the swaps (= its inversions).
+fn sort_run<T: Copy + PartialOrd>(run: &mut [T]) -> u64 {
+    let mut inversions = 0;
+    // eda-lint: allow(EDA-L6) bounded to one run of RUN elements
+    for i in 1..run.len() {
+        let mut j = i;
+        while j > 0 && run.get(j - 1) > run.get(j) {
+            run.swap(j - 1, j);
+            inversions += 1;
+            j -= 1;
         }
-        k += 1;
     }
-    out[k..k + left.len() - i].copy_from_slice(&left[i..]);
-    let k = k + left.len() - i;
-    out[k..k + right.len() - j].copy_from_slice(&right[j..]);
     inversions
 }
 
-/// Per-column state reusable across every pair involving the column:
-/// its stable sort permutation and its tie-pair count. Computing these
-/// once per column (instead of once per pair) is the shared-computation
-/// optimization the DataPrep correlation matrix applies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KendallPrep {
-    /// Stable argsort of the column (indices in ascending value order).
-    pub perm: Vec<u32>,
-    /// `Σ t(t-1)/2` over the column's tie groups.
-    pub tie_pairs: u64,
-}
-
-/// Build the shared per-column state. Returns `None` when the column
-/// contains NaN (pairwise-complete filtering invalidates a shared
-/// permutation; callers fall back to [`kendall_tau`] for such columns).
-pub fn kendall_prep(values: &[f64]) -> Option<KendallPrep> {
-    if values.iter().any(|v| v.is_nan()) {
-        return None;
-    }
-    let mut perm: Vec<u32> = (0..values.len() as u32).collect();
-    perm.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
-    let mut tie_pairs = 0u64;
-    let mut i = 0;
-    while i < perm.len() {
-        let mut j = i;
-        while j + 1 < perm.len() && values[perm[j + 1] as usize] == values[perm[i] as usize] {
-            j += 1;
+/// Merge the two sorted halves of `window` (split at `mid`) into `out`,
+/// counting cross-half inversions.
+fn merge_count<T: Copy + PartialOrd>(window: &[T], mid: usize, out: &mut [T]) -> u64 {
+    let (mut left, mut right) = window.split_at(mid.min(window.len()));
+    let mut inversions = 0u64;
+    let mut slots = out.iter_mut();
+    // eda-lint: allow(EDA-L6) bounded to one merge window; count_inversions polls between passes
+    while let ([a, left_rest @ ..], [b, right_rest @ ..]) = (left, right) {
+        let Some(slot) = slots.next() else { break };
+        if a <= b {
+            *slot = *a;
+            left = left_rest;
+        } else {
+            // `b` jumps ahead of all remaining left items: each is an
+            // inversion.
+            inversions += left.len() as u64;
+            *slot = *b;
+            right = right_rest;
         }
-        tie_pairs += pairs((j - i + 1) as u64);
-        i = j + 1;
     }
-    Some(KendallPrep { perm, tie_pairs })
+    // One side is exhausted; the other is already in order.
+    slots.zip(left.iter().chain(right)).for_each(|(slot, v)| *slot = *v);
+    inversions
 }
 
-/// Kendall's tau-b over NaN-free columns using precomputed per-column
-/// state: `x_prep` is x's shared sort permutation / tie count, and
-/// `y_tie_pairs` comes from y's own prep. Exactly equal to
-/// [`kendall_tau`] on the same data, but the per-pair cost drops from
-/// two comparison sorts to one linear pass plus the inversion count.
-pub fn kendall_tau_prepped(
-    x: &[f64],
-    y: &[f64],
-    x_prep: &KendallPrep,
-    y_tie_pairs: u64,
-) -> Option<f64> {
-    let n = x.len();
-    if n < 2 || y.len() != n || x_prep.perm.len() != n {
+/// Buffers one Kendall cell needs, kept across the cells of a tile so a
+/// tile allocates them once.
+#[derive(Debug, Default)]
+pub struct KendallScratch {
+    seq: Vec<u32>,
+    buf: Vec<u32>,
+    cursors: Vec<u32>,
+}
+
+/// Kendall's tau-b of two NaN-free columns from their sorted state. Equal
+/// to [`kendall_tau`] on the same data bit for bit, without a comparison
+/// sort per pair: Knight's sequence — y ordered by `(x, y)` — is y's tie
+/// group of each row, visited in x's order when x has no ties, and
+/// otherwise scattered in *y's* order into one cursor per x tie group
+/// (stable, so every group comes out y-ascending). Inversions are then
+/// counted over those `u32` group indices, which order like the values.
+pub(super) fn kendall_cell(x: &Sorted, y: &Sorted, scratch: &mut KendallScratch) -> Option<f64> {
+    let n = x.dense.len();
+    if n < 2 || y.dense.len() != n {
         return None;
     }
     let n0 = pairs(n as u64);
-    let n1 = x_prep.tie_pairs;
-    let n2 = y_tie_pairs;
-
-    // Walk x's shared order; within each x-tie group sort the y values
-    // ascending (required by Knight) and count joint ties.
-    let mut seq: Vec<f64> = Vec::with_capacity(n);
-    let mut n3 = 0u64;
-    let perm = &x_prep.perm;
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && x[perm[j + 1] as usize] == x[perm[i] as usize] {
-            j += 1;
-        }
-        if j == i {
-            seq.push(y[perm[i] as usize]);
-        } else {
-            let start = seq.len();
-            for &p in &perm[i..=j] {
-                seq.push(y[p as usize]);
-            }
-            let group = &mut seq[start..];
-            group.sort_unstable_by(|a, b| a.total_cmp(b));
-            let mut k = 0;
-            while k < group.len() {
-                let mut m = k;
-                while m + 1 < group.len() && group[m + 1] == group[k] {
-                    m += 1;
-                }
-                n3 += pairs((m - k + 1) as u64);
-                k = m + 1;
-            }
-        }
-        i = j + 1;
-    }
-
-    let mut buf = vec![0.0; n];
-    let discordant = count_inversions(&mut seq, &mut buf)?;
-    let denom = ((n0 - n1) as f64) * ((n0 - n2) as f64);
-    if denom <= 0.0 {
+    let (n1, n2) = (x.tie_pairs, y.tie_pairs);
+    if n1 >= n0 || n2 >= n0 {
         return None;
     }
+    let KendallScratch { seq, buf, cursors } = scratch;
+    let y_group = |row: u32| y.dense.get(row as usize).copied().unwrap_or(0);
+    let mut n3 = 0u64;
+    seq.clear();
+    if n1 == 0 {
+        seq.extend(x.perm.iter().map(|&row| y_group(row)));
+    } else {
+        seq.resize(n, 0);
+        cursors.clear();
+        cursors.extend(x.group_starts.iter().take(x.group_starts.len().saturating_sub(1)));
+        for block in y.perm.chunks(crate::interrupt::CHECK_INTERVAL) {
+            if crate::interrupt::interrupted() {
+                return None;
+            }
+            for &row in block {
+                let group = x.dense.get(row as usize).copied().unwrap_or(0);
+                let Some(cursor) = cursors.get_mut(group as usize) else { continue };
+                if let Some(slot) = seq.get_mut(*cursor as usize) {
+                    *slot = y_group(row);
+                }
+                *cursor += 1;
+            }
+        }
+        if n2 > 0 {
+            // Joint ties: runs of one y group inside one x group.
+            // eda-lint: allow(EDA-L6) one linear pass over the tie groups
+            for bounds in x.group_starts.windows(2) {
+                let [start, end] = *bounds else { continue };
+                let group = seq.get(start as usize..end as usize).unwrap_or(&[]);
+                n3 += group.chunk_by(|a, b| a == b).map(|run| pairs(run.len() as u64)).sum::<u64>();
+            }
+        }
+    }
+    buf.resize(n, 0);
+    let discordant = count_inversions(seq, buf)?;
+    let denom = ((n0 - n1) as f64) * ((n0 - n2) as f64);
     let numer = n0 as f64 - n1 as f64 - n2 as f64 + n3 as f64 - 2.0 * discordant as f64;
     Some(numer / denom.sqrt())
 }
@@ -265,7 +276,9 @@ pub fn kendall_tau_naive(x: &[f64], y: &[f64]) -> Option<f64> {
     // x-tie group y never strictly decreases and within-group pairs are
     // never counted as inversions.
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_unstable_by(|&a, &b| xs[a].total_cmp(&xs[b]).then(ys[a].total_cmp(&ys[b])));
+    idx.sort_unstable_by(|&a, &b| {
+        key(xs[a]).total_cmp(&key(xs[b])).then(key(ys[a]).total_cmp(&key(ys[b])))
+    });
 
     // Tie-pair counts from run lengths: n1 over x, n2 over y, n3 joint.
     let n0 = pairs(n as u64);
@@ -438,45 +451,96 @@ mod tests {
         assert!((a - b).abs() < 1e-12);
     }
 
+    /// The prepared-column cell, as `corr_cells` runs it.
+    fn cell(x: &[f64], y: &[f64]) -> Option<f64> {
+        use crate::corr::{corr_cells, Col, ColumnPrep, CorrMethod};
+        let (px, py) = (ColumnPrep::prepare(x), ColumnPrep::prepare(y));
+        let cols = [Col { values: x, prep: &px }, Col { values: y, prep: &py }];
+        corr_cells(CorrMethod::KendallTau, &cols, &[(0, 1)])[0]
+    }
+
     #[test]
     fn prepped_matches_plain_on_tied_data() {
         let x: Vec<f64> = (0..300).map(|i| ((i * 37 + 11) % 23) as f64).collect();
         let y: Vec<f64> = (0..300).map(|i| ((i * 53 + 7) % 19) as f64).collect();
-        let xp = kendall_prep(&x).unwrap();
-        let yp = kendall_prep(&y).unwrap();
-        let fast = kendall_tau_prepped(&x, &y, &xp, yp.tie_pairs).unwrap();
-        let plain = kendall_tau(&x, &y).unwrap();
-        assert!((fast - plain).abs() < 1e-12, "{fast} vs {plain}");
-        // Symmetric use of the preps.
-        let rev = kendall_tau_prepped(&y, &x, &yp, xp.tie_pairs).unwrap();
-        assert!((fast - rev).abs() < 1e-12);
+        let fast = cell(&x, &y).unwrap();
+        assert_eq!(fast, kendall_tau(&x, &y).unwrap());
+        // Either column's sort order can drive the cell.
+        assert_eq!(fast, cell(&y, &x).unwrap());
     }
 
     #[test]
     fn prepped_matches_plain_continuous() {
         let x: Vec<f64> = (0..200).map(|i| ((i * 97 + 13) % 541) as f64 / 7.0).collect();
         let y: Vec<f64> = (0..200).map(|i| ((i * 31 + 29) % 769) as f64 / 11.0).collect();
-        let xp = kendall_prep(&x).unwrap();
-        let yp = kendall_prep(&y).unwrap();
-        let fast = kendall_tau_prepped(&x, &y, &xp, yp.tie_pairs).unwrap();
-        let plain = kendall_tau(&x, &y).unwrap();
-        assert!((fast - plain).abs() < 1e-12);
+        assert_eq!(cell(&x, &y), kendall_tau(&x, &y));
     }
 
     #[test]
     fn prep_rejects_nan_columns() {
-        assert!(kendall_prep(&[1.0, f64::NAN]).is_none());
-        assert!(kendall_prep(&[1.0, 2.0]).is_some());
+        use crate::corr::ColumnPrep;
+        assert!(!ColumnPrep::prepare(&[1.0, f64::NAN]).is_complete());
+        assert!(ColumnPrep::prepare(&[1.0, 2.0]).is_complete());
     }
 
     #[test]
     fn prepped_degenerate() {
-        let xp = kendall_prep(&[2.0, 2.0]).unwrap();
-        let yp = kendall_prep(&[1.0, 3.0]).unwrap();
-        assert_eq!(
-            kendall_tau_prepped(&[2.0, 2.0], &[1.0, 3.0], &xp, yp.tie_pairs),
-            None
-        );
+        assert_eq!(cell(&[2.0, 2.0], &[1.0, 3.0]), None);
+        assert_eq!(cell(&[1.0], &[3.0]), None);
+        assert_eq!(cell(&[], &[]), None);
+    }
+
+    /// Column families the cell must get right: many ties, no ties, one
+    /// value, sorted, reversed, signed zeros, and the tiny lengths.
+    fn families(n: usize) -> Vec<(&'static str, Vec<f64>)> {
+        let mut state = 0x9E3779B97F4A7C15u64 ^ n as u64;
+        let mut next = move |modulus: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % modulus) as f64
+        };
+        vec![
+            ("tie-heavy", (0..n).map(|_| next(4)).collect()),
+            ("some ties", (0..n).map(|_| next(n as u64 / 2 + 1) / 4.0).collect()),
+            ("distinct", (0..n).map(|i| next(1 << 30) + i as f64 / (2 * n) as f64).collect()),
+            ("constant", vec![7.5; n]),
+            ("sorted", (0..n).map(|i| i as f64).collect()),
+            ("reversed", (0..n).map(|i| -(i as f64)).collect()),
+            ("signed zeros", (0..n).map(|i| if i % 3 == 0 { -0.0 } else { next(2) }).collect()),
+        ]
+    }
+
+    #[test]
+    fn cell_is_bit_equal_to_the_pair_kernel_and_matches_the_quadratic_oracle() {
+        for n in [0, 1, 2, 3, 15, 16, 17, 33, 250] {
+            let columns = families(n);
+            for (xname, x) in &columns {
+                for (yname, y) in &columns {
+                    let what = format!("n={n} {xname} ~ {yname}");
+                    let got = cell(x, y);
+                    assert_eq!(got, kendall_tau(x, y), "{what}");
+                    assert_eq!(got, cell(y, x), "{what}: argument order");
+                    match (got, kendall_tau_quadratic(x, y)) {
+                        (Some(g), Some(o)) => assert!((g - o).abs() < 1e-12, "{what}: {g} vs {o}"),
+                        (g, o) => assert_eq!(g, o, "{what}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interruption_stops_the_cell_inside_the_inversion_count() {
+        use crate::interrupt::tests::{test_probe, TEST_INTERRUPT, TEST_POLLS_LEFT};
+        crate::interrupt::register(test_probe);
+        let x: Vec<f64> = (0..5000).map(|i| ((i * 7919) % 4999) as f64).collect();
+        let y: Vec<f64> = (0..5000).map(|i| ((i * 104729) % 4993) as f64).collect();
+        // The tile loop polls once, the run pass twice (5000 rows), then
+        // each of nine merge passes: the sixth poll is inside the merges.
+        TEST_POLLS_LEFT.with(|p| p.set(Some(6)));
+        assert_eq!(cell(&x, &y), None);
+        assert!(TEST_INTERRUPT.with(|f| f.get()), "the countdown never reached zero");
+        TEST_INTERRUPT.with(|f| f.set(false));
+        assert!(cell(&x, &y).is_some());
     }
 
     /// O(n²) double loop kept only as a test oracle for the two

@@ -1,6 +1,8 @@
 //! Correlation matrices over named column sets.
 
-use super::{spearman::spearman_from_ranks, CorrMethod};
+use super::prep::upper_triangle;
+use super::spearman::spearman_from_ranks;
+use super::CorrMethod;
 use crate::rank::ranks;
 
 /// A symmetric correlation matrix with column labels.
@@ -18,56 +20,67 @@ pub struct CorrMatrix {
 }
 
 impl CorrMatrix {
-    /// Compute the matrix for `method` over named numeric columns.
+    /// Compute the matrix for `method` over named numeric columns, one
+    /// pair kernel call per cell — the eager form `pandas.DataFrame.corr`
+    /// has, which the baseline profiler runs and the tests hold the
+    /// engine's tiled, shared-prep plan against.
     ///
-    /// Columns are full-length with NaN marking nulls; each pair uses its
-    /// own pairwise-complete subset, like `pandas.DataFrame.corr`.
+    /// Columns are full-length with NaN marking nulls and each pair uses
+    /// its pairwise-complete rows. Spearman is rank-once (see
+    /// [`spearman_from_ranks`]): every column is ranked a single time,
+    /// over its own non-null rows.
     pub fn compute(
         columns: &[(String, Vec<f64>)],
         method: CorrMethod,
     ) -> CorrMatrix {
-        let m = columns.len();
-        // Spearman over a NaN-free column pair is Pearson over the
-        // columns' own ranks, so rank each complete column once —
-        // O(m·n log n) ranking instead of O(m²·n log n). A column with
-        // NaNs keeps `None` here and its pairs fall back to the per-pair
-        // path, which re-ranks over each pair's complete subset (the
-        // two paths only coincide when nothing is dropped).
-        let col_ranks: Vec<Option<Vec<f64>>> = if method == CorrMethod::Spearman {
-            columns
-                .iter()
-                .map(|(_, v)| (!v.iter().any(|x| x.is_nan())).then(|| ranks(v)))
-                .collect()
-        } else {
-            Vec::new()
+        let inputs: Vec<Vec<f64>> = match method {
+            CorrMethod::Spearman => columns.iter().map(|(_, v)| ranks(v)).collect(),
+            _ => Vec::new(),
         };
-        let mut cells = vec![None; m * m];
-        for i in 0..m {
-            // Each pair costs O(n) .. O(n log n); the row boundary is the
-            // natural poll point for cooperative interruption on wide frames.
-            // Remaining cells stay `None` — the bailed result is discarded
-            // by the governed scheduler.
+        let column = |i: usize| match method {
+            CorrMethod::Spearman => inputs.get(i).map(Vec::as_slice),
+            _ => columns.get(i).map(|(_, v)| v.as_slice()),
+        };
+        let pairs = upper_triangle(columns.len());
+        let mut upper = Vec::with_capacity(pairs.len());
+        for (i, j) in pairs {
+            // Each pair costs O(n) .. O(n log n): poll per cell. Remaining
+            // cells stay `None` — the bailed result is discarded by the
+            // governed scheduler.
             if crate::interrupt::interrupted() {
                 break;
             }
-            cells[i * m + i] = Some(1.0);
-            for j in (i + 1)..m {
-                let r = match method {
-                    CorrMethod::Spearman => match (&col_ranks[i], &col_ranks[j]) {
-                        (Some(ri), Some(rj)) => spearman_from_ranks(ri, rj),
-                        _ => method.compute(&columns[i].1, &columns[j].1),
-                    },
-                    _ => method.compute(&columns[i].1, &columns[j].1),
-                };
-                cells[i * m + j] = r;
-                cells[j * m + i] = r;
+            upper.push(match (method, column(i), column(j)) {
+                (CorrMethod::Spearman, Some(a), Some(b)) => spearman_from_ranks(a, b),
+                (_, Some(a), Some(b)) => method.compute(a, b),
+                _ => None,
+            });
+        }
+        let labels = columns.iter().map(|(n, _)| n.clone()).collect();
+        CorrMatrix::from_upper(labels, method, upper)
+    }
+
+    /// Build the symmetric matrix from its upper-triangle cells in
+    /// [`upper_triangle`] order (missing trailing cells are `None`); the
+    /// diagonal is 1.
+    pub fn from_upper(
+        labels: Vec<String>,
+        method: CorrMethod,
+        upper: impl IntoIterator<Item = Option<f64>>,
+    ) -> CorrMatrix {
+        let m = labels.len();
+        let mut cells = vec![None; m * m];
+        let mut set = |i: usize, j: usize, r: Option<f64>| {
+            if let Some(c) = cells.get_mut(i * m + j) {
+                *c = r;
             }
-        }
-        CorrMatrix {
-            labels: columns.iter().map(|(n, _)| n.clone()).collect(),
-            method,
-            cells,
-        }
+        };
+        (0..m).for_each(|i| set(i, i, Some(1.0)));
+        upper_triangle(m).into_iter().zip(upper).for_each(|((i, j), r)| {
+            set(i, j, r);
+            set(j, i, r);
+        });
+        CorrMatrix { labels, method, cells }
     }
 
     /// Matrix dimension.

@@ -8,13 +8,15 @@
 mod kendall;
 mod matrix;
 mod pearson;
+mod prep;
 mod spearman;
 
-pub use kendall::{kendall_prep, kendall_tau, kendall_tau_prepped, KendallPrep};
+pub use kendall::kendall_tau;
 #[doc(hidden)]
 pub use kendall::kendall_tau_naive;
 pub use matrix::CorrMatrix;
 pub use pearson::{pearson, PearsonPartial};
+pub use prep::{corr_cells, upper_triangle, Col, ColumnPrep};
 pub use spearman::{spearman, spearman_from_ranks};
 
 /// The correlation methods DataPrep.EDA computes.

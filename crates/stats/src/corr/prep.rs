@@ -1,0 +1,385 @@
+//! Per-column state shared by every correlation cell a column takes part
+//! in, and the cell kernels that read it.
+//!
+//! A matrix over `m` columns has `m(m-1)/2` cells per method but only `m`
+//! columns: whatever a cell needs that depends on one column alone — its
+//! sort order, tie groups, ranks, mean, sum of squares — is computed once
+//! in [`ColumnPrep::prepare`] from a *single* argsort. With that in hand a
+//! Pearson or Spearman cell is one dot product of two centered vectors
+//! ([`crate::vector::centered_dot`]) and a Kendall cell needs no
+//! comparison sort at all (`kendall::kendall_cell`). Columns with NaN
+//! keep only their ranks here and their pairs fall back to the per-pair
+//! kernels, which filter each pair's complete observations.
+
+use super::kendall::{kendall_cell, kendall_tau, pairs, KendallScratch};
+use super::pearson::pearson;
+use super::spearman::spearman_from_ranks;
+use super::CorrMethod;
+use crate::rank::ranks;
+use crate::vector::centered_dot;
+
+/// What one argsort of a NaN-free column yields.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct Sorted {
+    /// Rows in ascending value order (ties in row order).
+    pub perm: Vec<u32>,
+    /// Tie-group index of every row: equal values share one, and groups
+    /// are numbered in ascending value order.
+    pub dense: Vec<u32>,
+    /// Position in `perm` where each tie group starts, plus a final `n`.
+    pub group_starts: Vec<u32>,
+    /// `Σ t(t-1)/2` over the tie groups.
+    pub tie_pairs: u64,
+    /// Mean of the values.
+    pub mean: f64,
+    /// `Σ (v - mean)²`.
+    pub m2: f64,
+    /// `Σ r²` over the centered ranks.
+    pub rank_m2: f64,
+}
+
+/// Per-column correlation state; see the module docs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnPrep {
+    /// Mid-rank of every row minus `(k + 1) / 2`, `k` being the number of
+    /// non-NaN rows; NaN at NaN rows. On a NaN-free column this is the
+    /// mid-rank minus its mean, exactly (ranks are half-integers), so the
+    /// mid-ranks themselves are not kept.
+    centered_ranks: Vec<f64>,
+    /// Present when the column has no NaN.
+    sorted: Option<Sorted>,
+}
+
+/// Map a non-NaN float to an integer with the same order, `-0.0` and
+/// `0.0` mapping to one key (they compare equal, so they tie).
+fn order_key(v: f64) -> i64 {
+    let bits = (v + 0.0).to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Mean by the corrected two-pass formula: the second pass sums residuals
+/// around the first estimate, so the error no longer grows with
+/// `|mean| / σ`.
+fn mean_of(values: &[f64]) -> f64 {
+    let n = values.len() as f64;
+    let first = values.iter().sum::<f64>() / n;
+    let correction = values.iter().map(|v| v - first).sum::<f64>() / n;
+    // A non-finite residual sum (infinite values) would only turn an
+    // infinite mean into NaN.
+    if correction.is_finite() {
+        first + correction
+    } else {
+        first
+    }
+}
+
+impl ColumnPrep {
+    /// Build the shared state for one column (NaN marks a null).
+    pub fn prepare(values: &[f64]) -> ColumnPrep {
+        let n = values.len();
+        if values.iter().any(|v| v.is_nan()) || u32::try_from(n).is_err() {
+            let valid = values.iter().filter(|v| !v.is_nan()).count();
+            let shift = (valid as f64 + 1.0) / 2.0;
+            let mut centered_ranks = ranks(values);
+            centered_ranks.iter_mut().for_each(|r| *r -= shift);
+            return ColumnPrep { centered_ranks, sorted: None };
+        }
+
+        // Rows are distinct, so sorting (key, row) pairs is the stable
+        // argsort — with direct integer comparisons instead of a
+        // comparator that chases indices.
+        let mut keyed: Vec<(i64, u32)> =
+            (0u32..).zip(values).map(|(row, &v)| (order_key(v), row)).collect();
+        keyed.sort_unstable();
+
+        let mut perm = Vec::with_capacity(n);
+        let mut dense = vec![0u32; n];
+        let mut centered_ranks = vec![0.0f64; n];
+        let mut group_starts = Vec::new();
+        let mut tie_pairs = 0u64;
+        let half = (n as f64 + 1.0) / 2.0;
+        // eda-lint: allow(EDA-L6) one linear pass over the sorted rows; the sort above cannot poll
+        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let (start, id) = (perm.len(), group_starts.len() as u32);
+            group_starts.push(start as u32);
+            // 1-based positions start+1 ..= start+len share their mean.
+            let rank = start as f64 + (group.len() as f64 + 1.0) / 2.0 - half;
+            for &(_, row) in group {
+                perm.push(row);
+                if let Some(d) = dense.get_mut(row as usize) {
+                    *d = id;
+                }
+                if let Some(r) = centered_ranks.get_mut(row as usize) {
+                    *r = rank;
+                }
+            }
+            tie_pairs += pairs(group.len() as u64);
+        }
+        group_starts.push(n as u32);
+        group_starts.shrink_to_fit();
+
+        let mean = if n == 0 { 0.0 } else { mean_of(values) };
+        // One finite value repeated has zero spread exactly; the rounded
+        // mean of such a column need not equal the value.
+        let constant = group_starts.len() == 2 && values.first().is_some_and(|v| v.is_finite());
+        let m2 = if constant { 0.0 } else { centered_dot(values, mean, values, mean) };
+        let rank_m2 = centered_dot(&centered_ranks, 0.0, &centered_ranks, 0.0);
+        ColumnPrep {
+            centered_ranks,
+            sorted: Some(Sorted { perm, dense, group_starts, tie_pairs, mean, m2, rank_m2 }),
+        }
+    }
+
+    /// Whether the column is NaN-free, i.e. its cells take the shared-prep
+    /// kernels rather than the per-pair fallback.
+    pub fn is_complete(&self) -> bool {
+        self.sorted.is_some()
+    }
+
+    /// Heap bytes this prep owns — what a byte budget should charge it.
+    pub fn heap_bytes(&self) -> usize {
+        let sorted = self.sorted.as_ref().map_or(0, |s| {
+            (s.perm.capacity() + s.dense.capacity() + s.group_starts.capacity()) * 4
+        });
+        self.centered_ranks.capacity() * 8 + sorted
+    }
+}
+
+/// One column as a cell kernel sees it: the raw values (NaN at nulls) and
+/// the state prepared from them. The values are borrowed, not copied into
+/// the prep — whoever gathered them already holds them.
+#[derive(Debug, Clone, Copy)]
+pub struct Col<'a> {
+    /// Raw values the prep was built from.
+    pub values: &'a [f64],
+    /// [`ColumnPrep::prepare`] of `values`.
+    pub prep: &'a ColumnPrep,
+}
+
+/// `c / sqrt(m2a · m2b)` under the `None` rules of
+/// [`super::PearsonPartial::finish`].
+fn finish(n: usize, m2a: f64, m2b: f64, c: f64) -> Option<f64> {
+    if n < 2 || m2a <= 0.0 || m2b <= 0.0 {
+        return None;
+    }
+    Some(c / (m2a * m2b).sqrt())
+}
+
+/// One coefficient from two prepared columns.
+fn cell(method: CorrMethod, a: Col<'_>, b: Col<'_>, scratch: &mut KendallScratch) -> Option<f64> {
+    let n = a.values.len();
+    let both = match (&a.prep.sorted, &b.prep.sorted) {
+        (Some(sa), Some(sb)) if b.values.len() == n => Some((sa, sb)),
+        _ => None,
+    };
+    match (method, both) {
+        (CorrMethod::Pearson, Some((sa, sb))) => {
+            finish(n, sa.m2, sb.m2, centered_dot(a.values, sa.mean, b.values, sb.mean))
+        }
+        (CorrMethod::Spearman, Some((sa, sb))) => {
+            let c = centered_dot(&a.prep.centered_ranks, 0.0, &b.prep.centered_ranks, 0.0);
+            finish(n, sa.rank_m2, sb.rank_m2, c)
+        }
+        (CorrMethod::KendallTau, Some((sa, sb))) => kendall_cell(sa, sb, scratch),
+        (CorrMethod::Pearson, None) => pearson(a.values, b.values),
+        (CorrMethod::Spearman, None) => {
+            spearman_from_ranks(&a.prep.centered_ranks, &b.prep.centered_ranks)
+        }
+        (CorrMethod::KendallTau, None) => kendall_tau(a.values, b.values),
+    }
+}
+
+/// The coefficients of `pairs` (indices into `cols`), in order. One
+/// scratch serves every Kendall cell of the call, and the interruption
+/// probe is polled before each cell; an interrupted call pads the rest
+/// with `None` (the governed scheduler discards the result).
+pub fn corr_cells(
+    method: CorrMethod,
+    cols: &[Col<'_>],
+    pairs: &[(usize, usize)],
+) -> Vec<Option<f64>> {
+    let mut scratch = KendallScratch::default();
+    let mut out = Vec::with_capacity(pairs.len());
+    for &(i, j) in pairs {
+        if crate::interrupt::interrupted() {
+            break;
+        }
+        out.push(match (cols.get(i), cols.get(j)) {
+            (Some(&a), Some(&b)) => cell(method, a, b, &mut scratch),
+            _ => None,
+        });
+    }
+    out.resize(pairs.len(), None);
+    out
+}
+
+/// The pairs `(i, j)`, `i < j < m`, row by row: the order matrix cells
+/// are computed and stored in.
+pub fn upper_triangle(m: usize) -> Vec<(usize, usize)> {
+    (0..m).flat_map(|i| (i + 1..m).map(move |j| (i, j))).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::corr::spearman;
+
+    fn one(method: CorrMethod, x: &[f64], y: &[f64]) -> Option<f64> {
+        let (px, py) = (ColumnPrep::prepare(x), ColumnPrep::prepare(y));
+        let cols = [Col { values: x, prep: &px }, Col { values: y, prep: &py }];
+        corr_cells(method, &cols, &[(0, 1)])[0]
+    }
+
+    /// Same `None`-ness, and equal to 1e-12 where both are finite.
+    fn agree(got: Option<f64>, want: Option<f64>, what: &str) {
+        match (got, want) {
+            (Some(g), Some(w)) if g.is_finite() || w.is_finite() => {
+                assert!((g - w).abs() < 1e-12, "{what}: {g} vs {w}")
+            }
+            (Some(_), Some(_)) | (None, None) => {}
+            _ => panic!("{what}: {got:?} vs {want:?}"),
+        }
+    }
+
+    fn lcg(seed: u64, n: usize, modulus: u64) -> Vec<f64> {
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((s >> 33) % modulus) as f64 / 3.0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prep_ranks_are_the_mid_ranks_centered() {
+        let v = [4.0, 1.0, 4.0, 2.0, 9.0, 2.0, 2.0, -0.0, 0.0];
+        let prep = ColumnPrep::prepare(&v);
+        assert!(prep.is_complete());
+        let shift = (v.len() as f64 + 1.0) / 2.0;
+        for (c, r) in prep.centered_ranks.iter().zip(ranks(&v)) {
+            assert_eq!(c + shift, r);
+        }
+        let s = prep.sorted.as_ref().unwrap();
+        // Groups: {-0,0} {1} {2,2,2} {4,4} {9}.
+        assert_eq!(s.group_starts, vec![0, 2, 3, 6, 8, 9]);
+        assert_eq!(s.tie_pairs, 1 + 3 + 1);
+        assert_eq!(s.perm, vec![7, 8, 1, 3, 5, 6, 0, 2, 4]);
+        assert_eq!(s.dense, vec![3, 1, 3, 2, 4, 2, 2, 0, 0]);
+    }
+
+    #[test]
+    fn nan_column_keeps_ranks_only() {
+        let v = [2.0, f64::NAN, 1.0, 3.0];
+        let prep = ColumnPrep::prepare(&v);
+        assert!(!prep.is_complete());
+        let r = &prep.centered_ranks;
+        assert_eq!((r[0], r[2], r[3]), (0.0, -1.0, 1.0));
+        assert!(r[1].is_nan());
+    }
+
+    #[test]
+    fn centered_dot_cells_match_the_pair_kernels() {
+        for (seed, n, modulus) in [(1, 500, 40), (2, 1000, 1 << 20), (3, 17, 5), (4, 2, 9)] {
+            let (x, y) = (lcg(seed, n, modulus), lcg(seed + 100, n, modulus));
+            agree(one(CorrMethod::Pearson, &x, &y), pearson(&x, &y), "pearson");
+            agree(one(CorrMethod::Spearman, &x, &y), spearman(&x, &y), "spearman");
+            agree(
+                one(CorrMethod::Spearman, &x, &y),
+                spearman_from_ranks(&ranks(&x), &ranks(&y)),
+                "spearman from ranks",
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_columns_keep_the_none_rules() {
+        let ramp: Vec<f64> = (0..6).map(f64::from).collect();
+        let cases: [(&str, Vec<f64>); 8] = [
+            ("constant", vec![0.1; 6]),
+            ("huge", vec![1e300, -2e300, 3e300, 1e300, 0.0, 2e300]),
+            ("huge offset", vec![1e300, 1e300 + 1e285, 1e300 - 1e285, 1e300, 1e300, 1e300]),
+            ("inf", vec![1.0, f64::INFINITY, 3.0, 4.0, 5.0, 6.0]),
+            ("both infs", vec![f64::NEG_INFINITY, f64::INFINITY, 3.0, 4.0, 5.0, 6.0]),
+            ("all inf", vec![f64::INFINITY; 6]),
+            ("signed zeros", vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0]),
+            ("ramp", ramp.clone()),
+        ];
+        // The streaming update, whatever shape `pearson` dispatches to:
+        // where squares overflow, only it defines the `None` rules.
+        let welford = |x: &[f64], y: &[f64]| {
+            let mut p = crate::corr::PearsonPartial::new();
+            x.iter().zip(y).for_each(|(a, b)| p.push(*a, *b));
+            p.finish()
+        };
+        for (name, x) in &cases {
+            for (other, y) in &cases {
+                let what = format!("{name} ~ {other}");
+                agree(one(CorrMethod::Pearson, x, y), welford(x, y), &what);
+                agree(one(CorrMethod::Spearman, x, y), spearman(x, y), &what);
+            }
+        }
+        for method in CorrMethod::ALL {
+            assert_eq!(one(method, &[], &[]), None);
+            assert_eq!(one(method, &[1.0], &[2.0]), None);
+            assert_eq!(one(method, &[1.0, 2.0], &[5.0, 3.0]).map(f64::round), Some(-1.0));
+            assert_eq!(one(method, &[1.0, 2.0], &[5.0, 5.0]), None);
+        }
+    }
+
+    #[test]
+    fn nan_pairs_fall_back_to_the_pair_kernels() {
+        let x = lcg(7, 300, 50);
+        let mut y = lcg(8, 300, 50);
+        y[5] = f64::NAN;
+        y[77] = f64::NAN;
+        assert_eq!(one(CorrMethod::Pearson, &x, &y), pearson(&x, &y));
+        assert_eq!(one(CorrMethod::KendallTau, &x, &y), kendall_tau(&x, &y));
+        // Rank-once: each column ranked over its own non-NaN rows.
+        agree(
+            one(CorrMethod::Spearman, &x, &y),
+            spearman_from_ranks(&ranks(&x), &ranks(&y)),
+            "rank-once spearman",
+        );
+    }
+
+    #[test]
+    fn cells_are_symmetric_bit_for_bit() {
+        let (x, y) = (lcg(11, 400, 30), lcg(12, 400, 1 << 30));
+        for method in CorrMethod::ALL {
+            assert_eq!(one(method, &x, &y), one(method, &y, &x), "{method:?}");
+        }
+    }
+
+    #[test]
+    fn interrupted_call_pads_with_none() {
+        use crate::interrupt::tests::{test_probe, TEST_INTERRUPT};
+        crate::interrupt::register(test_probe);
+        let x = lcg(1, 50, 10);
+        let prep = ColumnPrep::prepare(&x);
+        let cols = [Col { values: &x, prep: &prep }; 3];
+        TEST_INTERRUPT.with(|f| f.set(true));
+        let out = corr_cells(CorrMethod::Pearson, &cols, &upper_triangle(3));
+        TEST_INTERRUPT.with(|f| f.set(false));
+        assert_eq!(out, vec![None; 3]);
+    }
+
+    #[test]
+    fn upper_triangle_is_row_major() {
+        assert_eq!(upper_triangle(3), vec![(0, 1), (0, 2), (1, 2)]);
+        assert!(upper_triangle(1).is_empty());
+        assert_eq!(upper_triangle(40).len(), 40 * 39 / 2);
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_owned_vector() {
+        let n = 1000;
+        let distinct = ColumnPrep::prepare(&lcg(1, n, 1 << 40));
+        assert_eq!(distinct.heap_bytes(), n * 8 + n * 4 + n * 4 + (n + 1) * 4);
+        let tied = ColumnPrep::prepare(&vec![1.0; n]);
+        assert_eq!(tied.heap_bytes(), n * 8 + n * 4 + n * 4 + 2 * 4);
+        let mut with_nan = lcg(2, n, 100);
+        with_nan[3] = f64::NAN;
+        assert_eq!(ColumnPrep::prepare(&with_nan).heap_bytes(), n * 8);
+    }
+}

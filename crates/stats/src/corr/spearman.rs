@@ -17,9 +17,17 @@ pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
 /// Spearman's rho from per-column precomputed ranks (NaN rank at null
 /// positions): Pearson over the rank vectors with pairwise-complete
 /// filtering. This is **pandas' `DataFrame.corr(method="spearman")`
-/// semantics** — each column is ranked once and shared across all its
-/// pairs — which is what DataPrep's matrix path uses; it coincides with
-/// the per-pair form whenever neither column has nulls.
+/// semantics** — each column is ranked once, over its own non-null rows,
+/// and the ranks are shared by all its pairs — and it is the one
+/// semantics every DataPrep path uses: `plot_correlation(df)`,
+/// `plot_correlation(df, x)` and `create_report` read the ranks of
+/// [`super::ColumnPrep`], the eager [`super::CorrMatrix::compute`] ranks
+/// with [`crate::rank::ranks`], and row `x` of a matrix and the vector of
+/// `x` are the same numbers.
+/// It coincides with the per-pair (SciPy) [`spearman`] whenever neither
+/// column has nulls; with nulls the two differ, because [`spearman`]
+/// re-ranks over each pair's complete rows. Pearson is shift-invariant,
+/// so any per-column constant may be subtracted from the ranks first.
 pub fn spearman_from_ranks(rank_x: &[f64], rank_y: &[f64]) -> Option<f64> {
     pearson(rank_x, rank_y)
 }

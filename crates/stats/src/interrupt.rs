@@ -50,9 +50,22 @@ pub(crate) mod tests {
         pub static TEST_INTERRUPT: Cell<bool> = const { Cell::new(false) };
     }
 
+    thread_local! {
+        /// When `Some(k)`, the `k`-th poll from now sets
+        /// [`TEST_INTERRUPT`]: lets a test interrupt a kernel at a chosen
+        /// poll instead of before it starts.
+        pub static TEST_POLLS_LEFT: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
     /// The probe test code registers: interrupted iff this thread's
-    /// flag is set.
+    /// flag is set (directly, or by the poll countdown reaching zero).
     pub fn test_probe() -> bool {
+        if let Some(left) = TEST_POLLS_LEFT.with(Cell::take) {
+            match left.saturating_sub(1) {
+                0 => TEST_INTERRUPT.with(|f| f.set(true)),
+                left => TEST_POLLS_LEFT.with(|p| p.set(Some(left))),
+            }
+        }
         TEST_INTERRUPT.with(Cell::get)
     }
 

@@ -32,7 +32,9 @@ pub fn silverman_bandwidth(values: &[f64]) -> Option<f64> {
 /// `[min - 3h, max + 3h]`.
 ///
 /// Returns `(xs, densities)`; empty vectors when the data is degenerate
-/// (fewer than 2 distinct values).
+/// (fewer than 2 distinct values). Each grid point sums over every
+/// value, so the interruption probe is polled per grid point; an
+/// interrupted call also returns empty vectors (its task is discarded).
 pub fn kde_grid(values: &[f64], grid_size: usize) -> (Vec<f64>, Vec<f64>) {
     let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
     let Some(h) = silverman_bandwidth(&finite) else {
@@ -46,19 +48,20 @@ pub fn kde_grid(values: &[f64], grid_size: usize) -> (Vec<f64>, Vec<f64>) {
     let step = (hi - lo) / (grid_size - 1) as f64;
     let xs: Vec<f64> = (0..grid_size).map(|i| lo + step * i as f64).collect();
     let norm = 1.0 / (finite.len() as f64 * h * (2.0 * std::f64::consts::PI).sqrt());
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|&x| {
-            finite
-                .iter()
-                .map(|&v| {
-                    let z = (x - v) / h;
-                    (-0.5 * z * z).exp()
-                })
-                .sum::<f64>()
-                * norm
-        })
-        .collect();
+    let mut ys = Vec::with_capacity(grid_size);
+    for &x in &xs {
+        if crate::interrupt::interrupted() {
+            return (Vec::new(), Vec::new());
+        }
+        let sum: f64 = finite
+            .iter()
+            .map(|&v| {
+                let z = (x - v) / h;
+                (-0.5 * z * z).exp()
+            })
+            .sum();
+        ys.push(sum * norm);
+    }
     (xs, ys)
 }
 
@@ -117,6 +120,19 @@ mod tests {
         let (xs, ys) = kde_grid(&[1.0, 2.0, f64::NAN, 3.0, f64::INFINITY], 64);
         assert_eq!(xs.len(), 64);
         assert!(ys.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn interruption_stops_the_grid_at_the_next_point() {
+        use crate::interrupt::tests::{test_probe, TEST_INTERRUPT, TEST_POLLS_LEFT};
+        crate::interrupt::register(test_probe);
+        let data: Vec<f64> = (0..50).map(f64::from).collect();
+        TEST_POLLS_LEFT.with(|p| p.set(Some(10)));
+        let (xs, ys) = kde_grid(&data, 64);
+        assert!(xs.is_empty() && ys.is_empty());
+        assert!(TEST_INTERRUPT.with(|f| f.get()), "fewer than ten grid points were polled");
+        TEST_INTERRUPT.with(|f| f.set(false));
+        assert_eq!(kde_grid(&data, 64).1.len(), 64);
     }
 
     #[test]

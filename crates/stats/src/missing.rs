@@ -3,10 +3,13 @@
 //! `plot_missing(df)` (paper Figure 2, row 8) shows four views of nullity:
 //! a per-column bar chart, a *missing spectrum* (which row ranges are
 //! missing-heavy), a nullity correlation heatmap, and a dendrogram grouping
-//! columns by co-missingness. These kernels work on per-column null
-//! indicator vectors and are independent of the dataframe crate.
+//! columns by co-missingness. All four are computed from integer counts
+//! ([`NullCounts`]: nulls per column, per column pair and per row bin) —
+//! small aggregates the partition phase sums up from validity bitmaps, so
+//! no row-length indicator vector exists anywhere. The crate stays
+//! independent of the dataframe crate: whoever owns the bitmaps counts.
 
-use crate::corr::pearson;
+use crate::vector::phi;
 
 /// Per-column missing-rate summary for the bar chart.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,68 +48,100 @@ pub struct MissingSpectrum {
     pub counts: Vec<Vec<usize>>,
 }
 
-/// Compute the missing spectrum from null-indicator vectors
-/// (`true` = missing).
-pub fn missing_spectrum(columns: &[(String, Vec<bool>)], bins: usize) -> MissingSpectrum {
-    let labels: Vec<String> = columns.iter().map(|(n, _)| n.clone()).collect();
-    let nrows = columns.first().map_or(0, |(_, v)| v.len());
-    let bins = bins.max(1).min(nrows.max(1));
-    let chunk = nrows.div_ceil(bins).max(1);
-    let mut row_ranges = Vec::new();
-    let mut counts = Vec::new();
-    let mut start = 0;
-    while start < nrows {
-        let end = (start + chunk).min(nrows);
-        row_ranges.push((start, end));
-        counts.push(
-            columns
-                .iter()
-                .map(|(_, nulls)| nulls[start..end].iter().filter(|&&b| b).count())
-                .collect(),
-        );
-        start = end;
-    }
+/// The spectrum's row ranges: `nrows` rows cut into at most `bins`
+/// contiguous ranges of equal length (the last may be shorter). An empty
+/// frame gets the single range `(0, 0)`.
+pub fn spectrum_ranges(nrows: usize, bins: usize) -> Vec<(usize, usize)> {
     if nrows == 0 {
-        row_ranges.push((0, 0));
-        counts.push(vec![0; columns.len()]);
+        return vec![(0, 0)];
     }
-    MissingSpectrum { labels, row_ranges, counts }
+    let chunk = nrows.div_ceil(bins.clamp(1, nrows));
+    (0..nrows).step_by(chunk).map(|start| (start, (start + chunk).min(nrows))).collect()
 }
 
-/// Nullity correlation matrix: Pearson correlation between the null
-/// indicators of column pairs (the Missingno heatmap).
-///
-/// Columns with no nulls (or all nulls) have undefined correlation and
-/// yield `None` cells.
-pub fn nullity_correlation(columns: &[(String, Vec<bool>)]) -> Vec<Vec<Option<f64>>> {
-    let m = columns.len();
-    let mut out = vec![vec![None; m]; m];
-    if crate::vector::simd_enabled() {
-        // Vector shape: on 0/1 indicators Pearson collapses to three
-        // popcounts per pair — no float materialization at all.
-        for i in 0..m {
-            out[i][i] = Some(1.0);
-            for j in (i + 1)..m {
-                let r = crate::vector::bool_pearson(&columns[i].1, &columns[j].1);
-                out[i][j] = r;
-                out[j][i] = r;
+/// Integer nullity aggregates of a frame, or of one row range of it:
+/// everything the four `plot_missing(df)` views are computed from.
+/// Counts of disjoint row ranges add up ([`NullCounts::merge`]).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct NullCounts {
+    /// Rows counted.
+    pub rows: usize,
+    /// Nulls per column.
+    pub nulls: Vec<usize>,
+    /// Rows where both columns of a pair are null, one entry per pair in
+    /// [`crate::corr::upper_triangle`] order.
+    pub co_nulls: Vec<usize>,
+    /// Nulls per spectrum bin and column (`bins × columns`).
+    pub bin_nulls: Vec<Vec<usize>>,
+}
+
+impl NullCounts {
+    /// Add the counts of another row range of the same frame.
+    pub fn merge(&mut self, other: &NullCounts) {
+        fn add(into: &mut [usize], from: &[usize]) {
+            for (a, b) in into.iter_mut().zip(from) {
+                *a += b;
             }
         }
-        return out;
-    }
-    let indicators: Vec<Vec<f64>> = columns
-        .iter()
-        .map(|(_, nulls)| nulls.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect())
-        .collect();
-    for i in 0..m {
-        out[i][i] = Some(1.0);
-        for j in (i + 1)..m {
-            let r = pearson(&indicators[i], &indicators[j]);
-            out[i][j] = r;
-            out[j][i] = r;
+        self.rows += other.rows;
+        add(&mut self.nulls, &other.nulls);
+        add(&mut self.co_nulls, &other.co_nulls);
+        for (a, b) in self.bin_nulls.iter_mut().zip(&other.bin_nulls) {
+            add(a, b);
         }
     }
-    out
+
+    /// Nullity correlation matrix: Pearson correlation between the null
+    /// indicators of column pairs (the Missingno heatmap), as the φ
+    /// coefficient of their counts.
+    ///
+    /// Columns with no nulls (or all nulls) have undefined correlation and
+    /// yield `None` cells.
+    pub fn correlation(&self) -> Vec<Vec<Option<f64>>> {
+        let rows = self.rows as u64;
+        let m = self.nulls.len();
+        let mut out = vec![vec![None; m]; m];
+        for ((i, j), r) in self.pairs().map(|(at, na, nb, nab)| (at, phi(rows, na, nb, nab))) {
+            set_both(&mut out, i, j, r);
+        }
+        for (i, row) in out.iter_mut().enumerate() {
+            if let Some(cell) = row.get_mut(i) {
+                *cell = Some(1.0);
+            }
+        }
+        out
+    }
+
+    /// Agglomerative clustering (average linkage) of columns by nullity
+    /// pattern distance: the fraction of rows where two columns' null
+    /// indicators disagree (normalized Hamming distance), which is
+    /// `nulls(a) + nulls(b) − 2·co_nulls(a, b)` over the row count.
+    pub fn dendrogram(&self) -> Vec<DendrogramMerge> {
+        let rows = self.rows.max(1) as f64;
+        let m = self.nulls.len();
+        let mut distances = vec![vec![0.0; m]; m];
+        for ((i, j), na, nb, nab) in self.pairs() {
+            set_both(&mut distances, i, j, (na + nb - 2 * nab) as f64 / rows);
+        }
+        average_linkage(&distances)
+    }
+
+    /// `((i, j), nulls(i), nulls(j), co_nulls(i, j))` for every pair.
+    fn pairs(&self) -> impl Iterator<Item = ((usize, usize), u64, u64, u64)> + '_ {
+        let nulls = |i: usize| self.nulls.get(i).copied().unwrap_or(0) as u64;
+        crate::corr::upper_triangle(self.nulls.len())
+            .into_iter()
+            .zip(&self.co_nulls)
+            .map(move |((i, j), &both)| ((i, j), nulls(i), nulls(j), both as u64))
+    }
+}
+
+fn set_both<T: Copy>(matrix: &mut [Vec<T>], i: usize, j: usize, value: T) {
+    for (r, c) in [(i, j), (j, i)] {
+        if let Some(cell) = matrix.get_mut(r).and_then(|row| row.get_mut(c)) {
+            *cell = value;
+        }
+    }
 }
 
 /// One merge step of the dendrogram: clusters `a` and `b` joined at
@@ -123,60 +158,36 @@ pub struct DendrogramMerge {
     pub size: usize,
 }
 
-/// Agglomerative clustering (average linkage) of columns by nullity
-/// pattern distance.
-///
-/// Distance between columns is the fraction of rows where their null
-/// indicators disagree (normalized Hamming distance). Merge ids follow the
-/// SciPy convention: leaves are `0..m`, the `k`-th merge creates id `m+k`.
-pub fn nullity_dendrogram(columns: &[(String, Vec<bool>)]) -> Vec<DendrogramMerge> {
-    let m = columns.len();
+/// Agglomerative clustering with average linkage over a symmetric leaf
+/// distance matrix. Merge ids follow the SciPy convention: leaves are
+/// `0..m`, the `k`-th merge creates id `m+k`.
+pub fn average_linkage(distances: &[Vec<f64>]) -> Vec<DendrogramMerge> {
+    let m = distances.len();
     if m < 2 {
         return Vec::new();
     }
-    let nrows = columns[0].1.len().max(1);
-
-    // Pairwise distances between active clusters; clusters hold leaf sets.
-    let mut clusters: Vec<Option<Vec<usize>>> = (0..m).map(|i| Some(vec![i])).collect();
-    let mut ids: Vec<usize> = (0..m).collect();
-    let base: Vec<Vec<f64>> = {
-        let mut d = vec![vec![0.0; m]; m];
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let disagree = columns[i]
-                    .1
-                    .iter()
-                    .zip(&columns[j].1)
-                    .filter(|(a, b)| a != b)
-                    .count();
-                let dist = disagree as f64 / nrows as f64;
-                d[i][j] = dist;
-                d[j][i] = dist;
-            }
-        }
-        d
-    };
-
+    let leaf_distance =
+        |i: usize, j: usize| distances.get(i).and_then(|row| row.get(j)).copied().unwrap_or(0.0);
     let avg_dist = |a: &[usize], b: &[usize]| -> f64 {
         let mut sum = 0.0;
         for &i in a {
             for &j in b {
-                sum += base[i][j];
+                sum += leaf_distance(i, j);
             }
         }
         sum / (a.len() * b.len()) as f64
     };
 
+    // Active clusters hold their leaf sets; merged ones become `None`.
+    let mut clusters: Vec<Option<Vec<usize>>> = (0..m).map(|i| Some(vec![i])).collect();
     let mut merges = Vec::with_capacity(m - 1);
-    let mut next_id = m;
     for _ in 0..(m - 1) {
         // Find the closest active pair (deterministic tie-break by index).
         let mut best: Option<(usize, usize, f64)> = None;
-        #[allow(clippy::needless_range_loop)] // paired index access below
-        for i in 0..clusters.len() {
-            let Some(a) = &clusters[i] else { continue };
-            for j in (i + 1)..clusters.len() {
-                let Some(b) = &clusters[j] else { continue };
+        for (i, a) in clusters.iter().enumerate() {
+            let Some(a) = a else { continue };
+            for (j, b) in clusters.iter().enumerate().skip(i + 1) {
+                let Some(b) = b else { continue };
                 let d = avg_dist(a, b);
                 if best.is_none_or(|(_, _, bd)| d < bd) {
                     best = Some((i, j, d));
@@ -186,15 +197,18 @@ pub fn nullity_dendrogram(columns: &[(String, Vec<bool>)]) -> Vec<DendrogramMerg
         // `m - 1` merge rounds over `m` initial clusters always leave an
         // active pair; if that invariant ever breaks, stop merging early
         // (a truncated dendrogram) rather than panic mid-report.
-        let Some((i, j, d)) = best else { break };
-        let (Some(a), Some(b)) = (clusters[i].take(), clusters[j].take()) else { break };
-        let size = a.len() + b.len();
-        merges.push(DendrogramMerge { left: ids[i], right: ids[j], distance: d, size });
-        let mut merged = a;
+        let Some((i, j, distance)) = best else { break };
+        let take = |clusters: &mut Vec<Option<Vec<usize>>>, at: usize| {
+            clusters.get_mut(at).and_then(Option::take)
+        };
+        let (Some(mut merged), Some(b)) = (take(&mut clusters, i), take(&mut clusters, j)) else {
+            break;
+        };
         merged.extend(b);
+        // Cluster slot `k` holds leaf `k` for `k < m` and merge `k - m`
+        // after: slot index and SciPy id coincide.
+        merges.push(DendrogramMerge { left: i, right: j, distance, size: merged.len() });
         clusters.push(Some(merged));
-        ids.push(next_id);
-        next_id += 1;
     }
     merges
 }
@@ -203,8 +217,26 @@ pub fn nullity_dendrogram(columns: &[(String, Vec<bool>)]) -> Vec<DendrogramMerg
 mod tests {
     use super::*;
 
-    fn nulls(pattern: &str) -> Vec<bool> {
-        pattern.chars().map(|c| c == '1').collect()
+    /// Counts of `0`/`1` null-pattern strings, one per column, with
+    /// `bins` spectrum bins — what the partition phase computes from
+    /// validity bitmaps.
+    fn counts(patterns: &[&str], bins: usize) -> NullCounts {
+        let cols: Vec<Vec<bool>> =
+            patterns.iter().map(|p| p.chars().map(|c| c == '1').collect()).collect();
+        let rows = cols.first().map_or(0, Vec::len);
+        let count = |v: &mut dyn Iterator<Item = bool>| v.filter(|&b| b).count();
+        NullCounts {
+            rows,
+            nulls: cols.iter().map(|c| count(&mut c.iter().copied())).collect(),
+            co_nulls: crate::corr::upper_triangle(cols.len())
+                .into_iter()
+                .map(|(i, j)| count(&mut cols[i].iter().zip(&cols[j]).map(|(a, b)| *a && *b)))
+                .collect(),
+            bin_nulls: spectrum_ranges(rows, bins)
+                .into_iter()
+                .map(|(s, e)| cols.iter().map(|c| count(&mut c[s..e].iter().copied())).collect())
+                .collect(),
+        }
     }
 
     #[test]
@@ -216,57 +248,56 @@ mod tests {
     }
 
     #[test]
-    fn spectrum_counts_by_bin() {
-        let cols = vec![
-            ("a".into(), nulls("11000000")),
-            ("b".into(), nulls("00000011")),
-        ];
-        let sp = missing_spectrum(&cols, 2);
-        assert_eq!(sp.row_ranges, vec![(0, 4), (4, 8)]);
-        assert_eq!(sp.counts[0], vec![2, 0]);
-        assert_eq!(sp.counts[1], vec![0, 2]);
+    fn spectrum_ranges_cover_the_rows() {
+        assert_eq!(spectrum_ranges(8, 2), vec![(0, 4), (4, 8)]);
+        // More bins than rows: one row per bin.
+        assert_eq!(spectrum_ranges(2, 10), vec![(0, 1), (1, 2)]);
+        assert_eq!(spectrum_ranges(10, 3), vec![(0, 4), (4, 8), (8, 10)]);
+        assert_eq!(spectrum_ranges(0, 4), vec![(0, 0)]);
+        assert_eq!(spectrum_ranges(5, 0), vec![(0, 5)]);
     }
 
     #[test]
-    fn spectrum_more_bins_than_rows() {
-        let cols = vec![("a".into(), nulls("10"))];
-        let sp = missing_spectrum(&cols, 10);
-        assert_eq!(sp.row_ranges.len(), 2);
-        let total: usize = sp.counts.iter().map(|r| r[0]).sum();
-        assert_eq!(total, 1);
-    }
-
-    #[test]
-    fn spectrum_empty_frame() {
-        let cols = vec![("a".into(), Vec::new())];
-        let sp = missing_spectrum(&cols, 4);
-        assert_eq!(sp.row_ranges, vec![(0, 0)]);
-        assert_eq!(sp.counts, vec![vec![0]]);
+    fn merge_adds_disjoint_row_ranges() {
+        let whole = counts(&["11001100", "10101010", "00000000"], 2);
+        let mut left = counts(&["1100", "1010", "0000"], 1);
+        let mut right = counts(&["1100", "1010", "0000"], 1);
+        // Each half fills its own spectrum bin of the whole frame.
+        left.bin_nulls.push(vec![0; 3]);
+        right.bin_nulls.insert(0, vec![0; 3]);
+        left.merge(&right);
+        assert_eq!(left, whole);
     }
 
     #[test]
     fn nullity_corr_detects_co_missingness() {
-        let cols = vec![
-            ("a".into(), nulls("11001100")),
-            ("b".into(), nulls("11001100")), // identical pattern: r = 1
-            ("c".into(), nulls("00110011")), // inverted: r = -1
-            ("d".into(), nulls("00000000")), // no nulls: undefined
-        ];
-        let m = nullity_correlation(&cols);
+        let m = counts(
+            &[
+                "11001100",
+                "11001100", // identical pattern: r = 1
+                "00110011", // inverted: r = -1
+                "00000000", // no nulls: undefined
+            ],
+            1,
+        )
+        .correlation();
         assert!((m[0][1].unwrap() - 1.0).abs() < 1e-12);
         assert!((m[0][2].unwrap() + 1.0).abs() < 1e-12);
         assert_eq!(m[0][3], None);
         assert_eq!(m[3][3], Some(1.0));
+        assert_eq!(m[1][0], m[0][1]);
     }
 
     #[test]
     fn dendrogram_merges_similar_columns_first() {
-        let cols = vec![
-            ("a".into(), nulls("11110000")),
-            ("b".into(), nulls("11100000")), // distance 1/8 to a
-            ("c".into(), nulls("00001111")), // far from both
-        ];
-        let merges = nullity_dendrogram(&cols);
+        let merges = counts(
+            &[
+                "11110000", "11100000", // distance 1/8 to the first
+                "00001111", // far from both
+            ],
+            1,
+        )
+        .dendrogram();
         assert_eq!(merges.len(), 2);
         // First merge is a+b (leaves 0 and 1).
         assert_eq!((merges[0].left, merges[0].right), (0, 1));
@@ -280,17 +311,14 @@ mod tests {
 
     #[test]
     fn dendrogram_degenerate() {
-        assert!(nullity_dendrogram(&[]).is_empty());
-        assert!(nullity_dendrogram(&[("a".into(), nulls("10"))]).is_empty());
+        assert!(counts(&[], 1).dendrogram().is_empty());
+        assert!(counts(&["10"], 1).dendrogram().is_empty());
+        assert!(average_linkage(&[]).is_empty());
     }
 
     #[test]
     fn dendrogram_identical_columns_distance_zero() {
-        let cols = vec![
-            ("a".into(), nulls("1010")),
-            ("b".into(), nulls("1010")),
-        ];
-        let merges = nullity_dendrogram(&cols);
+        let merges = counts(&["1010", "1010"], 1).dendrogram();
         assert_eq!(merges[0].distance, 0.0);
     }
 }

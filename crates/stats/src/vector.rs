@@ -590,6 +590,30 @@ pub fn pearson_slices(p: &mut PearsonPartial, x: &[f64], y: &[f64]) {
     }
 }
 
+/// `Σ (x[i] − mx)·(y[i] − my)` over the common prefix of two slices:
+/// the correlation-cell inner loop over a pair of prepared columns
+/// ([`crate::corr::ColumnPrep`]), which know their means up front.
+///
+/// Element `i` always lands in lane `i % LANES` and the lanes fold with
+/// the fixed association of `reduce_sum`, so the result depends on the
+/// inputs alone — not on how a matrix was tiled or how many workers ran
+/// it. Swapping the arguments gives the same bits (`a·b == b·a`).
+pub fn centered_dot(x: &[f64], mx: f64, y: &[f64], my: f64) -> f64 {
+    let len = x.len().min(y.len());
+    let (x, y) = (x.get(..len).unwrap_or(x), y.get(..len).unwrap_or(y));
+    let mut acc = [0.0f64; LANES];
+    let (cx, cy) = (x.chunks_exact(LANES), y.chunks_exact(LANES));
+    let tail = cx.remainder().iter().zip(cy.remainder());
+    // eda-lint: allow(EDA-L6) one O(n) pass; the cell loop in corr::prep polls between cells
+    for (bx, by) in cx.zip(cy) {
+        for ((s, a), b) in acc.iter_mut().zip(bx).zip(by) {
+            *s += (a - mx) * (b - my);
+        }
+    }
+    acc.iter_mut().zip(tail).for_each(|(s, (a, b))| *s += (a - mx) * (b - my));
+    reduce_sum(&acc)
+}
+
 // ---------------------------------------------------------------------------
 // Nullity / boolean-indicator counting
 // ---------------------------------------------------------------------------
@@ -597,48 +621,29 @@ pub fn pearson_slices(p: &mut PearsonPartial, x: &[f64], y: &[f64]) {
 /// Joint counts of two boolean indicator columns over their common
 /// prefix: `(count_a, count_b, count_both)`.
 ///
-/// This is the nullity-correlation inner loop: on 0/1 indicators the
-/// whole Pearson accumulation collapses to three popcounts, which the
-/// autovectorizer reduces with packed byte sums.
+/// Indicator vectors are how the baseline profiler (and missingno) hold
+/// nullity; the engine itself counts validity bitmaps word by word and
+/// only shares the [`phi`] arithmetic. Lane-shaped byte sums, drained
+/// every block, which the autovectorizer packs.
 pub fn count_joint(a: &[bool], b: &[bool]) -> (u64, u64, u64) {
-    let len = a.len().min(b.len());
-    let (a, b) = (&a[..len], &b[..len]);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_available() {
-        // SAFETY: `avx2_available` just confirmed the CPU supports the
-        // target features this function is compiled with.
-        return unsafe { x86::count_joint_avx2(a, b) };
-    }
-    count_joint_fallback(a, b)
-}
-
-/// Autovectorized fallback of [`count_joint`]: u32 lane accumulators,
-/// drained every block. Counts are exact integers, so the AVX2 path is
-/// trivially identical.
-fn count_joint_fallback(a: &[bool], b: &[bool]) -> (u64, u64, u64) {
     let (mut na, mut nb, mut nab) = (0u64, 0u64, 0u64);
     // u32 lane accumulators, drained every block — safe for any chunk
     // length up to u32::MAX per lane, and narrow enough to vectorize.
+    // `zip` stops at the shorter side, block by block and lane by lane.
     for (ca, cb) in a.chunks(SUB_BLOCK).zip(b.chunks(SUB_BLOCK)) {
-        let mut la = [0u32; LANES];
-        let mut lb = [0u32; LANES];
-        let mut lab = [0u32; LANES];
-        let full = ca.len() - ca.len() % LANES;
-        for (ba, bb) in ca[..full].chunks_exact(LANES).zip(cb[..full].chunks_exact(LANES)) {
-            for (j, (&va, &vb)) in ba.iter().zip(bb).enumerate() {
-                la[j] += u32::from(va);
-                lb[j] += u32::from(vb);
-                lab[j] += u32::from(va && vb);
+        let mut lanes = [(0u32, 0u32, 0u32); LANES];
+        for (ba, bb) in ca.chunks(LANES).zip(cb.chunks(LANES)) {
+            for (lane, (&va, &vb)) in lanes.iter_mut().zip(ba.iter().zip(bb)) {
+                lane.0 += u32::from(va);
+                lane.1 += u32::from(vb);
+                lane.2 += u32::from(va && vb);
             }
         }
-        for j in full..ca.len() {
-            la[j - full] += u32::from(ca[j]);
-            lb[j - full] += u32::from(cb[j]);
-            lab[j - full] += u32::from(ca[j] && cb[j]);
+        for lane in lanes {
+            na += u64::from(lane.0);
+            nb += u64::from(lane.1);
+            nab += u64::from(lane.2);
         }
-        na += la.iter().map(|&c| u64::from(c)).sum::<u64>();
-        nb += lb.iter().map(|&c| u64::from(c)).sum::<u64>();
-        nab += lab.iter().map(|&c| u64::from(c)).sum::<u64>();
     }
     (na, nb, nab)
 }
@@ -647,17 +652,24 @@ fn count_joint_fallback(a: &[bool], b: &[bool]) -> (u64, u64, u64) {
 /// counts (the φ coefficient), routed through the same
 /// [`PearsonPartial::finish`] degeneracy rules as the scalar path.
 pub fn bool_pearson(a: &[bool], b: &[bool]) -> Option<f64> {
-    let len = a.len().min(b.len()) as u64;
-    if len == 0 {
+    let (na, nb, nab) = count_joint(a, b);
+    phi(a.len().min(b.len()) as u64, na, nb, nab)
+}
+
+/// The φ coefficient — Pearson correlation of two 0/1 indicators — from
+/// integer counts alone: `rows` observations, `na` / `nb` ones on each
+/// side, `nab` rows where both are one. `None` under the degeneracy rules
+/// of [`PearsonPartial::finish`] (no rows, or a constant side).
+pub fn phi(rows: u64, na: u64, nb: u64, nab: u64) -> Option<f64> {
+    if rows == 0 {
         return None;
     }
-    let (na, nb, nab) = count_joint(a, b);
-    let n = len as f64;
+    let n = rows as f64;
     let (fa, fb, fab) = (na as f64, nb as f64, nab as f64);
     let m2x = fa * (n - fa) / n;
     let m2y = fb * (n - fb) / n;
     let cxy = fab - fa * fb / n;
-    PearsonPartial::from_raw(len, fa / n, fb / n, m2x, m2y, cxy).finish()
+    PearsonPartial::from_raw(rows, fa / n, fb / n, m2x, m2y, cxy).finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,58 +1037,6 @@ mod x86 {
             s[(b as usize).min(cap)] += 1;
         }
     }
-
-    /// AVX2 twin of `count_joint_fallback`: `bool` is guaranteed one
-    /// byte holding 0 or 1, so the three counts are three packed byte
-    /// sums (`vpsadbw` against zero) over `a`, `b`, and `a & b`.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2. Slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_joint_avx2(a: &[bool], b: &[bool]) -> (u64, u64, u64) {
-        let len = a.len().min(b.len());
-        // SAFETY: `bool` has size 1 and is always 0x00 or 0x01.
-        let ab = unsafe { std::slice::from_raw_parts(a.as_ptr().cast::<u8>(), len) };
-        let bb = unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<u8>(), len) };
-        let full = len - len % 32;
-        let (mut na, mut nb, mut nab);
-        // SAFETY: AVX2 guaranteed by the caller; loads stay inside the
-        // 32-byte chunks.
-        unsafe {
-            let zero = _mm256_setzero_si256();
-            let mut sa = zero;
-            let mut sb = zero;
-            let mut sab = zero;
-            for (ca, cb) in ab[..full].chunks_exact(32).zip(bb[..full].chunks_exact(32)) {
-                let va = _mm256_loadu_si256(ca.as_ptr().cast());
-                let vb = _mm256_loadu_si256(cb.as_ptr().cast());
-                let vab = _mm256_and_si256(va, vb);
-                sa = _mm256_add_epi64(sa, _mm256_sad_epu8(va, zero));
-                sb = _mm256_add_epi64(sb, _mm256_sad_epu8(vb, zero));
-                sab = _mm256_add_epi64(sab, _mm256_sad_epu8(vab, zero));
-            }
-            na = hsum_epi64(sa);
-            nb = hsum_epi64(sb);
-            nab = hsum_epi64(sab);
-        }
-        for i in full..len {
-            na += u64::from(ab[i]);
-            nb += u64::from(bb[i]);
-            nab += u64::from(ab[i] & bb[i]);
-        }
-        (na, nb, nab)
-    }
-
-    /// Sum the four u64 lanes of a `__m256i`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi64(v: __m256i) -> u64 {
-        let mut lanes = [0u64; 4];
-        // SAFETY: `lanes` is 32 contiguous bytes; unaligned store allowed.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v) };
-        lanes[0].wrapping_add(lanes[1]).wrapping_add(lanes[2]).wrapping_add(lanes[3])
-    }
 }
 
 #[cfg(test)]
@@ -1297,10 +1257,5 @@ mod tests {
         hist_chunk_fallback(&vals, min, max, inv_width, nbins, &mut sf);
         assert_eq!(fold(&sd), fold(&sf));
         assert_eq!(fold(&sd).iter().sum::<u64>(), vals.len() as u64);
-
-        // Joint nullity counts are exact integers: dispatch == fallback.
-        let a: Vec<bool> = (0..997).map(|i| i % 3 == 0).collect();
-        let b: Vec<bool> = (0..997).map(|i| i * 7 % 5 != 0).collect();
-        assert_eq!(count_joint(&a, &b), count_joint_fallback(&a, &b));
     }
 }

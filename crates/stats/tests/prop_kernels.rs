@@ -6,7 +6,9 @@
 // targets shipped code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use eda_stats::corr::{kendall_tau, kendall_tau_naive, pearson, spearman, PearsonPartial};
+use eda_stats::corr::{
+    kendall_tau, kendall_tau_naive, pearson, spearman, spearman_from_ranks, PearsonPartial,
+};
 use eda_stats::corr::{CorrMatrix, CorrMethod};
 use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
@@ -225,11 +227,12 @@ proptest! {
     }
 
     #[test]
-    fn spearman_matrix_with_nulls_matches_per_pair(
+    fn spearman_matrix_with_nulls_is_rank_once(
         cols in prop::collection::vec(prop::collection::vec(prop::option::of(finite_f64()), 4..60), 2..4),
     ) {
-        // Columns with NaN-marked nulls take the pairwise-complete
-        // fallback; cells must equal the direct per-pair computation.
+        // pandas semantics: every column is ranked once over its own
+        // non-null rows, and a pair correlates those ranks over the rows
+        // both have — not the ranks of the pair's own complete subset.
         let n = cols.iter().map(Vec::len).min().unwrap();
         let named: Vec<(String, Vec<f64>)> = cols
             .iter()
@@ -241,7 +244,11 @@ proptest! {
         let m = CorrMatrix::compute(&named, CorrMethod::Spearman);
         for i in 0..named.len() {
             for j in (i + 1)..named.len() {
-                prop_assert_eq!(m.get(i, j), spearman(&named[i].1, &named[j].1));
+                let rank_once = spearman_from_ranks(&ranks(&named[i].1), &ranks(&named[j].1));
+                match (m.get(i, j), rank_once) {
+                    (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-12, "{a} vs {b}"),
+                    (a, b) => prop_assert_eq!(a, b),
+                }
             }
         }
     }

@@ -8,12 +8,15 @@
 
 use std::time::{Duration, Instant};
 
+use eda_core::compute::correlation::{numeric_columns, plan_matrix_nodes, plan_matrix_tiles};
+use eda_core::compute::ComputeContext;
 use eda_core::{
-    create_report, create_report_handle, plot_correlation, Config, InsightKind, SectionStatus,
+    create_report, create_report_handle, plot, plot_correlation, Config, InsightKind,
+    SectionStatus,
 };
 use eda_dataframe::{Column, DataFrame};
 use eda_render::layout::{render_analysis_html, render_report_html};
-use eda_taskgraph::{inject, FaultInjector};
+use eda_taskgraph::{inject, FaultInjector, ResultCache};
 
 fn frame(n: usize) -> DataFrame {
     DataFrame::new(vec![
@@ -157,6 +160,113 @@ fn run_deadline_reclaims_wedged_workers() {
         }
         SectionStatus::Ok => panic!("wedged section should have been cancelled"),
     }
+}
+
+/// A Kendall tile stops *inside* its inversion count. The columns' preps
+/// are served from a warm cache, so under the task deadline only tiles
+/// execute; one Kendall tile takes several deadlines, polls the probe
+/// once per merge pass, and must be reclaimed after a fraction of its
+/// uninterrupted time.
+#[test]
+fn task_deadline_stops_a_kendall_tile_mid_count() {
+    let n = 400_000usize;
+    let col = |mul: usize, modulus: usize| {
+        Column::from_f64((0..n).map(|i| ((i * mul) % modulus) as f64 / 3.0).collect())
+    };
+    let df = DataFrame::new(vec![
+        ("a".into(), col(7919, 399_989)),
+        ("b".into(), col(104_729, 399_983)),
+        ("c".into(), col(1_299_709, 1009)),
+    ])
+    .unwrap();
+    let cache = std::sync::Arc::new(ResultCache::new(1 << 30));
+    let base = [("engine.workers", "1"), ("engine.profile", "true")];
+
+    // Uninterrupted: one tile per method, which also warms the preps.
+    let free = Config::from_pairs(base).unwrap();
+    let mut ctx = ComputeContext::new(&df, &free).with_cache(cache.clone());
+    let names = numeric_columns(&ctx);
+    let nodes = plan_matrix_tiles(&mut ctx, &names, 1);
+    ctx.execute_checked(&nodes).expect("ungoverned run succeeds");
+    let trace = ctx.last_stats.as_ref().unwrap().trace.clone().unwrap();
+    let three_pairs = trace.elapsed_of("corr_matrix:KendallTau:0").expect("tile span");
+
+    // Governed: the default tiling puts each of the 3 pairs in its own
+    // tile (new task keys, so nothing of them is cached); the deadline is
+    // a quarter of one pair's time.
+    let ms = (three_pairs / 12).as_millis().max(2).to_string();
+    let deadline = Duration::from_millis(ms.parse().unwrap());
+    let mut pairs = base.to_vec();
+    pairs.push(("engine.task_deadline_ms", &ms));
+    let tight = Config::from_pairs(pairs).unwrap();
+    let mut ctx = ComputeContext::new(&df, &tight).with_cache(cache);
+    let nodes = plan_matrix_nodes(&mut ctx, &names);
+    let outcomes = ctx.execute_outcomes(&nodes);
+    let stats = ctx.last_stats.as_ref().unwrap();
+    assert!(stats.cache_hits >= 3, "preps should come from the cache: {stats:?}");
+
+    // Pearson and Spearman tiles are a dot product each: well inside.
+    assert!(outcomes[0].is_ok() && outcomes[1].is_ok(), "{:?}", outcomes[0].error());
+    let err = outcomes[2].error().expect("the Kendall matrix cannot assemble");
+    let (_, root) = err.root_cause();
+    assert!(root.starts_with("corr_matrix:KendallTau"), "{root}");
+    assert!(stats.tasks_timed_out >= 1, "{stats:?}");
+    let trace = stats.trace.as_ref().unwrap();
+    let stopped = trace.elapsed_of(root).expect("timed-out tile span");
+    assert!(stopped >= deadline, "{stopped:?} < {deadline:?}");
+    assert!(
+        stopped < three_pairs / 4,
+        "tile ran {stopped:?} of ~{:?} after a {deadline:?} deadline",
+        three_pairs / 3
+    );
+}
+
+/// A KDE task stops between grid points, and `plot(df, x)` degrades to
+/// diagnostics naming it.
+#[test]
+fn task_deadline_stops_a_kde_task_between_grid_points() {
+    let df = frame(20_000);
+    // 5000 samples x 8000 grid points: long enough to time.
+    let base = [("engine.workers", "1"), ("engine.profile", "true"), ("kde.grid", "8000")];
+    let free = plot(&df, &["size"], &cfg(&base)).unwrap();
+    assert!(free.status.is_ok(), "{:?}", free.status);
+    let full = free.stats.unwrap().trace.unwrap().elapsed_of("kde:size").expect("kde span");
+
+    let ms = (full / 8).as_millis().max(5).to_string();
+    let deadline = Duration::from_millis(ms.parse().unwrap());
+    let mut pairs = base.to_vec();
+    pairs.push(("engine.task_deadline_ms", &ms));
+    let governed = plot(&df, &["size"], &cfg(&pairs)).unwrap();
+    match &governed.status {
+        SectionStatus::Failed { root_task, error, .. } => {
+            assert_eq!(root_task, "kde:size", "{error}");
+        }
+        SectionStatus::Ok => panic!("a {deadline:?} deadline should stop a {full:?} KDE"),
+    }
+    let stats = governed.stats.unwrap();
+    assert_eq!(stats.tasks_timed_out, 1, "{stats:?}");
+    let stopped = stats.trace.unwrap().elapsed_of("kde:size").unwrap();
+    assert!(stopped < full / 2, "KDE ran {stopped:?} of {full:?} after a {deadline:?} deadline");
+}
+
+/// A panicking `kde` task degrades its own variable section and nothing
+/// else: no other section consumes it.
+#[test]
+fn panicking_kde_task_degrades_only_its_variable_section() {
+    let df = frame(300);
+    let _guard = inject::arm(FaultInjector::panic_on("kde:price"));
+    let report = create_report(&df, &cfg(&[])).unwrap();
+    let failed = report.failed_sections();
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    assert_eq!(failed[0].0, "variable:price");
+    match failed[0].1 {
+        SectionStatus::Failed { root_task, .. } => assert_eq!(root_task, "kde:price"),
+        SectionStatus::Ok => unreachable!(),
+    }
+    assert_eq!(report.stats.tasks_failed, 1, "{:?}", report.stats);
+    let size = report.variables.iter().find(|v| v.name == "size").unwrap();
+    assert!(size.intermediates.get("kde_plot").is_some());
+    assert!(report.overview_status.is_ok() && report.correlations_status.is_ok());
 }
 
 // --------------------------------------------------------- budget ladder

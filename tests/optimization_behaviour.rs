@@ -4,6 +4,7 @@
 //! counts, results), not wall time.
 
 use dataprep_eda::prelude::*;
+use eda_bench::CorrTiling;
 use eda_core::compute::overview::{assemble_overview, plan_overview};
 use eda_core::compute::ComputeContext;
 use eda_core::json::intermediates_to_json;
@@ -60,26 +61,18 @@ fn fine_grained_tasks_run_fewer_tasks_than_report() {
 
 #[test]
 fn two_phase_boundary_does_not_change_correlations() {
+    // One task per (method, pair) instead of a few tiles per worker: many
+    // more tasks, the same matrices — and the same as the public call's.
     let df = dataset();
-    let eager = plot_correlation(&df, &[], &Config::default()).unwrap();
-    let lazy_cfg = Config::from_pairs(vec![("engine.eager_finish", "false")]).unwrap();
-    let lazy = plot_correlation(&df, &[], &lazy_cfg).unwrap();
-    for name in ["Pearson", "Spearman", "KendallTau"] {
-        let key = format!("correlation_matrix:{name}");
-        let (Some(Inter::Correlation(a)), Some(Inter::Correlation(b))) =
-            (eager.get(&key), lazy.get(&key))
-        else {
-            panic!("missing {key}")
-        };
-        assert_eq!(a.labels, b.labels);
-        for i in 0..a.size() {
-            for j in 0..a.size() {
-                match (a.get(i, j), b.get(i, j)) {
-                    (Some(x), Some(y)) => assert!((x - y).abs() < 1e-12),
-                    (x, y) => assert_eq!(x, y),
-                }
-            }
-        }
+    let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+    let (tiled, tiled_tasks) = CorrTiling::PerWorker.matrices(&df, &cfg).unwrap();
+    let (per_pair, pair_tasks) = CorrTiling::PerPair.matrices(&df, &cfg).unwrap();
+    assert_eq!(tiled, per_pair);
+    assert!(pair_tasks > tiled_tasks, "{pair_tasks} vs {tiled_tasks}");
+    let public = plot_correlation(&df, &[], &cfg).unwrap();
+    for m in &tiled {
+        let key = format!("correlation_matrix:{}", m.method.name());
+        assert_eq!(public.get(&key), Some(&Inter::Correlation(m.clone())), "{key}");
     }
 }
 
