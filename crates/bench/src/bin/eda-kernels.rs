@@ -9,9 +9,15 @@
 //! credit shape (10k x 25, what `report_numeric` profiles) for each
 //! method twice: one pair-kernel call per cell (`CorrMethod::compute`),
 //! and `corr_cells` over columns prepared once (`ColumnPrep`, its cost
-//! reported separately — the three methods share it). Nullity has one
-//! path, word AND + popcount over validity bitmaps; its throughput is
-//! reported, not compared. Compiled with `--features simd` the
+//! reported separately — the three methods share it); the Kendall row is
+//! timed a second time with every third column 10% null, where cells skip
+//! rows instead of falling back to the pair kernel. The `kde` stage times
+//! the 25 curves a numeric report draws (5000-value stride sample of each
+//! sorted column, 200 grid points): the direct sum over every (sample,
+//! grid point) pair — `kde_grid` before the windowed recurrence, kept
+//! here as the opponent — against `kde_grid`. Nullity has one path, word
+//! AND + popcount over validity bitmaps; its throughput is reported, not
+//! compared. Compiled with `--features simd` the
 //! moments/minmax inner loops dispatch to AVX2 intrinsics when the CPU
 //! has them; without it they are the autovectorized fallback —
 //! bit-identical, narrower. Every kernel runs on one thread; the host's
@@ -27,11 +33,34 @@
 use std::time::Duration;
 
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, print_table};
+use eda_core::compute::univariate::stride_sample;
 use eda_dataframe::Bitmap;
 use eda_datagen::{generate, kaggle_spec_by_name};
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
+use eda_stats::kde::{kde_grid, silverman_bandwidth};
+use eda_stats::quantile::sorted_values;
 use eda_stats::vector;
 use eda_stats::{Histogram, Moments};
+
+/// The KDE curve as a direct sum: every grid point over every sample, one
+/// `exp` each.
+fn kde_direct(sorted: &[f64], grid: usize) -> (Vec<f64>, Vec<f64>) {
+    let (Some(h), Some(min), Some(max)) =
+        (silverman_bandwidth(sorted), sorted.first(), sorted.last())
+    else {
+        return (Vec::new(), Vec::new());
+    };
+    let (lo, hi) = (min - 3.0 * h, max + 3.0 * h);
+    let step = (hi - lo) / (grid - 1) as f64;
+    let xs: Vec<f64> = (0..grid).map(|i| lo + step * i as f64).collect();
+    let norm = 1.0 / (sorted.len() as f64 * h * (2.0 * std::f64::consts::PI).sqrt());
+    let density = |x: f64| {
+        let sum: f64 = sorted.iter().map(|&v| (-0.5 * ((x - v) / h).powi(2)).exp()).sum();
+        sum * norm
+    };
+    let ys = xs.iter().map(|&x| density(x)).collect();
+    (xs, ys)
+}
 
 /// Deterministic value stream: an LCG folded into a bounded float range,
 /// the same mix every run so scalar and vector process identical bytes.
@@ -150,6 +179,24 @@ fn main() {
             || corr_cells(method, &cols, &pairs),
         )
     };
+    // The same columns with every third one 10% null, each on its own
+    // rows (the conflicts shape's pattern): 204 of the 300 pairs skip rows.
+    let holed: Vec<Vec<f64>> = columns
+        .iter()
+        .enumerate()
+        .map(|(c, values)| {
+            let null = |row: usize| c % 3 == 0 && (row * 7 + c).is_multiple_of(10);
+            let holes = values.iter().enumerate();
+            holes.map(|(row, &v)| if null(row) { f64::NAN } else { v }).collect()
+        })
+        .collect();
+    let holed_preps: Vec<ColumnPrep> = holed.iter().map(|v| ColumnPrep::prepare(v)).collect();
+    let holed_cols: Vec<Col<'_>> =
+        holed.iter().zip(&holed_preps).map(|(values, prep)| Col { values, prep }).collect();
+    // What a numeric report's 25 `kde` tasks are given.
+    const KDE_GRID: usize = 200;
+    let samples: Vec<Vec<f64>> =
+        columns.iter().map(|values| stride_sample(&sorted_values(values), 5000)).collect();
 
     // One full measurement pass over the kernels; the suite runs
     // `PASSES` times and each kernel keeps its best pass (see [`merge`]).
@@ -213,7 +260,22 @@ fn main() {
         let pc = cells_of(CorrMethod::Pearson);
         let sc = cells_of(CorrMethod::Spearman);
         let kc = cells_of(CorrMethod::KendallTau);
-        [mo, hi, mm, pe, pc, sc, kc]
+        let kn = ab_of(
+            ITERS_CELLS,
+            || {
+                let tau = |&(i, j): &(usize, usize)| {
+                    CorrMethod::KendallTau.compute(&holed[i], &holed[j])
+                };
+                pairs.iter().map(tau).collect::<Vec<_>>()
+            },
+            || corr_cells(CorrMethod::KendallTau, &holed_cols, &pairs),
+        );
+        let kd = ab_of(
+            ITERS_CELLS,
+            || samples.iter().map(|sample| kde_direct(sample, KDE_GRID)).collect::<Vec<_>>(),
+            || samples.iter().map(|sample| kde_grid(sample, KDE_GRID)).collect::<Vec<_>>(),
+        );
+        [mo, hi, mm, pe, pc, sc, kc, kn, kd]
     };
 
     let mut res = suite();
@@ -222,7 +284,7 @@ fn main() {
             *r = merge(*r, n);
         }
     }
-    let [mo, hi, mm, pe, pc, sc, kc] = res;
+    let [mo, hi, mm, pe, pc, sc, kc, kn, kd] = res;
     let best_of = |f: &dyn Fn()| (0..ITERS * PASSES).map(|_| measure(f).1).min().expect("iterations");
     let nullity = best_of(&|| {
         std::hint::black_box(valid_a.count_unset_in_both(&valid_b));
@@ -269,7 +331,21 @@ fn main() {
     );
     print_table(
         &["method", "per-pair pairs/s", "shared-prep pairs/s", "speedup"],
-        &[cell_row("pearson", &pc), cell_row("spearman", &sc), cell_row("kendall", &kc)],
+        &[
+            cell_row("pearson", &pc),
+            cell_row("spearman", &sc),
+            cell_row("kendall", &kc),
+            cell_row("kendall, null columns", &kn),
+        ],
+    );
+
+    let cps = |d: Duration| samples.len() as f64 / d.as_secs_f64();
+    println!(
+        "\nkde: {} curves x {KDE_GRID} points: direct sum {:.0} curves/s, kde_grid {:.0}, {:.2}x",
+        samples.len(),
+        cps(kd.scalar),
+        cps(kd.vector),
+        kd.speedup
     );
 
     if let Some(path) = arg_str("--json") {
@@ -283,7 +359,9 @@ fn main() {
                 "\"nullity_meps\":{:.3},\"corr_prep_ms\":{:.3},\n",
                 "\"pearson_pair_pps\":{:.1},\"pearson_cell_pps\":{:.1},\"pearson_cell_speedup\":{:.4},\n",
                 "\"spearman_pair_pps\":{:.1},\"spearman_cell_pps\":{:.1},\"spearman_cell_speedup\":{:.4},\n",
-                "\"kendall_pair_pps\":{:.1},\"kendall_cell_pps\":{:.1},\"kendall_cell_speedup\":{:.4}}}"
+                "\"kendall_pair_pps\":{:.1},\"kendall_cell_pps\":{:.1},\"kendall_cell_speedup\":{:.4},\n",
+                "\"kendall_nan_pair_pps\":{:.1},\"kendall_nan_cell_pps\":{:.1},\"kendall_nan_cell_speedup\":{:.4},\n",
+                "\"kde_direct_cps\":{:.1},\"kde_cps\":{:.1},\"kde_speedup\":{:.4}}}"
             ),
             rows,
             host_cores,
@@ -310,6 +388,12 @@ fn main() {
             pps(kc.scalar),
             pps(kc.vector),
             kc.speedup,
+            pps(kn.scalar),
+            pps(kn.vector),
+            kn.speedup,
+            cps(kd.scalar),
+            cps(kd.vector),
+            kd.speedup,
         );
         std::fs::write(&path, json).expect("write kernels json");
         println!("\nwrote {path}");

@@ -275,6 +275,12 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "kendall_pair_pps",
             "kendall_cell_pps",
             "kendall_cell_speedup",
+            "kendall_nan_pair_pps",
+            "kendall_nan_cell_pps",
+            "kendall_nan_cell_speedup",
+            "kde_direct_cps",
+            "kde_cps",
+            "kde_speedup",
         ],
         gated: &[
             // Vector-vs-scalar ratios on the same machine; the wide scale
@@ -287,6 +293,9 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             MetricSpec { key: "pearson_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             MetricSpec { key: "spearman_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             MetricSpec { key: "kendall_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
+            // The windowed recurrence vs the direct sum it replaced, same
+            // 25 samples, back to back.
+            MetricSpec { key: "kde_speedup", higher_is_better: true, tolerance_scale: 4.0 },
         ],
     },
     ExperimentSpec {

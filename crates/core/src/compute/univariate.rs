@@ -9,10 +9,11 @@
 //! (turn reduced payloads into intermediates) so `create_report` can plan
 //! every column into one graph, execute once, and assemble per column.
 //! Assembly only reads small aggregates and formats them: anything with a
-//! per-row or per-sample loop is a graph node — the KDE curve (a million
-//! `exp` per column) is the `kde` task on the shared sorted-values node,
-//! so it runs on a worker, parallel across columns, and a repeated
-//! `plot(df, x)` or a warm `create_report` gets it from the result cache.
+//! per-row or per-sample loop is a graph node — the KDE curve (each of up
+//! to 5000 samples spread over the grid points within reach of it) is the
+//! `kde` task on the shared sorted-values node, so it runs on a worker,
+//! parallel across columns, and a repeated `plot(df, x)` or a warm
+//! `create_report` gets it from the result cache.
 
 use eda_stats::freq::FreqTable;
 use eda_stats::kde::kde_grid;
@@ -249,13 +250,15 @@ pub fn pie_from_freq(freq: &FreqTable, slices: usize) -> Inter {
     }
 }
 
-/// Every `len/k`-th element of a slice (at least 1 apart).
+/// At most `k` elements of a slice, evenly spaced over its whole length:
+/// positions `i·(len-1)/(k-1)`, so the first and the last are always in
+/// the sample — of sorted values, the minimum and the maximum.
 pub fn stride_sample(values: &[f64], k: usize) -> Vec<f64> {
     if values.len() <= k {
         return values.to_vec();
     }
-    let stride = values.len() / k;
-    values.iter().copied().step_by(stride.max(1)).take(k).collect()
+    let (last, steps) = (values.len() - 1, k.saturating_sub(1).max(1));
+    (0..k).filter_map(|i| values.get(i * last / steps).copied()).collect()
 }
 
 /// Q-Q points straight from pre-sorted data (avoids re-sorting).
@@ -552,11 +555,27 @@ mod tests {
     }
 
     #[test]
-    fn stride_sample_bounds() {
+    fn stride_sample_spans_the_whole_column() {
         let v: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let s = stride_sample(&v, 100);
-        assert!(s.len() <= 100);
-        assert_eq!(stride_sample(&v, 10_000).len(), 1000);
+        assert_eq!(stride_sample(&v, 10_000), v);
+        assert_eq!(stride_sample(&v, 1000), v);
+        assert_eq!(stride_sample(&v, 1), vec![0.0]);
+        // Lengths that are not a multiple of the sample size used to lose
+        // the top of the column (17,000 rows: the largest 2,000 values).
+        for len in [5_001usize, 9_999, 17_000, 24_500] {
+            let sorted: Vec<f64> = (0..len).map(|i| (i as f64).powi(2) / 1e3).collect();
+            let sample = stride_sample(&sorted, KDE_SAMPLE);
+            assert_eq!(sample.len(), KDE_SAMPLE, "len {len}");
+            assert_eq!((sample[0], sample[KDE_SAMPLE - 1]), (sorted[0], sorted[len - 1]));
+            let (median, want) = (quantile_sorted(&sample, 0.5), quantile_sorted(&sorted, 0.5));
+            let spacing = sorted[len / 2 + 3] - sorted[len / 2 - 3];
+            assert!((median.unwrap() - want.unwrap()).abs() <= spacing, "len {len}: {median:?}");
+            // The curve over the sample spans the column's range.
+            let h = eda_stats::kde::silverman_bandwidth(&sample).unwrap();
+            let (xs, _) = kde_grid(&sample, 200);
+            let (lo, hi) = (sorted[0] - 3.0 * h, sorted[len - 1] + 3.0 * h);
+            assert!((xs[0] - lo).abs() <= 1e-9 * hi && (xs[199] - hi).abs() <= 1e-9 * hi);
+        }
     }
 
     #[test]

@@ -81,7 +81,8 @@ fn charged_bytes_are_within_a_tenth_of_the_heap_bytes() {
     let twenty_five: Vec<Col<'_>> = cols.iter().cycle().take(25).copied().collect();
     let pairs = upper_triangle(twenty_five.len());
     case("corr_matrix tile", &|| pl(corr_cells(CorrMethod::Pearson, &twenty_five, &pairs)));
-    case("kde", &|| pl(kde_grid(&distinct[..5000], 200)));
+    let sample = eda_stats::quantile::sorted_values(&distinct[..5000]);
+    case("kde", &|| pl(kde_grid(&sample, 200)));
     case("corr_assemble", &|| {
         let labels = (0..25).map(|i| format!("numeric_column_{i}")).collect();
         pl(CorrMatrix::from_upper(labels, CorrMethod::Pearson, vec![Some(0.5); 300]))

@@ -1,115 +1,66 @@
 //! Kendall's tau-b via Knight's O(n log n) algorithm.
 //!
 //! The naive tau is O(n²) in pair comparisons — too slow for the row counts
-//! in the paper's Table 2. Knight (1966) counts discordant pairs as merge
-//! sort inversions after sorting by one coordinate, and corrects for ties:
+//! in the paper's Table 2. Knight (1966) counts discordant pairs as the
+//! inversions of the y sequence ordered by `(x, y)`, and corrects for ties:
 //!
 //! `tau_b = (n0 - n1 - n2 + n3 - 2·D) / sqrt((n0 - n1)(n0 - n2))`
 //!
 //! with `n0 = n(n-1)/2`, `n1`/`n2` tie pair counts in x/y, `n3` joint-tie
 //! pairs, `D` discordant pairs — the same formulation SciPy uses.
 //!
-//! Two entry points share the tie arithmetic and the inversion counter:
-//! [`kendall_tau`] for one pair of raw columns (it sorts the pair), and
-//! `kendall_cell` for two NaN-free columns prepared by
-//! [`super::ColumnPrep`], which needs no comparison sort — Knight's
-//! `(x, y)`-ordered sequence is scattered out of the two columns' own sort
-//! orders. On NaN-free columns the two agree bit for bit.
+//! Two entry points build that sequence and share everything after it:
+//! [`kendall_tau`] for one pair of raw columns (it sorts the pair's
+//! complete rows), and `kendall_cell` for two columns prepared by
+//! [`super::ColumnPrep`], which needs no comparison sort — the sequence is
+//! read out of the two columns' own sort orders, skipping rows where
+//! either is NaN. Both hand a sequence of dense `u32` tie-group indices to
+//! the one inversion counter, a counting tree that neither sorts nor
+//! branches on the data, so on the same rows they agree bit for bit.
 
 use super::complete_pairs;
-use super::prep::Sorted;
-
-/// Sort key of a non-NaN value: `-0.0` and `0.0` compare equal, so they
-/// must tie — and sort as one value — rather than be ordered by sign bit.
-fn key(v: f64) -> f64 {
-    v + 0.0
-}
+use super::prep::{order_key, Sorted, NAN_GROUP};
+use crate::interrupt::{interrupted, CHECK_INTERVAL};
 
 /// Kendall's tau-b over pairwise-complete observations.
 ///
 /// Returns `None` when fewer than 2 complete pairs remain or either side is
-/// entirely tied.
+/// entirely tied (and for more than `u32::MAX` rows, which the counter's
+/// `u32` counts cannot hold).
 pub fn kendall_tau(x: &[f64], y: &[f64]) -> Option<f64> {
     let (xs, ys) = complete_pairs(x, y);
     let n = xs.len();
-    if n < 2 {
+    if n < 2 || u32::try_from(n).is_err() {
         return None;
     }
-
-    // Sort indices by (x, y).
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        key(xs[a]).total_cmp(&key(xs[b])).then(key(ys[a]).total_cmp(&key(ys[b])))
-    });
-
-    let n0 = pairs(n as u64);
-
-    // Tie counts in x, and joint ties (x and y both equal).
-    let mut n1 = 0u64;
-    let mut n3 = 0u64;
-    {
-        let mut i = 0;
-        let mut next_poll = 0;
-        while i < n {
-            if i >= next_poll {
-                if crate::interrupt::interrupted() {
-                    return None;
-                }
-                next_poll = i + crate::interrupt::CHECK_INTERVAL;
-            }
-            let mut j = i;
-            while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-                j += 1;
-            }
-            n1 += pairs((j - i + 1) as u64);
-            // Within the x-tie group, indices are sorted by y: count y runs.
-            let mut k = i;
-            while k <= j {
-                let mut m = k;
-                while m < j && ys[idx[m + 1]] == ys[idx[k]] {
-                    m += 1;
-                }
-                n3 += pairs((m - k + 1) as u64);
-                k = m + 1;
-            }
-            i = j + 1;
-        }
-    }
-
-    // Tie counts in y.
-    let mut sorted_y: Vec<f64> = ys.clone();
-    sorted_y.sort_unstable_by(f64::total_cmp);
-    let mut n2 = 0u64;
-    {
-        let mut i = 0;
-        let mut next_poll = 0;
-        while i < n {
-            if i >= next_poll {
-                if crate::interrupt::interrupted() {
-                    return None;
-                }
-                next_poll = i + crate::interrupt::CHECK_INTERVAL;
-            }
-            let mut j = i;
-            while j + 1 < n && sorted_y[j + 1] == sorted_y[i] {
-                j += 1;
-            }
-            n2 += pairs((j - i + 1) as u64);
-            i = j + 1;
-        }
-    }
-
-    // Discordant pairs = inversions of the y sequence ordered by (x, y).
-    let mut seq: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
-    let mut buf = vec![0.0; n];
-    let discordant = count_inversions(&mut seq, &mut buf)?;
-
-    let denom = ((n0 - n1) as f64) * ((n0 - n2) as f64);
-    if denom <= 0.0 {
+    // Knight's order: the rows as integer keys, sorted by (x, y).
+    let mut rows: Vec<(i64, i64)> =
+        xs.iter().zip(&ys).map(|(&a, &b)| (order_key(a), order_key(b))).collect();
+    rows.sort_unstable();
+    let n1 = tie_pairs(rows.chunk_by(|a, b| a.0 == b.0));
+    let n3 = tie_pairs(rows.chunk_by(|a, b| a == b));
+    if interrupted() {
         return None;
     }
-    let numer = n0 as f64 - n1 as f64 - n2 as f64 + n3 as f64 - 2.0 * discordant as f64;
-    Some(numer / denom.sqrt())
+    // Dense-rank y: its keys sorted with their position in Knight's order.
+    let mut by_y: Vec<(i64, u32)> = rows.iter().zip(0u32..).map(|(row, at)| (row.1, at)).collect();
+    by_y.sort_unstable();
+    if interrupted() {
+        return None;
+    }
+    let mut seq = vec![0u32; n];
+    let mut groups = 0u32;
+    // eda-lint: allow(EDA-L6) one linear pass over the sorted rows; the sorts above cannot poll
+    for group in by_y.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, at) in group {
+            if let Some(slot) = seq.get_mut(at as usize) {
+                *slot = groups;
+            }
+        }
+        groups += 1;
+    }
+    let (discordant, n2) = count_inversions(&seq, groups as usize, &mut Vec::new())?;
+    tau_b(n as u64, n1, n2, n3, discordant)
 }
 
 /// `k choose 2`.
@@ -117,80 +68,99 @@ pub(super) fn pairs(k: u64) -> u64 {
     k * k.saturating_sub(1) / 2
 }
 
-/// Runs this short are insertion-sorted before the merge passes start.
-const RUN: usize = 16;
-// The run pass polls per CHECK_INTERVAL block; blocks must not split runs.
-const _: () = assert!(crate::interrupt::CHECK_INTERVAL.is_multiple_of(RUN));
+/// `Σ t(t-1)/2` over tie groups.
+fn tie_pairs<'a, T: 'a>(groups: impl Iterator<Item = &'a [T]>) -> u64 {
+    groups.map(|group| pairs(group.len() as u64)).sum()
+}
 
-/// Count inversions (strictly decreasing pairs) of `seq`: insertion-sorted
-/// runs of [`RUN`], then bottom-up merge passes that ping-pong between
-/// `seq` and `buf` (same length) instead of copying back. Either buffer
-/// may hold the sorted result afterwards.
+/// Tau-b from the pair counts of `n` observations; `None` when either
+/// side is entirely tied (or `n < 2`). The numerator is summed in
+/// integers, so it does not depend on which column was called x.
+fn tau_b(n: u64, n1: u64, n2: u64, n3: u64, discordant: u64) -> Option<f64> {
+    let n0 = pairs(n);
+    let denom = (n0.saturating_sub(n1) as f64) * (n0.saturating_sub(n2) as f64);
+    if denom <= 0.0 {
+        return None;
+    }
+    let numer = i128::from(n0) + i128::from(n3)
+        - i128::from(n1)
+        - i128::from(n2)
+        - 2 * i128::from(discordant);
+    Some(numer as f64 / denom.sqrt())
+}
+
+/// Fan-out of the counting tree: a node is 16 `u32` counts — one cache
+/// line, four SSE2 vectors.
+const FAN: usize = 16;
+
+/// `ABOVE[slot][lane]` is all ones where `lane > slot`: ANDed over a node
+/// it keeps the counts of the slots above `slot`.
+const ABOVE: [[u32; FAN]; FAN] = {
+    let mut masks = [[0u32; FAN]; FAN];
+    let mut slot = 0;
+    while slot < FAN {
+        let mut lane = slot + 1;
+        while lane < FAN {
+            masks[slot][lane] = u32::MAX;
+            lane += 1;
+        }
+        slot += 1;
+    }
+    masks
+};
+
+/// Count the inversions of `seq` — pairs `i < j` with `seq[i] > seq[j]` —
+/// whose values are tie-group indices below `groups`, and the tie pairs
+/// `Σ t(t-1)/2` over its values.
 ///
-/// Returns `None` when the run is interrupted mid-count (polled every
-/// [`crate::interrupt::CHECK_INTERVAL`] elements of the run pass and once
-/// per O(n) merge pass, so cancellation latency is one pass).
-fn count_inversions<T: Copy + PartialOrd>(seq: &mut [T], buf: &mut [T]) -> Option<u64> {
+/// A counting tree of fan-out [`FAN`] over the group index: level 0 holds
+/// one count per group, level `k` one per `16^k` groups, each in nodes of
+/// 16 up to a single top node. An element adds, at every level, the counts
+/// in its node's slots above its own — a fixed 16-lane masked sum, so
+/// nothing branches on the data and equal values need no case — bumps its
+/// own slot and moves to the parent `idx / 16`; what it added up is the
+/// number of earlier elements strictly greater. `levels` is scratch kept
+/// across calls.
+///
+/// Returns `None` when interrupted (polled every [`CHECK_INTERVAL`]
+/// elements).
+fn count_inversions(seq: &[u32], groups: usize, levels: &mut Vec<Vec<u32>>) -> Option<(u64, u64)> {
+    let nodes_per_level = std::iter::successors(Some(groups.div_ceil(FAN).max(1)), |&nodes| {
+        (nodes > 1).then(|| nodes.div_ceil(FAN))
+    });
+    levels.resize_with(nodes_per_level.clone().count(), Vec::new);
+    // eda-lint: allow(EDA-L6) at most eight levels cover every u32 group index
+    for (level, nodes) in levels.iter_mut().zip(nodes_per_level) {
+        level.clear();
+        level.resize(nodes * FAN, 0);
+    }
     let mut inversions = 0u64;
-    for block in seq.chunks_mut(crate::interrupt::CHECK_INTERVAL) {
-        if crate::interrupt::interrupted() {
+    for block in seq.chunks(CHECK_INTERVAL) {
+        if interrupted() {
             return None;
         }
-        inversions += block.chunks_mut(RUN).map(sort_run).sum::<u64>();
-    }
-    let (mut src, mut dst) = (seq, buf);
-    let mut width = RUN;
-    while width < src.len() {
-        if crate::interrupt::interrupted() {
-            return None;
-        }
-        for (window, out) in src.chunks(2 * width).zip(dst.chunks_mut(2 * width)) {
-            inversions += merge_count(window, width, out);
-        }
-        std::mem::swap(&mut src, &mut dst);
-        width *= 2;
-    }
-    Some(inversions)
-}
-
-/// Insertion-sort one short run, counting the swaps (= its inversions).
-fn sort_run<T: Copy + PartialOrd>(run: &mut [T]) -> u64 {
-    let mut inversions = 0;
-    // eda-lint: allow(EDA-L6) bounded to one run of RUN elements
-    for i in 1..run.len() {
-        let mut j = i;
-        while j > 0 && run.get(j - 1) > run.get(j) {
-            run.swap(j - 1, j);
-            inversions += 1;
-            j -= 1;
+        for &group in block {
+            let mut idx = group as usize;
+            for level in levels.iter_mut() {
+                let (node, slot) = (idx / FAN, idx % FAN);
+                let (Some(counts), Some(above)) =
+                    (level.as_chunks_mut::<FAN>().0.get_mut(node), ABOVE.get(slot))
+                else {
+                    break;
+                };
+                inversions += u64::from(counts.iter().zip(above).map(|(c, m)| c & m).sum::<u32>());
+                if let Some(count) = counts.get_mut(slot) {
+                    *count += 1;
+                }
+                idx = node;
+            }
         }
     }
-    inversions
-}
-
-/// Merge the two sorted halves of `window` (split at `mid`) into `out`,
-/// counting cross-half inversions.
-fn merge_count<T: Copy + PartialOrd>(window: &[T], mid: usize, out: &mut [T]) -> u64 {
-    let (mut left, mut right) = window.split_at(mid.min(window.len()));
-    let mut inversions = 0u64;
-    let mut slots = out.iter_mut();
-    // eda-lint: allow(EDA-L6) bounded to one merge window; count_inversions polls between passes
-    while let ([a, left_rest @ ..], [b, right_rest @ ..]) = (left, right) {
-        let Some(slot) = slots.next() else { break };
-        if a <= b {
-            *slot = *a;
-            left = left_rest;
-        } else {
-            // `b` jumps ahead of all remaining left items: each is an
-            // inversion.
-            inversions += left.len() as u64;
-            *slot = *b;
-            right = right_rest;
-        }
-    }
-    // One side is exhausted; the other is already in order.
-    slots.zip(left.iter().chain(right)).for_each(|(slot, v)| *slot = *v);
-    inversions
+    // Level 0 now counts the elements of every group, and
+    // Σ t(t-1)/2 = (Σ t² - Σ t) / 2 with Σ t the sequence's length.
+    let squares: u64 =
+        levels.first().map_or(0, |level| level.iter().map(|&t| u64::from(t).pow(2)).sum());
+    Some((inversions, squares.saturating_sub(seq.len() as u64) / 2))
 }
 
 /// Buffers one Kendall cell needs, kept across the cells of a tile so a
@@ -198,184 +168,104 @@ fn merge_count<T: Copy + PartialOrd>(window: &[T], mid: usize, out: &mut [T]) ->
 #[derive(Debug, Default)]
 pub struct KendallScratch {
     seq: Vec<u32>,
-    buf: Vec<u32>,
     cursors: Vec<u32>,
+    levels: Vec<Vec<u32>>,
 }
 
-/// Kendall's tau-b of two NaN-free columns from their sorted state. Equal
-/// to [`kendall_tau`] on the same data bit for bit, without a comparison
-/// sort per pair: Knight's sequence — y ordered by `(x, y)` — is y's tie
-/// group of each row, visited in x's order when x has no ties, and
-/// otherwise scattered in *y's* order into one cursor per x tie group
-/// (stable, so every group comes out y-ascending). Inversions are then
-/// counted over those `u32` group indices, which order like the values.
+/// Kendall's tau-b of two prepared columns over the rows where neither is
+/// NaN. Equal to [`kendall_tau`] on the same data bit for bit (the integer
+/// counts are the same), without a comparison sort per pair: Knight's
+/// sequence — y ordered by `(x, y)` — is y's tie group of each kept row,
+/// visited in x's order when x has no ties, and otherwise scattered in
+/// *y's* order into one cursor per x tie group (stable, so every group
+/// comes out y-ascending). A pair of NaN-free columns is the case where
+/// every row is kept.
 pub(super) fn kendall_cell(x: &Sorted, y: &Sorted, scratch: &mut KendallScratch) -> Option<f64> {
-    let n = x.dense.len();
-    if n < 2 || y.dense.len() != n {
+    if x.dense.len() != y.dense.len() {
         return None;
     }
-    let n0 = pairs(n as u64);
-    let (n1, n2) = (x.tie_pairs, y.tie_pairs);
-    if n1 >= n0 || n2 >= n0 {
-        return None;
-    }
-    let KendallScratch { seq, buf, cursors } = scratch;
-    let y_group = |row: u32| y.dense.get(row as usize).copied().unwrap_or(0);
-    let mut n3 = 0u64;
+    let KendallScratch { seq, cursors, levels } = scratch;
+    // A row's tie group in a column; `None` where the column is NaN.
+    let group_in = |column: &Sorted, row: u32| {
+        column.dense.get(row as usize).copied().filter(|&group| group != NAN_GROUP)
+    };
+    let (mut n1, mut n3) = (0u64, 0u64);
     seq.clear();
-    if n1 == 0 {
-        seq.extend(x.perm.iter().map(|&row| y_group(row)));
+    if x.tie_pairs == 0 {
+        for block in x.perm.chunks(CHECK_INTERVAL) {
+            if interrupted() {
+                return None;
+            }
+            seq.extend(block.iter().filter_map(|&row| group_in(y, row)));
+        }
     } else {
-        seq.resize(n, 0);
+        // Kept rows per x group, counted one slot up so that the running
+        // sums leave every group's first position in its own slot.
         cursors.clear();
-        cursors.extend(x.group_starts.iter().take(x.group_starts.len().saturating_sub(1)));
-        for block in y.perm.chunks(crate::interrupt::CHECK_INTERVAL) {
-            if crate::interrupt::interrupted() {
+        cursors.resize(x.group_starts.len(), 0);
+        for block in y.perm.chunks(CHECK_INTERVAL) {
+            if interrupted() {
                 return None;
             }
             for &row in block {
-                let group = x.dense.get(row as usize).copied().unwrap_or(0);
-                let Some(cursor) = cursors.get_mut(group as usize) else { continue };
-                if let Some(slot) = seq.get_mut(*cursor as usize) {
-                    *slot = y_group(row);
+                let slot = group_in(x, row).and_then(|group| cursors.get_mut(group as usize + 1));
+                if let Some(count) = slot {
+                    *count += 1;
+                }
+            }
+        }
+        let mut kept = 0u32;
+        // eda-lint: allow(EDA-L6) one linear pass over the tie groups
+        for count in cursors.iter_mut() {
+            n1 += pairs(u64::from(*count));
+            kept += *count;
+            *count = kept;
+        }
+        seq.resize(kept as usize, 0);
+        for block in y.perm.chunks(CHECK_INTERVAL) {
+            if interrupted() {
+                return None;
+            }
+            for &row in block {
+                let Some(cursor) =
+                    group_in(x, row).and_then(|group| cursors.get_mut(group as usize))
+                else {
+                    continue;
+                };
+                if let (Some(slot), Some(&group)) =
+                    (seq.get_mut(*cursor as usize), y.dense.get(row as usize))
+                {
+                    *slot = group;
                 }
                 *cursor += 1;
             }
         }
-        if n2 > 0 {
-            // Joint ties: runs of one y group inside one x group.
+        if y.tie_pairs > 0 {
+            // Joint ties: runs of one y group inside one x group, whose
+            // end the scatter left in its cursor.
+            let mut start = 0;
             // eda-lint: allow(EDA-L6) one linear pass over the tie groups
-            for bounds in x.group_starts.windows(2) {
-                let [start, end] = *bounds else { continue };
+            for &end in cursors.iter() {
                 let group = seq.get(start as usize..end as usize).unwrap_or(&[]);
-                n3 += group.chunk_by(|a, b| a == b).map(|run| pairs(run.len() as u64)).sum::<u64>();
+                n3 += tie_pairs(group.chunk_by(|a, b| a == b));
+                start = end;
             }
         }
     }
-    buf.resize(n, 0);
-    let discordant = count_inversions(seq, buf)?;
-    let denom = ((n0 - n1) as f64) * ((n0 - n2) as f64);
-    let numer = n0 as f64 - n1 as f64 - n2 as f64 + n3 as f64 - 2.0 * discordant as f64;
-    Some(numer / denom.sqrt())
-}
-
-/// Independent O(n log n) tau-b cross-check used to validate the fast
-/// path in tests. Formerly an O(n²) double loop over all pairs; now it
-/// counts discordant pairs as inversions with a Fenwick (binary indexed)
-/// tree over rank-compressed y values — the same pair counts as the
-/// double loop, via a mechanism shared with neither Knight merge path.
-#[doc(hidden)]
-pub fn kendall_tau_naive(x: &[f64], y: &[f64]) -> Option<f64> {
-    let (xs, ys) = complete_pairs(x, y);
-    let n = xs.len();
-    if n < 2 {
-        return None;
-    }
-
-    // Order by (x, y) — the same primary sort Knight uses, so within an
-    // x-tie group y never strictly decreases and within-group pairs are
-    // never counted as inversions.
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        key(xs[a]).total_cmp(&key(xs[b])).then(key(ys[a]).total_cmp(&key(ys[b])))
-    });
-
-    // Tie-pair counts from run lengths: n1 over x, n2 over y, n3 joint.
-    let n0 = pairs(n as u64);
-    let mut n1 = 0u64;
-    let mut n3 = 0u64;
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        n1 += pairs((j - i + 1) as u64);
-        let mut k = i;
-        while k <= j {
-            let mut m = k;
-            while m < j && ys[idx[m + 1]] == ys[idx[k]] {
-                m += 1;
-            }
-            n3 += pairs((m - k + 1) as u64);
-            k = m + 1;
-        }
-        i = j + 1;
-    }
-
-    // Rank-compress y and count y tie pairs from the sorted copy.
-    let mut distinct: Vec<f64> = ys.clone();
-    distinct.sort_unstable_by(f64::total_cmp);
-    let mut n2 = 0u64;
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && distinct[j + 1] == distinct[i] {
-            j += 1;
-        }
-        n2 += pairs((j - i + 1) as u64);
-        i = j + 1;
-    }
-    distinct.dedup();
-
-    // Discordant pairs: walk in (x, y) order, and for each element count
-    // the already-seen elements with a strictly larger y rank.
-    let mut tree = Fenwick::new(distinct.len());
-    let mut discordant = 0u64;
-    for (seen, &p) in idx.iter().enumerate() {
-        // Every y is in `distinct` by construction; the insertion
-        // point is the same rank, so a miss cannot miscount.
-        let rank = distinct
-            .binary_search_by(|v| v.total_cmp(&ys[p]))
-            .unwrap_or_else(|pos| pos);
-        discordant += seen as u64 - tree.prefix_count(rank);
-        tree.add(rank);
-    }
-
-    // Same integer identities as the double loop: C + D + (n1 + n2 - n3)
-    // covers every pair, so C - D falls out exactly. Signed arithmetic —
-    // the degenerate all-tied case drives the partial sums negative.
-    let concordant = n0 as i64 - n1 as i64 - n2 as i64 + n3 as i64 - discordant as i64;
-    let denom = ((n0 - n1) as f64) * ((n0 - n2) as f64);
-    if denom <= 0.0 {
-        return None;
-    }
-    Some((concordant - discordant as i64) as f64 / denom.sqrt())
-}
-
-/// Fenwick tree over element counts, 0-indexed ranks.
-struct Fenwick {
-    tree: Vec<u64>,
-}
-
-impl Fenwick {
-    fn new(size: usize) -> Self {
-        Fenwick { tree: vec![0; size + 1] }
-    }
-
-    /// Increment the count at `rank`.
-    fn add(&mut self, rank: usize) {
-        let mut i = rank + 1;
-        while i < self.tree.len() {
-            self.tree[i] += 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Number of inserted elements with rank ≤ `rank`.
-    fn prefix_count(&self, rank: usize) -> u64 {
-        let mut i = rank + 1;
-        let mut total = 0;
-        while i > 0 {
-            total += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        total
-    }
+    let groups = y.group_starts.len().saturating_sub(1);
+    let (discordant, n2) = count_inversions(seq, groups, levels)?;
+    tau_b(seq.len() as u64, n1, n2, n3, discordant)
 }
 
 #[cfg(test)]
+#[path = "../../tests/oracle/mod.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::{
+        inversions_fenwick, inversions_quadratic, kendall_tau_fenwick, kendall_tau_quadratic,
+    };
     use super::*;
 
     #[test]
@@ -429,7 +319,7 @@ mod tests {
         let x: Vec<f64> = (0..300).map(|i| ((i * 37 + 11) % 23) as f64).collect();
         let y: Vec<f64> = (0..300).map(|i| ((i * 53 + 7) % 19) as f64).collect();
         let fast = kendall_tau(&x, &y).unwrap();
-        let naive = kendall_tau_naive(&x, &y).unwrap();
+        let naive = kendall_tau_quadratic(&x, &y).unwrap();
         assert!((fast - naive).abs() < 1e-12, "{fast} vs {naive}");
     }
 
@@ -438,7 +328,7 @@ mod tests {
         let x: Vec<f64> = (0..200).map(|i| ((i * 97 + 13) % 541) as f64 / 7.0).collect();
         let y: Vec<f64> = (0..200).map(|i| ((i * 31 + 29) % 769) as f64 / 11.0).collect();
         let fast = kendall_tau(&x, &y).unwrap();
-        let naive = kendall_tau_naive(&x, &y).unwrap();
+        let naive = kendall_tau_quadratic(&x, &y).unwrap();
         assert!((fast - naive).abs() < 1e-12);
     }
 
@@ -491,17 +381,32 @@ mod tests {
     }
 
     /// Column families the cell must get right: many ties, no ties, one
-    /// value, sorted, reversed, signed zeros, and the tiny lengths.
+    /// value, sorted, reversed, signed zeros, NaN rows (tied and untied
+    /// columns, at different rows), all NaN, and the tiny lengths.
     fn families(n: usize) -> Vec<(&'static str, Vec<f64>)> {
         let mut state = 0x9E3779B97F4A7C15u64 ^ n as u64;
         let mut next = move |modulus: u64| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) % modulus) as f64
         };
+        let holes = |values: Vec<f64>, every: usize, at: usize| -> Vec<f64> {
+            let nan_at = |i: usize| i % every == at;
+            values.iter().enumerate().map(|(i, &v)| if nan_at(i) { f64::NAN } else { v }).collect()
+        };
+        let tied: Vec<f64> = (0..n).map(|_| next(4)).collect();
+        let distinct: Vec<f64> =
+            (0..n).map(|i| next(1 << 30) + i as f64 / (2 * n) as f64).collect();
         vec![
-            ("tie-heavy", (0..n).map(|_| next(4)).collect()),
+            ("tie-heavy with NaN", holes(tied.clone(), 3, 0)),
+            ("distinct with NaN", holes(distinct.clone(), 4, 1)),
+            (
+                "two rows left",
+                (0..n).map(|i| if i + 2 >= n { i as f64 } else { f64::NAN }).collect(),
+            ),
+            ("all NaN", vec![f64::NAN; n]),
+            ("tie-heavy", tied),
             ("some ties", (0..n).map(|_| next(n as u64 / 2 + 1) / 4.0).collect()),
-            ("distinct", (0..n).map(|i| next(1 << 30) + i as f64 / (2 * n) as f64).collect()),
+            ("distinct", distinct),
             ("constant", vec![7.5; n]),
             ("sorted", (0..n).map(|i| i as f64).collect()),
             ("reversed", (0..n).map(|i| -(i as f64)).collect()),
@@ -534,90 +439,94 @@ mod tests {
         crate::interrupt::register(test_probe);
         let x: Vec<f64> = (0..5000).map(|i| ((i * 7919) % 4999) as f64).collect();
         let y: Vec<f64> = (0..5000).map(|i| ((i * 104729) % 4993) as f64).collect();
-        // The tile loop polls once, the run pass twice (5000 rows), then
-        // each of nine merge passes: the sixth poll is inside the merges.
-        TEST_POLLS_LEFT.with(|p| p.set(Some(6)));
+        // The tile loop polls once; x has a tie, so the cell walks y's
+        // order twice (count, scatter) in two blocks of rows each — four
+        // polls — and the counter polls per block of the sequence: the
+        // seventh poll is halfway through the inversion count.
+        TEST_POLLS_LEFT.with(|p| p.set(Some(7)));
         assert_eq!(cell(&x, &y), None);
         assert!(TEST_INTERRUPT.with(|f| f.get()), "the countdown never reached zero");
         TEST_INTERRUPT.with(|f| f.set(false));
+        // One poll more than the cell makes: it is never interrupted.
+        TEST_POLLS_LEFT.with(|p| p.set(Some(8)));
         assert!(cell(&x, &y).is_some());
-    }
-
-    /// O(n²) double loop kept only as a test oracle for the two
-    /// O(n log n) production paths (merge-sort and Fenwick).
-    fn kendall_tau_quadratic(x: &[f64], y: &[f64]) -> Option<f64> {
-        let (xs, ys) = complete_pairs(x, y);
-        let n = xs.len();
-        if n < 2 {
-            return None;
-        }
-        let (mut concordant, mut discordant, mut tx, mut ty) = (0i64, 0i64, 0u64, 0u64);
-        for i in 0..n {
-            for j in i + 1..n {
-                let dx = xs[i] - xs[j];
-                let dy = ys[i] - ys[j];
-                if dx == 0.0 && dy == 0.0 {
-                    tx += 1;
-                    ty += 1;
-                } else if dx == 0.0 {
-                    tx += 1;
-                } else if dy == 0.0 {
-                    ty += 1;
-                } else if dx * dy > 0.0 {
-                    concordant += 1;
-                } else {
-                    discordant += 1;
-                }
-            }
-        }
-        let n0 = (n * (n - 1) / 2) as f64;
-        let denom = (n0 - tx as f64) * (n0 - ty as f64);
-        if denom <= 0.0 {
-            return None;
-        }
-        Some((concordant - discordant) as f64 / denom.sqrt())
+        assert!(!TEST_INTERRUPT.with(|f| f.get()), "the cell polled more than seven times");
+        TEST_POLLS_LEFT.with(|p| p.set(None));
     }
 
     #[test]
     fn fenwick_reference_matches_quadratic_oracle() {
         let x: Vec<f64> = (0..300).map(|i| ((i * 37 + 11) % 23) as f64).collect();
         let y: Vec<f64> = (0..300).map(|i| ((i * 53 + 7) % 19) as f64).collect();
-        let fenwick = kendall_tau_naive(&x, &y).unwrap();
+        let fenwick = kendall_tau_fenwick(&x, &y).unwrap();
         let oracle = kendall_tau_quadratic(&x, &y).unwrap();
         assert!((fenwick - oracle).abs() < 1e-12, "{fenwick} vs {oracle}");
         let xc: Vec<f64> = (0..150).map(|i| ((i * 97 + 13) % 541) as f64 / 7.0).collect();
         let yc: Vec<f64> = (0..150).map(|i| ((i * 31 + 29) % 769) as f64 / 11.0).collect();
-        let fenwick = kendall_tau_naive(&xc, &yc).unwrap();
+        let fenwick = kendall_tau_fenwick(&xc, &yc).unwrap();
         let oracle = kendall_tau_quadratic(&xc, &yc).unwrap();
         assert!((fenwick - oracle).abs() < 1e-12);
     }
 
     #[test]
     fn fenwick_reference_degenerate_cases() {
-        assert_eq!(kendall_tau_naive(&[], &[]), None);
-        assert_eq!(kendall_tau_naive(&[1.0], &[1.0]), None);
+        assert_eq!(kendall_tau_fenwick(&[], &[]), None);
+        assert_eq!(kendall_tau_fenwick(&[1.0], &[1.0]), None);
         // All-tied sides must return None without underflowing the
         // signed pair identities.
-        assert_eq!(kendall_tau_naive(&[2.0, 2.0], &[1.0, 3.0]), None);
-        assert_eq!(kendall_tau_naive(&[2.0, 2.0, 2.0], &[2.0, 2.0, 2.0]), None);
+        assert_eq!(kendall_tau_fenwick(&[2.0, 2.0], &[1.0, 3.0]), None);
+        assert_eq!(kendall_tau_fenwick(&[2.0, 2.0, 2.0], &[2.0, 2.0, 2.0]), None);
         let x = [1.0, f64::NAN, 2.0, 3.0];
         let y = [1.0, 99.0, 2.0, 3.0];
-        assert!((kendall_tau_naive(&x, &y).unwrap() - 1.0).abs() < 1e-12);
+        assert!((kendall_tau_fenwick(&x, &y).unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    /// `(inversions, tie pairs)` of a sequence by the counting tree.
+    fn tree(seq: &[u32], groups: usize) -> (u64, u64) {
+        count_inversions(seq, groups, &mut Vec::new()).unwrap()
     }
 
     #[test]
     fn inversion_counter_basics() {
-        let mut seq = vec![3.0, 1.0, 2.0];
-        let mut buf = vec![0.0; 3];
-        assert_eq!(count_inversions(&mut seq, &mut buf), Some(2));
-        assert_eq!(seq, vec![1.0, 2.0, 3.0]);
+        assert_eq!(tree(&[2, 0, 1], 3), (2, 0));
+        assert_eq!(tree(&[0, 1, 2, 3], 4), (0, 0));
+        assert_eq!(tree(&[3, 2, 1, 0], 4), (6, 0));
+        // Equal values are not inversions; they are the tie pairs.
+        assert_eq!(tree(&[1, 1, 0, 1], 2), (2, 3));
+        assert_eq!(tree(&[], 0), (0, 0));
+    }
 
-        let mut sorted = vec![1.0, 2.0, 3.0, 4.0];
-        let mut buf = vec![0.0; 4];
-        assert_eq!(count_inversions(&mut sorted, &mut buf), Some(0));
+    #[test]
+    fn counting_tree_matches_the_quadratic_count_around_every_node_boundary() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move |modulus: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % modulus as u64) as u32
+        };
+        // Scratch reused across sizes, as a tile reuses it across cells.
+        let mut levels = Vec::new();
+        for n in [0usize, 1, 2, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097] {
+            for groups in [1, 2, 16, 17, n] {
+                let seq: Vec<u32> = (0..n).map(|_| next(groups.max(1))).collect();
+                let (inversions, _) = count_inversions(&seq, groups, &mut levels).unwrap();
+                assert_eq!(inversions, inversions_quadratic(&seq), "n={n} groups={groups}");
+            }
+        }
+    }
 
-        let mut rev = vec![4.0, 3.0, 2.0, 1.0];
-        let mut buf = vec![0.0; 4];
-        assert_eq!(count_inversions(&mut rev, &mut buf), Some(6));
+    #[test]
+    fn counting_tree_matches_the_fenwick_count_one_level_up() {
+        // 16^4 + 1 and 16^5 + 1 groups: one more tree level each.
+        for n in [65_537usize, 1_048_577] {
+            let mut state = n as u64;
+            let seq: Vec<u32> = (0..n)
+                .map(|_| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((state >> 33) % n as u64) as u32
+                })
+                .collect();
+            assert_eq!(tree(&seq, n).0, inversions_fenwick(&seq, n), "n={n}");
+        }
     }
 }

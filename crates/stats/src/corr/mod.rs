@@ -12,8 +12,6 @@ mod prep;
 mod spearman;
 
 pub use kendall::kendall_tau;
-#[doc(hidden)]
-pub use kendall::kendall_tau_naive;
 pub use matrix::CorrMatrix;
 pub use pearson::{pearson, PearsonPartial};
 pub use prep::{corr_cells, upper_triangle, Col, ColumnPrep};

@@ -4,38 +4,51 @@
 //! A matrix over `m` columns has `m(m-1)/2` cells per method but only `m`
 //! columns: whatever a cell needs that depends on one column alone — its
 //! sort order, tie groups, ranks, mean, sum of squares — is computed once
-//! in [`ColumnPrep::prepare`] from a *single* argsort. With that in hand a
-//! Pearson or Spearman cell is one dot product of two centered vectors
-//! ([`crate::vector::centered_dot`]) and a Kendall cell needs no
-//! comparison sort at all (`kendall::kendall_cell`). Columns with NaN
-//! keep only their ranks here and their pairs fall back to the per-pair
-//! kernels, which filter each pair's complete observations.
+//! in [`ColumnPrep::prepare`] from a *single* argsort of its non-NaN rows.
+//! With that in hand a Kendall cell needs no comparison sort at all
+//! (`kendall::kendall_cell` walks the two sort orders, skipping rows where
+//! either column is NaN), and a Pearson or Spearman cell of two NaN-free
+//! columns is one dot product of two centered vectors
+//! ([`crate::vector::centered_dot`]). The NaN rule for those two: a pair
+//! touching a column with NaN goes to the per-pair kernels, which center
+//! on each pair's complete observations (Spearman on the ranks kept here).
 
-use super::kendall::{kendall_cell, kendall_tau, pairs, KendallScratch};
+use super::kendall::{kendall_cell, pairs, KendallScratch};
 use super::pearson::pearson;
 use super::spearman::spearman_from_ranks;
 use super::CorrMethod;
 use crate::rank::ranks;
 use crate::vector::centered_dot;
 
-/// What one argsort of a NaN-free column yields.
-#[derive(Debug, Clone, PartialEq)]
+/// What [`Sorted::dense`] holds at a NaN row. Never a group index: groups
+/// are numbered below the row count, which fits `u32`.
+pub(super) const NAN_GROUP: u32 = u32::MAX;
+
+/// What one argsort of a column's non-NaN rows yields.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(super) struct Sorted {
-    /// Rows in ascending value order (ties in row order).
+    /// The non-NaN rows in ascending value order (ties in row order).
     pub perm: Vec<u32>,
     /// Tie-group index of every row: equal values share one, and groups
-    /// are numbered in ascending value order.
+    /// are numbered in ascending value order; [`NAN_GROUP`] at NaN rows.
     pub dense: Vec<u32>,
-    /// Position in `perm` where each tie group starts, plus a final `n`.
+    /// Position in `perm` where each tie group starts, plus a final
+    /// `perm.len()`.
     pub group_starts: Vec<u32>,
     /// `Σ t(t-1)/2` over the tie groups.
     pub tie_pairs: u64,
+}
+
+/// Sums a centered-dot cell divides by; they describe the whole column, so
+/// only a NaN-free one has them.
+#[derive(Debug, Clone, PartialEq)]
+struct Spread {
     /// Mean of the values.
-    pub mean: f64,
+    mean: f64,
     /// `Σ (v - mean)²`.
-    pub m2: f64,
+    m2: f64,
     /// `Σ r²` over the centered ranks.
-    pub rank_m2: f64,
+    rank_m2: f64,
 }
 
 /// Per-column correlation state; see the module docs.
@@ -46,13 +59,14 @@ pub struct ColumnPrep {
     /// mid-rank minus its mean, exactly (ranks are half-integers), so the
     /// mid-ranks themselves are not kept.
     centered_ranks: Vec<f64>,
+    sorted: Sorted,
     /// Present when the column has no NaN.
-    sorted: Option<Sorted>,
+    spread: Option<Spread>,
 }
 
 /// Map a non-NaN float to an integer with the same order, `-0.0` and
 /// `0.0` mapping to one key (they compare equal, so they tie).
-fn order_key(v: f64) -> i64 {
+pub(super) fn order_key(v: f64) -> i64 {
     let bits = (v + 0.0).to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
@@ -77,27 +91,33 @@ impl ColumnPrep {
     /// Build the shared state for one column (NaN marks a null).
     pub fn prepare(values: &[f64]) -> ColumnPrep {
         let n = values.len();
-        if values.iter().any(|v| v.is_nan()) || u32::try_from(n).is_err() {
+        if u32::try_from(n).is_err() {
+            // Row ids are `u32`: a longer column keeps only its ranks, and
+            // has no Kendall cells.
             let valid = values.iter().filter(|v| !v.is_nan()).count();
             let shift = (valid as f64 + 1.0) / 2.0;
             let mut centered_ranks = ranks(values);
             centered_ranks.iter_mut().for_each(|r| *r -= shift);
-            return ColumnPrep { centered_ranks, sorted: None };
+            return ColumnPrep { centered_ranks, sorted: Sorted::default(), spread: None };
         }
 
         // Rows are distinct, so sorting (key, row) pairs is the stable
         // argsort — with direct integer comparisons instead of a
         // comparator that chases indices.
-        let mut keyed: Vec<(i64, u32)> =
-            (0u32..).zip(values).map(|(row, &v)| (order_key(v), row)).collect();
+        let mut keyed: Vec<(i64, u32)> = (0u32..)
+            .zip(values)
+            .filter(|(_, v)| !v.is_nan())
+            .map(|(row, &v)| (order_key(v), row))
+            .collect();
         keyed.sort_unstable();
 
-        let mut perm = Vec::with_capacity(n);
-        let mut dense = vec![0u32; n];
-        let mut centered_ranks = vec![0.0f64; n];
+        let kept = keyed.len();
+        let mut perm = Vec::with_capacity(kept);
+        let mut dense = vec![NAN_GROUP; n];
+        let mut centered_ranks = vec![f64::NAN; n];
         let mut group_starts = Vec::new();
         let mut tie_pairs = 0u64;
-        let half = (n as f64 + 1.0) / 2.0;
+        let half = (kept as f64 + 1.0) / 2.0;
         // eda-lint: allow(EDA-L6) one linear pass over the sorted rows; the sort above cannot poll
         for group in keyed.chunk_by(|a, b| a.0 == b.0) {
             let (start, id) = (perm.len(), group_starts.len() as u32);
@@ -115,33 +135,33 @@ impl ColumnPrep {
             }
             tie_pairs += pairs(group.len() as u64);
         }
-        group_starts.push(n as u32);
+        group_starts.push(kept as u32);
         group_starts.shrink_to_fit();
 
-        let mean = if n == 0 { 0.0 } else { mean_of(values) };
-        // One finite value repeated has zero spread exactly; the rounded
-        // mean of such a column need not equal the value.
-        let constant = group_starts.len() == 2 && values.first().is_some_and(|v| v.is_finite());
-        let m2 = if constant { 0.0 } else { centered_dot(values, mean, values, mean) };
-        let rank_m2 = centered_dot(&centered_ranks, 0.0, &centered_ranks, 0.0);
-        ColumnPrep {
-            centered_ranks,
-            sorted: Some(Sorted { perm, dense, group_starts, tie_pairs, mean, m2, rank_m2 }),
-        }
+        let spread = (kept == n).then(|| {
+            let mean = if n == 0 { 0.0 } else { mean_of(values) };
+            // One finite value repeated has zero spread exactly; the
+            // rounded mean of such a column need not equal the value.
+            let constant = group_starts.len() == 2 && values.first().is_some_and(|v| v.is_finite());
+            let m2 = if constant { 0.0 } else { centered_dot(values, mean, values, mean) };
+            let rank_m2 = centered_dot(&centered_ranks, 0.0, &centered_ranks, 0.0);
+            Spread { mean, m2, rank_m2 }
+        });
+        let sorted = Sorted { perm, dense, group_starts, tie_pairs };
+        ColumnPrep { centered_ranks, sorted, spread }
     }
 
-    /// Whether the column is NaN-free, i.e. its cells take the shared-prep
-    /// kernels rather than the per-pair fallback.
+    /// Whether the column is NaN-free, i.e. its Pearson and Spearman cells
+    /// take the centered dot products rather than the per-pair kernels.
     pub fn is_complete(&self) -> bool {
-        self.sorted.is_some()
+        self.spread.is_some()
     }
 
     /// Heap bytes this prep owns — what a byte budget should charge it.
     pub fn heap_bytes(&self) -> usize {
-        let sorted = self.sorted.as_ref().map_or(0, |s| {
-            (s.perm.capacity() + s.dense.capacity() + s.group_starts.capacity()) * 4
-        });
-        self.centered_ranks.capacity() * 8 + sorted
+        let s = &self.sorted;
+        self.centered_ranks.capacity() * 8
+            + (s.perm.capacity() + s.dense.capacity() + s.group_starts.capacity()) * 4
     }
 }
 
@@ -168,11 +188,12 @@ fn finish(n: usize, m2a: f64, m2b: f64, c: f64) -> Option<f64> {
 /// One coefficient from two prepared columns.
 fn cell(method: CorrMethod, a: Col<'_>, b: Col<'_>, scratch: &mut KendallScratch) -> Option<f64> {
     let n = a.values.len();
-    let both = match (&a.prep.sorted, &b.prep.sorted) {
+    let both = match (&a.prep.spread, &b.prep.spread) {
         (Some(sa), Some(sb)) if b.values.len() == n => Some((sa, sb)),
         _ => None,
     };
     match (method, both) {
+        (CorrMethod::KendallTau, _) => kendall_cell(&a.prep.sorted, &b.prep.sorted, scratch),
         (CorrMethod::Pearson, Some((sa, sb))) => {
             finish(n, sa.m2, sb.m2, centered_dot(a.values, sa.mean, b.values, sb.mean))
         }
@@ -180,12 +201,10 @@ fn cell(method: CorrMethod, a: Col<'_>, b: Col<'_>, scratch: &mut KendallScratch
             let c = centered_dot(&a.prep.centered_ranks, 0.0, &b.prep.centered_ranks, 0.0);
             finish(n, sa.rank_m2, sb.rank_m2, c)
         }
-        (CorrMethod::KendallTau, Some((sa, sb))) => kendall_cell(sa, sb, scratch),
         (CorrMethod::Pearson, None) => pearson(a.values, b.values),
         (CorrMethod::Spearman, None) => {
             spearman_from_ranks(&a.prep.centered_ranks, &b.prep.centered_ranks)
         }
-        (CorrMethod::KendallTau, None) => kendall_tau(a.values, b.values),
     }
 }
 
@@ -222,7 +241,7 @@ pub fn upper_triangle(m: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corr::spearman;
+    use crate::corr::{kendall_tau, spearman};
 
     fn one(method: CorrMethod, x: &[f64], y: &[f64]) -> Option<f64> {
         let (px, py) = (ColumnPrep::prepare(x), ColumnPrep::prepare(y));
@@ -260,7 +279,7 @@ mod tests {
         for (c, r) in prep.centered_ranks.iter().zip(ranks(&v)) {
             assert_eq!(c + shift, r);
         }
-        let s = prep.sorted.as_ref().unwrap();
+        let s = &prep.sorted;
         // Groups: {-0,0} {1} {2,2,2} {4,4} {9}.
         assert_eq!(s.group_starts, vec![0, 2, 3, 6, 8, 9]);
         assert_eq!(s.tie_pairs, 1 + 3 + 1);
@@ -269,13 +288,24 @@ mod tests {
     }
 
     #[test]
-    fn nan_column_keeps_ranks_only() {
-        let v = [2.0, f64::NAN, 1.0, 3.0];
+    fn nan_column_sorts_its_non_nan_rows() {
+        let v = [2.0, f64::NAN, 1.0, 3.0, 2.0];
         let prep = ColumnPrep::prepare(&v);
         assert!(!prep.is_complete());
+        // Ranks over the four non-NaN rows, centered on (4 + 1) / 2.
         let r = &prep.centered_ranks;
-        assert_eq!((r[0], r[2], r[3]), (0.0, -1.0, 1.0));
+        assert_eq!((r[0], r[2], r[3], r[4]), (0.0, -1.5, 1.5, 0.0));
         assert!(r[1].is_nan());
+        let s = &prep.sorted;
+        assert_eq!(s.perm, vec![2, 0, 4, 3]);
+        assert_eq!(s.dense, vec![1, NAN_GROUP, 0, 2, 1]);
+        assert_eq!(s.group_starts, vec![0, 1, 3, 4]);
+        assert_eq!(s.tie_pairs, 1);
+        // Every row NaN: nothing sorted, no group.
+        let none = ColumnPrep::prepare(&[f64::NAN; 3]);
+        assert!(none.sorted.perm.is_empty());
+        assert_eq!(none.sorted.group_starts, vec![0]);
+        assert_eq!(none.sorted.dense, vec![NAN_GROUP; 3]);
     }
 
     #[test]
@@ -334,7 +364,10 @@ mod tests {
         y[5] = f64::NAN;
         y[77] = f64::NAN;
         assert_eq!(one(CorrMethod::Pearson, &x, &y), pearson(&x, &y));
+        // Kendall has no fallback: the cell skips the NaN rows itself and
+        // lands on the pair kernel's bits.
         assert_eq!(one(CorrMethod::KendallTau, &x, &y), kendall_tau(&x, &y));
+        assert_eq!(one(CorrMethod::KendallTau, &y, &x), kendall_tau(&x, &y));
         // Rank-once: each column ranked over its own non-NaN rows.
         agree(
             one(CorrMethod::Spearman, &x, &y),
@@ -378,8 +411,10 @@ mod tests {
         assert_eq!(distinct.heap_bytes(), n * 8 + n * 4 + n * 4 + (n + 1) * 4);
         let tied = ColumnPrep::prepare(&vec![1.0; n]);
         assert_eq!(tied.heap_bytes(), n * 8 + n * 4 + n * 4 + 2 * 4);
-        let mut with_nan = lcg(2, n, 100);
+        // A NaN row is missing from the sort order only.
+        let mut with_nan = lcg(2, n, 1 << 40);
         with_nan[3] = f64::NAN;
-        assert_eq!(ColumnPrep::prepare(&with_nan).heap_bytes(), n * 8);
+        let bytes = n * 8 + (n - 1) * 4 + n * 4 + n * 4;
+        assert_eq!(ColumnPrep::prepare(&with_nan).heap_bytes(), bytes);
     }
 }

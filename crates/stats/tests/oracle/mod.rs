@@ -1,0 +1,170 @@
+//! Independent Kendall oracles, shared by `prop_kernels.rs` and the unit
+//! tests of `corr::kendall` (which include this file by path). Nothing
+//! here calls into `eda_stats`: the O(n²) double loop is the one check
+//! both production entry points are held against, and the Fenwick tree
+//! counts inversions at sizes the double loop is too slow for.
+
+#![allow(dead_code)]
+
+/// The rows where neither side is NaN.
+fn complete_pairs(x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    assert_eq!(x.len(), y.len());
+    x.iter().zip(y).filter(|(a, b)| !a.is_nan() && !b.is_nan()).map(|(a, b)| (*a, *b)).unzip()
+}
+
+/// Tau-b by the O(n²) double loop over all pairs.
+pub fn kendall_tau_quadratic(x: &[f64], y: &[f64]) -> Option<f64> {
+    let (xs, ys) = complete_pairs(x, y);
+    let n = xs.len();
+    if n < 2 {
+        return None;
+    }
+    let (mut concordant, mut discordant, mut tx, mut ty) = (0i64, 0i64, 0u64, 0u64);
+    for i in 0..n {
+        for j in i + 1..n {
+            let dx = xs[i] - xs[j];
+            let dy = ys[i] - ys[j];
+            if dx == 0.0 && dy == 0.0 {
+                tx += 1;
+                ty += 1;
+            } else if dx == 0.0 {
+                tx += 1;
+            } else if dy == 0.0 {
+                ty += 1;
+            } else if dx * dy > 0.0 {
+                concordant += 1;
+            } else {
+                discordant += 1;
+            }
+        }
+    }
+    let n0 = (n * (n - 1) / 2) as f64;
+    let denom = (n0 - tx as f64) * (n0 - ty as f64);
+    if denom <= 0.0 {
+        return None;
+    }
+    Some((concordant - discordant) as f64 / denom.sqrt())
+}
+
+/// Pairs `i < j` with `seq[i] > seq[j]`, by the double loop.
+pub fn inversions_quadratic(seq: &[u32]) -> u64 {
+    (0..seq.len())
+        .map(|j| seq[..j].iter().filter(|&&earlier| earlier > seq[j]).count() as u64)
+        .sum()
+}
+
+/// Pairs `i < j` with `seq[i] > seq[j]`, through a Fenwick tree over the
+/// values (all below `groups`).
+pub fn inversions_fenwick(seq: &[u32], groups: usize) -> u64 {
+    let mut tree = Fenwick::new(groups);
+    let mut inversions = 0u64;
+    for (seen, &v) in seq.iter().enumerate() {
+        inversions += seen as u64 - tree.prefix_count(v as usize);
+        tree.add(v as usize);
+    }
+    inversions
+}
+
+/// `k choose 2`.
+fn pairs(k: u64) -> u64 {
+    k * k.saturating_sub(1) / 2
+}
+
+/// O(n log n) tau-b: Knight's tie arithmetic with the discordant pairs
+/// counted by [`inversions_fenwick`] over rank-compressed y values — the
+/// same pair counts as the double loop, through a mechanism shared with
+/// no production path.
+pub fn kendall_tau_fenwick(x: &[f64], y: &[f64]) -> Option<f64> {
+    let (xs, ys) = complete_pairs(x, y);
+    let n = xs.len();
+    if n < 2 {
+        return None;
+    }
+
+    // Order by (x, y), so within an x-tie group y never strictly
+    // decreases and within-group pairs are never counted as inversions.
+    // `+ 0.0` folds `-0.0` into `0.0`: they compare equal, so they tie.
+    let key = |v: f64| v + 0.0;
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.sort_unstable_by(|&a, &b| {
+        key(xs[a]).total_cmp(&key(xs[b])).then(key(ys[a]).total_cmp(&key(ys[b])))
+    });
+
+    // Tie-pair counts from run lengths: n1 over x, n2 over y, n3 joint.
+    let n0 = pairs(n as u64);
+    let mut n1 = 0u64;
+    let mut n3 = 0u64;
+    let mut i = 0;
+    while i < n {
+        let mut j = i;
+        while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
+            j += 1;
+        }
+        n1 += pairs((j - i + 1) as u64);
+        let mut k = i;
+        while k <= j {
+            let mut m = k;
+            while m < j && ys[idx[m + 1]] == ys[idx[k]] {
+                m += 1;
+            }
+            n3 += pairs((m - k + 1) as u64);
+            k = m + 1;
+        }
+        i = j + 1;
+    }
+
+    // Rank-compress y and count y tie pairs from the sorted copy.
+    let mut distinct: Vec<f64> = ys.iter().map(|&v| key(v)).collect();
+    distinct.sort_unstable_by(f64::total_cmp);
+    let n2: u64 = distinct.chunk_by(|a, b| a == b).map(|run| pairs(run.len() as u64)).sum();
+    distinct.dedup();
+    let seq: Vec<u32> = idx
+        .iter()
+        .map(|&p| {
+            distinct.binary_search_by(|v| v.total_cmp(&key(ys[p]))).expect("every y is present")
+                as u32
+        })
+        .collect();
+    let discordant = inversions_fenwick(&seq, distinct.len());
+
+    // Same integer identities as the double loop: C + D + (n1 + n2 - n3)
+    // covers every pair, so C - D falls out exactly. Signed arithmetic —
+    // the degenerate all-tied case drives the partial sums negative.
+    let concordant = n0 as i64 - n1 as i64 - n2 as i64 + n3 as i64 - discordant as i64;
+    let denom = ((n0 - n1) as f64) * ((n0 - n2) as f64);
+    if denom <= 0.0 {
+        return None;
+    }
+    Some((concordant - discordant as i64) as f64 / denom.sqrt())
+}
+
+/// Fenwick tree over element counts, 0-indexed ranks.
+struct Fenwick {
+    tree: Vec<u64>,
+}
+
+impl Fenwick {
+    fn new(size: usize) -> Self {
+        Fenwick { tree: vec![0; size + 1] }
+    }
+
+    /// Increment the count at `rank`.
+    fn add(&mut self, rank: usize) {
+        let mut i = rank + 1;
+        while i < self.tree.len() {
+            self.tree[i] += 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Number of inserted elements with rank ≤ `rank`.
+    fn prefix_count(&self, rank: usize) -> u64 {
+        let mut i = rank + 1;
+        let mut total = 0;
+        while i > 0 {
+            total += self.tree[i];
+            i -= i & i.wrapping_neg();
+        }
+        total
+    }
+}

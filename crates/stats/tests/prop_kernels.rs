@@ -6,9 +6,9 @@
 // targets shipped code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use eda_stats::corr::{
-    kendall_tau, kendall_tau_naive, pearson, spearman, spearman_from_ranks, PearsonPartial,
-};
+mod oracle;
+
+use eda_stats::corr::{kendall_tau, pearson, spearman, spearman_from_ranks, PearsonPartial};
 use eda_stats::corr::{CorrMatrix, CorrMethod};
 use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
@@ -146,10 +146,15 @@ proptest! {
         let n = x.len().min(y.len());
         let xs: Vec<f64> = x[..n].iter().map(|&v| v as f64).collect();
         let ys: Vec<f64> = y[..n].iter().map(|&v| v as f64).collect();
-        match (kendall_tau(&xs, &ys), kendall_tau_naive(&xs, &ys)) {
-            (Some(f), Some(s)) => prop_assert!((f - s).abs() < 1e-9, "{f} vs {s}"),
-            (None, None) => {}
-            other => prop_assert!(false, "definedness mismatch: {other:?}"),
+        // The Fenwick oracle and the quadratic one, both independent of
+        // the production counter.
+        let fenwick = oracle::kendall_tau_fenwick(&xs, &ys);
+        for naive in [fenwick, oracle::kendall_tau_quadratic(&xs, &ys)] {
+            match (kendall_tau(&xs, &ys), naive) {
+                (Some(f), Some(s)) => prop_assert!((f - s).abs() < 1e-9, "{f} vs {s}"),
+                (None, None) => {}
+                other => prop_assert!(false, "definedness mismatch: {other:?}"),
+            }
         }
     }
 

@@ -165,8 +165,8 @@ fn run_deadline_reclaims_wedged_workers() {
 /// A Kendall tile stops *inside* its inversion count. The columns' preps
 /// are served from a warm cache, so under the task deadline only tiles
 /// execute; one Kendall tile takes several deadlines, polls the probe
-/// once per merge pass, and must be reclaimed after a fraction of its
-/// uninterrupted time.
+/// every few thousand elements of the count, and must be reclaimed after
+/// a fraction of its uninterrupted time.
 #[test]
 fn task_deadline_stops_a_kendall_tile_mid_count() {
     let n = 400_000usize;
@@ -221,13 +221,14 @@ fn task_deadline_stops_a_kendall_tile_mid_count() {
     );
 }
 
-/// A KDE task stops between grid points, and `plot(df, x)` degrades to
-/// diagnostics naming it.
+/// A KDE task stops between blocks of samples, and `plot(df, x)` degrades
+/// to diagnostics naming it.
 #[test]
-fn task_deadline_stops_a_kde_task_between_grid_points() {
+fn task_deadline_stops_a_kde_task_between_samples() {
     let df = frame(20_000);
-    // 5000 samples x 8000 grid points: long enough to time.
-    let base = [("engine.workers", "1"), ("engine.profile", "true"), ("kde.grid", "8000")];
+    // 5000 samples, each reaching a third of 40,000 grid points: long
+    // enough to time, optimized or not.
+    let base = [("engine.workers", "1"), ("engine.profile", "true"), ("kde.grid", "40000")];
     let free = plot(&df, &["size"], &cfg(&base)).unwrap();
     assert!(free.status.is_ok(), "{:?}", free.status);
     let full = free.stats.unwrap().trace.unwrap().elapsed_of("kde:size").expect("kde span");

@@ -21,35 +21,28 @@ fn shape(name: &str, rows: usize, seed: u64) -> DataFrame {
     generate(&spec, seed)
 }
 
-/// O(n²) tau-b straight from the definition.
-fn kendall_quadratic(x: &[f64], y: &[f64]) -> Option<f64> {
-    let n = x.len();
-    let (mut concordant, mut discordant, mut tx, mut ty) = (0i64, 0i64, 0i64, 0i64);
-    for i in 0..n {
-        for j in i + 1..n {
-            let (dx, dy) = (x[i] - x[j], y[i] - y[j]);
-            tx += i64::from(dx == 0.0);
-            ty += i64::from(dy == 0.0);
-            if dx * dy > 0.0 {
-                concordant += 1;
-            } else if dx * dy < 0.0 {
-                discordant += 1;
-            }
-        }
-    }
-    let n0 = (n * n.saturating_sub(1) / 2) as i64;
-    let denom = ((n0 - tx) as f64) * ((n0 - ty) as f64);
-    (n >= 2 && denom > 0.0).then(|| (concordant - discordant) as f64 / denom.sqrt())
-}
+/// The O(n²) tau-b the kernel crate's own tests are held against.
+#[path = "../crates/stats/tests/oracle/mod.rs"]
+mod kendall_oracle;
 
 #[test]
 fn cells_match_the_pair_kernels_on_generated_columns() {
     // credit: 25 null-free columns, continuous and heavily tied ones.
-    let df = shape("credit", 400, 7);
-    let columns: Vec<Vec<f64>> =
-        df.iter().map(|(_, c)| c.to_f64_nan().unwrap()).collect();
+    cells_match_the_pair_kernels(&shape("credit", 400, 7), 0);
+    // conflicts: four of its ten numeric columns are 10% null, each on
+    // rows of its own — 30 of the 45 pairs skip rows.
+    cells_match_the_pair_kernels(&shape("conflicts", 400, 7), 4);
+}
+
+fn cells_match_the_pair_kernels(df: &DataFrame, with_nulls: usize) {
+    let columns: Vec<Vec<f64>> = df
+        .iter()
+        .filter(|(_, c)| c.dtype().is_numeric())
+        .map(|(_, c)| c.to_f64_nan().unwrap())
+        .collect();
+    assert!(columns.len() >= 6);
     let preps: Vec<ColumnPrep> = columns.iter().map(|v| ColumnPrep::prepare(v)).collect();
-    assert!(preps.iter().all(ColumnPrep::is_complete));
+    assert!(preps.iter().filter(|prep| !prep.is_complete()).count() == with_nulls);
     let cols: Vec<Col<'_>> =
         columns.iter().zip(&preps).map(|(values, prep)| Col { values, prep }).collect();
     let pairs = upper_triangle(cols.len());
@@ -66,7 +59,7 @@ fn cells_match_the_pair_kernels_on_generated_columns() {
     for (k, &(i, j)) in pairs.iter().enumerate() {
         let (x, y) = (&columns[i], &columns[j]);
         assert_eq!(kendall[k], kendall_tau(x, y), "kendall ({i}, {j})");
-        close(kendall[k], kendall_quadratic(x, y), "kendall oracle");
+        close(kendall[k], kendall_oracle::kendall_tau_quadratic(x, y), "kendall oracle");
         close(pearsons[k], pearson(x, y), "pearson");
         close(spearmans[k], spearman_from_ranks(&ranks(x), &ranks(y)), "spearman");
     }
