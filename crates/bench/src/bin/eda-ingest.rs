@@ -13,6 +13,10 @@
 //!   3. **O(1) projection** — reading one column out of `.edaf` via the
 //!      footer vs re-parsing the whole CSV.
 //!
+//! It also reports `str_field_allocs`: heap allocations of the one-worker
+//! load per field of the file's one string column — at least 1 with a
+//! `String` per field, about distinct / rows with a dictionary.
+//!
 //! ```text
 //! eda-ingest [--smoke] [--rows N] [--workers N] [--json out.json]
 //! ```
@@ -24,7 +28,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, peak_rss_bytes, print_table};
@@ -32,12 +36,13 @@ use eda_io::{fold_csv, read_csv_chunked, read_edaf_columns, write_edaf, IngestOp
 
 /// Counting allocator: while [`counted`] runs, tracks the bytes live
 /// above its starting point and their high-water mark, so each pipeline
-/// stage reports its own staging peak.
+/// stage reports its own staging peak, and how many allocations it made.
 struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 static PEAK: AtomicIsize = AtomicIsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 /// Record a change of the live set (signed: memory from before the
 /// counted run may be freed inside it).
@@ -45,6 +50,10 @@ fn record(delta: isize) {
     if COUNTING.load(Ordering::Relaxed) {
         let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
         PEAK.fetch_max(live, Ordering::Relaxed);
+        if delta > 0 {
+            // A new block, or one grown in place or moved.
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -80,18 +89,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Run `f` with the allocator counting: its result, and the most bytes
-/// it had live at once. Counting is off everywhere else — two contended
+/// What a [`counted`] run did to the heap.
+struct Heap {
+    /// The most bytes it had live at once.
+    peak: usize,
+    /// Blocks it allocated or grew.
+    allocs: usize,
+}
+
+/// Run `f` with the allocator counting: its result, and its [`Heap`] use. Counting is off everywhere else — two contended
 /// atomics per allocation slow a two-worker parse more than a one-worker
 /// one (this bench measured a "speedup" of 0.84 counted and 1.23 not), so
 /// no timed run carries them.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Heap) {
     LIVE.store(0, Ordering::Relaxed);
     PEAK.store(0, Ordering::Relaxed);
+    ALLOCS.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::SeqCst);
     let out = f();
     COUNTING.store(false, Ordering::SeqCst);
-    (out, PEAK.load(Ordering::Relaxed).max(0) as usize)
+    (out, Heap { peak: PEAK.load(Ordering::Relaxed).max(0) as usize, allocs: ALLOCS.load(Ordering::Relaxed) })
 }
 
 /// Deterministic xorshift so the file is identical across runs.
@@ -183,7 +200,7 @@ fn main() {
     // thread), then the parallel load. One counted run for the staging
     // peak, then the timed ones.
     let stage = |opts: &IngestOptions| {
-        let (out, peak) = counted(|| read_csv_chunked(&csv_path, opts).expect("csv read"));
+        let (out, heap) = counted(|| read_csv_chunked(&csv_path, opts).expect("csv read"));
         drop(out);
         let mut time = Duration::MAX;
         for _ in 0..ITERS {
@@ -191,10 +208,15 @@ fn main() {
             time = time.min(t);
             drop(out);
         }
-        (time, peak)
+        (time, heap)
     };
-    let (seq_time, seq_peak) = stage(&seq_opts);
-    let (par_time, par_peak) = stage(&par_opts);
+    let (seq_time, Heap { peak: seq_peak, allocs: seq_allocs }) = stage(&seq_opts);
+    let (par_time, Heap { peak: par_peak, .. }) = stage(&par_opts);
+    // The file has one string column (`city`), so every allocation of the
+    // load counts against its fields: one `String` per field would be
+    // >= 1, a dictionary-encoded column allocates per distinct value and
+    // per buffer growth.
+    let str_field_allocs = seq_allocs as f64 / rows as f64;
 
     // Stage 3: streaming fold — chunks dropped per wave, so the peak
     // must stay O(chunk × workers × wave_factor), not O(file). A tight
@@ -207,7 +229,7 @@ fn main() {
         ..IngestOptions::default()
     };
     let mut fold_rows = 0u64;
-    let (outcome, stream_peak) = counted(|| {
+    let (outcome, Heap { peak: stream_peak, .. }) = counted(|| {
         fold_csv(&csv_path, &stream_opts, |chunk| {
             fold_rows += chunk.nrows() as u64;
             Ok(())
@@ -270,6 +292,7 @@ fn main() {
         "parallel speedup: {parallel_speedup:.2}x   staging reduction (seq peak / fold peak): \
          {staging_reduction:.1}x   projection speedup: {projection_speedup:.1}x"
     );
+    println!("allocations per string field of the one-worker load: {str_field_allocs:.5}");
     println!(
         "edaf: {} -> {} bytes   waves: {}   process peak RSS: {}",
         file_bytes,
@@ -286,7 +309,7 @@ fn main() {
                 "\"seq_us\":{},\"par_us\":{},",
                 "\"seq_rows_per_s\":{:.0},\"par_rows_per_s\":{:.0},",
                 "\"parallel_speedup\":{:.3},",
-                "\"seq_staging_peak_bytes\":{},\"par_staging_peak_bytes\":{},",
+                "\"seq_staging_peak_bytes\":{},\"par_staging_peak_bytes\":{},\"str_field_allocs\":{:.5},",
                 "\"stream_peak_bytes\":{},\"staging_reduction\":{:.3},",
                 "\"edaf_bytes\":{},\"csv_parse_us\":{},\"edaf_col_us\":{},",
                 "\"projection_speedup\":{:.3},\"peak_rss_bytes\":{}}}"
@@ -303,6 +326,7 @@ fn main() {
             parallel_speedup,
             seq_peak,
             par_peak,
+            str_field_allocs,
             stream_peak,
             staging_reduction,
             info.file_bytes,

@@ -17,7 +17,13 @@
 //! grid point) pair — `kde_grid` before the windowed recurrence, kept
 //! here as the opponent — against `kde_grid`. Nullity has one path, word
 //! AND + popcount over validity bitmaps; its throughput is reported, not
-//! compared. Compiled with `--features simd` the
+//! compared. The `strings` stage times the 15 categorical + text columns
+//! of the conflicts shape (17k rows, what `report_mixed` profiles) in the
+//! two partitions the graph reads them in, partials merged: frequencies
+//! as a histogram over dictionary codes, and text statistics with each
+//! distinct value tokenised once (`TextStats::from_codes`) against the
+//! per-row `TextStats::push` loop the baseline profiler still runs.
+//! Compiled with `--features simd` the
 //! moments/minmax inner loops dispatch to AVX2 intrinsics when the CPU
 //! has them; without it they are the autovectorized fallback —
 //! bit-identical, narrower. Every kernel runs on one thread; the host's
@@ -33,12 +39,14 @@
 use std::time::Duration;
 
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, print_table};
+use eda_core::compute::cat::{self, CatFreq};
 use eda_core::compute::univariate::stride_sample;
-use eda_dataframe::Bitmap;
+use eda_dataframe::{Bitmap, Column, Selection};
 use eda_datagen::{generate, kaggle_spec_by_name};
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
 use eda_stats::kde::{kde_grid, silverman_bandwidth};
 use eda_stats::quantile::sorted_values;
+use eda_stats::text::TextStats;
 use eda_stats::vector;
 use eda_stats::{Histogram, Moments};
 
@@ -198,6 +206,34 @@ fn main() {
     let samples: Vec<Vec<f64>> =
         columns.iter().map(|values| stride_sample(&sorted_values(values), 5000)).collect();
 
+    // The conflicts shape's string columns, each as the two partitions
+    // `report_mixed` reads it in.
+    let conflicts = {
+        let mut spec = kaggle_spec_by_name("conflicts").expect("table 2 spec");
+        spec.rows = 17_000;
+        generate(&spec, 42)
+    };
+    let half = conflicts.nrows() / 2;
+    let strings: Vec<[Column; 2]> = conflicts
+        .iter()
+        .filter(|(_, c)| c.str_codes().is_some())
+        .map(|(_, c)| [c.slice(0, half), c.slice(half, c.len() - half)])
+        .collect();
+    let string_rows = strings.len() * conflicts.nrows();
+    let text_by_row = |part: &Column| {
+        let mut t = TextStats::new();
+        part.str_iter().expect("string column").for_each(|v| t.push(v));
+        t
+    };
+    let merged_text = |of: &dyn Fn(&Column) -> TextStats| {
+        let merge = |[a, b]: &[Column; 2]| {
+            let mut t = of(a);
+            t.merge(&of(b));
+            t
+        };
+        strings.iter().map(merge).collect::<Vec<_>>()
+    };
+
     // One full measurement pass over the kernels; the suite runs
     // `PASSES` times and each kernel keeps its best pass (see [`merge`]).
     let suite = || {
@@ -275,7 +311,8 @@ fn main() {
             || samples.iter().map(|sample| kde_direct(sample, KDE_GRID)).collect::<Vec<_>>(),
             || samples.iter().map(|sample| kde_grid(sample, KDE_GRID)).collect::<Vec<_>>(),
         );
-        [mo, hi, mm, pe, pc, sc, kc, kn, kd]
+        let ts = ab_of(ITERS, || merged_text(&text_by_row), || merged_text(&cat::text_stats));
+        [mo, hi, mm, pe, pc, sc, kc, kn, kd, ts]
     };
 
     let mut res = suite();
@@ -284,13 +321,20 @@ fn main() {
             *r = merge(*r, n);
         }
     }
-    let [mo, hi, mm, pe, pc, sc, kc, kn, kd] = res;
+    let [mo, hi, mm, pe, pc, sc, kc, kn, kd, ts] = res;
     let best_of = |f: &dyn Fn()| (0..ITERS * PASSES).map(|_| measure(f).1).min().expect("iterations");
     let nullity = best_of(&|| {
         std::hint::black_box(valid_a.count_unset_in_both(&valid_b));
     });
     let prep = best_of(&|| {
         std::hint::black_box(prepare());
+    });
+    let freq_codes = best_of(&|| {
+        for [a, b] in &strings {
+            let mut f = CatFreq::of(a, Selection::All);
+            f.merge(&CatFreq::of(b, Selection::All));
+            std::hint::black_box(f);
+        }
     });
 
     let rows_f = |d: Duration| format!("{:8.1}", meps(rows, d));
@@ -348,6 +392,17 @@ fn main() {
         kd.speedup
     );
 
+    let srps = |d: Duration| string_rows as f64 / d.as_secs_f64();
+    println!(
+        "\nstrings: {} columns x {} rows: freq over codes {:.1} Mrows/s; text_stats per row {:.1} Mrows/s, per distinct value {:.1}, {:.2}x",
+        strings.len(),
+        conflicts.nrows(),
+        srps(freq_codes) / 1e6,
+        srps(ts.scalar) / 1e6,
+        srps(ts.vector) / 1e6,
+        ts.speedup
+    );
+
     if let Some(path) = arg_str("--json") {
         let json = format!(
             concat!(
@@ -361,7 +416,8 @@ fn main() {
                 "\"spearman_pair_pps\":{:.1},\"spearman_cell_pps\":{:.1},\"spearman_cell_speedup\":{:.4},\n",
                 "\"kendall_pair_pps\":{:.1},\"kendall_cell_pps\":{:.1},\"kendall_cell_speedup\":{:.4},\n",
                 "\"kendall_nan_pair_pps\":{:.1},\"kendall_nan_cell_pps\":{:.1},\"kendall_nan_cell_speedup\":{:.4},\n",
-                "\"kde_direct_cps\":{:.1},\"kde_cps\":{:.1},\"kde_speedup\":{:.4}}}"
+                "\"kde_direct_cps\":{:.1},\"kde_cps\":{:.1},\"kde_speedup\":{:.4},\n",
+                "\"freq_codes_rps\":{:.0},\"text_stats_push_rps\":{:.0},\"text_stats_rps\":{:.0},\"text_stats_speedup\":{:.4}}}"
             ),
             rows,
             host_cores,
@@ -394,6 +450,10 @@ fn main() {
             cps(kd.scalar),
             cps(kd.vector),
             kd.speedup,
+            srps(freq_codes),
+            srps(ts.scalar),
+            srps(ts.vector),
+            ts.speedup,
         );
         std::fs::write(&path, json).expect("write kernels json");
         println!("\nwrote {path}");

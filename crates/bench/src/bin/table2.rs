@@ -2,14 +2,17 @@
 //! dataset shapes — Pandas-profiling baseline vs DataPrep.EDA — and the
 //! speedup factor.
 //!
-//! Usage: `cargo run -p eda-bench --release --bin table2 [--scale 1.0]`
+//! Usage: `cargo run -p eda-bench --release --bin table2 [--scale 1.0] [--commit <label>]`
+//!
+//! `--commit` names the tree the numbers were taken at; it is printed in
+//! the header so `results/table2.txt` says what it measured.
 //!
 //! The paper reports 4–20× speedups, larger on numeric-heavy datasets
 //! (credit, basketball, diabetes). Our substrate differs (Rust vs Python,
 //! single core), so EXPERIMENTS.md compares *shapes*: DataPrep faster on
 //! every dataset, with the largest factors on numeric-heavy shapes.
 
-use eda_bench::{arg_f64, fmt_secs, machine_context, measure, print_table};
+use eda_bench::{arg_f64, arg_str, fmt_secs, machine_context, measure, print_table};
 use eda_core::{create_report, Config};
 use eda_datagen::{generate, kaggle_specs};
 
@@ -17,6 +20,9 @@ fn main() {
     let scale = arg_f64("--scale", 1.0);
     println!("Table 2: create_report, baseline (PP) vs DataPrep  [scale {scale}]");
     println!("{}", machine_context());
+    if let Some(commit) = arg_str("--commit") {
+        println!("commit: {commit}");
+    }
     println!();
 
     let cfg = Config::default();

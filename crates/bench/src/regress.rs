@@ -281,6 +281,10 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "kde_direct_cps",
             "kde_cps",
             "kde_speedup",
+            "freq_codes_rps",
+            "text_stats_push_rps",
+            "text_stats_rps",
+            "text_stats_speedup",
         ],
         gated: &[
             // Vector-vs-scalar ratios on the same machine; the wide scale
@@ -296,6 +300,10 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             // The windowed recurrence vs the direct sum it replaced, same
             // 25 samples, back to back.
             MetricSpec { key: "kde_speedup", higher_is_better: true, tolerance_scale: 4.0 },
+            // Text statistics over dictionary codes (each distinct value
+            // tokenised once) vs the per-row loop, same columns, back to
+            // back.
+            MetricSpec { key: "text_stats_speedup", higher_is_better: true, tolerance_scale: 4.0 },
         ],
     },
     ExperimentSpec {
@@ -314,6 +322,7 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "parallel_speedup",
             "seq_staging_peak_bytes",
             "par_staging_peak_bytes",
+            "str_field_allocs",
             "stream_peak_bytes",
             "staging_reduction",
             "edaf_bytes",

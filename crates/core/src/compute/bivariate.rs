@@ -11,7 +11,6 @@
 
 use std::collections::HashMap;
 
-use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::BoxPlot;
@@ -21,6 +20,7 @@ use crate::error::EdaResult;
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates};
 
+use super::cat::CatFreq;
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, hex_center, hex_scales, Rows};
 use super::univariate::fmt_num;
@@ -122,7 +122,7 @@ fn numeric_categorical(
     let freq_node = kernels::freq(ctx, cat, Rows::All);
     let outs = ctx.execute_checked(&[freq_node])?;
     // Pandas phase: tiny top-k on the reduced table.
-    let freq = un::<FreqTable>(&outs[0]);
+    let freq = un::<CatFreq>(&outs[0]);
     let top: Vec<String> = freq
         .top_k(ctx.config.box_plot.ngroups.max(ctx.config.line.ngroups))
         .into_iter()
@@ -137,17 +137,15 @@ fn numeric_categorical(
     let lines = kernels::multi_line(ctx, cat, num, &line_top, ctx.config.line.bins);
     let outs = ctx.execute_checked(&[grouped, lines])?;
 
-    let groups = un::<HashMap<String, Vec<f64>>>(&outs[0]);
-    let line_hists = un::<HashMap<String, Histogram>>(&outs[1]);
+    let groups = un::<Vec<Vec<f64>>>(&outs[0]);
+    let line_hists = un::<Vec<Histogram>>(&outs[1]);
 
     let mut ims = Intermediates::new();
     let mut boxes: Vec<(String, BoxPlot)> = box_top
         .iter()
-        .filter_map(|c| {
-            groups
-                .get(c)
-                .and_then(|v| BoxPlot::from_values(v, ctx.config.box_plot.max_outliers))
-                .map(|bp| (c.clone(), bp))
+        .zip(groups)
+        .filter_map(|(c, v)| {
+            BoxPlot::from_values(v, ctx.config.box_plot.max_outliers).map(|bp| (c.clone(), bp))
         })
         .collect();
     boxes.sort_by(|a, b| a.0.cmp(&b.0));
@@ -156,17 +154,15 @@ fn numeric_categorical(
     // Multi-line chart: shared bin centers, one count series per category.
     let mut xs: Vec<f64> = Vec::new();
     let mut series: Vec<(String, Vec<u64>)> = Vec::new();
-    for c in &line_top {
-        if let Some(h) = line_hists.get(c) {
-            if xs.is_empty() {
-                xs = h
-                    .edges()
-                    .windows(2)
-                    .map(|w| (w[0] + w[1]) / 2.0)
-                    .collect();
-            }
-            series.push((c.clone(), h.counts.clone()));
+    for (c, h) in line_top.iter().zip(line_hists) {
+        if xs.is_empty() {
+            xs = h
+                .edges()
+                .windows(2)
+                .map(|w| (w[0] + w[1]) / 2.0)
+                .collect();
         }
+        series.push((c.clone(), h.counts.clone()));
     }
     series.sort_by(|a, b| a.0.cmp(&b.0));
     ims.push("multi_line_chart", Inter::MultiLine { xs, series });
@@ -183,12 +179,12 @@ fn categorical_categorical(
     let fx = kernels::freq(ctx, x, Rows::All);
     let fy = kernels::freq(ctx, y, Rows::All);
     let outs = ctx.execute_checked(&[fx, fy])?;
-    let keep_x: Vec<String> = un::<FreqTable>(&outs[0])
+    let keep_x: Vec<String> = un::<CatFreq>(&outs[0])
         .top_k(ctx.config.crosstab.ngroups_x)
         .into_iter()
         .map(|(c, _)| c)
         .collect();
-    let keep_y: Vec<String> = un::<FreqTable>(&outs[1])
+    let keep_y: Vec<String> = un::<CatFreq>(&outs[1])
         .top_k(ctx.config.crosstab.ngroups_y)
         .into_iter()
         .map(|(c, _)| c)
@@ -197,17 +193,12 @@ fn categorical_categorical(
     // Stage 2: one crosstab feeds all three charts (shared computation).
     let ct = kernels::crosstab(ctx, x, y, &keep_x, &keep_y);
     let outs = ctx.execute_checked(&[ct])?;
-    let counts = un::<HashMap<(String, String), u64>>(&outs[0]);
+    // One row of `keep_y.len()` counts per kept x category.
+    let counts = un::<Vec<u64>>(&outs[0]);
 
     let mut ims = Intermediates::new();
-    let values: Vec<Vec<u64>> = keep_y
-        .iter()
-        .map(|yc| {
-            keep_x
-                .iter()
-                .map(|xc| counts.get(&(xc.clone(), yc.clone())).copied().unwrap_or(0))
-                .collect()
-        })
+    let values: Vec<Vec<u64>> = (0..keep_y.len())
+        .map(|y| counts.iter().skip(y).step_by(keep_y.len().max(1)).copied().collect())
         .collect();
     ims.push(
         "heat_map",

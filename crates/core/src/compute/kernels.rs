@@ -17,7 +17,6 @@ use std::sync::Arc;
 
 use eda_dataframe::{Bitmap, Column, DataFrame, Selection};
 use eda_stats::corr::{upper_triangle, PearsonPartial};
-use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
 use eda_stats::missing::{spectrum_ranges, NullCounts};
 use eda_stats::moments::Moments;
@@ -27,6 +26,7 @@ use eda_taskgraph::ops;
 use eda_taskgraph::partition::payload_frame;
 use eda_taskgraph::NodeId;
 
+use super::cat::{self, CatFreq, Slots};
 use super::ctx::{pl, un, ComputeContext};
 
 /// Row/null counts for one column.
@@ -251,7 +251,7 @@ pub fn histogram_with_range(
     })
 }
 
-/// Frequency table over the display values of any column's `rows`.
+/// Frequency table ([`CatFreq`]) of any column's `rows`, counted by code.
 pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
     let name = column.to_string();
     let params = ctx.params(TaskKey::params(&format!("freq:{column}{}", rows.tag())));
@@ -260,27 +260,19 @@ pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
         &format!("freq:{column}{}", rows.tag()),
         params,
         &ctx.sources.clone(),
-        move |df| {
-            let c = col(df, &name);
-            let rows = rows.select(df);
-            let mut t = FreqTable::new();
-            let mut valid = 0;
-            c.for_each_display_in(rows, |v| {
-                t.push(Some(v));
-                valid += 1;
-            });
-            t.nulls = (rows.count(c.len()) - valid) as u64;
-            pl(t)
-        },
+        move |df| pl(CatFreq::of(&col(df, &name).display_encoded(), rows.select(df))),
         |a, b| {
-            let mut t = un::<FreqTable>(a).clone();
-            t.merge(un::<FreqTable>(b));
+            let mut t = un::<CatFreq>(a).clone();
+            t.merge(un::<CatFreq>(b));
             pl(t)
         },
     )
 }
 
-/// Text statistics over a string column.
+/// Text statistics over a categorical column: each distinct value that
+/// occurs in a partition is tokenised once (a non-string categorical —
+/// bool, low-cardinality int — through its display forms, so word stats
+/// still make sense).
 pub fn text_stats(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
     let params = ctx.params(TaskKey::params(&format!("text:{column}")));
@@ -289,25 +281,7 @@ pub fn text_stats(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
         &format!("text_stats:{column}"),
         params,
         &ctx.sources.clone(),
-        move |df| {
-            let mut t = TextStats::new();
-            let c = col(df, &name);
-            match c.str_iter() {
-                Ok(iter) => {
-                    for v in iter {
-                        t.push(v);
-                    }
-                }
-                Err(_) => {
-                    // Non-string categorical (bool / low-card int): use the
-                    // display form so word stats still make sense.
-                    for v in c.display_iter() {
-                        t.push(v.as_deref());
-                    }
-                }
-            }
-            pl(t)
-        },
+        move |df| pl(cat::text_stats(&col(df, &name).display_encoded())),
         |a, b| {
             let mut t = un::<TextStats>(a).clone();
             t.merge(un::<TextStats>(b));
@@ -470,7 +444,7 @@ fn count_nulls(df: &DataFrame, first_row: usize, ranges: &[(usize, usize)]) -> N
 
 /// Numeric values of `num` grouped by the (display) categories of `cat`,
 /// restricted to `keep` categories (the stage-one top-k — the two-phase
-/// boundary in action).
+/// boundary in action): one group per kept category, in `keep`'s order.
 pub fn grouped_numeric(
     ctx: &mut ComputeContext<'_>,
     cat: &str,
@@ -478,34 +452,36 @@ pub fn grouped_numeric(
     keep: &[String],
 ) -> NodeId {
     let (cn, nn) = (cat.to_string(), num.to_string());
-    let keep_set: Arc<Vec<String>> = Arc::new(keep.to_vec());
+    let keep: Arc<Vec<String>> = Arc::new(keep.to_vec());
     let params = ctx.params(TaskKey::params(&format!(
         "grouped:{cat}:{num}:{}",
         keep.join("\u{1}")
     )));
-    let keep_for_map = Arc::clone(&keep_set);
     ops::map_reduce(
         &mut ctx.graph,
         &format!("grouped_numeric:{cat}:{num}"),
         params,
         &ctx.sources.clone(),
         move |df| {
-            let mut groups: HashMap<String, Vec<f64>> = HashMap::new();
-            let cats = col(df, &cn).display_iter();
+            let mut groups: Vec<Vec<f64>> = vec![Vec::new(); keep.len()];
+            let cats = col(df, &cn).display_encoded();
+            let mut slots = Slots::new(cat::codes(&cats).1, &keep);
             let nums = col(df, &nn).numeric_iter().expect("numeric");
-            for (c, v) in cats.zip(nums) {
+            for (c, v) in cat::opt_codes(&cats).zip(nums) {
                 if let (Some(c), Some(v)) = (c, v) {
-                    if !v.is_nan() && keep_for_map.contains(&c) {
-                        groups.entry(c).or_default().push(v);
+                    if let Some(group) = slots.get(c).and_then(|at| groups.get_mut(at)) {
+                        if !v.is_nan() {
+                            group.push(v);
+                        }
                     }
                 }
             }
             pl(groups)
         },
         |a, b| {
-            let mut g = un::<HashMap<String, Vec<f64>>>(a).clone();
-            for (k, v) in un::<HashMap<String, Vec<f64>>>(b) {
-                g.entry(k.clone()).or_default().extend_from_slice(v);
+            let mut g = un::<Vec<Vec<f64>>>(a).clone();
+            for (dst, src) in g.iter_mut().zip(un::<Vec<Vec<f64>>>(b)) {
+                dst.extend_from_slice(src);
             }
             pl(g)
         },
@@ -513,7 +489,8 @@ pub fn grouped_numeric(
 }
 
 /// Cross-tabulated counts of two categorical columns restricted to the
-/// stage-one top categories; everything else lands in the `other` bucket.
+/// stage-one top categories: `keep1.len()` rows of `keep2.len()` counts,
+/// row-major. Rows outside either list are not counted.
 pub fn crosstab(
     ctx: &mut ComputeContext<'_>,
     c1: &str,
@@ -535,24 +512,24 @@ pub fn crosstab(
         params,
         &ctx.sources.clone(),
         move |df| {
-            let mut counts: HashMap<(String, String), u64> = HashMap::new();
-            let a = col(df, &n1).display_iter();
-            let b = col(df, &n2).display_iter();
-            for (x, y) in a.zip(b) {
+            let mut counts = vec![0u64; k1.len() * k2.len()];
+            let (a, b) = (col(df, &n1).display_encoded(), col(df, &n2).display_encoded());
+            let mut rows = Slots::new(cat::codes(&a).1, &k1);
+            let mut cols = Slots::new(cat::codes(&b).1, &k2);
+            for (x, y) in cat::opt_codes(&a).zip(cat::opt_codes(&b)) {
                 if let (Some(x), Some(y)) = (x, y) {
-                    if k1.contains(&x) && k2.contains(&y) {
-                        *counts.entry((x, y)).or_insert(0) += 1;
+                    if let (Some(row), Some(at)) = (rows.get(x), cols.get(y)) {
+                        if let Some(cell) = counts.get_mut(row * k2.len() + at) {
+                            *cell += 1;
+                        }
                     }
                 }
             }
             pl(counts)
         },
         |a, b| {
-            let mut c = un::<HashMap<(String, String), u64>>(a).clone();
-            for (k, v) in un::<HashMap<(String, String), u64>>(b) {
-                *c.entry(k.clone()).or_insert(0) += v;
-            }
-            pl(c)
+            let sum: Vec<u64> = un::<Vec<u64>>(a).iter().zip(un::<Vec<u64>>(b)).map(|(x, y)| x + y).collect();
+            pl(sum)
         },
     )
 }
@@ -692,7 +669,8 @@ pub fn hex_center(q: i64, r: i64) -> (f64, f64) {
     (3f64.sqrt() * (q as f64 + r as f64 / 2.0), 1.5 * r as f64)
 }
 
-/// Per-category histograms over shared bins for the multi-line chart.
+/// Per-category histograms over shared bins for the multi-line chart: one
+/// histogram per kept category, in `keep`'s order.
 pub fn multi_line(
     ctx: &mut ComputeContext<'_>,
     cat: &str,
@@ -719,15 +697,13 @@ pub fn multi_line(
             ctx.graph.op(&task_name, params, vec![p, m], move |inputs| {
                 let frame = payload_frame(&inputs[0]);
                 let mom = un::<Moments>(&inputs[1]);
-                let mut hists: HashMap<String, Histogram> = keep
-                    .iter()
-                    .map(|k| (k.clone(), Histogram::new(mom.min, mom.max, bins)))
-                    .collect();
-                let cats = col(&frame, &cn).display_iter();
+                let mut hists = vec![Histogram::new(mom.min, mom.max, bins); keep.len()];
+                let cats = col(&frame, &cn).display_encoded();
+                let mut slots = Slots::new(cat::codes(&cats).1, &keep);
                 let nums = col(&frame, &nn).numeric_iter().expect("numeric");
-                for (c, v) in cats.zip(nums) {
+                for (c, v) in cat::opt_codes(&cats).zip(nums) {
                     if let (Some(c), Some(v)) = (c, v) {
-                        if let Some(h) = hists.get_mut(&c) {
+                        if let Some(h) = slots.get(c).and_then(|at| hists.get_mut(at)) {
                             h.push(v);
                         }
                     }
@@ -737,9 +713,9 @@ pub fn multi_line(
         })
         .collect();
     ops::tree_reduce(&mut ctx.graph, &format!("multi_line/reduce:{cat}:{num}"), params, &mapped, |a, b| {
-        let mut h = un::<HashMap<String, Histogram>>(a).clone();
-        for (k, v) in un::<HashMap<String, Histogram>>(b) {
-            h.get_mut(k).expect("same key set").merge(v);
+        let mut h = un::<Vec<Histogram>>(a).clone();
+        for (dst, src) in h.iter_mut().zip(un::<Vec<Histogram>>(b)) {
+            dst.merge(src);
         }
         pl(h)
     })
@@ -836,9 +812,9 @@ mod tests {
 
     #[test]
     fn freq_counts_categories() {
-        let t: FreqTable = run_one(|ctx| freq(ctx, "cat", Rows::All));
+        let t: CatFreq = run_one(|ctx| freq(ctx, "cat", Rows::All));
         assert_eq!(t.distinct(), 4);
-        assert_eq!(t.total() + t.nulls, 200);
+        assert_eq!(t.total() + t.nulls(), 200);
     }
 
     #[test]
@@ -882,11 +858,14 @@ mod tests {
     #[test]
     fn grouped_numeric_respects_keep() {
         let keep = vec!["g0".to_string(), "g1".to_string()];
-        let g: HashMap<String, Vec<f64>> =
-            run_one(move |ctx| grouped_numeric(ctx, "cat", "num", &keep));
+        let g: Vec<Vec<f64>> = run_one(move |ctx| grouped_numeric(ctx, "cat", "num", &keep));
+        // One group per kept category, in `keep`'s order: `cat` is g{i % 4}
+        // and `num` is i, so a group's values give its category away.
         assert_eq!(g.len(), 2);
-        assert!(g.contains_key("g0"));
-        assert!(!g.contains_key("g2"));
+        for (group, residue) in g.iter().zip([0.0, 1.0]) {
+            assert!(!group.is_empty());
+            assert!(group.iter().all(|v| v % 4.0 == residue));
+        }
     }
 
     #[test]
@@ -896,9 +875,8 @@ mod tests {
         // cat × cat crosstab is degenerate but exercises the kernel:
         // cells require x∈keep1 and y∈keep2 for the same row, and a row's
         // category can't be g0 and g2 simultaneously, so all cells are 0.
-        let c: HashMap<(String, String), u64> =
-            run_one(move |ctx| crosstab(ctx, "cat", "cat", &keep1, &keep2));
-        assert!(c.is_empty());
+        let c: Vec<u64> = run_one(move |ctx| crosstab(ctx, "cat", "cat", &keep1, &keep2));
+        assert_eq!(c, [0, 0]);
     }
 
     #[test]
@@ -920,11 +898,9 @@ mod tests {
     #[test]
     fn multi_line_shares_bins() {
         let keep = vec!["g0".to_string(), "g1".to_string()];
-        let h: HashMap<String, Histogram> =
-            run_one(move |ctx| multi_line(ctx, "cat", "num", &keep, 8));
+        let h: Vec<Histogram> = run_one(move |ctx| multi_line(ctx, "cat", "num", &keep, 8));
         assert_eq!(h.len(), 2);
-        let h0 = &h["g0"];
-        let h1 = &h["g1"];
+        let (h0, h1) = (&h[0], &h[1]);
         assert_eq!(h0.min, h1.min);
         assert_eq!(h0.max, h1.max);
         assert!(h0.total() > 0);
@@ -963,11 +939,11 @@ mod tests {
         );
         let outs = ctx.execute(&[all, dropped, by_cat, kept, whole]);
         let (all, dropped, by_cat) =
-            (un::<FreqTable>(&outs[0]), un::<FreqTable>(&outs[1]), un::<FreqTable>(&outs[2]));
-        assert_eq!(all.total() + all.nulls, 200);
+            (un::<CatFreq>(&outs[0]), un::<CatFreq>(&outs[1]), un::<CatFreq>(&outs[2]));
+        assert_eq!(all.total() + all.nulls(), 200);
         // Rows 0 and 130 are null in both columns.
-        assert_eq!((dropped.total(), dropped.nulls), (18, 2));
-        assert_eq!((by_cat.total(), by_cat.nulls), (0, 16));
+        assert_eq!((dropped.total(), dropped.nulls()), (18, 2));
+        assert_eq!((by_cat.total(), by_cat.nulls()), (0, 16));
         assert_eq!(un::<Vec<f64>>(&outs[3]).len(), 180);
         assert_eq!(un::<Vec<f64>>(&outs[4]).len(), 200);
     }

@@ -12,7 +12,6 @@
 //! * `plot_missing(df, x, y)` → histogram, PDF, CDF, box plot of `y`
 //!   before vs after dropping `x`'s missing rows.
 
-use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
 use eda_stats::hypothesis::ks_distance;
 use eda_stats::missing::{spectrum_ranges, MissingSpectrum, MissingSummary, NullCounts};
@@ -24,6 +23,7 @@ use crate::error::EdaResult;
 use crate::insights::{similarity_insight, Insight};
 use crate::intermediate::{Inter, Intermediates};
 
+use super::cat::CatFreq;
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, Rows};
 
@@ -101,12 +101,12 @@ fn compare_histogram(before: &Histogram, after: &Histogram) -> Inter {
 
 /// Bars for the `ngroups` most frequent categories *before*; what remains
 /// of each after the drop is its count minus its dropped rows.
-fn compare_bars(before: &FreqTable, dropped: &FreqTable, ngroups: usize) -> Inter {
-    let top = before.top_k(ngroups);
+fn compare_bars(before: &CatFreq, dropped: &CatFreq, ngroups: usize) -> Inter {
+    let top = before.top_k_with(ngroups, dropped);
     Inter::CompareBars {
-        before: top.iter().map(|(_, n)| *n).collect(),
-        after: top.iter().map(|(c, n)| n - dropped.count(c)).collect(),
-        categories: top.into_iter().map(|(c, _)| c).collect(),
+        before: top.iter().map(|(_, n, _)| *n).collect(),
+        after: top.iter().map(|(_, n, gone)| n - gone).collect(),
+        categories: top.into_iter().map(|(c, _, _)| c).collect(),
     }
 }
 

@@ -15,6 +15,7 @@
 //! 5. The [`crate::intermediate::Intermediates`] are returned.
 
 pub mod bivariate;
+pub mod cat;
 pub mod correlation;
 pub mod ctx;
 pub mod kernels;

@@ -3,7 +3,6 @@
 //! Dataset statistics plus one small distribution chart per column — a
 //! histogram for numerical columns, a bar chart for categorical ones.
 
-use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
 use eda_taskgraph::NodeId;
 
@@ -12,6 +11,7 @@ use crate::error::EdaResult;
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
+use super::cat::CatFreq;
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, ColMeta, Rows};
 use super::univariate::bar_from_freq;
@@ -120,7 +120,7 @@ pub fn assemble_overview(
             }
             OverviewColumnPlan::Categorical { name, .. } => {
                 let meta = un::<ColMeta>(&outs[cursor]);
-                let freq = un::<FreqTable>(&outs[cursor + 1]);
+                let freq = un::<CatFreq>(&outs[cursor + 1]);
                 cursor += 2;
                 total_missing += meta.nulls;
                 n_categorical += 1;

@@ -15,7 +15,6 @@
 //! parallel across columns, and a repeated `plot(df, x)` or a warm
 //! `create_report` gets it from the result cache.
 
-use eda_stats::freq::FreqTable;
 use eda_stats::kde::kde_grid;
 use eda_stats::moments::Moments;
 use eda_stats::qq::{normal_quantile, normal_qq_points};
@@ -31,6 +30,7 @@ use crate::error::EdaResult;
 use crate::insights::{categorical_insights, numeric_insights, Insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
+use super::cat::CatFreq;
 use super::ctx::{pl, un, ComputeContext};
 use super::kernels::{self, ColMeta, Rows};
 
@@ -192,7 +192,7 @@ pub fn assemble_categorical(
     outs: &[Payload],
 ) -> (Intermediates, Vec<Insight>) {
     let meta = un::<ColMeta>(&outs[0]);
-    let freq = un::<FreqTable>(&outs[1]);
+    let freq = un::<CatFreq>(&outs[1]);
     let text = un::<TextStats>(&outs[2]);
 
     let insights = categorical_insights(column, meta, freq, &config.insight);
@@ -229,7 +229,7 @@ pub fn assemble_categorical(
 // ---------------------------------------------------------------------------
 
 /// Bar-chart intermediate from a frequency table.
-pub fn bar_from_freq(freq: &FreqTable, ngroups: usize) -> Inter {
+pub fn bar_from_freq(freq: &CatFreq, ngroups: usize) -> Inter {
     let top = freq.top_k(ngroups);
     let shown: u64 = top.iter().map(|(_, c)| c).sum();
     Inter::Bar {
@@ -241,7 +241,7 @@ pub fn bar_from_freq(freq: &FreqTable, ngroups: usize) -> Inter {
 }
 
 /// Pie-chart intermediate from a frequency table.
-pub fn pie_from_freq(freq: &FreqTable, slices: usize) -> Inter {
+pub fn pie_from_freq(freq: &CatFreq, slices: usize) -> Inter {
     let total = freq.total().max(1) as f64;
     let top = freq.top_k(slices);
     Inter::Pie {
@@ -364,7 +364,7 @@ fn numeric_stats_rows(
 
 fn categorical_stats_rows(
     meta: &ColMeta,
-    freq: &FreqTable,
+    freq: &CatFreq,
     text: &TextStats,
     insights: &[Insight],
 ) -> Vec<StatRow> {

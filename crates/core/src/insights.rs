@@ -6,11 +6,11 @@
 //! aggregates into [`Insight`] values and tells the stats tables which
 //! rows to highlight (the red entries in the paper's Figure 1).
 
-use eda_stats::freq::FreqTable;
 use eda_stats::hypothesis::{chi_square_pvalue, chi_square_uniform};
 use eda_stats::moments::Moments;
 use eda_stats::quantile::BoxPlot;
 
+use crate::compute::cat::CatFreq;
 use crate::compute::kernels::ColMeta;
 use crate::config::InsightConfig;
 
@@ -175,7 +175,7 @@ pub fn numeric_insights(
 pub fn categorical_insights(
     column: &str,
     meta: &ColMeta,
-    freq: &FreqTable,
+    freq: &CatFreq,
     cfg: &InsightConfig,
 ) -> Vec<Insight> {
     let mut out = Vec::new();
@@ -318,6 +318,10 @@ mod tests {
         Config::default().insight
     }
 
+    fn freq_of(values: Vec<String>) -> CatFreq {
+        CatFreq::of(&eda_dataframe::Column::from_string(values), eda_dataframe::Selection::All)
+    }
+
     #[test]
     fn missing_flagged_above_threshold() {
         let meta = ColMeta { len: 100, nulls: 20 };
@@ -365,10 +369,7 @@ mod tests {
     fn high_cardinality_and_uniform() {
         let meta = ColMeta { len: 10, nulls: 0 };
         // 10 distinct values over 10 rows → high cardinality; also uniform.
-        let mut f = FreqTable::new();
-        for i in 0..10 {
-            f.push_owned(Some(format!("v{i}")));
-        }
+        let f = freq_of((0..10).map(|i| format!("v{i}")).collect());
         let ins = categorical_insights("c", &meta, &f, &cfg());
         assert!(ins.iter().any(|i| i.kind == InsightKind::HighCardinality));
     }
@@ -376,10 +377,7 @@ mod tests {
     #[test]
     fn uniform_detected_for_balanced_counts() {
         let meta = ColMeta { len: 400, nulls: 0 };
-        let mut f = FreqTable::new();
-        for i in 0..400 {
-            f.push(Some(["a", "b", "c", "d"][i % 4]));
-        }
+        let f = freq_of((0..400).map(|i| ["a", "b", "c", "d"][i % 4].to_string()).collect());
         let ins = categorical_insights("c", &meta, &f, &cfg());
         assert!(ins.iter().any(|i| i.kind == InsightKind::Uniform));
     }
@@ -387,7 +385,7 @@ mod tests {
     #[test]
     fn constant_categorical() {
         let meta = ColMeta { len: 5, nulls: 0 };
-        let f = FreqTable::from_iter(vec![Some("x"); 5]);
+        let f = freq_of(vec!["x".to_string(); 5]);
         let ins = categorical_insights("c", &meta, &f, &cfg());
         assert!(ins.iter().any(|i| i.kind == InsightKind::Constant));
     }

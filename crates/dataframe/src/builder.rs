@@ -6,8 +6,11 @@
 //! touches no bitmap, a null only notes its row, and the bitmap is built
 //! once, at the end, when there was at least one null.
 
+use std::sync::Arc;
+
 use crate::bitmap::Bitmap;
 use crate::column::Column;
+use crate::dict::DictBuilder;
 use crate::dtype::DataType;
 
 /// Common interface over the typed builders, used by the CSV reader which
@@ -194,10 +197,14 @@ typed_builder!(F64Builder, f64, 0.0, from_f64_validity, "Builder for float colum
 typed_builder!(I64Builder, i64, 0, from_i64_validity, "Builder for integer columns.");
 typed_builder!(BoolBuilder, bool, false, from_bool_validity, "Builder for boolean columns.");
 
-/// Builder for string columns.
+/// Builder for string columns: each value is interned as it arrives (a
+/// borrowed field of the CSV tokenizer is hashed and compared in place;
+/// only a string not seen before is copied, into the dictionary's arena),
+/// so the column is built as codes from the start.
 #[derive(Debug, Default)]
 pub struct StrBuilder {
-    values: Vec<String>,
+    dict: DictBuilder,
+    codes: Vec<u32>,
     /// Rows that hold a null, ascending.
     nulls: Vec<usize>,
 }
@@ -210,33 +217,29 @@ impl StrBuilder {
 
     /// An empty builder with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        StrBuilder { values: Vec::with_capacity(cap), nulls: Vec::new() }
+        StrBuilder { codes: Vec::with_capacity(cap), ..Self::default() }
     }
 
     /// Number of values appended so far.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.codes.len()
     }
 
     /// Whether no values have been appended.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.codes.is_empty()
     }
 
     /// Append a value.
     pub fn push(&mut self, v: &str) {
-        self.values.push(v.to_string());
-    }
-
-    /// Append an owned value.
-    pub fn push_string(&mut self, v: String) {
-        self.values.push(v);
+        let code = self.dict.intern(v);
+        self.codes.push(code);
     }
 
     /// Append a null.
     pub fn push_null(&mut self) {
-        self.nulls.push(self.values.len());
-        self.values.push(String::new());
+        self.nulls.push(self.codes.len());
+        self.codes.push(0);
     }
 
     /// Append an optional value.
@@ -247,12 +250,12 @@ impl StrBuilder {
         }
     }
 
-    /// Freeze into an immutable column. Hands the packed values and the
-    /// lazily built bitmap straight to the column — no `Vec<Option<_>>`
-    /// staging pass.
+    /// Freeze into an immutable column: the codes, the dictionary and the
+    /// lazily built bitmap go straight to the column.
     pub fn finish(self) -> Column {
-        let validity = validity_from_nulls(self.values.len(), &self.nulls);
-        Column::from_string_validity(self.values, validity)
+        let validity = validity_from_nulls(self.codes.len(), &self.nulls);
+        Column::from_codes(Arc::new(self.dict.finish()), self.codes, validity)
+            .expect("every code was handed out by this builder's dictionary")
     }
 }
 
@@ -297,7 +300,7 @@ mod tests {
         let mut b = StrBuilder::with_capacity(3);
         b.push("a");
         b.push_null();
-        b.push_string("c".into());
+        b.push("c");
         let c = b.finish();
         assert_eq!(c.len(), 3);
         assert_eq!(c.null_count(), 1);

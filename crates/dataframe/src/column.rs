@@ -7,10 +7,16 @@
 //! partitioning stage — is an O(1) pointer bump that never copies rows.
 //! Only operations that genuinely rearrange rows (filter/gather/concat)
 //! allocate.
+//!
+//! A string column is the same window over `u32` *codes*, plus the
+//! [`StrDict`] the codes index ([`StrData`]): the distinct strings, once,
+//! in one arena shared by every window of the column.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bitmap::{Bitmap, Selection};
+use crate::dict::{DictBuilder, StrDict};
 use crate::dtype::DataType;
 use crate::error::{Error, Result};
 use crate::fingerprint::Fnv;
@@ -44,7 +50,8 @@ impl<T> TypedData<T> {
     /// The windowed values as a plain slice.
     #[inline]
     pub(crate) fn as_slice(&self) -> &[T] {
-        &self.values[self.offset..self.offset + self.len]
+        // The window is inside the buffer by construction.
+        self.values.get(self.offset..self.offset + self.len).unwrap_or_default()
     }
 
     #[inline]
@@ -65,22 +72,6 @@ impl<T> TypedData<T> {
             offset: self.offset + start,
             len,
             validity: self.validity.as_ref().map(|v| v.slice(start, len)),
-        }
-    }
-
-    /// Append the window's values to `out`: moved when this is the only
-    /// reference to the buffer, cloned when it is shared.
-    fn append_to(mut self, out: &mut Vec<T>)
-    where
-        T: Clone,
-    {
-        let (offset, end) = (self.offset, self.offset + self.len);
-        match Arc::get_mut(&mut self.values) {
-            Some(owned) => {
-                owned.truncate(end);
-                out.extend(owned.drain(offset..));
-            }
-            None => out.extend_from_slice(self.as_slice()),
         }
     }
 
@@ -105,7 +96,12 @@ impl<T> TypedData<T> {
             // row is valid; one popcount pass beats a per-row bit walk on
             // every kernel call.
             (Selection::All, Some(bm)) if bm.all_set() => vals.iter().for_each(f),
-            (rows, validity) => rows.for_each(vals.len(), validity.as_ref(), |i| f(&vals[i])),
+            (rows, validity) => rows.for_each(vals.len(), validity.as_ref(), |i| {
+                // `for_each` only yields rows of the window.
+                if let Some(v) = vals.get(i) {
+                    f(v);
+                }
+            }),
         }
     }
 }
@@ -118,6 +114,58 @@ impl<T: PartialEq> PartialEq for TypedData<T> {
     }
 }
 
+/// A string column: one code per row into a shared dictionary.
+///
+/// The code of a valid row is always an entry of `dict`; the code under a
+/// null slot means nothing and is never looked up. Slicing, filtering and
+/// concatenating windows of one column copy at most codes and keep the
+/// `Arc`, so a dictionary may hold entries no row of the window uses.
+#[derive(Debug, Clone)]
+pub struct StrData {
+    pub(crate) codes: TypedData<u32>,
+    pub(crate) dict: Arc<StrDict>,
+}
+
+impl StrData {
+    /// Intern `values` (null slots take code 0 and no entry).
+    fn from_values<'a>(values: impl Iterator<Item = Option<&'a str>>, validity: Option<Bitmap>) -> Self {
+        let mut dict = DictBuilder::new();
+        let codes = values.map(|v| v.map_or(0, |v| dict.intern(v))).collect();
+        StrData { codes: TypedData::new(codes, validity), dict: Arc::new(dict.finish()) }
+    }
+
+    /// The string of `code`; `""` for the meaningless code of a null slot
+    /// that happens to be out of range.
+    #[inline]
+    fn text(&self, code: u32) -> &str {
+        self.dict.get(code).unwrap_or_default()
+    }
+
+    /// Every row as `Option<&str>`.
+    fn iter(&self) -> impl Iterator<Item = Option<&str>> + '_ {
+        self.codes.opt_iter().map(|c| c.map(|&c| self.text(c)))
+    }
+
+    /// The same rows over a different window of codes.
+    fn with_codes(&self, codes: TypedData<u32>) -> Self {
+        StrData { codes, dict: Arc::clone(&self.dict) }
+    }
+}
+
+/// Logical, like every column's equality: the same strings and nulls row
+/// by row. Windows of one dictionary compare codes; foreign dictionaries
+/// (another entry order, unused entries) compare strings.
+impl PartialEq for StrData {
+    fn eq(&self, other: &Self) -> bool {
+        self.codes.len() == other.codes.len()
+            && if Arc::ptr_eq(&self.dict, &other.dict) {
+                self.codes.opt_iter().eq(other.codes.opt_iter())
+            } else {
+                self.iter().eq(other.iter())
+            }
+    }
+}
+
 /// A single immutable column of data.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
@@ -125,8 +173,8 @@ pub enum Column {
     Float64(TypedData<f64>),
     /// 64-bit signed integers.
     Int64(TypedData<i64>),
-    /// UTF-8 strings.
-    Str(TypedData<String>),
+    /// UTF-8 strings, dictionary-encoded.
+    Str(StrData),
     /// Booleans.
     Bool(TypedData<bool>),
 }
@@ -172,27 +220,31 @@ impl Column {
 
     /// A non-null string column from owned strings.
     pub fn from_string(values: Vec<String>) -> Self {
-        Column::Str(TypedData::new(values, None))
+        Column::Str(StrData::from_values(values.iter().map(|v| Some(v.as_str())), None))
     }
 
     /// A non-null string column from string slices.
     pub fn from_strs(values: &[&str]) -> Self {
-        Column::Str(TypedData::new(
-            values.iter().map(|s| s.to_string()).collect(),
-            None,
-        ))
+        Column::Str(StrData::from_values(values.iter().map(|&v| Some(v)), None))
     }
 
     /// A string column where `None` marks nulls.
     pub fn from_opt_string(values: Vec<Option<String>>) -> Self {
         let validity: Bitmap = values.iter().map(Option::is_some).collect();
-        let data = values.into_iter().map(Option::unwrap_or_default).collect();
-        Column::Str(TypedData::new(data, some_if_nulls(validity)))
+        Column::Str(StrData::from_values(values.iter().map(Option::as_deref), some_if_nulls(validity)))
     }
 
-    /// A string column from raw parts (see [`Column::from_f64_validity`]).
-    pub fn from_string_validity(values: Vec<String>, validity: Option<Bitmap>) -> Self {
-        Column::Str(TypedData::new(values, validity.and_then(some_if_nulls_opt)))
+    /// A string column from raw parts: one code per row into `dict`, plus
+    /// an optional validity bitmap (dropped when it has no nulls). Errors
+    /// when a valid row's code is not an entry of `dict`.
+    pub fn from_codes(dict: Arc<StrDict>, codes: Vec<u32>, validity: Option<Bitmap>) -> Result<Self> {
+        let data = StrData { codes: TypedData::new(codes, validity.and_then(some_if_nulls_opt)), dict };
+        let mut largest = None;
+        data.codes.for_each_in(Selection::All, |&c| largest = largest.max(Some(c as usize)));
+        if let Some(index) = largest.filter(|&c| c >= data.dict.len()) {
+            return Err(Error::IndexOutOfBounds { index, len: data.dict.len() });
+        }
+        Ok(Column::Str(data))
     }
 
     /// A non-null boolean column.
@@ -219,7 +271,7 @@ impl Column {
         match self {
             Column::Float64(d) => d.len(),
             Column::Int64(d) => d.len(),
-            Column::Str(d) => d.len(),
+            Column::Str(d) => d.codes.len(),
             Column::Bool(d) => d.len(),
         }
     }
@@ -244,7 +296,7 @@ impl Column {
         match self {
             Column::Float64(d) => d.null_count(),
             Column::Int64(d) => d.null_count(),
-            Column::Str(d) => d.null_count(),
+            Column::Str(d) => d.codes.null_count(),
             Column::Bool(d) => d.null_count(),
         }
     }
@@ -255,7 +307,7 @@ impl Column {
         match self {
             Column::Float64(d) => d.is_valid(i),
             Column::Int64(d) => d.is_valid(i),
-            Column::Str(d) => d.is_valid(i),
+            Column::Str(d) => d.codes.is_valid(i),
             Column::Bool(d) => d.is_valid(i),
         }
     }
@@ -265,7 +317,7 @@ impl Column {
         match self {
             Column::Float64(d) => d.validity.as_ref(),
             Column::Int64(d) => d.validity.as_ref(),
-            Column::Str(d) => d.validity.as_ref(),
+            Column::Str(d) => d.codes.validity.as_ref(),
             Column::Bool(d) => d.validity.as_ref(),
         }
     }
@@ -296,7 +348,7 @@ impl Column {
         match (self, other) {
             (Column::Float64(a), Column::Float64(b)) => Arc::ptr_eq(&a.values, &b.values),
             (Column::Int64(a), Column::Int64(b)) => Arc::ptr_eq(&a.values, &b.values),
-            (Column::Str(a), Column::Str(b)) => Arc::ptr_eq(&a.values, &b.values),
+            (Column::Str(a), Column::Str(b)) => Arc::ptr_eq(&a.codes.values, &b.codes.values),
             (Column::Bool(a), Column::Bool(b)) => Arc::ptr_eq(&a.values, &b.values),
             _ => false,
         }
@@ -373,13 +425,22 @@ impl Column {
                 sample(h, d, full, |h, v| h.write_u64(*v as u64));
             }
             Column::Str(d) => {
+                // Identity is the codes window and the dictionary they
+                // index; content is each row's string (a null slot reads
+                // as the empty string, whatever code sits under it), so
+                // equal columns hash equally whatever their dictionaries'
+                // order or unused entries.
                 if !full {
-                    ident(h, d);
+                    ident(h, &d.codes);
+                    h.write_u64(Arc::as_ptr(&d.dict) as *const u8 as u64);
                 }
-                sample(h, d, full, |h, v| {
+                let (codes, len) = (d.codes.as_slice(), d.codes.len());
+                let (head, tail) = if full || len <= 8 { (0..len, 0..0) } else { (0..4, len - 4..len) };
+                for i in head.chain(tail) {
+                    let v = if d.codes.is_valid(i) { d.text(codes[i]) } else { "" };
                     h.write_u64(v.len() as u64);
                     h.write(v.as_bytes());
-                });
+                }
             }
             Column::Bool(d) => {
                 if !full {
@@ -437,10 +498,12 @@ impl Column {
         }
     }
 
-    /// The windowed string values. `None` for non-string columns.
-    pub fn str_values(&self) -> Option<&[String]> {
+    /// The windowed codes of a string column and the dictionary they
+    /// index (the code under a null slot means nothing; consult
+    /// [`Column::validity`]). `None` for non-string columns.
+    pub fn str_codes(&self) -> Option<(&[u32], &Arc<StrDict>)> {
         match self {
-            Column::Str(d) => Some(d.as_slice()),
+            Column::Str(d) => Some((d.codes.as_slice(), &d.dict)),
             _ => None,
         }
     }
@@ -463,7 +526,7 @@ impl Column {
         Ok(match self {
             Column::Float64(d) if d.is_valid(i) => Value::Float(d.as_slice()[i]),
             Column::Int64(d) if d.is_valid(i) => Value::Int(d.as_slice()[i]),
-            Column::Str(d) if d.is_valid(i) => Value::Str(d.as_slice()[i].clone()),
+            Column::Str(d) if d.codes.is_valid(i) => Value::Str(d.text(d.codes.as_slice()[i]).to_string()),
             Column::Bool(d) if d.is_valid(i) => Value::Bool(d.as_slice()[i]),
             _ => Value::Null,
         })
@@ -512,16 +575,19 @@ impl Column {
         Ok(())
     }
 
-    /// Call `f` with the display form ([`Column::display_iter`]'s) of
-    /// every non-null row in `rows`, in row order. `Str` columns lend
-    /// their buffers, so counting their categories allocates nothing per
-    /// row.
-    pub fn for_each_display_in(&self, rows: Selection<'_>, mut f: impl FnMut(&str)) {
+    /// Call `f` with the code of every non-null row of a string column in
+    /// `rows`, in row order. Errors on non-string columns.
+    pub fn for_each_code_in(&self, rows: Selection<'_>, mut f: impl FnMut(u32)) -> Result<()> {
         match self {
-            Column::Float64(d) => d.for_each_in(rows, |&v| f(&format_float(v))),
-            Column::Int64(d) => d.for_each_in(rows, |v| f(&v.to_string())),
-            Column::Str(d) => d.for_each_in(rows, |v| f(v)),
-            Column::Bool(d) => d.for_each_in(rows, |&v| f(if v { "true" } else { "false" })),
+            Column::Str(d) => {
+                d.codes.for_each_in(rows, |&c| f(c));
+                Ok(())
+            }
+            other => Err(Error::TypeMismatch {
+                context: "for_each_code_in".into(),
+                expected: "str",
+                got: other.dtype().name(),
+            }),
         }
     }
 
@@ -536,7 +602,7 @@ impl Column {
     /// Iterate all rows as `Option<&str>`; non-string columns yield an error.
     pub fn str_iter(&self) -> Result<Box<dyn Iterator<Item = Option<&str>> + '_>> {
         match self {
-            Column::Str(d) => Ok(Box::new(d.opt_iter().map(|o| o.map(String::as_str)))),
+            Column::Str(d) => Ok(Box::new(d.iter())),
             other => Err(Error::TypeMismatch {
                 context: "str_iter".into(),
                 expected: "str",
@@ -564,9 +630,38 @@ impl Column {
         match self {
             Column::Float64(d) => Box::new(d.opt_iter().map(|o| o.map(|v| format_float(*v)))),
             Column::Int64(d) => Box::new(d.opt_iter().map(|o| o.map(|v| v.to_string()))),
-            Column::Str(d) => Box::new(d.opt_iter().map(|o| o.cloned())),
+            Column::Str(d) => Box::new(d.iter().map(|o| o.map(str::to_string))),
             Column::Bool(d) => Box::new(d.opt_iter().map(|o| o.map(|v| v.to_string()))),
         }
+    }
+
+    /// The column as a string column of its display forms
+    /// ([`Column::display_iter`]'s), nulls kept: what lets a categorical
+    /// kernel count a bool or a low-cardinality integer column by code.
+    /// Each *distinct* value is formatted once. A string column is
+    /// returned as it is (sharing its buffers).
+    pub fn display_encoded(&self) -> Column {
+        /// Codes by first appearance of `key`; `show` formats a value the
+        /// first time its key is seen.
+        fn encode<T: Copy, K: std::hash::Hash + Eq>(
+            d: &TypedData<T>,
+            key: impl Fn(T) -> K,
+            show: impl Fn(T) -> String,
+        ) -> StrData {
+            let mut dict = DictBuilder::new();
+            let mut seen: HashMap<K, u32> = HashMap::new();
+            let codes = d
+                .opt_iter()
+                .map(|v| v.map_or(0, |&v| *seen.entry(key(v)).or_insert_with(|| dict.intern(&show(v)))))
+                .collect();
+            StrData { codes: TypedData::new(codes, d.validity.clone()), dict: Arc::new(dict.finish()) }
+        }
+        Column::Str(match self {
+            Column::Float64(d) => encode(d, f64::to_bits, format_float),
+            Column::Int64(d) => encode(d, |v| v, |v| v.to_string()),
+            Column::Bool(d) => encode(d, |v| v, |v| v.to_string()),
+            Column::Str(d) => d.clone(),
+        })
     }
 
     // ---- transformations --------------------------------------------------
@@ -578,7 +673,7 @@ impl Column {
         match self {
             Column::Float64(d) => Column::Float64(d.slice(start, len)),
             Column::Int64(d) => Column::Int64(d.slice(start, len)),
-            Column::Str(d) => Column::Str(d.slice(start, len)),
+            Column::Str(d) => Column::Str(d.with_codes(d.codes.slice(start, len))),
             Column::Bool(d) => Column::Bool(d.slice(start, len)),
         }
     }
@@ -599,7 +694,7 @@ impl Column {
         match self {
             Column::Float64(d) => Column::Float64(copy_data(d, start, len)),
             Column::Int64(d) => Column::Int64(copy_data(d, start, len)),
-            Column::Str(d) => Column::Str(copy_data(d, start, len)),
+            Column::Str(d) => Column::Str(d.with_codes(copy_data(&d.codes, start, len))),
             Column::Bool(d) => Column::Bool(copy_data(d, start, len)),
         }
     }
@@ -628,7 +723,7 @@ impl Column {
         Ok(match self {
             Column::Float64(d) => Column::Float64(filter_data(d, mask)),
             Column::Int64(d) => Column::Int64(filter_data(d, mask)),
-            Column::Str(d) => Column::Str(filter_data(d, mask)),
+            Column::Str(d) => Column::Str(d.with_codes(filter_data(&d.codes, mask))),
             Column::Bool(d) => Column::Bool(filter_data(d, mask)),
         })
     }
@@ -638,9 +733,9 @@ impl Column {
         Column::concat_owned(parts.iter().map(|&part| part.clone()).collect())
     }
 
-    /// [`Column::concat`] over parts the caller gives up: values of a part
-    /// that is the only reference to its buffer are moved into the result
-    /// rather than cloned, which for strings means no allocation per row.
+    /// [`Column::concat`] over parts the caller gives up: a single part is
+    /// returned as it is, and string parts are joined by their codes (see
+    /// `concat_str`), never string by string.
     pub fn concat_owned(parts: Vec<Column>) -> Result<Column> {
         let first = parts.first().ok_or_else(|| Error::Io("concat of zero columns".into()))?;
         let dtype = first.dtype();
@@ -662,7 +757,7 @@ impl Column {
                     match &mut only {
                         Column::Float64(d) => d.validity = None,
                         Column::Int64(d) => d.validity = None,
-                        Column::Str(d) => d.validity = None,
+                        Column::Str(d) => d.codes.validity = None,
                         Column::Bool(d) => d.validity = None,
                     }
                 }
@@ -672,29 +767,16 @@ impl Column {
         };
         let total: usize = parts.iter().map(|p| p.len()).sum();
         let any_null = parts.iter().any(|p| p.null_count() > 0);
-        macro_rules! concat_typed {
-            ($variant:ident, $t:ty) => {{
-                let mut values: Vec<$t> = Vec::with_capacity(total);
-                let mut validity = if any_null { Some(Bitmap::new()) } else { None };
-                for p in parts {
-                    if let Column::$variant(d) = p {
-                        if let Some(v) = &mut validity {
-                            match &d.validity {
-                                Some(src) => v.extend_from(src),
-                                None => v.extend_filled(d.len(), true),
-                            }
-                        }
-                        d.append_to(&mut values);
-                    }
-                }
-                Column::$variant(TypedData::new(values, validity))
-            }};
+        macro_rules! windows {
+            ($variant:ident) => {
+                parts.into_iter().filter_map(|p| if let Column::$variant(d) = p { Some(d) } else { None })
+            };
         }
         Ok(match dtype {
-            DataType::Float64 => concat_typed!(Float64, f64),
-            DataType::Int64 => concat_typed!(Int64, i64),
-            DataType::Str => concat_typed!(Str, String),
-            DataType::Bool => concat_typed!(Bool, bool),
+            DataType::Float64 => Column::Float64(concat_windows(windows!(Float64), total, any_null)),
+            DataType::Int64 => Column::Int64(concat_windows(windows!(Int64), total, any_null)),
+            DataType::Str => Column::Str(concat_str(windows!(Str).collect(), total, any_null)),
+            DataType::Bool => Column::Bool(concat_windows(windows!(Bool), total, any_null)),
         })
     }
 
@@ -706,6 +788,68 @@ impl Column {
             .map(|v| v.unwrap_or(f64::NAN))
             .collect())
     }
+}
+
+/// The windows' values and validity, one after the other, in a new buffer.
+/// Each window is given up as soon as it is copied, so a buffer nothing
+/// else holds is freed before the next one is read.
+fn concat_windows<T: Clone>(
+    windows: impl Iterator<Item = TypedData<T>>,
+    total: usize,
+    any_null: bool,
+) -> TypedData<T> {
+    let mut values: Vec<T> = Vec::with_capacity(total);
+    let mut validity = any_null.then(Bitmap::new);
+    for d in windows {
+        if let Some(v) = &mut validity {
+            match &d.validity {
+                Some(src) => v.extend_from(src),
+                None => v.extend_filled(d.len(), true),
+            }
+        }
+        values.extend_from_slice(d.as_slice());
+    }
+    TypedData::new(values, validity)
+}
+
+/// Concatenate string parts. Windows of one column share its dictionary:
+/// their codes are copied and the result shares it too. Otherwise the
+/// parts are foreign to each other (chunks of a CSV parse, each with its
+/// own dictionary) and are first re-coded into one new dictionary — a
+/// table lookup per row, and one interning per dictionary entry a part
+/// actually uses, so entries no row refers to are left behind.
+fn concat_str(parts: Vec<StrData>, total: usize, any_null: bool) -> StrData {
+    let Some(first) = parts.first().map(|d| Arc::clone(&d.dict)) else {
+        return StrData::from_values(std::iter::empty(), None);
+    };
+    if parts.iter().all(|d| Arc::ptr_eq(&d.dict, &first)) {
+        let codes = concat_windows(parts.into_iter().map(|d| d.codes), total, any_null);
+        return StrData { codes, dict: first };
+    }
+    let mut dict = DictBuilder::new();
+    let recoded: Vec<TypedData<u32>> = parts
+        .into_iter()
+        .map(|d| {
+            const UNSEEN: u32 = u32::MAX;
+            let mut remap = vec![UNSEEN; d.dict.len()];
+            let mut recode = |code: u32| match remap.get_mut(code as usize) {
+                Some(new) => {
+                    if *new == UNSEEN {
+                        *new = dict.intern(d.text(code));
+                    }
+                    *new
+                }
+                None => 0,
+            };
+            let src = d.codes.as_slice();
+            let codes = match &d.codes.validity {
+                None => src.iter().map(|&c| recode(c)).collect(),
+                Some(bm) => src.iter().zip(bm.iter()).map(|(&c, ok)| if ok { recode(c) } else { 0 }).collect(),
+            };
+            TypedData { values: Arc::new(codes), offset: 0, len: d.codes.len(), validity: d.codes.validity.clone() }
+        })
+        .collect();
+    StrData { codes: concat_windows(recoded.into_iter(), total, any_null), dict: Arc::new(dict.finish()) }
 }
 
 /// Format a float the way cells are displayed (no trailing `.0` noise for
@@ -781,13 +925,21 @@ mod tests {
             Column::from_i64_validity(vec![1, 0, 3], Some(validity.clone())),
             Column::from_opt_i64(vec![Some(1), None, Some(3)])
         );
+        // Codes into a dictionary in another order, with an entry no row
+        // uses and a meaningless code under the null.
+        let mut dict = DictBuilder::new();
+        for entry in ["unused", "c", "a"] {
+            dict.intern(entry);
+        }
+        let dict = Arc::new(dict.finish());
         assert_eq!(
-            Column::from_string_validity(
-                vec!["a".into(), String::new(), "c".into()],
-                Some(validity.clone())
-            ),
+            Column::from_codes(Arc::clone(&dict), vec![2, 9, 1], Some(validity.clone())).unwrap(),
             Column::from_opt_string(vec![Some("a".into()), None, Some("c".into())])
         );
+        assert!(matches!(
+            Column::from_codes(dict, vec![2, 3, 1], None),
+            Err(Error::IndexOutOfBounds { index: 3, len: 3 })
+        ));
         assert_eq!(
             Column::from_bool_validity(vec![true, false, true], Some(validity)),
             Column::from_opt_bool(vec![Some(true), None, Some(true)])
@@ -899,8 +1051,11 @@ mod tests {
             let c = c.slice(start, len);
             for (rows, mask) in [(x.valid_rows(), &kept), (x.null_rows(), &dropped)] {
                 let copy = c.filter(mask).unwrap();
+                // Every type reads as codes of its display forms.
+                let encoded = c.display_encoded();
+                let (_, dict) = encoded.str_codes().unwrap();
                 let mut shown = Vec::new();
-                c.for_each_display_in(rows, |s| shown.push(s.to_string()));
+                encoded.for_each_code_in(rows, |code| shown.push(dict.get(code).unwrap().to_string())).unwrap();
                 assert_eq!(shown, copy.display_iter().flatten().collect::<Vec<_>>());
                 assert_eq!(rows.count(len) - shown.len(), copy.null_count());
                 if let Ok(expected) = copy.numeric_nonnull() {
@@ -911,6 +1066,8 @@ mod tests {
             }
         }
         assert!(text.for_each_numeric_in(x.null_rows(), |_| {}).is_err());
+        assert!(num.for_each_code_in(x.null_rows(), |_| {}).is_err());
+        assert!(text.display_encoded().shares_buffer(&text));
         // A column without nulls keeps every row and drops none.
         let full = Column::from_i64(vec![1, 2, 3]);
         assert!(matches!(full.valid_rows(), Selection::All));
@@ -978,31 +1135,85 @@ mod tests {
         assert_eq!(shared.content_fingerprint(), copied.content_fingerprint());
     }
 
-    #[test]
-    fn concat_owned_moves_strings_out_of_parts_it_alone_holds() {
-        let text = |c: &Column| -> Vec<*const u8> {
-            c.str_values().unwrap().iter().map(|s| s.as_ptr()).collect()
-        };
-        let a = Column::from_strs(&["alpha", "beta"]);
-        let b = Column::from_opt_string(vec![Some("gamma".into()), None]);
-        // A window over a buffer nothing else references any more.
-        let window = Column::from_strs(&["cut", "delta", "epsilon"]).slice(1, 2);
-        // A part someone else still holds: its strings must be cloned.
-        let shared = Column::from_strs(&["zeta"]);
-        let holder = shared.clone();
-        let want = Column::concat(&[&a, &b, &window, &shared]).unwrap();
-        let (at_a, at_b, at_window, at_shared) = (text(&a), text(&b), text(&window), text(&shared));
+    /// The dictionary of a string column, for pointer comparisons.
+    fn dict_of(c: &Column) -> &Arc<StrDict> {
+        c.str_codes().unwrap().1
+    }
 
-        let got = Column::concat_owned(vec![a, b, window, shared]).unwrap();
+    #[test]
+    fn windows_of_one_string_column_concatenate_by_codes() {
+        let whole = Column::from_opt_string(
+            (0..40).map(|i| (i % 7 != 3).then(|| format!("v{}", i % 5))).collect(),
+        );
+        let (left, right) = (whole.slice(0, 13), whole.slice(13, 27));
+        let back = Column::concat_owned(vec![left, right]).unwrap();
+        assert_eq!(back, whole);
+        assert!(Arc::ptr_eq(dict_of(&back), dict_of(&whole)), "the dictionary is shared, not rebuilt");
+        assert!(!back.shares_buffer(&whole), "the codes are a new buffer");
+        assert_eq!(back.content_fingerprint(), whole.content_fingerprint());
+        // So do a filter and a slice of it: still the one dictionary, now
+        // with entries the rows no longer use.
+        let few = whole.filter(&(0..40).map(|i| i % 5 == 1).collect()).unwrap();
+        assert!(Arc::ptr_eq(dict_of(&few), dict_of(&whole)));
+        assert_eq!(few, Column::from_opt_string((0..40).filter(|i| i % 5 == 1).map(|i| (i % 7 != 3).then(|| "v1".to_string())).collect()));
+    }
+
+    #[test]
+    fn foreign_string_parts_are_recoded_entry_by_entry() {
+        let a = Column::from_strs(&["alpha", "beta", "alpha"]);
+        let b = Column::from_opt_string(vec![Some("gamma".into()), None, Some("alpha".into())]);
+        // A window of a larger column: "cut" and "never" are entries of
+        // its dictionary that no row of the window uses.
+        let window = Column::from_strs(&["cut", "beta", "delta", "never"]).slice(1, 2);
+        let got = Column::concat_owned(vec![a.clone(), b.clone(), window.clone()]).unwrap();
+        let want = Column::from_opt_string(
+            ["alpha", "beta", "alpha", "gamma", "", "alpha", "beta", "delta"]
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (i != 4).then(|| v.to_string()))
+                .collect(),
+        );
         assert_eq!(got, want);
-        assert_eq!(got.content_fingerprint(), want.content_fingerprint());
         assert_eq!(got.null_count(), 1);
-        let at = text(&got);
-        assert_eq!(at[..2], at_a[..], "moved, not reallocated");
-        assert_eq!(at[2], at_b[0]);
-        assert_eq!(at[4..6], at_window[..], "the window's rows, moved");
-        assert_ne!(at[6], at_shared[0], "a shared buffer is copied");
-        assert_eq!(holder.str_values().unwrap(), ["zeta"]);
+        assert_eq!(got.content_fingerprint(), want.content_fingerprint());
+        // One entry per distinct string in use, in first-appearance order.
+        let (codes, dict) = got.str_codes().unwrap();
+        assert_eq!(dict.iter().collect::<Vec<_>>(), ["alpha", "beta", "gamma", "delta"]);
+        assert_eq!(codes, [0, 1, 0, 2, 0, 0, 1, 3]);
+        // The parts are untouched.
+        assert_eq!(a, Column::from_strs(&["alpha", "beta", "alpha"]));
+        assert_eq!(window, Column::from_strs(&["beta", "delta"]));
+    }
+
+    #[test]
+    fn string_equality_and_content_fingerprints_are_logical() {
+        let rows = ["b", "a", "", "b", "ß", "a"];
+        let first_seen = Column::from_strs(&rows);
+        // The same rows over a sorted dictionary with an unused entry, as
+        // an `.edaf` page or a slice would have.
+        let mut dict = DictBuilder::new();
+        for entry in ["", "a", "b", "unused", "ß"] {
+            dict.intern(entry);
+        }
+        let sorted = Column::from_codes(Arc::new(dict.finish()), vec![2, 1, 0, 2, 4, 1], None).unwrap();
+        assert_eq!(first_seen, sorted);
+        assert_eq!(first_seen.content_fingerprint(), sorted.content_fingerprint());
+        assert_ne!(first_seen.fingerprint(), sorted.fingerprint());
+        let other = Column::from_strs(&["b", "a", "", "b", "ss", "a"]);
+        assert_ne!(first_seen, other);
+        assert_ne!(first_seen.content_fingerprint(), other.content_fingerprint());
+        // A null slot reads as the empty string whatever code is under it.
+        let validity = Bitmap::from_iter([true, false, true]);
+        let (_, dict) = first_seen.str_codes().unwrap();
+        let x = Column::from_codes(Arc::clone(dict), vec![0, 1, 2], Some(validity.clone())).unwrap();
+        let y = Column::from_codes(Arc::clone(dict), vec![0, 3, 2], Some(validity)).unwrap();
+        assert_eq!(x, y);
+        assert_eq!(x.content_fingerprint(), y.content_fingerprint());
+        assert_eq!(x.content_fingerprint(), Column::from_opt_string(vec![Some("b".into()), None, Some("".into())]).content_fingerprint());
+        // Identity covers the dictionary pointer too.
+        let (codes, _) = x.str_codes().unwrap();
+        let twin = Column::from_codes(Arc::new(StrDict::clone(dict)), codes.to_vec(), None).unwrap();
+        assert_ne!(twin.fingerprint(), x.fingerprint());
     }
 
     #[test]

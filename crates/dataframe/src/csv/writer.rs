@@ -7,7 +7,7 @@ use std::path::Path;
 
 use crate::bitmap::Bitmap;
 use crate::column::write_float;
-use crate::dtype::DataType;
+use crate::dict::StrDict;
 use crate::error::{Error, Result};
 use crate::frame::DataFrame;
 
@@ -35,7 +35,8 @@ pub fn write_csv<P: AsRef<Path>>(df: &DataFrame, path: P) -> Result<()> {
 enum Cells<'a> {
     F64(&'a [f64]),
     I64(&'a [i64]),
-    Str(&'a [String]),
+    /// Codes and the dictionary they index.
+    Str(&'a [u32], &'a StrDict),
     Bool(&'a [bool]),
 }
 
@@ -46,8 +47,8 @@ impl Cells<'_> {
             Cells::F64(vals) => vals.get(row).map_or(Ok(()), |&v| write_float(line, v)),
             Cells::I64(vals) => vals.get(row).map_or(Ok(()), |v| write!(line, "{v}")),
             Cells::Bool(vals) => vals.get(row).map_or(Ok(()), |v| write!(line, "{v}")),
-            Cells::Str(vals) => {
-                vals.get(row).into_iter().for_each(|v| escape_into(line, v));
+            Cells::Str(codes, dict) => {
+                codes.get(row).and_then(|&c| dict.get(c)).into_iter().for_each(|v| escape_into(line, v));
                 Ok(())
             }
         }
@@ -71,11 +72,14 @@ fn for_each_line(df: &DataFrame, mut sink: impl FnMut(&str) -> Result<()>) -> Re
     let cols: Vec<(Cells<'_>, Option<&Bitmap>)> = df
         .iter()
         .map(|(_, col)| {
-            let cells = match col.dtype() {
-                DataType::Float64 => Cells::F64(col.f64_values().unwrap_or_default()),
-                DataType::Int64 => Cells::I64(col.i64_values().unwrap_or_default()),
-                DataType::Str => Cells::Str(col.str_values().unwrap_or_default()),
-                DataType::Bool => Cells::Bool(col.bool_values().unwrap_or_default()),
+            let cells = if let Some(vals) = col.f64_values() {
+                Cells::F64(vals)
+            } else if let Some(vals) = col.i64_values() {
+                Cells::I64(vals)
+            } else if let Some((codes, dict)) = col.str_codes() {
+                Cells::Str(codes, dict)
+            } else {
+                Cells::Bool(col.bool_values().unwrap_or_default())
             };
             (cells, col.validity())
         })
@@ -156,6 +160,29 @@ mod tests {
             back.get(1, "s").unwrap(),
             Value::Str("a,b \"q\"".into())
         );
+    }
+
+    #[test]
+    fn text_written_from_a_parsed_file_is_the_file() {
+        // Repeated values (one dictionary entry, many rows), quoted
+        // separators and quotes, an embedded newline, an empty string
+        // next to a null, multi-byte text.
+        let records = [
+            "id,note,city\n",
+            "1,plain,Oslo\n",
+            "2,\"a,b \"\"q\"\"\",Oslo\n",
+            "3,\"line\nbreak\",Århus\n",
+            "4,,Oslo\n",
+            "5,plain,\"a,b \"\"q\"\"\"\n",
+            "6,\"line\nbreak\",Århus\n",
+        ];
+        let file = records.concat();
+        let df = read_csv_str(&file, &CsvOptions::default()).unwrap();
+        assert_eq!(df.column("note").unwrap().null_count(), 1);
+        assert_eq!(df.get(2, "note").unwrap(), Value::Str("line\nbreak".into()));
+        assert_eq!(write_csv_string(&df), file);
+        // A window of it writes its own rows.
+        assert_eq!(write_csv_string(&df.slice(1, 4)), [records[0], &records[2..6].concat()].concat());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{Bitmap, Selection};
 use crate::column::Column;
 use crate::dtype::DataType;
 use crate::error::{Error, Result};
@@ -360,10 +360,24 @@ impl DataFrame {
                 Column::Float64(_) => 8 * c.len(),
                 Column::Int64(_) => 8 * c.len(),
                 Column::Bool(_) => c.len(),
-                Column::Str(d) => d.opt_iter().map(|s| s.map_or(0, |s| s.len() + 24)).sum(),
+                // What the values would take as one `String` each: the
+                // figure the overview has always printed, now read off
+                // a per-entry table.
+                Column::Str(_) => str_value_bytes(c),
             })
             .sum()
     }
+}
+
+/// `len + 24` (a `String`'s header) summed over the non-null rows of a
+/// string column.
+fn str_value_bytes(c: &Column) -> usize {
+    let Some((_, dict)) = c.str_codes() else { return 0 };
+    let sizes: Vec<usize> = dict.iter().map(|entry| entry.len() + 24).collect();
+    let mut total = 0;
+    // `c` is a string column, so the visit cannot fail.
+    let _ = c.for_each_code_in(Selection::All, |code| total += sizes.get(code as usize).copied().unwrap_or(0));
+    total
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //!
 //! The EDA compute layer only needs a handful of dataframe capabilities:
 //!
-//! * typed columnar storage with per-value nullity ([`Column`], [`Bitmap`]),
+//! * typed columnar storage with per-value nullity ([`Column`], [`Bitmap`]);
+//!   a string column is `u32` codes into one shared dictionary of its
+//!   distinct values ([`StrDict`]), built by interning ([`DictBuilder`]),
 //! * cheap structural sharing so frames can be sliced into partitions without
 //!   copying data ([`DataFrame`] holds `Arc`-shared columns),
 //! * CSV ingestion with type inference ([`csv::read_csv`]),
@@ -36,6 +38,7 @@ pub mod bitmap;
 pub mod builder;
 pub mod column;
 pub mod csv;
+pub mod dict;
 pub mod display;
 pub mod dtype;
 pub mod error;
@@ -46,6 +49,7 @@ pub mod value;
 pub use bitmap::{Bitmap, Selection};
 pub use builder::{BoolBuilder, ColumnBuilder, F64Builder, I64Builder, StrBuilder};
 pub use column::Column;
+pub use dict::{DictBuilder, StrDict};
 pub use dtype::DataType;
 pub use error::{Error, Result};
 pub use frame::DataFrame;

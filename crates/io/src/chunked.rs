@@ -132,9 +132,9 @@ fn chunk_payload_sizer() -> PayloadSizer {
                 .map(|c| match c.dtype() {
                     DataType::Float64 | DataType::Int64 => 8 * c.len(),
                     DataType::Bool => c.len(),
-                    DataType::Str => c
-                        .str_values()
-                        .map_or(0, |vs| vs.iter().map(|s| s.len() + 24).sum()),
+                    DataType::Str => {
+                        4 * c.len() + c.str_codes().map_or(0, |(_, dict)| dict.heap_bytes())
+                    }
                 })
                 .sum(),
             Err(_) => 64,
@@ -292,8 +292,8 @@ mod tests {
         for chunk_bytes in [1, 4, 6, 1 << 20] {
             let par = read_csv_str_chunked(csv, &tiny(chunk_bytes)).unwrap();
             assert_frames_identical(&seq, &par);
-            let vals = par.column("v").unwrap().str_values().unwrap().to_vec();
-            assert_eq!(vals, vec!["07", " 8 ", "1.50", "oops"]);
+            let vals: Vec<_> = par.column("v").unwrap().str_iter().unwrap().collect();
+            assert_eq!(vals, [Some("07"), Some(" 8 "), Some("1.50"), Some("oops")]);
         }
     }
 

@@ -6,7 +6,8 @@
 //! encodes each candidate and keeps the smallest; the chosen encoding's
 //! id byte travels in the footer, so readers never guess.
 
-use eda_dataframe::{Error, Result};
+use eda_dataframe::{DictBuilder, Error, Result, StrDict};
+use eda_stats::freq::CodeCounts;
 
 /// Append `v` as a LEB128 varint.
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -195,79 +196,113 @@ pub fn unpack_bits(buf: &[u8], count: usize) -> Result<Vec<bool>> {
     Ok((0..count).map(|i| buf[i / 8] & (1 << (i % 8)) != 0).collect())
 }
 
+/// Bytes [`write_varint`] takes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Plain string page: varint length + UTF-8 bytes per value.
-pub fn encode_str_plain(values: &[&str]) -> Vec<u8> {
+fn encode_str_plain(codes: &[u32], dict: &StrDict) -> Vec<u8> {
     let mut out = Vec::new();
-    for v in values {
+    for v in codes.iter().filter_map(|&c| dict.get(c)) {
         write_varint(&mut out, v.len() as u64);
         out.extend_from_slice(v.as_bytes());
     }
     out
 }
 
-/// Dictionary page: sorted distinct values up front, varint indices
-/// after. Wins on low-cardinality columns (categories).
-pub fn encode_str_dict(values: &[&str]) -> Vec<u8> {
-    let mut dict: Vec<&str> = values.to_vec();
-    dict.sort_unstable();
-    dict.dedup();
+/// Dictionary page: the distinct values in use, sorted, up front (`sorted`
+/// holds their codes in that order), varint indices after (`rank[code]`
+/// is a code's position in `sorted`). Wins on low-cardinality columns
+/// (categories).
+fn encode_str_dict(codes: &[u32], dict: &StrDict, sorted: &[u32], rank: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_varint(&mut out, dict.len() as u64);
-    for v in &dict {
+    write_varint(&mut out, sorted.len() as u64);
+    for v in sorted.iter().filter_map(|&c| dict.get(c)) {
         write_varint(&mut out, v.len() as u64);
         out.extend_from_slice(v.as_bytes());
     }
-    for v in values {
-        // Every value is in the dict by construction.
-        if let Ok(ix) = dict.binary_search(v) {
-            write_varint(&mut out, ix as u64);
+    for ix in codes.iter().filter_map(|&c| rank.get(c as usize)) {
+        write_varint(&mut out, u64::from(*ix));
+    }
+    out
+}
+
+/// The string page of a dictionary-encoded column — `codes` of its valid
+/// rows, into `dict` — in whichever of the two encodings is smaller, with
+/// that encoding's id. The page's dictionary is the *sorted* set of the
+/// values in use, whatever order (or unused entries) `dict` has, so equal
+/// columns write equal bytes. Both sizes follow from the per-entry counts
+/// and lengths; only the winner is encoded.
+pub fn encode_str(codes: &[u32], dict: &StrDict) -> (u8, Vec<u8>) {
+    let mut counts = CodeCounts::new(dict.len());
+    codes.iter().for_each(|&c| counts.push(c));
+    let text = |code: u32| dict.get(code).unwrap_or_default();
+    let mut sorted: Vec<u32> = counts.nonzero().map(|(code, _)| code).collect();
+    sorted.sort_unstable_by_key(|&code| text(code));
+    let mut rank = vec![0u32; dict.len()];
+    let (mut plain, mut with_dict) = (0usize, varint_len(sorted.len() as u64));
+    for (ix, &code) in (0u32..).zip(&sorted) {
+        if let Some(slot) = rank.get_mut(code as usize) {
+            *slot = ix;
         }
+        let (n, len) = (counts.count(code) as usize, text(code).len());
+        let entry = varint_len(len as u64) + len;
+        plain += n * entry;
+        with_dict += entry + n * varint_len(u64::from(ix));
     }
-    out
+    if with_dict < plain {
+        (super::ENC_DICT, encode_str_dict(codes, dict, &sorted, &rank))
+    } else {
+        (super::ENC_RAW, encode_str_plain(codes, dict))
+    }
 }
 
-/// Decode `count` strings from a page with encoding id `enc`.
-pub fn decode_str(enc: u8, buf: &[u8], count: usize) -> Result<Vec<String>> {
+/// Decode the `count` strings of a page with encoding id `enc` as a
+/// dictionary and one code per string. A dictionary page is read as
+/// stored — its entries checked (UTF-8, bounds) once each, not once per
+/// row — and a plain page is interned value by value; either way the
+/// entries come out distinct, so a page that repeats a dictionary entry
+/// still decodes to a well-formed column.
+pub fn decode_str(enc: u8, buf: &[u8], count: usize) -> Result<(StrDict, Vec<u32>)> {
     let mut pos = 0;
-    let read_one = |pos: &mut usize| -> Result<String> {
+    let read_one = |pos: &mut usize| -> Result<&str> {
         let len = read_varint(buf, pos)? as usize;
         let end = pos.checked_add(len).filter(|&e| e <= buf.len()).ok_or_else(|| truncated(*pos))?;
-        let s = std::str::from_utf8(&buf[*pos..end])
-            .map_err(|_| corrupt("string page is not valid UTF-8", *pos))?
-            .to_string();
+        let s = buf
+            .get(*pos..end)
+            .and_then(|bytes| std::str::from_utf8(bytes).ok())
+            .ok_or_else(|| corrupt("string page is not valid UTF-8", *pos))?;
         *pos = end;
         Ok(s)
     };
     check_count(count, buf)?;
-    let out = match enc {
+    let mut dict = DictBuilder::new();
+    let mut codes = Vec::with_capacity(count);
+    match enc {
         super::ENC_RAW => {
-            let mut out = Vec::with_capacity(count);
             for _ in 0..count {
-                out.push(read_one(&mut pos)?);
+                codes.push(dict.intern(read_one(&mut pos)?));
             }
-            out
         }
         super::ENC_DICT => {
             let dict_len = read_varint(buf, &mut pos)? as usize;
             check_count(dict_len, buf)?;
-            let mut dict = Vec::with_capacity(dict_len);
+            let mut entries = Vec::with_capacity(dict_len);
             for _ in 0..dict_len {
-                dict.push(read_one(&mut pos)?);
+                entries.push(dict.intern(read_one(&mut pos)?));
             }
-            let mut out = Vec::with_capacity(count);
             for _ in 0..count {
                 let ix = read_varint(buf, &mut pos)? as usize;
-                let v = dict.get(ix).ok_or_else(|| corrupt("dict index out of range", pos))?;
-                out.push(v.clone());
+                codes.push(*entries.get(ix).ok_or_else(|| corrupt("dict index out of range", pos))?);
             }
-            out
         }
         other => return Err(corrupt(&format!("unknown str encoding {other}"), 0)),
     };
     if pos != buf.len() {
         return Err(corrupt("trailing bytes after string page", pos));
     }
-    Ok(out)
+    Ok((dict.finish(), codes))
 }
 
 /// Every value of a varint-coded page occupies at least one byte, so a
@@ -366,21 +401,118 @@ mod tests {
         }
     }
 
+    /// `values` as a dictionary in first-appearance order plus codes.
+    fn coded(values: &[&str]) -> (StrDict, Vec<u32>) {
+        let mut dict = DictBuilder::new();
+        let codes = values.iter().map(|v| dict.intern(v)).collect();
+        (dict.finish(), codes)
+    }
+
+    /// Both pages of `values`, whichever `encode_str` would keep.
+    fn both_pages(values: &[&str]) -> [(u8, Vec<u8>); 2] {
+        let (dict, codes) = coded(values);
+        let mut sorted: Vec<u32> = (0..dict.len() as u32).collect();
+        sorted.sort_unstable_by_key(|&c| dict.get(c).unwrap());
+        let mut rank = vec![0; dict.len()];
+        for (ix, &c) in sorted.iter().enumerate() {
+            rank[c as usize] = ix as u32;
+        }
+        [
+            (ENC_RAW, encode_str_plain(&codes, &dict)),
+            (ENC_DICT, encode_str_dict(&codes, &dict, &sorted, &rank)),
+        ]
+    }
+
+    fn decoded(enc: u8, page: &[u8], count: usize) -> Vec<String> {
+        let (dict, codes) = decode_str(enc, page, count).unwrap();
+        codes.iter().map(|&c| dict.get(c).unwrap().to_string()).collect()
+    }
+
     #[test]
     fn str_encodings_round_trip() {
         let values = vec!["b", "a", "", "b", "naïve,\"quoted\"\nline", "a"];
-        for (enc, page) in
-            [(ENC_RAW, encode_str_plain(&values)), (ENC_DICT, encode_str_dict(&values))]
-        {
-            let decoded = decode_str(enc, &page, values.len()).unwrap();
-            assert_eq!(decoded, values, "enc {enc}");
+        for (enc, page) in both_pages(&values) {
+            assert_eq!(decoded(enc, &page, values.len()), values, "enc {enc}");
+            // Distinct entries either way: four strings, four entries.
+            assert_eq!(decode_str(enc, &page, values.len()).unwrap().0.len(), 4, "enc {enc}");
         }
     }
 
     #[test]
     fn dict_beats_plain_on_low_cardinality() {
         let values: Vec<&str> = (0..5000).map(|i| if i % 2 == 0 { "yes" } else { "no" }).collect();
-        assert!(encode_str_dict(&values).len() < encode_str_plain(&values).len() / 2);
+        let [(_, plain), (_, dict)] = both_pages(&values);
+        assert!(dict.len() < plain.len() / 2);
+    }
+
+    #[test]
+    fn the_smaller_string_page_is_chosen_from_counts_alone() {
+        let long: Vec<String> = (0..300).map(|i| format!("value {i} {}", "x".repeat(i % 90 + i / 2))).collect();
+        let cases: Vec<Vec<&str>> = vec![
+            vec![],
+            vec!["only"],
+            vec!["", "", ""],
+            (0..5000).map(|i| ["yes", "no", "maybe"][i % 3]).collect(),
+            long.iter().map(String::as_str).collect(),
+            long.iter().chain(&long).map(String::as_str).collect(),
+            // 200 distinct values: indices past 127 take two bytes.
+            (0..900).map(|i| long[i * 7 % 200].as_str()).collect(),
+        ];
+        for values in cases {
+            let (dict, codes) = coded(&values);
+            let (enc, page) = encode_str(&codes, &dict);
+            let [plain, with_dict] = both_pages(&values);
+            // The first candidate wins a tie, as `pick_smallest` has it.
+            let want = if with_dict.1.len() < plain.1.len() { with_dict } else { plain };
+            assert_eq!((enc, &page), (want.0, &want.1), "{} values", values.len());
+            assert_eq!(decoded(enc, &page, values.len()), values);
+        }
+        // Entries no row uses, and another entry order, change nothing.
+        let mut padded = DictBuilder::new();
+        for entry in ["zz unused", "no", "yes", "aa unused"] {
+            padded.intern(entry);
+        }
+        let (tight, tight_codes) = coded(&["yes", "no", "yes"]);
+        assert_eq!(encode_str(&[2, 1, 2], &padded.finish()), encode_str(&tight_codes, &tight));
+    }
+
+    #[test]
+    fn a_repeated_dictionary_entry_decodes_to_distinct_entries() {
+        // dict = ["a", "a", "b"], indices 0 1 2 1.
+        let page = [3, 1, b'a', 1, b'a', 1, b'b', 0, 1, 2, 1];
+        let (dict, codes) = decode_str(ENC_DICT, &page, 4).unwrap();
+        assert_eq!(dict.iter().collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(codes, [0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn mutated_string_pages_are_corrupt_not_columns() {
+        let message = |enc: u8, page: &[u8], count: usize| match decode_str(enc, page, count) {
+            Err(Error::Malformed { message, .. }) => message,
+            other => panic!("expected a corrupt page, got {other:?}"),
+        };
+        // dict = ["a", "b"], indices 0 1 0.
+        let good = [2, 1, b'a', 1, b'b', 0, 1, 0];
+        assert!(decode_str(ENC_DICT, &good, 3).is_ok());
+        let with = |at: usize, byte: u8| {
+            let mut page = good.to_vec();
+            page[at] = byte;
+            page
+        };
+        assert!(message(ENC_DICT, &with(6, 2), 3).contains("dict index out of range"));
+        assert!(message(ENC_DICT, &with(4, 0xff), 3).contains("not valid UTF-8"), "a bad dictionary entry");
+        assert!(message(ENC_DICT, &with(7, 0x80), 3).contains("unexpected end of page"), "a truncated varint");
+        assert!(message(ENC_DICT, &good[..7], 3).contains("unexpected end of page"));
+        let mut long = good.to_vec();
+        long.push(0);
+        assert!(message(ENC_DICT, &long, 3).contains("trailing bytes"));
+        assert!(message(ENC_DICT, &with(1, 9), 3).contains("unexpected end of page"), "an entry longer than the page");
+        // The plain page: a bad value, a value cut short, a byte too many.
+        let plain = [1, b'a', 2, b'b', b'c'];
+        assert!(decode_str(ENC_RAW, &plain, 2).is_ok());
+        assert!(message(ENC_RAW, &[1, b'a', 2, 0xc3, b'c'], 2).contains("not valid UTF-8"));
+        assert!(message(ENC_RAW, &plain[..4], 2).contains("unexpected end of page"));
+        assert!(message(ENC_RAW, &plain, 1).contains("trailing bytes"));
     }
 
     #[test]

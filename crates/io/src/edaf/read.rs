@@ -3,6 +3,7 @@
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::Arc;
 
 use eda_dataframe::{Bitmap, Column, DataFrame, DataType, Error, Result};
 
@@ -72,50 +73,55 @@ fn decode_column(info: &ColumnInfo, block: &[u8], nrows: usize) -> Result<Column
 
     // Scatter the valid values back into full-length vectors, filling
     // null slots with type defaults (what CSV builders store there).
+    let validity = validity.as_deref();
     let col = match info.dtype {
         DataType::Float64 => {
-            let vals = decode_f64(page, valid_count)?;
-            scatter(validity.as_deref(), vals, nrows, 0.0, Column::from_f64_validity)
+            let (vals, validity) = scatter(validity, decode_f64(page, valid_count)?, nrows, 0.0);
+            Column::from_f64_validity(vals, validity)
         }
         DataType::Int64 => {
-            let vals = decode_i64(info.encoding, page, valid_count)?;
-            scatter(validity.as_deref(), vals, nrows, 0, Column::from_i64_validity)
+            let (vals, validity) = scatter(validity, decode_i64(info.encoding, page, valid_count)?, nrows, 0);
+            Column::from_i64_validity(vals, validity)
         }
         DataType::Str => {
-            let vals = decode_str(info.encoding, page, valid_count)?;
-            scatter(validity.as_deref(), vals, nrows, String::new(), Column::from_string_validity)
+            // The page's dictionary becomes the column's; no string is
+            // built per row.
+            let (dict, codes) = decode_str(info.encoding, page, valid_count)?;
+            let (codes, validity) = scatter(validity, codes, nrows, 0);
+            Column::from_codes(Arc::new(dict), codes, validity)?
         }
         DataType::Bool => {
-            let vals = unpack_bits(page, valid_count)?;
-            scatter(validity.as_deref(), vals, nrows, false, Column::from_bool_validity)
+            let (vals, validity) = scatter(validity, unpack_bits(page, valid_count)?, nrows, false);
+            Column::from_bool_validity(vals, validity)
         }
     };
     Ok(col)
 }
 
+/// `valid_values` spread over `nrows` slots, `default` under the nulls.
 fn scatter<T: Clone>(
     validity: Option<&[bool]>,
     valid_values: Vec<T>,
     nrows: usize,
     default: T,
-    build: impl FnOnce(Vec<T>, Option<Bitmap>) -> Column,
-) -> Column {
+) -> (Vec<T>, Option<Bitmap>) {
     match validity {
-        None => build(valid_values, None),
+        None => (valid_values, None),
         Some(bits) => {
             let mut out = Vec::with_capacity(nrows);
             let mut it = valid_values.into_iter();
             for &valid in bits {
                 out.push(if valid { it.next().unwrap_or_else(|| default.clone()) } else { default.clone() });
             }
-            build(out, Some(bits.iter().copied().collect()))
+            (out, Some(bits.iter().copied().collect()))
         }
     }
 }
 
 /// Rebuild `col` exactly as decoding a written file would: null slots
 /// forced to type defaults. Shared with the writer's fingerprint
-/// normalisation.
+/// normalisation. A string column is returned as it is: its fingerprint
+/// reads a null slot as the empty string whatever code is under it.
 pub(super) fn normalize_nulls(col: &Column) -> Column {
     let Some(bitmap) = col.validity() else {
         return col.clone();
@@ -124,18 +130,18 @@ pub(super) fn normalize_nulls(col: &Column) -> Column {
     let keep = |i: &usize| bits[*i];
     if let Some(values) = col.f64_values() {
         let kept: Vec<f64> = (0..col.len()).filter(keep).map(|i| values[i]).collect();
-        scatter(Some(&bits), kept, col.len(), 0.0, Column::from_f64_validity)
+        let (vals, validity) = scatter(Some(&bits), kept, col.len(), 0.0);
+        Column::from_f64_validity(vals, validity)
     } else if let Some(values) = col.i64_values() {
         let kept: Vec<i64> = (0..col.len()).filter(keep).map(|i| values[i]).collect();
-        scatter(Some(&bits), kept, col.len(), 0, Column::from_i64_validity)
-    } else if let Some(values) = col.str_values() {
-        let kept: Vec<String> =
-            (0..col.len()).filter(keep).map(|i| values[i].clone()).collect();
-        scatter(Some(&bits), kept, col.len(), String::new(), Column::from_string_validity)
-    } else {
-        let values = col.bool_values().unwrap_or(&[]);
+        let (vals, validity) = scatter(Some(&bits), kept, col.len(), 0);
+        Column::from_i64_validity(vals, validity)
+    } else if let Some(values) = col.bool_values() {
         let kept: Vec<bool> = (0..col.len()).filter(keep).map(|i| values[i]).collect();
-        scatter(Some(&bits), kept, col.len(), false, Column::from_bool_validity)
+        let (vals, validity) = scatter(Some(&bits), kept, col.len(), false);
+        Column::from_bool_validity(vals, validity)
+    } else {
+        col.clone()
     }
 }
 

@@ -7,10 +7,9 @@ use std::path::Path;
 use eda_dataframe::{Column, DataFrame, DataType, Result};
 
 use super::encode::{
-    encode_f64_raw, encode_i64_delta, encode_i64_raw, encode_i64_rle, encode_str_dict,
-    encode_str_plain, pack_bits,
+    encode_f64_raw, encode_i64_delta, encode_i64_raw, encode_i64_rle, encode_str, pack_bits,
 };
-use super::{dtype_code, ColumnInfo, EdafInfo, ENC_BITS, ENC_DELTA, ENC_DICT, ENC_RAW, ENC_RLE, MAGIC, TRAILER_MAGIC, VERSION};
+use super::{dtype_code, ColumnInfo, EdafInfo, ENC_BITS, ENC_DELTA, ENC_RAW, ENC_RLE, MAGIC, TRAILER_MAGIC, VERSION};
 
 /// One encoded column block, pre-assembly.
 struct EncodedColumn {
@@ -109,13 +108,9 @@ fn encode_column(name: &str, col: &Column, nrows: usize) -> EncodedColumn {
         ];
         let (enc, page) = pick_smallest(candidates);
         (enc, page, kept.len())
-    } else if let Some(values) = col.str_values() {
-        let kept: Vec<&str> = valid_rows().map(|i| values[i].as_str()).collect();
-        let candidates = [
-            (ENC_RAW, encode_str_plain(&kept)),
-            (ENC_DICT, encode_str_dict(&kept)),
-        ];
-        let (enc, page) = pick_smallest(candidates);
+    } else if let Some((codes, dict)) = col.str_codes() {
+        let kept: Vec<u32> = valid_rows().filter_map(|i| codes.get(i).copied()).collect();
+        let (enc, page) = encode_str(&kept, dict);
         (enc, page, kept.len())
     } else {
         let values = col.bool_values().unwrap_or(&[]);

@@ -15,7 +15,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use eda_dataframe::{Column, DataFrame, Result};
+use eda_dataframe::{Column, DataFrame, Result, Selection};
+use eda_stats::freq::CodeCounts;
 use eda_stats::{ColumnSketch, FrameSketch};
 use eda_taskgraph::ingest::WaveStats;
 
@@ -81,10 +82,13 @@ pub fn sketch_column(col: &Column) -> ColumnSketch {
         ColumnSketch::from_numeric(
             values.iter().enumerate().map(|(i, &v)| valid(i).then_some(v as f64)),
         )
-    } else if let Some(values) = col.str_values() {
-        ColumnSketch::from_categorical(
-            values.iter().enumerate().map(|(i, v)| valid(i).then_some(v.as_str())),
-        )
+    } else if let Some((_, dict)) = col.str_codes() {
+        // Counted by code; a string is looked up once per category.
+        let mut counts = CodeCounts::new(dict.len());
+        // `col` is a string column, so the visit cannot fail.
+        let _ = col.for_each_code_in(Selection::All, |code| counts.push(code));
+        counts.nulls = col.null_count() as u64;
+        ColumnSketch::Categorical { freq: counts.to_table(|code| dict.get(code).unwrap_or_default()) }
     } else if let Some(values) = col.bool_values() {
         ColumnSketch::from_categorical(
             values

@@ -268,7 +268,7 @@ fn streamed_chunks_fold_to_the_ingested_frame() {
     let ingested = read_csv_chunked(&path, &opts).unwrap();
     assert_bit_identical(&ingested, &streamed, "fold_csv chunks vs read_csv_chunked");
     assert_bit_identical(&oracle::read_csv_str(&csv, &opts.csv).unwrap(), &ingested, "oracle");
-    assert_eq!(ingested.column("n").unwrap().str_values().unwrap()[0], "07");
+    assert_eq!(ingested.column("n").unwrap().str_iter().unwrap().next(), Some(Some("07")));
     assert_eq!(ingested.column("s").unwrap().dtype(), DataType::Float64);
     std::fs::remove_file(&path).ok();
 }

@@ -1,10 +1,154 @@
 //! Frequency tables for categorical columns.
 //!
-//! A [`FreqTable`] is a mergeable value → count map. It backs bar charts,
-//! pie charts, distinct counts, mode detection, and the grouped statistics
-//! of the bivariate categorical panels.
+//! Two forms. [`CodeCounts`] is what the engine computes: a dictionary-
+//! encoded column is counted as a histogram over its codes, partials add
+//! and subtract element by element, and strings are looked up only for
+//! the few categories a chart shows. [`FreqTable`] is the string-keyed
+//! map: the vocabulary of words [`crate::text::TextStats`] derives, the
+//! chunk-to-chunk merge of the streaming sketches, the baseline
+//! profiler's per-row kernel — and the oracle `CodeCounts` is tested
+//! against. Both rank categories the same way (count descending, then
+//! name) and sum entropy in that order, so they agree to the last bit.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+
+/// The order categories are shown in: most frequent first, ties by name.
+fn rank(a: &(&str, u64), b: &(&str, u64)) -> Ordering {
+    b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+}
+
+/// The `k` first of `entries` under `order`, in that order: a selection
+/// in O(entries), then a sort of the `k` kept.
+fn top_by<T>(mut entries: Vec<T>, k: usize, order: impl Fn(&T, &T) -> Ordering + Copy) -> Vec<T> {
+    if k < entries.len() {
+        entries.select_nth_unstable_by(k, order);
+        entries.truncate(k);
+    }
+    entries.sort_unstable_by(order);
+    entries
+}
+
+/// Shannon entropy (nats) of a distribution given as its counts, summed
+/// in the order given. Callers pass the counts in descending order: a
+/// float sum depends on its order, and that one is the same for every
+/// representation of the same table.
+fn entropy_of(counts: &[u64]) -> f64 {
+    let total = counts.iter().sum::<u64>() as f64;
+    if total == 0.0 {
+        return 0.0;
+    }
+    counts
+        .iter()
+        .map(|&c| {
+            let p = c as f64 / total;
+            -p * p.ln()
+        })
+        .sum()
+}
+
+/// Frequency table of a dictionary-encoded column (or of some rows of
+/// one): `counts[code]` occurrences of each dictionary entry. A
+/// dictionary may hold entries the counted rows never use; a zero count
+/// is not a category.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct CodeCounts {
+    /// Occurrences per code.
+    pub counts: Vec<u64>,
+    /// Number of null rows observed alongside.
+    pub nulls: u64,
+}
+
+impl CodeCounts {
+    /// An all-zero table over a dictionary of `ncodes` entries.
+    pub fn new(ncodes: usize) -> Self {
+        CodeCounts { counts: vec![0; ncodes], nulls: 0 }
+    }
+
+    /// Count one occurrence of `code` (codes beyond the dictionary are
+    /// not categories and are ignored).
+    #[inline]
+    pub fn push(&mut self, code: u32) {
+        if let Some(n) = self.counts.get_mut(code as usize) {
+            *n += 1;
+        }
+    }
+
+    /// Occurrences of `code`.
+    pub fn count(&self, code: u32) -> u64 {
+        self.counts.get(code as usize).copied().unwrap_or(0)
+    }
+
+    /// Add a partial over the same dictionary, element by element.
+    pub fn add(&mut self, other: &CodeCounts) {
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.nulls += other.nulls;
+    }
+
+    /// The table of the rows that remain once the rows counted in
+    /// `dropped` (a subset of the rows counted here, over the same
+    /// dictionary) are removed. Counts are integers, so this equals
+    /// counting the remaining rows from scratch.
+    pub fn minus(&self, dropped: &CodeCounts) -> CodeCounts {
+        let mut out = self.clone();
+        for (mine, theirs) in out.counts.iter_mut().zip(&dropped.counts) {
+            *mine = mine.saturating_sub(*theirs);
+        }
+        out.nulls = out.nulls.saturating_sub(dropped.nulls);
+        out
+    }
+
+    /// The codes that occur, with their counts, in code order.
+    pub fn nonzero(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (0u32..).zip(&self.counts).filter(|(_, &n)| n > 0).map(|(code, &n)| (code, n))
+    }
+
+    /// Number of distinct categories (codes that occur).
+    pub fn distinct(&self) -> usize {
+        self.nonzero().count()
+    }
+
+    /// Total non-null observations.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// The `k` most frequent `(code, count)` pairs, ties broken by the
+    /// category's name (`label(code)`), exactly as [`FreqTable::top_k`]
+    /// orders them. Selects in O(distinct).
+    pub fn top_k<'a>(&self, k: usize, label: impl Fn(u32) -> &'a str) -> Vec<(u32, u64)> {
+        top_by(self.nonzero().collect(), k, |a: &(u32, u64), b: &(u32, u64)| {
+            rank(&(label(a.0), a.1), &(label(b.0), b.1))
+        })
+    }
+
+    /// Every category's count in descending order, without the names.
+    pub fn counts_desc(&self) -> Vec<u64> {
+        let mut counts: Vec<u64> = self.nonzero().map(|(_, n)| n).collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        counts
+    }
+
+    /// Shannon entropy (nats) of the category distribution.
+    pub fn entropy(&self) -> f64 {
+        entropy_of(&self.counts_desc())
+    }
+
+    /// The same table keyed by name.
+    pub fn to_table<'a>(&self, label: impl Fn(u32) -> &'a str) -> FreqTable {
+        let mut table = FreqTable::new();
+        for (code, n) in self.nonzero() {
+            table.add(label(code), n);
+        }
+        table.nulls = self.nulls;
+        table
+    }
+}
 
 /// Mergeable frequency table over owned string categories.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -47,7 +191,8 @@ impl FreqTable {
         }
     }
 
-    fn add(&mut self, category: &str, n: u64) {
+    /// Accumulate `n` occurrences of `category`.
+    pub fn add(&mut self, category: &str, n: u64) {
         match self.counts.get_mut(category) {
             Some(count) => *count += n,
             None => {
@@ -102,14 +247,8 @@ impl FreqTable {
     /// category name so results are deterministic. Selects over borrowed
     /// keys in O(distinct) and clones only the `k` entries it returns.
     pub fn top_k(&self, k: usize) -> Vec<(String, u64)> {
-        let rank = |a: &(&str, u64), b: &(&str, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0));
-        let mut entries: Vec<(&str, u64)> = self.iter().collect();
-        if k < entries.len() {
-            entries.select_nth_unstable_by(k, rank);
-            entries.truncate(k);
-        }
-        entries.sort_unstable_by(rank);
-        entries.into_iter().map(|(c, n)| (c.to_string(), n)).collect()
+        let top = top_by(self.iter().collect(), k, rank);
+        top.into_iter().map(|(c, n)| (c.to_string(), n)).collect()
     }
 
     /// Every category's count in descending order, without the names.
@@ -129,19 +268,11 @@ impl FreqTable {
         self.counts.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Shannon entropy (nats) of the category distribution.
+    /// Shannon entropy (nats) of the category distribution, summed over
+    /// [`FreqTable::counts_desc`] — not in the map's iteration order,
+    /// which differs from process to process.
     pub fn entropy(&self) -> f64 {
-        let total = self.total() as f64;
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.counts
-            .values()
-            .map(|&c| {
-                let p = c as f64 / total;
-                -p * p.ln()
-            })
-            .sum()
+        entropy_of(&self.counts_desc())
     }
 }
 
@@ -265,6 +396,68 @@ mod tests {
             merged.merge(&part);
         }
         assert_eq!(merged, whole);
+    }
+
+    #[test]
+    fn entropy_does_not_depend_on_insertion_order() {
+        // Counts whose `-p ln p` terms round differently in different
+        // sum orders; the map's own iteration order changes per process.
+        let categories: Vec<(String, u64)> =
+            (0..200u64).map(|i| (format!("c{i}"), 1 + i * i % 37 + i % 3)).collect();
+        let fill = |order: &[(String, u64)]| {
+            let mut t = FreqTable::new();
+            for (c, n) in order {
+                t.add(c, *n);
+            }
+            t
+        };
+        let forward = fill(&categories);
+        let mut reversed = categories.clone();
+        reversed.reverse();
+        let mut shuffled = categories.clone();
+        shuffled.sort_by_key(|(c, n)| (n % 7, c.len(), c.clone()));
+        let want = forward.entropy().to_bits();
+        assert_eq!(fill(&reversed).entropy().to_bits(), want);
+        assert_eq!(fill(&shuffled).entropy().to_bits(), want);
+        // And the same table as counts per code, in either code order.
+        for order in [&categories, &reversed] {
+            let codes = CodeCounts { counts: order.iter().map(|(_, n)| *n).collect(), nulls: 0 };
+            assert_eq!(codes.entropy().to_bits(), want);
+        }
+    }
+
+    #[test]
+    fn code_counts_match_the_string_keyed_table() {
+        // A dictionary with an entry no row uses ("unused") and two
+        // entries that tie on count.
+        let dict = ["b", "unused", "a", "", "ß"];
+        let label = |code: u32| dict[code as usize];
+        let rows = [0u32, 2, 2, 0, 3, 4, 4, 4];
+        let mut codes = CodeCounts::new(dict.len());
+        rows.iter().for_each(|&c| codes.push(c));
+        codes.nulls = 2;
+        codes.push(99); // not a category
+        let mut table = FreqTable::from_iter(rows.iter().map(|&c| Some(label(c))));
+        table.nulls = 2;
+        assert_eq!(codes.to_table(label), table);
+        assert_eq!((codes.distinct(), codes.total()), (table.distinct(), table.total()));
+        assert_eq!(codes.counts_desc(), table.counts_desc());
+        assert_eq!(codes.entropy().to_bits(), table.entropy().to_bits());
+        for k in [0, 1, 2, 3, 4, 9] {
+            let top: Vec<(String, u64)> =
+                codes.top_k(k, label).into_iter().map(|(c, n)| (label(c).to_string(), n)).collect();
+            assert_eq!(top, table.top_k(k), "k = {k}");
+        }
+        // Partials add and subtract element by element.
+        let mut dropped = CodeCounts::new(dict.len());
+        [2u32, 4, 4, 4].iter().for_each(|&c| dropped.push(c));
+        dropped.nulls = 1;
+        let after = codes.minus(&dropped);
+        assert_eq!(after.to_table(label), table.minus(&dropped.to_table(label)));
+        assert_eq!(after.distinct(), 3, "ß is gone, not present with a zero count");
+        let mut back = after.clone();
+        back.add(&dropped);
+        assert_eq!(back, codes);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! * [`histogram`] — fixed-bin counts with mergeable partials
 //! * [`kde`] — Gaussian kernel density estimates
 //! * [`qq`] — normal quantile-quantile points (Acklam inverse normal CDF)
-//! * [`freq`] — frequency tables, top-k, distinct counts
+//! * [`freq`] — frequency tables (per dictionary code, or string-keyed), top-k, distinct counts
 //! * [`rank`] — mid-rank computation with ties
 //! * [`corr`] — Pearson, Spearman, Kendall's tau (Knight O(n log n)), matrices
 //! * [`regression`] — simple OLS with R²
-//! * [`text`] — word tokenization and string-length statistics
+//! * [`text`] — word tokenization and string-length statistics (per row, or once per distinct value)
 //! * [`missing`] — nullity correlation, missing spectrum, dendrogram clustering
 //! * [`hypothesis`] — chi-square uniformity, Jarque-Bera normality,
 //!   two-sample Kolmogorov-Smirnov distance
@@ -51,7 +51,7 @@ pub mod timeseries;
 pub mod vector;
 
 pub use corr::{kendall_tau, pearson, spearman, CorrMatrix, CorrMethod};
-pub use freq::FreqTable;
+pub use freq::{CodeCounts, FreqTable};
 pub use histogram::Histogram;
 pub use kde::kde_grid;
 pub use moments::Moments;

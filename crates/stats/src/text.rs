@@ -4,10 +4,13 @@
 //! word cloud, word frequencies, and string-length statistics. This module
 //! provides the tokenization and the mergeable length/word accumulators.
 
-use crate::freq::FreqTable;
+use crate::freq::{CodeCounts, FreqTable};
 use crate::moments::Moments;
 
 /// Lowercased alphanumeric tokens of a string (split on everything else).
+/// The per-row form: one `String` per token. [`TextStats::from_codes`]
+/// reads the same tokens through `for_each_token` and is tested against
+/// this.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut cur = String::new();
@@ -22,6 +25,40 @@ pub fn tokenize(text: &str) -> Vec<String> {
         tokens.push(cur);
     }
     tokens
+}
+
+/// Lend `each` every token of `text` ([`tokenize`]'s), one at a time,
+/// without a `String` per token: a token of an ASCII text that is already
+/// lower-case is a slice of it, any other is built in the one buffer
+/// `token`.
+fn for_each_token(text: &str, token: &mut String, mut each: impl FnMut(&str)) {
+    if text.is_ascii() {
+        // Bytes are characters: split on non-alphanumerics, and a word
+        // needs the buffer only to fold its capitals.
+        for word in text.split(|c: char| !c.is_ascii_alphanumeric()).filter(|w| !w.is_empty()) {
+            if word.bytes().any(|b| b.is_ascii_uppercase()) {
+                token.clear();
+                token.push_str(word);
+                token.make_ascii_lowercase();
+                each(token);
+            } else {
+                each(word);
+            }
+        }
+        return;
+    }
+    token.clear();
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            token.extend(ch.to_lowercase());
+        } else if !token.is_empty() {
+            each(token);
+            token.clear();
+        }
+    }
+    if !token.is_empty() {
+        each(token);
+    }
 }
 
 /// Mergeable accumulator for string-column text statistics.
@@ -55,6 +92,37 @@ impl TextStats {
         for token in tokenize(v) {
             self.words.push_owned(Some(token));
         }
+    }
+
+    /// The statistics of a dictionary-encoded column: `codes` holds the
+    /// code of every non-null row, in row order, and `label(code)` is the
+    /// string it stands for (of `ncodes` dictionary entries). Equal to
+    /// [`TextStats::push`]ing every row's string — `lengths` to the bit,
+    /// since the per-row lengths still go through the sketch one by one,
+    /// in row order — but each *distinct* string that occurs is measured
+    /// and tokenised once, and its words and blank flag are weighted by
+    /// its count.
+    pub fn from_codes<'a>(codes: &[u32], ncodes: usize, label: impl Fn(u32) -> &'a str) -> TextStats {
+        let mut counts = CodeCounts::new(ncodes);
+        codes.iter().for_each(|&code| counts.push(code));
+        let mut t = TextStats::new();
+        let mut lengths = vec![0.0; ncodes];
+        let mut token = String::new();
+        for (code, n) in counts.nonzero() {
+            let v = label(code);
+            if let Some(len) = lengths.get_mut(code as usize) {
+                *len = v.chars().count() as f64;
+            }
+            if v.trim().is_empty() {
+                t.blank += n;
+            }
+            for_each_token(v, &mut token, |word| t.words.add(word, n));
+            t.count += n;
+        }
+        for len in codes.iter().filter_map(|&code| lengths.get(code as usize)) {
+            t.lengths.push(*len);
+        }
+        t
     }
 
     /// Merge another partial.
@@ -134,6 +202,51 @@ mod tests {
         assert_eq!(merged.words, whole.words);
         assert_eq!(merged.lengths.count, whole.lengths.count);
         assert!((merged.lengths.mean - whole.lengths.mean).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_codes_equals_pushing_every_row() {
+        // Duplicates, an entry no row uses, blank and empty values, and
+        // characters whose lower-casing is longer than they are.
+        let dict = ["Red apple", "never used", "  ", "", "İstanbul STRASSE ß", "red-apple pie", "x"];
+        let rows = [0u32, 4, 0, 2, 3, 5, 0, 4, 6, 2, 5, 5];
+        let label = |code: u32| dict[code as usize];
+        let mut pushed = TextStats::new();
+        for &code in &rows {
+            pushed.push(Some(label(code)));
+        }
+        pushed.push(None);
+        let fast = TextStats::from_codes(&rows, dict.len(), label);
+        assert_eq!(fast.words, pushed.words);
+        assert_eq!((fast.blank, fast.count), (pushed.blank, pushed.count));
+        assert_eq!(fast.lengths, pushed.lengths);
+        assert_eq!(fast.lengths.mean.to_bits(), pushed.lengths.mean.to_bits());
+        assert_eq!(fast.words.count("never"), 0);
+        assert_eq!(fast.top_words(2), pushed.top_words(2));
+        // No rows at all.
+        let empty = TextStats::from_codes(&[], dict.len(), label);
+        assert_eq!((empty.count, empty.total_words(), empty.lengths.count), (0, 0, 0));
+    }
+
+    #[test]
+    fn for_each_token_lends_what_tokenize_returns() {
+        let mut token = String::from("stale");
+        for text in [
+            "Hello, World!",
+            "a-b_c d",
+            "  ",
+            "",
+            "year2024",
+            "MiXeD case AND lower",
+            "trailing ",
+            "Crème brûlée",
+            "İß ǅ",
+            "ascii then É",
+        ] {
+            let mut seen = Vec::new();
+            for_each_token(text, &mut token, |t| seen.push(t.to_string()));
+            assert_eq!(seen, tokenize(text), "{text:?}");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use dataprep_eda::core::compute::cat::CatFreq;
 use dataprep_eda::core::compute::ctx::un;
 use dataprep_eda::core::compute::kernels::{self, Rows};
 use dataprep_eda::core::compute::missing::compute_missing_impact;
@@ -77,7 +78,7 @@ impl<'a> Oracle<'a> {
         let table = |df: &DataFrame| {
             let mut ctx = ComputeContext::new(df, &self.cfg);
             let node = kernels::freq(&mut ctx, y, Rows::All);
-            un::<FreqTable>(&ctx.execute(&[node])[0]).clone()
+            un::<CatFreq>(&ctx.execute(&[node])[0]).to_table()
         };
         (table(self.df), table(&self.kept))
     }
@@ -220,8 +221,8 @@ fn assert_matches_oracle(df: &DataFrame, x: &str, ys: &[&str], cfg: &Config) {
         let mut ctx = ComputeContext::new(df, &oracle.cfg);
         let nodes = [Rows::All, Rows::NullIn(x.to_string())].map(|rows| kernels::freq(&mut ctx, y, rows));
         let outs = ctx.execute(&nodes);
-        let after = un::<FreqTable>(&outs[0]).minus(un::<FreqTable>(&outs[1]));
-        assert_eq!(after, oracle.freqs(y).1, "freq({y}) minus the rows {x} drops");
+        let after = un::<CatFreq>(&outs[0]).minus(un::<CatFreq>(&outs[1]));
+        assert_eq!(after.to_table(), oracle.freqs(y).1, "freq({y}) minus the rows {x} drops");
     }
 }
 
