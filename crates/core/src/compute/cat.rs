@@ -130,6 +130,16 @@ impl CatFreq {
         CatFreq { dict: Arc::clone(&self.dict), counts: self.counts.minus(&self.aligned(dropped)) }
     }
 
+    /// Heap bytes this table keeps alive — what a byte budget should
+    /// charge it: the counts, and the dictionary when nothing else holds
+    /// it (a foreign-dictionary [`CatFreq::merge`] built it, or the
+    /// per-partition encoding it counted is gone). A string column's own
+    /// dictionary is the column's, shared by every partial over it.
+    pub fn heap_bytes(&self) -> usize {
+        let dict = if Arc::strong_count(&self.dict) == 1 { self.dict.heap_bytes() } else { 0 };
+        self.counts.counts.capacity() * 8 + dict
+    }
+
     /// Null rows observed alongside the categories.
     pub fn nulls(&self) -> u64 {
         self.counts.nulls

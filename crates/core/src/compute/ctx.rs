@@ -45,12 +45,13 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
 
 /// Domain sizer for the byte-budgeted cache and the run memory gauge: the
 /// taskgraph's structural estimate only knows primitive containers and
-/// charges a pointer-sized floor for opaque payloads, so the correlation
-/// and KDE intermediates would be billed ~16 bytes each, never evict and
-/// never trip `engine.memory_budget_bytes`. Each arm charges the heap
-/// bytes the payload owns (a `corr_prep` borrows its column from the
-/// gather payload, which is charged on its own).
+/// charges a pointer-sized floor for opaque payloads, so the correlation,
+/// KDE and frequency intermediates would be billed ~16 bytes each, never
+/// evict and never trip `engine.memory_budget_bytes`. Each arm charges
+/// the heap bytes the payload owns (a `corr_prep` borrows its column from
+/// the gather payload, which is charged on its own).
 pub fn payload_sizer() -> PayloadSizer {
+    use super::cat::CatFreq;
     use eda_stats::corr::{ColumnPrep, CorrMatrix};
     Arc::new(|p: &Payload| {
         if let Some(prep) = p.downcast_ref::<ColumnPrep>() {
@@ -65,6 +66,9 @@ pub fn payload_sizer() -> PayloadSizer {
         if let Some(m) = p.downcast_ref::<CorrMatrix>() {
             let labels: usize = m.labels.iter().map(|l| l.capacity() + 24).sum();
             return Some(m.cells.capacity() * 16 + labels);
+        }
+        if let Some(freq) = p.downcast_ref::<CatFreq>() {
+            return Some(freq.heap_bytes());
         }
         None
     })

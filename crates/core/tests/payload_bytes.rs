@@ -1,12 +1,15 @@
 //! `engine.cache_budget_bytes` and `engine.memory_budget_bytes` are only
 //! as honest as the bytes `payload_sizer` charges: this holds its prices
-//! for the correlation and KDE payloads against what the allocator
-//! actually handed out. One test, so nothing else allocates meanwhile.
+//! for the correlation, KDE and frequency payloads against what the
+//! allocator actually handed out. One test, so nothing else allocates
+//! meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use eda_core::compute::cat::CatFreq;
 use eda_core::compute::ctx::{payload_sizer, pl};
+use eda_dataframe::{Column, Selection};
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMatrix, CorrMethod};
 use eda_stats::kde::kde_grid;
 use eda_taskgraph::Payload;
@@ -86,6 +89,19 @@ fn charged_bytes_are_within_a_tenth_of_the_heap_bytes() {
     case("corr_assemble", &|| {
         let labels = (0..25).map(|i| format!("numeric_column_{i}")).collect();
         pl(CorrMatrix::from_upper(labels, CorrMethod::Pearson, vec![Some(0.5); 300]))
+    });
+
+    // Every `freq` payload is a count per dictionary entry. Over a string
+    // column the dictionary is the column's; two tables with dictionaries
+    // of their own merge into one that built (and alone holds) a third.
+    let city = |i: usize| format!("a city with a long name, number {i}");
+    let names = Column::from_string((0..n).map(city).collect());
+    let other = Column::from_string((n / 2..n + n / 2).map(city).collect());
+    case("freq, the column's dictionary", &|| pl(CatFreq::of(&names, Selection::All)));
+    case("freq, a dictionary of its own", &|| {
+        let mut freq = CatFreq::of(&names, Selection::All);
+        freq.merge(&CatFreq::of(&other, Selection::All));
+        pl(freq)
     });
 
     for (name, payload, real) in &cases {
