@@ -23,6 +23,14 @@
 //! as a histogram over dictionary codes, and text statistics with each
 //! distinct value tokenised once (`TextStats::from_codes`) against the
 //! per-row `TextStats::push` loop the baseline profiler still runs.
+//! The `render` stage times what a call does once its kernels are cached:
+//! `render_report_html` over the credit-shape report (the 1.6 MB page of
+//! `report_numeric`: one sink, digits pushed without `core::fmt`), and a
+//! re-issued `plot_missing(df, x)` on the adult shape (24.5k rows, what
+//! `interactive_session` loads), every node served by the result cache —
+//! planning, key hashing and a finish that reads `freq_summary` payloads.
+//! Both are absolute times of this host: their gate is wide, and catches
+//! a formatter or an O(distinct) selection coming back.
 //! Compiled with `--features simd` the
 //! moments/minmax inner loops dispatch to AVX2 intrinsics when the CPU
 //! has them; without it they are the autovectorized fallback —
@@ -41,8 +49,10 @@ use std::time::Duration;
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, print_table};
 use eda_core::compute::cat::{self, CatFreq};
 use eda_core::compute::univariate::stride_sample;
+use eda_core::{create_report, plot_missing, Config};
 use eda_dataframe::{Bitmap, Column, Selection};
 use eda_datagen::{generate, kaggle_spec_by_name};
+use eda_render::{render_analysis_html, render_report_html};
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
 use eda_stats::kde::{kde_grid, silverman_bandwidth};
 use eda_stats::quantile::sorted_values;
@@ -337,6 +347,27 @@ fn main() {
         }
     });
 
+    // The render stage: the pages of an already-computed report and of a
+    // fully cached call.
+    let config = Config::default();
+    let report = create_report(&credit, &config).expect("credit report");
+    let page_bytes = render_report_html(&report, &config.display).len();
+    let render_report = best_of(&|| {
+        std::hint::black_box(render_report_html(&report, &config.display));
+    });
+    let adult = {
+        let mut spec = kaggle_spec_by_name("adult").expect("table 2 spec");
+        spec.rows = 24_500;
+        generate(&spec, 42)
+    };
+    let x = adult.names().first().expect("adult has columns").clone();
+    let missing_x = || plot_missing(&adult, &[x.as_str()], &config).expect("plot_missing(df, x)");
+    std::hint::black_box(render_analysis_html(&missing_x(), &config.display));
+    assert_eq!(missing_x().stats.map(|s| s.tasks_run), Some(0), "the re-issued call is fully cached");
+    let missing_x_cached = best_of(&|| {
+        std::hint::black_box(missing_x());
+    });
+
     let rows_f = |d: Duration| format!("{:8.1}", meps(rows, d));
     let row = |name: &str, r: &AbResult| {
         vec![
@@ -403,6 +434,15 @@ fn main() {
         ts.speedup
     );
 
+    let render_mb_per_s = page_bytes as f64 / 1e6 / render_report.as_secs_f64();
+    println!(
+        "\nrender: credit report page {:.2} MB in {:.2} ms ({:.0} MB/s); cached plot_missing(df, {x}) on adult {:.0} us",
+        page_bytes as f64 / 1e6,
+        render_report.as_secs_f64() * 1e3,
+        render_mb_per_s,
+        missing_x_cached.as_secs_f64() * 1e6
+    );
+
     if let Some(path) = arg_str("--json") {
         let json = format!(
             concat!(
@@ -417,7 +457,8 @@ fn main() {
                 "\"kendall_pair_pps\":{:.1},\"kendall_cell_pps\":{:.1},\"kendall_cell_speedup\":{:.4},\n",
                 "\"kendall_nan_pair_pps\":{:.1},\"kendall_nan_cell_pps\":{:.1},\"kendall_nan_cell_speedup\":{:.4},\n",
                 "\"kde_direct_cps\":{:.1},\"kde_cps\":{:.1},\"kde_speedup\":{:.4},\n",
-                "\"freq_codes_rps\":{:.0},\"text_stats_push_rps\":{:.0},\"text_stats_rps\":{:.0},\"text_stats_speedup\":{:.4}}}"
+                "\"freq_codes_rps\":{:.0},\"text_stats_push_rps\":{:.0},\"text_stats_rps\":{:.0},\"text_stats_speedup\":{:.4},\n",
+                "\"render_mb_per_s\":{:.1},\"render_report_ms\":{:.3},\"missing_x_cached_us\":{:.1}}}"
             ),
             rows,
             host_cores,
@@ -454,6 +495,9 @@ fn main() {
             srps(ts.scalar),
             srps(ts.vector),
             ts.speedup,
+            render_mb_per_s,
+            render_report.as_secs_f64() * 1e3,
+            missing_x_cached.as_secs_f64() * 1e6,
         );
         std::fs::write(&path, json).expect("write kernels json");
         println!("\nwrote {path}");

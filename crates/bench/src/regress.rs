@@ -285,6 +285,9 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "text_stats_push_rps",
             "text_stats_rps",
             "text_stats_speedup",
+            "render_mb_per_s",
+            "render_report_ms",
+            "missing_x_cached_us",
         ],
         gated: &[
             // Vector-vs-scalar ratios on the same machine; the wide scale
@@ -304,6 +307,12 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             // tokenised once) vs the per-row loop, same columns, back to
             // back.
             MetricSpec { key: "text_stats_speedup", higher_is_better: true, tolerance_scale: 4.0 },
+            // Absolute numbers of the host, so the band is the widest:
+            // it is there for a page going back through `core::fmt` (a
+            // third of this rate) or a finish selecting over a column's
+            // distinct values again (five times this time).
+            MetricSpec { key: "render_mb_per_s", higher_is_better: true, tolerance_scale: 4.0 },
+            MetricSpec { key: "missing_x_cached_us", higher_is_better: false, tolerance_scale: 4.0 },
         ],
     },
     ExperimentSpec {

@@ -638,6 +638,31 @@ mod tests {
         assert!(warm_stats.cache_bytes_saved > 0);
     }
 
+    /// `freq_summary` is a task like any other: the categories
+    /// `plot(df, x)` selected serve `plot_missing(df, y)`, and a re-issued
+    /// call finds every node in the cache — nothing runs, and its finish
+    /// selects nothing (the summaries taken are counted on this thread,
+    /// where one worker runs every task).
+    #[test]
+    fn reissued_plot_missing_runs_no_task_and_selects_nothing() {
+        use crate::compute::cat::SUMMARIES;
+        let df = frame();
+        let cfg = Config::from_pairs(vec![("engine.workers", "1")]).unwrap();
+        let summaries = || SUMMARIES.with(|n| n.get());
+
+        let before = summaries();
+        plot(&df, &["city"], &cfg).unwrap();
+        assert_eq!(summaries() - before, 1, "plot(df, city) summarises city once");
+        let first = plot_missing(&df, &["price"], &cfg).unwrap();
+        assert_eq!(summaries() - before, 1, "city's summary came from the cache");
+        assert!(first.stats.as_ref().unwrap().tasks_run > 0, "the dropped rows were not counted yet");
+
+        let again = plot_missing(&df, &["price"], &cfg).unwrap();
+        assert_eq!(again.intermediates, first.intermediates);
+        assert_eq!(again.stats.unwrap().tasks_run, 0);
+        assert_eq!(summaries() - before, 1);
+    }
+
     #[test]
     fn make_unique_invalidates_cached_results() {
         let mut df = frame();

@@ -20,7 +20,7 @@ use crate::error::EdaResult;
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates};
 
-use super::cat::CatFreq;
+use super::cat::FreqSummary;
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, hex_center, hex_scales, Rows};
 use super::univariate::fmt_num;
@@ -119,20 +119,14 @@ fn numeric_categorical(
     num: &str,
 ) -> EdaResult<Intermediates> {
     // Stage 1 (Dask phase): category frequencies.
-    let freq_node = kernels::freq(ctx, cat, Rows::All);
+    let freq_node = kernels::freq_summary(ctx, cat, Rows::All);
     let outs = ctx.execute_checked(&[freq_node])?;
-    // Pandas phase: tiny top-k on the reduced table.
-    let freq = un::<CatFreq>(&outs[0]);
-    let top: Vec<String> = freq
-        .top_k(ctx.config.box_plot.ngroups.max(ctx.config.line.ngroups))
-        .into_iter()
-        .map(|(c, _)| c)
-        .collect();
+    // Pandas phase: the groups are the head of the summary's top list.
+    let freq = un::<FreqSummary>(&outs[0]);
 
     // Stage 2: grouped kernels restricted to the chosen groups.
-    let box_top: Vec<String> =
-        top.iter().take(ctx.config.box_plot.ngroups).cloned().collect();
-    let line_top: Vec<String> = top.iter().take(ctx.config.line.ngroups).cloned().collect();
+    let box_top = freq.labels(ctx.config.box_plot.ngroups);
+    let line_top = freq.labels(ctx.config.line.ngroups);
     let grouped = kernels::grouped_numeric(ctx, cat, num, &box_top);
     let lines = kernels::multi_line(ctx, cat, num, &line_top, ctx.config.line.bins);
     let outs = ctx.execute_checked(&[grouped, lines])?;
@@ -176,19 +170,11 @@ fn categorical_categorical(
     y: &str,
 ) -> EdaResult<Intermediates> {
     // Stage 1: both frequency tables.
-    let fx = kernels::freq(ctx, x, Rows::All);
-    let fy = kernels::freq(ctx, y, Rows::All);
+    let fx = kernels::freq_summary(ctx, x, Rows::All);
+    let fy = kernels::freq_summary(ctx, y, Rows::All);
     let outs = ctx.execute_checked(&[fx, fy])?;
-    let keep_x: Vec<String> = un::<CatFreq>(&outs[0])
-        .top_k(ctx.config.crosstab.ngroups_x)
-        .into_iter()
-        .map(|(c, _)| c)
-        .collect();
-    let keep_y: Vec<String> = un::<CatFreq>(&outs[1])
-        .top_k(ctx.config.crosstab.ngroups_y)
-        .into_iter()
-        .map(|(c, _)| c)
-        .collect();
+    let keep_x = un::<FreqSummary>(&outs[0]).labels(ctx.config.crosstab.ngroups_x);
+    let keep_y = un::<FreqSummary>(&outs[1]).labels(ctx.config.crosstab.ngroups_y);
 
     // Stage 2: one crosstab feeds all three charts (shared computation).
     let ct = kernels::crosstab(ctx, x, y, &keep_x, &keep_y);

@@ -13,7 +13,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use eda_dataframe::{Column, DictBuilder, Selection, StrDict};
-use eda_stats::freq::{CodeCounts, FreqTable};
+use eda_stats::freq::{entropy_of, CodeCounts, FreqTable};
+use eda_stats::hypothesis::chi_square_uniform;
 use eda_stats::text::TextStats;
 
 /// The codes and dictionary of a column [`Column::display_encoded`]
@@ -155,39 +156,105 @@ impl CatFreq {
         self.counts.total()
     }
 
-    /// Every category's count in descending order.
-    pub fn counts_desc(&self) -> Vec<u64> {
-        self.counts.counts_desc()
+    /// What a finished panel shows of this table: its `k` most frequent
+    /// categories and its scalar statistics. The one O(distinct) pass over
+    /// a table outside the kernels that count it — a selection, and a sort
+    /// of the counts — so it runs as a task of its own
+    /// ([`super::kernels::freq_summary`]) and a finish only formats.
+    pub fn summary(&self, k: usize) -> FreqSummary {
+        #[cfg(test)]
+        SUMMARIES.with(|n| n.set(n.get() + 1));
+        let mut top = self.counts.top_k(k, |code| self.label(code));
+        top.shrink_to_fit();
+        // Entropy and chi-square are float sums: descending, the one order
+        // every representation of the same table shares.
+        let desc = self.counts.counts_desc();
+        FreqSummary {
+            dict: Arc::clone(&self.dict),
+            top,
+            distinct: desc.len(),
+            total: desc.iter().sum(),
+            nulls: self.counts.nulls,
+            entropy: entropy_of(&desc),
+            chi_square: chi_square_uniform(&desc),
+        }
     }
 
-    /// Shannon entropy (nats) of the category distribution.
-    pub fn entropy(&self) -> f64 {
-        self.counts.entropy()
-    }
-
-    /// The `k` most frequent `(category, count)` pairs, ties by name:
-    /// the only place a table's strings are copied.
-    pub fn top_k(&self, k: usize) -> Vec<(String, u64)> {
-        let top = self.counts.top_k(k, |code| self.label(code));
-        top.into_iter().map(|(code, n)| (self.label(code).to_string(), n)).collect()
-    }
-
-    /// The most frequent category and its count.
-    pub fn mode(&self) -> Option<(String, u64)> {
-        self.top_k(1).into_iter().next()
-    }
-
-    /// The `k` most frequent categories with their counts here and in
-    /// `other` (a table of other rows of the same column).
-    pub fn top_k_with(&self, k: usize, other: &CatFreq) -> Vec<(String, u64, u64)> {
-        let theirs = self.aligned(other);
-        let top = self.counts.top_k(k, |code| self.label(code));
-        top.into_iter().map(|(code, n)| (self.label(code).to_string(), n, theirs.count(code))).collect()
+    /// This table's counts of the `k` most frequent categories of
+    /// `summary` (of other rows of the same column), in its order: `k`
+    /// reads when the two share a dictionary, one pass over the categories
+    /// that occur here when they do not.
+    pub fn counts_of(&self, summary: &FreqSummary, k: usize) -> Vec<u64> {
+        let top = summary.top.iter().take(k);
+        if Arc::ptr_eq(&self.dict, &summary.dict) {
+            return top.map(|&(code, _)| self.counts.count(code)).collect();
+        }
+        let slots: HashMap<&str, usize> = summary.top(k).map(|(label, _)| label).zip(0..).collect();
+        let mut counts = vec![0; slots.len()];
+        for (code, n) in self.counts.nonzero() {
+            if let Some(count) = slots.get(self.label(code)).and_then(|&slot| counts.get_mut(slot)) {
+                *count += n;
+            }
+        }
+        counts
     }
 
     /// The same table keyed by name.
     pub fn to_table(&self) -> FreqTable {
         self.counts.to_table(|code| self.label(code))
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Summaries taken on this thread: how tests tell that a finish
+    /// selected nothing.
+    pub(crate) static SUMMARIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// What a categorical finish reads off a [`CatFreq`]: the most frequent
+/// categories in [`FreqTable::top_k`] order and the table's scalar
+/// statistics. Small whatever the cardinality of the column.
+#[derive(Debug, Clone)]
+pub struct FreqSummary {
+    dict: Arc<StrDict>,
+    top: Vec<(u32, u64)>,
+    /// Number of distinct categories.
+    pub distinct: usize,
+    /// Total non-null observations.
+    pub total: u64,
+    /// Null rows observed alongside the categories.
+    pub nulls: u64,
+    /// Shannon entropy (nats) of the category distribution.
+    pub entropy: f64,
+    /// Chi-square statistic against the uniform distribution and its
+    /// degrees of freedom ([`chi_square_uniform`]).
+    pub chi_square: Option<(f64, usize)>,
+}
+
+impl FreqSummary {
+    /// The `k` most frequent `(category, count)` pairs, ties by name. `k`
+    /// is at most what the summary was taken with.
+    pub fn top(&self, k: usize) -> impl Iterator<Item = (&str, u64)> {
+        debug_assert!(k <= self.top.len() || self.top.len() == self.distinct, "summary keeps {}", self.top.len());
+        self.top.iter().take(k).map(|&(code, n)| (self.dict.get(code).unwrap_or_default(), n))
+    }
+
+    /// The names of the `k` most frequent categories: the strings a chart
+    /// or a grouped kernel is handed.
+    pub fn labels(&self, k: usize) -> Vec<String> {
+        self.top(k).map(|(label, _)| label.to_string()).collect()
+    }
+
+    /// The most frequent category and its count.
+    pub fn mode(&self) -> Option<(&str, u64)> {
+        self.top(1).next()
+    }
+
+    /// Heap bytes of the summary as a payload: itself (it is small enough
+    /// for that to count) and its top list; its dictionary is the table's.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.top.capacity() * std::mem::size_of::<(u32, u64)>()
     }
 }
 
@@ -229,6 +296,14 @@ mod tests {
         FreqTable::from_iter(values.iter().copied())
     }
 
+    fn top(freq: &CatFreq, k: usize) -> Vec<(String, u64)> {
+        freq.summary(k).top(k).map(|(label, n)| (label.to_string(), n)).collect()
+    }
+
+    fn pairs(want: &[(&str, u64)]) -> Vec<(String, u64)> {
+        want.iter().map(|&(label, n)| (label.to_string(), n)).collect()
+    }
+
     #[test]
     fn every_type_counts_by_the_codes_of_its_display_forms() {
         let flags = Column::from_opt_bool(vec![Some(true), None, Some(false), Some(true)]);
@@ -236,7 +311,7 @@ mod tests {
         assert_eq!(f.to_table(), table(&[Some("true"), None, Some("false"), Some("true")]));
         assert_eq!((f.nulls(), f.distinct(), f.total()), (1, 2, 3));
         let grades = Column::from_i64(vec![3, -1, 3, 3, 0]);
-        assert_eq!(CatFreq::of(&grades.display_encoded(), Selection::All).top_k(2), [("3".to_string(), 3), ("-1".to_string(), 1)]);
+        assert_eq!(top(&CatFreq::of(&grades.display_encoded(), Selection::All), 2), pairs(&[("3", 3), ("-1", 1)]));
         // -0.0 and 0.0 are different values with different display forms;
         // NaNs of different payloads display alike and share a category.
         let floats = Column::from_f64(vec![0.0, -0.0, 2.5, f64::NAN, f64::from_bits(f64::NAN.to_bits() ^ 1)]);
@@ -256,13 +331,38 @@ mod tests {
         let mut other_way = b.clone();
         other_way.merge(&a);
         assert_eq!(other_way.to_table(), want);
-        assert_eq!(both.top_k(9), other_way.top_k(9));
+        assert_eq!(top(&both, 9), top(&other_way, 9));
         assert_eq!(both.minus(&b).to_table(), a.to_table());
         assert_eq!(both.minus(&both).distinct(), 0);
-        assert_eq!(
-            both.top_k_with(2, &b),
-            [("2".to_string(), 3, 2), ("1".to_string(), 2, 0)]
+        // The counts elsewhere of a summary's top categories: by name
+        // across dictionaries, by code within one.
+        let summary = both.summary(2);
+        assert_eq!(summary.top(2).collect::<Vec<_>>(), [("2", 3), ("1", 2)]);
+        assert_eq!(b.counts_of(&summary, 2), [2, 0]);
+        assert_eq!(a.counts_of(&summary, 1), [1]);
+        assert_eq!(both.counts_of(&summary, 2), [3, 2]);
+    }
+
+    #[test]
+    fn summary_is_the_table_a_finish_reads() {
+        let column = Column::from_opt_string(
+            ["b", "a", "c", "b", "", "a", "b"].iter().map(|v| (!v.is_empty()).then(|| v.to_string())).collect(),
         );
+        let freq = CatFreq::of(&column, Selection::All);
+        let want = freq.to_table();
+        let s = freq.summary(2);
+        assert_eq!(top(&freq, 2), pairs(&[("b", 3), ("a", 2)]));
+        assert_eq!(s.mode(), Some(("b", 3)));
+        assert_eq!((s.distinct, s.total, s.nulls), (3, 6, 1));
+        assert_eq!(s.entropy.to_bits(), want.entropy().to_bits());
+        assert_eq!(s.chi_square, chi_square_uniform(&want.counts_desc()));
+        // Asking for more than there is gives all there is.
+        assert_eq!(top(&freq, 99), pairs(&[("b", 3), ("a", 2), ("c", 1)]));
+        // No row at all (`Rows::NullIn` of a column without nulls):
+        // nothing to show, and no statistic to divide by.
+        let none = CatFreq::of(&column, Column::from_i64(vec![0; 7]).null_rows()).summary(5);
+        assert_eq!((none.top(5).count(), none.mode(), none.distinct, none.total), (0, None, 0, 0));
+        assert_eq!((none.entropy, none.chi_square), (0.0, None));
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
 /// the heap bytes the payload owns (a `corr_prep` borrows its column from
 /// the gather payload, which is charged on its own).
 pub fn payload_sizer() -> PayloadSizer {
-    use super::cat::CatFreq;
+    use super::cat::{CatFreq, FreqSummary};
     use eda_stats::corr::{ColumnPrep, CorrMatrix};
     Arc::new(|p: &Payload| {
         if let Some(prep) = p.downcast_ref::<ColumnPrep>() {
@@ -69,6 +69,9 @@ pub fn payload_sizer() -> PayloadSizer {
         }
         if let Some(freq) = p.downcast_ref::<CatFreq>() {
             return Some(freq.heap_bytes());
+        }
+        if let Some(summary) = p.downcast_ref::<FreqSummary>() {
+            return Some(summary.heap_bytes());
         }
         None
     })
@@ -218,8 +221,9 @@ impl<'a> ComputeContext<'a> {
             // passed alongside the gauge.
             sizer: self.gauge.is_some().then(payload_sizer),
         };
-        // workers <= 1 runs every task on this thread: nothing to spin
-        // up, and fault-tolerance behaviour stays identical.
+        // workers <= 1 (and the first milliseconds of any run) executes
+        // on this thread: nothing to spin up, and fault-tolerance
+        // behaviour stays identical.
         let result = scheduler::run(&self.graph, outputs, self.config.engine.workers, &opts);
         self.last_stats = Some(result.stats);
         result.outcomes

@@ -269,6 +269,21 @@ pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
     )
 }
 
+/// What a finish shows of `column`'s frequency table over `rows`
+/// ([`CatFreq::summary`]): one more task on the `freq` node, so the
+/// selection of the top categories runs on a worker, once per call however
+/// many panels read it, and not at all when the result cache has it.
+/// It keeps as many categories as the widest chart configured shows.
+pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
+    let name = format!("freq_summary:{column}{}", rows.tag());
+    let table = freq(ctx, column, rows);
+    let c = ctx.config;
+    let shown = [c.bar.ngroups, c.pie.slices, c.box_plot.ngroups, c.line.ngroups, c.crosstab.ngroups_x];
+    let keep = shown.into_iter().fold(c.crosstab.ngroups_y, usize::max);
+    let params = ctx.params(TaskKey::params(&name));
+    ctx.graph.op(&name, params, vec![table], move |inputs| pl(un::<CatFreq>(&inputs[0]).summary(keep)))
+}
+
 /// Text statistics over a categorical column: each distinct value that
 /// occurs in a partition is tokenised once (a non-string categorical —
 /// bool, low-cardinality int — through its display forms, so word stats

@@ -23,7 +23,7 @@ use crate::error::EdaResult;
 use crate::insights::{similarity_insight, Insight};
 use crate::intermediate::{Inter, Intermediates};
 
-use super::cat::CatFreq;
+use super::cat::{CatFreq, FreqSummary};
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, Rows};
 
@@ -79,7 +79,8 @@ pub fn assemble_missing_overview(
 /// Plan one column's comparison for dropping `x`'s null rows: its
 /// distribution over every row (*before*), and over only the rows `x`
 /// drops. Numeric columns bin both on the *before* range so the
-/// histograms subtract bin by bin.
+/// histograms subtract bin by bin; of a categorical column's *before*
+/// table only the summary is read — the node its own panel plans.
 fn plan_compare(ctx: &mut ComputeContext<'_>, name: &str, x: &str, sem: SemanticType) -> [NodeId; 2] {
     let sides = [Rows::All, Rows::NullIn(x.to_string())];
     match sem {
@@ -87,7 +88,10 @@ fn plan_compare(ctx: &mut ComputeContext<'_>, name: &str, x: &str, sem: Semantic
             let (m, bins) = (kernels::moments(ctx, name), ctx.config.hist.bins);
             sides.map(|rows| kernels::histogram_with_range(ctx, name, bins, rows, m))
         }
-        SemanticType::Categorical => sides.map(|rows| kernels::freq(ctx, name, rows)),
+        SemanticType::Categorical => {
+            let [all, dropped] = sides;
+            [kernels::freq_summary(ctx, name, all), kernels::freq(ctx, name, dropped)]
+        }
     }
 }
 
@@ -100,13 +104,14 @@ fn compare_histogram(before: &Histogram, after: &Histogram) -> Inter {
 }
 
 /// Bars for the `ngroups` most frequent categories *before*; what remains
-/// of each after the drop is its count minus its dropped rows.
-fn compare_bars(before: &CatFreq, dropped: &CatFreq, ngroups: usize) -> Inter {
-    let top = before.top_k_with(ngroups, dropped);
+/// of each after the drop is its count minus its dropped rows — `ngroups`
+/// lookups in the dropped table, whatever the column's cardinality.
+fn compare_bars(before: &FreqSummary, dropped: &CatFreq, ngroups: usize) -> Inter {
+    let gone = dropped.counts_of(before, ngroups);
     Inter::CompareBars {
-        before: top.iter().map(|(_, n, _)| *n).collect(),
-        after: top.iter().map(|(_, n, gone)| n - gone).collect(),
-        categories: top.into_iter().map(|(c, _, _)| c).collect(),
+        categories: before.labels(ngroups),
+        before: before.top(ngroups).map(|(_, n)| n).collect(),
+        after: before.top(ngroups).zip(gone).map(|((_, n), gone)| n - gone).collect(),
     }
 }
 

@@ -11,7 +11,7 @@ use crate::error::EdaResult;
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
-use super::cat::CatFreq;
+use super::cat::FreqSummary;
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, ColMeta, Rows};
 use super::univariate::bar_from_freq;
@@ -27,13 +27,13 @@ pub enum OverviewColumnPlan {
         /// Histogram node.
         hist: NodeId,
     },
-    /// Categorical column: meta + frequency table.
+    /// Categorical column: meta + frequency summary.
     Categorical {
         /// Column name.
         name: String,
         /// Meta node.
         meta: NodeId,
-        /// Frequency node.
+        /// Frequency-summary node.
         freq: NodeId,
     },
 }
@@ -72,7 +72,7 @@ pub fn plan_overview(ctx: &mut ComputeContext<'_>) -> OverviewPlan {
                 },
                 SemanticType::Categorical => OverviewColumnPlan::Categorical {
                     meta: kernels::col_meta(ctx, &name),
-                    freq: kernels::freq(ctx, &name, Rows::All),
+                    freq: kernels::freq_summary(ctx, &name, Rows::All),
                     name,
                 },
             }
@@ -120,7 +120,7 @@ pub fn assemble_overview(
             }
             OverviewColumnPlan::Categorical { name, .. } => {
                 let meta = un::<ColMeta>(&outs[cursor]);
-                let freq = un::<CatFreq>(&outs[cursor + 1]);
+                let freq = un::<FreqSummary>(&outs[cursor + 1]);
                 cursor += 2;
                 total_missing += meta.nulls;
                 n_categorical += 1;

@@ -30,7 +30,7 @@ use crate::error::EdaResult;
 use crate::insights::{categorical_insights, numeric_insights, Insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
-use super::cat::CatFreq;
+use super::cat::FreqSummary;
 use super::ctx::{pl, un, ComputeContext};
 use super::kernels::{self, ColMeta, Rows};
 
@@ -93,7 +93,7 @@ pub fn distinct_sorted(sorted: &[f64]) -> usize {
 pub struct CategoricalPlan {
     /// Row/null counts.
     pub meta: NodeId,
-    /// Frequency table.
+    /// What the panel shows of the frequency table.
     pub freq: NodeId,
     /// Word/length statistics.
     pub text: NodeId,
@@ -110,7 +110,7 @@ impl CategoricalPlan {
 pub fn plan_categorical(ctx: &mut ComputeContext<'_>, column: &str) -> CategoricalPlan {
     CategoricalPlan {
         meta: kernels::col_meta(ctx, column),
-        freq: kernels::freq(ctx, column, Rows::All),
+        freq: kernels::freq_summary(ctx, column, Rows::All),
         text: kernels::text_stats(ctx, column),
     }
 }
@@ -192,7 +192,7 @@ pub fn assemble_categorical(
     outs: &[Payload],
 ) -> (Intermediates, Vec<Insight>) {
     let meta = un::<ColMeta>(&outs[0]);
-    let freq = un::<CatFreq>(&outs[1]);
+    let freq = un::<FreqSummary>(&outs[1]);
     let text = un::<TextStats>(&outs[2]);
 
     let insights = categorical_insights(column, meta, freq, &config.insight);
@@ -228,25 +228,23 @@ pub fn assemble_categorical(
 // Shared assembly helpers (also used by overview/bivariate/report)
 // ---------------------------------------------------------------------------
 
-/// Bar-chart intermediate from a frequency table.
-pub fn bar_from_freq(freq: &CatFreq, ngroups: usize) -> Inter {
-    let top = freq.top_k(ngroups);
-    let shown: u64 = top.iter().map(|(_, c)| c).sum();
+/// Bar-chart intermediate from a frequency table's summary.
+pub fn bar_from_freq(freq: &FreqSummary, ngroups: usize) -> Inter {
+    let counts: Vec<u64> = freq.top(ngroups).map(|(_, n)| n).collect();
     Inter::Bar {
-        categories: top.iter().map(|(c, _)| c.clone()).collect(),
-        counts: top.iter().map(|(_, c)| *c).collect(),
-        other: freq.total() - shown,
-        total_distinct: freq.distinct(),
+        categories: freq.labels(ngroups),
+        other: freq.total - counts.iter().sum::<u64>(),
+        counts,
+        total_distinct: freq.distinct,
     }
 }
 
-/// Pie-chart intermediate from a frequency table.
-pub fn pie_from_freq(freq: &CatFreq, slices: usize) -> Inter {
-    let total = freq.total().max(1) as f64;
-    let top = freq.top_k(slices);
+/// Pie-chart intermediate from a frequency table's summary.
+pub fn pie_from_freq(freq: &FreqSummary, slices: usize) -> Inter {
+    let total = freq.total.max(1) as f64;
     Inter::Pie {
-        categories: top.iter().map(|(c, _)| c.clone()).collect(),
-        fractions: top.iter().map(|(_, c)| *c as f64 / total).collect(),
+        categories: freq.labels(slices),
+        fractions: freq.top(slices).map(|(_, n)| n as f64 / total).collect(),
     }
 }
 
@@ -364,11 +362,10 @@ fn numeric_stats_rows(
 
 fn categorical_stats_rows(
     meta: &ColMeta,
-    freq: &CatFreq,
+    freq: &FreqSummary,
     text: &TextStats,
     insights: &[Insight],
 ) -> Vec<StatRow> {
-    let mode = freq.mode();
     let mut rows = vec![
         StatRow::new("count", meta.len.to_string()),
         StatRow::new(
@@ -379,12 +376,12 @@ fn categorical_stats_rows(
                 100.0 * meta.nulls as f64 / meta.len.max(1) as f64
             ),
         ),
-        StatRow::new("distinct", freq.distinct().to_string()),
+        StatRow::new("distinct", freq.distinct.to_string()),
         StatRow::new(
             "mode",
-            mode.map_or("-".into(), |(c, n)| format!("{c} ({n})")),
+            freq.mode().map_or("-".into(), |(c, n)| format!("{c} ({n})")),
         ),
-        StatRow::new("entropy", fmt_num(freq.entropy())),
+        StatRow::new("entropy", fmt_num(freq.entropy)),
         StatRow::new("total words", text.total_words().to_string()),
         StatRow::new("distinct words", text.distinct_words().to_string()),
         StatRow::new("mean length", fmt_num(text.lengths.mean)),

@@ -6,11 +6,11 @@
 //! aggregates into [`Insight`] values and tells the stats tables which
 //! rows to highlight (the red entries in the paper's Figure 1).
 
-use eda_stats::hypothesis::{chi_square_pvalue, chi_square_uniform};
+use eda_stats::hypothesis::chi_square_pvalue;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::BoxPlot;
 
-use crate::compute::cat::CatFreq;
+use crate::compute::cat::FreqSummary;
 use crate::compute::kernels::ColMeta;
 use crate::config::InsightConfig;
 
@@ -175,28 +175,27 @@ pub fn numeric_insights(
 pub fn categorical_insights(
     column: &str,
     meta: &ColMeta,
-    freq: &CatFreq,
+    freq: &FreqSummary,
     cfg: &InsightConfig,
 ) -> Vec<Insight> {
     let mut out = Vec::new();
     missing_insight(column, meta, cfg, &mut out);
-    let total = freq.total();
-    if total == 0 {
+    if freq.total == 0 {
         return out;
     }
-    let distinct_frac = freq.distinct() as f64 / total as f64;
-    if distinct_frac > cfg.high_cardinality && freq.distinct() > 1 {
+    let distinct_frac = freq.distinct as f64 / freq.total as f64;
+    if distinct_frac > cfg.high_cardinality && freq.distinct > 1 {
         out.push(Insight {
             kind: InsightKind::HighCardinality,
             columns: vec![column.to_string()],
             value: distinct_frac,
             message: format!(
                 "{column} has a high cardinality: {} distinct values",
-                freq.distinct()
+                freq.distinct
             ),
         });
     }
-    if freq.distinct() == 1 {
+    if freq.distinct == 1 {
         out.push(Insight {
             kind: InsightKind::Constant,
             columns: vec![column.to_string()],
@@ -205,7 +204,7 @@ pub fn categorical_insights(
         });
     }
     // Uniformity via chi-square over the observed category counts.
-    if let Some((stat, df)) = chi_square_uniform(&freq.counts_desc()) {
+    if let Some((stat, df)) = freq.chi_square {
         let p = chi_square_pvalue(stat, df);
         if p > cfg.uniform_p {
             out.push(Insight {
@@ -318,8 +317,9 @@ mod tests {
         Config::default().insight
     }
 
-    fn freq_of(values: Vec<String>) -> CatFreq {
-        CatFreq::of(&eda_dataframe::Column::from_string(values), eda_dataframe::Selection::All)
+    fn freq_of(values: Vec<String>) -> FreqSummary {
+        use crate::compute::cat::CatFreq;
+        CatFreq::of(&eda_dataframe::Column::from_string(values), eda_dataframe::Selection::All).summary(10)
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `engine.cache_budget_bytes` and `engine.memory_budget_bytes` are only
 //! as honest as the bytes `payload_sizer` charges: this holds its prices
-//! for the correlation, KDE and frequency payloads against what the
+//! for the correlation, KDE, frequency and frequency-summary payloads against what the
 //! allocator actually handed out. One test, so nothing else allocates
 //! meanwhile.
 
@@ -103,6 +103,11 @@ fn charged_bytes_are_within_a_tenth_of_the_heap_bytes() {
         freq.merge(&CatFreq::of(&other, Selection::All));
         pl(freq)
     });
+
+    // A `freq_summary` payload keeps the categories a chart shows, not
+    // the scratch its selection ran in (one entry per distinct value).
+    let table = CatFreq::of(&names, Selection::All);
+    case("freq_summary", &|| pl(table.summary(10)));
 
     for (name, payload, real) in &cases {
         let charged = sizer(payload).unwrap_or_else(|| panic!("{name}: not priced"));

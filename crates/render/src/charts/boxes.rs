@@ -3,15 +3,15 @@
 use eda_stats::quantile::BoxPlot;
 
 use crate::scale::BandScale;
-use crate::svg::Frame;
+use crate::svg::{push_clipped, Frame};
 use crate::theme;
 
-use super::bars::{empty_chart, truncate};
+use super::bars::empty_chart;
 
 /// Vertical box plots, one per labelled group.
-pub fn box_plot(title: &str, boxes: &[(String, BoxPlot)], w: usize, h: usize) -> String {
+pub fn box_plot(out: &mut String, title: &str, boxes: &[(String, BoxPlot)], w: usize, h: usize) {
     if boxes.is_empty() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
@@ -26,7 +26,7 @@ pub fn box_plot(title: &str, boxes: &[(String, BoxPlot)], w: usize, h: usize) ->
         lo = boxes.iter().map(|(_, b)| b.whisker_low).fold(f64::INFINITY, f64::min);
         hi = boxes.iter().map(|(_, b)| b.whisker_high).fold(f64::NEG_INFINITY, f64::max);
     }
-    let mut f = Frame::new(w, h, title, (0.0, 1.0), (lo, hi));
+    let mut f = Frame::new(out, w, h, title, (0.0, 1.0), (lo, hi));
     let (left, _, right, bottom) = f.plot_area();
     let band = BandScale::new(boxes.len(), left, right, 0.35);
 
@@ -54,14 +54,15 @@ pub fn box_plot(title: &str, boxes: &[(String, BoxPlot)], w: usize, h: usize) ->
         for &o in &b.outliers {
             f.svg.circle(cx, f.y.map(o), 2.0, theme::HIGHLIGHT, 0.7);
         }
-        f.svg.text(cx, bottom + 14.0, &truncate(label, 10), 9.0, "middle", theme::TEXT);
+        f.svg.text_with(cx, bottom + 14.0, 9.0, "middle", theme::TEXT, |out| push_clipped(out, label, 10));
     }
-    f.finish()
+    f.finish();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::svg::drawn;
 
     fn bp(values: &[f64]) -> BoxPlot {
         BoxPlot::from_values(values, 10).expect("non-empty")
@@ -69,7 +70,7 @@ mod tests {
 
     #[test]
     fn single_box_structure() {
-        let svg = box_plot("b", &[("x".into(), bp(&[1.0, 2.0, 3.0, 4.0, 5.0]))], 300, 200);
+        let svg = drawn(|out| box_plot(out, "b", &[("x".into(), bp(&[1.0, 2.0, 3.0, 4.0, 5.0]))], 300, 200));
         // IQR box rect.
         assert!(svg.contains("<rect"));
         // Median + whiskers + caps.
@@ -81,7 +82,7 @@ mod tests {
     fn outliers_rendered_as_circles() {
         let mut vals: Vec<f64> = (0..50).map(|i| i as f64 % 5.0).collect();
         vals.push(500.0);
-        let svg = box_plot("b", &[("x".into(), bp(&vals))], 300, 200);
+        let svg = drawn(|out| box_plot(out, "b", &[("x".into(), bp(&vals))], 300, 200));
         assert!(svg.matches("<circle").count() >= 1);
     }
 
@@ -91,7 +92,7 @@ mod tests {
             ("g1".to_string(), bp(&[1.0, 2.0, 3.0])),
             ("g2".to_string(), bp(&[10.0, 20.0, 30.0])),
         ];
-        let svg = box_plot("b", &boxes, 300, 200);
+        let svg = drawn(|out| box_plot(out, "b", &boxes, 300, 200));
         assert!(svg.contains("g1"));
         assert!(svg.contains("g2"));
         assert_eq!(svg.matches("<rect").count(), 2);
@@ -99,6 +100,6 @@ mod tests {
 
     #[test]
     fn empty_is_placeholder() {
-        assert!(box_plot("b", &[], 300, 200).contains("no data"));
+        assert!(drawn(|out| box_plot(out, "b", &[], 300, 200)).contains("no data"));
     }
 }

@@ -1,17 +1,18 @@
 //! Curve renderers: KDE, generic lines, multi-line charts.
 
-use crate::svg::Frame;
+use crate::svg::{push_clipped, Frame};
 use crate::theme;
 
-use super::bars::{empty_chart, truncate};
+use super::bars::empty_chart;
 
 /// KDE density curve with a filled area.
-pub fn kde(title: &str, xs: &[f64], ys: &[f64], w: usize, h: usize) -> String {
+pub fn kde(out: &mut String, title: &str, xs: &[f64], ys: &[f64], w: usize, h: usize) {
     if xs.len() < 2 || xs.len() != ys.len() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
     let ymax = ys.iter().copied().fold(0.0f64, f64::max);
     let mut f = Frame::new(
+        out,
         w,
         h,
         title,
@@ -31,13 +32,13 @@ pub fn kde(title: &str, xs: &[f64], ys: &[f64], w: usize, h: usize) -> String {
         .map(|(x, y)| (f.x.map(*x), f.y.map(*y)))
         .collect();
     f.svg.polyline(&line, theme::PRIMARY, 1.5);
-    f.finish()
+    f.finish();
 }
 
 /// A single line (PDF/CDF curves).
-pub fn line(title: &str, xs: &[f64], ys: &[f64], w: usize, h: usize) -> String {
+pub fn line(out: &mut String, title: &str, xs: &[f64], ys: &[f64], w: usize, h: usize) {
     if xs.len() < 2 || xs.len() != ys.len() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
     let (ymin, ymax) = ys
         .iter()
@@ -45,6 +46,7 @@ pub fn line(title: &str, xs: &[f64], ys: &[f64], w: usize, h: usize) -> String {
             (lo.min(v), hi.max(v))
         });
     let mut f = Frame::new(
+        out,
         w,
         h,
         title,
@@ -57,19 +59,20 @@ pub fn line(title: &str, xs: &[f64], ys: &[f64], w: usize, h: usize) -> String {
         .map(|(x, y)| (f.x.map(*x), f.y.map(*y)))
         .collect();
     f.svg.polyline(&pts, theme::PRIMARY, 1.5);
-    f.finish()
+    f.finish();
 }
 
 /// Violin plot: the KDE profile mirrored around a vertical axis.
-pub fn violin(title: &str, ys: &[f64], densities: &[f64], w: usize, h: usize) -> String {
+pub fn violin(out: &mut String, title: &str, ys: &[f64], densities: &[f64], w: usize, h: usize) {
     if ys.len() < 2 || ys.len() != densities.len() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
     let dmax = densities.iter().copied().fold(0.0f64, f64::max);
     if dmax <= 0.0 {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
     let mut f = Frame::new(
+        out,
         w,
         h,
         title,
@@ -88,19 +91,20 @@ pub fn violin(title: &str, ys: &[f64], densities: &[f64], w: usize, h: usize) ->
     // Center spine.
     let cx = f.x.map(0.0);
     f.svg.line(cx, f.y.map(ys[0]), cx, f.y.map(*ys.last().expect("non-empty")), theme::PRIMARY, 1.0);
-    f.finish()
+    f.finish();
 }
 
 /// One line per category over shared x positions, with a legend.
 pub fn multi_line(
+    out: &mut String,
     title: &str,
     xs: &[f64],
     series: &[(String, Vec<u64>)],
     w: usize,
     h: usize,
-) -> String {
+) {
     if xs.len() < 2 || series.is_empty() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
     let ymax = series
         .iter()
@@ -108,6 +112,7 @@ pub fn multi_line(
         .max()
         .unwrap_or(1) as f64;
     let mut f = Frame::new(
+        out,
         w,
         h,
         title,
@@ -124,34 +129,34 @@ pub fn multi_line(
         f.svg.polyline(&pts, theme::series_color(si), 1.5);
         let ly = top + 6.0 + 13.0 * si as f64;
         f.svg.rect(right - 90.0, ly - 8.0, 9.0, 9.0, theme::series_color(si));
-        f.svg
-            .text(right - 77.0, ly, &truncate(name, 12), 9.0, "start", theme::TEXT);
+        f.svg.text_with(right - 77.0, ly, 9.0, "start", theme::TEXT, |out| push_clipped(out, name, 12));
     }
-    f.finish()
+    f.finish();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::svg::drawn;
 
     #[test]
     fn kde_has_area_and_line() {
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (-(x - 10.0).powi(2) / 20.0).exp()).collect();
-        let svg = kde("k", &xs, &ys, 300, 200);
+        let svg = drawn(|out| kde(out, "k", &xs, &ys, 300, 200));
         assert!(svg.contains("<polygon"));
         assert!(svg.contains("<path"));
     }
 
     #[test]
     fn kde_degenerate() {
-        assert!(kde("k", &[], &[], 300, 200).contains("no data"));
-        assert!(kde("k", &[1.0], &[1.0], 300, 200).contains("no data"));
+        assert!(drawn(|out| kde(out, "k", &[], &[], 300, 200)).contains("no data"));
+        assert!(drawn(|out| kde(out, "k", &[1.0], &[1.0], 300, 200)).contains("no data"));
     }
 
     #[test]
     fn line_spans_range() {
-        let svg = line("cdf", &[0.0, 1.0, 2.0], &[0.2, 0.7, 1.0], 300, 200);
+        let svg = drawn(|out| line(out, "cdf", &[0.0, 1.0, 2.0], &[0.2, 0.7, 1.0], 300, 200));
         assert!(svg.contains("<path"));
     }
 
@@ -159,29 +164,21 @@ mod tests {
     fn violin_mirrors_profile() {
         let ys: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let ds: Vec<f64> = ys.iter().map(|y| (-(y - 10.0).powi(2) / 20.0).exp()).collect();
-        let svg = violin("v", &ys, &ds, 300, 200);
+        let svg = drawn(|out| violin(out, "v", &ys, &ds, 300, 200));
         assert!(svg.contains("<polygon"));
         assert!(svg.contains("<line"));
     }
 
     #[test]
     fn violin_degenerate() {
-        assert!(violin("v", &[], &[], 300, 200).contains("no data"));
-        assert!(violin("v", &[1.0, 2.0], &[0.0, 0.0], 300, 200).contains("no data"));
+        assert!(drawn(|out| violin(out, "v", &[], &[], 300, 200)).contains("no data"));
+        assert!(drawn(|out| violin(out, "v", &[1.0, 2.0], &[0.0, 0.0], 300, 200)).contains("no data"));
     }
 
     #[test]
     fn multi_line_legend() {
-        let svg = multi_line(
-            "m",
-            &[0.0, 1.0, 2.0],
-            &[
-                ("alpha".to_string(), vec![1, 2, 3]),
-                ("beta".to_string(), vec![3, 2, 1]),
-            ],
-            300,
-            200,
-        );
+        let series = [("alpha".to_string(), vec![1, 2, 3]), ("beta".to_string(), vec![3, 2, 1])];
+        let svg = drawn(|out| multi_line(out, "m", &[0.0, 1.0, 2.0], &series, 300, 200));
         assert!(svg.contains("alpha"));
         assert!(svg.contains("beta"));
         assert_eq!(svg.matches("<path").count(), 2);

@@ -4,6 +4,7 @@
 //! Both consume the [`RunTrace`] a profiled run
 //! (`("engine.profile", "true")`) attaches to `ExecStats`.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use eda_taskgraph::{RunTrace, SpanStatus, TaskSpan};
@@ -40,7 +41,7 @@ pub fn fmt_dur(d: Duration) -> String {
 /// worker, one rectangle per executed span, colored by outcome. Every
 /// worker gets a lane even if it ran nothing (idle workers are part of
 /// the utilization story).
-pub fn gantt(trace: &RunTrace, width: usize, height: usize) -> String {
+pub fn gantt(out: &mut String, trace: &RunTrace, width: usize, height: usize) {
     let workers = trace.workers.max(1);
     let left = 44.0;
     let top = 24.0;
@@ -48,7 +49,7 @@ pub fn gantt(trace: &RunTrace, width: usize, height: usize) -> String {
     let right = 10.0;
     // Grow with worker count so lanes stay readable on big machines.
     let height = height.max(top as usize + bottom as usize + 18 * workers);
-    let mut svg = Svg::new(width, height);
+    let mut svg = Svg::new(out, width, height);
     let plot_w = width as f64 - left - right;
     let lane_h = (height as f64 - top - bottom) / workers as f64;
     let total = trace.elapsed.max(Duration::from_micros(1)).as_secs_f64();
@@ -90,34 +91,34 @@ pub fn gantt(trace: &RunTrace, width: usize, height: usize) -> String {
         "end",
         theme::TEXT,
     );
-    svg.finish()
+    svg.finish();
 }
 
 /// HTML table of the `k` slowest executed tasks: name, worker, duration,
 /// queue wait, and payload estimate.
-pub fn top_k_table(trace: &RunTrace, k: usize) -> String {
+pub fn top_k_table(out: &mut String, trace: &RunTrace, k: usize) {
     let rows: Vec<&TaskSpan> = trace.top_k(k);
     if rows.is_empty() {
-        return String::from("<p><small>no executed tasks recorded</small></p>");
+        return out.push_str("<p><small>no executed tasks recorded</small></p>");
     }
-    let mut html = String::from(
+    out.push_str(
         r#"<table class="eda-stats"><tr><th>#</th><th>task</th><th>worker</th><th>duration</th><th>queue wait</th><th>payload</th><th>status</th></tr>"#,
     );
     for (i, span) in rows.iter().enumerate() {
         let class = if span.status == SpanStatus::Ok { "" } else { r#" class="highlight""# };
-        html.push_str(&format!(
-            "<tr{class}><td>{}</td><td>{}</td><td>w{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            i + 1,
-            Svg::escape(&span.name),
+        let _ = write!(out, "<tr{class}><td>{}</td><td>", i + 1);
+        Svg::escape(out, &span.name);
+        let _ = write!(
+            out,
+            "</td><td>w{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
             span.worker,
             fmt_dur(span.duration()),
             fmt_dur(span.queue_wait),
             fmt_bytes(span.payload_bytes),
             span.status.label(),
-        ));
+        );
     }
-    html.push_str("</table>");
-    html
+    out.push_str("</table>");
 }
 
 /// Format an estimated payload size (`640 B`, `12.5 KB`, `3.2 MB`).
@@ -134,6 +135,7 @@ pub fn fmt_bytes(bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::svg::drawn;
     use eda_taskgraph::NodeId;
 
     fn span(node: NodeId, name: &str, worker: usize, start_us: u64, end_us: u64) -> TaskSpan {
@@ -164,7 +166,7 @@ mod tests {
 
     #[test]
     fn gantt_has_one_lane_label_per_worker() {
-        let html = gantt(&trace(), 600, 200);
+        let html = drawn(|out| gantt(out, &trace(), 600, 200));
         assert!(html.contains("<svg"));
         assert!(html.contains(">w0<"));
         assert!(html.contains(">w1<"));
@@ -174,7 +176,7 @@ mod tests {
     #[test]
     fn gantt_renders_idle_workers_and_empty_traces() {
         let t = RunTrace { spans: vec![], workers: 4, elapsed: Duration::ZERO };
-        let html = gantt(&t, 600, 120);
+        let html = drawn(|out| gantt(out, &t, 600, 120));
         for w in 0..4 {
             assert!(html.contains(&format!(">w{w}<")), "missing lane w{w}");
         }
@@ -183,7 +185,7 @@ mod tests {
 
     #[test]
     fn top_k_table_ranks_by_duration() {
-        let html = top_k_table(&trace(), 2);
+        let html = drawn(|out| top_k_table(out, &trace(), 2));
         assert!(html.contains("<table"));
         // hist:price (780µs) outranks kde:price (250µs); src drops out at k=2.
         let hist = html.find("hist:price").unwrap();
@@ -195,7 +197,7 @@ mod tests {
     #[test]
     fn top_k_table_handles_empty_trace() {
         let t = RunTrace { spans: vec![], workers: 1, elapsed: Duration::ZERO };
-        assert!(top_k_table(&t, 5).contains("no executed tasks"));
+        assert!(drawn(|out| top_k_table(out, &t, 5)).contains("no executed tasks"));
     }
 
     #[test]

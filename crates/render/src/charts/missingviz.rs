@@ -3,18 +3,19 @@
 
 use eda_stats::missing::{DendrogramMerge, MissingSpectrum, MissingSummary};
 
+use crate::num::{push_fixed, push_uint};
 use crate::scale::BandScale;
-use crate::svg::{Frame, Svg};
+use crate::svg::{push_clipped, Frame, Svg};
 use crate::theme;
 
-use super::bars::{empty_chart, truncate};
+use super::bars::empty_chart;
 
 /// Per-column missing-rate bars.
-pub fn missing_bars(title: &str, bars: &[MissingSummary], w: usize, h: usize) -> String {
+pub fn missing_bars(out: &mut String, title: &str, bars: &[MissingSummary], w: usize, h: usize) {
     if bars.is_empty() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
-    let mut f = Frame::new(w, h, title, (0.0, 1.0), (0.0, 100.0));
+    let mut f = Frame::new(out, w, h, title, (0.0, 1.0), (0.0, 100.0));
     let (left, _, right, bottom) = f.plot_area();
     let band = BandScale::new(bars.len(), left, right, 0.25);
     let y0 = f.y.map(0.0);
@@ -23,33 +24,24 @@ pub fn missing_bars(title: &str, bars: &[MissingSummary], w: usize, h: usize) ->
         let y = f.y.map(pct);
         f.svg
             .rect(band.position(i), y, band.bandwidth(), (y0 - y).max(0.0), theme::HIGHLIGHT);
-        f.svg.text(
-            band.center(i),
-            bottom + 14.0,
-            &truncate(&b.label, 9),
-            9.0,
-            "middle",
-            theme::TEXT,
-        );
-        f.svg.text(
-            band.center(i),
-            y - 3.0,
-            &format!("{pct:.1}%"),
-            8.0,
-            "middle",
-            theme::TEXT,
-        );
+        f.svg.text_with(band.center(i), bottom + 14.0, 9.0, "middle", theme::TEXT, |out| {
+            push_clipped(out, &b.label, 9);
+        });
+        f.svg.text_with(band.center(i), y - 3.0, 8.0, "middle", theme::TEXT, |out| {
+            push_fixed(out, pct, 1);
+            out.push('%');
+        });
     }
-    f.finish()
+    f.finish();
 }
 
 /// The missing spectrum: rows of row-range bins, one column of cells per
 /// dataframe column, shaded by missing density.
-pub fn spectrum(title: &str, s: &MissingSpectrum, w: usize, h: usize) -> String {
+pub fn spectrum(out: &mut String, title: &str, s: &MissingSpectrum, w: usize, h: usize) {
     if s.labels.is_empty() || s.counts.is_empty() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
-    let mut svg = Svg::new(w, h);
+    let mut svg = Svg::new(out, w, h);
     svg.text(w as f64 / 2.0, 16.0, title, 12.0, "middle", theme::TEXT);
     let left = 70.0;
     let top = 28.0;
@@ -66,47 +58,37 @@ pub fn spectrum(title: &str, s: &MissingSpectrum, w: usize, h: usize) -> String 
                 top + ch * r as f64,
                 cw - 1.0,
                 ch.max(1.0) - 0.5,
-                &theme::sequential(density),
+                theme::sequential(density).as_str(),
             );
         }
         if r == 0 || r + 1 == s.counts.len() {
-            svg.text(
-                left - 5.0,
-                top + ch * (r as f64 + 0.7),
-                &format!("{}", range.0),
-                8.0,
-                "end",
-                theme::TEXT,
-            );
+            svg.text_with(left - 5.0, top + ch * (r as f64 + 0.7), 8.0, "end", theme::TEXT, |out| {
+                push_uint(out, range.0 as u64);
+            });
         }
     }
     for (c, label) in s.labels.iter().enumerate() {
-        svg.text(
-            left + cw * (c as f64 + 0.5),
-            bottom + 12.0,
-            &truncate(label, 9),
-            9.0,
-            "middle",
-            theme::TEXT,
-        );
+        let x = left + cw * (c as f64 + 0.5);
+        svg.text_with(x, bottom + 12.0, 9.0, "middle", theme::TEXT, |out| push_clipped(out, label, 9));
     }
-    svg.finish()
+    svg.finish();
 }
 
 /// Nullity dendrogram (SciPy linkage convention: leaves `0..m`, merge `k`
 /// creates id `m + k`).
 pub fn dendrogram(
+    out: &mut String,
     title: &str,
     labels: &[String],
     merges: &[DendrogramMerge],
     w: usize,
     h: usize,
-) -> String {
+) {
     let m = labels.len();
     if m < 2 || merges.is_empty() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
-    let mut svg = Svg::new(w, h);
+    let mut svg = Svg::new(out, w, h);
     svg.text(w as f64 / 2.0, 16.0, title, 12.0, "middle", theme::TEXT);
     let left = 16.0;
     let top = 30.0;
@@ -135,32 +117,29 @@ pub fn dendrogram(
         pos.push(((x1 + x2) / 2.0, y));
     }
     for (i, label) in labels.iter().enumerate() {
-        svg.text(
-            band.center(i),
-            bottom + 14.0,
-            &truncate(label, 9),
-            9.0,
-            "middle",
-            theme::TEXT,
-        );
+        svg.text_with(band.center(i), bottom + 14.0, 9.0, "middle", theme::TEXT, |out| {
+            push_clipped(out, label, 9);
+        });
     }
-    svg.finish()
+    svg.finish();
 }
 
 /// Overlaid before/after histograms (shared edges).
 pub fn compare_histogram(
+    out: &mut String,
     title: &str,
     edges: &[f64],
     before: &[u64],
     after: &[u64],
     w: usize,
     h: usize,
-) -> String {
+) {
     if before.is_empty() || edges.len() != before.len() + 1 {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
     let max = before.iter().chain(after).copied().max().unwrap_or(1) as f64;
     let mut f = Frame::new(
+        out,
         w,
         h,
         title,
@@ -178,23 +157,24 @@ pub fn compare_histogram(
         f.svg.rect(x0, ya, width, (y0 - ya).max(0.0), "rgba(245,133,24,0.55)");
     }
     legend(&mut f);
-    f.finish()
+    f.finish();
 }
 
 /// Side-by-side before/after category bars.
 pub fn compare_bars(
+    out: &mut String,
     title: &str,
     categories: &[String],
     before: &[u64],
     after: &[u64],
     w: usize,
     h: usize,
-) -> String {
+) {
     if categories.is_empty() {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     }
     let max = before.iter().chain(after).copied().max().unwrap_or(1) as f64;
-    let mut f = Frame::new(w, h, title, (0.0, 1.0), (0.0, max));
+    let mut f = Frame::new(out, w, h, title, (0.0, 1.0), (0.0, max));
     let (left, _, right, bottom) = f.plot_area();
     let band = BandScale::new(categories.len(), left, right, 0.3);
     let y0 = f.y.map(0.0);
@@ -205,21 +185,16 @@ pub fn compare_bars(
         let ya = f.y.map(after.get(i).copied().unwrap_or(0) as f64);
         f.svg
             .rect(band.position(i) + half, ya, half, (y0 - ya).max(0.0), theme::SECONDARY);
-        f.svg.text(
-            band.center(i),
-            bottom + 14.0,
-            &truncate(cat, 9),
-            9.0,
-            "middle",
-            theme::TEXT,
-        );
+        f.svg.text_with(band.center(i), bottom + 14.0, 9.0, "middle", theme::TEXT, |out| {
+            push_clipped(out, cat, 9);
+        });
     }
     legend(&mut f);
-    f.finish()
+    f.finish();
 }
 
 /// A before/after legend in the top-right corner.
-fn legend(f: &mut Frame) {
+fn legend(f: &mut Frame<'_>) {
     let (_, top, right, _) = f.plot_area();
     for (i, (name, color)) in [("before", theme::PRIMARY), ("after", theme::SECONDARY)]
         .iter()
@@ -234,6 +209,7 @@ fn legend(f: &mut Frame) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::svg::drawn;
 
     #[test]
     fn missing_bars_show_percentages() {
@@ -241,7 +217,7 @@ mod tests {
             MissingSummary { label: "a".into(), nulls: 25, total: 100 },
             MissingSummary { label: "b".into(), nulls: 0, total: 100 },
         ];
-        let svg = missing_bars("m", &bars, 300, 200);
+        let svg = drawn(|out| missing_bars(out, "m", &bars, 300, 200));
         assert!(svg.contains("25.0%"));
         assert!(svg.contains("0.0%"));
     }
@@ -253,7 +229,7 @@ mod tests {
             row_ranges: vec![(0, 5), (5, 10)],
             counts: vec![vec![1, 0], vec![0, 3]],
         };
-        let svg = spectrum("s", &s, 300, 200);
+        let svg = drawn(|out| spectrum(out, "s", &s, 300, 200));
         assert_eq!(svg.matches("<rect").count(), 4);
     }
 
@@ -264,7 +240,7 @@ mod tests {
             DendrogramMerge { left: 0, right: 1, distance: 0.2, size: 2 },
             DendrogramMerge { left: 2, right: 3, distance: 0.8, size: 3 },
         ];
-        let svg = dendrogram("d", &labels, &merges, 300, 200);
+        let svg = drawn(|out| dendrogram(out, "d", &labels, &merges, 300, 200));
         // 3 lines per merge.
         assert_eq!(svg.matches("<line").count(), 6);
         assert!(svg.contains(">a<"));
@@ -272,12 +248,12 @@ mod tests {
 
     #[test]
     fn dendrogram_degenerate() {
-        assert!(dendrogram("d", &["a".into()], &[], 300, 200).contains("no data"));
+        assert!(drawn(|out| dendrogram(out, "d", &["a".into()], &[], 300, 200)).contains("no data"));
     }
 
     #[test]
     fn compare_histogram_draws_two_layers() {
-        let svg = compare_histogram("c", &[0.0, 1.0, 2.0], &[5, 3], &[4, 1], 300, 200);
+        let svg = drawn(|out| compare_histogram(out, "c", &[0.0, 1.0, 2.0], &[5, 3], &[4, 1], 300, 200));
         // 2 bins × 2 layers + 2 legend swatches.
         assert_eq!(svg.matches("<rect").count(), 6);
         assert!(svg.contains("before"));
@@ -286,14 +262,7 @@ mod tests {
 
     #[test]
     fn compare_bars_pairs() {
-        let svg = compare_bars(
-            "c",
-            &["x".into(), "y".into()],
-            &[10, 5],
-            &[8, 2],
-            300,
-            200,
-        );
+        let svg = drawn(|out| compare_bars(out, "c", &["x".into(), "y".into()], &[10, 5], &[8, 2], 300, 200));
         assert_eq!(svg.matches("<rect").count(), 6);
     }
 }

@@ -1,8 +1,8 @@
 //! Chart renderers: one per intermediate kind.
 //!
-//! Every renderer takes the intermediate plus the display configuration
-//! and returns a self-contained HTML fragment (usually an inline SVG;
-//! tables render as HTML tables).
+//! Every renderer takes the page under construction, the intermediate and
+//! the display configuration, and appends a self-contained HTML fragment
+//! (usually an inline SVG; tables render as HTML tables).
 
 mod bars;
 mod boxes;
@@ -16,53 +16,53 @@ mod tables;
 use eda_core::config::DisplayConfig;
 use eda_core::intermediate::Inter;
 
-/// Render one intermediate into an HTML fragment.
-pub fn render_chart(title: &str, inter: &Inter, display: &DisplayConfig) -> String {
+/// Append one intermediate's HTML fragment to `out`.
+pub fn render_chart(out: &mut String, title: &str, inter: &Inter, display: &DisplayConfig) {
     let (w, h) = (display.width, display.height);
     match inter {
-        Inter::StatsTable(rows) => tables::stats_table(rows),
-        Inter::Histogram { edges, counts } => bars::histogram(title, edges, counts, w, h),
+        Inter::StatsTable(rows) => tables::stats_table(out, rows),
+        Inter::Histogram { edges, counts } => bars::histogram(out, title, edges, counts, w, h),
         Inter::Bar { categories, counts, other, total_distinct } => {
-            bars::bar_chart(title, categories, counts, *other, *total_distinct, w, h)
+            bars::bar_chart(out, title, categories, counts, *other, *total_distinct, w, h)
         }
-        Inter::Pie { categories, fractions } => bars::pie_chart(title, categories, fractions, w, h),
-        Inter::Kde { xs, ys } => curves::kde(title, xs, ys, w, h),
-        Inter::QQ(points) => points::qq_plot(title, points, w, h),
-        Inter::Boxes(boxes) => boxes::box_plot(title, boxes, w, h),
-        Inter::Scatter { points, sampled } => points::scatter(title, points, *sampled, w, h),
+        Inter::Pie { categories, fractions } => bars::pie_chart(out, title, categories, fractions, w, h),
+        Inter::Kde { xs, ys } => curves::kde(out, title, xs, ys, w, h),
+        Inter::QQ(points) => points::qq_plot(out, title, points, w, h),
+        Inter::Boxes(boxes) => boxes::box_plot(out, title, boxes, w, h),
+        Inter::Scatter { points, sampled } => points::scatter(out, title, points, *sampled, w, h),
         Inter::RegressionScatter { points, slope, intercept, r2 } => {
-            points::regression_scatter(title, points, *slope, *intercept, *r2, w, h)
+            points::regression_scatter(out, title, points, *slope, *intercept, *r2, w, h)
         }
         Inter::Hexbin { centers, counts, radius } => {
-            points::hexbin(title, centers, counts, *radius, w, h)
+            points::hexbin(out, title, centers, counts, *radius, w, h)
         }
         Inter::Heatmap { xlabels, ylabels, values } => {
-            matrix::heatmap(title, xlabels, ylabels, values, w, h)
+            matrix::heatmap(out, title, xlabels, ylabels, values, w, h)
         }
         Inter::GroupedBars { xlabels, series, stacked } => {
-            bars::grouped_bars(title, xlabels, series, *stacked, w, h)
+            bars::grouped_bars(out, title, xlabels, series, *stacked, w, h)
         }
-        Inter::MultiLine { xs, series } => curves::multi_line(title, xs, series, w, h),
-        Inter::Violin { ys, densities } => curves::violin(title, ys, densities, w, h),
-        Inter::Line { xs, ys } => curves::line(title, xs, ys, w, h),
-        Inter::Correlation(m) => matrix::correlation(title, m, w, h),
-        Inter::CorrVectors(vectors) => tables::corr_vectors(vectors),
-        Inter::MissingBars(bars) => missingviz::missing_bars(title, bars, w, h),
-        Inter::Spectrum(s) => missingviz::spectrum(title, s, w, h),
+        Inter::MultiLine { xs, series } => curves::multi_line(out, title, xs, series, w, h),
+        Inter::Violin { ys, densities } => curves::violin(out, title, ys, densities, w, h),
+        Inter::Line { xs, ys } => curves::line(out, title, xs, ys, w, h),
+        Inter::Correlation(m) => matrix::correlation(out, title, m, w, h),
+        Inter::CorrVectors(vectors) => tables::corr_vectors(out, vectors),
+        Inter::MissingBars(bars) => missingviz::missing_bars(out, title, bars, w, h),
+        Inter::Spectrum(s) => missingviz::spectrum(out, title, s, w, h),
         Inter::NullityCorr { labels, cells } => {
-            matrix::nullity_correlation(title, labels, cells, w, h)
+            matrix::nullity_correlation(out, title, labels, cells, w, h)
         }
         Inter::Dendrogram { labels, merges } => {
-            missingviz::dendrogram(title, labels, merges, w, h)
+            missingviz::dendrogram(out, title, labels, merges, w, h)
         }
         Inter::WordFreq { words, total, distinct } => {
-            tables::word_freq(title, words, *total, *distinct, w, h)
+            tables::word_freq(out, title, words, *total, *distinct, w, h)
         }
         Inter::CompareHistogram { edges, before, after } => {
-            missingviz::compare_histogram(title, edges, before, after, w, h)
+            missingviz::compare_histogram(out, title, edges, before, after, w, h)
         }
         Inter::CompareBars { categories, before, after } => {
-            missingviz::compare_bars(title, categories, before, after, w, h)
+            missingviz::compare_bars(out, title, categories, before, after, w, h)
         }
     }
 }
@@ -77,6 +77,10 @@ mod tests {
 
     fn display() -> DisplayConfig {
         Config::default().display
+    }
+
+    fn chart(title: &str, inter: &Inter, display: &DisplayConfig) -> String {
+        crate::svg::drawn(|out| render_chart(out, title, inter, display))
     }
 
     fn assert_svg(html: &str) {
@@ -260,7 +264,7 @@ mod tests {
             ),
         ];
         for (name, inter) in charts {
-            let html = render_chart(name, &inter, &d);
+            let html = chart(name, &inter, &d);
             assert!(!html.is_empty(), "{name} rendered nothing");
             match inter {
                 Inter::StatsTable(_) | Inter::CorrVectors(_) => {
@@ -273,7 +277,7 @@ mod tests {
 
     #[test]
     fn stats_table_highlights() {
-        let html = render_chart(
+        let html = chart(
             "stats",
             &Inter::StatsTable(vec![StatRow {
                 label: "missing".into(),
@@ -288,11 +292,11 @@ mod tests {
     #[test]
     fn empty_data_renders_placeholders() {
         let d = display();
-        let html = render_chart("kde_plot", &Inter::Kde { xs: vec![], ys: vec![] }, &d);
+        let html = chart("kde_plot", &Inter::Kde { xs: vec![], ys: vec![] }, &d);
         assert!(html.contains("no data"));
-        let html = render_chart("qq_plot", &Inter::QQ(vec![]), &d);
+        let html = chart("qq_plot", &Inter::QQ(vec![]), &d);
         assert!(html.contains("no data"));
-        let html = render_chart("box_plot", &Inter::Boxes(vec![]), &d);
+        let html = chart("box_plot", &Inter::Boxes(vec![]), &d);
         assert!(html.contains("no data"));
     }
 }

@@ -19,30 +19,30 @@ fn bounds(points: &[(f64, f64)]) -> Option<((f64, f64), (f64, f64))> {
 }
 
 /// Plain scatter plot; notes thinning in the title when `sampled`.
-pub fn scatter(title: &str, points: &[(f64, f64)], sampled: bool, w: usize, h: usize) -> String {
+pub fn scatter(out: &mut String, title: &str, points: &[(f64, f64)], sampled: bool, w: usize, h: usize) {
     let Some((xb, yb)) = bounds(points) else {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     };
     let full_title = if sampled {
         format!("{title} (sampled)")
     } else {
         title.to_string()
     };
-    let mut f = Frame::new(w, h, &full_title, xb, yb);
+    let mut f = Frame::new(out, w, h, &full_title, xb, yb);
     for &(x, y) in points {
         f.svg.circle(f.x.map(x), f.y.map(y), 2.0, theme::PRIMARY, 0.55);
     }
-    f.finish()
+    f.finish();
 }
 
 /// Normal Q-Q plot with the reference diagonal.
-pub fn qq_plot(title: &str, points: &[(f64, f64)], w: usize, h: usize) -> String {
+pub fn qq_plot(out: &mut String, title: &str, points: &[(f64, f64)], w: usize, h: usize) {
     let Some((xb, yb)) = bounds(points) else {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     };
     let lo = xb.0.min(yb.0);
     let hi = xb.1.max(yb.1);
-    let mut f = Frame::new(w, h, title, (lo, hi), (lo, hi));
+    let mut f = Frame::new(out, w, h, title, (lo, hi), (lo, hi));
     f.svg.line(
         f.x.map(lo),
         f.y.map(lo),
@@ -54,11 +54,13 @@ pub fn qq_plot(title: &str, points: &[(f64, f64)], w: usize, h: usize) -> String
     for &(x, y) in points {
         f.svg.circle(f.x.map(x), f.y.map(y), 2.0, theme::PRIMARY, 0.7);
     }
-    f.finish()
+    f.finish();
 }
 
 /// Scatter with a fitted regression line annotated with R².
+#[allow(clippy::too_many_arguments)]
 pub fn regression_scatter(
+    out: &mut String,
     title: &str,
     points: &[(f64, f64)],
     slope: f64,
@@ -66,12 +68,12 @@ pub fn regression_scatter(
     r2: f64,
     w: usize,
     h: usize,
-) -> String {
+) {
     let Some((xb, yb)) = bounds(points) else {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     };
     let full = format!("{title} (R² = {r2:.3})");
-    let mut f = Frame::new(w, h, &full, xb, yb);
+    let mut f = Frame::new(out, w, h, &full, xb, yb);
     for &(x, y) in points {
         f.svg.circle(f.x.map(x), f.y.map(y), 2.0, theme::PRIMARY, 0.55);
     }
@@ -84,23 +86,25 @@ pub fn regression_scatter(
         theme::HIGHLIGHT,
         1.5,
     );
-    f.finish()
+    f.finish();
 }
 
 /// Hexbin plot: pointy-top hexagons shaded by count.
 pub fn hexbin(
+    out: &mut String,
     title: &str,
     centers: &[(f64, f64)],
     counts: &[u64],
     radius: f64,
     w: usize,
     h: usize,
-) -> String {
+) {
     let Some((xb, yb)) = bounds(centers) else {
-        return empty_chart(title, w, h);
+        return empty_chart(out, title, w, h);
     };
     // Pad by one radius so edge hexagons stay inside the frame.
     let mut f = Frame::new(
+        out,
         w,
         h,
         title,
@@ -113,34 +117,33 @@ pub fn hexbin(
     for (&(cx, cy), &c) in centers.iter().zip(counts) {
         let px = f.x.map(cx);
         let py = f.y.map(cy);
-        let pts: Vec<(f64, f64)> = (0..6)
-            .map(|k| {
-                let a = std::f64::consts::FRAC_PI_6 + k as f64 * std::f64::consts::FRAC_PI_3;
-                (px + pr * a.cos(), py + pr * a.sin())
-            })
-            .collect();
-        f.svg.polygon(&pts, &theme::sequential(c as f64 / max));
+        let pts: [(f64, f64); 6] = std::array::from_fn(|k| {
+            let a = std::f64::consts::FRAC_PI_6 + k as f64 * std::f64::consts::FRAC_PI_3;
+            (px + pr * a.cos(), py + pr * a.sin())
+        });
+        f.svg.polygon(&pts, theme::sequential(c as f64 / max).as_str());
     }
-    f.finish()
+    f.finish();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::svg::drawn;
 
     #[test]
     fn scatter_marks_points() {
         let pts = vec![(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)];
-        let svg = scatter("s", &pts, false, 300, 200);
+        let svg = drawn(|out| scatter(out, "s", &pts, false, 300, 200));
         assert_eq!(svg.matches("<circle").count(), 3);
         assert!(!svg.contains("sampled"));
-        let svg2 = scatter("s", &pts, true, 300, 200);
+        let svg2 = drawn(|out| scatter(out, "s", &pts, true, 300, 200));
         assert!(svg2.contains("sampled"));
     }
 
     #[test]
     fn qq_has_diagonal() {
-        let svg = qq_plot("q", &[(0.0, 0.1), (1.0, 0.9)], 300, 200);
+        let svg = drawn(|out| qq_plot(out, "q", &[(0.0, 0.1), (1.0, 0.9)], 300, 200));
         assert!(svg.matches("<circle").count() == 2);
         // Axes (2) + grid lines + diagonal: at least one extra line.
         assert!(svg.matches("<line").count() >= 3);
@@ -148,26 +151,19 @@ mod tests {
 
     #[test]
     fn regression_line_annotated() {
-        let svg = regression_scatter("r", &[(0.0, 1.0), (1.0, 3.0)], 2.0, 1.0, 0.987, 300, 200);
+        let svg = drawn(|out| regression_scatter(out, "r", &[(0.0, 1.0), (1.0, 3.0)], 2.0, 1.0, 0.987, 300, 200));
         assert!(svg.contains("R² = 0.987"));
     }
 
     #[test]
     fn hexbin_draws_hexagons() {
-        let svg = hexbin(
-            "h",
-            &[(0.0, 0.0), (1.0, 0.5)],
-            &[1, 5],
-            0.3,
-            300,
-            200,
-        );
+        let svg = drawn(|out| hexbin(out, "h", &[(0.0, 0.0), (1.0, 0.5)], &[1, 5], 0.3, 300, 200));
         assert_eq!(svg.matches("<polygon").count(), 2);
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(scatter("s", &[], false, 300, 200).contains("no data"));
-        assert!(hexbin("h", &[], &[], 1.0, 300, 200).contains("no data"));
+        assert!(drawn(|out| scatter(out, "s", &[], false, 300, 200)).contains("no data"));
+        assert!(drawn(|out| hexbin(out, "h", &[], &[], 1.0, 300, 200)).contains("no data"));
     }
 }

@@ -3,28 +3,26 @@
 
 use eda_core::intermediate::{CorrVectorsByMethod, StatRow};
 
+use crate::num::{push_fixed, push_uint};
 use crate::svg::Svg;
 use crate::theme;
 
 /// The stats table of a column or dataset, with insight rows highlighted
 /// in red (paper Figure 1, part B).
-pub fn stats_table(rows: &[StatRow]) -> String {
-    let mut html = String::from(r#"<table class="eda-stats"><tbody>"#);
+pub fn stats_table(out: &mut String, rows: &[StatRow]) {
+    out.push_str(r#"<table class="eda-stats"><tbody>"#);
     for r in rows {
-        let class = if r.highlight { r#" class="highlight""# } else { "" };
-        html.push_str(&format!(
-            "<tr{class}><td>{}</td><td>{}</td></tr>",
-            Svg::escape(&r.label),
-            Svg::escape(&r.value)
-        ));
+        out.push_str(if r.highlight { r#"<tr class="highlight"><td>"# } else { "<tr><td>" });
+        Svg::escape(out, &r.label);
+        out.push_str("</td><td>");
+        Svg::escape(out, &r.value);
+        out.push_str("</td></tr>");
     }
-    html.push_str("</tbody></table>");
-    html
+    out.push_str("</tbody></table>");
 }
 
 /// Correlation vectors: one table per method, columns sorted by |r|.
-pub fn corr_vectors(vectors: &CorrVectorsByMethod) -> String {
-    let mut html = String::new();
+pub fn corr_vectors(out: &mut String, vectors: &CorrVectorsByMethod) {
     for (method, entries) in vectors {
         let mut sorted: Vec<&(String, Option<f64>)> = entries.iter().collect();
         sorted.sort_by(|a, b| {
@@ -32,38 +30,39 @@ pub fn corr_vectors(vectors: &CorrVectorsByMethod) -> String {
             let bv = b.1.map_or(-1.0, f64::abs);
             bv.partial_cmp(&av).expect("finite")
         });
-        html.push_str(&format!(
-            r#"<table class="eda-stats"><thead><tr><th colspan="2">{}</th></tr></thead><tbody>"#,
-            Svg::escape(method)
-        ));
+        out.push_str(r#"<table class="eda-stats"><thead><tr><th colspan="2">"#);
+        Svg::escape(out, method);
+        out.push_str("</th></tr></thead><tbody>");
         for (name, r) in sorted {
-            let value = r.map_or("-".to_string(), |v| format!("{v:.3}"));
-            html.push_str(&format!(
-                "<tr><td>{}</td><td>{value}</td></tr>",
-                Svg::escape(name)
-            ));
+            out.push_str("<tr><td>");
+            Svg::escape(out, name);
+            out.push_str("</td><td>");
+            match r {
+                Some(v) => push_fixed(out, *v, 3),
+                None => out.push('-'),
+            }
+            out.push_str("</td></tr>");
         }
-        html.push_str("</tbody></table>");
+        out.push_str("</tbody></table>");
     }
-    html
 }
 
 /// Word cloud: top words scaled by frequency, laid out on a spiral-ish
 /// grid, plus the counts as a caption.
 pub fn word_freq(
+    out: &mut String,
     title: &str,
     words: &[(String, u64)],
     total: u64,
     distinct: usize,
     w: usize,
     h: usize,
-) -> String {
-    let mut svg = Svg::new(w, h);
-    svg.text(w as f64 / 2.0, 16.0, title, 12.0, "middle", theme::TEXT);
+) {
     if words.is_empty() {
-        svg.text(w as f64 / 2.0, h as f64 / 2.0, "no data", 11.0, "middle", theme::AXIS);
-        return svg.finish();
+        return super::bars::empty_chart(out, title, w, h);
     }
+    let mut svg = Svg::new(out, w, h);
+    svg.text(w as f64 / 2.0, 16.0, title, 12.0, "middle", theme::TEXT);
     let max = words[0].1.max(1) as f64;
     // Deterministic lattice placement: biggest word in the middle, the
     // rest on rings around it.
@@ -78,20 +77,19 @@ pub fn word_freq(
         let y = cy + radius * angle.sin() * 0.8;
         svg.text(x, y, word, size, "middle", theme::series_color(i));
     }
-    svg.text(
-        w as f64 / 2.0,
-        h as f64 - 6.0,
-        &format!("{total} words, {distinct} distinct"),
-        9.0,
-        "middle",
-        theme::AXIS,
-    );
-    svg.finish()
+    svg.text_with(w as f64 / 2.0, h as f64 - 6.0, 9.0, "middle", theme::AXIS, |out| {
+        push_uint(out, total);
+        out.push_str(" words, ");
+        push_uint(out, distinct as u64);
+        out.push_str(" distinct");
+    });
+    svg.finish();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::svg::drawn;
 
     #[test]
     fn stats_table_rows_and_highlight() {
@@ -99,7 +97,7 @@ mod tests {
             StatRow::new("mean", "5"),
             StatRow { label: "missing".into(), value: "30%".into(), highlight: true },
         ];
-        let html = stats_table(&rows);
+        let html = drawn(|out| stats_table(out, &rows));
         assert_eq!(html.matches("<tr").count(), 2);
         assert_eq!(html.matches("highlight").count(), 1);
         assert!(html.contains("mean"));
@@ -108,7 +106,7 @@ mod tests {
     #[test]
     fn stats_table_escapes() {
         let rows = vec![StatRow::new("a<b", "x&y")];
-        let html = stats_table(&rows);
+        let html = drawn(|out| stats_table(out, &rows));
         assert!(html.contains("a&lt;b"));
         assert!(html.contains("x&amp;y"));
     }
@@ -123,7 +121,7 @@ mod tests {
                 ("undefined".to_string(), None),
             ],
         )];
-        let html = corr_vectors(&vectors);
+        let html = drawn(|out| corr_vectors(out, &vectors));
         let strong = html.find("strong").unwrap();
         let weak = html.find("weak").unwrap();
         let undef = html.find("undefined").unwrap();
@@ -134,7 +132,7 @@ mod tests {
     #[test]
     fn word_cloud_scales_sizes() {
         let words = vec![("big".to_string(), 100), ("small".to_string(), 1)];
-        let svg = word_freq("w", &words, 101, 2, 300, 200);
+        let svg = drawn(|out| word_freq(out, "w", &words, 101, 2, 300, 200));
         assert!(svg.contains("big"));
         assert!(svg.contains("101 words, 2 distinct"));
         // Biggest word gets the biggest font.
@@ -145,6 +143,6 @@ mod tests {
 
     #[test]
     fn empty_word_cloud() {
-        assert!(word_freq("w", &[], 0, 0, 300, 200).contains("no data"));
+        assert!(drawn(|out| word_freq(out, "w", &[], 0, 0, 300, 200)).contains("no data"));
     }
 }

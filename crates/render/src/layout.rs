@@ -6,9 +6,11 @@
 //! requirement that pushed the paper's authors to a custom HTML/JS layout
 //! over stock plotting-library layouts.
 
+use std::fmt::Write as _;
+
 use eda_core::api::{Analysis, SectionStatus};
 use eda_core::config::DisplayConfig;
-use eda_core::intermediate::Inter;
+use eda_core::intermediate::{Inter, Intermediates};
 use eda_core::report::Report;
 use eda_core::Insight;
 use eda_taskgraph::ExecStats;
@@ -43,87 +45,113 @@ h1 { font-size: 20px; } h2 { font-size: 16px; margin-top: 28px; border-bottom: 1
 .eda-approx b { color: #B8860B; }
 </style>"#;
 
-/// A tabbed panel: one tab per `(title, html)` pair.
+/// A tabbed panel being appended to a page, one [`Tabs::tab`] at a time.
 ///
-/// `group` must be unique per panel on a page (radio-input namespace).
-pub fn tab_panel(group: &str, tabs: &[(String, String)]) -> String {
-    if tabs.is_empty() {
-        return String::new();
+/// `group` must be unique per panel on a page (radio-input namespace). A
+/// panel without tabs appends nothing.
+pub struct Tabs<'a> {
+    out: &'a mut String,
+    group: &'a str,
+    count: usize,
+}
+
+impl<'a> Tabs<'a> {
+    /// A panel at the end of `out`.
+    pub fn new(out: &'a mut String, group: &'a str) -> Tabs<'a> {
+        Tabs { out, group, count: 0 }
     }
-    let mut html = String::from(r#"<div class="eda-tabs">"#);
-    for (i, (title, body)) in tabs.iter().enumerate() {
-        let id = format!("{group}-{i}");
-        let checked = if i == 0 { " checked" } else { "" };
-        html.push_str(&format!(
-            r#"<input type="radio" name="{group}" id="{id}"{checked}><label for="{id}">{}</label><div class="eda-panel">{body}</div>"#,
-            Svg::escape(title)
-        ));
+
+    /// Add a tab whose panel `body` appends.
+    pub fn tab(&mut self, title: &str, body: impl FnOnce(&mut String)) {
+        let (out, group, i) = (&mut *self.out, self.group, self.count);
+        let (open, checked) = if i == 0 { (r#"<div class="eda-tabs">"#, " checked") } else { ("", "") };
+        // A page has a few dozen tabs: this is not where its numbers are.
+        let _ = write!(
+            out,
+            r#"{open}<input type="radio" name="{group}" id="{group}-{i}"{checked}><label for="{group}-{i}">"#
+        );
+        Svg::escape(out, title);
+        out.push_str(r#"</label><div class="eda-panel">"#);
+        body(out);
+        out.push_str("</div>");
+        self.count += 1;
     }
-    html.push_str("</div>");
-    html
+
+    /// One tab per intermediate, titled by its name.
+    fn charts(&mut self, intermediates: &Intermediates, display: &DisplayConfig) {
+        for (name, inter) in intermediates.iter() {
+            self.tab(&tab_title(name), |out| render_chart(out, name, inter, display));
+        }
+    }
+
+    /// Close the panel.
+    pub fn finish(self) {
+        if self.count > 0 {
+            self.out.push_str("</div>");
+        }
+    }
 }
 
 /// The insights box shown above the tabs.
-pub fn insights_list(insights: &[Insight]) -> String {
+pub fn insights_list(out: &mut String, insights: &[Insight]) {
     if insights.is_empty() {
-        return String::new();
+        return;
     }
-    let mut html = String::from(r#"<ul class="eda-insights">"#);
+    out.push_str(r#"<ul class="eda-insights">"#);
     for i in insights {
-        html.push_str(&format!(
-            "<li><b>[{}]</b> {}</li>",
-            Svg::escape(i.kind.name()),
-            Svg::escape(&i.message)
-        ));
+        out.push_str("<li><b>[");
+        Svg::escape(out, i.kind.name());
+        out.push_str("]</b> ");
+        Svg::escape(out, &i.message);
+        out.push_str("</li>");
     }
-    html.push_str("</ul>");
-    html
+    out.push_str("</ul>");
 }
 
 /// The "approximate" banner shown when an analysis was computed on a
 /// sample — either the `engine.sample_rows` extension or the memory
-/// budget's degradation ladder. Empty when the output is exact.
-pub fn approx_banner(insights: &[Insight]) -> String {
-    match insights.iter().find(|i| i.kind == eda_core::InsightKind::Approximated) {
-        Some(note) => format!(
-            r#"<div class="eda-approx"><b>approximate</b> — {}</div>"#,
-            Svg::escape(&note.message)
-        ),
-        None => String::new(),
+/// budget's degradation ladder. Nothing when the output is exact.
+pub fn approx_banner(out: &mut String, insights: &[Insight]) {
+    if let Some(note) = insights.iter().find(|i| i.kind == eda_core::InsightKind::Approximated) {
+        out.push_str(r#"<div class="eda-approx"><b>approximate</b> — "#);
+        Svg::escape(out, &note.message);
+        out.push_str("</div>");
     }
 }
 
 /// Diagnostics panel for a degraded section: the error, the task that
-/// originally failed, and how long it ran before failing. Empty for
+/// originally failed, and how long it ran before failing. Nothing for
 /// healthy sections.
-pub fn diagnostics_panel(status: &SectionStatus) -> String {
-    match status {
-        SectionStatus::Ok => String::new(),
-        SectionStatus::Failed { error, root_task, elapsed } => format!(
-            r#"<div class="eda-error"><b>section unavailable</b> — {}<br><small>root cause: task <code>{}</code>, failed after {:.3}s; other sections were computed normally</small></div>"#,
-            Svg::escape(error),
-            Svg::escape(root_task),
+pub fn diagnostics_panel(out: &mut String, status: &SectionStatus) {
+    if let SectionStatus::Failed { error, root_task, elapsed } = status {
+        out.push_str(r#"<div class="eda-error"><b>section unavailable</b> — "#);
+        Svg::escape(out, error);
+        out.push_str("<br><small>root cause: task <code>");
+        Svg::escape(out, root_task);
+        let _ = write!(
+            out,
+            "</code>, failed after {:.3}s; other sections were computed normally</small></div>",
             elapsed.as_secs_f64()
-        ),
+        );
     }
 }
 
 /// The "Performance" panel of a profiled run: worker Gantt, top-K
 /// slowest tasks, and the derived metrics (critical path, utilization,
-/// queue-wait histogram, estimated CSE/prune savings). Empty when the
+/// queue-wait histogram, estimated CSE/prune savings). Nothing when the
 /// run carried no trace (`engine.profile` off).
-pub fn performance_panel(stats: &ExecStats, display: &DisplayConfig) -> String {
+pub fn performance_panel(out: &mut String, stats: &ExecStats, display: &DisplayConfig) {
     let Some(trace) = &stats.trace else {
-        return String::new();
+        return;
     };
-    let mut html = String::new();
-    html.push_str(&gantt(trace, display.width.max(600), display.height.max(120)));
-    html.push_str("<h4>Slowest tasks</h4>");
-    html.push_str(&top_k_table(trace, 10));
+    gantt(out, trace, display.width.max(600), display.height.max(120));
+    out.push_str("<h4>Slowest tasks</h4>");
+    top_k_table(out, trace, 10);
 
     let cp = trace.critical_path();
     let avoided = stats.cse_hits + stats.pruned();
-    let mut rows = format!(
+    let _ = write!(
+        out,
         "<h4>Run metrics</h4><table class=\"eda-stats\">\
          <tr><td>critical path</td><td>{} across {} tasks</td></tr>\
          <tr><td>estimated CSE/prune savings</td><td>{} ({} tasks avoided)</td></tr>",
@@ -135,25 +163,29 @@ pub fn performance_panel(stats: &ExecStats, display: &DisplayConfig) -> String {
     // Governance rows only appear when governance actually did something,
     // keeping ungoverned output identical to the pre-governance layout.
     if stats.tasks_cancelled > 0 {
-        rows.push_str(&format!(
+        let _ = write!(
+            out,
             "<tr class=\"highlight\"><td>tasks cancelled</td><td>{}</td></tr>",
             stats.tasks_cancelled
-        ));
+        );
     }
     if stats.tasks_budget_exceeded > 0 {
-        rows.push_str(&format!(
+        let _ = write!(
+            out,
             "<tr class=\"highlight\"><td>tasks over memory budget</td><td>{}</td></tr>",
             stats.tasks_budget_exceeded
-        ));
+        );
     }
     if stats.mem_peak_bytes > 0 {
-        rows.push_str(&format!(
+        let _ = write!(
+            out,
             "<tr><td>peak charged memory</td><td>{}</td></tr>",
             fmt_bytes(stats.mem_peak_bytes)
-        ));
+        );
     }
     if stats.cache_hits + stats.cache_misses > 0 {
-        rows.push_str(&format!(
+        let _ = write!(
+            out,
             "<tr><td>result cache</td><td>{} hits / {} misses ({:.0}% hit rate)</td></tr>\
              <tr><td>cache bytes served</td><td>{}</td></tr>\
              <tr><td>cache evictions</td><td>{}</td></tr>",
@@ -163,23 +195,18 @@ pub fn performance_panel(stats: &ExecStats, display: &DisplayConfig) -> String {
                 / (stats.cache_hits + stats.cache_misses) as f64,
             fmt_bytes(stats.cache_bytes_saved),
             stats.cache_evictions,
-        ));
+        );
     }
     for (w, util) in trace.worker_utilization().iter().enumerate() {
-        rows.push_str(&format!(
-            "<tr><td>worker w{w} utilization</td><td>{:.0}%</td></tr>",
-            util * 100.0
-        ));
+        let _ = write!(out, "<tr><td>worker w{w} utilization</td><td>{:.0}%</td></tr>", util * 100.0);
     }
-    rows.push_str("</table>");
-    html.push_str(&rows);
+    out.push_str("</table>");
 
-    html.push_str("<h4>Queue wait</h4><table class=\"eda-stats\">");
+    out.push_str("<h4>Queue wait</h4><table class=\"eda-stats\">");
     for (bucket, count) in trace.queue_wait_histogram() {
-        html.push_str(&format!("<tr><td>{bucket}</td><td>{count}</td></tr>"));
+        let _ = write!(out, "<tr><td>{bucket}</td><td>{count}</td></tr>");
     }
-    html.push_str("</table>");
-    html
+    out.push_str("</table>");
 }
 
 /// Human-readable tab title from an intermediate name
@@ -189,135 +216,130 @@ fn tab_title(name: &str) -> String {
         Some((b, s)) => (b, Some(s)),
         None => (name, None),
     };
-    let pretty: String = base
-        .split('_')
-        .map(|w| {
-            let mut cs = w.chars();
-            match cs.next() {
-                Some(f) => f.to_uppercase().chain(cs).collect::<String>(),
-                None => String::new(),
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(" ");
-    match suffix {
-        Some(s) => format!("{pretty}: {s}"),
-        None => pretty,
+    let mut pretty = String::with_capacity(name.len() + 1);
+    for (i, word) in base.split('_').enumerate() {
+        if i > 0 {
+            pretty.push(' ');
+        }
+        let mut cs = word.chars();
+        pretty.extend(cs.next().into_iter().flat_map(char::to_uppercase));
+        pretty.push_str(cs.as_str());
     }
+    if let Some(s) = suffix {
+        pretty.push_str(": ");
+        pretty.push_str(s);
+    }
+    pretty
 }
 
 /// Render one analysis as a standalone HTML page (title, insights box,
 /// tabbed charts — the front end of the paper's Figure 1).
 pub fn render_analysis_html(analysis: &Analysis, display: &DisplayConfig) -> String {
-    let mut tabs: Vec<(String, String)> = analysis
-        .intermediates
-        .iter()
-        .map(|(name, inter)| (tab_title(name), render_chart(name, inter, display)))
-        .collect();
-    if let Some(stats) = &analysis.stats {
-        let perf = performance_panel(stats, display);
-        if !perf.is_empty() {
-            tabs.push(("Performance".to_string(), perf));
-        }
+    let mut out = String::new();
+    // A column name is part of the task and may hold markup.
+    let task = format!("{:?}", analysis.task);
+    out.push_str("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>");
+    Svg::escape_text(&mut out, &task);
+    out.push_str("</title>");
+    out.push_str(STYLE);
+    out.push_str("</head><body><h1>");
+    Svg::escape_text(&mut out, &task);
+    out.push_str("</h1>");
+    approx_banner(&mut out, &analysis.insights);
+    diagnostics_panel(&mut out, &analysis.status);
+    insights_list(&mut out, &analysis.insights);
+    let mut tabs = Tabs::new(&mut out, "analysis");
+    tabs.charts(&analysis.intermediates, display);
+    if let Some(stats) = analysis.stats.as_ref().filter(|stats| stats.trace.is_some()) {
+        tabs.tab("Performance", |out| performance_panel(out, stats, display));
     }
-    format!(
-        "<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>{:?}</title>{STYLE}</head><body><h1>{:?}</h1>{}{}{}{}</body></html>",
-        analysis.task,
-        analysis.task,
-        approx_banner(&analysis.insights),
-        diagnostics_panel(&analysis.status),
-        insights_list(&analysis.insights),
-        tab_panel("analysis", &tabs)
-    )
+    tabs.finish();
+    out.push_str("</body></html>");
+    out
 }
 
 /// Render a full report as a standalone HTML page with Overview,
 /// Variables, Correlations, and Missing Values sections (the
 /// Pandas-profiling-equivalent output, computed the DataPrep way).
 pub fn render_report_html(report: &Report, display: &DisplayConfig) -> String {
-    let mut body = String::new();
-    body.push_str("<h1>DataPrep.EDA Report</h1>");
-    body.push_str(&approx_banner(&report.insights));
-    body.push_str(&insights_list(&report.insights));
+    let mut page = String::new();
+    let out = &mut page;
+    out.push_str("<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>DataPrep.EDA Report</title>");
+    out.push_str(STYLE);
+    out.push_str("</head><body><h1>DataPrep.EDA Report</h1>");
+    approx_banner(out, &report.insights);
+    insights_list(out, &report.insights);
 
-    body.push_str("<h2>Overview</h2>");
-    body.push_str(&diagnostics_panel(&report.overview_status));
-    body.push_str("<div class=\"eda-grid\">");
+    out.push_str("<h2>Overview</h2>");
+    diagnostics_panel(out, &report.overview_status);
+    out.push_str("<div class=\"eda-grid\">");
     for (name, inter) in report.overview.iter() {
-        body.push_str(&render_chart(name, inter, display));
+        render_chart(out, name, inter, display);
     }
-    body.push_str("</div>");
+    out.push_str("</div>");
 
-    body.push_str("<h2>Variables</h2>");
+    out.push_str("<h2>Variables</h2>");
     for (vi, var) in report.variables.iter().enumerate() {
-        body.push_str(&format!(
-            "<h3>{} <small>({})</small></h3>",
-            Svg::escape(&var.name),
-            var.semantic
-        ));
-        body.push_str(&diagnostics_panel(&var.status));
-        body.push_str(&insights_list(&var.insights));
-        let tabs: Vec<(String, String)> = var
-            .intermediates
-            .iter()
-            .map(|(name, inter)| (tab_title(name), render_chart(name, inter, display)))
-            .collect();
-        body.push_str(&tab_panel(&format!("var{vi}"), &tabs));
+        out.push_str("<h3>");
+        Svg::escape(out, &var.name);
+        let _ = write!(out, " <small>({})</small></h3>", var.semantic);
+        diagnostics_panel(out, &var.status);
+        insights_list(out, &var.insights);
+        let group = format!("var{vi}");
+        let mut tabs = Tabs::new(out, &group);
+        tabs.charts(&var.intermediates, display);
+        tabs.finish();
     }
 
     if !report.correlations.is_empty() || !report.correlations_status.is_ok() {
-        body.push_str("<h2>Correlations</h2>");
-        body.push_str(&diagnostics_panel(&report.correlations_status));
-        let tabs: Vec<(String, String)> = report
-            .correlations
-            .iter()
-            .map(|m| {
-                (
-                    m.method.name().to_string(),
-                    render_chart("correlation_matrix", &Inter::Correlation(m.clone()), display),
-                )
-            })
-            .collect();
-        body.push_str(&tab_panel("corr", &tabs));
+        out.push_str("<h2>Correlations</h2>");
+        diagnostics_panel(out, &report.correlations_status);
+        let mut tabs = Tabs::new(out, "corr");
+        for m in &report.correlations {
+            let inter = Inter::Correlation(m.clone());
+            tabs.tab(m.method.name(), |out| render_chart(out, "correlation_matrix", &inter, display));
+        }
+        tabs.finish();
     }
 
-    body.push_str("<h2>Missing Values</h2>");
-    body.push_str(&diagnostics_panel(&report.missing_status));
-    let tabs: Vec<(String, String)> = report
-        .missing
-        .iter()
-        .map(|(name, inter)| (tab_title(name), render_chart(name, inter, display)))
-        .collect();
-    body.push_str(&tab_panel("missing", &tabs));
+    out.push_str("<h2>Missing Values</h2>");
+    diagnostics_panel(out, &report.missing_status);
+    let mut tabs = Tabs::new(out, "missing");
+    tabs.charts(&report.missing, display);
+    tabs.finish();
 
-    let perf = performance_panel(&report.stats, display);
-    if !perf.is_empty() {
-        body.push_str("<h2>Performance</h2>");
-        body.push_str(&perf);
+    if report.stats.trace.is_some() {
+        out.push_str("<h2>Performance</h2>");
+        performance_panel(out, &report.stats, display);
     }
 
-    body.push_str(&format!(
-        "<p><small>computed {} tasks ({} shared away) in {:.3}s on {} workers</small></p>",
+    let _ = write!(
+        out,
+        "<p><small>computed {} tasks ({} shared away) in {:.3}s on {} workers</small></p></body></html>",
         report.stats.tasks_run,
         report.stats.cse_hits,
         report.stats.elapsed.as_secs_f64(),
         report.stats.workers
-    ));
-    format!(
-        "<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>DataPrep.EDA Report</title>{STYLE}</head><body>{body}</body></html>"
-    )
+    );
+    page
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eda_core::{create_report, plot, Config};
+    use crate::svg::drawn;
+    use eda_core::{create_report, plot, plot_correlation, plot_missing, Config};
     use eda_dataframe::{Column, DataFrame};
 
     fn frame() -> DataFrame {
+        frame_named("price")
+    }
+
+    /// `frame()` with its numeric column with nulls under another name.
+    fn frame_named(price: &str) -> DataFrame {
         DataFrame::new(vec![
             (
-                "price".into(),
+                price.into(),
                 Column::from_opt_f64(
                     (0..150)
                         .map(|i| if i % 10 == 0 { None } else { Some(100.0 + (i % 40) as f64) })
@@ -344,10 +366,21 @@ mod tests {
 
     #[test]
     fn tab_panel_structure() {
-        let html = tab_panel("g", &[("A".into(), "<p>a</p>".into()), ("B".into(), "<p>b</p>".into())]);
-        assert_eq!(html.matches("type=\"radio\"").count(), 2);
-        assert_eq!(html.matches("checked").count(), 1);
-        assert!(tab_panel("g", &[]).is_empty());
+        let html = drawn(|out| {
+            let mut tabs = Tabs::new(out, "g");
+            tabs.tab("A", |out| out.push_str("<p>a</p>"));
+            tabs.tab("B<", |out| out.push_str("<p>b</p>"));
+            tabs.finish();
+        });
+        assert_eq!(
+            html,
+            concat!(
+                r#"<div class="eda-tabs"><input type="radio" name="g" id="g-0" checked><label for="g-0">A</label>"#,
+                r#"<div class="eda-panel"><p>a</p></div><input type="radio" name="g" id="g-1"><label for="g-1">B&lt;</label>"#,
+                r#"<div class="eda-panel"><p>b</p></div></div>"#
+            )
+        );
+        assert!(drawn(|out| Tabs::new(out, "g").finish()).is_empty());
     }
 
     #[test]
@@ -361,6 +394,28 @@ mod tests {
         assert!(html.contains("Histogram"));
         assert!(html.contains("Qq Plot"));
         assert!(html.ends_with("</html>"));
+    }
+
+    /// A CSV header is user input: it must not reach the page as markup.
+    #[test]
+    fn hostile_column_name_is_escaped_in_title_and_heading() {
+        let df = frame_named("a<script>&b");
+        let cfg = Config::default();
+        let hostile = ["a<script>&b"];
+        let pages = [
+            plot(&df, &hostile, &cfg).unwrap(),
+            plot_correlation(&df, &hostile, &cfg).unwrap(),
+            plot_missing(&df, &hostile, &cfg).unwrap(),
+        ];
+        for a in &pages {
+            let html = render_analysis_html(a, &cfg.display);
+            assert!(!html.contains("<script>"), "{:?}: markup in the page", a.task);
+            // Once in <title>, once in <h1>; a quote is text there and stays.
+            assert_eq!(html.matches("\"a&lt;script&gt;&amp;b\"").count(), 2, "{:?}", a.task);
+        }
+        // An ordinary name's page reads as it always has.
+        let html = render_analysis_html(&plot(&frame(), &["size"], &cfg).unwrap(), &cfg.display);
+        assert!(html.contains("<title>Univariate { column: \"size\", semantic: Numerical }</title>"));
     }
 
     #[test]
@@ -398,12 +453,13 @@ mod tests {
 
     #[test]
     fn diagnostics_panel_empty_for_ok_and_escaped_for_failed() {
-        assert!(diagnostics_panel(&SectionStatus::Ok).is_empty());
-        let html = diagnostics_panel(&SectionStatus::Failed {
+        assert!(drawn(|out| diagnostics_panel(out, &SectionStatus::Ok)).is_empty());
+        let failed = SectionStatus::Failed {
             error: "task <x> panicked".into(),
             root_task: "freq:city".into(),
             elapsed: std::time::Duration::from_millis(12),
-        });
+        };
+        let html = drawn(|out| diagnostics_panel(out, &failed));
         assert!(html.contains("task &lt;x&gt; panicked"));
         assert!(html.contains("freq:city"));
         assert!(html.contains("0.012"));
@@ -507,13 +563,14 @@ mod tests {
     #[test]
     fn insights_box_escapes() {
         use eda_core::insights::{Insight, InsightKind};
-        let html = insights_list(&[Insight {
+        let insight = Insight {
             kind: InsightKind::Missing,
             columns: vec!["a".into()],
             value: 0.2,
             message: "a <has> nulls".into(),
-        }]);
+        };
+        let html = drawn(|out| insights_list(out, &[insight]));
         assert!(html.contains("a &lt;has&gt; nulls"));
-        assert!(insights_list(&[]).is_empty());
+        assert!(drawn(|out| insights_list(out, &[])).is_empty());
     }
 }

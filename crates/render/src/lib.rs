@@ -22,6 +22,7 @@
 pub mod ascii;
 pub mod charts;
 pub mod layout;
+mod num;
 pub mod scale;
 pub mod svg;
 pub mod theme;

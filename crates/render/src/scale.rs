@@ -1,5 +1,7 @@
 //! Coordinate scales and tick generation.
 
+use crate::num::push_fixed;
+
 /// Maps a numeric domain onto a pixel range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearScale {
@@ -71,25 +73,28 @@ pub fn nice_ticks(lo: f64, hi: f64, count: usize) -> Vec<f64> {
     ticks
 }
 
-/// Compact tick label (strips float noise, abbreviates thousands).
-pub fn tick_label(v: f64) -> String {
-    if !v.is_finite() {
-        return format!("{v}");
-    }
+/// Append the compact tick label of `v` (strips float noise, abbreviates
+/// thousands).
+pub fn push_tick_label(out: &mut String, v: f64) {
     let a = v.abs();
-    if a >= 1_000_000_000.0 {
-        format!("{:.1}B", v / 1e9)
+    let (scaled, decimals, unit) = if !v.is_finite() {
+        // `NaN`, `inf`: the formatter's spelling, whatever the precision.
+        (v, 0, "")
+    } else if a >= 1_000_000_000.0 {
+        (v / 1e9, 1, "B")
     } else if a >= 1_000_000.0 {
-        format!("{:.1}M", v / 1e6)
+        (v / 1e6, 1, "M")
     } else if a >= 10_000.0 {
-        format!("{:.0}K", v / 1e3)
+        (v / 1e3, 0, "K")
     } else if v.fract() == 0.0 {
-        format!("{v:.0}")
+        (v, 0, "")
     } else if a >= 1.0 {
-        format!("{v:.2}")
+        (v, 2, "")
     } else {
-        format!("{v:.3}")
-    }
+        (v, 3, "")
+    };
+    push_fixed(out, scaled, decimals);
+    out.push_str(unit);
 }
 
 /// Maps categories onto evenly spaced bands.
@@ -172,11 +177,15 @@ mod tests {
 
     #[test]
     fn tick_labels() {
+        let tick_label = |v| crate::svg::drawn(|out| push_tick_label(out, v));
         assert_eq!(tick_label(5.0), "5");
         assert_eq!(tick_label(1500000.0), "1.5M");
+        assert_eq!(tick_label(-2.5e9), "-2.5B");
         assert_eq!(tick_label(25000.0), "25K");
         assert_eq!(tick_label(0.123), "0.123");
         assert_eq!(tick_label(2.5), "2.50");
+        assert_eq!(tick_label(f64::NAN), "NaN");
+        assert_eq!(tick_label(f64::NEG_INFINITY), "-inf");
     }
 
     #[test]

@@ -4,11 +4,16 @@
 
 use eda_core::config::{Config, DisplayConfig};
 use eda_core::intermediate::Inter;
-use eda_render::render_chart;
 use proptest::prelude::*;
 
 fn display() -> DisplayConfig {
     Config::default().display
+}
+
+fn render_chart(title: &str, inter: &Inter, display: &DisplayConfig) -> String {
+    let mut page = String::new();
+    eda_render::render_chart(&mut page, title, inter, display);
+    page
 }
 
 fn check(html: &str) {

@@ -33,7 +33,7 @@ fn top_by<T>(mut entries: Vec<T>, k: usize, order: impl Fn(&T, &T) -> Ordering +
 /// in the order given. Callers pass the counts in descending order: a
 /// float sum depends on its order, and that one is the same for every
 /// representation of the same table.
-fn entropy_of(counts: &[u64]) -> f64 {
+pub fn entropy_of(counts: &[u64]) -> f64 {
     let total = counts.iter().sum::<u64>() as f64;
     if total == 0.0 {
         return 0.0;

@@ -13,10 +13,11 @@
 //!   each completion releases its dependents. The worker count decides
 //!   only *who calls `execute_node`*: with `workers <= 1` the calling
 //!   thread runs each ready task itself (no thread, no channel — the
-//!   "Pandas phase" executor); with `workers = n`, n threads take tasks
-//!   off a channel and send what they produced back. Results, spans,
-//!   counters, cache inserts and observer calls are kept by the calling
-//!   thread either way (`Ledger`).
+//!   "Pandas phase" executor); with `workers = n` it does the same for
+//!   the first `POOL_AFTER` of the run, and from then on n threads take
+//!   tasks off a channel and send what they produced back. Results,
+//!   spans, counters, cache inserts and observer calls are kept by the
+//!   calling thread either way (`Ledger`).
 //! * **finish** — the ledger is tallied into [`ExecStats`] once.
 //!
 //! Execution is fault tolerant: every task body runs under
@@ -112,14 +113,34 @@ impl ExecResult {
     }
 }
 
+/// How long a run with `workers > 1` stays on the calling thread before
+/// it spawns them. Most interactive calls finish well inside it (cached
+/// re-issues, one column's plot): they never pay for a spawn, a join and
+/// two cross-thread hand-offs per task, and their latency does not depend
+/// on whether a second core happens to be free. A long run loses at most
+/// this much parallelism, plus the task in flight when it elapses.
+const POOL_AFTER: Duration = Duration::from_millis(5);
+
 /// Execute `outputs` of `graph` with `workers` threads running tasks
-/// (`workers <= 1`: the calling thread runs them itself and nothing is
-/// spawned). See the module docs for the plan → dispatch → finish shape.
+/// (`workers <= 1`, or a run over within `POOL_AFTER`: the calling
+/// thread runs them itself and nothing is spawned). See the module docs
+/// for the plan → dispatch → finish shape.
 pub fn run(
     graph: &TaskGraph,
     outputs: &[NodeId],
     workers: usize,
     opts: &ExecOptions,
+) -> ExecResult {
+    run_after(graph, outputs, workers, opts, POOL_AFTER)
+}
+
+/// [`run`], spawning the workers once the run has lasted `pool_after`.
+fn run_after(
+    graph: &TaskGraph,
+    outputs: &[NodeId],
+    workers: usize,
+    opts: &ExecOptions,
+    pool_after: Duration,
 ) -> ExecResult {
     let workers = workers.max(1);
     let started = Instant::now();
@@ -130,12 +151,16 @@ pub fn run(
         execute_node(graph, id, inputs, opts, started, run_id)
     };
     std::thread::scope(|scope| {
-        // A run with nothing to execute (no outputs, or every live node
-        // answered by the cache) spawns nothing either.
-        let mut pool = (workers > 1 && !ledger.ready.is_empty())
-            .then(|| Pool::spawn(scope, workers, &execute));
+        // The calling thread works alone until the run has lasted
+        // `pool_after`: a run that ends sooner (no outputs, every live
+        // node answered by the cache, a handful of small tasks) spawns
+        // nothing.
+        let mut pool = None;
         loop {
             while let Some(Reverse(id)) = ledger.ready.pop() {
+                if pool.is_none() && workers > 1 && started.elapsed() >= pool_after {
+                    pool = Some(Pool::spawn(scope, workers, &execute));
+                }
                 let inputs = ledger.inputs(id);
                 match &mut pool {
                     Some(pool) => pool.submit(id, inputs),
@@ -751,6 +776,17 @@ mod tests {
         *p.downcast_ref::<i64>().expect("i64")
     }
 
+    /// Every test but the one about `POOL_AFTER` wants the workers from
+    /// the first task on: these graphs finish in microseconds.
+    fn run(
+        graph: &TaskGraph,
+        outputs: &[NodeId],
+        workers: usize,
+        opts: &ExecOptions,
+    ) -> ExecResult {
+        run_after(graph, outputs, workers, opts, Duration::ZERO)
+    }
+
     /// `run` with default options.
     fn run_plain(graph: &TaskGraph, outputs: &[NodeId], workers: usize) -> ExecResult {
         run(graph, outputs, workers, &ExecOptions::default())
@@ -783,35 +819,46 @@ mod tests {
     fn worker_count_decides_which_threads_run_tasks() {
         use std::thread::{current, ThreadId};
         // Three sources that each wait for the other two: with three
-        // workers they can only finish on three distinct threads.
-        let graph_of = |parties: usize| {
+        // workers they can only finish on three distinct threads. A
+        // `warm` source before them outlasts `POOL_AFTER` when asked to.
+        let graph_of = |parties: usize, warm_up: Duration| {
             let seen: Arc<parking_lot::Mutex<Vec<ThreadId>>> = Arc::default();
             let barrier = Arc::new(std::sync::Barrier::new(parties));
             let mut g = TaskGraph::new();
-            let outs: Vec<NodeId> = (0..3)
-                .map(|i| {
-                    let (seen, barrier) = (Arc::clone(&seen), Arc::clone(&barrier));
-                    g.source("who", TaskKey::leaf("who", i), move || {
-                        seen.lock().push(current().id());
-                        barrier.wait();
-                        int(0)
-                    })
-                })
-                .collect();
+            let warm_seen = Arc::clone(&seen);
+            let warm = g.source("warm", TaskKey::leaf("warm", 0), move || {
+                warm_seen.lock().push(current().id());
+                std::thread::sleep(warm_up);
+                int(0)
+            });
+            let mut outs = vec![warm];
+            for i in 0..3 {
+                let (seen, barrier) = (Arc::clone(&seen), Arc::clone(&barrier));
+                outs.push(g.source("who", TaskKey::leaf("who", i), move || {
+                    seen.lock().push(current().id());
+                    barrier.wait();
+                    int(0)
+                }));
+            }
             (g, outs, seen)
         };
 
-        // One worker (or none): every body runs on the calling thread.
-        for workers in [0, 1] {
-            let (g, outs, seen) = graph_of(1);
-            run_plain(&g, &outs, workers);
-            assert_eq!(*seen.lock(), vec![current().id(); 3], "workers={workers}");
+        // One worker (or none), or a run shorter than `POOL_AFTER` at any
+        // worker count: every body runs on the calling thread.
+        for workers in [0, 1, 3] {
+            let (g, outs, seen) = graph_of(1, Duration::ZERO);
+            let r = super::run(&g, &outs, workers, &ExecOptions::default());
+            assert_eq!(*seen.lock(), vec![current().id(); 4], "workers={workers}");
+            assert_eq!(r.stats.workers, workers.max(1));
         }
 
-        let (g, outs, seen) = graph_of(3);
-        let r = run_plain(&g, &outs, 3);
+        // Past `POOL_AFTER` the workers take over.
+        let (g, outs, seen) = graph_of(3, 2 * POOL_AFTER);
+        let r = super::run(&g, &outs, 3, &ExecOptions::default());
         assert_eq!(r.stats.workers, 3);
-        let threads: std::collections::HashSet<ThreadId> = seen.lock().iter().copied().collect();
+        let seen = seen.lock();
+        assert_eq!(seen.first(), Some(&current().id()));
+        let threads: std::collections::HashSet<ThreadId> = seen.iter().skip(1).copied().collect();
         assert_eq!(threads.len(), 3);
         assert!(!threads.contains(&current().id()));
     }

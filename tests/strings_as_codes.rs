@@ -162,7 +162,7 @@ fn non_string_categoricals_are_pinned() {
 // ---------------------------------------------------------------------------
 
 mod differential {
-    use dataprep_eda::core::compute::cat::{self, CatFreq};
+    use dataprep_eda::core::compute::cat::{self, CatFreq, FreqSummary};
     use dataprep_eda::core::compute::ctx::un;
     use dataprep_eda::core::compute::kernels::{self, Rows};
     use dataprep_eda::core::compute::ComputeContext;
@@ -171,6 +171,7 @@ mod differential {
     use dataprep_eda::io::edaf::{read_edaf, write_edaf};
     use dataprep_eda::prelude::*;
     use dataprep_eda::stats::freq::FreqTable;
+    use dataprep_eda::stats::hypothesis::chi_square_uniform;
     use dataprep_eda::stats::text::TextStats;
     use proptest::prelude::*;
 
@@ -264,11 +265,23 @@ mod differential {
         prop_assert_eq!(got.nulls(), want.nulls);
         prop_assert_eq!(got.distinct(), want.distinct(), "unused dictionary entries are not categories");
         prop_assert_eq!(got.total(), want.total());
-        prop_assert_eq!(got.counts_desc(), want.counts_desc());
-        prop_assert_eq!(got.entropy().to_bits(), want.entropy().to_bits());
-        prop_assert_eq!(got.mode(), want.mode());
+        // What a finish reads is the `freq_summary` payload: taken with
+        // any `k`, it is the string-keyed table's answer.
         for k in [0, 1, 2, 3, 7, usize::MAX] {
-            prop_assert_eq!(got.top_k(k), want.top_k(k), "top {}", k);
+            let summary = got.summary(k);
+            let top: Vec<(String, u64)> = summary.top(k).map(|(c, n)| (c.to_string(), n)).collect();
+            prop_assert_eq!(top, want.top_k(k), "top {}", k);
+            let counts = (summary.distinct, summary.total, summary.nulls);
+            prop_assert_eq!(counts, (want.distinct(), want.total(), want.nulls));
+            prop_assert_eq!(summary.entropy.to_bits(), want.entropy().to_bits());
+            prop_assert_eq!(summary.chi_square, chi_square_uniform(&want.counts_desc()));
+            if k > 0 {
+                prop_assert_eq!(summary.mode().map(|(c, n)| (c.to_string(), n)), want.mode());
+            }
+            // The counts another table of the column has of those
+            // categories, by code or by name.
+            let counts: Vec<u64> = summary.top(k).map(|(c, _)| want.count(c)).collect();
+            prop_assert_eq!(got.counts_of(&summary, k), counts);
         }
         Ok(())
     }
@@ -331,6 +344,11 @@ mod differential {
                 for dropped in [dropped_s, dropped_f] {
                     assert_same_table(&before.0.minus(&dropped.0), &kept_s.1)?;
                     prop_assert_eq!(before.1.minus(&dropped.1), kept_s.1.clone());
+                    // What `compare_bars` reads: the dropped rows of the
+                    // categories the *before* summary shows.
+                    let summary = before.0.summary(3);
+                    let want: Vec<u64> = before.1.top_k(3).iter().map(|(c, _)| dropped.1.count(c)).collect();
+                    prop_assert_eq!(dropped.0.counts_of(&summary, 3), want);
                 }
             }
 
@@ -386,8 +404,8 @@ mod differential {
         let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
         let entropy = |df: &DataFrame| {
             let mut ctx = ComputeContext::new(df, &cfg);
-            let node = kernels::freq(&mut ctx, "city", Rows::All);
-            let bits = un::<CatFreq>(&ctx.execute(&[node])[0]).entropy().to_bits();
+            let node = kernels::freq_summary(&mut ctx, "city", Rows::All);
+            let bits = un::<FreqSummary>(&ctx.execute(&[node])[0]).entropy.to_bits();
             let stats = plot(df, &["city"], &cfg).unwrap();
             let Some(Inter::StatsTable(rows)) = stats.get("stats") else { panic!("stats table") };
             (bits, rows.iter().find(|r| r.label == "entropy").unwrap().value.clone())
