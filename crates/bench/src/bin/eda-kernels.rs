@@ -1,17 +1,19 @@
-//! Kernel microbenchmark: scalar vs vector hot-kernel shapes, and
-//! correlation cells per pair vs over shared per-column prep.
+//! Kernel microbenchmark: each hot kernel against the implementation it
+//! replaced, timed back to back on the same inputs.
 //!
-//! The claim from DESIGN.md §15 that is measured and gated: the
-//! lane-parallel kernel shapes in `eda_stats::vector` (moments power
-//! sums, histogram reciprocal binning, min/max select lanes, Pearson
-//! chunk sums) sustain a multiple of the scalar streaming updates'
-//! throughput. The `corr_cells` stage times the 300 column pairs of the
+//! The `corr_cells` stage times the 300 column pairs of the
 //! credit shape (10k x 25, what `report_numeric` profiles) for each
 //! method twice: one pair-kernel call per cell (`CorrMethod::compute`),
 //! and `corr_cells` over columns prepared once (`ColumnPrep`, its cost
 //! reported separately — the three methods share it); the Kendall row is
 //! timed a second time with every third column 10% null, where cells skip
-//! rows instead of falling back to the pair kernel. The `kde` stage times
+//! rows instead of falling back to the pair kernel. The Pearson row is
+//! timed a second time on the 30 pairs of the conflicts shape (17k rows,
+//! what `report_mixed` profiles) that touch one of its four 10%-null
+//! columns: `corr_cells`, whose cells there are one masked lane pass over
+//! the raw slices (DESIGN.md §15), against the per-pair kernel it
+//! replaced — a copy of the complete pairs, then a Welford update with two
+//! divisions per pair, kept here as the opponent. The `kde` stage times
 //! the 25 curves a numeric report draws (5000-value stride sample of each
 //! sorted column, 200 grid points): the direct sum over every (sample,
 //! grid point) pair — `kde_grid` before the windowed recurrence, kept
@@ -31,14 +33,11 @@
 //! planning, key hashing and a finish that reads `freq_summary` payloads.
 //! Both are absolute times of this host: their gate is wide, and catches
 //! a formatter or an O(distinct) selection coming back.
-//! Compiled with `--features simd` the
-//! moments/minmax inner loops dispatch to AVX2 intrinsics when the CPU
-//! has them; without it they are the autovectorized fallback —
-//! bit-identical, narrower. Every kernel runs on one thread; the host's
-//! core count is recorded as `host_cores` for context only.
+//! Every kernel runs on one thread; the host's core count is recorded as
+//! `host_cores` for context only.
 //!
 //! Usage:
-//! `cargo run -p eda-bench --release --features simd --bin eda-kernels -- --smoke --json /tmp/BENCH_kernels.json`
+//! `cargo run -p eda-bench --release --bin eda-kernels -- --smoke --json /tmp/BENCH_kernels.json`
 //!
 //! * `--smoke` — CI-friendly dataset (200k rows).
 //! * `--rows <n>` — explicit row count (default 1,000,000; `--smoke` wins).
@@ -57,8 +56,6 @@ use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
 use eda_stats::kde::{kde_grid, silverman_bandwidth};
 use eda_stats::quantile::sorted_values;
 use eda_stats::text::TextStats;
-use eda_stats::vector;
-use eda_stats::{Histogram, Moments};
 
 /// The KDE curve as a direct sum: every grid point over every sample, one
 /// `exp` each.
@@ -80,24 +77,30 @@ fn kde_direct(sorted: &[f64], grid: usize) -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-/// Deterministic value stream: an LCG folded into a bounded float range,
-/// the same mix every run so scalar and vector process identical bytes.
-fn synth(rows: usize) -> Vec<f64> {
-    let mut state = 0x2545F4914F6CDD1Du64;
-    (0..rows)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 11) % 100_000) as f64 / 10.0 - 5_000.0
-        })
-        .collect()
+/// Pearson over the pairwise-complete rows as the per-pair kernel had it
+/// before the lane pass: copy the complete pairs out, then a Welford
+/// update with two dependent divisions per pair.
+fn pearson_welford_copy(x: &[f64], y: &[f64]) -> Option<f64> {
+    let complete = x.iter().zip(y).filter(|(a, b)| !a.is_nan() && !b.is_nan());
+    let (xs, ys): (Vec<f64>, Vec<f64>) = complete.map(|(a, b)| (*a, *b)).unzip();
+    let (mut n, mut mean_x, mut mean_y, mut m2x, mut m2y, mut cxy) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+    for (&a, &b) in xs.iter().zip(&ys) {
+        n += 1.0;
+        let (dx, dy) = (a - mean_x, b - mean_y);
+        mean_x += dx / n;
+        mean_y += dy / n;
+        m2x += dx * (a - mean_x);
+        m2y += dy * (b - mean_y);
+        cxy += dx * (b - mean_y);
+    }
+    (n >= 2.0 && m2x > 0.0 && m2y > 0.0).then(|| cxy / (m2x * m2y).sqrt())
 }
 
-/// Paired A/B measurement: `iters` rounds, each timing the scalar shape
-/// and then the vector shape back to back (first round of each is an
-/// unmeasured warmup), with a `std::hint::black_box` fence around every
-/// kernel result.
+/// Paired A/B measurement: `iters` rounds, each timing the reference and
+/// then the kernel back to back (first round of each is an unmeasured
+/// warmup), with a `std::hint::black_box` fence around every result.
 ///
-/// Returns the best time of each shape plus the **median of the
+/// Returns the best time of each side plus the **median of the
 /// per-round speedup ratios**. On a shared/virtualized runner the
 /// machine's effective speed drifts between measurement windows; a ratio
 /// of two adjacent timings cancels that drift, and the median discards
@@ -120,18 +123,18 @@ fn ab_of<S, V>(iters: usize, mut s: impl FnMut() -> S, mut v: impl FnMut() -> V)
         ratios.push(took_s.as_secs_f64() / took_v.as_secs_f64());
     }
     ratios.sort_by(f64::total_cmp);
-    AbResult { scalar: best_s, vector: best_v, speedup: ratios[ratios.len() / 2] }
+    AbResult { reference: best_s, kernel: best_v, speedup: ratios[ratios.len() / 2] }
 }
 
 #[derive(Clone, Copy)]
 struct AbResult {
-    scalar: Duration,
-    vector: Duration,
+    reference: Duration,
+    kernel: Duration,
     speedup: f64,
 }
 
 /// Merge one kernel's measurements from two suite passes: keep the best
-/// time of each shape and the higher paired-median speedup. External
+/// time of each side and the higher paired-median speedup. External
 /// disturbance (CPU steal, a noisy neighbor on a shared runner) only
 /// ever *slows* a measurement, so the least-disturbed pass is the best
 /// estimate of the machine's true ratio; because the passes are spaced
@@ -139,8 +142,8 @@ struct AbResult {
 /// pass of a kernel.
 fn merge(a: AbResult, b: &AbResult) -> AbResult {
     AbResult {
-        scalar: a.scalar.min(b.scalar),
-        vector: a.vector.min(b.vector),
+        reference: a.reference.min(b.reference),
+        kernel: a.kernel.min(b.kernel),
         speedup: a.speedup.max(b.speedup),
     }
 }
@@ -156,20 +159,11 @@ fn main() {
     // A round of the Kendall pair kernels is a quarter second.
     const ITERS_CELLS: usize = 3;
     const PASSES: usize = 3;
-    const BINS: usize = 50;
 
     println!("kernel bench: {rows} rows, best of {PASSES} passes x {ITERS} paired rounds");
-    println!(
-        "{} | simd feature: {} | avx2 dispatch: {}",
-        machine_context(),
-        cfg!(feature = "simd"),
-        vector::avx2_available()
-    );
+    println!("{}", machine_context());
     println!();
 
-    let data = synth(rows);
-    let (dmin, dmax) = vector::minmax(&data);
-    let ys: Vec<f64> = data.iter().map(|v| v * 0.25 + 3.0).collect();
     let valid_a = Bitmap::from_iter((0..rows).map(|i| i % 7 != 0));
     let valid_b = Bitmap::from_iter((0..rows).map(|i| i % 11 != 0));
 
@@ -223,6 +217,21 @@ fn main() {
         spec.rows = 17_000;
         generate(&spec, 42)
     };
+    // Its numeric columns, four of them 10% null, and the 30 pairs that
+    // touch one of those: the Pearson cells that do not take the
+    // centered dot product.
+    let mixed: Vec<Vec<f64>> = conflicts
+        .iter()
+        .filter(|(_, c)| c.dtype().is_numeric())
+        .map(|(_, c)| c.to_f64_nan().expect("numeric"))
+        .collect();
+    let mixed_preps: Vec<ColumnPrep> = mixed.iter().map(|v| ColumnPrep::prepare(v)).collect();
+    let mixed_cols: Vec<Col<'_>> =
+        mixed.iter().zip(&mixed_preps).map(|(values, prep)| Col { values, prep }).collect();
+    let nan_pairs: Vec<(usize, usize)> = upper_triangle(mixed.len())
+        .into_iter()
+        .filter(|&(i, j)| !(mixed_preps[i].is_complete() && mixed_preps[j].is_complete()))
+        .collect();
     let half = conflicts.nrows() / 2;
     let strings: Vec<[Column; 2]> = conflicts
         .iter()
@@ -247,62 +256,6 @@ fn main() {
     // One full measurement pass over the kernels; the suite runs
     // `PASSES` times and each kernel keeps its best pass (see [`merge`]).
     let suite = || {
-        let mo = ab_of(
-            ITERS,
-            || {
-                let mut m = Moments::new();
-                m.push_slice_scalar(&data);
-                m
-            },
-            || {
-                let mut m = Moments::new();
-                m.push_slice_vector(&data);
-                m
-            },
-        );
-        let hi = ab_of(
-            ITERS,
-            || {
-                let mut h = Histogram::new(dmin, dmax, BINS);
-                h.extend(data.iter().copied());
-                h
-            },
-            || {
-                let mut h = Histogram::new(dmin, dmax, BINS);
-                vector::histogram_fill(&mut h, &data);
-                h
-            },
-        );
-        let mm = ab_of(
-            ITERS,
-            || {
-                let mut mn = f64::INFINITY;
-                let mut mx = f64::NEG_INFINITY;
-                for &v in &data {
-                    if v.is_finite() {
-                        mn = mn.min(v);
-                        mx = mx.max(v);
-                    }
-                }
-                (mn, mx)
-            },
-            || vector::minmax(&data),
-        );
-        let pe = ab_of(
-            ITERS,
-            || {
-                let mut p = eda_stats::corr::PearsonPartial::new();
-                for (a, b) in data.iter().zip(&ys) {
-                    p.push(*a, *b);
-                }
-                p
-            },
-            || {
-                let mut p = eda_stats::corr::PearsonPartial::new();
-                vector::pearson_slices(&mut p, &data, &ys);
-                p
-            },
-        );
         let pc = cells_of(CorrMethod::Pearson);
         let sc = cells_of(CorrMethod::Spearman);
         let kc = cells_of(CorrMethod::KendallTau);
@@ -316,13 +269,21 @@ fn main() {
             },
             || corr_cells(CorrMethod::KendallTau, &holed_cols, &pairs),
         );
+        let pn = ab_of(
+            ITERS,
+            || {
+                let r = |&(i, j): &(usize, usize)| pearson_welford_copy(&mixed[i], &mixed[j]);
+                nan_pairs.iter().map(r).collect::<Vec<_>>()
+            },
+            || corr_cells(CorrMethod::Pearson, &mixed_cols, &nan_pairs),
+        );
         let kd = ab_of(
             ITERS_CELLS,
             || samples.iter().map(|sample| kde_direct(sample, KDE_GRID)).collect::<Vec<_>>(),
             || samples.iter().map(|sample| kde_grid(sample, KDE_GRID)).collect::<Vec<_>>(),
         );
         let ts = ab_of(ITERS, || merged_text(&text_by_row), || merged_text(&cat::text_stats));
-        [mo, hi, mm, pe, pc, sc, kc, kn, kd, ts]
+        [pc, sc, kc, kn, pn, kd, ts]
     };
 
     let mut res = suite();
@@ -331,7 +292,7 @@ fn main() {
             *r = merge(*r, n);
         }
     }
-    let [mo, hi, mm, pe, pc, sc, kc, kn, kd, ts] = res;
+    let [pc, sc, kc, kn, pn, kd, ts] = res;
     let best_of = |f: &dyn Fn()| (0..ITERS * PASSES).map(|_| measure(f).1).min().expect("iterations");
     let nullity = best_of(&|| {
         std::hint::black_box(valid_a.count_unset_in_both(&valid_b));
@@ -368,49 +329,36 @@ fn main() {
         std::hint::black_box(missing_x());
     });
 
-    let rows_f = |d: Duration| format!("{:8.1}", meps(rows, d));
-    let row = |name: &str, r: &AbResult| {
-        vec![
-            name.into(),
-            rows_f(r.scalar),
-            rows_f(r.vector),
-            format!("{:5.2}x", r.speedup),
-        ]
-    };
-    print_table(
-        &["kernel", "scalar Me/s", "vector Me/s", "speedup"],
-        &[
-            row("moments", &mo),
-            row("histogram", &hi),
-            row("minmax", &mm),
-            row("pearson", &pe),
-        ],
-    );
-    println!("\nnullity (word AND + popcount): {:.1} Me/s", meps(rows, nullity));
+    println!("nullity (word AND + popcount): {:.1} Me/s", meps(rows, nullity));
 
     let pps = |d: Duration| pairs.len() as f64 / d.as_secs_f64();
-    let cell_row = |name: &str, r: &AbResult| {
+    let nan_pps = |d: Duration| nan_pairs.len() as f64 / d.as_secs_f64();
+    let cell_row = |name: &str, r: &AbResult, pps: &dyn Fn(Duration) -> f64| {
         vec![
             name.into(),
-            format!("{:10.0}", pps(r.scalar)),
-            format!("{:10.0}", pps(r.vector)),
+            format!("{:10.0}", pps(r.reference)),
+            format!("{:10.0}", pps(r.kernel)),
             format!("{:6.2}x", r.speedup),
         ]
     };
     println!(
-        "\ncorr_cells: {} pairs of {} x {} credit columns, prep {:.1} ms",
+        "\ncorr_cells: {} pairs of {} x {} credit columns, prep {:.1} ms; {} null-touching pairs of {} x {} conflicts columns",
         pairs.len(),
         credit.nrows(),
         columns.len(),
-        prep.as_secs_f64() * 1e3
+        prep.as_secs_f64() * 1e3,
+        nan_pairs.len(),
+        conflicts.nrows(),
+        mixed.len(),
     );
     print_table(
         &["method", "per-pair pairs/s", "shared-prep pairs/s", "speedup"],
         &[
-            cell_row("pearson", &pc),
-            cell_row("spearman", &sc),
-            cell_row("kendall", &kc),
-            cell_row("kendall, null columns", &kn),
+            cell_row("pearson", &pc, &pps),
+            cell_row("spearman", &sc, &pps),
+            cell_row("kendall", &kc, &pps),
+            cell_row("kendall, null columns", &kn, &pps),
+            cell_row("pearson, null pairs (vs Welford + copy)", &pn, &nan_pps),
         ],
     );
 
@@ -418,8 +366,8 @@ fn main() {
     println!(
         "\nkde: {} curves x {KDE_GRID} points: direct sum {:.0} curves/s, kde_grid {:.0}, {:.2}x",
         samples.len(),
-        cps(kd.scalar),
-        cps(kd.vector),
+        cps(kd.reference),
+        cps(kd.kernel),
         kd.speedup
     );
 
@@ -429,8 +377,8 @@ fn main() {
         strings.len(),
         conflicts.nrows(),
         srps(freq_codes) / 1e6,
-        srps(ts.scalar) / 1e6,
-        srps(ts.vector) / 1e6,
+        srps(ts.reference) / 1e6,
+        srps(ts.kernel) / 1e6,
         ts.speedup
     );
 
@@ -447,53 +395,41 @@ fn main() {
         let json = format!(
             concat!(
                 "{{\"experiment\":\"kernels\",\"rows\":{},\"host_cores\":{},\n",
-                "\"moments_scalar_meps\":{:.3},\"moments_vector_meps\":{:.3},\"moments_speedup\":{:.4},\n",
-                "\"histogram_scalar_meps\":{:.3},\"histogram_vector_meps\":{:.3},\"histogram_speedup\":{:.4},\n",
-                "\"minmax_scalar_meps\":{:.3},\"minmax_vector_meps\":{:.3},\"minmax_speedup\":{:.4},\n",
-                "\"pearson_scalar_meps\":{:.3},\"pearson_vector_meps\":{:.3},\"pearson_speedup\":{:.4},\n",
                 "\"nullity_meps\":{:.3},\"corr_prep_ms\":{:.3},\n",
                 "\"pearson_pair_pps\":{:.1},\"pearson_cell_pps\":{:.1},\"pearson_cell_speedup\":{:.4},\n",
                 "\"spearman_pair_pps\":{:.1},\"spearman_cell_pps\":{:.1},\"spearman_cell_speedup\":{:.4},\n",
                 "\"kendall_pair_pps\":{:.1},\"kendall_cell_pps\":{:.1},\"kendall_cell_speedup\":{:.4},\n",
                 "\"kendall_nan_pair_pps\":{:.1},\"kendall_nan_cell_pps\":{:.1},\"kendall_nan_cell_speedup\":{:.4},\n",
+                "\"pearson_nan_pair_pps\":{:.1},\"pearson_nan_cell_pps\":{:.1},\"pearson_nan_cell_speedup\":{:.4},\n",
                 "\"kde_direct_cps\":{:.1},\"kde_cps\":{:.1},\"kde_speedup\":{:.4},\n",
                 "\"freq_codes_rps\":{:.0},\"text_stats_push_rps\":{:.0},\"text_stats_rps\":{:.0},\"text_stats_speedup\":{:.4},\n",
                 "\"render_mb_per_s\":{:.1},\"render_report_ms\":{:.3},\"missing_x_cached_us\":{:.1}}}"
             ),
             rows,
             host_cores,
-            meps(rows, mo.scalar),
-            meps(rows, mo.vector),
-            mo.speedup,
-            meps(rows, hi.scalar),
-            meps(rows, hi.vector),
-            hi.speedup,
-            meps(rows, mm.scalar),
-            meps(rows, mm.vector),
-            mm.speedup,
-            meps(rows, pe.scalar),
-            meps(rows, pe.vector),
-            pe.speedup,
             meps(rows, nullity),
             prep.as_secs_f64() * 1e3,
-            pps(pc.scalar),
-            pps(pc.vector),
+            pps(pc.reference),
+            pps(pc.kernel),
             pc.speedup,
-            pps(sc.scalar),
-            pps(sc.vector),
+            pps(sc.reference),
+            pps(sc.kernel),
             sc.speedup,
-            pps(kc.scalar),
-            pps(kc.vector),
+            pps(kc.reference),
+            pps(kc.kernel),
             kc.speedup,
-            pps(kn.scalar),
-            pps(kn.vector),
+            pps(kn.reference),
+            pps(kn.kernel),
             kn.speedup,
-            cps(kd.scalar),
-            cps(kd.vector),
+            nan_pps(pn.reference),
+            nan_pps(pn.kernel),
+            pn.speedup,
+            cps(kd.reference),
+            cps(kd.kernel),
             kd.speedup,
             srps(freq_codes),
-            srps(ts.scalar),
-            srps(ts.vector),
+            srps(ts.reference),
+            srps(ts.kernel),
             ts.speedup,
             render_mb_per_s,
             render_report.as_secs_f64() * 1e3,

@@ -252,18 +252,6 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "experiment",
             "rows",
             "host_cores",
-            "moments_scalar_meps",
-            "moments_vector_meps",
-            "moments_speedup",
-            "histogram_scalar_meps",
-            "histogram_vector_meps",
-            "histogram_speedup",
-            "minmax_scalar_meps",
-            "minmax_vector_meps",
-            "minmax_speedup",
-            "pearson_scalar_meps",
-            "pearson_vector_meps",
-            "pearson_speedup",
             "nullity_meps",
             "corr_prep_ms",
             "pearson_pair_pps",
@@ -278,6 +266,9 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "kendall_nan_pair_pps",
             "kendall_nan_cell_pps",
             "kendall_nan_cell_speedup",
+            "pearson_nan_pair_pps",
+            "pearson_nan_cell_pps",
+            "pearson_nan_cell_speedup",
             "kde_direct_cps",
             "kde_cps",
             "kde_speedup",
@@ -290,16 +281,15 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "missing_x_cached_us",
         ],
         gated: &[
-            // Vector-vs-scalar ratios on the same machine; the wide scale
-            // absorbs shared-runner noise like the wall-clock speedups
-            // above.
-            MetricSpec { key: "moments_speedup", higher_is_better: true, tolerance_scale: 4.0 },
-            MetricSpec { key: "histogram_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             // Shared-prep cells vs one pair-kernel call per cell, same
-            // columns, back to back.
+            // columns, back to back; the wide scale absorbs shared-runner
+            // noise like the wall-clock speedups above.
             MetricSpec { key: "pearson_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             MetricSpec { key: "spearman_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             MetricSpec { key: "kendall_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
+            // The masked lane pass of a null-touching Pearson cell vs the
+            // copy + Welford update it replaced.
+            MetricSpec { key: "pearson_nan_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             // The windowed recurrence vs the direct sum it replaced, same
             // 25 samples, back to back.
             MetricSpec { key: "kde_speedup", higher_is_better: true, tolerance_scale: 4.0 },

@@ -12,6 +12,7 @@
 //! dependency and read `min`/`max` from its payload at *execution* time,
 //! which keeps everything inside one lazy graph (no eager pre-pass).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -86,14 +87,22 @@ fn col<'d>(df: &'d DataFrame, name: &str) -> &'d Column {
 /// The column's float buffer when every windowed row is valid — either
 /// no bitmap at all, or a sliced window whose bitmap is all-set (slices
 /// keep their parent's bitmap, so `validity()` alone under-reports this
-/// case). This is the shape the vector kernels consume as whole
-/// contiguous slices.
+/// case). The slice entry points of the kernels take it as it is.
 fn all_valid_f64(c: &Column) -> Option<&[f64]> {
     let vals = c.f64_values()?;
     match c.validity() {
         None => Some(vals),
         Some(bm) if bm.all_set() => Some(vals),
         Some(_) => None,
+    }
+}
+
+/// A numeric column's values with NaN at its nulls: the float buffer
+/// itself when every row is valid, else a copy.
+fn nan_marked(c: &Column) -> Cow<'_, [f64]> {
+    match all_valid_f64(c) {
+        Some(vals) => Cow::Borrowed(vals),
+        None => Cow::Owned(c.to_f64_nan().expect("numeric")),
     }
 }
 
@@ -228,17 +237,7 @@ pub fn histogram_with_range(
                 let c = col(&frame, &name);
                 match (all_valid_f64(c), rows.select(&frame)) {
                     (Some(vals), Selection::All) => h.fill_slice(vals),
-                    // Some rows of a null-free float window: gather them
-                    // (O(selected)) and take the slice entry point the
-                    // whole window takes. With `simd` it classifies edge
-                    // values differently from `push`, and `before −
-                    // dropped` needs each value in one bin on both sides.
-                    (Some(_), rows) => {
-                        let mut picked = Vec::with_capacity(rows.count(c.len()));
-                        c.for_each_numeric_in(rows, |v| picked.push(v)).expect("numeric");
-                        h.fill_slice(&picked);
-                    }
-                    (None, rows) => c.for_each_numeric_in(rows, |v| h.push(v)).expect("numeric"),
+                    (_, rows) => c.for_each_numeric_in(rows, |v| h.push(v)).expect("numeric"),
                 }
                 pl(h)
             })
@@ -305,7 +304,9 @@ pub fn text_stats(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     )
 }
 
-/// Pearson co-moment partial over two numeric columns.
+/// Pearson co-moment partial over two numeric columns: each partition's
+/// window goes to [`PearsonPartial::push_slices`] as it is when it has no
+/// null, gathered with NaN at its nulls when it has.
 pub fn pearson_partial(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let (xn, yn) = (x.to_string(), y.to_string());
     let params = ctx.params(TaskKey::params(&format!("pearson:{x}:{y}")));
@@ -316,19 +317,7 @@ pub fn pearson_partial(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId
         &ctx.sources.clone(),
         move |df| {
             let mut p = PearsonPartial::new();
-            let (cx, cy) = (col(df, &xn), col(df, &yn));
-            match (all_valid_f64(cx), all_valid_f64(cy)) {
-                (Some(xs), Some(ys)) if xs.len() == ys.len() => p.push_slices(xs, ys),
-                _ => {
-                    let xs = cx.numeric_iter().expect("numeric");
-                    let ys = cy.numeric_iter().expect("numeric");
-                    for (a, b) in xs.zip(ys) {
-                        if let (Some(a), Some(b)) = (a, b) {
-                            p.push(a, b);
-                        }
-                    }
-                }
-            }
+            p.push_slices(&nan_marked(col(df, &xn)), &nan_marked(col(df, &yn)));
             pl(p)
         },
         |a, b| {

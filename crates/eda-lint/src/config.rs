@@ -21,9 +21,6 @@ use std::path::Path;
 /// `lint-roots.toml` via [`Config::load`].
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Cargo features treated as enabled when evaluating `#[cfg(...)]`
-    /// gates (`--cfg simd` analyzes the AVX2 modules).
-    pub features: Vec<String>,
     /// EDA-L5 roots: panic-reachability starts here. Spec grammar:
     /// `crate::module::name`, `crate::module::Owner::name`, or
     /// `crate::module::*` (every fn in that module).

@@ -22,7 +22,7 @@ pub enum TokKind {
     /// One punctuation character (`.`, `(`, `{`, `#`, ...).
     Punct(char),
     /// String / char / byte literal. String contents are kept in `text`
-    /// (the cfg evaluator needs `feature = "simd"` values); char/byte
+    /// (the cfg evaluator reads `target_os = "linux"` values); char/byte
     /// contents are dropped.
     Literal,
     /// Numeric literal (content dropped).
@@ -376,11 +376,11 @@ mod tests {
 
     #[test]
     fn string_literal_text_is_kept_for_cfg_values() {
-        let lexed = lex("#[cfg(feature = \"simd\")]");
+        let lexed = lex("#[cfg(target_os = \"linux\")]");
         let lits: Vec<_> =
             lexed.tokens.iter().filter(|t| t.kind == TokKind::Literal).collect();
         assert_eq!(lits.len(), 1);
-        assert_eq!(lits[0].text, "simd");
+        assert_eq!(lits[0].text, "linux");
     }
 
     #[test]

@@ -171,8 +171,7 @@ fn resolve_specs(
 /// Errors when a configured root spec no longer resolves — a stale root
 /// is silent coverage loss, so it fails loudly (exit 2 in the binary).
 pub fn analyze(files: &[SourceFile], config: &Config) -> Result<Analysis, Vec<String>> {
-    let lexed: Vec<workspace::FileLex> =
-        files.iter().map(|f| workspace::FileLex::build_cfg(f, &config.features)).collect();
+    let lexed: Vec<workspace::FileLex> = files.iter().map(workspace::FileLex::build).collect();
     let parsed: Vec<parse::ParsedFile> = lexed.iter().map(parse::parse_file).collect();
     let graph = callgraph::CallGraph::build(&parsed);
 

@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! cargo run -p eda-lint                          # lint, roots from lint-roots.toml
-//! cargo run -p eda-lint -- --cfg simd            # analyze the AVX2 configuration
 //! cargo run -p eda-lint -- --format json --out findings.json
 //! cargo run -p eda-lint -- --baseline lint-baseline.json   # fail on NEW findings only
 //! cargo run -p eda-lint -- --write-baseline lint-baseline.json  # bless current findings
@@ -27,8 +26,6 @@ fn main() -> ExitCode {
     let mut out: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut merge_baseline = false;
-    let mut features: Vec<String> = Vec::new();
     let mut dump_locks = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -45,24 +42,13 @@ fn main() -> ExitCode {
             "--out" => out = args.next().map(PathBuf::from),
             "--baseline" => baseline_path = args.next().map(PathBuf::from),
             "--write-baseline" => write_baseline = args.next().map(PathBuf::from),
-            "--merge-baseline" => {
-                write_baseline = args.next().map(PathBuf::from);
-                merge_baseline = true;
-            }
-            "--cfg" => match args.next() {
-                Some(f) => features.push(f),
-                None => {
-                    eprintln!("eda-lint: --cfg expects a feature name");
-                    return ExitCode::from(2);
-                }
-            },
             "--locks" => dump_locks = true,
             "--help" | "-h" => {
                 println!(
                     "eda-lint: workspace invariant checks over a conservative call graph\n\n\
-                     USAGE: eda-lint [--root DIR] [--roots FILE] [--cfg FEATURE]...\n       \
+                     USAGE: eda-lint [--root DIR] [--roots FILE]\n       \
                      [--format text|json] [--out FILE]\n       \
-                     [--baseline FILE] [--write-baseline FILE] [--merge-baseline FILE] [--locks]\n\n\
+                     [--baseline FILE] [--write-baseline FILE] [--locks]\n\n\
                      Rules:\n  \
                      EDA-L1  no nondeterminism sources reachable from cache-key/fingerprint sinks\n  \
                      EDA-L3  consistent lock acquisition order (deadlock freedom)\n  \
@@ -75,9 +61,7 @@ fn main() -> ExitCode {
                      Suppress one site with `// eda-lint: allow(EDA-L5) <why>` on the\n\
                      offending line or the line above; bless whole findings with\n\
                      --write-baseline and ratchet with --baseline (fails on NEW findings\n\
-                     only). --merge-baseline unions into an existing baseline (per-key\n\
-                     max) so one file can cover several --cfg configurations.\n\
-                     --cfg simd analyzes the feature-gated AVX2 modules."
+                     only)."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -97,7 +81,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| PathBuf::from("."))
     });
 
-    let mut config = {
+    let config = {
         let result = match &roots_file {
             Some(path) => std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))
@@ -112,7 +96,6 @@ fn main() -> ExitCode {
             }
         }
     };
-    config.features = features;
 
     let files = match workspace::collect_workspace(&root) {
         Ok(files) => files,
@@ -156,26 +139,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &write_baseline {
-        let mut baseline = Baseline::from_diags(&analysis.diagnostics);
-        // Merge with an existing baseline (per-key max) so the blessed
-        // set can cover several analysis configurations — run once
-        // plain, once per `--cfg`, against the same file.
-        if merge_baseline {
-            match std::fs::read_to_string(path) {
-                Ok(text) => match Baseline::parse(&text) {
-                    Ok(prev) => baseline.merge_max(&prev),
-                    Err(err) => {
-                        eprintln!("eda-lint: {err}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-                Err(err) => {
-                    eprintln!("eda-lint: cannot read {}: {err}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
+        let baseline = Baseline::from_diags(&analysis.diagnostics);
         if let Err(err) = std::fs::write(path, baseline.to_json()) {
             eprintln!("eda-lint: cannot write {}: {err}", path.display());
             return ExitCode::from(2);

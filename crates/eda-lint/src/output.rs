@@ -254,16 +254,6 @@ impl Baseline {
         Baseline { counts }
     }
 
-    /// Merge another baseline, taking the max count per key (used to
-    /// bless the union of the default and `--cfg simd` runs in one
-    /// file).
-    pub fn merge_max(&mut self, other: &Baseline) {
-        for (k, &v) in &other.counts {
-            let e = self.counts.entry(k.clone()).or_insert(0);
-            *e = (*e).max(v);
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
@@ -407,26 +397,5 @@ mod tests {
     fn baseline_rejects_unknown_rules() {
         let text = r#"{"version": 1, "entries": [{"rule": "EDA-L99", "file": "f", "message": "m", "count": 1}]}"#;
         assert!(Baseline::parse(text).is_err());
-    }
-
-    #[test]
-    fn merge_max_takes_unions() {
-        let a = Baseline::from_diags(&[
-            diag(RuleId::L5PanicReach, "f.rs", 1, "m"),
-            diag(RuleId::L5PanicReach, "f.rs", 2, "m"),
-        ]);
-        let b = Baseline::from_diags(&[
-            diag(RuleId::L5PanicReach, "f.rs", 1, "m"),
-            diag(RuleId::L6CancelCoverage, "g.rs", 1, "n"),
-        ]);
-        let mut merged = a.clone();
-        merged.merge_max(&b);
-        assert!(merged
-            .filter_new(&[
-                diag(RuleId::L5PanicReach, "f.rs", 1, "m"),
-                diag(RuleId::L5PanicReach, "f.rs", 2, "m"),
-                diag(RuleId::L6CancelCoverage, "g.rs", 1, "n"),
-            ])
-            .is_empty());
     }
 }

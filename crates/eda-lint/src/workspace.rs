@@ -12,9 +12,9 @@ pub struct FileLex {
     pub rel: String,
     pub lexed: Lexed,
     /// Inclusive line ranges covered by items whose `#[cfg(...)]` /
-    /// `#[test]` attributes evaluate false under the active cfg set —
-    /// exempt from every rule (tests may unwrap; disabled features are
-    /// not compiled).
+    /// `#[test]` attributes evaluate false in the default build — exempt
+    /// from every rule (tests may unwrap; disabled features are not
+    /// compiled).
     masked: Vec<(u32, u32)>,
     /// `eda-lint: allow(...)` markers: line → rules allowed there.
     /// A marker suppresses findings on its own line and the next.
@@ -25,16 +25,8 @@ impl FileLex {
     /// Lex and pre-analyze one source file with no cargo features
     /// enabled (the default build's view of the tree).
     pub fn build(src: &SourceFile) -> FileLex {
-        FileLex::build_cfg(src, &[])
-    }
-
-    /// Lex and pre-analyze one source file, treating `features` as the
-    /// enabled cargo feature set when evaluating `#[cfg(...)]` gates
-    /// (so a `--cfg simd` run analyzes the AVX2 modules the default run
-    /// masks, and masks the scalar-only fallbacks).
-    pub fn build_cfg(src: &SourceFile, features: &[String]) -> FileLex {
         let lexed = lex(&src.content);
-        let masked = cfg_masks(&lexed, features);
+        let masked = cfg_masks(&lexed);
         let mut allows: HashMap<u32, Vec<RuleId>> = HashMap::new();
         for comment in &lexed.comments {
             if let Some(pos) = comment.text.find("eda-lint: allow(") {
@@ -79,10 +71,9 @@ impl FileLex {
 /// Evaluate one cfg predicate expression starting at `pos` (just after
 /// `cfg(` or inside `any(...)`/`all(...)`/`not(...)`), leaving `pos`
 /// after the predicate. Unknown predicates evaluate `true` (analyze the
-/// code rather than silently skipping it); the build target is assumed
-/// to be the CI/SIMD target (`x86_64-unknown-linux-gnu`), which is where
-/// the feature-gated intrinsics live.
-fn eval_cfg_pred(toks: &[Tok], pos: &mut usize, features: &[String]) -> bool {
+/// code rather than silently skipping it); no cargo feature is enabled,
+/// and the build target is assumed to be CI's (`x86_64-unknown-linux-gnu`).
+fn eval_cfg_pred(toks: &[Tok], pos: &mut usize) -> bool {
     let Some(head) = toks.get(*pos) else { return true };
     if head.kind != TokKind::Ident {
         *pos += 1;
@@ -99,7 +90,7 @@ fn eval_cfg_pred(toks: &[Tok], pos: &mut usize, features: &[String]) -> bool {
                 *pos += 1;
                 continue;
             }
-            vals.push(eval_cfg_pred(toks, pos, features));
+            vals.push(eval_cfg_pred(toks, pos));
         }
         *pos += 1; // consume `)`
         return match name.as_str() {
@@ -119,7 +110,7 @@ fn eval_cfg_pred(toks: &[Tok], pos: &mut usize, features: &[String]) -> bool {
             .unwrap_or_default();
         *pos += 1;
         return match name.as_str() {
-            "feature" => features.iter().any(|f| f == &value),
+            "feature" => false,
             "target_arch" => value == "x86_64",
             "target_os" => value == "linux",
             "target_family" => value == "unix",
@@ -138,12 +129,11 @@ fn eval_cfg_pred(toks: &[Tok], pos: &mut usize, features: &[String]) -> bool {
 
 /// Line ranges of items whose attributes exclude them from the analyzed
 /// configuration: `#[test]` / `#[tokio::test]` items, and `#[cfg(...)]`
-/// items whose predicate evaluates false under `features` (so
-/// `#[cfg(test)]` and `#[cfg(loom)]` are masked always, and
-/// `#[cfg(feature = "simd")]` only when `simd` is not in the active
-/// set). The range runs from the attribute to the closing brace of the
-/// item that follows (or its terminating `;` for `mod x;` forms).
-fn cfg_masks(lexed: &Lexed, features: &[String]) -> Vec<(u32, u32)> {
+/// items whose predicate evaluates false in the default build (so
+/// `#[cfg(test)]`, `#[cfg(loom)]` and `#[cfg(feature = "...")]` are
+/// masked). The range runs from the attribute to the closing brace of
+/// the item that follows (or its terminating `;` for `mod x;` forms).
+fn cfg_masks(lexed: &Lexed) -> Vec<(u32, u32)> {
     let toks = &lexed.tokens;
     let mut masks = Vec::new();
     let mut i = 0;
@@ -169,7 +159,7 @@ fn cfg_masks(lexed: &Lexed, features: &[String]) -> Vec<(u32, u32)> {
                 && attr.get(1).is_some_and(|t| t.is_punct('('))
                 && {
                     let mut pos = 2usize;
-                    !eval_cfg_pred(attr, &mut pos, features)
+                    !eval_cfg_pred(attr, &mut pos)
                 };
             if is_test_attr || cfg_excluded {
                 let start_line = toks[i].line;

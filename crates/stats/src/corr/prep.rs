@@ -11,7 +11,8 @@
 //! columns is one dot product of two centered vectors
 //! ([`crate::vector::centered_dot`]). The NaN rule for those two: a pair
 //! touching a column with NaN goes to the per-pair kernels, which center
-//! on each pair's complete observations (Spearman on the ranks kept here).
+//! on each pair's complete observations (Spearman on the ranks kept here)
+//! in one masked lane pass over the raw values, with no copy.
 
 use super::kendall::{kendall_cell, pairs, KendallScratch};
 use super::pearson::pearson;

@@ -35,23 +35,15 @@ impl Histogram {
     }
 
     /// Build over a slice using its own extrema for the range.
-    ///
-    /// The extrema scan and the fill take the lane-parallel vector shape
-    /// when [`crate::vector::simd_enabled`].
     pub fn from_values(values: &[f64], bins: usize) -> Histogram {
-        let (min, max) = if crate::vector::simd_enabled() {
-            crate::vector::minmax(values)
-        } else {
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for &v in values {
-                if v.is_finite() {
-                    min = min.min(v);
-                    max = max.max(v);
-                }
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for &v in values {
+            if v.is_finite() {
+                min = min.min(v);
+                max = max.max(v);
             }
-            (min, max)
-        };
+        }
         let mut h = Histogram::new(min, max, bins);
         h.fill_slice(values);
         h
@@ -112,20 +104,10 @@ impl Histogram {
         }
     }
 
-    /// Accumulate a contiguous slice — the columnar-window entry point.
-    ///
-    /// Dispatches to the vector fill (hoisted reciprocal binning, striped
-    /// counts — see [`crate::vector::histogram_fill`]) when
-    /// [`crate::vector::simd_enabled`], else to the scalar per-value loop
-    /// bit-identically to [`Histogram::extend`]. Both poll the
-    /// interruption probe every [`crate::interrupt::CHECK_INTERVAL`]
-    /// values.
+    /// Accumulate a contiguous slice — the columnar-window entry point,
+    /// [`Histogram::extend`] over its values.
     pub fn fill_slice(&mut self, values: &[f64]) {
-        if crate::vector::simd_enabled() {
-            crate::vector::histogram_fill(self, values);
-        } else {
-            self.extend(values.iter().copied());
-        }
+        self.extend(values.iter().copied());
     }
 
     /// Merge a partial built over the identical bin grid.

@@ -29,6 +29,7 @@
 //!   the paper's §7 time-series future-work task)
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Test code asserts; the crate-wide unwrap/expect deny (see
 // Cargo.toml [lints]) applies to shipped code only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]

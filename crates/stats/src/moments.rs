@@ -55,24 +55,8 @@ impl Moments {
     /// copy of the window. Polls the cooperative-interruption probe
     /// every [`crate::interrupt::CHECK_INTERVAL`] values and bails early
     /// when it fires (the scheduler discards the partial accumulator).
-    ///
-    /// With the `simd` feature (and no [`crate::vector::set_force_scalar`]
-    /// override) this takes the lane-parallel vector shape; default
-    /// builds take the scalar Welford loop bit-identically to previous
-    /// releases.
     #[inline]
     pub fn push_slice(&mut self, values: &[f64]) {
-        if crate::vector::simd_enabled() {
-            crate::vector::moments_slice(self, values);
-        } else {
-            self.push_slice_scalar(values);
-        }
-    }
-
-    /// The scalar [`Moments::push_slice`] shape, always available so
-    /// benchmarks and property tests can compare paths in any build.
-    #[inline]
-    pub fn push_slice_scalar(&mut self, values: &[f64]) {
         for chunk in values.chunks(crate::interrupt::CHECK_INTERVAL) {
             if crate::interrupt::interrupted() {
                 return;
@@ -81,13 +65,6 @@ impl Moments {
                 self.push(v);
             }
         }
-    }
-
-    /// The vector [`Moments::push_slice`] shape (see [`crate::vector`]),
-    /// always available regardless of the `simd` feature.
-    #[inline]
-    pub fn push_slice_vector(&mut self, values: &[f64]) {
-        crate::vector::moments_slice(self, values);
     }
 
     /// Accumulate one value.

@@ -24,9 +24,7 @@ impl LinearFit {
     /// Returns `None` with fewer than 2 complete pairs or zero x-variance.
     pub fn fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
         let mut p = PearsonPartial::new();
-        for (&a, &b) in x.iter().zip(y) {
-            p.push(a, b);
-        }
+        p.push_slices(x, y);
         Self::from_partial(&p)
     }
 

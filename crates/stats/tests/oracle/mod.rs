@@ -1,8 +1,10 @@
-//! Independent Kendall oracles, shared by `prop_kernels.rs` and the unit
-//! tests of `corr::kendall` (which include this file by path). Nothing
-//! here calls into `eda_stats`: the O(n²) double loop is the one check
-//! both production entry points are held against, and the Fenwick tree
-//! counts inversions at sizes the double loop is too slow for.
+//! Independent correlation oracles, shared by `prop_kernels.rs` and the
+//! unit tests of `corr::kendall` (which include this file by path).
+//! Nothing here calls into `eda_stats`. For Kendall, the O(n²) double
+//! loop is the one check both production entry points are held against,
+//! and the Fenwick tree counts inversions at sizes the double loop is too
+//! slow for. For Pearson and rank-once Spearman, a two-pass compensated
+//! co-moment — no streaming update, no lanes, no chunks.
 
 #![allow(dead_code)]
 
@@ -10,6 +12,66 @@
 fn complete_pairs(x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>) {
     assert_eq!(x.len(), y.len());
     x.iter().zip(y).filter(|(a, b)| !a.is_nan() && !b.is_nan()).map(|(a, b)| (*a, *b)).unzip()
+}
+
+/// Neumaier-compensated sum.
+fn compensated_sum(values: impl Iterator<Item = f64>) -> f64 {
+    let (mut sum, mut carry) = (0.0f64, 0.0f64);
+    for v in values {
+        let t = sum + v;
+        carry += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
+        sum = t;
+    }
+    sum + carry
+}
+
+/// Pearson over the pairwise-complete rows by two passes: the means, then
+/// the centered sums with the compensated correction term
+/// (`Σd² − (Σd)²/n`, Björck). `None` under the rules every Pearson path
+/// keeps: fewer than two complete pairs, or a side constant on them.
+pub fn pearson_two_pass(x: &[f64], y: &[f64]) -> Option<f64> {
+    let (xs, ys) = complete_pairs(x, y);
+    let n = xs.len();
+    let constant = |v: &[f64]| v.iter().all(|&a| a == v[0]);
+    if n < 2 || constant(&xs) || constant(&ys) {
+        return None;
+    }
+    let nf = n as f64;
+    let mx = compensated_sum(xs.iter().copied()) / nf;
+    let my = compensated_sum(ys.iter().copied()) / nf;
+    let dx: Vec<f64> = xs.iter().map(|a| a - mx).collect();
+    let dy: Vec<f64> = ys.iter().map(|b| b - my).collect();
+    let (sx, sy) = (compensated_sum(dx.iter().copied()), compensated_sum(dy.iter().copied()));
+    let sxx = compensated_sum(dx.iter().map(|d| d * d)) - sx * sx / nf;
+    let syy = compensated_sum(dy.iter().map(|d| d * d)) - sy * sy / nf;
+    let sxy = compensated_sum(dx.iter().zip(&dy).map(|(a, b)| a * b)) - sx * sy / nf;
+    Some(sxy / (sxx * syy).sqrt())
+}
+
+/// Mid-ranks (1-based, ties averaged) of a column's non-NaN rows; NaN at
+/// NaN rows.
+pub fn mid_ranks(v: &[f64]) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..v.len()).filter(|&i| !v[i].is_nan()).collect();
+    order.sort_by(|&a, &b| v[a].total_cmp(&v[b]));
+    let mut out = vec![f64::NAN; v.len()];
+    let mut start = 0;
+    while start < order.len() {
+        let mut end = start + 1;
+        while end < order.len() && v[order[end]] == v[order[start]] {
+            end += 1;
+        }
+        // Positions start+1 ..= end share their mean.
+        let rank = (start + 1 + end) as f64 / 2.0;
+        order[start..end].iter().for_each(|&row| out[row] = rank);
+        start = end;
+    }
+    out
+}
+
+/// pandas' rank-once Spearman: every column ranked over its own non-NaN
+/// rows, then Pearson over the rows both have.
+pub fn spearman_rank_once(x: &[f64], y: &[f64]) -> Option<f64> {
+    pearson_two_pass(&mid_ranks(x), &mid_ranks(y))
 }
 
 /// Tau-b by the O(n²) double loop over all pairs.

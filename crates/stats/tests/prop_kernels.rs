@@ -8,14 +8,16 @@
 
 mod oracle;
 
+use eda_stats::corr::{corr_cells, Col, ColumnPrep, CorrMatrix, CorrMethod};
 use eda_stats::corr::{kendall_tau, pearson, spearman, spearman_from_ranks, PearsonPartial};
-use eda_stats::corr::{CorrMatrix, CorrMethod};
 use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
 use eda_stats::hypothesis::ks_distance;
+use eda_stats::interrupt::CHECK_INTERVAL;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::{quantile_sorted, quantiles, quantiles_nth, sorted_values, BoxPlot};
 use eda_stats::rank::ranks;
+use eda_stats::vector::count_joint;
 use proptest::prelude::*;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
@@ -255,6 +257,176 @@ proptest! {
                     (a, b) => prop_assert_eq!(a, b),
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pearson and rank-once Spearman against the two-pass oracle
+// ---------------------------------------------------------------------------
+
+/// Around the lane width and the `CHECK_INTERVAL` chunk boundary.
+const LENGTHS: [usize; 9] =
+    [0, 1, 2, 7, 8, 9, CHECK_INTERVAL - 1, CHECK_INTERVAL + 1, 3 * CHECK_INTERVAL + 5];
+
+/// One null-free column of each numeric `eda-datagen` family, plus a
+/// four-valued one (ties everywhere), `LENGTHS`' longest.
+fn families(seed: u64) -> Vec<Vec<f64>> {
+    use eda_datagen::spec::quick::{ints, lognormal, normal, uniform};
+    let spec = eda_datagen::DatasetSpec {
+        name: "families".into(),
+        rows: 3 * CHECK_INTERVAL + 5,
+        columns: vec![
+            normal("normal", 50.0, 10.0, 0.0),
+            lognormal("lognormal", 2.0, 0.8, 0.0),
+            uniform("uniform", 0.0, 1000.0, 0.0),
+            ints("ints", 0, 5000, 0.0),
+            ints("few", 0, 3, 0.0),
+        ],
+    };
+    let df = eda_datagen::generate(&spec, seed);
+    df.iter().map(|(_, c)| c.to_f64_nan().unwrap()).collect()
+}
+
+/// `values` with each row NaN with probability `density`.
+fn holes(values: &[f64], seed: u64, density: f64) -> Vec<f64> {
+    let mut s = seed;
+    let mut draw = move || {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    };
+    values.iter().map(|&v| if draw() < density { f64::NAN } else { v }).collect()
+}
+
+/// The Pearson cell, the Spearman cell and `pearson` of `x, y`, each
+/// against its oracle: the same `None`-ness, and within 1e-12.
+fn check_against_oracle(x: &[f64], y: &[f64]) -> Result<(), String> {
+    let (px, py) = (ColumnPrep::prepare(x), ColumnPrep::prepare(y));
+    let cols = [Col { values: x, prep: &px }, Col { values: y, prep: &py }];
+    let cell = |method| corr_cells(method, &cols, &[(0, 1)])[0];
+    let pearson_oracle = oracle::pearson_two_pass(x, y);
+    for (what, got, want) in [
+        ("pearson", pearson(x, y), pearson_oracle),
+        ("Pearson cell", cell(CorrMethod::Pearson), pearson_oracle),
+        ("Spearman cell", cell(CorrMethod::Spearman), oracle::spearman_rank_once(x, y)),
+    ] {
+        match (got, want) {
+            (Some(g), Some(w)) => prop_assert!((g - w).abs() <= 1e-12, "{what}: {g} vs {w}"),
+            (g, w) => prop_assert_eq!(g, w, "{what}, {} rows: {g:?} vs {w:?}", x.len()),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn pearson_and_spearman_match_the_two_pass_oracle(
+        seed in 0u64..1 << 40,
+        fx in 0usize..5,
+        fy in 0usize..5,
+        dx in prop::sample::select(vec![0.0, 0.01, 0.1, 0.5, 0.95, 1.0]),
+        dy in prop::sample::select(vec![0.0, 0.01, 0.1, 0.5, 0.95, 1.0]),
+    ) {
+        let (a, b) = (families(seed), families(seed + 1));
+        for len in LENGTHS {
+            let x = holes(&a[fx][..len], seed, dx);
+            let y = holes(&b[fy][..len], seed ^ 0x5851_f42d, dy);
+            check_against_oracle(&x, &y)?;
+        }
+    }
+
+    #[test]
+    fn partition_split_push_slices_merge_to_one_pass(
+        seed in 0u64..1 << 40,
+        cuts in prop::collection::vec(0usize..3 * CHECK_INTERVAL + 5, 0..4),
+        density in prop::sample::select(vec![0.0, 0.1, 0.9]),
+    ) {
+        let (a, b) = (families(seed), families(seed + 1));
+        let x = holes(&a[0], seed, density);
+        let y = holes(&b[2], seed ^ 0x5851_f42d, density);
+        let mut bounds = cuts.clone();
+        bounds.extend([0, x.len()]);
+        bounds.sort_unstable();
+        let mut whole = PearsonPartial::new();
+        whole.push_slices(&x, &y);
+        let mut merged = PearsonPartial::new();
+        for w in bounds.windows(2) {
+            let mut part = PearsonPartial::new();
+            part.push_slices(&x[w[0]..w[1]], &y[w[0]..w[1]]);
+            merged.merge(&part);
+        }
+        prop_assert_eq!(merged.n, whole.n);
+        match (merged.finish(), whole.finish()) {
+            (Some(m), Some(w)) => prop_assert!((m - w).abs() <= 1e-12, "{m} vs {w}"),
+            (m, w) => prop_assert_eq!(m, w),
+        }
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()));
+        let pairs = [
+            (merged.means().0, whole.means().0),
+            (merged.means().1, whole.means().1),
+            (merged.second_moments().0, whole.second_moments().0),
+            (merged.second_moments().1, whole.second_moments().1),
+        ];
+        for (m, w) in pairs {
+            prop_assert!(close(m, w), "{m} vs {w}");
+        }
+    }
+
+    #[test]
+    fn count_joint_matches_naive_zip(
+        a in prop::collection::vec(any::<bool>(), 0..4000),
+        b in prop::collection::vec(any::<bool>(), 0..4000),
+    ) {
+        let naive = a.iter().zip(&b).fold((0u64, 0u64, 0u64), |(na, nb, nab), (&x, &y)| {
+            (na + u64::from(x), nb + u64::from(y), nab + u64::from(x && y))
+        });
+        prop_assert_eq!(count_joint(&a, &b), naive);
+    }
+}
+
+#[test]
+fn constant_on_the_complete_rows_is_none() {
+    // `x` varies, but holds 0.1 on every row where `y` is present; the
+    // first row, where `x` differs, is never a complete pair.
+    for len in LENGTHS {
+        let x: Vec<f64> = (0..len).map(|i| if i % 3 == 0 { 1e6 + i as f64 } else { 0.1 }).collect();
+        let y: Vec<f64> = (0..len).map(|i| if i % 3 == 0 { f64::NAN } else { i as f64 }).collect();
+        check_against_oracle(&x, &y).unwrap();
+        assert_eq!(pearson(&x, &y), None, "{len} rows");
+        assert_eq!(oracle::pearson_two_pass(&x, &y), None);
+        assert_eq!(oracle::spearman_rank_once(&x, &y), None);
+    }
+}
+
+#[test]
+fn every_row_nan_on_one_side() {
+    let a = families(3);
+    for len in LENGTHS {
+        let nan = vec![f64::NAN; len];
+        for values in &a {
+            check_against_oracle(&values[..len], &nan).unwrap();
+            check_against_oracle(&nan, &values[..len]).unwrap();
+            let mut p = PearsonPartial::new();
+            p.push_slices(&values[..len], &nan);
+            assert_eq!(p, PearsonPartial::new());
+        }
+    }
+}
+
+#[test]
+fn a_nan_first_row_in_every_chunk() {
+    // The first complete pair of every chunk is its third row.
+    let (a, b) = (families(5), families(6));
+    for (fx, fy) in [(0, 1), (2, 3), (1, 4), (4, 4)] {
+        let (mut x, mut y) = (a[fx].clone(), b[fy].clone());
+        for start in (0..x.len()).step_by(CHECK_INTERVAL) {
+            x[start] = f64::NAN;
+            y[start + 1] = f64::NAN;
+        }
+        for len in LENGTHS {
+            check_against_oracle(&x[..len], &y[..len]).unwrap();
         }
     }
 }

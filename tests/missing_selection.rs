@@ -3,18 +3,12 @@
 //! more. These tests hold it to the implementation it replaced, kept here
 //! as the oracle: materialise `df.drop_nulls_in(x)`, run the plain
 //! whole-column kernels on the copy, assemble the same charts. Every
-//! comparison is on the intermediates' JSON, byte for byte, and runs under
-//! default features and `--features simd` alike.
+//! comparison is on the intermediates' JSON, byte for byte.
 //!
-//! With `simd`, a null-free float window is binned by the vector fill
-//! (`(v − min) * inv_width`) and any other window by `Histogram::push`
-//! (`/ width`); the two may put a value that sits on a bin edge into
-//! neighbouring bins. The implementation bins a column's dropped rows the
-//! way it bins that column's *before*; the oracle bins the copy by the
-//! copy's shape. The shapes differ only when every null of a float column
-//! lies in a row `x` drops, so frames compared against the oracle either
-//! avoid that or put their edge values on exactly representable grids —
-//! and `edge_values_stay_in_their_before_bin` covers that case by itself.
+//! Every histogram bins a value with `(v − min) / width`, whether its
+//! window is read as a slice or row by row, so a value on a bin edge
+//! leaves `before` from the bin it was counted in;
+//! `edge_values_stay_in_their_before_bin` checks that by itself.
 
 use std::sync::Arc;
 
@@ -287,7 +281,7 @@ fn hostile(n: usize, x_null: impl Fn(usize) -> bool) -> DataFrame {
     let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, 1e300, -1e300];
     DataFrame::new(vec![
         ("x".into(), Column::from_opt_f64((0..n).map(|i| (!x_null(i)).then_some(i as f64)).collect())),
-        // Null-free float: the vector fill's shape on both sides.
+        // Null-free float: read as a slice before the drop.
         ("f".into(), Column::from_f64((0..n).map(|i| ((i * 37) % 101) as f64 * 0.25).collect())),
         // Float with nulls of its own, some inside and some outside x's.
         (
@@ -360,10 +354,9 @@ fn values_on_bin_edges_match_the_oracle() {
 #[test]
 fn edge_values_stay_in_their_before_bin() {
     // Hundredths over [0, 1] in 10 or 20 bins: 0.3, 0.6, 0.7, … sit on
-    // edges where `(v − min) / width` and `(v − min) * (1 / width)` round
-    // to different bins. `nested` changes shape under the drop (see the
-    // module comment); whatever classifier binned a value before must bin
-    // it after, or `before − dropped` takes it out of the wrong bin.
+    // edges, where rounding decides the bin. `nested` has nulls before the
+    // drop and none after it; whatever bin a value was counted in before,
+    // the drop must take it out of that bin.
     let n = 101 * 4;
     let hundredths = |i: usize| (i % 101) as f64 / 100.0;
     let df = DataFrame::new(vec![
@@ -386,12 +379,7 @@ fn edge_values_stay_in_their_before_bin() {
             let col = df.column(y).unwrap();
             let whole = |keep: &dyn Fn(usize) -> bool| {
                 let mut h = Histogram::new(0.0, 1.0, bins);
-                let values: Vec<f64> = (0..n).filter(|&i| col.is_valid(i) && keep(i)).map(hundredths).collect();
-                if col.null_count() == 0 {
-                    h.fill_slice(&values);
-                } else {
-                    h.extend(values);
-                }
+                h.extend((0..n).filter(|&i| col.is_valid(i) && keep(i)).map(hundredths));
                 h.counts
             };
             assert_eq!(before, &whole(&|_| true), "{y} before, {bins} bins");

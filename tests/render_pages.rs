@@ -7,10 +7,7 @@
 //! `engine.workers` and the partition count are pinned (the latter
 //! otherwise follows the host's core count) and what a report's footer
 //! prints of its `stats` — elapsed time, tasks run and shared — is zeroed:
-//! the pages pin the renderer, not the plan. The vector kernels
-//! of `--features simd` bin and sum in another order and print other last
-//! digits, so the digests are the default build's.
-#![cfg(not(feature = "simd"))]
+//! the pages pin the renderer, not the plan.
 
 use std::collections::BTreeSet;
 use std::hash::Hasher;

@@ -105,6 +105,38 @@ fn output_bytes_do_not_depend_on_the_worker_count() {
     }
 }
 
+#[test]
+fn pair_r_equals_the_matrix_cell() {
+    // `plot_correlation(df, x, y)` merges one lane pass per partition;
+    // the matrix cell is one pass over the whole column (or a centered
+    // dot product when neither column has nulls). On the adult shape,
+    // `num0` and `num3` have nulls.
+    let df = shape("adult", 24_500, 42);
+    for workers in ["1", "4"] {
+        let cfg = Config::from_pairs(vec![
+            ("engine.workers", workers),
+            ("engine.npartitions", "3"),
+            ("engine.cache_budget_bytes", "0"),
+        ])
+        .unwrap();
+        let all = plot_correlation(&df, &[], &cfg).unwrap();
+        let Some(Inter::Correlation(matrix)) = all.get("correlation_matrix:Pearson") else {
+            panic!("no Pearson matrix")
+        };
+        for (i, x) in matrix.labels.iter().enumerate() {
+            for (j, y) in matrix.labels.iter().enumerate().skip(i + 1) {
+                let pair = plot_correlation(&df, &[x, y], &cfg).unwrap();
+                let Some(Inter::RegressionScatter { slope, r2, .. }) = pair.get("regression_scatter")
+                else {
+                    panic!("{x} ~ {y}: no regression")
+                };
+                let (r, cell) = (slope.signum() * r2.sqrt(), matrix.get(i, j).unwrap());
+                assert!((r - cell).abs() <= 1e-12, "{x} ~ {y}, workers {workers}: {r} vs {cell}");
+            }
+        }
+    }
+}
+
 /// `rows` rows, five columns: `never` null, `some` ~10% null, `same` with
 /// `some`'s pattern exactly, `other` ~10% on different rows, `always` null.
 fn nullity_frame(rows: usize) -> DataFrame {

@@ -6,6 +6,10 @@
 //! change. The frames go through `write_csv` -> `read_csv_str`, so the
 //! digests cover the tokenizer's dictionary, and again through `.edaf`,
 //! whose dictionary is sorted rather than in first-appearance order.
+//! The two report digests were re-pinned once since, when a Pearson or
+//! Spearman cell touching a column with nulls became one masked lane pass
+//! (EXPERIMENTS.md, "Pearson: one lane pass": only those cells, their
+//! vectors and the pair fits moved, by at most 1.4e-12).
 //!
 //! The partition count is pinned (it otherwise follows the host's core
 //! count), so the digests are the same on every machine.
@@ -90,11 +94,7 @@ fn digest(df: &DataFrame, cfg: &Config) -> u64 {
     d.0.finish()
 }
 
-/// `want` is `[default build, --features simd]`: the vector kernels bin
-/// and sum in another order, so the two builds print different last
-/// digits — each pinned at its own parent value.
-fn pinned(name: &str, want: [u64; 2], want_file: u64) {
-    let want = want[usize::from(dataprep_eda::stats::vector::simd_enabled())];
+fn pinned(name: &str, want: u64, want_file: u64) {
     let df = shape(name);
     for workers in [1, 2, 4, 7] {
         let got = digest(&df, &config(workers));
@@ -117,12 +117,12 @@ fn pinned(name: &str, want: [u64; 2], want_file: u64) {
 
 #[test]
 fn conflicts_outputs_are_pinned() {
-    pinned("conflicts", [0x0270_a10c_9e96_8d5b, 0xa623_2041_bdb0_6baa], 0xae39_f769_76ba_f6bb);
+    pinned("conflicts", 0x7e80_a31c_5b5e_9891, 0xae39_f769_76ba_f6bb);
 }
 
 #[test]
 fn adult_outputs_are_pinned() {
-    pinned("adult", [0x7fb6_2f00_30af_8d53, 0x53cb_4565_6fa4_b0e0], 0xb560_d983_6791_1fd7);
+    pinned("adult", 0xfc9d_29d4_1f9a_64d3, 0xb560_d983_6791_1fd7);
 }
 
 /// Categorical columns that are not strings (a bool, a low-cardinality
