@@ -324,6 +324,7 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "str_field_allocs",
             "stream_peak_bytes",
             "staging_reduction",
+            "load_peak_per_file_byte",
             "edaf_bytes",
             "csv_parse_us",
             "edaf_col_us",
@@ -340,8 +341,14 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
                 tolerance_scale: 4.0,
             },
             // Allocator-counted peaks are deterministic for a fixed chunk
-            // plan; the base tolerance suffices.
-            MetricSpec { key: "staging_reduction", higher_is_better: true, tolerance_scale: 1.0 },
+            // plan; the base tolerance suffices. The full load's peak per
+            // file byte, not its ratio to the streaming fold's: a load
+            // that holds less is a smaller ratio and is no regression.
+            MetricSpec {
+                key: "load_peak_per_file_byte",
+                higher_is_better: false,
+                tolerance_scale: 1.0,
+            },
         ],
     },
 ];
@@ -583,24 +590,28 @@ mod tests {
         assert!(text.contains("+0.0%"), "{text}");
     }
 
+    /// An `ingest` result: every required key 10, but those in `set`.
+    fn ingest_doc(set: &[(&str, f64)]) -> FlatJson {
+        let spec = experiment("ingest").unwrap();
+        let mut doc: FlatJson = vec![("experiment".into(), JsonValue::Str("ingest".into()))];
+        for &key in spec.required.iter().filter(|&&k| k != "experiment") {
+            let value = set.iter().find(|(k, _)| *k == key).map_or(10.0, |&(_, v)| v);
+            doc.push((key.into(), JsonValue::Num(value)));
+        }
+        doc
+    }
+
+    fn delta_of(deltas: &[Delta], metric: &str) -> Delta {
+        deltas.iter().find(|d| d.metric == metric).cloned().unwrap()
+    }
+
     #[test]
     fn parallel_speedup_is_not_compared_across_hosts() {
         let spec = experiment("ingest").unwrap();
-        let doc = |host_cores: f64, parallel_speedup: f64| -> FlatJson {
-            let mut doc: FlatJson = vec![("experiment".into(), JsonValue::Str("ingest".into()))];
-            for &key in spec.required.iter().filter(|&&k| k != "experiment") {
-                let value = match key {
-                    "host_cores" => host_cores,
-                    "parallel_speedup" => parallel_speedup,
-                    _ => 10.0,
-                };
-                doc.push((key.into(), JsonValue::Num(value)));
-            }
-            doc
+        let doc = |host_cores: f64, parallel_speedup: f64| {
+            ingest_doc(&[("host_cores", host_cores), ("parallel_speedup", parallel_speedup)])
         };
-        let of = |deltas: &[Delta], metric: &str| {
-            deltas.iter().find(|d| d.metric == metric).cloned().unwrap()
-        };
+        let of = delta_of;
         // Same host: a collapse from 1.6x to 0.5x fails the gate.
         let same = compare(spec, &doc(2.0, 1.6), &doc(2.0, 0.5), 0.15).unwrap();
         assert!(of(&same, "parallel_speedup").regressed);
@@ -610,12 +621,33 @@ mod tests {
         let speedup = of(&other, "parallel_speedup");
         assert!(!speedup.regressed);
         assert_eq!(speedup.hosts_differ, Some((2.0, 8.0)));
-        assert_eq!(of(&other, "staging_reduction").hosts_differ, None);
+        assert_eq!(of(&other, "load_peak_per_file_byte").hosts_differ, None);
         assert!(summary("ingest", &other, 0.15).contains("not compared (host_cores 2 vs 8)"));
         // A file that never recorded its host is refused outright.
         let mut unrecorded = doc(2.0, 1.6);
         unrecorded.retain(|(k, _)| k != "host_cores");
         assert!(compare(spec, &unrecorded, &doc(2.0, 1.6), 0.15).unwrap_err().contains("host_cores"));
+    }
+
+    #[test]
+    fn a_smaller_load_is_not_an_ingest_regression() {
+        let spec = experiment("ingest").unwrap();
+        let doc = |load_peak_per_file_byte: f64, staging_reduction: f64| {
+            ingest_doc(&[
+                ("load_peak_per_file_byte", load_peak_per_file_byte),
+                ("staging_reduction", staging_reduction),
+            ])
+        };
+        // The load stops holding the frame twice: its peak per file byte
+        // and its ratio to the streaming fold's peak both halve. Passes,
+        // and the ratio is not gated at all.
+        let smaller = compare(spec, &doc(2.4, 8.1), &doc(1.2, 4.1), 0.15).unwrap();
+        assert!(smaller.iter().all(|d| !d.regressed), "{smaller:?}");
+        assert!(smaller.iter().all(|d| d.metric != "staging_reduction"));
+        // Holding it twice again fails.
+        let larger = compare(spec, &doc(1.2, 4.1), &doc(2.4, 8.1), 0.15).unwrap();
+        assert!(delta_of(&larger, "load_peak_per_file_byte").regressed);
+        assert!(summary("ingest", &larger, 0.15).contains("FAIL"));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!    cuts the stream into ~`chunk_bytes` spans that always end on a
 //!    record boundary — a quoted embedded newline never splits a record
 //!    across chunks. It also notes where the leading records that form
-//!    the type-inference sample end. Memory is O(#chunks): only
-//!    `(offset, len, first_record)` triples are retained, never the bytes.
+//!    the type-inference sample end, and counts the stream's records
+//!    exactly. Memory is O(#chunks): only `(offset, len, first_record)`
+//!    triples are retained, never the bytes.
 //! 2. **Schema sample** ([`sample_schema`]): column names and a schema
 //!    hint from the header plus the first `infer_rows` data records.
 //! 3. **Per-chunk parse** ([`parse_chunk`]): one pass over the chunk's
@@ -23,12 +24,22 @@
 //!    right, two when it was not. Chunks are independent, so this is the
 //!    step a worker pool parallelizes. Errors carry absolute 1-based
 //!    record numbers and absolute byte offsets.
-//! 4. **Fold** ([`fold_chunks`]): per-chunk columns are joined under the
-//!    widened global schema in chunk order. The only lossless numeric
-//!    promotion is i64 → f64 (bit-identical to re-parsing the text, both
-//!    round half-to-even); every other promotion targets `Str` and must
-//!    re-read the chunk's text to recover the exact raw field spellings
-//!    ("widening repair") — rare, and bounded to the affected chunks.
+//! 4. **Assembly in place** ([`Assembly`]): the record count fixes the
+//!    frame's length and each chunk's first row (`first_record` − 1,
+//!    minus the header), so every `Int64` / `Float64` / `Bool` column of
+//!    the hint is allocated once, at its final length. Each parsed chunk
+//!    copies the columns that held their hinted type into its own rows
+//!    ([`Assembly::write`]) and drops them; a loaded file is held once,
+//!    not once in chunks and again in their concatenation. What a chunk
+//!    could not write ([`ChunkRest`]) is joined under the widened global
+//!    schema by [`Assembly::finish`]: `Str` columns concatenate by codes
+//!    in chunk order; an `Int64` column some chunk widened to `Float64`
+//!    is cast where it lies — the one lossless numeric promotion,
+//!    bit-identical to re-parsing the text (both round half-to-even) —
+//!    and the widened chunks' rows are laid over it; every other
+//!    promotion targets `Str` and must re-read the chunk's text to recover
+//!    the exact raw field spellings ("widening repair") — rare, and
+//!    bounded to the affected chunks.
 //!
 //! Determinism: the frame is bit-identical for every chunking of a fixed
 //! input, because the hint is always sampled from the same leading
@@ -36,6 +47,9 @@
 //! [`global_schema`]). That is what makes [`DEFAULT_CHUNK_BYTES`] a free
 //! choice.
 
+use std::ops::Range;
+
+use crate::bitmap::Bitmap;
 use crate::builder::ColumnBuilder;
 use crate::column::Column;
 use crate::dtype::DataType;
@@ -54,6 +68,10 @@ use super::reader::CsvOptions;
 /// megabytes is one or two chunks and two workers load it up to 1.6x
 /// slower, while 512 KiB, 1 MiB and 2 MiB cannot be told apart.
 pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
+
+/// The UTF-8 byte-order mark. Opening the stream, it belongs to no
+/// record and no field.
+const BOM: &str = "\u{feff}";
 
 /// One chunk of the byte stream: `len` bytes starting at absolute
 /// `offset`, guaranteed to begin and end on record boundaries.
@@ -74,10 +92,10 @@ pub struct ChunkSpec {
 /// Feed the byte stream in arbitrary blocks; the scanner emits
 /// [`ChunkSpec`]s whose spans end at the first record boundary at or past
 /// the `chunk_bytes` budget. State is O(1): quote parity, a record
-/// counter, the current chunk's start and the end of the sample. Works on
-/// raw bytes — UTF-8 validation happens later, per chunk (safe because
-/// `"` and `\n` are ASCII and UTF-8 continuation bytes never collide with
-/// ASCII).
+/// counter, the current chunk's and record's starts and the end of the
+/// sample. Works on raw bytes — UTF-8 validation happens later, per chunk
+/// (safe because `"` and `\n` are ASCII and UTF-8 continuation bytes never
+/// collide with ASCII).
 #[derive(Debug)]
 pub struct BoundaryScanner {
     chunk_bytes: usize,
@@ -86,10 +104,25 @@ pub struct BoundaryScanner {
     in_quotes: bool,
     /// Records completed so far across the whole stream.
     records_done: usize,
+    /// Where the open record begins: just past the last newline, or past
+    /// a byte-order mark that opens the stream.
+    record_start: u64,
     chunk_start: u64,
     chunk_first_record: usize,
     /// Where record number `sample_records` ended, once seen.
     sample_end: Option<u64>,
+}
+
+/// What a finished scan knows besides its chunks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanEnd {
+    /// Length of the stream's leading whole-record prefix that holds the
+    /// sample: the first `sample_records` records, or everything when
+    /// there are fewer.
+    pub sample_len: usize,
+    /// Records in the stream, a header included: exactly the records
+    /// [`parse_chunk`] reads from the chunks, together.
+    pub records: usize,
 }
 
 impl BoundaryScanner {
@@ -103,6 +136,7 @@ impl BoundaryScanner {
             pos: 0,
             in_quotes: false,
             records_done: 0,
+            record_start: 0,
             chunk_start: 0,
             chunk_first_record: 1,
             sample_end: None,
@@ -114,10 +148,20 @@ impl BoundaryScanner {
     /// that hold a quote, or lie inside a quoted field, are read byte by
     /// byte.
     pub fn feed(&mut self, block: &[u8], out: &mut Vec<ChunkSpec>) {
+        if self.records_done == 0 && self.record_start == self.pos {
+            // Every byte so far began a byte-order mark: the first record
+            // starts after as much of it as this block carries on.
+            let mark = BOM.as_bytes().get(self.pos as usize..).unwrap_or_default();
+            let matched = block.iter().zip(mark).take_while(|(byte, want)| byte == want).count();
+            if matched == mark.len().min(block.len()) {
+                self.record_start += matched as u64;
+            }
+        }
         let mut rest = block;
         while let Some(newline) = record_end(rest, &mut self.in_quotes) {
             self.pos += newline as u64 + 1;
             self.records_done += 1;
+            self.record_start = self.pos;
             if self.records_done == self.sample_records {
                 self.sample_end = Some(self.pos);
             }
@@ -129,17 +173,19 @@ impl BoundaryScanner {
         self.pos += rest.len() as u64;
     }
 
-    /// Flush the trailing partial chunk (a final record without a newline
-    /// still terminates at end-of-stream) and return the length of the
-    /// stream's leading whole-record prefix that holds the sample: the
-    /// first `sample_records` records, or everything when there are fewer.
-    pub fn finish(mut self, out: &mut Vec<ChunkSpec>) -> u64 {
-        if self.pos > self.chunk_start {
-            let end = self.pos;
-            self.records_done += 1; // the unterminated final record
-            self.close_chunk(end, out);
+    /// Flush the trailing partial chunk and say where the sample ends and
+    /// how many records there were. A final record without a newline
+    /// still ends at end-of-stream; it counts when bytes follow the last
+    /// newline, which a stream ending in `\n` has none of.
+    pub fn finish(mut self, out: &mut Vec<ChunkSpec>) -> ScanEnd {
+        if self.pos > self.record_start {
+            self.records_done += 1;
         }
-        self.sample_end.unwrap_or(self.pos)
+        if self.pos > self.chunk_start {
+            self.close_chunk(self.pos, out);
+        }
+        let sample_len = self.sample_end.unwrap_or(self.pos) as usize;
+        ScanEnd { sample_len, records: self.records_done }
     }
 
     fn close_chunk(&mut self, end: u64, out: &mut Vec<ChunkSpec>) {
@@ -153,18 +199,18 @@ impl BoundaryScanner {
     }
 }
 
-/// Scan an in-memory byte slice in one call: its chunks and the length
-/// of its sample prefix.
+/// Scan an in-memory byte slice in one call: its chunks, the length of
+/// its sample prefix and its record count.
 pub fn chunk_specs(
     bytes: &[u8],
     chunk_bytes: usize,
     sample_records: usize,
-) -> (Vec<ChunkSpec>, usize) {
+) -> (Vec<ChunkSpec>, ScanEnd) {
     let mut out = Vec::new();
     let mut scanner = BoundaryScanner::new(chunk_bytes, sample_records);
     scanner.feed(bytes, &mut out);
-    let sample_len = scanner.finish(&mut out) as usize;
-    (out, sample_len)
+    let end = scanner.finish(&mut out);
+    (out, end)
 }
 
 /// Typed columns parsed from one chunk, at the chunk's (possibly still
@@ -181,14 +227,46 @@ pub struct ParsedChunk {
     pub nrows: usize,
 }
 
+impl ParsedChunk {
+    /// What [`Assembly::write`] leaves of this chunk under the sampled
+    /// `hint`: every column but those that parsed at their hinted
+    /// `Int64`, `Float64` or `Bool` type, which it wrote in place.
+    pub fn into_rest(self, hint: &[DataType]) -> ChunkRest {
+        let ParsedChunk { spec, dtypes, columns, nrows } = self;
+        let columns = columns
+            .into_iter()
+            .zip(&dtypes)
+            .enumerate()
+            .map(|(c, (col, &have))| {
+                (!hint.get(c).is_some_and(|&want| written_in_place(want, have))).then_some(col)
+            })
+            .collect();
+        ChunkRest { spec, dtypes, columns, nrows }
+    }
+}
+
+/// A parsed chunk once its in-place columns are written: what
+/// [`Assembly::finish`] still needs from it.
+#[derive(Debug, Clone)]
+pub struct ChunkRest {
+    /// The chunk these columns were parsed from.
+    pub spec: ChunkSpec,
+    /// Per-column dtypes after widening the hint by this chunk's fields.
+    pub dtypes: Vec<DataType>,
+    /// Per schema slot, the chunk's column; `None` where it was written
+    /// in place.
+    pub columns: Vec<Option<Column>>,
+    /// Data rows in this chunk.
+    pub nrows: usize,
+}
+
 /// The records of one chunk as `(record number, byte offset, text)`,
 /// numbered and positioned absolutely in the stream. A UTF-8 byte-order
 /// mark opening the stream belongs to no field and is skipped here, the
 /// one place the header record is read from.
 fn records(text: &str, spec: ChunkSpec) -> impl Iterator<Item = (usize, u64, &str)> {
-    const BOM: char = '\u{feff}';
     let (text, base) = match text.strip_prefix(BOM) {
-        Some(rest) if spec.offset == 0 => (rest, BOM.len_utf8() as u64),
+        Some(rest) if spec.offset == 0 => (rest, BOM.len() as u64),
         _ => (text, spec.offset),
     };
     parser::records(text)
@@ -307,7 +385,7 @@ impl Slot {
 ///   absolute offset and record number, and the chunk that starts at
 ///   record 1 skips the header row (when there is one).
 /// * `schema` — the sampled hint, or the global schema when re-reading a
-///   chunk for [`fold_chunks`]; the chunk widens it locally when its
+///   chunk for [`Assembly::finish`]; the chunk widens it locally when its
 ///   fields contradict it. `names` supplies error context and the column
 ///   count.
 pub fn parse_chunk(
@@ -409,50 +487,285 @@ pub fn needs_text_repair(have: DataType, want: DataType) -> bool {
     have != want && !(have == DataType::Int64 && want == DataType::Float64)
 }
 
-/// Numeric i64 → f64 promotion, preserving validity. `v as f64` rounds
-/// half-to-even exactly like parsing the original integer literal as a
-/// float, so this is bit-identical to parsing the text as f64.
-pub fn cast_int_to_float(col: &Column) -> Column {
-    let vals: Vec<f64> = match col.i64_values() {
-        Some(ints) => ints.iter().map(|&v| v as f64).collect(),
-        None => Vec::new(),
-    };
-    Column::from_f64_validity(vals, col.validity().cloned())
+/// Whether a chunk column that parsed at `have` under the hinted `want`
+/// is written in place: it held its hinted type, and that type has a
+/// fixed width.
+fn written_in_place(want: DataType, have: DataType) -> bool {
+    have == want && want != DataType::Str
 }
 
-/// Join parsed chunks, in chunk order, into one frame under the widened
-/// global schema. `reparse(spec, schema)` re-reads one chunk's text and
-/// parses it again under `schema` (a [`parse_chunk`] call over wherever
-/// the caller keeps the bytes).
-pub fn fold_chunks(
-    names: &[String],
-    hint: &[DataType],
-    mut chunks: Vec<ParsedChunk>,
-    mut reparse: impl FnMut(ChunkSpec, &[DataType]) -> Result<ParsedChunk>,
-) -> Result<DataFrame> {
-    let global = global_schema(hint, chunks.iter().map(|chunk| &chunk.dtypes));
-    for chunk in &mut chunks {
-        // Widening repair: this chunk parsed a column as a narrower type
-        // before some other chunk forced Str; the exact raw spellings
-        // only exist in the source text. Parsed under the global schema
-        // every column of the chunk comes out at its final type.
-        if chunk.dtypes.iter().zip(&global).any(|(&have, &want)| needs_text_repair(have, want)) {
-            *chunk = reparse(chunk.spec, &global)?;
+/// Numeric i64 → f64 promotion. `v as f64` rounds half-to-even exactly
+/// like parsing the original integer literal as a float, so this is
+/// bit-identical to parsing the text as f64. Same-sized elements: the
+/// vector is cast where it lies, not copied.
+fn int_to_float(ints: Vec<i64>) -> Vec<f64> {
+    ints.into_iter().map(|v| v as f64).collect()
+}
+
+/// A stream's frame, assembled where it will stay.
+///
+/// Built once the scan has counted the records ([`ScanEnd::records`]):
+/// that fixes the frame's length and which rows each chunk owns. Every
+/// column the sampled hint types `Int64`, `Float64` or `Bool` is allocated
+/// at its final length; each parsed chunk copies its columns that held
+/// their hinted type into its rows ([`Assembly::write`], any order, any
+/// thread) and hands the rest on ([`ParsedChunk::into_rest`]).
+/// [`Assembly::finish`] joins those under the widened global schema. The
+/// frame is the same for every chunking of a stream.
+#[derive(Debug, Default)]
+pub struct Assembly {
+    names: Vec<String>,
+    hint: Vec<DataType>,
+    /// The scanned chunks; chunk `i` owns rows `starts[i]..starts[i + 1]`.
+    specs: Vec<ChunkSpec>,
+    starts: Vec<usize>,
+    /// Per schema slot, the full-length column of a slot hinted
+    /// `Int64`, `Float64` or `Bool`; `None` for `Str`.
+    placed: Vec<Option<Placed>>,
+}
+
+/// A column written in place.
+#[derive(Debug)]
+struct Placed {
+    values: Values,
+    /// All set but the null rows written so far; allocated by the first
+    /// chunk with a null.
+    validity: Option<Bitmap>,
+}
+
+#[derive(Debug)]
+enum Values {
+    F64(Vec<f64>),
+    I64(Vec<i64>),
+    Bool(Vec<bool>),
+}
+
+impl Placed {
+    /// `rows` zeroed values (the placeholder a builder leaves under a
+    /// null) of a fixed-width `dtype`; `None` for `Str`.
+    fn new(dtype: DataType, rows: usize) -> Option<Placed> {
+        let values = match dtype {
+            DataType::Float64 => Values::F64(vec![0.0; rows]),
+            DataType::Int64 => Values::I64(vec![0; rows]),
+            DataType::Bool => Values::Bool(vec![false; rows]),
+            DataType::Str => return None,
+        };
+        Some(Placed { values, validity: None })
+    }
+
+    fn len(&self) -> usize {
+        match &self.values {
+            Values::F64(v) => v.len(),
+            Values::I64(v) => v.len(),
+            Values::Bool(v) => v.len(),
         }
     }
-    // Column by column, the parts move out of the consumed chunks into the
-    // concatenation and are freed as it goes.
-    let mut columns: Vec<_> = chunks.into_iter().map(|chunk| chunk.columns.into_iter()).collect();
-    let mut pairs: Vec<(String, Column)> = Vec::with_capacity(names.len());
-    for (name, &want) in names.iter().zip(&global) {
-        let parts = columns
-            .iter_mut()
-            .filter_map(Iterator::next)
-            .map(|col| if col.dtype() == want { col } else { cast_int_to_float(&col) })
-            .collect();
-        pairs.push((name.clone(), Column::concat_owned(parts)?));
+
+    /// Copy `col`, of this column's type, into `rows`: its values,
+    /// placeholders under nulls included, and its nulls. `false`, with
+    /// nothing written, when the type or the length does not fit.
+    fn write(&mut self, rows: Range<usize>, col: &Column) -> bool {
+        fn copy<T: Copy>(dst: &mut [T], rows: Range<usize>, src: Option<&[T]>) -> bool {
+            match (dst.get_mut(rows), src) {
+                (Some(dst), Some(src)) if dst.len() == src.len() => {
+                    dst.copy_from_slice(src);
+                    true
+                }
+                _ => false,
+            }
+        }
+        let start = rows.start;
+        let copied = match &mut self.values {
+            Values::F64(dst) => copy(dst, rows, col.f64_values()),
+            Values::I64(dst) => copy(dst, rows, col.i64_values()),
+            Values::Bool(dst) => copy(dst, rows, col.bool_values()),
+        };
+        if let (true, Some(nulls)) = (copied, col.validity()) {
+            let len = self.len();
+            let validity = self.validity.get_or_insert_with(|| Bitmap::filled(len, true));
+            nulls.for_each_unset(|row| validity.set(start + row, false));
+        }
+        copied
     }
-    DataFrame::new(pairs)
+
+    fn finish(self) -> Column {
+        match self.values {
+            Values::F64(v) => Column::from_f64_validity(v, self.validity),
+            Values::I64(v) => Column::from_i64_validity(v, self.validity),
+            Values::Bool(v) => Column::from_bool_validity(v, self.validity),
+        }
+    }
+}
+
+/// A chunk that does not fit where the scan placed it: a logic error or
+/// a source that changed under the reader, never rows in the wrong place.
+fn misplaced(spec: ChunkSpec, message: String) -> Error {
+    Error::Malformed { line: spec.first_record, offset: Some(spec.offset), column: None, message }
+}
+
+impl Assembly {
+    /// The frame of a stream scanned into `specs` holding `records`
+    /// records (a header included when `opts.has_header`), sampled as
+    /// `names` and `hint`.
+    pub fn new(
+        names: &[String],
+        hint: &[DataType],
+        specs: &[ChunkSpec],
+        records: usize,
+        opts: &CsvOptions,
+    ) -> Self {
+        let header = usize::from(opts.has_header);
+        let rows = records.saturating_sub(header);
+        let starts = specs
+            .iter()
+            .map(|spec| spec.first_record.saturating_sub(1 + header))
+            .chain([rows])
+            .collect();
+        Assembly {
+            names: names.to_vec(),
+            hint: hint.to_vec(),
+            specs: specs.to_vec(),
+            starts,
+            placed: hint.iter().map(|&dtype| Placed::new(dtype, rows)).collect(),
+        }
+    }
+
+    /// Write the columns of chunk `index` that parsed at their hinted
+    /// type into the chunk's rows. An error, with nothing misplaced, when
+    /// the chunk is not the scan's chunk `index` or holds another number
+    /// of rows than the scan counted for it.
+    pub fn write(&mut self, index: usize, chunk: &ParsedChunk) -> Result<()> {
+        let rows = match (self.specs.get(index), self.starts.get(index), self.starts.get(index + 1))
+        {
+            (Some(&spec), Some(&start), Some(&end)) if spec == chunk.spec => start..end,
+            _ => {
+                return Err(misplaced(
+                    chunk.spec,
+                    format!("chunk {index} is not a chunk of the scan"),
+                ))
+            }
+        };
+        if (chunk.nrows, chunk.columns.len()) != (rows.len(), self.placed.len()) {
+            let message = format!(
+                "chunk {index} parsed {} rows of {} columns where the scan counted {} of {}",
+                chunk.nrows,
+                chunk.columns.len(),
+                rows.len(),
+                self.placed.len()
+            );
+            return Err(misplaced(chunk.spec, message));
+        }
+        let slots = self.placed.iter_mut().zip(&self.hint);
+        for ((placed, &want), (col, &have)) in slots.zip(chunk.columns.iter().zip(&chunk.dtypes)) {
+            if let Some(placed) = placed.as_mut().filter(|_| written_in_place(want, have)) {
+                if !placed.write(rows.clone(), col) {
+                    return Err(misplaced(
+                        chunk.spec,
+                        format!("chunk {index} has a column of another shape"),
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The frame, from every chunk's [`ChunkRest`] in chunk order.
+    /// `reparse(spec, schema)` re-reads one chunk's text and parses it
+    /// again under `schema` (a [`parse_chunk`] call over wherever the
+    /// caller keeps the bytes).
+    pub fn finish(
+        self,
+        mut rests: Vec<ChunkRest>,
+        mut reparse: impl FnMut(ChunkSpec, &[DataType]) -> Result<ParsedChunk>,
+    ) -> Result<DataFrame> {
+        let Assembly { names, hint, specs, starts, placed } = self;
+        if rests.len() != specs.len()
+            || rests.iter().zip(&specs).any(|(rest, &spec)| rest.spec != spec)
+        {
+            return Err(Error::Io(format!(
+                "{} chunks to assemble where the scan cut {}",
+                rests.len(),
+                specs.len()
+            )));
+        }
+        let global = global_schema(&hint, rests.iter().map(|rest| &rest.dtypes));
+        for rest in &mut rests {
+            // Widening repair: this chunk parsed a column as a narrower
+            // type before some other chunk forced Str; the exact raw
+            // spellings only exist in the source text.
+            let stale: Vec<bool> = rest
+                .dtypes
+                .iter()
+                .zip(&global)
+                .map(|(&have, &want)| needs_text_repair(have, want))
+                .collect();
+            if stale.contains(&true) {
+                let fresh = reparse(rest.spec, &global)?;
+                if fresh.nrows != rest.nrows {
+                    return Err(misplaced(
+                        rest.spec,
+                        format!("re-read {} rows of {}", fresh.nrows, rest.nrows),
+                    ));
+                }
+                for ((slot, col), stale) in rest.columns.iter_mut().zip(fresh.columns).zip(stale) {
+                    if stale {
+                        *slot = Some(col);
+                    }
+                }
+            }
+        }
+        let chunk_rows: Vec<Range<usize>> =
+            starts.iter().zip(starts.iter().skip(1)).map(|(&start, &end)| start..end).collect();
+        let mut pairs = Vec::with_capacity(names.len());
+        for (c, ((name, placed), (&hinted, &want))) in
+            names.into_iter().zip(placed).zip(hint.iter().zip(&global)).enumerate()
+        {
+            // Column by column, the parts move out of the chunks.
+            let parts = rests.iter_mut().map(|rest| rest.columns.get_mut(c).and_then(Option::take));
+            let column = match placed {
+                Some(placed) if want == hinted => placed.finish(),
+                Some(Placed { values: Values::I64(ints), validity })
+                    if want == DataType::Float64 =>
+                {
+                    // Some chunk read a float: the integer rows are cast
+                    // where they lie, the widened chunks' rows laid over.
+                    let mut placed = Placed { values: Values::F64(int_to_float(ints)), validity };
+                    for (part, rows) in parts.zip(&chunk_rows) {
+                        match part {
+                            Some(col) if !placed.write(rows.clone(), &col) => {
+                                return Err(Error::Io(format!(
+                                    "column {name}: a {} part of a Float64 column",
+                                    col.dtype().name()
+                                )));
+                            }
+                            _ => {}
+                        }
+                    }
+                    placed.finish()
+                }
+                placed if want == DataType::Str => {
+                    // Every chunk's text is in its rest; rows written in
+                    // place are stale and go first.
+                    drop(placed);
+                    let parts = parts.map(|part| {
+                        part.ok_or_else(|| {
+                            Error::Io(format!("column {name}: a chunk lost its text"))
+                        })
+                    });
+                    Column::concat_owned(parts.collect::<Result<_>>()?)?
+                }
+                _ => {
+                    return Err(Error::Io(format!(
+                        "column {name}: {} cannot widen to {}",
+                        hinted.name(),
+                        want.name()
+                    )))
+                }
+            };
+            pairs.push((name, column));
+        }
+        DataFrame::new(pairs)
+    }
 }
 
 /// The canonical invalid-UTF-8 error for a failed validation whose input
@@ -530,19 +843,21 @@ mod tests {
             for chunk in text.as_bytes().chunks(block) {
                 sc.feed(chunk, &mut out);
             }
-            let sample_len = sc.finish(&mut out) as usize;
-            assert_eq!((out, sample_len), whole, "block size {block}");
+            let end = sc.finish(&mut out);
+            assert_eq!((out, end), whole, "block size {block}");
         }
     }
 
-    /// The scanner as it was before it took words: one `match` per byte.
+    /// The scanner as it was before it took words: one `match` per byte,
+    /// with the record count made exact.
     fn per_byte_reference(
         bytes: &[u8],
         chunk_bytes: usize,
         sample_records: usize,
-    ) -> (Vec<ChunkSpec>, usize) {
+    ) -> (Vec<ChunkSpec>, ScanEnd) {
         let (mut out, mut in_quotes, mut records_done) = (Vec::new(), false, 0);
         let (mut chunk_start, mut chunk_first_record, mut sample_end) = (0, 1, None);
+        let mut last_record_end = 0;
         let mut close = |end: usize, records_done: usize, out: &mut Vec<ChunkSpec>| {
             out.push(ChunkSpec {
                 offset: chunk_start as u64,
@@ -557,6 +872,7 @@ mod tests {
                 b'"' => in_quotes = !in_quotes,
                 b'\n' if !in_quotes => {
                     records_done += 1;
+                    last_record_end = i + 1;
                     if records_done == sample_records {
                         sample_end = Some(i + 1);
                     }
@@ -573,7 +889,9 @@ mod tests {
         if bytes.len() > closed {
             close(bytes.len(), records_done + 1, &mut out);
         }
-        (out, sample_end.unwrap_or(bytes.len()))
+        // Bytes after the last record's newline are one more record.
+        let records = records_done + usize::from(bytes.len() > last_record_end);
+        (out, ScanEnd { sample_len: sample_end.unwrap_or(bytes.len()), records })
     }
 
     proptest::proptest! {
@@ -600,8 +918,8 @@ mod tests {
                     let (head, rest) = bytes.split_at(lead);
                     scanner.feed(head, &mut out);
                     rest.chunks(block).for_each(|b| scanner.feed(b, &mut out));
-                    let sample_len = scanner.finish(&mut out) as usize;
-                    prop_assert_eq!(&(out, sample_len), &want, "block {} after {}", block, lead);
+                    let end = scanner.finish(&mut out);
+                    prop_assert_eq!(&(out, end), &want, "block {} after {}", block, lead);
                 }
             }
         }
@@ -621,7 +939,8 @@ mod tests {
         // Records: header, a quoted two-line record, "2", unterminated "3".
         let text = "h\n\"x\ny\"\n2\n3";
         for chunk_bytes in [1, 4, 100] {
-            let sample = |records| &text[..chunk_specs(text.as_bytes(), chunk_bytes, records).1];
+            let sample =
+                |records| &text[..chunk_specs(text.as_bytes(), chunk_bytes, records).1.sample_len];
             assert_eq!(sample(1), "h\n");
             assert_eq!(sample(2), "h\n\"x\ny\"\n");
             assert_eq!(sample(3), "h\n\"x\ny\"\n2\n");
@@ -630,7 +949,52 @@ mod tests {
             assert_eq!(sample(4), text);
             assert_eq!(sample(1000), text);
         }
-        assert_eq!(chunk_specs(b"", 4, 3), (Vec::new(), 0));
+        assert_eq!(chunk_specs(b"", 4, 3), (Vec::new(), ScanEnd { sample_len: 0, records: 0 }));
+    }
+
+    #[test]
+    fn scanner_counts_records_exactly() {
+        let quoted = "h\n\"x\ny\"\n2\n";
+        let crlf = "h\r\n1\r\n2\r\n";
+        for (text, want) in [
+            ("h\n1\n", 2),
+            ("h\n1", 2),
+            ("", 0),
+            ("\n", 1),
+            ("h\n\n\n", 3),
+            (quoted, 3),
+            (&quoted[..quoted.len() - 1], 3),
+            (crlf, 3),
+            (&crlf[..crlf.len() - 1], 3),
+            (&crlf[..crlf.len() - 2], 3),
+            // A byte-order mark opens no record; text after it does.
+            ("\u{feff}", 0),
+            ("\u{feff}h", 1),
+            ("\u{feff}h\n1\n", 2),
+            ("\u{feff}\n", 1),
+        ] {
+            // Whatever the chunk budget, so that a stream ending in a
+            // newline is also seen with its last chunk still open, and
+            // however the stream is fed.
+            for chunk_bytes in [1, 3, 1 << 20] {
+                let whole = chunk_specs(text.as_bytes(), chunk_bytes, 1);
+                assert_eq!(whole.1.records, want, "{text:?} in chunks of {chunk_bytes}");
+                for block in 1..4 {
+                    let mut scanner = BoundaryScanner::new(chunk_bytes, 1);
+                    let mut out = Vec::new();
+                    text.as_bytes().chunks(block).for_each(|b| scanner.feed(b, &mut out));
+                    let end = scanner.finish(&mut out);
+                    assert_eq!((out, end), whole, "{text:?} fed {block} bytes at a time");
+                }
+                // The count is what the chunks' parses read.
+                let read: usize = whole
+                    .0
+                    .iter()
+                    .map(|&spec| records(&text[spec.offset as usize..][..spec.len], spec).count())
+                    .sum();
+                assert_eq!(read, want, "{text:?} in chunks of {chunk_bytes}");
+            }
+        }
     }
 
     #[test]
@@ -755,18 +1119,113 @@ mod tests {
     #[test]
     fn int_to_float_cast_matches_reparse() {
         let ints: Vec<i64> = vec![0, 1, -7, i64::MAX, i64::MIN, 1 << 53];
-        let col = Column::from_opt_i64(ints.iter().map(|&v| Some(v)).collect());
-        let cast = cast_int_to_float(&col);
         let reparsed: Vec<f64> =
             ints.iter().map(|v| v.to_string().parse::<f64>().unwrap()).collect();
-        assert_eq!(cast.f64_values().unwrap(), &reparsed[..]);
+        assert_eq!(int_to_float(ints), reparsed);
+    }
+
+    /// The text cut into chunks of `chunk_bytes` and parsed under its
+    /// sampled hint, and an assembly for it.
+    fn scanned(
+        text: &str,
+        chunk_bytes: usize,
+        opts: &CsvOptions,
+    ) -> (Vec<ParsedChunk>, Vec<DataType>, Assembly) {
+        let (specs, end) = chunk_specs(text.as_bytes(), chunk_bytes, opts.sample_records());
+        let (names, hint) = sample_schema(&text[..end.sample_len], opts).unwrap();
+        let parsed = specs
+            .iter()
+            .map(|&spec| {
+                parse_chunk(&text[spec.offset as usize..][..spec.len], spec, &hint, &names, opts)
+                    .unwrap()
+            })
+            .collect();
+        let assembly = Assembly::new(&names, &hint, &specs, end.records, opts);
+        (parsed, hint, assembly)
+    }
+
+    #[test]
+    fn chunks_write_their_own_rows_in_any_order() {
+        // `i` widens to Float64 in a late chunk, `s` to Str in another;
+        // `f` and `b` hold their hints and have nulls; `t` is text.
+        let mut text = String::from("i,f,b,s,t\n");
+        for k in 0..40 {
+            let f = if k % 7 == 3 { "NA".to_string() } else { format!("{k}.25") };
+            let b = ["true", "false", ""][k % 3];
+            let i = if k == 31 {
+                "2.5".to_string()
+            } else if k % 9 == 4 {
+                String::new()
+            } else {
+                k.to_string()
+            };
+            let s = if k == 35 { "oops".to_string() } else { format!("0{k}") };
+            text.push_str(&format!("{i},{f},{b},{s},w{}\n", k % 4));
+        }
+        let opts = CsvOptions { infer_rows: 5, ..CsvOptions::default() };
+        let want = read_csv_str(&text, &opts).unwrap();
+        assert_eq!(want.column("i").unwrap().dtype(), DataType::Float64);
+        assert_eq!(want.column("s").unwrap().dtype(), DataType::Str);
+        for chunk_bytes in [1, 30, 100, 1 << 20] {
+            let (parsed, hint, mut assembly) = scanned(&text, chunk_bytes, &opts);
+            let mut rests: Vec<Option<ChunkRest>> = vec![None; parsed.len()];
+            // Last chunk first, then the rest: rows land by position.
+            let order = (0..parsed.len())
+                .rev()
+                .step_by(2)
+                .chain((0..parsed.len()).rev().skip(1).step_by(2));
+            for i in order {
+                assembly.write(i, &parsed[i]).unwrap();
+                rests[i] = Some(parsed[i].clone().into_rest(&hint));
+            }
+            let reparse = |spec: ChunkSpec, schema: &[DataType]| {
+                let names = want.names();
+                parse_chunk(&text[spec.offset as usize..][..spec.len], spec, schema, names, &opts)
+            };
+            let got =
+                assembly.finish(rests.into_iter().map(Option::unwrap).collect(), reparse).unwrap();
+            assert_eq!(got, want, "chunks of {chunk_bytes}");
+            assert_eq!(
+                got.content_fingerprint(),
+                want.content_fingerprint(),
+                "chunks of {chunk_bytes}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chunk_that_does_not_fit_its_rows_is_an_error() {
+        let opts = CsvOptions::default();
+        let text = "a,b\n1,x\n2,y\n3,z\n";
+        let (parsed, _, mut assembly) = scanned(text, 4, &opts);
+        assert_eq!(parsed.len(), 4);
+        // Another chunk's index, an index past the scan, a chunk one row
+        // short: each refused, none of them written.
+        assert!(matches!(assembly.write(2, &parsed[1]), Err(Error::Malformed { .. })));
+        assert!(matches!(assembly.write(9, &parsed[1]), Err(Error::Malformed { .. })));
+        let mut short = parsed[1].clone();
+        short.nrows = 0;
+        let Error::Malformed { message, .. } = assembly.write(1, &short).unwrap_err() else {
+            panic!("a short chunk must be malformed");
+        };
+        let want = "parsed 0 rows of 2 columns where the scan counted 1 of 2";
+        assert!(message.contains(want), "{message}");
+        // A scan that miscounted the file fails the same way.
+        let (specs, end) = chunk_specs(text.as_bytes(), 4, opts.sample_records());
+        let (names, hint) = sample_schema(text, &opts).unwrap();
+        let mut miscounted = Assembly::new(&names, &hint, &specs, end.records + 1, &opts);
+        assert!(miscounted.write(3, &parsed[3]).is_err());
+        // Too few chunks to finish.
+        let rests = vec![parsed[0].clone().into_rest(&hint)];
+        assert!(assembly.finish(rests, |_, _| unreachable!()).is_err());
     }
 
     #[test]
     fn repair_recovers_raw_spelling() {
         // "07" infers as Int64 (parses as 7) and "1.50" as Float64, but
         // the raw spellings must survive the column's widening to Str:
-        // the fold re-reads exactly the chunk that parsed them narrower.
+        // the assembly re-reads exactly the chunk that parsed them
+        // narrower.
         let chunks = ["07,x\n1.50,y\n", "oops,z\n"];
         let opts = CsvOptions { has_header: false, ..CsvOptions::default() };
         let names = ["a".to_string(), "b".to_string()];
@@ -780,12 +1239,19 @@ mod tests {
         };
         let parsed = vec![parse(0, &hint).unwrap(), parse(1, &hint).unwrap()];
         assert_eq!(parsed[0].dtypes, [DataType::Float64, DataType::Str]);
+        let mut assembly = Assembly::new(&names, &hint, &specs, 3, &opts);
+        let mut rests = Vec::new();
+        for (i, chunk) in parsed.into_iter().enumerate() {
+            assembly.write(i, &chunk).unwrap();
+            rests.push(chunk.into_rest(&hint));
+        }
         let mut reread = Vec::new();
-        let df = fold_chunks(&names, &hint, parsed, |spec, schema| {
-            reread.push(spec);
-            parse(usize::from(spec != specs[0]), schema)
-        })
-        .unwrap();
+        let df = assembly
+            .finish(rests, |spec, schema| {
+                reread.push(spec);
+                parse(usize::from(spec != specs[0]), schema)
+            })
+            .unwrap();
         assert_eq!(reread, [specs[0]]);
         assert_eq!(texts(df.column("a").unwrap()), ["07", "1.50", "oops"]);
     }

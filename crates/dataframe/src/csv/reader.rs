@@ -1,5 +1,6 @@
 //! CSV → [`DataFrame`] reader: the chunk pipeline of [`super::chunk`]
-//! mapped inline, on the calling thread, over one in-memory text.
+//! mapped inline, on the calling thread, over one in-memory text, each
+//! chunk written into the frame's columns as soon as it is parsed.
 
 use std::fs;
 use std::path::Path;
@@ -9,8 +10,7 @@ use crate::error::{Error, Result};
 use crate::frame::DataFrame;
 
 use super::chunk::{
-    chunk_specs, fold_chunks, parse_chunk, sample_schema, utf8_error, ChunkSpec,
-    DEFAULT_CHUNK_BYTES,
+    chunk_specs, parse_chunk, sample_schema, utf8_error, Assembly, ChunkSpec, DEFAULT_CHUNK_BYTES,
 };
 
 /// Options controlling CSV ingestion.
@@ -58,9 +58,8 @@ pub fn read_csv<P: AsRef<Path>>(path: P) -> Result<DataFrame> {
 
 /// Parse CSV text into a frame.
 pub fn read_csv_str(text: &str, options: &CsvOptions) -> Result<DataFrame> {
-    let (specs, sample_len) =
-        chunk_specs(text.as_bytes(), DEFAULT_CHUNK_BYTES, options.sample_records());
-    let (names, hint) = sample_schema(text.get(..sample_len).unwrap_or(text), options)?;
+    let (specs, end) = chunk_specs(text.as_bytes(), DEFAULT_CHUNK_BYTES, options.sample_records());
+    let (names, hint) = sample_schema(text.get(..end.sample_len).unwrap_or(text), options)?;
     let parse = |spec: ChunkSpec, schema: &[DataType]| {
         let start = spec.offset as usize;
         let span = text
@@ -68,8 +67,14 @@ pub fn read_csv_str(text: &str, options: &CsvOptions) -> Result<DataFrame> {
             .ok_or_else(|| Error::Io(format!("chunk at byte {start} is not a span of the text")))?;
         parse_chunk(span, spec, schema, &names, options)
     };
-    let chunks = specs.iter().map(|&spec| parse(spec, &hint)).collect::<Result<Vec<_>>>()?;
-    fold_chunks(&names, &hint, chunks, parse)
+    let mut assembly = Assembly::new(&names, &hint, &specs, end.records, options);
+    let mut rests = Vec::with_capacity(specs.len());
+    for (i, &spec) in specs.iter().enumerate() {
+        let parsed = parse(spec, &hint)?;
+        assembly.write(i, &parsed)?;
+        rests.push(parsed.into_rest(&hint));
+    }
+    assembly.finish(rests, parse)
 }
 
 #[cfg(test)]

@@ -4,42 +4,49 @@
 //! one CSV reader — with byte access and a worker pool added:
 //!
 //! ```text
-//! bytes ──► boundary scan ──► chunk specs ──► pool: parse chunk i ──► fold
-//!           (1 streaming       (offset,len,     (independent tasks,     (widen → cast/
-//!            pass, O(1)         first_record)    in waves)               repair → concat)
-//!            state)
+//! bytes ──► boundary scan ──► chunk specs ──► pool: parse chunk i ──► finish
+//!           (1 streaming       (offset,len,     write its rows in       (widen → cast/
+//!            pass, O(1)         first_record)    place, hand on the      repair the
+//!            state, exact       + row count      rest; independent       rest → Str
+//!            record count)                       tasks, in waves)        by codes)
 //! ```
 //!
 //! * The **boundary scan** streams the source once through the
 //!   quote-aware [`BoundaryScanner`], producing `~chunk_bytes` spans
-//!   that end on record boundaries, and notes where the leading records
-//!   that form the type-inference sample end — the *same* first
-//!   `infer_rows` records whatever the chunking, which is what makes the
-//!   final frame independent of it.
+//!   that end on record boundaries, counting the records, and noting
+//!   where the leading records that form the type-inference sample end —
+//!   the *same* first `infer_rows` records whatever the chunking, which is
+//!   what makes the final frame independent of it.
 //! * **Chunk tasks** run on the shared worker pool via
 //!   [`eda_taskgraph::ingest`]: each reads its own byte range
 //!   (positional `pread` or an in-memory subslice — never a shared
-//!   cursor), validates UTF-8, and parses to typed columns. Fields are
-//!   slices of the chunk's text, so what a task stages is that text and
-//!   the columns it builds: O(chunk × workers), not O(file).
-//! * [`for_each_chunk`] is the one driver of those two steps; it hands
-//!   each parsed chunk, in file order, to a callback. [`read_csv_chunked`]
-//!   collects them (one wave: it keeps them all anyway) and **folds**
-//!   ([`fold_chunks`]: schemas joined under the widening lattice, i64
-//!   chunks promoted to f64 numerically, the rare chunks whose column
-//!   widened to `Str` re-read from the source, concatenation in chunk
-//!   order); [`crate::stream::fold_csv`] hands each to the caller's fold
-//!   and drops it, in bounded waves.
+//!   cursor), validates UTF-8, parses to typed columns, and then runs the
+//!   caller's per-chunk step on them. Fields are slices of the chunk's
+//!   text, so what a task stages is that text and the columns it builds:
+//!   O(chunk × workers), not O(file).
+//! * [`for_each_chunk`] is the one driver of those steps; it hands each
+//!   chunk's step output, in file order, to a callback.
+//!   [`read_csv_chunked`]'s step writes the chunk's numeric and boolean
+//!   columns into the frame's final columns at the chunk's row offset
+//!   ([`Assembly::write`], under one lock held for the copy alone) and
+//!   drops them; it collects what is left (one wave: it keeps it all
+//!   anyway) and finishes the frame ([`Assembly::finish`]: schemas joined
+//!   under the widening lattice, an `Int64` column some chunk widened cast
+//!   to `Float64` where it lies, the rare chunks whose column widened to
+//!   `Str` re-read from the source, `Str` columns concatenated by codes in
+//!   chunk order). [`crate::stream::fold_csv`]'s step does nothing: it
+//!   hands each parsed chunk to the caller's fold and drops it, in bounded
+//!   waves.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use eda_dataframe::csv::chunk::{
-    fold_chunks, parse_chunk, sample_schema, utf8_error, BoundaryScanner, ChunkSpec, ParsedChunk,
-    DEFAULT_CHUNK_BYTES,
+    parse_chunk, sample_schema, utf8_error, Assembly, BoundaryScanner, ChunkRest, ChunkSpec,
+    ParsedChunk, DEFAULT_CHUNK_BYTES,
 };
 use eda_dataframe::csv::CsvOptions;
-use eda_dataframe::{DataFrame, DataType, Error, Result};
+use eda_dataframe::{Column, DataFrame, DataType, Error, Result};
 use eda_taskgraph::cache::PayloadSizer;
 use eda_taskgraph::ingest::{run_chunk_waves, WaveStats};
 use eda_taskgraph::scheduler::ExecOptions;
@@ -87,24 +94,22 @@ pub(crate) struct Plan {
     pub names: Vec<String>,
     pub hint: Vec<DataType>,
     pub specs: Vec<ChunkSpec>,
+    /// Records in the stream, a header included.
+    pub records: usize,
 }
 
-/// One sequential pass over the source: chunk specs + inference sample.
-/// An empty stream has no chunks and no columns.
-fn scan(source: &ByteSource, opts: &IngestOptions) -> Result<Plan> {
+/// One sequential pass over the source: chunk specs, record count and
+/// inference sample. An empty stream has no chunks and no columns.
+pub(crate) fn scan(source: &ByteSource, opts: &IngestOptions) -> Result<Plan> {
     let mut scanner = BoundaryScanner::new(opts.chunk_bytes, opts.csv.sample_records());
     let mut specs = Vec::new();
     source.scan_blocks(SCAN_BLOCK_BYTES, |block| scanner.feed(block, &mut specs))?;
-    let sample_len = scanner.finish(&mut specs) as usize;
-    let (names, hint) = source.with_chunk(0, sample_len, |bytes| {
+    let end = scanner.finish(&mut specs);
+    let (names, hint) = source.with_chunk(0, end.sample_len, |bytes| {
         sample_schema(std::str::from_utf8(bytes).map_err(|e| utf8_error(&e, 0))?, &opts.csv)
     })??;
-    Ok(Plan { names, hint, specs })
+    Ok(Plan { names, hint, specs, records: end.records })
 }
-
-/// A chunk task's payload: the parse result, kept as a value so panics
-/// stay reserved for real faults and parse problems travel as data.
-type ChunkResult = std::result::Result<ParsedChunk, Error>;
 
 /// Parse chunk `spec` straight off the source under `schema`.
 fn parse_spec(
@@ -113,22 +118,41 @@ fn parse_spec(
     schema: &[DataType],
     names: &[String],
     csv: &CsvOptions,
-) -> ChunkResult {
+) -> Result<ParsedChunk> {
     source.with_chunk(spec.offset, spec.len, |bytes| {
         let text = std::str::from_utf8(bytes).map_err(|e| utf8_error(&e, spec.offset))?;
         parse_chunk(text, spec, schema, names, csv)
     })?
 }
 
+/// What a chunk task hands back after its step. Its payload is a
+/// `Result<Self>`, kept as a value so panics stay reserved for real
+/// faults and parse problems travel as data.
+pub(crate) trait ChunkOutput: Clone + Send + Sync + 'static {
+    /// The columns it holds.
+    fn columns(&self) -> impl Iterator<Item = &Column>;
+}
+
+impl ChunkOutput for ParsedChunk {
+    fn columns(&self) -> impl Iterator<Item = &Column> {
+        self.columns.iter()
+    }
+}
+
+impl ChunkOutput for ChunkRest {
+    fn columns(&self) -> impl Iterator<Item = &Column> {
+        self.columns.iter().flatten()
+    }
+}
+
 /// A [`PayloadSizer`] that prices chunk payloads by their typed column
 /// bytes, so memory budgets ([`ExecOptions::gauge`]) see honest numbers
 /// during ingestion.
-fn chunk_payload_sizer() -> PayloadSizer {
+fn chunk_payload_sizer<T: ChunkOutput>() -> PayloadSizer {
     Arc::new(|payload| {
-        payload.downcast_ref::<ChunkResult>().map(|r| match r {
-            Ok(parsed) => parsed
-                .columns
-                .iter()
+        payload.downcast_ref::<Result<T>>().map(|r| match r {
+            Ok(chunk) => chunk
+                .columns()
                 .map(|c| match c.dtype() {
                     DataType::Float64 | DataType::Int64 => 8 * c.len(),
                     DataType::Bool => c.len(),
@@ -142,25 +166,28 @@ fn chunk_payload_sizer() -> PayloadSizer {
     })
 }
 
-/// The one chunk driver: scan `source` once, parse its chunks on the
-/// worker pool in waves of `workers × wave_factor`, and hand each parsed
-/// chunk to `each` in file order; chunks `each` does not keep are freed
-/// as their wave retires. Cancellation and budgets are enforced by the
-/// executor at chunk granularity. The first error — a chunk's, by
-/// position in the file, or the callback's — stops the run and is the one
-/// reported.
-pub(crate) fn for_each_chunk(
+/// The one chunk driver: parse the chunks of `plan` (a [`scan`] of
+/// `source`) on the worker pool in waves of `workers × wave_factor`, run
+/// `step(index, chunk)` on each in its task, and hand each step's output
+/// to `each` in file order; outputs `each` does not keep are freed as
+/// their wave retires. Cancellation and budgets are enforced by the
+/// executor at chunk granularity. The first error — a chunk's or its
+/// step's, by position in the file, or the callback's — stops the run and
+/// is the one reported.
+pub(crate) fn for_each_chunk<T: ChunkOutput>(
     source: &Arc<ByteSource>,
+    plan: &Arc<Plan>,
     opts: &IngestOptions,
     wave_factor: usize,
-    mut each: impl FnMut(&Plan, ParsedChunk) -> Result<()>,
-) -> Result<(Arc<Plan>, WaveStats)> {
-    let plan = Arc::new(scan(source, opts)?);
+    step: impl Fn(usize, ParsedChunk) -> Result<T> + Send + Sync + 'static,
+    mut each: impl FnMut(T) -> Result<()>,
+) -> Result<WaveStats> {
     let job = {
-        let (source, plan, csv) = (Arc::clone(source), Arc::clone(&plan), opts.csv.clone());
+        let (source, plan, csv) = (Arc::clone(source), Arc::clone(plan), opts.csv.clone());
         move |i: usize| -> Payload {
-            let outcome: ChunkResult = match plan.specs.get(i) {
-                Some(&spec) => parse_spec(&source, spec, &plan.hint, &plan.names, &csv),
+            let outcome: Result<T> = match plan.specs.get(i) {
+                Some(&spec) => parse_spec(&source, spec, &plan.hint, &plan.names, &csv)
+                    .and_then(|parsed| step(i, parsed)),
                 None => Err(Error::Io(format!("chunk {i} out of range"))),
             };
             Arc::new(outcome)
@@ -168,16 +195,16 @@ pub(crate) fn for_each_chunk(
     };
     let mut exec = opts.exec.clone();
     if exec.sizer.is_none() {
-        exec.sizer = Some(chunk_payload_sizer());
+        exec.sizer = Some(chunk_payload_sizer::<T>());
     }
 
     let mut failure: Option<Error> = None;
     let count = plan.specs.len();
     let waves = run_chunk_waves("csv", count, job, opts.workers, wave_factor, &exec, |base, outcomes| {
         for (i, outcome) in outcomes.into_iter().enumerate() {
-            let delivered = match outcome.payload().and_then(|p| p.downcast_ref::<ChunkResult>()) {
+            let delivered = match outcome.payload().and_then(|p| p.downcast_ref::<Result<T>>()) {
                 // Cloning a chunk is cheap: columns are Arc-backed buffers.
-                Some(Ok(parsed)) => each(&plan, parsed.clone()),
+                Some(Ok(chunk)) => each(chunk.clone()),
                 Some(Err(e)) => Err(e.clone()),
                 None => {
                     let detail = outcome.error().map_or_else(
@@ -196,7 +223,7 @@ pub(crate) fn for_each_chunk(
     });
     match failure {
         Some(e) => Err(e),
-        None => Ok((plan, waves)),
+        None => Ok(waves),
     }
 }
 
@@ -211,19 +238,43 @@ pub fn read_csv_str_chunked(text: &str, opts: &IngestOptions) -> Result<DataFram
     ingest(&Arc::new(ByteSource::from_bytes(text.as_bytes().to_vec())), opts)
 }
 
-/// Collect every chunk, then fold them into one frame. Every chunk is
-/// kept, so bounding the wave would bound nothing and only make the
-/// workers meet at a barrier per wave (EXPERIMENTS.md, "One CSV reader":
-/// 14% of a 41 MB load on two workers): one wave.
+/// Write every chunk into the frame as it is parsed, collect what is
+/// left, then finish the frame. Every chunk's rest is kept, so bounding
+/// the wave would bound nothing and only make the workers meet at a
+/// barrier per wave (EXPERIMENTS.md, "One CSV reader": 14% of a 41 MB load
+/// on two workers): one wave.
 fn ingest(source: &Arc<ByteSource>, opts: &IngestOptions) -> Result<DataFrame> {
-    let mut chunks: Vec<ParsedChunk> = Vec::new();
-    let (plan, _) = for_each_chunk(source, opts, usize::MAX, |_, parsed| {
-        chunks.push(parsed);
+    let plan = Arc::new(scan(source, opts)?);
+    // Pool tasks are `'static`, so they cannot be lent disjoint windows
+    // of the columns: the frame sits behind one lock instead, held for a
+    // chunk's copy and nothing else.
+    let assembly = Arc::new(Mutex::new(Assembly::new(
+        &plan.names,
+        &plan.hint,
+        &plan.specs,
+        plan.records,
+        &opts.csv,
+    )));
+    let step = {
+        let (assembly, plan) = (Arc::clone(&assembly), Arc::clone(&plan));
+        move |i: usize, parsed: ParsedChunk| -> Result<ChunkRest> {
+            lock(&assembly)?.write(i, &parsed)?;
+            Ok(parsed.into_rest(&plan.hint))
+        }
+    };
+    let mut rests = Vec::with_capacity(plan.specs.len());
+    for_each_chunk(source, &plan, opts, usize::MAX, step, |rest| {
+        rests.push(rest);
         Ok(())
     })?;
-    fold_chunks(&plan.names, &plan.hint, chunks, |spec, schema| {
-        parse_spec(source, spec, schema, &plan.names, &opts.csv)
-    })
+    let assembly = std::mem::take(&mut *lock(&assembly)?);
+    assembly.finish(rests, |spec, schema| parse_spec(source, spec, schema, &plan.names, &opts.csv))
+}
+
+/// The frame under assembly; a chunk task that panicked while holding it
+/// fails the load instead of the caller.
+fn lock(assembly: &Mutex<Assembly>) -> Result<MutexGuard<'_, Assembly>> {
+    assembly.lock().map_err(|_| Error::Io("a chunk task failed while writing the frame".into()))
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! Out-of-core folds: statistics over CSVs that never fit in memory.
 //!
-//! [`fold_csv`] runs the reader's one chunk driver
-//! ([`crate::chunked::for_each_chunk`]: boundary scan, then parallel
-//! parse in bounded waves), but instead of collecting chunk columns into
-//! one frame it hands each parsed chunk to a fold callback and *drops
-//! it*, so peak memory is O(chunk × workers × wave factor) no matter how
-//! long the stream is.
+//! [`fold_csv`] runs the reader's boundary scan and its one chunk driver
+//! ([`crate::chunked::for_each_chunk`]: parallel parse in bounded waves),
+//! but instead of writing chunk columns into one frame it hands each
+//! parsed chunk to a fold callback and *drops it*, so peak memory is
+//! O(chunk × workers × wave factor) no matter how long the stream is.
 //!
 //! [`read_overview`] is the canonical fold: it merges every chunk into
 //! an [`eda_stats::FrameSketch`] (mergeable moments + frequency
@@ -15,12 +14,13 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use eda_dataframe::csv::chunk::ParsedChunk;
 use eda_dataframe::{Column, DataFrame, Result, Selection};
 use eda_stats::freq::CodeCounts;
 use eda_stats::{ColumnSketch, FrameSketch};
 use eda_taskgraph::ingest::WaveStats;
 
-use crate::chunked::{for_each_chunk, IngestOptions, STREAMING_WAVE_FACTOR};
+use crate::chunked::{for_each_chunk, scan, IngestOptions, STREAMING_WAVE_FACTOR};
 use crate::source::ByteSource;
 
 /// How a fold run ended.
@@ -48,9 +48,12 @@ where
     F: FnMut(DataFrame) -> Result<()>,
 {
     let source = Arc::new(ByteSource::open(path.as_ref())?);
+    let plan = Arc::new(scan(&source, opts)?);
     let mut rows = 0u64;
     let mut chunks = 0usize;
-    let (_, waves) = for_each_chunk(&source, opts, STREAMING_WAVE_FACTOR, |plan, parsed| {
+    // The chunk's step does nothing: each chunk reaches the fold whole.
+    let keep = |_, parsed: ParsedChunk| Ok(parsed);
+    let waves = for_each_chunk(&source, &plan, opts, STREAMING_WAVE_FACTOR, keep, |parsed| {
         // The chunk as a frame under its chunk-local schema.
         fold(DataFrame::new(plan.names.iter().cloned().zip(parsed.columns).collect())?)?;
         rows += parsed.nrows as u64;

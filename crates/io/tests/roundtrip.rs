@@ -1,10 +1,10 @@
 //! Chunking-invariance property tests: any valid CSV — embedded
-//! newlines, quotes, CRLF endings, nulls, mixed types — parses to a
-//! bit-identical frame through the inline reader (`read_csv_str`) and
-//! the parallel one (`read_csv_str_chunked`) at *any* chunk size and
-//! worker count, and that frame is the one the sequential two-pass
-//! reader this pipeline replaced produces (kept as the test-only
-//! [`oracle`]).
+//! newlines, quotes, CRLF endings, a byte-order mark, nulls, mixed types,
+//! columns that widen in a late chunk — parses to a bit-identical frame
+//! through the inline reader (`read_csv_str`) and the parallel one
+//! (`read_csv_str_chunked`) at *any* chunk size and worker count, and
+//! that frame is the one the sequential two-pass reader this pipeline
+//! replaced produces (kept as the test-only [`oracle`]).
 //!
 //! The property deliberately compares readers over the *same* text
 //! rather than values through a write/read cycle: the invariant under
@@ -16,7 +16,7 @@
 mod oracle;
 
 use eda_dataframe::csv::chunk::{
-    chunk_specs, fold_chunks, parse_chunk, sample_schema, ParsedChunk, DEFAULT_CHUNK_BYTES,
+    chunk_specs, parse_chunk, sample_schema, Assembly, ParsedChunk, DEFAULT_CHUNK_BYTES,
 };
 use eda_dataframe::csv::{fields, read_csv_str, records, CsvOptions, Separator};
 use eda_dataframe::{DataFrame, DataType, Result};
@@ -47,14 +47,77 @@ fn arb_field() -> impl Strategy<Value = String> {
     ]
 }
 
-fn arb_csv() -> impl Strategy<Value = String> {
+/// A null spelling.
+fn arb_null() -> impl Strategy<Value = String> {
+    prop_oneof![Just(String::new()), Just("NA".to_string())]
+}
+
+/// An integer field, or a null.
+fn arb_int() -> impl Strategy<Value = String> {
+    prop_oneof![3 => (-999i64..999).prop_map(|v| v.to_string()), 1 => arb_null()]
+}
+
+/// A float field, or a null.
+fn arb_float() -> impl Strategy<Value = String> {
+    prop_oneof![
+        3 => (-999i64..999, 0u32..100).prop_map(|(whole, cents)| format!("{whole}.{cents:02}")),
+        1 => Just("1e3".to_string()),
+        1 => arb_null(),
+    ]
+}
+
+/// A boolean field, or a null.
+fn arb_bool() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("true".to_string()),
+        Just("FALSE".to_string()),
+        Just("True".to_string()),
+        arb_null()
+    ]
+}
+
+/// A field that parses as a number but whose spelling only text keeps
+/// ("07", "1.50"), or a null.
+fn arb_spelled_number() -> impl Strategy<Value = String> {
+    prop_oneof![arb_int(), (0i64..99).prop_map(|v| format!("0{v}")), Just("1.50".to_string())]
+}
+
+/// One record's fields: three hostile ones, then `i`, `f`, `b` (ints,
+/// floats and bools with nulls), `w` (ints), `s` (spelled numbers) and
+/// `n` (always null).
+fn arb_row() -> impl Strategy<Value = Vec<String>> {
     (
-        prop::collection::vec(prop::collection::vec(arb_field(), 3), 0..20),
-        prop::collection::vec(any::<bool>(), 0..20),
-        any::<bool>(),
+        prop::collection::vec(arb_field(), 3),
+        (arb_int(), arb_float(), arb_bool(), arb_int(), arb_spelled_number(), arb_null()),
     )
-        .prop_map(|(rows, crlf, trailing_newline)| {
-            let mut text = String::from("c0,c1,c2\n");
+        .prop_map(|(mut row, (i, f, b, w, s, n))| {
+            row.extend([i, f, b, w, s, n]);
+            row
+        })
+}
+
+/// A CSV text and the `infer_rows` to read it with. The sample is a few
+/// records, so a float in `w` or a word in `s` at row `float_at` /
+/// `word_at` (when there is such a row) widens the column in a chunk the
+/// sample never saw: `w` to `Float64`, `s` to `Str`. Line endings are `\n`
+/// or `\r\n` per record, the last one may be missing, and a byte-order
+/// mark may open the text.
+fn arb_csv() -> impl Strategy<Value = (String, usize)> {
+    (
+        prop::collection::vec(arb_row(), 0..30),
+        prop::collection::vec(any::<bool>(), 0..30),
+        (any::<bool>(), any::<bool>()),
+        (0usize..40, 0usize..40, 1usize..8),
+    )
+        .prop_map(|(mut rows, crlf, (trailing_newline, bom), (float_at, word_at, infer_rows))| {
+            if let Some(row) = rows.get_mut(float_at) {
+                row[6] = "2.5".to_string();
+            }
+            if let Some(row) = rows.get_mut(word_at) {
+                row[7] = "word".to_string();
+            }
+            let mut text = String::from(if bom { "\u{feff}" } else { "" });
+            text.push_str("c0,c1,c2,i,f,b,w,s,n\n");
             let nrows = rows.len();
             for (i, row) in rows.into_iter().enumerate() {
                 let encoded: Vec<String> = row.iter().map(|f| encode_field(f)).collect();
@@ -67,7 +130,7 @@ fn arb_csv() -> impl Strategy<Value = String> {
                     }
                 }
             }
-            text
+            (text, infer_rows)
         })
 }
 
@@ -173,20 +236,24 @@ proptest! {
 
     #[test]
     fn chunked_reader_is_chunking_invariant(
-        csv in arb_csv(),
+        (csv, infer_rows) in arb_csv(),
         chunk_bytes in 1usize..200,
         workers in prop::sample::select(vec![1usize, 2, 4]),
     ) {
-        let want = oracle::read_csv_str(&csv, &CsvOptions::default()).unwrap();
-        let inline = read_csv_str(&csv, &CsvOptions::default()).unwrap();
+        let csv_opts = CsvOptions { infer_rows, ..CsvOptions::default() };
+        // The oracle predates byte-order marks; a mark changes no value.
+        let want = oracle::read_csv_str(csv.trim_start_matches('\u{feff}'), &csv_opts).unwrap();
+        let inline = read_csv_str(&csv, &csv_opts).unwrap();
         assert_bit_identical(&want, &inline, "read_csv_str");
+        let opts =
+            |chunk_bytes| IngestOptions { csv: csv_opts.clone(), ..opts(chunk_bytes, workers) };
         // One chunk large enough to hold everything: the degenerate
         // parallel case, and the size production runs at.
-        let one = read_csv_str_chunked(&csv, &opts(DEFAULT_CHUNK_BYTES, workers)).unwrap();
+        let one = read_csv_str_chunked(&csv, &opts(DEFAULT_CHUNK_BYTES)).unwrap();
         assert_bit_identical(&want, &one, "1-chunk");
         // Many chunks at an adversarial size (down to 1 byte: every
         // record its own chunk).
-        let many = read_csv_str_chunked(&csv, &opts(chunk_bytes, workers)).unwrap();
+        let many = read_csv_str_chunked(&csv, &opts(chunk_bytes)).unwrap();
         assert_bit_identical(&want, &many, &format!("chunk_bytes={chunk_bytes}"));
     }
 
@@ -217,11 +284,12 @@ proptest! {
     }
 }
 
-/// One driver, two folds: the chunks `fold_csv` hands out are the ones
-/// `read_csv_chunked` folds. The input makes the frame fold work for its
-/// result: column `s` meets a float after its ints (numeric cast), column
-/// `n` a float and then text (every earlier chunk is re-read, which is
-/// what recovers "07").
+/// One driver, two steps: the chunks `fold_csv` hands out, written into
+/// an assembly, finish to the frame `read_csv_chunked` writes as it
+/// parses. The input makes the assembly work for its result: column `s`
+/// meets a float after its ints (numeric cast), column `n` a float and
+/// then text (every earlier chunk is re-read, which is what recovers
+/// "07").
 #[test]
 fn streamed_chunks_fold_to_the_ingested_frame() {
     let mut csv = String::from("n,s\n07,1\n");
@@ -236,33 +304,38 @@ fn streamed_chunks_fold_to_the_ingested_frame() {
     let path = temp_csv("two_folds.csv", &csv);
     let opts = IngestOptions { csv: CsvOptions { infer_rows: 5, ..CsvOptions::default() }, ..opts(32, 2) };
 
-    let (specs, sample_len) = chunk_specs(csv.as_bytes(), opts.chunk_bytes, opts.csv.sample_records());
-    let (names, hint) = sample_schema(&csv[..sample_len], &opts.csv).unwrap();
+    let (specs, end) = chunk_specs(csv.as_bytes(), opts.chunk_bytes, opts.csv.sample_records());
+    let (names, hint) = sample_schema(&csv[..end.sample_len], &opts.csv).unwrap();
     assert_eq!(hint, [DataType::Int64, DataType::Int64]);
-    let mut chunks: Vec<ParsedChunk> = Vec::new();
+    let mut assembly = Assembly::new(&names, &hint, &specs, end.records, &opts.csv);
+    let mut rests = Vec::new();
     let outcome = fold_csv(&path, &opts, |frame| {
         let columns: Vec<_> =
             names.iter().map(|name| frame.column(name).unwrap().clone()).collect();
-        chunks.push(ParsedChunk {
-            spec: specs[chunks.len()],
+        let parsed = ParsedChunk {
+            spec: specs[rests.len()],
             dtypes: columns.iter().map(|c| c.dtype()).collect(),
             columns,
             nrows: frame.nrows(),
-        });
+        };
+        assembly.write(rests.len(), &parsed)?;
+        rests.push(parsed.into_rest(&hint));
         Ok(())
     })
     .unwrap();
     assert_eq!(outcome.chunks, specs.len());
     assert!(specs.len() > 4, "the input must span several chunks");
-    assert_eq!(chunks[0].dtypes, [DataType::Int64, DataType::Int64], "chunk-local schema");
+    assert_eq!(rests[0].dtypes, [DataType::Int64, DataType::Int64], "chunk-local schema");
+    assert!(rests[0].columns.iter().all(Option::is_none), "written in place");
 
     let mut repaired = 0;
-    let streamed = fold_chunks(&names, &hint, chunks, |spec, schema| {
-        repaired += 1;
-        let start = spec.offset as usize;
-        parse_chunk(&csv[start..start + spec.len], spec, schema, &names, &opts.csv)
-    })
-    .unwrap();
+    let streamed = assembly
+        .finish(rests, |spec, schema| {
+            repaired += 1;
+            let start = spec.offset as usize;
+            parse_chunk(&csv[start..start + spec.len], spec, schema, &names, &opts.csv)
+        })
+        .unwrap();
     assert!(repaired > 0, "the input must need a widening repair");
 
     let ingested = read_csv_chunked(&path, &opts).unwrap();
@@ -274,17 +347,25 @@ fn streamed_chunks_fold_to_the_ingested_frame() {
 }
 
 /// Chunk edges at the file's own edges: a file of exactly k × chunk_bytes
-/// bytes cuts into exactly k chunks with no empty tail, and a last record
-/// without a newline still ends at end-of-file.
+/// bytes cuts into exactly k chunks with no empty tail, a last record
+/// without a newline still ends at end-of-file, and neither `\r\n`
+/// endings nor a byte-order mark move a row.
 #[test]
 fn exact_multiple_and_unterminated_files() {
-    // Every record, header included, is 6 bytes.
+    // Every record, header included, is 6 bytes (7 with `\r\n`); the
+    // first column has a null.
     let mut csv = String::from("aa,bb\n");
     for i in 10..21 {
-        csv.push_str(&format!("{i},x{}\n", i % 10));
+        let aa = if i == 15 { "NA".to_string() } else { i.to_string() };
+        csv.push_str(&format!("{aa},x{}\n", i % 10));
     }
     assert_eq!(csv.len(), 72);
     let unterminated = csv.trim_end().to_string();
+    let crlf = csv.replace('\n', "\r\n");
+    let crlf_open = crlf.trim_end().to_string();
+    // The mark makes the header record 9 bytes.
+    let bom = format!("\u{feff}{csv}");
+    let bom_open = bom.trim_end().to_string();
     for (name, text, chunk_bytes, want_chunks) in [
         ("exact6.csv", &csv, 6, 12),
         ("exact24.csv", &csv, 24, 3),
@@ -292,10 +373,23 @@ fn exact_multiple_and_unterminated_files() {
         ("open6.csv", &unterminated, 6, 12),
         ("open24.csv", &unterminated, 24, 3),
         ("open71.csv", &unterminated, 71, 1),
+        ("crlf7.csv", &crlf, 7, 12),
+        ("crlf28.csv", &crlf, 28, 3),
+        ("crlf84.csv", &crlf, 84, 1),
+        ("crlf_open7.csv", &crlf_open, 7, 12),
+        ("crlf_open28.csv", &crlf_open, 28, 3),
+        ("bom6.csv", &bom, 6, 12),
+        ("bom24.csv", &bom, 24, 3),
+        ("bom75.csv", &bom, 75, 1),
+        ("bom_open6.csv", &bom_open, 6, 12),
+        ("bom_open74.csv", &bom_open, 74, 1),
     ] {
         let path = temp_csv(name, text);
-        let want = oracle::read_csv_str(text, &CsvOptions::default()).unwrap();
+        let bare = text.trim_start_matches('\u{feff}');
+        let want = oracle::read_csv_str(bare, &CsvOptions::default()).unwrap();
         assert_eq!(want.nrows(), 11);
+        assert_eq!(want.column("aa").unwrap().null_count(), 1);
+        assert_bit_identical(&want, &read_csv_str(text, &CsvOptions::default()).unwrap(), name);
         for workers in [1, 2, 4] {
             let opts = opts(chunk_bytes, workers);
             let got = read_csv_chunked(&path, &opts).unwrap();
