@@ -17,7 +17,12 @@
 //! the 25 curves a numeric report draws (5000-value stride sample of each
 //! sorted column, 200 grid points): the direct sum over every (sample,
 //! grid point) pair — `kde_grid` before the windowed recurrence, kept
-//! here as the opponent — against `kde_grid`. Nullity has one path, word
+//! here as the opponent — against `kde_grid`. The `column sort` stage
+//! times the same 25 credit columns sorted the way a report sorts them:
+//! `ColumnPrep::prepare`'s radix argsort plus the ascending values read
+//! along it, against the two sorts it replaced — a comparison argsort of
+//! `(order key, row)` pairs for the prep and a separate `partial_cmp` sort
+//! of the values, kept here as the opponent. Nullity has one path, word
 //! AND + popcount over validity bitmaps; its throughput is reported, not
 //! compared. The `strings` stage times the 15 categorical + text columns
 //! of the conflicts shape (17k rows, what `report_mixed` profiles) in the
@@ -56,6 +61,7 @@ use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
 use eda_stats::kde::{kde_grid, silverman_bandwidth};
 use eda_stats::quantile::sorted_values;
 use eda_stats::text::TextStats;
+use eda_stats::vector::centered_dot;
 
 /// The KDE curve as a direct sum: every grid point over every sample, one
 /// `exp` each.
@@ -75,6 +81,73 @@ fn kde_direct(sorted: &[f64], grid: usize) -> (Vec<f64>, Vec<f64>) {
     };
     let ys = xs.iter().map(|&x| density(x)).collect();
     (xs, ys)
+}
+
+/// What [`ColumnPrep::prepare`] computes, the way it computed it before
+/// its argsort became a radix sort: `(order key, row)` pairs through a
+/// comparison sort, then one walk over the tie groups.
+#[allow(dead_code)] // built to be timed; only `perm` is read back
+struct ComparatorPrep {
+    perm: Vec<u32>,
+    dense: Vec<u32>,
+    centered_ranks: Vec<f64>,
+    group_starts: Vec<u32>,
+    tie_pairs: u64,
+    spread: Option<[f64; 3]>,
+}
+
+fn comparator_prep(values: &[f64]) -> ComparatorPrep {
+    let order_key = |v: f64| {
+        let bits = (v + 0.0).to_bits() as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    };
+    let mut keyed: Vec<(i64, u32)> =
+        (0u32..).zip(values).filter(|(_, v)| !v.is_nan()).map(|(row, &v)| (order_key(v), row)).collect();
+    keyed.sort_unstable();
+    let (n, kept) = (values.len(), keyed.len());
+    let mut perm = Vec::with_capacity(kept);
+    let mut dense = vec![u32::MAX; n];
+    let mut centered_ranks = vec![f64::NAN; n];
+    let mut group_starts = Vec::new();
+    let mut tie_pairs = 0u64;
+    let half = (kept as f64 + 1.0) / 2.0;
+    for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+        let (start, id) = (perm.len(), group_starts.len() as u32);
+        group_starts.push(start as u32);
+        let rank = start as f64 + (group.len() as f64 + 1.0) / 2.0 - half;
+        for &(_, row) in group {
+            perm.push(row);
+            dense[row as usize] = id;
+            centered_ranks[row as usize] = rank;
+        }
+        let t = group.len() as u64;
+        tie_pairs += t * (t - 1) / 2;
+    }
+    group_starts.push(kept as u32);
+    let spread = (kept == n && n > 0).then(|| {
+        let first = values.iter().sum::<f64>() / n as f64;
+        let mean = first + values.iter().map(|v| v - first).sum::<f64>() / n as f64;
+        let m2 = centered_dot(values, mean, values, mean);
+        [mean, m2, centered_dot(&centered_ranks, 0.0, &centered_ranks, 0.0)]
+    });
+    ComparatorPrep { perm, dense, centered_ranks, group_starts, tie_pairs, spread }
+}
+
+/// A numeric column's sorts as a report ran them before `sorted_values`
+/// read the `corr_prep` argsort: the comparator argsort of
+/// [`comparator_prep`], and a `partial_cmp` sort of the non-NaN values.
+fn sort_twice(values: &[f64]) -> (ComparatorPrep, Vec<f64>) {
+    let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    (comparator_prep(values), sorted)
+}
+
+/// The same column sorted once: [`ColumnPrep::prepare`]'s radix argsort,
+/// and the ascending values read along it.
+fn sort_once(values: &[f64]) -> (ColumnPrep, Vec<f64>) {
+    let prep = ColumnPrep::prepare(values);
+    let sorted = prep.ascending(values).expect("u32 rows").map(|(_, v)| v).collect();
+    (prep, sorted)
 }
 
 /// Pearson over the pairwise-complete rows as the per-pair kernel had it
@@ -209,6 +282,13 @@ fn main() {
     const KDE_GRID: usize = 200;
     let samples: Vec<Vec<f64>> =
         columns.iter().map(|values| stride_sample(&sorted_values(values), 5000)).collect();
+    // Both column-sort paths give the same ascending values, and the
+    // comparator argsort reads them in the radix argsort's order.
+    for values in &columns {
+        let ((old, twice), (_, once)) = (sort_twice(values), sort_once(values));
+        assert_eq!(once, twice);
+        assert!(old.perm.iter().map(|&row| values[row as usize]).eq(once.iter().copied()));
+    }
 
     // The conflicts shape's string columns, each as the two partitions
     // `report_mixed` reads it in.
@@ -282,8 +362,13 @@ fn main() {
             || samples.iter().map(|sample| kde_direct(sample, KDE_GRID)).collect::<Vec<_>>(),
             || samples.iter().map(|sample| kde_grid(sample, KDE_GRID)).collect::<Vec<_>>(),
         );
+        let cs = ab_of(
+            ITERS,
+            || columns.iter().map(|values| sort_twice(values)).collect::<Vec<_>>(),
+            || columns.iter().map(|values| sort_once(values)).collect::<Vec<_>>(),
+        );
         let ts = ab_of(ITERS, || merged_text(&text_by_row), || merged_text(&cat::text_stats));
-        [pc, sc, kc, kn, pn, kd, ts]
+        [pc, sc, kc, kn, pn, kd, cs, ts]
     };
 
     let mut res = suite();
@@ -292,7 +377,7 @@ fn main() {
             *r = merge(*r, n);
         }
     }
-    let [pc, sc, kc, kn, pn, kd, ts] = res;
+    let [pc, sc, kc, kn, pn, kd, cs, ts] = res;
     let best_of = |f: &dyn Fn()| (0..ITERS * PASSES).map(|_| measure(f).1).min().expect("iterations");
     let nullity = best_of(&|| {
         std::hint::black_box(valid_a.count_unset_in_both(&valid_b));
@@ -371,6 +456,15 @@ fn main() {
         kd.speedup
     );
 
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "\ncolumn sort: {} credit columns: comparator argsort + partial_cmp sort {:.2} ms, radix argsort + gather {:.2} ms, {:.2}x",
+        columns.len(),
+        ms(cs.reference),
+        ms(cs.kernel),
+        cs.speedup
+    );
+
     let srps = |d: Duration| string_rows as f64 / d.as_secs_f64();
     println!(
         "\nstrings: {} columns x {} rows: freq over codes {:.1} Mrows/s; text_stats per row {:.1} Mrows/s, per distinct value {:.1}, {:.2}x",
@@ -402,6 +496,7 @@ fn main() {
                 "\"kendall_nan_pair_pps\":{:.1},\"kendall_nan_cell_pps\":{:.1},\"kendall_nan_cell_speedup\":{:.4},\n",
                 "\"pearson_nan_pair_pps\":{:.1},\"pearson_nan_cell_pps\":{:.1},\"pearson_nan_cell_speedup\":{:.4},\n",
                 "\"kde_direct_cps\":{:.1},\"kde_cps\":{:.1},\"kde_speedup\":{:.4},\n",
+                "\"column_sort_twice_ms\":{:.3},\"column_sort_once_ms\":{:.3},\"column_sort_speedup\":{:.4},\n",
                 "\"freq_codes_rps\":{:.0},\"text_stats_push_rps\":{:.0},\"text_stats_rps\":{:.0},\"text_stats_speedup\":{:.4},\n",
                 "\"render_mb_per_s\":{:.1},\"render_report_ms\":{:.3},\"missing_x_cached_us\":{:.1}}}"
             ),
@@ -427,6 +522,9 @@ fn main() {
             cps(kd.reference),
             cps(kd.kernel),
             kd.speedup,
+            ms(cs.reference),
+            ms(cs.kernel),
+            cs.speedup,
             srps(freq_codes),
             srps(ts.reference),
             srps(ts.kernel),

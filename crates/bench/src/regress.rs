@@ -272,6 +272,9 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             "kde_direct_cps",
             "kde_cps",
             "kde_speedup",
+            "column_sort_twice_ms",
+            "column_sort_once_ms",
+            "column_sort_speedup",
             "freq_codes_rps",
             "text_stats_push_rps",
             "text_stats_rps",
@@ -293,6 +296,10 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
             // The windowed recurrence vs the direct sum it replaced, same
             // 25 samples, back to back.
             MetricSpec { key: "kde_speedup", higher_is_better: true, tolerance_scale: 4.0 },
+            // One radix argsort per column, the sorted values read along
+            // it, vs a comparator argsort plus a second sort of the
+            // values; same 25 columns, back to back.
+            MetricSpec { key: "column_sort_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             // Text statistics over dictionary codes (each distinct value
             // tokenised once) vs the per-row loop, same columns, back to
             // back.

@@ -10,10 +10,13 @@
 //! (§5.2): everything that touches rows runs inside the graph, and the
 //! finish only filters a handful of coefficients for insights.
 //!
-//! * `numeric_gather` → `corr_prep` per column: one argsort yields the
-//!   column's ranks, tie groups and moments ([`ColumnPrep`]). Shared by
-//!   structural key across every correlation call over a frame, and
-//!   served by the cross-call result cache on repeat calls.
+//! * `numeric_gather` → `corr_prep` per column
+//!   ([`kernels::plan_corr_prep`]): one argsort yields the column's ranks,
+//!   tie groups and moments ([`ColumnPrep`]). Shared by structural key
+//!   across every correlation call over a frame — and with the column's
+//!   `sorted_values`, which reads its ascending values off the same
+//!   argsort, so a report sorts each numeric column once — and served by
+//!   the cross-call result cache on repeat calls.
 //! * `corr_matrix` tiles: a method's pair list — the upper triangle for a
 //!   matrix, row `x` for a vector — cut into contiguous runs of equal
 //!   length, one task each ([`corr_cells`]). A pair is always computed as
@@ -75,18 +78,6 @@ pub fn compute_correlation_overview(
         );
     }
     Ok((ims, insights))
-}
-
-/// Plan one shared `corr_prep` node for a column: [`ColumnPrep::prepare`]
-/// of the gathered values. Returns `(gather, prep)` — cells read the raw
-/// values from the gather payload, the prep does not copy them.
-pub fn plan_corr_prep(ctx: &mut ComputeContext<'_>, name: &str) -> (NodeId, NodeId) {
-    let gather = kernels::numeric_gather(ctx, name);
-    let params = ctx.params(TaskKey::params(&format!("corrprep:{name}")));
-    let prep = ctx.graph.op("corr_prep", params, vec![gather], |inputs| {
-        pl(ColumnPrep::prepare(un::<Vec<f64>>(&inputs[0])))
-    });
-    (gather, prep)
 }
 
 /// Tiles per method when nothing says otherwise: a few per worker, so
@@ -155,7 +146,7 @@ pub fn plan_matrix_tiles(
     names: &[String],
     tiles: usize,
 ) -> Vec<NodeId> {
-    let columns: Vec<(NodeId, NodeId)> = names.iter().map(|n| plan_corr_prep(ctx, n)).collect();
+    let columns: Vec<(NodeId, NodeId)> = names.iter().map(|n| kernels::plan_corr_prep(ctx, n)).collect();
     let pairs = upper_triangle(names.len());
     let labels: Arc<[String]> = names.into();
     CorrMethod::ALL
@@ -192,7 +183,7 @@ pub fn compute_correlation_vector(
         return Err(EdaError::EmptyInput("no other numeric columns"));
     }
 
-    let columns: Vec<(NodeId, NodeId)> = names.iter().map(|n| plan_corr_prep(ctx, n)).collect();
+    let columns: Vec<(NodeId, NodeId)> = names.iter().map(|n| kernels::plan_corr_prep(ctx, n)).collect();
     // The matrix computes cell (i, j) with i < j; so does its row.
     let others: Vec<usize> = (0..names.len()).filter(|&j| j != xi).collect();
     let pairs: Vec<(usize, usize)> = others.iter().map(|&j| (xi.min(j), xi.max(j))).collect();

@@ -11,16 +11,22 @@
 //! binned boxes, multi-line) take the reduced [`Moments`] node as an extra
 //! dependency and read `min`/`max` from its payload at *execution* time,
 //! which keeps everything inside one lazy graph (no eager pre-pass).
+//!
+//! A numeric column is sorted once, by its `corr_prep` node
+//! ([`plan_corr_prep`]): the correlation cells read that argsort's ranks
+//! and tie groups, and [`sorted_values`] — over any [`Rows`] — reads the
+//! values along it.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use eda_dataframe::{Bitmap, Column, DataFrame, Selection};
-use eda_stats::corr::{upper_triangle, PearsonPartial};
+use eda_stats::corr::{upper_triangle, ColumnPrep, PearsonPartial};
 use eda_stats::histogram::Histogram;
 use eda_stats::missing::{spectrum_ranges, NullCounts};
 use eda_stats::moments::Moments;
+use eda_stats::quantile;
 use eda_stats::text::TextStats;
 use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::ops;
@@ -158,50 +164,75 @@ pub fn moments(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     )
 }
 
-/// Fully sorted non-null values of a numeric column over `rows` (feeds
-/// quantiles, box plot, Q-Q plot — computed once, shared by all three).
-pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
-    let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("sorted:{column}{}", rows.tag())));
-    ops::map_reduce(
-        &mut ctx.graph,
-        &format!("sorted_values:{column}{}", rows.tag()),
-        params,
-        &ctx.sources.clone(),
-        move |df| {
-            let c = col(df, &name);
-            let rows = rows.select(df);
-            let mut v: Vec<f64> =
-                Vec::with_capacity(rows.count(c.len()).min(c.len() - c.null_count()));
-            c.for_each_numeric_in(rows, |x| {
-                if !x.is_nan() {
-                    v.push(x);
-                }
-            })
-            .expect("numeric");
-            v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-            pl(v)
-        },
-        |a, b| pl(merge_sorted(un::<Vec<f64>>(a), un::<Vec<f64>>(b))),
-    )
+/// Plan one shared `corr_prep` node for a column: [`ColumnPrep::prepare`]
+/// of the gathered values, the column's one sort. Returns
+/// `(gather, prep)` — correlation cells and [`sorted_values`] read the raw
+/// values from the gather payload, the prep does not copy them.
+pub fn plan_corr_prep(ctx: &mut ComputeContext<'_>, name: &str) -> (NodeId, NodeId) {
+    let gather = numeric_gather(ctx, name);
+    let params = ctx.params(TaskKey::params(&format!("corrprep:{name}")));
+    let prep = ctx.graph.op("corr_prep", params, vec![gather], |inputs| {
+        pl(ColumnPrep::prepare(un::<Vec<f64>>(&inputs[0])))
+    });
+    (gather, prep)
 }
 
-/// Merge two ascending vectors.
-fn merge_sorted(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+/// Fully sorted non-null, non-NaN values of a numeric column over `rows`
+/// (feeds quantiles, box plot, Q-Q plot and the KDE sample — computed
+/// once, shared by all of them). Nothing is sorted here: the values are
+/// read along the column's `corr_prep` argsort, and a [`Rows::ValidIn`]
+/// or [`Rows::NullIn`] selection keeps the sorted rows whose bit in
+/// [`validity`] of its column is set, or clear.
+pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
+    let (gather, prep) = plan_corr_prep(ctx, column);
+    let mut deps = vec![gather, prep];
+    // Which bit a selected row has in the frame-wide validity of `x`.
+    let keep = match &rows {
+        Rows::All => None,
+        Rows::ValidIn(x) => Some((x, true)),
+        Rows::NullIn(x) => Some((x, false)),
+    };
+    let keep = keep.map(|(x, bit)| {
+        deps.push(validity(ctx, x));
+        bit
+    });
+    let params = ctx.params(TaskKey::params(&format!("sorted:{column}{}", rows.tag())));
+    ctx.graph.op(&format!("sorted_values:{column}{}", rows.tag()), params, deps, move |inputs| {
+        let values = un::<Vec<f64>>(&inputs[0]);
+        let mask = inputs.get(2).map(un::<Bitmap>).zip(keep);
+        let selected = |row: usize| mask.is_none_or(|(mask, bit)| mask.get(row) == bit);
+        let sorted: Vec<f64> = match un::<ColumnPrep>(&inputs[1]).ascending(values) {
+            // Exact-size: one allocation, no regrowth.
+            Some(ascending) if mask.is_none() => ascending.map(|(_, v)| v).collect(),
+            Some(ascending) => ascending.filter(|&(row, _)| selected(row)).map(|(_, v)| v).collect(),
+            // A column too long to keep its argsort.
+            None => {
+                let chosen = values.iter().enumerate().filter(|&(row, _)| selected(row));
+                quantile::sorted_values(&chosen.map(|(_, &v)| v).collect::<Vec<f64>>())
+            }
+        };
+        pl(sorted)
+    })
+}
+
+/// `column`'s validity over the whole frame, one bit per row, set where
+/// the row is non-null: each partition's validity window, joined.
+pub fn validity(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
+    let name = column.to_string();
+    let params = ctx.params(TaskKey::params(&format!("validity:{column}")));
+    ops::map_reduce(
+        &mut ctx.graph,
+        &format!("validity:{column}"),
+        params,
+        &ctx.sources.clone(),
+        move |df| pl(col(df, &name).validity_mask()),
+        |a, b| {
+            let mut joined = Bitmap::new();
+            joined.extend_from(un::<Bitmap>(a));
+            joined.extend_from(un::<Bitmap>(b));
+            pl(joined)
+        },
+    )
 }
 
 /// Histogram over a numeric column. Bin range comes from the reduced
@@ -369,14 +400,7 @@ pub fn numeric_gather(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
         &format!("numeric_gather:{column}"),
         params,
         &ctx.sources.clone(),
-        move |df| {
-            let v: Vec<f64> = col(df, &name)
-                .numeric_iter()
-                .expect("numeric")
-                .map(|x| x.unwrap_or(f64::NAN))
-                .collect();
-            pl(v)
-        },
+        move |df| pl(col(df, &name).to_f64_nan().expect("numeric")),
         |a, b| {
             let mut v = un::<Vec<f64>>(a).clone();
             v.extend_from_slice(un::<Vec<f64>>(b));
@@ -965,15 +989,6 @@ mod tests {
         let mut direct = Histogram::new(0.0, 398.0, 7);
         direct.extend((0..200).filter(|i| i % 10 != 0).map(|i| (i * 2) as f64));
         assert_eq!(after, direct);
-    }
-
-    #[test]
-    fn merge_sorted_interleaves() {
-        assert_eq!(
-            merge_sorted(&[1.0, 3.0, 5.0], &[2.0, 4.0]),
-            vec![1.0, 2.0, 3.0, 4.0, 5.0]
-        );
-        assert_eq!(merge_sorted(&[], &[1.0]), vec![1.0]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   before vs after dropping `x`'s missing rows.
 
 use eda_stats::histogram::Histogram;
-use eda_stats::hypothesis::ks_distance;
+use eda_stats::hypothesis::ks_distance_sorted;
 use eda_stats::missing::{spectrum_ranges, MissingSpectrum, MissingSummary, NullCounts};
 use eda_stats::quantile::BoxPlot;
 use eda_taskgraph::NodeId;
@@ -181,8 +181,8 @@ pub fn compute_missing_pair(
             Ok((ims, Vec::new()))
         }
         SemanticType::Numerical => {
-            // Order statistics do not subtract: the after side sorts the
-            // rows `x` keeps, gathered in place.
+            // Order statistics do not subtract: the after side keeps the
+            // rows of `y`'s one argsort that `x` keeps, and sorts nothing.
             let s_before = kernels::sorted_values(ctx, y, Rows::All);
             let s_after = kernels::sorted_values(ctx, y, Rows::ValidIn(x.to_string()));
             let outs = ctx.execute_checked(&[before, dropped, s_before, s_after])?;
@@ -223,7 +223,7 @@ pub fn compute_missing_pair(
             ims.push("box_plot", Inter::Boxes(boxes));
 
             let mut insights = Vec::new();
-            if let Some(ks) = ks_distance(sb, sa) {
+            if let Some(ks) = ks_distance_sorted(sb, sa) {
                 if let Some(i) = similarity_insight(y, ks, &ctx.config.insight) {
                     insights.push(i);
                 }

@@ -421,6 +421,36 @@ mod tests {
     }
 
     #[test]
+    fn each_numeric_column_is_sorted_once() {
+        // Three partitions, so a sort per partition would show as three
+        // `sorted_values` tasks and a reduce.
+        let n = 3 * 8192 + 5;
+        let df = DataFrame::new(vec![
+            ("a".into(), Column::from_f64((0..n).map(|i| ((i * 37) % 1009) as f64).collect())),
+            ("b".into(), Column::from_opt_f64((0..n).map(|i| (i % 9 != 0).then_some(i as f64 * -0.5)).collect())),
+            ("c".into(), Column::from_i64((0..n).map(|i| (i * 7919 % 10_007) as i64).collect())),
+            ("city".into(), Column::from_string((0..n).map(|i| format!("city{}", i % 6)).collect())),
+        ])
+        .unwrap();
+        let cfg = Config::from_pairs(vec![
+            ("engine.npartitions", "3"),
+            ("engine.profile", "true"),
+            ("engine.cache_budget_bytes", "0"),
+        ])
+        .unwrap();
+        let report = Report::create(&df, &cfg).unwrap();
+        assert!(report.failed_sections().is_empty());
+        let trace = report.stats.trace.as_ref().expect("profiled run");
+        let ran = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(ran("numeric_gather:a"), 3, "one gather per partition");
+        assert_eq!(ran("corr_prep"), 3, "one argsort per numeric column");
+        for column in ["a", "b", "c"] {
+            assert_eq!(ran(&format!("sorted_values:{column}")), 1, "{column}");
+        }
+        assert!(trace.spans.iter().all(|s| !s.name.starts_with("sorted_values/reduce")));
+    }
+
+    #[test]
     fn fully_healthy_report_has_no_failed_sections() {
         let report = Report::create(&frame(), &Config::default()).unwrap();
         assert!(report.failed_sections().is_empty());

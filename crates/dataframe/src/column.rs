@@ -781,12 +781,29 @@ impl Column {
     }
 
     /// Reinterpret the column as floats with nulls mapped to NaN.
-    /// Only valid for numeric columns.
+    /// Only valid for numeric columns. The window's values are copied (or
+    /// cast) as one slice, then NaN is written at each null row, found a
+    /// validity word at a time.
     pub fn to_f64_nan(&self) -> Result<Vec<f64>> {
-        Ok(self
-            .numeric_iter()?
-            .map(|v| v.unwrap_or(f64::NAN))
-            .collect())
+        let (mut out, validity): (Vec<f64>, _) = match self {
+            Column::Float64(d) => (d.as_slice().to_vec(), &d.validity),
+            Column::Int64(d) => (d.as_slice().iter().map(|&v| v as f64).collect(), &d.validity),
+            other => {
+                return Err(Error::TypeMismatch {
+                    context: "to_f64_nan".into(),
+                    expected: "numeric",
+                    got: other.dtype().name(),
+                })
+            }
+        };
+        if let Some(bm) = validity {
+            bm.for_each_unset(|row| {
+                if let Some(v) = out.get_mut(row) {
+                    *v = f64::NAN;
+                }
+            });
+        }
+        Ok(out)
     }
 }
 
@@ -1229,6 +1246,42 @@ mod tests {
         let v = c.to_f64_nan().unwrap();
         assert_eq!(v[0], 1.0);
         assert!(v[1].is_nan());
+    }
+
+    #[test]
+    fn to_f64_nan_is_the_numeric_iter_form() {
+        let n = 300;
+        let null = |i: usize| i % 7 == 3 || (100..140).contains(&i);
+        let floats: Vec<Option<f64>> = (0..n)
+            .map(|i| (!null(i)).then_some(if i % 11 == 0 { f64::NAN } else { i as f64 * 0.5 - 40.0 }))
+            .collect();
+        let ints: Vec<Option<i64>> = (0..n).map(|i| (!null(i)).then_some(i as i64 * 3 - 400)).collect();
+        let columns = [
+            Column::from_opt_f64(floats.clone()),
+            Column::from_opt_i64(ints.clone()),
+            // No bitmap.
+            Column::from_f64(floats.iter().map(|v| v.unwrap_or(2.5)).collect()),
+            Column::from_i64(ints.iter().map(|v| v.unwrap_or(9)).collect()),
+            // Every row null.
+            Column::from_opt_f64(vec![None; 70]),
+            Column::from_opt_i64(vec![None; 70]),
+        ];
+        let by_iter = |c: &Column| -> Vec<u64> {
+            c.numeric_iter().unwrap().map(|v| v.unwrap_or(f64::NAN).to_bits()).collect()
+        };
+        let by_copy = |c: &Column| -> Vec<u64> { c.to_f64_nan().unwrap().iter().map(|v| v.to_bits()).collect() };
+        for c in &columns {
+            assert_eq!(by_copy(c), by_iter(c), "{:?}", c.dtype());
+            // Windows off byte and word boundaries, with offset bitmaps;
+            // rows 4..7 hold no null, so that window's bitmap is all-set.
+            for (start, len) in [(0, 0), (1, 63), (4, 3), (9, 130), (101, 38), (65, c.len() - 65)] {
+                let w = c.slice(start.min(c.len()), len.min(c.len() - start.min(c.len())));
+                assert_eq!(by_copy(&w), by_iter(&w), "{:?} [{start}; {len}]", c.dtype());
+            }
+        }
+        let window = columns[0].slice(4, 3);
+        assert!(window.validity().is_some_and(Bitmap::all_set));
+        assert!(Column::from_strs(&["a"]).to_f64_nan().is_err());
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! A matrix over `m` columns has `m(m-1)/2` cells per method but only `m`
 //! columns: whatever a cell needs that depends on one column alone — its
 //! sort order, tie groups, ranks, mean, sum of squares — is computed once
-//! in [`ColumnPrep::prepare`] from a *single* argsort of its non-NaN rows.
+//! in [`ColumnPrep::prepare`] from a *single* argsort of its non-NaN rows
+//! (an LSD radix sort, [`argsort`]). The same argsort is the column's
+//! ascending values, read back by [`ColumnPrep::ascending`]: quantiles, box
+//! and Q-Q plots need no sort of their own.
 //! With that in hand a Kendall cell needs no comparison sort at all
 //! (`kendall::kendall_cell` walks the two sort orders, skipping rows where
 //! either column is NaN), and a Pearson or Spearman cell of two NaN-free
@@ -72,6 +75,70 @@ pub(super) fn order_key(v: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
+/// The non-NaN rows of `values` in ascending `(order_key, row)` order.
+///
+/// An LSD radix sort of `u32` rows against one array of keys (`order_key`
+/// as an unsigned integer of the same order): a stable counting scatter
+/// per key byte, least significant first, skipping every byte all keys
+/// share. The rows enter in ascending order and each pass is stable, so
+/// equal keys stay in row order — exactly what sorting `(key, row)` pairs
+/// gives. Scratch is the key array and a second row buffer, 12 bytes a
+/// row on top of the result; both are allocated after the result, so
+/// freeing them hands the allocator back one block rather than leaving a
+/// hole under the long-lived permutation.
+pub(super) fn argsort(values: &[f64]) -> Vec<u32> {
+    const SIGN: u64 = 1 << 63;
+    let kept = values.iter().filter(|v| !v.is_nan()).count();
+    let mut perm: Vec<u32> = Vec::with_capacity(kept);
+    let mut keys: Vec<u64> = Vec::with_capacity(values.len());
+    // Occurrences of each value of each byte, over the kept rows.
+    let mut counts = [[0usize; 256]; 8];
+    for (row, &v) in (0u32..).zip(values) {
+        if v.is_nan() {
+            keys.push(0);
+            continue;
+        }
+        let key = order_key(v) as u64 ^ SIGN;
+        for (shift, count) in (0..64).step_by(8).zip(&mut counts) {
+            if let Some(c) = count.get_mut((key >> shift) as u8 as usize) {
+                *c += 1;
+            }
+        }
+        keys.push(key);
+        perm.push(row);
+    }
+    let mut scratch = vec![0u32; kept];
+    // Whether the rows sorted so far are in `scratch` rather than `perm`.
+    let mut in_scratch = false;
+    for (shift, count) in (0..64).step_by(8).zip(&counts) {
+        if count.contains(&kept) {
+            // Every key has the same byte here: the pass would move nothing.
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut at = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = at;
+            at += c;
+        }
+        let (from, to) = if in_scratch { (&scratch, &mut perm) } else { (&perm, &mut scratch) };
+        for &row in from.iter() {
+            let byte = keys.get(row as usize).map_or(0, |key| (key >> shift) as u8 as usize);
+            if let Some(pos) = next.get_mut(byte) {
+                if let Some(dst) = to.get_mut(*pos) {
+                    *dst = row;
+                }
+                *pos += 1;
+            }
+        }
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        perm.copy_from_slice(&scratch);
+    }
+    perm
+}
+
 /// Mean by the corrected two-pass formula: the second pass sums residuals
 /// around the first estimate, so the error no longer grows with
 /// `|mean| / σ`.
@@ -102,31 +169,26 @@ impl ColumnPrep {
             return ColumnPrep { centered_ranks, sorted: Sorted::default(), spread: None };
         }
 
-        // Rows are distinct, so sorting (key, row) pairs is the stable
-        // argsort — with direct integer comparisons instead of a
-        // comparator that chases indices.
-        let mut keyed: Vec<(i64, u32)> = (0u32..)
-            .zip(values)
-            .filter(|(_, v)| !v.is_nan())
-            .map(|(row, &v)| (order_key(v), row))
-            .collect();
-        keyed.sort_unstable();
-
-        let kept = keyed.len();
-        let mut perm = Vec::with_capacity(kept);
+        // What the prep keeps is allocated before the sort's scratch, which
+        // is freed on its return (see `argsort`).
         let mut dense = vec![NAN_GROUP; n];
         let mut centered_ranks = vec![f64::NAN; n];
+        let perm = argsort(values);
+        // Non-NaN values have equal order keys exactly when they are equal.
+        let value_of = |row: u32| values.get(row as usize);
+
+        let kept = perm.len();
         let mut group_starts = Vec::new();
         let mut tie_pairs = 0u64;
         let half = (kept as f64 + 1.0) / 2.0;
+        let mut start = 0;
         // eda-lint: allow(EDA-L6) one linear pass over the sorted rows; the sort above cannot poll
-        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
-            let (start, id) = (perm.len(), group_starts.len() as u32);
+        for group in perm.chunk_by(|&a, &b| value_of(a) == value_of(b)) {
+            let id = group_starts.len() as u32;
             group_starts.push(start as u32);
             // 1-based positions start+1 ..= start+len share their mean.
             let rank = start as f64 + (group.len() as f64 + 1.0) / 2.0 - half;
-            for &(_, row) in group {
-                perm.push(row);
+            for &row in group {
                 if let Some(d) = dense.get_mut(row as usize) {
                     *d = id;
                 }
@@ -135,6 +197,7 @@ impl ColumnPrep {
                 }
             }
             tie_pairs += pairs(group.len() as u64);
+            start += group.len();
         }
         group_starts.push(kept as u32);
         group_starts.shrink_to_fit();
@@ -156,6 +219,24 @@ impl ColumnPrep {
     /// take the centered dot products rather than the per-pair kernels.
     pub fn is_complete(&self) -> bool {
         self.spread.is_some()
+    }
+
+    /// The non-NaN entries of `values` — the column this prep was built
+    /// from — in ascending order, as `(row, value)`: the argsort read
+    /// back, equal values in row order. `None` for a column too long to
+    /// have kept its argsort (more than `u32::MAX` rows), or for `values`
+    /// of another length than the prepared column.
+    pub fn ascending<'a>(
+        &'a self,
+        values: &'a [f64],
+    ) -> Option<impl ExactSizeIterator<Item = (usize, f64)> + 'a> {
+        // `dense` has a slot per row of a column that kept its argsort, and
+        // none for one that did not; every `perm` row is then in bounds.
+        if values.len() != self.sorted.dense.len() {
+            return None;
+        }
+        let rows = self.sorted.perm.iter().map(|&row| row as usize);
+        Some(rows.map(|row| (row, values.get(row).copied().unwrap_or(f64::NAN))))
     }
 
     /// Heap bytes this prep owns — what a byte budget should charge it.
@@ -286,6 +367,89 @@ mod tests {
         assert_eq!(s.tie_pairs, 1 + 3 + 1);
         assert_eq!(s.perm, vec![7, 8, 1, 3, 5, 6, 0, 2, 4]);
         assert_eq!(s.dense, vec![3, 1, 3, 2, 4, 2, 2, 0, 0]);
+    }
+
+    /// The argsort the radix sort replaced: `(key, row)` pairs through a
+    /// comparison sort.
+    fn comparator_argsort(values: &[f64]) -> Vec<u32> {
+        let mut keyed: Vec<(i64, u32)> = (0u32..)
+            .zip(values)
+            .filter(|(_, v)| !v.is_nan())
+            .map(|(row, &v)| (order_key(v), row))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, row)| row).collect()
+    }
+
+    #[test]
+    fn radix_argsort_is_the_comparator_argsort() {
+        let tiny = f64::from_bits(1);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            1.0,
+            -1.0,
+        ];
+        let mut cases: Vec<(&str, Vec<f64>)> = vec![
+            ("empty", vec![]),
+            ("all NaN", vec![f64::NAN; 9]),
+            ("one row", vec![3.5]),
+            ("specials", specials.to_vec()),
+            ("specials twice", specials.iter().chain(&specials).rev().copied().collect()),
+            ("ties", lcg(5, 1000, 7)),
+            ("signed zeros", (0..40).map(|i| if i % 3 == 0 { -0.0 } else { 0.0 }).collect()),
+            // Keys that differ in their lowest byte only: seven of the
+            // eight passes are skipped.
+            (
+                "one byte",
+                (0..300)
+                    .map(|i| f64::from_bits(0x4000_0000_0000_0000 | (i * 7919 % 256)))
+                    .collect(),
+            ),
+            // ... and in their top byte only.
+            ("top byte", (0..300).map(|i| f64::from_bits((i * 31 % 127) << 56)).collect()),
+        ];
+        let mut wide = lcg(6, 65_537, 1 << 40);
+        wide.iter_mut().step_by(97).for_each(|v| *v = f64::NAN);
+        wide.iter_mut().skip(5).step_by(101).for_each(|v| *v = -*v);
+        cases.push(("65,537 rows", wide));
+        for (name, values) in &cases {
+            let perm = argsort(values);
+            assert_eq!(perm, comparator_argsort(values), "{name}");
+            assert_eq!(perm.capacity(), perm.len(), "{name}");
+        }
+    }
+
+    #[test]
+    fn ascending_reads_the_sorted_values_back() {
+        let v = [2.0, f64::NAN, -0.0, f64::INFINITY, 0.0, -3.0, 2.0, f64::NEG_INFINITY];
+        let prep = ColumnPrep::prepare(&v);
+        let got: Vec<(usize, f64)> = prep.ascending(&v).unwrap().collect();
+        let want = [
+            (7, f64::NEG_INFINITY),
+            (5, -3.0),
+            (2, -0.0),
+            (4, 0.0),
+            (0, 2.0),
+            (6, 2.0),
+            (3, f64::INFINITY),
+        ];
+        assert_eq!(got.len(), want.len());
+        for ((row, x), (want_row, y)) in got.into_iter().zip(want) {
+            assert_eq!((row, x.to_bits()), (want_row, y.to_bits()));
+        }
+        assert!(prep.ascending(&v[1..]).is_none(), "not the prepared column");
+        let none = ColumnPrep::prepare(&[f64::NAN; 2]);
+        assert_eq!(none.ascending(&[f64::NAN; 2]).unwrap().len(), 0);
     }
 
     #[test]

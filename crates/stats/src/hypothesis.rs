@@ -53,24 +53,25 @@ pub fn jarque_bera(n: u64, skewness: f64, excess_kurtosis: f64) -> f64 {
 /// Used by `plot_missing(df, x, y)` to quantify how much dropping x's
 /// missing rows changes y's distribution.
 pub fn ks_distance(a: &[f64], b: &[f64]) -> Option<f64> {
-    let mut sa: Vec<f64> = a.iter().copied().filter(|v| !v.is_nan()).collect();
-    let mut sb: Vec<f64> = b.iter().copied().filter(|v| !v.is_nan()).collect();
-    if sa.is_empty() || sb.is_empty() {
+    ks_distance_sorted(&crate::quantile::sorted_values(a), &crate::quantile::sorted_values(b))
+}
+
+/// [`ks_distance`] of two samples that are already **ascending** and
+/// NaN-free — what a `sorted_values` payload holds — with no sort and no
+/// copy. Each step jumps both empirical CDFs past the next value.
+pub fn ks_distance_sorted(a: &[f64], b: &[f64]) -> Option<f64> {
+    if a.is_empty() || b.is_empty() {
         return None;
     }
-    sa.sort_unstable_by(f64::total_cmp);
-    sb.sort_unstable_by(f64::total_cmp);
-    let (na, nb) = (sa.len() as f64, sb.len() as f64);
+    let (na, nb) = (a.len() as f64, b.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut d: f64 = 0.0;
-    while i < sa.len() && j < sb.len() {
-        let x = sa[i].min(sb[j]);
-        while i < sa.len() && sa[i] <= x {
-            i += 1;
-        }
-        while j < sb.len() && sb[j] <= x {
-            j += 1;
-        }
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        let x = x.min(y);
+        let past =
+            |rest: Option<&[f64]>| rest.unwrap_or_default().iter().take_while(|&&v| v <= x).count();
+        i += past(a.get(i..));
+        j += past(b.get(j..));
         d = d.max((i as f64 / na - j as f64 / nb).abs());
     }
     Some(d)

@@ -8,18 +8,17 @@
 ///
 /// Returns `None` for empty data. NaNs must be filtered out beforehand.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
+    let last = sorted.len().checked_sub(1)?;
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * last as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let (&below, &above) = (sorted.get(lo)?, sorted.get(hi)?);
     if lo == hi {
-        return Some(sorted[lo]);
+        return Some(below);
     }
     let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    Some(below * (1.0 - frac) + above * frac)
 }
 
 /// Sort a copy of `values` (NaNs dropped) ascending.
@@ -153,26 +152,15 @@ impl BoxPlot {
 
     /// Build from pre-sorted values (ascending, no NaNs).
     pub fn from_sorted(sorted: &[f64], max_outliers: usize) -> Option<BoxPlot> {
-        if sorted.is_empty() {
-            return None;
-        }
+        let (&first, &last) = (sorted.first()?, sorted.last()?);
         let q1 = quantile_sorted(sorted, 0.25)?;
         let median = quantile_sorted(sorted, 0.5)?;
         let q3 = quantile_sorted(sorted, 0.75)?;
         let iqr = q3 - q1;
         let lo_fence = q1 - 1.5 * iqr;
         let hi_fence = q3 + 1.5 * iqr;
-        let whisker_low = sorted
-            .iter()
-            .copied()
-            .find(|&v| v >= lo_fence)
-            .unwrap_or(sorted[0]);
-        let whisker_high = sorted
-            .iter()
-            .rev()
-            .copied()
-            .find(|&v| v <= hi_fence)
-            .unwrap_or(sorted[sorted.len() - 1]);
+        let whisker_low = sorted.iter().copied().find(|&v| v >= lo_fence).unwrap_or(first);
+        let whisker_high = sorted.iter().rev().copied().find(|&v| v <= hi_fence).unwrap_or(last);
         let mut outliers = Vec::new();
         let mut n_outliers = 0;
         for &v in sorted {

@@ -12,7 +12,7 @@ use eda_stats::corr::{corr_cells, Col, ColumnPrep, CorrMatrix, CorrMethod};
 use eda_stats::corr::{kendall_tau, pearson, spearman, spearman_from_ranks, PearsonPartial};
 use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
-use eda_stats::hypothesis::ks_distance;
+use eda_stats::hypothesis::{ks_distance, ks_distance_sorted};
 use eda_stats::interrupt::CHECK_INTERVAL;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::{quantile_sorted, quantiles, quantiles_nth, sorted_values, BoxPlot};
@@ -27,6 +27,13 @@ fn finite_f64() -> impl Strategy<Value = f64> {
 
 fn data(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(finite_f64(), min_len..200)
+}
+
+/// Mostly a handful of values, signed zeros and NaN among them, so ties
+/// are the rule; now and then any finite value.
+fn tied() -> impl Strategy<Value = Vec<f64>> {
+    let few = prop::sample::select(vec![-0.0, 0.0, 1.0, -2.5, 3.0, 1e6, f64::NAN]);
+    prop::collection::vec(prop_oneof![3 => few, 1 => finite_f64()], 0..120)
 }
 
 proptest! {
@@ -201,6 +208,20 @@ proptest! {
         // Identity of indiscernibles (one direction).
         let self_d = ks_distance(&a, &a).unwrap();
         prop_assert!(self_d.abs() < 1e-12);
+    }
+
+    #[test]
+    fn ks_distance_sorted_is_ks_distance(a in tied(), b in tied()) {
+        // The payloads the sorted form reads are ascending with equal
+        // values in row order, so ±0 may come in either order.
+        let ascending = |v: &[f64]| {
+            let mut s: Vec<f64> = v.iter().copied().filter(|x| !x.is_nan()).collect();
+            s.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            s
+        };
+        let want = ks_distance(&a, &b);
+        prop_assert_eq!(ks_distance_sorted(&ascending(&a), &ascending(&b)), want);
+        prop_assert_eq!(ks_distance_sorted(&sorted_values(&a), &sorted_values(&b)), want);
     }
 
     #[test]
