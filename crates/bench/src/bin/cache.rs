@@ -23,6 +23,9 @@
 //! Heap traffic is measured with a counting global allocator (exact
 //! bytes, per-stage resettable peak), as in the partition benchmark.
 
+// The counting global allocator below is the one `unsafe` here.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;

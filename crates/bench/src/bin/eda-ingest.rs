@@ -29,6 +29,9 @@
 //! `staging_reduction` (the load's peak over the fold's) is reported but
 //! not gated: a smaller load lowers it.
 
+// The counting global allocator below is the one `unsafe` here.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
@@ -64,6 +67,7 @@ fn record(delta: isize) {
 // around it performs no allocation and cannot panic.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwards the caller's layout to System unchanged.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             record(layout.size() as isize);

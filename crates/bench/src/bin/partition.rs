@@ -22,6 +22,9 @@
 //! per-stage resettable peak), so the memory numbers are deterministic
 //! rather than scheduler-dependent RSS samples.
 
+// The counting global allocator below is the one `unsafe` here.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;

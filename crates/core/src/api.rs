@@ -126,18 +126,34 @@ impl Analysis {
     }
 }
 
-/// Apply the §7 sampling extension: when `engine.sample_rows` is set and
-/// the frame is larger, analyze a systematic sample and notify the user
-/// via an [`crate::insights::InsightKind::Approximated`] insight.
-fn maybe_sample(df: &DataFrame, config: &Config) -> Option<(DataFrame, crate::insights::Insight)> {
-    let target = config.engine.sample_rows;
+/// The one sampler: a systematic sample of about `target` rows (every
+/// k-th row), plus the [`crate::insights::InsightKind::Approximated`]
+/// notice for the output. `None` when the frame has no more rows than
+/// that. Both the §7 sampling extension (`engine.sample_rows`) and the
+/// degradation ladder take their samples here.
+fn stride_sample(df: &DataFrame, target: usize) -> Option<(DataFrame, crate::insights::Insight)> {
     if target == 0 || df.nrows() <= target {
         return None;
     }
-    let stride = df.nrows().div_ceil(target);
-    let sampled = df.stride(stride);
+    let sampled = df.stride(df.nrows().div_ceil(target));
     let note = crate::insights::approximated_insight(sampled.nrows(), df.nrows());
     Some((sampled, note))
+}
+
+/// Apply the §7 sampling extension around `run`: when `engine.sample_rows`
+/// is set and the frame is larger, analyze the sample and put its notice
+/// first. Either way the analysis runs on the budget ladder.
+fn with_sample_rows(
+    df: &DataFrame,
+    config: &Config,
+    run: impl Fn(&DataFrame) -> EdaResult<Analysis>,
+) -> EdaResult<Analysis> {
+    let Some((sampled, note)) = stride_sample(df, config.engine.sample_rows) else {
+        return with_budget_ladder(df, run);
+    };
+    let mut analysis = with_budget_ladder(&sampled, run)?;
+    analysis.insights.insert(0, note);
+    Ok(analysis)
 }
 
 fn check_columns(function: &'static str, columns: &[&str], max: usize) -> EdaResult<()> {
@@ -155,18 +171,11 @@ fn over_budget(status: &SectionStatus) -> bool {
     matches!(status, SectionStatus::Failed { error, .. } if error.contains("memory budget"))
 }
 
-/// The degradation ladder's fallback input: a systematic quarter-sample
-/// (never below 256 rows), plus the approximation notice for the output.
-/// `None` when the frame is already too small to shrink meaningfully —
-/// the budget failure then stands as diagnostics.
-fn budget_sample(df: &DataFrame) -> Option<(DataFrame, crate::insights::Insight)> {
-    let target = (df.nrows() / 4).max(256);
-    if df.nrows() <= target {
-        return None;
-    }
-    let sampled = df.stride(df.nrows().div_ceil(target));
-    let note = crate::insights::approximated_insight(sampled.nrows(), df.nrows());
-    Some((sampled, note))
+/// How many rows the degradation ladder's fallback input keeps: a
+/// quarter (never below 256). A frame no larger than that is too small
+/// to shrink meaningfully, and the budget failure stands as diagnostics.
+fn ladder_rows(df: &DataFrame) -> usize {
+    (df.nrows() / 4).max(256)
 }
 
 /// Run an analysis; when it degrades on the run memory budget, retry once
@@ -180,7 +189,7 @@ fn with_budget_ladder(
     if !over_budget(&analysis.status) {
         return Ok(analysis);
     }
-    let Some((small, note)) = budget_sample(df) else {
+    let Some((small, note)) = stride_sample(df, ladder_rows(df)) else {
         return Ok(analysis);
     };
     let mut retry = run(&small)?;
@@ -224,16 +233,7 @@ fn degraded(task: TaskKind, stats: Option<ExecStats>, err: EdaError) -> EdaResul
 /// bivariate (2) analysis.
 pub fn plot(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Analysis> {
     check_columns("plot", columns, 2)?;
-    let sampled = maybe_sample(df, config);
-    let (df, note) = match &sampled {
-        Some((s, n)) => (s, Some(n.clone())),
-        None => (df, None),
-    };
-    let mut analysis = with_budget_ladder(df, |df| plot_inner(df, columns, config))?;
-    if let Some(note) = note {
-        analysis.insights.insert(0, note);
-    }
-    Ok(analysis)
+    with_sample_rows(df, config, |df| plot_inner(df, columns, config))
 }
 
 fn plot_inner(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Analysis> {
@@ -387,17 +387,7 @@ pub fn plot_timeseries(
     value: &str,
     config: &Config,
 ) -> EdaResult<Analysis> {
-    let sampled = maybe_sample(df, config);
-    let (df, note) = match &sampled {
-        Some((s, n)) => (s, Some(n.clone())),
-        None => (df, None),
-    };
-    let mut analysis =
-        with_budget_ladder(df, |df| plot_timeseries_inner(df, time, value, config))?;
-    if let Some(note) = note {
-        analysis.insights.insert(0, note);
-    }
-    Ok(analysis)
+    with_sample_rows(df, config, |df| plot_timeseries_inner(df, time, value, config))
 }
 
 fn plot_timeseries_inner(
@@ -425,7 +415,7 @@ pub fn create_report(df: &DataFrame, config: &Config) -> EdaResult<crate::report
     let report = crate::report::Report::create(df, config)?;
     let budget_failed = report.failed_sections().iter().any(|(_, s)| over_budget(s));
     if budget_failed {
-        if let Some((small, note)) = budget_sample(df) {
+        if let Some((small, note)) = stride_sample(df, ladder_rows(df)) {
             let mut retry = crate::report::Report::create(&small, config)?;
             if !retry.failed_sections().iter().any(|(_, s)| over_budget(s)) {
                 retry.insights.insert(0, note);
@@ -589,6 +579,22 @@ mod tests {
             .insights
             .iter()
             .all(|i| i.kind != crate::insights::InsightKind::Approximated));
+        // The degradation ladder's sample is the same one: at its target,
+        // `engine.sample_rows` keeps the same rows and writes the same note.
+        let big = DataFrame::new(vec![(
+            "price".into(),
+            Column::from_f64((0..2000).map(|i| 100.0 + (i % 50) as f64).collect()),
+        )])
+        .unwrap();
+        let target = ladder_rows(&big);
+        let (ladder, ladder_note) = stride_sample(&big, target).expect("2000 rows shrink");
+        let target_rows = target.to_string();
+        let cfg = Config::from_pairs(vec![("engine.sample_rows", target_rows.as_str())]).unwrap();
+        assert_eq!(ladder.nrows(), 500);
+        let a = plot(&big, &["price"], &cfg).unwrap();
+        assert_eq!(a.insights.first(), Some(&ladder_note));
+        let on_ladder_rows = plot(&ladder, &["price"], &Config::default()).unwrap();
+        assert_eq!(a.get("stats"), on_ladder_rows.get("stats"));
     }
 
     #[test]

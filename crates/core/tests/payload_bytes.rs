@@ -4,6 +4,9 @@
 //! allocator actually handed out. One test, so nothing else allocates
 //! meanwhile.
 
+// The counting global allocator below is the one `unsafe` here.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -126,7 +126,7 @@ impl DictBuilder {
         let code = u32::try_from(self.dict.len())
             .ok()
             .filter(|&c| c < u32::MAX)
-            // eda-lint: allow(EDA-L5) 2^32 distinct strings need a 64 GiB table first
+            // Cannot fire: 2^32 distinct strings need a 64 GiB table first.
             .expect("a string column holds fewer than u32::MAX distinct values");
         self.dict.push(s);
         if let Some(slot) = self.slots.get_mut(at) {

@@ -155,7 +155,7 @@ impl DataFrame {
 
     /// Borrow a column by name.
     pub fn column(&self, name: &str) -> Result<&Column> {
-        self.index_of(name).map(|i| self.columns[i].as_ref())
+        self.index_of(name).and_then(|i| self.column_at(i))
     }
 
     /// Borrow a column by position.

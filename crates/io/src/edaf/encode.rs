@@ -75,16 +75,11 @@ pub fn encode_i64_delta(values: &[i64]) -> Vec<u8> {
 /// low-cardinality columns (flags, codes).
 pub fn encode_i64_rle(values: &[i64]) -> Vec<u8> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        let mut run = 1u64;
-        while i + (run as usize) < values.len() && values[i + run as usize] == v {
-            run += 1;
+    for run in values.chunk_by(|a, b| a == b) {
+        if let Some(&v) = run.first() {
+            write_varint(&mut out, run.len() as u64);
+            write_varint(&mut out, zigzag(v));
         }
-        write_varint(&mut out, run);
-        write_varint(&mut out, zigzag(v));
-        i += run as usize;
     }
     out
 }
@@ -193,7 +188,7 @@ pub fn unpack_bits(buf: &[u8], count: usize) -> Result<Vec<bool>> {
     if buf.len() != count.div_ceil(8) {
         return Err(corrupt("bit page length mismatch", 0));
     }
-    Ok((0..count).map(|i| buf[i / 8] & (1 << (i % 8)) != 0).collect())
+    Ok((0..count).map(|i| buf.get(i / 8).is_some_and(|byte| byte & (1 << (i % 8)) != 0)).collect())
 }
 
 /// Bytes [`write_varint`] takes for `v`.

@@ -127,18 +127,17 @@ pub(super) fn normalize_nulls(col: &Column) -> Column {
         return col.clone();
     };
     let bits: Vec<bool> = (0..col.len()).map(|i| bitmap.get(i)).collect();
-    let keep = |i: &usize| bits[*i];
+    fn kept<T: Copy>(values: &[T], bits: &[bool]) -> Vec<T> {
+        values.iter().zip(bits).filter_map(|(&v, &valid)| valid.then_some(v)).collect()
+    }
     if let Some(values) = col.f64_values() {
-        let kept: Vec<f64> = (0..col.len()).filter(keep).map(|i| values[i]).collect();
-        let (vals, validity) = scatter(Some(&bits), kept, col.len(), 0.0);
+        let (vals, validity) = scatter(Some(&bits), kept(values, &bits), col.len(), 0.0);
         Column::from_f64_validity(vals, validity)
     } else if let Some(values) = col.i64_values() {
-        let kept: Vec<i64> = (0..col.len()).filter(keep).map(|i| values[i]).collect();
-        let (vals, validity) = scatter(Some(&bits), kept, col.len(), 0);
+        let (vals, validity) = scatter(Some(&bits), kept(values, &bits), col.len(), 0);
         Column::from_i64_validity(vals, validity)
     } else if let Some(values) = col.bool_values() {
-        let kept: Vec<bool> = (0..col.len()).filter(keep).map(|i| values[i]).collect();
-        let (vals, validity) = scatter(Some(&bits), kept, col.len(), false);
+        let (vals, validity) = scatter(Some(&bits), kept(values, &bits), col.len(), false);
         Column::from_bool_validity(vals, validity)
     } else {
         col.clone()
@@ -183,12 +182,10 @@ fn read_footer(file: &mut File) -> Result<EdafInfo> {
 fn parse_footer(footer: &[u8], footer_start: u64, file_bytes: u64) -> Result<EdafInfo> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        let end = pos
-            .checked_add(n)
-            .filter(|&e| e <= footer.len())
+        let s = (pos.checked_add(n))
+            .and_then(|end| footer.get(*pos..end))
             .ok_or_else(|| corrupt("footer truncated", footer_start + *pos as u64))?;
-        let s = &footer[*pos..end];
-        *pos = end;
+        *pos += n;
         Ok(s)
     };
     let take_u64 = |pos: &mut usize| -> Result<u64> {
@@ -212,8 +209,10 @@ fn parse_footer(footer: &[u8], footer_start: u64, file_bytes: u64) -> Result<Eda
         let name = std::str::from_utf8(take(&mut pos, name_len)?)
             .map_err(|_| corrupt("column name is not valid UTF-8", footer_start + pos as u64))?
             .to_string();
-        let meta = take(&mut pos, 3)?;
-        let (dtype_raw, encoding, has_validity) = (meta[0], meta[1], meta[2] != 0);
+        let &[dtype_raw, encoding, has_validity] = take(&mut pos, 3)? else {
+            return Err(corrupt("footer truncated", footer_start + pos as u64));
+        };
+        let has_validity = has_validity != 0;
         let dtype = dtype_from_code(dtype_raw)
             .ok_or_else(|| corrupt(&format!("unknown dtype code {dtype_raw}"), footer_start))?;
         let offset = take_u64(&mut pos)?;

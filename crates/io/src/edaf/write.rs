@@ -97,10 +97,10 @@ fn encode_column(name: &str, col: &Column, nrows: usize) -> EncodedColumn {
     let valid_rows = || (0..nrows).filter(|&i| col.is_valid(i));
 
     let (encoding, page, valid_count) = if let Some(values) = col.f64_values() {
-        let kept: Vec<f64> = valid_rows().map(|i| values[i]).collect();
+        let kept: Vec<f64> = valid_rows().filter_map(|i| values.get(i).copied()).collect();
         (ENC_RAW, encode_f64_raw(&kept), kept.len())
     } else if let Some(values) = col.i64_values() {
-        let kept: Vec<i64> = valid_rows().map(|i| values[i]).collect();
+        let kept: Vec<i64> = valid_rows().filter_map(|i| values.get(i).copied()).collect();
         let candidates = [
             (ENC_RAW, encode_i64_raw(&kept)),
             (ENC_DELTA, encode_i64_delta(&kept)),
@@ -114,7 +114,7 @@ fn encode_column(name: &str, col: &Column, nrows: usize) -> EncodedColumn {
         (enc, page, kept.len())
     } else {
         let values = col.bool_values().unwrap_or(&[]);
-        let kept: Vec<bool> = valid_rows().map(|i| values[i]).collect();
+        let kept: Vec<bool> = valid_rows().filter_map(|i| values.get(i).copied()).collect();
         let count = kept.len();
         (ENC_BITS, pack_bits(kept), count)
     };

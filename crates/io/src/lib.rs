@@ -17,8 +17,8 @@
 //!   footer of per-column offsets, so projecting one column out of a
 //!   wide file is O(that column), not O(parse everything).
 
-#![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
+#![cfg_attr(test, allow(clippy::panic, clippy::unreachable))]
 
 pub mod chunked;
 pub mod edaf;

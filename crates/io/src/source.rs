@@ -89,8 +89,8 @@ impl ByteSource {
                 let mut pos = 0u64;
                 while pos < *len {
                     let n = block_bytes.min((*len - pos) as usize);
-                    // eda-lint: allow(EDA-L5) n <= block_bytes == buf.len()
-                    let block = &mut buf[..n];
+                    // n <= block_bytes == buf.len(), so the block is always there.
+                    let Some(block) = buf.get_mut(..n) else { break };
                     read_exact_at(file, block, pos)?;
                     f(block);
                     pos += n as u64;

@@ -5,7 +5,7 @@
 
 // Test code asserts freely; the package-level unwrap/expect deny
 // targets shipped code.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 use eda_dataframe::csv::{read_csv_str, CsvOptions};
 use eda_dataframe::{Column, DataFrame, DataType, Error};
 use eda_io::edaf::{edaf_info, read_edaf, read_edaf_columns, write_edaf};

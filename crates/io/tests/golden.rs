@@ -4,7 +4,7 @@
 
 // Test code asserts freely; the package-level unwrap/expect deny
 // targets shipped code.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 use eda_dataframe::csv::chunk::DEFAULT_CHUNK_BYTES;
 use eda_dataframe::csv::{read_csv, read_csv_str, CsvOptions};
 use eda_dataframe::{DataType, Error, Value};

@@ -50,7 +50,7 @@ pub fn kendall_tau(x: &[f64], y: &[f64]) -> Option<f64> {
     }
     let mut seq = vec![0u32; n];
     let mut groups = 0u32;
-    // eda-lint: allow(EDA-L6) one linear pass over the sorted rows; the sorts above cannot poll
+    // No poll: one linear pass over the sorted rows; the sorts above cannot poll
     for group in by_y.chunk_by(|a, b| a.0 == b.0) {
         for &(_, at) in group {
             if let Some(slot) = seq.get_mut(at as usize) {
@@ -95,6 +95,7 @@ const FAN: usize = 16;
 
 /// `ABOVE[slot][lane]` is all ones where `lane > slot`: ANDed over a node
 /// it keeps the counts of the slots above `slot`.
+#[expect(clippy::indexing_slicing, reason = "const-evaluated with slot, lane < FAN")]
 const ABOVE: [[u32; FAN]; FAN] = {
     let mut masks = [[0u32; FAN]; FAN];
     let mut slot = 0;
@@ -129,7 +130,7 @@ fn count_inversions(seq: &[u32], groups: usize, levels: &mut Vec<Vec<u32>>) -> O
         (nodes > 1).then(|| nodes.div_ceil(FAN))
     });
     levels.resize_with(nodes_per_level.clone().count(), Vec::new);
-    // eda-lint: allow(EDA-L6) at most eight levels cover every u32 group index
+    // No poll: at most eight levels cover every u32 group index
     for (level, nodes) in levels.iter_mut().zip(nodes_per_level) {
         level.clear();
         level.resize(nodes * FAN, 0);
@@ -215,7 +216,7 @@ pub(super) fn kendall_cell(x: &Sorted, y: &Sorted, scratch: &mut KendallScratch)
             }
         }
         let mut kept = 0u32;
-        // eda-lint: allow(EDA-L6) one linear pass over the tie groups
+        // No poll: one linear pass over the tie groups
         for count in cursors.iter_mut() {
             n1 += pairs(u64::from(*count));
             kept += *count;
@@ -244,7 +245,7 @@ pub(super) fn kendall_cell(x: &Sorted, y: &Sorted, scratch: &mut KendallScratch)
             // Joint ties: runs of one y group inside one x group, whose
             // end the scatter left in its cursor.
             let mut start = 0;
-            // eda-lint: allow(EDA-L6) one linear pass over the tie groups
+            // No poll: one linear pass over the tie groups
             for &end in cursors.iter() {
                 let group = seq.get(start as usize..end as usize).unwrap_or(&[]);
                 n3 += tie_pairs(group.chunk_by(|a, b| a == b));

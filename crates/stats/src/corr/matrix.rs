@@ -88,9 +88,10 @@ impl CorrMatrix {
         self.labels.len()
     }
 
-    /// Cell `(i, j)`.
+    /// Cell `(i, j)`; `None` outside the matrix, as for an undefined
+    /// coefficient.
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
-        self.cells[i * self.size() + j]
+        self.cells.get(i * self.size() + j).copied().flatten()
     }
 
     /// Cell by label pair. Outer `None` when a label is unknown; inner
@@ -117,13 +118,12 @@ impl CorrMatrix {
 
     /// Off-diagonal pairs with `|r| >= threshold`, sorted by descending |r|.
     pub fn strong_pairs(&self, threshold: f64) -> Vec<(String, String, f64)> {
-        let m = self.size();
         let mut out = Vec::new();
-        for i in 0..m {
-            for j in (i + 1)..m {
+        for (i, a) in self.labels.iter().enumerate() {
+            for (j, b) in self.labels.iter().enumerate().skip(i + 1) {
                 if let Some(r) = self.get(i, j) {
                     if r.abs() >= threshold {
-                        out.push((self.labels[i].clone(), self.labels[j].clone(), r));
+                        out.push((a.clone(), b.clone(), r));
                     }
                 }
             }
@@ -203,6 +203,27 @@ mod tests {
         // x~y, x~z, y~z all have |r| = 1.
         assert_eq!(pairs.len(), 3);
         assert!(pairs.iter().all(|(_, _, r)| r.abs() >= 0.9));
+    }
+
+    #[test]
+    fn interruption_stops_compute_at_the_poll() {
+        use crate::interrupt::{tests::polled, CHECK_INTERVAL};
+        // Three cells, each one poll of the matrix's own and then four of
+        // the Pearson chunks over 4 × CHECK_INTERVAL rows.
+        let column = |k: usize| (0..4 * CHECK_INTERVAL).map(move |i| (i * k * 7919 % 1009) as f64);
+        let cols: Vec<(String, Vec<f64>)> =
+            (2..5).map(|k| (format!("c{k}"), column(k).collect())).collect();
+        let compute = || CorrMatrix::compute(&cols, CorrMethod::Pearson);
+        // The sixth poll is the matrix's own before its second cell: the
+        // first cell is in, the other two stay `None`, nothing polls after.
+        let (m, polls) = polled(6, compute);
+        assert_eq!(polls, 6);
+        assert!(m.get(0, 1).is_some());
+        assert_eq!((m.get(0, 2), m.get(1, 2)), (None, None));
+        // Fired one poll past the call's last: never interrupted.
+        let (m, polls) = polled(16, compute);
+        assert_eq!(polls, 15);
+        assert!(m.get(0, 2).is_some() && m.get(1, 2).is_some());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub(crate) fn complete_pairs(x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>) {
     assert_eq!(x.len(), y.len(), "correlation inputs must be equal length");
     let mut xs = Vec::with_capacity(x.len());
     let mut ys = Vec::with_capacity(y.len());
-    // eda-lint: allow(EDA-L6) single linear filter pass; correlation kernels poll per chunk/pass
+    // No poll: single linear filter pass; correlation kernels poll per chunk/pass
     for (&a, &b) in x.iter().zip(y) {
         if !a.is_nan() && !b.is_nan() {
             xs.push(a);

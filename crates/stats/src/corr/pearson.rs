@@ -154,7 +154,7 @@ impl Lanes {
     fn add(&mut self, bx: &[f64], by: &[f64], (sx, sy): (f64, f64)) {
         let Lanes { n, dx: sdx, dy: sdy, xx, yy, xy } = self;
         let lanes = n.iter_mut().zip(sdx).zip(sdy).zip(xx).zip(yy).zip(xy);
-        // eda-lint: allow(EDA-L6) LANES pairs
+        // No poll: LANES pairs
         for ((((((n, sdx), sdy), xx), yy), xy), (&a, &b)) in lanes.zip(bx.iter().zip(by)) {
             let complete = !a.is_nan() && !b.is_nan();
             let dx = if complete { a - sx } else { 0.0 };
@@ -185,7 +185,7 @@ fn pearson_chunk(x: &[f64], y: &[f64]) -> PearsonPartial {
     let (mut tx, mut ty) = ([f64::NAN; LANES], [f64::NAN; LANES]);
     tx.iter_mut().zip(cx.remainder()).for_each(|(t, v)| *t = *v);
     ty.iter_mut().zip(cy.remainder()).for_each(|(t, v)| *t = *v);
-    // eda-lint: allow(EDA-L6) one CHECK_INTERVAL chunk; push_slices polls between chunks
+    // No poll: one CHECK_INTERVAL chunk; push_slices polls between chunks
     for (bx, by) in cx.zip(cy) {
         s.add(bx, by, shift);
     }
@@ -217,6 +217,23 @@ mod tests {
 
     fn data(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 2654435761) % 1000) as f64 / 10.0 - 40.0).collect()
+    }
+
+    #[test]
+    fn interruption_stops_push_slices_at_the_poll() {
+        use crate::interrupt::tests::polled;
+        // One poll before each CHECK_INTERVAL chunk: four over these slices.
+        let x = data(4 * CHECK_INTERVAL);
+        let y: Vec<f64> = x.iter().rev().copied().collect();
+        let push = || {
+            let mut p = PearsonPartial::new();
+            p.push_slices(&x, &y);
+            p.n
+        };
+        // Fired at the second poll: the first chunk is in, nothing after.
+        assert_eq!(polled(2, push), (CHECK_INTERVAL as u64, 2));
+        // Fired one poll past the call's last: never interrupted.
+        assert_eq!(polled(5, push), (x.len() as u64, 4));
     }
 
     #[test]

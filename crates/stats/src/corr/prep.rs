@@ -182,7 +182,7 @@ impl ColumnPrep {
         let mut tie_pairs = 0u64;
         let half = (kept as f64 + 1.0) / 2.0;
         let mut start = 0;
-        // eda-lint: allow(EDA-L6) one linear pass over the sorted rows; the sort above cannot poll
+        // No poll: one linear pass over the sorted rows; the sort above cannot poll
         for group in perm.chunk_by(|&a, &b| value_of(a) == value_of(b)) {
             let id = group_starts.len() as u32;
             group_starts.push(start as u32);

@@ -67,7 +67,9 @@ impl Histogram {
         }
         if self.is_degenerate() {
             if value == self.min {
-                self.counts[0] += 1;
+                if let Some(count) = self.counts.first_mut() {
+                    *count += 1;
+                }
             } else if value < self.min {
                 self.underflow += 1;
             } else {
@@ -84,12 +86,11 @@ impl Histogram {
             return;
         }
         let width = (self.max - self.min) / self.nbins() as f64;
-        let mut idx = ((value - self.min) / width) as usize;
         // The maximum falls into the last bin (right-closed final bin).
-        if idx >= self.nbins() {
-            idx = self.nbins() - 1;
+        let idx = (((value - self.min) / width) as usize).min(self.nbins().saturating_sub(1));
+        if let Some(count) = self.counts.get_mut(idx) {
+            *count += 1;
         }
-        self.counts[idx] += 1;
     }
 
     /// Accumulate many values. Polls the cooperative-interruption probe
@@ -283,6 +284,22 @@ mod tests {
         let mut a = Histogram::new(0.0, 1.0, 4);
         let b = Histogram::new(0.0, 2.0, 4);
         a.merge(&b);
+    }
+
+    #[test]
+    fn interruption_stops_extend_at_the_poll() {
+        use crate::interrupt::{tests::polled, CHECK_INTERVAL};
+        // One poll per CHECK_INTERVAL values: four over this input.
+        let data: Vec<f64> = (0..4 * CHECK_INTERVAL).map(|i| (i % 97) as f64).collect();
+        let fill = || {
+            let mut h = Histogram::new(0.0, 96.0, 20);
+            h.fill_slice(&data);
+            h.total()
+        };
+        // Fired at the second poll: the first block is in, nothing after.
+        assert_eq!(polled(2, fill), (CHECK_INTERVAL as u64, 2));
+        // Fired one poll past the call's last: never interrupted.
+        assert_eq!(polled(5, fill), (data.len() as u64, 4));
     }
 
     #[test]

@@ -57,9 +57,15 @@ pub(crate) mod tests {
         pub static TEST_POLLS_LEFT: Cell<Option<usize>> = const { Cell::new(None) };
     }
 
+    thread_local! {
+        /// Polls this thread has made since [`polled`] last reset it.
+        pub static TEST_POLLS: Cell<usize> = const { Cell::new(0) };
+    }
+
     /// The probe test code registers: interrupted iff this thread's
     /// flag is set (directly, or by the poll countdown reaching zero).
     pub fn test_probe() -> bool {
+        TEST_POLLS.with(|n| n.set(n.get() + 1));
         if let Some(left) = TEST_POLLS_LEFT.with(Cell::take) {
             match left.saturating_sub(1) {
                 0 => TEST_INTERRUPT.with(|f| f.set(true)),
@@ -67,6 +73,20 @@ pub(crate) mod tests {
             }
         }
         TEST_INTERRUPT.with(Cell::get)
+    }
+
+    /// Run `kernel` with the probe firing at its `fire_at`-th poll, and
+    /// return its result with the number of polls it made — so a test
+    /// sees both where the kernel stopped and that it polled no further.
+    pub fn polled<T>(fire_at: usize, kernel: impl FnOnce() -> T) -> (T, usize) {
+        register(test_probe);
+        TEST_INTERRUPT.with(|f| f.set(false));
+        TEST_POLLS.with(|n| n.set(0));
+        TEST_POLLS_LEFT.with(|p| p.set(Some(fire_at)));
+        let out = kernel();
+        TEST_POLLS_LEFT.with(|p| p.set(None));
+        TEST_INTERRUPT.with(|f| f.set(false));
+        (out, TEST_POLLS.with(Cell::get))
     }
 
     #[test]

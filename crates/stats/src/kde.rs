@@ -91,7 +91,7 @@ impl Walk {
 /// `d + delta`, `d + 2·delta`, … bandwidths from it; `q` is `exp(-delta²)`.
 fn spread<'a>(points: impl Iterator<Item = &'a mut f64>, d: f64, delta: f64, q: f64) {
     let mut walk = Walk::new(d, delta);
-    // eda-lint: allow(EDA-L6) bounded to RESEED grid points; kde_grid polls per block of samples
+    // No poll: bounded to RESEED grid points; kde_grid polls per block of samples
     for y in points {
         walk.step(y, q);
     }
@@ -106,7 +106,7 @@ fn spread_both(right: &mut [f64], left: &mut [f64], d: f64, delta: f64, q: f64) 
     let both = right.len().min(left.len());
     let (right_near, right_far) = right.split_at_mut(both);
     let (left_far, left_near) = left.split_at_mut(left.len() - both);
-    // eda-lint: allow(EDA-L6) bounded to RESEED grid points; kde_grid polls per block of samples
+    // No poll: bounded to RESEED grid points; kde_grid polls per block of samples
     for (a, b) in right_near.iter_mut().zip(left_near.iter_mut().rev()) {
         rightward.step(a, q);
         leftward.step(b, q);

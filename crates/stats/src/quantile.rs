@@ -44,40 +44,27 @@ pub fn quantiles_nth(values: &[f64], qs: &[f64]) -> Vec<Option<f64>> {
     if v.is_empty() {
         return vec![None; qs.len()];
     }
-    let n = v.len();
-    let rank_pair = |q: f64| {
-        let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
-        (pos.floor() as usize, pos.ceil() as usize, pos)
-    };
+    let last = (v.len() - 1) as f64;
     let mut ranks: Vec<usize> = Vec::with_capacity(qs.len() * 2);
     for &q in qs {
-        let (lo, hi, _) = rank_pair(q);
-        ranks.push(lo);
-        ranks.push(hi);
+        let pos = q.clamp(0.0, 1.0) * last;
+        ranks.push(pos.floor() as usize);
+        ranks.push(pos.ceil() as usize);
     }
     ranks.sort_unstable();
     ranks.dedup();
     // Ascending ranks: once rank r is selected, everything left of it is
-    // ≤ v[r], so the next selection only scans the suffix after r.
+    // ≤ v[r], so the next selection only scans the suffix after r. With
+    // every rank the interpolation reads in place, [`quantile_sorted`]
+    // reads them as if `v` were sorted.
     let mut start = 0usize;
     for &r in &ranks {
-        if start >= n {
-            break;
+        if let Some(rest) = v.get_mut(start..) {
+            rest.select_nth_unstable_by(r - start, f64::total_cmp);
         }
-        v[start..].select_nth_unstable_by(r - start, |a, b| a.total_cmp(b));
         start = r + 1;
     }
-    qs.iter()
-        .map(|&q| {
-            let (lo, hi, pos) = rank_pair(q);
-            if lo == hi {
-                Some(v[lo])
-            } else {
-                let frac = pos - lo as f64;
-                Some(v[lo] * (1.0 - frac) + v[hi] * frac)
-            }
-        })
-        .collect()
+    qs.iter().map(|&q| quantile_sorted(&v, q)).collect()
 }
 
 /// Tukey box-plot statistics with 1.5·IQR whiskers.
@@ -117,7 +104,7 @@ impl BoxPlot {
             return None;
         }
         let qs = quantiles_nth(&clean, &[0.25, 0.5, 0.75]);
-        let (q1, median, q3) = (qs[0]?, qs[1]?, qs[2]?);
+        let &[Some(q1), Some(median), Some(q3)] = qs.as_slice() else { return None };
         let iqr = q3 - q1;
         let lo_fence = q1 - 1.5 * iqr;
         let hi_fence = q3 + 1.5 * iqr;

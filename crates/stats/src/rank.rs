@@ -5,23 +5,22 @@
 
 /// 1-based mid-ranks of `values`. NaNs receive NaN ranks.
 pub fn ranks(values: &[f64]) -> Vec<f64> {
-    let n = values.len();
-    let mut idx: Vec<usize> = (0..n).filter(|&i| !values[i].is_nan()).collect();
-    idx.sort_unstable_by(|&a, &b| values[a].total_cmp(&values[b]));
-    let mut out = vec![f64::NAN; n];
-    let mut i = 0;
-    // eda-lint: allow(EDA-L6) linear tie pass; the dominant comparison sort above cannot poll
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
-            j += 1;
+    let mut order: Vec<(f64, usize)> =
+        values.iter().enumerate().filter(|(_, v)| !v.is_nan()).map(|(i, &v)| (v, i)).collect();
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut out = vec![f64::NAN; values.len()];
+    let mut first = 0;
+    // A linear tie pass; the dominant comparison sort above cannot poll.
+    for tied in order.chunk_by(|a, b| a.0 == b.0) {
+        // Positions first..first + len are tied; the mid-rank is the
+        // average of their 1-based ranks.
+        let rank = (2 * first + tied.len() - 1) as f64 / 2.0 + 1.0;
+        for &(_, row) in tied {
+            if let Some(slot) = out.get_mut(row) {
+                *slot = rank;
+            }
         }
-        // Positions i..=j are tied; mid-rank is the average of 1-based ranks.
-        let rank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = rank;
-        }
-        i = j + 1;
+        first += tied.len();
     }
     out
 }

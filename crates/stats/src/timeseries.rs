@@ -27,22 +27,21 @@ pub fn resample_mean(points: &[(f64, f64)], buckets: usize) -> (Vec<f64>, Vec<f6
         return (vec![t_min], vec![mean]);
     }
     let width = (t_max - t_min) / buckets as f64;
-    let mut sums = vec![0.0; buckets];
-    let mut counts = vec![0usize; buckets];
+    // (sum, count) per bucket.
+    let mut bins = vec![(0.0, 0usize); buckets];
     for (t, v) in finite {
-        let mut idx = ((t - t_min) / width) as usize;
-        if idx >= buckets {
-            idx = buckets - 1;
+        let idx = (((t - t_min) / width) as usize).min(buckets - 1);
+        if let Some((sum, count)) = bins.get_mut(idx) {
+            *sum += v;
+            *count += 1;
         }
-        sums[idx] += v;
-        counts[idx] += 1;
     }
     let mut times = Vec::new();
     let mut values = Vec::new();
-    for i in 0..buckets {
-        if counts[i] > 0 {
+    for (i, &(sum, count)) in bins.iter().enumerate() {
+        if count > 0 {
             times.push(t_min + width * (i as f64 + 0.5));
-            values.push(sums[i] / counts[i] as f64);
+            values.push(sum / count as f64);
         }
     }
     (times, values)
@@ -60,7 +59,8 @@ pub fn rolling_mean(values: &[f64], w: usize) -> Vec<f64> {
         .map(|i| {
             let lo = i.saturating_sub(half);
             let hi = (i + half + 1).min(n);
-            let window: Vec<f64> = values[lo..hi].iter().copied().filter(|v| !v.is_nan()).collect();
+            let window = values.get(lo..hi).unwrap_or_default();
+            let window: Vec<f64> = window.iter().copied().filter(|v| !v.is_nan()).collect();
             if window.is_empty() {
                 f64::NAN
             } else {
@@ -88,9 +88,8 @@ pub fn acf(values: &[f64], max_lag: usize) -> Vec<f64> {
     let max_lag = max_lag.min(n - 2).max(1);
     (1..=max_lag)
         .map(|k| {
-            let ck: f64 = (0..n - k)
-                .map(|i| (xs[i] - mean) * (xs[i + k] - mean))
-                .sum();
+            let lagged = xs.iter().zip(xs.iter().skip(k));
+            let ck: f64 = lagged.map(|(a, b)| (a - mean) * (b - mean)).sum();
             ck / c0
         })
         .collect()

@@ -39,7 +39,7 @@ pub fn centered_dot(x: &[f64], mx: f64, y: &[f64], my: f64) -> f64 {
     let mut acc = [0.0f64; LANES];
     let (cx, cy) = (x.chunks_exact(LANES), y.chunks_exact(LANES));
     let tail = cx.remainder().iter().zip(cy.remainder());
-    // eda-lint: allow(EDA-L6) one O(n) pass; the cell loop in corr::prep polls between cells
+    // No poll: one O(n) pass; the cell loop in corr::prep polls between cells
     for (bx, by) in cx.zip(cy) {
         for ((s, a), b) in acc.iter_mut().zip(bx).zip(by) {
             *s += (a - mx) * (b - my);

@@ -15,7 +15,8 @@
 //!   `TaskFailure::BudgetExceeded` and degrades its section; the process
 //!   never OOMs.
 //!
-//! Everything here is panic-free (enforced by eda-lint L2): governance
+//! Everything here is panic-free (the crate's clippy denies of unwrap,
+//! expect, indexing and `panic!` hold it, see Cargo.toml): governance
 //! code runs on the failure path, where a panic would turn a degraded
 //! section into a dead process.
 

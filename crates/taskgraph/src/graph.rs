@@ -103,7 +103,8 @@ impl TaskGraph {
         self.cse_hits
     }
 
-    /// Borrow a task.
+    /// Borrow a task. Panics if this graph did not issue `id`.
+    #[expect(clippy::indexing_slicing, reason = "node ids are indices this graph issued")]
     pub fn task(&self, id: NodeId) -> &Task {
         &self.tasks[id]
     }
@@ -143,7 +144,7 @@ impl TaskGraph {
     where
         F: Fn(&[Payload]) -> Payload + Send + Sync + 'static,
     {
-        let dep_keys: Vec<TaskKey> = deps.iter().map(|&d| self.tasks[d].key).collect();
+        let dep_keys: Vec<TaskKey> = deps.iter().map(|&d| self.task(d).key).collect();
         let key = TaskKey::derived(name, params, &dep_keys);
         self.derive(name, key, deps, f)
     }
@@ -172,17 +173,17 @@ impl TaskGraph {
         self.tasks
             .iter()
             .enumerate()
-            .map(|(i, t)| if live[i] { t.deps.len() } else { 0 })
+            .map(|(i, t)| if live.get(i) == Some(&true) { t.deps.len() } else { 0 })
             .collect()
     }
 
     /// Live dependents (reverse edges) per node.
     pub fn live_dependents(&self, live: &[bool]) -> Vec<Vec<NodeId>> {
         let mut out = vec![Vec::new(); self.tasks.len()];
-        for (i, t) in self.tasks.iter().enumerate() {
-            if live[i] {
-                for &d in &t.deps {
-                    out[d].push(i);
+        for ((i, t), _) in self.tasks.iter().enumerate().zip(live).filter(|&(_, &live)| live) {
+            for &d in &t.deps {
+                if let Some(dependents) = out.get_mut(d) {
+                    dependents.push(i);
                 }
             }
         }

@@ -178,12 +178,20 @@ mod tests {
         let mut h = Fnv1a::new();
         h.write(b"foobar");
         assert_eq!(h.finish(), 0x85944171f73967e8);
-        // And a full TaskKey, pinned as a regression anchor.
-        assert_eq!(
-            TaskKey::leaf("partition", 7),
-            TaskKey::leaf("partition", 7)
-        );
-        let pinned = TaskKey::leaf("partition", 7).0;
-        assert_eq!(TaskKey::leaf("partition", 7).0, pinned);
+        // Every key constructor, pinned as literals (64-bit targets: a
+        // `usize` hashes as 8 bytes). A seeded hasher, hash-map iteration
+        // order, the clock or a thread id anywhere in these cones gives a
+        // different value in every new process, so this fails at once.
+        let leaf = TaskKey::leaf("partition", 7);
+        assert_eq!(leaf.0, 0x7f34_8898_99c8_7b91);
+        let other = TaskKey::leaf("partition", 8);
+        assert_eq!(TaskKey::derived("sum", 3, &[leaf, other]).0, 0x8dbf_94e4_d054_04e5);
+        assert_eq!(TaskKey::derived("sum", 3, &[other, leaf]).0, 0xc43b_13d1_6dea_c789);
+        #[derive(Hash)]
+        struct P<'a> {
+            column: &'a str,
+            bins: usize,
+        }
+        assert_eq!(TaskKey::params(&P { column: "price", bins: 50 }), 0x5d88_3fe0_a4c2_393d);
     }
 }

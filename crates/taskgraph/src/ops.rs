@@ -16,6 +16,7 @@ use crate::partition::payload_frame;
 ///
 /// `op` names the operation and `params` distinguishes configurations
 /// (both feed the structural key, so identical maps dedupe).
+#[expect(clippy::indexing_slicing, reason = "a task body gets one input per dependency")]
 pub fn map_partitions<F>(
     graph: &mut TaskGraph,
     op: &str,
@@ -44,6 +45,7 @@ where
 /// The combine tasks form a balanced binary tree, so a parallel executor
 /// gets log-depth critical paths. A single input is returned unchanged;
 /// empty input panics (callers always have ≥1 partition).
+#[expect(clippy::indexing_slicing, reason = "a task body gets one input per dependency")]
 pub fn tree_reduce<F>(
     graph: &mut TaskGraph,
     op: &str,
@@ -57,21 +59,24 @@ where
     assert!(!nodes.is_empty(), "tree_reduce of zero nodes");
     let combine = Arc::new(combine);
     let mut layer: Vec<NodeId> = nodes.to_vec();
-    while layer.len() > 1 {
+    loop {
+        if let [root] = *layer {
+            return root;
+        }
         let mut next = Vec::with_capacity(layer.len().div_ceil(2));
         for pair in layer.chunks(2) {
-            if pair.len() == 2 {
-                let c = Arc::clone(&combine);
-                next.push(graph.op(op, params, vec![pair[0], pair[1]], move |inputs| {
-                    c(&inputs[0], &inputs[1])
-                }));
-            } else {
-                next.push(pair[0]);
+            match *pair {
+                [a, b] => {
+                    let c = Arc::clone(&combine);
+                    next.push(
+                        graph.op(op, params, vec![a, b], move |inputs| c(&inputs[0], &inputs[1])),
+                    );
+                }
+                _ => next.extend_from_slice(pair),
             }
         }
         layer = next;
     }
-    layer[0]
 }
 
 /// Map partitions and tree-reduce in one call — the common shape of every

@@ -176,6 +176,7 @@ impl TaskOutcome {
     /// Extract the payload, panicking with the task error otherwise.
     /// The infallible-caller convenience; fault-aware callers should
     /// match instead.
+    #[expect(clippy::panic, reason = "the documented panicking convenience, like Option::unwrap")]
     pub fn unwrap(self) -> Payload {
         match self {
             TaskOutcome::Ok(p) => p,

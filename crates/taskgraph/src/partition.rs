@@ -58,10 +58,14 @@ impl ChunkMeta {
         self.sizes.len()
     }
 
-    /// Half-open row range of partition `i`. O(1): reads the cumulative
-    /// offsets stored at precompute time.
+    /// Half-open row range of partition `i` (empty, at the end, past the
+    /// last one). O(1): reads the cumulative offsets stored at
+    /// precompute time.
     pub fn range(&self, i: usize) -> (usize, usize) {
-        (self.offsets[i], self.offsets[i + 1])
+        match self.offsets.get(i..=i + 1) {
+            Some(&[start, end]) => (start, end),
+            _ => (self.total_rows, self.total_rows),
+        }
     }
 }
 

@@ -103,8 +103,8 @@ impl ExecResult {
     /// error if any requested output failed — the infallible-caller
     /// convenience; fault-aware callers should inspect `outcomes`.
     pub fn outputs(&self) -> Vec<Payload> {
-        // eda-lint: allow(EDA-L5) documented infallible-caller convenience; fault-aware callers use `outcomes`
-        self.outcomes.iter().map(|o| o.clone().unwrap()).collect() // TaskOutcome::unwrap, documented panic
+        // TaskOutcome::unwrap: the documented panic.
+        self.outcomes.iter().map(|o| o.clone().unwrap()).collect()
     }
 
     /// The first failed output's error, if any.
@@ -558,8 +558,7 @@ fn execute_node(
     let result = {
         let _current = task_token.map(govern::set_current);
         catch_task_panic(|| match &fault {
-            // eda-lint: allow(EDA-L5) deliberate injected fault, caught by catch_unwind above
-            Some(FaultMode::Panic) => panic!("injected fault: panic"),
+            Some(FaultMode::Panic) => injected_panic(),
             Some(FaultMode::Stall(d)) => {
                 std::thread::sleep(*d);
                 (task.run)(&payloads)
@@ -599,6 +598,13 @@ fn execute_node(
         (start, end, bytes)
     });
     (outcome, timing)
+}
+
+/// What a task injected with [`FaultMode::Panic`] runs instead of its
+/// body; `catch_task_panic` turns the panic into a `Panicked` failure.
+#[expect(clippy::panic, reason = "a deliberate injected fault, caught by catch_task_panic")]
+fn injected_panic() -> Payload {
+    panic!("injected fault: panic")
 }
 
 /// Classify a task body's raw result: a fired run token discards even a

@@ -221,7 +221,9 @@ impl RunTrace {
                 .iter()
                 .position(|(edge, _)| span.queue_wait < *edge)
                 .unwrap_or(QUEUE_WAIT_EDGES.len() - 1);
-            counts[bucket] += 1;
+            if let Some(count) = counts.get_mut(bucket) {
+                *count += 1;
+            }
         }
         QUEUE_WAIT_EDGES.iter().map(|(_, l)| *l).zip(counts).collect()
     }
@@ -253,8 +255,7 @@ impl RunTrace {
         let mut cursor = tail;
         while let Some(node) = cursor {
             tasks.push(names.get(&node).copied().unwrap_or("?").to_string());
-            let (_, dep) = best[&node];
-            cursor = if dep == node { None } else { Some(dep) };
+            cursor = best.get(&node).map(|&(_, dep)| dep).filter(|&dep| dep != node);
         }
         tasks.reverse();
         CriticalPath { total: tail_total, tasks }
