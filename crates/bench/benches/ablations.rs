@@ -1,6 +1,6 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * **sharing** — structural-key CSE on vs off (`engine.share_computations`),
+//! * **sharing** — structural-key CSE on vs off ([`unshared_context`]),
 //!   the paper's "single Dask graph" optimization;
 //! * **lazy vs eager** — one shared graph vs per-output execution vs
 //!   heavy per-task scheduling (the Figure 6(a) engines, micro-scale);
@@ -11,9 +11,10 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eda_bench::{CorrTiling, EnginePolicy};
+use eda_bench::{unshared_context, CorrTiling, EnginePolicy};
 use eda_core::compute::overview::plan_overview;
 use eda_core::compute::ComputeContext;
+use eda_core::report::Report;
 use eda_core::{create_report, Config};
 use eda_datagen::{generate, kaggle_spec_by_name};
 use eda_dataframe::DataFrame;
@@ -25,13 +26,15 @@ fn dataset() -> DataFrame {
 
 fn ablation_sharing(c: &mut Criterion) {
     let df = dataset();
+    // Cache off: the second iteration would otherwise be served whole.
+    let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
     let mut group = c.benchmark_group("ablation_sharing");
-    for (label, share) in [("shared", "true"), ("unshared", "false")] {
-        let cfg = Config::from_pairs(vec![("engine.share_computations", share)]).unwrap();
-        group.bench_with_input(BenchmarkId::new("create_report", label), &cfg, |b, cfg| {
-            b.iter(|| create_report(&df, cfg).expect("report"))
-        });
-    }
+    group.bench_function(BenchmarkId::new("create_report", "shared"), |b| {
+        b.iter(|| Report::create(&df, &cfg).expect("report"))
+    });
+    group.bench_function(BenchmarkId::new("create_report", "unshared"), |b| {
+        b.iter(|| Report::from_context(unshared_context(&df, &cfg)).expect("report"))
+    });
     group.finish();
 }
 

@@ -303,10 +303,10 @@ fn main() {
     );
     println!("allocations per string field of the one-worker load: {str_field_allocs:.5}");
     println!(
-        "edaf: {} -> {} bytes   waves: {}   process peak RSS: {}",
+        "edaf: {} -> {} bytes   fold chunks: {}   process peak RSS: {}",
         file_bytes,
         info.file_bytes,
-        outcome.waves.waves,
+        outcome.chunks,
         fmt_bytes(peak_rss_bytes() as usize)
     );
 

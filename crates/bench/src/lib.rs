@@ -120,6 +120,17 @@ impl CorrTiling {
     }
 }
 
+/// A context whose graph never shares a task: every plan inserts its own
+/// copy of each subcomputation, as if each visualization had its own
+/// graph. The sharing ablation's opponent (paper §5.1); the engine itself
+/// always shares.
+pub fn unshared_context<'a>(df: &'a DataFrame, config: &'a Config) -> ComputeContext<'a> {
+    let mut ctx = ComputeContext::new(df, config);
+    ctx.graph = TaskGraph::without_dedup();
+    ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
+    ctx
+}
+
 /// Time one invocation.
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
@@ -316,6 +327,22 @@ mod tests {
             assert_eq!(get(outcomes[1].payload().expect("good ok")), 5, "{policy:?}");
             assert_eq!(tasks_run, 1, "{policy:?}");
         }
+    }
+
+    #[test]
+    fn an_unshared_context_inserts_duplicates() {
+        let df = DataFrame::new(vec![(
+            "x".into(),
+            eda_dataframe::Column::from_f64((0..100).map(f64::from).collect()),
+        )])
+        .expect("frame");
+        let cfg = Config::default();
+        let mut ctx = unshared_context(&df, &cfg);
+        let before = ctx.graph.len();
+        assert_eq!(before, ctx.sources.len(), "only the fresh sources");
+        let again = ctx.pf.source_nodes(&mut ctx.graph);
+        assert_eq!(ctx.graph.len(), before + again.len());
+        assert_eq!(ctx.graph.cse_hits(), 0);
     }
 
     #[test]

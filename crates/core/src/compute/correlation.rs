@@ -275,14 +275,6 @@ pub fn compute_correlation_pair(
     Ok((ims, insights))
 }
 
-/// Shared helper for tests and the report: correlation matrix labels.
-pub fn matrix_labels(ims: &Intermediates) -> Vec<String> {
-    match ims.get("correlation_matrix:Pearson") {
-        Some(Inter::Correlation(m)) => m.labels.clone(),
-        _ => Vec::new(),
-    }
-}
-
 /// Eager reference implementation used by tests to validate the graph
 /// plan: one pair-kernel call per cell over materialized columns.
 #[doc(hidden)]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use eda_dataframe::DataFrame;
 use eda_taskgraph::graph::Payload;
-use eda_taskgraph::outcome::TaskOutcome;
+use eda_taskgraph::outcome::{root_failure, TaskOutcome};
 use eda_taskgraph::scheduler::{self, ExecOptions, ProgressObserver};
 use eda_taskgraph::govern::{self, CancelToken, MemoryGauge};
 use eda_taskgraph::{
@@ -124,11 +124,7 @@ impl<'a> ComputeContext<'a> {
             .npartitions
             .min((df.nrows() / 8192).max(1));
         let pf = PartitionedFrame::from_frame(df, npartitions);
-        let mut graph = if config.engine.share_computations {
-            TaskGraph::new()
-        } else {
-            TaskGraph::without_dedup()
-        };
+        let mut graph = TaskGraph::new();
         // Stage 2 begins: partition sources enter the graph.
         let sources = pf.source_nodes(&mut graph);
         // The run token merges the two cancellation sources: a token the
@@ -186,7 +182,7 @@ impl<'a> ComputeContext<'a> {
                 let cache = self
                     .cache_override
                     .as_ref().map_or_else(|| session_cache(budget), Arc::clone);
-                Some(CacheHandle::new(cache, self.pf.dataset_id).with_sizer(payload_sizer()))
+                Some(CacheHandle::new(cache, self.pf.dataset_id))
             }
         }
     }
@@ -209,17 +205,18 @@ impl<'a> ComputeContext<'a> {
     /// (stage 3 of Figure 4) and record stats. Returns one outcome per
     /// output; failed tasks don't poison the rest of the graph.
     pub fn execute_outcomes(&mut self, outputs: &[NodeId]) -> Vec<TaskOutcome> {
+        let cache = self.cache_handle();
+        // Both byte budgets price payloads by their real footprint, so the
+        // domain sizer goes along whenever either is on.
+        let sizer = (cache.is_some() || self.gauge.is_some()).then(payload_sizer);
         let opts = ExecOptions {
             deadline: self.deadline(),
             observer: self.progress.as_ref().map(Arc::clone),
             trace: self.config.engine.profile,
-            cache: self.cache_handle(),
+            cache,
             cancel: self.cancel.clone(),
             gauge: self.gauge.clone(),
-            // Budgets must price payloads by their real footprint even
-            // when the result cache is off, so the domain sizer is always
-            // passed alongside the gauge.
-            sizer: self.gauge.is_some().then(payload_sizer),
+            sizer,
         };
         // workers <= 1 (and the first milliseconds of any run) executes
         // on this thread: nothing to spin up, and fault-tolerance
@@ -241,18 +238,11 @@ impl<'a> ComputeContext<'a> {
     /// instead of panicking — the recoverable path for `plot*` calls.
     pub fn execute_checked(&mut self, outputs: &[NodeId]) -> EdaResult<Vec<Payload>> {
         let outcomes = self.execute_outcomes(outputs);
-        // Prefer a root failure (panic / timeout) over a skip so the
-        // surfaced error names the actual reason.
-        let errors = || outcomes.iter().filter_map(|o| o.error());
-        let err = errors()
-            .find(|e| !matches!(e.failure, eda_taskgraph::TaskFailure::Skipped { .. }))
-            .or_else(|| errors().next());
-        if let Some(err) = err {
+        if let Some(err) = root_failure(&outcomes) {
             return Err(EdaError::from(err.as_ref()));
         }
         Ok(outcomes.into_iter().map(TaskOutcome::unwrap).collect())
     }
-
 }
 
 /// Wrap a value as a task payload.
@@ -293,16 +283,20 @@ mod tests {
     }
 
     #[test]
-    fn share_computations_flag_controls_dedup() {
+    fn the_sizer_prices_cache_entries_with_the_gauge_off() {
+        use eda_stats::corr::ColumnPrep;
         let df = frame();
-        let mut cfg = Config::default();
-        cfg.set("engine.share_computations", "false").unwrap();
-        let mut ctx = ComputeContext::new(&df, &cfg);
-        let before = ctx.graph.len();
-        // Re-adding the identical sources must duplicate without dedup.
-        let again = ctx.pf.source_nodes(&mut ctx.graph);
-        assert_eq!(again.len(), ctx.sources.len());
-        assert_eq!(ctx.graph.len(), before + again.len());
+        let cfg = Config::default();
+        assert_eq!(cfg.engine.memory_budget_bytes, 0, "the gauge is off");
+        let cache = Arc::new(ResultCache::new(1 << 20));
+        let mut ctx = ComputeContext::new(&df, &cfg).with_cache(Arc::clone(&cache));
+        let (_, prep) = crate::compute::kernels::plan_corr_prep(&mut ctx, "x");
+        let payload = ctx.execute(&[prep]).remove(0);
+        let key = ctx.graph.task(prep).key;
+        let (_, charged) = cache.get(ctx.pf.dataset_id, key).expect("corr_prep is cached");
+        let heap = un::<ColumnPrep>(&payload).heap_bytes();
+        assert!(heap > eda_taskgraph::trace::estimate_payload_bytes(&payload), "{heap}");
+        assert_eq!(charged, heap);
     }
 
     #[test]

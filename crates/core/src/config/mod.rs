@@ -172,9 +172,6 @@ pub struct EngineConfig {
     pub npartitions: usize,
     /// Worker threads.
     pub workers: usize,
-    /// Share structurally identical tasks (CSE). Disabled only by the
-    /// sharing-ablation benchmark.
-    pub share_computations: bool,
     /// When non-zero and the frame is larger, compute on a systematic
     /// sample of about this many rows and flag the analysis as
     /// approximated (the paper's §7 sampling future-work, with the
@@ -294,7 +291,6 @@ impl Default for Config {
             engine: EngineConfig {
                 npartitions: default_npartitions(),
                 workers: default_workers(),
-                share_computations: true,
                 sample_rows: 0,
                 task_deadline_ms: 0,
                 profile: false,
@@ -389,9 +385,6 @@ impl Config {
             "types.low_cardinality" => self.types.low_cardinality = usize_of(key, value)?,
             "engine.npartitions" => self.engine.npartitions = usize_of(key, value)?.max(1),
             "engine.workers" => self.engine.workers = usize_of(key, value)?.max(1),
-            "engine.share_computations" => {
-                self.engine.share_computations = bool_of(key, value)?
-            }
             "engine.sample_rows" => self.engine.sample_rows = usize_of(key, value)?,
             "engine.task_deadline_ms" => {
                 self.engine.task_deadline_ms = usize_of(key, value)? as u64
@@ -461,7 +454,6 @@ mod tests {
     fn defaults_match_paper_front_end() {
         let c = Config::default();
         assert_eq!(c.hist.bins, 50); // Figure 1's how-to guide example
-        assert!(c.engine.share_computations);
         assert!(c.engine.workers >= 1);
     }
 
@@ -472,8 +464,8 @@ mod tests {
         assert_eq!(c.hist.bins, 200);
         c.set("insight.skew", "2.5").unwrap();
         assert_eq!(c.insight.skew, 2.5);
-        c.set("engine.share_computations", "false").unwrap();
-        assert!(!c.engine.share_computations);
+        c.set("engine.profile", "true").unwrap();
+        assert!(c.engine.profile);
     }
 
     #[test]
@@ -508,7 +500,7 @@ mod tests {
         let mut c = Config::default();
         assert!(c.set("hist.bins", "many").is_err());
         assert!(c.set("insight.skew", "x").is_err());
-        assert!(c.set("engine.share_computations", "maybe").is_err());
+        assert!(c.set("engine.profile", "maybe").is_err());
     }
 
     #[test]

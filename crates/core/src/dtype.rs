@@ -42,7 +42,7 @@ impl std::fmt::Display for SemanticType {
 ///
 /// `low_cardinality_threshold` is the largest distinct count an integer
 /// column may have and still be treated as categorical (the config default
-/// is 10, see [`crate::config::Config::type_detection`]). Floats always
+/// is 10, see [`crate::config::TypeDetectionConfig::low_cardinality`]). Floats always
 /// read as numerical — fractional values are never category codes.
 pub fn detect(column: &Column, low_cardinality_threshold: usize) -> SemanticType {
     match column.dtype() {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use eda_dataframe::DataFrame;
 use eda_taskgraph::graph::Payload;
-use eda_taskgraph::outcome::TaskOutcome;
+use eda_taskgraph::outcome::{root_failure, TaskOutcome};
 use eda_taskgraph::ExecStats;
 
 use crate::api::SectionStatus;
@@ -80,15 +80,10 @@ pub struct Report {
 }
 
 /// Split a section's outcomes: all payloads, or the status describing
-/// the first failure (the scheduler already attributed skips to their
-/// root cause). A root failure (panic / timeout) is preferred over a
-/// skip so the diagnostics name the actual reason, not just "failed".
+/// its [`root_failure`] (the scheduler already attributed skips to their
+/// root cause).
 fn section_payloads(outcomes: &[TaskOutcome]) -> Result<Vec<Payload>, SectionStatus> {
-    let errors = || outcomes.iter().filter_map(|o| o.error());
-    let err = errors()
-        .find(|e| !matches!(e.failure, eda_taskgraph::TaskFailure::Skipped { .. }))
-        .or_else(|| errors().next());
-    match err {
+    match root_failure(outcomes) {
         Some(err) => Err(SectionStatus::from_task_error(err)),
         None => Ok(outcomes
             .iter()
@@ -100,7 +95,13 @@ fn section_payloads(outcomes: &[TaskOutcome]) -> Result<Vec<Payload>, SectionSta
 impl Report {
     /// Build the report over one shared graph.
     pub fn create(df: &DataFrame, config: &Config) -> EdaResult<Report> {
-        let mut ctx = ComputeContext::new(df, config);
+        Report::from_context(ComputeContext::new(df, config))
+    }
+
+    /// Plan every section into `ctx`'s graph, execute it once and
+    /// assemble the report.
+    pub fn from_context(mut ctx: ComputeContext<'_>) -> EdaResult<Report> {
+        let (df, config) = (ctx.df, ctx.config);
 
         // ---- plan EVERYTHING into one graph --------------------------------
         let overview_plan = plan_overview(&mut ctx);
@@ -237,9 +238,6 @@ impl Report {
             Err(status) => (Intermediates::new(), status),
         };
 
-        // Keep the correlation module's labels helper honest.
-        debug_assert!(correlation::matrix_labels(&Intermediates::new()).is_empty());
-
         // On profiled runs, replace each failed section's coarse run-level
         // elapsed with the root-cause task's own span duration.
         let refine = |status: SectionStatus| -> SectionStatus {
@@ -362,35 +360,6 @@ mod tests {
         let city = &report.variables[2];
         assert_eq!(city.semantic, SemanticType::Categorical);
         assert!(city.intermediates.get("word_cloud").is_some());
-    }
-
-    #[test]
-    fn single_graph_shares_across_sections() {
-        // The overview histogram and the variable-section histogram of the
-        // same column are one node: CSE hits must be substantial. The
-        // cross-call cache is disabled so the comparison isolates CSE —
-        // otherwise the second run over the same frame would be served
-        // from the first run's cached intermediates.
-        let df = frame();
-        let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
-        let report = Report::create(&df, &cfg).unwrap();
-        assert!(
-            report.stats.cse_hits > 0,
-            "report graph should share computations"
-        );
-        // With sharing disabled the same report runs more tasks.
-        let no_share = Config::from_pairs(vec![
-            ("engine.share_computations", "false"),
-            ("engine.cache_budget_bytes", "0"),
-        ])
-        .unwrap();
-        let unshared = Report::create(&df, &no_share).unwrap();
-        assert!(
-            unshared.stats.tasks_run > report.stats.tasks_run,
-            "{} vs {}",
-            unshared.stats.tasks_run,
-            report.stats.tasks_run
-        );
     }
 
     #[test]

@@ -361,7 +361,7 @@ impl Column {
     /// sharing one buffer window fingerprint identically; any copy-on-write
     /// re-pack ([`Column::make_unique`]) lands in a fresh allocation and so
     /// necessarily changes the fingerprint. The content sample guards
-    /// against allocator address reuse. See [`crate::fingerprint`] for the
+    /// against allocator address reuse. See `crate::fingerprint` for the
     /// scheme's rationale.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();

@@ -144,7 +144,7 @@ impl BoundaryScanner {
     }
 
     /// Scan the next block of the stream, appending any completed chunks.
-    /// Record ends are found a word at a time ([`record_end`]): only words
+    /// Record ends are found a word at a time (`record_end`): only words
     /// that hold a quote, or lie inside a quoted field, are read byte by
     /// byte.
     pub fn feed(&mut self, block: &[u8], out: &mut Vec<ChunkSpec>) {

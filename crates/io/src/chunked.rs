@@ -17,14 +17,15 @@
 //!   where the leading records that form the type-inference sample end —
 //!   the *same* first `infer_rows` records whatever the chunking, which is
 //!   what makes the final frame independent of it.
-//! * **Chunk tasks** run on the shared worker pool via
-//!   [`eda_taskgraph::ingest`]: each reads its own byte range
+//! * **Chunk tasks** run on the graph executor
+//!   (`eda_taskgraph::scheduler::run`, one run per wave of chunk
+//!   sources): each reads its own byte range
 //!   (positional `pread` or an in-memory subslice — never a shared
 //!   cursor), validates UTF-8, parses to typed columns, and then runs the
 //!   caller's per-chunk step on them. Fields are slices of the chunk's
 //!   text, so what a task stages is that text and the columns it builds:
 //!   O(chunk × workers), not O(file).
-//! * [`for_each_chunk`] is the one driver of those steps; it hands each
+//! * `for_each_chunk` is the one driver of those steps; it hands each
 //!   chunk's step output, in file order, to a callback.
 //!   [`read_csv_chunked`]'s step writes the chunk's numeric and boolean
 //!   columns into the frame's final columns at the chunk's row offset
@@ -46,11 +47,9 @@ use eda_dataframe::csv::chunk::{
     ParsedChunk, DEFAULT_CHUNK_BYTES,
 };
 use eda_dataframe::csv::CsvOptions;
-use eda_dataframe::{Column, DataFrame, DataType, Error, Result};
-use eda_taskgraph::cache::PayloadSizer;
-use eda_taskgraph::ingest::{run_chunk_waves, WaveStats};
-use eda_taskgraph::scheduler::ExecOptions;
-use eda_taskgraph::Payload;
+use eda_dataframe::{DataFrame, DataType, Error, Result};
+use eda_taskgraph::scheduler::{run, ExecOptions};
+use eda_taskgraph::{Payload, TaskGraph, TaskKey, TaskOutcome};
 
 use crate::source::ByteSource;
 
@@ -61,9 +60,7 @@ const SCAN_BLOCK_BYTES: usize = 256 * 1024;
 /// chunk once it has seen it: what bounds such a fold's memory.
 pub(crate) const STREAMING_WAVE_FACTOR: usize = 2;
 
-/// Parameters of chunked ingestion. `exec` carries the run-level
-/// governance (cancel token, memory gauge, tracing) checked at
-/// every chunk boundary by the executor.
+/// Parameters of chunked ingestion.
 #[derive(Clone)]
 pub struct IngestOptions {
     /// CSV dialect and inference options.
@@ -73,9 +70,6 @@ pub struct IngestOptions {
     pub chunk_bytes: usize,
     /// Worker threads for the parse pool (`engine.workers`).
     pub workers: usize,
-    /// Scheduler options for the chunk tasks (cancellation, budgets,
-    /// tracing).
-    pub exec: ExecOptions,
 }
 
 impl Default for IngestOptions {
@@ -84,7 +78,6 @@ impl Default for IngestOptions {
             csv: CsvOptions::default(),
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            exec: ExecOptions::default(),
         }
     }
 }
@@ -125,106 +118,65 @@ fn parse_spec(
     })?
 }
 
-/// What a chunk task hands back after its step. Its payload is a
-/// `Result<Self>`, kept as a value so panics stay reserved for real
-/// faults and parse problems travel as data.
-pub(crate) trait ChunkOutput: Clone + Send + Sync + 'static {
-    /// The columns it holds.
-    fn columns(&self) -> impl Iterator<Item = &Column>;
-}
-
-impl ChunkOutput for ParsedChunk {
-    fn columns(&self) -> impl Iterator<Item = &Column> {
-        self.columns.iter()
-    }
-}
-
-impl ChunkOutput for ChunkRest {
-    fn columns(&self) -> impl Iterator<Item = &Column> {
-        self.columns.iter().flatten()
-    }
-}
-
-/// A [`PayloadSizer`] that prices chunk payloads by their typed column
-/// bytes, so memory budgets ([`ExecOptions::gauge`]) see honest numbers
-/// during ingestion.
-fn chunk_payload_sizer<T: ChunkOutput>() -> PayloadSizer {
-    Arc::new(|payload| {
-        payload.downcast_ref::<Result<T>>().map(|r| match r {
-            Ok(chunk) => chunk
-                .columns()
-                .map(|c| match c.dtype() {
-                    DataType::Float64 | DataType::Int64 => 8 * c.len(),
-                    DataType::Bool => c.len(),
-                    DataType::Str => {
-                        4 * c.len() + c.str_codes().map_or(0, |(_, dict)| dict.heap_bytes())
-                    }
-                })
-                .sum(),
-            Err(_) => 64,
-        })
-    })
-}
-
 /// The one chunk driver: parse the chunks of `plan` (a [`scan`] of
-/// `source`) on the worker pool in waves of `workers × wave_factor`, run
-/// `step(index, chunk)` on each in its task, and hand each step's output
-/// to `each` in file order; outputs `each` does not keep are freed as
-/// their wave retires. Cancellation and budgets are enforced by the
-/// executor at chunk granularity. The first error — a chunk's or its
-/// step's, by position in the file, or the callback's — stops the run and
-/// is the one reported.
-pub(crate) fn for_each_chunk<T: ChunkOutput>(
+/// `source`) on `opts.workers` threads in waves of `workers ×
+/// wave_factor`, run `step(index, chunk)` on each in its task, and hand
+/// each step's output to `each` in file order; outputs `each` does not
+/// keep are freed as it takes them. A wave is one run of the graph
+/// executor over a graph of chunk sources. The first error — a chunk's or
+/// its step's, by position in the file, or the callback's — stops the run
+/// after its wave and is the one reported.
+pub(crate) fn for_each_chunk<T: Clone + Send + Sync + 'static>(
     source: &Arc<ByteSource>,
     plan: &Arc<Plan>,
     opts: &IngestOptions,
     wave_factor: usize,
     step: impl Fn(usize, ParsedChunk) -> Result<T> + Send + Sync + 'static,
     mut each: impl FnMut(T) -> Result<()>,
-) -> Result<WaveStats> {
+) -> Result<()> {
+    // Each task's payload is a `Result<T>`: parse problems travel as
+    // data, and panics stay reserved for real faults.
     let job = {
         let (source, plan, csv) = (Arc::clone(source), Arc::clone(plan), opts.csv.clone());
-        move |i: usize| -> Payload {
+        Arc::new(move |i: usize| -> Payload {
             let outcome: Result<T> = match plan.specs.get(i) {
                 Some(&spec) => parse_spec(&source, spec, &plan.hint, &plan.names, &csv)
                     .and_then(|parsed| step(i, parsed)),
                 None => Err(Error::Io(format!("chunk {i} out of range"))),
             };
             Arc::new(outcome)
-        }
+        })
     };
-    let mut exec = opts.exec.clone();
-    if exec.sizer.is_none() {
-        exec.sizer = Some(chunk_payload_sizer::<T>());
-    }
-
-    let mut failure: Option<Error> = None;
     let count = plan.specs.len();
-    let waves = run_chunk_waves("csv", count, job, opts.workers, wave_factor, &exec, |base, outcomes| {
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let delivered = match outcome.payload().and_then(|p| p.downcast_ref::<Result<T>>()) {
-                // Cloning a chunk is cheap: columns are Arc-backed buffers.
-                Some(Ok(chunk)) => each(chunk.clone()),
-                Some(Err(e)) => Err(e.clone()),
-                None => {
-                    let detail = outcome.error().map_or_else(
-                        || "chunk task produced no payload".to_string(),
-                        |e| e.root_description(),
-                    );
-                    Err(Error::Io(format!("ingest chunk {} failed: {detail}", base + i)))
+    let wave = opts.workers.max(1).saturating_mul(wave_factor);
+    let mut base = 0;
+    while base < count {
+        let end = count.min(base.saturating_add(wave));
+        // Chunk payloads are positional, not content-addressed: no dedup.
+        let mut graph = TaskGraph::without_dedup();
+        let outputs: Vec<_> = (base..end)
+            .map(|i| {
+                let job = Arc::clone(&job);
+                graph.source("ingest:csv", TaskKey::leaf("ingest:csv", i as u64), move || job(i))
+            })
+            .collect();
+        let result = run(&graph, &outputs, opts.workers, &ExecOptions::default());
+        for (i, outcome) in (base..).zip(result.outcomes) {
+            let chunk = match outcome {
+                TaskOutcome::Ok(payload) => payload
+                    .downcast::<Result<T>>()
+                    .map_err(|_| Error::Io(format!("chunk {i} produced a payload of another type")))
+                    // Moves the chunk out when this is its last reference.
+                    .and_then(Arc::unwrap_or_clone),
+                TaskOutcome::Failed(e) => {
+                    Err(Error::Io(format!("ingest chunk {i} failed: {}", e.root_description())))
                 }
             };
-            if let Err(e) = delivered {
-                failure = Some(e);
-                return false;
-            }
+            each(chunk?)?;
         }
-        true
-    });
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(waves),
+        base = end;
     }
+    Ok(())
 }
 
 /// Read a CSV file through the chunked parallel pipeline.
@@ -281,6 +233,7 @@ fn lock(assembly: &Mutex<Assembly>) -> Result<MutexGuard<'_, Assembly>> {
 mod tests {
     use super::*;
     use eda_dataframe::csv::read_csv_str;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     fn tiny(chunk_bytes: usize) -> IngestOptions {
         IngestOptions { chunk_bytes, workers: 4, ..IngestOptions::default() }
@@ -387,14 +340,85 @@ mod tests {
         assert_frames_identical(&seq, &off);
     }
 
+    /// A one-column CSV of `rows` records, scanned into one chunk each.
+    fn one_record_chunks(
+        rows: usize,
+        workers: usize,
+    ) -> (Arc<ByteSource>, Arc<Plan>, IngestOptions) {
+        let text: String =
+            std::iter::once("a\n".to_string()).chain((0..rows).map(|i| format!("{i}\n"))).collect();
+        let source = Arc::new(ByteSource::from_bytes(text.into_bytes()));
+        let opts = IngestOptions { chunk_bytes: 1, workers, ..IngestOptions::default() };
+        let plan = Arc::new(scan(&source, &opts).unwrap());
+        assert!(plan.specs.len() >= rows, "{} chunks", plan.specs.len());
+        (source, plan, opts)
+    }
+
     #[test]
-    fn cancellation_aborts_between_chunks() {
-        use eda_taskgraph::govern::CancelToken;
-        let token = CancelToken::new();
-        token.cancel();
-        let mut opts = tiny(4);
-        opts.exec.cancel = Some(token);
-        let err = read_csv_str_chunked("a\n1\n2\n3\n4\n", &opts).unwrap_err();
-        assert!(matches!(err, Error::Io(_)), "cancelled ingest must fail, got {err:?}");
+    fn a_streaming_wave_bounds_the_outputs_alive() {
+        for workers in [1, 2, 3] {
+            let (source, plan, opts) = one_record_chunks(40, workers);
+            // Every step output is a clone of `token`; the test and the
+            // step hold the two others.
+            let token = Arc::new(());
+            let step = {
+                let token = Arc::clone(&token);
+                move |_, _: ParsedChunk| Ok(Arc::clone(&token))
+            };
+            let (mut delivered, mut most) = (0, 0);
+            for_each_chunk(&source, &plan, &opts, STREAMING_WAVE_FACTOR, step, |output| {
+                most = most.max(Arc::strong_count(&token) - 2);
+                delivered += 1;
+                drop(output);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(delivered, plan.specs.len());
+            // A wave's outputs are all alive once it has run, and no more.
+            assert_eq!(most, workers * STREAMING_WAVE_FACTOR, "{workers} workers");
+            assert_eq!(Arc::strong_count(&token), 1);
+        }
+    }
+
+    #[test]
+    fn a_callback_error_stops_parsing_after_its_wave() {
+        let (source, plan, opts) = one_record_chunks(40, 2);
+        let wave = 2 * STREAMING_WAVE_FACTOR;
+        let k = wave + 1;
+        let parsed = Arc::new(AtomicUsize::new(0));
+        let step = {
+            let parsed = Arc::clone(&parsed);
+            move |i, _: ParsedChunk| {
+                parsed.fetch_add(1, SeqCst);
+                Ok(i)
+            }
+        };
+        let mut seen = Vec::new();
+        let err = for_each_chunk(&source, &plan, &opts, STREAMING_WAVE_FACTOR, step, |i| {
+            seen.push(i);
+            if i == k {
+                return Err(Error::Io("stop".into()));
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(err, Error::Io("stop".into()));
+        assert_eq!(seen, (0..=k).collect::<Vec<_>>(), "delivered in file order up to chunk {k}");
+        assert_eq!(parsed.load(SeqCst), 2 * wave, "parsing stops at the end of chunk {k}'s wave");
+    }
+
+    #[test]
+    fn a_panicking_step_fails_the_run_naming_its_chunk() {
+        for workers in [1, 2] {
+            let (source, plan, opts) = one_record_chunks(12, workers);
+            let step = |i: usize, _: ParsedChunk| {
+                assert!(i != 5, "step failed on purpose");
+                Ok(i)
+            };
+            let err =
+                for_each_chunk(&source, &plan, &opts, usize::MAX, step, |_| Ok(())).unwrap_err();
+            let Error::Io(message) = &err else { panic!("unexpected {err:?}") };
+            assert!(message.contains("chunk 5 ") && message.contains("on purpose"), "{message}");
+        }
     }
 }

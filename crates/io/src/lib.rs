@@ -5,12 +5,13 @@
 //! * **Chunked CSV ingestion** ([`chunked`], [`stream`]) — the one CSV
 //!   reader (`eda_dataframe::csv::chunk`: boundary scan, schema sample,
 //!   per-chunk parse, fold) given byte access ([`source::ByteSource`]:
-//!   in-memory, or buffered positional file reads) and a parallel map on
-//!   the taskgraph worker pool. One driver scans record boundaries once
-//!   (quote-aware), parses the ~1 MiB chunks on the pool and hands them
-//!   on in file order: [`chunked`] collects and folds them into a frame
-//!   that is bit-identical for every chunking and worker count;
-//!   [`stream`] takes them in bounded waves and folds them without ever
+//!   in-memory, or buffered positional file reads) and parallel parsing:
+//!   each ~1 MiB chunk is a source task of a dedup-free graph that the
+//!   taskgraph executor (`eda_taskgraph::scheduler::run`) runs one wave
+//!   at a time. One driver scans record boundaries once (quote-aware),
+//!   parses the chunks and hands them on in file order: [`chunked`]
+//!   writes them into a frame that is bit-identical for every chunking
+//!   and worker count; [`stream`] takes them in bounded waves and folds them without ever
 //!   materialising the frame — statistics over files larger than RAM.
 //! * **`.edaf` binary columnar format** ([`edaf`]) — typed column
 //!   pages with null bitmaps, dictionary/varint/RLE encodings and a

@@ -1,8 +1,8 @@
 //! Out-of-core folds: statistics over CSVs that never fit in memory.
 //!
 //! [`fold_csv`] runs the reader's boundary scan and its one chunk driver
-//! ([`crate::chunked::for_each_chunk`]: parallel parse in bounded waves),
-//! but instead of writing chunk columns into one frame it hands each
+//! (`chunked::for_each_chunk`: parallel parse in bounded waves), but
+//! instead of writing chunk columns into one frame it hands each
 //! parsed chunk to a fold callback and *drops it*, so peak memory is
 //! O(chunk × workers × wave factor) no matter how long the stream is.
 //!
@@ -18,7 +18,6 @@ use eda_dataframe::csv::chunk::ParsedChunk;
 use eda_dataframe::{Column, DataFrame, Result, Selection};
 use eda_stats::freq::CodeCounts;
 use eda_stats::{ColumnSketch, FrameSketch};
-use eda_taskgraph::ingest::WaveStats;
 
 use crate::chunked::{for_each_chunk, scan, IngestOptions, STREAMING_WAVE_FACTOR};
 use crate::source::ByteSource;
@@ -30,8 +29,6 @@ pub struct FoldOutcome {
     pub rows: u64,
     /// Chunks delivered to the fold.
     pub chunks: usize,
-    /// Wave accounting from the executor.
-    pub waves: WaveStats,
 }
 
 /// Stream a CSV file through `fold`, one parsed chunk at a time, never
@@ -53,14 +50,14 @@ where
     let mut chunks = 0usize;
     // The chunk's step does nothing: each chunk reaches the fold whole.
     let keep = |_, parsed: ParsedChunk| Ok(parsed);
-    let waves = for_each_chunk(&source, &plan, opts, STREAMING_WAVE_FACTOR, keep, |parsed| {
+    for_each_chunk(&source, &plan, opts, STREAMING_WAVE_FACTOR, keep, |parsed| {
         // The chunk as a frame under its chunk-local schema.
         fold(DataFrame::new(plan.names.iter().cloned().zip(parsed.columns).collect())?)?;
         rows += parsed.nrows as u64;
         chunks += 1;
         Ok(())
     })?;
-    Ok(FoldOutcome { rows, chunks, waves })
+    Ok(FoldOutcome { rows, chunks })
 }
 
 /// Fold an entire CSV into a [`FrameSketch`] at bounded memory.

@@ -1,7 +1,7 @@
 //! A minimal SVG canvas plus the standard chart frame.
 //!
 //! Both append to the page under construction: a chart is never a string
-//! of its own. Coordinates go through [`crate::num`], not `core::fmt`.
+//! of its own. Coordinates go through `crate::num`, not `core::fmt`.
 
 use crate::num::{push_f64, push_fixed, push_uint};
 use crate::scale::{push_tick_label, LinearScale};

@@ -49,7 +49,7 @@ impl PearsonPartial {
     }
 
     /// Accumulate the common prefix of two co-indexed columns, NaN
-    /// marking a value to skip: one [`pearson_chunk`] per
+    /// marking a value to skip: one `pearson_chunk` per
     /// [`CHECK_INTERVAL`] pairs, merged, polling the
     /// cooperative-interruption probe before each.
     pub fn push_slices(&mut self, x: &[f64], y: &[f64]) {

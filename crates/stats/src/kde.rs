@@ -13,7 +13,7 @@
 //! costs two multiplies and an add per point instead of an `exp`, and the
 //! walk stops `8.5` bandwidths out, where the Gaussian is `2e-16` of its
 //! peak. The recurrence is restarted from exact `exp`s every
-//! [`RESEED`] points, which bounds its rounding drift however fine the
+//! `RESEED` points, which bounds its rounding drift however fine the
 //! grid. Each step depends on the one before, so a lone walk waits on its
 //! multiplies; when both sides of a sample fit in one restart, the left
 //! and right walks advance in one loop, and the CPU runs the two chains

@@ -3,7 +3,7 @@
 //! Each loop keeps [`LANES`] independent accumulators — element `i` lands
 //! in lane `i % LANES` — with no dependency from one iteration to the
 //! next, which the compiler turns into SIMD in the one default build, and
-//! the lanes fold with the fixed association of [`reduce_sum`]. A result
+//! the lanes fold with the fixed association of `reduce_sum`. A result
 //! therefore depends on its inputs alone, not on how a caller tiled or
 //! scheduled the work. The Pearson chunk kernel
 //! ([`crate::corr::PearsonPartial::push_slices`]) is written the same way.

@@ -14,9 +14,10 @@
 //! invalidates every stale entry.
 //!
 //! The cache is byte-budgeted with LRU eviction: each entry carries the
-//! payload-size estimate from [`crate::trace::estimate_payload_bytes`],
-//! inserts evict least-recently-used entries until the total fits, and an
-//! entry larger than the whole budget is simply not admitted. A budget of
+//! run's payload-size estimate (its [`PayloadSizer`], else
+//! [`crate::trace::estimate_payload_bytes`]), inserts evict
+//! least-recently-used entries until the total fits, and an entry larger
+//! than the whole budget is simply not admitted. A budget of
 //! zero disables the cache entirely (every probe misses, inserts are
 //! dropped), which the executor relies on for bit-identical uncached runs.
 //!
@@ -230,46 +231,19 @@ pub type PayloadSizer = Arc<dyn Fn(&Payload) -> Option<usize> + Send + Sync>;
 
 /// What a scheduler needs to consult the cache for one run: the shared
 /// cache plus the fingerprint of the data this run computes over.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct CacheHandle {
     /// The shared cross-run cache.
     pub cache: Arc<ResultCache>,
     /// Fingerprint of the input data for this run; combined with each
     /// task's structural key to form the cache key.
     pub fingerprint: u64,
-    /// Optional domain sizer consulted before the structural estimate
-    /// when charging an inserted payload against the byte budget.
-    pub sizer: Option<PayloadSizer>,
 }
 
 impl CacheHandle {
     /// Bundle a cache with the current run's data fingerprint.
     pub fn new(cache: Arc<ResultCache>, fingerprint: u64) -> CacheHandle {
-        CacheHandle { cache, fingerprint, sizer: None }
-    }
-
-    /// Attach a domain payload sizer.
-    pub fn with_sizer(mut self, sizer: PayloadSizer) -> CacheHandle {
-        self.sizer = Some(sizer);
-        self
-    }
-
-    /// Byte estimate for a payload: the domain sizer when it recognises
-    /// the type, the structural estimate otherwise.
-    pub fn payload_bytes(&self, payload: &Payload) -> usize {
-        self.sizer
-            .as_ref()
-            .and_then(|s| s(payload))
-            .unwrap_or_else(|| crate::trace::estimate_payload_bytes(payload))
-    }
-}
-
-impl std::fmt::Debug for CacheHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheHandle")
-            .field("fingerprint", &self.fingerprint)
-            .field("cache", &self.cache)
-            .finish()
+        CacheHandle { cache, fingerprint }
     }
 }
 

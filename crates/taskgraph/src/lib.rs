@@ -41,7 +41,6 @@
 pub mod cache;
 pub mod govern;
 pub mod graph;
-pub mod ingest;
 pub mod inject;
 pub mod key;
 pub mod ops;
@@ -54,10 +53,9 @@ pub mod trace;
 pub use cache::{CacheHandle, PayloadSizer, ResultCache};
 pub use govern::{CancelReason, CancelToken, MemoryGauge};
 pub use graph::{NodeId, Payload, TaskGraph};
-pub use ingest::{run_chunk_waves, WaveStats};
 pub use inject::{FaultInjector, FaultMode, FaultPlan, FaultTarget};
 pub use key::TaskKey;
-pub use outcome::{TaskError, TaskFailure, TaskOutcome};
+pub use outcome::{root_failure, TaskError, TaskFailure, TaskOutcome};
 pub use partition::{ChunkMeta, PartitionedFrame};
 pub use stats::ExecStats;
 pub use trace::{LogLevel, RunTrace, SpanStatus, TaskSpan};

@@ -185,6 +185,15 @@ impl TaskOutcome {
     }
 }
 
+/// The error that explains why `outcomes` are not all payloads: the first
+/// direct failure (a panic, a timeout, ...), else the first skip, so a
+/// diagnostic names the actual reason rather than only "skipped". `None`
+/// when every outcome has its payload.
+pub fn root_failure(outcomes: &[TaskOutcome]) -> Option<&Arc<TaskError>> {
+    let errors = || outcomes.iter().filter_map(TaskOutcome::error);
+    errors().find(|e| !matches!(e.failure, TaskFailure::Skipped { .. })).or_else(|| errors().next())
+}
+
 impl fmt::Debug for TaskOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -265,6 +274,24 @@ mod tests {
         assert!(ok.payload().is_some() && ok.error().is_none());
         let failed = TaskOutcome::Failed(Arc::new(err(TaskFailure::Panicked("p".into()))));
         assert!(failed.is_failed() && failed.payload().is_none());
+    }
+
+    #[test]
+    fn root_failure_prefers_a_direct_failure_over_a_skip() {
+        let skip = TaskOutcome::Failed(Arc::new(err(TaskFailure::Skipped {
+            root_cause: 1,
+            root_name: "hist".into(),
+            root_failure: "panicked: x".into(),
+        })));
+        let panic = TaskOutcome::Failed(Arc::new(err(TaskFailure::Panicked("x".into()))));
+        let ok = TaskOutcome::Ok(Arc::new(1i64));
+        let failure = |outcomes: &[TaskOutcome]| root_failure(outcomes).map(|e| e.failure.clone());
+        assert_eq!(failure(std::slice::from_ref(&ok)), None);
+        assert_eq!(
+            failure(&[ok.clone(), skip.clone(), panic]),
+            Some(TaskFailure::Panicked("x".into()))
+        );
+        assert!(matches!(failure(&[skip, ok]), Some(TaskFailure::Skipped { .. })));
     }
 
     #[test]

@@ -82,10 +82,10 @@ pub struct ExecOptions {
     /// letting the run's footprint grow unbounded. `None` disables
     /// accounting entirely.
     pub gauge: Option<MemoryGauge>,
-    /// Domain-aware payload pricing for the memory gauge. When set it is
-    /// consulted first (before the cache's sizer and the generic
-    /// estimator) so budgets see real payload sizes even when the result
-    /// cache is disabled. `None` changes nothing.
+    /// Domain-aware payload pricing for both the cache's byte budget and
+    /// the memory gauge, consulted before the structural estimator
+    /// ([`trace::estimate_payload_bytes`]). `None` prices every payload
+    /// structurally.
     pub sizer: Option<PayloadSizer>,
 }
 
@@ -105,11 +105,6 @@ impl ExecResult {
     pub fn outputs(&self) -> Vec<Payload> {
         // TaskOutcome::unwrap: the documented panic.
         self.outcomes.iter().map(|o| o.clone().unwrap()).collect()
-    }
-
-    /// The first failed output's error, if any.
-    pub fn first_failure(&self) -> Option<Arc<TaskError>> {
-        self.outcomes.iter().find_map(|o| o.error().cloned())
     }
 }
 
@@ -478,7 +473,7 @@ fn cache_insert(opts: &ExecOptions, graph: &TaskGraph, id: NodeId, outcome: &Tas
     }
     match outcome {
         TaskOutcome::Ok(payload) => {
-            let bytes = handle.payload_bytes(payload);
+            let bytes = payload_cost(opts, payload);
             handle.cache.insert(handle.fingerprint, task.key, Arc::clone(payload), bytes)
         }
         TaskOutcome::Failed(_) => 0,
@@ -646,17 +641,14 @@ fn classify_result(
     }
 }
 
-/// Bytes a payload charges against the memory gauge: the explicit
-/// governance sizer when one is set, else the cache's sizer when one is
-/// attached (keeps cache and gauge accounting consistent), else the
-/// generic estimator.
+/// Bytes a payload charges against the cache budget and the memory
+/// gauge: the run's sizer when it recognises the payload, the structural
+/// estimate otherwise.
 fn payload_cost(opts: &ExecOptions, payload: &Payload) -> usize {
-    if let Some(bytes) = opts.sizer.as_ref().and_then(|s| s(payload)) {
-        return bytes;
-    }
-    opts.cache
+    opts.sizer
         .as_ref()
-        .map_or_else(|| trace::estimate_payload_bytes(payload), |h| h.payload_bytes(payload))
+        .and_then(|s| s(payload))
+        .unwrap_or_else(|| trace::estimate_payload_bytes(payload))
 }
 
 /// Build the [`TaskSpan`] for one live node. `queue_wait` is derived

@@ -4,7 +4,7 @@
 //! counts, results), not wall time.
 
 use dataprep_eda::prelude::*;
-use eda_bench::CorrTiling;
+use eda_bench::{unshared_context, CorrTiling};
 use eda_core::compute::overview::{assemble_overview, plan_overview};
 use eda_core::compute::ComputeContext;
 use eda_core::json::intermediates_to_json;
@@ -19,14 +19,9 @@ fn report_shares_computations_across_sections() {
     let df = dataset();
     // Cache off: this test compares task counts with and without CSE, and
     // the cross-call result cache would serve the second report wholesale.
-    let shared_cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
-    let shared = create_report(&df, &shared_cfg).unwrap();
-    let unshared_cfg = Config::from_pairs(vec![
-        ("engine.share_computations", "false"),
-        ("engine.cache_budget_bytes", "0"),
-    ])
-    .unwrap();
-    let unshared = create_report(&df, &unshared_cfg).unwrap();
+    let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+    let shared = create_report(&df, &cfg).unwrap();
+    let unshared = Report::from_context(unshared_context(&df, &cfg)).unwrap();
 
     assert!(shared.stats.cse_hits > 20, "cse hits: {}", shared.stats.cse_hits);
     assert_eq!(unshared.stats.cse_hits, 0);

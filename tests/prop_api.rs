@@ -3,6 +3,8 @@
 //! frames (mixed types, arbitrary null patterns, repeated values).
 
 use dataprep_eda::prelude::*;
+use eda_bench::unshared_context;
+use eda_core::compute::univariate::compute_univariate;
 use eda_dataframe::Column;
 use proptest::prelude::*;
 
@@ -92,9 +94,11 @@ proptest! {
     #[test]
     fn sharing_never_changes_results(df in arb_frame()) {
         let shared = plot(&df, &["f"], &Config::default()).unwrap();
-        let cfg = Config::from_pairs(vec![("engine.share_computations", "false")]).unwrap();
-        let unshared = plot(&df, &["f"], &cfg).unwrap();
-        prop_assert_eq!(shared.intermediates, unshared.intermediates);
+        // Cache off, so the unshared graph computes every node itself.
+        let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+        let (unshared, _, _) =
+            compute_univariate(&mut unshared_context(&df, &cfg), "f").unwrap();
+        prop_assert_eq!(shared.intermediates, unshared);
     }
 
     #[test]
