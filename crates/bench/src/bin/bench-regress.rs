@@ -3,8 +3,8 @@
 //!
 //! Usage:
 //! `cargo run -p eda-bench --release --bin bench-regress -- \
-//!    --experiment cache --baseline bench/baselines/BENCH_cache.json \
-//!    --fresh /tmp/BENCH_cache.json [--tolerance 0.15] [--out delta.txt]`
+//!    --experiment ingest --baseline bench/baselines/BENCH_ingest.json \
+//!    --fresh /tmp/BENCH_ingest.json [--tolerance 0.15] [--out delta.txt]`
 //!
 //! Both files are schema-validated, then the experiment's ratio metrics
 //! (machine-independent by construction) are compared within the

@@ -1,10 +1,10 @@
 //! The CI perf-regression gate behind the `bench-regress` binary.
 //!
-//! Benchmarks write flat JSON result files (`BENCH_partition.json`,
-//! `BENCH_cache.json`); a blessed copy of each is committed under
+//! Benchmarks write flat JSON result files (`BENCH_ingest.json`,
+//! `BENCH_kernels.json`); a blessed copy of each is committed under
 //! `bench/baselines/`. The gate re-runs the benchmark in CI, parses both
 //! files, validates their schemas, and compares the *ratio* metrics
-//! (speedup, peak reduction, hit rate) within a tolerance band. Ratios
+//! (speedups, peak per file byte) within a tolerance band. Ratios
 //! compare a workload against itself on the same machine, so they are
 //! stable across runner hardware in a way absolute microseconds are not —
 //! the absolute columns are validated for presence but never gated.
@@ -174,13 +174,12 @@ impl Parser<'_> {
 pub struct MetricSpec {
     /// JSON key of the metric.
     pub key: &'static str,
-    /// Whether larger values are better (all current gates) — a drop
-    /// below `baseline * (1 - tolerance)` regresses. `false` inverts
-    /// the band.
+    /// Whether larger values are better — a drop below
+    /// `baseline * (1 - tolerance)` regresses. `false` inverts the band.
     pub higher_is_better: bool,
     /// Multiplier on the caller's tolerance for this metric. `1.0` for
-    /// deterministic ratios (hit rate, allocator-counted peak
-    /// reduction); wider for wall-clock ratios (speedup), which carry
+    /// deterministic ratios (allocator-counted peaks); wider for
+    /// wall-clock ratios (speedups), which carry
     /// scheduler noise across runs that would make a tight band flaky
     /// without hiding real collapses.
     pub tolerance_scale: f64,
@@ -205,47 +204,6 @@ pub struct ExperimentSpec {
 
 /// The experiments the gate knows about.
 pub const EXPERIMENTS: &[ExperimentSpec] = &[
-    ExperimentSpec {
-        name: "partition",
-        required: &[
-            "experiment",
-            "rows",
-            "parts",
-            "baseline_us",
-            "zerocopy_us",
-            "baseline_peak_bytes",
-            "zerocopy_peak_bytes",
-            "speedup",
-            "peak_reduction",
-            "peak_rss_bytes",
-        ],
-        gated: &[
-            MetricSpec { key: "speedup", higher_is_better: true, tolerance_scale: 4.0 },
-            MetricSpec { key: "peak_reduction", higher_is_better: true, tolerance_scale: 1.0 },
-        ],
-    },
-    ExperimentSpec {
-        name: "cache",
-        required: &[
-            "experiment",
-            "rows",
-            "cold_us",
-            "warm_us",
-            "speedup",
-            "cache_hits",
-            "cache_misses",
-            "hit_rate",
-            "cache_evictions",
-            "cache_bytes_saved",
-            "cold_peak_bytes",
-            "warm_peak_bytes",
-            "peak_rss_bytes",
-        ],
-        gated: &[
-            MetricSpec { key: "speedup", higher_is_better: true, tolerance_scale: 4.0 },
-            MetricSpec { key: "hit_rate", higher_is_better: true, tolerance_scale: 1.0 },
-        ],
-    },
     ExperimentSpec {
         name: "kernels",
         required: &[
@@ -286,7 +244,7 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
         gated: &[
             // Shared-prep cells vs one pair-kernel call per cell, same
             // columns, back to back; the wide scale absorbs shared-runner
-            // noise like the wall-clock speedups above.
+            // noise.
             MetricSpec { key: "pearson_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             MetricSpec { key: "spearman_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
             MetricSpec { key: "kendall_cell_speedup", higher_is_better: true, tolerance_scale: 4.0 },
@@ -489,33 +447,36 @@ pub fn summary(experiment: &str, deltas: &[Delta], tolerance: f64) -> String {
 mod tests {
     use super::*;
 
-    const CACHE_DOC: &str = concat!(
-        "{\"experiment\":\"cache\",\"rows\":200000,\"cold_us\":2924652,",
-        "\"warm_us\":139400,\"speedup\":20.980,\"cache_hits\":43,",
-        "\"cache_misses\":0,\"hit_rate\":1.0000,\"cache_evictions\":0,",
-        "\"cache_bytes_saved\":14291184,\"cold_peak_bytes\":98343725,",
-        "\"warm_peak_bytes\":17734613,\"peak_rss_bytes\":197984256}"
-    );
+    /// The blessed baselines, as CI gates against them.
+    const BLESSED: [(&str, &str); 2] = [
+        ("ingest", include_str!("../../../bench/baselines/BENCH_ingest.json")),
+        ("kernels", include_str!("../../../bench/baselines/BENCH_kernels.json")),
+    ];
 
-    fn cache_with(speedup: f64, hit_rate: f64) -> FlatJson {
-        let mut doc = parse_flat_json(CACHE_DOC).unwrap();
-        for (k, v) in &mut doc {
-            if k == "speedup" {
-                *v = JsonValue::Num(speedup);
-            } else if k == "hit_rate" {
-                *v = JsonValue::Num(hit_rate);
-            }
+    /// A result of `experiment`: every required key 10, but those in `set`.
+    fn doc_of(experiment_name: &str, set: &[(&str, f64)]) -> FlatJson {
+        let spec = experiment(experiment_name).unwrap();
+        let mut doc: FlatJson = vec![("experiment".into(), JsonValue::Str(experiment_name.into()))];
+        for &key in spec.required.iter().filter(|&&k| k != "experiment") {
+            let value = set.iter().find(|(k, _)| *k == key).map_or(10.0, |&(_, v)| v);
+            doc.push((key.into(), JsonValue::Num(value)));
         }
         doc
     }
 
+    fn delta_of(deltas: &[Delta], metric: &str) -> Delta {
+        deltas.iter().find(|d| d.metric == metric).cloned().unwrap()
+    }
+
     #[test]
     fn parses_real_result_file_shape() {
-        let doc = parse_flat_json(CACHE_DOC).unwrap();
-        assert_eq!(get(&doc, "experiment"), Some(&JsonValue::Str("cache".into())));
-        assert_eq!(get(&doc, "speedup").unwrap().as_num(), Some(20.98));
-        assert_eq!(get(&doc, "cache_misses").unwrap().as_num(), Some(0.0));
-        assert_eq!(doc.len(), 13);
+        for (name, text) in BLESSED {
+            let doc = parse_flat_json(text).unwrap();
+            let spec = experiment(name).unwrap();
+            assert_eq!(get(&doc, "experiment"), Some(&JsonValue::Str(name.into())));
+            assert!(validate(spec, &doc, name).is_ok(), "{name}");
+            assert_eq!(doc.len(), spec.required.len(), "{name}: no key outside the schema");
+        }
     }
 
     #[test]
@@ -535,88 +496,85 @@ mod tests {
 
     #[test]
     fn schema_validation_catches_missing_and_mistagged() {
-        let spec = experiment("cache").unwrap();
-        let doc = parse_flat_json(CACHE_DOC).unwrap();
+        let spec = experiment("ingest").unwrap();
+        let doc = doc_of("ingest", &[]);
         assert!(validate(spec, &doc, "t").is_ok());
 
         let mut missing = doc.clone();
-        missing.retain(|(k, _)| k != "hit_rate");
+        missing.retain(|(k, _)| k != "load_peak_per_file_byte");
         let err = validate(spec, &missing, "t").unwrap_err();
-        assert!(err.contains("hit_rate"), "{err}");
+        assert!(err.contains("load_peak_per_file_byte"), "{err}");
 
-        let err = validate(experiment("partition").unwrap(), &doc, "t").unwrap_err();
+        let err = validate(experiment("kernels").unwrap(), &doc, "t").unwrap_err();
         assert!(err.contains("tag"), "{err}");
     }
 
     #[test]
     fn identical_results_pass() {
-        let spec = experiment("cache").unwrap();
-        let doc = parse_flat_json(CACHE_DOC).unwrap();
-        let deltas = compare(spec, &doc, &doc, 0.15).unwrap();
-        assert_eq!(deltas.len(), 2);
-        assert!(deltas.iter().all(|d| !d.regressed));
+        for (name, text) in BLESSED {
+            let spec = experiment(name).unwrap();
+            let doc = parse_flat_json(text).unwrap();
+            let deltas = compare(spec, &doc, &doc, 0.15).unwrap();
+            assert_eq!(deltas.len(), spec.gated.len());
+            assert!(deltas.iter().all(|d| !d.regressed), "{name}");
+        }
     }
 
     #[test]
     fn improvement_and_in_band_noise_pass() {
-        let spec = experiment("cache").unwrap();
-        let base = parse_flat_json(CACHE_DOC).unwrap();
-        // +30% speedup and a hit-rate dip inside the ±15% band: fine.
-        let fresh = cache_with(27.3, 0.90);
+        let spec = experiment("kernels").unwrap();
+        let base = doc_of("kernels", &[]);
+        // +30% on one speedup, a 10% dip on another: fine.
+        let fresh = doc_of("kernels", &[("kde_speedup", 13.0), ("column_sort_speedup", 9.0)]);
         assert!(compare(spec, &base, &fresh, 0.15).unwrap().iter().all(|d| !d.regressed));
         // A 40% speedup drop is run-to-run scheduler noise territory —
         // inside the widened (4× scale) timing band, so it passes too.
-        let noisy = cache_with(20.98 * 0.6, 1.0);
+        let noisy = doc_of("kernels", &[("kde_speedup", 6.0)]);
         assert!(compare(spec, &base, &noisy, 0.15).unwrap().iter().all(|d| !d.regressed));
+        // A deterministic ratio gets the base band: a 10% larger load
+        // peak passes.
+        let ingest = experiment("ingest").unwrap();
+        let heavier = doc_of("ingest", &[("load_peak_per_file_byte", 11.0)]);
+        let deltas = compare(ingest, &doc_of("ingest", &[]), &heavier, 0.15).unwrap();
+        assert!(deltas.iter().all(|d| !d.regressed));
     }
 
     #[test]
     fn synthetic_regression_fails_the_gate() {
-        let spec = experiment("cache").unwrap();
-        let base = parse_flat_json(CACHE_DOC).unwrap();
-        // The CI smoke injects exactly this: the cache stops hitting, so
-        // hit rate collapses and speedup falls to ~1×.
-        let fresh = cache_with(1.1, 0.5);
+        let spec = experiment("kernels").unwrap();
+        let base = parse_flat_json(BLESSED[1].1).unwrap();
+        // The CI step injects exactly this: `kde_grid` falls back to the
+        // direct sum's speed.
+        let mut fresh = base.clone();
+        for (k, v) in &mut fresh {
+            if k == "kde_speedup" {
+                *v = JsonValue::Num(1.01);
+            }
+        }
         let deltas = compare(spec, &base, &fresh, 0.15).unwrap();
         let bad: Vec<_> = deltas.iter().filter(|d| d.regressed).collect();
-        assert_eq!(bad.len(), 2);
-        assert!(bad.iter().any(|d| d.metric == "speedup"));
-        assert!(bad.iter().any(|d| d.metric == "hit_rate"));
-        assert!(summary("cache", &deltas, 0.15).contains("FAIL"));
+        assert_eq!(bad.len(), 1);
+        assert_eq!(bad[0].metric, "kde_speedup");
+        assert!(summary("kernels", &deltas, 0.15).contains("FAIL"));
     }
 
     #[test]
     fn summary_reports_percent_deltas() {
-        let spec = experiment("cache").unwrap();
-        let base = parse_flat_json(CACHE_DOC).unwrap();
+        let spec = experiment("ingest").unwrap();
+        let base = doc_of("ingest", &[]);
         let deltas = compare(spec, &base, &base, 0.15).unwrap();
-        let text = summary("cache", &deltas, 0.15);
-        assert!(text.contains("speedup"), "{text}");
-        assert!(text.contains("hit_rate"), "{text}");
+        let text = summary("ingest", &deltas, 0.15);
+        assert!(text.contains("projection_speedup"), "{text}");
+        assert!(text.contains("load_peak_per_file_byte"), "{text}");
         assert!(text.contains("verdict: pass"), "{text}");
         assert!(text.contains("+0.0%"), "{text}");
-    }
-
-    /// An `ingest` result: every required key 10, but those in `set`.
-    fn ingest_doc(set: &[(&str, f64)]) -> FlatJson {
-        let spec = experiment("ingest").unwrap();
-        let mut doc: FlatJson = vec![("experiment".into(), JsonValue::Str("ingest".into()))];
-        for &key in spec.required.iter().filter(|&&k| k != "experiment") {
-            let value = set.iter().find(|(k, _)| *k == key).map_or(10.0, |&(_, v)| v);
-            doc.push((key.into(), JsonValue::Num(value)));
-        }
-        doc
-    }
-
-    fn delta_of(deltas: &[Delta], metric: &str) -> Delta {
-        deltas.iter().find(|d| d.metric == metric).cloned().unwrap()
     }
 
     #[test]
     fn parallel_speedup_is_not_compared_across_hosts() {
         let spec = experiment("ingest").unwrap();
         let doc = |host_cores: f64, parallel_speedup: f64| {
-            ingest_doc(&[("host_cores", host_cores), ("parallel_speedup", parallel_speedup)])
+            doc_of("ingest", &[("host_cores", host_cores), ("parallel_speedup", parallel_speedup)])
         };
         let of = delta_of;
         // Same host: a collapse from 1.6x to 0.5x fails the gate.
@@ -640,10 +598,11 @@ mod tests {
     fn a_smaller_load_is_not_an_ingest_regression() {
         let spec = experiment("ingest").unwrap();
         let doc = |load_peak_per_file_byte: f64, staging_reduction: f64| {
-            ingest_doc(&[
+            let set = [
                 ("load_peak_per_file_byte", load_peak_per_file_byte),
                 ("staging_reduction", staging_reduction),
-            ])
+            ];
+            doc_of("ingest", &set)
         };
         // The load stops holding the frame twice: its peak per file byte
         // and its ratio to the streaming fold's peak both halve. Passes,
@@ -660,21 +619,16 @@ mod tests {
     #[test]
     fn lower_is_better_band_inverts() {
         let spec = ExperimentSpec {
-            name: "cache",
-            required: &["experiment", "warm_us"],
+            name: "kernels",
+            required: &["experiment", "missing_x_cached_us"],
             gated: &[MetricSpec {
-                key: "warm_us",
+                key: "missing_x_cached_us",
                 higher_is_better: false,
                 tolerance_scale: 1.0,
             }],
         };
-        let base = parse_flat_json(CACHE_DOC).unwrap();
-        let mut slow = base.clone();
-        for (k, v) in &mut slow {
-            if k == "warm_us" {
-                *v = JsonValue::Num(139400.0 * 1.5);
-            }
-        }
+        let base = doc_of("kernels", &[("missing_x_cached_us", 88.0)]);
+        let slow = doc_of("kernels", &[("missing_x_cached_us", 88.0 * 1.5)]);
         assert!(compare(&spec, &base, &slow, 0.15).unwrap()[0].regressed);
         assert!(!compare(&spec, &base, &base, 0.15).unwrap()[0].regressed);
     }

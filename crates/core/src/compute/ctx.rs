@@ -43,13 +43,14 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
     }
 }
 
-/// Domain sizer for the byte-budgeted cache and the run memory gauge: the
-/// taskgraph's structural estimate only knows primitive containers and
-/// charges a pointer-sized floor for opaque payloads, so the correlation,
-/// KDE and frequency intermediates would be billed ~16 bytes each, never
-/// evict and never trip `engine.memory_budget_bytes`. Each arm charges
-/// the heap bytes the payload owns (a `corr_prep` borrows its column from
-/// the gather payload, which is charged on its own).
+/// Domain sizer for the byte-budgeted cache, the run memory gauge and the
+/// bytes a traced span shows: the taskgraph's structural estimate only
+/// knows primitive containers and charges a pointer-sized floor for
+/// opaque payloads, so the correlation, KDE and frequency intermediates
+/// would be billed ~16 bytes each, never evict, never trip
+/// `engine.memory_budget_bytes` and show 16 bytes in a trace. Each arm
+/// charges the heap bytes the payload owns (a `corr_prep` borrows its
+/// column from the gather payload, which is charged on its own).
 pub fn payload_sizer() -> PayloadSizer {
     use super::cat::{CatFreq, FreqSummary};
     use eda_stats::corr::{ColumnPrep, CorrMatrix};
@@ -206,13 +207,14 @@ impl<'a> ComputeContext<'a> {
     /// output; failed tasks don't poison the rest of the graph.
     pub fn execute_outcomes(&mut self, outputs: &[NodeId]) -> Vec<TaskOutcome> {
         let cache = self.cache_handle();
-        // Both byte budgets price payloads by their real footprint, so the
-        // domain sizer goes along whenever either is on.
-        let sizer = (cache.is_some() || self.gauge.is_some()).then(payload_sizer);
+        // Both byte budgets and the trace's spans price payloads by their
+        // real footprint, so the domain sizer goes along whenever one is on.
+        let trace = self.config.engine.profile;
+        let sizer = (cache.is_some() || self.gauge.is_some() || trace).then(payload_sizer);
         let opts = ExecOptions {
             deadline: self.deadline(),
             observer: self.progress.as_ref().map(Arc::clone),
-            trace: self.config.engine.profile,
+            trace,
             cache,
             cancel: self.cancel.clone(),
             gauge: self.gauge.clone(),
@@ -297,6 +299,25 @@ mod tests {
         let heap = un::<ColumnPrep>(&payload).heap_bytes();
         assert!(heap > eda_taskgraph::trace::estimate_payload_bytes(&payload), "{heap}");
         assert_eq!(charged, heap);
+    }
+
+    #[test]
+    fn a_profiled_span_shows_the_sizer_price_with_the_cache_off() {
+        use eda_stats::corr::ColumnPrep;
+        let df = frame();
+        let cfg =
+            Config::from_pairs(vec![("engine.profile", "true"), ("engine.cache_budget_bytes", "0")])
+                .unwrap();
+        assert_eq!(cfg.engine.memory_budget_bytes, 0, "the gauge is off");
+        let mut ctx = ComputeContext::new(&df, &cfg);
+        let (_, prep) = crate::compute::kernels::plan_corr_prep(&mut ctx, "x");
+        let payload = ctx.execute(&[prep]).remove(0);
+        let heap = un::<ColumnPrep>(&payload).heap_bytes();
+        assert!(heap > eda_taskgraph::trace::estimate_payload_bytes(&payload), "{heap}");
+        let trace =
+            ctx.last_stats.as_ref().and_then(|s| s.trace.clone()).expect("profiled run is traced");
+        let span = trace.spans.iter().find(|s| s.node == prep).expect("corr_prep span");
+        assert_eq!(span.payload_bytes, heap);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! 1. **Precompute stage**: chunk-size metadata is computed up front so the
 //!    lazy graph can be built without inspecting delayed data (the paper's
-//!    fix for `rechunk`, §5.2).
+//!    fix for repartitioning, §5.2).
 //! 2. **Graph construction**: each statistic becomes a map/tree-reduce
 //!    sub-plan over the partitions; structural keys collapse shared
 //!    subcomputations across visualizations.

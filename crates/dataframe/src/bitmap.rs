@@ -380,8 +380,8 @@ impl Bitmap {
 }
 
 /// A set of rows of one window, named by a validity window instead of
-/// materialised. The rows `DataFrame::drop_nulls_in(x)` keeps are `x`'s
-/// set validity bits and the rows it drops are the clear ones, so a kernel
+/// materialised. The rows where `x` is non-null are `x`'s set validity
+/// bits and the rows where it is null are the clear ones, so a kernel
 /// that aggregates "column `c` over the rows where `x` is null" walks two
 /// bitmaps and copies nothing. Built by [`crate::Column::valid_rows`] and
 /// [`crate::Column::null_rows`].

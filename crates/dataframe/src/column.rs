@@ -323,13 +323,13 @@ impl Column {
     }
 
     /// The rows where this column is non-null — the rows
-    /// [`crate::DataFrame::drop_nulls_in`] keeps.
+    /// `df.filter(&column.validity_mask())` keeps.
     pub fn valid_rows(&self) -> Selection<'_> {
         self.validity().map_or(Selection::All, Selection::Set)
     }
 
-    /// The rows where this column is null — the rows
-    /// [`crate::DataFrame::drop_nulls_in`] drops.
+    /// The rows where this column is null — the rows that same filter
+    /// drops.
     pub fn null_rows(&self) -> Selection<'_> {
         self.validity().map_or(Selection::Empty, Selection::Unset)
     }
@@ -679,8 +679,7 @@ impl Column {
     }
 
     /// Deep-copy rows `[start, start + len)` into a freshly allocated
-    /// column (the pre-zero-copy behaviour). Kept for benchmarking the
-    /// copying baseline and for tests that need an independent buffer.
+    /// column: how [`Column::make_unique`] detaches a shared window.
     pub fn slice_copy(&self, start: usize, len: usize) -> Column {
         assert!(start + len <= self.len(), "slice out of bounds");
         fn copy_data<T: Clone>(d: &TypedData<T>, start: usize, len: usize) -> TypedData<T> {
@@ -728,14 +727,9 @@ impl Column {
         })
     }
 
-    /// Vertically concatenate columns of the same type.
-    pub fn concat(parts: &[&Column]) -> Result<Column> {
-        Column::concat_owned(parts.iter().map(|&part| part.clone()).collect())
-    }
-
-    /// [`Column::concat`] over parts the caller gives up: a single part is
-    /// returned as it is, and string parts are joined by their codes (see
-    /// `concat_str`), never string by string.
+    /// Vertically concatenate columns of the same type, taking the parts:
+    /// a single part is returned as it is, and string parts are joined by
+    /// their codes (see `concat_str`), never string by string.
     pub fn concat_owned(parts: Vec<Column>) -> Result<Column> {
         let first = parts.first().ok_or_else(|| Error::Io("concat of zero columns".into()))?;
         let dtype = first.dtype();
@@ -1120,7 +1114,7 @@ mod tests {
     fn concat_round_trip() {
         let a = Column::from_opt_f64(vec![Some(1.0), None]);
         let b = Column::from_f64(vec![3.0]);
-        let out = Column::concat(&[&a, &b]).unwrap();
+        let out = Column::concat_owned(vec![a, b]).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out.null_count(), 1);
         assert_eq!(out.get(2).unwrap(), Value::Float(3.0));
@@ -1131,23 +1125,23 @@ mod tests {
         let c = Column::from_opt_i64((0..30).map(|i| (i % 5 != 2).then_some(i)).collect());
         let left = c.slice(0, 13);
         let right = c.slice(13, 17);
-        let back = Column::concat(&[&left, &right]).unwrap();
+        let back = Column::concat_owned(vec![left, right]).unwrap();
         assert_eq!(back, c);
     }
 
     #[test]
     fn concat_of_one_part_shares_its_buffer() {
         let whole = Column::from_opt_string(vec![Some("a".into()), None, Some("c".into())]);
-        let same = Column::concat(&[&whole]).unwrap();
+        let same = Column::concat_owned(vec![whole.clone()]).unwrap();
         assert_eq!(same, whole);
         assert_eq!(same.fingerprint(), whole.fingerprint(), "one part must not be copied");
         // A window that left the nulls behind drops its bitmap, exactly
         // as the many-part copy does.
         let tail = whole.slice(2, 1);
         assert!(tail.validity().is_some());
-        let shared = Column::concat(&[&tail]).unwrap();
+        let shared = Column::concat_owned(vec![tail.clone()]).unwrap();
         assert!(shared.validity().is_none());
-        let copied = Column::concat(&[&tail, &tail.slice(0, 0)]).unwrap();
+        let copied = Column::concat_owned(vec![tail.clone(), tail.slice(0, 0)]).unwrap();
         assert_eq!(shared, copied);
         assert_eq!(shared.content_fingerprint(), copied.content_fingerprint());
     }
@@ -1237,7 +1231,7 @@ mod tests {
     fn concat_type_mismatch_errors() {
         let a = Column::from_f64(vec![1.0]);
         let b = Column::from_i64(vec![1]);
-        assert!(Column::concat(&[&a, &b]).is_err());
+        assert!(Column::concat_owned(vec![a, b]).is_err());
     }
 
     #[test]

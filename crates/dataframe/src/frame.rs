@@ -278,56 +278,6 @@ impl DataFrame {
         DataFrame { names: self.names.clone(), columns, nrows: len }
     }
 
-    /// Deep-copy rows `[start, start + len)` into freshly allocated
-    /// columns (the pre-zero-copy behaviour). Kept for benchmarking the
-    /// copying baseline and for tests that need independent buffers.
-    pub fn slice_copy(&self, start: usize, len: usize) -> DataFrame {
-        assert!(start + len <= self.nrows, "slice out of bounds");
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Arc::new(c.slice_copy(start, len)))
-            .collect();
-        DataFrame { names: self.names.clone(), columns, nrows: len }
-    }
-
-    /// Split the frame into up-to-`n` contiguous partitions of near-equal
-    /// size. Mirrors Dask's row-wise partitioning; the chunk boundaries are
-    /// exactly the "chunk size information" the paper's §5.2 precomputes.
-    pub fn partition(&self, n: usize) -> Vec<DataFrame> {
-        let n = n.max(1);
-        if self.nrows == 0 {
-            return vec![self.clone()];
-        }
-        let chunk = self.nrows.div_ceil(n);
-        let mut out = Vec::new();
-        let mut start = 0;
-        while start < self.nrows {
-            let len = chunk.min(self.nrows - start);
-            out.push(self.slice(start, len));
-            start += len;
-        }
-        out
-    }
-
-    /// Vertically concatenate frames with identical schemas.
-    pub fn vstack(parts: &[&DataFrame]) -> Result<DataFrame> {
-        let first = parts
-            .first()
-            .ok_or_else(|| Error::Io("vstack of zero frames".into()))?;
-        for p in parts.iter().skip(1) {
-            if p.names != first.names {
-                return Err(Error::Io("vstack schema mismatch".into()));
-            }
-        }
-        let mut columns = Vec::with_capacity(first.ncols());
-        for i in 0..first.ncols() {
-            let cols: Vec<&Column> = parts.iter().map(|p| p.columns[i].as_ref()).collect();
-            columns.push(Arc::new(Column::concat(&cols)?));
-        }
-        DataFrame::from_arcs(first.names.clone(), columns)
-    }
-
     /// Every `k`-th row (deterministic systematic sample), starting at
     /// row 0. `k = 1` returns a clone.
     pub fn stride(&self, k: usize) -> DataFrame {
@@ -337,14 +287,6 @@ impl DataFrame {
         }
         let mask: Bitmap = (0..self.nrows).map(|i| i % k == 0).collect();
         self.filter(&mask).expect("mask length matches")
-    }
-
-    /// Rows where the named column is non-null. Copies every column; the
-    /// EDA kernels read the same rows in place ([`Column::valid_rows`])
-    /// and are tested against this.
-    pub fn drop_nulls_in(&self, name: &str) -> Result<DataFrame> {
-        let mask = self.column(name)?.validity_mask();
-        self.filter(&mask)
     }
 
     /// Total nulls across every column.
@@ -500,38 +442,13 @@ mod tests {
     fn slice_shares_buffers_slice_copy_does_not() {
         let df = sample();
         let view = df.slice(1, 3);
-        let copy = df.slice_copy(1, 3);
         for name in ["a", "b", "c"] {
             let src = df.column(name).unwrap();
+            let copy = src.slice_copy(1, 3);
             assert!(view.column(name).unwrap().shares_buffer(src), "{name} view shares");
-            assert!(!copy.column(name).unwrap().shares_buffer(src), "{name} copy owns");
-            assert_eq!(view.column(name).unwrap(), copy.column(name).unwrap());
+            assert!(!copy.shares_buffer(src), "{name} copy owns");
+            assert_eq!(view.column(name).unwrap(), &copy);
         }
-    }
-
-    #[test]
-    fn partition_covers_all_rows() {
-        let df = sample();
-        let parts = df.partition(3);
-        assert_eq!(parts.iter().map(DataFrame::nrows).sum::<usize>(), 4);
-        assert!(parts.len() <= 3);
-        let rejoined = DataFrame::vstack(&parts.iter().collect::<Vec<_>>()).unwrap();
-        assert_eq!(rejoined, df);
-    }
-
-    #[test]
-    fn partition_of_empty_frame() {
-        let df = DataFrame::new(vec![("a".into(), Column::from_i64(vec![]))]).unwrap();
-        let parts = df.partition(4);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].nrows(), 0);
-    }
-
-    #[test]
-    fn vstack_schema_mismatch() {
-        let a = sample();
-        let b = a.select(&["a", "b"]).unwrap();
-        assert!(DataFrame::vstack(&[&a, &b]).is_err());
     }
 
     #[test]
@@ -543,16 +460,6 @@ mod tests {
         assert_eq!(s.get(1, "a").unwrap(), Value::Int(3));
         assert_eq!(df.stride(1), df);
         assert_eq!(df.stride(100).nrows(), 1);
-    }
-
-    #[test]
-    fn drop_nulls_in_filters_rows() {
-        let df = sample();
-        let d = df.drop_nulls_in("b").unwrap();
-        assert_eq!(d.nrows(), 2);
-        assert_eq!(d.column("b").unwrap().null_count(), 0);
-        // Other columns follow the same mask.
-        assert_eq!(d.get(1, "a").unwrap(), Value::Int(3));
     }
 
     #[test]

@@ -209,25 +209,6 @@ impl FreqTable {
         self.nulls += other.nulls;
     }
 
-    /// The table of the rows that remain once the rows counted in
-    /// `dropped` are removed. `dropped` must count a subset of the rows
-    /// counted here; counts are integers, so the result equals counting
-    /// the remaining rows from scratch — categories that reach zero
-    /// disappear rather than linger with a zero count.
-    pub fn minus(&self, dropped: &FreqTable) -> FreqTable {
-        let mut out = self.clone();
-        for (k, n) in &dropped.counts {
-            match out.counts.get_mut(k) {
-                Some(count) if *count > *n => *count -= n,
-                _ => {
-                    out.counts.remove(k);
-                }
-            }
-        }
-        out.nulls = out.nulls.saturating_sub(dropped.nulls);
-        out
-    }
-
     /// Number of distinct categories.
     pub fn distinct(&self) -> usize {
         self.counts.len()
@@ -339,20 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn minus_subtracts_counts_and_drops_emptied_categories() {
-        let before = sample();
-        let dropped = FreqTable::from_iter(vec![Some("a"), Some("c"), None, Some("b"), Some("b")]);
-        let after = before.minus(&dropped);
-        assert_eq!(after, FreqTable::from_iter(vec![Some("a"), Some("a")]));
-        // "b" and "c" are gone, not present with a zero count.
-        assert_eq!(after.distinct(), 1);
-        assert!(after.iter().all(|(_, n)| n > 0));
-        assert_eq!(after.nulls, 0);
-        assert_eq!(before.minus(&FreqTable::new()), before);
-        assert_eq!(before.minus(&before), FreqTable::new());
-    }
-
-    #[test]
     fn mode() {
         assert_eq!(sample().mode(), Some(("a".to_string(), 3)));
         assert_eq!(FreqTable::new().mode(), None);
@@ -448,12 +415,15 @@ mod tests {
                 codes.top_k(k, label).into_iter().map(|(c, n)| (label(c).to_string(), n)).collect();
             assert_eq!(top, table.top_k(k), "k = {k}");
         }
-        // Partials add and subtract element by element.
+        // Partials add and subtract element by element: dropping rows
+        // leaves the table counted from the rows kept.
         let mut dropped = CodeCounts::new(dict.len());
         [2u32, 4, 4, 4].iter().for_each(|&c| dropped.push(c));
         dropped.nulls = 1;
         let after = codes.minus(&dropped);
-        assert_eq!(after.to_table(label), table.minus(&dropped.to_table(label)));
+        let mut kept = FreqTable::from_iter([0u32, 2, 0, 3].iter().map(|&c| Some(label(c))));
+        kept.nulls = 1;
+        assert_eq!(after.to_table(label), kept);
         assert_eq!(after.distinct(), 3, "ß is gone, not present with a zero count");
         let mut back = after.clone();
         back.add(&dropped);

@@ -1,10 +1,11 @@
 //! Partitioned dataframes and the chunk-size precompute stage.
 //!
-//! The paper hit a Dask issue: `rechunk` needs chunk sizes at *graph
-//! construction* time, but a delayed array doesn't know them (§5.2, "Dask
-//! graph fails to build"). Their fix — ours too — is a precompute stage
-//! that materializes the chunk metadata **before** the lazy graph is
-//! built, then feeds the known sizes into graph construction.
+//! The paper hit a Dask issue: repartitioning needs chunk sizes at
+//! *graph construction* time, but a delayed array doesn't know them
+//! (§5.2, "Dask graph fails to build"). Their fix — ours too — is a
+//! precompute stage that materializes the chunk metadata **before** the
+//! lazy graph is built, then feeds the known sizes into graph
+//! construction.
 //!
 //! [`ChunkMeta`] is that precomputed metadata; [`PartitionedFrame`] is the
 //! chunked dataframe whose partitions become source nodes of a
@@ -20,15 +21,11 @@ use crate::key::TaskKey;
 /// Chunk-size metadata, precomputed before graph construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkMeta {
-    /// Rows per partition.
-    pub sizes: Vec<usize>,
     /// Cumulative row offsets: `offsets[i]` is the first row of partition
-    /// `i`, and `offsets[npartitions()]` equals `total_rows`. Stored at
-    /// precompute time so [`ChunkMeta::range`] is O(1) instead of
-    /// re-summing a prefix of `sizes` on every call.
+    /// `i`, and the last offset is the total row count, so there is one
+    /// more offset than partitions. Stored at precompute time so
+    /// [`ChunkMeta::range`] is O(1).
     pub offsets: Vec<usize>,
-    /// Total rows.
-    pub total_rows: usize,
 }
 
 impl ChunkMeta {
@@ -38,24 +35,26 @@ impl ChunkMeta {
         let n = npartitions.max(1);
         let total = df.nrows();
         if total == 0 {
-            return ChunkMeta { sizes: vec![0], offsets: vec![0, 0], total_rows: 0 };
+            return ChunkMeta { offsets: vec![0, 0] };
         }
         let chunk = total.div_ceil(n);
-        let mut sizes = Vec::new();
         let mut offsets = vec![0];
         let mut start = 0;
         while start < total {
-            let len = chunk.min(total - start);
-            sizes.push(len);
-            start += len;
+            start += chunk.min(total - start);
             offsets.push(start);
         }
-        ChunkMeta { sizes, offsets, total_rows: total }
+        ChunkMeta { offsets }
     }
 
     /// Number of partitions.
     pub fn npartitions(&self) -> usize {
-        self.sizes.len()
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Total rows across the partitions: the last offset.
+    pub fn total_rows(&self) -> usize {
+        self.offsets.last().copied().unwrap_or(0)
     }
 
     /// Half-open row range of partition `i` (empty, at the end, past the
@@ -64,7 +63,7 @@ impl ChunkMeta {
     pub fn range(&self, i: usize) -> (usize, usize) {
         match self.offsets.get(i..=i + 1) {
             Some(&[start, end]) => (start, end),
-            _ => (self.total_rows, self.total_rows),
+            _ => (self.total_rows(), self.total_rows()),
         }
     }
 }
@@ -116,7 +115,7 @@ impl PartitionedFrame {
 
     /// Total rows across partitions.
     pub fn nrows(&self) -> usize {
-        self.meta.total_rows
+        self.meta.total_rows()
     }
 
     /// Install one source node per partition into `graph`, returning their
@@ -128,8 +127,8 @@ impl PartitionedFrame {
             .enumerate()
             .map(|(i, p)| {
                 // The key covers the chunk layout, not just the index: the
-                // same dataset rechunked differently yields different
-                // partition contents and must not dedupe.
+                // same dataset cut into a different number of partitions
+                // yields different partition contents and must not dedupe.
                 let key = TaskKey::leaf(
                     "partition",
                     TaskKey::params(&(self.dataset_id, self.meta.npartitions(), i)),
@@ -138,20 +137,6 @@ impl PartitionedFrame {
                 graph.value("partition", key, part)
             })
             .collect()
-    }
-
-    /// Repartition into `n` chunks. Because chunk sizes were precomputed,
-    /// this never inspects delayed data — the fix for the paper's
-    /// `rechunk` issue.
-    pub fn rechunk(&self, n: usize) -> PartitionedFrame {
-        let refs: Vec<&DataFrame> = self.partitions.iter().map(|p| p.as_ref()).collect();
-        // Partitions of one frame share its schema by construction, so
-        // vstack cannot fail here.
-        #[allow(clippy::expect_used)]
-        let whole = DataFrame::vstack(&refs).expect("partitions share a schema");
-        let mut out = PartitionedFrame::from_frame(&whole, n);
-        out.dataset_id = self.dataset_id; // same data, same identity
-        out
     }
 }
 
@@ -178,26 +163,33 @@ mod tests {
         .unwrap()
     }
 
+    /// Rows per partition, read off the offsets.
+    fn sizes(meta: &ChunkMeta) -> Vec<usize> {
+        (0..meta.npartitions()).map(|i| meta.range(i)).map(|(start, end)| end - start).collect()
+    }
+
     #[test]
     fn precompute_sizes() {
         let meta = ChunkMeta::precompute(&frame(10), 3);
-        assert_eq!(meta.sizes, vec![4, 4, 2]);
-        assert_eq!(meta.total_rows, 10);
+        assert_eq!(sizes(&meta), vec![4, 4, 2]);
+        assert_eq!(meta.total_rows(), 10);
         assert_eq!(meta.range(0), (0, 4));
         assert_eq!(meta.range(2), (8, 10));
+        assert_eq!(meta.range(3), (10, 10), "empty past the last partition");
     }
 
     #[test]
     fn precompute_empty_frame() {
         let meta = ChunkMeta::precompute(&frame(0), 4);
-        assert_eq!(meta.sizes, vec![0]);
+        assert_eq!(sizes(&meta), vec![0]);
         assert_eq!(meta.npartitions(), 1);
+        assert_eq!(meta.total_rows(), 0);
     }
 
     #[test]
     fn precompute_more_partitions_than_rows() {
         let meta = ChunkMeta::precompute(&frame(2), 8);
-        assert_eq!(meta.sizes.iter().sum::<usize>(), 2);
+        assert_eq!(sizes(&meta).iter().sum::<usize>(), 2);
         assert!(meta.npartitions() <= 2);
     }
 
@@ -220,9 +212,10 @@ mod tests {
     fn precompute_offsets_are_cumulative() {
         let meta = ChunkMeta::precompute(&frame(10), 3);
         assert_eq!(meta.offsets, vec![0, 4, 8, 10]);
-        for i in 0..meta.npartitions() {
-            let naive: usize = meta.sizes[..i].iter().sum();
-            assert_eq!(meta.range(i), (naive, naive + meta.sizes[i]));
+        let sizes = sizes(&meta);
+        for (i, size) in sizes.iter().enumerate() {
+            let naive: usize = sizes[..i].iter().sum();
+            assert_eq!(meta.range(i), (naive, naive + size));
         }
         let empty = ChunkMeta::precompute(&frame(0), 4);
         assert_eq!(empty.range(0), (0, 0));
@@ -283,24 +276,5 @@ mod tests {
         let r = crate::scheduler::run(&g, &nodes, 1, &Default::default());
         let f0 = payload_frame(&r.outputs()[0]);
         assert_eq!(f0.nrows(), 2);
-    }
-
-    #[test]
-    fn rechunk_preserves_rows_and_identity() {
-        let pf = PartitionedFrame::from_frame(&frame(12), 3);
-        let re = pf.rechunk(5);
-        assert_eq!(re.nrows(), 12);
-        // ceil-division layout: 12 rows in chunks of ceil(12/5)=3 → 4 parts.
-        assert_eq!(re.npartitions(), 4);
-        assert_eq!(re.dataset_id, pf.dataset_id);
-        // Same identity ⇒ sources shared with the original in one graph.
-        let mut g = TaskGraph::new();
-        pf.source_nodes(&mut g);
-        let before = g.len();
-        re.source_nodes(&mut g);
-        // Different partition count ⇒ different indices may add nodes, but
-        // partition 0..3 of the rechunked frame share keys only if sizes
-        // match; here they don't, so new nodes appear for all 5.
-        assert!(g.len() >= before);
     }
 }

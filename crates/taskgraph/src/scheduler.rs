@@ -82,10 +82,10 @@ pub struct ExecOptions {
     /// letting the run's footprint grow unbounded. `None` disables
     /// accounting entirely.
     pub gauge: Option<MemoryGauge>,
-    /// Domain-aware payload pricing for both the cache's byte budget and
-    /// the memory gauge, consulted before the structural estimator
-    /// ([`trace::estimate_payload_bytes`]). `None` prices every payload
-    /// structurally.
+    /// Domain-aware payload pricing for the cache's byte budget, the
+    /// memory gauge and traced spans, consulted before the structural
+    /// estimator ([`trace::estimate_payload_bytes`]). `None` prices every
+    /// payload structurally.
     pub sizer: Option<PayloadSizer>,
 }
 
@@ -589,7 +589,7 @@ fn execute_node(
     }
     let timing = span_start.map(|start| {
         let end = origin.elapsed();
-        let bytes = outcome.payload().map_or(0, trace::estimate_payload_bytes);
+        let bytes = outcome.payload().map_or(0, |payload| payload_cost(opts, payload));
         (start, end, bytes)
     });
     (outcome, timing)
@@ -642,8 +642,8 @@ fn classify_result(
 }
 
 /// Bytes a payload charges against the cache budget and the memory
-/// gauge: the run's sizer when it recognises the payload, the structural
-/// estimate otherwise.
+/// gauge, and shows in its span: the run's sizer when it recognises the
+/// payload, the structural estimate otherwise.
 fn payload_cost(opts: &ExecOptions, payload: &Payload) -> usize {
     opts.sizer
         .as_ref()

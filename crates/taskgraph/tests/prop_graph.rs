@@ -1,7 +1,7 @@
 //! Property-based tests for the task-graph engine: every worker count
 //! computes the same outcomes and counters on randomly shaped DAGs, CSE
-//! never changes results, and dead-node pruning never executes
-//! unreachable work.
+//! never changes results, dead-node pruning never executes unreachable
+//! work, and a partitioned frame is zero-copy windows over its rows.
 
 // Test code asserts freely; the package-level unwrap/expect deny
 // targets shipped code.
@@ -10,11 +10,13 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use eda_dataframe::{Column, DataFrame};
 use eda_taskgraph::graph::{NodeId, Payload, TaskGraph};
 use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::scheduler::{run, ExecOptions, ExecResult};
 use eda_taskgraph::{
-    CacheHandle, FaultInjector, FaultMode, FaultPlan, FaultTarget, ResultCache, SpanStatus,
+    CacheHandle, FaultInjector, FaultMode, FaultPlan, FaultTarget, PartitionedFrame, ResultCache,
+    SpanStatus,
 };
 use proptest::prelude::*;
 
@@ -95,6 +97,24 @@ fn build(spec: &DagSpec, dedup: bool) -> (TaskGraph, Vec<NodeId>) {
     (g, nodes)
 }
 
+/// A frame of 0 to 120 rows: a nullable int, float and string column.
+fn arb_frame() -> impl Strategy<Value = DataFrame> {
+    let len = 0..120usize;
+    let ints = prop::collection::vec(prop::option::of(-50i64..50), len.clone());
+    let floats = prop::collection::vec(prop::option::of(-1.0e3..1.0e3f64), len.clone());
+    let words = prop::collection::vec(prop::option::of(0u8..5), len);
+    (ints, floats, words).prop_map(|(i, f, w)| {
+        let n = i.len().min(f.len()).min(w.len());
+        let words = w[..n].iter().map(|v| v.map(|c| format!("w{c}"))).collect();
+        DataFrame::new(vec![
+            ("i".into(), Column::from_opt_i64(i[..n].to_vec())),
+            ("f".into(), Column::from_opt_f64(f[..n].to_vec())),
+            ("s".into(), Column::from_opt_string(words)),
+        ])
+        .expect("equal lengths")
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -168,5 +188,26 @@ proptest! {
         let a = run_plain(&g, &outputs, 3);
         let b = run_plain(&g, &outputs, 3);
         prop_assert_eq!(get(&a.outputs()[0]), get(&b.outputs()[0]));
+    }
+
+    #[test]
+    fn partitions_are_in_order_zero_copy_windows(df in arb_frame(), nparts in 1usize..12) {
+        let pf = PartitionedFrame::from_frame(&df, nparts);
+        prop_assert!(pf.npartitions() >= 1 && pf.npartitions() <= nparts);
+        prop_assert_eq!(pf.nrows(), df.nrows());
+        // The partitions cover the rows in order: each starts where the
+        // previous one ended, and the last ends at the frame's end.
+        let mut next = 0;
+        for (i, part) in pf.partitions.iter().enumerate() {
+            let (start, end) = pf.meta.range(i);
+            prop_assert_eq!(start, next);
+            prop_assert_eq!(part.as_ref(), &df.slice(start, end - start));
+            for (name, src) in df.iter() {
+                let view = part.column(name).unwrap();
+                prop_assert!(view.shares_buffer(src), "{} of partition {} is a copy", name, i);
+            }
+            next = end;
+        }
+        prop_assert_eq!(next, df.nrows());
     }
 }

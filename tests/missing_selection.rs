@@ -1,7 +1,7 @@
 //! `plot_missing(df, x[, y])` reads the rows `x` drops in place and derives
 //! `after = before − dropped`; nothing in it copies a filtered frame any
 //! more. These tests hold it to the implementation it replaced, kept here
-//! as the oracle: materialise `df.drop_nulls_in(x)`, run the plain
+//! as the oracle: materialise the rows where `x` is non-null, run the plain
 //! whole-column kernels on the copy, assemble the same charts. Every
 //! comparison is on the intermediates' JSON, byte for byte.
 //!
@@ -50,7 +50,8 @@ impl<'a> Oracle<'a> {
         // The copy is a new frame every time; caching it only fills the
         // session cache with entries nothing can hit.
         cfg.set("engine.cache_budget_bytes", "0").unwrap();
-        Oracle { df, kept: df.drop_nulls_in(x).unwrap(), cfg }
+        let kept = df.filter(&df.column(x).unwrap().validity_mask()).unwrap();
+        Oracle { df, kept, cfg }
     }
 
     /// `y`'s histogram over every row and over the kept rows, both on

@@ -1,9 +1,13 @@
 //! Integration tests for the paper's performance mechanisms: computation
-//! sharing, fine-grained task scoping, two-phase equivalence, and
-//! worker-count agreement — asserted on observable behaviour (task
-//! counts, results), not wall time.
+//! sharing, cross-call caching, fine-grained task scoping, two-phase
+//! equivalence, and worker-count agreement — asserted on observable
+//! behaviour (task counts, results), not wall time.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use dataprep_eda::prelude::*;
+use dataprep_eda::taskgraph::ResultCache;
 use eda_bench::{unshared_context, CorrTiling};
 use eda_core::compute::overview::{assemble_overview, plan_overview};
 use eda_core::compute::ComputeContext;
@@ -37,6 +41,34 @@ fn report_shares_computations_across_sections() {
     for (a, b) in shared.variables.iter().zip(&unshared.variables) {
         assert_eq!(a.intermediates, b.intermediates, "column {}", a.name);
     }
+}
+
+#[test]
+fn warm_report_runs_nothing_and_renders_the_uncached_page() {
+    // A private cache, so no other test can swap the session cache
+    // between the two runs.
+    let df = dataset();
+    let cfg = Config::default();
+    let cache = Arc::new(ResultCache::new(cfg.engine.cache_budget_bytes));
+    let cached = || {
+        Report::from_context(ComputeContext::new(&df, &cfg).with_cache(Arc::clone(&cache))).unwrap()
+    };
+    let cold = cached();
+    assert!(cold.stats.cache_misses > 0);
+    let warm = cached();
+    assert_eq!((warm.stats.tasks_run, warm.stats.cache_misses), (0, 0));
+    assert!(warm.stats.cache_hits > 0);
+
+    let off = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+    let uncached = Report::from_context(ComputeContext::new(&df, &off)).unwrap();
+    assert_eq!(uncached.stats.cache_hits + uncached.stats.cache_misses, 0);
+    // The footer prints the executor's counters, which differ by design.
+    let page = |mut r: Report| {
+        r.stats.elapsed = Duration::ZERO;
+        (r.stats.tasks_run, r.stats.cse_hits) = (0, 0);
+        render_report_html(&r, &cfg.display)
+    };
+    assert!(page(warm) == page(uncached), "the cache-served page differs from the uncached one");
 }
 
 #[test]
