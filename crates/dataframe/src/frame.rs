@@ -452,6 +452,36 @@ mod tests {
     }
 
     #[test]
+    fn partition_covers_all_rows() {
+        // Contiguous slice windows (the partitions the task graph cuts)
+        // cover every row once, in order: rejoined column by column they
+        // give back the frame.
+        let df = sample();
+        let parts = [df.slice(0, 2), df.slice(2, 1), df.slice(3, 1)];
+        assert_eq!(parts.iter().map(DataFrame::nrows).sum::<usize>(), 4);
+        let columns = df
+            .names()
+            .iter()
+            .map(|name| {
+                let windows = parts.iter().map(|p| p.column(name).unwrap().clone()).collect();
+                (name.clone(), Column::concat_owned(windows).unwrap())
+            })
+            .collect();
+        assert_eq!(DataFrame::new(columns).unwrap(), df);
+    }
+
+    #[test]
+    fn partition_of_empty_frame() {
+        // A 0-row frame's one partition is an empty window that keeps
+        // the schema.
+        let df = DataFrame::new(vec![("a".into(), Column::from_i64(vec![]))]).unwrap();
+        let part = df.slice(0, 0);
+        assert_eq!(part.nrows(), 0);
+        assert_eq!(part.schema(), df.schema());
+        assert_eq!(part, df);
+    }
+
+    #[test]
     fn stride_sampling() {
         let df = sample();
         let s = df.stride(2);

@@ -320,6 +320,29 @@ mod tests {
     }
 
     #[test]
+    fn minus_subtracts_counts_and_drops_emptied_categories() {
+        // `sample()` as counts per code over the dictionary a, b, c.
+        let dict = ["a", "b", "c"];
+        let label = |code: u32| dict[code as usize];
+        let count = |rows: &[u32], nulls: u64| {
+            let mut c = CodeCounts::new(dict.len());
+            rows.iter().for_each(|&code| c.push(code));
+            c.nulls = nulls;
+            c
+        };
+        let before = count(&[0, 1, 0, 2, 0, 1], 1);
+        assert_eq!(before.to_table(label), sample());
+        let after = before.minus(&count(&[0, 2, 1, 1], 1));
+        assert_eq!(after.to_table(label), FreqTable::from_iter(vec![Some("a"), Some("a")]));
+        // "b" and "c" are gone, not present with a zero count.
+        assert_eq!(after.distinct(), 1);
+        assert!(after.to_table(label).iter().all(|(_, n)| n > 0));
+        assert_eq!(after.nulls, 0);
+        assert_eq!(before.minus(&CodeCounts::new(dict.len())), before);
+        assert_eq!(before.minus(&before), CodeCounts::new(dict.len()));
+    }
+
+    #[test]
     fn mode() {
         assert_eq!(sample().mode(), Some(("a".to_string(), 3)));
         assert_eq!(FreqTable::new().mode(), None);
