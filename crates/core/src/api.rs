@@ -4,8 +4,10 @@
 //! family, the column count picks the granularity — zero columns is the
 //! overview, one is detailed single-column analysis, two is pair analysis.
 
+use std::sync::Arc;
+
 use eda_dataframe::DataFrame;
-use eda_taskgraph::ExecStats;
+use eda_taskgraph::{ExecStats, TaskError, TaskFailure};
 
 use crate::compute::{
     bivariate, correlation, ctx::ComputeContext, missing, overview, timeseries, univariate,
@@ -15,6 +17,7 @@ use crate::dtype::{detect, SemanticType};
 use crate::error::{EdaError, EdaResult};
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates};
+use crate::report::Report;
 
 /// Which EDA task an [`Analysis`] answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,32 +64,16 @@ pub enum TaskKind {
 pub enum SectionStatus {
     /// Every task behind the section produced its payload.
     Ok,
-    /// The section's computation failed; carries what the diagnostics
-    /// panel renders.
-    Failed {
-        /// Human-readable description of the failure.
-        error: String,
-        /// Name of the root-cause task (e.g. `"moments:price"`).
-        root_task: String,
-        /// Wall-clock time spent before the failure was recorded.
-        elapsed: std::time::Duration,
-    },
+    /// The section's computation failed. Carries the scheduler's error
+    /// for the task that broke (a skip is followed to its root): the
+    /// diagnostics panel reads its text, task and elapsed time from it.
+    Failed(Arc<TaskError>),
 }
 
 impl SectionStatus {
     /// `true` when the section computed fully.
     pub fn is_ok(&self) -> bool {
         matches!(self, SectionStatus::Ok)
-    }
-
-    /// Build a `Failed` status from a scheduler task error, attributing
-    /// skipped tasks to their transitive root cause.
-    pub fn from_task_error(err: &eda_taskgraph::TaskError) -> SectionStatus {
-        SectionStatus::Failed {
-            error: err.to_string(),
-            root_task: err.root_cause().1.to_string(),
-            elapsed: err.elapsed,
-        }
     }
 }
 
@@ -131,7 +118,7 @@ impl Analysis {
 /// notice for the output. `None` when the frame has no more rows than
 /// that. Both the §7 sampling extension (`engine.sample_rows`) and the
 /// degradation ladder take their samples here.
-fn stride_sample(df: &DataFrame, target: usize) -> Option<(DataFrame, crate::insights::Insight)> {
+fn stride_sample(df: &DataFrame, target: usize) -> Option<(DataFrame, Insight)> {
     if target == 0 || df.nrows() <= target {
         return None;
     }
@@ -140,35 +127,58 @@ fn stride_sample(df: &DataFrame, target: usize) -> Option<(DataFrame, crate::ins
     Some((sampled, note))
 }
 
-/// Apply the §7 sampling extension around `run`: when `engine.sample_rows`
-/// is set and the frame is larger, analyze the sample and put its notice
-/// first. Either way the analysis runs on the budget ladder.
-fn with_sample_rows(
+/// What the sampler and the budget ladder need of a call's result: an
+/// [`Analysis`] is one section, a [`Report`] several.
+trait Sections {
+    /// Whether a section failed on the run memory budget.
+    fn over_budget(&self) -> bool;
+    /// Put a sampling notice first among the insights.
+    fn note(&mut self, note: Insight);
+}
+
+/// Whether a section's root failure is a memory-budget refusal — the one
+/// trigger of the degradation ladder.
+fn over_budget(status: &SectionStatus) -> bool {
+    matches!(status, SectionStatus::Failed(err)
+        if matches!(err.root().failure, TaskFailure::BudgetExceeded { .. }))
+}
+
+impl Sections for Analysis {
+    fn over_budget(&self) -> bool {
+        over_budget(&self.status)
+    }
+    fn note(&mut self, note: Insight) {
+        self.insights.insert(0, note);
+    }
+}
+
+impl Sections for Report {
+    fn over_budget(&self) -> bool {
+        self.failed_sections().iter().any(|(_, status)| over_budget(status))
+    }
+    fn note(&mut self, note: Insight) {
+        self.insights.insert(0, note);
+    }
+}
+
+/// Every public call's path around its compute step `run`: when
+/// `engine.sample_rows` is set and the frame is larger, analyze the
+/// sample and put its notice first. Either way the call runs on the
+/// budget ladder: when a section fails on the run memory budget, `run`
+/// is retried once over a quarter sample and the output is flagged
+/// approximate. A retry that fails on the budget again leaves the
+/// original diagnostics in place.
+fn sampled<T: Sections>(
     df: &DataFrame,
     config: &Config,
-    run: impl Fn(&DataFrame) -> EdaResult<Analysis>,
-) -> EdaResult<Analysis> {
-    let Some((sampled, note)) = stride_sample(df, config.engine.sample_rows) else {
+    run: impl Fn(&DataFrame) -> EdaResult<T>,
+) -> EdaResult<T> {
+    let Some((sample, note)) = stride_sample(df, config.engine.sample_rows) else {
         return with_budget_ladder(df, run);
     };
-    let mut analysis = with_budget_ladder(&sampled, run)?;
-    analysis.insights.insert(0, note);
-    Ok(analysis)
-}
-
-fn check_columns(function: &'static str, columns: &[&str], max: usize) -> EdaResult<()> {
-    if columns.len() > max {
-        return Err(EdaError::TooManyColumns { function, max, got: columns.len() });
-    }
-    Ok(())
-}
-
-/// Whether a section failure is a memory-budget refusal — the trigger of
-/// the degradation ladder. The phrase is pinned by `EdaError`'s (and the
-/// scheduler's) budget Display forms, including skip messages that chain
-/// through a budget-failed root.
-fn over_budget(status: &SectionStatus) -> bool {
-    matches!(status, SectionStatus::Failed { error, .. } if error.contains("memory budget"))
+    let mut out = with_budget_ladder(&sample, run)?;
+    out.note(note);
+    Ok(out)
 }
 
 /// How many rows the degradation ladder's fallback input keeps: a
@@ -178,123 +188,86 @@ fn ladder_rows(df: &DataFrame) -> usize {
     (df.nrows() / 4).max(256)
 }
 
-/// Run an analysis; when it degrades on the run memory budget, retry once
-/// over a sampled frame and flag the approximate output. A retry that
-/// still fails leaves the original diagnostics in place.
-fn with_budget_ladder(
+fn with_budget_ladder<T: Sections>(
     df: &DataFrame,
-    run: impl Fn(&DataFrame) -> EdaResult<Analysis>,
-) -> EdaResult<Analysis> {
-    let analysis = run(df)?;
-    if !over_budget(&analysis.status) {
-        return Ok(analysis);
+    run: impl Fn(&DataFrame) -> EdaResult<T>,
+) -> EdaResult<T> {
+    let out = run(df)?;
+    if !out.over_budget() {
+        return Ok(out);
     }
     let Some((small, note)) = stride_sample(df, ladder_rows(df)) else {
-        return Ok(analysis);
+        return Ok(out);
     };
     let mut retry = run(&small)?;
-    if retry.status.is_ok() {
-        retry.insights.insert(0, note);
-        return Ok(retry);
+    if retry.over_budget() {
+        return Ok(out);
     }
-    Ok(analysis)
+    retry.note(note);
+    Ok(retry)
 }
 
-/// Degrade a task-level failure into an `Analysis` with a `Failed`
-/// status (graceful degradation: the caller still gets stats and a
-/// renderable diagnostics panel). Planning errors — unknown column, bad
-/// config, wrong arity — pass through as `Err` unchanged.
-fn degraded(task: TaskKind, stats: Option<ExecStats>, err: EdaError) -> EdaResult<Analysis> {
-    let root_task = match &err {
-        EdaError::TaskFailed { task, .. }
-        | EdaError::Timeout { task, .. }
-        | EdaError::Cancelled { task, .. }
-        | EdaError::BudgetExceeded { task, .. } => task.clone(),
-        _ => return Err(err),
-    };
-    // Prefer the failing task's own span duration (profiled runs) over
-    // the coarse whole-run elapsed.
-    let elapsed = stats
-        .as_ref()
-        .and_then(|s| s.trace.as_ref())
-        .and_then(|t| t.elapsed_of(&root_task))
-        .or_else(|| stats.as_ref().map(|s| s.elapsed))
-        .unwrap_or_default();
-    Ok(Analysis {
-        task,
-        intermediates: Intermediates::new(),
-        insights: Vec::new(),
-        stats,
-        status: SectionStatus::Failed { error: err.to_string(), root_task, elapsed },
+/// What a `plot*` call's compute step returns: the task it answers and
+/// what computing it gave.
+type Computed = (TaskKind, EdaResult<(Intermediates, Vec<Insight>)>);
+
+/// The one path of the `plot*` calls: sample and ladder ([`sampled`]),
+/// then a fresh [`ComputeContext`] per attempt and `compute` on it. A
+/// task failure degrades into an `Analysis` with a `Failed` status (the
+/// caller still gets stats and a renderable diagnostics panel); planning
+/// errors — unknown column, bad config — pass through as `Err`.
+fn analyze(
+    df: &DataFrame,
+    config: &Config,
+    compute: impl Fn(&mut ComputeContext<'_>) -> EdaResult<Computed>,
+) -> EdaResult<Analysis> {
+    sampled(df, config, |df| {
+        let mut ctx = ComputeContext::new(df, config);
+        let (task, computed) = compute(&mut ctx)?;
+        let (intermediates, insights, status) = match computed {
+            Ok((intermediates, insights)) => (intermediates, insights, SectionStatus::Ok),
+            Err(EdaError::Task(err)) => {
+                (Intermediates::new(), Vec::new(), SectionStatus::Failed(err))
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(Analysis { task, intermediates, insights, stats: ctx.last_stats, status })
     })
+}
+
+fn check_columns(function: &'static str, columns: &[&str], max: usize) -> EdaResult<()> {
+    if columns.len() > max {
+        return Err(EdaError::TooManyColumns { function, max, got: columns.len() });
+    }
+    Ok(())
 }
 
 /// `plot(df, cols, config)`: overview (0 columns), univariate (1), or
 /// bivariate (2) analysis.
 pub fn plot(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Analysis> {
     check_columns("plot", columns, 2)?;
-    with_sample_rows(df, config, |df| plot_inner(df, columns, config))
-}
-
-fn plot_inner(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Analysis> {
-    let mut ctx = ComputeContext::new(df, config);
-    match columns {
-        [] => match overview::compute_overview(&mut ctx) {
-            Ok((intermediates, insights)) => Ok(Analysis {
-                task: TaskKind::Overview,
-                intermediates,
-                insights,
-                stats: ctx.last_stats,
-                status: SectionStatus::Ok,
-            }),
-            Err(e) => degraded(TaskKind::Overview, ctx.last_stats, e),
-        },
-        [x] => {
-            // Detect up front so a degraded analysis still knows its task.
-            let semantic = detect(df.column(x)?, config.types.low_cardinality);
-            match univariate::compute_univariate(&mut ctx, x) {
-                Ok((intermediates, insights, semantic)) => Ok(Analysis {
-                    task: TaskKind::Univariate { column: x.to_string(), semantic },
-                    intermediates,
-                    insights,
-                    stats: ctx.last_stats,
-                    status: SectionStatus::Ok,
-                }),
-                Err(e) => degraded(
-                    TaskKind::Univariate { column: x.to_string(), semantic },
-                    ctx.last_stats,
-                    e,
-                ),
-            }
-        }
-        [x, y] => {
-            let semantics = (
-                detect(df.column(x)?, config.types.low_cardinality),
-                detect(df.column(y)?, config.types.low_cardinality),
-            );
-            match bivariate::compute_bivariate(&mut ctx, x, y) {
-                Ok((intermediates, insights, semantics)) => Ok(Analysis {
-                    task: TaskKind::Bivariate {
-                        columns: (x.to_string(), y.to_string()),
-                        semantics,
-                    },
-                    intermediates,
-                    insights,
-                    stats: ctx.last_stats,
-                    status: SectionStatus::Ok,
-                }),
-                Err(e) => degraded(
-                    TaskKind::Bivariate {
-                        columns: (x.to_string(), y.to_string()),
-                        semantics,
-                    },
-                    ctx.last_stats,
-                    e,
-                ),
-            }
-        }
-        _ => unreachable!("checked above"),
-    }
+    analyze(df, config, |ctx| {
+        // Detect up front so a degraded analysis still knows its task.
+        let df = ctx.df;
+        let semantic = |c: &str| -> EdaResult<_> {
+            Ok(detect(df.column(c)?, config.types.low_cardinality))
+        };
+        Ok(match columns {
+            [] => (TaskKind::Overview, overview::compute_overview(ctx)),
+            [x] => (
+                TaskKind::Univariate { column: x.to_string(), semantic: semantic(x)? },
+                univariate::compute_univariate(ctx, x).map(|(ims, ins, _)| (ims, ins)),
+            ),
+            [x, y] => (
+                TaskKind::Bivariate {
+                    columns: (x.to_string(), y.to_string()),
+                    semantics: (semantic(x)?, semantic(y)?),
+                },
+                bivariate::compute_bivariate(ctx, x, y).map(|(ims, ins, _)| (ims, ins)),
+            ),
+            _ => unreachable!("checked above"),
+        })
+    })
 }
 
 /// `plot_correlation(df, cols, config)`: matrix overview (0 columns),
@@ -305,76 +278,43 @@ pub fn plot_correlation(
     config: &Config,
 ) -> EdaResult<Analysis> {
     check_columns("plot_correlation", columns, 2)?;
-    with_budget_ladder(df, |df| plot_correlation_inner(df, columns, config))
-}
-
-fn plot_correlation_inner(
-    df: &DataFrame,
-    columns: &[&str],
-    config: &Config,
-) -> EdaResult<Analysis> {
-    let mut ctx = ComputeContext::new(df, config);
-    let (task, computed) = match columns {
-        [] => (
-            TaskKind::CorrelationOverview,
-            correlation::compute_correlation_overview(&mut ctx),
-        ),
-        [x] => (
-            TaskKind::CorrelationVector(x.to_string()),
-            correlation::compute_correlation_vector(&mut ctx, x),
-        ),
-        [x, y] => (
-            TaskKind::CorrelationPair(x.to_string(), y.to_string()),
-            correlation::compute_correlation_pair(&mut ctx, x, y),
-        ),
-        _ => unreachable!("checked above"),
-    };
-    match computed {
-        Ok((intermediates, insights)) => Ok(Analysis {
-            task,
-            intermediates,
-            insights,
-            stats: ctx.last_stats,
-            status: SectionStatus::Ok,
-        }),
-        Err(e) => degraded(task, ctx.last_stats, e),
-    }
+    analyze(df, config, |ctx| {
+        Ok(match columns {
+            [] => (
+                TaskKind::CorrelationOverview,
+                correlation::compute_correlation_overview(ctx),
+            ),
+            [x] => (
+                TaskKind::CorrelationVector(x.to_string()),
+                correlation::compute_correlation_vector(ctx, x),
+            ),
+            [x, y] => (
+                TaskKind::CorrelationPair(x.to_string(), y.to_string()),
+                correlation::compute_correlation_pair(ctx, x, y),
+            ),
+            _ => unreachable!("checked above"),
+        })
+    })
 }
 
 /// `plot_missing(df, cols, config)`: nullity overview (0 columns), impact
 /// of one column's missing rows on the rest (1), or on one column (2).
 pub fn plot_missing(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Analysis> {
     check_columns("plot_missing", columns, 2)?;
-    with_budget_ladder(df, |df| plot_missing_inner(df, columns, config))
-}
-
-fn plot_missing_inner(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Analysis> {
-    let mut ctx = ComputeContext::new(df, config);
-    let (task, computed) = match columns {
-        [] => (
-            TaskKind::MissingOverview,
-            missing::compute_missing_overview(&mut ctx),
-        ),
-        [x] => (
-            TaskKind::MissingImpact(x.to_string()),
-            missing::compute_missing_impact(&mut ctx, x),
-        ),
-        [x, y] => (
-            TaskKind::MissingPair(x.to_string(), y.to_string()),
-            missing::compute_missing_pair(&mut ctx, x, y),
-        ),
-        _ => unreachable!("checked above"),
-    };
-    match computed {
-        Ok((intermediates, insights)) => Ok(Analysis {
-            task,
-            intermediates,
-            insights,
-            stats: ctx.last_stats,
-            status: SectionStatus::Ok,
-        }),
-        Err(e) => degraded(task, ctx.last_stats, e),
-    }
+    analyze(df, config, |ctx| {
+        Ok(match columns {
+            [] => (TaskKind::MissingOverview, missing::compute_missing_overview(ctx)),
+            [x] => (
+                TaskKind::MissingImpact(x.to_string()),
+                missing::compute_missing_impact(ctx, x),
+            ),
+            [x, y] => (
+                TaskKind::MissingPair(x.to_string(), y.to_string()),
+                missing::compute_missing_pair(ctx, x, y),
+            ),
+            _ => unreachable!("checked above"),
+        })
+    })
 }
 
 /// `plot_timeseries(df, time, value, config)`: time-series analysis —
@@ -387,43 +327,18 @@ pub fn plot_timeseries(
     value: &str,
     config: &Config,
 ) -> EdaResult<Analysis> {
-    with_sample_rows(df, config, |df| plot_timeseries_inner(df, time, value, config))
-}
-
-fn plot_timeseries_inner(
-    df: &DataFrame,
-    time: &str,
-    value: &str,
-    config: &Config,
-) -> EdaResult<Analysis> {
-    let mut ctx = ComputeContext::new(df, config);
-    let task = TaskKind::TimeSeries(time.to_string(), value.to_string());
-    let (intermediates, insights) = match timeseries::compute_timeseries(&mut ctx, time, value) {
-        Ok(parts) => parts,
-        Err(e) => return degraded(task, ctx.last_stats, e),
-    };
-    Ok(Analysis { task, intermediates, insights, stats: ctx.last_stats, status: SectionStatus::Ok })
+    analyze(df, config, |ctx| {
+        let task = TaskKind::TimeSeries(time.to_string(), value.to_string());
+        Ok((task, timeseries::compute_timeseries(ctx, time, value)))
+    })
 }
 
 /// `create_report(df, config)`: the full profile report. See
 /// [`crate::report`].
 ///
-/// Budget-laddered like the `plot*` calls: a report whose sections
-/// degrade on the run memory budget is recomputed once over a sampled
-/// frame and flagged approximate.
-pub fn create_report(df: &DataFrame, config: &Config) -> EdaResult<crate::report::Report> {
-    let report = crate::report::Report::create(df, config)?;
-    let budget_failed = report.failed_sections().iter().any(|(_, s)| over_budget(s));
-    if budget_failed {
-        if let Some((small, note)) = stride_sample(df, ladder_rows(df)) {
-            let mut retry = crate::report::Report::create(&small, config)?;
-            if !retry.failed_sections().iter().any(|(_, s)| over_budget(s)) {
-                retry.insights.insert(0, note);
-                return Ok(retry);
-            }
-        }
-    }
-    Ok(report)
+/// Sampled and budget-laddered like the `plot*` calls.
+pub fn create_report(df: &DataFrame, config: &Config) -> EdaResult<Report> {
+    sampled(df, config, |df| Report::create(df, config))
 }
 
 #[cfg(test)]
@@ -595,6 +510,32 @@ mod tests {
         assert_eq!(a.insights.first(), Some(&ladder_note));
         let on_ladder_rows = plot(&ladder, &["price"], &Config::default()).unwrap();
         assert_eq!(a.get("stats"), on_ladder_rows.get("stats"));
+    }
+
+    /// `engine.sample_rows` holds for every call, not only `plot` and
+    /// `plot_timeseries`: on a frame larger than the target,
+    /// `plot_correlation`, `plot_missing` and `create_report` compute over
+    /// the sample and put its notice first.
+    #[test]
+    fn sample_rows_applies_to_every_call() {
+        let df = frame();
+        let cfg = Config::from_pairs(vec![("engine.sample_rows", "50")]).unwrap();
+        let exact = Config::default();
+        let (sample, note) = stride_sample(&df, 50).expect("200 rows shrink");
+        let calls = [
+            (plot_correlation(&df, &[], &cfg), plot_correlation(&sample, &[], &exact)),
+            (plot_missing(&df, &["price"], &cfg), plot_missing(&sample, &["price"], &exact)),
+        ];
+        for (sampled, on_sample) in calls {
+            let (sampled, on_sample) = (sampled.unwrap(), on_sample.unwrap());
+            assert_eq!(sampled.insights.first(), Some(&note), "{:?}", sampled.task);
+            assert_eq!(sampled.intermediates, on_sample.intermediates, "{:?}", sampled.task);
+        }
+        let report = create_report(&df, &cfg).unwrap();
+        let on_sample = create_report(&sample, &exact).unwrap();
+        assert_eq!(report.insights.first(), Some(&note));
+        assert_eq!(report.insights[1..], on_sample.insights[..]);
+        assert_eq!(report.overview, on_sample.overview);
     }
 
     #[test]

@@ -275,33 +275,29 @@ pub fn compute_correlation_pair(
     Ok((ims, insights))
 }
 
-/// Eager reference implementation used by tests to validate the graph
-/// plan: one pair-kernel call per cell over materialized columns.
-#[doc(hidden)]
-pub fn reference_matrices(
-    df: &eda_dataframe::DataFrame,
-    names: &[String],
-) -> Vec<CorrMatrix> {
-    let columns: Vec<(String, Vec<f64>)> = names
-        .iter()
-        .map(|n| {
-            (
-                n.clone(),
-                df.column(n).expect("exists").to_f64_nan().expect("numeric"),
-            )
-        })
-        .collect();
-    CorrMethod::ALL
-        .iter()
-        .map(|&m| CorrMatrix::compute(&columns, m))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Config;
     use eda_dataframe::{Column, DataFrame};
+
+    /// Eager reference implementation used by tests to validate the graph
+    /// plan: one pair-kernel call per cell over materialized columns.
+    fn reference_matrices(df: &DataFrame, names: &[String]) -> Vec<CorrMatrix> {
+        let columns: Vec<(String, Vec<f64>)> = names
+            .iter()
+            .map(|n| {
+                (
+                    n.clone(),
+                    df.column(n).expect("exists").to_f64_nan().expect("numeric"),
+                )
+            })
+            .collect();
+        CorrMethod::ALL
+            .iter()
+            .map(|&m| CorrMatrix::compute(&columns, m))
+            .collect()
+    }
 
     fn frame() -> DataFrame {
         let n = 120;

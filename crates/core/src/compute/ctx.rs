@@ -11,7 +11,7 @@ use std::sync::Arc;
 use eda_dataframe::DataFrame;
 use eda_taskgraph::graph::Payload;
 use eda_taskgraph::outcome::{root_failure, TaskOutcome};
-use eda_taskgraph::scheduler::{self, ExecOptions, ProgressObserver};
+use eda_taskgraph::scheduler::{self, ExecOptions};
 use eda_taskgraph::govern::{self, CancelToken, MemoryGauge};
 use eda_taskgraph::{
     CacheHandle, ExecStats, NodeId, PartitionedFrame, PayloadSizer, ResultCache, TaskGraph,
@@ -92,8 +92,6 @@ pub struct ComputeContext<'a> {
     pub sources: Vec<NodeId>,
     /// Cumulative stats across `execute` calls.
     pub last_stats: Option<ExecStats>,
-    /// Optional progress observer (the Figure 1 progress bar).
-    pub progress: Option<ProgressObserver>,
     /// Result cache override; `None` uses the process-wide session cache.
     /// Tests inject a private cache here for deterministic warm/cold runs.
     pub cache_override: Option<Arc<ResultCache>>,
@@ -153,18 +151,10 @@ impl<'a> ComputeContext<'a> {
             graph,
             sources,
             last_stats: None,
-            progress: None,
             cache_override: None,
             cancel,
             gauge,
         }
-    }
-
-    /// Attach a progress observer; each executed task reports
-    /// `(completed, total)`.
-    pub fn with_progress(mut self, observer: ProgressObserver) -> Self {
-        self.progress = Some(observer);
-        self
     }
 
     /// Use a private result cache instead of the process-wide one.
@@ -213,7 +203,6 @@ impl<'a> ComputeContext<'a> {
         let sizer = (cache.is_some() || self.gauge.is_some() || trace).then(payload_sizer);
         let opts = ExecOptions {
             deadline: self.deadline(),
-            observer: self.progress.as_ref().map(Arc::clone),
             trace,
             cache,
             cancel: self.cancel.clone(),
@@ -236,12 +225,12 @@ impl<'a> ComputeContext<'a> {
         self.execute_outcomes(outputs).into_iter().map(TaskOutcome::unwrap).collect()
     }
 
-    /// Execute and surface the first task failure as an [`EdaError`]
+    /// Execute and surface the [`root_failure`] as [`EdaError::Task`]
     /// instead of panicking — the recoverable path for `plot*` calls.
     pub fn execute_checked(&mut self, outputs: &[NodeId]) -> EdaResult<Vec<Payload>> {
         let outcomes = self.execute_outcomes(outputs);
         if let Some(err) = root_failure(&outcomes) {
-            return Err(EdaError::from(err.as_ref()));
+            return Err(EdaError::Task(Arc::clone(err)));
         }
         Ok(outcomes.into_iter().map(TaskOutcome::unwrap).collect())
     }
@@ -332,24 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_observer_reports_completions() {
-        let df = frame();
-        let cfg = Config::default();
-        let count = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let c2 = Arc::clone(&count);
-        let mut ctx = ComputeContext::new(&df, &cfg).with_progress(Arc::new(move |done, total| {
-            assert!(done <= total);
-            c2.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        }));
-        let outs: Vec<NodeId> = ctx.sources.clone();
-        ctx.execute(&outs);
-        assert_eq!(
-            count.load(std::sync::atomic::Ordering::SeqCst),
-            ctx.last_stats.as_ref().unwrap().tasks_run
-        );
-    }
-
-    #[test]
     fn execute_checked_surfaces_task_failures_as_errors() {
         let df = frame();
         let cfg = Config::default();
@@ -360,7 +331,7 @@ mod tests {
         let good = ctx.sources[0];
         let err = ctx.execute_checked(&[bad]).unwrap_err();
         assert!(
-            matches!(&err, crate::error::EdaError::TaskFailed { task, .. } if task == "explode"),
+            matches!(&err, crate::error::EdaError::Task(e) if e.name == "explode"),
             "{err}"
         );
         // The same context still executes healthy outputs.
@@ -393,7 +364,11 @@ mod tests {
             Arc::clone(&d[0])
         });
         let err = ctx.execute_checked(&[slow]).unwrap_err();
-        assert!(matches!(err, crate::error::EdaError::Timeout { .. }), "{err}");
+        assert!(
+            matches!(&err, crate::error::EdaError::Task(e)
+                if matches!(e.failure, eda_taskgraph::TaskFailure::TimedOut { .. })),
+            "{err}"
+        );
         assert_eq!(ctx.last_stats.as_ref().unwrap().tasks_timed_out, 1);
     }
 

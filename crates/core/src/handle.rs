@@ -58,7 +58,7 @@ impl<T> AnalysisHandle<T> {
 
     /// Wait for the analysis and return its result. A panic on the
     /// analysis thread (a bug — kernel panics are isolated per task)
-    /// surfaces as [`EdaError::TaskFailed`] rather than propagating.
+    /// surfaces as [`EdaError::ThreadPanicked`] rather than propagating.
     pub fn join(mut self) -> EdaResult<T> {
         let thread = self.thread.take().expect("thread present until join");
         thread.join().unwrap_or_else(|payload| {
@@ -67,7 +67,7 @@ impl<T> AnalysisHandle<T> {
                 .map(|s| (*s).to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "analysis thread panicked".to_string());
-            Err(EdaError::TaskFailed { task: "analysis-thread".into(), message })
+            Err(EdaError::ThreadPanicked(message))
         })
     }
 }
@@ -140,8 +140,8 @@ mod tests {
         // Either the run finished before the cancel landed (tiny frame,
         // fast machine) or some sections report the cancellation.
         for (_, status) in report.failed_sections() {
-            if let crate::api::SectionStatus::Failed { error, .. } = status {
-                assert!(error.contains("cancel"), "{error}");
+            if let crate::api::SectionStatus::Failed(error) = status {
+                assert!(error.to_string().contains("cancel"), "{error}");
             }
         }
     }

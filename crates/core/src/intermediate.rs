@@ -222,15 +222,6 @@ impl Intermediates {
             .map(|(_, i)| i)
     }
 
-    /// All intermediates with this name prefix (e.g. every per-column
-    /// histogram of an overview).
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, &'a Inter)> {
-        self.items
-            .iter()
-            .filter(move |(n, _)| n.starts_with(prefix))
-            .map(|(n, i)| (n.as_str(), i))
-    }
-
     /// Iterate all `(name, intermediate)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Inter)> {
         self.items.iter().map(|(n, i)| (n.as_str(), i))
@@ -265,15 +256,6 @@ mod tests {
         assert!(matches!(ims.get("histogram"), Some(Inter::Histogram { .. })));
         assert!(ims.get("nope").is_none());
         assert_eq!(ims.names(), vec!["histogram", "kde_plot"]);
-    }
-
-    #[test]
-    fn prefix_lookup() {
-        let mut ims = Intermediates::new();
-        ims.push("histogram:a", Inter::Kde { xs: vec![], ys: vec![] });
-        ims.push("histogram:b", Inter::Kde { xs: vec![], ys: vec![] });
-        ims.push("bar:a", Inter::Kde { xs: vec![], ys: vec![] });
-        assert_eq!(ims.with_prefix("histogram:").count(), 2);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub struct Report {
 /// root cause).
 fn section_payloads(outcomes: &[TaskOutcome]) -> Result<Vec<Payload>, SectionStatus> {
     match root_failure(outcomes) {
-        Some(err) => Err(SectionStatus::from_task_error(err)),
+        Some(err) => Err(SectionStatus::Failed(Arc::clone(err))),
         None => Ok(outcomes
             .iter()
             .map(|o| Arc::clone(o.payload().expect("no failures in section")))
@@ -238,24 +238,6 @@ impl Report {
             Err(status) => (Intermediates::new(), status),
         };
 
-        // On profiled runs, replace each failed section's coarse run-level
-        // elapsed with the root-cause task's own span duration.
-        let refine = |status: SectionStatus| -> SectionStatus {
-            match (&stats.trace, status) {
-                (Some(trace), SectionStatus::Failed { error, root_task, elapsed }) => {
-                    let elapsed = trace.elapsed_of(&root_task).unwrap_or(elapsed);
-                    SectionStatus::Failed { error, root_task, elapsed }
-                }
-                (_, s) => s,
-            }
-        };
-        let overview_status = refine(overview_status);
-        let correlations_status = refine(correlations_status);
-        let missing_status = refine(missing_status);
-        for v in &mut variables {
-            v.status = refine(v.status.clone());
-        }
-
         Ok(Report {
             overview,
             overview_status,
@@ -290,17 +272,6 @@ impl Report {
         out
     }
 
-    /// Total number of charts/tables across all sections.
-    pub fn chart_count(&self) -> usize {
-        self.overview.len()
-            + self
-                .variables
-                .iter()
-                .map(|v| v.intermediates.len())
-                .sum::<usize>()
-            + self.correlations.len()
-            + self.missing.len()
-    }
 }
 
 #[cfg(test)]
@@ -346,7 +317,10 @@ mod tests {
         assert_eq!(report.correlations.len(), 3);
         assert!(report.overview.get("stats").is_some());
         assert!(report.missing.get("dendrogram").is_some());
-        assert!(report.chart_count() > 15);
+        let charts: usize = report.variables.iter().map(|v| v.intermediates.len()).sum();
+        assert!(
+            report.overview.len() + charts + report.correlations.len() + report.missing.len() > 15
+        );
     }
 
     #[test]
@@ -374,8 +348,8 @@ mod tests {
         assert!(report.stats.tasks_failed >= 1, "{:?}", report.stats);
         let city = report.variables.iter().find(|v| v.name == "city").unwrap();
         assert!(!city.status.is_ok());
-        if let SectionStatus::Failed { root_task, .. } = &city.status {
-            assert!(root_task.contains("freq:city"), "{root_task}");
+        if let SectionStatus::Failed(err) = &city.status {
+            assert!(err.name.contains("freq:city"), "{err}");
         }
         // Other variable sections are intact, with real content.
         let price = report.variables.iter().find(|v| v.name == "price").unwrap();

@@ -146,11 +146,6 @@ impl DataFrame {
         Ok(())
     }
 
-    /// Whether a column of this name exists.
-    pub fn has_column(&self, name: &str) -> bool {
-        self.names.iter().any(|n| n == name)
-    }
-
     // ---- access -----------------------------------------------------------
 
     /// Borrow a column by name.
@@ -164,11 +159,6 @@ impl DataFrame {
             .get(i)
             .map(|c| c.as_ref())
             .ok_or(Error::IndexOutOfBounds { index: i, len: self.columns.len() })
-    }
-
-    /// The shared handle for a column (cheap clone).
-    pub fn column_arc(&self, name: &str) -> Result<Arc<Column>> {
-        self.index_of(name).map(|i| Arc::clone(&self.columns[i]))
     }
 
     /// Position of a named column.
@@ -204,20 +194,6 @@ impl DataFrame {
             out_cols.push(Arc::clone(&self.columns[i]));
         }
         DataFrame::from_arcs(out_names, out_cols)
-    }
-
-    /// A frame without the named columns. O(#columns).
-    pub fn drop_columns(&self, names: &[&str]) -> Result<DataFrame> {
-        for &n in names {
-            self.index_of(n)?;
-        }
-        let keep: Vec<&str> = self
-            .names
-            .iter()
-            .map(String::as_str)
-            .filter(|n| !names.contains(n))
-            .collect();
-        self.select(&keep)
     }
 
     /// A frame with `column` appended (or replaced when the name exists).
@@ -378,8 +354,8 @@ mod tests {
         assert!(df.column("nope").is_err());
         assert_eq!(df.get(2, "c").unwrap(), Value::Str("y".into()));
         assert_eq!(df.get(1, "b").unwrap(), Value::Null);
-        assert!(df.has_column("b"));
-        assert!(!df.has_column("B"));
+        assert!(df.column("b").is_ok());
+        assert!(df.column("B").is_err());
     }
 
     #[test]
@@ -389,19 +365,7 @@ mod tests {
         assert_eq!(s.names(), &["c".to_string(), "a".to_string()]);
         assert_eq!(s.nrows(), 4);
         // Shared storage: same Arc pointer.
-        assert!(Arc::ptr_eq(
-            &df.column_arc("a").unwrap(),
-            &s.column_arc("a").unwrap()
-        ));
-    }
-
-    #[test]
-    fn drop_columns_removes() {
-        let df = sample();
-        let d = df.drop_columns(&["b"]).unwrap();
-        assert_eq!(d.ncols(), 2);
-        assert!(!d.has_column("b"));
-        assert!(df.drop_columns(&["nope"]).is_err());
+        assert!(std::ptr::eq(df.column("a").unwrap(), s.column("a").unwrap()));
     }
 
     #[test]

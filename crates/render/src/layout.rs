@@ -123,15 +123,15 @@ pub fn approx_banner(out: &mut String, insights: &[Insight]) {
 /// originally failed, and how long it ran before failing. Nothing for
 /// healthy sections.
 pub fn diagnostics_panel(out: &mut String, status: &SectionStatus) {
-    if let SectionStatus::Failed { error, root_task, elapsed } = status {
+    if let SectionStatus::Failed(err) = status {
         out.push_str(r#"<div class="eda-error"><b>section unavailable</b> — "#);
-        Svg::escape(out, error);
+        Svg::escape(out, &err.to_string());
         out.push_str("<br><small>root cause: task <code>");
-        Svg::escape(out, root_task);
+        Svg::escape(out, err.root_cause().1);
         let _ = write!(
             out,
             "</code>, failed after {:.3}s; other sections were computed normally</small></div>",
-            elapsed.as_secs_f64()
+            err.elapsed.as_secs_f64()
         );
     }
 }
@@ -454,13 +454,14 @@ mod tests {
     #[test]
     fn diagnostics_panel_empty_for_ok_and_escaped_for_failed() {
         assert!(drawn(|out| diagnostics_panel(out, &SectionStatus::Ok)).is_empty());
-        let failed = SectionStatus::Failed {
-            error: "task <x> panicked".into(),
-            root_task: "freq:city".into(),
+        let failed = SectionStatus::Failed(std::sync::Arc::new(eda_taskgraph::TaskError {
+            task: 4,
+            name: "freq:city".into(),
+            failure: eda_taskgraph::TaskFailure::Panicked("<x>".into()),
             elapsed: std::time::Duration::from_millis(12),
-        };
+        }));
         let html = drawn(|out| diagnostics_panel(out, &failed));
-        assert!(html.contains("task &lt;x&gt; panicked"));
+        assert!(html.contains("panicked: &lt;x&gt;"));
         assert!(html.contains("freq:city"));
         assert!(html.contains("0.012"));
     }

@@ -111,11 +111,6 @@ impl PearsonPartial {
         Some(self.cxy / (self.m2x * self.m2y).sqrt())
     }
 
-    /// Covariance (sample), `None` when fewer than 2 pairs.
-    pub fn covariance(&self) -> Option<f64> {
-        (self.n > 1).then(|| self.cxy / (self.n - 1) as f64)
-    }
-
     /// Means `(mean_x, mean_y)` of the accumulated pairs.
     pub fn means(&self) -> (f64, f64) {
         (self.mean_x, self.mean_y)
@@ -300,7 +295,6 @@ mod tests {
         }
         assert_eq!(merged.n, whole.n);
         assert!((merged.finish().unwrap() - whole.finish().unwrap()).abs() < 1e-12);
-        assert!((merged.covariance().unwrap() - whole.covariance().unwrap()).abs() < 1e-9);
     }
 
     #[test]

@@ -148,16 +148,6 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    /// The `i`-th bin's `[low, high)` edges (last bin is closed).
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.nbins());
-        if self.is_degenerate() {
-            return (self.min, self.min);
-        }
-        let width = (self.max - self.min) / self.nbins() as f64;
-        (self.min + width * i as f64, self.min + width * (i + 1) as f64)
-    }
-
     /// All bin boundaries (length `nbins + 1`).
     pub fn edges(&self) -> Vec<f64> {
         if self.is_degenerate() {
@@ -176,18 +166,6 @@ impl Histogram {
             return vec![0.0; self.nbins()];
         }
         self.counts.iter().map(|&c| c as f64 / total).collect()
-    }
-
-    /// Index of the fullest bin, `None` when empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.total() == 0 {
-            return None;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
     }
 }
 
@@ -306,7 +284,6 @@ mod tests {
     fn edges_are_uniform() {
         let h = Histogram::new(0.0, 10.0, 5);
         assert_eq!(h.edges(), vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]);
-        assert_eq!(h.bin_edges(1), (2.0, 4.0));
     }
 
     #[test]
@@ -314,13 +291,5 @@ mod tests {
         let h = Histogram::from_values(&[1.0, 2.0, 3.0, 4.0], 4);
         let sum: f64 = h.density().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mode_bin_finds_peak() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        h.extend([0.5, 1.5, 1.6, 1.7, 2.5]);
-        assert_eq!(h.mode_bin(), Some(1));
-        assert_eq!(Histogram::new(0.0, 1.0, 2).mode_bin(), None);
     }
 }

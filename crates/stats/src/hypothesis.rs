@@ -41,12 +41,6 @@ pub fn chi_square_pvalue(stat: f64, df: usize) -> f64 {
     1.0 - normal_cdf(z)
 }
 
-/// Jarque–Bera normality statistic from sample skewness and excess
-/// kurtosis: `n/6 (S² + K²/4)`. Large values reject normality.
-pub fn jarque_bera(n: u64, skewness: f64, excess_kurtosis: f64) -> f64 {
-    n as f64 / 6.0 * (skewness * skewness + excess_kurtosis * excess_kurtosis / 4.0)
-}
-
 /// Two-sample Kolmogorov–Smirnov distance: the max gap between empirical
 /// CDFs. Returns `None` when either sample is empty.
 ///
@@ -109,12 +103,6 @@ mod tests {
         // Median of chi2(10) is ≈ 9.34: p ≈ 0.5.
         let p = chi_square_pvalue(9.34, 10);
         assert!((p - 0.5).abs() < 0.02, "p = {p}");
-    }
-
-    #[test]
-    fn jarque_bera_zero_for_normal_moments() {
-        assert_eq!(jarque_bera(1000, 0.0, 0.0), 0.0);
-        assert!(jarque_bera(1000, 1.0, 0.0) > jarque_bera(100, 1.0, 0.0));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * [`regression`] — simple OLS with R²
 //! * [`text`] — word tokenization and string-length statistics (per row, or once per distinct value)
 //! * [`missing`] — nullity correlation, missing spectrum, dendrogram clustering
-//! * [`hypothesis`] — chi-square uniformity, Jarque-Bera normality,
-//!   two-sample Kolmogorov-Smirnov distance
+//! * [`hypothesis`] — chi-square uniformity, two-sample
+//!   Kolmogorov-Smirnov distance
 //! * [`timeseries`] — resampling, rolling means, autocorrelation (backing
 //!   the paper's §7 time-series future-work task)
 

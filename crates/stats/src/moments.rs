@@ -157,11 +157,6 @@ impl Moments {
         self.nans += other.nans;
     }
 
-    /// Population variance (`m2 / n`), `None` when empty.
-    pub fn variance_pop(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
     /// Sample variance (`m2 / (n-1)`), `None` when fewer than 2 values.
     pub fn variance(&self) -> Option<f64> {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
@@ -226,7 +221,7 @@ mod tests {
         let m = Moments::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(m.count, 8);
         assert!(close(m.mean, 5.0, 1e-12));
-        assert!(close(m.variance_pop().unwrap(), 4.0, 1e-12));
+        assert!(close(m.variance().unwrap(), 32.0 / 7.0, 1e-12));
         assert!(close(m.std().unwrap(), (32.0f64 / 7.0).sqrt(), 1e-12));
         assert_eq!(m.min, 2.0);
         assert_eq!(m.max, 9.0);

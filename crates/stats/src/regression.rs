@@ -55,15 +55,6 @@ impl LinearFit {
     pub fn predict(&self, x: f64) -> f64 {
         self.slope * x + self.intercept
     }
-
-    /// The two endpoints of the regression line across `[x_min, x_max]`,
-    /// ready to hand to a line renderer.
-    pub fn line_points(&self, x_min: f64, x_max: f64) -> [(f64, f64); 2] {
-        [
-            (x_min, self.predict(x_min)),
-            (x_max, self.predict(x_max)),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -125,13 +116,5 @@ mod tests {
         assert!((fit.slope).abs() < 1e-12);
         assert!((fit.intercept - 5.0).abs() < 1e-12);
         assert_eq!(fit.r2, 1.0);
-    }
-
-    #[test]
-    fn line_points_span_range() {
-        let fit = LinearFit::fit(&[0.0, 1.0], &[0.0, 1.0]).unwrap();
-        let pts = fit.line_points(-1.0, 2.0);
-        assert_eq!(pts[0], (-1.0, -1.0));
-        assert_eq!(pts[1], (2.0, 2.0));
     }
 }

@@ -209,17 +209,6 @@ impl ResultCache {
     pub fn bytes_saved(&self) -> usize {
         self.bytes_saved.load(Ordering::Relaxed)
     }
-
-    /// Hit rate over all probes since construction (0 when unprobed).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits() as f64;
-        let total = hits + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
 }
 
 /// Domain-aware payload byte sizer. Returns `Some(bytes)` for payload
@@ -270,7 +259,6 @@ mod tests {
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
         assert_eq!(c.bytes_saved(), 8);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -98,15 +98,6 @@ impl FaultInjector {
         }])
     }
 
-    /// Convenience: corrupt the output of tasks whose name contains
-    /// `substr`.
-    pub fn garbage_on(substr: &str) -> Arc<Self> {
-        Self::new(vec![FaultPlan {
-            target: FaultTarget::NameContains(substr.to_string()),
-            mode: FaultMode::Garbage,
-        }])
-    }
-
     /// Convenience: wedge tasks whose name contains `substr` for up to
     /// `max` (they wake early if their cancel token fires).
     pub fn wedge_on(substr: &str, max: Duration) -> Arc<Self> {

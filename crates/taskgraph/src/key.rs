@@ -99,11 +99,6 @@ impl TaskKey {
     }
 }
 
-/// Hash a float's bit pattern (so parameter hashing can include floats).
-pub fn hash_f64(v: f64) -> u64 {
-    v.to_bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,12 +154,6 @@ mod tests {
         let c = TaskKey::params(&P { bins: 200, name: "price" });
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn hash_f64_distinguishes_values() {
-        assert_ne!(hash_f64(1.0), hash_f64(2.0));
-        assert_eq!(hash_f64(1.5), hash_f64(1.5));
     }
 
     #[test]

@@ -25,17 +25,10 @@ pub enum TaskFailure {
         /// How long the task actually took.
         elapsed: Duration,
     },
-    /// The task never ran because an upstream dependency failed.
-    Skipped {
-        /// The originally failing task (transitive root, not the
-        /// immediate dependency).
-        root_cause: NodeId,
-        /// Name of the originally failing task.
-        root_name: String,
-        /// Description of the root failure (e.g. `panicked: boom`), so
-        /// diagnostics built from a skip still name the actual reason.
-        root_failure: String,
-    },
+    /// The task never ran because an upstream dependency failed. Holds
+    /// the originally failing task's error (the transitive root, never
+    /// itself a skip), so a skip names the actual reason at any depth.
+    Skipped(Arc<TaskError>),
     /// The run was cancelled ([`crate::govern::CancelToken`]) before or
     /// while this task executed; any partial result was discarded.
     Cancelled(CancelReason),
@@ -73,65 +66,53 @@ pub struct TaskError {
 }
 
 impl TaskError {
-    /// The node that originally failed: for `Skipped` errors the
-    /// transitive root cause, otherwise this task itself.
-    pub fn root_cause(&self) -> (NodeId, &str) {
+    /// The error that originally failed: for a skip the root it carries,
+    /// otherwise this error itself.
+    pub fn root(self: &Arc<Self>) -> &Arc<TaskError> {
         match &self.failure {
-            TaskFailure::Skipped { root_cause, root_name, .. } => (*root_cause, root_name),
-            _ => (self.task, &self.name),
+            TaskFailure::Skipped(root) => root,
+            _ => self,
         }
     }
 
-    /// What went wrong at the root: a direct failure describes itself,
-    /// a skip repeats the root failure's description.
-    pub fn root_description(&self) -> String {
-        match &self.failure {
-            TaskFailure::Panicked(msg) => format!("panicked: {msg}"),
+    /// The node that originally failed: for `Skipped` errors the
+    /// transitive root cause, otherwise this task itself.
+    pub fn root_cause(self: &Arc<Self>) -> (NodeId, &str) {
+        let root = self.root();
+        (root.task, &root.name)
+    }
+
+    /// What went wrong at the root (e.g. `panicked: boom`): a direct
+    /// failure describes itself, a skip its root's failure.
+    pub fn root_description(self: &Arc<Self>) -> String {
+        self.root().failure.to_string()
+    }
+}
+
+/// The one wording of each kind of failure; [`TaskError`]'s `Display`
+/// prefixes it with the task.
+impl fmt::Display for TaskFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TaskFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
             TaskFailure::TimedOut { budget, elapsed } => {
-                format!("exceeded its {budget:?} deadline (took {elapsed:?})")
+                write!(f, "exceeded its {budget:?} deadline (took {elapsed:?})")
             }
-            TaskFailure::Skipped { root_failure, .. } => root_failure.clone(),
-            TaskFailure::Cancelled(reason) => format!("cancelled: {reason}"),
-            TaskFailure::BudgetExceeded { budget, used, requested } => format!(
-                "exceeded the run memory budget ({requested} requested, {used} of {budget} bytes used)"
+            TaskFailure::Skipped(root) => write!(f, "skipped: upstream {root}"),
+            TaskFailure::Cancelled(reason) => write!(f, "cancelled: {reason}"),
+            TaskFailure::BudgetExceeded { budget, used, requested } => write!(
+                f,
+                "exceeded the run memory budget: charge of {requested} bytes refused \
+                 ({used} of {budget} bytes already used)"
             ),
-            TaskFailure::Internal(msg) => format!("scheduler invariant violated: {msg}"),
+            TaskFailure::Internal(msg) => write!(f, "failed on a scheduler invariant: {msg}"),
         }
     }
 }
 
 impl fmt::Display for TaskError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.failure {
-            TaskFailure::Panicked(msg) => {
-                write!(f, "task '{}' (node {}) panicked: {}", self.name, self.task, msg)
-            }
-            TaskFailure::TimedOut { budget, elapsed } => write!(
-                f,
-                "task '{}' (node {}) exceeded its {:?} deadline (took {:?})",
-                self.name, self.task, budget, elapsed
-            ),
-            TaskFailure::Skipped { root_cause, root_name, root_failure } => write!(
-                f,
-                "task '{}' (node {}) skipped: upstream task '{}' (node {}) {}",
-                self.name, self.task, root_name, root_cause, root_failure
-            ),
-            TaskFailure::Cancelled(reason) => write!(
-                f,
-                "task '{}' (node {}) cancelled: {}",
-                self.name, self.task, reason
-            ),
-            TaskFailure::BudgetExceeded { budget, used, requested } => write!(
-                f,
-                "task '{}' (node {}) exceeded the run memory budget: charge of {} bytes refused ({} of {} bytes already used)",
-                self.name, self.task, requested, used, budget
-            ),
-            TaskFailure::Internal(msg) => write!(
-                f,
-                "task '{}' (node {}) failed on a scheduler invariant: {}",
-                self.name, self.task, msg
-            ),
-        }
+        write!(f, "task '{}' (node {}) {}", self.name, self.task, self.failure)
     }
 }
 
@@ -185,13 +166,15 @@ impl TaskOutcome {
     }
 }
 
-/// The error that explains why `outcomes` are not all payloads: the first
-/// direct failure (a panic, a timeout, ...), else the first skip, so a
-/// diagnostic names the actual reason rather than only "skipped". `None`
-/// when every outcome has its payload.
+/// The root error that explains why `outcomes` are not all payloads: the
+/// first direct failure (a panic, a timeout, ...), else the root a skip
+/// carries, so a diagnostic names the actual reason rather than only
+/// "skipped". `None` when every outcome has its payload.
 pub fn root_failure(outcomes: &[TaskOutcome]) -> Option<&Arc<TaskError>> {
     let errors = || outcomes.iter().filter_map(TaskOutcome::error);
-    errors().find(|e| !matches!(e.failure, TaskFailure::Skipped { .. })).or_else(|| errors().next())
+    errors()
+        .find(|e| !matches!(e.failure, TaskFailure::Skipped(_)))
+        .or_else(|| errors().next().map(TaskError::root))
 }
 
 impl fmt::Debug for TaskOutcome {
@@ -228,28 +211,35 @@ mod tests {
         assert!(s.contains("deadline"), "{s}");
     }
 
+    /// A skip whose root is `hist` (node 1), panicked with `msg`.
+    fn skip_of_hist(msg: &str) -> TaskError {
+        let root = TaskError {
+            task: 1,
+            name: "hist".into(),
+            failure: TaskFailure::Panicked(msg.into()),
+            elapsed: Duration::from_millis(7),
+        };
+        err(TaskFailure::Skipped(Arc::new(root)))
+    }
+
     #[test]
     fn display_skipped_names_root() {
-        let e = err(TaskFailure::Skipped {
-            root_cause: 1,
-            root_name: "hist".into(),
-            root_failure: "panicked: boom".into(),
-        });
-        let s = e.to_string();
-        assert!(s.contains("skipped") && s.contains("hist") && s.contains("node 1"), "{s}");
-        assert!(s.contains("panicked: boom"), "{s}");
+        let s = skip_of_hist("boom").to_string();
+        assert_eq!(
+            s,
+            "task 'moments:price' (node 3) skipped: upstream task 'hist' (node 1) panicked: boom"
+        );
     }
 
     #[test]
     fn root_cause_follows_skip() {
-        let skipped = err(TaskFailure::Skipped {
-            root_cause: 1,
-            root_name: "hist".into(),
-            root_failure: "panicked: x".into(),
-        });
+        let skipped = Arc::new(skip_of_hist("x"));
         assert_eq!(skipped.root_cause(), (1, "hist"));
-        let direct = err(TaskFailure::Panicked("x".into()));
+        assert_eq!(skipped.root_description(), "panicked: x");
+        assert_eq!(skipped.root().elapsed, Duration::from_millis(7));
+        let direct = Arc::new(err(TaskFailure::Panicked("x".into())));
         assert_eq!(direct.root_cause(), (3, "moments:price"));
+        assert!(Arc::ptr_eq(direct.root(), &direct));
     }
 
     #[test]
@@ -261,10 +251,11 @@ mod tests {
 
     #[test]
     fn display_budget_exceeded_mentions_memory_budget() {
-        let e = err(TaskFailure::BudgetExceeded { budget: 100, used: 90, requested: 20 });
-        let s = e.to_string();
-        assert!(s.contains("memory budget") && s.contains("20"), "{s}");
-        assert!(e.root_description().contains("memory budget"), "{}", e.root_description());
+        let e = Arc::new(err(TaskFailure::BudgetExceeded { budget: 100, used: 90, requested: 20 }));
+        let wording = "exceeded the run memory budget: \
+                       charge of 20 bytes refused (90 of 100 bytes already used)";
+        assert_eq!(e.to_string(), format!("task 'moments:price' (node 3) {wording}"));
+        assert_eq!(e.root_description(), wording);
     }
 
     #[test]
@@ -278,20 +269,19 @@ mod tests {
 
     #[test]
     fn root_failure_prefers_a_direct_failure_over_a_skip() {
-        let skip = TaskOutcome::Failed(Arc::new(err(TaskFailure::Skipped {
-            root_cause: 1,
-            root_name: "hist".into(),
-            root_failure: "panicked: x".into(),
-        })));
-        let panic = TaskOutcome::Failed(Arc::new(err(TaskFailure::Panicked("x".into()))));
+        let skip = TaskOutcome::Failed(Arc::new(skip_of_hist("x")));
+        let panic = TaskOutcome::Failed(Arc::new(err(TaskFailure::Panicked("y".into()))));
         let ok = TaskOutcome::Ok(Arc::new(1i64));
-        let failure = |outcomes: &[TaskOutcome]| root_failure(outcomes).map(|e| e.failure.clone());
+        let failure = |outcomes: &[TaskOutcome]| {
+            root_failure(outcomes).map(|e| (e.name.clone(), e.failure.clone()))
+        };
         assert_eq!(failure(std::slice::from_ref(&ok)), None);
         assert_eq!(
             failure(&[ok.clone(), skip.clone(), panic]),
-            Some(TaskFailure::Panicked("x".into()))
+            Some(("moments:price".into(), TaskFailure::Panicked("y".into())))
         );
-        assert!(matches!(failure(&[skip, ok]), Some(TaskFailure::Skipped { .. })));
+        // With no direct failure, the skip's root stands in for it.
+        assert_eq!(failure(&[skip, ok]), Some(("hist".into(), TaskFailure::Panicked("x".into()))));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   "Pandas phase" executor); with `workers = n` it does the same for
 //!   the first `POOL_AFTER` of the run, and from then on n threads take
 //!   tasks off a channel and send what they produced back. Results,
-//!   spans, counters, cache inserts and observer calls are kept by the
+//!   spans, counters and cache inserts are kept by the
 //!   calling thread either way (`Ledger`).
 //! * **finish** — the ledger is tallied into [`ExecStats`] once.
 //!
@@ -45,11 +45,6 @@ use crate::outcome::{TaskError, TaskFailure, TaskOutcome};
 use crate::stats::ExecStats;
 use crate::trace::{self, LogLevel, RunTrace, SpanStatus, TaskSpan};
 
-/// Observer invoked after every completed task with
-/// `(completed, total_live)` — backs the front-end progress bar of the
-/// paper's Figure 1 (part B).
-pub type ProgressObserver = Arc<dyn Fn(usize, usize) + Send + Sync>;
-
 /// Knobs of one [`run`].
 #[derive(Clone, Default)]
 pub struct ExecOptions {
@@ -57,8 +52,6 @@ pub struct ExecOptions {
     /// is recorded as `TimedOut` and its dependents are skipped. `None`
     /// disables the check.
     pub deadline: Option<Duration>,
-    /// Called after every completed task with `(completed, total_live)`.
-    pub observer: Option<ProgressObserver>,
     /// Record a [`TaskSpan`] per dispatched task and attach the merged
     /// [`RunTrace`] to `ExecStats`. Off by default: untraced runs branch
     /// around every recording site and allocate nothing.
@@ -244,7 +237,6 @@ struct Ledger<'a> {
     /// charges and cache inserts, hence what a tight budget admits.
     ready: BinaryHeap<Reverse<NodeId>>,
     results: Vec<Option<TaskOutcome>>,
-    completed: usize,
     spans: Vec<TaskSpan>,
     evictions: usize,
 }
@@ -280,7 +272,6 @@ impl<'a> Ledger<'a> {
             indegrees,
             ready,
             results: vec![None; graph.len()],
-            completed: 0,
             spans: Vec::new(),
             evictions: 0,
         };
@@ -321,16 +312,12 @@ impl<'a> Ledger<'a> {
         self.settle(id, outcome);
     }
 
-    /// Record `id`'s outcome — failures complete like any other task, so
-    /// counting is unaffected by faults — tell the observer, and move
-    /// dependents that were waiting only for `id` to the ready set.
+    /// Record `id`'s outcome — failures complete like any other task —
+    /// and move dependents that were waiting only for `id` to the ready
+    /// set.
     fn settle(&mut self, id: NodeId, outcome: TaskOutcome) {
         if let Some(slot) = self.results.get_mut(id) {
             *slot = Some(outcome);
-        }
-        self.completed += 1;
-        if let Some(observer) = &self.opts.observer {
-            observer(self.completed, self.live_count);
         }
         for &dep in self.dependents.get(id).into_iter().flatten() {
             let Some(waiting_for) = self.indegrees.get_mut(dep) else { continue };
@@ -513,17 +500,12 @@ fn execute_node(
         return (failed(graph, id, cancelled, Duration::ZERO), zero_width());
     }
     // An upstream failure poisons only this subtree: record a skip
-    // pointing at the transitive root cause and move on. The skip
-    // inherits the root's elapsed so diagnostics stay meaningful at any
-    // depth.
+    // carrying the transitive root cause and move on. The skip inherits
+    // the root's elapsed so diagnostics stay meaningful at any depth.
     if let Some(err) = inputs.iter().find_map(|o| o.error()) {
-        let (root_cause, root_name) = err.root_cause();
-        let skipped = TaskFailure::Skipped {
-            root_cause,
-            root_name: root_name.to_string(),
-            root_failure: err.root_description(),
-        };
-        return (failed(graph, id, skipped, err.elapsed), zero_width());
+        let root = Arc::clone(err.root());
+        let elapsed = root.elapsed;
+        return (failed(graph, id, TaskFailure::Skipped(root), elapsed), zero_width());
     }
     let span_start = opts.trace.then(|| origin.elapsed());
     // The failed-input check above guarantees every input carries a
@@ -725,15 +707,13 @@ fn tally(
         ..ExecStats::default()
     };
     for outcome in live_outcomes {
-        match &outcome {
-            TaskOutcome::Ok(_) => stats.tasks_run += 1,
-            TaskOutcome::Failed(err) => match err.failure {
-                TaskFailure::Panicked(_) | TaskFailure::Internal(_) => stats.tasks_failed += 1,
-                TaskFailure::TimedOut { .. } => stats.tasks_timed_out += 1,
-                TaskFailure::Skipped { .. } => stats.tasks_skipped += 1,
-                TaskFailure::Cancelled(_) => stats.tasks_cancelled += 1,
-                TaskFailure::BudgetExceeded { .. } => stats.tasks_budget_exceeded += 1,
-            },
+        match SpanStatus::of(&outcome) {
+            SpanStatus::Ok | SpanStatus::Cached => stats.tasks_run += 1,
+            SpanStatus::Failed => stats.tasks_failed += 1,
+            SpanStatus::TimedOut => stats.tasks_timed_out += 1,
+            SpanStatus::Skipped => stats.tasks_skipped += 1,
+            SpanStatus::Cancelled => stats.tasks_cancelled += 1,
+            SpanStatus::BudgetExceeded => stats.tasks_budget_exceeded += 1,
         }
     }
     if trace::log_enabled(LogLevel::Info) {
@@ -762,7 +742,7 @@ fn tally(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::{self, FaultInjector};
+    use crate::inject::{self, FaultInjector, FaultPlan, FaultTarget};
     use crate::key::TaskKey;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -939,23 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_observer_sees_every_completion() {
-        let (g, out) = diamond();
-        for workers in [1, 2, 4] {
-            let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let seen2 = Arc::clone(&seen);
-            let obs: ProgressObserver = Arc::new(move |done, total| {
-                seen2.lock().push((done, total));
-            });
-            let opts = ExecOptions { observer: Some(obs), ..Default::default() };
-            let r = run(&g, &[out], workers, &opts);
-            assert_eq!(get(&r.outputs()[0]), 31);
-            // One call per completion, counting up to the live total.
-            assert_eq!(*seen.lock(), vec![(1, 4), (2, 4), (3, 4), (4, 4)], "workers={workers}");
-        }
-    }
-
-    #[test]
     fn wide_graph_under_pool() {
         // 100 independent sources reduced pairwise: exercises the queue.
         let mut g = TaskGraph::new();
@@ -1084,7 +1047,10 @@ mod tests {
     #[test]
     fn injected_garbage_fails_downstream_consumer() {
         let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::garbage_on("inc"));
+        g.set_fault_injector(FaultInjector::new(vec![FaultPlan {
+            target: FaultTarget::NameContains("inc".into()),
+            mode: FaultMode::Garbage,
+        }]));
         let r = run_plain(&g, &[out], 1);
         // `inc` returned Garbage; `sum` panicked on the downcast and the
         // failure is attributed to `sum`.
@@ -1370,7 +1336,9 @@ mod tests {
         let opts = ExecOptions { gauge: Some(gauge.clone()), ..Default::default() };
         let r = run(&g, &[out], 1, &opts);
         let err = r.outcomes[0].error().expect("sum degraded");
-        assert!(err.root_description().contains("memory budget"), "{err}");
+        let root = err.root();
+        assert!(matches!(root.failure, TaskFailure::BudgetExceeded { .. }), "{err}");
+        assert!(err.to_string().ends_with(&root.to_string()), "{err}");
         assert_eq!(r.stats.tasks_budget_exceeded, 1);
         assert_eq!(r.stats.tasks_skipped, 1);
         assert_eq!(r.stats.tasks_run, 2);

@@ -11,9 +11,8 @@
 //! this module derives everything a perf PR needs to attribute a
 //! speedup:
 //!
-//! * exporters — Chrome `trace_event` JSON ([`RunTrace::to_chrome_trace`],
-//!   loadable in `chrome://tracing` / Perfetto) and collapsed-stack lines
-//!   ([`RunTrace::to_collapsed_stacks`]) for inferno-style flamegraphs;
+//! * one exporter — Chrome `trace_event` JSON ([`RunTrace::to_chrome_trace`],
+//!   loadable in `chrome://tracing` / Perfetto);
 //! * derived metrics — critical path, per-worker utilization, queue-wait
 //!   histogram, top-K slowest tasks, CSE/prune savings in estimated task
 //!   time;
@@ -83,7 +82,7 @@ impl SpanStatus {
             TaskOutcome::Failed(err) => match err.failure {
                 TaskFailure::Panicked(_) | TaskFailure::Internal(_) => SpanStatus::Failed,
                 TaskFailure::TimedOut { .. } => SpanStatus::TimedOut,
-                TaskFailure::Skipped { .. } => SpanStatus::Skipped,
+                TaskFailure::Skipped(_) => SpanStatus::Skipped,
                 TaskFailure::Cancelled(_) => SpanStatus::Cancelled,
                 TaskFailure::BudgetExceeded { .. } => SpanStatus::BudgetExceeded,
             },
@@ -184,11 +183,6 @@ impl RunTrace {
     /// The span of the named task, if present (first match).
     pub fn span_named(&self, name: &str) -> Option<&TaskSpan> {
         self.spans.iter().find(|s| s.name == name)
-    }
-
-    /// Wall-clock duration of the named task's span, if traced.
-    pub fn elapsed_of(&self, name: &str) -> Option<Duration> {
-        self.span_named(name).map(TaskSpan::duration)
     }
 
     /// The `k` slowest executed tasks, longest first.
@@ -333,39 +327,6 @@ impl RunTrace {
         out.push_str("]}");
         out
     }
-
-    /// Export as collapsed-stack lines (`frame;frame weight`), the input
-    /// format of inferno / flamegraph.pl. Tasks aggregate by name under
-    /// a `run` root frame; weights are microseconds of task time.
-    pub fn to_collapsed_stacks(&self) -> String {
-        let mut by_name: HashMap<&str, u128> = HashMap::new();
-        for span in self.executed() {
-            *by_name.entry(span.name.as_str()).or_insert(0) +=
-                span.duration().as_micros();
-        }
-        let mut lines: Vec<(&str, u128)> = by_name.into_iter().collect();
-        lines.sort();
-        let mut out = String::new();
-        for (name, micros) in lines {
-            let _ = writeln!(out, "run;{} {micros}", fold_escape(name));
-        }
-        out
-    }
-}
-
-/// Make a task name safe as a collapsed-stack frame: `;` separates
-/// frames and whitespace separates the stack from its weight, so both
-/// (and control characters, which would break line-oriented consumers)
-/// are scrubbed to `_`/`,` rather than corrupting the whole line.
-fn fold_escape(name: &str) -> String {
-    name.chars()
-        .map(|c| match c {
-            ';' => ',',
-            c if c.is_whitespace() => '_',
-            c if (c as u32) < 0x20 => '_',
-            c => c,
-        })
-        .collect()
 }
 
 /// Estimate the in-memory size of a payload in bytes.
@@ -644,32 +605,6 @@ mod tests {
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 4);
         assert!(json.contains("\"status\":\"budget_exceeded\""), "{json}");
         assert!(SpanStatus::BudgetExceeded.executed());
-    }
-
-    #[test]
-    fn collapsed_stacks_aggregate_by_name() {
-        let mut t = diamond_trace();
-        t.spans.push(span(4, "b", 0, 500, 600, vec![]));
-        let folded = t.to_collapsed_stacks();
-        let line = folded.lines().find(|l| l.starts_with("run;b ")).unwrap();
-        assert_eq!(line, "run;b 290"); // 190 + 100
-        assert!(folded.lines().all(|l| l.starts_with("run;")));
-    }
-
-    #[test]
-    fn collapsed_stacks_escape_hostile_names() {
-        let mut t = diamond_trace();
-        t.spans[0].name = "weird; name\twith spaces\n".into();
-        let folded = t.to_collapsed_stacks();
-        for line in folded.lines() {
-            // Exactly one space per line (stack/weight separator), a
-            // numeric weight, and no embedded separators in frames.
-            let (stack, weight) = line.rsplit_once(' ').expect("weight separator");
-            assert!(weight.parse::<u128>().is_ok(), "bad weight in {line:?}");
-            assert!(!stack.contains(' '), "unescaped space in {stack:?}");
-            assert_eq!(stack.matches(';').count(), 1, "extra frame separator in {stack:?}");
-        }
-        assert!(folded.contains("run;weird,_name_with_spaces_ "), "{folded:?}");
     }
 
     #[test]

@@ -169,20 +169,3 @@ fn chrome_trace_roundtrips_through_hand_parsing() {
         assert!(tid < 2);
     }
 }
-
-#[test]
-fn collapsed_stacks_cover_every_executed_name() {
-    let (g, outs) = layered_graph();
-    let r = run(&g, &outs, 1, &traced());
-    let trace = r.stats.trace.as_ref().unwrap();
-    let collapsed = trace.to_collapsed_stacks();
-    for name in ["leaf", "add", "total"] {
-        assert!(collapsed.contains(&format!("run;{name} ")), "{collapsed}");
-    }
-    // Each line is `stack count`.
-    for line in collapsed.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("two fields");
-        assert!(stack.starts_with("run;"));
-        assert!(count.parse::<u128>().is_ok());
-    }
-}

@@ -6,10 +6,10 @@
 //! in `ExecStats` — with tasks run inline (`engine.workers = 1`) and on
 //! the pool.
 
-use eda_core::{create_report, plot, Config, SectionStatus};
+use eda_core::{create_report, plot, Config, InsightKind, SectionStatus};
 use eda_dataframe::{Column, DataFrame};
-use eda_render::layout::render_report_html;
-use eda_taskgraph::{inject, FaultInjector, FaultMode, FaultPlan, FaultTarget};
+use eda_render::layout::{render_analysis_html, render_report_html};
+use eda_taskgraph::{inject, FaultInjector, FaultMode, FaultPlan, FaultTarget, TaskFailure};
 
 fn frame() -> DataFrame {
     let n = 240;
@@ -47,9 +47,9 @@ fn poisoned_column_still_yields_partial_report(workers: usize) {
     // The poisoned column's section is degraded with a root cause…
     let city = report.variables.iter().find(|v| v.name == "city").unwrap();
     match &city.status {
-        SectionStatus::Failed { root_task, error, .. } => {
-            assert!(root_task.contains("freq:city"), "{root_task}");
-            assert!(error.contains("panicked"), "{error}");
+        SectionStatus::Failed(err) => {
+            assert!(err.name.contains("freq:city"), "{err}");
+            assert!(err.to_string().contains("panicked"), "{err}");
         }
         SectionStatus::Ok => panic!("city section should have degraded"),
     }
@@ -89,9 +89,7 @@ fn plot_degrades_instead_of_erroring() {
     let _guard = inject::arm(FaultInjector::panic_on("moments:price"));
     let a = plot(&df, &["price"], &cfg).expect("degraded analysis, not Err");
     match &a.status {
-        SectionStatus::Failed { root_task, .. } => {
-            assert!(root_task.contains("moments:price"), "{root_task}")
-        }
+        SectionStatus::Failed(err) => assert!(err.name.contains("moments:price"), "{err}"),
         SectionStatus::Ok => panic!("analysis should have degraded"),
     }
     assert!(a.intermediates.iter().count() == 0);
@@ -112,7 +110,7 @@ fn stalled_task_times_out_under_deadline() {
     assert!(report.stats.tasks_timed_out >= 1, "{:?}", report.stats);
     let price = report.variables.iter().find(|v| v.name == "price").unwrap();
     match &price.status {
-        SectionStatus::Failed { error, .. } => assert!(error.contains("deadline"), "{error}"),
+        SectionStatus::Failed(err) => assert!(err.to_string().contains("deadline"), "{err}"),
         SectionStatus::Ok => panic!("price should have timed out"),
     }
     let city = report.variables.iter().find(|v| v.name == "city").unwrap();
@@ -178,5 +176,91 @@ fn unarmed_runs_are_untouched() {
         let report = create_report(&df, &cfg).unwrap();
         assert!(report.stats.fully_succeeded(), "{:?}", report.stats);
         assert!(report.failed_sections().is_empty());
+    }
+}
+
+/// The degradation ladder keys on the kind of a failure, not its text: a
+/// column named `memory budget` puts that phrase into every task name on
+/// it, yet a panic there is a panic. Its first kernel panics once, so a
+/// quarter-sample retry would succeed; `plot` and `create_report` must
+/// report the panic instead of silently re-running on a sample and
+/// calling the output approximate.
+#[test]
+fn a_panic_on_a_column_named_memory_budget_is_not_laddered() {
+    let df = DataFrame::new(vec![(
+        "memory budget".into(),
+        Column::from_f64((0..1_024).map(|i| ((i * 37) % 501) as f64).collect()),
+    )])
+    .unwrap();
+    let cfg = Config::from_pairs(vec![("engine.workers", "1"), ("engine.cache_budget_bytes", "0")])
+        .unwrap();
+    // Dispatch 0 is the frame's one partition source, dispatch 1 the
+    // first kernel on the column; no later dispatch fails.
+    let first_kernel_panics = || {
+        inject::arm(FaultInjector::new(vec![FaultPlan {
+            target: FaultTarget::Nth(1),
+            mode: FaultMode::Panic,
+        }]))
+    };
+    let assert_panicked = |status: &SectionStatus| match status {
+        SectionStatus::Failed(err) => {
+            assert!(err.name.contains("memory budget"), "{err}");
+            assert!(matches!(err.failure, TaskFailure::Panicked(_)), "{err}");
+        }
+        SectionStatus::Ok => panic!("the section should report the panic"),
+    };
+    let exact = |insights: &[eda_core::Insight]| {
+        insights.iter().all(|i| i.kind != InsightKind::Approximated)
+    };
+
+    let guard = first_kernel_panics();
+    let a = plot(&df, &["memory budget"], &cfg).unwrap();
+    drop(guard);
+    assert_panicked(&a.status);
+    assert!(exact(&a.insights), "{:?}", a.insights);
+
+    let guard = first_kernel_panics();
+    let report = create_report(&df, &cfg).unwrap();
+    drop(guard);
+    let failed = report.failed_sections();
+    assert!(!failed.is_empty());
+    for (_, status) in &failed {
+        assert_panicked(status);
+    }
+    assert!(exact(&report.insights), "{:?}", report.insights);
+}
+
+/// One failure, one description: a panic on `freq:city` reads the same
+/// through `plot` and through `create_report` — the same root task and
+/// kind, the task's own elapsed time rather than the run's, and
+/// `TaskError`'s wording on the page.
+#[test]
+fn plot_and_report_describe_one_failure_alike() {
+    let df = frame();
+    let cfg = config_with_workers(1);
+    let _guard = inject::arm(FaultInjector::panic_on("freq:city"));
+    let analysis = plot(&df, &["city"], &cfg).unwrap();
+    let report = create_report(&df, &cfg).unwrap();
+    let city = report.variables.iter().find(|v| v.name == "city").unwrap();
+    let sides = [
+        (
+            &analysis.status,
+            analysis.stats.as_ref().unwrap().elapsed,
+            render_analysis_html(&analysis, &cfg.display),
+        ),
+        (&city.status, report.stats.elapsed, render_report_html(&report, &cfg.display)),
+    ];
+    for (status, run_elapsed, page) in sides {
+        let SectionStatus::Failed(err) = status else { panic!("city should have degraded") };
+        assert_eq!(err.root_cause().1, "freq:city");
+        assert_eq!(err.failure, TaskFailure::Panicked("injected fault: panic".into()));
+        assert!(err.elapsed < run_elapsed, "{:?} is the run's, not the task's", err.elapsed);
+        let panel = format!(
+            "task 'freq:city' (node {}) panicked: injected fault: panic<br><small>\
+             root cause: task <code>freq:city</code>, failed after {:.3}s;",
+            err.task,
+            err.elapsed.as_secs_f64()
+        );
+        assert!(page.contains(&panel), "{panel}");
     }
 }

@@ -118,8 +118,8 @@ fn handle_cancel_stops_inflight_report_promptly() {
         assert!(!failed.is_empty(), "a cancelled mid-flight report must have degraded sections");
         for (name, status) in &failed {
             match status {
-                SectionStatus::Failed { error, .. } => {
-                    assert!(!error.is_empty(), "{name} lost its diagnostics")
+                SectionStatus::Failed(error) => {
+                    assert!(!error.to_string().is_empty(), "{name} lost its diagnostics")
                 }
                 SectionStatus::Ok => unreachable!(),
             }
@@ -130,8 +130,8 @@ fn handle_cancel_stops_inflight_report_promptly() {
         assert!(
             failed.iter().any(|(_, s)| matches!(
                 s,
-                SectionStatus::Failed { error, elapsed, .. }
-                    if error.contains("cancel") && (!inline || !elapsed.is_zero())
+                SectionStatus::Failed(error)
+                    if error.to_string().contains("cancel") && (!inline || !error.elapsed.is_zero())
             )),
             "no section names the cancellation: {failed:?}"
         );
@@ -155,7 +155,8 @@ fn run_deadline_reclaims_wedged_workers() {
     assert!(report.stats.tasks_cancelled >= 1, "{:?}", report.stats);
     let price = report.variables.iter().find(|v| v.name == "price").unwrap();
     match &price.status {
-        SectionStatus::Failed { error, .. } => {
+        SectionStatus::Failed(err) => {
+            let error = err.to_string();
             assert!(error.contains("deadline") || error.contains("cancel"), "{error}")
         }
         SectionStatus::Ok => panic!("wedged section should have been cancelled"),
@@ -189,7 +190,7 @@ fn task_deadline_stops_a_kendall_tile_mid_count() {
     let nodes = plan_matrix_tiles(&mut ctx, &names, 1);
     ctx.execute_checked(&nodes).expect("ungoverned run succeeds");
     let trace = ctx.last_stats.as_ref().unwrap().trace.clone().unwrap();
-    let three_pairs = trace.elapsed_of("corr_matrix:KendallTau:0").expect("tile span");
+    let three_pairs = trace.span_named("corr_matrix:KendallTau:0").expect("tile span").duration();
 
     // Governed: the default tiling puts each of the 3 pairs in its own
     // tile (new task keys, so nothing of them is cached); the deadline is
@@ -212,7 +213,7 @@ fn task_deadline_stops_a_kendall_tile_mid_count() {
     assert!(root.starts_with("corr_matrix:KendallTau"), "{root}");
     assert!(stats.tasks_timed_out >= 1, "{stats:?}");
     let trace = stats.trace.as_ref().unwrap();
-    let stopped = trace.elapsed_of(root).expect("timed-out tile span");
+    let stopped = trace.span_named(root).expect("timed-out tile span").duration();
     assert!(stopped >= deadline, "{stopped:?} < {deadline:?}");
     assert!(
         stopped < three_pairs / 4,
@@ -231,7 +232,8 @@ fn task_deadline_stops_a_kde_task_between_samples() {
     let base = [("engine.workers", "1"), ("engine.profile", "true"), ("kde.grid", "40000")];
     let free = plot(&df, &["size"], &cfg(&base)).unwrap();
     assert!(free.status.is_ok(), "{:?}", free.status);
-    let full = free.stats.unwrap().trace.unwrap().elapsed_of("kde:size").expect("kde span");
+    let full =
+        free.stats.unwrap().trace.unwrap().span_named("kde:size").expect("kde span").duration();
 
     let ms = (full / 8).as_millis().max(5).to_string();
     let deadline = Duration::from_millis(ms.parse().unwrap());
@@ -239,14 +241,14 @@ fn task_deadline_stops_a_kde_task_between_samples() {
     pairs.push(("engine.task_deadline_ms", &ms));
     let governed = plot(&df, &["size"], &cfg(&pairs)).unwrap();
     match &governed.status {
-        SectionStatus::Failed { root_task, error, .. } => {
-            assert_eq!(root_task, "kde:size", "{error}");
+        SectionStatus::Failed(error) => {
+            assert_eq!(error.root_cause().1, "kde:size", "{error}");
         }
         SectionStatus::Ok => panic!("a {deadline:?} deadline should stop a {full:?} KDE"),
     }
     let stats = governed.stats.unwrap();
     assert_eq!(stats.tasks_timed_out, 1, "{stats:?}");
-    let stopped = stats.trace.unwrap().elapsed_of("kde:size").unwrap();
+    let stopped = stats.trace.unwrap().span_named("kde:size").unwrap().duration();
     assert!(stopped < full / 2, "KDE ran {stopped:?} of {full:?} after a {deadline:?} deadline");
 }
 
@@ -261,7 +263,7 @@ fn panicking_kde_task_degrades_only_its_variable_section() {
     assert_eq!(failed.len(), 1, "{failed:?}");
     assert_eq!(failed[0].0, "variable:price");
     match failed[0].1 {
-        SectionStatus::Failed { root_task, .. } => assert_eq!(root_task, "kde:price"),
+        SectionStatus::Failed(err) => assert_eq!(err.root_cause().1, "kde:price"),
         SectionStatus::Ok => unreachable!(),
     }
     assert_eq!(report.stats.tasks_failed, 1, "{:?}", report.stats);
@@ -325,7 +327,7 @@ fn hopeless_budget_keeps_diagnostics() {
     assert!(
         failed.iter().any(|(_, s)| matches!(
             s,
-            SectionStatus::Failed { error, .. } if error.contains("memory budget")
+            SectionStatus::Failed(error) if error.to_string().contains("memory budget")
         )),
         "no section names the budget: {failed:?}"
     );

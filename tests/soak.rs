@@ -1,7 +1,8 @@
 //! Fault-injection soak: many `create_report` runs under a rotating mix
 //! of injected faults (wedged kernels, hard panics) and memory budgets,
 //! asserting the engine never aborts, never deadlocks, and every
-//! degraded section carries diagnostics.
+//! degraded section carries diagnostics whose root failure kind is one
+//! the iteration's fault or budget explains.
 //!
 //! `soak_quick` (always on) does 100 runs in a few seconds. `soak_long`
 //! (`--ignored`; the CI fault-soak job runs it) loops for ~30 wall-clock
@@ -11,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use eda_core::{create_report, Config, InsightKind, SectionStatus};
 use eda_dataframe::{Column, DataFrame};
-use eda_taskgraph::{inject, FaultInjector};
+use eda_taskgraph::{inject, FaultInjector, TaskFailure};
 
 fn frame() -> DataFrame {
     let n = 1_200;
@@ -34,6 +35,10 @@ fn frame() -> DataFrame {
 struct SoakTally {
     runs: usize,
     failed_sections: usize,
+    /// Failed sections by the kind of their root failure.
+    failed_panicked: usize,
+    failed_cancelled: usize,
+    failed_budget_exceeded: usize,
     tasks_cancelled: usize,
     tasks_budget_exceeded: usize,
     approximated: usize,
@@ -41,7 +46,10 @@ struct SoakTally {
 
 /// One soak iteration: pick a fault and a budget from the iteration
 /// index, run a full report, and assert the invariants that must hold
-/// under *any* mix — `Ok` result, diagnostics on every degraded section.
+/// under *any* mix — `Ok` result, diagnostics on every degraded section,
+/// and a root failure kind that this iteration's fault or budget causes:
+/// a panic only under the injected panic, a cancellation only under the
+/// wedge's run deadline, a budget refusal only with a budget set.
 fn soak_iteration(df: &DataFrame, i: usize, tally: &mut SoakTally) {
     let fault = i % 4;
     // Wedged kernels only terminate via the run deadline; everything
@@ -71,20 +79,32 @@ fn soak_iteration(df: &DataFrame, i: usize, tally: &mut SoakTally) {
         .unwrap_or_else(|e| panic!("soak run {i} aborted instead of degrading: {e}"));
 
     for (name, status) in report.failed_sections() {
-        match status {
-            SectionStatus::Failed { error, root_task, .. } => {
-                assert!(!error.is_empty(), "run {i}: section {name} lost its diagnostics");
-                assert!(!root_task.is_empty(), "run {i}: section {name} lost its root cause");
+        let SectionStatus::Failed(err) = status else { unreachable!() };
+        assert!(!err.to_string().is_empty(), "run {i}: section {name} lost its diagnostics");
+        assert!(!err.name.is_empty(), "run {i}: section {name} lost its root cause");
+        match &err.failure {
+            TaskFailure::Panicked(_) => {
+                assert_eq!(fault, 2, "run {i}: section {name}: {err}");
+                tally.failed_panicked += 1;
             }
-            SectionStatus::Ok => unreachable!(),
+            TaskFailure::Cancelled(_) => {
+                assert_eq!(fault, 3, "run {i}: section {name}: {err}");
+                tally.failed_cancelled += 1;
+            }
+            TaskFailure::BudgetExceeded { .. } => {
+                assert_ne!(budget, "0", "run {i}: section {name}: {err}");
+                tally.failed_budget_exceeded += 1;
+            }
+            _ => panic!("run {i}: section {name} failed in a way this mix never causes: {err}"),
         }
         tally.failed_sections += 1;
     }
     tally.runs += 1;
     tally.tasks_cancelled += report.stats.tasks_cancelled;
     tally.tasks_budget_exceeded += report.stats.tasks_budget_exceeded;
-    tally.approximated +=
-        usize::from(report.insights.iter().any(|n| n.kind == InsightKind::Approximated));
+    let approximated = report.insights.iter().any(|n| n.kind == InsightKind::Approximated);
+    assert!(!approximated || budget != "0", "run {i}: approximate output without a budget");
+    tally.approximated += usize::from(approximated);
 }
 
 /// The cross-run expectations: the mix must have exercised every
@@ -129,13 +149,18 @@ fn soak_long() {
         let summary = format!(
             concat!(
                 "{{\"runs\": {}, \"elapsed_s\": {:.1}, \"aborts\": 0, ",
-                "\"failed_sections\": {}, \"tasks_cancelled\": {}, ",
+                "\"failed_sections\": {}, \"failed_panicked\": {}, ",
+                "\"failed_cancelled\": {}, \"failed_budget_exceeded\": {}, ",
+                "\"tasks_cancelled\": {}, ",
                 "\"tasks_budget_exceeded\": {}, ",
                 "\"approximated_reports\": {}}}\n"
             ),
             tally.runs,
             started.elapsed().as_secs_f64(),
             tally.failed_sections,
+            tally.failed_panicked,
+            tally.failed_cancelled,
+            tally.failed_budget_exceeded,
             tally.tasks_cancelled,
             tally.tasks_budget_exceeded,
             tally.approximated,
