@@ -23,6 +23,8 @@
 //!   `(lower index, higher index)` by the same kernel, so a matrix, a
 //!   vector and any tiling of either agree bit for bit.
 //! * `corr_assemble` per method: copies the tiles into a [`CorrMatrix`].
+//!   A vector whose method's matrix is in the result cache reads its row
+//!   off it instead of planning tiles ([`compute_correlation_vector`]).
 //!
 //! How many tiles is a function of `engine.workers` and the pair count
 //! ([`default_tiles`]); [`plan_matrix_tiles`] takes the count explicitly,
@@ -165,8 +167,16 @@ pub fn plan_matrix_tiles(
         .collect()
 }
 
-/// Run `plot_correlation(df, x)`: row `x` of the three matrices, planned
-/// as that row's tiles over the columns' shared `corr_prep` nodes.
+/// Run `plot_correlation(df, x)`: row `x` of the three matrices.
+///
+/// A method whose matrix the result cache holds for this frame — left by
+/// an earlier `plot_correlation(df)` or `create_report` under the same
+/// tiling — is served from it: its [`plan_matrix_nodes`] node is a cache
+/// hit, so no task runs, and the row is read off it. Any other method
+/// plans just the row's `corr_matrix` tiles over the columns' shared
+/// `corr_prep` nodes: m − 1 pairs, where deriving the row from a fresh
+/// matrix would compute all m(m − 1)/2. Both give the same cells bit for
+/// bit, since either computes pair `(min, max)` with the same kernel.
 pub fn compute_correlation_vector(
     ctx: &mut ComputeContext<'_>,
     x: &str,
@@ -183,26 +193,38 @@ pub fn compute_correlation_vector(
         return Err(EdaError::EmptyInput("no other numeric columns"));
     }
 
-    let columns: Vec<(NodeId, NodeId)> = names.iter().map(|n| kernels::plan_corr_prep(ctx, n)).collect();
     // The matrix computes cell (i, j) with i < j; so does its row.
     let others: Vec<usize> = (0..names.len()).filter(|&j| j != xi).collect();
     let pairs: Vec<(usize, usize)> = others.iter().map(|&j| (xi.min(j), xi.max(j))).collect();
+    let matrices = plan_matrix_nodes(ctx, &names);
+    let served: Vec<bool> = matrices.iter().map(|&m| ctx.cached(&[m])).collect();
+    let columns: Vec<(NodeId, NodeId)> = names.iter().map(|n| kernels::plan_corr_prep(ctx, n)).collect();
     let tiles = default_tiles(ctx.config.engine.workers, pairs.len());
     let scope = format!("row:{x}");
     let per_method: Vec<Vec<NodeId>> = CorrMethod::ALL
         .iter()
-        .map(|&method| plan_cells(ctx, &columns, method, &pairs, tiles, &scope))
+        .zip(matrices.iter().zip(&served))
+        .map(|(&method, (&matrix, &served))| {
+            if served {
+                vec![matrix]
+            } else {
+                plan_cells(ctx, &columns, method, &pairs, tiles, &scope)
+            }
+        })
         .collect();
     let outs = ctx.execute_checked(&per_method.concat())?;
 
     let mut insights = Vec::new();
     let mut vectors = Vec::new();
     let mut outs = outs.iter();
-    for (&method, tile_nodes) in CorrMethod::ALL.iter().zip(&per_method) {
-        let cells = outs
-            .by_ref()
-            .take(tile_nodes.len())
-            .flat_map(|t| un::<Vec<Option<f64>>>(t).iter().copied());
+    for ((&method, nodes), &served) in CorrMethod::ALL.iter().zip(&per_method).zip(&served) {
+        let taken = outs.by_ref().take(nodes.len());
+        let cells: Vec<Option<f64>> = if served {
+            let matrix = taken.map(un::<CorrMatrix>);
+            matrix.flat_map(|m| pairs.iter().map(|&(i, j)| m.get(i, j))).collect()
+        } else {
+            taken.flat_map(|t| un::<Vec<Option<f64>>>(t).iter().copied()).collect()
+        };
         let mut entries = Vec::with_capacity(others.len());
         for (&j, r) in others.iter().zip(cells) {
             let name = &names[j];

@@ -46,14 +46,20 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
 /// Domain sizer for the byte-budgeted cache, the run memory gauge and the
 /// bytes a traced span shows: the taskgraph's structural estimate only
 /// knows primitive containers and charges a pointer-sized floor for
-/// opaque payloads, so the correlation, KDE and frequency intermediates
-/// would be billed ~16 bytes each, never evict, never trip
-/// `engine.memory_budget_bytes` and show 16 bytes in a trace. Each arm
-/// charges the heap bytes the payload owns (a `corr_prep` borrows its
-/// column from the gather payload, which is charged on its own).
+/// opaque payloads, so the correlation, KDE, frequency, text, histogram
+/// and grouped intermediates would be billed ~16 bytes each, never evict,
+/// never trip `engine.memory_budget_bytes` and show 16 bytes in a trace.
+/// Each arm charges the heap bytes the payload owns (a `corr_prep`
+/// borrows its column from the gather payload, which is charged on its
+/// own).
 pub fn payload_sizer() -> PayloadSizer {
     use super::cat::{CatFreq, FreqSummary};
     use eda_stats::corr::{ColumnPrep, CorrMatrix};
+    use eda_stats::freq::map_heap_bytes;
+    use eda_stats::histogram::Histogram;
+    use eda_stats::text::TextStats;
+    use std::collections::HashMap;
+    use std::mem::size_of;
     Arc::new(|p: &Payload| {
         if let Some(prep) = p.downcast_ref::<ColumnPrep>() {
             return Some(prep.heap_bytes());
@@ -73,6 +79,23 @@ pub fn payload_sizer() -> PayloadSizer {
         }
         if let Some(summary) = p.downcast_ref::<FreqSummary>() {
             return Some(summary.heap_bytes());
+        }
+        if let Some(text) = p.downcast_ref::<TextStats>() {
+            return Some(text.heap_bytes());
+        }
+        if let Some(h) = p.downcast_ref::<Histogram>() {
+            return Some(h.heap_bytes());
+        }
+        if let Some(hists) = p.downcast_ref::<Vec<Histogram>>() {
+            let counts: usize = hists.iter().map(|h| h.counts.capacity() * 8).sum();
+            return Some(hists.capacity() * size_of::<Histogram>() + counts);
+        }
+        if let Some(groups) = p.downcast_ref::<Vec<Vec<f64>>>() {
+            let values: usize = groups.iter().map(|g| g.capacity() * 8).sum();
+            return Some(groups.capacity() * size_of::<Vec<f64>>() + values);
+        }
+        if let Some(cells) = p.downcast_ref::<HashMap<(i64, i64), u64>>() {
+            return Some(map_heap_bytes(cells.capacity(), size_of::<((i64, i64), u64)>()));
         }
         None
     })
@@ -176,6 +199,15 @@ impl<'a> ComputeContext<'a> {
                 Some(CacheHandle::new(cache, self.pf.dataset_id))
             }
         }
+    }
+
+    /// Whether the result cache holds every one of `nodes` for this frame,
+    /// so executing them dispatches no task. Asking counts no hit or miss
+    /// ([`ResultCache::contains`]); false when caching is off.
+    pub fn cached(&self, nodes: &[NodeId]) -> bool {
+        self.cache_handle().is_some_and(|handle| {
+            nodes.iter().all(|&n| handle.cache.contains(handle.fingerprint, self.graph.task(n).key))
+        })
     }
 
     /// Parameter-hash base mixing in the config, so config changes never

@@ -1,19 +1,21 @@
 //! `engine.cache_budget_bytes` and `engine.memory_budget_bytes` are only
 //! as honest as the bytes `payload_sizer` charges: this holds its prices
-//! for the correlation, KDE, frequency and frequency-summary payloads against what the
-//! allocator actually handed out. One test, so nothing else allocates
-//! meanwhile.
+//! for the correlation, KDE, frequency, frequency-summary, text,
+//! histogram, grouped and hexbin payloads against what the allocator
+//! actually handed out. One test, so nothing else allocates meanwhile.
 
 // The counting global allocator below is the one `unsafe` here.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use eda_core::compute::cat::CatFreq;
+use eda_core::compute::cat::{text_stats, CatFreq};
 use eda_core::compute::ctx::{payload_sizer, pl};
 use eda_dataframe::{Column, Selection};
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMatrix, CorrMethod};
+use eda_stats::histogram::Histogram;
 use eda_stats::kde::kde_grid;
 use eda_taskgraph::Payload;
 
@@ -111,6 +113,42 @@ fn charged_bytes_are_within_a_tenth_of_the_heap_bytes() {
     // the scratch its selection ran in (one entry per distinct value).
     let table = CatFreq::of(&names, Selection::All);
     case("freq_summary", &|| pl(table.summary(10)));
+
+    // A `text_stats` payload owns its word table: a string per word.
+    let phrases = Column::from_string(
+        (0..n).map(|i| format!("Word{} and the {} other words", i % 700, i % 31)).collect(),
+    );
+    case("text_stats", &|| pl(text_stats(&phrases)));
+
+    // `histogram` owns its counts; `multi_line` is one histogram per kept
+    // category.
+    case("histogram", &|| pl(Histogram::from_values(&distinct, 50)));
+    case("multi_line", &|| {
+        let mut hists = vec![Histogram::new(0.0, 1000.0 / 7.0, 50); 10];
+        for (i, &v) in with_nulls.iter().enumerate() {
+            hists[i % 10].push(v);
+        }
+        pl(hists)
+    });
+
+    // `binned_numeric` and `grouped_numeric` collect a group's values as
+    // they come, so each group's buffer has grown by doubling.
+    case("binned_numeric", &|| {
+        let mut groups: Vec<Vec<f64>> = vec![Vec::new(); 20];
+        for &v in &tied {
+            groups[(v * 7.0) as usize % 20].push(v);
+        }
+        pl(groups)
+    });
+
+    // `hexbin` counts rows per occupied hexagon in a hash map.
+    case("hexbin", &|| {
+        let mut cells: HashMap<(i64, i64), u64> = HashMap::new();
+        for (&a, &b) in distinct.iter().zip(&tied) {
+            *cells.entry(((a as i64) % 23, (b * 7.0) as i64)).or_insert(0) += 1;
+        }
+        pl(cells)
+    });
 
     for (name, payload, real) in &cases {
         let charged = sizer(payload).unwrap_or_else(|| panic!("{name}: not priced"));

@@ -150,6 +150,22 @@ impl CodeCounts {
     }
 }
 
+/// Bytes the table allocation of a std `HashMap` holding `capacity`
+/// entries of `entry_bytes` each takes: one slot per bucket, padded to a
+/// 16-byte group, plus a control byte per bucket and one group more. The
+/// bucket count is a power of two with one slot in eight left free (one
+/// slot in a table of fewer than eight buckets), so `capacity`, as
+/// `HashMap::capacity` reports it, says how many buckets there are. What
+/// the entries own elsewhere is not counted.
+pub fn map_heap_bytes(capacity: usize, entry_bytes: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        1..=7 => capacity + 1,
+        _ => capacity / 7 * 8,
+    };
+    (buckets * entry_bytes).next_multiple_of(16) + buckets + 16
+}
+
 /// Mergeable frequency table over owned string categories.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FreqTable {
@@ -199,6 +215,13 @@ impl FreqTable {
                 self.counts.insert(category.to_string(), n);
             }
         }
+    }
+
+    /// Heap bytes the table owns: its map and every category's string.
+    pub fn heap_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(String, u64)>();
+        let names: usize = self.counts.keys().map(String::capacity).sum();
+        map_heap_bytes(self.counts.capacity(), entry) + names
     }
 
     /// Merge another table into this one.

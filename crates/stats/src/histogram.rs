@@ -49,6 +49,11 @@ impl Histogram {
         h
     }
 
+    /// Bytes the histogram takes as a payload: itself and its counts.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.counts.capacity() * 8
+    }
+
     /// Number of bins.
     pub fn nbins(&self) -> usize {
         self.counts.len()

@@ -80,6 +80,12 @@ impl TextStats {
         TextStats { lengths: Moments::new(), ..Default::default() }
     }
 
+    /// Bytes the accumulator takes as a payload: itself and its word
+    /// table.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.words.heap_bytes()
+    }
+
     /// Accumulate one value; `None` is ignored (nulls are tracked by the
     /// frequency-table kernel, not here).
     pub fn push(&mut self, value: Option<&str>) {

@@ -125,6 +125,14 @@ impl ResultCache {
         }
     }
 
+    /// Whether `(fingerprint, key)` is held, without touching the entry:
+    /// no hit or miss is counted and its LRU position stays put, so a
+    /// planner may ask before it decides what to run and the hit rate
+    /// still reports only what runs read.
+    pub fn contains(&self, fingerprint: u64, key: TaskKey) -> bool {
+        self.enabled() && self.inner.lock().map.contains_key(&(fingerprint, key))
+    }
+
     /// Insert the payload of `(fingerprint, key)`, evicting
     /// least-recently-used entries until the budget holds. Returns how
     /// many entries were evicted. Oversized payloads (`bytes >` budget)
@@ -259,6 +267,23 @@ mod tests {
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
         assert_eq!(c.bytes_saved(), 8);
+    }
+
+    #[test]
+    fn contains_counts_nothing_and_keeps_the_lru_order() {
+        let c = ResultCache::new(100);
+        c.insert(1, key(1), pl(1), 40);
+        c.insert(1, key(2), pl(2), 40);
+        assert!(c.contains(1, key(1)));
+        assert!(!c.contains(1, key(3)));
+        assert!(!c.contains(2, key(1)), "another fingerprint's entry");
+        assert_eq!((c.hits(), c.misses(), c.bytes_saved()), (0, 0, 0));
+        // Asking after key(1) left it the least recently used: a `get`
+        // here would have made key(2) the victim instead.
+        assert_eq!(c.insert(1, key(3), pl(3), 40), 1);
+        assert!(!c.contains(1, key(1)), "key(1) was still the LRU entry");
+        assert!(c.contains(1, key(2)) && c.contains(1, key(3)));
+        assert!(!ResultCache::new(0).contains(1, key(1)));
     }
 
     #[test]
