@@ -51,13 +51,14 @@
 use std::time::Duration;
 
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, print_table};
-use eda_core::compute::cat::{self, CatFreq};
+use eda_core::compute::cat;
 use eda_core::compute::univariate::stride_sample;
 use eda_core::{create_report, plot_missing, Config};
 use eda_dataframe::{Bitmap, Column, Selection};
 use eda_datagen::{generate, kaggle_spec_by_name};
 use eda_render::{render_analysis_html, render_report_html};
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
+use eda_stats::freq::CatFreq;
 use eda_stats::kde::{kde_grid, silverman_bandwidth};
 use eda_stats::quantile::sorted_values;
 use eda_stats::text::TextStats;

@@ -592,7 +592,7 @@ mod tests {
     /// where one worker runs every task).
     #[test]
     fn reissued_plot_missing_runs_no_task_and_selects_nothing() {
-        use crate::compute::cat::SUMMARIES;
+        use crate::compute::kernels::SUMMARIES;
         let df = frame();
         let cfg = Config::from_pairs(vec![("engine.workers", "1")]).unwrap();
         let summaries = || SUMMARIES.with(|n| n.get());

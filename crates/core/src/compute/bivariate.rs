@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 
+use eda_stats::freq::FreqSummary;
 use eda_stats::histogram::Histogram;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::BoxPlot;
@@ -20,7 +21,6 @@ use crate::error::EdaResult;
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates};
 
-use super::cat::FreqSummary;
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, hex_center, hex_scales, Rows};
 use super::univariate::fmt_num;

@@ -46,17 +46,18 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
 /// Domain sizer for the byte-budgeted cache, the run memory gauge and the
 /// bytes a traced span shows: the taskgraph's structural estimate only
 /// knows primitive containers and charges a pointer-sized floor for
-/// opaque payloads, so the correlation, KDE, frequency, text, histogram
-/// and grouped intermediates would be billed ~16 bytes each, never evict,
-/// never trip `engine.memory_budget_bytes` and show 16 bytes in a trace.
-/// Each arm charges the heap bytes the payload owns (a `corr_prep`
-/// borrows its column from the gather payload, which is charged on its
-/// own).
+/// opaque payloads, so the correlation, KDE, frequency, text, histogram,
+/// grouped, nullity and validity intermediates would be billed ~16 bytes
+/// each, never evict, never trip `engine.memory_budget_bytes` and show 16
+/// bytes in a trace. Each arm charges the heap bytes the payload owns (a
+/// `corr_prep` borrows its column from the gather payload, which is
+/// charged on its own).
 pub fn payload_sizer() -> PayloadSizer {
-    use super::cat::{CatFreq, FreqSummary};
+    use eda_dataframe::Bitmap;
     use eda_stats::corr::{ColumnPrep, CorrMatrix};
-    use eda_stats::freq::map_heap_bytes;
+    use eda_stats::freq::{map_heap_bytes, CatFreq, FreqSummary};
     use eda_stats::histogram::Histogram;
+    use eda_stats::missing::NullCounts;
     use eda_stats::text::TextStats;
     use std::collections::HashMap;
     use std::mem::size_of;
@@ -97,6 +98,12 @@ pub fn payload_sizer() -> PayloadSizer {
         if let Some(cells) = p.downcast_ref::<HashMap<(i64, i64), u64>>() {
             return Some(map_heap_bytes(cells.capacity(), size_of::<((i64, i64), u64)>()));
         }
+        if let Some(counts) = p.downcast_ref::<NullCounts>() {
+            return Some(counts.heap_bytes());
+        }
+        if let Some(validity) = p.downcast_ref::<Bitmap>() {
+            return Some(validity.heap_bytes());
+        }
         None
     })
 }
@@ -131,7 +138,7 @@ pub struct ComputeContext<'a> {
 impl<'a> ComputeContext<'a> {
     /// Precompute the partition layout and set up an empty graph.
     pub fn new(df: &'a DataFrame, config: &'a Config) -> ComputeContext<'a> {
-        // Hook the dependency-free stats kernels up to the scheduler's
+        // Hook the stats kernels, which do not know the scheduler, up to its
         // cooperative-cancellation probe, once per process. With no
         // governed run active the probe reads a thread-local `None` and
         // answers false, so ungoverned runs are unaffected.

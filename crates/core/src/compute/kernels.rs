@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use eda_dataframe::{Bitmap, Column, DataFrame, Selection};
 use eda_stats::corr::{upper_triangle, ColumnPrep, PearsonPartial};
+use eda_stats::freq::CatFreq;
 use eda_stats::histogram::Histogram;
 use eda_stats::missing::{spectrum_ranges, NullCounts};
 use eda_stats::moments::Moments;
@@ -33,17 +34,8 @@ use eda_taskgraph::ops;
 use eda_taskgraph::partition::payload_frame;
 use eda_taskgraph::NodeId;
 
-use super::cat::{self, CatFreq, Slots};
+use super::cat::{self, Slots};
 use super::ctx::{pl, un, ComputeContext};
-
-/// Row/null counts for one column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ColMeta {
-    /// Total rows.
-    pub len: usize,
-    /// Null rows.
-    pub nulls: usize,
-}
 
 /// Which rows of each partition a kernel aggregates.
 ///
@@ -90,23 +82,10 @@ fn col<'d>(df: &'d DataFrame, name: &str) -> &'d Column {
     df.column(name).expect("column exists")
 }
 
-/// The column's float buffer when every windowed row is valid — either
-/// no bitmap at all, or a sliced window whose bitmap is all-set (slices
-/// keep their parent's bitmap, so `validity()` alone under-reports this
-/// case). The slice entry points of the kernels take it as it is.
-fn all_valid_f64(c: &Column) -> Option<&[f64]> {
-    let vals = c.f64_values()?;
-    match c.validity() {
-        None => Some(vals),
-        Some(bm) if bm.all_set() => Some(vals),
-        Some(_) => None,
-    }
-}
-
 /// A numeric column's values with NaN at its nulls: the float buffer
 /// itself when every row is valid, else a copy.
 fn nan_marked(c: &Column) -> Cow<'_, [f64]> {
-    match all_valid_f64(c) {
+    match c.dense_f64() {
         Some(vals) => Cow::Borrowed(vals),
         None => Cow::Owned(c.to_f64_nan().expect("numeric")),
     }
@@ -116,27 +95,9 @@ fn nan_marked(c: &Column) -> Cow<'_, [f64]> {
 // Scalar / sketch kernels
 // ---------------------------------------------------------------------------
 
-/// Row/null counts of `column`.
-pub fn col_meta(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
-    let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("meta:{column}")));
-    ops::map_reduce(
-        &mut ctx.graph,
-        &format!("col_meta:{column}"),
-        params,
-        &ctx.sources.clone(),
-        move |df| {
-            let c = col(df, &name);
-            pl(ColMeta { len: c.len(), nulls: c.null_count() })
-        },
-        |a, b| {
-            let (a, b) = (un::<ColMeta>(a), un::<ColMeta>(b));
-            pl(ColMeta { len: a.len + b.len, nulls: a.nulls + b.nulls })
-        },
-    )
-}
-
-/// Moments sketch over a numeric column.
+/// Moments sketch over a numeric column ([`Moments::of`] per partition).
+/// Its payload is also where a numeric column's row and null counts are
+/// read from (`eda_stats::missing::ColMeta::numeric`).
 pub fn moments(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
     let params = ctx.params(TaskKey::params(&format!("moments:{column}")));
@@ -145,17 +106,7 @@ pub fn moments(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
         &format!("moments:{column}"),
         params,
         &ctx.sources.clone(),
-        move |df| {
-            let c = col(df, &name);
-            let mut m = Moments::new();
-            match all_valid_f64(c) {
-                // Null-free float window: feed the buffer to the sketch
-                // as one contiguous slice.
-                Some(vals) => m.push_slice(vals),
-                None => c.for_each_numeric(|v| m.push(v)).expect("numeric"),
-            }
-            pl(m)
-        },
+        move |df| pl(Moments::of(col(df, &name)).expect("numeric")),
         |a, b| {
             let mut m = un::<Moments>(a).clone();
             m.merge(un::<Moments>(b));
@@ -266,7 +217,7 @@ pub fn histogram_with_range(
                 let mom = un::<Moments>(&inputs[1]);
                 let mut h = Histogram::new(mom.min, mom.max, bins);
                 let c = col(&frame, &name);
-                match (all_valid_f64(c), rows.select(&frame)) {
+                match (c.dense_f64(), rows.select(&frame)) {
                     (Some(vals), Selection::All) => h.fill_slice(vals),
                     (_, rows) => c.for_each_numeric_in(rows, |v| h.push(v)).expect("numeric"),
                 }
@@ -281,7 +232,8 @@ pub fn histogram_with_range(
     })
 }
 
-/// Frequency table ([`CatFreq`]) of any column's `rows`, counted by code.
+/// Frequency table ([`CatFreq::of`] per partition) of any column's `rows`,
+/// counted by the codes of its display forms.
 pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
     let name = column.to_string();
     let params = ctx.params(TaskKey::params(&format!("freq:{column}{}", rows.tag())));
@@ -290,7 +242,7 @@ pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
         &format!("freq:{column}{}", rows.tag()),
         params,
         &ctx.sources.clone(),
-        move |df| pl(CatFreq::of(&col(df, &name).display_encoded(), rows.select(df))),
+        move |df| pl(CatFreq::of(col(df, &name), rows.select(df))),
         |a, b| {
             let mut t = un::<CatFreq>(a).clone();
             t.merge(un::<CatFreq>(b));
@@ -303,7 +255,9 @@ pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
 /// ([`CatFreq::summary`]): one more task on the `freq` node, so the
 /// selection of the top categories runs on a worker, once per call however
 /// many panels read it, and not at all when the result cache has it.
-/// It keeps as many categories as the widest chart configured shows.
+/// It keeps as many categories as the widest chart configured shows. A
+/// categorical column's row and null counts are read off its payload
+/// (`eda_stats::missing::ColMeta::categorical`).
 pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
     let name = format!("freq_summary:{column}{}", rows.tag());
     let table = freq(ctx, column, rows);
@@ -311,7 +265,11 @@ pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> N
     let shown = [c.bar.ngroups, c.pie.slices, c.box_plot.ngroups, c.line.ngroups, c.crosstab.ngroups_x];
     let keep = shown.into_iter().fold(c.crosstab.ngroups_y, usize::max);
     let params = ctx.params(TaskKey::params(&name));
-    ctx.graph.op(&name, params, vec![table], move |inputs| pl(un::<CatFreq>(&inputs[0]).summary(keep)))
+    ctx.graph.op(&name, params, vec![table], move |inputs| {
+        #[cfg(test)]
+        SUMMARIES.with(|n| n.set(n.get() + 1));
+        pl(un::<CatFreq>(&inputs[0]).summary(keep))
+    })
 }
 
 /// Text statistics over a categorical column: each distinct value that
@@ -750,10 +708,20 @@ pub fn multi_line(
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Summaries the `freq_summary` tasks took on this thread: how tests
+    /// tell that a cached call selected nothing (`CatFreq::summary` lives
+    /// in `eda-stats`, whose test build this is not).
+    pub(crate) static SUMMARIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Config;
     use eda_dataframe::DataFrame;
+    use eda_stats::freq::FreqSummary;
+    use eda_stats::missing::ColMeta;
 
     fn frame() -> DataFrame {
         let n = 200;
@@ -801,9 +769,11 @@ mod tests {
 
     #[test]
     fn col_meta_counts() {
-        let meta: ColMeta = run_one(|ctx| col_meta(ctx, "num"));
-        assert_eq!(meta.len, 200);
-        assert_eq!(meta.nulls, 20);
+        // Read off the payloads the panels request, not counted again.
+        let m: Moments = run_one(|ctx| moments(ctx, "num"));
+        assert_eq!(ColMeta::numeric(200, &m), ColMeta { len: 200, nulls: 20 });
+        let s: FreqSummary = run_one(|ctx| freq_summary(ctx, "cat", Rows::All));
+        assert_eq!(ColMeta::categorical(s.total, s.nulls), ColMeta { len: 200, nulls: 16 });
     }
 
     #[test]

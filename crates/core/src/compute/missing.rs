@@ -12,6 +12,7 @@
 //! * `plot_missing(df, x, y)` → histogram, PDF, CDF, box plot of `y`
 //!   before vs after dropping `x`'s missing rows.
 
+use eda_stats::freq::{CatFreq, FreqSummary};
 use eda_stats::histogram::Histogram;
 use eda_stats::hypothesis::ks_distance_sorted;
 use eda_stats::missing::{spectrum_ranges, MissingSpectrum, MissingSummary, NullCounts};
@@ -23,7 +24,6 @@ use crate::error::EdaResult;
 use crate::insights::{similarity_insight, Insight};
 use crate::intermediate::{Inter, Intermediates};
 
-use super::cat::{CatFreq, FreqSummary};
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, Rows};
 

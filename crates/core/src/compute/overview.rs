@@ -3,7 +3,10 @@
 //! Dataset statistics plus one small distribution chart per column — a
 //! histogram for numerical columns, a bar chart for categorical ones.
 
+use eda_stats::freq::FreqSummary;
 use eda_stats::histogram::Histogram;
+use eda_stats::missing::ColMeta;
+use eda_stats::moments::Moments;
 use eda_taskgraph::NodeId;
 
 use crate::dtype::{detect, SemanticType};
@@ -11,28 +14,27 @@ use crate::error::EdaResult;
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
-use super::cat::FreqSummary;
 use super::ctx::{un, ComputeContext};
-use super::kernels::{self, ColMeta, Rows};
+use super::kernels::{self, Rows};
 use super::univariate::bar_from_freq;
 
-/// Per-column plan entry of the overview.
+/// Per-column plan entry of the overview. A column's null count is read
+/// off the payloads it already needs ([`ColMeta`]), not counted again.
 pub enum OverviewColumnPlan {
-    /// Numeric column: meta + histogram.
+    /// Numeric column: moments (the histogram's range, and the column's
+    /// nulls) + histogram.
     Numeric {
         /// Column name.
         name: String,
-        /// Meta node.
-        meta: NodeId,
+        /// Moments node.
+        moments: NodeId,
         /// Histogram node.
         hist: NodeId,
     },
-    /// Categorical column: meta + frequency summary.
+    /// Categorical column: frequency summary.
     Categorical {
         /// Column name.
         name: String,
-        /// Meta node.
-        meta: NodeId,
         /// Frequency-summary node.
         freq: NodeId,
     },
@@ -50,8 +52,8 @@ impl OverviewPlan {
         self.columns
             .iter()
             .flat_map(|c| match c {
-                OverviewColumnPlan::Numeric { meta, hist, .. } => vec![*meta, *hist],
-                OverviewColumnPlan::Categorical { meta, freq, .. } => vec![*meta, *freq],
+                OverviewColumnPlan::Numeric { moments, hist, .. } => vec![*moments, *hist],
+                OverviewColumnPlan::Categorical { freq, .. } => vec![*freq],
             })
             .collect()
     }
@@ -66,12 +68,11 @@ pub fn plan_overview(ctx: &mut ComputeContext<'_>) -> OverviewPlan {
             let col = ctx.df.column(&name).expect("iterating frame names");
             match detect(col, ctx.config.types.low_cardinality) {
                 SemanticType::Numerical => OverviewColumnPlan::Numeric {
-                    meta: kernels::col_meta(ctx, &name),
+                    moments: kernels::moments(ctx, &name),
                     hist: kernels::histogram(ctx, &name, ctx.config.hist.bins),
                     name,
                 },
                 SemanticType::Categorical => OverviewColumnPlan::Categorical {
-                    meta: kernels::col_meta(ctx, &name),
                     freq: kernels::freq_summary(ctx, &name, Rows::All),
                     name,
                 },
@@ -108,7 +109,7 @@ pub fn assemble_overview(
     for c in &plan.columns {
         match c {
             OverviewColumnPlan::Numeric { name, .. } => {
-                let meta = un::<ColMeta>(&outs[cursor]);
+                let meta = ColMeta::numeric(ctx.pf.nrows(), un::<Moments>(&outs[cursor]));
                 let hist = un::<Histogram>(&outs[cursor + 1]);
                 cursor += 2;
                 total_missing += meta.nulls;
@@ -119,9 +120,9 @@ pub fn assemble_overview(
                 ));
             }
             OverviewColumnPlan::Categorical { name, .. } => {
-                let meta = un::<ColMeta>(&outs[cursor]);
-                let freq = un::<FreqSummary>(&outs[cursor + 1]);
-                cursor += 2;
+                let freq = un::<FreqSummary>(&outs[cursor]);
+                let meta = ColMeta::categorical(freq.total, freq.nulls);
+                cursor += 1;
                 total_missing += meta.nulls;
                 n_categorical += 1;
                 column_charts.push((
@@ -227,7 +228,7 @@ mod tests {
         let plan = plan_overview(&mut ctx);
         let before = ctx.graph.len();
         let uni = super::super::univariate::plan_numeric(&mut ctx, "size");
-        // The univariate plan re-adds meta/moments/hist for "size": all of
+        // The univariate plan re-adds moments/hist for "size": all of
         // those must dedupe onto the overview's nodes...
         let OverviewColumnPlan::Numeric { hist, .. } = &plan.columns[0] else {
             panic!()

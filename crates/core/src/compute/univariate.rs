@@ -15,7 +15,9 @@
 //! parallel across columns, and a repeated `plot(df, x)` or a warm
 //! `create_report` gets it from the result cache.
 
+use eda_stats::freq::FreqSummary;
 use eda_stats::kde::kde_grid;
+use eda_stats::missing::ColMeta;
 use eda_stats::moments::Moments;
 use eda_stats::qq::{normal_quantile, normal_qq_points};
 use eda_stats::quantile::{quantile_sorted, BoxPlot};
@@ -30,9 +32,8 @@ use crate::error::EdaResult;
 use crate::insights::{categorical_insights, numeric_insights, Insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
-use super::cat::FreqSummary;
 use super::ctx::{pl, un, ComputeContext};
-use super::kernels::{self, ColMeta, Rows};
+use super::kernels::{self, Rows};
 
 /// KDE curves are evaluated over at most this many of the sorted values
 /// (interactivity: kernel sums over millions of points would defeat the
@@ -42,9 +43,8 @@ const KDE_SAMPLE: usize = 5000;
 /// Graph nodes of a numeric univariate panel.
 #[derive(Debug, Clone, Copy)]
 pub struct NumericPlan {
-    /// Row/null counts.
-    pub meta: NodeId,
-    /// Moments sketch.
+    /// Moments sketch (and, with the frame's row count, the column's
+    /// nulls: [`ColMeta::numeric`]).
     pub moments: NodeId,
     /// Fully sorted values (shared by stats, box plot, Q-Q, KDE sample —
     /// and the distinct count, which is just the sorted vector's run
@@ -59,7 +59,7 @@ pub struct NumericPlan {
 impl NumericPlan {
     /// The output nodes to request from the engine.
     pub fn outputs(&self) -> Vec<NodeId> {
-        vec![self.meta, self.moments, self.sorted, self.hist, self.kde]
+        vec![self.moments, self.sorted, self.hist, self.kde]
     }
 }
 
@@ -72,7 +72,6 @@ pub fn plan_numeric(ctx: &mut ComputeContext<'_>, column: &str) -> NumericPlan {
         pl(kde_grid(&stride_sample(un::<Vec<f64>>(&inputs[0]), KDE_SAMPLE), grid))
     });
     NumericPlan {
-        meta: kernels::col_meta(ctx, column),
         moments: kernels::moments(ctx, column),
         sorted,
         hist: kernels::histogram(ctx, column, ctx.config.hist.bins),
@@ -91,9 +90,8 @@ pub fn distinct_sorted(sorted: &[f64]) -> usize {
 /// Graph nodes of a categorical univariate panel.
 #[derive(Debug, Clone, Copy)]
 pub struct CategoricalPlan {
-    /// Row/null counts.
-    pub meta: NodeId,
-    /// What the panel shows of the frequency table.
+    /// What the panel shows of the frequency table (and the column's
+    /// nulls: [`ColMeta::categorical`]).
     pub freq: NodeId,
     /// Word/length statistics.
     pub text: NodeId,
@@ -102,14 +100,13 @@ pub struct CategoricalPlan {
 impl CategoricalPlan {
     /// The output nodes to request from the engine.
     pub fn outputs(&self) -> Vec<NodeId> {
-        vec![self.meta, self.freq, self.text]
+        vec![self.freq, self.text]
     }
 }
 
 /// Add the categorical univariate plan for `column`.
 pub fn plan_categorical(ctx: &mut ComputeContext<'_>, column: &str) -> CategoricalPlan {
     CategoricalPlan {
-        meta: kernels::col_meta(ctx, column),
         freq: kernels::freq_summary(ctx, column, Rows::All),
         text: kernels::text_stats(ctx, column),
     }
@@ -126,7 +123,7 @@ pub fn compute_univariate(
         SemanticType::Numerical => {
             let plan = plan_numeric(ctx, column);
             let outs = ctx.execute_checked(&plan.outputs())?;
-            let (ims, insights) = assemble_numeric(column, ctx.config, &outs);
+            let (ims, insights) = assemble_numeric(column, ctx.config, ctx.pf.nrows(), &outs);
             Ok((ims, insights, sem))
         }
         SemanticType::Categorical => {
@@ -138,28 +135,29 @@ pub fn compute_univariate(
     }
 }
 
-/// Assemble the numeric panel from payloads ordered as
-/// [`NumericPlan::outputs`]. This is the eager "Pandas phase": every input
-/// is already a small aggregate (the sorted vector being the one O(n)
-/// exception, exactly as in the paper's quantile pipeline).
+/// Assemble the numeric panel of a column of `rows` rows from payloads
+/// ordered as [`NumericPlan::outputs`]. This is the eager "Pandas phase":
+/// every input is already a small aggregate (the sorted vector being the
+/// one O(n) exception, exactly as in the paper's quantile pipeline).
 pub fn assemble_numeric(
     column: &str,
     config: &Config,
+    rows: usize,
     outs: &[Payload],
 ) -> (Intermediates, Vec<Insight>) {
-    let meta = un::<ColMeta>(&outs[0]);
-    let moments = un::<Moments>(&outs[1]);
-    let sorted = un::<Vec<f64>>(&outs[2]);
-    let hist = un::<eda_stats::histogram::Histogram>(&outs[3]);
-    let (xs, ys) = un::<(Vec<f64>, Vec<f64>)>(&outs[4]);
+    let moments = un::<Moments>(&outs[0]);
+    let meta = ColMeta::numeric(rows, moments);
+    let sorted = un::<Vec<f64>>(&outs[1]);
+    let hist = un::<eda_stats::histogram::Histogram>(&outs[2]);
+    let (xs, ys) = un::<(Vec<f64>, Vec<f64>)>(&outs[3]);
 
     let box_plot = BoxPlot::from_sorted(sorted, config.box_plot.max_outliers);
-    let insights = numeric_insights(column, meta, moments, box_plot.as_ref(), &config.insight);
+    let insights = numeric_insights(column, &meta, moments, box_plot.as_ref(), &config.insight);
 
     let mut ims = Intermediates::new();
     ims.push(
         "stats",
-        Inter::StatsTable(numeric_stats_rows(meta, moments, sorted, &insights)),
+        Inter::StatsTable(numeric_stats_rows(&meta, moments, sorted, &insights)),
     );
     ims.push(
         "histogram",
@@ -191,16 +189,16 @@ pub fn assemble_categorical(
     config: &Config,
     outs: &[Payload],
 ) -> (Intermediates, Vec<Insight>) {
-    let meta = un::<ColMeta>(&outs[0]);
-    let freq = un::<FreqSummary>(&outs[1]);
-    let text = un::<TextStats>(&outs[2]);
+    let freq = un::<FreqSummary>(&outs[0]);
+    let meta = ColMeta::categorical(freq.total, freq.nulls);
+    let text = un::<TextStats>(&outs[1]);
 
-    let insights = categorical_insights(column, meta, freq, &config.insight);
+    let insights = categorical_insights(column, &meta, freq, &config.insight);
 
     let mut ims = Intermediates::new();
     ims.push(
         "stats",
-        Inter::StatsTable(categorical_stats_rows(meta, freq, text, &insights)),
+        Inter::StatsTable(categorical_stats_rows(&meta, freq, text, &insights)),
     );
     ims.push("bar_chart", bar_from_freq(freq, config.bar.ngroups));
     ims.push("pie_chart", pie_from_freq(freq, config.pie.slices));

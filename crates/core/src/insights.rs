@@ -6,12 +6,12 @@
 //! aggregates into [`Insight`] values and tells the stats tables which
 //! rows to highlight (the red entries in the paper's Figure 1).
 
+use eda_stats::freq::FreqSummary;
 use eda_stats::hypothesis::chi_square_pvalue;
+use eda_stats::missing::ColMeta;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::BoxPlot;
 
-use crate::compute::cat::FreqSummary;
-use crate::compute::kernels::ColMeta;
 use crate::config::InsightConfig;
 
 /// The kinds of insights DataPrep.EDA reports.
@@ -318,7 +318,7 @@ mod tests {
     }
 
     fn freq_of(values: Vec<String>) -> FreqSummary {
-        use crate::compute::cat::CatFreq;
+        use eda_stats::freq::CatFreq;
         CatFreq::of(&eda_dataframe::Column::from_string(values), eda_dataframe::Selection::All).summary(10)
     }
 

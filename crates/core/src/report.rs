@@ -180,7 +180,9 @@ impl Report {
             match section_payloads(&outcomes[*start..*end]) {
                 Ok(outs) => {
                     let (ims, ins) = match plan {
-                        VarPlan::Numeric(name, _) => assemble_numeric(name, config, &outs),
+                        VarPlan::Numeric(name, _) => {
+                            assemble_numeric(name, config, ctx.pf.nrows(), &outs)
+                        }
                         VarPlan::Categorical(name, _) => {
                             assemble_categorical(name, config, &outs)
                         }

@@ -1,8 +1,9 @@
 //! `engine.cache_budget_bytes` and `engine.memory_budget_bytes` are only
 //! as honest as the bytes `payload_sizer` charges: this holds its prices
 //! for the correlation, KDE, frequency, frequency-summary, text,
-//! histogram, grouped and hexbin payloads against what the allocator
-//! actually handed out. One test, so nothing else allocates meanwhile.
+//! histogram, grouped, hexbin, nullity and validity payloads against what
+//! the allocator actually handed out. One test, so nothing else allocates
+//! meanwhile.
 
 // The counting global allocator below is the one `unsafe` here.
 #![allow(unsafe_code)]
@@ -11,12 +12,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use eda_core::compute::cat::{text_stats, CatFreq};
+use eda_core::compute::cat::text_stats;
 use eda_core::compute::ctx::{payload_sizer, pl};
-use eda_dataframe::{Column, Selection};
+use eda_dataframe::{Bitmap, Column, Selection};
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMatrix, CorrMethod};
+use eda_stats::freq::CatFreq;
 use eda_stats::histogram::Histogram;
 use eda_stats::kde::kde_grid;
+use eda_stats::missing::NullCounts;
 use eda_taskgraph::Payload;
 
 /// The system allocator, counting live bytes.
@@ -148,6 +151,28 @@ fn charged_bytes_are_within_a_tenth_of_the_heap_bytes() {
             *cells.entry(((a as i64) % 23, (b * 7.0) as i64)).or_insert(0) += 1;
         }
         pl(cells)
+    });
+
+    // `nulls` counts per column, per column pair and per spectrum bin:
+    // 25 columns, 300 pairs, 40 bins.
+    case("nulls", &|| {
+        pl(NullCounts {
+            rows: n,
+            nulls: (0..25).collect(),
+            co_nulls: (0..300).collect(),
+            bin_nulls: (0..40).map(|bin| vec![bin; 25]).collect(),
+        })
+    });
+
+    // `validity` joins the partitions' windows into a buffer of its own.
+    let column =
+        Column::from_opt_f64(with_nulls.iter().map(|&v| (!v.is_nan()).then_some(v)).collect());
+    let halves =
+        [column.slice(0, n / 2).validity_mask(), column.slice(n / 2, n / 2).validity_mask()];
+    case("validity", &|| {
+        let mut joined = Bitmap::new();
+        halves.iter().for_each(|half| joined.extend_from(half));
+        pl(joined)
     });
 
     for (name, payload, real) in &cases {

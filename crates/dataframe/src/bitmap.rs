@@ -75,6 +75,19 @@ impl Bitmap {
         self.len == 0
     }
 
+    /// Bytes this bitmap keeps alive: itself, and its buffer when nothing
+    /// else holds it (a window of a column's bitmap shares the column's,
+    /// which the column is charged for).
+    pub fn heap_bytes(&self) -> usize {
+        let buffer = if Arc::strong_count(&self.bytes) == 1 {
+            // The `Arc`'s two counts, the `Vec` and its bytes.
+            2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u8>>() + self.bytes.capacity()
+        } else {
+            0
+        };
+        std::mem::size_of::<Self>() + buffer
+    }
+
     /// Whether two bitmaps share one backing buffer (zero-copy views of
     /// the same allocation).
     pub fn shares_buffer(&self, other: &Bitmap) -> bool {

@@ -490,6 +490,18 @@ impl Column {
         }
     }
 
+    /// The windowed float values when every windowed row is valid —
+    /// either no bitmap at all, or a sliced window whose bitmap is all-set
+    /// (slices keep their parent's bitmap, so [`Column::validity`] alone
+    /// under-reports this case). `None` for a float column with a null in
+    /// the window, and for non-float columns.
+    pub fn dense_f64(&self) -> Option<&[f64]> {
+        match self.validity() {
+            Some(bm) if !bm.all_set() => None,
+            _ => self.f64_values(),
+        }
+    }
+
     /// The windowed integer values. `None` for non-integer columns.
     pub fn i64_values(&self) -> Option<&[i64]> {
         match self {

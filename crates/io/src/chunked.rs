@@ -37,7 +37,8 @@
 //!   `Str` re-read from the source, `Str` columns concatenated by codes in
 //!   chunk order). [`crate::stream::fold_csv`]'s step does nothing: it
 //!   hands each parsed chunk to the caller's fold and drops it, in bounded
-//!   waves.
+//!   waves; [`crate::stream::read_overview`]'s counts the chunk's column
+//!   statistics and drops it.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};

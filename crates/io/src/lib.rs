@@ -12,7 +12,8 @@
 //!   parses the chunks and hands them on in file order: [`chunked`]
 //!   writes them into a frame that is bit-identical for every chunking
 //!   and worker count; [`stream`] takes them in bounded waves and folds them without ever
-//!   materialising the frame — statistics over files larger than RAM.
+//!   materialising the frame — statistics over files larger than RAM,
+//!   counted by the same `eda-stats` partials the graph computes.
 //! * **`.edaf` binary columnar format** ([`edaf`]) — typed column
 //!   pages with null bitmaps, dictionary/varint/RLE encodings and a
 //!   footer of per-column offsets, so projecting one column out of a
@@ -29,4 +30,4 @@ pub mod stream;
 pub use chunked::{read_csv_chunked, read_csv_str_chunked, IngestOptions};
 pub use edaf::{edaf_info, read_edaf, read_edaf_columns, write_edaf, EdafInfo};
 pub use source::ByteSource;
-pub use stream::{fold_csv, read_overview, FoldOutcome};
+pub use stream::{fold_csv, read_overview, ColumnStats, FoldOutcome, Overview};

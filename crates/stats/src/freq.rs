@@ -1,17 +1,26 @@
 //! Frequency tables for categorical columns.
 //!
-//! Two forms. [`CodeCounts`] is what the engine computes: a dictionary-
+//! Three forms. [`CodeCounts`] is what the engine computes: a dictionary-
 //! encoded column is counted as a histogram over its codes, partials add
 //! and subtract element by element, and strings are looked up only for
-//! the few categories a chart shows. [`FreqTable`] is the string-keyed
-//! map: the vocabulary of words [`crate::text::TextStats`] derives, the
-//! chunk-to-chunk merge of the streaming sketches, the baseline
-//! profiler's per-row kernel — and the oracle `CodeCounts` is tested
-//! against. Both rank categories the same way (count descending, then
-//! name) and sum entropy in that order, so they agree to the last bit.
+//! the few categories a chart shows. [`CatFreq`] is that histogram with
+//! its dictionary: the one categorical partial, built over a column window
+//! by [`CatFreq::of`] whether the window is a graph partition or a
+//! streamed CSV chunk, and [`FreqSummary`] is what a finish reads off it.
+//! [`FreqTable`] is the string-keyed map: the vocabulary of words
+//! [`crate::text::TextStats`] derives, the baseline profiler's per-row
+//! kernel — and the oracle `CodeCounts` is tested against. All rank
+//! categories the same way (count descending, then name) and sum entropy
+//! in that order, so they agree to the last bit.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use eda_dataframe::{Column, DictBuilder, Selection, StrDict};
+
+use crate::hypothesis::chi_square_uniform;
 
 /// The order categories are shown in: most frequent first, ties by name.
 fn rank(a: &(&str, u64), b: &(&str, u64)) -> Ordering {
@@ -147,6 +156,205 @@ impl CodeCounts {
         }
         table.nulls = self.nulls;
         table
+    }
+}
+
+/// Frequency table of a column: occurrences per dictionary code, and the
+/// dictionary. Partials over windows of one string column share its
+/// dictionary (the same `Arc`) and add or subtract element by element;
+/// partials whose dictionaries differ (each partition of a bool or integer
+/// column interns its own display forms, each CSV chunk its own strings)
+/// are re-coded entry by entry, never row by row.
+#[derive(Debug, Clone, Default)]
+pub struct CatFreq {
+    dict: Arc<StrDict>,
+    counts: CodeCounts,
+}
+
+impl CatFreq {
+    /// Count the rows `rows` selects of `column`, by the codes of its
+    /// display forms ([`Column::display_encoded`]: a string column as it
+    /// is, any other type with each distinct value formatted once).
+    pub fn of(column: &Column, rows: Selection<'_>) -> CatFreq {
+        let encoded = column.display_encoded();
+        let dict = encoded.str_codes().map_or_else(Arc::default, |(_, dict)| Arc::clone(dict));
+        let mut counts = CodeCounts::new(dict.len());
+        let mut valid = 0;
+        // An encoded column is a string column, so the visit cannot fail.
+        let _ = encoded.for_each_code_in(rows, |code| {
+            counts.push(code);
+            valid += 1;
+        });
+        counts.nulls = rows.count(encoded.len()).saturating_sub(valid) as u64;
+        CatFreq { dict, counts }
+    }
+
+    fn label(&self, code: u32) -> &str {
+        self.dict.get(code).unwrap_or_default()
+    }
+
+    /// `other`'s counts under this table's codes (categories this table's
+    /// dictionary does not have are left out).
+    fn aligned<'a>(&self, other: &'a CatFreq) -> Cow<'a, CodeCounts> {
+        if Arc::ptr_eq(&self.dict, &other.dict) {
+            return Cow::Borrowed(&other.counts);
+        }
+        let mine: HashMap<&str, u32> = self.dict.iter().zip(0u32..).collect();
+        let mut counts = CodeCounts::new(self.dict.len());
+        for (code, n) in other.counts.nonzero() {
+            if let Some(slot) = mine.get(other.label(code)).and_then(|&c| counts.counts.get_mut(c as usize)) {
+                *slot += n;
+            }
+        }
+        counts.nulls = other.counts.nulls;
+        Cow::Owned(counts)
+    }
+
+    /// Merge another partial into this one.
+    pub fn merge(&mut self, other: &CatFreq) {
+        if Arc::ptr_eq(&self.dict, &other.dict) {
+            self.counts.add(&other.counts);
+            return;
+        }
+        // Foreign dictionaries: one new dictionary of the categories in
+        // use on either side.
+        let mut dict = DictBuilder::new();
+        let mut counts = CodeCounts { counts: Vec::new(), nulls: self.counts.nulls + other.counts.nulls };
+        for part in [&*self, other] {
+            for (code, n) in part.counts.nonzero() {
+                let code = dict.intern(part.label(code)) as usize;
+                if counts.counts.len() <= code {
+                    counts.counts.resize(code + 1, 0);
+                }
+                if let Some(slot) = counts.counts.get_mut(code) {
+                    *slot += n;
+                }
+            }
+        }
+        *self = CatFreq { dict: Arc::new(dict.finish()), counts };
+    }
+
+    /// The table of the rows that remain once the rows counted in
+    /// `dropped` (a subset of the rows counted here) are removed.
+    pub fn minus(&self, dropped: &CatFreq) -> CatFreq {
+        CatFreq { dict: Arc::clone(&self.dict), counts: self.counts.minus(&self.aligned(dropped)) }
+    }
+
+    /// Heap bytes this table keeps alive — what a byte budget should
+    /// charge it: the counts, and the dictionary when nothing else holds
+    /// it (a foreign-dictionary [`CatFreq::merge`] built it, or the
+    /// per-partition encoding it counted is gone). A string column's own
+    /// dictionary is the column's, shared by every partial over it.
+    pub fn heap_bytes(&self) -> usize {
+        let dict = if Arc::strong_count(&self.dict) == 1 { self.dict.heap_bytes() } else { 0 };
+        self.counts.counts.capacity() * 8 + dict
+    }
+
+    /// Null rows observed alongside the categories.
+    pub fn nulls(&self) -> u64 {
+        self.counts.nulls
+    }
+
+    /// Number of distinct categories.
+    pub fn distinct(&self) -> usize {
+        self.counts.distinct()
+    }
+
+    /// Total non-null observations.
+    pub fn total(&self) -> u64 {
+        self.counts.total()
+    }
+
+    /// What a finished panel shows of this table: its `k` most frequent
+    /// categories and its scalar statistics. The one O(distinct) pass over
+    /// a table outside the kernels that count it — a selection, and a sort
+    /// of the counts — so the graph runs it as a task of its own
+    /// (`freq_summary`) and a finish only formats.
+    pub fn summary(&self, k: usize) -> FreqSummary {
+        let mut top = self.counts.top_k(k, |code| self.label(code));
+        top.shrink_to_fit();
+        // Entropy and chi-square are float sums: descending, the one order
+        // every representation of the same table shares.
+        let desc = self.counts.counts_desc();
+        FreqSummary {
+            dict: Arc::clone(&self.dict),
+            top,
+            distinct: desc.len(),
+            total: desc.iter().sum(),
+            nulls: self.counts.nulls,
+            entropy: entropy_of(&desc),
+            chi_square: chi_square_uniform(&desc),
+        }
+    }
+
+    /// This table's counts of the `k` most frequent categories of
+    /// `summary` (of other rows of the same column), in its order: `k`
+    /// reads when the two share a dictionary, one pass over the categories
+    /// that occur here when they do not.
+    pub fn counts_of(&self, summary: &FreqSummary, k: usize) -> Vec<u64> {
+        let top = summary.top.iter().take(k);
+        if Arc::ptr_eq(&self.dict, &summary.dict) {
+            return top.map(|&(code, _)| self.counts.count(code)).collect();
+        }
+        let slots: HashMap<&str, usize> = summary.top(k).map(|(label, _)| label).zip(0..).collect();
+        let mut counts = vec![0; slots.len()];
+        for (code, n) in self.counts.nonzero() {
+            if let Some(count) = slots.get(self.label(code)).and_then(|&slot| counts.get_mut(slot)) {
+                *count += n;
+            }
+        }
+        counts
+    }
+
+    /// The same table keyed by name.
+    pub fn to_table(&self) -> FreqTable {
+        self.counts.to_table(|code| self.label(code))
+    }
+}
+
+/// What a categorical finish reads off a [`CatFreq`]: the most frequent
+/// categories in [`FreqTable::top_k`] order and the table's scalar
+/// statistics. Small whatever the cardinality of the column.
+#[derive(Debug, Clone)]
+pub struct FreqSummary {
+    dict: Arc<StrDict>,
+    top: Vec<(u32, u64)>,
+    /// Number of distinct categories.
+    pub distinct: usize,
+    /// Total non-null observations.
+    pub total: u64,
+    /// Null rows observed alongside the categories.
+    pub nulls: u64,
+    /// Shannon entropy (nats) of the category distribution.
+    pub entropy: f64,
+    /// Chi-square statistic against the uniform distribution and its
+    /// degrees of freedom ([`chi_square_uniform`]).
+    pub chi_square: Option<(f64, usize)>,
+}
+
+impl FreqSummary {
+    /// The `k` most frequent `(category, count)` pairs, ties by name. `k`
+    /// is at most what the summary was taken with.
+    pub fn top(&self, k: usize) -> impl Iterator<Item = (&str, u64)> {
+        debug_assert!(k <= self.top.len() || self.top.len() == self.distinct, "summary keeps {}", self.top.len());
+        self.top.iter().take(k).map(|&(code, n)| (self.dict.get(code).unwrap_or_default(), n))
+    }
+
+    /// The names of the `k` most frequent categories: the strings a chart
+    /// or a grouped kernel is handed.
+    pub fn labels(&self, k: usize) -> Vec<String> {
+        self.top(k).map(|(label, _)| label.to_string()).collect()
+    }
+
+    /// The most frequent category and its count.
+    pub fn mode(&self) -> Option<(&str, u64)> {
+        self.top(1).next()
+    }
+
+    /// Heap bytes of the summary as a payload: itself (it is small enough
+    /// for that to count) and its top list; its dictionary is the table's.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.top.capacity() * std::mem::size_of::<(u32, u64)>()
     }
 }
 
@@ -474,6 +682,81 @@ mod tests {
         let mut back = after.clone();
         back.add(&dropped);
         assert_eq!(back, codes);
+    }
+
+    fn table(values: &[Option<&str>]) -> FreqTable {
+        FreqTable::from_iter(values.iter().copied())
+    }
+
+    fn top(freq: &CatFreq, k: usize) -> Vec<(String, u64)> {
+        freq.summary(k).top(k).map(|(label, n)| (label.to_string(), n)).collect()
+    }
+
+    fn pairs(want: &[(&str, u64)]) -> Vec<(String, u64)> {
+        want.iter().map(|&(label, n)| (label.to_string(), n)).collect()
+    }
+
+    #[test]
+    fn every_type_counts_by_the_codes_of_its_display_forms() {
+        let flags = Column::from_opt_bool(vec![Some(true), None, Some(false), Some(true)]);
+        let f = CatFreq::of(&flags, Selection::All);
+        assert_eq!(f.to_table(), table(&[Some("true"), None, Some("false"), Some("true")]));
+        assert_eq!((f.nulls(), f.distinct(), f.total()), (1, 2, 3));
+        let grades = Column::from_i64(vec![3, -1, 3, 3, 0]);
+        assert_eq!(top(&CatFreq::of(&grades, Selection::All), 2), pairs(&[("3", 3), ("-1", 1)]));
+        // -0.0 and 0.0 are different values with different display forms;
+        // NaNs of different payloads display alike and share a category.
+        let floats = Column::from_f64(vec![0.0, -0.0, 2.5, f64::NAN, f64::from_bits(f64::NAN.to_bits() ^ 1)]);
+        let f = CatFreq::of(&floats, Selection::All);
+        assert_eq!(f.to_table(), table(&[Some("0"), Some("-0"), Some("2.5"), Some("NaN"), Some("NaN")]));
+        // An encoded column counts as the column it encodes.
+        assert_eq!(CatFreq::of(&floats.display_encoded(), Selection::All).to_table(), f.to_table());
+    }
+
+    #[test]
+    fn foreign_dictionaries_merge_and_subtract_by_name() {
+        // Two partitions of an integer column: each interns its own forms.
+        let a = CatFreq::of(&Column::from_opt_i64(vec![Some(1), Some(2), Some(1), None]), Selection::All);
+        let b = CatFreq::of(&Column::from_i64(vec![3, 2, 2]), Selection::All);
+        let mut both = a.clone();
+        both.merge(&b);
+        let want = table(&[Some("1"), Some("2"), Some("1"), None, Some("3"), Some("2"), Some("2")]);
+        assert_eq!(both.to_table(), want);
+        let mut other_way = b.clone();
+        other_way.merge(&a);
+        assert_eq!(other_way.to_table(), want);
+        assert_eq!(top(&both, 9), top(&other_way, 9));
+        assert_eq!(both.minus(&b).to_table(), a.to_table());
+        assert_eq!(both.minus(&both).distinct(), 0);
+        // The counts elsewhere of a summary's top categories: by name
+        // across dictionaries, by code within one.
+        let summary = both.summary(2);
+        assert_eq!(summary.top(2).collect::<Vec<_>>(), [("2", 3), ("1", 2)]);
+        assert_eq!(b.counts_of(&summary, 2), [2, 0]);
+        assert_eq!(a.counts_of(&summary, 1), [1]);
+        assert_eq!(both.counts_of(&summary, 2), [3, 2]);
+    }
+
+    #[test]
+    fn summary_is_the_table_a_finish_reads() {
+        let column = Column::from_opt_string(
+            ["b", "a", "c", "b", "", "a", "b"].iter().map(|v| (!v.is_empty()).then(|| v.to_string())).collect(),
+        );
+        let freq = CatFreq::of(&column, Selection::All);
+        let want = freq.to_table();
+        let s = freq.summary(2);
+        assert_eq!(top(&freq, 2), pairs(&[("b", 3), ("a", 2)]));
+        assert_eq!(s.mode(), Some(("b", 3)));
+        assert_eq!((s.distinct, s.total, s.nulls), (3, 6, 1));
+        assert_eq!(s.entropy.to_bits(), want.entropy().to_bits());
+        assert_eq!(s.chi_square, chi_square_uniform(&want.counts_desc()));
+        // Asking for more than there is gives all there is.
+        assert_eq!(top(&freq, 99), pairs(&[("b", 3), ("a", 2), ("c", 1)]));
+        // No row at all (`Rows::NullIn` of a column without nulls):
+        // nothing to show, and no statistic to divide by.
+        let none = CatFreq::of(&column, Column::from_i64(vec![0; 7]).null_rows()).summary(5);
+        assert_eq!((none.top(5).count(), none.mode(), none.distinct, none.total), (0, None, 0, 0));
+        assert_eq!((none.entropy, none.chi_square), (0.0, None));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cooperative-interruption probe for hot kernels.
 //!
-//! `eda-stats` is a dependency-free kernel crate, but its kernels run
+//! `eda-stats` does not depend on the scheduler, but its kernels run
 //! inside governed scheduler tasks that can be cancelled mid-flight
 //! (`eda-taskgraph::govern`). Rather than depending on the scheduler,
 //! the crate exposes a process-wide probe slot: the runtime layer

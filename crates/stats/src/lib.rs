@@ -10,6 +10,15 @@
 //! a chunked dataframe (paper §5.2). Convenience whole-slice entry points
 //! wrap the mergeable forms.
 //!
+//! The per-column partials a dataset overview is made of — [`Moments`]
+//! for a numeric column, [`CatFreq`] for a categorical one — are built
+//! over an `eda-dataframe` column window by one function each
+//! ([`Moments::of`], [`CatFreq::of`]) and combined by one `merge` each,
+//! whether the window is a graph partition or a streamed CSV chunk; a
+//! column's row and null counts ([`missing::ColMeta`]) are read off them.
+//! That is the crate's one workspace dependency: it never reaches the
+//! task graph, the I/O layer or the EDA core.
+//!
 //! The kernels cover everything Figure 2 of the paper needs:
 //!
 //! * [`moments`] — count/mean/variance/skewness/kurtosis (+min/max/zeros/negatives/infinites)
@@ -17,7 +26,7 @@
 //! * [`histogram`] — fixed-bin counts with mergeable partials
 //! * [`kde`] — Gaussian kernel density estimates
 //! * [`qq`] — normal quantile-quantile points (Acklam inverse normal CDF)
-//! * [`freq`] — frequency tables (per dictionary code, or string-keyed), top-k, distinct counts
+//! * [`freq`] — frequency tables (per dictionary code with its dictionary, or string-keyed), top-k, distinct counts
 //! * [`rank`] — mid-rank computation with ties
 //! * [`corr`] — Pearson, Spearman, Kendall's tau (Knight O(n log n)), matrices
 //! * [`regression`] — simple OLS with R²
@@ -46,17 +55,15 @@ pub mod qq;
 pub mod quantile;
 pub mod rank;
 pub mod regression;
-pub mod stream;
 pub mod text;
 pub mod timeseries;
 pub mod vector;
 
 pub use corr::{kendall_tau, pearson, spearman, CorrMatrix, CorrMethod};
-pub use freq::{CodeCounts, FreqTable};
+pub use freq::{CatFreq, CodeCounts, FreqSummary, FreqTable};
 pub use histogram::Histogram;
 pub use kde::kde_grid;
 pub use moments::Moments;
 pub use qq::{normal_qq_points, normal_quantile};
 pub use quantile::{quantile_sorted, quantiles_nth, BoxPlot};
 pub use regression::LinearFit;
-pub use stream::{ColumnSketch, FrameSketch};

@@ -6,10 +6,38 @@
 //! columns by co-missingness. All four are computed from integer counts
 //! ([`NullCounts`]: nulls per column, per column pair and per row bin) —
 //! small aggregates the partition phase sums up from validity bitmaps, so
-//! no row-length indicator vector exists anywhere. The crate stays
-//! independent of the dataframe crate: whoever owns the bitmaps counts.
+//! no row-length indicator vector exists anywhere: whoever owns the
+//! bitmaps counts. A single column's counts ([`ColMeta`]) are not counted
+//! at all: they are read off the partial that column's statistics already
+//! computed.
 
+use crate::moments::Moments;
 use crate::vector::phi;
+
+/// Row and null counts of one column, read off a partial its statistics
+/// already need: a numeric column's [`Moments`] sees every non-null value
+/// (as a finite value, a NaN or an infinity), a categorical column's
+/// frequency table counts its nulls beside its categories.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ColMeta {
+    /// Total rows.
+    pub len: usize,
+    /// Null rows.
+    pub nulls: usize,
+}
+
+impl ColMeta {
+    /// A numeric column of `rows` rows whose non-null values `m` holds.
+    pub fn numeric(rows: usize, m: &Moments) -> ColMeta {
+        let valid = m.count + m.nans + m.infinites;
+        ColMeta { len: rows, nulls: rows.saturating_sub(valid as usize) }
+    }
+
+    /// A categorical column of `total` non-null and `nulls` null rows.
+    pub fn categorical(total: u64, nulls: u64) -> ColMeta {
+        ColMeta { len: (total + nulls) as usize, nulls: nulls as usize }
+    }
+}
 
 /// Per-column missing-rate summary for the bar chart.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +117,15 @@ impl NullCounts {
         for (a, b) in self.bin_nulls.iter_mut().zip(&other.bin_nulls) {
             add(a, b);
         }
+    }
+
+    /// Bytes the counts take as a payload: themselves and their vectors.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let bins: usize = self.bin_nulls.iter().map(Vec::capacity).sum();
+        size_of::<Self>()
+            + (self.nulls.capacity() + self.co_nulls.capacity() + bins) * size_of::<usize>()
+            + self.bin_nulls.capacity() * size_of::<Vec<usize>>()
     }
 
     /// Nullity correlation matrix: Pearson correlation between the null

@@ -5,7 +5,11 @@
 //! parallel update formulas of Pébay (2008). Two partials built over
 //! disjoint partitions merge into exactly the state a single pass over the
 //! union would produce (up to floating-point rounding) — the property the
-//! partition-parallel pipeline relies on.
+//! partition-parallel pipeline relies on. [`Moments::of`] is the one way
+//! a column window becomes a partial, whether the window is a graph
+//! partition or a streamed CSV chunk.
+
+use eda_dataframe::{Column, Result};
 
 /// One-pass accumulator for count, mean, central moments m2..m4, extrema,
 /// and data-quality counters.
@@ -48,6 +52,20 @@ impl Moments {
         let mut m = Moments::new();
         m.push_slice(values);
         m
+    }
+
+    /// Accumulate the non-null values of a numeric column window (ints
+    /// widened): a null-free float window goes in as one contiguous slice.
+    /// Every non-null value lands in `count`, `nans` or `infinites`, so the
+    /// window's nulls are what is left of its rows. An error for a column
+    /// that is not numeric.
+    pub fn of(column: &Column) -> Result<Self> {
+        let mut m = Moments::new();
+        match column.dense_f64() {
+            Some(values) => m.push_slice(values),
+            None => column.for_each_numeric(|v| m.push(v))?,
+        }
+        Ok(m)
     }
 
     /// Accumulate every value of a slice. The kernel layer hands columnar
@@ -314,6 +332,19 @@ mod tests {
         bailed.push_slice(&data);
         TEST_INTERRUPT.with(|f| f.set(false));
         assert_eq!(bailed.count, 0);
+    }
+
+    #[test]
+    fn a_column_window_counts_its_values_and_nothing_at_its_nulls() {
+        let floats = Column::from_opt_f64(vec![Some(1.0), None, Some(f64::NAN), Some(f64::INFINITY), Some(-2.0)]);
+        let m = Moments::of(&floats).unwrap();
+        assert_eq!((m.count, m.nans, m.infinites, m.negatives), (2, 1, 1, 1));
+        assert_eq!(m, Moments::from_slice(&[1.0, f64::NAN, f64::INFINITY, -2.0]));
+        // A null-free window of a column with nulls takes the slice path.
+        assert_eq!(Moments::of(&floats.slice(2, 3)).unwrap(), Moments::from_slice(&[f64::NAN, f64::INFINITY, -2.0]));
+        let ints = Column::from_opt_i64(vec![Some(3), None, Some(-4)]);
+        assert_eq!(Moments::of(&ints).unwrap(), Moments::from_slice(&[3.0, -4.0]));
+        assert!(Moments::of(&Column::from_strs(&["a"])).is_err());
     }
 
     #[test]

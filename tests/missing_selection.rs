@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use dataprep_eda::core::compute::cat::CatFreq;
 use dataprep_eda::core::compute::ctx::un;
 use dataprep_eda::core::compute::kernels::{self, Rows};
 use dataprep_eda::core::compute::missing::compute_missing_impact;
@@ -23,7 +22,7 @@ use dataprep_eda::core::json::{insights_to_json, intermediates_to_json};
 use dataprep_eda::core::Intermediates;
 use dataprep_eda::datagen::{generate, kaggle_spec_by_name};
 use dataprep_eda::prelude::*;
-use dataprep_eda::stats::freq::FreqTable;
+use dataprep_eda::stats::freq::{CatFreq, FreqTable};
 use dataprep_eda::stats::histogram::Histogram;
 use dataprep_eda::stats::hypothesis::ks_distance;
 use dataprep_eda::stats::quantile::BoxPlot;

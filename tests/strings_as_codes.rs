@@ -162,7 +162,7 @@ fn non_string_categoricals_are_pinned() {
 // ---------------------------------------------------------------------------
 
 mod differential {
-    use dataprep_eda::core::compute::cat::{self, CatFreq, FreqSummary};
+    use dataprep_eda::core::compute::cat;
     use dataprep_eda::core::compute::ctx::un;
     use dataprep_eda::core::compute::kernels::{self, Rows};
     use dataprep_eda::core::compute::ComputeContext;
@@ -170,7 +170,7 @@ mod differential {
     use dataprep_eda::dataframe::Selection;
     use dataprep_eda::io::edaf::{read_edaf, write_edaf};
     use dataprep_eda::prelude::*;
-    use dataprep_eda::stats::freq::FreqTable;
+    use dataprep_eda::stats::freq::{CatFreq, FreqSummary, FreqTable};
     use dataprep_eda::stats::hypothesis::chi_square_uniform;
     use dataprep_eda::stats::text::TextStats;
     use proptest::prelude::*;
