@@ -26,6 +26,7 @@ pub mod duplicates;
 pub mod interactions;
 pub mod missing;
 pub mod overview;
+pub mod text;
 pub mod variables;
 
 use eda_dataframe::DataFrame;

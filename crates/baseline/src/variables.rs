@@ -6,11 +6,11 @@
 //! removes.
 
 use eda_dataframe::{Column, DataFrame, DataType};
-use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
-use eda_stats::text::TextStats;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::{quantile_sorted, sorted_values, BoxPlot};
+
+use crate::text::{FreqTable, TextProfile};
 
 /// Deep profile of one column.
 #[derive(Debug, Clone)]
@@ -32,7 +32,7 @@ pub struct VariableProfile {
     pub top_values: Vec<(String, u64)>,
     /// Text/length statistics (categorical columns; PP's "length" and
     /// word blocks).
-    pub text: Option<TextStats>,
+    pub text: Option<TextProfile>,
 }
 
 /// The numeric statistics block.
@@ -73,7 +73,8 @@ pub fn compute(df: &DataFrame) -> Vec<VariableProfile> {
 
 fn profile_column(name: &str, col: &Column) -> VariableProfile {
     // Pass: frequency table (distinct counts + top values).
-    let freq = FreqTable::from_iter_owned(col.display_iter());
+    let mut freq = FreqTable::new();
+    col.display_iter().for_each(|v| freq.push_owned(v));
     let numeric = if col.dtype().is_numeric() {
         Some(numeric_profile(col))
     } else {
@@ -84,7 +85,7 @@ fn profile_column(name: &str, col: &Column) -> VariableProfile {
     } else {
         // Another pass: PP computes length/word statistics per
         // categorical column in its own sweep.
-        let mut t = TextStats::new();
+        let mut t = TextProfile::default();
         for v in col.display_iter() {
             t.push(v.as_deref());
         }
@@ -157,22 +158,6 @@ fn numeric_profile(col: &Column) -> NumericProfile {
     }
 }
 
-/// Build a frequency table from owned display values (helper on top of
-/// `FreqTable`'s borrowing API).
-trait FreqExt {
-    fn from_iter_owned<I: Iterator<Item = Option<String>>>(iter: I) -> FreqTable;
-}
-
-impl FreqExt for FreqTable {
-    fn from_iter_owned<I: Iterator<Item = Option<String>>>(iter: I) -> FreqTable {
-        let mut t = FreqTable::new();
-        for v in iter {
-            t.push_owned(v);
-        }
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +190,7 @@ mod tests {
         assert_eq!(p.top_values[0], ("a".to_string(), 2));
         assert_eq!(p.distinct, 3);
         let text = p.text.unwrap();
-        assert_eq!(text.total_words(), 5);
+        assert_eq!(text.words.total(), 5);
         assert_eq!(text.count, 4);
     }
 

@@ -2,8 +2,8 @@
 //! cost drivers behind Table 2.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use eda_baseline::text::FreqTable;
 use eda_stats::corr::{kendall_tau, pearson, spearman};
-use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::sorted_values;

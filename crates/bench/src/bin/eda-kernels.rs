@@ -28,8 +28,10 @@
 //! of the conflicts shape (17k rows, what `report_mixed` profiles) in the
 //! two partitions the graph reads them in, partials merged: frequencies
 //! as a histogram over dictionary codes, and text statistics with each
-//! distinct value tokenised once (`TextStats::from_codes`) against the
-//! per-row `TextStats::push` loop the baseline profiler still runs.
+//! distinct value tokenised once and its words interned as codes
+//! (`TextStats::from_codes`) against the baseline profiler's per-row
+//! loop (`eda_baseline::text::TextProfile::push`, words in a string-keyed
+//! map).
 //! The `render` stage times what a call does once its kernels are cached:
 //! `render_report_html` over the credit-shape report (the 1.6 MB page of
 //! `report_numeric`: one sink, digits pushed without `core::fmt`), and a
@@ -50,6 +52,7 @@
 
 use std::time::Duration;
 
+use eda_baseline::text::TextProfile;
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, print_table};
 use eda_core::compute::cat;
 use eda_core::compute::univariate::stride_sample;
@@ -61,7 +64,6 @@ use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
 use eda_stats::freq::CatFreq;
 use eda_stats::kde::{kde_grid, silverman_bandwidth};
 use eda_stats::quantile::sorted_values;
-use eda_stats::text::TextStats;
 use eda_stats::vector::centered_dot;
 
 /// The KDE curve as a direct sum: every grid point over every sample, one
@@ -320,18 +322,20 @@ fn main() {
         .map(|(_, c)| [c.slice(0, half), c.slice(half, c.len() - half)])
         .collect();
     let string_rows = strings.len() * conflicts.nrows();
-    let text_by_row = |part: &Column| {
-        let mut t = TextStats::new();
-        part.str_iter().expect("string column").for_each(|v| t.push(v));
-        t
-    };
-    let merged_text = |of: &dyn Fn(&Column) -> TextStats| {
-        let merge = |[a, b]: &[Column; 2]| {
-            let mut t = of(a);
-            t.merge(&of(b));
+    let text_by_row = |[a, b]: &[Column; 2]| {
+        let of = |part: &Column| {
+            let mut t = TextProfile::default();
+            part.str_iter().expect("string column").for_each(|v| t.push(v));
             t
         };
-        strings.iter().map(merge).collect::<Vec<_>>()
+        let mut t = of(a);
+        t.merge(&of(b));
+        t
+    };
+    let text_by_code = |[a, b]: &[Column; 2]| {
+        let mut t = cat::text_stats(a);
+        t.merge(&cat::text_stats(b));
+        t
     };
 
     // One full measurement pass over the kernels; the suite runs
@@ -368,7 +372,11 @@ fn main() {
             || columns.iter().map(|values| sort_twice(values)).collect::<Vec<_>>(),
             || columns.iter().map(|values| sort_once(values)).collect::<Vec<_>>(),
         );
-        let ts = ab_of(ITERS, || merged_text(&text_by_row), || merged_text(&cat::text_stats));
+        let ts = ab_of(
+            ITERS,
+            || strings.iter().map(text_by_row).collect::<Vec<_>>(),
+            || strings.iter().map(text_by_code).collect::<Vec<_>>(),
+        );
         [pc, sc, kc, kn, pn, kd, cs, ts]
     };
 

@@ -120,18 +120,18 @@ pub struct ComputeContext<'a> {
     pub graph: TaskGraph,
     /// Partition source nodes.
     pub sources: Vec<NodeId>,
-    /// Cumulative stats across `execute` calls.
+    /// Stats of the last `execute_outcomes` run.
     pub last_stats: Option<ExecStats>,
     /// Result cache override; `None` uses the process-wide session cache.
     /// Tests inject a private cache here for deterministic warm/cold runs.
     pub cache_override: Option<Arc<ResultCache>>,
     /// Run-wide cancel token: present when a handle armed one
     /// ([`govern::armed_token`]) or `engine.run_deadline_ms` is set.
-    /// Shared by every `execute` call of this context, so the whole
+    /// Shared by every `execute_outcomes` call of this context, so the whole
     /// report run stops together.
     pub cancel: Option<CancelToken>,
     /// Run-wide memory gauge (`engine.memory_budget_bytes`), `None` when
-    /// the budget is off. Charges accumulate across `execute` calls.
+    /// the budget is off. Charges accumulate across `execute_outcomes` calls.
     pub gauge: Option<MemoryGauge>,
 }
 
@@ -256,14 +256,6 @@ impl<'a> ComputeContext<'a> {
         result.outcomes
     }
 
-    /// Execute and unwrap the payloads, panicking on any task failure.
-    /// Kernels whose plans cannot fail structurally use this; anything
-    /// user-facing goes through [`Self::execute_checked`] or
-    /// [`Self::execute_outcomes`].
-    pub fn execute(&mut self, outputs: &[NodeId]) -> Vec<Payload> {
-        self.execute_outcomes(outputs).into_iter().map(TaskOutcome::unwrap).collect()
-    }
-
     /// Execute and surface the [`root_failure`] as [`EdaError::Task`]
     /// instead of panicking — the recoverable path for `plot*` calls.
     pub fn execute_checked(&mut self, outputs: &[NodeId]) -> EdaResult<Vec<Payload>> {
@@ -321,7 +313,7 @@ mod tests {
         let cache = Arc::new(ResultCache::new(1 << 20));
         let mut ctx = ComputeContext::new(&df, &cfg).with_cache(Arc::clone(&cache));
         let (_, prep) = crate::compute::kernels::plan_corr_prep(&mut ctx, "x");
-        let payload = ctx.execute(&[prep]).remove(0);
+        let payload = ctx.execute_checked(&[prep]).unwrap().remove(0);
         let key = ctx.graph.task(prep).key;
         let (_, charged) = cache.get(ctx.pf.dataset_id, key).expect("corr_prep is cached");
         let heap = un::<ColumnPrep>(&payload).heap_bytes();
@@ -339,7 +331,7 @@ mod tests {
         assert_eq!(cfg.engine.memory_budget_bytes, 0, "the gauge is off");
         let mut ctx = ComputeContext::new(&df, &cfg);
         let (_, prep) = crate::compute::kernels::plan_corr_prep(&mut ctx, "x");
-        let payload = ctx.execute(&[prep]).remove(0);
+        let payload = ctx.execute_checked(&[prep]).unwrap().remove(0);
         let heap = un::<ColumnPrep>(&payload).heap_bytes();
         assert!(heap > eda_taskgraph::trace::estimate_payload_bytes(&payload), "{heap}");
         let trace =
@@ -354,7 +346,7 @@ mod tests {
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
         let outs: Vec<NodeId> = ctx.sources.clone();
-        let payloads = ctx.execute(&outs);
+        let payloads = ctx.execute_checked(&outs).unwrap();
         assert_eq!(payloads.len(), outs.len());
         assert!(ctx.last_stats.as_ref().unwrap().tasks_run >= outs.len());
     }

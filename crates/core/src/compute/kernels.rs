@@ -763,7 +763,7 @@ mod tests {
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
         let node = build(&mut ctx);
-        let out = ctx.execute(&[node]);
+        let out = ctx.execute_checked(&[node]).unwrap();
         un::<T>(&out[0]).clone()
     }
 
@@ -839,7 +839,7 @@ mod tests {
         ctx.pf = eda_taskgraph::PartitionedFrame::from_frame(&df, 3);
         ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
         let node = null_counts(&mut ctx, 4);
-        let out = ctx.execute(&[node]);
+        let out = ctx.execute_checked(&[node]).unwrap();
         let c = un::<NullCounts>(&out[0]);
         assert_eq!(c.rows, 200);
         assert_eq!(c.nulls, vec![20, 0, 16]);
@@ -935,7 +935,7 @@ mod tests {
             [all, dropped, by_cat, kept, whole].iter().collect::<std::collections::HashSet<_>>().len(),
             5
         );
-        let outs = ctx.execute(&[all, dropped, by_cat, kept, whole]);
+        let outs = ctx.execute_checked(&[all, dropped, by_cat, kept, whole]).unwrap();
         let (all, dropped, by_cat) =
             (un::<CatFreq>(&outs[0]), un::<CatFreq>(&outs[1]), un::<CatFreq>(&outs[2]));
         assert_eq!(all.total() + all.nulls(), 200);
@@ -954,7 +954,7 @@ mod tests {
         let m = moments(&mut ctx, "num2");
         let before = histogram_with_range(&mut ctx, "num2", 7, Rows::All, m);
         let dropped = histogram_with_range(&mut ctx, "num2", 7, Rows::NullIn("num".into()), m);
-        let outs = ctx.execute(&[before, dropped]);
+        let outs = ctx.execute_checked(&[before, dropped]).unwrap();
         let after = un::<Histogram>(&outs[0]).minus(un::<Histogram>(&outs[1]));
         let mut direct = Histogram::new(0.0, 398.0, 7);
         direct.extend((0..200).filter(|i| i % 10 != 0).map(|i| (i * 2) as f64));

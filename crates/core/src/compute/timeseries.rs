@@ -12,7 +12,6 @@ use eda_stats::moments::Moments;
 use eda_stats::regression::LinearFit;
 use eda_stats::timeseries::{acf, resample_mean, rolling_mean};
 
-use crate::dtype::detect;
 use crate::error::{EdaError, EdaResult};
 use crate::insights::{autocorr_insight, trend_insight, Insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
@@ -35,9 +34,6 @@ pub fn compute_timeseries(
         if !col.dtype().is_numeric() {
             return Err(EdaError::NotNumeric(c.to_string()));
         }
-        // Low-cardinality ints are still fine as time axes; only reject
-        // genuinely categorical storage (strings/bools), checked above.
-        let _ = detect(col, ctx.config.types.low_cardinality);
     }
 
     // Dask phase: gather complete pairs + value moments in one graph.

@@ -58,16 +58,16 @@ pub fn detect(column: &Column, low_cardinality_threshold: usize) -> SemanticType
     }
 }
 
-/// Early-exit distinct counter: true when the column has at most `k`
-/// distinct non-null values. Scans at most until the `k+1`-th distinct
-/// value, so wide-cardinality columns bail out quickly.
+/// Early-exit distinct counter over an integer column's valid values,
+/// read as `i64`: true when the column has at most `k` distinct non-null
+/// values. Scans at most until the `k+1`-th distinct value, so
+/// wide-cardinality columns bail out quickly.
 fn distinct_at_most(column: &Column, k: usize) -> bool {
+    let Some(values) = column.i64_values() else { return false };
     let mut seen: Vec<i64> = Vec::with_capacity(k + 1);
-    let Ok(iter) = column.numeric_iter() else { return false };
-    for v in iter.flatten() {
-        let as_int = v as i64;
-        if !seen.contains(&as_int) {
-            seen.push(as_int);
+    for (i, v) in values.iter().enumerate() {
+        if column.is_valid(i) && !seen.contains(v) {
+            seen.push(*v);
             if seen.len() > k {
                 return false;
             }
@@ -115,6 +115,18 @@ mod tests {
         assert_eq!(detect(&c10, 10), SemanticType::Categorical);
         let c11 = Column::from_i64((0..110).map(|i| i % 11).collect());
         assert_eq!(detect(&c11, 10), SemanticType::Numerical);
+    }
+
+    #[test]
+    fn integers_beyond_f64_precision_stay_distinct() {
+        // 2^60 + i: eleven values an `f64` would round to one.
+        let c = Column::from_i64((0..11).map(|i| (1i64 << 60) + i).collect());
+        assert_eq!(detect(&c, 10), SemanticType::Numerical);
+        assert_eq!(detect(&c, 11), SemanticType::Categorical);
+        let with_nulls = Column::from_opt_i64((0..22).map(|i| (i % 2 == 0).then_some((1i64 << 60) + i / 2)).collect());
+        assert_eq!(detect(&with_nulls, 10), SemanticType::Numerical);
+        // The placeholder under a null is not a twelfth value.
+        assert_eq!(detect(&with_nulls, 11), SemanticType::Categorical);
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn check(df: &DataFrame) -> Result<(), String> {
                 }
             }
             let nodes: Vec<_> = planned.iter().map(|p| p.2).collect();
-            let outs = ctx.execute(&nodes);
+            let outs = ctx.execute_checked(&nodes).unwrap();
             for ((y, rows, _), out) in planned.iter().zip(&outs) {
                 let got = un::<Vec<f64>>(out);
                 let want = oracle(df, y, rows);

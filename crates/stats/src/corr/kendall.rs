@@ -259,12 +259,8 @@ pub(super) fn kendall_cell(x: &Sorted, y: &Sorted, scratch: &mut KendallScratch)
 }
 
 #[cfg(test)]
-#[path = "../../tests/oracle/mod.rs"]
-mod oracle;
-
-#[cfg(test)]
 mod tests {
-    use super::oracle::{
+    use crate::oracle::{
         inversions_fenwick, inversions_quadratic, kendall_tau_fenwick, kendall_tau_quadratic,
     };
     use super::*;

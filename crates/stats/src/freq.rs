@@ -1,17 +1,16 @@
 //! Frequency tables for categorical columns.
 //!
-//! Three forms. [`CodeCounts`] is what the engine computes: a dictionary-
+//! Two forms. [`CodeCounts`] is what the engine computes: a dictionary-
 //! encoded column is counted as a histogram over its codes, partials add
 //! and subtract element by element, and strings are looked up only for
 //! the few categories a chart shows. [`CatFreq`] is that histogram with
 //! its dictionary: the one categorical partial, built over a column window
 //! by [`CatFreq::of`] whether the window is a graph partition or a
-//! streamed CSV chunk, and [`FreqSummary`] is what a finish reads off it.
-//! [`FreqTable`] is the string-keyed map: the vocabulary of words
-//! [`crate::text::TextStats`] derives, the baseline profiler's per-row
-//! kernel — and the oracle `CodeCounts` is tested against. All rank
-//! categories the same way (count descending, then name) and sum entropy
-//! in that order, so they agree to the last bit.
+//! streamed CSV chunk — and the word table of [`crate::text::TextStats`],
+//! whose words are interned as codes too — and [`FreqSummary`] is what a
+//! finish reads off it. Both rank categories the same way (count
+//! descending, then name) and sum entropy in that order, so every
+//! representation of one table agrees to the last bit.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -83,6 +82,18 @@ impl CodeCounts {
         }
     }
 
+    /// Count `n` occurrences of `code`, growing the table to hold it: the
+    /// form for a dictionary that is still being interned.
+    pub(crate) fn add_n(&mut self, code: u32, n: u64) {
+        let code = code as usize;
+        if self.counts.len() <= code {
+            self.counts.resize(code + 1, 0);
+        }
+        if let Some(slot) = self.counts.get_mut(code) {
+            *slot += n;
+        }
+    }
+
     /// Occurrences of `code`.
     pub fn count(&self, code: u32) -> u64 {
         self.counts.get(code as usize).copied().unwrap_or(0)
@@ -128,8 +139,7 @@ impl CodeCounts {
     }
 
     /// The `k` most frequent `(code, count)` pairs, ties broken by the
-    /// category's name (`label(code)`), exactly as [`FreqTable::top_k`]
-    /// orders them. Selects in O(distinct).
+    /// category's name (`label(code)`). Selects in O(distinct).
     pub fn top_k<'a>(&self, k: usize, label: impl Fn(u32) -> &'a str) -> Vec<(u32, u64)> {
         top_by(self.nonzero().collect(), k, |a: &(u32, u64), b: &(u32, u64)| {
             rank(&(label(a.0), a.1), &(label(b.0), b.1))
@@ -146,16 +156,6 @@ impl CodeCounts {
     /// Shannon entropy (nats) of the category distribution.
     pub fn entropy(&self) -> f64 {
         entropy_of(&self.counts_desc())
-    }
-
-    /// The same table keyed by name.
-    pub fn to_table<'a>(&self, label: impl Fn(u32) -> &'a str) -> FreqTable {
-        let mut table = FreqTable::new();
-        for (code, n) in self.nonzero() {
-            table.add(label(code), n);
-        }
-        table.nulls = self.nulls;
-        table
     }
 }
 
@@ -187,6 +187,11 @@ impl CatFreq {
         });
         counts.nulls = rows.count(encoded.len()).saturating_sub(valid) as u64;
         CatFreq { dict, counts }
+    }
+
+    /// The table of `counts`, whose codes are the ones `dict` handed out.
+    pub(crate) fn interned(dict: DictBuilder, counts: CodeCounts) -> CatFreq {
+        CatFreq { dict: Arc::new(dict.finish()), counts }
     }
 
     fn label(&self, code: u32) -> &str {
@@ -222,16 +227,10 @@ impl CatFreq {
         let mut counts = CodeCounts { counts: Vec::new(), nulls: self.counts.nulls + other.counts.nulls };
         for part in [&*self, other] {
             for (code, n) in part.counts.nonzero() {
-                let code = dict.intern(part.label(code)) as usize;
-                if counts.counts.len() <= code {
-                    counts.counts.resize(code + 1, 0);
-                }
-                if let Some(slot) = counts.counts.get_mut(code) {
-                    *slot += n;
-                }
+                counts.add_n(dict.intern(part.label(code)), n);
             }
         }
-        *self = CatFreq { dict: Arc::new(dict.finish()), counts };
+        *self = CatFreq::interned(dict, counts);
     }
 
     /// The table of the rows that remain once the rows counted in
@@ -263,6 +262,13 @@ impl CatFreq {
     /// Total non-null observations.
     pub fn total(&self) -> u64 {
         self.counts.total()
+    }
+
+    /// The `k` most frequent `(category, count)` pairs, ties by name: a
+    /// selection in O(distinct) and no other statistic.
+    pub fn top(&self, k: usize) -> Vec<(&str, u64)> {
+        let top = self.counts.top_k(k, |code| self.label(code));
+        top.into_iter().map(|(code, n)| (self.label(code), n)).collect()
     }
 
     /// What a finished panel shows of this table: its `k` most frequent
@@ -305,15 +311,10 @@ impl CatFreq {
         }
         counts
     }
-
-    /// The same table keyed by name.
-    pub fn to_table(&self) -> FreqTable {
-        self.counts.to_table(|code| self.label(code))
-    }
 }
 
 /// What a categorical finish reads off a [`CatFreq`]: the most frequent
-/// categories in [`FreqTable::top_k`] order and the table's scalar
+/// categories in [`CatFreq::top`] order and the table's scalar
 /// statistics. Small whatever the cardinality of the column.
 #[derive(Debug, Clone)]
 pub struct FreqSummary {
@@ -374,185 +375,84 @@ pub fn map_heap_bytes(capacity: usize, entry_bytes: usize) -> usize {
     (buckets * entry_bytes).next_multiple_of(16) + buckets + 16
 }
 
-/// Mergeable frequency table over owned string categories.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FreqTable {
-    counts: HashMap<String, u64>,
-    /// Number of null entries observed alongside the categories.
-    pub nulls: u64,
-}
-
-impl FreqTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from an iterator of optional categories.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<'a, I: IntoIterator<Item = Option<&'a str>>>(values: I) -> Self {
-        let mut t = FreqTable::new();
-        for v in values {
-            t.push(v);
-        }
-        t
-    }
-
-    /// Accumulate one value (`None` counts as null). The key is borrowed:
-    /// a `String` is allocated only the first time a category is seen.
-    pub fn push(&mut self, value: Option<&str>) {
-        match value {
-            Some(v) => self.add(v, 1),
-            None => self.nulls += 1,
-        }
-    }
-
-    /// Accumulate an owned value.
-    pub fn push_owned(&mut self, value: Option<String>) {
-        match value {
-            Some(v) => *self.counts.entry(v).or_insert(0) += 1,
-            None => self.nulls += 1,
-        }
-    }
-
-    /// Accumulate `n` occurrences of `category`.
-    pub fn add(&mut self, category: &str, n: u64) {
-        match self.counts.get_mut(category) {
-            Some(count) => *count += n,
-            None => {
-                self.counts.insert(category.to_string(), n);
-            }
-        }
-    }
-
-    /// Heap bytes the table owns: its map and every category's string.
-    pub fn heap_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(String, u64)>();
-        let names: usize = self.counts.keys().map(String::capacity).sum();
-        map_heap_bytes(self.counts.capacity(), entry) + names
-    }
-
-    /// Merge another table into this one.
-    pub fn merge(&mut self, other: &FreqTable) {
-        for (k, v) in &other.counts {
-            self.add(k, *v);
-        }
-        self.nulls += other.nulls;
-    }
-
-    /// Number of distinct categories.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total non-null observations.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// Count for one category (0 when absent).
-    pub fn count(&self, category: &str) -> u64 {
-        self.counts.get(category).copied().unwrap_or(0)
-    }
-
-    /// The `k` most frequent `(category, count)` pairs, ties broken by
-    /// category name so results are deterministic. Selects over borrowed
-    /// keys in O(distinct) and clones only the `k` entries it returns.
-    pub fn top_k(&self, k: usize) -> Vec<(String, u64)> {
-        let top = top_by(self.iter().collect(), k, rank);
-        top.into_iter().map(|(c, n)| (c.to_string(), n)).collect()
-    }
-
-    /// Every category's count in descending order, without the names.
-    pub fn counts_desc(&self) -> Vec<u64> {
-        let mut counts: Vec<u64> = self.counts.values().copied().collect();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        counts
-    }
-
-    /// The most frequent category and its count.
-    pub fn mode(&self) -> Option<(String, u64)> {
-        self.top_k(1).into_iter().next()
-    }
-
-    /// Iterate raw entries (unordered).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Shannon entropy (nats) of the category distribution, summed over
-    /// [`FreqTable::counts_desc`] — not in the map's iteration order,
-    /// which differs from process to process.
-    pub fn entropy(&self) -> f64 {
-        entropy_of(&self.counts_desc())
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use crate::oracle::Counts;
     use super::*;
 
-    fn sample() -> FreqTable {
-        FreqTable::from_iter(vec![
-            Some("a"),
-            Some("b"),
-            Some("a"),
-            None,
-            Some("c"),
-            Some("a"),
-            Some("b"),
-        ])
+    const SAMPLE: [Option<&str>; 7] = [Some("a"), Some("b"), Some("a"), None, Some("c"), Some("a"), Some("b")];
+
+    fn column(values: &[Option<&str>]) -> Column {
+        Column::from_opt_string(values.iter().map(|v| v.map(str::to_string)).collect())
+    }
+
+    fn sample() -> CatFreq {
+        CatFreq::of(&column(&SAMPLE), Selection::All)
+    }
+
+    /// The table as the oracle holds it: every category's count, read in
+    /// `summary(usize::MAX)` order, and the nulls.
+    fn table(freq: &CatFreq) -> Counts {
+        Counts::from_entries(freq.summary(usize::MAX).top(usize::MAX), freq.nulls())
+    }
+
+    /// A code table as the oracle holds it, every code that occurs named.
+    fn code_table<'a>(codes: &CodeCounts, label: impl Fn(u32) -> &'a str) -> Counts {
+        Counts::from_entries(codes.nonzero().map(|(code, n)| (label(code), n)), codes.nulls)
+    }
+
+    fn owned(pairs: Vec<(&str, u64)>) -> Vec<(String, u64)> {
+        pairs.into_iter().map(|(label, n)| (label.to_string(), n)).collect()
+    }
+
+    fn top(freq: &CatFreq, k: usize) -> Vec<(String, u64)> {
+        freq.summary(k).top(k).map(|(label, n)| (label.to_string(), n)).collect()
+    }
+
+    fn pairs(want: &[(&str, u64)]) -> Vec<(String, u64)> {
+        want.iter().map(|&(label, n)| (label.to_string(), n)).collect()
     }
 
     #[test]
     fn counts_and_nulls() {
         let t = sample();
-        assert_eq!(t.count("a"), 3);
-        assert_eq!(t.count("b"), 2);
-        assert_eq!(t.count("missing"), 0);
-        assert_eq!(t.nulls, 1);
-        assert_eq!(t.total(), 6);
-        assert_eq!(t.distinct(), 3);
+        assert_eq!(table(&t), Counts::of(SAMPLE));
+        assert_eq!(table(&t).count("a"), 3);
+        assert_eq!(table(&t).count("missing"), 0);
+        assert_eq!((t.nulls(), t.total(), t.distinct()), (1, 6, 3));
     }
 
     #[test]
     fn top_k_is_ordered_and_deterministic() {
         let t = sample();
-        assert_eq!(
-            t.top_k(2),
-            vec![("a".to_string(), 3), ("b".to_string(), 2)]
-        );
-        // Tie between b(2)… add c up to 2 and check name tie-break.
-        let mut t2 = sample();
-        t2.push(Some("c"));
-        assert_eq!(
-            t2.top_k(3),
-            vec![
-                ("a".to_string(), 3),
-                ("b".to_string(), 2),
-                ("c".to_string(), 2)
-            ]
-        );
+        assert_eq!(owned(t.top(2)), pairs(&[("a", 3), ("b", 2)]));
+        assert_eq!(top(&t, 2), owned(t.top(2)));
+        // b and c tie at 2: the name decides.
+        let mut tied = SAMPLE.to_vec();
+        tied.push(Some("c"));
+        let t2 = CatFreq::of(&column(&tied), Selection::All);
+        assert_eq!(owned(t2.top(3)), pairs(&[("a", 3), ("b", 2), ("c", 2)]));
+        assert_eq!(owned(t2.top(3)), Counts::of(tied).top_k(3));
     }
 
     #[test]
     fn top_k_selection_matches_a_full_sort() {
         // Many ties, k below, at and above the number of categories.
-        let mut t = FreqTable::new();
-        for i in 0..500u32 {
-            t.push(Some(&format!("c{:03}", i * 7919 % 97)));
-        }
-        let mut full: Vec<(String, u64)> = t.iter().map(|(c, n)| (c.to_string(), n)).collect();
-        full.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let labels: Vec<String> = (0..500u32).map(|i| format!("c{:03}", i * 7919 % 97)).collect();
+        let rows: Vec<Option<&str>> = labels.iter().map(|l| Some(l.as_str())).collect();
+        let t = CatFreq::of(&column(&rows), Selection::All);
+        let full = Counts::of(rows).ranked();
         for k in [0, 1, 2, 10, 96, 97, 98, usize::MAX] {
-            assert_eq!(t.top_k(k), full[..k.min(full.len())], "k = {k}");
+            assert_eq!(owned(t.top(k)), full[..k.min(full.len())], "k = {k}");
+            assert_eq!(top(&t, k), full[..k.min(full.len())], "k = {k}");
         }
-        assert_eq!(t.counts_desc(), full.iter().map(|(_, n)| *n).collect::<Vec<_>>());
+        let counts: Vec<u64> = full.iter().map(|(_, n)| *n).collect();
+        assert_eq!(t.counts.counts_desc(), counts);
     }
 
     #[test]
     fn minus_subtracts_counts_and_drops_emptied_categories() {
-        // `sample()` as counts per code over the dictionary a, b, c.
+        // `SAMPLE` as counts per code over the dictionary a, b, c.
         let dict = ["a", "b", "c"];
         let label = |code: u32| dict[code as usize];
         let count = |rows: &[u32], nulls: u64| {
@@ -562,12 +462,12 @@ mod tests {
             c
         };
         let before = count(&[0, 1, 0, 2, 0, 1], 1);
-        assert_eq!(before.to_table(label), sample());
+        assert_eq!(code_table(&before, label), Counts::of(SAMPLE));
         let after = before.minus(&count(&[0, 2, 1, 1], 1));
-        assert_eq!(after.to_table(label), FreqTable::from_iter(vec![Some("a"), Some("a")]));
+        assert_eq!(code_table(&after, label), Counts::of([Some("a"), Some("a")]));
         // "b" and "c" are gone, not present with a zero count.
         assert_eq!(after.distinct(), 1);
-        assert!(after.to_table(label).iter().all(|(_, n)| n > 0));
+        assert_eq!(after.nonzero().collect::<Vec<_>>(), [(0, 2)]);
         assert_eq!(after.nulls, 0);
         assert_eq!(before.minus(&CodeCounts::new(dict.len())), before);
         assert_eq!(before.minus(&before), CodeCounts::new(dict.len()));
@@ -575,75 +475,60 @@ mod tests {
 
     #[test]
     fn mode() {
-        assert_eq!(sample().mode(), Some(("a".to_string(), 3)));
-        assert_eq!(FreqTable::new().mode(), None);
+        assert_eq!(sample().summary(1).mode(), Some(("a", 3)));
+        assert_eq!(CatFreq::of(&column(&[None, None]), Selection::All).summary(1).mode(), None);
+        assert_eq!(CatFreq::default().summary(1).mode(), None);
     }
 
     #[test]
     fn merge_adds_counts() {
         let mut a = sample();
-        let b = FreqTable::from_iter(vec![Some("a"), Some("d"), None]);
-        a.merge(&b);
-        assert_eq!(a.count("a"), 4);
-        assert_eq!(a.count("d"), 1);
-        assert_eq!(a.nulls, 2);
-        assert_eq!(a.distinct(), 4);
+        let more = [Some("a"), Some("d"), None];
+        a.merge(&CatFreq::of(&column(&more), Selection::All));
+        let mut want = Counts::of(SAMPLE);
+        want.merge(&Counts::of(more));
+        assert_eq!(table(&a), want);
+        assert_eq!((want.count("a"), want.count("d"), want.nulls, want.distinct()), (4, 1, 2, 4));
     }
 
     #[test]
     fn merge_matches_single_pass() {
-        let values: Vec<Option<String>> = (0..100)
-            .map(|i| {
-                if i % 7 == 0 {
-                    None
-                } else {
-                    Some(format!("cat{}", i % 5))
-                }
-            })
-            .collect();
-        let whole = {
-            let mut t = FreqTable::new();
-            for v in &values {
-                t.push(v.as_deref());
-            }
-            t
-        };
-        let mut merged = FreqTable::new();
-        for chunk in values.chunks(13) {
-            let mut part = FreqTable::new();
-            for v in chunk {
-                part.push(v.as_deref());
-            }
-            merged.merge(&part);
+        let values: Vec<Option<String>> =
+            (0..100).map(|i| if i % 7 == 0 { None } else { Some(format!("cat{}", i % 5)) }).collect();
+        let whole = Column::from_opt_string(values.clone());
+        let want = Counts::of(values.iter().map(Option::as_deref));
+        // Windows of the one column share its dictionary; columns of
+        // their own each bring one.
+        let mut shared = CatFreq::default();
+        let mut foreign = CatFreq::default();
+        for (i, chunk) in values.chunks(13).enumerate() {
+            shared.merge(&CatFreq::of(&whole.slice(i * 13, chunk.len()), Selection::All));
+            foreign.merge(&CatFreq::of(&Column::from_opt_string(chunk.to_vec()), Selection::All));
         }
-        assert_eq!(merged, whole);
+        assert_eq!(table(&shared), want);
+        assert_eq!(table(&foreign), want);
+        assert_eq!(table(&CatFreq::of(&whole, Selection::All)), want);
     }
 
     #[test]
     fn entropy_does_not_depend_on_insertion_order() {
         // Counts whose `-p ln p` terms round differently in different
-        // sum orders; the map's own iteration order changes per process.
+        // sum orders.
         let categories: Vec<(String, u64)> =
             (0..200u64).map(|i| (format!("c{i}"), 1 + i * i % 37 + i % 3)).collect();
-        let fill = |order: &[(String, u64)]| {
-            let mut t = FreqTable::new();
-            for (c, n) in order {
-                t.add(c, *n);
-            }
-            t
-        };
-        let forward = fill(&categories);
+        let want = Counts::from_entries(categories.iter().map(|(c, n)| (c, *n)), 0).entropy().to_bits();
         let mut reversed = categories.clone();
         reversed.reverse();
         let mut shuffled = categories.clone();
         shuffled.sort_by_key(|(c, n)| (n % 7, c.len(), c.clone()));
-        let want = forward.entropy().to_bits();
-        assert_eq!(fill(&reversed).entropy().to_bits(), want);
-        assert_eq!(fill(&shuffled).entropy().to_bits(), want);
-        // And the same table as counts per code, in either code order.
-        for order in [&categories, &reversed] {
+        for order in [&categories, &reversed, &shuffled] {
             let codes = CodeCounts { counts: order.iter().map(|(_, n)| *n).collect(), nulls: 0 };
             assert_eq!(codes.entropy().to_bits(), want);
+            // The same table interned in this order, as a merge builds it.
+            let mut dict = DictBuilder::new();
+            let mut interned = CodeCounts::default();
+            order.iter().for_each(|(c, n)| interned.add_n(dict.intern(c), *n));
+            assert_eq!(CatFreq::interned(dict, interned).summary(0).entropy.to_bits(), want);
         }
     }
 
@@ -658,9 +543,9 @@ mod tests {
         rows.iter().for_each(|&c| codes.push(c));
         codes.nulls = 2;
         codes.push(99); // not a category
-        let mut table = FreqTable::from_iter(rows.iter().map(|&c| Some(label(c))));
+        let mut table = Counts::of(rows.iter().map(|&c| Some(label(c))));
         table.nulls = 2;
-        assert_eq!(codes.to_table(label), table);
+        assert_eq!(code_table(&codes, label), table);
         assert_eq!((codes.distinct(), codes.total()), (table.distinct(), table.total()));
         assert_eq!(codes.counts_desc(), table.counts_desc());
         assert_eq!(codes.entropy().to_bits(), table.entropy().to_bits());
@@ -675,32 +560,25 @@ mod tests {
         [2u32, 4, 4, 4].iter().for_each(|&c| dropped.push(c));
         dropped.nulls = 1;
         let after = codes.minus(&dropped);
-        let mut kept = FreqTable::from_iter([0u32, 2, 0, 3].iter().map(|&c| Some(label(c))));
+        let mut kept = Counts::of([0u32, 2, 0, 3].iter().map(|&c| Some(label(c))));
         kept.nulls = 1;
-        assert_eq!(after.to_table(label), kept);
+        assert_eq!(code_table(&after, label), kept);
         assert_eq!(after.distinct(), 3, "ß is gone, not present with a zero count");
         let mut back = after.clone();
         back.add(&dropped);
         assert_eq!(back, codes);
-    }
-
-    fn table(values: &[Option<&str>]) -> FreqTable {
-        FreqTable::from_iter(values.iter().copied())
-    }
-
-    fn top(freq: &CatFreq, k: usize) -> Vec<(String, u64)> {
-        freq.summary(k).top(k).map(|(label, n)| (label.to_string(), n)).collect()
-    }
-
-    fn pairs(want: &[(&str, u64)]) -> Vec<(String, u64)> {
-        want.iter().map(|&(label, n)| (label.to_string(), n)).collect()
+        // A table still being interned grows to the codes it is given.
+        let mut growing = CodeCounts::default();
+        rows.iter().for_each(|&c| growing.add_n(c, 1));
+        growing.nulls = 2;
+        assert_eq!(code_table(&growing, label), table);
     }
 
     #[test]
     fn every_type_counts_by_the_codes_of_its_display_forms() {
         let flags = Column::from_opt_bool(vec![Some(true), None, Some(false), Some(true)]);
         let f = CatFreq::of(&flags, Selection::All);
-        assert_eq!(f.to_table(), table(&[Some("true"), None, Some("false"), Some("true")]));
+        assert_eq!(table(&f), Counts::of([Some("true"), None, Some("false"), Some("true")]));
         assert_eq!((f.nulls(), f.distinct(), f.total()), (1, 2, 3));
         let grades = Column::from_i64(vec![3, -1, 3, 3, 0]);
         assert_eq!(top(&CatFreq::of(&grades, Selection::All), 2), pairs(&[("3", 3), ("-1", 1)]));
@@ -708,9 +586,9 @@ mod tests {
         // NaNs of different payloads display alike and share a category.
         let floats = Column::from_f64(vec![0.0, -0.0, 2.5, f64::NAN, f64::from_bits(f64::NAN.to_bits() ^ 1)]);
         let f = CatFreq::of(&floats, Selection::All);
-        assert_eq!(f.to_table(), table(&[Some("0"), Some("-0"), Some("2.5"), Some("NaN"), Some("NaN")]));
+        assert_eq!(table(&f), Counts::of([Some("0"), Some("-0"), Some("2.5"), Some("NaN"), Some("NaN")]));
         // An encoded column counts as the column it encodes.
-        assert_eq!(CatFreq::of(&floats.display_encoded(), Selection::All).to_table(), f.to_table());
+        assert_eq!(table(&CatFreq::of(&floats.display_encoded(), Selection::All)), table(&f));
     }
 
     #[test]
@@ -720,13 +598,13 @@ mod tests {
         let b = CatFreq::of(&Column::from_i64(vec![3, 2, 2]), Selection::All);
         let mut both = a.clone();
         both.merge(&b);
-        let want = table(&[Some("1"), Some("2"), Some("1"), None, Some("3"), Some("2"), Some("2")]);
-        assert_eq!(both.to_table(), want);
+        let want = Counts::of([Some("1"), Some("2"), Some("1"), None, Some("3"), Some("2"), Some("2")]);
+        assert_eq!(table(&both), want);
         let mut other_way = b.clone();
         other_way.merge(&a);
-        assert_eq!(other_way.to_table(), want);
+        assert_eq!(table(&other_way), want);
         assert_eq!(top(&both, 9), top(&other_way, 9));
-        assert_eq!(both.minus(&b).to_table(), a.to_table());
+        assert_eq!(table(&both.minus(&b)), table(&a));
         assert_eq!(both.minus(&both).distinct(), 0);
         // The counts elsewhere of a summary's top categories: by name
         // across dictionaries, by code within one.
@@ -739,11 +617,11 @@ mod tests {
 
     #[test]
     fn summary_is_the_table_a_finish_reads() {
-        let column = Column::from_opt_string(
-            ["b", "a", "c", "b", "", "a", "b"].iter().map(|v| (!v.is_empty()).then(|| v.to_string())).collect(),
-        );
+        let values = ["b", "a", "c", "b", "", "a", "b"];
+        let rows: Vec<Option<&str>> = values.iter().map(|v| (!v.is_empty()).then_some(*v)).collect();
+        let column = column(&rows);
         let freq = CatFreq::of(&column, Selection::All);
-        let want = freq.to_table();
+        let want = Counts::of(rows);
         let s = freq.summary(2);
         assert_eq!(top(&freq, 2), pairs(&[("b", 3), ("a", 2)]));
         assert_eq!(s.mode(), Some(("b", 3)));
@@ -761,12 +639,12 @@ mod tests {
 
     #[test]
     fn entropy_behaviour() {
+        let entropy = |values: &[Option<&str>]| CatFreq::of(&column(values), Selection::All).summary(0).entropy;
         // Uniform over 4 categories: ln(4).
-        let t = FreqTable::from_iter(vec![Some("a"), Some("b"), Some("c"), Some("d")]);
-        assert!((t.entropy() - 4.0f64.ln()).abs() < 1e-12);
+        assert!((entropy(&[Some("a"), Some("b"), Some("c"), Some("d")]) - 4.0f64.ln()).abs() < 1e-12);
         // Constant column: zero entropy.
-        let c = FreqTable::from_iter(vec![Some("x"), Some("x")]);
-        assert_eq!(c.entropy(), 0.0);
-        assert_eq!(FreqTable::new().entropy(), 0.0);
+        assert_eq!(entropy(&[Some("x"), Some("x")]), 0.0);
+        assert_eq!(entropy(&[]), 0.0);
+        assert_eq!(CodeCounts::default().entropy(), 0.0);
     }
 }

@@ -26,11 +26,11 @@
 //! * [`histogram`] — fixed-bin counts with mergeable partials
 //! * [`kde`] — Gaussian kernel density estimates
 //! * [`qq`] — normal quantile-quantile points (Acklam inverse normal CDF)
-//! * [`freq`] — frequency tables (per dictionary code with its dictionary, or string-keyed), top-k, distinct counts
+//! * [`freq`] — frequency tables (per dictionary code, with its dictionary), top-k, distinct counts
 //! * [`rank`] — mid-rank computation with ties
 //! * [`corr`] — Pearson, Spearman, Kendall's tau (Knight O(n log n)), matrices
 //! * [`regression`] — simple OLS with R²
-//! * [`text`] — word tokenization and string-length statistics (per row, or once per distinct value)
+//! * [`text`] — word tokenization and string-length statistics, once per distinct value, words counted as codes
 //! * [`missing`] — nullity correlation, missing spectrum, dendrogram clustering
 //! * [`hypothesis`] — chi-square uniformity, two-sample
 //!   Kolmogorov-Smirnov distance
@@ -59,8 +59,13 @@ pub mod text;
 pub mod timeseries;
 pub mod vector;
 
+/// The independent oracles the unit tests hold kernels against.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 pub use corr::{kendall_tau, pearson, spearman, CorrMatrix, CorrMethod};
-pub use freq::{CatFreq, CodeCounts, FreqSummary, FreqTable};
+pub use freq::{CatFreq, CodeCounts, FreqSummary};
 pub use histogram::Histogram;
 pub use kde::kde_grid;
 pub use moments::Moments;

@@ -2,35 +2,19 @@
 //!
 //! The univariate-categorical panel (paper Figure 2, row 2, case C) shows a
 //! word cloud, word frequencies, and string-length statistics. This module
-//! provides the tokenization and the mergeable length/word accumulators.
+//! provides the tokenization and the mergeable length/word accumulator,
+//! built once per distinct value of a dictionary-encoded column. Words are
+//! interned as codes: the word table is a [`CatFreq`], counted, merged and
+//! ranked like any categorical column's.
 
-use crate::freq::{CodeCounts, FreqTable};
+use crate::freq::{CatFreq, CodeCounts};
 use crate::moments::Moments;
+use eda_dataframe::DictBuilder;
 
-/// Lowercased alphanumeric tokens of a string (split on everything else).
-/// The per-row form: one `String` per token. [`TextStats::from_codes`]
-/// reads the same tokens through `for_each_token` and is tested against
-/// this.
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            cur.extend(ch.to_lowercase());
-        } else if !cur.is_empty() {
-            tokens.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        tokens.push(cur);
-    }
-    tokens
-}
-
-/// Lend `each` every token of `text` ([`tokenize`]'s), one at a time,
-/// without a `String` per token: a token of an ASCII text that is already
-/// lower-case is a slice of it, any other is built in the one buffer
-/// `token`.
+/// Lend `each` every token of `text` — its lower-cased alphanumeric runs,
+/// split on every other character — one at a time, without a `String` per
+/// token: a token of an ASCII text that is already lower-case is a slice
+/// of it, any other is built in the one buffer `token`.
 fn for_each_token(text: &str, token: &mut String, mut each: impl FnMut(&str)) {
     if text.is_ascii() {
         // Bytes are characters: split on non-alphanumerics, and a word
@@ -64,8 +48,8 @@ fn for_each_token(text: &str, token: &mut String, mut each: impl FnMut(&str)) {
 /// Mergeable accumulator for string-column text statistics.
 #[derive(Debug, Clone, Default)]
 pub struct TextStats {
-    /// Frequencies of individual words across all values.
-    pub words: FreqTable,
+    /// Frequencies of individual words across all values, by word code.
+    pub words: CatFreq,
     /// Distribution of string lengths (in chars).
     pub lengths: Moments,
     /// Number of values consisting solely of whitespace (or empty).
@@ -86,34 +70,20 @@ impl TextStats {
         std::mem::size_of::<Self>() + self.words.heap_bytes()
     }
 
-    /// Accumulate one value; `None` is ignored (nulls are tracked by the
-    /// frequency-table kernel, not here).
-    pub fn push(&mut self, value: Option<&str>) {
-        let Some(v) = value else { return };
-        self.count += 1;
-        self.lengths.push(v.chars().count() as f64);
-        if v.trim().is_empty() {
-            self.blank += 1;
-        }
-        for token in tokenize(v) {
-            self.words.push_owned(Some(token));
-        }
-    }
-
     /// The statistics of a dictionary-encoded column: `codes` holds the
     /// code of every non-null row, in row order, and `label(code)` is the
-    /// string it stands for (of `ncodes` dictionary entries). Equal to
-    /// [`TextStats::push`]ing every row's string — `lengths` to the bit,
-    /// since the per-row lengths still go through the sketch one by one,
-    /// in row order — but each *distinct* string that occurs is measured
-    /// and tokenised once, and its words and blank flag are weighted by
-    /// its count.
+    /// string it stands for (of `ncodes` dictionary entries). Each
+    /// *distinct* string that occurs is measured and tokenised once, its
+    /// words are interned and its words and blank flag weighted by its
+    /// count; the per-row lengths still go through the sketch one by one,
+    /// in row order, so `lengths` is the per-row sketch to the bit.
     pub fn from_codes<'a>(codes: &[u32], ncodes: usize, label: impl Fn(u32) -> &'a str) -> TextStats {
         let mut counts = CodeCounts::new(ncodes);
         codes.iter().for_each(|&code| counts.push(code));
         let mut t = TextStats::new();
         let mut lengths = vec![0.0; ncodes];
         let mut token = String::new();
+        let (mut dict, mut words) = (DictBuilder::new(), CodeCounts::default());
         for (code, n) in counts.nonzero() {
             let v = label(code);
             if let Some(len) = lengths.get_mut(code as usize) {
@@ -122,9 +92,10 @@ impl TextStats {
             if v.trim().is_empty() {
                 t.blank += n;
             }
-            for_each_token(v, &mut token, |word| t.words.add(word, n));
+            for_each_token(v, &mut token, |word| words.add_n(dict.intern(word), n));
             t.count += n;
         }
+        t.words = CatFreq::interned(dict, words);
         for len in codes.iter().filter_map(|&code| lengths.get(code as usize)) {
             t.lengths.push(*len);
         }
@@ -149,36 +120,72 @@ impl TextStats {
         self.words.distinct()
     }
 
-    /// The `k` most frequent words.
+    /// The `k` most frequent words, ties by word.
     pub fn top_words(&self, k: usize) -> Vec<(String, u64)> {
-        self.words.top_k(k)
+        self.words.top(k).into_iter().map(|(word, n)| (word.to_string(), n)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{tokens, word_counts, Counts};
+
+    /// What `for_each_token` lends, collected.
+    fn lent(text: &str) -> Vec<String> {
+        let mut seen = Vec::new();
+        for_each_token(text, &mut String::from("stale"), |t| seen.push(t.to_string()));
+        seen
+    }
+
+    /// The statistics of `values` (`None` is a null) through a dictionary
+    /// of their own, in first-appearance order.
+    fn of<'a>(values: &[Option<&'a str>]) -> TextStats {
+        let mut dict: Vec<&'a str> = Vec::new();
+        let mut code = |v: &'a str| match dict.iter().position(|d| *d == v) {
+            Some(at) => at as u32,
+            None => {
+                dict.push(v);
+                dict.len() as u32 - 1
+            }
+        };
+        let codes: Vec<u32> = values.iter().flatten().map(|&v| code(v)).collect();
+        TextStats::from_codes(&codes, dict.len(), |code| dict[code as usize])
+    }
+
+    /// The per-row statistics of `values`: words from the oracle's owned
+    /// tokens, lengths pushed row by row.
+    fn per_row(values: &[Option<&str>]) -> (Counts, Moments, u64, u64) {
+        let mut lengths = Moments::new();
+        let valid = || values.iter().flatten();
+        valid().for_each(|v| lengths.push(v.chars().count() as f64));
+        let blank = valid().filter(|v| v.trim().is_empty()).count() as u64;
+        (word_counts(values.iter().copied()), lengths, blank, valid().count() as u64)
+    }
+
+    /// Every word's count, read in `top_words` order, against the oracle's.
+    fn assert_words(t: &TextStats, want: &Counts) {
+        assert_eq!(t.top_words(usize::MAX), want.ranked());
+        assert_eq!((t.total_words(), t.distinct_words()), (want.total(), want.distinct()));
+        assert_eq!(t.words.nulls(), 0);
+    }
 
     #[test]
     fn tokenize_splits_and_lowercases() {
-        assert_eq!(tokenize("Hello, World!"), vec!["hello", "world"]);
-        assert_eq!(tokenize("a-b_c d"), vec!["a", "b", "c", "d"]);
-        assert_eq!(tokenize("  "), Vec::<String>::new());
-        assert_eq!(tokenize("year2024"), vec!["year2024"]);
+        assert_eq!(lent("Hello, World!"), vec!["hello", "world"]);
+        assert_eq!(lent("a-b_c d"), vec!["a", "b", "c", "d"]);
+        assert_eq!(lent("  "), Vec::<String>::new());
+        assert_eq!(lent("year2024"), vec!["year2024"]);
     }
 
     #[test]
     fn tokenize_unicode() {
-        assert_eq!(tokenize("Crème brûlée"), vec!["crème", "brûlée"]);
+        assert_eq!(lent("Crème brûlée"), vec!["crème", "brûlée"]);
     }
 
     #[test]
     fn stats_accumulate() {
-        let mut t = TextStats::new();
-        t.push(Some("red apple"));
-        t.push(Some("green apple"));
-        t.push(None);
-        t.push(Some(""));
+        let t = of(&[Some("red apple"), Some("green apple"), None, Some("")]);
         assert_eq!(t.count, 3);
         assert_eq!(t.blank, 1);
         assert_eq!(t.total_words(), 4);
@@ -190,22 +197,15 @@ mod tests {
 
     #[test]
     fn merge_matches_single_pass() {
-        let values = ["one two", "two three", "three three four"];
-        let whole = {
-            let mut t = TextStats::new();
-            for v in values {
-                t.push(Some(v));
-            }
-            t
-        };
+        let values = [Some("one two"), Some("two three"), Some("three three four")];
+        let whole = of(&values);
         let mut merged = TextStats::new();
         for v in values {
-            let mut part = TextStats::new();
-            part.push(Some(v));
-            merged.merge(&part);
+            merged.merge(&of(&[v]));
         }
         assert_eq!(merged.count, whole.count);
-        assert_eq!(merged.words, whole.words);
+        assert_words(&merged, &word_counts(values));
+        assert_words(&whole, &word_counts(values));
         assert_eq!(merged.lengths.count, whole.lengths.count);
         assert!((merged.lengths.mean - whole.lengths.mean).abs() < 1e-12);
     }
@@ -217,18 +217,16 @@ mod tests {
         let dict = ["Red apple", "never used", "  ", "", "İstanbul STRASSE ß", "red-apple pie", "x"];
         let rows = [0u32, 4, 0, 2, 3, 5, 0, 4, 6, 2, 5, 5];
         let label = |code: u32| dict[code as usize];
-        let mut pushed = TextStats::new();
-        for &code in &rows {
-            pushed.push(Some(label(code)));
-        }
-        pushed.push(None);
+        let mut values: Vec<Option<&str>> = rows.iter().map(|&code| Some(label(code))).collect();
+        values.push(None);
+        let (words, lengths, blank, count) = per_row(&values);
         let fast = TextStats::from_codes(&rows, dict.len(), label);
-        assert_eq!(fast.words, pushed.words);
-        assert_eq!((fast.blank, fast.count), (pushed.blank, pushed.count));
-        assert_eq!(fast.lengths, pushed.lengths);
-        assert_eq!(fast.lengths.mean.to_bits(), pushed.lengths.mean.to_bits());
-        assert_eq!(fast.words.count("never"), 0);
-        assert_eq!(fast.top_words(2), pushed.top_words(2));
+        assert_words(&fast, &words);
+        assert_eq!((fast.blank, fast.count), (blank, count));
+        assert_eq!(fast.lengths, lengths);
+        assert_eq!(fast.lengths.mean.to_bits(), lengths.mean.to_bits());
+        assert!(fast.top_words(usize::MAX).iter().all(|(w, _)| w != "never"));
+        assert_eq!(fast.top_words(2), words.top_k(2));
         // No rows at all.
         let empty = TextStats::from_codes(&[], dict.len(), label);
         assert_eq!((empty.count, empty.total_words(), empty.lengths.count), (0, 0, 0));
@@ -236,7 +234,6 @@ mod tests {
 
     #[test]
     fn for_each_token_lends_what_tokenize_returns() {
-        let mut token = String::from("stale");
         for text in [
             "Hello, World!",
             "a-b_c d",
@@ -249,16 +246,13 @@ mod tests {
             "İß ǅ",
             "ascii then É",
         ] {
-            let mut seen = Vec::new();
-            for_each_token(text, &mut token, |t| seen.push(t.to_string()));
-            assert_eq!(seen, tokenize(text), "{text:?}");
+            assert_eq!(lent(text), tokens(text), "{text:?}");
         }
     }
 
     #[test]
     fn length_stats_in_chars_not_bytes() {
-        let mut t = TextStats::new();
-        t.push(Some("été")); // 3 chars, 5 bytes
+        let t = of(&[Some("été")]); // 3 chars, 5 bytes
         assert_eq!(t.lengths.max, 3.0);
     }
 }

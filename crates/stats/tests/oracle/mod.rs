@@ -1,12 +1,17 @@
-//! Independent correlation oracles, shared by `prop_kernels.rs` and the
-//! unit tests of `corr::kendall` (which include this file by path).
-//! Nothing here calls into `eda_stats`. For Kendall, the O(n²) double
-//! loop is the one check both production entry points are held against,
-//! and the Fenwick tree counts inversions at sizes the double loop is too
-//! slow for. For Pearson and rank-once Spearman, a two-pass compensated
-//! co-moment — no streaming update, no lanes, no chunks.
+//! Independent oracles, shared by `prop_kernels.rs`, the unit tests of
+//! `eda-stats` (whose crate root includes this file by path) and the
+//! workspace's own tests. Nothing here calls into `eda_stats`.
+//! For Kendall, the O(n²) double loop is the one check both production
+//! entry points are held against, and the Fenwick tree counts inversions
+//! at sizes the double loop is too slow for. For Pearson and rank-once
+//! Spearman, a two-pass compensated co-moment — no streaming update, no
+//! lanes, no chunks. For frequency tables, counts in a `BTreeMap` keyed
+//! by name, ranked by a full sort; for word tables, each row split into
+//! owned tokens and counted one by one.
 
 #![allow(dead_code)]
+
+use std::collections::BTreeMap;
 
 /// The rows where neither side is NaN.
 fn complete_pairs(x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>) {
@@ -229,4 +234,115 @@ impl Fenwick {
         }
         total
     }
+}
+
+/// Occurrences per category, by name, and the nulls seen alongside: the
+/// table a code-keyed frequency table is held against.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Counts {
+    pub counts: BTreeMap<String, u64>,
+    pub nulls: u64,
+}
+
+impl Counts {
+    /// Count every value, `None` as a null.
+    pub fn of<'a>(values: impl IntoIterator<Item = Option<&'a str>>) -> Counts {
+        let mut t = Counts::default();
+        for v in values {
+            match v {
+                Some(v) => t.add(v, 1),
+                None => t.nulls += 1,
+            }
+        }
+        t
+    }
+
+    /// `(category, count)` pairs as a table prints them, with `nulls`.
+    pub fn from_entries<S: AsRef<str>>(
+        entries: impl IntoIterator<Item = (S, u64)>,
+        nulls: u64,
+    ) -> Counts {
+        let mut t = Counts { nulls, ..Counts::default() };
+        entries.into_iter().for_each(|(c, n)| t.add(c.as_ref(), n));
+        t
+    }
+
+    pub fn add(&mut self, category: &str, n: u64) {
+        *self.counts.entry(category.to_string()).or_insert(0) += n;
+    }
+
+    pub fn merge(&mut self, other: &Counts) {
+        other.counts.iter().for_each(|(c, &n)| self.add(c, n));
+        self.nulls += other.nulls;
+    }
+
+    pub fn count(&self, category: &str) -> u64 {
+        self.counts.get(category).copied().unwrap_or(0)
+    }
+
+    pub fn distinct(&self) -> usize {
+        self.counts.len()
+    }
+
+    pub fn total(&self) -> u64 {
+        self.counts.values().sum()
+    }
+
+    /// Every `(category, count)`, most frequent first, ties by name.
+    pub fn ranked(&self) -> Vec<(String, u64)> {
+        let mut all: Vec<(String, u64)> =
+            self.counts.iter().map(|(c, &n)| (c.clone(), n)).collect();
+        all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        all
+    }
+
+    /// The first `k` of [`Counts::ranked`].
+    pub fn top_k(&self, k: usize) -> Vec<(String, u64)> {
+        let mut all = self.ranked();
+        all.truncate(k);
+        all
+    }
+
+    /// The most frequent category and its count.
+    pub fn mode(&self) -> Option<(String, u64)> {
+        self.top_k(1).pop()
+    }
+
+    /// Every count, descending.
+    pub fn counts_desc(&self) -> Vec<u64> {
+        self.ranked().into_iter().map(|(_, n)| n).collect()
+    }
+
+    /// Shannon entropy (nats), `-p ln p` summed over the counts in
+    /// descending order.
+    pub fn entropy(&self) -> f64 {
+        let total = self.total() as f64;
+        if total == 0.0 {
+            return 0.0;
+        }
+        self.counts_desc().iter().map(|&n| n as f64 / total).map(|p| -p * p.ln()).sum()
+    }
+}
+
+/// Lower-cased alphanumeric tokens of a string, split on every other
+/// character: one owned `String` per token.
+pub fn tokens(text: &str) -> Vec<String> {
+    let mut out = vec![String::new()];
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            out.last_mut().unwrap().extend(ch.to_lowercase());
+        } else if !out.last().unwrap().is_empty() {
+            out.push(String::new());
+        }
+    }
+    out.retain(|t| !t.is_empty());
+    out
+}
+
+/// The words of `values`, row by row: every token of every non-null value
+/// counted once (nulls are not counted).
+pub fn word_counts<'a>(values: impl IntoIterator<Item = Option<&'a str>>) -> Counts {
+    let mut t = Counts::default();
+    values.into_iter().flatten().flat_map(tokens).for_each(|w| t.add(&w, 1));
+    t
 }

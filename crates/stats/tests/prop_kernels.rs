@@ -10,13 +10,15 @@ mod oracle;
 
 use eda_stats::corr::{corr_cells, Col, ColumnPrep, CorrMatrix, CorrMethod};
 use eda_stats::corr::{kendall_tau, pearson, spearman, spearman_from_ranks, PearsonPartial};
-use eda_stats::freq::FreqTable;
+use eda_dataframe::{Column, Selection};
+use eda_stats::freq::CatFreq;
 use eda_stats::histogram::Histogram;
 use eda_stats::hypothesis::{ks_distance, ks_distance_sorted};
 use eda_stats::interrupt::CHECK_INTERVAL;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::{quantile_sorted, quantiles, quantiles_nth, sorted_values, BoxPlot};
 use eda_stats::rank::ranks;
+use eda_stats::text::TextStats;
 use eda_stats::vector::count_joint;
 use proptest::prelude::*;
 
@@ -191,14 +193,18 @@ proptest! {
     fn freq_merge_equals_single_pass(labels in prop::collection::vec(prop::option::of(0u8..12), 0..200), split in 0.0f64..1.0) {
         let strs: Vec<Option<String>> = labels.iter().map(|l| l.map(|v| format!("c{v}"))).collect();
         let cut = ((strs.len() as f64) * split) as usize;
-        let mut whole = FreqTable::new();
-        for s in &strs { whole.push(s.as_deref()); }
-        let mut a = FreqTable::new();
-        for s in &strs[..cut] { a.push(s.as_deref()); }
-        let mut b = FreqTable::new();
-        for s in &strs[cut..] { b.push(s.as_deref()); }
-        a.merge(&b);
-        prop_assert_eq!(a, whole);
+        let column = Column::from_opt_string(strs.clone());
+        let whole = CatFreq::of(&column, Selection::All);
+        // One window of the column and the rest as a column of its own:
+        // one shared dictionary, one foreign.
+        let mut a = CatFreq::of(&column.slice(0, cut), Selection::All);
+        a.merge(&CatFreq::of(&Column::from_opt_string(strs[cut..].to_vec()), Selection::All));
+        let want = oracle::Counts::of(strs.iter().map(Option::as_deref));
+        for got in [&a, &whole] {
+            let top: Vec<(String, u64)> = got.top(usize::MAX).into_iter().map(|(c, n)| (c.to_string(), n)).collect();
+            prop_assert_eq!(top, want.ranked());
+            prop_assert_eq!(got.nulls(), want.nulls);
+        }
     }
 
     #[test]
@@ -449,5 +455,81 @@ fn a_nan_first_row_in_every_chunk() {
         for len in LENGTHS {
             check_against_oracle(&x[..len], &y[..len]).unwrap();
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Word tables across partitions against the per-row token oracle
+// ---------------------------------------------------------------------------
+
+/// Values that tokenise every way: ASCII and not, mixed case, blank and
+/// empty, punctuation, case-expanding characters, and words that repeat
+/// within and across values.
+const PHRASES: [&str; 12] = [
+    "",
+    "  ",
+    "\t \u{a0}",
+    "Red apple",
+    "red APPLE pie",
+    "apple-pie, APPLE!",
+    "İstanbul straße",
+    "STRASSE Straße ß",
+    "Crème brûlée crème",
+    "日本語 テキスト 日本語",
+    "a b a",
+    "Year2024, year2024!",
+];
+
+/// The text statistics of one partition: a string column of its own, so
+/// every partition interns its own values and its own words.
+fn text_of(values: &[Option<String>]) -> TextStats {
+    let column = Column::from_opt_string(values.to_vec());
+    let (codes, dict) = column.str_codes().unwrap();
+    let valid: Vec<u32> = codes.iter().zip(values).filter(|(_, v)| v.is_some()).map(|(&c, _)| c).collect();
+    TextStats::from_codes(&valid, dict.len(), |code| dict.get(code).unwrap())
+}
+
+proptest! {
+    #[test]
+    fn word_tables_merge_across_partitions_in_any_tree_order(
+        picks in prop::collection::vec(prop::option::of(0usize..18), 0..60),
+        cuts in prop::collection::vec(0usize..61, 0..4),
+        merges in prop::collection::vec((0usize..4, 0usize..4, any::<bool>()), 3),
+    ) {
+        // Past the phrase list, values of their own whose words repeat.
+        let values: Vec<Option<String>> = picks
+            .iter()
+            .map(|p| p.map(|i| PHRASES.get(i).map_or_else(|| format!("Only{i} WORD w{}", i % 3), |s| s.to_string())))
+            .collect();
+        // One to four partitions, some of them possibly empty.
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (values.len() + 1)).collect();
+        bounds.extend([0, values.len()]);
+        bounds.sort_unstable();
+        let mut parts: Vec<TextStats> = bounds.windows(2).map(|w| text_of(&values[w[0]..w[1]])).collect();
+        // Merge two partials at a time, chosen at random, either way round.
+        for &(i, j, flip) in merges.iter().take(parts.len() - 1) {
+            let i = i % parts.len();
+            let j = (i + 1 + j % (parts.len() - 1)) % parts.len();
+            let other = parts.remove(j);
+            let i = if j < i { i - 1 } else { i };
+            if flip {
+                let mut merged = other;
+                merged.merge(&parts[i]);
+                parts[i] = merged;
+            } else {
+                parts[i].merge(&other);
+            }
+        }
+        prop_assert_eq!(parts.len(), 1);
+        let merged = &parts[0];
+
+        let want = oracle::word_counts(values.iter().map(Option::as_deref));
+        prop_assert_eq!(merged.top_words(usize::MAX), want.ranked());
+        prop_assert_eq!(merged.total_words(), want.total());
+        prop_assert_eq!(merged.distinct_words(), want.distinct());
+        for k in 0..=want.distinct() + 1 {
+            prop_assert_eq!(merged.top_words(k), want.top_k(k), "k = {}", k);
+        }
+        prop_assert_eq!(merged.count, values.iter().flatten().count() as u64);
     }
 }

@@ -178,7 +178,7 @@ fn one_cached_method_is_served_alone() {
         // Only Spearman's matrix (and what it reads) enters the cache.
         let mut ctx = ComputeContext::new(&df, &cfg).with_cache(Arc::clone(&cache));
         let spearman = plan_matrix_nodes(&mut ctx, &names)[1];
-        ctx.execute(&[spearman]);
+        ctx.execute_checked(&[spearman]).unwrap();
         for x in ["ties", "near_a"] {
             let v = vector(&df, &cfg, Some(&cache), x);
             let tiles = default_tiles(workers, names.len() - 1);

@@ -22,7 +22,7 @@ use dataprep_eda::core::json::{insights_to_json, intermediates_to_json};
 use dataprep_eda::core::Intermediates;
 use dataprep_eda::datagen::{generate, kaggle_spec_by_name};
 use dataprep_eda::prelude::*;
-use dataprep_eda::stats::freq::{CatFreq, FreqTable};
+use dataprep_eda::stats::freq::CatFreq;
 use dataprep_eda::stats::histogram::Histogram;
 use dataprep_eda::stats::hypothesis::ks_distance;
 use dataprep_eda::stats::quantile::BoxPlot;
@@ -30,6 +30,18 @@ use dataprep_eda::taskgraph::key::TaskKey;
 use dataprep_eda::taskgraph::trace::SpanStatus;
 use dataprep_eda::taskgraph::ResultCache;
 use proptest::prelude::*;
+
+/// The name-keyed frequency table the kernel crate's tests hold code
+/// tables against.
+#[path = "../crates/stats/tests/oracle/mod.rs"]
+mod counts_oracle;
+use counts_oracle::Counts;
+
+/// A table as the oracle holds it: every category's count, read in
+/// `summary(usize::MAX)` order, and the nulls.
+fn table(freq: &CatFreq) -> Counts {
+    Counts::from_entries(freq.summary(usize::MAX).top(usize::MAX), freq.nulls())
+}
 
 // ---------------------------------------------------------------------------
 // The oracle
@@ -60,28 +72,28 @@ impl<'a> Oracle<'a> {
         let mut ctx = ComputeContext::new(self.df, &self.cfg);
         let m = kernels::moments(&mut ctx, y);
         let h = kernels::histogram_with_range(&mut ctx, y, bins, Rows::All, m);
-        let outs = ctx.execute(&[m, h]);
+        let outs = ctx.execute_checked(&[m, h]).unwrap();
         let mut kept = ComputeContext::new(&self.kept, &self.cfg);
         let range = kept.graph.value("before_range", TaskKey::unique(), Arc::clone(&outs[0]));
         let h = kernels::histogram_with_range(&mut kept, y, bins, Rows::All, range);
-        let after = kept.execute(&[h]);
+        let after = kept.execute_checked(&[h]).unwrap();
         (un::<Histogram>(&outs[1]).clone(), un::<Histogram>(&after[0]).clone())
     }
 
-    fn freqs(&self, y: &str) -> (FreqTable, FreqTable) {
-        let table = |df: &DataFrame| {
+    fn freqs(&self, y: &str) -> (Counts, Counts) {
+        let counts = |df: &DataFrame| {
             let mut ctx = ComputeContext::new(df, &self.cfg);
             let node = kernels::freq(&mut ctx, y, Rows::All);
-            un::<CatFreq>(&ctx.execute(&[node])[0]).to_table()
+            table(un::<CatFreq>(&ctx.execute_checked(&[node]).unwrap()[0]))
         };
-        (table(self.df), table(&self.kept))
+        (counts(self.df), counts(&self.kept))
     }
 
     fn sorted(&self, y: &str) -> (Vec<f64>, Vec<f64>) {
         let values = |df: &DataFrame| {
             let mut ctx = ComputeContext::new(df, &self.cfg);
             let node = kernels::sorted_values(&mut ctx, y, Rows::All);
-            un::<Vec<f64>>(&ctx.execute(&[node])[0]).clone()
+            un::<Vec<f64>>(&ctx.execute_checked(&[node]).unwrap()[0]).clone()
         };
         (values(self.df), values(&self.kept))
     }
@@ -151,7 +163,7 @@ impl<'a> Oracle<'a> {
         (ims, insights)
     }
 
-    fn compare_bars(&self, before: &FreqTable, after: &FreqTable) -> Inter {
+    fn compare_bars(&self, before: &Counts, after: &Counts) -> Inter {
         let top = before.top_k(self.cfg.bar.ngroups);
         Inter::CompareBars {
             before: top.iter().map(|(_, n)| *n).collect(),
@@ -214,9 +226,9 @@ fn assert_matches_oracle(df: &DataFrame, x: &str, ys: &[&str], cfg: &Config) {
 
         let mut ctx = ComputeContext::new(df, &oracle.cfg);
         let nodes = [Rows::All, Rows::NullIn(x.to_string())].map(|rows| kernels::freq(&mut ctx, y, rows));
-        let outs = ctx.execute(&nodes);
+        let outs = ctx.execute_checked(&nodes).unwrap();
         let after = un::<CatFreq>(&outs[0]).minus(un::<CatFreq>(&outs[1]));
-        assert_eq!(after.to_table(), oracle.freqs(y).1, "freq({y}) minus the rows {x} drops");
+        assert_eq!(table(&after), oracle.freqs(y).1, "freq({y}) minus the rows {x} drops");
     }
 }
 

@@ -141,7 +141,7 @@ fn worker_count_does_not_change_overview_payloads() {
             .unwrap();
             let mut ctx = ComputeContext::new(&df, &cfg);
             let plan = plan_overview(&mut ctx);
-            let payloads = ctx.execute(&plan.outputs());
+            let payloads = ctx.execute_checked(&plan.outputs()).unwrap();
             let json = intermediates_to_json(&assemble_overview(&ctx, &plan, &payloads).0);
             match &expected {
                 None => expected = Some(json),

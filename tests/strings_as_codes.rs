@@ -158,8 +158,13 @@ fn non_string_categoricals_are_pinned() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: the per-row kernels are the oracle
+// Differential tests: per-row counts by name are the oracle
 // ---------------------------------------------------------------------------
+
+/// Name-keyed counts and per-row tokens, shared with the kernel crate's
+/// own tests.
+#[path = "../crates/stats/tests/oracle/mod.rs"]
+mod counts_oracle;
 
 mod differential {
     use dataprep_eda::core::compute::cat;
@@ -170,10 +175,13 @@ mod differential {
     use dataprep_eda::dataframe::Selection;
     use dataprep_eda::io::edaf::{read_edaf, write_edaf};
     use dataprep_eda::prelude::*;
-    use dataprep_eda::stats::freq::{CatFreq, FreqSummary, FreqTable};
+    use dataprep_eda::stats::freq::{CatFreq, FreqSummary};
     use dataprep_eda::stats::hypothesis::chi_square_uniform;
+    use dataprep_eda::stats::moments::Moments;
     use dataprep_eda::stats::text::TextStats;
     use proptest::prelude::*;
+
+    use super::counts_oracle::{word_counts, Counts};
 
     /// Empty and whitespace-only values, multi-byte characters, characters
     /// whose lower-case form is longer than they are, values that differ
@@ -232,41 +240,56 @@ mod differential {
         })
     }
 
-    /// The per-row kernels over the rows of `[lo, hi)` that `keep` selects.
-    fn oracle(case: &Case, lo: usize, hi: usize, keep: impl Fn(usize) -> bool) -> (FreqTable, TextStats) {
+    /// Text statistics row by row: words from owned tokens, lengths
+    /// pushed one at a time.
+    #[derive(Debug, Clone)]
+    struct Text {
+        words: Counts,
+        lengths: Moments,
+        blank: u64,
+        count: u64,
+    }
+
+    impl Text {
+        fn merge(&mut self, other: &Text) {
+            self.words.merge(&other.words);
+            self.lengths.merge(&other.lengths);
+            self.blank += other.blank;
+            self.count += other.count;
+        }
+    }
+
+    /// The rows of `[lo, hi)` that `keep` selects, counted row by row.
+    fn oracle(case: &Case, lo: usize, hi: usize, keep: impl Fn(usize) -> bool) -> (Counts, Text) {
         let rows = || (lo..hi).filter(|&i| keep(i)).map(|i| case.values[i].as_deref());
-        let mut text = TextStats::new();
-        rows().for_each(|v| text.push(v));
-        (FreqTable::from_iter(rows()), text)
+        let mut lengths = Moments::new();
+        rows().flatten().for_each(|v| lengths.push(v.chars().count() as f64));
+        let text = Text {
+            words: word_counts(rows()),
+            lengths,
+            blank: rows().flatten().filter(|v| v.trim().is_empty()).count() as u64,
+            count: rows().flatten().count() as u64,
+        };
+        (Counts::of(rows()), text)
     }
 
-    fn merged_tables(parts: impl IntoIterator<Item = FreqTable>) -> FreqTable {
-        let mut all = FreqTable::new();
-        parts.into_iter().for_each(|p| all.merge(&p));
-        all
-    }
-
-    fn merged_freq<'a>(parts: impl IntoIterator<Item = &'a CatFreq>) -> CatFreq {
+    /// The partials merged left to right, from the first.
+    fn merged<'a, T: Clone + 'a>(parts: impl IntoIterator<Item = &'a T>, merge: impl Fn(&mut T, &T)) -> T {
         let mut parts = parts.into_iter();
         let mut all = parts.next().unwrap().clone();
-        parts.for_each(|p| all.merge(p));
+        parts.for_each(|p| merge(&mut all, p));
         all
     }
 
-    fn merged_text<'a>(parts: impl IntoIterator<Item = &'a TextStats>) -> TextStats {
-        let mut parts = parts.into_iter();
-        let mut all = parts.next().unwrap().clone();
-        parts.for_each(|p| all.merge(p));
-        all
-    }
-
-    fn assert_same_table(got: &CatFreq, want: &FreqTable) -> Result<(), String> {
-        prop_assert_eq!(got.to_table(), want.clone());
+    fn assert_same_table(got: &CatFreq, want: &Counts) -> Result<(), String> {
+        // Every category's count, read in `summary(usize::MAX)` order.
+        let all = Counts::from_entries(got.summary(usize::MAX).top(usize::MAX), got.nulls());
+        prop_assert_eq!(&all, want);
         prop_assert_eq!(got.nulls(), want.nulls);
         prop_assert_eq!(got.distinct(), want.distinct(), "unused dictionary entries are not categories");
         prop_assert_eq!(got.total(), want.total());
         // What a finish reads is the `freq_summary` payload: taken with
-        // any `k`, it is the string-keyed table's answer.
+        // any `k`, it is the name-keyed table's answer.
         for k in [0, 1, 2, 3, 7, usize::MAX] {
             let summary = got.summary(k);
             let top: Vec<(String, u64)> = summary.top(k).map(|(c, n)| (c.to_string(), n)).collect();
@@ -286,8 +309,10 @@ mod differential {
         Ok(())
     }
 
-    fn assert_same_text(got: &TextStats, want: &TextStats) -> Result<(), String> {
-        prop_assert_eq!(&got.words, &want.words);
+    fn assert_same_text(got: &TextStats, want: &Text) -> Result<(), String> {
+        // Every word's count, in `top_words` order.
+        prop_assert_eq!(got.top_words(usize::MAX), want.words.ranked());
+        prop_assert_eq!((got.total_words(), got.distinct_words()), (want.words.total(), want.words.distinct()));
         prop_assert_eq!((got.blank, got.count), (want.blank, want.count));
         prop_assert_eq!(&got.lengths, &want.lengths);
         for (a, b) in [(got.lengths.mean, want.lengths.mean), (got.lengths.m2, want.lengths.m2)] {
@@ -323,7 +348,7 @@ mod differential {
             ];
             let mut whole = Vec::new();
             for (select, keep) in selections {
-                let want: Vec<FreqTable> =
+                let want: Vec<Counts> =
                     windows.iter().map(|&(lo, hi)| oracle(&case, lo, hi, |i| keep(&case, i)).0).collect();
                 for parts in [&shared, &foreign] {
                     let got: Vec<CatFreq> =
@@ -331,10 +356,10 @@ mod differential {
                     for (got, want) in got.iter().zip(&want) {
                         assert_same_table(got, want)?;
                     }
-                    let all = merged_tables(want.iter().cloned());
-                    assert_same_table(&merged_freq(got.iter()), &all)?;
-                    assert_same_table(&merged_freq(got.iter().rev()), &all)?;
-                    whole.push((merged_freq(got.iter()), all));
+                    let all = merged(&want, Counts::merge);
+                    assert_same_table(&merged(&got, CatFreq::merge), &all)?;
+                    assert_same_table(&merged(got.iter().rev(), CatFreq::merge), &all)?;
+                    whole.push((merged(&got, CatFreq::merge), all));
                 }
             }
             // after = before − dropped, between shared and foreign tables
@@ -354,14 +379,17 @@ mod differential {
             // Text statistics: per window, and merged in both orders —
             // against per-row partials merged in the same order, since a
             // float merge depends on it.
-            let want: Vec<TextStats> = windows.iter().map(|&(lo, hi)| oracle(&case, lo, hi, |_| true).1).collect();
+            let want: Vec<Text> = windows.iter().map(|&(lo, hi)| oracle(&case, lo, hi, |_| true).1).collect();
             for parts in [&shared, &foreign] {
                 let got: Vec<TextStats> = parts.iter().map(cat::text_stats).collect();
                 for (got, want) in got.iter().zip(&want) {
                     assert_same_text(got, want)?;
                 }
-                assert_same_text(&merged_text(got.iter()), &merged_text(want.iter()))?;
-                assert_same_text(&merged_text(got.iter().rev()), &merged_text(want.iter().rev()))?;
+                assert_same_text(&merged(&got, TextStats::merge), &merged(&want, Text::merge))?;
+                assert_same_text(
+                    &merged(got.iter().rev(), TextStats::merge),
+                    &merged(want.iter().rev(), Text::merge),
+                )?;
             }
         }
     }
@@ -371,8 +399,8 @@ mod differential {
         for values in [vec![], vec![None], vec![Some("İ ß".to_string())]] {
             let case = Case { x: vec![None; values.len()], cuts: (0, 0), values };
             let column = Column::from_opt_string(case.values.clone());
-            let (table, text) = oracle(&case, 0, case.values.len(), |_| true);
-            assert_same_table(&CatFreq::of(&column, Selection::All), &table).unwrap();
+            let (counts, text) = oracle(&case, 0, case.values.len(), |_| true);
+            assert_same_table(&CatFreq::of(&column, Selection::All), &counts).unwrap();
             assert_same_text(&cat::text_stats(&column), &text).unwrap();
         }
     }
@@ -404,7 +432,7 @@ mod differential {
         let entropy = |df: &DataFrame| {
             let mut ctx = ComputeContext::new(df, &cfg);
             let node = kernels::freq_summary(&mut ctx, "city", Rows::All);
-            let bits = un::<FreqSummary>(&ctx.execute(&[node])[0]).entropy.to_bits();
+            let bits = un::<FreqSummary>(&ctx.execute_checked(&[node]).unwrap()[0]).entropy.to_bits();
             let stats = plot(df, &["city"], &cfg).unwrap();
             let Some(Inter::StatsTable(rows)) = stats.get("stats") else { panic!("stats table") };
             (bits, rows.iter().find(|r| r.label == "entropy").unwrap().value.clone())
