@@ -1,17 +1,29 @@
 //! Figure 6(b) reproduction: `create_report` wall time vs data size,
-//! DataPrep vs the Pandas-profiling baseline.
+//! DataPrep vs the Pandas-profiling baseline; then the measured stand-in
+//! for Figure 6(c): the largest report on 1 → host-core workers.
 //!
 //! Usage: `cargo run -p eda-bench --release --bin figure6b [--scale 0.02] [--points 5]`
 //!
 //! The paper duplicates the bitcoin dataset from 10M to 100M rows and
 //! finds both tools linear in rows with DataPrep ≈ 6× faster throughout.
-//! Default sizes are scaled (`--scale 0.02` → 200K..2M rows) so the sweep
-//! fits small machines; pass `--scale 1.0` for the paper's sizes.
+//! Default sizes are scaled (`--scale 0.02` → 40K..200K rows) so the sweep
+//! fits small machines. Figure 6(c) adds workers on an 8-node HDFS
+//! cluster, which one host cannot reproduce; the second table sweeps
+//! `engine.workers` over this host's cores instead.
 
 use eda_bench::{arg_f64, fmt_secs, machine_context, measure, print_table};
 use eda_core::{create_report, Config};
 use eda_datagen::bitcoin::bitcoin_spec;
 use eda_datagen::generate;
+
+/// The sweep's row counts: `points` (at least 2) even steps up to
+/// `10M · scale`, at least 1,000 rows each.
+fn sizes(scale: f64, points: usize) -> Vec<usize> {
+    let points = points.max(2);
+    (1..=points)
+        .map(|i| ((10_000_000.0 * i as f64 / points as f64 * scale) as usize).max(1000))
+        .collect()
+}
 
 fn main() {
     let scale = arg_f64("--scale", 0.02);
@@ -24,10 +36,8 @@ fn main() {
     let mut rows_out = Vec::new();
     let mut ratios = Vec::new();
     let mut series: Vec<(usize, f64, f64)> = Vec::new();
-    for i in 1..=points.max(2) {
-        // Paper: 10M..100M in steps; here scaled.
-        let rows = ((10_000_000.0 * i as f64 / points as f64 * 10.0 / 10.0) * scale) as usize;
-        let rows = rows.max(1000);
+    let sizes = sizes(scale, points);
+    for &rows in &sizes {
         let df = generate(&bitcoin_spec(rows), 42);
         let (_, pp) = measure(|| eda_baseline::profile(&df));
         let (_, dp) = measure(|| create_report(&df, &cfg).expect("report"));
@@ -54,4 +64,43 @@ fn main() {
     );
     let gmean = (ratios.iter().map(|s| s.ln()).sum::<f64>() / ratios.len() as f64).exp();
     println!("mean speedup {gmean:.1}x (paper: ≈6x at these sizes)");
+
+    let largest = sizes.last().copied().unwrap_or(1000);
+    let df = generate(&bitcoin_spec(largest), 42);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!();
+    println!("Figure 6(c) stand-in: create_report on {largest} rows vs engine.workers");
+    let mut rows_out = Vec::new();
+    let mut one_worker = None;
+    for workers in 1..=host_cores {
+        // The cache is off so no run is served the previous run's results.
+        let workers_value = workers.to_string();
+        let cfg = Config::from_pairs(vec![
+            ("engine.workers", workers_value.as_str()),
+            ("engine.cache_budget_bytes", "0"),
+        ])
+        .expect("engine.workers");
+        let (_, dp) = measure(|| create_report(&df, &cfg).expect("report"));
+        let base = *one_worker.get_or_insert(dp);
+        rows_out.push(vec![
+            workers.to_string(),
+            fmt_secs(dp),
+            format!("{:.2}x", base.as_secs_f64() / dp.as_secs_f64()),
+        ]);
+    }
+    print_table(&["Workers", "DataPrep", "vs 1 worker"], &rows_out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sizes;
+
+    #[test]
+    fn fewer_than_two_points_sweep_like_two() {
+        let two = sizes(0.02, 2);
+        assert_eq!(two, vec![100_000, 200_000]);
+        assert_eq!(sizes(0.02, 0), two);
+        assert_eq!(sizes(0.02, 1), two);
+        assert_eq!(sizes(0.02, 5), vec![40_000, 80_000, 120_000, 160_000, 200_000]);
+    }
 }

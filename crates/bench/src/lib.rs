@@ -6,12 +6,10 @@
 //!
 //! | binary | reproduces |
 //! |--------|------------|
-//! | `table2` | Table 2: report time, baseline vs DataPrep, 15 datasets |
+//! | `table2` | Table 2: report time, baseline vs DataPrep, 15 datasets; then a fine-grained task vs the baseline report on the user-study shapes (Figure 7's measured input) |
 //! | `figure5` | Figure 5: % of fine-grained tasks within 0.5/1/2/5 s |
 //! | `figure6a` | Figure 6(a): engine comparison on the bitcoin shape ([`EnginePolicy`]) |
-//! | `figure6b` | Figure 6(b): report time vs data size, both tools |
-//! | `figure6c` | Figure 6(c): simulated cluster scale-out |
-//! | `figure7` | Figure 7 + §6.3: the user-study simulation |
+//! | `figure6b` | Figure 6(b): report time vs data size, both tools; then the largest report on 1 → host-core workers (Figure 6(c)'s stand-in) |
 //!
 //! All binaries accept `--scale <f64>` (default chosen per experiment) to
 //! shrink workloads for small machines, and print the machine context

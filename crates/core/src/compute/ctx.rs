@@ -125,10 +125,9 @@ pub struct ComputeContext<'a> {
     /// Result cache override; `None` uses the process-wide session cache.
     /// Tests inject a private cache here for deterministic warm/cold runs.
     pub cache_override: Option<Arc<ResultCache>>,
-    /// Run-wide cancel token: present when a handle armed one
-    /// ([`govern::armed_token`]) or `engine.run_deadline_ms` is set.
-    /// Shared by every `execute_outcomes` call of this context, so the whole
-    /// report run stops together.
+    /// Run-wide cancel token: present when `engine.run_deadline_ms` is
+    /// set. Shared by every `execute_outcomes` call of this context, so
+    /// the whole report run stops together.
     pub cancel: Option<CancelToken>,
     /// Run-wide memory gauge (`engine.memory_budget_bytes`), `None` when
     /// the budget is off. Charges accumulate across `execute_outcomes` calls.
@@ -156,19 +155,11 @@ impl<'a> ComputeContext<'a> {
         let mut graph = TaskGraph::new();
         // Stage 2 begins: partition sources enter the graph.
         let sources = pf.source_nodes(&mut graph);
-        // The run token merges the two cancellation sources: a token the
-        // caller armed via an `AnalysisHandle` (cancel()-able from
-        // another thread) and the whole-run deadline. The deadline
-        // anchors here — context creation is the start of the run.
-        let run_deadline = match config.engine.run_deadline_ms {
+        // The run token is the whole-run deadline, anchored here: context
+        // creation is the start of the run.
+        let cancel = match config.engine.run_deadline_ms {
             0 => None,
-            ms => Some(std::time::Duration::from_millis(ms)),
-        };
-        let cancel = match (govern::armed_token(), run_deadline) {
-            (Some(t), Some(budget)) => Some(t.capped(budget)),
-            (Some(t), None) => Some(t),
-            (None, Some(budget)) => Some(CancelToken::with_deadline(budget)),
-            (None, None) => None,
+            ms => Some(CancelToken::with_deadline(std::time::Duration::from_millis(ms))),
         };
         let gauge = match config.engine.memory_budget_bytes {
             0 => None,
@@ -244,7 +235,7 @@ impl<'a> ComputeContext<'a> {
             deadline: self.deadline(),
             trace,
             cache,
-            cancel: self.cancel.clone(),
+            cancel: self.cancel,
             gauge: self.gauge.clone(),
             sizer,
         };

@@ -180,7 +180,8 @@ pub struct EngineConfig {
     /// Per-task wall-clock budget in milliseconds (0 = unlimited). Tasks
     /// exceeding it are recorded as timed out and their dependents are
     /// skipped; the rest of the run completes and the report degrades
-    /// gracefully.
+    /// gracefully. This is what `run_deadline_ms` cannot do: a run
+    /// deadline stops every task still queued behind a slow one.
     pub task_deadline_ms: u64,
     /// Record a per-task trace of the run and render a "Performance" tab
     /// in HTML output (worker Gantt, slowest tasks, critical path). Off

@@ -53,7 +53,7 @@ pub const PARAMS: &[ParamSpec] = &[
     ParamSpec { key: "engine.npartitions", default: "2*cores", description: "Data partitions for the parallel phase" },
     ParamSpec { key: "engine.workers", default: "cores", description: "Worker threads" },
     ParamSpec { key: "engine.sample_rows", default: "0", description: "Compute on ~this many sampled rows when the frame is larger (0 = exact)" },
-    ParamSpec { key: "engine.task_deadline_ms", default: "0", description: "Per-task wall-clock budget in ms; over-budget tasks degrade their section (0 = unlimited)" },
+    ParamSpec { key: "engine.task_deadline_ms", default: "0", description: "Per-task wall-clock budget in ms; an over-budget task degrades only its own section and the rest of the report completes, where a run deadline stops everything still queued (0 = unlimited)" },
     ParamSpec { key: "engine.profile", default: "false", description: "Trace every task and add a Performance tab (worker Gantt, slowest tasks) to HTML output" },
     ParamSpec { key: "engine.cache_budget_bytes", default: "268435456", description: "Byte budget for the cross-call result cache; LRU-evicted past it (0 = caching off)" },
     ParamSpec { key: "engine.memory_budget_bytes", default: "0", description: "Per-run memory budget; over-budget tasks degrade to a sampled approximation (0 = unlimited)" },

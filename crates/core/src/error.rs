@@ -39,10 +39,6 @@ pub enum EdaError {
     /// the task that broke — a skip is already followed to its root — so
     /// its kind, task and elapsed time are read from one value.
     Task(Arc<TaskError>),
-    /// The thread of an [`crate::handle::AnalysisHandle`] panicked outside
-    /// any task (a bug: kernel panics are isolated per task); carries the
-    /// panic message.
-    ThreadPanicked(String),
 }
 
 impl fmt::Display for EdaError {
@@ -58,7 +54,6 @@ impl fmt::Display for EdaError {
             EdaError::Config { key, message } => write!(f, "config {key:?}: {message}"),
             EdaError::EmptyInput(what) => write!(f, "empty input: {what}"),
             EdaError::Task(e) => write!(f, "{e}"),
-            EdaError::ThreadPanicked(message) => write!(f, "analysis thread panicked: {message}"),
         }
     }
 }
@@ -102,8 +97,8 @@ mod tests {
 
     #[test]
     fn governance_failures_convert_and_display() {
-        use eda_taskgraph::{CancelReason, TaskFailure};
-        let e = task("hist:price", TaskFailure::Cancelled(CancelReason::DeadlineExceeded));
+        use eda_taskgraph::TaskFailure;
+        let e = task("hist:price", TaskFailure::Cancelled);
         assert!(e.to_string().contains("hist:price"), "{e}");
         assert!(e.to_string().contains("run deadline exceeded"), "{e}");
         let e = task(

@@ -44,7 +44,6 @@ pub mod compute;
 pub mod config;
 pub mod dtype;
 pub mod error;
-pub mod handle;
 pub mod insights;
 pub mod intermediate;
 pub mod json;
@@ -56,7 +55,6 @@ pub use api::{
     SectionStatus, TaskKind,
 };
 pub use config::Config;
-pub use handle::{create_report_handle, plot_handle, AnalysisHandle};
 pub use dtype::SemanticType;
 pub use error::{EdaError, EdaResult};
 pub use insights::{Insight, InsightKind};

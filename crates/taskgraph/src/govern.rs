@@ -4,12 +4,12 @@
 //! must still be stoppable and bounded. This module makes a run a
 //! *governable unit*:
 //!
-//! - [`CancelToken`] — cooperative cancellation observed between
-//!   scheduler dispatches and inside kernels every
-//!   `eda_stats::interrupt::CHECK_INTERVAL` elements (via the
-//!   thread-local [`interrupted`] probe). A token can carry a
-//!   deadline so `engine.run_deadline_ms` actually stops in-flight work
-//!   instead of merely marking tasks timed out after the fact.
+//! - [`CancelToken`] — a deadline observed between scheduler dispatches
+//!   and inside kernels every `eda_stats::interrupt::CHECK_INTERVAL`
+//!   elements (via the thread-local [`interrupted`] probe), so
+//!   `engine.run_deadline_ms` and `engine.task_deadline_ms` stop
+//!   in-flight work instead of merely marking tasks timed out after the
+//!   fact.
 //! - [`MemoryGauge`] — per-run payload-byte accounting against a budget.
 //!   A task whose output would blow the budget fails with
 //!   `TaskFailure::BudgetExceeded` and degrades its section; the process
@@ -21,7 +21,7 @@
 //! section into a dead process.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,78 +29,37 @@ use std::time::{Duration, Instant};
 // Cancellation
 // ---------------------------------------------------------------------------
 
-/// Why a task observed cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CancelReason {
-    /// [`CancelToken::cancel`] was called (e.g. `AnalysisHandle::cancel`).
-    Requested,
-    /// The token's deadline passed (`engine.run_deadline_ms`).
-    DeadlineExceeded,
-}
+/// Longest budget a token honours: ~136 years, past any run and short
+/// enough that adding it to `Instant::now()` cannot overflow.
+const MAX_BUDGET: Duration = Duration::from_secs(u32::MAX as u64);
 
-impl std::fmt::Display for CancelReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CancelReason::Requested => write!(f, "cancellation requested"),
-            CancelReason::DeadlineExceeded => write!(f, "run deadline exceeded"),
-        }
-    }
-}
-
-/// A cooperative cancellation token.
+/// A cooperative cancellation token: a deadline.
 ///
-/// Clones share the same flag; [`capped`](CancelToken::capped) derives a
-/// token that additionally expires at a deadline while still observing
-/// the parent's flag. Checking is wait-free (one atomic load plus an
-/// `Instant` comparison), cheap enough for kernel inner loops.
-#[derive(Debug, Clone, Default)]
+/// The two cancellation sources are `engine.run_deadline_ms` (one token
+/// per run) and `engine.task_deadline_ms` (a token per task attempt,
+/// [`capped`](CancelToken::capped) by the run's). Checking is one
+/// `Instant` comparison, cheap enough for kernel inner loops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
+    deadline: Instant,
 }
 
 impl CancelToken {
-    /// A fresh, un-cancelled token with no deadline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh token that auto-cancels after `budget`.
+    /// A token that fires `budget` from now.
     pub fn with_deadline(budget: Duration) -> Self {
-        CancelToken::new().capped(budget)
+        let now = Instant::now();
+        CancelToken { deadline: now.checked_add(budget.min(MAX_BUDGET)).unwrap_or(now) }
     }
 
-    /// A token sharing this one's flag that additionally expires
-    /// `budget` from now (the earlier of the two deadlines wins).
+    /// A token that fires at the earlier of this one's deadline and
+    /// `budget` from now.
     pub fn capped(&self, budget: Duration) -> Self {
-        let at = Instant::now().checked_add(budget);
-        let deadline = match (self.deadline, at) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        CancelToken { flag: Arc::clone(&self.flag), deadline }
+        CancelToken { deadline: self.deadline.min(Self::with_deadline(budget).deadline) }
     }
 
-    /// Trip the flag. Every clone (and every capped child) observes it.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Why this token is cancelled, or `None` if it is still live.
-    /// An explicit request takes precedence over a deadline.
-    pub fn cancelled(&self) -> Option<CancelReason> {
-        if self.flag.load(Ordering::Acquire) {
-            return Some(CancelReason::Requested);
-        }
-        match self.deadline {
-            Some(at) if Instant::now() >= at => Some(CancelReason::DeadlineExceeded),
-            _ => None,
-        }
-    }
-
-    /// Whether the token has fired (request or deadline).
+    /// Whether the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled().is_some()
+        Instant::now() >= self.deadline
     }
 }
 
@@ -109,12 +68,6 @@ thread_local! {
     /// the scheduler around the task body so kernels deep in the call
     /// stack can poll it without plumbing.
     static CURRENT: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
-
-    /// Token armed for adoption by the next run constructed on this
-    /// thread (mirrors `inject::arm` for fault plans): the public API
-    /// builds its `ComputeContext` many layers below `AnalysisHandle`,
-    /// so the handle arms the token here before calling in.
-    static ARMED: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
 }
 
 /// Install `token` as this thread's current task token for the duration
@@ -153,31 +106,6 @@ pub fn wait_interrupted(max: Duration) {
     while start.elapsed() < max && !interrupted() {
         std::thread::sleep(step);
     }
-}
-
-/// Arm `token` for adoption by the next governed run constructed on this
-/// thread. Returns a guard that restores the previous armed token.
-pub fn arm_token(token: CancelToken) -> TokenArmGuard {
-    let prev = ARMED.with(|a| a.replace(Some(token)));
-    TokenArmGuard { prev }
-}
-
-/// Restores the previously-armed token on drop.
-pub struct TokenArmGuard {
-    prev: Option<CancelToken>,
-}
-
-impl Drop for TokenArmGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        ARMED.with(|a| *a.borrow_mut() = prev);
-    }
-}
-
-/// The token armed on this thread, if any (does not consume it: every
-/// run started while the guard lives adopts the same token).
-pub fn armed_token() -> Option<CancelToken> {
-    ARMED.with(|a| a.borrow().clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -278,39 +206,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn token_cancel_propagates_to_clones_and_children() {
-        let t = CancelToken::new();
-        let clone = t.clone();
-        let child = t.capped(Duration::from_secs(60));
-        assert_eq!(t.cancelled(), None);
-        clone.cancel();
-        assert_eq!(t.cancelled(), Some(CancelReason::Requested));
-        assert_eq!(child.cancelled(), Some(CancelReason::Requested));
-    }
-
-    #[test]
     fn token_deadline_fires() {
-        let t = CancelToken::with_deadline(Duration::ZERO);
-        assert_eq!(t.cancelled(), Some(CancelReason::DeadlineExceeded));
-        // Explicit request beats deadline in the report.
-        t.cancel();
-        assert_eq!(t.cancelled(), Some(CancelReason::Requested));
+        assert!(CancelToken::with_deadline(Duration::ZERO).is_cancelled());
+        assert!(!CancelToken::with_deadline(Duration::from_secs(60)).is_cancelled());
+        assert!(!CancelToken::with_deadline(Duration::MAX).is_cancelled());
     }
 
     #[test]
     fn capped_keeps_earlier_deadline() {
-        let t = CancelToken::with_deadline(Duration::ZERO);
-        let child = t.capped(Duration::from_secs(60));
-        assert_eq!(child.cancelled(), Some(CancelReason::DeadlineExceeded));
+        let fired = CancelToken::with_deadline(Duration::ZERO);
+        assert!(fired.capped(Duration::from_secs(60)).is_cancelled());
+        let live = CancelToken::with_deadline(Duration::from_secs(60));
+        assert!(!live.capped(Duration::from_secs(120)).is_cancelled());
+        assert!(live.capped(Duration::ZERO).is_cancelled());
     }
 
     #[test]
     fn current_token_probe() {
         assert!(!interrupted());
-        let t = CancelToken::new();
-        let guard = set_current(t.clone());
+        let guard = set_current(CancelToken::with_deadline(Duration::from_millis(100)));
         assert!(!interrupted());
-        t.cancel();
+        std::thread::sleep(Duration::from_millis(120));
         assert!(interrupted());
         drop(guard);
         assert!(!interrupted());
@@ -318,36 +234,18 @@ mod tests {
 
     #[test]
     fn current_guard_restores_previous() {
-        let outer = CancelToken::new();
-        outer.cancel();
-        let _g1 = set_current(outer);
+        let _g1 = set_current(CancelToken::with_deadline(Duration::ZERO));
         assert!(interrupted());
         {
-            let _g2 = set_current(CancelToken::new());
+            let _g2 = set_current(CancelToken::with_deadline(Duration::from_secs(60)));
             assert!(!interrupted());
         }
         assert!(interrupted());
     }
 
     #[test]
-    fn armed_token_is_adoptable_and_restored() {
-        assert!(armed_token().is_none());
-        let t = CancelToken::new();
-        {
-            let _g = arm_token(t.clone());
-            let adopted = armed_token();
-            assert!(adopted.is_some());
-            t.cancel();
-            assert!(adopted.is_some_and(|a| a.is_cancelled()));
-        }
-        assert!(armed_token().is_none());
-    }
-
-    #[test]
     fn wait_interrupted_returns_on_cancel() {
-        let t = CancelToken::new();
-        t.cancel();
-        let _g = set_current(t);
+        let _g = set_current(CancelToken::with_deadline(Duration::ZERO));
         let start = Instant::now();
         wait_interrupted(Duration::from_secs(5));
         assert!(start.elapsed() < Duration::from_secs(1));

@@ -51,7 +51,7 @@ pub mod stats;
 pub mod trace;
 
 pub use cache::{CacheHandle, PayloadSizer, ResultCache};
-pub use govern::{CancelReason, CancelToken, MemoryGauge};
+pub use govern::{CancelToken, MemoryGauge};
 pub use graph::{NodeId, Payload, TaskGraph};
 pub use inject::{FaultInjector, FaultMode, FaultPlan, FaultTarget};
 pub use key::TaskKey;

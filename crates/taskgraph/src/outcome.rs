@@ -10,7 +10,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::govern::CancelReason;
 use crate::graph::{NodeId, Payload};
 
 /// Why a task produced no payload.
@@ -29,9 +28,9 @@ pub enum TaskFailure {
     /// the originally failing task's error (the transitive root, never
     /// itself a skip), so a skip names the actual reason at any depth.
     Skipped(Arc<TaskError>),
-    /// The run was cancelled ([`crate::govern::CancelToken`]) before or
-    /// while this task executed; any partial result was discarded.
-    Cancelled(CancelReason),
+    /// The run's deadline ([`crate::govern::CancelToken`]) passed before
+    /// or while this task executed; any partial result was discarded.
+    Cancelled,
     /// Charging this task's output against the run's memory budget
     /// ([`crate::govern::MemoryGauge`]) was refused; the payload was
     /// dropped and the section degrades instead of the process OOMing.
@@ -99,7 +98,7 @@ impl fmt::Display for TaskFailure {
                 write!(f, "exceeded its {budget:?} deadline (took {elapsed:?})")
             }
             TaskFailure::Skipped(root) => write!(f, "skipped: upstream {root}"),
-            TaskFailure::Cancelled(reason) => write!(f, "cancelled: {reason}"),
+            TaskFailure::Cancelled => write!(f, "cancelled: run deadline exceeded"),
             TaskFailure::BudgetExceeded { budget, used, requested } => write!(
                 f,
                 "exceeded the run memory budget: charge of {requested} bytes refused \
@@ -244,9 +243,8 @@ mod tests {
 
     #[test]
     fn display_cancelled_names_reason() {
-        let e = err(TaskFailure::Cancelled(CancelReason::DeadlineExceeded));
-        let s = e.to_string();
-        assert!(s.contains("cancelled") && s.contains("run deadline exceeded"), "{s}");
+        let e = err(TaskFailure::Cancelled);
+        assert_eq!(e.to_string(), "task 'moments:price' (node 3) cancelled: run deadline exceeded");
     }
 
     #[test]

@@ -63,11 +63,11 @@ pub struct ExecOptions {
     /// `None` executes everything, bit-identical to the pre-cache
     /// behaviour.
     pub cache: Option<CacheHandle>,
-    /// Run-level cancellation token ([`crate::govern`]). Checked before
-    /// every dispatch and installed as the thread's current token around
-    /// each task body (merged with the per-task `deadline`, if any) so
-    /// kernels can bail at their next interruption poll. `None` disables
-    /// every check, bit-identical to pre-governance behaviour.
+    /// Run deadline ([`crate::govern`]). Checked before every dispatch
+    /// and installed as the thread's current token around each task body
+    /// (capped by the per-task `deadline`, if any) so kernels can bail at
+    /// their next interruption poll. `None` disables every check,
+    /// bit-identical to pre-governance behaviour.
     pub cancel: Option<CancelToken>,
     /// Per-run memory budget gauge: each completed task's payload bytes
     /// are charged against it, and a refused charge fails the task with
@@ -495,9 +495,8 @@ fn execute_node(
     // A fired run token beats everything else: record the node as
     // Cancelled without opening a span or touching the body, so a
     // cancelled run drains its remaining dispatches in microseconds.
-    if let Some(reason) = opts.cancel.as_ref().and_then(CancelToken::cancelled) {
-        let cancelled = TaskFailure::Cancelled(reason);
-        return (failed(graph, id, cancelled, Duration::ZERO), zero_width());
+    if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        return (failed(graph, id, TaskFailure::Cancelled, Duration::ZERO), zero_width());
     }
     // An upstream failure poisons only this subtree: record a skip
     // carrying the transitive root cause and move on. The skip inherits
@@ -520,16 +519,13 @@ fn execute_node(
         return (internal_failure(graph, id, "input outcome lost its payload"), timing);
     };
     let fault = graph.fault_injector().and_then(|inj| inj.decide(id, &task.name));
-    // The token the body observes at its interruption polls: the run
-    // token capped by the per-task deadline (so a blown deadline
+    // The token the body observes at its interruption polls: the earlier
+    // of the run deadline and the per-task one, so a blown task deadline
     // interrupts the body instead of merely being noticed after it
-    // returns), or a deadline-only token when the run is otherwise
-    // ungoverned.
-    let task_token = match (&opts.cancel, opts.deadline) {
+    // returns.
+    let task_token = match (opts.cancel, opts.deadline) {
         (Some(t), Some(budget)) => Some(t.capped(budget)),
-        (Some(t), None) => Some(t.clone()),
-        (None, Some(budget)) => Some(CancelToken::with_deadline(budget)),
-        (None, None) => None,
+        (t, budget) => t.or(budget.map(CancelToken::with_deadline)),
     };
     let started = Instant::now();
     let result = {
@@ -597,8 +593,8 @@ fn classify_result(
     let fail = |failure: TaskFailure| failed(graph, id, failure, elapsed);
     match result {
         Ok(payload) => {
-            if let Some(reason) = opts.cancel.as_ref().and_then(CancelToken::cancelled) {
-                return fail(TaskFailure::Cancelled(reason));
+            if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                return fail(TaskFailure::Cancelled);
             }
             if let Some(budget) = opts.deadline {
                 if elapsed > budget {
@@ -1241,17 +1237,13 @@ mod tests {
 
     #[test]
     fn cancelled_token_short_circuits_whole_run() {
-        let token = CancelToken::new();
-        token.cancel();
+        let token = CancelToken::with_deadline(Duration::ZERO);
         let opts = ExecOptions { cancel: Some(token), ..Default::default() };
         let (g, out) = diamond();
         for workers in [1, 2, 4] {
             let r = run(&g, &[out], workers, &opts);
             let err = r.outcomes[0].error().expect("cancelled");
-            assert!(
-                matches!(err.failure, TaskFailure::Cancelled(crate::govern::CancelReason::Requested)),
-                "{err}"
-            );
+            assert!(matches!(err.failure, TaskFailure::Cancelled), "{err}");
             assert_eq!(r.stats.tasks_run, 0);
             assert_eq!(r.stats.tasks_cancelled, 4);
             assert!(!r.stats.fully_succeeded());
@@ -1281,16 +1273,11 @@ mod tests {
     fn cancel_wakes_wedged_task_mid_run() {
         let (mut g, out) = diamond();
         g.set_fault_injector(FaultInjector::wedge_on("inc", Duration::from_secs(30)));
-        let token = CancelToken::new();
-        let opts = ExecOptions { cancel: Some(token.clone()), ..Default::default() };
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            token.cancel();
-        });
+        let token = CancelToken::with_deadline(Duration::from_millis(30));
+        let opts = ExecOptions { cancel: Some(token), ..Default::default() };
         let started = Instant::now();
         let r = run(&g, &[out], 2, &opts);
         let wall = started.elapsed();
-        canceller.join().expect("canceller");
         assert!(wall < Duration::from_secs(5), "cancel did not reclaim the worker: {wall:?}");
         assert!(r.stats.tasks_cancelled > 0, "{:?}", r.stats);
     }
@@ -1309,19 +1296,14 @@ mod tests {
         let opts = ExecOptions { cancel: Some(token), ..Default::default() };
         let r = run(&g, &outputs, 1, &opts);
         // The first task or two complete; once the deadline passes, the
-        // rest are recorded Cancelled(DeadlineExceeded) without running.
+        // rest are recorded Cancelled without running.
         assert!(r.stats.tasks_cancelled > 0, "{:?}", r.stats);
         assert!(r.stats.elapsed < Duration::from_millis(8 * 20), "{:?}", r.stats.elapsed);
         let cancelled = r
             .outcomes
             .iter()
             .filter_map(|o| o.error())
-            .filter(|e| {
-                matches!(
-                    e.failure,
-                    TaskFailure::Cancelled(crate::govern::CancelReason::DeadlineExceeded)
-                )
-            })
+            .filter(|e| matches!(e.failure, TaskFailure::Cancelled))
             .count();
         assert!(cancelled > 0);
     }
@@ -1358,8 +1340,7 @@ mod tests {
     #[test]
     fn cancelled_run_never_populates_cache() {
         let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
-        let token = CancelToken::new();
-        token.cancel();
+        let token = CancelToken::with_deadline(Duration::ZERO);
         let opts = ExecOptions { cancel: Some(token), ..cache_opts(&cache) };
         let (g, out) = diamond();
         let r = run(&g, &[out], 2, &opts);

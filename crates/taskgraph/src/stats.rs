@@ -43,7 +43,7 @@ pub struct ExecStats {
     /// recomputed.
     pub cache_bytes_saved: usize,
     /// Tasks recorded `Cancelled` because the run's
-    /// [`crate::govern::CancelToken`] fired (request or run deadline).
+    /// deadline ([`crate::govern::CancelToken`]) passed.
     pub tasks_cancelled: usize,
     /// Tasks whose output charge was refused by the run's
     /// [`crate::govern::MemoryGauge`]; their payloads were dropped.

@@ -83,7 +83,7 @@ impl SpanStatus {
                 TaskFailure::Panicked(_) | TaskFailure::Internal(_) => SpanStatus::Failed,
                 TaskFailure::TimedOut { .. } => SpanStatus::TimedOut,
                 TaskFailure::Skipped(_) => SpanStatus::Skipped,
-                TaskFailure::Cancelled(_) => SpanStatus::Cancelled,
+                TaskFailure::Cancelled => SpanStatus::Cancelled,
                 TaskFailure::BudgetExceeded { .. } => SpanStatus::BudgetExceeded,
             },
         }

@@ -41,9 +41,8 @@ pub use eda_taskgraph as taskgraph;
 /// The most common imports in one place.
 pub mod prelude {
     pub use eda_core::{
-        convert_to_edaf, create_report, create_report_handle, load_csv, load_data, plot,
-        plot_correlation, plot_handle, plot_missing, plot_timeseries, Analysis, AnalysisHandle,
-        Config, Insight, Inter, Report, SemanticType, TaskKind,
+        convert_to_edaf, create_report, load_csv, load_data, plot, plot_correlation, plot_missing,
+        plot_timeseries, Analysis, Config, Insight, Inter, Report, SemanticType, TaskKind,
     };
     pub use eda_dataframe::{csv::read_csv, Column, DataFrame};
     pub use eda_render::{render_analysis_html, render_report_html};

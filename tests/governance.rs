@@ -1,18 +1,17 @@
 //! Resource-governance integration tests through the public API.
 //!
 //! The acceptance bar of the governance layer: knobs at their defaults
-//! leave reports bit-identical to an ungoverned run; `AnalysisHandle`
-//! cancellation stops in-flight work promptly; a run deadline reclaims
-//! wedged workers; and the memory-budget degradation ladder swaps an
-//! OOM-bound run for a flagged approximate one.
+//! leave reports bit-identical to an ungoverned run; a run deadline
+//! stops in-flight work promptly and reclaims wedged workers; and the
+//! memory-budget degradation ladder swaps an OOM-bound run for a flagged
+//! approximate one.
 
 use std::time::{Duration, Instant};
 
 use eda_core::compute::correlation::{numeric_columns, plan_matrix_nodes, plan_matrix_tiles};
 use eda_core::compute::ComputeContext;
 use eda_core::{
-    create_report, create_report_handle, plot, plot_correlation, Config, InsightKind,
-    SectionStatus,
+    create_report, plot, plot_correlation, Config, InsightKind, SectionStatus,
 };
 use eda_dataframe::{Column, DataFrame};
 use eda_render::layout::{render_analysis_html, render_report_html};
@@ -83,37 +82,44 @@ fn default_knobs_are_bit_identical_to_unset() {
 
 // ----------------------------------------------------------- cancellation
 
-/// `AnalysisHandle::cancel()` stops a large in-flight `create_report`
+/// `engine.run_deadline_ms` stops a large in-flight `create_report`
 /// promptly: kernels bail at their next interruption poll and the
-/// scheduler stops dispatching, so join returns far sooner than the full
-/// run would.
+/// scheduler stops dispatching, so the call returns far sooner than the
+/// full run would.
 #[test]
-fn handle_cancel_stops_inflight_report_promptly() {
+fn run_deadline_stops_inflight_report_promptly() {
     // Null-free floats as one 3M-row partition, run inline: the first
     // tasks are the whole-slice moments and histogram kernels, so one of
-    // them is mid-slice when `cancel()` fires and only its own poll every
-    // `CHECK_INTERVAL` elements can stop it.
+    // them is mid-slice when the deadline passes and only its own poll
+    // every `CHECK_INTERVAL` elements can stop it.
     let one_slice = DataFrame::new(vec![(
         "v".into(),
         Column::from_f64((0..3_000_000).map(|i| ((i * 31) % 9973) as f64 / 7.0).collect()),
     )])
     .unwrap();
+    // The run gets properly underway before its deadline passes.
+    let deadline = Duration::from_millis(30);
+    let ms = deadline.as_millis().to_string();
     let inputs = [
-        (frame(200_000), cfg(&[("engine.workers", "4")]), false),
-        (one_slice, cfg(&[("engine.workers", "1"), ("engine.npartitions", "1")]), true),
+        (frame(200_000), cfg(&[("engine.workers", "4"), ("engine.run_deadline_ms", &ms)]), false),
+        (
+            one_slice,
+            cfg(&[
+                ("engine.workers", "1"),
+                ("engine.npartitions", "1"),
+                ("engine.run_deadline_ms", &ms),
+            ]),
+            true,
+        ),
     ];
     for (df, config, inline) in &inputs {
-        let handle = create_report_handle(df, config);
-        // Let the run get properly underway before pulling the cord.
-        std::thread::sleep(Duration::from_millis(30));
-        let cancelled_at = Instant::now();
-        handle.cancel();
-        let report = handle.join().expect("cancelled run degrades, not errors");
-        let reclaim = cancelled_at.elapsed();
+        let started = Instant::now();
+        let report = create_report(df, config).expect("cancelled run degrades, not errors");
+        let reclaim = started.elapsed().saturating_sub(deadline);
 
         // Target ~100ms; the bound is generous for loaded CI machines but
         // still far below what either report takes uncancelled.
-        assert!(reclaim < Duration::from_millis(1500), "join took {reclaim:?} after cancel");
+        assert!(reclaim < Duration::from_millis(1500), "returned {reclaim:?} after the deadline");
         let failed = report.failed_sections();
         assert!(!failed.is_empty(), "a cancelled mid-flight report must have degraded sections");
         for (name, status) in &failed {

@@ -87,7 +87,7 @@ fn soak_iteration(df: &DataFrame, i: usize, tally: &mut SoakTally) {
                 assert_eq!(fault, 2, "run {i}: section {name}: {err}");
                 tally.failed_panicked += 1;
             }
-            TaskFailure::Cancelled(_) => {
+            TaskFailure::Cancelled => {
                 assert_eq!(fault, 3, "run {i}: section {name}: {err}");
                 tally.failed_cancelled += 1;
             }
