@@ -7,13 +7,12 @@
 use std::sync::Arc;
 
 use eda_dataframe::DataFrame;
-use eda_taskgraph::{ExecStats, TaskError, TaskFailure};
+use eda_taskgraph::{ExecStats, NodeId, TaskError, TaskFailure, TaskOutcome};
 
-use crate::compute::{
-    bivariate, correlation, ctx::ComputeContext, missing, overview, timeseries, univariate,
-};
+use crate::compute::ctx::{un, ComputeContext, Section};
+use crate::compute::{bivariate, correlation, missing, overview, timeseries, univariate};
 use crate::config::{howto_for, Config, HowToGuide};
-use crate::dtype::{detect, SemanticType};
+use crate::dtype::SemanticType;
 use crate::error::{EdaError, EdaResult};
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates};
@@ -208,14 +207,30 @@ fn with_budget_ladder<T: Sections>(
 }
 
 /// What a `plot*` call's compute step returns: the task it answers and
-/// what computing it gave.
-type Computed = (TaskKind, EdaResult<(Intermediates, Vec<Insight>)>);
+/// the section node that answers it.
+type Computed = (TaskKind, EdaResult<NodeId>);
+
+/// A section node's outcome as a section: its content, or no content and
+/// the root failure — the first direct failure behind it, else a skip's
+/// root.
+pub(crate) fn section(outcome: &TaskOutcome) -> (Intermediates, Vec<Insight>, SectionStatus) {
+    match outcome {
+        TaskOutcome::Ok(payload) => {
+            let (intermediates, insights) = un::<Section>(payload).clone();
+            (intermediates, insights, SectionStatus::Ok)
+        }
+        TaskOutcome::Failed(err) => {
+            (Intermediates::new(), Vec::new(), SectionStatus::Failed(Arc::clone(err.root())))
+        }
+    }
+}
 
 /// The one path of the `plot*` calls: sample and ladder ([`sampled`]),
-/// then a fresh [`ComputeContext`] per attempt and `compute` on it. A
-/// task failure degrades into an `Analysis` with a `Failed` status (the
-/// caller still gets stats and a renderable diagnostics panel); planning
-/// errors — unknown column, bad config — pass through as `Err`.
+/// then a fresh [`ComputeContext`] per attempt, `compute` on it, and one
+/// execute of the section node it planned. A task failure degrades into
+/// an `Analysis` with a `Failed` status (the caller still gets stats and
+/// a renderable diagnostics panel); planning errors — unknown column, bad
+/// config — pass through as `Err`.
 fn analyze(
     df: &DataFrame,
     config: &Config,
@@ -223,9 +238,9 @@ fn analyze(
 ) -> EdaResult<Analysis> {
     sampled(df, config, |df| {
         let mut ctx = ComputeContext::new(df, config);
-        let (task, computed) = compute(&mut ctx)?;
-        let (intermediates, insights, status) = match computed {
-            Ok((intermediates, insights)) => (intermediates, insights, SectionStatus::Ok),
+        let (task, node) = compute(&mut ctx)?;
+        let (intermediates, insights, status) = match node {
+            Ok(node) => section(&ctx.execute_outcomes(&[node])[0]),
             Err(EdaError::Task(err)) => {
                 (Intermediates::new(), Vec::new(), SectionStatus::Failed(err))
             }
@@ -248,22 +263,18 @@ pub fn plot(df: &DataFrame, columns: &[&str], config: &Config) -> EdaResult<Anal
     check_columns("plot", columns, 2)?;
     analyze(df, config, |ctx| {
         // Detect up front so a degraded analysis still knows its task.
-        let df = ctx.df;
-        let semantic = |c: &str| -> EdaResult<_> {
-            Ok(detect(df.column(c)?, config.types.low_cardinality))
-        };
         Ok(match columns {
-            [] => (TaskKind::Overview, overview::compute_overview(ctx)),
+            [] => (TaskKind::Overview, Ok(overview::compute_overview(ctx))),
             [x] => (
-                TaskKind::Univariate { column: x.to_string(), semantic: semantic(x)? },
-                univariate::compute_univariate(ctx, x).map(|(ims, ins, _)| (ims, ins)),
+                TaskKind::Univariate { column: x.to_string(), semantic: ctx.semantic(x)? },
+                univariate::compute_univariate(ctx, x),
             ),
             [x, y] => (
                 TaskKind::Bivariate {
                     columns: (x.to_string(), y.to_string()),
-                    semantics: (semantic(x)?, semantic(y)?),
+                    semantics: (ctx.semantic(x)?, ctx.semantic(y)?),
                 },
-                bivariate::compute_bivariate(ctx, x, y).map(|(ims, ins, _)| (ims, ins)),
+                bivariate::compute_bivariate(ctx, x, y),
             ),
             _ => unreachable!("checked above"),
         })
@@ -303,7 +314,7 @@ pub fn plot_missing(df: &DataFrame, columns: &[&str], config: &Config) -> EdaRes
     check_columns("plot_missing", columns, 2)?;
     analyze(df, config, |ctx| {
         Ok(match columns {
-            [] => (TaskKind::MissingOverview, missing::compute_missing_overview(ctx)),
+            [] => (TaskKind::MissingOverview, Ok(missing::compute_missing_overview(ctx))),
             [x] => (
                 TaskKind::MissingImpact(x.to_string()),
                 missing::compute_missing_impact(ctx, x),
@@ -608,6 +619,32 @@ mod tests {
         assert_eq!(again.intermediates, first.intermediates);
         assert_eq!(again.stats.unwrap().tasks_run, 0);
         assert_eq!(summaries() - before, 1);
+    }
+
+    /// A section's key carries every insight threshold: on a warm cache,
+    /// calls differing in one `insight.*` value each get what their own
+    /// cold call gets.
+    #[test]
+    fn warm_sections_keep_their_own_insight_thresholds() {
+        let df = frame();
+        // price is 5% null: flagged under 0.01, not under the default.
+        let thresholds = ["0.05", "0.01"];
+        let cold: Vec<Analysis> = thresholds
+            .iter()
+            .map(|t| {
+                let pairs = vec![("insight.missing", *t), ("engine.cache_budget_bytes", "0")];
+                plot(&df, &["price"], &Config::from_pairs(pairs).unwrap()).unwrap()
+            })
+            .collect();
+        assert_ne!(cold[0].insights, cold[1].insights);
+        for _ in 0..2 {
+            for (t, cold) in thresholds.iter().zip(&cold) {
+                let cfg = Config::from_pairs(vec![("insight.missing", *t)]).unwrap();
+                let warm = plot(&df, &["price"], &cfg).unwrap();
+                assert_eq!(warm.insights, cold.insights, "insight.missing = {t}");
+                assert_eq!(warm.intermediates, cold.intermediates, "insight.missing = {t}");
+            }
+        }
     }
 
     #[test]

@@ -4,172 +4,176 @@
 //! * N×C / C×N → categorical box plot, multi-line chart.
 //! * C×C → nested bar chart, stacked bar chart, heat map.
 //!
-//! The categorical variants are textbook two-phase pipelines: stage one
-//! reduces the category frequencies, an eager top-k picks the groups
-//! (tiny data — the "Pandas phase"), and stage two builds the grouped
-//! kernels restricted to those groups.
+//! Every variant ends in one section node, `section:bivariate:<x>:<y>`.
+//! The categorical variants are the calls whose plan depends on data:
+//! stage one reduces the category frequencies and is executed while
+//! planning, an eager top-k picks the groups, and stage two builds the
+//! grouped kernels restricted to those groups, then the section over them.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use eda_stats::freq::FreqSummary;
 use eda_stats::histogram::Histogram;
 use eda_stats::moments::Moments;
 use eda_stats::quantile::BoxPlot;
+use eda_taskgraph::NodeId;
 
-use crate::dtype::{detect, SemanticType};
+use crate::dtype::SemanticType;
 use crate::error::EdaResult;
-use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, hex_center, hex_scales, Rows};
 use super::univariate::fmt_num;
 
-/// Run `plot(df, x, y)`, dispatching on the semantic type pair.
-pub fn compute_bivariate(
-    ctx: &mut ComputeContext<'_>,
-    x: &str,
-    y: &str,
-) -> EdaResult<(Intermediates, Vec<Insight>, (SemanticType, SemanticType))> {
-    let tx = detect(ctx.df.column(x)?, ctx.config.types.low_cardinality);
-    let ty = detect(ctx.df.column(y)?, ctx.config.types.low_cardinality);
-    let ims = match (tx, ty) {
-        (SemanticType::Numerical, SemanticType::Numerical) => numeric_numeric(ctx, x, y)?,
-        (SemanticType::Numerical, SemanticType::Categorical) => numeric_categorical(ctx, y, x)?,
-        (SemanticType::Categorical, SemanticType::Numerical) => numeric_categorical(ctx, x, y)?,
-        (SemanticType::Categorical, SemanticType::Categorical) => {
-            categorical_categorical(ctx, x, y)?
+/// Plan `plot(df, x, y)`, dispatching on the semantic type pair.
+pub fn compute_bivariate(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> EdaResult<NodeId> {
+    let name = format!("section:bivariate:{x}:{y}");
+    match (ctx.semantic(x)?, ctx.semantic(y)?) {
+        (SemanticType::Numerical, SemanticType::Numerical) => Ok(numeric_numeric(ctx, &name, x, y)),
+        (SemanticType::Numerical, SemanticType::Categorical) => {
+            numeric_categorical(ctx, &name, y, x)
         }
-    };
-    Ok((ims, Vec::new(), (tx, ty)))
+        (SemanticType::Categorical, SemanticType::Numerical) => {
+            numeric_categorical(ctx, &name, x, y)
+        }
+        (SemanticType::Categorical, SemanticType::Categorical) => {
+            categorical_categorical(ctx, &name, x, y)
+        }
+    }
 }
 
 /// N×N: scatter, hexbin, binned box plot.
-fn numeric_numeric(
-    ctx: &mut ComputeContext<'_>,
-    x: &str,
-    y: &str,
-) -> EdaResult<Intermediates> {
-    let pairs = kernels::pair_values(ctx, x, y);
-    let hex = kernels::hexbin(ctx, x, y, ctx.config.hexbin.gridsize);
-    let binned = kernels::binned_numeric(ctx, x, y, ctx.config.box_plot.bins);
-    let mx = kernels::moments(ctx, x);
-    let my = kernels::moments(ctx, y);
-    let outs = ctx.execute_checked(&[pairs, hex, binned, mx, my])?;
+fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -> NodeId {
+    let deps = vec![
+        kernels::pair_values(ctx, x, y),
+        kernels::hexbin(ctx, x, y, ctx.config.hexbin.gridsize),
+        kernels::binned_numeric(ctx, x, y, ctx.config.box_plot.bins),
+        kernels::moments(ctx, x),
+        kernels::moments(ctx, y),
+    ];
+    let config = Arc::clone(&ctx.config);
+    ctx.section(name, deps, move |outs| {
+        let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
+        let hex_cells = un::<HashMap<(i64, i64), u64>>(&outs[1]);
+        let binned = un::<Vec<Vec<f64>>>(&outs[2]);
+        let momx = un::<Moments>(&outs[3]);
+        let momy = un::<Moments>(&outs[4]);
 
-    let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
-    let hex_cells = un::<HashMap<(i64, i64), u64>>(&outs[1]);
-    let binned = un::<Vec<Vec<f64>>>(&outs[2]);
-    let momx = un::<Moments>(&outs[3]);
-    let momy = un::<Moments>(&outs[4]);
+        let mut ims = Intermediates::new();
 
-    let mut ims = Intermediates::new();
+        // Scatter: deterministic stride thinning to the configured cap.
+        let cap = config.scatter.sample;
+        let sampled = pairs.len() > cap;
+        let points: Vec<(f64, f64)> = if sampled {
+            let stride = (pairs.len() / cap).max(1);
+            pairs.iter().copied().step_by(stride).take(cap).collect()
+        } else {
+            pairs.clone()
+        };
+        ims.push("scatter_plot", Inter::Scatter { points, sampled });
 
-    // Scatter: deterministic stride thinning to the configured cap.
-    let cap = ctx.config.scatter.sample;
-    let sampled = pairs.len() > cap;
-    let points: Vec<(f64, f64)> = if sampled {
-        let stride = (pairs.len() / cap).max(1);
-        pairs.iter().copied().step_by(stride).take(cap).collect()
-    } else {
-        pairs.clone()
-    };
-    ims.push("scatter_plot", Inter::Scatter { points, sampled });
+        // Hexbin: axial cells back to data coordinates.
+        let (sx, sy) = hex_scales(momx, momy, config.hexbin.gridsize);
+        let mut cells: Vec<((i64, i64), u64)> = hex_cells.iter().map(|(k, v)| (*k, *v)).collect();
+        cells.sort_unstable_by_key(|(k, _)| *k);
+        let mut centers = Vec::with_capacity(cells.len());
+        let mut counts = Vec::with_capacity(cells.len());
+        for ((q, r), c) in cells {
+            let (nx, ny) = hex_center(q, r);
+            centers.push((momx.min + nx * sx, momy.min + ny * sy));
+            counts.push(c);
+        }
+        ims.push(
+            "hexbin_plot",
+            Inter::Hexbin { centers, counts, radius: sx },
+        );
 
-    // Hexbin: axial cells back to data coordinates.
-    let (sx, sy) = hex_scales(momx, momy, ctx.config.hexbin.gridsize);
-    let mut cells: Vec<((i64, i64), u64)> = hex_cells.iter().map(|(k, v)| (*k, *v)).collect();
-    cells.sort_unstable_by_key(|(k, _)| *k);
-    let mut centers = Vec::with_capacity(cells.len());
-    let mut counts = Vec::with_capacity(cells.len());
-    for ((q, r), c) in cells {
-        let (nx, ny) = hex_center(q, r);
-        centers.push((momx.min + nx * sx, momy.min + ny * sy));
-        counts.push(c);
-    }
-    ims.push(
-        "hexbin_plot",
-        Inter::Hexbin { centers, counts, radius: sx },
-    );
-
-    // Binned box plot: one box per x-bin, labelled with the bin range.
-    let bins = binned.len().max(1);
-    let width = (momx.max - momx.min) / bins as f64;
-    let boxes: Vec<(String, BoxPlot)> = binned
-        .iter()
-        .enumerate()
-        .filter_map(|(i, ys)| {
-            let label = format!(
-                "[{}, {})",
-                fmt_num(momx.min + width * i as f64),
-                fmt_num(momx.min + width * (i + 1) as f64)
-            );
-            BoxPlot::from_values(ys, ctx.config.box_plot.max_outliers).map(|bp| (label, bp))
-        })
-        .collect();
-    ims.push("binned_box_plot", Inter::Boxes(boxes));
-    Ok(ims)
+        // Binned box plot: one box per x-bin, labelled with the bin range.
+        let bins = binned.len().max(1);
+        let width = (momx.max - momx.min) / bins as f64;
+        let boxes: Vec<(String, BoxPlot)> = binned
+            .iter()
+            .enumerate()
+            .filter_map(|(i, ys)| {
+                let label = format!(
+                    "[{}, {})",
+                    fmt_num(momx.min + width * i as f64),
+                    fmt_num(momx.min + width * (i + 1) as f64)
+                );
+                BoxPlot::from_values(ys, config.box_plot.max_outliers).map(|bp| (label, bp))
+            })
+            .collect();
+        ims.push("binned_box_plot", Inter::Boxes(boxes));
+        (ims, Vec::new())
+    })
 }
 
 /// N×C (either order): categorical box plot + multi-line chart.
 /// `cat`/`num` are already disambiguated by the caller.
 fn numeric_categorical(
     ctx: &mut ComputeContext<'_>,
+    name: &str,
     cat: &str,
     num: &str,
-) -> EdaResult<Intermediates> {
-    // Stage 1 (Dask phase): category frequencies.
+) -> EdaResult<NodeId> {
+    // Stage 1, executed while planning: category frequencies.
     let freq_node = kernels::freq_summary(ctx, cat, Rows::All);
     let outs = ctx.execute_checked(&[freq_node])?;
-    // Pandas phase: the groups are the head of the summary's top list.
+    // The groups are the head of the summary's top list.
     let freq = un::<FreqSummary>(&outs[0]);
 
     // Stage 2: grouped kernels restricted to the chosen groups.
     let box_top = freq.labels(ctx.config.box_plot.ngroups);
     let line_top = freq.labels(ctx.config.line.ngroups);
-    let grouped = kernels::grouped_numeric(ctx, cat, num, &box_top);
-    let lines = kernels::multi_line(ctx, cat, num, &line_top, ctx.config.line.bins);
-    let outs = ctx.execute_checked(&[grouped, lines])?;
+    let deps = vec![
+        kernels::grouped_numeric(ctx, cat, num, &box_top),
+        kernels::multi_line(ctx, cat, num, &line_top, ctx.config.line.bins),
+    ];
+    let config = Arc::clone(&ctx.config);
+    Ok(ctx.section(name, deps, move |outs| {
+        let groups = un::<Vec<Vec<f64>>>(&outs[0]);
+        let line_hists = un::<Vec<Histogram>>(&outs[1]);
 
-    let groups = un::<Vec<Vec<f64>>>(&outs[0]);
-    let line_hists = un::<Vec<Histogram>>(&outs[1]);
+        let mut ims = Intermediates::new();
+        let mut boxes: Vec<(String, BoxPlot)> = box_top
+            .iter()
+            .zip(groups)
+            .filter_map(|(c, v)| {
+                BoxPlot::from_values(v, config.box_plot.max_outliers).map(|bp| (c.clone(), bp))
+            })
+            .collect();
+        boxes.sort_by(|a, b| a.0.cmp(&b.0));
+        ims.push("categorical_box_plot", Inter::Boxes(boxes));
 
-    let mut ims = Intermediates::new();
-    let mut boxes: Vec<(String, BoxPlot)> = box_top
-        .iter()
-        .zip(groups)
-        .filter_map(|(c, v)| {
-            BoxPlot::from_values(v, ctx.config.box_plot.max_outliers).map(|bp| (c.clone(), bp))
-        })
-        .collect();
-    boxes.sort_by(|a, b| a.0.cmp(&b.0));
-    ims.push("categorical_box_plot", Inter::Boxes(boxes));
-
-    // Multi-line chart: shared bin centers, one count series per category.
-    let mut xs: Vec<f64> = Vec::new();
-    let mut series: Vec<(String, Vec<u64>)> = Vec::new();
-    for (c, h) in line_top.iter().zip(line_hists) {
-        if xs.is_empty() {
-            xs = h
-                .edges()
-                .windows(2)
-                .map(|w| (w[0] + w[1]) / 2.0)
-                .collect();
+        // Multi-line chart: shared bin centers, one count series per category.
+        let mut xs: Vec<f64> = Vec::new();
+        let mut series: Vec<(String, Vec<u64>)> = Vec::new();
+        for (c, h) in line_top.iter().zip(line_hists) {
+            if xs.is_empty() {
+                xs = h
+                    .edges()
+                    .windows(2)
+                    .map(|w| (w[0] + w[1]) / 2.0)
+                    .collect();
+            }
+            series.push((c.clone(), h.counts.clone()));
         }
-        series.push((c.clone(), h.counts.clone()));
-    }
-    series.sort_by(|a, b| a.0.cmp(&b.0));
-    ims.push("multi_line_chart", Inter::MultiLine { xs, series });
-    Ok(ims)
+        series.sort_by(|a, b| a.0.cmp(&b.0));
+        ims.push("multi_line_chart", Inter::MultiLine { xs, series });
+        (ims, Vec::new())
+    }))
 }
 
 /// C×C: nested bars, stacked bars, heat map from one crosstab.
 fn categorical_categorical(
     ctx: &mut ComputeContext<'_>,
+    name: &str,
     x: &str,
     y: &str,
-) -> EdaResult<Intermediates> {
-    // Stage 1: both frequency tables.
+) -> EdaResult<NodeId> {
+    // Stage 1, executed while planning: both frequency tables.
     let fx = kernels::freq_summary(ctx, x, Rows::All);
     let fy = kernels::freq_summary(ctx, y, Rows::All);
     let outs = ctx.execute_checked(&[fx, fy])?;
@@ -178,47 +182,54 @@ fn categorical_categorical(
 
     // Stage 2: one crosstab feeds all three charts (shared computation).
     let ct = kernels::crosstab(ctx, x, y, &keep_x, &keep_y);
-    let outs = ctx.execute_checked(&[ct])?;
-    // One row of `keep_y.len()` counts per kept x category.
-    let counts = un::<Vec<u64>>(&outs[0]);
+    Ok(ctx.section(name, vec![ct], move |outs| {
+        // One row of `keep_y.len()` counts per kept x category.
+        let counts = un::<Vec<u64>>(&outs[0]);
 
-    let mut ims = Intermediates::new();
-    let values: Vec<Vec<u64>> = (0..keep_y.len())
-        .map(|y| counts.iter().skip(y).step_by(keep_y.len().max(1)).copied().collect())
-        .collect();
-    ims.push(
-        "heat_map",
-        Inter::Heatmap {
-            xlabels: keep_x.clone(),
-            ylabels: keep_y.clone(),
-            values: values.clone(),
-        },
-    );
-    let series: Vec<(String, Vec<u64>)> = keep_y
-        .iter()
-        .zip(&values)
-        .map(|(yc, row)| (yc.clone(), row.clone()))
-        .collect();
-    ims.push(
-        "nested_bar_chart",
-        Inter::GroupedBars {
-            xlabels: keep_x.clone(),
-            series: series.clone(),
-            stacked: false,
-        },
-    );
-    ims.push(
-        "stacked_bar_chart",
-        Inter::GroupedBars { xlabels: keep_x, series, stacked: true },
-    );
-    Ok(ims)
+        let mut ims = Intermediates::new();
+        let values: Vec<Vec<u64>> = (0..keep_y.len())
+            .map(|y| counts.iter().skip(y).step_by(keep_y.len().max(1)).copied().collect())
+            .collect();
+        ims.push(
+            "heat_map",
+            Inter::Heatmap {
+                xlabels: keep_x.clone(),
+                ylabels: keep_y.clone(),
+                values: values.clone(),
+            },
+        );
+        let series: Vec<(String, Vec<u64>)> = keep_y
+            .iter()
+            .zip(&values)
+            .map(|(yc, row)| (yc.clone(), row.clone()))
+            .collect();
+        ims.push(
+            "nested_bar_chart",
+            Inter::GroupedBars {
+                xlabels: keep_x.clone(),
+                series: series.clone(),
+                stacked: false,
+            },
+        );
+        ims.push(
+            "stacked_bar_chart",
+            Inter::GroupedBars { xlabels: keep_x.clone(), series, stacked: true },
+        );
+        (ims, Vec::new())
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Config;
+    use crate::compute::ctx::Section;
     use eda_dataframe::{Column, DataFrame};
+
+    fn section(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> Section {
+        let node = compute_bivariate(ctx, x, y).unwrap();
+        ctx.run_section(node).unwrap()
+    }
 
     fn frame() -> DataFrame {
         let n = 400;
@@ -248,7 +259,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, types) = compute_bivariate(&mut ctx, "size", "price").unwrap();
+        let (ims, _) = section(&mut ctx, "size", "price");
+        let types = (ctx.semantic("size").unwrap(), ctx.semantic("price").unwrap());
         assert_eq!(types, (SemanticType::Numerical, SemanticType::Numerical));
         for chart in ["scatter_plot", "hexbin_plot", "binned_box_plot"] {
             assert!(ims.get(chart).is_some(), "missing {chart}");
@@ -270,7 +282,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, types) = compute_bivariate(&mut ctx, "price", "city").unwrap();
+        let (ims, _) = section(&mut ctx, "price", "city");
+        let types = (ctx.semantic("price").unwrap(), ctx.semantic("city").unwrap());
         assert_eq!(types, (SemanticType::Numerical, SemanticType::Categorical));
         let Some(Inter::Boxes(boxes)) = ims.get("categorical_box_plot") else {
             panic!()
@@ -288,7 +301,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, types) = compute_bivariate(&mut ctx, "city", "price").unwrap();
+        let (ims, _) = section(&mut ctx, "city", "price");
+        let types = (ctx.semantic("city").unwrap(), ctx.semantic("price").unwrap());
         assert_eq!(types, (SemanticType::Categorical, SemanticType::Numerical));
         assert!(ims.get("categorical_box_plot").is_some());
         assert!(ims.get("multi_line_chart").is_some());
@@ -299,7 +313,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, types) = compute_bivariate(&mut ctx, "city", "type").unwrap();
+        let (ims, _) = section(&mut ctx, "city", "type");
+        let types = (ctx.semantic("city").unwrap(), ctx.semantic("type").unwrap());
         assert_eq!(
             types,
             (SemanticType::Categorical, SemanticType::Categorical)
@@ -330,7 +345,7 @@ mod tests {
         ])
         .unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, _) = compute_bivariate(&mut ctx, "city", "type").unwrap();
+        let (ims, _) = section(&mut ctx, "city", "type");
         let Some(Inter::Heatmap { xlabels, ylabels, .. }) = ims.get("heat_map") else {
             panic!()
         };
@@ -343,7 +358,7 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, _) = compute_bivariate(&mut ctx, "size", "price").unwrap();
+        let (ims, _) = section(&mut ctx, "size", "price");
         let Some(Inter::Boxes(boxes)) = ims.get("binned_box_plot") else { panic!() };
         assert_eq!(boxes.len(), cfg.box_plot.bins);
         // Labels are bin ranges.

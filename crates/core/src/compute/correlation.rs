@@ -6,9 +6,11 @@
 //!   against every other numeric column.
 //! * `plot_correlation(df, x, y)` → scatter plot with a regression line.
 //!
-//! This module is the paper's worked example of the two-phase boundary
-//! (§5.2): everything that touches rows runs inside the graph, and the
-//! finish only filters a handful of coefficients for insights.
+//! Everything runs inside the graph, down to each call's one section
+//! node (`section:correlation`, `section:correlation_vector:<x>`,
+//! `section:correlation_pair:<x>:<y>`), which filters a handful of
+//! coefficients for insights and lays out the charts; `create_report`
+//! plans the same `section:correlation` node and reads its matrices back.
 //!
 //! * `numeric_gather` → `corr_prep` per column
 //!   ([`kernels::plan_corr_prep`]): one argsort yields the column's ranks,
@@ -37,9 +39,9 @@ use eda_stats::regression::LinearFit;
 use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::NodeId;
 
-use crate::dtype::{detect, SemanticType};
+use crate::dtype::SemanticType;
 use crate::error::{EdaError, EdaResult};
-use crate::insights::{correlation_insight, Insight};
+use crate::insights::correlation_insight;
 use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{pl, un, ComputeContext};
@@ -48,38 +50,33 @@ use super::kernels;
 /// Numeric columns of the frame, in order.
 pub fn numeric_columns(ctx: &ComputeContext<'_>) -> Vec<String> {
     ctx.df
+        .names()
         .iter()
-        .filter(|(_, c)| detect(c, ctx.config.types.low_cardinality) == SemanticType::Numerical)
-        .map(|(n, _)| n.to_string())
+        .filter(|n| ctx.semantic(n).is_ok_and(|t| t == SemanticType::Numerical))
+        .cloned()
         .collect()
 }
 
-/// Run `plot_correlation(df)`.
-pub fn compute_correlation_overview(
-    ctx: &mut ComputeContext<'_>,
-) -> EdaResult<(Intermediates, Vec<Insight>)> {
+/// Plan `plot_correlation(df)`: the three matrices and the section node
+/// over them.
+pub fn compute_correlation_overview(ctx: &mut ComputeContext<'_>) -> EdaResult<NodeId> {
     let names = numeric_columns(ctx);
     if names.len() < 2 {
         return Err(EdaError::EmptyInput("need at least two numeric columns"));
     }
     let nodes = plan_matrix_nodes(ctx, &names);
-    let outs = ctx.execute_checked(&nodes)?;
-
-    let mut ims = Intermediates::new();
-    let mut insights = Vec::new();
-    for m in outs.iter().map(|p| un::<CorrMatrix>(p).clone()) {
-        for (a, b, r) in m.strong_pairs(ctx.config.insight.correlation) {
-            if let Some(i) = correlation_insight(&a, &b, m.method.name(), r, &ctx.config.insight)
-            {
-                insights.push(i);
+    let config = Arc::clone(&ctx.config);
+    Ok(ctx.section("section:correlation", nodes, move |outs| {
+        let mut ims = Intermediates::new();
+        let mut insights = Vec::new();
+        for m in outs.iter().map(|p| un::<CorrMatrix>(p).clone()) {
+            for (a, b, r) in m.strong_pairs(config.insight.correlation) {
+                insights.extend(correlation_insight(&a, &b, m.method.name(), r, &config.insight));
             }
+            ims.push(format!("correlation_matrix:{}", m.method.name()), Inter::Correlation(m));
         }
-        ims.push(
-            format!("correlation_matrix:{}", m.method.name()),
-            Inter::Correlation(m),
-        );
-    }
-    Ok((ims, insights))
+        (ims, insights)
+    }))
 }
 
 /// Tiles per method when nothing says otherwise: a few per worker, so
@@ -167,7 +164,7 @@ pub fn plan_matrix_tiles(
         .collect()
 }
 
-/// Run `plot_correlation(df, x)`: row `x` of the three matrices.
+/// Plan `plot_correlation(df, x)`: row `x` of the three matrices.
 ///
 /// A method whose matrix the result cache holds for this frame — left by
 /// an earlier `plot_correlation(df)` or `create_report` under the same
@@ -177,12 +174,8 @@ pub fn plan_matrix_tiles(
 /// `corr_prep` nodes: m − 1 pairs, where deriving the row from a fresh
 /// matrix would compute all m(m − 1)/2. Both give the same cells bit for
 /// bit, since either computes pair `(min, max)` with the same kernel.
-pub fn compute_correlation_vector(
-    ctx: &mut ComputeContext<'_>,
-    x: &str,
-) -> EdaResult<(Intermediates, Vec<Insight>)> {
-    let col = ctx.df.column(x)?;
-    if detect(col, ctx.config.types.low_cardinality) != SemanticType::Numerical {
+pub fn compute_correlation_vector(ctx: &mut ComputeContext<'_>, x: &str) -> EdaResult<NodeId> {
+    if ctx.semantic(x)? != SemanticType::Numerical {
         return Err(EdaError::NotNumeric(x.to_string()));
     }
     let names = numeric_columns(ctx);
@@ -212,89 +205,88 @@ pub fn compute_correlation_vector(
             }
         })
         .collect();
-    let outs = ctx.execute_checked(&per_method.concat())?;
-
-    let mut insights = Vec::new();
-    let mut vectors = Vec::new();
-    let mut outs = outs.iter();
-    for ((&method, nodes), &served) in CorrMethod::ALL.iter().zip(&per_method).zip(&served) {
-        let taken = outs.by_ref().take(nodes.len());
-        let cells: Vec<Option<f64>> = if served {
-            let matrix = taken.map(un::<CorrMatrix>);
-            matrix.flat_map(|m| pairs.iter().map(|&(i, j)| m.get(i, j))).collect()
-        } else {
-            taken.flat_map(|t| un::<Vec<Option<f64>>>(t).iter().copied()).collect()
-        };
-        let mut entries = Vec::with_capacity(others.len());
-        for (&j, r) in others.iter().zip(cells) {
-            let name = &names[j];
-            if let Some(r) = r {
-                if let Some(i) =
-                    correlation_insight(x, name, method.name(), r, &ctx.config.insight)
-                {
-                    insights.push(i);
+    let config = Arc::clone(&ctx.config);
+    let x = x.to_string();
+    let name = format!("section:correlation_vector:{x}");
+    Ok(ctx.section(&name, per_method.concat(), move |outs| {
+        let mut insights = Vec::new();
+        let mut vectors = Vec::new();
+        let mut outs = outs.iter();
+        for ((&method, nodes), &served) in CorrMethod::ALL.iter().zip(&per_method).zip(&served) {
+            let taken = outs.by_ref().take(nodes.len());
+            let cells: Vec<Option<f64>> = if served {
+                let matrix = taken.map(un::<CorrMatrix>);
+                matrix.flat_map(|m| pairs.iter().map(|&(i, j)| m.get(i, j))).collect()
+            } else {
+                taken.flat_map(|t| un::<Vec<Option<f64>>>(t).iter().copied()).collect()
+            };
+            let mut entries = Vec::with_capacity(others.len());
+            for (&j, r) in others.iter().zip(cells) {
+                let name = &names[j];
+                if let Some(r) = r {
+                    let insight = correlation_insight(&x, name, method.name(), r, &config.insight);
+                    insights.extend(insight);
                 }
+                entries.push((name.clone(), r));
             }
-            entries.push((name.clone(), r));
+            vectors.push((method.name().to_string(), entries));
         }
-        vectors.push((method.name().to_string(), entries));
-    }
-    let mut ims = Intermediates::new();
-    ims.push("correlation_vectors", Inter::CorrVectors(vectors));
-    Ok((ims, insights))
+        let mut ims = Intermediates::new();
+        ims.push("correlation_vectors", Inter::CorrVectors(vectors));
+        (ims, insights)
+    }))
 }
 
-/// Run `plot_correlation(df, x, y)`.
+/// Plan `plot_correlation(df, x, y)`.
 pub fn compute_correlation_pair(
     ctx: &mut ComputeContext<'_>,
     x: &str,
     y: &str,
-) -> EdaResult<(Intermediates, Vec<Insight>)> {
+) -> EdaResult<NodeId> {
     for c in [x, y] {
-        if detect(ctx.df.column(c)?, ctx.config.types.low_cardinality)
-            != SemanticType::Numerical
-        {
+        if ctx.semantic(c)? != SemanticType::Numerical {
             return Err(EdaError::NotNumeric(c.to_string()));
         }
     }
-    let pairs_node = kernels::pair_values(ctx, x, y);
-    let pp = kernels::pearson_partial(ctx, x, y);
-    let outs = ctx.execute_checked(&[pairs_node, pp])?;
-    let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
-    let partial = un::<eda_stats::corr::PearsonPartial>(&outs[1]);
+    let deps = vec![kernels::pair_values(ctx, x, y), kernels::pearson_partial(ctx, x, y)];
+    let config = Arc::clone(&ctx.config);
+    let (x, y) = (x.to_string(), y.to_string());
+    let name = format!("section:correlation_pair:{x}:{y}");
+    Ok(ctx.section(&name, deps, move |outs| {
+        let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
+        let partial = un::<eda_stats::corr::PearsonPartial>(&outs[1]);
 
-    let cap = ctx.config.scatter.sample;
-    let points: Vec<(f64, f64)> = if pairs.len() > cap {
-        let stride = (pairs.len() / cap).max(1);
-        pairs.iter().copied().step_by(stride).take(cap).collect()
-    } else {
-        pairs.clone()
-    };
+        let cap = config.scatter.sample;
+        let points: Vec<(f64, f64)> = if pairs.len() > cap {
+            let stride = (pairs.len() / cap).max(1);
+            pairs.iter().copied().step_by(stride).take(cap).collect()
+        } else {
+            pairs.clone()
+        };
 
-    let mut ims = Intermediates::new();
-    let mut insights = Vec::new();
-    match LinearFit::from_partial(partial) {
-        Some(fit) => {
-            if let Some(r) = partial.finish() {
-                if let Some(i) = correlation_insight(x, y, "Pearson", r, &ctx.config.insight) {
-                    insights.push(i);
+        let mut ims = Intermediates::new();
+        let mut insights = Vec::new();
+        match LinearFit::from_partial(partial) {
+            Some(fit) => {
+                if let Some(r) = partial.finish() {
+                    insights.extend(correlation_insight(&x, &y, "Pearson", r, &config.insight));
                 }
+                ims.push(
+                    "regression_scatter",
+                    Inter::RegressionScatter {
+                        points,
+                        slope: fit.slope,
+                        intercept: fit.intercept,
+                        r2: fit.r2,
+                    },
+                );
             }
-            ims.push(
-                "regression_scatter",
-                Inter::RegressionScatter {
-                    points,
-                    slope: fit.slope,
-                    intercept: fit.intercept,
-                    r2: fit.r2,
-                },
-            );
+            None => {
+                ims.push("scatter_plot", Inter::Scatter { points, sampled: pairs.len() > cap });
+            }
         }
-        None => {
-            ims.push("scatter_plot", Inter::Scatter { points, sampled: pairs.len() > cap });
-        }
-    }
-    Ok((ims, insights))
+        (ims, insights)
+    }))
 }
 
 #[cfg(test)]
@@ -359,7 +351,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, insights) = compute_correlation_overview(&mut ctx).unwrap();
+        let node = compute_correlation_overview(&mut ctx).unwrap();
+        let (ims, insights) = ctx.run_section(node).unwrap();
         for m in ["Pearson", "Spearman", "KendallTau"] {
             let Some(Inter::Correlation(cm)) = ims.get(&format!("correlation_matrix:{m}"))
             else {
@@ -456,10 +449,12 @@ mod tests {
         let df = frame();
         let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (matrix_ims, _) = compute_correlation_overview(&mut ctx).unwrap();
+        let node = compute_correlation_overview(&mut ctx).unwrap();
+        let (matrix_ims, _) = ctx.run_section(node).unwrap();
         for x in ["a", "b", "c"] {
             let mut ctx = ComputeContext::new(&df, &cfg);
-            let (ims, _) = compute_correlation_vector(&mut ctx, x).unwrap();
+            let node = compute_correlation_vector(&mut ctx, x).unwrap();
+            let (ims, _) = ctx.run_section(node).unwrap();
             let Some(Inter::CorrVectors(vectors)) = ims.get("correlation_vectors") else {
                 panic!()
             };
@@ -492,7 +487,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_correlation_overview(&mut ctx).unwrap();
+        let node = compute_correlation_overview(&mut ctx).unwrap();
+        let (ims, _) = ctx.run_section(node).unwrap();
         let Some(Inter::Correlation(m)) = ims.get("correlation_matrix:Pearson") else {
             panic!()
         };
@@ -507,7 +503,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_correlation_vector(&mut ctx, "a").unwrap();
+        let node = compute_correlation_vector(&mut ctx, "a").unwrap();
+        let (ims, _) = ctx.run_section(node).unwrap();
         let Some(Inter::CorrVectors(vs)) = ims.get("correlation_vectors") else {
             panic!()
         };
@@ -533,7 +530,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, insights) = compute_correlation_pair(&mut ctx, "a", "b").unwrap();
+        let node = compute_correlation_pair(&mut ctx, "a", "b").unwrap();
+        let (ims, insights) = ctx.run_section(node).unwrap();
         let Some(Inter::RegressionScatter { slope, intercept, r2, points }) =
             ims.get("regression_scatter")
         else {

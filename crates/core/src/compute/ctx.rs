@@ -5,7 +5,12 @@
 //! construction, and the engine settings. `create_report` reuses a single
 //! context across every section, so the whole report is *one* optimized
 //! graph — the paper's headline optimization.
+//!
+//! Every call ends in one *section node* ([`ComputeContext::section`]):
+//! the finish that turns its statistics into a [`Section`] is a task like
+//! any other, so it is cached, traced and shared.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use eda_dataframe::DataFrame;
@@ -13,12 +18,20 @@ use eda_taskgraph::graph::Payload;
 use eda_taskgraph::outcome::{root_failure, TaskOutcome};
 use eda_taskgraph::scheduler::{self, ExecOptions};
 use eda_taskgraph::govern::{self, CancelToken, MemoryGauge};
+use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::{
     CacheHandle, ExecStats, NodeId, PartitionedFrame, PayloadSizer, ResultCache, TaskGraph,
 };
 
 use crate::config::Config;
+use crate::dtype::{detect, SemanticType};
 use crate::error::{EdaError, EdaResult};
+use crate::insights::Insight;
+use crate::intermediate::Intermediates;
+
+/// A section's content — the payload of its section node: the charts and
+/// stats a call or a report section shows, and its insights.
+pub type Section = (Intermediates, Vec<Insight>);
 
 /// The process-wide result cache shared by every EDA call. Entries are
 /// keyed by `(frame fingerprint, task key)`, so a second `plot` or
@@ -47,7 +60,7 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
 /// bytes a traced span shows: the taskgraph's structural estimate only
 /// knows primitive containers and charges a pointer-sized floor for
 /// opaque payloads, so the correlation, KDE, frequency, text, histogram,
-/// grouped, nullity and validity intermediates would be billed ~16 bytes
+/// grouped, nullity, validity and section payloads would be billed ~16 bytes
 /// each, never evict, never trip `engine.memory_budget_bytes` and show 16
 /// bytes in a trace. Each arm charges the heap bytes the payload owns (a
 /// `corr_prep` borrows its column from the gather payload, which is
@@ -104,6 +117,10 @@ pub fn payload_sizer() -> PayloadSizer {
         if let Some(validity) = p.downcast_ref::<Bitmap>() {
             return Some(validity.heap_bytes());
         }
+        if let Some((ims, insights)) = p.downcast_ref::<Section>() {
+            let notes: usize = insights.iter().map(Insight::heap_bytes).sum();
+            return Some(ims.heap_bytes() + insights.capacity() * size_of::<Insight>() + notes);
+        }
         None
     })
 }
@@ -112,8 +129,9 @@ pub fn payload_sizer() -> PayloadSizer {
 pub struct ComputeContext<'a> {
     /// The source frame.
     pub df: &'a DataFrame,
-    /// Resolved configuration.
-    pub config: &'a Config,
+    /// Resolved configuration: one copy per context, which every section
+    /// node's finish shares.
+    pub config: Arc<Config>,
     /// Partitioned view (precompute stage already done).
     pub pf: PartitionedFrame,
     /// The lazy graph under construction.
@@ -132,11 +150,14 @@ pub struct ComputeContext<'a> {
     /// Run-wide memory gauge (`engine.memory_budget_bytes`), `None` when
     /// the budget is off. Charges accumulate across `execute_outcomes` calls.
     pub gauge: Option<MemoryGauge>,
+    /// Each column's semantic type, detected on first use
+    /// ([`ComputeContext::semantic`]).
+    semantics: Vec<OnceCell<SemanticType>>,
 }
 
 impl<'a> ComputeContext<'a> {
     /// Precompute the partition layout and set up an empty graph.
-    pub fn new(df: &'a DataFrame, config: &'a Config) -> ComputeContext<'a> {
+    pub fn new(df: &'a DataFrame, config: &Config) -> ComputeContext<'a> {
         // Hook the stats kernels, which do not know the scheduler, up to its
         // cooperative-cancellation probe, once per process. With no
         // governed run active the probe reads a thread-local `None` and
@@ -167,7 +188,7 @@ impl<'a> ComputeContext<'a> {
         };
         ComputeContext {
             df,
-            config,
+            config: Arc::new(config.clone()),
             pf,
             graph,
             sources,
@@ -175,7 +196,18 @@ impl<'a> ComputeContext<'a> {
             cache_override: None,
             cancel,
             gauge,
+            semantics: vec![OnceCell::new(); df.ncols()],
         }
+    }
+
+    /// The semantic type of `column`, detected once per context: every
+    /// later ask — the report's overview, its variable section and its
+    /// correlation columns alike — reads the first answer.
+    pub fn semantic(&self, column: &str) -> EdaResult<SemanticType> {
+        let index = self.df.index_of(column)?;
+        let col = self.df.column_at(index)?;
+        let low_cardinality = self.config.types.low_cardinality;
+        Ok(*self.semantics[index].get_or_init(|| detect(col, low_cardinality)))
     }
 
     /// Use a private result cache instead of the process-wide one.
@@ -214,6 +246,20 @@ impl<'a> ComputeContext<'a> {
         self.config.compute_hash() ^ extra.rotate_left(17)
     }
 
+    /// Plan a section node named `name`: `finish` turns the payloads of
+    /// `deps`, in order, into the [`Section`]. Its key mixes every
+    /// `insight.*` threshold besides [`Self::params`], so a cached section
+    /// never serves insights found under other thresholds.
+    pub fn section(
+        &mut self,
+        name: &str,
+        deps: Vec<NodeId>,
+        finish: impl Fn(&[Payload]) -> Section + Send + Sync + 'static,
+    ) -> NodeId {
+        let params = self.params(TaskKey::params(&name) ^ self.config.insight.thresholds_hash());
+        self.graph.op(name, params, deps, move |inputs| pl(finish(inputs)))
+    }
+
     /// The per-task deadline from `engine.task_deadline_ms` (0 = off).
     fn deadline(&self) -> Option<std::time::Duration> {
         match self.config.engine.task_deadline_ms {
@@ -245,6 +291,13 @@ impl<'a> ComputeContext<'a> {
         let result = scheduler::run(&self.graph, outputs, self.config.engine.workers, &opts);
         self.last_stats = Some(result.stats);
         result.outcomes
+    }
+
+    /// Execute one section node and clone its [`Section`] out; a failure
+    /// surfaces as in [`Self::execute_checked`].
+    pub fn run_section(&mut self, node: NodeId) -> EdaResult<Section> {
+        let outs = self.execute_checked(&[node])?;
+        Ok(un::<Section>(&outs[0]).clone())
     }
 
     /// Execute and surface the [`root_failure`] as [`EdaError::Task`]

@@ -261,7 +261,7 @@ pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
 pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
     let name = format!("freq_summary:{column}{}", rows.tag());
     let table = freq(ctx, column, rows);
-    let c = ctx.config;
+    let c = &ctx.config;
     let shown = [c.bar.ngroups, c.pie.slices, c.box_plot.ngroups, c.line.ngroups, c.crosstab.ngroups_x];
     let keep = shown.into_iter().fold(c.crosstab.ngroups_y, usize::max);
     let params = ctx.params(TaskKey::params(&name));

@@ -12,6 +12,8 @@
 //! * `plot_missing(df, x, y)` → histogram, PDF, CDF, box plot of `y`
 //!   before vs after dropping `x`'s missing rows.
 
+use std::sync::Arc;
+
 use eda_stats::freq::{CatFreq, FreqSummary};
 use eda_stats::histogram::Histogram;
 use eda_stats::hypothesis::ks_distance_sorted;
@@ -19,61 +21,49 @@ use eda_stats::missing::{spectrum_ranges, MissingSpectrum, MissingSummary, NullC
 use eda_stats::quantile::BoxPlot;
 use eda_taskgraph::NodeId;
 
-use crate::dtype::{detect, SemanticType};
+use crate::dtype::SemanticType;
 use crate::error::EdaResult;
-use crate::insights::{similarity_insight, Insight};
+use crate::insights::similarity_insight;
 use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, Rows};
 
-/// Run `plot_missing(df)`.
-pub fn compute_missing_overview(
-    ctx: &mut ComputeContext<'_>,
-) -> EdaResult<(Intermediates, Vec<Insight>)> {
-    let node = plan_missing_overview(ctx);
-    let outs = ctx.execute_checked(&[node])?;
-    let ims = assemble_missing_overview(ctx.df.names(), ctx.config.spectrum.bins, un(&outs[0]));
-    Ok((ims, Vec::new()))
-}
-
 /// Plan the nullity overview — `plot_missing(df)` and the report's
-/// missing section alike: one node holding the frame's [`NullCounts`].
-pub fn plan_missing_overview(ctx: &mut ComputeContext<'_>) -> NodeId {
-    kernels::null_counts(ctx, ctx.config.spectrum.bins)
-}
-
-/// The four nullity views from the counts [`plan_missing_overview`]
-/// planned. Everything here is arithmetic on `columns²` integers.
-pub fn assemble_missing_overview(
-    names: &[String],
-    bins: usize,
-    counts: &NullCounts,
-) -> Intermediates {
-    let mut ims = Intermediates::new();
-    let summaries: Vec<MissingSummary> = names
-        .iter()
-        .zip(&counts.nulls)
-        .map(|(n, &nulls)| MissingSummary { label: n.clone(), nulls, total: counts.rows })
-        .collect();
-    ims.push("missing_bar_chart", Inter::MissingBars(summaries));
-    ims.push(
-        "missing_spectrum",
-        Inter::Spectrum(MissingSpectrum {
-            labels: names.to_vec(),
-            row_ranges: spectrum_ranges(counts.rows, bins),
-            counts: counts.bin_nulls.clone(),
-        }),
-    );
-    ims.push(
-        "nullity_correlation",
-        Inter::NullityCorr { labels: names.to_vec(), cells: counts.correlation() },
-    );
-    ims.push(
-        "dendrogram",
-        Inter::Dendrogram { labels: names.to_vec(), merges: counts.dendrogram() },
-    );
-    ims
+/// missing section alike: one node holding the frame's [`NullCounts`],
+/// and the section node laying out its four views. Everything the
+/// section does is arithmetic on `columns²` integers.
+pub fn compute_missing_overview(ctx: &mut ComputeContext<'_>) -> NodeId {
+    let bins = ctx.config.spectrum.bins;
+    let counts = kernels::null_counts(ctx, bins);
+    let names = ctx.df.names().to_vec();
+    ctx.section("section:missing", vec![counts], move |outs| {
+        let counts = un::<NullCounts>(&outs[0]);
+        let mut ims = Intermediates::new();
+        let summaries: Vec<MissingSummary> = names
+            .iter()
+            .zip(&counts.nulls)
+            .map(|(n, &nulls)| MissingSummary { label: n.clone(), nulls, total: counts.rows })
+            .collect();
+        ims.push("missing_bar_chart", Inter::MissingBars(summaries));
+        ims.push(
+            "missing_spectrum",
+            Inter::Spectrum(MissingSpectrum {
+                labels: names.clone(),
+                row_ranges: spectrum_ranges(counts.rows, bins),
+                counts: counts.bin_nulls.clone(),
+            }),
+        );
+        ims.push(
+            "nullity_correlation",
+            Inter::NullityCorr { labels: names.clone(), cells: counts.correlation() },
+        );
+        ims.push(
+            "dendrogram",
+            Inter::Dendrogram { labels: names.clone(), merges: counts.dendrogram() },
+        );
+        (ims, Vec::new())
+    })
 }
 
 /// Plan one column's comparison for dropping `x`'s null rows: its
@@ -115,122 +105,107 @@ fn compare_bars(before: &FreqSummary, dropped: &CatFreq, ngroups: usize) -> Inte
     }
 }
 
-/// Run `plot_missing(df, x)`: before/after distributions for every other
-/// column.
-pub fn compute_missing_impact(
-    ctx: &mut ComputeContext<'_>,
-    x: &str,
-) -> EdaResult<(Intermediates, Vec<Insight>)> {
+/// Plan `plot_missing(df, x)`: before/after distributions for every
+/// other column, and the section node over them.
+pub fn compute_missing_impact(ctx: &mut ComputeContext<'_>, x: &str) -> EdaResult<NodeId> {
     ctx.df.column(x)?; // existence check
     let others: Vec<(String, SemanticType)> = ctx
         .df
+        .names()
         .iter()
-        .filter(|(n, _)| *n != x)
-        .map(|(n, col)| (n.to_string(), detect(col, ctx.config.types.low_cardinality)))
-        .collect();
+        .filter(|n| *n != x)
+        .map(|n| Ok((n.clone(), ctx.semantic(n)?)))
+        .collect::<EdaResult<_>>()?;
 
     // Plan both sides of every column into ONE graph.
     let mut outputs = Vec::with_capacity(others.len() * 2);
     for (name, sem) in &others {
         outputs.extend(plan_compare(ctx, name, x, *sem));
     }
-    let outs = ctx.execute_checked(&outputs)?;
-
-    let mut ims = Intermediates::new();
-    let mut insights = Vec::new();
-    for ((name, sem), sides) in others.iter().zip(outs.chunks_exact(2)) {
-        match sem {
-            SemanticType::Numerical => {
-                let before = un::<Histogram>(&sides[0]);
-                let after = before.minus(un::<Histogram>(&sides[1]));
-                // Similarity insight via KS over the binned distributions.
-                if let Some(ks) = histogram_ks(before, &after) {
-                    if let Some(i) = similarity_insight(name, ks, &ctx.config.insight) {
-                        insights.push(i);
+    let config = Arc::clone(&ctx.config);
+    Ok(ctx.section(&format!("section:missing_impact:{x}"), outputs, move |outs| {
+        let mut ims = Intermediates::new();
+        let mut insights = Vec::new();
+        for ((name, sem), sides) in others.iter().zip(outs.chunks_exact(2)) {
+            match sem {
+                SemanticType::Numerical => {
+                    let before = un::<Histogram>(&sides[0]);
+                    let after = before.minus(un::<Histogram>(&sides[1]));
+                    // Similarity insight via KS over the binned distributions.
+                    if let Some(ks) = histogram_ks(before, &after) {
+                        insights.extend(similarity_insight(name, ks, &config.insight));
                     }
+                    let chart = compare_histogram(before, &after);
+                    ims.push(format!("compare_histogram:{name}"), chart);
                 }
-                ims.push(format!("compare_histogram:{name}"), compare_histogram(before, &after));
+                SemanticType::Categorical => ims.push(
+                    format!("compare_bars:{name}"),
+                    compare_bars(un(&sides[0]), un(&sides[1]), config.bar.ngroups),
+                ),
             }
-            SemanticType::Categorical => ims.push(
-                format!("compare_bars:{name}"),
-                compare_bars(un(&sides[0]), un(&sides[1]), ctx.config.bar.ngroups),
-            ),
         }
-    }
-    Ok((ims, insights))
+        (ims, insights)
+    }))
 }
 
-/// Run `plot_missing(df, x, y)`.
-pub fn compute_missing_pair(
-    ctx: &mut ComputeContext<'_>,
-    x: &str,
-    y: &str,
-) -> EdaResult<(Intermediates, Vec<Insight>)> {
+/// Plan `plot_missing(df, x, y)`: both sides of `y` — and, for a numeric
+/// `y`, its sorted values before and after — and the section node.
+pub fn compute_missing_pair(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> EdaResult<NodeId> {
     ctx.df.column(x)?;
-    let sem = detect(ctx.df.column(y)?, ctx.config.types.low_cardinality);
-    let [before, dropped] = plan_compare(ctx, y, x, sem);
-    let mut ims = Intermediates::new();
-    match sem {
-        SemanticType::Categorical => {
-            // Categorical y: before/after bars only.
-            let outs = ctx.execute_checked(&[before, dropped])?;
-            ims.push(
-                "compare_bars",
-                compare_bars(un(&outs[0]), un(&outs[1]), ctx.config.bar.ngroups),
-            );
-            Ok((ims, Vec::new()))
-        }
-        SemanticType::Numerical => {
-            // Order statistics do not subtract: the after side keeps the
-            // rows of `y`'s one argsort that `x` keeps, and sorts nothing.
-            let s_before = kernels::sorted_values(ctx, y, Rows::All);
-            let s_after = kernels::sorted_values(ctx, y, Rows::ValidIn(x.to_string()));
-            let outs = ctx.execute_checked(&[before, dropped, s_before, s_after])?;
-            let hb = un::<Histogram>(&outs[0]);
-            let ha = &hb.minus(un::<Histogram>(&outs[1]));
-            let sb = un::<Vec<f64>>(&outs[2]);
-            let sa = un::<Vec<f64>>(&outs[3]);
-
-            ims.push("compare_histogram", compare_histogram(hb, ha));
-            // PDF and CDF curves over the shared bin centers.
-            let centers: Vec<f64> = hb.edges().windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
-            for (label, hist) in [("before", hb), ("after", ha)] {
-                let dens = hist.density();
-                ims.push(
-                    format!("pdf:{label}"),
-                    Inter::Line { xs: centers.clone(), ys: dens.clone() },
-                );
-                let mut cum = 0.0;
-                let cdf: Vec<f64> = dens
-                    .iter()
-                    .map(|d| {
-                        cum += d;
-                        cum
-                    })
-                    .collect();
-                ims.push(
-                    format!("cdf:{label}"),
-                    Inter::Line { xs: centers.clone(), ys: cdf },
-                );
-            }
-            let mut boxes = Vec::new();
-            if let Some(bp) = BoxPlot::from_sorted(sb, ctx.config.box_plot.max_outliers) {
-                boxes.push(("before".to_string(), bp));
-            }
-            if let Some(bp) = BoxPlot::from_sorted(sa, ctx.config.box_plot.max_outliers) {
-                boxes.push(("after".to_string(), bp));
-            }
-            ims.push("box_plot", Inter::Boxes(boxes));
-
-            let mut insights = Vec::new();
-            if let Some(ks) = ks_distance_sorted(sb, sa) {
-                if let Some(i) = similarity_insight(y, ks, &ctx.config.insight) {
-                    insights.push(i);
-                }
-            }
-            Ok((ims, insights))
-        }
+    let sem = ctx.semantic(y)?;
+    let mut deps = plan_compare(ctx, y, x, sem).to_vec();
+    if sem == SemanticType::Numerical {
+        // Order statistics do not subtract: the after side keeps the
+        // rows of `y`'s one argsort that `x` keeps, and sorts nothing.
+        deps.push(kernels::sorted_values(ctx, y, Rows::All));
+        deps.push(kernels::sorted_values(ctx, y, Rows::ValidIn(x.to_string())));
     }
+    let config = Arc::clone(&ctx.config);
+    let y = y.to_string();
+    Ok(ctx.section(&format!("section:missing_pair:{x}:{y}"), deps, move |outs| {
+        let mut ims = Intermediates::new();
+        if sem == SemanticType::Categorical {
+            // Categorical y: before/after bars only.
+            let bars = compare_bars(un(&outs[0]), un(&outs[1]), config.bar.ngroups);
+            ims.push("compare_bars", bars);
+            return (ims, Vec::new());
+        }
+        let hb = un::<Histogram>(&outs[0]);
+        let ha = &hb.minus(un::<Histogram>(&outs[1]));
+        let sb = un::<Vec<f64>>(&outs[2]);
+        let sa = un::<Vec<f64>>(&outs[3]);
+
+        ims.push("compare_histogram", compare_histogram(hb, ha));
+        // PDF and CDF curves over the shared bin centers.
+        let centers: Vec<f64> = hb.edges().windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
+        for (label, hist) in [("before", hb), ("after", ha)] {
+            let dens = hist.density();
+            ims.push(format!("pdf:{label}"), Inter::Line { xs: centers.clone(), ys: dens.clone() });
+            let mut cum = 0.0;
+            let cdf: Vec<f64> = dens
+                .iter()
+                .map(|d| {
+                    cum += d;
+                    cum
+                })
+                .collect();
+            ims.push(format!("cdf:{label}"), Inter::Line { xs: centers.clone(), ys: cdf });
+        }
+        let mut boxes = Vec::new();
+        if let Some(bp) = BoxPlot::from_sorted(sb, config.box_plot.max_outliers) {
+            boxes.push(("before".to_string(), bp));
+        }
+        if let Some(bp) = BoxPlot::from_sorted(sa, config.box_plot.max_outliers) {
+            boxes.push(("after".to_string(), bp));
+        }
+        ims.push("box_plot", Inter::Boxes(boxes));
+
+        let mut insights = Vec::new();
+        if let Some(ks) = ks_distance_sorted(sb, sa) {
+            insights.extend(similarity_insight(&y, ks, &config.insight));
+        }
+        (ims, insights)
+    }))
 }
 
 /// KS distance between two histograms over the same grid (approximate KS
@@ -296,7 +271,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_missing_overview(&mut ctx).unwrap();
+        let node = compute_missing_overview(&mut ctx);
+        let (ims, _) = ctx.run_section(node).unwrap();
         for chart in [
             "missing_bar_chart",
             "missing_spectrum",
@@ -321,7 +297,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_missing_impact(&mut ctx, "a").unwrap();
+        let node = compute_missing_impact(&mut ctx, "a").unwrap();
+        let (ims, _) = ctx.run_section(node).unwrap();
         let Some(Inter::CompareHistogram { before, after, edges }) =
             ims.get("compare_histogram:b")
         else {
@@ -343,7 +320,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_missing_pair(&mut ctx, "a", "b").unwrap();
+        let node = compute_missing_pair(&mut ctx, "a", "b").unwrap();
+        let (ims, _) = ctx.run_section(node).unwrap();
         for chart in [
             "compare_histogram",
             "pdf:before",
@@ -368,7 +346,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_missing_pair(&mut ctx, "a", "cat").unwrap();
+        let node = compute_missing_pair(&mut ctx, "a", "cat").unwrap();
+        let (ims, _) = ctx.run_section(node).unwrap();
         let Some(Inter::CompareBars { before, after, .. }) = ims.get("compare_bars") else {
             panic!()
         };
@@ -396,7 +375,8 @@ mod tests {
         .unwrap();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (_, insights) = compute_missing_pair(&mut ctx, "a", "b").unwrap();
+        let node = compute_missing_pair(&mut ctx, "a", "b").unwrap();
+        let (_, insights) = ctx.run_section(node).unwrap();
         assert!(insights
             .iter()
             .any(|i| i.kind == crate::insights::InsightKind::SimilarDistribution));

@@ -10,8 +10,10 @@
 //!    subcomputations across visualizations.
 //! 3. **Dask phase**: the engine executes the graph partition-parallel.
 //! 4. **Pandas phase**: small-data finishing computations (filtering a
-//!    correlation matrix, assembling chart data) run eagerly on the reduced
-//!    aggregates ("Dask is slow on tiny data").
+//!    correlation matrix, assembling chart data, insights) run on the
+//!    reduced aggregates as one *section node* per call
+//!    ([`ctx::ComputeContext::section`]); a small run never leaves the
+//!    calling thread ("Dask is slow on tiny data").
 //! 5. The [`crate::intermediate::Intermediates`] are returned.
 
 pub mod bivariate;

@@ -3,15 +3,15 @@
 //! Dataset statistics plus one small distribution chart per column — a
 //! histogram for numerical columns, a bar chart for categorical ones.
 
+use std::sync::Arc;
+
 use eda_stats::freq::FreqSummary;
 use eda_stats::histogram::Histogram;
 use eda_stats::missing::ColMeta;
 use eda_stats::moments::Moments;
 use eda_taskgraph::NodeId;
 
-use crate::dtype::{detect, SemanticType};
-use crate::error::EdaResult;
-use crate::insights::Insight;
+use crate::dtype::SemanticType;
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
 use super::ctx::{un, ComputeContext};
@@ -64,100 +64,78 @@ pub fn plan_overview(ctx: &mut ComputeContext<'_>) -> OverviewPlan {
     let names: Vec<String> = ctx.df.names().to_vec();
     let columns = names
         .into_iter()
-        .map(|name| {
-            let col = ctx.df.column(&name).expect("iterating frame names");
-            match detect(col, ctx.config.types.low_cardinality) {
-                SemanticType::Numerical => OverviewColumnPlan::Numeric {
-                    moments: kernels::moments(ctx, &name),
-                    hist: kernels::histogram(ctx, &name, ctx.config.hist.bins),
-                    name,
-                },
-                SemanticType::Categorical => OverviewColumnPlan::Categorical {
-                    freq: kernels::freq_summary(ctx, &name, Rows::All),
-                    name,
-                },
-            }
+        .map(|name| match ctx.semantic(&name).expect("iterating frame names") {
+            SemanticType::Numerical => OverviewColumnPlan::Numeric {
+                moments: kernels::moments(ctx, &name),
+                hist: kernels::histogram(ctx, &name, ctx.config.hist.bins),
+                name,
+            },
+            SemanticType::Categorical => OverviewColumnPlan::Categorical {
+                freq: kernels::freq_summary(ctx, &name, Rows::All),
+                name,
+            },
         })
         .collect();
     OverviewPlan { columns }
 }
 
-/// Run `plot(df)`: plan, execute, assemble.
-pub fn compute_overview(
-    ctx: &mut ComputeContext<'_>,
-) -> EdaResult<(Intermediates, Vec<Insight>)> {
+/// Plan `plot(df)`: the overview kernels and the section node over them.
+pub fn compute_overview(ctx: &mut ComputeContext<'_>) -> NodeId {
     let plan = plan_overview(ctx);
-    let outs = ctx.execute_checked(&plan.outputs())?;
-    Ok(assemble_overview(ctx, &plan, &outs))
-}
-
-/// Assemble the overview from executed payloads.
-pub fn assemble_overview(
-    ctx: &ComputeContext<'_>,
-    plan: &OverviewPlan,
-    outs: &[eda_taskgraph::graph::Payload],
-) -> (Intermediates, Vec<Insight>) {
-    let mut ims = Intermediates::new();
-    let insights = Vec::new();
-
-    let mut total_missing = 0usize;
-    let mut n_numeric = 0usize;
-    let mut n_categorical = 0usize;
-    let mut cursor = 0usize;
-    let mut column_charts: Vec<(String, Inter)> = Vec::new();
-
-    for c in &plan.columns {
-        match c {
-            OverviewColumnPlan::Numeric { name, .. } => {
-                let meta = ColMeta::numeric(ctx.pf.nrows(), un::<Moments>(&outs[cursor]));
-                let hist = un::<Histogram>(&outs[cursor + 1]);
-                cursor += 2;
-                total_missing += meta.nulls;
-                n_numeric += 1;
-                column_charts.push((
-                    format!("histogram:{name}"),
-                    Inter::Histogram { edges: hist.edges(), counts: hist.counts.clone() },
-                ));
-            }
-            OverviewColumnPlan::Categorical { name, .. } => {
-                let freq = un::<FreqSummary>(&outs[cursor]);
-                let meta = ColMeta::categorical(freq.total, freq.nulls);
-                cursor += 1;
-                total_missing += meta.nulls;
-                n_categorical += 1;
-                column_charts.push((
-                    format!("bar_chart:{name}"),
-                    bar_from_freq(freq, ctx.config.bar.ngroups),
-                ));
+    let (df, config) = (ctx.df, Arc::clone(&ctx.config));
+    let (nrows, ncols, memory) = (df.nrows(), df.ncols(), df.memory_size());
+    let outputs = plan.outputs();
+    ctx.section("section:overview", outputs, move |outs| {
+        let mut total_missing = 0usize;
+        let mut n_numeric = 0usize;
+        let mut n_categorical = 0usize;
+        let mut cursor = 0usize;
+        let mut column_charts: Vec<(String, Inter)> = Vec::new();
+        for c in &plan.columns {
+            match c {
+                OverviewColumnPlan::Numeric { name, .. } => {
+                    total_missing += ColMeta::numeric(nrows, un::<Moments>(&outs[cursor])).nulls;
+                    let hist = un::<Histogram>(&outs[cursor + 1]);
+                    cursor += 2;
+                    n_numeric += 1;
+                    column_charts.push((
+                        format!("histogram:{name}"),
+                        Inter::Histogram { edges: hist.edges(), counts: hist.counts.clone() },
+                    ));
+                }
+                OverviewColumnPlan::Categorical { name, .. } => {
+                    let freq = un::<FreqSummary>(&outs[cursor]);
+                    cursor += 1;
+                    total_missing += ColMeta::categorical(freq.total, freq.nulls).nulls;
+                    n_categorical += 1;
+                    let chart = bar_from_freq(freq, config.bar.ngroups);
+                    column_charts.push((format!("bar_chart:{name}"), chart));
+                }
             }
         }
-    }
 
-    let nrows = ctx.df.nrows();
-    let ncols = ctx.df.ncols();
-    let cells = nrows * ncols;
-    ims.push(
-        "stats",
-        Inter::StatsTable(vec![
-            StatRow::new("rows", nrows.to_string()),
-            StatRow::new("columns", ncols.to_string()),
-            StatRow::new("numerical columns", n_numeric.to_string()),
-            StatRow::new("categorical columns", n_categorical.to_string()),
-            StatRow::new("missing cells", total_missing.to_string()),
-            StatRow::new(
-                "missing cells (%)",
-                format!("{:.1}%", 100.0 * total_missing as f64 / cells.max(1) as f64),
-            ),
-            StatRow::new(
-                "memory size",
-                format!("{:.1} KB", ctx.df.memory_size() as f64 / 1024.0),
-            ),
-        ]),
-    );
-    for (name, chart) in column_charts {
-        ims.push(name, chart);
-    }
-    (ims, insights)
+        let mut ims = Intermediates::new();
+        let cells = nrows * ncols;
+        ims.push(
+            "stats",
+            Inter::StatsTable(vec![
+                StatRow::new("rows", nrows.to_string()),
+                StatRow::new("columns", ncols.to_string()),
+                StatRow::new("numerical columns", n_numeric.to_string()),
+                StatRow::new("categorical columns", n_categorical.to_string()),
+                StatRow::new("missing cells", total_missing.to_string()),
+                StatRow::new(
+                    "missing cells (%)",
+                    format!("{:.1}%", 100.0 * total_missing as f64 / cells.max(1) as f64),
+                ),
+                StatRow::new("memory size", format!("{:.1} KB", memory as f64 / 1024.0)),
+            ]),
+        );
+        for (name, chart) in column_charts {
+            ims.push(name, chart);
+        }
+        (ims, Vec::new())
+    })
 }
 
 #[cfg(test)]
@@ -194,7 +172,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_overview(&mut ctx).unwrap();
+        let node = compute_overview(&mut ctx);
+        let (ims, _) = ctx.run_section(node).unwrap();
         assert!(ims.get("histogram:size").is_some());
         assert!(ims.get("histogram:year_built").is_some());
         assert!(ims.get("bar_chart:city").is_some());
@@ -206,7 +185,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_overview(&mut ctx).unwrap();
+        let node = compute_overview(&mut ctx);
+        let (ims, _) = ctx.run_section(node).unwrap();
         let Some(Inter::StatsTable(rows)) = ims.get("stats") else { panic!() };
         let get = |label: &str| {
             rows.iter().find(|r| r.label == label).unwrap().value.clone()
@@ -227,19 +207,20 @@ mod tests {
         let mut ctx = ComputeContext::new(&df, &cfg);
         let plan = plan_overview(&mut ctx);
         let before = ctx.graph.len();
-        let uni = super::super::univariate::plan_numeric(&mut ctx, "size");
+        let uni = super::super::univariate::compute_univariate(&mut ctx, "size").unwrap();
         // The univariate plan re-adds moments/hist for "size": all of
         // those must dedupe onto the overview's nodes...
         let OverviewColumnPlan::Numeric { hist, .. } = &plan.columns[0] else {
             panic!()
         };
-        assert_eq!(*hist, uni.hist);
-        // ...so only genuinely new work (sorted, freq) adds nodes.
+        assert_eq!(ctx.graph.task(uni).deps[2], *hist);
+        // ...so only genuinely new work (sorted, freq) and the section
+        // node add nodes.
         let added = ctx.graph.len() - before;
         let fresh_kernels = 2; // sorted_values + freq
         let per_kernel_max = ctx.pf.npartitions() * 2; // map + reduce layers
         assert!(
-            added <= fresh_kernels * per_kernel_max,
+            added <= fresh_kernels * per_kernel_max + 1,
             "univariate after overview added {added} nodes"
         );
     }

@@ -4,109 +4,119 @@
 //! finance, e.g. stock price analysis") as the first future-work task for
 //! the task-centric design. This module implements it with the same
 //! architecture as the built-in tasks: the (time, value) pairs gather in
-//! the parallel graph; the eager finish resamples the series, overlays a
+//! the parallel graph; the section node resamples the series, overlays a
 //! rolling mean, computes the autocorrelation function, fits a trend
 //! line, and emits insights.
+
+use std::sync::Arc;
 
 use eda_stats::moments::Moments;
 use eda_stats::regression::LinearFit;
 use eda_stats::timeseries::{acf, resample_mean, rolling_mean};
+use eda_taskgraph::NodeId;
 
 use crate::error::{EdaError, EdaResult};
-use crate::insights::{autocorr_insight, trend_insight, Insight};
+use crate::insights::{autocorr_insight, trend_insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
 use super::ctx::{un, ComputeContext};
 use super::kernels;
 use super::univariate::fmt_num;
 
-/// Run `plot_timeseries(df, time, value)`.
+/// The fewest complete `(time, value)` pairs a series is analyzed over.
+const MIN_POINTS: usize = 3;
+const TOO_FEW: &str = "need at least 3 complete (time, value) pairs";
+
+/// Plan `plot_timeseries(df, time, value)`: the pair gather, the value
+/// moments and the section node over them.
 ///
 /// `time` must be numeric (epoch seconds, ordinal dates, any monotone
-/// encoding); `value` must be numeric.
+/// encoding); `value` must be numeric. A frame of fewer than 3 rows is an
+/// error; one with fewer than 3 complete pairs fails its section.
 pub fn compute_timeseries(
     ctx: &mut ComputeContext<'_>,
     time: &str,
     value: &str,
-) -> EdaResult<(Intermediates, Vec<Insight>)> {
+) -> EdaResult<NodeId> {
     for c in [time, value] {
         let col = ctx.df.column(c)?;
         if !col.dtype().is_numeric() {
             return Err(EdaError::NotNumeric(c.to_string()));
         }
     }
-
-    // Dask phase: gather complete pairs + value moments in one graph.
-    let pairs_node = kernels::pair_values(ctx, time, value);
-    let m_node = kernels::moments(ctx, value);
-    let outs = ctx.execute_checked(&[pairs_node, m_node])?;
-    let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
-    let moments = un::<Moments>(&outs[1]);
-    if pairs.len() < 3 {
-        return Err(EdaError::EmptyInput("need at least 3 complete (time, value) pairs"));
+    if ctx.df.nrows() < MIN_POINTS {
+        return Err(EdaError::EmptyInput(TOO_FEW));
     }
+    let deps = vec![kernels::pair_values(ctx, time, value), kernels::moments(ctx, value)];
+    let config = Arc::clone(&ctx.config);
+    let value = value.to_string();
+    Ok(ctx.section(&format!("section:timeseries:{time}:{value}"), deps, move |outs| {
+        let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
+        let moments = un::<Moments>(&outs[1]);
+        assert!(pairs.len() >= MIN_POINTS, "{TOO_FEW}");
 
-    // Pandas phase: order by time, resample, smooth, correlate.
-    let mut ordered = pairs.clone();
-    ordered.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaNs in pairs"));
+        // Order by time, resample, smooth, correlate.
+        let mut ordered = pairs.clone();
+        ordered.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaNs in pairs"));
 
-    let (ts, vs) = resample_mean(&ordered, ctx.config.ts.points);
-    let smooth = rolling_mean(&vs, ctx.config.ts.window);
-    let correlations = acf(&vs, ctx.config.ts.max_lag);
+        let (ts, vs) = resample_mean(&ordered, config.ts.points);
+        let smooth = rolling_mean(&vs, config.ts.window);
+        let correlations = acf(&vs, config.ts.max_lag);
 
-    let mut ims = Intermediates::new();
-    ims.push("line", Inter::Line { xs: ts.clone(), ys: vs.clone() });
-    ims.push("rolling_mean", Inter::Line { xs: ts.clone(), ys: smooth });
-    // ACF as a bar chart over lag labels.
-    ims.push(
-        "acf",
-        Inter::Bar {
-            categories: (1..=correlations.len()).map(|l| format!("lag {l}")).collect(),
-            counts: correlations
-                .iter()
-                .map(|r| (r.abs() * 1000.0).round() as u64)
-                .collect(),
-            other: 0,
-            total_distinct: correlations.len(),
-        },
-    );
+        let mut ims = Intermediates::new();
+        ims.push("line", Inter::Line { xs: ts.clone(), ys: vs.clone() });
+        ims.push("rolling_mean", Inter::Line { xs: ts.clone(), ys: smooth });
+        // ACF as a bar chart over lag labels.
+        ims.push(
+            "acf",
+            Inter::Bar {
+                categories: (1..=correlations.len()).map(|l| format!("lag {l}")).collect(),
+                counts: correlations
+                    .iter()
+                    .map(|r| (r.abs() * 1000.0).round() as u64)
+                    .collect(),
+                other: 0,
+                total_distinct: correlations.len(),
+            },
+        );
 
-    // Trend: OLS of value on time, slope normalized to σ over the range.
-    let times: Vec<f64> = ordered.iter().map(|(t, _)| *t).collect();
-    let values: Vec<f64> = ordered.iter().map(|(_, v)| *v).collect();
-    let fit = LinearFit::fit(&times, &values);
-    let mut insights = Vec::new();
-    let mut stats = vec![
-        StatRow::new("points", pairs.len().to_string()),
-        StatRow::new(
-            "time range",
-            format!("{} – {}", fmt_num(times[0]), fmt_num(times[times.len() - 1])),
-        ),
-        StatRow::new("mean", fmt_num(moments.mean)),
-        StatRow::new("std", moments.std().map_or("-".into(), fmt_num)),
-    ];
-    if let (Some(fit), Some(std)) = (&fit, moments.std()) {
-        let range = times[times.len() - 1] - times[0];
-        let normalized = if std > 0.0 { fit.slope * range / std } else { 0.0 };
-        stats.push(StatRow::new("trend slope", fmt_num(fit.slope)));
-        stats.push(StatRow::new("trend (σ over range)", fmt_num(normalized)));
-        stats.push(StatRow::new("trend R²", fmt_num(fit.r2)));
-        if let Some(i) = trend_insight(value, normalized, &ctx.config.insight) {
-            insights.push(i);
+        // Trend: OLS of value on time, slope normalized to σ over the range.
+        let times: Vec<f64> = ordered.iter().map(|(t, _)| *t).collect();
+        let values: Vec<f64> = ordered.iter().map(|(_, v)| *v).collect();
+        let fit = LinearFit::fit(&times, &values);
+        let mut insights = Vec::new();
+        let mut stats = vec![
+            StatRow::new("points", pairs.len().to_string()),
+            StatRow::new(
+                "time range",
+                format!("{} – {}", fmt_num(times[0]), fmt_num(times[times.len() - 1])),
+            ),
+            StatRow::new("mean", fmt_num(moments.mean)),
+            StatRow::new("std", moments.std().map_or("-".into(), fmt_num)),
+        ];
+        if let (Some(fit), Some(std)) = (&fit, moments.std()) {
+            let range = times[times.len() - 1] - times[0];
+            let normalized = if std > 0.0 { fit.slope * range / std } else { 0.0 };
+            stats.push(StatRow::new("trend slope", fmt_num(fit.slope)));
+            stats.push(StatRow::new("trend (σ over range)", fmt_num(normalized)));
+            stats.push(StatRow::new("trend R²", fmt_num(fit.r2)));
+            if let Some(i) = trend_insight(&value, normalized, &config.insight) {
+                insights.push(i);
+            }
         }
-    }
-    if let Some((lag, &r)) = correlations
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("finite"))
-    {
-        stats.push(StatRow::new("strongest ACF", format!("lag {} (r = {r:.2})", lag + 1)));
-        if let Some(i) = autocorr_insight(value, lag + 1, r, &ctx.config.insight) {
-            insights.push(i);
+        if let Some((lag, &r)) = correlations
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("finite"))
+        {
+            stats.push(StatRow::new("strongest ACF", format!("lag {} (r = {r:.2})", lag + 1)));
+            if let Some(i) = autocorr_insight(&value, lag + 1, r, &config.insight) {
+                insights.push(i);
+            }
         }
-    }
-    ims.push("stats", Inter::StatsTable(stats));
-    Ok((ims, insights))
+        ims.push("stats", Inter::StatsTable(stats));
+        (ims, insights)
+    }))
 }
 
 #[cfg(test)]
@@ -149,7 +159,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_timeseries(&mut ctx, "t", "price").unwrap();
+        let node = compute_timeseries(&mut ctx, "t", "price").unwrap();
+        let (ims, _) = ctx.run_section(node).unwrap();
         for chart in ["line", "rolling_mean", "acf", "stats"] {
             assert!(ims.get(chart).is_some(), "missing {chart}");
         }
@@ -164,7 +175,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (_, insights) = compute_timeseries(&mut ctx, "t", "price").unwrap();
+        let node = compute_timeseries(&mut ctx, "t", "price").unwrap();
+        let (_, insights) = ctx.run_section(node).unwrap();
         assert!(insights
             .iter()
             .any(|i| i.kind == crate::insights::InsightKind::Trend));
@@ -176,7 +188,8 @@ mod tests {
         // Window spanning one season kills the oscillation.
         let cfg = Config::from_pairs(vec![("ts.points", "500"), ("ts.window", "11")]).unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _) = compute_timeseries(&mut ctx, "t", "price").unwrap();
+        let node = compute_timeseries(&mut ctx, "t", "price").unwrap();
+        let (ims, _) = ctx.run_section(node).unwrap();
         let Some(Inter::Line { ys: raw, .. }) = ims.get("line") else { panic!() };
         let Some(Inter::Line { ys: smooth, .. }) = ims.get("rolling_mean") else {
             panic!()
@@ -238,9 +251,11 @@ mod tests {
         .unwrap();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (a, _) = compute_timeseries(&mut ctx, "t", "price").unwrap();
+        let node = compute_timeseries(&mut ctx, "t", "price").unwrap();
+        let (a, _) = ctx.run_section(node).unwrap();
         let mut ctx2 = ComputeContext::new(&shuffled, &cfg);
-        let (b, _) = compute_timeseries(&mut ctx2, "t", "price").unwrap();
+        let node = compute_timeseries(&mut ctx2, "t", "price").unwrap();
+        let (b, _) = ctx2.run_section(node).unwrap();
         assert_eq!(a.get("line"), b.get("line"));
     }
 }

@@ -5,15 +5,17 @@
 //! * Categorical column → column statistics, bar chart, pie chart, word
 //!   cloud, word frequencies.
 //!
-//! The module is split into *plan* (add graph nodes) and *assemble*
-//! (turn reduced payloads into intermediates) so `create_report` can plan
-//! every column into one graph, execute once, and assemble per column.
-//! Assembly only reads small aggregates and formats them: anything with a
-//! per-row or per-sample loop is a graph node — the KDE curve (each of up
-//! to 5000 samples spread over the grid points within reach of it) is the
-//! `kde` task on the shared sorted-values node, so it runs on a worker,
-//! parallel across columns, and a repeated `plot(df, x)` or a warm
-//! `create_report` gets it from the result cache.
+//! [`compute_univariate`] plans the panel's kernels and one section node
+//! over them; `plot(df, x)` executes that node, and `create_report` plans
+//! the same node per column into its one graph. The section's finish only
+//! reads small aggregates and formats them: anything with a per-row or
+//! per-sample loop is a kernel node — the KDE curve (each of up to 5000
+//! samples spread over the grid points within reach of it) is the `kde`
+//! task on the shared sorted-values node. The finish is a node too, so it
+//! runs on a worker, parallel across columns, and a repeated `plot(df, x)`
+//! or a warm `create_report` gets the whole section from the result cache.
+
+use std::sync::Arc;
 
 use eda_stats::freq::FreqSummary;
 use eda_stats::kde::kde_grid;
@@ -27,12 +29,12 @@ use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::NodeId;
 
 use crate::config::Config;
-use crate::dtype::{detect, SemanticType};
+use crate::dtype::SemanticType;
 use crate::error::EdaResult;
 use crate::insights::{categorical_insights, numeric_insights, Insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
-use super::ctx::{pl, un, ComputeContext};
+use super::ctx::{pl, un, ComputeContext, Section};
 use super::kernels::{self, Rows};
 
 /// KDE curves are evaluated over at most this many of the sorted values
@@ -40,43 +42,20 @@ use super::kernels::{self, Rows};
 /// latency goal).
 const KDE_SAMPLE: usize = 5000;
 
-/// Graph nodes of a numeric univariate panel.
-#[derive(Debug, Clone, Copy)]
-pub struct NumericPlan {
-    /// Moments sketch (and, with the frame's row count, the column's
-    /// nulls: [`ColMeta::numeric`]).
-    pub moments: NodeId,
-    /// Fully sorted values (shared by stats, box plot, Q-Q, KDE sample —
-    /// and the distinct count, which is just the sorted vector's run
-    /// count: one more visualization served by an already-shared node).
-    pub sorted: NodeId,
-    /// Histogram.
-    pub hist: NodeId,
-    /// KDE curve `(xs, densities)` over a stride sample of `sorted`.
-    pub kde: NodeId,
-}
-
-impl NumericPlan {
-    /// The output nodes to request from the engine.
-    pub fn outputs(&self) -> Vec<NodeId> {
-        vec![self.moments, self.sorted, self.hist, self.kde]
-    }
-}
-
-/// Add the numeric univariate plan for `column`.
-pub fn plan_numeric(ctx: &mut ComputeContext<'_>, column: &str) -> NumericPlan {
+/// The numeric panel's kernels: moments (and, with the frame's row
+/// count, the column's nulls: [`ColMeta::numeric`]), the fully sorted
+/// values (shared by stats, box plot, Q-Q, KDE sample — and the distinct
+/// count, the sorted vector's run count), the histogram, and the KDE curve
+/// `(xs, densities)` over a stride sample of the sorted values.
+fn plan_numeric(ctx: &mut ComputeContext<'_>, column: &str) -> Vec<NodeId> {
     let sorted = kernels::sorted_values(ctx, column, Rows::All);
     let grid = ctx.config.kde.grid;
     let params = ctx.params(TaskKey::params(&format!("kde:{column}")));
     let kde = ctx.graph.op(&format!("kde:{column}"), params, vec![sorted], move |inputs| {
         pl(kde_grid(&stride_sample(un::<Vec<f64>>(&inputs[0]), KDE_SAMPLE), grid))
     });
-    NumericPlan {
-        moments: kernels::moments(ctx, column),
-        sorted,
-        hist: kernels::histogram(ctx, column, ctx.config.hist.bins),
-        kde,
-    }
+    let moments = kernels::moments(ctx, column);
+    vec![moments, sorted, kernels::histogram(ctx, column, ctx.config.hist.bins), kde]
 }
 
 /// Distinct count of an ascending-sorted slice (run count).
@@ -87,64 +66,36 @@ pub fn distinct_sorted(sorted: &[f64]) -> usize {
     1 + sorted.windows(2).filter(|w| w[0] != w[1]).count()
 }
 
-/// Graph nodes of a categorical univariate panel.
-#[derive(Debug, Clone, Copy)]
-pub struct CategoricalPlan {
-    /// What the panel shows of the frequency table (and the column's
-    /// nulls: [`ColMeta::categorical`]).
-    pub freq: NodeId,
-    /// Word/length statistics.
-    pub text: NodeId,
-}
-
-impl CategoricalPlan {
-    /// The output nodes to request from the engine.
-    pub fn outputs(&self) -> Vec<NodeId> {
-        vec![self.freq, self.text]
-    }
-}
-
-/// Add the categorical univariate plan for `column`.
-pub fn plan_categorical(ctx: &mut ComputeContext<'_>, column: &str) -> CategoricalPlan {
-    CategoricalPlan {
-        freq: kernels::freq_summary(ctx, column, Rows::All),
-        text: kernels::text_stats(ctx, column),
-    }
-}
-
-/// Run `plot(df, column)`: detect the type, plan, execute, assemble.
-pub fn compute_univariate(
-    ctx: &mut ComputeContext<'_>,
-    column: &str,
-) -> EdaResult<(Intermediates, Vec<Insight>, SemanticType)> {
-    let col = ctx.df.column(column)?;
-    let sem = detect(col, ctx.config.types.low_cardinality);
-    match sem {
+/// Plan `plot(df, column)`: detect the type, plan its kernels and the
+/// section node over them (`section:univariate:<column>`).
+pub fn compute_univariate(ctx: &mut ComputeContext<'_>, column: &str) -> EdaResult<NodeId> {
+    let config = Arc::clone(&ctx.config);
+    let name = format!("section:univariate:{column}");
+    let column = column.to_string();
+    Ok(match ctx.semantic(&column)? {
         SemanticType::Numerical => {
-            let plan = plan_numeric(ctx, column);
-            let outs = ctx.execute_checked(&plan.outputs())?;
-            let (ims, insights) = assemble_numeric(column, ctx.config, ctx.pf.nrows(), &outs);
-            Ok((ims, insights, sem))
+            let rows = ctx.pf.nrows();
+            let deps = plan_numeric(ctx, &column);
+            ctx.section(&name, deps, move |outs| numeric_section(&column, &config, rows, outs))
         }
         SemanticType::Categorical => {
-            let plan = plan_categorical(ctx, column);
-            let outs = ctx.execute_checked(&plan.outputs())?;
-            let (ims, insights) = assemble_categorical(column, ctx.config, &outs);
-            Ok((ims, insights, sem))
+            // What the panel shows of the frequency table (and the
+            // column's nulls: [`ColMeta::categorical`]), and the
+            // word/length statistics.
+            let deps = vec![
+                kernels::freq_summary(ctx, &column, Rows::All),
+                kernels::text_stats(ctx, &column),
+            ];
+            ctx.section(&name, deps, move |outs| categorical_section(&column, &config, outs))
         }
-    }
+    })
 }
 
-/// Assemble the numeric panel of a column of `rows` rows from payloads
-/// ordered as [`NumericPlan::outputs`]. This is the eager "Pandas phase":
-/// every input is already a small aggregate (the sorted vector being the
-/// one O(n) exception, exactly as in the paper's quantile pipeline).
-pub fn assemble_numeric(
-    column: &str,
-    config: &Config,
-    rows: usize,
-    outs: &[Payload],
-) -> (Intermediates, Vec<Insight>) {
+/// The numeric panel of a column of `rows` rows from the payloads
+/// [`plan_numeric`] planned. Every input is already a small aggregate
+/// (the sorted vector being the one O(n) exception, exactly as in the
+/// paper's quantile pipeline).
+fn numeric_section(column: &str, config: &Config, rows: usize, outs: &[Payload]) -> Section {
     let moments = un::<Moments>(&outs[0]);
     let meta = ColMeta::numeric(rows, moments);
     let sorted = un::<Vec<f64>>(&outs[1]);
@@ -182,13 +133,8 @@ pub fn assemble_numeric(
     (ims, insights)
 }
 
-/// Assemble the categorical panel from payloads ordered as
-/// [`CategoricalPlan::outputs`].
-pub fn assemble_categorical(
-    column: &str,
-    config: &Config,
-    outs: &[Payload],
-) -> (Intermediates, Vec<Insight>) {
+/// The categorical panel from the frequency summary and text statistics.
+fn categorical_section(column: &str, config: &Config, outs: &[Payload]) -> Section {
     let freq = un::<FreqSummary>(&outs[0]);
     let meta = ColMeta::categorical(freq.total, freq.nulls);
     let text = un::<TextStats>(&outs[1]);
@@ -223,7 +169,7 @@ pub fn assemble_categorical(
 }
 
 // ---------------------------------------------------------------------------
-// Shared assembly helpers (also used by overview/bivariate/report)
+// Shared finishing helpers (also used by overview/bivariate)
 // ---------------------------------------------------------------------------
 
 /// Bar-chart intermediate from a frequency table's summary.
@@ -404,6 +350,11 @@ mod tests {
     use super::*;
     use eda_dataframe::{Column, DataFrame};
 
+    fn section(ctx: &mut ComputeContext<'_>, column: &str) -> Section {
+        let node = compute_univariate(ctx, column).unwrap();
+        ctx.run_section(node).unwrap()
+    }
+
     fn frame() -> DataFrame {
         DataFrame::new(vec![
             (
@@ -443,8 +394,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _insights, sem) = compute_univariate(&mut ctx, "price").unwrap();
-        assert_eq!(sem, SemanticType::Numerical);
+        let (ims, _insights) = section(&mut ctx, "price");
+        assert_eq!(ctx.semantic("price").unwrap(), SemanticType::Numerical);
         for chart in ["stats", "histogram", "kde_plot", "qq_plot", "box_plot"] {
             assert!(ims.get(chart).is_some(), "missing {chart}");
         }
@@ -455,8 +406,8 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _insights, sem) = compute_univariate(&mut ctx, "city").unwrap();
-        assert_eq!(sem, SemanticType::Categorical);
+        let (ims, _insights) = section(&mut ctx, "city");
+        assert_eq!(ctx.semantic("city").unwrap(), SemanticType::Categorical);
         for chart in ["stats", "bar_chart", "pie_chart", "word_cloud", "word_frequencies"] {
             assert!(ims.get(chart).is_some(), "missing {chart}");
         }
@@ -467,7 +418,7 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, _) = compute_univariate(&mut ctx, "price").unwrap();
+        let (ims, _) = section(&mut ctx, "price");
         let Some(Inter::StatsTable(rows)) = ims.get("stats") else {
             panic!("stats table missing")
         };
@@ -490,7 +441,7 @@ mod tests {
         let df = frame();
         let cfg = Config::from_pairs(vec![("hist.bins", "7")]).unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, _) = compute_univariate(&mut ctx, "price").unwrap();
+        let (ims, _) = section(&mut ctx, "price");
         let Some(Inter::Histogram { counts, edges }) = ims.get("histogram") else {
             panic!()
         };
@@ -503,7 +454,7 @@ mod tests {
         let df = frame();
         let cfg = Config::from_pairs(vec![("bar.ngroups", "3")]).unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, _) = compute_univariate(&mut ctx, "city").unwrap();
+        let (ims, _) = section(&mut ctx, "city");
         let Some(Inter::Bar { categories, counts, other, total_distinct }) =
             ims.get("bar_chart")
         else {
@@ -520,7 +471,7 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, _) = compute_univariate(&mut ctx, "city").unwrap();
+        let (ims, _) = section(&mut ctx, "city");
         let Some(Inter::WordFreq { words, .. }) = ims.get("word_cloud") else {
             panic!()
         };
@@ -534,14 +485,14 @@ mod tests {
         let df = frame();
         let cfg = Config::default(); // 4% nulls < 5% threshold → no insight
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (_, insights, _) = compute_univariate(&mut ctx, "price").unwrap();
+        let (_, insights) = section(&mut ctx, "price");
         assert!(insights
             .iter()
             .all(|i| i.kind != crate::insights::InsightKind::Missing));
 
         let strict = Config::from_pairs(vec![("insight.missing", "0.01")]).unwrap();
         let mut ctx = ComputeContext::new(&df, &strict);
-        let (ims, insights, _) = compute_univariate(&mut ctx, "price").unwrap();
+        let (ims, insights) = section(&mut ctx, "price");
         assert!(insights
             .iter()
             .any(|i| i.kind == crate::insights::InsightKind::Missing));
@@ -590,12 +541,12 @@ mod tests {
         let df = frame();
         let base = Config::default();
         let mut ctx = ComputeContext::new(&df, &base);
-        let (ims, _, _) = compute_univariate(&mut ctx, "price").unwrap();
+        let (ims, _) = section(&mut ctx, "price");
         assert!(ims.get("violin_plot").is_none());
 
         let cfg = Config::from_pairs(vec![("violin.enabled", "true")]).unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let (ims, _, _) = compute_univariate(&mut ctx, "price").unwrap();
+        let (ims, _) = section(&mut ctx, "price");
         let Some(Inter::Violin { ys, densities }) = ims.get("violin_plot") else {
             panic!("violin expected")
         };

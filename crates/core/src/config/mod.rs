@@ -158,6 +158,33 @@ pub struct InsightConfig {
     pub autocorr: f64,
 }
 
+impl InsightConfig {
+    /// A stable hash of every threshold. [`Config::compute_hash`] leaves
+    /// them out, since no statistic reads them; the section nodes that
+    /// find insights mix this into their keys.
+    pub fn thresholds_hash(&self) -> u64 {
+        use std::hash::Hasher;
+        let mut h = eda_taskgraph::key::Fnv1a::new();
+        for t in [
+            self.missing,
+            self.skew,
+            self.uniform_p,
+            self.high_cardinality,
+            self.correlation,
+            self.outlier,
+            self.similarity_ks,
+            self.infinite,
+            self.zeros,
+            self.negatives,
+            self.trend,
+            self.autocorr,
+        ] {
+            h.write_u64(t.to_bits());
+        }
+        h.finish()
+    }
+}
+
 /// Semantic type-detection parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypeDetectionConfig {

@@ -84,6 +84,13 @@ pub struct Insight {
     pub message: String,
 }
 
+impl Insight {
+    /// Heap bytes this insight owns.
+    pub fn heap_bytes(&self) -> usize {
+        crate::intermediate::strings(&self.columns) + self.message.capacity()
+    }
+}
+
 /// Insights derivable from a column's meta + moments (numeric columns).
 pub fn numeric_insights(
     column: &str,

@@ -241,6 +241,87 @@ impl Intermediates {
     pub fn names(&self) -> Vec<&str> {
         self.items.iter().map(|(n, _)| n.as_str()).collect()
     }
+
+    /// Heap bytes these intermediates own: what the result cache and the
+    /// run memory budget charge for a section.
+    pub fn heap_bytes(&self) -> usize {
+        let items: usize = self.items.iter().map(|(n, i)| n.capacity() + i.heap_bytes()).sum();
+        buf(&self.items) + items
+    }
+}
+
+/// Heap bytes of a vector's buffer.
+fn buf<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Heap bytes of a vector of strings.
+pub(crate) fn strings(v: &Vec<String>) -> usize {
+    buf(v) + v.iter().map(String::capacity).sum::<usize>()
+}
+
+/// Heap bytes of labelled count series.
+fn series(v: &Vec<(String, Vec<u64>)>) -> usize {
+    buf(v) + v.iter().map(|(s, c)| s.capacity() + buf(c)).sum::<usize>()
+}
+
+/// Heap bytes of a vector of rows.
+fn rows<T>(v: &Vec<Vec<T>>) -> usize {
+    buf(v) + v.iter().map(buf).sum::<usize>()
+}
+
+impl Inter {
+    /// Heap bytes this intermediate owns.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Inter::StatsTable(table) => {
+                let text: usize =
+                    table.iter().map(|r| r.label.capacity() + r.value.capacity()).sum();
+                buf(table) + text
+            }
+            Inter::Histogram { edges, counts } => buf(edges) + buf(counts),
+            Inter::Bar { categories, counts, .. } => strings(categories) + buf(counts),
+            Inter::Pie { categories, fractions } => strings(categories) + buf(fractions),
+            Inter::Kde { xs, ys }
+            | Inter::Line { xs, ys }
+            | Inter::Violin { ys: xs, densities: ys } => buf(xs) + buf(ys),
+            Inter::QQ(points)
+            | Inter::Scatter { points, .. }
+            | Inter::RegressionScatter { points, .. } => buf(points),
+            Inter::Boxes(boxes) => {
+                let each: usize = boxes.iter().map(|(l, b)| l.capacity() + buf(&b.outliers)).sum();
+                buf(boxes) + each
+            }
+            Inter::Hexbin { centers, counts, .. } => buf(centers) + buf(counts),
+            Inter::Heatmap { xlabels, ylabels, values } => {
+                strings(xlabels) + strings(ylabels) + rows(values)
+            }
+            Inter::GroupedBars { xlabels, series: s, .. } => strings(xlabels) + series(s),
+            Inter::MultiLine { xs, series: s } => buf(xs) + series(s),
+            Inter::Correlation(m) => strings(&m.labels) + buf(&m.cells),
+            Inter::CorrVectors(methods) => {
+                let entries = |e: &Vec<(String, Option<f64>)>| {
+                    buf(e) + e.iter().map(|(c, _)| c.capacity()).sum::<usize>()
+                };
+                buf(methods) + methods.iter().map(|(m, e)| m.capacity() + entries(e)).sum::<usize>()
+            }
+            Inter::MissingBars(bars) => {
+                buf(bars) + bars.iter().map(|b| b.label.capacity()).sum::<usize>()
+            }
+            Inter::Spectrum(s) => strings(&s.labels) + buf(&s.row_ranges) + rows(&s.counts),
+            Inter::NullityCorr { labels, cells } => strings(labels) + rows(cells),
+            Inter::Dendrogram { labels, merges } => strings(labels) + buf(merges),
+            Inter::WordFreq { words, .. } => {
+                buf(words) + words.iter().map(|(w, _)| w.capacity()).sum::<usize>()
+            }
+            Inter::CompareHistogram { edges, before, after } => {
+                buf(edges) + buf(before) + buf(after)
+            }
+            Inter::CompareBars { categories, before, after } => {
+                strings(categories) + buf(before) + buf(after)
+            }
+        }
+    }
 }
 
 #[cfg(test)]

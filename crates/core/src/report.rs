@@ -2,34 +2,31 @@
 //!
 //! The report covers what a Pandas-profiling report covers — overview,
 //! per-variable sections, correlations, missing values — but is computed
-//! the DataPrep.EDA way: **every section's statistics are planned into one
-//! lazy graph**, shared subcomputations collapse (a column's histogram is
-//! computed once even though the overview and its variable section both
-//! show it), and the optimized graph executes once. That single-graph
-//! construction is what the paper credits for the 4–20× speedups of
-//! Table 2.
-
-use std::sync::Arc;
+//! the DataPrep.EDA way: **every section is planned into one lazy graph**,
+//! shared subcomputations collapse (a column's histogram is computed once
+//! even though the overview and its variable section both show it), and
+//! the optimized graph executes once. That single-graph construction is
+//! what the paper credits for the 4–20× speedups of Table 2.
+//!
+//! Each section is the section node the matching call plans — `plot(df)`,
+//! `plot(df, x)` per column, `plot_correlation(df)` and `plot_missing(df)`
+//! — so a section a call computed earlier, or a whole warm report, is a
+//! cache hit.
 
 use eda_dataframe::DataFrame;
-use eda_taskgraph::graph::Payload;
-use eda_taskgraph::outcome::{root_failure, TaskOutcome};
 use eda_taskgraph::ExecStats;
 
-use crate::api::SectionStatus;
-use crate::compute::correlation::{self, numeric_columns};
-use crate::compute::ctx::{un, ComputeContext};
-use crate::compute::missing::{assemble_missing_overview, plan_missing_overview};
-use crate::compute::overview::{assemble_overview, plan_overview};
-use crate::compute::univariate::{
-    assemble_categorical, assemble_numeric, plan_categorical, plan_numeric, CategoricalPlan,
-    NumericPlan,
-};
+use crate::api::{section, SectionStatus};
+use crate::compute::correlation::{compute_correlation_overview, numeric_columns};
+use crate::compute::ctx::ComputeContext;
+use crate::compute::missing::compute_missing_overview;
+use crate::compute::overview::compute_overview;
+use crate::compute::univariate::compute_univariate;
 use crate::config::Config;
-use crate::dtype::{detect, SemanticType};
+use crate::dtype::SemanticType;
 use crate::error::EdaResult;
 use crate::insights::Insight;
-use crate::intermediate::Intermediates;
+use crate::intermediate::{Inter, Intermediates};
 
 use eda_stats::corr::CorrMatrix;
 
@@ -79,166 +76,57 @@ pub struct Report {
     pub stats: ExecStats,
 }
 
-/// Split a section's outcomes: all payloads, or the status describing
-/// its [`root_failure`] (the scheduler already attributed skips to their
-/// root cause).
-fn section_payloads(outcomes: &[TaskOutcome]) -> Result<Vec<Payload>, SectionStatus> {
-    match root_failure(outcomes) {
-        Some(err) => Err(SectionStatus::Failed(Arc::clone(err))),
-        None => Ok(outcomes
-            .iter()
-            .map(|o| Arc::clone(o.payload().expect("no failures in section")))
-            .collect()),
-    }
-}
-
 impl Report {
     /// Build the report over one shared graph.
     pub fn create(df: &DataFrame, config: &Config) -> EdaResult<Report> {
         Report::from_context(ComputeContext::new(df, config))
     }
 
-    /// Plan every section into `ctx`'s graph, execute it once and
-    /// assemble the report.
+    /// Plan every section node into `ctx`'s graph, execute them once and
+    /// map each outcome to its section.
     pub fn from_context(mut ctx: ComputeContext<'_>) -> EdaResult<Report> {
-        let (df, config) = (ctx.df, ctx.config);
-
-        // ---- plan EVERYTHING into one graph --------------------------------
-        let overview_plan = plan_overview(&mut ctx);
-
-        enum VarPlan {
-            Numeric(String, NumericPlan),
-            Categorical(String, CategoricalPlan),
+        let names: Vec<String> = ctx.df.names().to_vec();
+        let mut nodes = vec![compute_overview(&mut ctx)];
+        for name in &names {
+            nodes.push(compute_univariate(&mut ctx, name)?);
         }
-        let names: Vec<String> = df.names().to_vec();
-        let var_plans: Vec<VarPlan> = names
-            .iter()
-            .map(|name| {
-                let col = df.column(name).expect("frame names");
-                match detect(col, config.types.low_cardinality) {
-                    SemanticType::Numerical => {
-                        VarPlan::Numeric(name.clone(), plan_numeric(&mut ctx, name))
-                    }
-                    SemanticType::Categorical => {
-                        VarPlan::Categorical(name.clone(), plan_categorical(&mut ctx, name))
-                    }
-                }
-            })
-            .collect();
+        let correlated = numeric_columns(&ctx).len() >= 2;
+        if correlated {
+            nodes.push(compute_correlation_overview(&mut ctx)?);
+        }
+        nodes.push(compute_missing_overview(&mut ctx));
 
-        let corr_names = numeric_columns(&ctx);
-        // One assembled matrix per method over tiled cell tasks; only
-        // insight filtering stays eager.
-        let corr_nodes: Vec<_> = if corr_names.len() >= 2 {
-            correlation::plan_matrix_nodes(&mut ctx, &corr_names)
-        } else {
-            Vec::new()
-        };
-
-        let missing_node = plan_missing_overview(&mut ctx);
-
-        // ---- execute once ---------------------------------------------------
-        let mut outputs = overview_plan.outputs();
-        let var_ranges: Vec<(usize, usize)> = var_plans
-            .iter()
-            .map(|p| {
-                let start = outputs.len();
-                match p {
-                    VarPlan::Numeric(_, plan) => outputs.extend(plan.outputs()),
-                    VarPlan::Categorical(_, plan) => outputs.extend(plan.outputs()),
-                }
-                (start, outputs.len())
-            })
-            .collect();
-        let corr_start = outputs.len();
-        outputs.extend(&corr_nodes);
-        let missing_start = outputs.len();
-        outputs.push(missing_node);
-
-        let outcomes = ctx.execute_outcomes(&outputs);
+        let outcomes = ctx.execute_outcomes(&nodes);
         let stats = ctx.last_stats.clone().expect("executed");
+        let mut sections = outcomes.iter().map(section);
+        let mut next = || sections.next().expect("one outcome per section node");
 
-        // ---- assemble (Pandas phase), degrading per section ----------------
-        // A failed kernel only takes down the sections that needed it;
-        // each section checks its own slice of outcomes.
-        let overview_len = overview_plan.outputs().len();
-        let (overview, mut insights, overview_status) =
-            match section_payloads(&outcomes[..overview_len]) {
-                Ok(outs) => {
-                    let (o, i) = assemble_overview(&ctx, &overview_plan, &outs);
-                    (o, i, SectionStatus::Ok)
-                }
-                Err(status) => (Intermediates::new(), Vec::new(), status),
-            };
-
-        let mut variables = Vec::with_capacity(var_plans.len());
-        for (plan, (start, end)) in var_plans.iter().zip(&var_ranges) {
-            let (name, semantic) = match plan {
-                VarPlan::Numeric(name, _) => (name, SemanticType::Numerical),
-                VarPlan::Categorical(name, _) => (name, SemanticType::Categorical),
-            };
-            match section_payloads(&outcomes[*start..*end]) {
-                Ok(outs) => {
-                    let (ims, ins) = match plan {
-                        VarPlan::Numeric(name, _) => {
-                            assemble_numeric(name, config, ctx.pf.nrows(), &outs)
-                        }
-                        VarPlan::Categorical(name, _) => {
-                            assemble_categorical(name, config, &outs)
-                        }
-                    };
-                    insights.extend(ins.iter().cloned());
-                    variables.push(VariableSection {
-                        name: name.clone(),
-                        semantic,
-                        intermediates: ims,
-                        insights: ins,
-                        status: SectionStatus::Ok,
-                    });
-                }
-                Err(status) => variables.push(VariableSection {
-                    name: name.clone(),
-                    semantic,
-                    intermediates: Intermediates::new(),
-                    insights: Vec::new(),
-                    status,
-                }),
-            }
+        let (overview, mut insights, overview_status) = next();
+        let mut variables = Vec::with_capacity(names.len());
+        for name in names {
+            let (intermediates, section_insights, status) = next();
+            insights.extend(section_insights.iter().cloned());
+            let semantic = ctx.semantic(&name)?;
+            variables.push(VariableSection {
+                name,
+                semantic,
+                intermediates,
+                insights: section_insights,
+                status,
+            });
         }
-
-        let (correlations, correlations_status) = if corr_names.len() >= 2 {
-            match section_payloads(&outcomes[corr_start..corr_start + corr_nodes.len()]) {
-                Ok(outs) => {
-                    let matrices: Vec<CorrMatrix> =
-                        outs.iter().map(|p| un::<CorrMatrix>(p).clone()).collect();
-                    for m in &matrices {
-                        for (a, b, r) in m.strong_pairs(config.insight.correlation) {
-                            if let Some(i) = crate::insights::correlation_insight(
-                                &a,
-                                &b,
-                                m.method.name(),
-                                r,
-                                &config.insight,
-                            ) {
-                                insights.push(i);
-                            }
-                        }
-                    }
-                    (matrices, SectionStatus::Ok)
-                }
-                Err(status) => (Vec::new(), status),
-            }
+        let (correlations, correlations_status) = if correlated {
+            let (ims, section_insights, status) = next();
+            insights.extend(section_insights);
+            let matrices = ims.iter().filter_map(|(_, chart)| match chart {
+                Inter::Correlation(m) => Some(m.clone()),
+                _ => None,
+            });
+            (matrices.collect(), status)
         } else {
             (Vec::new(), SectionStatus::Ok)
         };
-
-        let (missing, missing_status) = match section_payloads(&outcomes[missing_start..]) {
-            Ok(outs) => (
-                assemble_missing_overview(&names, config.spectrum.bins, un(&outs[0])),
-                SectionStatus::Ok,
-            ),
-            Err(status) => (Intermediates::new(), status),
-        };
+        let (missing, _, missing_status) = next();
 
         Ok(Report {
             overview,

@@ -1,9 +1,9 @@
 //! `engine.cache_budget_bytes` and `engine.memory_budget_bytes` are only
 //! as honest as the bytes `payload_sizer` charges: this holds its prices
 //! for the correlation, KDE, frequency, frequency-summary, text,
-//! histogram, grouped, hexbin, nullity and validity payloads against what
-//! the allocator actually handed out. One test, so nothing else allocates
-//! meanwhile.
+//! histogram, grouped, hexbin, nullity, validity and section payloads
+//! against what the allocator actually handed out. One test, so nothing
+//! else allocates meanwhile.
 
 // The counting global allocator below is the one `unsafe` here.
 #![allow(unsafe_code)]
@@ -13,8 +13,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use eda_core::compute::cat::text_stats;
-use eda_core::compute::ctx::{payload_sizer, pl};
-use eda_dataframe::{Bitmap, Column, Selection};
+use eda_core::compute::ctx::{payload_sizer, pl, Section};
+use eda_core::{create_report, plot_correlation, Config, Insight, Intermediates};
+use eda_dataframe::{Bitmap, Column, DataFrame, Selection};
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMatrix, CorrMethod};
 use eda_stats::freq::CatFreq;
 use eda_stats::histogram::Histogram;
@@ -174,6 +175,32 @@ fn charged_bytes_are_within_a_tenth_of_the_heap_bytes() {
         halves.iter().for_each(|half| joined.extend_from(half));
         pl(joined)
     });
+
+    // A section node's payload owns its charts, stats tables and
+    // insights: the sections of a report and of `plot_correlation(df)`.
+    let frame = DataFrame::new(vec![
+        ("price".into(), column.clone()),
+        ("size".into(), Column::from_f64(distinct.clone())),
+        ("city".into(), names.clone()),
+    ])
+    .unwrap();
+    let cfg =
+        Config::from_pairs(vec![("engine.workers", "1"), ("engine.cache_budget_bytes", "0")])
+            .unwrap();
+    let report = create_report(&frame, &cfg).unwrap();
+    let correlation = plot_correlation(&frame, &[], &cfg).unwrap();
+    let section = |ims: &Intermediates, insights: &Vec<Insight>| -> Payload {
+        pl::<Section>((ims.clone(), insights.clone()))
+    };
+    case("section, overview", &|| section(&report.overview, &Vec::new()));
+    case("section, numeric variable", &|| {
+        section(&report.variables[0].intermediates, &report.variables[0].insights)
+    });
+    case("section, categorical variable", &|| {
+        section(&report.variables[2].intermediates, &report.variables[2].insights)
+    });
+    case("section, correlation", &|| section(&correlation.intermediates, &correlation.insights));
+    case("section, missing", &|| section(&report.missing, &Vec::new()));
 
     for (name, payload, real) in &cases {
         let charged = sizer(payload).unwrap_or_else(|| panic!("{name}: not priced"));

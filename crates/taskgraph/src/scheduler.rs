@@ -41,7 +41,7 @@ use crate::cache::{CacheHandle, PayloadSizer};
 use crate::govern::{self, CancelToken, MemoryGauge};
 use crate::graph::{NodeId, Payload, TaskGraph};
 use crate::inject::{FaultMode, Garbage};
-use crate::outcome::{TaskError, TaskFailure, TaskOutcome};
+use crate::outcome::{root_failure, TaskError, TaskFailure, TaskOutcome};
 use crate::stats::ExecStats;
 use crate::trace::{self, LogLevel, RunTrace, SpanStatus, TaskSpan};
 
@@ -492,19 +492,24 @@ fn execute_node(
             (now, now, 0)
         })
     };
-    // A fired run token beats everything else: record the node as
-    // Cancelled without opening a span or touching the body, so a
+    // An upstream failure poisons only this subtree: record a skip
+    // carrying the root that `root_failure` names for the inputs (the
+    // first direct failure, else the first skip's root) and move on. The
+    // skip inherits the root's elapsed so diagnostics stay meaningful at
+    // any depth. A root the run token short-circuited at dispatch (zero
+    // elapsed) is no cause of its own: the token short-circuits this node
+    // too.
+    let short_circuited =
+        |e: &TaskError| e.failure == TaskFailure::Cancelled && e.elapsed.is_zero();
+    if let Some(root) = root_failure(inputs).filter(|root| !short_circuited(root)) {
+        let (root, elapsed) = (Arc::clone(root), root.elapsed);
+        return (failed(graph, id, TaskFailure::Skipped(root), elapsed), zero_width());
+    }
+    // Otherwise a fired run token beats everything else: record the node
+    // as Cancelled without opening a span or touching the body, so a
     // cancelled run drains its remaining dispatches in microseconds.
     if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
         return (failed(graph, id, TaskFailure::Cancelled, Duration::ZERO), zero_width());
-    }
-    // An upstream failure poisons only this subtree: record a skip
-    // carrying the transitive root cause and move on. The skip inherits
-    // the root's elapsed so diagnostics stay meaningful at any depth.
-    if let Some(err) = inputs.iter().find_map(|o| o.error()) {
-        let root = Arc::clone(err.root());
-        let elapsed = root.elapsed;
-        return (failed(graph, id, TaskFailure::Skipped(root), elapsed), zero_width());
     }
     let span_start = opts.trace.then(|| origin.elapsed());
     // The failed-input check above guarantees every input carries a
@@ -986,6 +991,24 @@ mod tests {
         assert_eq!(err.root_cause(), (bad, "bad"));
         assert_eq!(r.stats.tasks_skipped, 2); // mid and leaf
         assert_eq!(r.stats.tasks_failed, 1);
+    }
+
+    /// A skip names the root `root_failure` names for its inputs: a
+    /// direct failure beats an earlier input's skip.
+    #[test]
+    fn skip_root_prefers_a_direct_failure_over_an_earlier_skip() {
+        let mut g = TaskGraph::new();
+        let a = g.source("a", TaskKey::leaf("a", 0), || int(1));
+        let x = g.op("x", 0, vec![a], |_| -> Payload { panic!("x") });
+        let skip_of_x = g.op("after_x", 0, vec![x], |d| int(get(&d[0])));
+        let y = g.op("y", 0, vec![a], |_| -> Payload { panic!("y") });
+        let both = g.op("both", 0, vec![skip_of_x, y], |d| int(get(&d[0])));
+        for workers in [1, 2] {
+            let r = run_plain(&g, &[both], workers);
+            let err = r.outcomes[0].error().expect("both skipped");
+            assert!(matches!(err.failure, TaskFailure::Skipped(_)), "{err}");
+            assert_eq!(err.root_cause(), (y, "y"));
+        }
     }
 
     #[test]

@@ -77,7 +77,8 @@ fn vector(df: &DataFrame, cfg: &Config, cache: Option<&Arc<ResultCache>>, x: &st
         Some(cache) => ctx.with_cache(Arc::clone(cache)),
         None => ctx,
     };
-    let (ims, insights) = compute_correlation_vector(&mut ctx, x).unwrap();
+    let node = compute_correlation_vector(&mut ctx, x).unwrap();
+    let (ims, insights) = ctx.run_section(node).unwrap();
     let stats = ctx.last_stats.unwrap();
     let trace = stats.trace.expect("profiled run");
     let spans =
@@ -105,14 +106,16 @@ fn numeric_columns_of(df: &DataFrame) -> Vec<String> {
 }
 
 /// Every numeric column's vector, served from the matrices an earlier
-/// call left in `cache`, runs nothing and equals the computed one.
+/// call left in `cache`, runs its section node alone and equals the
+/// computed one.
 fn assert_served(df: &DataFrame, workers: usize, cache: &Arc<ResultCache>) {
     let cfg = config(workers, true);
     let names = numeric_columns_of(df);
     assert_eq!(names, ["a", "nan", "ties", "constant", "near_a"]);
     for x in &names {
         let served = vector(df, &cfg, Some(cache), x);
-        assert_eq!((served.tasks_run, served.cache_hits), (0, 3), "{x} at {workers} workers");
+        assert_eq!((served.tasks_run, served.cache_hits), (1, 3), "{x} at {workers} workers");
+        assert_eq!(served.ran("section:correlation_vector:"), 1, "{x}");
         assert_eq!(served.ran("corr_matrix:"), 0, "{x}");
         let computed = computed(df, workers, x);
         assert_eq!(served.json, computed.json, "{x} at {workers} workers");
@@ -130,7 +133,8 @@ fn a_vector_after_the_overview_reads_the_cached_matrices() {
         let cache = Arc::new(ResultCache::new(64 << 20));
         let cfg = config(workers, true);
         let mut ctx = ComputeContext::new(&df, &cfg).with_cache(Arc::clone(&cache));
-        compute_correlation_overview(&mut ctx).unwrap();
+        let node = compute_correlation_overview(&mut ctx).unwrap();
+        ctx.run_section(node).unwrap();
         assert_served(&df, workers, &cache);
     }
 }
@@ -157,7 +161,8 @@ fn another_frames_matrices_serve_nothing() {
         let cfg = config(workers, true);
         let cache = Arc::new(ResultCache::new(64 << 20));
         let mut ctx = ComputeContext::new(&other, &cfg).with_cache(Arc::clone(&cache));
-        compute_correlation_overview(&mut ctx).unwrap();
+        let node = compute_correlation_overview(&mut ctx).unwrap();
+        ctx.run_section(node).unwrap();
         for x in ["a", "constant"] {
             let v = vector(&df, &cfg, Some(&cache), x);
             let tiles = default_tiles(workers, 4);

@@ -259,23 +259,27 @@ fn task_deadline_stops_a_kde_task_between_samples() {
 }
 
 /// A panicking `kde` task degrades its own variable section and nothing
-/// else: no other section consumes it.
+/// else: no other section consumes it. So does a panic in the section
+/// node that finishes `price`'s variable section, and its diagnostics
+/// name that node.
 #[test]
 fn panicking_kde_task_degrades_only_its_variable_section() {
     let df = frame(300);
-    let _guard = inject::arm(FaultInjector::panic_on("kde:price"));
-    let report = create_report(&df, &cfg(&[])).unwrap();
-    let failed = report.failed_sections();
-    assert_eq!(failed.len(), 1, "{failed:?}");
-    assert_eq!(failed[0].0, "variable:price");
-    match failed[0].1 {
-        SectionStatus::Failed(err) => assert_eq!(err.root_cause().1, "kde:price"),
-        SectionStatus::Ok => unreachable!(),
+    for target in ["kde:price", "section:univariate:price"] {
+        let _guard = inject::arm(FaultInjector::panic_on(target));
+        let report = create_report(&df, &cfg(&[])).unwrap();
+        let failed = report.failed_sections();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert_eq!(failed[0].0, "variable:price");
+        match failed[0].1 {
+            SectionStatus::Failed(err) => assert_eq!(err.root_cause().1, target),
+            SectionStatus::Ok => unreachable!(),
+        }
+        assert_eq!(report.stats.tasks_failed, 1, "{:?}", report.stats);
+        let size = report.variables.iter().find(|v| v.name == "size").unwrap();
+        assert!(size.intermediates.get("kde_plot").is_some());
+        assert!(report.overview_status.is_ok() && report.correlations_status.is_ok());
     }
-    assert_eq!(report.stats.tasks_failed, 1, "{:?}", report.stats);
-    let size = report.variables.iter().find(|v| v.name == "size").unwrap();
-    assert!(size.intermediates.get("kde_plot").is_some());
-    assert!(report.overview_status.is_ok() && report.correlations_status.is_ok());
 }
 
 // --------------------------------------------------------- budget ladder

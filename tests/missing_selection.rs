@@ -458,7 +458,8 @@ fn second_x_reuses_every_before_node_and_no_dropped_one() {
     // (task name, served from the cache).
     let run = |x: &str| -> Vec<(String, bool)> {
         let mut ctx = ComputeContext::new(&df, &cfg).with_cache(Arc::clone(&cache));
-        compute_missing_impact(&mut ctx, x).unwrap();
+        let node = compute_missing_impact(&mut ctx, x).unwrap();
+        ctx.run_section(node).unwrap();
         let trace = ctx.last_stats.unwrap().trace.expect("profiled run");
         trace
             .spans
@@ -478,7 +479,10 @@ fn second_x_reuses_every_before_node_and_no_dropped_one() {
     // Every before node of the first call answers from the cache; the
     // only before work left is num0's own, which the first call skipped.
     for (name, cached) in &second {
-        if name.contains("|nullsof:") {
+        if name.starts_with("section:") {
+            assert_eq!(name, "section:missing_impact:cat1");
+            assert!(!cached, "{name}");
+        } else if name.contains("|nullsof:") {
             assert!(name.ends_with("|nullsof:cat1"), "{name}");
             assert!(!cached, "{name}: rows dropped by cat1 were never computed before");
         } else {
@@ -489,8 +493,8 @@ fn second_x_reuses_every_before_node_and_no_dropped_one() {
     // 13 columns shared by both calls, plus the moments node each of
     // their dropped-row histograms reads its range from.
     assert!(hits >= df.ncols() - 2, "{hits} hits");
-    // Going back to the first x finds its dropped-row results intact —
-    // cat1's never overwrote them — and computes nothing at all.
+    // Going back to the first x finds its section intact — cat1's never
+    // overwrote it — and computes nothing at all.
     let third = run("num0");
     assert!(third.iter().all(|(_, cached)| *cached), "{third:?}");
 

@@ -7,9 +7,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dataprep_eda::prelude::*;
+use dataprep_eda::taskgraph::trace::SpanStatus;
 use dataprep_eda::taskgraph::ResultCache;
 use eda_bench::{unshared_context, CorrTiling};
-use eda_core::compute::overview::{assemble_overview, plan_overview};
+use eda_core::compute::overview::compute_overview;
+use eda_core::compute::univariate::compute_univariate;
 use eda_core::compute::ComputeContext;
 use eda_core::json::intermediates_to_json;
 use eda_datagen::{generate, kaggle_spec_by_name};
@@ -59,6 +61,23 @@ fn warm_report_runs_nothing_and_renders_the_uncached_page() {
     assert_eq!((warm.stats.tasks_run, warm.stats.cache_misses), (0, 0));
     assert!(warm.stats.cache_hits > 0);
 
+    // A second input: `plot(df, x)` for every column first, then a cold
+    // report over the same cache finds each variable section there.
+    let profiled = Config::from_pairs(vec![("engine.profile", "true")]).unwrap();
+    let plotted = Arc::new(ResultCache::new(cfg.engine.cache_budget_bytes));
+    let context = || ComputeContext::new(&df, &profiled).with_cache(Arc::clone(&plotted));
+    for name in df.names() {
+        let mut ctx = context();
+        let node = compute_univariate(&mut ctx, name).unwrap();
+        ctx.run_section(node).unwrap();
+    }
+    let mut after_plots = Report::from_context(context()).unwrap();
+    let trace = after_plots.stats.trace.take().expect("profiled run");
+    for name in df.names() {
+        let span = trace.span_named(&format!("section:univariate:{name}")).expect("section span");
+        assert_eq!(span.status, SpanStatus::Cached, "{name}");
+    }
+
     let off = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
     let uncached = Report::from_context(ComputeContext::new(&df, &off)).unwrap();
     assert_eq!(uncached.stats.cache_hits + uncached.stats.cache_misses, 0);
@@ -68,7 +87,9 @@ fn warm_report_runs_nothing_and_renders_the_uncached_page() {
         (r.stats.tasks_run, r.stats.cse_hits) = (0, 0);
         render_report_html(&r, &cfg.display)
     };
-    assert!(page(warm) == page(uncached), "the cache-served page differs from the uncached one");
+    let uncached = page(uncached);
+    assert!(page(warm) == uncached, "the cache-served page differs from the uncached one");
+    assert!(page(after_plots) == uncached, "the page after the plot calls differs");
 }
 
 #[test]
@@ -140,9 +161,8 @@ fn worker_count_does_not_change_overview_payloads() {
             ])
             .unwrap();
             let mut ctx = ComputeContext::new(&df, &cfg);
-            let plan = plan_overview(&mut ctx);
-            let payloads = ctx.execute_checked(&plan.outputs()).unwrap();
-            let json = intermediates_to_json(&assemble_overview(&ctx, &plan, &payloads).0);
+            let node = compute_overview(&mut ctx);
+            let json = intermediates_to_json(&ctx.run_section(node).unwrap().0);
             match &expected {
                 None => expected = Some(json),
                 Some(e) => assert_eq!(&json, e, "workers={workers}"),

@@ -96,8 +96,9 @@ proptest! {
         let shared = plot(&df, &["f"], &Config::default()).unwrap();
         // Cache off, so the unshared graph computes every node itself.
         let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
-        let (unshared, _, _) =
-            compute_univariate(&mut unshared_context(&df, &cfg), "f").unwrap();
+        let mut ctx = unshared_context(&df, &cfg);
+        let node = compute_univariate(&mut ctx, "f").unwrap();
+        let (unshared, _) = ctx.run_section(node).unwrap();
         prop_assert_eq!(shared.intermediates, unshared);
     }
 

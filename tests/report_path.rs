@@ -177,7 +177,8 @@ fn count_based_nullity_views_equal_the_indicator_vector_functions() {
             // frames in one partition.
             ctx.pf = eda_taskgraph::PartitionedFrame::from_frame(df, cfg.engine.npartitions);
             ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
-            let (ims, _) = compute_missing_overview(&mut ctx).unwrap();
+            let node = compute_missing_overview(&mut ctx);
+            let (ims, _) = ctx.run_section(node).unwrap();
 
             let indicators = oracle::indicators(df);
             let what = format!("{} rows, {npartitions} partitions, {bins} bins", df.nrows());
