@@ -647,6 +647,34 @@ mod tests {
         }
     }
 
+    /// Thinning 1,999 complete pairs to `scatter.sample` = 1000 keeps
+    /// every second pair, through the last rows: the last point plotted
+    /// comes from the last stride.
+    #[test]
+    fn scatter_thinning_reaches_the_last_rows() {
+        let n: usize = 1999;
+        let df = DataFrame::new(vec![
+            ("x".into(), Column::from_f64((0..n).map(|i| i as f64).collect())),
+            ("y".into(), Column::from_f64((0..n).map(|i| 2.0 * i as f64 + 1.0).collect())),
+        ])
+        .unwrap();
+        let cfg = Config::default();
+        let last_stride = (n - n.div_ceil(cfg.scatter.sample)) as f64;
+        let scatter = plot(&df, &["x", "y"], &cfg).unwrap();
+        let Some(Inter::Scatter { points, sampled: true }) = scatter.get("scatter_plot") else {
+            panic!("a thinned scatter plot")
+        };
+        let pair = plot_correlation(&df, &["x", "y"], &cfg).unwrap();
+        let Some(Inter::RegressionScatter { points: fitted, .. }) = pair.get("regression_scatter")
+        else {
+            panic!("a regression scatter")
+        };
+        for points in [points, fitted] {
+            assert!(points.len() <= cfg.scatter.sample, "{}", points.len());
+            assert!(points.last().unwrap().0 >= last_stride, "{:?}", points.last());
+        }
+    }
+
     #[test]
     fn make_unique_invalidates_cached_results() {
         let mut df = frame();

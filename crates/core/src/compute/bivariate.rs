@@ -25,7 +25,7 @@ use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{un, ComputeContext};
 use super::kernels::{self, hex_center, hex_scales, Rows};
-use super::univariate::fmt_num;
+use super::univariate::{fmt_num, thin_scatter};
 
 /// Plan `plot(df, x, y)`, dispatching on the semantic type pair.
 pub fn compute_bivariate(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> EdaResult<NodeId> {
@@ -66,13 +66,7 @@ fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -
         // Scatter: deterministic stride thinning to the configured cap.
         let cap = config.scatter.sample;
         let sampled = pairs.len() > cap;
-        let points: Vec<(f64, f64)> = if sampled {
-            let stride = (pairs.len() / cap).max(1);
-            pairs.iter().copied().step_by(stride).take(cap).collect()
-        } else {
-            pairs.clone()
-        };
-        ims.push("scatter_plot", Inter::Scatter { points, sampled });
+        ims.push("scatter_plot", Inter::Scatter { points: thin_scatter(pairs, cap), sampled });
 
         // Hexbin: axial cells back to data coordinates.
         let (sx, sy) = hex_scales(momx, momy, config.hexbin.gridsize);

@@ -46,6 +46,7 @@ use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{pl, un, ComputeContext};
 use super::kernels;
+use super::univariate::thin_scatter;
 
 /// Numeric columns of the frame, in order.
 pub fn numeric_columns(ctx: &ComputeContext<'_>) -> Vec<String> {
@@ -257,12 +258,7 @@ pub fn compute_correlation_pair(
         let partial = un::<eda_stats::corr::PearsonPartial>(&outs[1]);
 
         let cap = config.scatter.sample;
-        let points: Vec<(f64, f64)> = if pairs.len() > cap {
-            let stride = (pairs.len() / cap).max(1);
-            pairs.iter().copied().step_by(stride).take(cap).collect()
-        } else {
-            pairs.clone()
-        };
+        let points = thin_scatter(pairs, cap);
 
         let mut ims = Intermediates::new();
         let mut insights = Vec::new();

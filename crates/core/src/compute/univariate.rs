@@ -192,6 +192,12 @@ pub fn pie_from_freq(freq: &FreqSummary, slices: usize) -> Inter {
     }
 }
 
+/// Scatter points thinned to at most `cap`: every `⌈len / cap⌉`-th pair,
+/// so the points kept stride over the whole column, its last rows too.
+pub fn thin_scatter(pairs: &[(f64, f64)], cap: usize) -> Vec<(f64, f64)> {
+    pairs.iter().copied().step_by(pairs.len().div_ceil(cap).max(1)).collect()
+}
+
 /// At most `k` elements of a slice, evenly spaced over its whole length:
 /// positions `i·(len-1)/(k-1)`, so the first and the last are always in
 /// the sample — of sorted values, the minimum and the maximum.

@@ -167,5 +167,5 @@ fn adult_session_pages_are_pinned() {
     variants.extend(["GroupedBars", "Heatmap", "Hexbin", "Line", "MultiLine", "RegressionScatter"]);
     variants.push("Scatter");
     variants.sort_unstable();
-    pages.check("adult", 0x1830_17c1_52e3_1b74, &variants);
+    pages.check("adult", 0xc189_ad62_f1e0_4567, &variants);
 }
