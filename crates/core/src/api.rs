@@ -7,10 +7,11 @@
 use std::sync::Arc;
 
 use eda_dataframe::DataFrame;
-use eda_taskgraph::{ExecStats, NodeId, TaskError, TaskFailure, TaskOutcome};
+use eda_taskgraph::{ExecStats, NodeId, TaskError, TaskFailure};
 
-use crate::compute::ctx::{un, ComputeContext, Section};
-use crate::compute::{bivariate, correlation, missing, overview, timeseries, univariate};
+use crate::compute::{
+    bivariate, correlation, ctx::ComputeContext, missing, overview, timeseries, univariate,
+};
 use crate::config::{howto_for, Config, HowToGuide};
 use crate::dtype::SemanticType;
 use crate::error::{EdaError, EdaResult};
@@ -210,21 +211,6 @@ fn with_budget_ladder<T: Sections>(
 /// the section node that answers it.
 type Computed = (TaskKind, EdaResult<NodeId>);
 
-/// A section node's outcome as a section: its content, or no content and
-/// the root failure — the first direct failure behind it, else a skip's
-/// root.
-pub(crate) fn section(outcome: &TaskOutcome) -> (Intermediates, Vec<Insight>, SectionStatus) {
-    match outcome {
-        TaskOutcome::Ok(payload) => {
-            let (intermediates, insights) = un::<Section>(payload).clone();
-            (intermediates, insights, SectionStatus::Ok)
-        }
-        TaskOutcome::Failed(err) => {
-            (Intermediates::new(), Vec::new(), SectionStatus::Failed(Arc::clone(err.root())))
-        }
-    }
-}
-
 /// The one path of the `plot*` calls: sample and ladder ([`sampled`]),
 /// then a fresh [`ComputeContext`] per attempt, `compute` on it, and one
 /// execute of the section node it planned. A task failure degrades into
@@ -239,8 +225,8 @@ fn analyze(
     sampled(df, config, |df| {
         let mut ctx = ComputeContext::new(df, config);
         let (task, node) = compute(&mut ctx)?;
-        let (intermediates, insights, status) = match node {
-            Ok(node) => section(&ctx.execute_outcomes(&[node])[0]),
+        let (intermediates, insights, status) = match node.and_then(|n| ctx.run_section(n)) {
+            Ok((intermediates, insights)) => (intermediates, insights, SectionStatus::Ok),
             Err(EdaError::Task(err)) => {
                 (Intermediates::new(), Vec::new(), SectionStatus::Failed(err))
             }

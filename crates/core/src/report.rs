@@ -13,12 +13,14 @@
 //! — so a section a call computed earlier, or a whole warm report, is a
 //! cache hit.
 
-use eda_dataframe::DataFrame;
-use eda_taskgraph::ExecStats;
+use std::sync::Arc;
 
-use crate::api::{section, SectionStatus};
+use eda_dataframe::DataFrame;
+use eda_taskgraph::{ExecStats, TaskOutcome};
+
+use crate::api::SectionStatus;
 use crate::compute::correlation::{compute_correlation_overview, numeric_columns};
-use crate::compute::ctx::ComputeContext;
+use crate::compute::ctx::{un, ComputeContext, Section};
 use crate::compute::missing::compute_missing_overview;
 use crate::compute::overview::compute_overview;
 use crate::compute::univariate::compute_univariate;
@@ -74,6 +76,21 @@ pub struct Report {
     /// `tasks_skipped`, and `tasks_timed_out` are non-zero on degraded
     /// runs).
     pub stats: ExecStats,
+}
+
+/// A section node's outcome as a section: its content, or no content and
+/// the root failure — the first direct failure behind it, else a skip's
+/// root.
+fn section(outcome: &TaskOutcome) -> (Intermediates, Vec<Insight>, SectionStatus) {
+    match outcome {
+        TaskOutcome::Ok(payload) => {
+            let (intermediates, insights) = un::<Section>(payload).clone();
+            (intermediates, insights, SectionStatus::Ok)
+        }
+        TaskOutcome::Failed(err) => {
+            (Intermediates::new(), Vec::new(), SectionStatus::Failed(Arc::clone(err.root())))
+        }
+    }
 }
 
 impl Report {
