@@ -4,8 +4,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// A scratch directory of this test's own under Cargo's temp dir.
-fn scratch(test: &str) -> PathBuf {
+/// A directory of this test's own under Cargo's temp dir.
+fn workdir(test: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{test}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -42,7 +42,7 @@ fn headings(html: &str) -> Vec<&str> {
 
 #[test]
 fn report_writes_every_variable_section() {
-    let dir = scratch("report");
+    let dir = workdir("report");
     let csv = sales_csv(&dir);
     let page = dir.join("report.html");
     let out = dataprep(&[Path::new("report"), &csv, Path::new("-o"), &page]);
@@ -59,7 +59,7 @@ fn report_writes_every_variable_section() {
 
 #[test]
 fn plot_of_one_column_succeeds() {
-    let dir = scratch("plot");
+    let dir = workdir("plot");
     let csv = sales_csv(&dir);
     let out = dataprep(&[Path::new("plot"), &csv, Path::new("price")]);
     assert!(succeeded(&out), "{}", String::from_utf8_lossy(&out.stderr));
@@ -67,7 +67,7 @@ fn plot_of_one_column_succeeds() {
 
 #[test]
 fn a_converted_edaf_reports_the_same_sections() {
-    let dir = scratch("convert");
+    let dir = workdir("convert");
     let csv = sales_csv(&dir);
     let edaf = dir.join("sales.edaf");
     let out = dataprep(&[Path::new("convert"), &csv, &edaf]);
@@ -89,7 +89,7 @@ fn a_converted_edaf_reports_the_same_sections() {
 
 #[test]
 fn an_unknown_column_fails_and_names_it() {
-    let dir = scratch("unknown");
+    let dir = workdir("unknown");
     let csv = sales_csv(&dir);
     let out = dataprep(&[Path::new("plot"), &csv, Path::new("nosuchcol")]);
     assert!(!succeeded(&out));
