@@ -229,6 +229,21 @@ mod tests {
             compute_timeseries(&mut ctx, "t", "v"),
             Err(EdaError::EmptyInput(_))
         ));
+        // Enough rows but two complete pairs: the section node refuses them.
+        let df = DataFrame::new(vec![
+            ("t".into(), Column::from_opt_f64(vec![Some(1.0), None, Some(3.0), Some(4.0)])),
+            ("v".into(), Column::from_opt_f64(vec![Some(1.0), Some(2.0), None, Some(4.0)])),
+        ])
+        .unwrap();
+        let mut ctx = ComputeContext::new(&df, &cfg);
+        let node = compute_timeseries(&mut ctx, "t", "v").unwrap();
+        match ctx.run_section(node) {
+            Err(EdaError::Task(err)) => {
+                assert_eq!(err.name, "section:timeseries:t:v");
+                assert!(err.to_string().contains(TOO_FEW), "{err}");
+            }
+            other => panic!("expected a failed section, got {other:?}"),
+        }
     }
 
     #[test]
