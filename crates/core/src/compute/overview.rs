@@ -82,10 +82,12 @@ pub fn plan_overview(ctx: &mut ComputeContext<'_>) -> OverviewPlan {
 /// Plan `plot(df)`: the overview kernels and the section node over them.
 pub fn compute_overview(ctx: &mut ComputeContext<'_>) -> NodeId {
     let plan = plan_overview(ctx);
-    let (df, config) = (ctx.df, Arc::clone(&ctx.config));
-    let (nrows, ncols, memory) = (df.nrows(), df.ncols(), df.memory_size());
+    // The frame's columns are shared, so the section owns a cheap copy:
+    // its memory size reads every string value's length.
+    let (df, config) = (ctx.df.clone(), Arc::clone(&ctx.config));
     let outputs = plan.outputs();
     ctx.section("section:overview", outputs, move |outs| {
+        let (nrows, ncols) = (df.nrows(), df.ncols());
         let mut total_missing = 0usize;
         let mut n_numeric = 0usize;
         let mut n_categorical = 0usize;
@@ -128,7 +130,7 @@ pub fn compute_overview(ctx: &mut ComputeContext<'_>) -> NodeId {
                     "missing cells (%)",
                     format!("{:.1}%", 100.0 * total_missing as f64 / cells.max(1) as f64),
                 ),
-                StatRow::new("memory size", format!("{:.1} KB", memory as f64 / 1024.0)),
+                StatRow::new("memory size", format!("{:.1} KB", df.memory_size() as f64 / 1024.0)),
             ]),
         );
         for (name, chart) in column_charts {
