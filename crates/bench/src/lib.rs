@@ -250,12 +250,8 @@ mod tests {
         EnginePolicy::SingleThread,
     ];
 
-    fn int(v: i64) -> Payload {
-        Arc::new(v)
-    }
-
     fn get(p: &Payload) -> i64 {
-        *p.downcast_ref::<i64>().expect("i64")
+        *eda_taskgraph::un::<i64>(p)
     }
 
     /// A graph with one expensive shared node feeding two outputs, where
@@ -264,10 +260,10 @@ mod tests {
         let mut g = TaskGraph::new();
         let src = g.source("src", TaskKey::leaf("src", 0), move || {
             counter.fetch_add(1, Ordering::SeqCst);
-            int(7)
+            7i64
         });
-        let o1 = g.op("a", 0, vec![src], |d| int(get(&d[0]) + 1));
-        let o2 = g.op("b", 0, vec![src], |d| int(get(&d[0]) + 2));
+        let o1 = g.op("a", 0, vec![src], |d| get(&d[0]) + 1);
+        let o2 = g.op("b", 0, vec![src], |d| get(&d[0]) + 2);
         (g, vec![o1, o2])
     }
 
@@ -316,10 +312,10 @@ mod tests {
     fn every_engine_isolates_a_panicking_node() {
         for policy in POLICIES {
             let mut g = TaskGraph::new();
-            let bad = g.source("bad", TaskKey::leaf("bad", 0), || -> Payload {
+            let bad = g.source("bad", TaskKey::leaf("bad", 0), || -> i64 {
                 panic!("kernel bug")
             });
-            let good = g.source("good", TaskKey::leaf("good", 0), || int(5));
+            let good = g.source("good", TaskKey::leaf("good", 0), || 5i64);
             let (outcomes, tasks_run) = policy.execute(&mut g, &[bad, good], 2);
             assert!(outcomes[0].is_failed(), "{policy:?}");
             assert_eq!(get(outcomes[1].payload().expect("good ok")), 5, "{policy:?}");

@@ -44,7 +44,7 @@ use crate::error::{EdaError, EdaResult};
 use crate::insights::correlation_insight;
 use crate::intermediate::{Inter, Intermediates};
 
-use super::ctx::{pl, un, ComputeContext};
+use super::ctx::{un, ComputeContext};
 use super::kernels;
 use super::univariate::thin_scatter;
 
@@ -125,7 +125,7 @@ fn plan_cells(
                     .zip(preps)
                     .map(|(g, p)| Col { values: un::<Vec<f64>>(g), prep: un::<ColumnPrep>(p) })
                     .collect();
-                pl(corr_cells(method, &cols, &tile))
+                corr_cells(method, &cols, &tile)
             })
         })
         .collect()
@@ -159,7 +159,7 @@ pub fn plan_matrix_tiles(
             let name = format!("corr_assemble:{}", method.name());
             ctx.graph.op(&name, params, tile_nodes, move |tiles| {
                 let upper = tiles.iter().flat_map(|t| un::<Vec<Option<f64>>>(t).iter().copied());
-                pl(CorrMatrix::from_upper(labels.to_vec(), method, upper))
+                CorrMatrix::from_upper(labels.to_vec(), method, upper)
             })
         })
         .collect()

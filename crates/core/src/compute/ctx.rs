@@ -19,9 +19,7 @@ use eda_taskgraph::outcome::{root_failure, TaskOutcome};
 use eda_taskgraph::scheduler::{self, ExecOptions};
 use eda_taskgraph::govern::{self, CancelToken, MemoryGauge};
 use eda_taskgraph::key::TaskKey;
-use eda_taskgraph::{
-    CacheHandle, ExecStats, NodeId, PartitionedFrame, PayloadSizer, ResultCache, TaskGraph,
-};
+use eda_taskgraph::{CacheHandle, ExecStats, NodeId, PartitionedFrame, ResultCache, TaskGraph};
 
 use crate::config::Config;
 use crate::dtype::{detect, SemanticType};
@@ -54,75 +52,6 @@ fn session_cache(budget: usize) -> Arc<ResultCache> {
             cache
         }
     }
-}
-
-/// Domain sizer for the byte-budgeted cache, the run memory gauge and the
-/// bytes a traced span shows: the taskgraph's structural estimate only
-/// knows primitive containers and charges a pointer-sized floor for
-/// opaque payloads, so the correlation, KDE, frequency, text, histogram,
-/// grouped, nullity, validity and section payloads would be billed ~16 bytes
-/// each, never evict, never trip `engine.memory_budget_bytes` and show 16
-/// bytes in a trace. Each arm charges the heap bytes the payload owns (a
-/// `corr_prep` borrows its column from the gather payload, which is
-/// charged on its own).
-pub fn payload_sizer() -> PayloadSizer {
-    use eda_dataframe::Bitmap;
-    use eda_stats::corr::{ColumnPrep, CorrMatrix};
-    use eda_stats::freq::{map_heap_bytes, CatFreq, FreqSummary};
-    use eda_stats::histogram::Histogram;
-    use eda_stats::missing::NullCounts;
-    use eda_stats::text::TextStats;
-    use std::collections::HashMap;
-    use std::mem::size_of;
-    Arc::new(|p: &Payload| {
-        if let Some(prep) = p.downcast_ref::<ColumnPrep>() {
-            return Some(prep.heap_bytes());
-        }
-        if let Some(cells) = p.downcast_ref::<Vec<Option<f64>>>() {
-            return Some(cells.capacity() * 16);
-        }
-        if let Some((xs, ys)) = p.downcast_ref::<(Vec<f64>, Vec<f64>)>() {
-            return Some((xs.capacity() + ys.capacity()) * 8);
-        }
-        if let Some(m) = p.downcast_ref::<CorrMatrix>() {
-            let labels: usize = m.labels.iter().map(|l| l.capacity() + 24).sum();
-            return Some(m.cells.capacity() * 16 + labels);
-        }
-        if let Some(freq) = p.downcast_ref::<CatFreq>() {
-            return Some(freq.heap_bytes());
-        }
-        if let Some(summary) = p.downcast_ref::<FreqSummary>() {
-            return Some(summary.heap_bytes());
-        }
-        if let Some(text) = p.downcast_ref::<TextStats>() {
-            return Some(text.heap_bytes());
-        }
-        if let Some(h) = p.downcast_ref::<Histogram>() {
-            return Some(h.heap_bytes());
-        }
-        if let Some(hists) = p.downcast_ref::<Vec<Histogram>>() {
-            let counts: usize = hists.iter().map(|h| h.counts.capacity() * 8).sum();
-            return Some(hists.capacity() * size_of::<Histogram>() + counts);
-        }
-        if let Some(groups) = p.downcast_ref::<Vec<Vec<f64>>>() {
-            let values: usize = groups.iter().map(|g| g.capacity() * 8).sum();
-            return Some(groups.capacity() * size_of::<Vec<f64>>() + values);
-        }
-        if let Some(cells) = p.downcast_ref::<HashMap<(i64, i64), u64>>() {
-            return Some(map_heap_bytes(cells.capacity(), size_of::<((i64, i64), u64)>()));
-        }
-        if let Some(counts) = p.downcast_ref::<NullCounts>() {
-            return Some(counts.heap_bytes());
-        }
-        if let Some(validity) = p.downcast_ref::<Bitmap>() {
-            return Some(validity.heap_bytes());
-        }
-        if let Some((ims, insights)) = p.downcast_ref::<Section>() {
-            let notes: usize = insights.iter().map(Insight::heap_bytes).sum();
-            return Some(ims.heap_bytes() + insights.capacity() * size_of::<Insight>() + notes);
-        }
-        None
-    })
 }
 
 /// Graph-building and execution state for one dataframe.
@@ -257,7 +186,7 @@ impl<'a> ComputeContext<'a> {
         finish: impl Fn(&[Payload]) -> Section + Send + Sync + 'static,
     ) -> NodeId {
         let params = self.params(TaskKey::params(&name) ^ self.config.insight.thresholds_hash());
-        self.graph.op(name, params, deps, move |inputs| pl(finish(inputs)))
+        self.graph.op(name, params, deps, finish)
     }
 
     /// The per-task deadline from `engine.task_deadline_ms` (0 = off).
@@ -272,18 +201,12 @@ impl<'a> ComputeContext<'a> {
     /// (stage 3 of Figure 4) and record stats. Returns one outcome per
     /// output; failed tasks don't poison the rest of the graph.
     pub fn execute_outcomes(&mut self, outputs: &[NodeId]) -> Vec<TaskOutcome> {
-        let cache = self.cache_handle();
-        // Both byte budgets and the trace's spans price payloads by their
-        // real footprint, so the domain sizer goes along whenever one is on.
-        let trace = self.config.engine.profile;
-        let sizer = (cache.is_some() || self.gauge.is_some() || trace).then(payload_sizer);
         let opts = ExecOptions {
             deadline: self.deadline(),
-            trace,
-            cache,
+            trace: self.config.engine.profile,
+            cache: self.cache_handle(),
             cancel: self.cancel,
             gauge: self.gauge.clone(),
-            sizer,
         };
         // workers <= 1 (and the first milliseconds of any run) executes
         // on this thread: nothing to spin up, and fault-tolerance
@@ -311,19 +234,8 @@ impl<'a> ComputeContext<'a> {
     }
 }
 
-/// Wrap a value as a task payload.
-pub fn pl<T: Send + Sync + 'static>(value: T) -> Payload {
-    Arc::new(value)
-}
-
-/// Borrow a typed value out of a payload.
-///
-/// Panics on type mismatch — payload types are fixed by the kernel that
-/// produced the node, so a mismatch is a plan-construction bug.
-pub fn un<T: Send + Sync + 'static>(p: &Payload) -> &T {
-    p.downcast_ref::<T>()
-        .unwrap_or_else(|| panic!("payload type mismatch: expected {}", std::any::type_name::<T>()))
-}
+/// Borrow a typed value out of a payload (`eda_taskgraph::un`).
+pub use eda_taskgraph::un;
 
 #[cfg(test)]
 mod tests {
@@ -348,9 +260,15 @@ mod tests {
         assert!(!ctx.graph.is_empty());
     }
 
+    /// What a `corr_prep` payload is priced at: the prep and its heap.
+    fn prep_price(payload: &Payload) -> usize {
+        use eda_dataframe::HeapSize;
+        use eda_stats::corr::ColumnPrep;
+        std::mem::size_of::<ColumnPrep>() + un::<ColumnPrep>(payload).heap_bytes()
+    }
+
     #[test]
     fn the_sizer_prices_cache_entries_with_the_gauge_off() {
-        use eda_stats::corr::ColumnPrep;
         let df = frame();
         let cfg = Config::default();
         assert_eq!(cfg.engine.memory_budget_bytes, 0, "the gauge is off");
@@ -360,14 +278,11 @@ mod tests {
         let payload = ctx.execute_checked(&[prep]).unwrap().remove(0);
         let key = ctx.graph.task(prep).key;
         let (_, charged) = cache.get(ctx.pf.dataset_id, key).expect("corr_prep is cached");
-        let heap = un::<ColumnPrep>(&payload).heap_bytes();
-        assert!(heap > eda_taskgraph::trace::estimate_payload_bytes(&payload), "{heap}");
-        assert_eq!(charged, heap);
+        assert_eq!(charged, prep_price(&payload));
     }
 
     #[test]
     fn a_profiled_span_shows_the_sizer_price_with_the_cache_off() {
-        use eda_stats::corr::ColumnPrep;
         let df = frame();
         let cfg =
             Config::from_pairs(vec![("engine.profile", "true"), ("engine.cache_budget_bytes", "0")])
@@ -376,12 +291,10 @@ mod tests {
         let mut ctx = ComputeContext::new(&df, &cfg);
         let (_, prep) = crate::compute::kernels::plan_corr_prep(&mut ctx, "x");
         let payload = ctx.execute_checked(&[prep]).unwrap().remove(0);
-        let heap = un::<ColumnPrep>(&payload).heap_bytes();
-        assert!(heap > eda_taskgraph::trace::estimate_payload_bytes(&payload), "{heap}");
         let trace =
             ctx.last_stats.as_ref().and_then(|s| s.trace.clone()).expect("profiled run is traced");
         let span = trace.spans.iter().find(|s| s.node == prep).expect("corr_prep span");
-        assert_eq!(span.payload_bytes, heap);
+        assert_eq!(span.payload_bytes, prep_price(&payload));
     }
 
     #[test]
@@ -400,7 +313,7 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let bad = ctx.graph.op("explode", 0, vec![ctx.sources[0]], |_| -> Payload {
+        let bad = ctx.graph.op("explode", 0, vec![ctx.sources[0]], |_| -> i64 {
             panic!("kernel bug")
         });
         let good = ctx.sources[0];
@@ -418,7 +331,7 @@ mod tests {
         let df = frame();
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
-        let bad = ctx.graph.op("explode", 0, vec![ctx.sources[0]], |_| -> Payload {
+        let bad = ctx.graph.op("explode", 0, vec![ctx.sources[0]], |_| -> i64 {
             panic!("kernel bug")
         });
         let outcomes = ctx.execute_outcomes(&[bad, ctx.sources[0]]);
@@ -436,7 +349,7 @@ mod tests {
         let mut ctx = ComputeContext::new(&df, &cfg);
         let slow = ctx.graph.op("slow", 0, vec![ctx.sources[0]], |d| {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            Arc::clone(&d[0])
+            d.len()
         });
         let err = ctx.execute_checked(&[slow]).unwrap_err();
         assert!(
@@ -461,14 +374,14 @@ mod tests {
 
     #[test]
     fn payload_roundtrip() {
-        let p = pl(42i64);
+        let p: Payload = Arc::new(42i64);
         assert_eq!(*un::<i64>(&p), 42);
     }
 
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn payload_type_mismatch_panics() {
-        let p = pl(42i64);
+        let p: Payload = Arc::new(42i64);
         un::<String>(&p);
     }
 }

@@ -35,7 +35,7 @@ use eda_taskgraph::partition::payload_frame;
 use eda_taskgraph::NodeId;
 
 use super::cat::{self, Slots};
-use super::ctx::{pl, un, ComputeContext};
+use super::ctx::{un, ComputeContext};
 
 /// Which rows of each partition a kernel aggregates.
 ///
@@ -105,13 +105,10 @@ pub fn moments(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
         &mut ctx.graph,
         &format!("moments:{column}"),
         params,
-        &ctx.sources.clone(),
-        move |df| pl(Moments::of(col(df, &name)).expect("numeric")),
-        |a, b| {
-            let mut m = un::<Moments>(a).clone();
-            m.merge(un::<Moments>(b));
-            pl(m)
-        },
+        &ctx.sources,
+        &[],
+        move |df, _| Moments::of(col(df, &name)).expect("numeric"),
+        Moments::merge,
     )
 }
 
@@ -123,7 +120,7 @@ pub fn plan_corr_prep(ctx: &mut ComputeContext<'_>, name: &str) -> (NodeId, Node
     let gather = numeric_gather(ctx, name);
     let params = ctx.params(TaskKey::params(&format!("corrprep:{name}")));
     let prep = ctx.graph.op("corr_prep", params, vec![gather], |inputs| {
-        pl(ColumnPrep::prepare(un::<Vec<f64>>(&inputs[0])))
+        ColumnPrep::prepare(un::<Vec<f64>>(&inputs[0]))
     });
     (gather, prep)
 }
@@ -152,7 +149,7 @@ pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> 
         let values = un::<Vec<f64>>(&inputs[0]);
         let mask = inputs.get(2).map(un::<Bitmap>).zip(keep);
         let selected = |row: usize| mask.is_none_or(|(mask, bit)| mask.get(row) == bit);
-        let sorted: Vec<f64> = match un::<ColumnPrep>(&inputs[1]).ascending(values) {
+        let mut sorted: Vec<f64> = match un::<ColumnPrep>(&inputs[1]).ascending(values) {
             // Exact-size: one allocation, no regrowth.
             Some(ascending) if mask.is_none() => ascending.map(|(_, v)| v).collect(),
             Some(ascending) => ascending.filter(|&(row, _)| selected(row)).map(|(_, v)| v).collect(),
@@ -162,7 +159,10 @@ pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> 
                 quantile::sorted_values(&chosen.map(|(_, &v)| v).collect::<Vec<f64>>())
             }
         };
-        pl(sorted)
+        // A filtered collect grows by doubling: the cached payload keeps
+        // no slack.
+        sorted.shrink_to_fit();
+        sorted
     })
 }
 
@@ -175,14 +175,10 @@ pub fn validity(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
         &mut ctx.graph,
         &format!("validity:{column}"),
         params,
-        &ctx.sources.clone(),
-        move |df| pl(col(df, &name).validity_mask()),
-        |a, b| {
-            let mut joined = Bitmap::new();
-            joined.extend_from(un::<Bitmap>(a));
-            joined.extend_from(un::<Bitmap>(b));
-            pl(joined)
-        },
+        &ctx.sources,
+        &[],
+        move |df, _| col(df, &name).validity_mask(),
+        Bitmap::extend_from,
     )
 }
 
@@ -205,31 +201,24 @@ pub fn histogram_with_range(
 ) -> NodeId {
     let name = column.to_string();
     let params = ctx.params(TaskKey::params(&format!("hist:{column}:{bins}{}", rows.tag())));
-    let task_name = format!("histogram:{column}{}", rows.tag());
-    let mapped: Vec<NodeId> = ctx
-        .sources
-        .clone()
-        .iter()
-        .map(|&p| {
-            let (name, rows) = (name.clone(), rows.clone());
-            ctx.graph.op(&task_name, params, vec![p, m], move |inputs| {
-                let frame = payload_frame(&inputs[0]);
-                let mom = un::<Moments>(&inputs[1]);
-                let mut h = Histogram::new(mom.min, mom.max, bins);
-                let c = col(&frame, &name);
-                match (c.dense_f64(), rows.select(&frame)) {
-                    (Some(vals), Selection::All) => h.fill_slice(vals),
-                    (_, rows) => c.for_each_numeric_in(rows, |v| h.push(v)).expect("numeric"),
-                }
-                pl(h)
-            })
-        })
-        .collect();
-    ops::tree_reduce(&mut ctx.graph, &format!("histogram/reduce:{column}"), params, &mapped, |a, b| {
-        let mut h = un::<Histogram>(a).clone();
-        h.merge(un::<Histogram>(b));
-        pl(h)
-    })
+    ops::map_reduce(
+        &mut ctx.graph,
+        &format!("histogram:{column}{}", rows.tag()),
+        params,
+        &ctx.sources,
+        &[m],
+        move |df, extra| {
+            let mom = un::<Moments>(&extra[0]);
+            let mut h = Histogram::new(mom.min, mom.max, bins);
+            let c = col(df, &name);
+            match (c.dense_f64(), rows.select(df)) {
+                (Some(vals), Selection::All) => h.fill_slice(vals),
+                (_, rows) => c.for_each_numeric_in(rows, |v| h.push(v)).expect("numeric"),
+            }
+            h
+        },
+        Histogram::merge,
+    )
 }
 
 /// Frequency table ([`CatFreq::of`] per partition) of any column's `rows`,
@@ -241,13 +230,10 @@ pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
         &mut ctx.graph,
         &format!("freq:{column}{}", rows.tag()),
         params,
-        &ctx.sources.clone(),
-        move |df| pl(CatFreq::of(col(df, &name), rows.select(df))),
-        |a, b| {
-            let mut t = un::<CatFreq>(a).clone();
-            t.merge(un::<CatFreq>(b));
-            pl(t)
-        },
+        &ctx.sources,
+        &[],
+        move |df, _| CatFreq::of(col(df, &name), rows.select(df)),
+        CatFreq::merge,
     )
 }
 
@@ -268,7 +254,7 @@ pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> N
     ctx.graph.op(&name, params, vec![table], move |inputs| {
         #[cfg(test)]
         SUMMARIES.with(|n| n.set(n.get() + 1));
-        pl(un::<CatFreq>(&inputs[0]).summary(keep))
+        un::<CatFreq>(&inputs[0]).summary(keep)
     })
 }
 
@@ -283,13 +269,10 @@ pub fn text_stats(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
         &mut ctx.graph,
         &format!("text_stats:{column}"),
         params,
-        &ctx.sources.clone(),
-        move |df| pl(cat::text_stats(&col(df, &name).display_encoded())),
-        |a, b| {
-            let mut t = un::<TextStats>(a).clone();
-            t.merge(un::<TextStats>(b));
-            pl(t)
-        },
+        &ctx.sources,
+        &[],
+        move |df, _| cat::text_stats(&col(df, &name).display_encoded()),
+        TextStats::merge,
     )
 }
 
@@ -303,18 +286,22 @@ pub fn pearson_partial(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId
         &mut ctx.graph,
         &format!("pearson:{x}:{y}"),
         params,
-        &ctx.sources.clone(),
-        move |df| {
+        &ctx.sources,
+        &[],
+        move |df, _| {
             let mut p = PearsonPartial::new();
             p.push_slices(&nan_marked(col(df, &xn)), &nan_marked(col(df, &yn)));
-            pl(p)
+            p
         },
-        |a, b| {
-            let mut p = un::<PearsonPartial>(a).clone();
-            p.merge(un::<PearsonPartial>(b));
-            pl(p)
-        },
+        PearsonPartial::merge,
     )
+}
+
+/// Append `more` to `values` in one exact allocation: a concatenated
+/// payload keeps no growth slack.
+fn concat<T: Clone>(values: &mut Vec<T>, more: &[T]) {
+    values.reserve_exact(more.len());
+    values.extend_from_slice(more);
 }
 
 /// Gathered complete pairs of two numeric columns (feeds Spearman/Kendall
@@ -326,8 +313,9 @@ pub fn pair_values(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
         &mut ctx.graph,
         &format!("pair_values:{x}:{y}"),
         params,
-        &ctx.sources.clone(),
-        move |df| {
+        &ctx.sources,
+        &[],
+        move |df, _| {
             let xs = col(df, &xn).numeric_iter().expect("numeric");
             let ys = col(df, &yn).numeric_iter().expect("numeric");
             let pairs: Vec<(f64, f64)> = xs
@@ -337,13 +325,9 @@ pub fn pair_values(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
                     _ => None,
                 })
                 .collect();
-            pl(pairs)
+            pairs
         },
-        |a, b| {
-            let mut v = un::<Vec<(f64, f64)>>(a).clone();
-            v.extend_from_slice(un::<Vec<(f64, f64)>>(b));
-            pl(v)
-        },
+        |values, more| concat(values, more),
     )
 }
 
@@ -357,13 +341,10 @@ pub fn numeric_gather(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
         &mut ctx.graph,
         &format!("numeric_gather:{column}"),
         params,
-        &ctx.sources.clone(),
-        move |df| pl(col(df, &name).to_f64_nan().expect("numeric")),
-        |a, b| {
-            let mut v = un::<Vec<f64>>(a).clone();
-            v.extend_from_slice(un::<Vec<f64>>(b));
-            pl(v)
-        },
+        &ctx.sources,
+        &[],
+        move |df, _| col(df, &name).to_f64_nan().expect("numeric"),
+        |values, more| concat(values, more),
     )
 }
 
@@ -376,24 +357,19 @@ pub fn numeric_gather(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
 pub fn null_counts(ctx: &mut ComputeContext<'_>, bins: usize) -> NodeId {
     let ranges = Arc::new(spectrum_ranges(ctx.pf.nrows(), bins));
     let params = ctx.params(TaskKey::params(&format!("nulls:{bins}")));
-    let mapped: Vec<NodeId> = ctx
-        .sources
-        .clone()
-        .iter()
-        .enumerate()
+    let op = format!("nulls:{bins}");
+    // A partition's counts need its first row, so the map is planned here;
+    // the partials reduce like any other kernel's.
+    let mapped: Vec<NodeId> = (ctx.sources.iter().enumerate())
         .map(|(i, &p)| {
             let (first_row, _) = ctx.pf.meta.range(i);
             let ranges = Arc::clone(&ranges);
-            ctx.graph.op("nulls", params, vec![p], move |inputs| {
-                pl(count_nulls(&payload_frame(&inputs[0]), first_row, &ranges))
+            ctx.graph.op(&op, params, vec![p], move |inputs| {
+                count_nulls(payload_frame(&inputs[0]), first_row, &ranges)
             })
         })
         .collect();
-    ops::tree_reduce(&mut ctx.graph, "nulls/reduce", params, &mapped, |a, b| {
-        let mut c = un::<NullCounts>(a).clone();
-        c.merge(un::<NullCounts>(b));
-        pl(c)
-    })
+    ops::tree_reduce(&mut ctx.graph, &format!("{op}/reduce"), params, &mapped, NullCounts::merge)
 }
 
 /// [`NullCounts`] of one partition whose first row is row `first_row` of
@@ -447,8 +423,9 @@ pub fn grouped_numeric(
         &mut ctx.graph,
         &format!("grouped_numeric:{cat}:{num}"),
         params,
-        &ctx.sources.clone(),
-        move |df| {
+        &ctx.sources,
+        &[],
+        move |df, _| {
             let mut groups: Vec<Vec<f64>> = vec![Vec::new(); keep.len()];
             let cats = col(df, &cn).display_encoded();
             let mut slots = Slots::new(cat::codes(&cats).1, &keep);
@@ -462,16 +439,17 @@ pub fn grouped_numeric(
                     }
                 }
             }
-            pl(groups)
+            groups
         },
-        |a, b| {
-            let mut g = un::<Vec<Vec<f64>>>(a).clone();
-            for (dst, src) in g.iter_mut().zip(un::<Vec<Vec<f64>>>(b)) {
-                dst.extend_from_slice(src);
-            }
-            pl(g)
-        },
+        |groups, more| extend_groups(groups, more),
     )
+}
+
+/// Append each group of `more` to the same group of `groups`.
+fn extend_groups(groups: &mut [Vec<f64>], more: &[Vec<f64>]) {
+    for (dst, src) in groups.iter_mut().zip(more) {
+        dst.extend_from_slice(src);
+    }
 }
 
 /// Cross-tabulated counts of two categorical columns restricted to the
@@ -496,8 +474,9 @@ pub fn crosstab(
         &mut ctx.graph,
         &format!("crosstab:{c1}:{c2}"),
         params,
-        &ctx.sources.clone(),
-        move |df| {
+        &ctx.sources,
+        &[],
+        move |df, _| {
             let mut counts = vec![0u64; k1.len() * k2.len()];
             let (a, b) = (col(df, &n1).display_encoded(), col(df, &n2).display_encoded());
             let mut rows = Slots::new(cat::codes(&a).1, &k1);
@@ -511,12 +490,9 @@ pub fn crosstab(
                     }
                 }
             }
-            pl(counts)
+            counts
         },
-        |a, b| {
-            let sum: Vec<u64> = un::<Vec<u64>>(a).iter().zip(un::<Vec<u64>>(b)).map(|(x, y)| x + y).collect();
-            pl(sum)
-        },
+        |sum: &mut Vec<u64>, more| sum.iter_mut().zip(more).for_each(|(x, y)| *x += y),
     )
 }
 
@@ -531,47 +507,37 @@ pub fn binned_numeric(
     let mx = moments(ctx, x);
     let (xn, yn) = (x.to_string(), y.to_string());
     let params = ctx.params(TaskKey::params(&format!("binned:{x}:{y}:{bins}")));
-    let task_name = format!("binned_numeric:{x}:{y}");
-    let mapped: Vec<NodeId> = ctx
-        .sources
-        .clone()
-        .iter()
-        .map(|&p| {
-            let xn = xn.clone();
-            let yn = yn.clone();
-            ctx.graph.op(&task_name, params, vec![p, mx], move |inputs| {
-                let frame = payload_frame(&inputs[0]);
-                let mom = un::<Moments>(&inputs[1]);
-                let mut groups: Vec<Vec<f64>> = vec![Vec::new(); bins.max(1)];
-                let width = (mom.max - mom.min) / bins.max(1) as f64;
-                let xs = col(&frame, &xn).numeric_iter().expect("numeric");
-                let ys = col(&frame, &yn).numeric_iter().expect("numeric");
-                for (a, b) in xs.zip(ys) {
-                    if let (Some(a), Some(b)) = (a, b) {
-                        if a.is_nan() || b.is_nan() || width <= 0.0 {
-                            if width <= 0.0 && !b.is_nan() {
-                                groups[0].push(b);
-                            }
-                            continue;
+    ops::map_reduce(
+        &mut ctx.graph,
+        &format!("binned_numeric:{x}:{y}"),
+        params,
+        &ctx.sources,
+        &[mx],
+        move |df, extra| {
+            let mom = un::<Moments>(&extra[0]);
+            let mut groups: Vec<Vec<f64>> = vec![Vec::new(); bins.max(1)];
+            let width = (mom.max - mom.min) / bins.max(1) as f64;
+            let xs = col(df, &xn).numeric_iter().expect("numeric");
+            let ys = col(df, &yn).numeric_iter().expect("numeric");
+            for (a, b) in xs.zip(ys) {
+                if let (Some(a), Some(b)) = (a, b) {
+                    if a.is_nan() || b.is_nan() || width <= 0.0 {
+                        if width <= 0.0 && !b.is_nan() {
+                            groups[0].push(b);
                         }
-                        let mut idx = ((a - mom.min) / width) as usize;
-                        if idx >= groups.len() {
-                            idx = groups.len() - 1;
-                        }
-                        groups[idx].push(b);
+                        continue;
                     }
+                    let mut idx = ((a - mom.min) / width) as usize;
+                    if idx >= groups.len() {
+                        idx = groups.len() - 1;
+                    }
+                    groups[idx].push(b);
                 }
-                pl(groups)
-            })
-        })
-        .collect();
-    ops::tree_reduce(&mut ctx.graph, &format!("binned/reduce:{x}:{y}"), params, &mapped, |a, b| {
-        let mut g = un::<Vec<Vec<f64>>>(a).clone();
-        for (dst, src) in g.iter_mut().zip(un::<Vec<Vec<f64>>>(b)) {
-            dst.extend_from_slice(src);
-        }
-        pl(g)
-    })
+            }
+            groups
+        },
+        |groups, more| extend_groups(groups, more),
+    )
 }
 
 /// Hexagonal binning of two numeric columns (pointy-top axial grid over
@@ -581,42 +547,35 @@ pub fn hexbin(ctx: &mut ComputeContext<'_>, x: &str, y: &str, gridsize: usize) -
     let my = moments(ctx, y);
     let (xn, yn) = (x.to_string(), y.to_string());
     let params = ctx.params(TaskKey::params(&format!("hexbin:{x}:{y}:{gridsize}")));
-    let task_name = format!("hexbin:{x}:{y}");
-    let mapped: Vec<NodeId> = ctx
-        .sources
-        .clone()
-        .iter()
-        .map(|&p| {
-            let xn = xn.clone();
-            let yn = yn.clone();
-            ctx.graph.op(&task_name, params, vec![p, mx, my], move |inputs| {
-                let frame = payload_frame(&inputs[0]);
-                let momx = un::<Moments>(&inputs[1]);
-                let momy = un::<Moments>(&inputs[2]);
-                let mut cells: HashMap<(i64, i64), u64> = HashMap::new();
-                let xs = col(&frame, &xn).numeric_iter().expect("numeric");
-                let ys = col(&frame, &yn).numeric_iter().expect("numeric");
-                let (sx, sy) = hex_scales(momx, momy, gridsize);
-                for (a, b) in xs.zip(ys) {
-                    if let (Some(a), Some(b)) = (a, b) {
-                        if a.is_nan() || b.is_nan() {
-                            continue;
-                        }
-                        let q = hex_cell((a - momx.min) / sx, (b - momy.min) / sy);
-                        *cells.entry(q).or_insert(0) += 1;
+    ops::map_reduce(
+        &mut ctx.graph,
+        &format!("hexbin:{x}:{y}"),
+        params,
+        &ctx.sources,
+        &[mx, my],
+        move |df, extra| {
+            let (momx, momy) = (un::<Moments>(&extra[0]), un::<Moments>(&extra[1]));
+            let mut cells: HashMap<(i64, i64), u64> = HashMap::new();
+            let xs = col(df, &xn).numeric_iter().expect("numeric");
+            let ys = col(df, &yn).numeric_iter().expect("numeric");
+            let (sx, sy) = hex_scales(momx, momy, gridsize);
+            for (a, b) in xs.zip(ys) {
+                if let (Some(a), Some(b)) = (a, b) {
+                    if a.is_nan() || b.is_nan() {
+                        continue;
                     }
+                    let q = hex_cell((a - momx.min) / sx, (b - momy.min) / sy);
+                    *cells.entry(q).or_insert(0) += 1;
                 }
-                pl(cells)
-            })
-        })
-        .collect();
-    ops::tree_reduce(&mut ctx.graph, &format!("hexbin/reduce:{x}:{y}"), params, &mapped, |a, b| {
-        let mut c = un::<HashMap<(i64, i64), u64>>(a).clone();
-        for (k, v) in un::<HashMap<(i64, i64), u64>>(b) {
-            *c.entry(*k).or_insert(0) += v;
-        }
-        pl(c)
-    })
+            }
+            cells
+        },
+        |cells, more| {
+            for (k, v) in more {
+                *cells.entry(*k).or_insert(0) += v;
+            }
+        },
+    )
 }
 
 /// Data-unit scale factors for the hex grid.
@@ -671,40 +630,31 @@ pub fn multi_line(
         "multiline:{cat}:{num}:{bins}:{}",
         keep.join("\u{1}")
     )));
-    let task_name = format!("multi_line:{cat}:{num}");
-    let mapped: Vec<NodeId> = ctx
-        .sources
-        .clone()
-        .iter()
-        .map(|&p| {
-            let cn = cn.clone();
-            let nn = nn.clone();
-            let keep = Arc::clone(&keep);
-            ctx.graph.op(&task_name, params, vec![p, m], move |inputs| {
-                let frame = payload_frame(&inputs[0]);
-                let mom = un::<Moments>(&inputs[1]);
-                let mut hists = vec![Histogram::new(mom.min, mom.max, bins); keep.len()];
-                let cats = col(&frame, &cn).display_encoded();
-                let mut slots = Slots::new(cat::codes(&cats).1, &keep);
-                let nums = col(&frame, &nn).numeric_iter().expect("numeric");
-                for (c, v) in cat::opt_codes(&cats).zip(nums) {
-                    if let (Some(c), Some(v)) = (c, v) {
-                        if let Some(h) = slots.get(c).and_then(|at| hists.get_mut(at)) {
-                            h.push(v);
-                        }
+    ops::map_reduce(
+        &mut ctx.graph,
+        &format!("multi_line:{cat}:{num}"),
+        params,
+        &ctx.sources,
+        &[m],
+        move |df, extra| {
+            let mom = un::<Moments>(&extra[0]);
+            let mut hists = vec![Histogram::new(mom.min, mom.max, bins); keep.len()];
+            let cats = col(df, &cn).display_encoded();
+            let mut slots = Slots::new(cat::codes(&cats).1, &keep);
+            let nums = col(df, &nn).numeric_iter().expect("numeric");
+            for (c, v) in cat::opt_codes(&cats).zip(nums) {
+                if let (Some(c), Some(v)) = (c, v) {
+                    if let Some(h) = slots.get(c).and_then(|at| hists.get_mut(at)) {
+                        h.push(v);
                     }
                 }
-                pl(hists)
-            })
-        })
-        .collect();
-    ops::tree_reduce(&mut ctx.graph, &format!("multi_line/reduce:{cat}:{num}"), params, &mapped, |a, b| {
-        let mut h = un::<Vec<Histogram>>(a).clone();
-        for (dst, src) in h.iter_mut().zip(un::<Vec<Histogram>>(b)) {
-            dst.merge(src);
-        }
-        pl(h)
-    })
+            }
+            hists
+        },
+        |hists: &mut Vec<Histogram>, more| {
+            hists.iter_mut().zip(more).for_each(|(dst, src)| dst.merge(src));
+        },
+    )
 }
 
 #[cfg(test)]
@@ -826,6 +776,26 @@ mod tests {
         let pairs: Vec<(f64, f64)> = run_one(|ctx| pair_values(ctx, "num", "num2"));
         assert_eq!(pairs.len(), 180);
         assert!(pairs.iter().all(|(a, b)| *b == *a * 2.0));
+    }
+
+    #[test]
+    fn concatenated_payloads_keep_no_growth_slack() {
+        let df = frame();
+        let cfg = Config::default();
+        let mut ctx = ComputeContext::new(&df, &cfg);
+        // The 8192-rows-per-partition cap would leave one partition.
+        ctx.pf = eda_taskgraph::PartitionedFrame::from_frame(&df, 3);
+        ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
+        let gather = numeric_gather(&mut ctx, "num2");
+        let pairs = pair_values(&mut ctx, "num", "num2");
+        let kept = sorted_values(&mut ctx, "num2", Rows::ValidIn("num".into()));
+        let outs = ctx.execute_checked(&[gather, pairs, kept]).unwrap();
+        let gather = un::<Vec<f64>>(&outs[0]);
+        assert_eq!((gather.len(), gather.capacity()), (200, 200));
+        let pairs = un::<Vec<(f64, f64)>>(&outs[1]);
+        assert_eq!((pairs.len(), pairs.capacity()), (180, 180));
+        let kept = un::<Vec<f64>>(&outs[2]);
+        assert_eq!((kept.len(), kept.capacity()), (180, 180));
     }
 
     #[test]

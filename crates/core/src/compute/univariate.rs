@@ -34,7 +34,7 @@ use crate::error::EdaResult;
 use crate::insights::{categorical_insights, numeric_insights, Insight};
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
-use super::ctx::{pl, un, ComputeContext, Section};
+use super::ctx::{un, ComputeContext, Section};
 use super::kernels::{self, Rows};
 
 /// KDE curves are evaluated over at most this many of the sorted values
@@ -52,7 +52,7 @@ fn plan_numeric(ctx: &mut ComputeContext<'_>, column: &str) -> Vec<NodeId> {
     let grid = ctx.config.kde.grid;
     let params = ctx.params(TaskKey::params(&format!("kde:{column}")));
     let kde = ctx.graph.op(&format!("kde:{column}"), params, vec![sorted], move |inputs| {
-        pl(kde_grid(&stride_sample(un::<Vec<f64>>(&inputs[0]), KDE_SAMPLE), grid))
+        kde_grid(&stride_sample(un::<Vec<f64>>(&inputs[0]), KDE_SAMPLE), grid)
     });
     let moments = kernels::moments(ctx, column);
     vec![moments, sorted, kernels::histogram(ctx, column, ctx.config.hist.bins), kde]

@@ -6,6 +6,7 @@
 //! aggregates into [`Insight`] values and tells the stats tables which
 //! rows to highlight (the red entries in the paper's Figure 1).
 
+use eda_dataframe::HeapSize;
 use eda_stats::freq::FreqSummary;
 use eda_stats::hypothesis::chi_square_pvalue;
 use eda_stats::missing::ColMeta;
@@ -84,10 +85,9 @@ pub struct Insight {
     pub message: String,
 }
 
-impl Insight {
-    /// Heap bytes this insight owns.
-    pub fn heap_bytes(&self) -> usize {
-        crate::intermediate::strings(&self.columns) + self.message.capacity()
+impl HeapSize for Insight {
+    fn heap_bytes(&self) -> usize {
+        self.columns.heap_bytes() + self.message.heap_bytes()
     }
 }
 

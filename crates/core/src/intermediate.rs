@@ -6,6 +6,7 @@
 //! lets shared statistics feed several charts and lets users take the
 //! intermediates into their own plotting stack.
 
+use eda_dataframe::HeapSize;
 use eda_stats::corr::CorrMatrix;
 use eda_stats::missing::{DendrogramMerge, MissingSpectrum, MissingSummary};
 use eda_stats::quantile::BoxPlot;
@@ -241,84 +242,57 @@ impl Intermediates {
     pub fn names(&self) -> Vec<&str> {
         self.items.iter().map(|(n, _)| n.as_str()).collect()
     }
+}
 
-    /// Heap bytes these intermediates own: what the result cache and the
-    /// run memory budget charge for a section.
-    pub fn heap_bytes(&self) -> usize {
-        let items: usize = self.items.iter().map(|(n, i)| n.capacity() + i.heap_bytes()).sum();
-        buf(&self.items) + items
+/// What the result cache and the run memory budget charge for a section.
+impl HeapSize for Intermediates {
+    fn heap_bytes(&self) -> usize {
+        self.items.heap_bytes()
     }
 }
 
-/// Heap bytes of a vector's buffer.
-fn buf<T>(v: &Vec<T>) -> usize {
-    v.capacity() * std::mem::size_of::<T>()
+impl HeapSize for StatRow {
+    fn heap_bytes(&self) -> usize {
+        self.label.heap_bytes() + self.value.heap_bytes()
+    }
 }
 
-/// Heap bytes of a vector of strings.
-pub(crate) fn strings(v: &Vec<String>) -> usize {
-    buf(v) + v.iter().map(String::capacity).sum::<usize>()
-}
-
-/// Heap bytes of labelled count series.
-fn series(v: &Vec<(String, Vec<u64>)>) -> usize {
-    buf(v) + v.iter().map(|(s, c)| s.capacity() + buf(c)).sum::<usize>()
-}
-
-/// Heap bytes of a vector of rows.
-fn rows<T>(v: &Vec<Vec<T>>) -> usize {
-    buf(v) + v.iter().map(buf).sum::<usize>()
-}
-
-impl Inter {
-    /// Heap bytes this intermediate owns.
-    pub fn heap_bytes(&self) -> usize {
+impl HeapSize for Inter {
+    fn heap_bytes(&self) -> usize {
         match self {
-            Inter::StatsTable(table) => {
-                let text: usize =
-                    table.iter().map(|r| r.label.capacity() + r.value.capacity()).sum();
-                buf(table) + text
+            Inter::StatsTable(table) => table.heap_bytes(),
+            Inter::Histogram { edges, counts } => edges.heap_bytes() + counts.heap_bytes(),
+            Inter::Bar { categories, counts, .. } => categories.heap_bytes() + counts.heap_bytes(),
+            Inter::Pie { categories, fractions } => {
+                categories.heap_bytes() + fractions.heap_bytes()
             }
-            Inter::Histogram { edges, counts } => buf(edges) + buf(counts),
-            Inter::Bar { categories, counts, .. } => strings(categories) + buf(counts),
-            Inter::Pie { categories, fractions } => strings(categories) + buf(fractions),
             Inter::Kde { xs, ys }
             | Inter::Line { xs, ys }
-            | Inter::Violin { ys: xs, densities: ys } => buf(xs) + buf(ys),
+            | Inter::Violin { ys: xs, densities: ys } => xs.heap_bytes() + ys.heap_bytes(),
             Inter::QQ(points)
             | Inter::Scatter { points, .. }
-            | Inter::RegressionScatter { points, .. } => buf(points),
-            Inter::Boxes(boxes) => {
-                let each: usize = boxes.iter().map(|(l, b)| l.capacity() + buf(&b.outliers)).sum();
-                buf(boxes) + each
-            }
-            Inter::Hexbin { centers, counts, .. } => buf(centers) + buf(counts),
+            | Inter::RegressionScatter { points, .. } => points.heap_bytes(),
+            Inter::Boxes(boxes) => boxes.heap_bytes(),
+            Inter::Hexbin { centers, counts, .. } => centers.heap_bytes() + counts.heap_bytes(),
             Inter::Heatmap { xlabels, ylabels, values } => {
-                strings(xlabels) + strings(ylabels) + rows(values)
+                xlabels.heap_bytes() + ylabels.heap_bytes() + values.heap_bytes()
             }
-            Inter::GroupedBars { xlabels, series: s, .. } => strings(xlabels) + series(s),
-            Inter::MultiLine { xs, series: s } => buf(xs) + series(s),
-            Inter::Correlation(m) => strings(&m.labels) + buf(&m.cells),
-            Inter::CorrVectors(methods) => {
-                let entries = |e: &Vec<(String, Option<f64>)>| {
-                    buf(e) + e.iter().map(|(c, _)| c.capacity()).sum::<usize>()
-                };
-                buf(methods) + methods.iter().map(|(m, e)| m.capacity() + entries(e)).sum::<usize>()
+            Inter::GroupedBars { xlabels, series, .. } => {
+                xlabels.heap_bytes() + series.heap_bytes()
             }
-            Inter::MissingBars(bars) => {
-                buf(bars) + bars.iter().map(|b| b.label.capacity()).sum::<usize>()
-            }
-            Inter::Spectrum(s) => strings(&s.labels) + buf(&s.row_ranges) + rows(&s.counts),
-            Inter::NullityCorr { labels, cells } => strings(labels) + rows(cells),
-            Inter::Dendrogram { labels, merges } => strings(labels) + buf(merges),
-            Inter::WordFreq { words, .. } => {
-                buf(words) + words.iter().map(|(w, _)| w.capacity()).sum::<usize>()
-            }
+            Inter::MultiLine { xs, series } => xs.heap_bytes() + series.heap_bytes(),
+            Inter::Correlation(m) => m.heap_bytes(),
+            Inter::CorrVectors(methods) => methods.heap_bytes(),
+            Inter::MissingBars(bars) => bars.heap_bytes(),
+            Inter::Spectrum(s) => s.heap_bytes(),
+            Inter::NullityCorr { labels, cells } => labels.heap_bytes() + cells.heap_bytes(),
+            Inter::Dendrogram { labels, merges } => labels.heap_bytes() + merges.heap_bytes(),
+            Inter::WordFreq { words, .. } => words.heap_bytes(),
             Inter::CompareHistogram { edges, before, after } => {
-                buf(edges) + buf(before) + buf(after)
+                edges.heap_bytes() + before.heap_bytes() + after.heap_bytes()
             }
             Inter::CompareBars { categories, before, after } => {
-                strings(categories) + buf(before) + buf(after)
+                categories.heap_bytes() + before.heap_bytes() + after.heap_bytes()
             }
         }
     }

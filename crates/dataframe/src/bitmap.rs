@@ -15,6 +15,8 @@
 
 use std::sync::Arc;
 
+use crate::heap::HeapSize;
+
 /// A packed bitset tracking value validity, cheaply sliceable.
 #[derive(Debug, Clone, Default)]
 pub struct Bitmap {
@@ -73,19 +75,6 @@ impl Bitmap {
     /// Whether the bitmap holds zero bits.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Bytes this bitmap keeps alive: itself, and its buffer when nothing
-    /// else holds it (a window of a column's bitmap shares the column's,
-    /// which the column is charged for).
-    pub fn heap_bytes(&self) -> usize {
-        let buffer = if Arc::strong_count(&self.bytes) == 1 {
-            // The `Arc`'s two counts, the `Vec` and its bytes.
-            2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u8>>() + self.bytes.capacity()
-        } else {
-            0
-        };
-        std::mem::size_of::<Self>() + buffer
     }
 
     /// Whether two bitmaps share one backing buffer (zero-copy views of
@@ -465,6 +454,14 @@ impl Eq for Bitmap {}
 impl FromIterator<bool> for Bitmap {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         Bitmap::from_iter(iter)
+    }
+}
+
+/// Its buffer when nothing else holds it: a window of a column's bitmap
+/// shares the column's, which the column is charged for.
+impl HeapSize for Bitmap {
+    fn heap_bytes(&self) -> usize {
+        self.bytes.heap_bytes()
     }
 }
 

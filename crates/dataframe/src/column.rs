@@ -20,6 +20,7 @@ use crate::dict::{DictBuilder, StrDict};
 use crate::dtype::DataType;
 use crate::error::{Error, Result};
 use crate::fingerprint::Fnv;
+use crate::heap::HeapSize;
 use crate::value::Value;
 
 /// Values plus optional validity for one physical type: a window over a
@@ -905,6 +906,22 @@ fn some_if_nulls(bm: Bitmap) -> Option<Bitmap> {
 /// [`some_if_nulls`] shaped for `Option::and_then`.
 fn some_if_nulls_opt(bm: Bitmap) -> Option<Bitmap> {
     some_if_nulls(bm)
+}
+
+/// The buffers the column alone holds: a window of a shared column (a
+/// partition, a slice) owns none of them.
+impl HeapSize for Column {
+    fn heap_bytes(&self) -> usize {
+        fn typed<T: HeapSize>(data: &TypedData<T>) -> usize {
+            data.values.heap_bytes() + data.validity.heap_bytes()
+        }
+        match self {
+            Column::Float64(data) => typed(data),
+            Column::Int64(data) => typed(data),
+            Column::Bool(data) => typed(data),
+            Column::Str(data) => typed(&data.codes) + data.dict.heap_bytes(),
+        }
+    }
 }
 
 #[cfg(test)]

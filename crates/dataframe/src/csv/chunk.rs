@@ -55,6 +55,7 @@ use crate::column::Column;
 use crate::dtype::DataType;
 use crate::error::{Error, Result};
 use crate::frame::DataFrame;
+use crate::heap::HeapSize;
 
 use super::infer::{infer_dtype, is_null_field, widen};
 use super::parser::{self, record_end, Separator};
@@ -272,6 +273,18 @@ fn records(text: &str, spec: ChunkSpec) -> impl Iterator<Item = (usize, u64, &st
     parser::records(text)
         .enumerate()
         .map(move |(i, (offset, record))| (spec.first_record + i, base + offset, record))
+}
+
+impl HeapSize for ParsedChunk {
+    fn heap_bytes(&self) -> usize {
+        self.dtypes.heap_bytes() + self.columns.heap_bytes()
+    }
+}
+
+impl HeapSize for ChunkRest {
+    fn heap_bytes(&self) -> usize {
+        self.dtypes.heap_bytes() + self.columns.heap_bytes()
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! its column; [`DictBuilder`] is the only way to make one.
 
 use crate::fingerprint::Fnv;
+use crate::heap::HeapSize;
 
 /// Distinct strings addressed by code: entry `i` is
 /// `bytes[ends[i - 1]..ends[i]]`.
@@ -51,14 +52,15 @@ impl StrDict {
         })
     }
 
-    /// Bytes this dictionary owns on the heap.
-    pub fn heap_bytes(&self) -> usize {
-        self.bytes.capacity() + self.ends.capacity() * std::mem::size_of::<usize>()
-    }
-
     fn push(&mut self, entry: &str) {
         self.bytes.push_str(entry);
         self.ends.push(self.bytes.len());
+    }
+}
+
+impl HeapSize for StrDict {
+    fn heap_bytes(&self) -> usize {
+        self.bytes.heap_bytes() + self.ends.heap_bytes()
     }
 }
 

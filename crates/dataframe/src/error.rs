@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::heap::HeapSize;
+
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -95,6 +97,22 @@ impl fmt::Display for Error {
                 write!(f, ": {message}")
             }
             Error::Io(msg) => write!(f, "io error: {msg}"),
+        }
+    }
+}
+
+/// Its messages, for a failed ingest chunk's payload.
+impl HeapSize for Error {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Error::ColumnNotFound(text)
+            | Error::DuplicateColumn(text)
+            | Error::Io(text)
+            | Error::LengthMismatch { column: text, .. }
+            | Error::TypeMismatch { context: text, .. }
+            | Error::Csv { message: text, .. } => text.heap_bytes(),
+            Error::Malformed { column, message, .. } => column.heap_bytes() + message.heap_bytes(),
+            Error::IndexOutOfBounds { .. } => 0,
         }
     }
 }

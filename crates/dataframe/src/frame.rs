@@ -10,6 +10,7 @@ use crate::bitmap::{Bitmap, Selection};
 use crate::column::Column;
 use crate::dtype::DataType;
 use crate::error::{Error, Result};
+use crate::heap::HeapSize;
 use crate::value::Value;
 
 /// An immutable, named, columnar table.
@@ -296,6 +297,12 @@ fn str_value_bytes(c: &Column) -> usize {
     // `c` is a string column, so the visit cannot fail.
     let _ = c.for_each_code_in(Selection::All, |code| total += sizes.get(code as usize).copied().unwrap_or(0));
     total
+}
+
+impl HeapSize for DataFrame {
+    fn heap_bytes(&self) -> usize {
+        self.names.heap_bytes() + self.columns.heap_bytes()
+    }
 }
 
 #[cfg(test)]

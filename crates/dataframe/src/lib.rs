@@ -44,6 +44,7 @@ pub mod dtype;
 pub mod error;
 pub(crate) mod fingerprint;
 pub mod frame;
+pub mod heap;
 pub mod value;
 
 pub use bitmap::{Bitmap, Selection};
@@ -53,4 +54,5 @@ pub use dict::{DictBuilder, StrDict};
 pub use dtype::DataType;
 pub use error::{Error, Result};
 pub use frame::DataFrame;
+pub use heap::HeapSize;
 pub use value::Value;

@@ -48,9 +48,9 @@ use eda_dataframe::csv::chunk::{
     ParsedChunk, DEFAULT_CHUNK_BYTES,
 };
 use eda_dataframe::csv::CsvOptions;
-use eda_dataframe::{DataFrame, DataType, Error, Result};
+use eda_dataframe::{DataFrame, DataType, Error, HeapSize, Result};
 use eda_taskgraph::scheduler::{run, ExecOptions};
-use eda_taskgraph::{Payload, TaskGraph, TaskKey, TaskOutcome};
+use eda_taskgraph::{TaskGraph, TaskKey, TaskOutcome};
 
 use crate::source::ByteSource;
 
@@ -127,7 +127,7 @@ fn parse_spec(
 /// executor over a graph of chunk sources. The first error — a chunk's or
 /// its step's, by position in the file, or the callback's — stops the run
 /// after its wave and is the one reported.
-pub(crate) fn for_each_chunk<T: Clone + Send + Sync + 'static>(
+pub(crate) fn for_each_chunk<T: HeapSize + Clone + Send + Sync + 'static>(
     source: &Arc<ByteSource>,
     plan: &Arc<Plan>,
     opts: &IngestOptions,
@@ -139,13 +139,12 @@ pub(crate) fn for_each_chunk<T: Clone + Send + Sync + 'static>(
     // data, and panics stay reserved for real faults.
     let job = {
         let (source, plan, csv) = (Arc::clone(source), Arc::clone(plan), opts.csv.clone());
-        Arc::new(move |i: usize| -> Payload {
-            let outcome: Result<T> = match plan.specs.get(i) {
+        Arc::new(move |i: usize| -> Result<T> {
+            match plan.specs.get(i) {
                 Some(&spec) => parse_spec(&source, spec, &plan.hint, &plan.names, &csv)
                     .and_then(|parsed| step(i, parsed)),
                 None => Err(Error::Io(format!("chunk {i} out of range"))),
-            };
-            Arc::new(outcome)
+            }
         })
     };
     let count = plan.specs.len();

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use eda_dataframe::csv::chunk::{global_schema, needs_text_repair, ParsedChunk};
 use eda_dataframe::csv::widen;
-use eda_dataframe::{Column, DataFrame, DataType, Result, Selection};
+use eda_dataframe::{Column, DataFrame, DataType, HeapSize, Result, Selection};
 use eda_stats::freq::CatFreq;
 use eda_stats::missing::ColMeta;
 use eda_stats::moments::Moments;
@@ -80,6 +80,15 @@ pub enum ColumnStats {
     Numeric(Moments),
     /// A `Bool` or `Str` column: what a `freq` task holds.
     Categorical(CatFreq),
+}
+
+impl HeapSize for ColumnStats {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            ColumnStats::Numeric(moments) => moments.heap_bytes(),
+            ColumnStats::Categorical(freq) => freq.heap_bytes(),
+        }
+    }
 }
 
 impl Overview {

@@ -1,5 +1,7 @@
 //! Correlation matrices over named column sets.
 
+use eda_dataframe::HeapSize;
+
 use super::prep::upper_triangle;
 use super::spearman::spearman_from_ranks;
 use super::CorrMethod;
@@ -130,6 +132,12 @@ impl CorrMatrix {
         }
         out.sort_by(|a, b| b.2.abs().total_cmp(&a.2.abs()));
         out
+    }
+}
+
+impl HeapSize for CorrMatrix {
+    fn heap_bytes(&self) -> usize {
+        self.labels.heap_bytes() + self.cells.heap_bytes()
     }
 }
 

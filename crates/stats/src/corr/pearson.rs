@@ -202,6 +202,8 @@ fn pearson_chunk(x: &[f64], y: &[f64]) -> PearsonPartial {
     }
 }
 
+eda_dataframe::no_heap!(PearsonPartial);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,6 +17,8 @@
 //! on each pair's complete observations (Spearman on the ranks kept here)
 //! in one masked lane pass over the raw values, with no copy.
 
+use eda_dataframe::HeapSize;
+
 use super::kendall::{kendall_cell, pairs, KendallScratch};
 use super::pearson::pearson;
 use super::spearman::spearman_from_ranks;
@@ -238,12 +240,15 @@ impl ColumnPrep {
         let rows = self.sorted.perm.iter().map(|&row| row as usize);
         Some(rows.map(|row| (row, values.get(row).copied().unwrap_or(f64::NAN))))
     }
+}
 
-    /// Heap bytes this prep owns — what a byte budget should charge it.
-    pub fn heap_bytes(&self) -> usize {
+impl HeapSize for ColumnPrep {
+    fn heap_bytes(&self) -> usize {
         let s = &self.sorted;
-        self.centered_ranks.capacity() * 8
-            + (s.perm.capacity() + s.dense.capacity() + s.group_starts.capacity()) * 4
+        self.centered_ranks.heap_bytes()
+            + s.perm.heap_bytes()
+            + s.dense.heap_bytes()
+            + s.group_starts.heap_bytes()
     }
 }
 

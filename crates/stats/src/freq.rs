@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eda_dataframe::{Column, DictBuilder, Selection, StrDict};
+use eda_dataframe::{Column, DictBuilder, HeapSize, Selection, StrDict};
 
 use crate::hypothesis::chi_square_uniform;
 
@@ -239,16 +239,6 @@ impl CatFreq {
         CatFreq { dict: Arc::clone(&self.dict), counts: self.counts.minus(&self.aligned(dropped)) }
     }
 
-    /// Heap bytes this table keeps alive — what a byte budget should
-    /// charge it: the counts, and the dictionary when nothing else holds
-    /// it (a foreign-dictionary [`CatFreq::merge`] built it, or the
-    /// per-partition encoding it counted is gone). A string column's own
-    /// dictionary is the column's, shared by every partial over it.
-    pub fn heap_bytes(&self) -> usize {
-        let dict = if Arc::strong_count(&self.dict) == 1 { self.dict.heap_bytes() } else { 0 };
-        self.counts.counts.capacity() * 8 + dict
-    }
-
     /// Null rows observed alongside the categories.
     pub fn nulls(&self) -> u64 {
         self.counts.nulls
@@ -351,28 +341,23 @@ impl FreqSummary {
     pub fn mode(&self) -> Option<(&str, u64)> {
         self.top(1).next()
     }
+}
 
-    /// Heap bytes of the summary as a payload: itself (it is small enough
-    /// for that to count) and its top list; its dictionary is the table's.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.top.capacity() * std::mem::size_of::<(u32, u64)>()
+/// The counts, and the dictionary when nothing else holds it (a
+/// foreign-dictionary [`CatFreq::merge`] built it, or the per-partition
+/// encoding it counted is gone). A string column's own dictionary is the
+/// column's, shared by every partial over it.
+impl HeapSize for CatFreq {
+    fn heap_bytes(&self) -> usize {
+        self.counts.counts.heap_bytes() + self.dict.heap_bytes()
     }
 }
 
-/// Bytes the table allocation of a std `HashMap` holding `capacity`
-/// entries of `entry_bytes` each takes: one slot per bucket, padded to a
-/// 16-byte group, plus a control byte per bucket and one group more. The
-/// bucket count is a power of two with one slot in eight left free (one
-/// slot in a table of fewer than eight buckets), so `capacity`, as
-/// `HashMap::capacity` reports it, says how many buckets there are. What
-/// the entries own elsewhere is not counted.
-pub fn map_heap_bytes(capacity: usize, entry_bytes: usize) -> usize {
-    let buckets = match capacity {
-        0 => return 0,
-        1..=7 => capacity + 1,
-        _ => capacity / 7 * 8,
-    };
-    (buckets * entry_bytes).next_multiple_of(16) + buckets + 16
+/// The top list; the dictionary is the table's.
+impl HeapSize for FreqSummary {
+    fn heap_bytes(&self) -> usize {
+        self.top.heap_bytes() + self.dict.heap_bytes()
+    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,8 @@
 //! bin grid and partials merge by element-wise addition. This mirrors how
 //! the paper computes one histogram across Dask partitions.
 
+use eda_dataframe::HeapSize;
+
 /// A histogram over `[min, max]` with equal-width bins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -47,11 +49,6 @@ impl Histogram {
         let mut h = Histogram::new(min, max, bins);
         h.fill_slice(values);
         h
-    }
-
-    /// Bytes the histogram takes as a payload: itself and its counts.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.counts.capacity() * 8
     }
 
     /// Number of bins.
@@ -171,6 +168,12 @@ impl Histogram {
             return vec![0.0; self.nbins()];
         }
         self.counts.iter().map(|&c| c as f64 / total).collect()
+    }
+}
+
+impl HeapSize for Histogram {
+    fn heap_bytes(&self) -> usize {
+        self.counts.heap_bytes()
     }
 }
 

@@ -11,6 +11,8 @@
 //! at all: they are read off the partial that column's statistics already
 //! computed.
 
+use eda_dataframe::HeapSize;
+
 use crate::moments::Moments;
 use crate::vector::phi;
 
@@ -117,15 +119,6 @@ impl NullCounts {
         for (a, b) in self.bin_nulls.iter_mut().zip(&other.bin_nulls) {
             add(a, b);
         }
-    }
-
-    /// Bytes the counts take as a payload: themselves and their vectors.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let bins: usize = self.bin_nulls.iter().map(Vec::capacity).sum();
-        size_of::<Self>()
-            + (self.nulls.capacity() + self.co_nulls.capacity() + bins) * size_of::<usize>()
-            + self.bin_nulls.capacity() * size_of::<Vec<usize>>()
     }
 
     /// Nullity correlation matrix: Pearson correlation between the null
@@ -249,6 +242,26 @@ pub fn average_linkage(distances: &[Vec<f64>]) -> Vec<DendrogramMerge> {
     }
     merges
 }
+
+impl HeapSize for NullCounts {
+    fn heap_bytes(&self) -> usize {
+        self.nulls.heap_bytes() + self.co_nulls.heap_bytes() + self.bin_nulls.heap_bytes()
+    }
+}
+
+impl HeapSize for MissingSummary {
+    fn heap_bytes(&self) -> usize {
+        self.label.heap_bytes()
+    }
+}
+
+impl HeapSize for MissingSpectrum {
+    fn heap_bytes(&self) -> usize {
+        self.labels.heap_bytes() + self.row_ranges.heap_bytes() + self.counts.heap_bytes()
+    }
+}
+
+eda_dataframe::no_heap!(DendrogramMerge);
 
 #[cfg(test)]
 mod tests {

@@ -217,6 +217,8 @@ impl Moments {
     }
 }
 
+eda_dataframe::no_heap!(Moments);
+
 #[cfg(test)]
 mod tests {
     use super::*;

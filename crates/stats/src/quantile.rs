@@ -4,6 +4,8 @@
 //! (type 7 in Hyndman–Fan taxonomy, the NumPy/Pandas default), so results
 //! line up with what the paper's Python implementation reports.
 
+use eda_dataframe::HeapSize;
+
 /// Quantile `q ∈ [0, 1]` of data that is **already sorted ascending**.
 ///
 /// Returns `None` for empty data. NaNs must be filtered out beforehand.
@@ -169,6 +171,12 @@ impl BoxPlot {
             n_outliers,
             n: sorted.len(),
         })
+    }
+}
+
+impl HeapSize for BoxPlot {
+    fn heap_bytes(&self) -> usize {
+        self.outliers.heap_bytes()
     }
 }
 

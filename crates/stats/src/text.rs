@@ -9,7 +9,7 @@
 
 use crate::freq::{CatFreq, CodeCounts};
 use crate::moments::Moments;
-use eda_dataframe::DictBuilder;
+use eda_dataframe::{DictBuilder, HeapSize};
 
 /// Lend `each` every token of `text` — its lower-cased alphanumeric runs,
 /// split on every other character — one at a time, without a `String` per
@@ -62,12 +62,6 @@ impl TextStats {
     /// An empty accumulator.
     pub fn new() -> Self {
         TextStats { lengths: Moments::new(), ..Default::default() }
-    }
-
-    /// Bytes the accumulator takes as a payload: itself and its word
-    /// table.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.words.heap_bytes()
     }
 
     /// The statistics of a dictionary-encoded column: `codes` holds the
@@ -123,6 +117,13 @@ impl TextStats {
     /// The `k` most frequent words, ties by word.
     pub fn top_words(&self, k: usize) -> Vec<(String, u64)> {
         self.words.top(k).into_iter().map(|(word, n)| (word.to_string(), n)).collect()
+    }
+}
+
+/// Its word table.
+impl HeapSize for TextStats {
+    fn heap_bytes(&self) -> usize {
+        self.words.heap_bytes()
     }
 }
 

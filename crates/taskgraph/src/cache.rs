@@ -13,11 +13,11 @@
 //! (`Column::make_unique`) changes the fingerprint and naturally
 //! invalidates every stale entry.
 //!
-//! The cache is byte-budgeted with LRU eviction: each entry carries the
-//! run's payload-size estimate (its [`PayloadSizer`], else
-//! [`crate::trace::estimate_payload_bytes`]), inserts evict
-//! least-recently-used entries until the total fits, and an entry larger
-//! than the whole budget is simply not admitted. A budget of
+//! The cache is byte-budgeted with LRU eviction: each entry carries its
+//! payload's price — the bytes its task's [`crate::graph::Task::price`]
+//! read off the value's `eda_dataframe::HeapSize` when the body returned —
+//! inserts evict least-recently-used entries until the total fits, and an
+//! entry larger than the whole budget is simply not admitted. A budget of
 //! zero disables the cache entirely (every probe misses, inserts are
 //! dropped), which the executor relies on for bit-identical uncached runs.
 //!
@@ -219,13 +219,6 @@ impl ResultCache {
     }
 }
 
-/// Domain-aware payload byte sizer. Returns `Some(bytes)` for payload
-/// types it recognises and `None` to fall back to the structural
-/// estimate ([`crate::trace::estimate_payload_bytes`]), which only knows
-/// primitive containers and charges a pointer-sized floor for opaque
-/// types — wildly under-counting large domain structs.
-pub type PayloadSizer = Arc<dyn Fn(&Payload) -> Option<usize> + Send + Sync>;
-
 /// What a scheduler needs to consult the cache for one run: the shared
 /// cache plus the fingerprint of the data this run computes over.
 #[derive(Clone, Debug)]
@@ -248,7 +241,7 @@ impl CacheHandle {
 mod tests {
     use super::*;
 
-    fn pl(v: i64) -> Payload {
+    fn payload(v: i64) -> Payload {
         Arc::new(v)
     }
 
@@ -260,7 +253,7 @@ mod tests {
     fn get_after_insert_round_trips() {
         let c = ResultCache::new(1024);
         assert!(c.get(1, key(1)).is_none());
-        c.insert(1, key(1), pl(42), 8);
+        c.insert(1, key(1), payload(42), 8);
         let (p, bytes) = c.get(1, key(1)).expect("hit");
         assert_eq!(*p.downcast_ref::<i64>().unwrap(), 42);
         assert_eq!(bytes, 8);
@@ -272,15 +265,15 @@ mod tests {
     #[test]
     fn contains_counts_nothing_and_keeps_the_lru_order() {
         let c = ResultCache::new(100);
-        c.insert(1, key(1), pl(1), 40);
-        c.insert(1, key(2), pl(2), 40);
+        c.insert(1, key(1), payload(1), 40);
+        c.insert(1, key(2), payload(2), 40);
         assert!(c.contains(1, key(1)));
         assert!(!c.contains(1, key(3)));
         assert!(!c.contains(2, key(1)), "another fingerprint's entry");
         assert_eq!((c.hits(), c.misses(), c.bytes_saved()), (0, 0, 0));
         // Asking after key(1) left it the least recently used: a `get`
         // here would have made key(2) the victim instead.
-        assert_eq!(c.insert(1, key(3), pl(3), 40), 1);
+        assert_eq!(c.insert(1, key(3), payload(3), 40), 1);
         assert!(!c.contains(1, key(1)), "key(1) was still the LRU entry");
         assert!(c.contains(1, key(2)) && c.contains(1, key(3)));
         assert!(!ResultCache::new(0).contains(1, key(1)));
@@ -289,8 +282,8 @@ mod tests {
     #[test]
     fn fingerprint_partitions_the_keyspace() {
         let c = ResultCache::new(1024);
-        c.insert(1, key(1), pl(10), 8);
-        c.insert(2, key(1), pl(20), 8);
+        c.insert(1, key(1), payload(10), 8);
+        c.insert(2, key(1), payload(20), 8);
         assert_eq!(*c.get(1, key(1)).unwrap().0.downcast_ref::<i64>().unwrap(), 10);
         assert_eq!(*c.get(2, key(1)).unwrap().0.downcast_ref::<i64>().unwrap(), 20);
         assert!(c.get(3, key(1)).is_none());
@@ -299,11 +292,11 @@ mod tests {
     #[test]
     fn lru_eviction_respects_budget() {
         let c = ResultCache::new(100);
-        c.insert(1, key(1), pl(1), 40);
-        c.insert(1, key(2), pl(2), 40);
+        c.insert(1, key(1), payload(1), 40);
+        c.insert(1, key(2), payload(2), 40);
         // Touch key(1) so key(2) is the LRU victim.
         assert!(c.get(1, key(1)).is_some());
-        let evicted = c.insert(1, key(3), pl(3), 40);
+        let evicted = c.insert(1, key(3), payload(3), 40);
         assert_eq!(evicted, 1);
         assert!(c.total_bytes() <= 100, "total {}", c.total_bytes());
         assert!(c.get(1, key(1)).is_some(), "recently used survives");
@@ -316,10 +309,10 @@ mod tests {
     fn eviction_can_remove_several_entries() {
         let c = ResultCache::new(100);
         for i in 0..4 {
-            c.insert(1, key(i), pl(i as i64), 25);
+            c.insert(1, key(i), payload(i as i64), 25);
         }
         assert_eq!(c.len(), 4);
-        let evicted = c.insert(1, key(99), pl(99), 75);
+        let evicted = c.insert(1, key(99), payload(99), 75);
         assert_eq!(evicted, 3);
         assert_eq!(c.len(), 2);
         assert!(c.total_bytes() <= 100);
@@ -328,12 +321,12 @@ mod tests {
     #[test]
     fn oversized_entries_not_admitted() {
         let c = ResultCache::new(10);
-        assert_eq!(c.insert(1, key(1), pl(1), 100), 0);
+        assert_eq!(c.insert(1, key(1), payload(1), 100), 0);
         assert_eq!(c.len(), 0);
         // And never evicts what's there to make room for something that
         // cannot fit anyway.
-        c.insert(1, key(2), pl(2), 5);
-        c.insert(1, key(3), pl(3), 100);
+        c.insert(1, key(2), payload(2), 5);
+        c.insert(1, key(3), payload(3), 100);
         assert_eq!(c.len(), 1);
     }
 
@@ -341,7 +334,7 @@ mod tests {
     fn zero_budget_disables_everything() {
         let c = ResultCache::new(0);
         assert!(!c.enabled());
-        c.insert(1, key(1), pl(1), 0);
+        c.insert(1, key(1), payload(1), 0);
         assert!(c.get(1, key(1)).is_none());
         assert_eq!(c.len(), 0);
         // Disabled probes don't even count as misses.
@@ -351,8 +344,8 @@ mod tests {
     #[test]
     fn reinsert_refreshes_in_place() {
         let c = ResultCache::new(100);
-        c.insert(1, key(1), pl(1), 30);
-        c.insert(1, key(1), pl(2), 50);
+        c.insert(1, key(1), payload(1), 30);
+        c.insert(1, key(1), payload(2), 50);
         assert_eq!(c.len(), 1);
         assert_eq!(c.total_bytes(), 50);
         assert_eq!(*c.get(1, key(1)).unwrap().0.downcast_ref::<i64>().unwrap(), 2);
@@ -361,7 +354,7 @@ mod tests {
     #[test]
     fn clear_drops_entries_keeps_counters() {
         let c = ResultCache::new(100);
-        c.insert(1, key(1), pl(1), 10);
+        c.insert(1, key(1), payload(1), 10);
         c.get(1, key(1));
         c.clear();
         assert!(c.is_empty());
@@ -377,7 +370,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 s.spawn(move || {
                     for i in 0..100 {
-                        c.insert(t, key(i), pl(i as i64), 64);
+                        c.insert(t, key(i), payload(i as i64), 64);
                         c.get(t, key(i));
                     }
                 });

@@ -5,9 +5,15 @@
 //! single node through structural-key deduplication. Nothing executes until
 //! [`crate::scheduler::run`] is asked for specific output nodes — the
 //! same lazy-then-optimize-then-execute flow Dask gives the paper.
+//!
+//! A task returns a typed value; the graph erases it to a [`Payload`] and
+//! keeps, per task, the function that prices it ([`Task::price`]).
 
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::Arc;
+
+use eda_dataframe::HeapSize;
 
 use crate::inject::{self, FaultInjector};
 use crate::key::TaskKey;
@@ -17,6 +23,27 @@ pub type Payload = Arc<dyn std::any::Any + Send + Sync>;
 
 /// The function a task runs: inputs arrive in dependency order.
 pub type TaskFn = Arc<dyn Fn(&[Payload]) -> Payload + Send + Sync>;
+
+/// Borrow the `T` in a task's payload.
+///
+/// Panics on a payload of another type: the task that produced it fixes
+/// its type, so a mismatch is a plan-construction bug or an injected
+/// garbage payload ([`crate::inject`]), and the scheduler records the
+/// panic as the failure of the task that read it.
+#[expect(clippy::panic, reason = "a mismatch fails the reading task, which the scheduler catches")]
+pub fn un<T: 'static>(p: &Payload) -> &T {
+    match p.downcast_ref() {
+        Some(value) => value,
+        None => panic!("payload type mismatch: expected {}", std::any::type_name::<T>()),
+    }
+}
+
+/// The bytes a payload of a task returning `T` holds: the value and what
+/// it owns on the heap ([`Task::price`]). A payload of another type — an
+/// injected garbage payload — holds nothing worth charging.
+pub fn price<T: HeapSize + 'static>(p: &Payload) -> usize {
+    p.downcast_ref::<T>().map_or(0, |value| size_of::<T>() + value.heap_bytes())
+}
 
 /// Index of a task within its graph.
 pub type NodeId = usize;
@@ -31,6 +58,11 @@ pub struct Task {
     pub deps: Vec<NodeId>,
     /// The computation.
     pub run: TaskFn,
+    /// What this task's payload holds, in bytes: the size of the type it
+    /// returns plus its [`HeapSize`]. The scheduler prices each payload
+    /// once, where the body returns, for the cache, the memory gauge and
+    /// the trace alike.
+    pub price: fn(&Payload) -> usize,
 }
 
 impl std::fmt::Debug for Task {
@@ -109,47 +141,42 @@ impl TaskGraph {
         &self.tasks[id]
     }
 
-    /// All tasks, indexable by `NodeId`.
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
-    }
-
     /// Add a source task (no dependencies). Returns the node id; when a
     /// task with the same key exists and dedup is on, that node is reused.
-    pub fn source<F>(&mut self, name: &str, key: TaskKey, f: F) -> NodeId
+    pub fn source<T, F>(&mut self, name: &str, key: TaskKey, f: F) -> NodeId
     where
-        F: Fn() -> Payload + Send + Sync + 'static,
+        T: HeapSize + Send + Sync + 'static,
+        F: Fn() -> T + Send + Sync + 'static,
     {
-        self.add_task(name, key, Vec::new(), Arc::new(move |_: &[Payload]| f()))
+        self.add_task(name, key, Vec::new(), move |_| f())
     }
 
-    /// Add a source task that simply yields an existing shared value.
-    pub fn value(&mut self, name: &str, key: TaskKey, value: Payload) -> NodeId {
-        self.source(name, key, move || Arc::clone(&value))
-    }
-
-    /// Add a derived task. `key` should be built with
-    /// [`TaskKey::derived`] over the dependency keys so structural sharing
-    /// works.
-    pub fn derive<F>(&mut self, name: &str, key: TaskKey, deps: Vec<NodeId>, f: F) -> NodeId
+    /// Add a source task that yields a clone of `value` (an `Arc`, say).
+    pub fn value<T>(&mut self, name: &str, key: TaskKey, value: T) -> NodeId
     where
-        F: Fn(&[Payload]) -> Payload + Send + Sync + 'static,
+        T: HeapSize + Clone + Send + Sync + 'static,
     {
-        self.add_task(name, key, deps, Arc::new(f))
+        self.source(name, key, move || value.clone())
     }
 
-    /// Convenience: derive a task whose key is computed from the op name,
-    /// a parameter hash, and the dependency keys.
-    pub fn op<F>(&mut self, name: &str, params: u64, deps: Vec<NodeId>, f: F) -> NodeId
+    /// Add a derived task whose key is computed from the op name, a
+    /// parameter hash, and the dependency keys, so structurally identical
+    /// work shares one node.
+    pub fn op<T, F>(&mut self, name: &str, params: u64, deps: Vec<NodeId>, f: F) -> NodeId
     where
-        F: Fn(&[Payload]) -> Payload + Send + Sync + 'static,
+        T: HeapSize + Send + Sync + 'static,
+        F: Fn(&[Payload]) -> T + Send + Sync + 'static,
     {
         let dep_keys: Vec<TaskKey> = deps.iter().map(|&d| self.task(d).key).collect();
         let key = TaskKey::derived(name, params, &dep_keys);
-        self.derive(name, key, deps, f)
+        self.add_task(name, key, deps, f)
     }
 
-    fn add_task(&mut self, name: &str, key: TaskKey, deps: Vec<NodeId>, run: TaskFn) -> NodeId {
+    fn add_task<T, F>(&mut self, name: &str, key: TaskKey, deps: Vec<NodeId>, f: F) -> NodeId
+    where
+        T: HeapSize + Send + Sync + 'static,
+        F: Fn(&[Payload]) -> T + Send + Sync + 'static,
+    {
         if self.dedup {
             if let Some(&existing) = self.by_key.get(&key) {
                 self.cse_hits += 1;
@@ -160,7 +187,8 @@ impl TaskGraph {
             assert!(d < self.tasks.len(), "dependency {d} does not exist yet");
         }
         let id = self.tasks.len();
-        self.tasks.push(Task { name: name.to_string(), key, deps, run });
+        let run: TaskFn = Arc::new(move |inputs: &[Payload]| -> Payload { Arc::new(f(inputs)) });
+        self.tasks.push(Task { name: name.to_string(), key, deps, run, price: price::<T> });
         if self.dedup {
             self.by_key.insert(key, id);
         }
@@ -195,19 +223,15 @@ impl TaskGraph {
 mod tests {
     use super::*;
 
-    fn int(v: i64) -> Payload {
-        Arc::new(v)
-    }
-
     fn get(p: &Payload) -> i64 {
-        *p.downcast_ref::<i64>().expect("i64 payload")
+        *un::<i64>(p)
     }
 
     #[test]
     fn builds_and_keys_dedup() {
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(2));
-        let a2 = g.source("a", TaskKey::leaf("a", 0), || int(2));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 2i64);
+        let a2 = g.source("a", TaskKey::leaf("a", 0), || 2i64);
         assert_eq!(a, a2);
         assert_eq!(g.len(), 1);
         assert_eq!(g.cse_hits(), 1);
@@ -216,8 +240,8 @@ mod tests {
     #[test]
     fn without_dedup_duplicates() {
         let mut g = TaskGraph::without_dedup();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(2));
-        let a2 = g.source("a", TaskKey::leaf("a", 0), || int(2));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 2i64);
+        let a2 = g.source("a", TaskKey::leaf("a", 0), || 2i64);
         assert_ne!(a, a2);
         assert_eq!(g.len(), 2);
         assert_eq!(g.cse_hits(), 0);
@@ -226,22 +250,22 @@ mod tests {
     #[test]
     fn op_shares_structurally_identical_work() {
         let mut g = TaskGraph::new();
-        let src = g.source("src", TaskKey::leaf("src", 0), || int(10));
+        let src = g.source("src", TaskKey::leaf("src", 0), || 10i64);
         // Two visualizations both need "double(src)".
-        let d1 = g.op("double", 0, vec![src], |deps| int(get(&deps[0]) * 2));
-        let d2 = g.op("double", 0, vec![src], |deps| int(get(&deps[0]) * 2));
+        let d1 = g.op("double", 0, vec![src], |deps| get(&deps[0]) * 2);
+        let d2 = g.op("double", 0, vec![src], |deps| get(&deps[0]) * 2);
         assert_eq!(d1, d2);
         // Different params: distinct node.
-        let d3 = g.op("double", 1, vec![src], |deps| int(get(&deps[0]) * 2));
+        let d3 = g.op("double", 1, vec![src], |deps| get(&deps[0]) * 2);
         assert_ne!(d1, d3);
     }
 
     #[test]
     fn dependents_and_indegrees() {
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(1));
-        let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-        let c = g.op("dec", 0, vec![a], |d| int(get(&d[0]) - 1));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 1i64);
+        let b = g.op("inc", 0, vec![a], |d| get(&d[0]) + 1);
+        let c = g.op("dec", 0, vec![a], |d| get(&d[0]) - 1);
         let live = vec![true; g.len()];
         assert_eq!(g.live_indegrees(&live), vec![0, 1, 1]);
         let deps = g.live_dependents(&live);
@@ -253,6 +277,6 @@ mod tests {
     #[should_panic(expected = "does not exist")]
     fn forward_dependency_panics() {
         let mut g = TaskGraph::new();
-        g.derive("bad", TaskKey::leaf("bad", 0), vec![5], |_| int(0));
+        g.add_task("bad", TaskKey::leaf("bad", 0), vec![5], |_| 0i64);
     }
 }

@@ -10,7 +10,11 @@
 //! parallel over data partitions. This crate provides exactly that:
 //!
 //! * [`graph::TaskGraph`] — a DAG of tasks whose payloads are type-erased
-//!   `Arc` values. Every task carries a **structural key** (op name +
+//!   `Arc` values. A task returns a typed value that prices itself
+//!   (`eda_dataframe::HeapSize`), and the graph keeps each task's price
+//!   function: the scheduler prices a payload once, where its body
+//!   returns, and charges that one number to the result cache, the memory
+//!   gauge and the trace. Every task carries a **structural key** (op name +
 //!   parameter hash + dependency keys); inserting a task whose key already
 //!   exists returns the existing node, which is the
 //!   *common-subexpression-elimination* that shares computations between
@@ -29,8 +33,8 @@
 //!   per-run memory gauges, inert unless attached via
 //!   [`scheduler::ExecOptions`].
 //! * [`partition`] — chunked dataframes with the *chunk-size precompute*
-//!   stage the paper adds before graph construction, plus map/tree-reduce
-//!   combinators.
+//!   stage the paper adds before graph construction; [`ops`] — the typed
+//!   map/tree-reduce combinators over their partitions.
 
 #![warn(missing_docs)]
 // Test code asserts and indexes; the crate-wide panic-free denies (see
@@ -50,9 +54,9 @@ pub mod scheduler;
 pub mod stats;
 pub mod trace;
 
-pub use cache::{CacheHandle, PayloadSizer, ResultCache};
+pub use cache::{CacheHandle, ResultCache};
 pub use govern::{CancelToken, MemoryGauge};
-pub use graph::{NodeId, Payload, TaskGraph};
+pub use graph::{un, NodeId, Payload, TaskGraph};
 pub use inject::{FaultInjector, FaultMode, FaultPlan, FaultTarget};
 pub use key::TaskKey;
 pub use outcome::{root_failure, TaskError, TaskFailure, TaskOutcome};

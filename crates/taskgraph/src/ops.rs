@@ -4,60 +4,36 @@
 //! as "map a mergeable kernel over partitions, tree-reduce the partials" —
 //! the Dask-phase of the paper's two-phase pipeline. The combinators only
 //! *build* graph nodes; nothing executes until an engine runs the graph.
+//! Both are typed: a kernel returns its partial `T` and says how two
+//! partials merge, and the combinators wrap, read and price the payloads.
 
 use std::sync::Arc;
 
-use eda_dataframe::DataFrame;
+use eda_dataframe::{DataFrame, HeapSize};
 
-use crate::graph::{NodeId, Payload, TaskGraph};
+use crate::graph::{un, NodeId, Payload, TaskGraph};
 use crate::partition::payload_frame;
 
-/// Add one task per partition node applying `f` to the partition's frame.
+/// Reduce `nodes` pairwise until one node remains: each reduce task
+/// clones its left input and `merge`s the right one into it.
 ///
-/// `op` names the operation and `params` distinguishes configurations
-/// (both feed the structural key, so identical maps dedupe).
-#[expect(clippy::indexing_slicing, reason = "a task body gets one input per dependency")]
-pub fn map_partitions<F>(
-    graph: &mut TaskGraph,
-    op: &str,
-    params: u64,
-    partitions: &[NodeId],
-    f: F,
-) -> Vec<NodeId>
-where
-    F: Fn(&DataFrame) -> Payload + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    partitions
-        .iter()
-        .map(|&p| {
-            let f = Arc::clone(&f);
-            graph.op(op, params, vec![p], move |inputs| {
-                let frame = payload_frame(&inputs[0]);
-                f(&frame)
-            })
-        })
-        .collect()
-}
-
-/// Reduce `nodes` pairwise with `combine` until one node remains.
-///
-/// The combine tasks form a balanced binary tree, so a parallel executor
+/// The reduce tasks form a balanced binary tree, so a parallel executor
 /// gets log-depth critical paths. A single input is returned unchanged;
 /// empty input panics (callers always have ≥1 partition).
 #[expect(clippy::indexing_slicing, reason = "a task body gets one input per dependency")]
-pub fn tree_reduce<F>(
+pub fn tree_reduce<T, C>(
     graph: &mut TaskGraph,
     op: &str,
     params: u64,
     nodes: &[NodeId],
-    combine: F,
+    merge: C,
 ) -> NodeId
 where
-    F: Fn(&Payload, &Payload) -> Payload + Send + Sync + 'static,
+    T: HeapSize + Clone + Send + Sync + 'static,
+    C: Fn(&mut T, &T) + Send + Sync + 'static,
 {
     assert!(!nodes.is_empty(), "tree_reduce of zero nodes");
-    let combine = Arc::new(combine);
+    let merge = Arc::new(merge);
     let mut layer: Vec<NodeId> = nodes.to_vec();
     loop {
         if let [root] = *layer {
@@ -67,10 +43,12 @@ where
         for pair in layer.chunks(2) {
             match *pair {
                 [a, b] => {
-                    let c = Arc::clone(&combine);
-                    next.push(
-                        graph.op(op, params, vec![a, b], move |inputs| c(&inputs[0], &inputs[1])),
-                    );
+                    let merge = Arc::clone(&merge);
+                    next.push(graph.op(op, params, vec![a, b], move |inputs| {
+                        let mut acc = un::<T>(&inputs[0]).clone();
+                        merge(&mut acc, un::<T>(&inputs[1]));
+                        acc
+                    }));
                 }
                 _ => next.extend_from_slice(pair),
             }
@@ -79,38 +57,36 @@ where
     }
 }
 
-/// Map partitions and tree-reduce in one call — the common shape of every
-/// mergeable statistic.
-pub fn map_reduce<M, C>(
+/// Map every partition and tree-reduce the partials — the common shape of
+/// every mergeable statistic. `map` gets a partition's frame and the
+/// payloads of `extra` (nodes every map task also depends on, such as the
+/// reduced moments a bin grid comes from); the reduce tasks are named
+/// `<op>/reduce`.
+#[expect(clippy::indexing_slicing, reason = "a task body gets one input per dependency")]
+pub fn map_reduce<T, M, C>(
     graph: &mut TaskGraph,
     op: &str,
     params: u64,
     partitions: &[NodeId],
+    extra: &[NodeId],
     map: M,
-    combine: C,
+    merge: C,
 ) -> NodeId
 where
-    M: Fn(&DataFrame) -> Payload + Send + Sync + 'static,
-    C: Fn(&Payload, &Payload) -> Payload + Send + Sync + 'static,
+    T: HeapSize + Clone + Send + Sync + 'static,
+    M: Fn(&DataFrame, &[Payload]) -> T + Send + Sync + 'static,
+    C: Fn(&mut T, &T) + Send + Sync + 'static,
 {
-    let mapped = map_partitions(graph, op, params, partitions, map);
-    tree_reduce(graph, &format!("{op}/reduce"), params, &mapped, combine)
-}
-
-/// A finishing task over already-reduced (small) inputs — the "Pandas
-/// phase" boundary: everything upstream is partition-parallel, the closure
-/// here sees small aggregates only.
-pub fn finish<F>(
-    graph: &mut TaskGraph,
-    op: &str,
-    params: u64,
-    deps: Vec<NodeId>,
-    f: F,
-) -> NodeId
-where
-    F: Fn(&[Payload]) -> Payload + Send + Sync + 'static,
-{
-    graph.op(op, params, deps, f)
+    let map = Arc::new(map);
+    let mapped: Vec<NodeId> = partitions
+        .iter()
+        .map(|&p| {
+            let map = Arc::clone(&map);
+            let deps = std::iter::once(p).chain(extra.iter().copied()).collect();
+            graph.op(op, params, deps, move |inputs| map(payload_frame(&inputs[0]), &inputs[1..]))
+        })
+        .collect();
+    tree_reduce(graph, &format!("{op}/reduce"), params, &mapped, merge)
 }
 
 #[cfg(test)]
@@ -129,7 +105,7 @@ mod tests {
     }
 
     fn sum_payload(p: &Payload) -> i64 {
-        *p.downcast_ref::<i64>().expect("i64")
+        *un::<i64>(p)
     }
 
     fn build_sum(
@@ -143,18 +119,17 @@ mod tests {
             "sum_x",
             params,
             &sources,
-            |df| {
-                let s: i64 = df
-                    .column("x")
+            &[],
+            |df, _| -> i64 {
+                df.column("x")
                     .unwrap()
                     .numeric_nonnull()
                     .unwrap()
                     .iter()
                     .map(|&v| v as i64)
-                    .sum();
-                Arc::new(s)
+                    .sum()
             },
-            |a, b| Arc::new(sum_payload(a) + sum_payload(b)),
+            |a, b| *a += b,
         )
     }
 
@@ -209,18 +184,29 @@ mod tests {
     #[should_panic(expected = "zero nodes")]
     fn tree_reduce_empty_panics() {
         let mut g = TaskGraph::new();
-        tree_reduce(&mut g, "x", 0, &[], |a, _| Arc::clone(a));
+        tree_reduce(&mut g, "x", 0, &[], |_: &mut i64, _| {});
     }
 
     #[test]
-    fn finish_runs_on_reduced_data() {
+    fn map_tasks_read_the_extra_dependencies() {
         let pf = PartitionedFrame::from_frame(&frame(20), 4);
         let mut g = TaskGraph::new();
-        let sum = build_sum(&mut g, &pf, 0);
-        let doubled = finish(&mut g, "double", 0, vec![sum], |d| {
-            Arc::new(sum_payload(&d[0]) * 2)
-        });
-        let r = run(&g, &[doubled], 1, &ExecOptions::default());
-        assert_eq!(sum_payload(&r.outputs()[0]), 2 * (0..20).sum::<i64>());
+        let sources = pf.source_nodes(&mut g);
+        let offset = g.source("offset", crate::key::TaskKey::leaf("offset", 0), || 1000i64);
+        let out = map_reduce(
+            &mut g,
+            "shifted_max",
+            0,
+            &sources,
+            &[offset],
+            |df, extra| {
+                let values = df.column("x").unwrap().numeric_nonnull().unwrap();
+                values.iter().copied().fold(f64::MIN, f64::max) as i64 + sum_payload(&extra[0])
+            },
+            |a, b| *a = (*a).max(*b),
+        );
+        assert_eq!(g.task(out).name, "shifted_max/reduce");
+        let r = run(&g, &[out], 1, &ExecOptions::default());
+        assert_eq!(sum_payload(&r.outputs()[0]), 1019);
     }
 }

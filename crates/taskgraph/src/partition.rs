@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use eda_dataframe::DataFrame;
 
-use crate::graph::{NodeId, Payload, TaskGraph};
+use crate::graph::{un, NodeId, Payload, TaskGraph};
 use crate::key::TaskKey;
 
 /// Chunk-size metadata, precomputed before graph construction.
@@ -133,21 +133,15 @@ impl PartitionedFrame {
                     "partition",
                     TaskKey::params(&(self.dataset_id, self.meta.npartitions(), i)),
                 );
-                let part: Payload = Arc::new(Arc::clone(p));
-                graph.value("partition", key, part)
+                graph.value("partition", key, Arc::clone(p))
             })
             .collect()
     }
 }
 
-/// Extract the `Arc<DataFrame>` stored in a partition source payload.
-pub fn payload_frame(p: &Payload) -> Arc<DataFrame> {
-    // Partition sources always store Arc<DataFrame>; a mismatch is a
-    // caller bug worth failing loudly on (documented contract).
-    #[allow(clippy::expect_used)]
-    p.downcast_ref::<Arc<DataFrame>>()
-        .expect("payload holds Arc<DataFrame>")
-        .clone()
+/// The frame a partition source's payload holds.
+pub fn payload_frame(p: &Payload) -> &DataFrame {
+    un::<Arc<DataFrame>>(p)
 }
 
 #[cfg(test)]
@@ -274,7 +268,6 @@ mod tests {
         let mut g = TaskGraph::new();
         let nodes = pf.source_nodes(&mut g);
         let r = crate::scheduler::run(&g, &nodes, 1, &Default::default());
-        let f0 = payload_frame(&r.outputs()[0]);
-        assert_eq!(f0.nrows(), 2);
+        assert_eq!(payload_frame(&r.outputs()[0]).nrows(), 2);
     }
 }

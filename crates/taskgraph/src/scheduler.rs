@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 
-use crate::cache::{CacheHandle, PayloadSizer};
+use crate::cache::CacheHandle;
 use crate::govern::{self, CancelToken, MemoryGauge};
 use crate::graph::{NodeId, Payload, TaskGraph};
 use crate::inject::{FaultMode, Garbage};
@@ -75,11 +75,6 @@ pub struct ExecOptions {
     /// letting the run's footprint grow unbounded. `None` disables
     /// accounting entirely.
     pub gauge: Option<MemoryGauge>,
-    /// Domain-aware payload pricing for the cache's byte budget, the
-    /// memory gauge and traced spans, consulted before the structural
-    /// estimator ([`trace::estimate_payload_bytes`]). `None` prices every
-    /// payload structurally.
-    pub sizer: Option<PayloadSizer>,
 }
 
 /// Result of one execution: an outcome per requested output (same
@@ -213,9 +208,10 @@ impl Plan {
     }
 }
 
-/// What `execute_node` hands back: the outcome, and the span timing when
+/// What `execute_node` hands back: the outcome, its payload's price (0
+/// for a failure, or when nothing reads prices), and the span timing when
 /// the run is traced.
-type Executed = (TaskOutcome, Option<SpanTiming>);
+type Executed = (TaskOutcome, usize, Option<SpanTiming>);
 
 /// The calling thread's books for one run: which tasks are ready, what
 /// every completed node produced, and the counters the finish reports.
@@ -278,7 +274,7 @@ impl<'a> Ledger<'a> {
         for (&id, (payload, bytes)) in &plan.hits {
             if opts.trace {
                 let now = started.elapsed();
-                ledger.spans.push(make_span(graph, id, 0, (now, now, *bytes), SpanStatus::Cached));
+                ledger.spans.push(make_span(graph, id, 0, (now, now), *bytes, SpanStatus::Cached));
             }
             ledger.settle(id, TaskOutcome::Ok(Arc::clone(payload)));
         }
@@ -303,12 +299,12 @@ impl<'a> Ledger<'a> {
 
     /// Book one executed task: its span, the cache insert and the
     /// evictions it forced, then its outcome.
-    fn complete(&mut self, id: NodeId, worker: usize, (outcome, timing): Executed) {
+    fn complete(&mut self, id: NodeId, worker: usize, (outcome, bytes, timing): Executed) {
         if let Some(timing) = timing {
             let status = SpanStatus::of(&outcome);
-            self.spans.push(make_span(self.graph, id, worker, timing, status));
+            self.spans.push(make_span(self.graph, id, worker, timing, bytes, status));
         }
-        self.evictions += cache_insert(self.opts, self.graph, id, &outcome);
+        self.evictions += cache_insert(self.opts, self.graph, id, &outcome, bytes);
         self.settle(id, outcome);
     }
 
@@ -444,8 +440,15 @@ fn failed(graph: &TaskGraph, id: NodeId, failure: TaskFailure, elapsed: Duration
 /// cache, so fault-injected runs cannot poison later ones. A run whose
 /// cancel token has fired, or whose memory gauge has refused a charge,
 /// stops inserting entirely: kernels may be bailing mid-slice by then,
-/// and a degraded run must never seed later healthy ones.
-fn cache_insert(opts: &ExecOptions, graph: &TaskGraph, id: NodeId, outcome: &TaskOutcome) -> usize {
+/// and a degraded run must never seed later healthy ones. `bytes` is the
+/// payload's price.
+fn cache_insert(
+    opts: &ExecOptions,
+    graph: &TaskGraph,
+    id: NodeId,
+    outcome: &TaskOutcome,
+    bytes: usize,
+) -> usize {
     let Some(handle) = &opts.cache else {
         return 0;
     };
@@ -460,16 +463,15 @@ fn cache_insert(opts: &ExecOptions, graph: &TaskGraph, id: NodeId, outcome: &Tas
     }
     match outcome {
         TaskOutcome::Ok(payload) => {
-            let bytes = payload_cost(opts, payload);
             handle.cache.insert(handle.fingerprint, task.key, Arc::clone(payload), bytes)
         }
         TaskOutcome::Failed(_) => 0,
     }
 }
 
-/// `(start, end, payload_bytes)` of one dispatched task, as offsets from
-/// the run origin. Only produced when tracing is on.
-type SpanTiming = (Duration, Duration, usize);
+/// `(start, end)` of one dispatched task, as offsets from the run origin.
+/// Only produced when tracing is on.
+type SpanTiming = (Duration, Duration);
 
 /// Run one node given its input outcomes: short-circuit on a fired run
 /// token, skip on failed inputs, otherwise execute under `catch_unwind`,
@@ -489,7 +491,7 @@ fn execute_node(
     let zero_width = || {
         opts.trace.then(|| {
             let now = origin.elapsed();
-            (now, now, 0)
+            (now, now)
         })
     };
     // An upstream failure poisons only this subtree: record a skip
@@ -503,13 +505,13 @@ fn execute_node(
         |e: &TaskError| e.failure == TaskFailure::Cancelled && e.elapsed.is_zero();
     if let Some(root) = root_failure(inputs).filter(|root| !short_circuited(root)) {
         let (root, elapsed) = (Arc::clone(root), root.elapsed);
-        return (failed(graph, id, TaskFailure::Skipped(root), elapsed), zero_width());
+        return (failed(graph, id, TaskFailure::Skipped(root), elapsed), 0, zero_width());
     }
     // Otherwise a fired run token beats everything else: record the node
     // as Cancelled without opening a span or touching the body, so a
     // cancelled run drains its remaining dispatches in microseconds.
     if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-        return (failed(graph, id, TaskFailure::Cancelled, Duration::ZERO), zero_width());
+        return (failed(graph, id, TaskFailure::Cancelled, Duration::ZERO), 0, zero_width());
     }
     let span_start = opts.trace.then(|| origin.elapsed());
     // The failed-input check above guarantees every input carries a
@@ -520,8 +522,8 @@ fn execute_node(
         .map(|o| o.payload().map(Arc::clone))
         .collect::<Option<Vec<Payload>>>()
     else {
-        let timing = span_start.map(|start| (start, origin.elapsed(), 0));
-        return (internal_failure(graph, id, "input outcome lost its payload"), timing);
+        let timing = span_start.map(|start| (start, origin.elapsed()));
+        return (internal_failure(graph, id, "input outcome lost its payload"), 0, timing);
     };
     let fault = graph.fault_injector().and_then(|inj| inj.decide(id, &task.name));
     // The token the body observes at its interruption polls: the earlier
@@ -555,7 +557,14 @@ fn execute_node(
         })
     };
     let elapsed = started.elapsed();
-    let outcome = classify_result(graph, id, result, elapsed, opts);
+    // The one pricing of this payload, on the thread that ran the body:
+    // the gauge charge, the cache insert and the span all read it.
+    let priced = opts.trace || opts.cache.is_some() || opts.gauge.is_some();
+    let result = result.map(|payload| {
+        let bytes = if priced { (task.price)(&payload) } else { 0 };
+        (payload, bytes)
+    });
+    let (outcome, bytes) = classify_result(graph, id, result, elapsed, opts);
     if trace::log_enabled(LogLevel::Debug) {
         trace::log(
             LogLevel::Debug,
@@ -570,12 +579,8 @@ fn execute_node(
             ),
         );
     }
-    let timing = span_start.map(|start| {
-        let end = origin.elapsed();
-        let bytes = outcome.payload().map_or(0, |payload| payload_cost(opts, payload));
-        (start, end, bytes)
-    });
-    (outcome, timing)
+    let timing = span_start.map(|start| (start, origin.elapsed()));
+    (outcome, bytes, timing)
 }
 
 /// What a task injected with [`FaultMode::Panic`] runs instead of its
@@ -585,19 +590,21 @@ fn injected_panic() -> Payload {
     panic!("injected fault: panic")
 }
 
-/// Classify a task body's raw result: a fired run token discards even a
-/// completed payload (kernels may have bailed mid-slice, so it cannot
-/// be trusted), then the per-task deadline, then the memory gauge.
+/// Classify a task body's raw result — its payload and that payload's
+/// price — into the outcome and the bytes it holds (0 unless `Ok`): a
+/// fired run token discards even a completed payload (kernels may have
+/// bailed mid-slice, so it cannot be trusted), then the per-task
+/// deadline, then the memory gauge.
 fn classify_result(
     graph: &TaskGraph,
     id: NodeId,
-    result: Result<Payload, String>,
+    result: Result<(Payload, usize), String>,
     elapsed: Duration,
     opts: &ExecOptions,
-) -> TaskOutcome {
-    let fail = |failure: TaskFailure| failed(graph, id, failure, elapsed);
+) -> (TaskOutcome, usize) {
+    let fail = |failure: TaskFailure| (failed(graph, id, failure, elapsed), 0);
     match result {
-        Ok(payload) => {
+        Ok((payload, bytes)) => {
             if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 return fail(TaskFailure::Cancelled);
             }
@@ -607,7 +614,6 @@ fn classify_result(
                 }
             }
             if let Some(gauge) = &opts.gauge {
-                let bytes = payload_cost(opts, &payload);
                 if let Err(denial) = gauge.try_charge(bytes) {
                     // The payload drops here — the whole point of the
                     // budget is not to keep it.
@@ -618,20 +624,10 @@ fn classify_result(
                     });
                 }
             }
-            TaskOutcome::Ok(payload)
+            (TaskOutcome::Ok(payload), bytes)
         }
         Err(message) => fail(TaskFailure::Panicked(message)),
     }
-}
-
-/// Bytes a payload charges against the cache budget and the memory
-/// gauge, and shows in its span: the run's sizer when it recognises the
-/// payload, the structural estimate otherwise.
-fn payload_cost(opts: &ExecOptions, payload: &Payload) -> usize {
-    opts.sizer
-        .as_ref()
-        .and_then(|s| s(payload))
-        .unwrap_or_else(|| trace::estimate_payload_bytes(payload))
 }
 
 /// Build the [`TaskSpan`] for one live node. `queue_wait` is derived
@@ -641,7 +637,8 @@ fn make_span(
     graph: &TaskGraph,
     id: NodeId,
     worker: usize,
-    (start, end, payload_bytes): SpanTiming,
+    (start, end): SpanTiming,
+    payload_bytes: usize,
     status: SpanStatus,
 ) -> TaskSpan {
     let task = graph.task(id);
@@ -679,14 +676,11 @@ fn catch_task_panic<F: FnOnce() -> Payload>(f: F) -> Result<Payload, String> {
     SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
     let result = panic::catch_unwind(AssertUnwindSafe(f));
     SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
-    result.map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
+    result.map_err(|payload| match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast::<&str>()
+            .map_or_else(|_| "non-string panic payload".to_string(), |s| s.to_string()),
     })
 }
 
@@ -747,12 +741,8 @@ mod tests {
     use crate::key::TaskKey;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn int(v: i64) -> Payload {
-        Arc::new(v)
-    }
-
     fn get(p: &Payload) -> i64 {
-        *p.downcast_ref::<i64>().expect("i64")
+        *crate::graph::un::<i64>(p)
     }
 
     /// Every test but the one about `POOL_AFTER` wants the workers from
@@ -774,10 +764,10 @@ mod tests {
     fn diamond() -> (TaskGraph, NodeId) {
         // a -> (b, c) -> d
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(10));
-        let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-        let c = g.op("dbl", 0, vec![a], |d| int(get(&d[0]) * 2));
-        let d = g.op("sum", 0, vec![b, c], |d| int(get(&d[0]) + get(&d[1])));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 10i64);
+        let b = g.op("inc", 0, vec![a], |d| get(&d[0]) + 1);
+        let c = g.op("dbl", 0, vec![a], |d| get(&d[0]) * 2);
+        let d = g.op("sum", 0, vec![b, c], |d| get(&d[0]) + get(&d[1]));
         (g, d)
     }
 
@@ -808,7 +798,7 @@ mod tests {
             let warm = g.source("warm", TaskKey::leaf("warm", 0), move || {
                 warm_seen.lock().push(current().id());
                 std::thread::sleep(warm_up);
-                int(0)
+                0i64
             });
             let mut outs = vec![warm];
             for i in 0..3 {
@@ -816,7 +806,7 @@ mod tests {
                 outs.push(g.source("who", TaskKey::leaf("who", i), move || {
                     seen.lock().push(current().id());
                     barrier.wait();
-                    int(0)
+                    0i64
                 }));
             }
             (g, outs, seen)
@@ -846,12 +836,12 @@ mod tests {
     fn dead_nodes_not_executed() {
         static RUNS: AtomicUsize = AtomicUsize::new(0);
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(1));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 1i64);
         let _dead = g.source("dead", TaskKey::leaf("dead", 0), || {
             RUNS.fetch_add(1, Ordering::SeqCst);
-            int(99)
+            99i64
         });
-        let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
+        let b = g.op("inc", 0, vec![a], |d| get(&d[0]) + 1);
         for workers in [1, 2] {
             let r = run_plain(&g, &[b], workers);
             assert_eq!(get(&r.outputs()[0]), 2);
@@ -868,14 +858,14 @@ mod tests {
         let c2 = Arc::clone(&counter);
         let src = g.source("src", TaskKey::leaf("src", 0), move || {
             c2.fetch_add(1, Ordering::SeqCst);
-            int(5)
+            5i64
         });
         // Two consumers of a CSE-shared expensive node.
-        let shared1 = g.op("expensive", 0, vec![src], |d| int(get(&d[0]) * 10));
-        let shared2 = g.op("expensive", 0, vec![src], |d| int(get(&d[0]) * 10));
+        let shared1 = g.op("expensive", 0, vec![src], |d| get(&d[0]) * 10);
+        let shared2 = g.op("expensive", 0, vec![src], |d| get(&d[0]) * 10);
         assert_eq!(shared1, shared2);
-        let u1 = g.op("plus1", 0, vec![shared1], |d| int(get(&d[0]) + 1));
-        let u2 = g.op("plus2", 0, vec![shared2], |d| int(get(&d[0]) + 2));
+        let u1 = g.op("plus1", 0, vec![shared1], |d| get(&d[0]) + 1);
+        let u2 = g.op("plus2", 0, vec![shared2], |d| get(&d[0]) + 2);
         let r = run_plain(&g, &[u1, u2], 2);
         assert_eq!(get(&r.outputs()[0]), 51);
         assert_eq!(get(&r.outputs()[1]), 52);
@@ -924,7 +914,7 @@ mod tests {
         // 100 independent sources reduced pairwise: exercises the queue.
         let mut g = TaskGraph::new();
         let leaves: Vec<NodeId> = (0..100)
-            .map(|i| g.source("leaf", TaskKey::leaf("leaf", i), move || int(i as i64)))
+            .map(|i| g.source("leaf", TaskKey::leaf("leaf", i), move || i as i64))
             .collect();
         let mut layer = leaves;
         while layer.len() > 1 {
@@ -932,7 +922,7 @@ mod tests {
             for pair in layer.chunks(2) {
                 if pair.len() == 2 {
                     next.push(g.op("add", 0, vec![pair[0], pair[1]], |d| {
-                        int(get(&d[0]) + get(&d[1]))
+                        get(&d[0]) + get(&d[1])
                     }));
                 } else {
                     next.push(pair[0]);
@@ -950,12 +940,12 @@ mod tests {
     /// `bad` panics; d must be skipped, the rest must complete.
     fn faulty_graph() -> (TaskGraph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(10));
-        let bad = g.op("bad", 0, vec![a], |_| -> Payload { panic!("kernel exploded") });
-        let c = g.op("dbl", 0, vec![a], |d| int(get(&d[0]) * 2));
-        let d = g.op("sum", 0, vec![bad, c], |d| int(get(&d[0]) + get(&d[1])));
-        let e = g.source("e", TaskKey::leaf("e", 0), || int(7));
-        let f = g.op("inc", 0, vec![e], |d| int(get(&d[0]) + 1));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 10i64);
+        let bad = g.op("bad", 0, vec![a], |_| -> i64 { panic!("kernel exploded") });
+        let c = g.op("dbl", 0, vec![a], |d| get(&d[0]) * 2);
+        let d = g.op("sum", 0, vec![bad, c], |d| get(&d[0]) + get(&d[1]));
+        let e = g.source("e", TaskKey::leaf("e", 0), || 7i64);
+        let f = g.op("inc", 0, vec![e], |d| get(&d[0]) + 1);
         (g, bad, c, d, f)
     }
 
@@ -981,10 +971,10 @@ mod tests {
     #[test]
     fn skip_propagates_transitively_with_root_cause() {
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(1));
-        let bad = g.op("bad", 0, vec![a], |_| -> Payload { panic!("boom") });
-        let mid = g.op("mid", 0, vec![bad], |d| int(get(&d[0])));
-        let leaf = g.op("leaf", 0, vec![mid], |d| int(get(&d[0])));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 1i64);
+        let bad = g.op("bad", 0, vec![a], |_| -> i64 { panic!("boom") });
+        let mid = g.op("mid", 0, vec![bad], |d| get(&d[0]));
+        let leaf = g.op("leaf", 0, vec![mid], |d| get(&d[0]));
         let r = run_plain(&g, &[leaf], 1);
         let err = r.outcomes[0].error().expect("leaf failed");
         // Root cause is `bad`, not the intermediate skip.
@@ -998,11 +988,11 @@ mod tests {
     #[test]
     fn skip_root_prefers_a_direct_failure_over_an_earlier_skip() {
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(1));
-        let x = g.op("x", 0, vec![a], |_| -> Payload { panic!("x") });
-        let skip_of_x = g.op("after_x", 0, vec![x], |d| int(get(&d[0])));
-        let y = g.op("y", 0, vec![a], |_| -> Payload { panic!("y") });
-        let both = g.op("both", 0, vec![skip_of_x, y], |d| int(get(&d[0])));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 1i64);
+        let x = g.op("x", 0, vec![a], |_| -> i64 { panic!("x") });
+        let skip_of_x = g.op("after_x", 0, vec![x], |d| get(&d[0]));
+        let y = g.op("y", 0, vec![a], |_| -> i64 { panic!("y") });
+        let both = g.op("both", 0, vec![skip_of_x, y], |d| get(&d[0]));
         for workers in [1, 2] {
             let r = run_plain(&g, &[both], workers);
             let err = r.outcomes[0].error().expect("both skipped");
@@ -1014,7 +1004,7 @@ mod tests {
     #[test]
     fn panic_message_is_captured() {
         let mut g = TaskGraph::new();
-        let bad = g.source("bad", TaskKey::leaf("bad", 0), || -> Payload {
+        let bad = g.source("bad", TaskKey::leaf("bad", 0), || -> i64 {
             panic!("specific diagnostic {}", 42)
         });
         let r = run_plain(&g, &[bad], 2);
@@ -1030,10 +1020,10 @@ mod tests {
         let mut g = TaskGraph::new();
         let slow = g.source("slow", TaskKey::leaf("slow", 0), || {
             std::thread::sleep(Duration::from_millis(20));
-            int(1)
+            1i64
         });
-        let fast = g.source("fast", TaskKey::leaf("fast", 0), || int(2));
-        let dep = g.op("dep", 0, vec![slow], |d| int(get(&d[0])));
+        let fast = g.source("fast", TaskKey::leaf("fast", 0), || 2i64);
+        let dep = g.op("dep", 0, vec![slow], |d| get(&d[0]));
         let opts = ExecOptions { deadline: Some(Duration::from_millis(2)), ..Default::default() };
         for workers in [1, 2, 4] {
             let r = run(&g, &[dep, fast], workers, &opts);
@@ -1116,11 +1106,11 @@ mod tests {
         let r2 = Arc::clone(&runs);
         let a = g2.source("a", TaskKey::leaf("a", 0), move || {
             r2.fetch_add(1, Ordering::SeqCst);
-            int(10)
+            10i64
         });
-        let b = g2.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-        let c = g2.op("dbl", 0, vec![a], |d| int(get(&d[0]) * 2));
-        let d = g2.op("sum", 0, vec![b, c], |d| int(get(&d[0]) + get(&d[1])));
+        let b = g2.op("inc", 0, vec![a], |d| get(&d[0]) + 1);
+        let c = g2.op("dbl", 0, vec![a], |d| get(&d[0]) * 2);
+        let d = g2.op("sum", 0, vec![b, c], |d| get(&d[0]) + get(&d[1]));
 
         let warm = run(&g2, &[d], 1, &opts);
         assert_eq!(get(&warm.outputs()[0]), 31);
@@ -1153,8 +1143,8 @@ mod tests {
         let opts = cache_opts(&cache);
         // Cold run computes only `inc`.
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(10));
-        let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 10i64);
+        let b = g.op("inc", 0, vec![a], |d| get(&d[0]) + 1);
         run(&g, &[b], 1, &opts);
 
         // Warm run wants the full diamond: `inc` hits, `dbl` needs the
@@ -1311,7 +1301,7 @@ mod tests {
         for i in 0..8 {
             g.source("slowleaf", TaskKey::leaf("slowleaf", i), || {
                 std::thread::sleep(Duration::from_millis(20));
-                int(1)
+                1i64
             });
         }
         let outputs: Vec<NodeId> = (0..8).collect();
@@ -1333,7 +1323,7 @@ mod tests {
 
     #[test]
     fn budget_denial_fails_task_and_degrades_downstream() {
-        // i64 payloads estimate to 8 bytes each; a 20-byte budget admits
+        // i64 payloads price at 8 bytes each; a 20-byte budget admits
         // two tasks (a=8, inc=16), denies the third (dbl), and skips the
         // dependent sum.
         let (g, out) = diamond();
@@ -1350,6 +1340,47 @@ mod tests {
         assert_eq!(r.stats.mem_peak_bytes, 16);
         assert_eq!(gauge.denials(), 1);
         assert!(!r.stats.fully_succeeded());
+    }
+
+    /// A payload that counts the times it is priced.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl eda_dataframe::HeapSize for Counted {
+        fn heap_bytes(&self) -> usize {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            1000
+        }
+    }
+
+    #[test]
+    fn each_execution_prices_its_payload_once() {
+        let priced = Arc::new(AtomicUsize::new(0));
+        let mut g = TaskGraph::new();
+        let src = g.source("src", TaskKey::leaf("src", 0), || ());
+        let counted = Arc::clone(&priced);
+        let node = g.op("counted", 0, vec![src], move |_| Counted(Arc::clone(&counted)));
+        let price = std::mem::size_of::<Counted>() + 1000;
+        for workers in [1, 2] {
+            priced.store(0, Ordering::SeqCst);
+            let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
+            let gauge = MemoryGauge::new(1 << 20);
+            let opts = ExecOptions { trace: true, gauge: Some(gauge), ..cache_opts(&cache) };
+            let cold = run(&g, &[node], workers, &opts);
+            assert_eq!(priced.load(Ordering::SeqCst), 1, "workers={workers}");
+            let (_, charged) = cache.get(0xDA7A, g.task(node).key).expect("cached");
+            assert_eq!(charged, price);
+            assert_eq!(cold.stats.mem_peak_bytes, price, "the source's `()` prices at 0");
+            let span_bytes = |r: &ExecResult| {
+                let trace = r.stats.trace.as_ref().expect("traced");
+                trace.spans.iter().find(|s| s.node == node).map(|s| s.payload_bytes)
+            };
+            assert_eq!(span_bytes(&cold), Some(price));
+            // A cache hit shows the charge it was stored with, unpriced.
+            let warm = run(&g, &[node], workers, &opts);
+            assert_eq!(warm.stats.cache_hits, 1);
+            assert_eq!(span_bytes(&warm), Some(price));
+            assert_eq!(priced.load(Ordering::SeqCst), 1, "workers={workers}");
+        }
     }
 
     #[test]
@@ -1374,13 +1405,14 @@ mod tests {
     #[test]
     fn budget_failed_run_stops_cache_inserts_under_eviction_pressure() {
         // Cache byte budget and run memory budget interact: Vec<f64>
-        // payloads of 800 bytes each, a 2000-byte cache (holds two) and
-        // a 5000-byte run gauge. Six ops fit the gauge (8 + 6*800 =
-        // 4808), the last two are denied; inserts stop at the first
-        // denial, and the small cache evicts while admitting the six.
-        let vecs = |n: usize| -> Payload { Arc::new(vec![0.0f64; n]) };
+        // payloads of 824 bytes each (the `Vec` and its 800), a 2000-byte
+        // cache (holds two) and a 5000-byte run gauge. Six ops fit the
+        // gauge (8 + 6*824 = 4952), the last two are denied; inserts stop
+        // at the first denial, and the small cache evicts while admitting
+        // the six.
+        let vecs = |n: usize| vec![0.0f64; n];
         let mut g = TaskGraph::new();
-        let src = g.source("src", TaskKey::leaf("src", 0), || int(1));
+        let src = g.source("src", TaskKey::leaf("src", 0), || 1i64);
         let ops: Vec<NodeId> =
             (0..8).map(|i| g.op("widen", i, vec![src], move |_| vecs(100))).collect();
         let cache = Arc::new(crate::cache::ResultCache::new(2000));

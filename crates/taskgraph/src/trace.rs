@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use crate::graph::{NodeId, Payload};
+use crate::graph::NodeId;
 use crate::outcome::{TaskFailure, TaskOutcome};
 
 /// How a span's task ended.
@@ -111,7 +111,8 @@ pub struct TaskSpan {
     pub queue_wait: Duration,
     /// How the task ended.
     pub status: SpanStatus,
-    /// Estimated size of the produced payload in bytes (0 when none).
+    /// The produced payload's price in bytes ([`crate::graph::Task::price`];
+    /// 0 when none).
     pub payload_bytes: usize,
     /// Dependency nodes (for critical-path and queue-wait derivation).
     pub deps: Vec<NodeId>,
@@ -329,39 +330,6 @@ impl RunTrace {
     }
 }
 
-/// Estimate the in-memory size of a payload in bytes.
-///
-/// Payloads are type-erased, so this downcasts against the common kernel
-/// payload shapes and falls back to the fat-pointer size for everything
-/// else — an *estimate* for profiling, not an accounting tool.
-pub fn estimate_payload_bytes(p: &Payload) -> usize {
-    if let Some(v) = p.downcast_ref::<Vec<f64>>() {
-        v.len() * 8
-    } else if let Some(v) = p.downcast_ref::<Vec<i64>>() {
-        v.len() * 8
-    } else if let Some(v) = p.downcast_ref::<Vec<u64>>() {
-        v.len() * 8
-    } else if let Some(v) = p.downcast_ref::<Vec<usize>>() {
-        v.len() * 8
-    } else if let Some(v) = p.downcast_ref::<Vec<bool>>() {
-        v.len()
-    } else if let Some(v) = p.downcast_ref::<Vec<(f64, f64)>>() {
-        v.len() * 16
-    } else if let Some(v) = p.downcast_ref::<Vec<String>>() {
-        v.iter().map(|s| s.len() + 24).sum()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.len() + 24
-    } else if p.downcast_ref::<f64>().is_some()
-        || p.downcast_ref::<i64>().is_some()
-        || p.downcast_ref::<u64>().is_some()
-        || p.downcast_ref::<usize>().is_some()
-    {
-        8
-    } else {
-        std::mem::size_of::<Payload>()
-    }
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -471,7 +439,6 @@ pub fn log(level: LogLevel, target: &str, message: std::fmt::Arguments<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::time::Instant;
 
     fn span(node: NodeId, name: &str, worker: usize, start_us: u64, end_us: u64, deps: Vec<NodeId>) -> TaskSpan {
@@ -621,21 +588,6 @@ mod tests {
         // mean = (100+190+80+90)/4 = 115us
         assert_eq!(t.mean_task_time(), Duration::from_micros(115));
         assert_eq!(t.estimated_savings(3), Duration::from_micros(345));
-    }
-
-    #[test]
-    fn payload_size_estimates() {
-        let v: Payload = Arc::new(vec![1.0f64; 10]);
-        assert_eq!(estimate_payload_bytes(&v), 80);
-        let b: Payload = Arc::new(vec![true; 5]);
-        assert_eq!(estimate_payload_bytes(&b), 5);
-        let s: Payload = Arc::new(String::from("abc"));
-        assert_eq!(estimate_payload_bytes(&s), 27);
-        let scalar: Payload = Arc::new(7i64);
-        assert_eq!(estimate_payload_bytes(&scalar), 8);
-        struct Opaque;
-        let o: Payload = Arc::new(Opaque);
-        assert_eq!(estimate_payload_bytes(&o), std::mem::size_of::<Payload>());
     }
 
     #[test]

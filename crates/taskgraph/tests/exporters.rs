@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use eda_taskgraph::graph::Payload;
 use eda_taskgraph::scheduler::{run, ExecOptions};
 use eda_taskgraph::{TaskGraph, TaskKey};
 
@@ -187,9 +186,7 @@ fn hostile_trace() -> Arc<eda_taskgraph::RunTrace> {
         .iter()
         .enumerate()
         .map(|(i, name)| {
-            g.source(name, TaskKey::leaf("hostile", i as u64), move || -> Payload {
-                Arc::new(i as i64)
-            })
+            g.source(name, TaskKey::leaf("hostile", i as u64), move || i as i64)
         })
         .collect();
     let r = run(&g, &outs, 1, &ExecOptions { trace: true, ..ExecOptions::default() });

@@ -35,10 +35,10 @@ fn get(p: &Payload) -> i64 {
 /// a -> (inc, dbl) -> sum; returns (graph, sum node).
 fn diamond() -> (TaskGraph, NodeId) {
     let mut g = TaskGraph::new();
-    let a = g.source("a", TaskKey::leaf("a", 0), || int(10));
-    let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
-    let c = g.op("dbl", 0, vec![a], |d| int(get(&d[0]) * 2));
-    let d = g.op("sum", 0, vec![b, c], |d| int(get(&d[0]) + get(&d[1])));
+    let a = g.source("a", TaskKey::leaf("a", 0), || 10i64);
+    let b = g.op("inc", 0, vec![a], |d| get(&d[0]) + 1);
+    let c = g.op("dbl", 0, vec![a], |d| get(&d[0]) * 2);
+    let d = g.op("sum", 0, vec![b, c], |d| get(&d[0]) + get(&d[1]));
     (g, d)
 }
 
@@ -177,11 +177,11 @@ fn scheduler_work_queue_claims_each_node_once() {
         let c2 = Arc::clone(&counter);
         let src = g.source("src", TaskKey::leaf("src", 0), move || {
             c2.fetch_add(1, Ordering::SeqCst);
-            int(5)
+            5i64
         });
-        let shared = g.op("expensive", 0, vec![src], |d| int(get(&d[0]) * 10));
-        let u1 = g.op("plus1", 0, vec![shared], |d| int(get(&d[0]) + 1));
-        let u2 = g.op("plus2", 0, vec![shared], |d| int(get(&d[0]) + 2));
+        let shared = g.op("expensive", 0, vec![src], |d| get(&d[0]) * 10);
+        let u1 = g.op("plus1", 0, vec![shared], |d| get(&d[0]) + 1);
+        let u2 = g.op("plus2", 0, vec![shared], |d| get(&d[0]) + 2);
         let r = run(&g, &[u1, u2], 3, &ExecOptions::default());
         assert_eq!(get(r.outcomes[0].payload().expect("u1")), 51);
         assert_eq!(get(r.outcomes[1].payload().expect("u2")), 52);
@@ -197,10 +197,10 @@ fn scheduler_work_queue_claims_each_node_once() {
 fn pool_panic_isolation_holds_under_stress() {
     loom::model(|| {
         let mut g = TaskGraph::new();
-        let a = g.source("a", TaskKey::leaf("a", 0), || int(10));
-        let bad = g.op("bad", 0, vec![a], |_| -> Payload { panic!("kernel exploded") });
-        let c = g.op("dbl", 0, vec![a], |d| int(get(&d[0]) * 2));
-        let d = g.op("sum", 0, vec![bad, c], |d| int(get(&d[0]) + get(&d[1])));
+        let a = g.source("a", TaskKey::leaf("a", 0), || 10i64);
+        let bad = g.op("bad", 0, vec![a], |_| -> i64 { panic!("kernel exploded") });
+        let c = g.op("dbl", 0, vec![a], |d| get(&d[0]) * 2);
+        let d = g.op("sum", 0, vec![bad, c], |d| get(&d[0]) + get(&d[1]));
         let r = run(&g, &[d, c], 2, &ExecOptions::default());
         let err = r.outcomes[0].error().expect("sum failed");
         assert_eq!(err.root_cause().1, "bad");
@@ -225,8 +225,8 @@ fn pool_hit_with_live_dependency_is_not_redispatched() {
     };
     // Warm only the `inc` branch.
     let mut g = TaskGraph::new();
-    let a = g.source("a", TaskKey::leaf("a", 0), || int(10));
-    let b = g.op("inc", 0, vec![a], |d| int(get(&d[0]) + 1));
+    let a = g.source("a", TaskKey::leaf("a", 0), || 10i64);
+    let b = g.op("inc", 0, vec![a], |d| get(&d[0]) + 1);
     run(&g, &[b], 2, &opts);
     // The full diamond now sees `inc` as a hit while `a` is live via `dbl`.
     let (g, out) = diamond();

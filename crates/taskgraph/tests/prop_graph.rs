@@ -20,10 +20,6 @@ use eda_taskgraph::{
 };
 use proptest::prelude::*;
 
-fn int(v: i64) -> Payload {
-    Arc::new(v)
-}
-
 fn get(p: &Payload) -> i64 {
     *p.downcast_ref::<i64>().expect("i64")
 }
@@ -80,17 +76,17 @@ fn build(spec: &DagSpec, dedup: bool) -> (TaskGraph, Vec<NodeId>) {
     let mut g = if dedup { TaskGraph::new() } else { TaskGraph::without_dedup() };
     let mut nodes: Vec<NodeId> = Vec::new();
     for (i, &v) in spec.sources.iter().enumerate() {
-        nodes.push(g.source("src", TaskKey::leaf("src", i as u64), move || int(v)));
+        nodes.push(g.source("src", TaskKey::leaf("src", i as u64), move || v));
     }
     for &(code, a, b) in &spec.ops {
         let da = nodes[a % nodes.len()];
         let db = nodes[b % nodes.len()];
         let node = match code % 3 {
-            0 => g.op("add", 0, vec![da, db], |d| int(get(&d[0]).wrapping_add(get(&d[1])))),
+            0 => g.op("add", 0, vec![da, db], |d| get(&d[0]).wrapping_add(get(&d[1]))),
             1 => g.op("mul", 0, vec![da, db], |d| {
-                int(get(&d[0]).wrapping_mul(get(&d[1])))
+                get(&d[0]).wrapping_mul(get(&d[1]))
             }),
-            _ => g.op("neg", 0, vec![da], |d| int(-get(&d[0]))),
+            _ => g.op("neg", 0, vec![da], |d| -get(&d[0])),
         };
         nodes.push(node);
     }
@@ -172,7 +168,7 @@ proptest! {
             let c = Arc::clone(&counter);
             nodes.push(g.source("src", TaskKey::leaf("src", i as u64), move || {
                 c.fetch_add(1, Ordering::SeqCst);
-                int(v)
+                v
             }));
         }
         let r = run_plain(&g, &[nodes[0]], 2);

@@ -9,16 +9,11 @@
 // targets shipped code.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use eda_taskgraph::graph::Payload;
 use eda_taskgraph::scheduler::{run, ExecOptions, ExecResult};
 use eda_taskgraph::{FaultInjector, NodeId, SpanStatus, TaskGraph, TaskKey};
-
-fn int(v: i64) -> Payload {
-    Arc::new(v)
-}
 
 fn get(p: &Payload) -> i64 {
     *p.downcast_ref::<i64>().expect("i64")
@@ -28,13 +23,13 @@ fn get(p: &Payload) -> i64 {
 fn layered_graph() -> (TaskGraph, Vec<NodeId>) {
     let mut g = TaskGraph::new();
     let leaves: Vec<NodeId> = (0..8)
-        .map(|i| g.source("leaf", TaskKey::leaf("leaf", i), move || int(i as i64)))
+        .map(|i| g.source("leaf", TaskKey::leaf("leaf", i), move || i as i64))
         .collect();
     let mids: Vec<NodeId> = leaves
         .chunks(2)
-        .map(|pair| g.op("add", 0, pair.to_vec(), |d| int(get(&d[0]) + get(&d[1]))))
+        .map(|pair| g.op("add", 0, pair.to_vec(), |d| get(&d[0]) + get(&d[1])))
         .collect();
-    let root = g.op("total", 0, mids.clone(), |d| int(d.iter().map(get).sum()));
+    let root = g.op("total", 0, mids.clone(), |d| d.iter().map(get).sum::<i64>());
     (g, vec![root])
 }
 

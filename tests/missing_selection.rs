@@ -25,6 +25,7 @@ use dataprep_eda::prelude::*;
 use dataprep_eda::stats::freq::CatFreq;
 use dataprep_eda::stats::histogram::Histogram;
 use dataprep_eda::stats::hypothesis::ks_distance;
+use dataprep_eda::stats::moments::Moments;
 use dataprep_eda::stats::quantile::BoxPlot;
 use dataprep_eda::taskgraph::key::TaskKey;
 use dataprep_eda::taskgraph::trace::SpanStatus;
@@ -74,7 +75,8 @@ impl<'a> Oracle<'a> {
         let h = kernels::histogram_with_range(&mut ctx, y, bins, Rows::All, m);
         let outs = ctx.execute_checked(&[m, h]).unwrap();
         let mut kept = ComputeContext::new(&self.kept, &self.cfg);
-        let range = kept.graph.value("before_range", TaskKey::unique(), Arc::clone(&outs[0]));
+        let before = un::<Moments>(&outs[0]).clone();
+        let range = kept.graph.value("before_range", TaskKey::unique(), before);
         let h = kernels::histogram_with_range(&mut kept, y, bins, Rows::All, range);
         let after = kept.execute_checked(&[h]).unwrap();
         (un::<Histogram>(&outs[1]).clone(), un::<Histogram>(&after[0]).clone())

@@ -3,7 +3,7 @@
 //! per worker, a top-K slowest table) and a Chrome-trace export whose
 //! complete-span count equals the executed-task count.
 
-use eda_core::{create_report, plot, Config};
+use eda_core::{create_report, plot, plot_missing, Config};
 use eda_datagen::bitcoin::bitcoin_spec;
 use eda_datagen::generate;
 use eda_render::layout::{render_analysis_html, render_report_html};
@@ -68,4 +68,35 @@ fn profile_off_keeps_reports_trace_free() {
     assert!(report.stats.trace.is_none(), "untraced run must not allocate spans");
     let html = render_report_html(&report, &cfg.display);
     assert!(!html.contains("<h2>Performance</h2>"));
+}
+
+/// A reduce task is named `<op>/reduce`, so its span counts in its
+/// kernel's family — the name up to its first `:`, as `eda-e2e` buckets
+/// task time: `histogram:open/reduce` is a `histogram` span, `nulls:…`
+/// a `nulls` one.
+#[test]
+fn reduce_spans_fall_in_their_kernels_family() {
+    let df = bitcoin_df();
+    let cfg = Config::from_pairs(vec![
+        ("engine.profile", "true"),
+        ("engine.npartitions", "4"),
+        ("engine.cache_budget_bytes", "0"),
+    ])
+    .unwrap();
+    let report = create_report(&df, &cfg).expect("report").stats;
+    let missing = plot_missing(&df, &[], &cfg).expect("missing").stats.expect("stats");
+    let pair = plot(&df, &["open", "close"], &cfg).expect("N×N plot").stats.expect("stats");
+    for (call, stats) in [("create_report", report), ("plot_missing", missing), ("plot", pair)] {
+        let trace = stats.trace.expect("profiled run carries a trace");
+        let reduces = trace.spans.iter().filter(|s| s.name.ends_with("/reduce")).count();
+        assert!(reduces > 0, "{call}: no reduce task ran");
+        for span in &trace.spans {
+            let family = span.name.split(':').next().unwrap_or("");
+            assert!(
+                !family.contains("/reduce"),
+                "{call}: span {} is in family {family}",
+                span.name
+            );
+        }
+    }
 }
