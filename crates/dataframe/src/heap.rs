@@ -29,7 +29,7 @@ macro_rules! no_heap {
     };
 }
 
-no_heap!((), bool, u8, u32, u64, usize, i32, i64, f64, crate::DataType);
+no_heap!((), bool, u8, u32, u64, usize, i64, f64, crate::DataType);
 
 impl HeapSize for String {
     fn heap_bytes(&self) -> usize {

@@ -353,7 +353,8 @@ impl HeapSize for CatFreq {
     }
 }
 
-/// The top list; the dictionary is the table's.
+/// The top list, and the dictionary when the summary alone holds it
+/// (while the table lives, the dictionary is the table's).
 impl HeapSize for FreqSummary {
     fn heap_bytes(&self) -> usize {
         self.top.heap_bytes() + self.dict.heap_bytes()
