@@ -86,7 +86,8 @@ pub struct Analysis {
     pub intermediates: Intermediates,
     /// Auto-detected insights.
     pub insights: Vec<Insight>,
-    /// What the engine did (tasks run, CSE hits, wall time).
+    /// What the call's one graph run did (tasks run, CSE hits, wall
+    /// time): planning executes nothing, so this covers the whole call.
     pub stats: Option<ExecStats>,
     /// Whether the analysis computed fully. `Failed` analyses have empty
     /// intermediates and render as a diagnostics panel instead of charts.

@@ -5,10 +5,10 @@
 //! * C×C → nested bar chart, stacked bar chart, heat map.
 //!
 //! Every variant ends in one section node, `section:bivariate:<x>:<y>`.
-//! The categorical variants are the calls whose plan depends on data:
-//! stage one reduces the category frequencies and is executed while
-//! planning, an eager top-k picks the groups, and stage two builds the
-//! grouped kernels restricted to those groups, then the section over them.
+//! In the categorical variants the groups a chart shows depend on data:
+//! they are the head of the categorical column's `freq_summary` node. The
+//! grouped kernels and the section read that node as a dependency, so the
+//! group choice is graph work and planning executes nothing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,13 +33,13 @@ pub fn compute_bivariate(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> EdaR
     match (ctx.semantic(x)?, ctx.semantic(y)?) {
         (SemanticType::Numerical, SemanticType::Numerical) => Ok(numeric_numeric(ctx, &name, x, y)),
         (SemanticType::Numerical, SemanticType::Categorical) => {
-            numeric_categorical(ctx, &name, y, x)
+            Ok(numeric_categorical(ctx, &name, y, x))
         }
         (SemanticType::Categorical, SemanticType::Numerical) => {
-            numeric_categorical(ctx, &name, x, y)
+            Ok(numeric_categorical(ctx, &name, x, y))
         }
         (SemanticType::Categorical, SemanticType::Categorical) => {
-            categorical_categorical(ctx, &name, x, y)
+            Ok(categorical_categorical(ctx, &name, x, y))
         }
     }
 }
@@ -106,36 +106,28 @@ fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -
 
 /// N×C (either order): categorical box plot + multi-line chart.
 /// `cat`/`num` are already disambiguated by the caller.
-fn numeric_categorical(
-    ctx: &mut ComputeContext<'_>,
-    name: &str,
-    cat: &str,
-    num: &str,
-) -> EdaResult<NodeId> {
-    // Stage 1, executed while planning: category frequencies.
-    let freq_node = kernels::freq_summary(ctx, cat, Rows::All);
-    let outs = ctx.execute_checked(&[freq_node])?;
+fn numeric_categorical(ctx: &mut ComputeContext<'_>, name: &str, cat: &str, num: &str) -> NodeId {
     // The groups are the head of the summary's top list.
-    let freq = un::<FreqSummary>(&outs[0]);
-
-    // Stage 2: grouped kernels restricted to the chosen groups.
-    let box_top = freq.labels(ctx.config.box_plot.ngroups);
-    let line_top = freq.labels(ctx.config.line.ngroups);
+    let summary = kernels::freq_summary(ctx, cat, Rows::All);
+    let (box_groups, line_groups) = (ctx.config.box_plot.ngroups, ctx.config.line.ngroups);
     let deps = vec![
-        kernels::grouped_numeric(ctx, cat, num, &box_top),
-        kernels::multi_line(ctx, cat, num, &line_top, ctx.config.line.bins),
+        kernels::grouped_numeric(ctx, cat, num, summary, box_groups),
+        kernels::multi_line(ctx, cat, num, summary, line_groups, ctx.config.line.bins),
+        summary,
     ];
     let config = Arc::clone(&ctx.config);
-    Ok(ctx.section(name, deps, move |outs| {
+    ctx.section(name, deps, move |outs| {
         let groups = un::<Vec<Vec<f64>>>(&outs[0]);
         let line_hists = un::<Vec<Histogram>>(&outs[1]);
+        let freq = un::<FreqSummary>(&outs[2]);
+        let (box_top, line_top) = (freq.labels(box_groups), freq.labels(line_groups));
 
         let mut ims = Intermediates::new();
         let mut boxes: Vec<(String, BoxPlot)> = box_top
-            .iter()
+            .into_iter()
             .zip(groups)
             .filter_map(|(c, v)| {
-                BoxPlot::from_values(v, config.box_plot.max_outliers).map(|bp| (c.clone(), bp))
+                BoxPlot::from_values(v, config.box_plot.max_outliers).map(|bp| (c, bp))
             })
             .collect();
         boxes.sort_by(|a, b| a.0.cmp(&b.0));
@@ -144,7 +136,7 @@ fn numeric_categorical(
         // Multi-line chart: shared bin centers, one count series per category.
         let mut xs: Vec<f64> = Vec::new();
         let mut series: Vec<(String, Vec<u64>)> = Vec::new();
-        for (c, h) in line_top.iter().zip(line_hists) {
+        for (c, h) in line_top.into_iter().zip(line_hists) {
             if xs.is_empty() {
                 xs = h
                     .edges()
@@ -152,33 +144,26 @@ fn numeric_categorical(
                     .map(|w| (w[0] + w[1]) / 2.0)
                     .collect();
             }
-            series.push((c.clone(), h.counts.clone()));
+            series.push((c, h.counts.clone()));
         }
         series.sort_by(|a, b| a.0.cmp(&b.0));
         ims.push("multi_line_chart", Inter::MultiLine { xs, series });
         (ims, Vec::new())
-    }))
+    })
 }
 
 /// C×C: nested bars, stacked bars, heat map from one crosstab.
-fn categorical_categorical(
-    ctx: &mut ComputeContext<'_>,
-    name: &str,
-    x: &str,
-    y: &str,
-) -> EdaResult<NodeId> {
-    // Stage 1, executed while planning: both frequency tables.
+fn categorical_categorical(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -> NodeId {
     let fx = kernels::freq_summary(ctx, x, Rows::All);
     let fy = kernels::freq_summary(ctx, y, Rows::All);
-    let outs = ctx.execute_checked(&[fx, fy])?;
-    let keep_x = un::<FreqSummary>(&outs[0]).labels(ctx.config.crosstab.ngroups_x);
-    let keep_y = un::<FreqSummary>(&outs[1]).labels(ctx.config.crosstab.ngroups_y);
-
-    // Stage 2: one crosstab feeds all three charts (shared computation).
-    let ct = kernels::crosstab(ctx, x, y, &keep_x, &keep_y);
-    Ok(ctx.section(name, vec![ct], move |outs| {
+    let ngroups = (ctx.config.crosstab.ngroups_x, ctx.config.crosstab.ngroups_y);
+    // One crosstab feeds all three charts (shared computation).
+    let ct = kernels::crosstab(ctx, (x, y), (fx, fy), ngroups);
+    ctx.section(name, vec![ct, fx, fy], move |outs| {
         // One row of `keep_y.len()` counts per kept x category.
         let counts = un::<Vec<u64>>(&outs[0]);
+        let keep_x = un::<FreqSummary>(&outs[1]).labels(ngroups.0);
+        let keep_y = un::<FreqSummary>(&outs[2]).labels(ngroups.1);
 
         let mut ims = Intermediates::new();
         let values: Vec<Vec<u64>> = (0..keep_y.len())
@@ -207,10 +192,10 @@ fn categorical_categorical(
         );
         ims.push(
             "stacked_bar_chart",
-            Inter::GroupedBars { xlabels: keep_x.clone(), series, stacked: true },
+            Inter::GroupedBars { xlabels: keep_x, series, stacked: true },
         );
         (ims, Vec::new())
-    }))
+    })
 }
 
 #[cfg(test)]

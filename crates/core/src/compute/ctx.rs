@@ -372,6 +372,51 @@ mod tests {
         assert_ne!(ctx.params(1), ctx.params(2));
     }
 
+    /// Planning only adds nodes: whichever call is planned, no run has
+    /// happened yet, so the call's one run is all its stats cover.
+    #[test]
+    fn planning_any_call_executes_nothing() {
+        use crate::compute::{bivariate, correlation, missing, overview, timeseries, univariate};
+        type Plan = fn(&mut ComputeContext<'_>) -> EdaResult<NodeId>;
+        let n = 300;
+        let df = DataFrame::new(vec![
+            (
+                "x".into(),
+                Column::from_opt_f64((0..n).map(|i| (i % 7 != 0).then_some(i as f64)).collect()),
+            ),
+            ("y".into(), Column::from_f64((0..n).map(|i| (i * i % 97) as f64).collect())),
+            ("c".into(), Column::from_string((0..n).map(|i| format!("c{}", i % 5)).collect())),
+            ("d".into(), Column::from_string((0..n).map(|i| format!("d{}", i % 3)).collect())),
+        ])
+        .unwrap();
+        let plans: [(&str, Plan); 14] = [
+            ("plot(df)", |ctx| Ok(overview::compute_overview(ctx))),
+            ("plot(df, N)", |ctx| univariate::compute_univariate(ctx, "x")),
+            ("plot(df, C)", |ctx| univariate::compute_univariate(ctx, "c")),
+            ("plot(df, N, N)", |ctx| bivariate::compute_bivariate(ctx, "x", "y")),
+            ("plot(df, N, C)", |ctx| bivariate::compute_bivariate(ctx, "x", "c")),
+            ("plot(df, C, N)", |ctx| bivariate::compute_bivariate(ctx, "c", "x")),
+            ("plot(df, C, C)", |ctx| bivariate::compute_bivariate(ctx, "c", "d")),
+            ("plot_correlation(df)", correlation::compute_correlation_overview),
+            ("plot_correlation(df, x)", |ctx| correlation::compute_correlation_vector(ctx, "x")),
+            ("plot_correlation(df, x, y)", |ctx| {
+                correlation::compute_correlation_pair(ctx, "x", "y")
+            }),
+            ("plot_missing(df)", |ctx| Ok(missing::compute_missing_overview(ctx))),
+            ("plot_missing(df, x)", |ctx| missing::compute_missing_impact(ctx, "x")),
+            ("plot_missing(df, x, c)", |ctx| missing::compute_missing_pair(ctx, "x", "c")),
+            ("plot_timeseries(df, y, x)", |ctx| timeseries::compute_timeseries(ctx, "y", "x")),
+        ];
+        let cfg = Config::default();
+        for (call, plan) in plans {
+            let mut ctx = ComputeContext::new(&df, &cfg);
+            let node = plan(&mut ctx).unwrap_or_else(|e| panic!("{call}: {e}"));
+            assert!(ctx.last_stats.is_none(), "{call} executed while planning");
+            ctx.run_section(node).unwrap_or_else(|e| panic!("{call}: {e}"));
+            assert!(ctx.last_stats.is_some());
+        }
+    }
+
     #[test]
     fn payload_roundtrip() {
         let p: Payload = Arc::new(42i64);

@@ -10,7 +10,10 @@
 //! Kernels whose bin grid depends on data extrema (histogram, hexbin,
 //! binned boxes, multi-line) take the reduced [`Moments`] node as an extra
 //! dependency and read `min`/`max` from its payload at *execution* time,
-//! which keeps everything inside one lazy graph (no eager pre-pass).
+//! which keeps everything inside one lazy graph (no eager pre-pass). The
+//! grouped kernels (grouped numeric values, multi-line, crosstab) read
+//! their groups the same way, off the `freq_summary` node of their
+//! categorical column(s).
 //!
 //! A numeric column is sorted once, by its `corr_prep` node
 //! ([`plan_corr_prep`]): the correlation cells read that argsort's ranks
@@ -23,7 +26,7 @@ use std::sync::Arc;
 
 use eda_dataframe::{Bitmap, Column, DataFrame, Selection};
 use eda_stats::corr::{upper_triangle, ColumnPrep, PearsonPartial};
-use eda_stats::freq::CatFreq;
+use eda_stats::freq::{CatFreq, FreqSummary};
 use eda_stats::histogram::Histogram;
 use eda_stats::missing::{spectrum_ranges, NullCounts};
 use eda_stats::moments::Moments;
@@ -404,28 +407,28 @@ fn count_nulls(df: &DataFrame, first_row: usize, ranges: &[(usize, usize)]) -> N
     }
 }
 
-/// Numeric values of `num` grouped by the (display) categories of `cat`,
-/// restricted to `keep` categories (the stage-one top-k — the two-phase
-/// boundary in action): one group per kept category, in `keep`'s order.
+/// Numeric values of `num` grouped by the (display) categories of `cat`:
+/// one group for each of the `ngroups` most frequent categories, in the
+/// order of `summary`, the `freq_summary` node of `cat`. Each map task
+/// reads that summary as a dependency and picks the groups itself, so the
+/// group choice is graph work like the grouping.
 pub fn grouped_numeric(
     ctx: &mut ComputeContext<'_>,
     cat: &str,
     num: &str,
-    keep: &[String],
+    summary: NodeId,
+    ngroups: usize,
 ) -> NodeId {
     let (cn, nn) = (cat.to_string(), num.to_string());
-    let keep: Arc<Vec<String>> = Arc::new(keep.to_vec());
-    let params = ctx.params(TaskKey::params(&format!(
-        "grouped:{cat}:{num}:{}",
-        keep.join("\u{1}")
-    )));
+    let params = ctx.params(TaskKey::params(&format!("grouped:{cat}:{num}:{ngroups}")));
     ops::map_reduce(
         &mut ctx.graph,
         &format!("grouped_numeric:{cat}:{num}"),
         params,
         &ctx.sources,
-        &[],
-        move |df, _| {
+        &[summary],
+        move |df, extra| {
+            let keep = un::<FreqSummary>(&extra[0]).labels(ngroups);
             let mut groups: Vec<Vec<f64>> = vec![Vec::new(); keep.len()];
             let cats = col(df, &cn).display_encoded();
             let mut slots = Slots::new(cat::codes(&cats).1, &keep);
@@ -452,31 +455,30 @@ fn extend_groups(groups: &mut [Vec<f64>], more: &[Vec<f64>]) {
     }
 }
 
-/// Cross-tabulated counts of two categorical columns restricted to the
-/// stage-one top categories: `keep1.len()` rows of `keep2.len()` counts,
-/// row-major. Rows outside either list are not counted.
+/// Cross-tabulated counts of two categorical columns over their most
+/// frequent categories: the first `ngroups.0` of `summaries.0` (the
+/// `freq_summary` node of `c1`) are the rows, the first `ngroups.1` of
+/// `summaries.1` the columns, row-major. Each map task reads both
+/// summaries and picks the categories itself; rows outside either list
+/// are not counted.
 pub fn crosstab(
     ctx: &mut ComputeContext<'_>,
-    c1: &str,
-    c2: &str,
-    keep1: &[String],
-    keep2: &[String],
+    (c1, c2): (&str, &str),
+    summaries: (NodeId, NodeId),
+    ngroups: (usize, usize),
 ) -> NodeId {
     let (n1, n2) = (c1.to_string(), c2.to_string());
-    let k1: Arc<Vec<String>> = Arc::new(keep1.to_vec());
-    let k2: Arc<Vec<String>> = Arc::new(keep2.to_vec());
-    let params = ctx.params(TaskKey::params(&format!(
-        "crosstab:{c1}:{c2}:{}:{}",
-        keep1.join("\u{1}"),
-        keep2.join("\u{1}")
-    )));
+    let params =
+        ctx.params(TaskKey::params(&format!("crosstab:{c1}:{c2}:{}:{}", ngroups.0, ngroups.1)));
     ops::map_reduce(
         &mut ctx.graph,
         &format!("crosstab:{c1}:{c2}"),
         params,
         &ctx.sources,
-        &[],
-        move |df, _| {
+        &[summaries.0, summaries.1],
+        move |df, extra| {
+            let k1 = un::<FreqSummary>(&extra[0]).labels(ngroups.0);
+            let k2 = un::<FreqSummary>(&extra[1]).labels(ngroups.1);
             let mut counts = vec![0u64; k1.len() * k2.len()];
             let (a, b) = (col(df, &n1).display_encoded(), col(df, &n2).display_encoded());
             let mut rows = Slots::new(cat::codes(&a).1, &k1);
@@ -615,29 +617,29 @@ pub fn hex_center(q: i64, r: i64) -> (f64, f64) {
 }
 
 /// Per-category histograms over shared bins for the multi-line chart: one
-/// histogram per kept category, in `keep`'s order.
+/// histogram for each of the `ngroups` most frequent categories of `cat`,
+/// in the order of `summary`, its `freq_summary` node. Each map task reads
+/// the summary and `num`'s moments (the bin range) as dependencies.
 pub fn multi_line(
     ctx: &mut ComputeContext<'_>,
     cat: &str,
     num: &str,
-    keep: &[String],
+    summary: NodeId,
+    ngroups: usize,
     bins: usize,
 ) -> NodeId {
     let m = moments(ctx, num);
     let (cn, nn) = (cat.to_string(), num.to_string());
-    let keep: Arc<Vec<String>> = Arc::new(keep.to_vec());
-    let params = ctx.params(TaskKey::params(&format!(
-        "multiline:{cat}:{num}:{bins}:{}",
-        keep.join("\u{1}")
-    )));
+    let params = ctx.params(TaskKey::params(&format!("multiline:{cat}:{num}:{bins}:{ngroups}")));
     ops::map_reduce(
         &mut ctx.graph,
         &format!("multi_line:{cat}:{num}"),
         params,
         &ctx.sources,
-        &[m],
+        &[m, summary],
         move |df, extra| {
             let mom = un::<Moments>(&extra[0]);
+            let keep = un::<FreqSummary>(&extra[1]).labels(ngroups);
             let mut hists = vec![Histogram::new(mom.min, mom.max, bins); keep.len()];
             let cats = col(df, &cn).display_encoded();
             let mut slots = Slots::new(cat::codes(&cats).1, &keep);
@@ -825,10 +827,13 @@ mod tests {
 
     #[test]
     fn grouped_numeric_respects_keep() {
-        let keep = vec!["g0".to_string(), "g1".to_string()];
-        let g: Vec<Vec<f64>> = run_one(move |ctx| grouped_numeric(ctx, "cat", "num", &keep));
-        // One group per kept category, in `keep`'s order: `cat` is g{i % 4}
-        // and `num` is i, so a group's values give its category away.
+        let g: Vec<Vec<f64>> = run_one(|ctx| {
+            let summary = freq_summary(ctx, "cat", Rows::All);
+            grouped_numeric(ctx, "cat", "num", summary, 2)
+        });
+        // The four categories tie at 46 rows, so the two kept are g0 and
+        // g1, in that order: `cat` is g{i % 4} and `num` is i, so a
+        // group's values give its category away.
         assert_eq!(g.len(), 2);
         for (group, residue) in g.iter().zip([0.0, 1.0]) {
             assert!(!group.is_empty());
@@ -838,13 +843,14 @@ mod tests {
 
     #[test]
     fn crosstab_counts() {
-        let keep1 = vec!["g0".to_string(), "g1".to_string()];
-        let keep2 = vec!["g2".to_string()];
-        // cat × cat crosstab is degenerate but exercises the kernel:
-        // cells require x∈keep1 and y∈keep2 for the same row, and a row's
-        // category can't be g0 and g2 simultaneously, so all cells are 0.
-        let c: Vec<u64> = run_one(move |ctx| crosstab(ctx, "cat", "cat", &keep1, &keep2));
-        assert_eq!(c, [0, 0]);
+        // cat × cat is degenerate but exercises the kernel: rows g0 and
+        // g1 (the four categories tie at 46), column g0; a row's category
+        // is one of them, so only the g0 × g0 cell counts.
+        let c: Vec<u64> = run_one(|ctx| {
+            let summary = freq_summary(ctx, "cat", Rows::All);
+            crosstab(ctx, ("cat", "cat"), (summary, summary), (2, 1))
+        });
+        assert_eq!(c, [46, 0]);
     }
 
     #[test]
@@ -865,8 +871,10 @@ mod tests {
 
     #[test]
     fn multi_line_shares_bins() {
-        let keep = vec!["g0".to_string(), "g1".to_string()];
-        let h: Vec<Histogram> = run_one(move |ctx| multi_line(ctx, "cat", "num", &keep, 8));
+        let h: Vec<Histogram> = run_one(|ctx| {
+            let summary = freq_summary(ctx, "cat", Rows::All);
+            multi_line(ctx, "cat", "num", summary, 2, 8)
+        });
         assert_eq!(h.len(), 2);
         let (h0, h1) = (&h[0], &h[1]);
         assert_eq!(h0.min, h1.min);

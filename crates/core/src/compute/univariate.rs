@@ -407,6 +407,25 @@ mod tests {
         }
     }
 
+    /// The `kde` task reads the sorted values and `kde.grid` alone, as its
+    /// how-to guide says: `hist.bins` does not move the curve.
+    #[test]
+    fn kde_plot_follows_kde_grid_not_hist_bins() {
+        let df = frame();
+        let kde_bits = |pairs: Vec<(&str, &str)>| {
+            let cfg = Config::from_pairs(pairs).unwrap();
+            let (ims, _) = section(&mut ComputeContext::new(&df, &cfg), "price");
+            let Some(Inter::Kde { xs, ys }) = ims.get("kde_plot") else { panic!("no kde_plot") };
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            (bits(xs), bits(ys))
+        };
+        let default = kde_bits(vec![]);
+        assert_eq!(kde_bits(vec![("hist.bins", "7")]), default);
+        assert_ne!(kde_bits(vec![("kde.grid", "57")]), default);
+        let guide = crate::config::howto_for("kde_plot");
+        assert!(guide.entries.iter().all(|e| e.spec.key != "hist.bins"));
+    }
+
     #[test]
     fn categorical_panel_has_all_figure2_charts() {
         let df = frame();

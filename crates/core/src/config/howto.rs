@@ -28,7 +28,7 @@ pub struct HowToGuide {
 /// Which parameters customize which chart (by intermediate name).
 const CHART_PARAMS: &[(&str, &[&str])] = &[
     ("histogram", &["hist.bins", "display.width", "display.height"]),
-    ("kde_plot", &["kde.grid", "hist.bins", "display.width", "display.height"]),
+    ("kde_plot", &["kde.grid", "display.width", "display.height"]),
     ("qq_plot", &["qq.points", "display.width", "display.height"]),
     ("box_plot", &["box.max_outliers", "display.width", "display.height"]),
     ("binned_box_plot", &["box.bins", "box.max_outliers"]),

@@ -89,6 +89,64 @@ mod tests {
         }
     }
 
+    /// A default as `Config::set` takes it: `cores` and `2*cores`
+    /// resolved on the running host.
+    fn resolved(default: &str) -> String {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        match default {
+            "cores" => cores.to_string(),
+            "2*cores" => (2 * cores).to_string(),
+            d => d.to_string(),
+        }
+    }
+
+    /// A value of the key's type other than its default.
+    fn changed(spec: &ParamSpec) -> String {
+        let default = resolved(spec.default);
+        if let Ok(b) = default.parse::<bool>() {
+            (!b).to_string()
+        } else if let Ok(n) = default.parse::<usize>() {
+            (n + 3).to_string()
+        } else {
+            let x: f64 = default.parse().unwrap_or_else(|_| panic!("{}: {default}", spec.key));
+            (x + 0.125).to_string()
+        }
+    }
+
+    /// A key is declared in the registry, `Config::set`, its field, the
+    /// hashes and `Default`: this ties them together. Keys outside
+    /// `insight.*`, `engine.*` and `display.*` change what is computed,
+    /// so `compute_hash`; `insight.*` keys change only the thresholds a
+    /// section node's key mixes in; `engine.*` and `display.*` neither.
+    #[test]
+    fn every_key_changes_the_hash_of_its_role() {
+        let base = Config::default();
+        for p in PARAMS {
+            let mut cfg = Config::default();
+            cfg.set(p.key, &changed(p)).unwrap();
+            assert_ne!(cfg, base, "{}: setting it changes nothing", p.key);
+            let roles = (
+                cfg.compute_hash() != base.compute_hash(),
+                cfg.insight.thresholds_hash() != base.insight.thresholds_hash(),
+            );
+            let expected = match p.key.split('.').next() {
+                Some("insight") => (false, true),
+                Some("engine" | "display") => (false, false),
+                _ => (true, false),
+            };
+            assert_eq!(roles, expected, "{}: (compute_hash, thresholds_hash) moved", p.key);
+        }
+    }
+
+    #[test]
+    fn every_default_is_the_default_config() {
+        for p in PARAMS {
+            let mut cfg = Config::default();
+            cfg.set(p.key, &resolved(p.default)).unwrap();
+            assert_eq!(cfg, Config::default(), "{} = {}", p.key, p.default);
+        }
+    }
+
     #[test]
     fn describe_finds_keys() {
         assert!(describe("hist.bins").is_some());

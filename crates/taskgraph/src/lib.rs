@@ -62,4 +62,4 @@ pub use key::TaskKey;
 pub use outcome::{root_failure, TaskError, TaskFailure, TaskOutcome};
 pub use partition::{ChunkMeta, PartitionedFrame};
 pub use stats::ExecStats;
-pub use trace::{LogLevel, RunTrace, SpanStatus, TaskSpan};
+pub use trace::{RunTrace, SpanStatus, TaskSpan};

@@ -43,7 +43,7 @@ use crate::graph::{NodeId, Payload, TaskGraph};
 use crate::inject::{FaultMode, Garbage};
 use crate::outcome::{root_failure, TaskError, TaskFailure, TaskOutcome};
 use crate::stats::ExecStats;
-use crate::trace::{self, LogLevel, RunTrace, SpanStatus, TaskSpan};
+use crate::trace::{RunTrace, SpanStatus, TaskSpan};
 
 /// Knobs of one [`run`].
 #[derive(Clone, Default)]
@@ -127,12 +127,10 @@ fn run_after(
 ) -> ExecResult {
     let workers = workers.max(1);
     let started = Instant::now();
-    let run_id = trace::next_run_id();
     let plan = Plan::build(graph, outputs, opts.cache.as_ref());
     let mut ledger = Ledger::open(graph, opts, &plan, started);
-    let execute = |id: NodeId, inputs: &[TaskOutcome]| {
-        execute_node(graph, id, inputs, opts, started, run_id)
-    };
+    let execute =
+        |id: NodeId, inputs: &[TaskOutcome]| execute_node(graph, id, inputs, opts, started);
     std::thread::scope(|scope| {
         // The calling thread works alone until the run has lasted
         // `pool_after`: a run that ends sooner (no outputs, every live
@@ -161,7 +159,7 @@ fn run_after(
             pool.shut_down();
         }
     });
-    ledger.finish(outputs, workers, run_id)
+    ledger.finish(outputs, workers)
 }
 
 /// Cache-aware liveness plan: which nodes this run must touch, and which
@@ -172,7 +170,7 @@ struct Plan {
     /// transitively satisfies its whole upstream cone — those
     /// dependencies are not live and never dispatch.
     live: Vec<bool>,
-    /// `(payload, byte estimate)` for live nodes answered by the cache,
+    /// `(payload, price in bytes)` for live nodes answered by the cache,
     /// in node order.
     hits: BTreeMap<NodeId, (Payload, usize)>,
     /// Number of probed-but-absent derived nodes.
@@ -327,14 +325,14 @@ impl<'a> Ledger<'a> {
     /// Fold the books into the run's [`ExecResult`]. A node without a
     /// result here means every worker died outside `catch_unwind`: the
     /// run degrades to a partial one with a named cause.
-    fn finish(self, outputs: &[NodeId], workers: usize, run_id: u64) -> ExecResult {
+    fn finish(self, outputs: &[NodeId], workers: usize) -> ExecResult {
         let unfinished = "task never completed (scheduler degraded to a partial run)";
         let outcomes = outputs.iter().map(|&id| self.outcome_of(id, unfinished)).collect();
         let live_outcomes = (self.plan.live.iter().enumerate())
             .filter(|&(_, &live)| live)
             .map(|(id, _)| self.outcome_of(id, unfinished));
         let elapsed = self.started.elapsed();
-        let mut stats = tally(live_outcomes, self.live_count, self.graph, workers, elapsed, run_id);
+        let mut stats = tally(live_outcomes, self.live_count, self.graph, workers, elapsed);
         if self.opts.trace {
             stats.trace = Some(Arc::new(RunTrace::from_spans(self.spans, workers, elapsed)));
         }
@@ -485,7 +483,6 @@ fn execute_node(
     inputs: &[TaskOutcome],
     opts: &ExecOptions,
     origin: Instant,
-    run_id: u64,
 ) -> Executed {
     let task = graph.task(id);
     let zero_width = || {
@@ -565,20 +562,6 @@ fn execute_node(
         (payload, bytes)
     });
     let (outcome, bytes) = classify_result(graph, id, result, elapsed, opts);
-    if trace::log_enabled(LogLevel::Debug) {
-        trace::log(
-            LogLevel::Debug,
-            "eda::sched",
-            format_args!(
-                "run_id={} task={} node={} status={} dur_us={}",
-                run_id,
-                task.name,
-                id,
-                SpanStatus::of(&outcome).label(),
-                elapsed.as_micros()
-            ),
-        );
-    }
     let timing = span_start.map(|start| (start, origin.elapsed()));
     (outcome, bytes, timing)
 }
@@ -691,7 +674,6 @@ fn tally(
     graph: &TaskGraph,
     workers: usize,
     elapsed: Duration,
-    run_id: u64,
 ) -> ExecStats {
     let mut stats = ExecStats {
         live_nodes: live_count,
@@ -710,26 +692,6 @@ fn tally(
             SpanStatus::Cancelled => stats.tasks_cancelled += 1,
             SpanStatus::BudgetExceeded => stats.tasks_budget_exceeded += 1,
         }
-    }
-    if trace::log_enabled(LogLevel::Info) {
-        trace::log(
-            LogLevel::Info,
-            "eda::sched",
-            format_args!(
-                "run_id={} workers={} live={} run={} failed={} skipped={} timed_out={} cancelled={} budget_exceeded={} cse_hits={} elapsed_us={}",
-                run_id,
-                stats.workers,
-                stats.live_nodes,
-                stats.tasks_run,
-                stats.tasks_failed,
-                stats.tasks_skipped,
-                stats.tasks_timed_out,
-                stats.tasks_cancelled,
-                stats.tasks_budget_exceeded,
-                stats.cse_hits,
-                stats.elapsed.as_micros()
-            ),
-        );
     }
     stats
 }

@@ -39,8 +39,8 @@ pub struct ExecStats {
     pub cache_misses: usize,
     /// Entries evicted during this run to respect the cache byte budget.
     pub cache_evictions: usize,
-    /// Estimated payload bytes served from the cache instead of being
-    /// recomputed.
+    /// Payload bytes served from the cache instead of being recomputed:
+    /// the sum of the hits' prices.
     pub cache_bytes_saved: usize,
     /// Tasks recorded `Cancelled` because the run's
     /// deadline ([`crate::govern::CancelToken`]) passed.

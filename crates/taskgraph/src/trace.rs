@@ -4,8 +4,8 @@
 //! and how well the pool keeps its workers busy; aggregate
 //! [`crate::stats::ExecStats`] counters cannot show either. This module
 //! records one [`TaskSpan`] per dispatched task — node, name, worker,
-//! start/end offsets from the run origin, outcome, payload-size
-//! estimate. Whoever executes a task times it; the executor's calling
+//! start/end offsets from the run origin, outcome, the payload's price
+//! in bytes. Whoever executes a task times it; the executor's calling
 //! thread collects the spans in a plain `Vec` (recording takes no
 //! lock), turns them into a [`RunTrace`] attached to `ExecStats`, and
 //! this module derives everything a perf PR needs to attribute a
@@ -15,9 +15,7 @@
 //!   loadable in `chrome://tracing` / Perfetto);
 //! * derived metrics — critical path, per-worker utilization, queue-wait
 //!   histogram, top-K slowest tasks, CSE/prune savings in estimated task
-//!   time;
-//! * structured logs — a `RUST_LOG`-style `EDA_LOG` env filter gating
-//!   compact `key=value` lines from the executor.
+//!   time.
 //!
 //! Tracing is off unless [`crate::scheduler::ExecOptions::trace`] is set:
 //! the executor branches around every recording site, so untraced runs
@@ -25,7 +23,6 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::graph::NodeId;
@@ -54,7 +51,7 @@ pub enum SpanStatus {
 }
 
 impl SpanStatus {
-    /// Stable lowercase label used by exporters and logs.
+    /// Stable lowercase label used by the exporter.
     pub fn label(&self) -> &'static str {
         match self {
             SpanStatus::Ok => "ok",
@@ -348,94 +345,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Structured logging with a RUST_LOG-style env filter.
-// ---------------------------------------------------------------------------
-
-/// Allocate a process-unique run id. The executor stamps one on every
-/// structured log line (`run_id=<n>`) so the interleaved stderr of
-/// concurrent runs can be correlated back into per-run streams.
-pub fn next_run_id() -> u64 {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
-}
-
-/// Log verbosity, ordered. Controlled by the `EDA_LOG` environment
-/// variable (`error`..`trace`, or `target=level` items separated by
-/// commas, of which the level parts apply); unset or `off` disables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LogLevel {
-    /// Logging disabled.
-    Off = 0,
-    /// Failures only.
-    Error = 1,
-    /// Suspicious but recoverable conditions.
-    Warn = 2,
-    /// One line per run.
-    Info = 3,
-    /// One line per task.
-    Debug = 4,
-    /// Everything.
-    Trace = 5,
-}
-
-impl LogLevel {
-    fn parse(s: &str) -> Option<LogLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" => Some(LogLevel::Off),
-            "error" => Some(LogLevel::Error),
-            "warn" => Some(LogLevel::Warn),
-            "info" => Some(LogLevel::Info),
-            "debug" => Some(LogLevel::Debug),
-            "trace" => Some(LogLevel::Trace),
-            _ => None,
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            LogLevel::Off => "off",
-            LogLevel::Error => "error",
-            LogLevel::Warn => "warn",
-            LogLevel::Info => "info",
-            LogLevel::Debug => "debug",
-            LogLevel::Trace => "trace",
-        }
-    }
-}
-
-fn max_level() -> LogLevel {
-    static LEVEL: OnceLock<LogLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        let Ok(spec) = std::env::var("EDA_LOG") else { return LogLevel::Off };
-        // RUST_LOG-style: comma-separated `level` or `target=level`
-        // items; the most verbose level wins (targets all live in this
-        // workspace, so per-target filtering adds nothing here).
-        spec.split(',')
-            .filter_map(|item| {
-                let level = item.rsplit('=').next().unwrap_or(item);
-                LogLevel::parse(level)
-            })
-            .max()
-            .unwrap_or(LogLevel::Off)
-    })
-}
-
-/// Whether a message at `level` would be emitted. Callers use this to
-/// skip formatting entirely on the hot path.
-pub fn log_enabled(level: LogLevel) -> bool {
-    level <= max_level() && level != LogLevel::Off
-}
-
-/// Emit one compact structured line to stderr:
-/// `eda level=<level> target=<target> <message>`, where `message` is
-/// `key=value` pairs by convention.
-pub fn log(level: LogLevel, target: &str, message: std::fmt::Arguments<'_>) {
-    if log_enabled(level) {
-        eprintln!("eda level={} target={} {}", level.label(), target, message);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,14 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn run_ids_are_unique_and_nonzero() {
-        let a = next_run_id();
-        let b = next_run_id();
-        assert!(a > 0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn savings_scale_with_mean_task_time() {
         let t = diamond_trace();
         // mean = (100+190+80+90)/4 = 115us
@@ -594,13 +495,6 @@ mod tests {
     fn json_escaping() {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json_escape("x\ny"), "x\\ny");
-    }
-
-    #[test]
-    fn log_levels_ordered_and_parse() {
-        assert!(LogLevel::Error < LogLevel::Debug);
-        assert_eq!(LogLevel::parse("DEBUG"), Some(LogLevel::Debug));
-        assert_eq!(LogLevel::parse("nope"), None);
     }
 
     /// The collector-side clock helper: offsets are measured from one

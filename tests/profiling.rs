@@ -4,6 +4,7 @@
 //! complete-span count equals the executed-task count.
 
 use eda_core::{create_report, plot, plot_missing, Config};
+use eda_dataframe::{Column, DataFrame};
 use eda_datagen::bitcoin::bitcoin_spec;
 use eda_datagen::generate;
 use eda_render::layout::{render_analysis_html, render_report_html};
@@ -58,6 +59,42 @@ fn profiled_report_exports_consistent_trace() {
     let executed =
         report.stats.tasks_run + report.stats.tasks_failed + report.stats.tasks_timed_out;
     assert_eq!(trace.to_chrome_trace().matches("\"ph\":\"X\"").count(), executed);
+}
+
+/// An N×C or C×C `plot(df, x, y)` picks its groups inside the graph, so
+/// the call is one run: its trace and stats hold the frequency tasks of
+/// each categorical column beside the grouped kernels.
+#[test]
+fn profiled_grouped_plots_trace_their_frequencies() {
+    let n = 3_000;
+    let df = DataFrame::new(vec![
+        ("city".into(), Column::from_string((0..n).map(|i| format!("c{}", i % 9)).collect())),
+        (
+            "kind".into(),
+            Column::from_opt_string(
+                (0..n).map(|i| (i % 11 != 0).then(|| format!("k{}", i * i % 5))).collect(),
+            ),
+        ),
+        ("price".into(), Column::from_f64((0..n).map(|i| (i * 37 % 1000) as f64).collect())),
+    ])
+    .unwrap();
+    let cfg =
+        Config::from_pairs(vec![("engine.profile", "true"), ("engine.cache_budget_bytes", "0")])
+            .unwrap();
+    for (columns, cats) in
+        [(["city", "price"], &["city"][..]), (["city", "kind"], &["city", "kind"])]
+    {
+        let stats = plot(&df, &columns, &cfg).expect("grouped plot").stats.expect("stats");
+        let trace = stats.trace.as_ref().expect("profiled run carries a trace");
+        assert_eq!(trace.spans.len(), stats.live_nodes, "{columns:?}: one span per live node");
+        for cat in cats {
+            for task in [format!("freq:{cat}"), format!("freq_summary:{cat}")] {
+                assert!(trace.spans.iter().any(|s| s.name == task), "{columns:?}: no {task} span");
+            }
+        }
+        let executed = stats.tasks_run + stats.tasks_failed + stats.tasks_timed_out;
+        assert_eq!(trace.to_chrome_trace().matches("\"ph\":\"X\"").count(), executed);
+    }
 }
 
 #[test]
