@@ -3,12 +3,10 @@
 //! * **sharing** — structural-key CSE on vs off ([`unshared_context`]),
 //!   the paper's "single Dask graph" optimization;
 //! * **lazy vs eager** — one shared graph vs per-output execution vs
-//!   heavy per-task scheduling (the Figure 6(a) engines, micro-scale);
+//!   one thread (the Figure 6(a) engines, micro-scale);
 //! * **two-phase boundary** — correlation cells tiled per worker vs one
 //!   task per (method, pair) ([`CorrTiling`], paper §5.2);
 //! * **partitioning** — report cost vs partition count.
-
-use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::{unshared_context, CorrTiling, EnginePolicy};
@@ -45,7 +43,6 @@ fn ablation_lazy(c: &mut Criterion) {
     let engines = [
         ("lazy_parallel", EnginePolicy::LazyParallel),
         ("eager_per_op", EnginePolicy::EagerPerOp),
-        ("heavy_scheduler", EnginePolicy::HeavyScheduler(Duration::from_micros(500))),
         ("single_thread", EnginePolicy::SingleThread),
     ];
     for (label, policy) in engines {
@@ -54,7 +51,7 @@ fn ablation_lazy(c: &mut Criterion) {
                 let mut ctx = ComputeContext::new(&df, &cfg);
                 let plan = plan_overview(&mut ctx);
                 let outputs = plan.outputs();
-                policy.execute(&mut ctx.graph, &outputs, cfg.engine.workers)
+                policy.execute(&ctx.graph, &outputs, cfg.engine.workers)
             })
         });
     }

@@ -4,11 +4,10 @@
 //! Usage: `cargo run -p eda-bench --release --bin figure6a [--rows 1000000]`
 //!
 //! The paper compares Dask, Modin, Koalas and PySpark and finds
-//! Dask < Modin < Koalas/PySpark; the policies encode the same
-//! structural differences (shared lazy graph, eager per-op, per-task
-//! scheduling overhead — see `eda_bench::EnginePolicy`).
-
-use std::time::Duration;
+//! Dask < Modin < Koalas/PySpark; the policies encode the first two
+//! structural differences (shared lazy graph, eager per-op — see
+//! `eda_bench::EnginePolicy`). Koalas/PySpark need a Spark runtime and
+//! are not run.
 
 use eda_bench::{arg_f64, fmt_secs, machine_context, measure, print_table, EnginePolicy};
 use eda_core::compute::overview::plan_overview;
@@ -28,12 +27,9 @@ fn main() {
     let cfg = Config::default();
     let workers = cfg.engine.workers;
 
-    // Per-task scheduling latency for the heavy engine: modelled on the
-    // millisecond-scale per-task driver overhead JVM engines pay.
     let engines = [
         ("LazyParallel (Dask)", EnginePolicy::LazyParallel),
         ("EagerPerOp (Modin)", EnginePolicy::EagerPerOp),
-        ("HeavyScheduler (Koalas/PySpark)", EnginePolicy::HeavyScheduler(Duration::from_millis(2))),
         ("SingleThread (Pandas)", EnginePolicy::SingleThread),
     ];
 
@@ -42,12 +38,11 @@ fn main() {
         let mut ctx = ComputeContext::new(&df, &cfg);
         let plan = plan_overview(&mut ctx);
         let outputs = plan.outputs();
-        let ((_, tasks_run), d) = measure(|| policy.execute(&mut ctx.graph, &outputs, workers));
+        let ((_, tasks_run), d) = measure(|| policy.execute(&ctx.graph, &outputs, workers));
         rows_out.push(vec![name.to_string(), fmt_secs(d), tasks_run.to_string()]);
     }
     print_table(&["Engine", "Time", "Tasks run"], &rows_out);
     println!();
     println!("paper ordering: Dask fastest, then Modin (eager per-op), then Koalas/PySpark");
-    println!("(heavy per-task scheduling). EagerPerOp reruns shared work; HeavyScheduler");
-    println!("pays a fixed latency per task.");
+    println!("(not run here: no Spark runtime). EagerPerOp reruns shared work.");
 }

@@ -28,13 +28,14 @@ use eda_core::Config;
 use eda_dataframe::DataFrame;
 use eda_stats::corr::CorrMatrix;
 use eda_taskgraph::scheduler::{run, ExecOptions};
-use eda_taskgraph::{FaultInjector, NodeId, TaskGraph, TaskOutcome};
+use eda_taskgraph::{NodeId, TaskGraph, TaskOutcome};
 
-/// The execution models of the paper's Figure 6(a). The paper explains
-/// its ranking structurally (§5.1): Dask evaluates one shared lazy graph;
-/// Modin evaluates eagerly per operation, so nothing is shared across
-/// visualizations; Koalas and PySpark are lazy but pay heavy per-task
-/// scheduling overhead on a single node. Every policy drives the same
+/// The execution models of the paper's Figure 6(a) that run here. The
+/// paper explains its ranking structurally (§5.1): Dask evaluates one
+/// shared lazy graph; Modin evaluates eagerly per operation, so nothing
+/// is shared across visualizations. Its third model, Koalas/PySpark (a
+/// lazy graph paying JVM driver overhead per task), needs a Spark
+/// runtime and is not reproduced. Every policy drives the same
 /// [`TaskGraph`] through the one executor ([`run`]), so the comparison
 /// isolates the scheduling model.
 #[derive(Debug, Clone, Copy)]
@@ -45,9 +46,6 @@ pub enum EnginePolicy {
     /// One run per requested output, recomputing any shared dependencies
     /// (the Modin model: no cross-visualization optimization).
     EagerPerOp,
-    /// One shared lazy graph whose every task first stalls this long (the
-    /// Koalas/PySpark model: driver/JVM overhead per task).
-    HeavyScheduler(Duration),
     /// One shared lazy graph on the calling thread (the plain-Pandas model).
     SingleThread,
 }
@@ -57,7 +55,7 @@ impl EnginePolicy {
     /// threads: the outcomes in output order, and how many tasks ran.
     pub fn execute(
         self,
-        graph: &mut TaskGraph,
+        graph: &TaskGraph,
         outputs: &[NodeId],
         workers: usize,
     ) -> (Vec<TaskOutcome>, usize) {
@@ -68,14 +66,6 @@ impl EnginePolicy {
         match self {
             EnginePolicy::LazyParallel => shared(graph, outputs, workers),
             EnginePolicy::SingleThread => shared(graph, outputs, 1),
-            EnginePolicy::HeavyScheduler(overhead) => {
-                // The empty substring matches every task name, so every
-                // dispatch stalls — inside its span, where a trace shows it.
-                graph.set_fault_injector(FaultInjector::stall_on("", overhead));
-                let result = shared(graph, outputs, workers);
-                graph.clear_fault_injector();
-                result
-            }
             EnginePolicy::EagerPerOp => {
                 let mut all = (Vec::with_capacity(outputs.len()), 0);
                 for out in outputs {
@@ -243,12 +233,8 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    const POLICIES: [EnginePolicy; 4] = [
-        EnginePolicy::LazyParallel,
-        EnginePolicy::EagerPerOp,
-        EnginePolicy::HeavyScheduler(Duration::from_micros(10)),
-        EnginePolicy::SingleThread,
-    ];
+    const POLICIES: [EnginePolicy; 3] =
+        [EnginePolicy::LazyParallel, EnginePolicy::EagerPerOp, EnginePolicy::SingleThread];
 
     fn get(p: &Payload) -> i64 {
         *eda_taskgraph::un::<i64>(p)
@@ -270,8 +256,8 @@ mod tests {
     #[test]
     fn all_engines_agree_on_results() {
         for policy in POLICIES {
-            let (mut g, outs) = shared_graph(Arc::default());
-            let (outcomes, _) = policy.execute(&mut g, &outs, 2);
+            let (g, outs) = shared_graph(Arc::default());
+            let (outcomes, _) = policy.execute(&g, &outs, 2);
             assert_eq!(get(outcomes[0].payload().expect("a ok")), 8, "{policy:?}");
             assert_eq!(get(outcomes[1].payload().expect("b ok")), 9, "{policy:?}");
         }
@@ -281,31 +267,20 @@ mod tests {
     fn lazy_shares_eager_recomputes() {
         for (policy, source_runs) in [(EnginePolicy::LazyParallel, 1), (EnginePolicy::EagerPerOp, 2)] {
             let counter = Arc::new(AtomicUsize::new(0));
-            let (mut g, outs) = shared_graph(Arc::clone(&counter));
-            policy.execute(&mut g, &outs, 2);
+            let (g, outs) = shared_graph(Arc::clone(&counter));
+            policy.execute(&g, &outs, 2);
             assert_eq!(counter.load(Ordering::SeqCst), source_runs, "{policy:?}");
         }
     }
 
     #[test]
     fn eager_runs_more_tasks() {
-        let (mut g, outs) = shared_graph(Arc::default());
-        let (_, lazy) = EnginePolicy::LazyParallel.execute(&mut g, &outs, 1);
-        let (mut g2, outs2) = shared_graph(Arc::default());
-        let (_, eager) = EnginePolicy::EagerPerOp.execute(&mut g2, &outs2, 1);
+        let (g, outs) = shared_graph(Arc::default());
+        let (_, lazy) = EnginePolicy::LazyParallel.execute(&g, &outs, 1);
+        let (g2, outs2) = shared_graph(Arc::default());
+        let (_, eager) = EnginePolicy::EagerPerOp.execute(&g2, &outs2, 1);
         assert_eq!(lazy, 3); // src, a, b
         assert_eq!(eager, 4); // (src, a), (src, b)
-    }
-
-    #[test]
-    fn heavy_scheduler_is_slower_than_lazy() {
-        let (mut g, outs) = shared_graph(Arc::default());
-        let (_, lazy) = measure(|| EnginePolicy::LazyParallel.execute(&mut g, &outs, 1));
-        let (mut g2, outs2) = shared_graph(Arc::default());
-        let heavy = EnginePolicy::HeavyScheduler(Duration::from_millis(3));
-        let (_, heavy) = measure(|| heavy.execute(&mut g2, &outs2, 1));
-        assert!(heavy > lazy);
-        assert!(heavy >= Duration::from_millis(9)); // 3 tasks x 3 ms
     }
 
     #[test]
@@ -316,7 +291,7 @@ mod tests {
                 panic!("kernel bug")
             });
             let good = g.source("good", TaskKey::leaf("good", 0), || 5i64);
-            let (outcomes, tasks_run) = policy.execute(&mut g, &[bad, good], 2);
+            let (outcomes, tasks_run) = policy.execute(&g, &[bad, good], 2);
             assert!(outcomes[0].is_failed(), "{policy:?}");
             assert_eq!(get(outcomes[1].payload().expect("good ok")), 5, "{policy:?}");
             assert_eq!(tasks_run, 1, "{policy:?}");

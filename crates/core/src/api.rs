@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use eda_dataframe::DataFrame;
-use eda_taskgraph::{ExecStats, NodeId, TaskError, TaskFailure};
+use eda_taskgraph::{ExecStats, NodeId, TaskError};
 
 use crate::compute::{
     bivariate, correlation, ctx::ComputeContext, missing, overview, timeseries, univariate,
@@ -117,8 +117,7 @@ impl Analysis {
 /// The one sampler: a systematic sample of about `target` rows (every
 /// k-th row), plus the [`crate::insights::InsightKind::Approximated`]
 /// notice for the output. `None` when the frame has no more rows than
-/// that. Both the §7 sampling extension (`engine.sample_rows`) and the
-/// degradation ladder take their samples here.
+/// that.
 fn stride_sample(df: &DataFrame, target: usize) -> Option<(DataFrame, Insight)> {
     if target == 0 || df.nrows() <= target {
         return None;
@@ -128,35 +127,20 @@ fn stride_sample(df: &DataFrame, target: usize) -> Option<(DataFrame, Insight)> 
     Some((sampled, note))
 }
 
-/// What the sampler and the budget ladder need of a call's result: an
-/// [`Analysis`] is one section, a [`Report`] several.
+/// What the sampler needs of a call's result: an [`Analysis`] is one
+/// section, a [`Report`] several.
 trait Sections {
-    /// Whether a section failed on the run memory budget.
-    fn over_budget(&self) -> bool;
     /// Put a sampling notice first among the insights.
     fn note(&mut self, note: Insight);
 }
 
-/// Whether a section's root failure is a memory-budget refusal — the one
-/// trigger of the degradation ladder.
-fn over_budget(status: &SectionStatus) -> bool {
-    matches!(status, SectionStatus::Failed(err)
-        if matches!(err.root().failure, TaskFailure::BudgetExceeded { .. }))
-}
-
 impl Sections for Analysis {
-    fn over_budget(&self) -> bool {
-        over_budget(&self.status)
-    }
     fn note(&mut self, note: Insight) {
         self.insights.insert(0, note);
     }
 }
 
 impl Sections for Report {
-    fn over_budget(&self) -> bool {
-        self.failed_sections().iter().any(|(_, status)| over_budget(status))
-    }
     fn note(&mut self, note: Insight) {
         self.insights.insert(0, note);
     }
@@ -164,64 +148,35 @@ impl Sections for Report {
 
 /// Every public call's path around its compute step `run`: when
 /// `engine.sample_rows` is set and the frame is larger, analyze the
-/// sample and put its notice first. Either way the call runs on the
-/// budget ladder: when a section fails on the run memory budget, `run`
-/// is retried once over a quarter sample and the output is flagged
-/// approximate. A retry that fails on the budget again leaves the
-/// original diagnostics in place.
+/// sample and put its notice first; otherwise analyze the frame. Either
+/// way `run` runs once.
 fn sampled<T: Sections>(
     df: &DataFrame,
     config: &Config,
-    run: impl Fn(&DataFrame) -> EdaResult<T>,
+    run: impl FnOnce(&DataFrame) -> EdaResult<T>,
 ) -> EdaResult<T> {
     let Some((sample, note)) = stride_sample(df, config.engine.sample_rows) else {
-        return with_budget_ladder(df, run);
+        return run(df);
     };
-    let mut out = with_budget_ladder(&sample, run)?;
+    let mut out = run(&sample)?;
     out.note(note);
     Ok(out)
-}
-
-/// How many rows the degradation ladder's fallback input keeps: a
-/// quarter (never below 256). A frame no larger than that is too small
-/// to shrink meaningfully, and the budget failure stands as diagnostics.
-fn ladder_rows(df: &DataFrame) -> usize {
-    (df.nrows() / 4).max(256)
-}
-
-fn with_budget_ladder<T: Sections>(
-    df: &DataFrame,
-    run: impl Fn(&DataFrame) -> EdaResult<T>,
-) -> EdaResult<T> {
-    let out = run(df)?;
-    if !out.over_budget() {
-        return Ok(out);
-    }
-    let Some((small, note)) = stride_sample(df, ladder_rows(df)) else {
-        return Ok(out);
-    };
-    let mut retry = run(&small)?;
-    if retry.over_budget() {
-        return Ok(out);
-    }
-    retry.note(note);
-    Ok(retry)
 }
 
 /// What a `plot*` call's compute step returns: the task it answers and
 /// the section node that answers it.
 type Computed = (TaskKind, EdaResult<NodeId>);
 
-/// The one path of the `plot*` calls: sample and ladder ([`sampled`]),
-/// then a fresh [`ComputeContext`] per attempt, `compute` on it, and one
-/// execute of the section node it planned. A task failure degrades into
-/// an `Analysis` with a `Failed` status (the caller still gets stats and
-/// a renderable diagnostics panel); planning errors — unknown column, bad
-/// config — pass through as `Err`.
+/// The one path of the `plot*` calls: sample ([`sampled`]), then one
+/// [`ComputeContext`], `compute` on it, and one execute of the section
+/// node it planned. A task failure degrades into an `Analysis` with a
+/// `Failed` status (the caller still gets stats and a renderable
+/// diagnostics panel); planning errors — unknown column, bad config —
+/// pass through as `Err`.
 fn analyze(
     df: &DataFrame,
     config: &Config,
-    compute: impl Fn(&mut ComputeContext<'_>) -> EdaResult<Computed>,
+    compute: impl FnOnce(&mut ComputeContext<'_>) -> EdaResult<Computed>,
 ) -> EdaResult<Analysis> {
     sampled(df, config, |df| {
         let mut ctx = ComputeContext::new(df, config);
@@ -334,7 +289,7 @@ pub fn plot_timeseries(
 /// `create_report(df, config)`: the full profile report. See
 /// [`crate::report`].
 ///
-/// Sampled and budget-laddered like the `plot*` calls.
+/// Sampled like the `plot*` calls.
 pub fn create_report(df: &DataFrame, config: &Config) -> EdaResult<Report> {
     sampled(df, config, |df| Report::create(df, config))
 }
@@ -492,22 +447,6 @@ mod tests {
             .insights
             .iter()
             .all(|i| i.kind != crate::insights::InsightKind::Approximated));
-        // The degradation ladder's sample is the same one: at its target,
-        // `engine.sample_rows` keeps the same rows and writes the same note.
-        let big = DataFrame::new(vec![(
-            "price".into(),
-            Column::from_f64((0..2000).map(|i| 100.0 + (i % 50) as f64).collect()),
-        )])
-        .unwrap();
-        let target = ladder_rows(&big);
-        let (ladder, ladder_note) = stride_sample(&big, target).expect("2000 rows shrink");
-        let target_rows = target.to_string();
-        let cfg = Config::from_pairs(vec![("engine.sample_rows", target_rows.as_str())]).unwrap();
-        assert_eq!(ladder.nrows(), 500);
-        let a = plot(&big, &["price"], &cfg).unwrap();
-        assert_eq!(a.insights.first(), Some(&ladder_note));
-        let on_ladder_rows = plot(&ladder, &["price"], &Config::default()).unwrap();
-        assert_eq!(a.get("stats"), on_ladder_rows.get("stats"));
     }
 
     /// `engine.sample_rows` holds for every call, not only `plot` and

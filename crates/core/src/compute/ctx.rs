@@ -17,7 +17,7 @@ use eda_dataframe::DataFrame;
 use eda_taskgraph::graph::Payload;
 use eda_taskgraph::outcome::{root_failure, TaskOutcome};
 use eda_taskgraph::scheduler::{self, ExecOptions};
-use eda_taskgraph::govern::{self, CancelToken, MemoryGauge};
+use eda_taskgraph::govern::{self, CancelToken};
 use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::{CacheHandle, ExecStats, NodeId, PartitionedFrame, ResultCache, TaskGraph};
 
@@ -76,9 +76,6 @@ pub struct ComputeContext<'a> {
     /// set. Shared by every `execute_outcomes` call of this context, so
     /// the whole report run stops together.
     pub cancel: Option<CancelToken>,
-    /// Run-wide memory gauge (`engine.memory_budget_bytes`), `None` when
-    /// the budget is off. Charges accumulate across `execute_outcomes` calls.
-    pub gauge: Option<MemoryGauge>,
     /// Each column's semantic type, detected on first use
     /// ([`ComputeContext::semantic`]).
     semantics: Vec<OnceCell<SemanticType>>,
@@ -111,10 +108,6 @@ impl<'a> ComputeContext<'a> {
             0 => None,
             ms => Some(CancelToken::with_deadline(std::time::Duration::from_millis(ms))),
         };
-        let gauge = match config.engine.memory_budget_bytes {
-            0 => None,
-            budget => Some(MemoryGauge::new(budget)),
-        };
         ComputeContext {
             df,
             config: Arc::new(config.clone()),
@@ -124,7 +117,6 @@ impl<'a> ComputeContext<'a> {
             last_stats: None,
             cache_override: None,
             cancel,
-            gauge,
             semantics: vec![OnceCell::new(); df.ncols()],
         }
     }
@@ -206,7 +198,6 @@ impl<'a> ComputeContext<'a> {
             trace: self.config.engine.profile,
             cache: self.cache_handle(),
             cancel: self.cancel,
-            gauge: self.gauge.clone(),
         };
         // workers <= 1 (and the first milliseconds of any run) executes
         // on this thread: nothing to spin up, and fault-tolerance
@@ -271,7 +262,6 @@ mod tests {
     fn the_sizer_prices_cache_entries_with_the_gauge_off() {
         let df = frame();
         let cfg = Config::default();
-        assert_eq!(cfg.engine.memory_budget_bytes, 0, "the gauge is off");
         let cache = Arc::new(ResultCache::new(1 << 20));
         let mut ctx = ComputeContext::new(&df, &cfg).with_cache(Arc::clone(&cache));
         let (_, prep) = crate::compute::kernels::plan_corr_prep(&mut ctx, "x");
@@ -287,7 +277,6 @@ mod tests {
         let cfg =
             Config::from_pairs(vec![("engine.profile", "true"), ("engine.cache_budget_bytes", "0")])
                 .unwrap();
-        assert_eq!(cfg.engine.memory_budget_bytes, 0, "the gauge is off");
         let mut ctx = ComputeContext::new(&df, &cfg);
         let (_, prep) = crate::compute::kernels::plan_corr_prep(&mut ctx, "x");
         let payload = ctx.execute_checked(&[prep]).unwrap().remove(0);

@@ -192,7 +192,9 @@ pub struct TypeDetectionConfig {
     pub low_cardinality: usize,
 }
 
-/// Execution-engine parameters.
+/// Execution-engine parameters: the seven `engine.*` keys. Every public
+/// call is one scheduler run; `sample_rows` bounds what it computes
+/// over, and the two deadlines bound how long it may take.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Data partitions for the parallel phase.
@@ -202,7 +204,8 @@ pub struct EngineConfig {
     /// When non-zero and the frame is larger, compute on a systematic
     /// sample of about this many rows and flag the analysis as
     /// approximated (the paper's §7 sampling future-work, with the
-    /// user-notification it calls for).
+    /// user-notification it calls for). The one way to bound what a
+    /// call computes over.
     pub sample_rows: usize,
     /// Per-task wall-clock budget in milliseconds (0 = unlimited). Tasks
     /// exceeding it are recorded as timed out and their dependents are
@@ -221,12 +224,6 @@ pub struct EngineConfig {
     /// caching entirely — runs are then bit-identical to the pre-cache
     /// engine.
     pub cache_budget_bytes: usize,
-    /// Per-run memory budget in bytes (0 = unlimited). The scheduler
-    /// charges each materialized task result against a run-wide gauge;
-    /// a charge that would exceed the budget fails that task with
-    /// `BudgetExceeded` and the public API degrades the affected section
-    /// to a sampled, approximate re-run instead of exhausting memory.
-    pub memory_budget_bytes: usize,
     /// Whole-run wall-clock deadline in milliseconds (0 = unlimited).
     /// Unlike `task_deadline_ms` this cancels the *run*: in-flight
     /// kernels observe the cancellation at their next poll and stop,
@@ -323,7 +320,6 @@ impl Default for Config {
                 task_deadline_ms: 0,
                 profile: false,
                 cache_budget_bytes: 256 << 20,
-                memory_budget_bytes: 0,
                 run_deadline_ms: 0,
             },
             display: DisplayConfig { width: 450, height: 300 },
@@ -421,9 +417,6 @@ impl Config {
             "engine.cache_budget_bytes" => {
                 self.engine.cache_budget_bytes = usize_of(key, value)?
             }
-            "engine.memory_budget_bytes" => {
-                self.engine.memory_budget_bytes = usize_of(key, value)?
-            }
             "engine.run_deadline_ms" => {
                 self.engine.run_deadline_ms = usize_of(key, value)? as u64
             }
@@ -505,7 +498,7 @@ mod tests {
 
     #[test]
     fn unknown_key_errors() {
-        // A typo, and the five engine keys that left with their mechanisms.
+        // A typo, and the six engine keys that left with their mechanisms.
         let mut c = Config::default();
         for key in [
             "nope.nothing",
@@ -514,6 +507,7 @@ mod tests {
             "engine.max_concurrent_runs",
             "engine.task_retries",
             "engine.eager_finish",
+            "engine.memory_budget_bytes",
         ] {
             let e = c.set(key, "1").unwrap_err();
             assert!(

@@ -56,7 +56,6 @@ pub const PARAMS: &[ParamSpec] = &[
     ParamSpec { key: "engine.task_deadline_ms", default: "0", description: "Per-task wall-clock budget in ms; an over-budget task degrades only its own section and the rest of the report completes, where a run deadline stops everything still queued (0 = unlimited)" },
     ParamSpec { key: "engine.profile", default: "false", description: "Trace every task and add a Performance tab (worker Gantt, slowest tasks) to HTML output" },
     ParamSpec { key: "engine.cache_budget_bytes", default: "268435456", description: "Byte budget for the cross-call result cache; LRU-evicted past it (0 = caching off)" },
-    ParamSpec { key: "engine.memory_budget_bytes", default: "0", description: "Per-run memory budget; over-budget tasks degrade to a sampled approximation (0 = unlimited)" },
     ParamSpec { key: "engine.run_deadline_ms", default: "0", description: "Whole-run wall-clock deadline in ms; cancels in-flight work cooperatively (0 = unlimited)" },
     ParamSpec { key: "display.width", default: "450", description: "Figure width in pixels" },
     ParamSpec { key: "display.height", default: "300", description: "Figure height in pixels" },

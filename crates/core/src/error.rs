@@ -33,11 +33,11 @@ pub enum EdaError {
     },
     /// The frame has no columns / rows where some are required.
     EmptyInput(&'static str),
-    /// A graph task panicked, blew its deadline (`engine.task_deadline_ms`),
-    /// was cancelled, or went over the run memory budget
-    /// (`engine.memory_budget_bytes`). Carries the scheduler's error for
-    /// the task that broke — a skip is already followed to its root — so
-    /// its kind, task and elapsed time are read from one value.
+    /// A graph task panicked, blew its deadline (`engine.task_deadline_ms`)
+    /// or was cancelled (`engine.run_deadline_ms`). Carries the
+    /// scheduler's error for the task that broke — a skip is already
+    /// followed to its root — so its kind, task and elapsed time are read
+    /// from one value.
     Task(Arc<TaskError>),
 }
 
@@ -101,14 +101,6 @@ mod tests {
         let e = task("hist:price", TaskFailure::Cancelled);
         assert!(e.to_string().contains("hist:price"), "{e}");
         assert!(e.to_string().contains("run deadline exceeded"), "{e}");
-        let e = task(
-            "corr:matrix",
-            TaskFailure::BudgetExceeded { budget: 100, used: 90, requested: 64 },
-        );
-        assert!(
-            e.to_string().starts_with("task 'corr:matrix' (node 3) exceeded the run memory budget"),
-            "{e}"
-        );
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl Intermediates {
     }
 }
 
-/// What the result cache and the run memory budget charge for a section.
+/// What the result cache charges for a section.
 impl HeapSize for Intermediates {
     fn heap_bytes(&self) -> usize {
         self.items.heap_bytes()

@@ -1,5 +1,5 @@
-//! `engine.cache_budget_bytes` and `engine.memory_budget_bytes` are only
-//! as honest as the price a task charges for its payload — the size of
+//! `engine.cache_budget_bytes` is only as honest as the price a task
+//! charges for its payload — the size of
 //! the type it returns plus its `HeapSize` (`eda_taskgraph::graph::price`):
 //! this holds the prices of the correlation, KDE, frequency,
 //! frequency-summary, text, histogram, grouped, hexbin, nullity,

@@ -1,10 +1,10 @@
 //! What a value holds on the heap: the price a task payload charges.
 //!
-//! The result cache, the run memory gauge and the trace charge each
-//! payload by the bytes it keeps alive, read through [`HeapSize`]: a type
-//! without an impl cannot be a payload. Buffers are priced by capacity,
-//! and an `Arc`'s allocation only to its sole holder — a window over a
-//! shared buffer owns none of it.
+//! The result cache and the trace charge each payload by the bytes it
+//! keeps alive, read through [`HeapSize`]: a type without an impl cannot
+//! be a payload. Buffers are priced by capacity, and an `Arc`'s
+//! allocation only to its sole holder — a window over a shared buffer
+//! owns none of it.
 
 use std::collections::HashMap;
 use std::mem::size_of;

@@ -16,7 +16,7 @@ use crate::theme;
 fn status_fill(status: SpanStatus) -> &'static str {
     match status {
         SpanStatus::Ok => theme::PRIMARY,
-        SpanStatus::Failed | SpanStatus::BudgetExceeded => theme::HIGHLIGHT,
+        SpanStatus::Failed => theme::HIGHLIGHT,
         SpanStatus::TimedOut => theme::SECONDARY,
         SpanStatus::Skipped => theme::GRID,
         // Zero-width in the Gantt anyway; the axis color keeps the legend

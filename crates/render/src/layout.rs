@@ -109,8 +109,7 @@ pub fn insights_list(out: &mut String, insights: &[Insight]) {
 }
 
 /// The "approximate" banner shown when an analysis was computed on a
-/// sample — either the `engine.sample_rows` extension or the memory
-/// budget's degradation ladder. Nothing when the output is exact.
+/// sample (`engine.sample_rows`). Nothing when the output is exact.
 pub fn approx_banner(out: &mut String, insights: &[Insight]) {
     if let Some(note) = insights.iter().find(|i| i.kind == eda_core::InsightKind::Approximated) {
         out.push_str(r#"<div class="eda-approx"><b>approximate</b> — "#);
@@ -169,18 +168,11 @@ pub fn performance_panel(out: &mut String, stats: &ExecStats, display: &DisplayC
             stats.tasks_cancelled
         );
     }
-    if stats.tasks_budget_exceeded > 0 {
+    if stats.tasks_timed_out > 0 {
         let _ = write!(
             out,
-            "<tr class=\"highlight\"><td>tasks over memory budget</td><td>{}</td></tr>",
-            stats.tasks_budget_exceeded
-        );
-    }
-    if stats.mem_peak_bytes > 0 {
-        let _ = write!(
-            out,
-            "<tr><td>peak charged memory</td><td>{}</td></tr>",
-            fmt_bytes(stats.mem_peak_bytes)
+            "<tr class=\"highlight\"><td>tasks timed out</td><td>{}</td></tr>",
+            stats.tasks_timed_out
         );
     }
     if stats.cache_hits + stats.cache_misses > 0 {
@@ -330,6 +322,8 @@ mod tests {
     use crate::svg::drawn;
     use eda_core::{create_report, plot, plot_correlation, plot_missing, Config};
     use eda_dataframe::{Column, DataFrame};
+    use eda_taskgraph::{inject, FaultInjector};
+    use std::time::Duration;
 
     fn frame() -> DataFrame {
         frame_named("price")
@@ -544,21 +538,28 @@ mod tests {
         let a = plot(&df, &["price"], &cfg).unwrap();
         let html = render_analysis_html(&a, &cfg.display);
         // Ungoverned runs: no governance rows at all.
-        for row in ["tasks cancelled", "tasks over memory budget", "peak charged memory"] {
+        for row in ["tasks cancelled", "tasks timed out"] {
             assert!(!html.contains(row), "unexpected row {row:?}");
         }
-        // A profiled run with a memory budget shows the gauge peak.
-        // Cache off so tasks really execute (cache-served payloads are
-        // never charged — they are already resident).
+        // A profiled run whose task blows its deadline shows the count.
+        // Cache off so the stalled task really executes.
         let governed = Config::from_pairs(vec![
             ("engine.profile", "true"),
             ("engine.cache_budget_bytes", "0"),
-            ("engine.memory_budget_bytes", "1073741824"),
+            ("engine.task_deadline_ms", "5"),
         ])
         .unwrap();
-        let a = plot(&df, &["price"], &governed).unwrap();
+        let stall = FaultInjector::stall_on("moments:price", Duration::from_millis(30));
+        let a = {
+            let _armed = inject::arm(stall);
+            plot(&df, &["price"], &governed).unwrap()
+        };
+        let timed_out = a.stats.as_ref().expect("stats").tasks_timed_out;
+        assert!(timed_out >= 1, "{:?}", a.stats);
         let html = render_analysis_html(&a, &governed.display);
-        assert!(html.contains("peak charged memory"), "gauge row missing");
+        let row = format!("<td>tasks timed out</td><td>{timed_out}</td>");
+        assert!(html.contains(&row), "timed-out row missing");
+        assert!(!html.contains("tasks cancelled"));
     }
 
     #[test]

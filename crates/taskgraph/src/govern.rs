@@ -1,19 +1,12 @@
-//! Resource governance: cancellation tokens and memory gauges.
+//! Resource governance: cancellation tokens.
 //!
 //! One notebook user's `plot*` call may take the whole machine, but it
-//! must still be stoppable and bounded. This module makes a run a
-//! *governable unit*:
-//!
-//! - [`CancelToken`] — a deadline observed between scheduler dispatches
-//!   and inside kernels every `eda_stats::interrupt::CHECK_INTERVAL`
-//!   elements (via the thread-local [`interrupted`] probe), so
-//!   `engine.run_deadline_ms` and `engine.task_deadline_ms` stop
-//!   in-flight work instead of merely marking tasks timed out after the
-//!   fact.
-//! - [`MemoryGauge`] — per-run payload-byte accounting against a budget.
-//!   A task whose output would blow the budget fails with
-//!   `TaskFailure::BudgetExceeded` and degrades its section; the process
-//!   never OOMs.
+//! must still be stoppable. A [`CancelToken`] is a deadline observed
+//! between scheduler dispatches and inside kernels every
+//! `eda_stats::interrupt::CHECK_INTERVAL` elements (via the thread-local
+//! [`interrupted`] probe), so `engine.run_deadline_ms` and
+//! `engine.task_deadline_ms` stop in-flight work instead of merely
+//! marking tasks timed out after the fact.
 //!
 //! Everything here is panic-free (the crate's clippy denies of unwrap,
 //! expect, indexing and `panic!` hold it, see Cargo.toml): governance
@@ -21,13 +14,7 @@
 //! section into a dead process.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------------
-// Cancellation
-// ---------------------------------------------------------------------------
 
 /// Longest budget a token honours: ~136 years, past any run and short
 /// enough that adding it to `Instant::now()` cannot overflow.
@@ -108,99 +95,6 @@ pub fn wait_interrupted(max: Duration) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Memory accounting
-// ---------------------------------------------------------------------------
-
-/// A charge the gauge refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetDenial {
-    /// The run's byte budget.
-    pub budget: usize,
-    /// Bytes already charged when the denial happened.
-    pub used: usize,
-    /// The charge that was refused.
-    pub requested: usize,
-}
-
-#[derive(Debug, Default)]
-struct GaugeInner {
-    budget: usize,
-    used: AtomicUsize,
-    peak: AtomicUsize,
-    denials: AtomicUsize,
-}
-
-/// Per-run payload-byte accounting against `engine.memory_budget_bytes`.
-///
-/// This is the task-scoped sibling of the bench binaries' tracking
-/// allocator: instead of hooking the global allocator (too invasive for
-/// library use), the scheduler charges each task's *output payload*
-/// estimate as it completes. Charges are never released mid-run — the
-/// gauge bounds the run's cumulative materialized footprint, which is
-/// what grows without bound on wide frames.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryGauge {
-    inner: Arc<GaugeInner>,
-}
-
-impl MemoryGauge {
-    /// A gauge with the given byte budget. A zero budget refuses every
-    /// non-zero charge (callers gate on config instead of passing 0).
-    pub fn new(budget: usize) -> Self {
-        MemoryGauge { inner: Arc::new(GaugeInner { budget, ..Default::default() }) }
-    }
-
-    /// Charge `bytes` against the budget, or report the denial without
-    /// charging anything.
-    pub fn try_charge(&self, bytes: usize) -> Result<(), BudgetDenial> {
-        let mut used = self.inner.used.load(Ordering::Relaxed);
-        loop {
-            let next = used.saturating_add(bytes);
-            if next > self.inner.budget {
-                self.inner.denials.fetch_add(1, Ordering::Relaxed);
-                return Err(BudgetDenial {
-                    budget: self.inner.budget,
-                    used,
-                    requested: bytes,
-                });
-            }
-            match self.inner.used.compare_exchange_weak(
-                used,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.inner.peak.fetch_max(next, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(observed) => used = observed,
-            }
-        }
-    }
-
-    /// Bytes currently charged.
-    pub fn used(&self) -> usize {
-        self.inner.used.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of charged bytes.
-    pub fn peak(&self) -> usize {
-        self.inner.peak.load(Ordering::Relaxed)
-    }
-
-    /// The byte budget this gauge enforces.
-    pub fn budget(&self) -> usize {
-        self.inner.budget
-    }
-
-    /// How many charges have been refused.
-    pub fn denials(&self) -> usize {
-        self.inner.denials.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,25 +143,5 @@ mod tests {
         let start = Instant::now();
         wait_interrupted(Duration::from_secs(5));
         assert!(start.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn gauge_charges_and_denies() {
-        let g = MemoryGauge::new(100);
-        assert!(g.try_charge(60).is_ok());
-        assert!(g.try_charge(40).is_ok());
-        let denial = g.try_charge(1);
-        assert_eq!(denial, Err(BudgetDenial { budget: 100, used: 100, requested: 1 }));
-        assert_eq!(g.used(), 100);
-        assert_eq!(g.peak(), 100);
-        assert_eq!(g.denials(), 1);
-    }
-
-    #[test]
-    fn gauge_is_shared_across_clones() {
-        let g = MemoryGauge::new(10);
-        let h = g.clone();
-        assert!(h.try_charge(10).is_ok());
-        assert!(g.try_charge(1).is_err());
     }
 }

@@ -60,8 +60,7 @@ pub struct Task {
     pub run: TaskFn,
     /// What this task's payload holds, in bytes: the size of the type it
     /// returns plus its [`HeapSize`]. The scheduler prices each payload
-    /// once, where the body returns, for the cache, the memory gauge and
-    /// the trace alike.
+    /// once, where the body returns, for the cache and the trace alike.
     pub price: fn(&Payload) -> usize,
 }
 
@@ -108,11 +107,6 @@ impl TaskGraph {
     /// Attach a fault injector explicitly.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.fault = Some(injector);
-    }
-
-    /// Remove any attached fault injector.
-    pub fn clear_fault_injector(&mut self) {
-        self.fault = None;
     }
 
     /// The attached fault injector, if any.

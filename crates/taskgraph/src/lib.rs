@@ -13,8 +13,8 @@
 //!   `Arc` values. A task returns a typed value that prices itself
 //!   (`eda_dataframe::HeapSize`), and the graph keeps each task's price
 //!   function: the scheduler prices a payload once, where its body
-//!   returns, and charges that one number to the result cache, the memory
-//!   gauge and the trace. Every task carries a **structural key** (op name +
+//!   returns, and charges that one number to the result cache and the
+//!   trace. Every task carries a **structural key** (op name +
 //!   parameter hash + dependency keys); inserting a task whose key already
 //!   exists returns the existing node, which is the
 //!   *common-subexpression-elimination* that shares computations between
@@ -29,9 +29,8 @@
 //! * [`inject`] — a deterministic fault-injection harness (panic / stall /
 //!   garbage payload / wedge at a chosen task) used to test the fault
 //!   tolerance end to end.
-//! * [`govern`] — resource governance: cooperative cancellation tokens and
-//!   per-run memory gauges, inert unless attached via
-//!   [`scheduler::ExecOptions`].
+//! * [`govern`] — resource governance: cooperative cancellation tokens,
+//!   inert unless attached via [`scheduler::ExecOptions`].
 //! * [`partition`] — chunked dataframes with the *chunk-size precompute*
 //!   stage the paper adds before graph construction; [`ops`] — the typed
 //!   map/tree-reduce combinators over their partitions.
@@ -55,7 +54,7 @@ pub mod stats;
 pub mod trace;
 
 pub use cache::{CacheHandle, ResultCache};
-pub use govern::{CancelToken, MemoryGauge};
+pub use govern::CancelToken;
 pub use graph::{un, NodeId, Payload, TaskGraph};
 pub use inject::{FaultInjector, FaultMode, FaultPlan, FaultTarget};
 pub use key::TaskKey;

@@ -31,17 +31,6 @@ pub enum TaskFailure {
     /// The run's deadline ([`crate::govern::CancelToken`]) passed before
     /// or while this task executed; any partial result was discarded.
     Cancelled,
-    /// Charging this task's output against the run's memory budget
-    /// ([`crate::govern::MemoryGauge`]) was refused; the payload was
-    /// dropped and the section degrades instead of the process OOMing.
-    BudgetExceeded {
-        /// The run's byte budget.
-        budget: usize,
-        /// Bytes already charged by earlier tasks.
-        used: usize,
-        /// The refused charge (this task's estimated payload bytes).
-        requested: usize,
-    },
     /// A scheduler invariant was violated (a dependency result missing
     /// at dispatch, a closed work queue, a worker lost mid-run). The
     /// run degrades to a partial result instead of panicking; the
@@ -99,11 +88,6 @@ impl fmt::Display for TaskFailure {
             }
             TaskFailure::Skipped(root) => write!(f, "skipped: upstream {root}"),
             TaskFailure::Cancelled => write!(f, "cancelled: run deadline exceeded"),
-            TaskFailure::BudgetExceeded { budget, used, requested } => write!(
-                f,
-                "exceeded the run memory budget: charge of {requested} bytes refused \
-                 ({used} of {budget} bytes already used)"
-            ),
             TaskFailure::Internal(msg) => write!(f, "failed on a scheduler invariant: {msg}"),
         }
     }
@@ -245,15 +229,6 @@ mod tests {
     fn display_cancelled_names_reason() {
         let e = err(TaskFailure::Cancelled);
         assert_eq!(e.to_string(), "task 'moments:price' (node 3) cancelled: run deadline exceeded");
-    }
-
-    #[test]
-    fn display_budget_exceeded_mentions_memory_budget() {
-        let e = Arc::new(err(TaskFailure::BudgetExceeded { budget: 100, used: 90, requested: 20 }));
-        let wording = "exceeded the run memory budget: \
-                       charge of 20 bytes refused (90 of 100 bytes already used)";
-        assert_eq!(e.to_string(), format!("task 'moments:price' (node 3) {wording}"));
-        assert_eq!(e.root_description(), wording);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel;
 
 use crate::cache::CacheHandle;
-use crate::govern::{self, CancelToken, MemoryGauge};
+use crate::govern::{self, CancelToken};
 use crate::graph::{NodeId, Payload, TaskGraph};
 use crate::inject::{FaultMode, Garbage};
 use crate::outcome::{root_failure, TaskError, TaskFailure, TaskOutcome};
@@ -69,12 +69,6 @@ pub struct ExecOptions {
     /// their next interruption poll. `None` disables every check,
     /// bit-identical to pre-governance behaviour.
     pub cancel: Option<CancelToken>,
-    /// Per-run memory budget gauge: each completed task's payload bytes
-    /// are charged against it, and a refused charge fails the task with
-    /// `TaskFailure::BudgetExceeded` (dropping the payload) instead of
-    /// letting the run's footprint grow unbounded. `None` disables
-    /// accounting entirely.
-    pub gauge: Option<MemoryGauge>,
 }
 
 /// Result of one execution: an outcome per requested output (same
@@ -227,8 +221,8 @@ struct Ledger<'a> {
     indegrees: Vec<usize>,
     /// Tasks whose dependencies have all completed. Node ids are a
     /// topological order, so popping the smallest first makes an inline
-    /// run visit live nodes in id order — which fixes the order of gauge
-    /// charges and cache inserts, hence what a tight budget admits.
+    /// run visit live nodes in id order — which fixes the order of cache
+    /// inserts, hence what a tight cache budget keeps.
     ready: BinaryHeap<Reverse<NodeId>>,
     results: Vec<Option<TaskOutcome>>,
     spans: Vec<TaskSpan>,
@@ -343,9 +337,6 @@ impl<'a> Ledger<'a> {
         stats.cache_misses = self.plan.misses;
         stats.cache_bytes_saved = self.plan.hits.values().map(|(_, bytes)| bytes).sum();
         stats.cache_evictions = self.evictions;
-        if let Some(gauge) = &self.opts.gauge {
-            stats.mem_peak_bytes = gauge.peak();
-        }
         ExecResult { outcomes, stats }
     }
 }
@@ -436,10 +427,9 @@ fn failed(graph: &TaskGraph, id: NodeId, failure: TaskFailure, elapsed: Duration
 /// evictions it forced. Only `Ok` outcomes of nodes with dependencies are
 /// admitted — failed, timed-out, and skipped tasks never populate the
 /// cache, so fault-injected runs cannot poison later ones. A run whose
-/// cancel token has fired, or whose memory gauge has refused a charge,
-/// stops inserting entirely: kernels may be bailing mid-slice by then,
-/// and a degraded run must never seed later healthy ones. `bytes` is the
-/// payload's price.
+/// cancel token has fired stops inserting entirely: kernels may be
+/// bailing mid-slice by then, and a degraded run must never seed later
+/// healthy ones. `bytes` is the payload's price.
 fn cache_insert(
     opts: &ExecOptions,
     graph: &TaskGraph,
@@ -450,9 +440,7 @@ fn cache_insert(
     let Some(handle) = &opts.cache else {
         return 0;
     };
-    if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-        || opts.gauge.as_ref().is_some_and(|g| g.denials() > 0)
-    {
+    if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
         return 0;
     }
     let task = graph.task(id);
@@ -473,10 +461,10 @@ type SpanTiming = (Duration, Duration);
 
 /// Run one node given its input outcomes: short-circuit on a fired run
 /// token, skip on failed inputs, otherwise execute under `catch_unwind`,
-/// applying any injected fault, the optional deadline, and the optional
-/// memory gauge. When `opts.trace` is set, the second element carries
-/// the span timing for [`make_span`]; it is `None` on untraced runs so
-/// the hot path allocates nothing.
+/// applying any injected fault and the optional deadline. When
+/// `opts.trace` is set, the second element carries the span timing for
+/// [`make_span`]; it is `None` on untraced runs so the hot path
+/// allocates nothing.
 fn execute_node(
     graph: &TaskGraph,
     id: NodeId,
@@ -555,8 +543,8 @@ fn execute_node(
     };
     let elapsed = started.elapsed();
     // The one pricing of this payload, on the thread that ran the body:
-    // the gauge charge, the cache insert and the span all read it.
-    let priced = opts.trace || opts.cache.is_some() || opts.gauge.is_some();
+    // the cache insert and the span both read it.
+    let priced = opts.trace || opts.cache.is_some();
     let result = result.map(|payload| {
         let bytes = if priced { (task.price)(&payload) } else { 0 };
         (payload, bytes)
@@ -577,7 +565,7 @@ fn injected_panic() -> Payload {
 /// price — into the outcome and the bytes it holds (0 unless `Ok`): a
 /// fired run token discards even a completed payload (kernels may have
 /// bailed mid-slice, so it cannot be trusted), then the per-task
-/// deadline, then the memory gauge.
+/// deadline.
 fn classify_result(
     graph: &TaskGraph,
     id: NodeId,
@@ -594,17 +582,6 @@ fn classify_result(
             if let Some(budget) = opts.deadline {
                 if elapsed > budget {
                     return fail(TaskFailure::TimedOut { budget, elapsed });
-                }
-            }
-            if let Some(gauge) = &opts.gauge {
-                if let Err(denial) = gauge.try_charge(bytes) {
-                    // The payload drops here — the whole point of the
-                    // budget is not to keep it.
-                    return fail(TaskFailure::BudgetExceeded {
-                        budget: denial.budget,
-                        used: denial.used,
-                        requested: denial.requested,
-                    });
                 }
             }
             (TaskOutcome::Ok(payload), bytes)
@@ -690,7 +667,6 @@ fn tally(
             SpanStatus::TimedOut => stats.tasks_timed_out += 1,
             SpanStatus::Skipped => stats.tasks_skipped += 1,
             SpanStatus::Cancelled => stats.tasks_cancelled += 1,
-            SpanStatus::BudgetExceeded => stats.tasks_budget_exceeded += 1,
         }
     }
     stats
@@ -852,12 +828,9 @@ mod tests {
         assert_eq!(r.stats.tasks_run, 0);
 
         // An empty run goes through the same finish as any other: with
-        // a cache handle and a gauge that earlier work already charged,
-        // its stats do not depend on the worker count.
-        let gauge = MemoryGauge::new(1 << 10);
-        gauge.try_charge(100).expect("within budget");
+        // a cache handle, its stats do not depend on the worker count.
         let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
-        let opts = ExecOptions { gauge: Some(gauge), ..cache_opts(&cache) };
+        let opts = cache_opts(&cache);
         let stats_at = |workers: usize| {
             let mut stats = run(&g, &[], workers, &opts).stats;
             stats.elapsed = Duration::ZERO;
@@ -865,7 +838,6 @@ mod tests {
             stats
         };
         let inline = stats_at(1);
-        assert_eq!(inline.mem_peak_bytes, 100);
         for workers in [2, 4] {
             assert_eq!(stats_at(workers), inline, "workers={workers}");
         }
@@ -1283,27 +1255,6 @@ mod tests {
         assert!(cancelled > 0);
     }
 
-    #[test]
-    fn budget_denial_fails_task_and_degrades_downstream() {
-        // i64 payloads price at 8 bytes each; a 20-byte budget admits
-        // two tasks (a=8, inc=16), denies the third (dbl), and skips the
-        // dependent sum.
-        let (g, out) = diamond();
-        let gauge = MemoryGauge::new(20);
-        let opts = ExecOptions { gauge: Some(gauge.clone()), ..Default::default() };
-        let r = run(&g, &[out], 1, &opts);
-        let err = r.outcomes[0].error().expect("sum degraded");
-        let root = err.root();
-        assert!(matches!(root.failure, TaskFailure::BudgetExceeded { .. }), "{err}");
-        assert!(err.to_string().ends_with(&root.to_string()), "{err}");
-        assert_eq!(r.stats.tasks_budget_exceeded, 1);
-        assert_eq!(r.stats.tasks_skipped, 1);
-        assert_eq!(r.stats.tasks_run, 2);
-        assert_eq!(r.stats.mem_peak_bytes, 16);
-        assert_eq!(gauge.denials(), 1);
-        assert!(!r.stats.fully_succeeded());
-    }
-
     /// A payload that counts the times it is priced.
     struct Counted(Arc<AtomicUsize>);
 
@@ -1325,13 +1276,11 @@ mod tests {
         for workers in [1, 2] {
             priced.store(0, Ordering::SeqCst);
             let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
-            let gauge = MemoryGauge::new(1 << 20);
-            let opts = ExecOptions { trace: true, gauge: Some(gauge), ..cache_opts(&cache) };
+            let opts = ExecOptions { trace: true, ..cache_opts(&cache) };
             let cold = run(&g, &[node], workers, &opts);
             assert_eq!(priced.load(Ordering::SeqCst), 1, "workers={workers}");
             let (_, charged) = cache.get(0xDA7A, g.task(node).key).expect("cached");
             assert_eq!(charged, price);
-            assert_eq!(cold.stats.mem_peak_bytes, price, "the source's `()` prices at 0");
             let span_bytes = |r: &ExecResult| {
                 let trace = r.stats.trace.as_ref().expect("traced");
                 trace.spans.iter().find(|s| s.node == node).map(|s| s.payload_bytes)
@@ -1346,14 +1295,6 @@ mod tests {
     }
 
     #[test]
-    fn no_gauge_means_no_budget_failures() {
-        let (g, out) = diamond();
-        let r = run_plain(&g, &[out], 2);
-        assert_eq!(r.stats.tasks_budget_exceeded, 0);
-        assert_eq!(r.stats.mem_peak_bytes, 0);
-    }
-
-    #[test]
     fn cancelled_run_never_populates_cache() {
         let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
         let token = CancelToken::with_deadline(Duration::ZERO);
@@ -1365,34 +1306,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_failed_run_stops_cache_inserts_under_eviction_pressure() {
-        // Cache byte budget and run memory budget interact: Vec<f64>
-        // payloads of 824 bytes each (the `Vec` and its 800), a 2000-byte
-        // cache (holds two) and a 5000-byte run gauge. Six ops fit the
-        // gauge (8 + 6*824 = 4952), the last two are denied; inserts stop
-        // at the first denial, and the small cache evicts while admitting
-        // the six.
-        let vecs = |n: usize| vec![0.0f64; n];
-        let mut g = TaskGraph::new();
-        let src = g.source("src", TaskKey::leaf("src", 0), || 1i64);
-        let ops: Vec<NodeId> =
-            (0..8).map(|i| g.op("widen", i, vec![src], move |_| vecs(100))).collect();
-        let cache = Arc::new(crate::cache::ResultCache::new(2000));
-        let gauge = MemoryGauge::new(5000);
-        let opts = ExecOptions { gauge: Some(gauge.clone()), ..cache_opts(&cache) };
-        let r = run(&g, &ops, 1, &opts);
-        assert_eq!(r.stats.tasks_budget_exceeded, 2, "{:?}", r.stats);
-        assert_eq!(r.stats.tasks_run, 7); // src + six ops
-        assert!(r.stats.cache_evictions > 0, "{:?}", r.stats);
-        assert!(cache.total_bytes() <= 2000);
-        assert!(cache.len() < 6, "inserts must stop at the first denial");
-        assert_eq!(gauge.denials(), 2);
-        assert!(r.stats.mem_peak_bytes <= 5000);
-    }
-
-    #[test]
     fn governed_defaults_match_ungoverned_stats() {
-        // Knobs at rest (no token, no gauge) must be bit-identical to
+        // Knobs at rest (no token) must be bit-identical to
         // pre-governance behaviour.
         let (g, out) = diamond();
         let mut plain = run_plain(&g, &[out], 1).stats;
@@ -1402,7 +1317,6 @@ mod tests {
         governed.elapsed = Duration::ZERO;
         assert_eq!(plain, governed);
         assert_eq!(plain.tasks_cancelled, 0);
-        assert_eq!(plain.tasks_budget_exceeded, 0);
     }
 
     #[test]

@@ -45,12 +45,6 @@ pub struct ExecStats {
     /// Tasks recorded `Cancelled` because the run's
     /// deadline ([`crate::govern::CancelToken`]) passed.
     pub tasks_cancelled: usize,
-    /// Tasks whose output charge was refused by the run's
-    /// [`crate::govern::MemoryGauge`]; their payloads were dropped.
-    pub tasks_budget_exceeded: usize,
-    /// High-water mark of payload bytes charged against the run's memory
-    /// gauge; zero when no budget was configured.
-    pub mem_peak_bytes: usize,
     /// Per-task spans, recorded only when the run was traced
     /// ([`crate::scheduler::ExecOptions::trace`]); `None` otherwise so
     /// untraced runs stay allocation-free.
@@ -72,7 +66,6 @@ impl ExecStats {
             && self.tasks_skipped == 0
             && self.tasks_timed_out == 0
             && self.tasks_cancelled == 0
-            && self.tasks_budget_exceeded == 0
     }
 }
 

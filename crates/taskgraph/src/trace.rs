@@ -45,9 +45,6 @@ pub enum SpanStatus {
     /// The run's cancel token fired before the task dispatched (or while
     /// it ran); zero-width span when short-circuited.
     Cancelled,
-    /// The task ran but its output charge was refused by the run's
-    /// memory gauge; the payload was dropped.
-    BudgetExceeded,
 }
 
 impl SpanStatus {
@@ -60,14 +57,12 @@ impl SpanStatus {
             SpanStatus::Skipped => "skipped",
             SpanStatus::Cached => "cached",
             SpanStatus::Cancelled => "cancelled",
-            SpanStatus::BudgetExceeded => "budget_exceeded",
         }
     }
 
     /// Whether the task actually dispatched (ran on a worker). Skips,
     /// cache hits, and cancellation short-circuits are bookkeeping, not
-    /// execution (a budget-exceeded task *did* run — only its output was
-    /// refused).
+    /// execution.
     pub fn executed(&self) -> bool {
         !matches!(self, SpanStatus::Skipped | SpanStatus::Cached | SpanStatus::Cancelled)
     }
@@ -81,7 +76,6 @@ impl SpanStatus {
                 TaskFailure::TimedOut { .. } => SpanStatus::TimedOut,
                 TaskFailure::Skipped(_) => SpanStatus::Skipped,
                 TaskFailure::Cancelled => SpanStatus::Cancelled,
-                TaskFailure::BudgetExceeded { .. } => SpanStatus::BudgetExceeded,
             },
         }
     }
@@ -470,17 +464,6 @@ mod tests {
         assert_eq!(json.matches("\"ph\":\"i\"").count(), 1);
         assert!(json.contains("\"status\":\"cancelled\""), "{json}");
         assert!(!SpanStatus::Cancelled.executed());
-    }
-
-    #[test]
-    fn budget_exceeded_spans_export_as_complete_events() {
-        let mut t = diamond_trace();
-        t.spans[1].status = SpanStatus::BudgetExceeded;
-        let json = t.to_chrome_trace();
-        // It ran on a worker: a timeline-visible complete event.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 4);
-        assert!(json.contains("\"status\":\"budget_exceeded\""), "{json}");
-        assert!(SpanStatus::BudgetExceeded.executed());
     }
 
     #[test]

@@ -208,14 +208,13 @@ fn unarmed_runs_are_untouched() {
     }
 }
 
-/// The degradation ladder keys on the kind of a failure, not its text: a
-/// column named `memory budget` puts that phrase into every task name on
-/// it, yet a panic there is a panic. Its first kernel panics once, so a
-/// quarter-sample retry would succeed; `plot` and `create_report` must
-/// report the panic instead of silently re-running on a sample and
-/// calling the output approximate.
+/// A panic is reported as a panic, whatever the task is called: a column
+/// named `memory budget` puts that phrase into every task name on it.
+/// Its first kernel panics once, so a re-run on a sample would succeed;
+/// `plot` and `create_report` must report the panic instead of silently
+/// re-running and calling the output approximate.
 #[test]
-fn a_panic_on_a_column_named_memory_budget_is_not_laddered() {
+fn a_panic_is_reported_and_never_flagged_approximate() {
     let df = DataFrame::new(vec![(
         "memory budget".into(),
         Column::from_f64((0..1_024).map(|i| ((i * 37) % 501) as f64).collect()),

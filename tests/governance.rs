@@ -2,19 +2,16 @@
 //!
 //! The acceptance bar of the governance layer: knobs at their defaults
 //! leave reports bit-identical to an ungoverned run; a run deadline
-//! stops in-flight work promptly and reclaims wedged workers; and the
-//! memory-budget degradation ladder swaps an OOM-bound run for a flagged
-//! approximate one.
+//! stops in-flight work promptly and reclaims wedged workers; and a task
+//! deadline degrades only its own section.
 
 use std::time::{Duration, Instant};
 
 use eda_core::compute::correlation::{numeric_columns, plan_matrix_nodes, plan_matrix_tiles};
 use eda_core::compute::ComputeContext;
-use eda_core::{
-    create_report, plot, plot_correlation, Config, InsightKind, SectionStatus,
-};
+use eda_core::{create_report, plot, Config, SectionStatus};
 use eda_dataframe::{Column, DataFrame};
-use eda_render::layout::{render_analysis_html, render_report_html};
+use eda_render::layout::render_report_html;
 use eda_taskgraph::{inject, FaultInjector, ResultCache};
 
 fn frame(n: usize) -> DataFrame {
@@ -50,10 +47,7 @@ fn cfg(pairs: &[(&str, &str)]) -> Config {
 fn default_knobs_are_bit_identical_to_unset() {
     let df = frame(300);
     let baseline = cfg(&[]);
-    let explicit = cfg(&[
-        ("engine.memory_budget_bytes", "0"),
-        ("engine.run_deadline_ms", "0"),
-    ]);
+    let explicit = cfg(&[("engine.run_deadline_ms", "0"), ("engine.task_deadline_ms", "0")]);
 
     let mut a = create_report(&df, &baseline).unwrap();
     let mut b = create_report(&df, &explicit).unwrap();
@@ -66,8 +60,6 @@ fn default_knobs_are_bit_identical_to_unset() {
     b.stats.elapsed = Duration::ZERO;
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stats.tasks_cancelled, 0);
-    assert_eq!(a.stats.tasks_budget_exceeded, 0);
-    assert_eq!(a.stats.mem_peak_bytes, 0);
 
     let html_a = render_report_html(&a, &baseline.display);
     let html_b = render_report_html(&b, &explicit.display);
@@ -280,68 +272,4 @@ fn panicking_kde_task_degrades_only_its_variable_section() {
         assert!(size.intermediates.get("kde_plot").is_some());
         assert!(report.overview_status.is_ok() && report.correlations_status.is_ok());
     }
-}
-
-// --------------------------------------------------------- budget ladder
-
-/// The degradation ladder end-to-end: discover the run's real footprint
-/// with an effectively-unbounded budget, then rerun under ~60% of it —
-/// the full-size run exceeds the budget and the engine falls back to a
-/// flagged systematic sample instead of failing.
-#[test]
-fn memory_budget_degrades_to_flagged_sample() {
-    let n = 40_000;
-    let df = DataFrame::new(vec![
-        ("a".into(), Column::from_f64((0..n).map(|i| (i % 977) as f64).collect())),
-        ("b".into(), Column::from_f64((0..n).map(|i| ((i * 31) % 613) as f64).collect())),
-        ("c".into(), Column::from_f64((0..n).map(|i| ((i * 7) % 389) as f64).collect())),
-    ])
-    .unwrap();
-
-    // Discovery run: budget far above any real footprint.
-    let roomy = cfg(&[("engine.memory_budget_bytes", &(1u64 << 40).to_string())]);
-    let full = plot_correlation(&df, &[], &roomy).unwrap();
-    assert!(full.status.is_ok(), "{:?}", full.status);
-    let peak = full.stats.as_ref().unwrap().mem_peak_bytes;
-    assert!(peak > 100_000, "domain sizer should price ColumnPrep by rows, got {peak}");
-
-    // Governed run: 60% of the discovered footprint. The full-size run
-    // cannot fit, the quarter-sample retry can.
-    let tight = cfg(&[("engine.memory_budget_bytes", &(peak * 3 / 5).to_string())]);
-    let degraded = plot_correlation(&df, &[], &tight).unwrap();
-    assert!(degraded.status.is_ok(), "ladder should have recovered: {:?}", degraded.status);
-    let note = degraded
-        .insights
-        .iter()
-        .find(|i| i.kind == InsightKind::Approximated)
-        .expect("budget-degraded output must be flagged approximate");
-    assert!(!note.message.is_empty());
-
-    // The rendered page carries the approximate banner.
-    let html = render_analysis_html(&degraded, &tight.display);
-    assert!(html.contains("class=\"eda-approx\""), "approx banner missing from HTML");
-    assert!(!render_analysis_html(&full, &roomy.display).contains("class=\"eda-approx\""));
-}
-
-/// A budget so tight even the sampled retry cannot fit leaves the
-/// original diagnostics in place: degraded sections with the budget
-/// failure named, never an `Err` or a silently-wrong report.
-#[test]
-fn hopeless_budget_keeps_diagnostics() {
-    let df = frame(2_000);
-    let config = cfg(&[("engine.memory_budget_bytes", "64")]);
-    let report = create_report(&df, &config).expect("budget exhaustion degrades, not fails");
-    assert!(report.stats.tasks_budget_exceeded >= 1, "{:?}", report.stats);
-    let failed = report.failed_sections();
-    assert!(!failed.is_empty());
-    assert!(
-        failed.iter().any(|(_, s)| matches!(
-            s,
-            SectionStatus::Failed(error) if error.to_string().contains("memory budget")
-        )),
-        "no section names the budget: {failed:?}"
-    );
-    // The diagnostics panel renders; no approx banner (nothing succeeded).
-    let html = render_report_html(&report, &config.display);
-    assert!(html.contains("eda-error"));
 }
