@@ -2,7 +2,8 @@
 //! own pass over every pair (PP computes them independently).
 
 use eda_dataframe::DataFrame;
-use eda_stats::corr::{CorrMatrix, CorrMethod};
+use eda_stats::corr::{spearman_from_ranks, upper_triangle, CorrMatrix, CorrMethod};
+use eda_stats::rank::ranks;
 
 /// The three matrices Pandas-profiling shows (PhiK/Cramér's V disabled,
 /// matching the paper's experimental setup).
@@ -32,13 +33,89 @@ fn one_matrix(df: &DataFrame, method: CorrMethod) -> CorrMatrix {
         .filter(|(_, c)| c.dtype().is_numeric())
         .map(|(n, c)| (n.to_string(), c.to_f64_nan().expect("numeric")))
         .collect();
-    CorrMatrix::compute(&columns, method)
+    matrix(&columns, method)
+}
+
+/// The matrix for `method` over named numeric columns, one pair kernel
+/// call per cell: the eager form `pandas.DataFrame.corr` has, with no
+/// preparation shared between cells or methods.
+///
+/// Columns are full-length with NaN marking nulls and each pair uses
+/// its pairwise-complete rows. Spearman is rank-once
+/// (`spearman_from_ranks`): every column is ranked a single time, over
+/// its own non-null rows.
+pub fn matrix(columns: &[(String, Vec<f64>)], method: CorrMethod) -> CorrMatrix {
+    let spearman = method == CorrMethod::Spearman;
+    let ranked: Vec<Vec<f64>> =
+        if spearman { columns.iter().map(|(_, v)| ranks(v)).collect() } else { Vec::new() };
+    let inputs: Vec<&[f64]> = if spearman {
+        ranked.iter().map(Vec::as_slice).collect()
+    } else {
+        columns.iter().map(|(_, v)| v.as_slice()).collect()
+    };
+    let cell = |(i, j): (usize, usize)| match method {
+        CorrMethod::Spearman => spearman_from_ranks(inputs[i], inputs[j]),
+        _ => method.compute(inputs[i], inputs[j]),
+    };
+    let labels = columns.iter().map(|(n, _)| n.clone()).collect();
+    CorrMatrix::from_upper(labels, method, upper_triangle(columns.len()).into_iter().map(cell))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eda_dataframe::Column;
+    use eda_stats::corr::spearman;
+    use proptest::prelude::*;
+
+    fn column(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec(-1.0e6..1.0e6f64, min_len..200)
+    }
+
+    /// Columns `c0`, `c1`, ... cut to the shortest one's length.
+    fn named(cols: &[Vec<f64>]) -> Vec<(String, Vec<f64>)> {
+        let n = cols.iter().map(Vec::len).min().unwrap();
+        cols.iter().enumerate().map(|(i, c)| (format!("c{i}"), c[..n].to_vec())).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn spearman_matrix_rank_once_equals_per_pair(cols in prop::collection::vec(column(3), 2..5)) {
+            // Equal-length NaN-free columns: ranking each column once must
+            // agree with re-ranking every pair from scratch.
+            let named = named(&cols);
+            let m = matrix(&named, CorrMethod::Spearman);
+            for (i, j) in upper_triangle(named.len()) {
+                match (m.get(i, j), spearman(&named[i].1, &named[j].1)) {
+                    (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
+                    (a, b) => prop_assert_eq!(a, b),
+                }
+            }
+        }
+
+        #[test]
+        fn spearman_matrix_with_nulls_is_rank_once(
+            cols in prop::collection::vec(
+                prop::collection::vec(prop::option::of(-1.0e6..1.0e6f64), 4..60),
+                2..4,
+            ),
+        ) {
+            // pandas semantics: every column is ranked once over its own
+            // non-null rows, and a pair correlates those ranks over the rows
+            // both have — not the ranks of the pair's own complete subset.
+            let cols: Vec<Vec<f64>> =
+                cols.iter().map(|c| c.iter().map(|v| v.unwrap_or(f64::NAN)).collect()).collect();
+            let named = named(&cols);
+            let m = matrix(&named, CorrMethod::Spearman);
+            for (i, j) in upper_triangle(named.len()) {
+                let rank_once = spearman_from_ranks(&ranks(&named[i].1), &ranks(&named[j].1));
+                match (m.get(i, j), rank_once) {
+                    (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-12, "{a} vs {b}"),
+                    (a, b) => prop_assert_eq!(a, b),
+                }
+            }
+        }
+    }
 
     #[test]
     fn three_matrices_over_numeric_columns() {

@@ -1,8 +1,8 @@
 //! # eda-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md §4 for the full index) plus Criterion
-//! microbenches and ablations under `benches/`.
+//! evaluation (see DESIGN.md §4 for the full index) plus the Criterion
+//! ablations under `benches/`.
 //!
 //! | binary | reproduces |
 //! |--------|------------|
@@ -16,8 +16,6 @@
 //! next to their results so EXPERIMENTS.md can quote them honestly.
 
 #![warn(missing_docs)]
-
-pub mod regress;
 
 use std::time::{Duration, Instant};
 
@@ -141,11 +139,6 @@ pub fn arg_f64(name: &str, default: f64) -> f64 {
     default
 }
 
-/// Parse a `--flag` presence.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// Parse a `--name <value>` string argument.
 pub fn arg_str(name: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -194,28 +187,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row);
     }
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`), or 0 on platforms without procfs. Monotonic over
-/// the process lifetime — use it as a whole-run high-water mark, not a
-/// per-stage delta.
-pub fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }
 
 /// One-line machine context printed by every experiment.
@@ -292,7 +263,7 @@ mod tests {
             });
             let good = g.source("good", TaskKey::leaf("good", 0), || 5i64);
             let (outcomes, tasks_run) = policy.execute(&g, &[bad, good], 2);
-            assert!(outcomes[0].is_failed(), "{policy:?}");
+            assert!(!outcomes[0].is_ok(), "{policy:?}");
             assert_eq!(get(outcomes[1].payload().expect("good ok")), 5, "{policy:?}");
             assert_eq!(tasks_run, 1, "{policy:?}");
         }
@@ -331,22 +302,11 @@ mod tests {
     #[test]
     fn args_default_when_absent() {
         assert_eq!(arg_f64("--definitely-not-passed", 1.5), 1.5);
-        assert!(!arg_flag("--definitely-not-passed"));
         assert_eq!(arg_str("--definitely-not-passed"), None);
     }
 
     #[test]
     fn machine_context_mentions_cores() {
         assert!(machine_context().contains("core"));
-    }
-
-    #[test]
-    fn peak_rss_is_plausible() {
-        let peak = peak_rss_bytes();
-        // On Linux a running test process has a nonzero high-water mark;
-        // elsewhere the helper degrades to 0.
-        if cfg!(target_os = "linux") {
-            assert!(peak > 0);
-        }
     }
 }

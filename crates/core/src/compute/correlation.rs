@@ -292,7 +292,8 @@ mod tests {
     use eda_dataframe::{Column, DataFrame};
 
     /// Eager reference implementation used by tests to validate the graph
-    /// plan: one pair-kernel call per cell over materialized columns.
+    /// plan: one pair-kernel call per cell over materialized columns,
+    /// Spearman over ranks taken once per column.
     fn reference_matrices(df: &DataFrame, names: &[String]) -> Vec<CorrMatrix> {
         let columns: Vec<(String, Vec<f64>)> = names
             .iter()
@@ -303,9 +304,16 @@ mod tests {
                 )
             })
             .collect();
+        let labels: Vec<String> = names.to_vec();
+        let ranked: Vec<Vec<f64>> = columns.iter().map(|(_, v)| eda_stats::rank::ranks(v)).collect();
+        let cell = |m: CorrMethod, (i, j): (usize, usize)| match m {
+            CorrMethod::Spearman => eda_stats::corr::spearman_from_ranks(&ranked[i], &ranked[j]),
+            _ => m.compute(&columns[i].1, &columns[j].1),
+        };
+        let pairs = upper_triangle(columns.len());
         CorrMethod::ALL
             .iter()
-            .map(|&m| CorrMatrix::compute(&columns, m))
+            .map(|&m| CorrMatrix::from_upper(labels.clone(), m, pairs.iter().map(|&p| cell(m, p))))
             .collect()
     }
 
@@ -460,7 +468,12 @@ mod tests {
                 else {
                     panic!("missing {method}")
                 };
-                assert_eq!(entries, &m.vector_for(x).unwrap(), "{method} row {x}");
+                let i = m.labels.iter().position(|l| l == x).unwrap();
+                let row: Vec<(String, Option<f64>)> = (0..m.size())
+                    .filter(|&j| j != i)
+                    .map(|j| (m.labels[j].clone(), m.get(i, j)))
+                    .collect();
+                assert_eq!(entries, &row, "{method} row {x}");
             }
         }
     }
@@ -488,10 +501,11 @@ mod tests {
         let Some(Inter::Correlation(m)) = ims.get("correlation_matrix:Pearson") else {
             panic!()
         };
+        assert_eq!(m.labels, ["a", "b", "c"]);
         // a~b unaffected by c's nulls.
-        assert!((m.get_by_name("a", "b").unwrap().unwrap() - 1.0).abs() < 1e-12);
+        assert!((m.get(0, 1).unwrap() - 1.0).abs() < 1e-12);
         // a~c defined despite nulls (pairwise complete).
-        assert!(m.get_by_name("a", "c").unwrap().is_some());
+        assert!(m.get(0, 2).is_some());
     }
 
     #[test]

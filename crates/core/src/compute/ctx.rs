@@ -324,7 +324,7 @@ mod tests {
             panic!("kernel bug")
         });
         let outcomes = ctx.execute_outcomes(&[bad, ctx.sources[0]]);
-        assert!(outcomes[0].is_failed());
+        assert!(!outcomes[0].is_ok());
         assert!(outcomes[1].is_ok());
         let stats = ctx.last_stats.as_ref().unwrap();
         assert_eq!(stats.tasks_failed, 1);

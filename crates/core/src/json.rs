@@ -9,7 +9,6 @@
 
 use std::fmt::Write as _;
 
-use crate::api::Analysis;
 use crate::insights::Insight;
 use crate::intermediate::{Inter, Intermediates};
 
@@ -370,18 +369,6 @@ pub fn insights_to_json(insights: &[Insight]) -> String {
     })
 }
 
-impl Analysis {
-    /// Export this analysis — task, intermediates, insights — as JSON, so
-    /// the data can feed any external plotting library (paper §4.2).
-    pub fn to_json(&self) -> String {
-        JsonWriter::object(&[
-            ("task", JsonWriter::string(&format!("{:?}", self.task))),
-            ("charts", intermediates_to_json(&self.intermediates)),
-            ("insights", insights_to_json(&self.insights)),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,9 +423,10 @@ mod tests {
             },
             Inter::QQ(vec![(f64::NAN, 1.0)]),
             Inter::Scatter { points: vec![(1.0, 2.0)], sampled: true },
-            Inter::Correlation(eda_stats::corr::CorrMatrix::compute(
-                &[("x".into(), vec![1.0, 2.0]), ("y".into(), vec![2.0, 1.0])],
+            Inter::Correlation(eda_stats::corr::CorrMatrix::from_upper(
+                vec!["x".into(), "y".into()],
                 eda_stats::corr::CorrMethod::Pearson,
+                [eda_stats::corr::pearson(&[1.0, 2.0], &[2.0, 1.0])],
             )),
         ];
         for inter in &inters {
@@ -458,8 +446,7 @@ mod tests {
         )])
         .unwrap();
         let a = crate::plot(&df, &["x"], &crate::Config::default()).unwrap();
-        let j = a.to_json();
-        assert!(j.contains("\"charts\""));
+        let j = intermediates_to_json(&a.intermediates) + &insights_to_json(&a.insights);
         assert!(j.contains("histogram"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

@@ -175,6 +175,7 @@ macro_rules! typed_builder {
             }
 
             /// Append an optional value.
+            #[cfg(test)]
             pub fn push_opt(&mut self, value: Option<$t>) {
                 match value {
                     Some(v) => self.push(v),
@@ -240,14 +241,6 @@ impl StrBuilder {
     pub fn push_null(&mut self) {
         self.nulls.push(self.codes.len());
         self.codes.push(0);
-    }
-
-    /// Append an optional value.
-    pub fn push_opt(&mut self, v: Option<&str>) {
-        match v {
-            Some(v) => self.push(v),
-            None => self.push_null(),
-        }
     }
 
     /// Freeze into an immutable column: the codes, the dictionary and the

@@ -198,6 +198,7 @@ impl DataFrame {
     }
 
     /// A frame with `column` appended (or replaced when the name exists).
+    #[cfg(test)]
     pub fn with_column(&self, name: &str, column: Column) -> Result<DataFrame> {
         if self.ncols() > 0 && column.len() != self.nrows {
             return Err(Error::LengthMismatch {
@@ -267,6 +268,7 @@ impl DataFrame {
     }
 
     /// Total nulls across every column.
+    #[cfg(test)]
     pub fn total_null_count(&self) -> usize {
         self.columns.iter().map(|c| c.null_count()).sum()
     }

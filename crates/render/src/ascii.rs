@@ -168,13 +168,9 @@ mod tests {
 
     #[test]
     fn render_correlation_grid() {
-        let m = eda_stats::corr::CorrMatrix::compute(
-            &[
-                ("a".into(), vec![1.0, 2.0, 3.0]),
-                ("b".into(), vec![1.0, 2.0, 3.0]),
-            ],
-            eda_stats::corr::CorrMethod::Pearson,
-        );
+        let pearson = eda_stats::corr::CorrMethod::Pearson;
+        let r = pearson.compute(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]);
+        let m = eda_stats::corr::CorrMatrix::from_upper(vec!["a".into(), "b".into()], pearson, [r]);
         let out = render("corr", &Inter::Correlation(m));
         assert!(out.contains("1.00"));
     }

@@ -126,13 +126,8 @@ mod tests {
 
     #[test]
     fn correlation_matrix_title_names_method() {
-        let m = CorrMatrix::compute(
-            &[
-                ("a".into(), vec![1.0, 2.0, 3.0]),
-                ("b".into(), vec![3.0, 2.0, 1.0]),
-            ],
-            CorrMethod::Spearman,
-        );
+        let r = CorrMethod::Spearman.compute(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]);
+        let m = CorrMatrix::from_upper(vec!["a".into(), "b".into()], CorrMethod::Spearman, [r]);
         let svg = drawn(|out| correlation(out, "corr", &m, 300, 200));
         assert!(svg.contains("Spearman"));
         assert!(svg.contains("-1.00"));

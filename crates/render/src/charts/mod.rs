@@ -190,12 +190,10 @@ mod tests {
             ("cdf", Inter::Line { xs: vec![0.0, 1.0], ys: vec![0.5, 1.0] }),
             (
                 "correlation_matrix",
-                Inter::Correlation(eda_stats::corr::CorrMatrix::compute(
-                    &[
-                        ("a".into(), vec![1.0, 2.0, 3.0]),
-                        ("b".into(), vec![3.0, 2.0, 1.0]),
-                    ],
+                Inter::Correlation(eda_stats::corr::CorrMatrix::from_upper(
+                    vec!["a".into(), "b".into()],
                     eda_stats::corr::CorrMethod::Pearson,
+                    [eda_stats::corr::pearson(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0])],
                 )),
             ),
             (

@@ -21,7 +21,7 @@ pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
 /// and the ranks are shared by all its pairs — and it is the one
 /// semantics every DataPrep path uses: `plot_correlation(df)`,
 /// `plot_correlation(df, x)` and `create_report` read the ranks of
-/// [`super::ColumnPrep`], the eager [`super::CorrMatrix::compute`] ranks
+/// [`super::ColumnPrep`], the baseline profiler's eager matrix ranks
 /// with [`crate::rank::ranks`], and row `x` of a matrix and the vector of
 /// `x` are the same numbers.
 /// It coincides with the per-pair (SciPy) [`spearman`] whenever neither

@@ -176,28 +176,6 @@ mod tests {
     use super::*;
     use crate::quantile::sorted_values;
 
-    /// The direct sum — every grid point over every sample, an `exp` each:
-    /// what `kde_grid` was, kept as its oracle.
-    fn kde_direct(values: &[f64], grid_size: usize) -> (Vec<f64>, Vec<f64>) {
-        let mut finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        finite.sort_unstable_by(f64::total_cmp);
-        let Some(h) = silverman_bandwidth(&finite) else {
-            return (Vec::new(), Vec::new());
-        };
-        let grid_size = grid_size.max(2);
-        let lo = finite[0] - 3.0 * h;
-        let hi = finite[finite.len() - 1] + 3.0 * h;
-        let step = (hi - lo) / (grid_size - 1) as f64;
-        let xs: Vec<f64> = (0..grid_size).map(|i| lo + step * i as f64).collect();
-        let norm = 1.0 / (finite.len() as f64 * h * (2.0 * std::f64::consts::PI).sqrt());
-        let density = |x: f64| {
-            let sum: f64 = finite.iter().map(|&v| (-0.5 * ((x - v) / h).powi(2)).exp()).sum();
-            sum * norm
-        };
-        let ys = xs.iter().map(|&x| density(x)).collect();
-        (xs, ys)
-    }
-
     fn uniform(state: &mut u64) -> f64 {
         *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((*state >> 11) as f64 + 0.5) / (1u64 << 53) as f64
@@ -233,12 +211,14 @@ mod tests {
         // 8000 points puts δ far below 1: thousands of steps per sample.
         for (n, grid) in [(2000, 2), (2000, 200), (300, 8000)] {
             for (name, sample) in families(n) {
+                let h = silverman_bandwidth(&sample).unwrap();
                 if name == "outlier" {
-                    let h = silverman_bandwidth(&sample).unwrap();
                     assert!((sample[n - 1] - sample[0]) / h > 1e6, "δ is not ≫ 1");
                 }
+                let want_h = crate::oracle::silverman(&sample).unwrap();
+                assert!((h - want_h).abs() <= 1e-12 * want_h, "{name}: bandwidth {h} vs {want_h}");
                 let (xs, ys) = kde_grid(&sample, grid);
-                let (want_xs, want_ys) = kde_direct(&sample, grid);
+                let (want_xs, want_ys) = crate::oracle::kde_direct(&sample, h, grid);
                 assert_eq!(xs, want_xs, "{name} grid {grid}");
                 assert_eq!(ys.len(), grid, "{name} grid {grid}");
                 let peak = want_ys.iter().copied().fold(0.0, f64::max);

@@ -105,6 +105,16 @@ impl Moments {
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.sum += value;
+        if self.count == 0 {
+            // The first value is the mean (added to the empty mean, 0.0,
+            // so that -0.0 reads 0.0 as the update below has it), and its
+            // central moments are 0. The update would get there by
+            // multiplying its square by 0: NaN once the square overflows
+            // (|value| > 1.3e154).
+            self.count = 1;
+            self.mean += value;
+            return;
+        }
 
         // Welford/Pébay incremental update.
         let n1 = self.count as f64;

@@ -52,6 +52,7 @@ impl LinearFit {
     }
 
     /// Predicted `y` at `x`.
+    #[cfg(test)]
     pub fn predict(&self, x: f64) -> f64 {
         self.slope * x + self.intercept
     }

@@ -5,9 +5,11 @@
 //! entry points are held against, and the Fenwick tree counts inversions
 //! at sizes the double loop is too slow for. For Pearson and rank-once
 //! Spearman, a two-pass compensated co-moment — no streaming update, no
-//! lanes, no chunks. For frequency tables, counts in a `BTreeMap` keyed
-//! by name, ranked by a full sort; for word tables, each row split into
-//! owned tokens and counted one by one.
+//! lanes, no chunks; for a column's moments, the same two passes. For the
+//! KDE curve, the direct sum over every (value, grid point) pair. For
+//! frequency tables, counts in a `BTreeMap` keyed by name, ranked by a
+//! full sort; for word tables, each row split into owned tokens and
+//! counted one by one.
 
 #![allow(dead_code)]
 
@@ -19,7 +21,8 @@ fn complete_pairs(x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>) {
     x.iter().zip(y).filter(|(a, b)| !a.is_nan() && !b.is_nan()).map(|(a, b)| (*a, *b)).unzip()
 }
 
-/// Neumaier-compensated sum.
+/// Neumaier-compensated sum; the plain sum once that is `±inf` or NaN
+/// (the carry of an overflowed sum is NaN).
 fn compensated_sum(values: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut carry) = (0.0f64, 0.0f64);
     for v in values {
@@ -27,7 +30,11 @@ fn compensated_sum(values: impl Iterator<Item = f64>) -> f64 {
         carry += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
         sum = t;
     }
-    sum + carry
+    if sum.is_finite() {
+        sum + carry
+    } else {
+        sum
+    }
 }
 
 /// Pearson over the pairwise-complete rows by two passes: the means, then
@@ -51,6 +58,124 @@ pub fn pearson_two_pass(x: &[f64], y: &[f64]) -> Option<f64> {
     let syy = compensated_sum(dy.iter().map(|d| d * d)) - sy * sy / nf;
     let sxy = compensated_sum(dx.iter().zip(&dy).map(|(a, b)| a * b)) - sx * sy / nf;
     Some(sxy / (sxx * syy).sqrt())
+}
+
+/// A column's moments and value-quality counters, kept the way a
+/// streaming accumulator keeps them: moments over the finite values only,
+/// `variance` the sample variance (`m2 / (n − 1)`), `skewness`
+/// `√n·m3 / m2^{3/2}` and `kurtosis` the excess `n·m4 / m2² − 3`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TwoPassMoments {
+    /// Finite values.
+    pub count: u64,
+    /// Their mean; NaN when there is none.
+    pub mean: f64,
+    /// `None` below two finite values.
+    pub variance: Option<f64>,
+    /// `None` below two finite values or without spread.
+    pub skewness: Option<f64>,
+    /// `None` below two finite values or without spread.
+    pub kurtosis: Option<f64>,
+    /// Smallest finite value; `+inf` when there is none.
+    pub min: f64,
+    /// Largest finite value; `-inf` when there is none.
+    pub max: f64,
+    /// Values equal to zero.
+    pub zeros: u64,
+    /// Finite values below zero.
+    pub negatives: u64,
+    /// `±inf` values.
+    pub infinites: u64,
+    /// NaN values.
+    pub nans: u64,
+}
+
+/// [`TwoPassMoments`] of `values` by two passes: the mean as a
+/// compensated sum of the offsets from the first finite value (so a
+/// constant column's deviations are exactly zero), then compensated sums
+/// of the deviations' powers, each corrected for the mean's rounding
+/// (`m2 = Σd² − (Σd)²/n`, and the same expansion for `m3` and `m4`).
+/// Where the powers overflow (deviations past `f64::MAX^(1/k)`), a
+/// moment is `inf` or NaN, never a finite number.
+pub fn two_pass_moments(values: &[f64]) -> TwoPassMoments {
+    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    let count = |keep: fn(&f64) -> bool| values.iter().filter(|v| keep(v)).count() as u64;
+    let n = finite.len();
+    let nf = n as f64;
+    let shift = finite.first().copied().unwrap_or(0.0);
+    let mean = shift + compensated_sum(finite.iter().map(|v| v - shift)) / nf;
+    let d: Vec<f64> = finite.iter().map(|v| v - mean).collect();
+    let power_sum = |k: i32| compensated_sum(d.iter().map(|d| d.powi(k)));
+    let (s2, s3, s4) = (power_sum(2), power_sum(3), power_sum(4));
+    // Each deviation from the rounded mean is exact (Sterbenz), and
+    // `c = Σd/n` is what rounding the mean lost: the moments about the
+    // mean itself follow from the binomial expansion in `c`.
+    let c = compensated_sum(d.iter().copied()) / nf;
+    let m2 = if s2.is_finite() { s2 - nf * c * c } else { s2 };
+    let m3 = if s3.is_finite() { s3 - 3.0 * c * s2 + 2.0 * nf * c.powi(3) } else { s3 };
+    let m4 = if s4.is_finite() {
+        s4 - 4.0 * c * s3 + 6.0 * c * c * s2 - 3.0 * nf * c.powi(4)
+    } else {
+        s4
+    };
+    let spread = n >= 2 && m2 > 0.0;
+    TwoPassMoments {
+        count: n as u64,
+        mean: if n == 0 { f64::NAN } else { mean },
+        variance: (n >= 2).then(|| m2 / (nf - 1.0)),
+        skewness: spread.then(|| nf.sqrt() * m3 / m2.powf(1.5)),
+        kurtosis: spread.then(|| nf * m4 / (m2 * m2) - 3.0),
+        min: finite.iter().copied().fold(f64::INFINITY, f64::min),
+        max: finite.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        zeros: count(|v| *v == 0.0),
+        negatives: count(|v| v.is_finite() && *v < 0.0),
+        infinites: count(|v| v.is_infinite()),
+        nans: count(|v| v.is_nan()),
+    }
+}
+
+/// Silverman's rule of thumb over the finite values,
+/// `0.9 · min(σ̂, IQR/1.34) · n^(-1/5)` (σ̂ alone when the IQR is 0), by
+/// its own sort, [`two_pass_moments`] and type-7 (linearly interpolated)
+/// quartiles. `None` below two finite values or without spread.
+pub fn silverman(values: &[f64]) -> Option<f64> {
+    let mut finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    finite.sort_by(f64::total_cmp);
+    let n = finite.len();
+    let std = two_pass_moments(&finite).variance?.sqrt();
+    let quartile = |q: f64| {
+        let pos = q * (n - 1) as f64;
+        let (lo, hi) = (finite[pos.floor() as usize], finite[pos.ceil() as usize]);
+        lo + (hi - lo) * (pos - pos.floor())
+    };
+    let iqr = quartile(0.75) - quartile(0.25);
+    let spread = if iqr > 0.0 { std.min(iqr / 1.34) } else { std };
+    (spread > 0.0).then(|| 0.9 * spread * (n as f64).powf(-0.2))
+}
+
+/// The Gaussian KDE of the finite values with bandwidth `h`, by the
+/// direct sum: every one of `grid_size` (at least 2) evenly spaced points
+/// over `[min − 3h, max + 3h]` sums an `exp` per value, compensated. The
+/// bandwidth is an argument so a kernel's grid can be held against this
+/// one to the bit ([`silverman`] checks the bandwidth on its own). Empty
+/// without a finite value.
+pub fn kde_direct(values: &[f64], h: f64, grid_size: usize) -> (Vec<f64>, Vec<f64>) {
+    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    let Some(min) = finite.iter().copied().reduce(f64::min) else {
+        return (Vec::new(), Vec::new());
+    };
+    let max = finite.iter().copied().fold(min, f64::max);
+    let grid_size = grid_size.max(2);
+    let (lo, hi) = (min - 3.0 * h, max + 3.0 * h);
+    let step = (hi - lo) / (grid_size - 1) as f64;
+    let xs: Vec<f64> = (0..grid_size).map(|i| lo + step * i as f64).collect();
+    let norm = 1.0 / (finite.len() as f64 * h * (2.0 * std::f64::consts::PI).sqrt());
+    let density = |x: f64| {
+        let kernels = finite.iter().map(|&v| (-0.5 * ((x - v) / h).powi(2)).exp());
+        compensated_sum(kernels) * norm
+    };
+    let ys = xs.iter().map(|&x| density(x)).collect();
+    (xs, ys)
 }
 
 /// Mid-ranks (1-based, ties averaged) of a column's non-NaN rows; NaN at

@@ -8,8 +8,8 @@
 
 mod oracle;
 
-use eda_stats::corr::{corr_cells, Col, ColumnPrep, CorrMatrix, CorrMethod};
-use eda_stats::corr::{kendall_tau, pearson, spearman, spearman_from_ranks, PearsonPartial};
+use eda_stats::corr::{corr_cells, Col, ColumnPrep, CorrMethod};
+use eda_stats::corr::{kendall_tau, pearson, spearman, PearsonPartial};
 use eda_dataframe::{Column, Selection};
 use eda_stats::freq::CatFreq;
 use eda_stats::histogram::Histogram;
@@ -233,58 +233,6 @@ proptest! {
     #[test]
     fn quantiles_nth_agrees_with_full_sort(values in data(0), qs in prop::collection::vec(0.0f64..=1.0, 1..8)) {
         prop_assert_eq!(quantiles_nth(&values, &qs), quantiles(&values, &qs));
-    }
-
-    #[test]
-    fn spearman_matrix_rank_once_equals_per_pair(
-        cols in prop::collection::vec(data(3), 2..5),
-    ) {
-        // Equal-length NaN-free columns: the matrix's rank-once fast path
-        // must agree with re-ranking every pair from scratch.
-        let n = cols.iter().map(Vec::len).min().unwrap();
-        let named: Vec<(String, Vec<f64>)> = cols
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (format!("c{i}"), c[..n].to_vec()))
-            .collect();
-        let m = CorrMatrix::compute(&named, CorrMethod::Spearman);
-        for i in 0..named.len() {
-            for j in (i + 1)..named.len() {
-                let per_pair = spearman(&named[i].1, &named[j].1);
-                let fast = m.get(i, j);
-                match (fast, per_pair) {
-                    (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
-                    (a, b) => prop_assert_eq!(a, b),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spearman_matrix_with_nulls_is_rank_once(
-        cols in prop::collection::vec(prop::collection::vec(prop::option::of(finite_f64()), 4..60), 2..4),
-    ) {
-        // pandas semantics: every column is ranked once over its own
-        // non-null rows, and a pair correlates those ranks over the rows
-        // both have — not the ranks of the pair's own complete subset.
-        let n = cols.iter().map(Vec::len).min().unwrap();
-        let named: Vec<(String, Vec<f64>)> = cols
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                (format!("c{i}"), c[..n].iter().map(|v| v.unwrap_or(f64::NAN)).collect())
-            })
-            .collect();
-        let m = CorrMatrix::compute(&named, CorrMethod::Spearman);
-        for i in 0..named.len() {
-            for j in (i + 1)..named.len() {
-                let rank_once = spearman_from_ranks(&ranks(&named[i].1), &ranks(&named[j].1));
-                match (m.get(i, j), rank_once) {
-                    (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-12, "{a} vs {b}"),
-                    (a, b) => prop_assert_eq!(a, b),
-                }
-            }
-        }
     }
 }
 
@@ -531,5 +479,116 @@ proptest! {
             prop_assert_eq!(merged.top_words(k), want.top_k(k), "k = {}", k);
         }
         prop_assert_eq!(merged.count, values.iter().flatten().count() as u64);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Moments against the two-pass oracle
+// ---------------------------------------------------------------------------
+
+/// Both `None`, or both `Some` and within `tol` (see [`check_moments`]).
+fn close_opt(got: Option<f64>, want: Option<f64>, tol: f64) -> bool {
+    match (got, want) {
+        (Some(g), Some(w)) if !w.is_finite() => !g.is_finite(),
+        (Some(g), Some(w)) => (g - w).abs() <= tol,
+        (g, w) => g.is_none() && w.is_none(),
+    }
+}
+
+/// `got` against [`oracle::two_pass_moments`] of `values`, the non-null
+/// values it was accumulated over. The count, the four counters, min and
+/// max must be equal. A streaming update takes each value's deviation
+/// from a running mean that is rounded to an ulp of `|mean|`, so the
+/// deviations carry a relative error of about `ε·κ`, with `ε` the
+/// machine epsilon and `κ = |mean| / σ`. The tolerances, each about 30×
+/// or more above the largest error seen on these inputs:
+/// - mean: 1e-13 of the largest finite magnitude;
+/// - variance: `1e-12 + 2ε·κ` of itself (seen: 5e-15 at `κ ≤ 20`,
+///   1.4e-9 at the 1e9 offset's `κ = 4e8`);
+/// - skewness: `1e-12 + 2ε·κ`, absolute (seen: 3e-14, and 4.4e-9);
+/// - kurtosis: `1e-11 + 2ε·κ`, absolute (seen: 1.6e-13, and 7.9e-9).
+///
+/// Where an oracle moment overflowed (squares of 1e300 pass `f64::MAX`),
+/// the kernel's must not be a finite number either.
+fn check_moments(what: &str, got: &Moments, values: &[f64]) {
+    let want = oracle::two_pass_moments(values);
+    assert_eq!(
+        (got.count, got.zeros, got.negatives, got.infinites, got.nans),
+        (want.count, want.zeros, want.negatives, want.infinites, want.nans),
+        "{what}: count, zeros, negatives, infinites, nans"
+    );
+    assert_eq!((got.min, got.max), (want.min, want.max), "{what}: min, max");
+    if want.count == 0 {
+        return;
+    }
+    let scale = values.iter().filter(|v| v.is_finite()).fold(0.0f64, |m, v| m.max(v.abs()));
+    let (mean, want_mean) = (got.mean, want.mean);
+    assert!((mean - want_mean).abs() <= 1e-13 * scale, "{what}: mean {mean} vs {want_mean}");
+    let variance = want.variance.unwrap_or(0.0);
+    let drift = 2.0 * f64::EPSILON * want.mean.abs() / variance.sqrt();
+    let drift = if drift.is_finite() { drift } else { 0.0 };
+    let checks = [
+        ("variance", got.variance(), want.variance, (1e-12 + drift) * variance),
+        ("skewness", got.skewness(), want.skewness, 1e-12 + drift),
+        ("kurtosis", got.kurtosis(), want.kurtosis, 1e-11 + drift),
+    ];
+    for (moment, g, w, tol) in checks {
+        assert!(close_opt(g, w, tol), "{what}: {moment} {g:?} vs {w:?}");
+    }
+}
+
+/// Hostile columns by name, `len` rows each where a length applies.
+fn moment_cases(seed: u64, len: usize) -> Vec<(String, Vec<f64>)> {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+    let mut cases: Vec<(String, Vec<f64>)> = families(seed)
+        .into_iter()
+        .zip(["normal", "lognormal", "uniform", "ints", "few"])
+        .map(|(values, name)| (name.to_string(), values[..len].to_vec()))
+        .collect();
+    let signed = |i: usize| ((i * 7919 % 23) as f64 - 11.0) / 11.0;
+    cases.push(("1e300 magnitudes".into(), (0..len).map(|i| 1e300 * signed(i)).collect()));
+    cases.push(("offset 1e9".into(), cases[0].1.iter().map(|v| 1e9 + v).collect()));
+    cases.push(("constant".into(), vec![3.7; len]));
+    cases.push(("constant 1e300".into(), vec![-1e300; len]));
+    let mixed = cases[0].1.iter().enumerate();
+    let mixed = mixed.map(|(i, &v)| if i % 5 == 2 { specials[i / 5 % specials.len()] } else { v });
+    cases.push(("NaN/inf mix".into(), mixed.collect()));
+    cases.push(("NaN/inf only".into(), (0..len).map(|i| specials[i % 3]).collect()));
+    cases
+}
+
+#[test]
+fn moments_match_the_two_pass_oracle() {
+    for len in LENGTHS {
+        for (name, values) in moment_cases(len as u64, len) {
+            let got = Moments::of(&Column::from_f64(values.clone())).unwrap();
+            check_moments(&format!("{name}, {len} rows"), &got, &values);
+        }
+    }
+    for one in [42.0, -0.0, f64::MAX, -1e300, f64::MIN_POSITIVE, f64::NAN, f64::INFINITY] {
+        let got = Moments::of(&Column::from_f64(vec![one])).unwrap();
+        check_moments(&format!("the single value {one}"), &got, &[one]);
+    }
+}
+
+#[test]
+fn merged_moments_match_the_two_pass_oracle() {
+    // Windows of one column cut at lengths that are not multiples of 8,
+    // some empty, a tenth of the rows null, merged left to right.
+    let len = 3 * CHECK_INTERVAL + 5;
+    for (name, values) in moment_cases(7, len) {
+        let nulls = |i: usize| i % 10 == 3;
+        let column = Column::from_opt_f64(
+            values.iter().enumerate().map(|(i, &v)| (!nulls(i)).then_some(v)).collect(),
+        );
+        let kept: Vec<f64> =
+            values.iter().enumerate().filter(|(i, _)| !nulls(*i)).map(|(_, &v)| v).collect();
+        for cuts in [vec![0, len], vec![0, 1, 9, 9, 1031, len], vec![0, 7, len - 13, len]] {
+            let mut merged = Moments::new();
+            for w in cuts.windows(2) {
+                merged.merge(&Moments::of(&column.slice(w[0], w[1] - w[0])).unwrap());
+            }
+            check_moments(&format!("{name}, cut at {cuts:?}"), &merged, &kept);
+        }
     }
 }

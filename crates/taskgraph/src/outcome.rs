@@ -117,6 +117,7 @@ impl TaskOutcome {
     }
 
     /// `true` when the task failed, timed out, or was skipped.
+    #[cfg(test)]
     pub fn is_failed(&self) -> bool {
         !self.is_ok()
     }

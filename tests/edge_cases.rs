@@ -1,6 +1,7 @@
 //! Edge-case integration tests: degenerate frames must produce sensible
 //! analyses (or clean errors), never panics.
 
+use dataprep_eda::core::json::{insights_to_json, intermediates_to_json};
 use dataprep_eda::prelude::*;
 use eda_dataframe::Column;
 
@@ -91,7 +92,8 @@ fn all_nan_numeric_column() {
     assert!(!b.intermediates.is_empty());
     let corr = plot_correlation(&df, &[], &cfg).unwrap();
     let Some(Inter::Correlation(m)) = corr.get("correlation_matrix:Pearson") else { panic!() };
-    assert_eq!(m.get_by_name("nan", "y").unwrap(), None);
+    assert_eq!(m.labels, ["nan", "y"]);
+    assert_eq!(m.get(0, 1), None);
     let missing = plot_missing(&df, &["nan"], &cfg).unwrap();
     assert!(missing.get("compare_histogram:y").is_some());
 }
@@ -107,7 +109,8 @@ fn zero_row_frame_correlation_and_missing() {
     // Two numeric columns with zero rows: every coefficient undefined.
     let corr = plot_correlation(&df, &[], &cfg).unwrap();
     let Some(Inter::Correlation(m)) = corr.get("correlation_matrix:Pearson") else { panic!() };
-    assert_eq!(m.get_by_name("a", "b").unwrap(), None);
+    assert_eq!(m.labels, ["a", "b"]);
+    assert_eq!(m.get(0, 1), None);
     let missing = plot_missing(&df, &[], &cfg).unwrap();
     assert!(missing.get("missing_bar_chart").is_some());
     let html = render_analysis_html(&corr, &cfg.display);
@@ -134,7 +137,8 @@ fn single_distinct_value_through_all_entry_points() {
     // Correlation against a constant is undefined, not a crash.
     let corr = plot_correlation(&df, &[], &cfg).unwrap();
     let Some(Inter::Correlation(m)) = corr.get("correlation_matrix:Pearson") else { panic!() };
-    assert_eq!(m.get_by_name("k", "v").unwrap(), None);
+    assert_eq!(m.labels, ["k", "v"]);
+    assert_eq!(m.get(0, 1), None);
     // Missing analysis of a fully-populated constant column.
     let missing = plot_missing(&df, &["k"], &cfg).unwrap();
     assert!(missing.get("compare_histogram:v").is_some());
@@ -162,14 +166,16 @@ fn constant_columns() {
         .iter()
         .any(|i| i.kind == eda_core::InsightKind::Constant));
     // Correlation with a constant column: undefined cells, no panic.
-    let df2 = df
-        .with_column("v", Column::from_f64((0..30).map(|i| i as f64).collect()))
-        .unwrap();
+    let mut columns: Vec<(String, Column)> =
+        df.iter().map(|(n, c)| (n.to_string(), c.clone())).collect();
+    columns.push(("v".into(), Column::from_f64((0..30).map(|i| i as f64).collect())));
+    let df2 = DataFrame::new(columns).unwrap();
     let corr = plot_correlation(&df2, &[], &cfg).unwrap();
     let Some(Inter::Correlation(m)) = corr.get("correlation_matrix:Pearson") else {
         panic!()
     };
-    assert_eq!(m.get_by_name("k", "v").unwrap(), None);
+    assert_eq!(m.labels, ["k", "v"]);
+    assert_eq!(m.get(0, 1), None);
 }
 
 #[test]
@@ -207,7 +213,7 @@ fn unicode_and_hostile_category_names() {
     assert!(!html.contains("<script>alert"));
     assert!(html.contains("&lt;script&gt;"));
     // JSON export stays balanced.
-    let json = a.to_json();
+    let json = intermediates_to_json(&a.intermediates) + &insights_to_json(&a.insights);
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
