@@ -1,32 +1,36 @@
 //! # eda-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md §4 for the full index) plus the Criterion
-//! ablations under `benches/`.
+//! The experiment harness: one binary, `eda-paper`, prints every table of
+//! the paper's evaluation that one host can run (see DESIGN.md §4 for the
+//! full index), in this order:
 //!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `table2` | Table 2: report time, baseline vs DataPrep, 15 datasets; then a fine-grained task vs the baseline report on the user-study shapes (Figure 7's measured input) |
-//! | `figure5` | Figure 5: % of fine-grained tasks within 0.5/1/2/5 s |
-//! | `figure6a` | Figure 6(a): engine comparison on the bitcoin shape ([`EnginePolicy`]) |
-//! | `figure6b` | Figure 6(b): report time vs data size, both tools; then the largest report on 1 → host-core workers (Figure 6(c)'s stand-in) |
+//! | section | reproduces |
+//! |---------|------------|
+//! | Table 2 | report time, baseline vs DataPrep, 15 datasets |
+//! | user-study shapes | a fine-grained task vs the baseline report on the BirdStrike and DelayedFlights shapes (Figure 7's measured input) |
+//! | Figure 5 | % of fine-grained tasks within 0.5/1/2/5 s |
+//! | Figure 6(a) | engine comparison on the bitcoin shape ([`EnginePolicy`]) |
+//! | Figure 6(b) | report time vs data size, both tools |
+//! | Figure 6(c) stand-in | the largest 6(b) report on 1 → host-core workers |
+//! | ablations | CSE on/off ([`unshared_context`]), [`CorrTiling`], `engine.npartitions` |
 //!
-//! All binaries accept `--scale <f64>` (default chosen per experiment) to
-//! shrink workloads for small machines, and print the machine context
-//! next to their results so EXPERIMENTS.md can quote them honestly.
+//! Every timed call goes through [`time_arms`], which alternates the
+//! order of the compared arms, reports medians and refuses a call the
+//! result cache served.
 
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};
 
+use eda_baseline::BaselineReport;
 use eda_core::compute::correlation;
 use eda_core::compute::ctx::{un, ComputeContext};
 use eda_core::error::EdaResult;
-use eda_core::Config;
+use eda_core::{Analysis, Config, Report};
 use eda_dataframe::DataFrame;
 use eda_stats::corr::CorrMatrix;
 use eda_taskgraph::scheduler::{run, ExecOptions};
-use eda_taskgraph::{NodeId, TaskGraph, TaskOutcome};
+use eda_taskgraph::{ExecStats, NodeId, TaskGraph, TaskOutcome};
 
 /// The execution models of the paper's Figure 6(a) that run here. The
 /// paper explains its ranking structurally (§5.1): Dask evaluates one
@@ -50,26 +54,28 @@ pub enum EnginePolicy {
 
 impl EnginePolicy {
     /// Execute `outputs` of `graph` under this policy with `workers`
-    /// threads: the outcomes in output order, and how many tasks ran.
+    /// threads: the outcomes in output order, and the run's statistics
+    /// (`EagerPerOp` sums `tasks_run` and `cache_hits` over its runs).
     pub fn execute(
         self,
         graph: &TaskGraph,
         outputs: &[NodeId],
         workers: usize,
-    ) -> (Vec<TaskOutcome>, usize) {
-        let shared = |graph: &TaskGraph, outputs: &[NodeId], workers: usize| {
+    ) -> (Vec<TaskOutcome>, ExecStats) {
+        let shared = |outputs: &[NodeId], workers: usize| {
             let r = run(graph, outputs, workers, &ExecOptions::default());
-            (r.outcomes, r.stats.tasks_run)
+            (r.outcomes, r.stats)
         };
         match self {
-            EnginePolicy::LazyParallel => shared(graph, outputs, workers),
-            EnginePolicy::SingleThread => shared(graph, outputs, 1),
+            EnginePolicy::LazyParallel => shared(outputs, workers),
+            EnginePolicy::SingleThread => shared(outputs, 1),
             EnginePolicy::EagerPerOp => {
-                let mut all = (Vec::with_capacity(outputs.len()), 0);
+                let mut all = (Vec::with_capacity(outputs.len()), ExecStats::default());
                 for out in outputs {
-                    let (outcomes, tasks_run) = shared(graph, std::slice::from_ref(out), workers);
+                    let (outcomes, stats) = shared(std::slice::from_ref(out), workers);
                     all.0.extend(outcomes);
-                    all.1 += tasks_run;
+                    all.1.tasks_run += stats.tasks_run;
+                    all.1.cache_hits += stats.cache_hits;
                 }
                 all
             }
@@ -91,9 +97,13 @@ pub enum CorrTiling {
 }
 
 impl CorrTiling {
-    /// The three correlation matrices of `df` under this tiling, and how
-    /// many tasks ran.
-    pub fn matrices(self, df: &DataFrame, config: &Config) -> EdaResult<(Vec<CorrMatrix>, usize)> {
+    /// The three correlation matrices of `df` under this tiling, and the
+    /// statistics of the run that computed them.
+    pub fn matrices(
+        self,
+        df: &DataFrame,
+        config: &Config,
+    ) -> EdaResult<(Vec<CorrMatrix>, ExecStats)> {
         let mut ctx = ComputeContext::new(df, config);
         let names = correlation::numeric_columns(&ctx);
         let nodes = match self {
@@ -101,8 +111,8 @@ impl CorrTiling {
             CorrTiling::PerPair => correlation::plan_matrix_tiles(&mut ctx, &names, usize::MAX),
         };
         let outs = ctx.execute_checked(&nodes)?;
-        let tasks_run = ctx.last_stats.as_ref().map_or(0, |s| s.tasks_run);
-        Ok((outs.iter().map(|p| un::<CorrMatrix>(p).clone()).collect(), tasks_run))
+        let stats = ctx.last_stats.unwrap_or_default();
+        Ok((outs.iter().map(|p| un::<CorrMatrix>(p).clone()).collect(), stats))
     }
 }
 
@@ -117,6 +127,127 @@ pub fn unshared_context<'a>(df: &'a DataFrame, config: &'a Config) -> ComputeCon
     ctx
 }
 
+/// What [`time_arms`] reads off a timed call's result.
+pub trait Executed {
+    /// The statistics of the call's graph run; `None` for a call that
+    /// runs no graph (the baseline profiler, which keeps no cache).
+    fn exec_stats(&self) -> Option<&ExecStats>;
+}
+
+impl Executed for Analysis {
+    fn exec_stats(&self) -> Option<&ExecStats> {
+        self.stats.as_ref()
+    }
+}
+
+impl Executed for Report {
+    fn exec_stats(&self) -> Option<&ExecStats> {
+        Some(&self.stats)
+    }
+}
+
+impl Executed for BaselineReport {
+    fn exec_stats(&self) -> Option<&ExecStats> {
+        None
+    }
+}
+
+/// A result paired with its run's statistics ([`EnginePolicy::execute`],
+/// [`CorrTiling::matrices`]).
+impl<T> Executed for (T, ExecStats) {
+    fn exec_stats(&self) -> Option<&ExecStats> {
+        Some(&self.1)
+    }
+}
+
+/// One arm of a timed comparison: a named call, timed on its own.
+pub struct Arm<'a> {
+    name: String,
+    call: Box<dyn FnMut() -> (Duration, Option<ExecStats>) + 'a>,
+}
+
+impl<'a> Arm<'a> {
+    /// An arm that times `call`; dropping its result is not timed.
+    pub fn new<T: Executed>(name: impl Into<String>, mut call: impl FnMut() -> T + 'a) -> Self {
+        let call = move || {
+            let (out, elapsed) = measure(&mut call);
+            (elapsed, out.exec_stats().cloned())
+        };
+        Arm { name: name.into(), call: Box::new(call) }
+    }
+}
+
+/// An arm's result over its repetitions.
+#[derive(Debug)]
+pub struct Timing {
+    /// The median wall time of one call.
+    pub median: Duration,
+    /// The last call's run statistics (`None` for the baseline).
+    pub stats: Option<ExecStats>,
+}
+
+impl Timing {
+    /// Tasks the last call ran (0 for the baseline).
+    pub fn tasks_run(&self) -> usize {
+        self.stats.as_ref().map_or(0, |s| s.tasks_run)
+    }
+}
+
+/// A timed call the result cache served at least in part: its time is
+/// partly a lookup, not the work it stands for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheServed {
+    /// The arm whose call was served.
+    pub arm: String,
+    /// Tasks the cache answered.
+    pub hits: usize,
+}
+
+impl std::fmt::Display for CacheServed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: {} task(s) served by the result cache; a timed call must run on a fresh frame or with engine.cache_budget_bytes=0",
+            self.arm, self.hits
+        )
+    }
+}
+
+impl std::error::Error for CacheServed {}
+
+/// Time every arm `reps` times and return each arm's median, in arm
+/// order. Repetition `r` runs the arms first to last when `r` is even
+/// and last to first when it is odd, so no arm always runs first. Fails
+/// on the first call whose run reports a result-cache hit.
+pub fn time_arms(reps: usize, mut arms: Vec<Arm<'_>>) -> Result<Vec<Timing>, CacheServed> {
+    let n = arms.len();
+    let mut times = vec![Vec::with_capacity(reps); n];
+    let mut stats = vec![None; n];
+    for rep in 0..reps {
+        for k in 0..n {
+            let i = if rep % 2 == 0 { k } else { n - 1 - k };
+            let (elapsed, run) = (arms[i].call)();
+            let hits = run.as_ref().map_or(0, |s| s.cache_hits);
+            if hits > 0 {
+                return Err(CacheServed { arm: arms[i].name.clone(), hits });
+            }
+            times[i].push(elapsed);
+            stats[i] = run;
+        }
+    }
+    Ok(times.into_iter().zip(stats).map(|(t, stats)| Timing { median: median(t), stats }).collect())
+}
+
+/// The median of `times` (the mean of the middle two for an even count).
+fn median(mut times: Vec<Duration>) -> Duration {
+    times.sort_unstable();
+    match times.len() {
+        0 => Duration::ZERO,
+        n if n % 2 == 1 => times[n / 2],
+        n => (times[n / 2 - 1] + times[n / 2]) / 2,
+    }
+}
+
 /// Time one invocation.
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
@@ -124,30 +255,35 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// Parse `--scale <f64>` (or `--rows <usize>`-style pairs) from argv.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            if let Some(v) = args.next() {
-                if let Ok(v) = v.parse() {
-                    return v;
-                }
-            }
-        }
-    }
-    default
+/// The driver's options: `--scale <f64>` (default 1) and `--commit
+/// <label>`.
+#[derive(Debug, PartialEq)]
+pub struct Args {
+    /// Multiplies every section's size; at 1 each runs at its default.
+    pub scale: f64,
+    /// Names the tree the numbers were taken at, for the header.
+    pub commit: Option<String>,
 }
 
-/// Parse a `--name <value>` string argument.
-pub fn arg_str(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
+impl Args {
+    /// Parse the arguments after the program name. Any other option, or
+    /// a missing or unparsable value, is an error.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut out = Args { scale: 1.0, commit: None };
+        let mut args = args.into_iter();
+        while let Some(name) = args.next() {
+            let value = args.next().ok_or_else(|| format!("{name} needs a value"))?;
+            match name.as_str() {
+                "--scale" => match value.parse::<f64>() {
+                    Ok(scale) if scale > 0.0 => out.scale = scale,
+                    _ => return Err(format!("--scale {value}: expected a positive number")),
+                },
+                "--commit" => out.commit = Some(value),
+                _ => return Err(format!("unknown option {name} (expected --scale or --commit)")),
+            }
         }
+        Ok(out)
     }
-    None
 }
 
 /// Format a duration as seconds with sensible precision.
@@ -189,7 +325,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// One-line machine context printed by every experiment.
+/// One-line machine context printed in the driver's header.
 pub fn machine_context() -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!(
@@ -201,6 +337,7 @@ pub fn machine_context() -> String {
 mod tests {
     use super::*;
     use eda_taskgraph::{Payload, TaskKey};
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -236,7 +373,9 @@ mod tests {
 
     #[test]
     fn lazy_shares_eager_recomputes() {
-        for (policy, source_runs) in [(EnginePolicy::LazyParallel, 1), (EnginePolicy::EagerPerOp, 2)] {
+        for (policy, source_runs) in
+            [(EnginePolicy::LazyParallel, 1), (EnginePolicy::EagerPerOp, 2)]
+        {
             let counter = Arc::new(AtomicUsize::new(0));
             let (g, outs) = shared_graph(Arc::clone(&counter));
             policy.execute(&g, &outs, 2);
@@ -250,32 +389,34 @@ mod tests {
         let (_, lazy) = EnginePolicy::LazyParallel.execute(&g, &outs, 1);
         let (g2, outs2) = shared_graph(Arc::default());
         let (_, eager) = EnginePolicy::EagerPerOp.execute(&g2, &outs2, 1);
-        assert_eq!(lazy, 3); // src, a, b
-        assert_eq!(eager, 4); // (src, a), (src, b)
+        assert_eq!(lazy.tasks_run, 3); // src, a, b
+        assert_eq!(eager.tasks_run, 4); // (src, a), (src, b)
     }
 
     #[test]
     fn every_engine_isolates_a_panicking_node() {
         for policy in POLICIES {
             let mut g = TaskGraph::new();
-            let bad = g.source("bad", TaskKey::leaf("bad", 0), || -> i64 {
-                panic!("kernel bug")
-            });
+            let bad = g.source("bad", TaskKey::leaf("bad", 0), || -> i64 { panic!("kernel bug") });
             let good = g.source("good", TaskKey::leaf("good", 0), || 5i64);
-            let (outcomes, tasks_run) = policy.execute(&g, &[bad, good], 2);
+            let (outcomes, stats) = policy.execute(&g, &[bad, good], 2);
             assert!(!outcomes[0].is_ok(), "{policy:?}");
             assert_eq!(get(outcomes[1].payload().expect("good ok")), 5, "{policy:?}");
-            assert_eq!(tasks_run, 1, "{policy:?}");
+            assert_eq!(stats.tasks_run, 1, "{policy:?}");
         }
+    }
+
+    fn frame(offset: f64) -> DataFrame {
+        DataFrame::new(vec![(
+            "x".into(),
+            eda_dataframe::Column::from_f64((0..100).map(|i| f64::from(i) + offset).collect()),
+        )])
+        .expect("frame")
     }
 
     #[test]
     fn an_unshared_context_inserts_duplicates() {
-        let df = DataFrame::new(vec![(
-            "x".into(),
-            eda_dataframe::Column::from_f64((0..100).map(f64::from).collect()),
-        )])
-        .expect("frame");
+        let df = frame(0.0);
         let cfg = Config::default();
         let mut ctx = unshared_context(&df, &cfg);
         let before = ctx.graph.len();
@@ -283,6 +424,47 @@ mod tests {
         let again = ctx.pf.source_nodes(&mut ctx.graph);
         assert_eq!(ctx.graph.len(), before + again.len());
         assert_eq!(ctx.graph.cse_hits(), 0);
+    }
+
+    /// Timing the same frame twice with the result cache on measures a
+    /// lookup the second time: the helper refuses it, and accepts the
+    /// same calls with the cache off.
+    #[test]
+    fn a_repeated_frame_timed_with_the_cache_on_is_refused() {
+        let df = frame(0.5);
+        let on = Config::default();
+        let served = time_arms(2, vec![Arm::new("plot(df, x)", || plot(&df, &on))]);
+        let served = served.expect_err("the second call is served by the cache");
+        assert_eq!(served.arm, "plot(df, x)");
+        assert!(served.hits > 0);
+
+        let off = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).expect("config");
+        let timed = time_arms(2, vec![Arm::new("plot(df, x)", || plot(&df, &off))]).expect("cold");
+        assert!(timed[0].tasks_run() > 0);
+    }
+
+    fn plot(df: &DataFrame, cfg: &Config) -> Analysis {
+        eda_core::plot(df, &["x"], cfg).expect("plot")
+    }
+
+    #[test]
+    fn arms_alternate_and_report_medians() {
+        let order = RefCell::new(Vec::new());
+        let arm = |name: &'static str| {
+            let order = &order;
+            Arm::new(name, move || {
+                order.borrow_mut().push(name);
+                ((), ExecStats { tasks_run: 1, ..Default::default() })
+            })
+        };
+        let timed = time_arms(3, vec![arm("a"), arm("b")]).expect("no cache");
+        assert_eq!(*order.borrow(), ["a", "b", "b", "a", "a", "b"]);
+        assert_eq!(timed.len(), 2);
+        assert_eq!(timed[1].tasks_run(), 1);
+
+        let ms = Duration::from_millis;
+        assert_eq!(median(vec![ms(5), ms(1), ms(3)]), ms(3));
+        assert_eq!(median(vec![ms(4), ms(1), ms(2), ms(3)]), Duration::from_micros(2500));
     }
 
     #[test]
@@ -301,8 +483,15 @@ mod tests {
 
     #[test]
     fn args_default_when_absent() {
-        assert_eq!(arg_f64("--definitely-not-passed", 1.5), 1.5);
-        assert_eq!(arg_str("--definitely-not-passed"), None);
+        let parse = |args: &[&str]| Args::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(Args { scale: 1.0, commit: None }));
+        assert_eq!(
+            parse(&["--commit", "abc", "--scale", "0.01"]),
+            Ok(Args { scale: 0.01, commit: Some("abc".into()) })
+        );
+        assert!(parse(&["--rows", "20000"]).is_err(), "only --scale and --commit");
+        assert!(parse(&["--scale"]).is_err());
+        assert!(parse(&["--scale", "0"]).is_err());
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub fn gantt(out: &mut String, trace: &RunTrace, width: usize, height: usize) {
 
     for w in 0..workers {
         let y = top + w as f64 * lane_h;
-        // Lane separator + label; the label row is what the acceptance
-        // criterion's "one Gantt row per worker" checks.
+        // Lane separator + label; the label row is what the "one Gantt
+        // row per worker" checks read.
         svg.line(left, y + lane_h, width as f64 - right, y + lane_h, theme::GRID, 1.0);
         svg.text(left - 6.0, y + lane_h / 2.0 + 3.0, &format!("w{w}"), 10.0, "end", theme::TEXT);
     }

@@ -28,7 +28,6 @@
 //! later runs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -37,16 +36,12 @@ use crate::graph::Payload;
 use crate::key::TaskKey;
 
 /// A byte-budgeted, LRU-evicting memo of task payloads, safe to share
-/// across threads and runs.
+/// across threads and runs. It keeps no counters: a run's hits, misses,
+/// evictions and bytes saved are counted by the run itself, into its
+/// `ExecStats`.
 pub struct ResultCache {
     budget_bytes: usize,
     inner: Mutex<Inner>,
-    // Cumulative since construction, across every run that used this
-    // cache (per-run deltas live in `ExecStats`).
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evictions: AtomicUsize,
-    bytes_saved: AtomicUsize,
 }
 
 #[derive(Default)]
@@ -76,22 +71,10 @@ impl std::fmt::Debug for ResultCache {
 
 impl ResultCache {
     /// A cache holding at most `budget_bytes` of estimated payload bytes.
-    /// A budget of `0` disables the cache: probes always miss (without
-    /// counting) and inserts are dropped.
+    /// A budget of `0` disables the cache: probes always miss and inserts
+    /// are dropped.
     pub fn new(budget_bytes: usize) -> ResultCache {
-        ResultCache {
-            budget_bytes,
-            inner: Mutex::new(Inner::default()),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            bytes_saved: AtomicUsize::new(0),
-        }
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
+        ResultCache { budget_bytes, inner: Mutex::new(Inner::default()) }
     }
 
     /// Whether the cache admits anything at all.
@@ -108,27 +91,14 @@ impl ResultCache {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&(fingerprint, key)) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let found = (Arc::clone(&entry.payload), entry.bytes);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_saved.fetch_add(found.1, Ordering::Relaxed);
-                Some(found)
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = inner.map.get_mut(&(fingerprint, key))?;
+        entry.last_used = tick;
+        Some((Arc::clone(&entry.payload), entry.bytes))
     }
 
     /// Whether `(fingerprint, key)` is held, without touching the entry:
-    /// no hit or miss is counted and its LRU position stays put, so a
-    /// planner may ask before it decides what to run and the hit rate
-    /// still reports only what runs read.
+    /// its LRU position stays put, so a planner may ask before it decides
+    /// what to run.
     pub fn contains(&self, fingerprint: u64, key: TaskKey) -> bool {
         self.enabled() && self.inner.lock().map.contains_key(&(fingerprint, key))
     }
@@ -169,10 +139,6 @@ impl ResultCache {
             inner.total_bytes -= entry.bytes;
             evicted += 1;
         }
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
         evicted
     }
 
@@ -189,33 +155,6 @@ impl ResultCache {
     /// Estimated bytes currently held.
     pub fn total_bytes(&self) -> usize {
         self.inner.lock().total_bytes
-    }
-
-    /// Drop every entry (counters are preserved).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.total_bytes = 0;
-    }
-
-    /// Cumulative hits since construction.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative misses since construction.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative evictions since construction.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative estimated bytes served from cache since construction.
-    pub fn bytes_saved(&self) -> usize {
-        self.bytes_saved.load(Ordering::Relaxed)
     }
 }
 
@@ -257,9 +196,7 @@ mod tests {
         let (p, bytes) = c.get(1, key(1)).expect("hit");
         assert_eq!(*p.downcast_ref::<i64>().unwrap(), 42);
         assert_eq!(bytes, 8);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.bytes_saved(), 8);
+        assert_eq!((c.len(), c.total_bytes()), (1, 8));
     }
 
     #[test]
@@ -270,7 +207,7 @@ mod tests {
         assert!(c.contains(1, key(1)));
         assert!(!c.contains(1, key(3)));
         assert!(!c.contains(2, key(1)), "another fingerprint's entry");
-        assert_eq!((c.hits(), c.misses(), c.bytes_saved()), (0, 0, 0));
+        assert_eq!((c.len(), c.total_bytes()), (2, 80), "asking admits nothing");
         // Asking after key(1) left it the least recently used: a `get`
         // here would have made key(2) the victim instead.
         assert_eq!(c.insert(1, key(3), payload(3), 40), 1);
@@ -302,7 +239,7 @@ mod tests {
         assert!(c.get(1, key(1)).is_some(), "recently used survives");
         assert!(c.get(1, key(2)).is_none(), "LRU entry evicted");
         assert!(c.get(1, key(3)).is_some());
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -334,11 +271,10 @@ mod tests {
     fn zero_budget_disables_everything() {
         let c = ResultCache::new(0);
         assert!(!c.enabled());
-        c.insert(1, key(1), payload(1), 0);
+        assert_eq!(c.insert(1, key(1), payload(1), 0), 0);
         assert!(c.get(1, key(1)).is_none());
-        assert_eq!(c.len(), 0);
-        // Disabled probes don't even count as misses.
-        assert_eq!(c.misses(), 0);
+        assert!(!c.contains(1, key(1)));
+        assert_eq!((c.len(), c.total_bytes()), (0, 0));
     }
 
     #[test]
@@ -352,31 +288,26 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_entries_keeps_counters() {
-        let c = ResultCache::new(100);
-        c.insert(1, key(1), payload(1), 10);
-        c.get(1, key(1));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.total_bytes(), 0);
-        assert_eq!(c.hits(), 1);
-    }
-
-    #[test]
     fn cache_is_shareable_across_threads() {
         let c = Arc::new(ResultCache::new(1 << 20));
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for i in 0..100 {
-                        c.insert(t, key(i), payload(i as i64), 64);
-                        c.get(t, key(i));
-                    }
-                });
-            }
+        let hits: usize = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let c = Arc::clone(&c);
+                    s.spawn(move || {
+                        (0..100)
+                            .filter(|&i| {
+                                c.insert(t, key(i), payload(i as i64), 64);
+                                c.get(t, key(i)).is_some()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|h| h.join().expect("thread")).sum()
         });
         assert!(c.total_bytes() <= 1 << 20);
-        assert!(c.hits() > 0);
+        assert_eq!(hits, 400, "every entry fits the budget, so every get finds its insert");
+        assert_eq!(c.len(), 400);
     }
 }

@@ -80,8 +80,9 @@ impl std::fmt::Debug for Task {
 pub struct TaskGraph {
     tasks: Vec<Task>,
     by_key: HashMap<TaskKey, NodeId>,
-    /// When `false`, structurally identical tasks are *not* merged — used
-    /// by the sharing ablation benchmark.
+    /// When `false`, structurally identical tasks are *not* merged: for
+    /// graphs whose payloads are positional, not content-addressed (the
+    /// CSV chunk driver in `eda-io`), and the sharing ablation's opponent.
     dedup: bool,
     /// Number of insertions answered by an existing node.
     cse_hits: usize,
@@ -97,9 +98,10 @@ impl TaskGraph {
         TaskGraph { dedup: true, fault: inject::armed(), ..Default::default() }
     }
 
-    /// An empty graph with deduplication disabled (ablation mode: every
-    /// insertion creates a fresh node, like building one graph per
-    /// visualization).
+    /// An empty graph with deduplication disabled: every insertion creates
+    /// a fresh node. `eda-io`'s chunk driver builds its chunk-source graphs
+    /// this way (chunk `i`'s key says where, not what), and the sharing
+    /// ablation uses it to build one graph per visualization.
     pub fn without_dedup() -> Self {
         TaskGraph { dedup: false, fault: inject::armed(), ..Default::default() }
     }

@@ -1,8 +1,10 @@
 //! Execution statistics.
 //!
 //! Every run reports what the scheduler actually did — how many tasks ran,
-//! how many insertions were shared away, wall time — so the ablation
-//! benchmarks can attribute speedups to specific optimizations. Runs
+//! how many insertions were shared away, how many tasks the result cache
+//! answered, wall time — so the paper driver's ablations can attribute
+//! speedups to specific optimizations, and its timing can refuse a call
+//! the cache served. Runs
 //! executed with [`crate::scheduler::ExecOptions::trace`] additionally
 //! carry a full per-task [`RunTrace`].
 

@@ -113,9 +113,10 @@ fn two_phase_boundary_does_not_change_correlations() {
     // more tasks, the same matrices — and the same as the public call's.
     let df = dataset();
     let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
-    let (tiled, tiled_tasks) = CorrTiling::PerWorker.matrices(&df, &cfg).unwrap();
-    let (per_pair, pair_tasks) = CorrTiling::PerPair.matrices(&df, &cfg).unwrap();
+    let (tiled, tiled_stats) = CorrTiling::PerWorker.matrices(&df, &cfg).unwrap();
+    let (per_pair, pair_stats) = CorrTiling::PerPair.matrices(&df, &cfg).unwrap();
     assert_eq!(tiled, per_pair);
+    let (tiled_tasks, pair_tasks) = (tiled_stats.tasks_run, pair_stats.tasks_run);
     assert!(pair_tasks > tiled_tasks, "{pair_tasks} vs {tiled_tasks}");
     let public = plot_correlation(&df, &[], &cfg).unwrap();
     for m in &tiled {
