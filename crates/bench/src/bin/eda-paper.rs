@@ -50,8 +50,10 @@ const F6A_ROWS: f64 = 1_000_000.0;
 /// Figure 6(b)'s largest size; the sweep takes even steps up to it.
 const F6B_ROWS: f64 = 200_000.0;
 const F6B_POINTS: usize = 5;
-/// The ablations' frame: Table 2's adult shape at this fraction.
-const ABLATION_FRACTION: f64 = 0.2;
+/// The ablations' frame: Table 2's adult shape at this multiple of its
+/// rows (147,000), so that all of `NPARTITIONS` take effect: a context
+/// caps the partition count at one per 8,192 rows.
+const ABLATION_SCALE: f64 = 3.0;
 const NPARTITIONS: [usize; 5] = [1, 2, 4, 8, 16];
 const THRESHOLDS: [f64; 4] = [0.5, 1.0, 2.0, 5.0];
 
@@ -428,8 +430,7 @@ fn figure6bc(scale: f64) -> Result<(), CacheServed> {
 /// frame: computation sharing (CSE on, or [`unshared_context`]), the
 /// two-phase boundary ([`CorrTiling`]), and the partition count.
 fn ablations(scale: f64) -> Result<(), CacheServed> {
-    let spec =
-        kaggle_spec_by_name("adult").expect("Table 2 spec").scaled(ABLATION_FRACTION * scale);
+    let spec = kaggle_spec_by_name("adult").expect("Table 2 spec").scaled(ABLATION_SCALE * scale);
     let df = generate(&spec, 42);
     println!(
         "Ablations (paper §5) on adult[{} rows], cache off, median of {ABLATION_REPS} alternating repetitions",
