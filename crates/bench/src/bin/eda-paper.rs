@@ -22,8 +22,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use eda_bench::{
-    fmt_secs, machine_context, print_table, time_arms, unshared_context, Args, Arm, CacheServed,
-    CorrTiling, EnginePolicy, Timing,
+    fmt_secs, machine_context, print_table, time_arms, unshared_context, Args, Arm, CorrTiling,
+    EnginePolicy, Timing,
 };
 use eda_core::compute::overview::plan_overview;
 use eda_core::compute::ComputeContext;
@@ -57,7 +57,7 @@ const ABLATION_SCALE: f64 = 3.0;
 const NPARTITIONS: [usize; 5] = [1, 2, 4, 8, 16];
 const THRESHOLDS: [f64; 4] = [0.5, 1.0, 2.0, 5.0];
 
-type Section = fn(f64) -> Result<(), CacheServed>;
+type Section = fn(f64) -> Result<(), String>;
 
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -87,7 +87,7 @@ fn main() -> ExitCode {
 }
 
 /// Time a fixed set of arms: [`time_arms`] with one timing per arm.
-fn time<const N: usize>(reps: usize, arms: [Arm<'_>; N]) -> Result<[Timing; N], CacheServed> {
+fn time<const N: usize>(reps: usize, arms: [Arm<'_>; N]) -> Result<[Timing; N], String> {
     Ok(time_arms(reps, arms.into())?.try_into().expect("one timing per arm"))
 }
 
@@ -106,9 +106,27 @@ fn ratio(num: Duration, den: Duration) -> f64 {
     num.as_secs_f64() / den.as_secs_f64()
 }
 
+/// The baseline's profile and DataPrep's `create_report` of `df` at
+/// `cfg`: both timings, then how many times faster DataPrep was.
+fn pp_vs_dataprep(
+    df: &DataFrame,
+    cfg: &Config,
+    name: &str,
+) -> Result<(Timing, Timing, f64), String> {
+    let [pp, dp] = time(
+        FIGURE_REPS,
+        [
+            Arm::new("PP", || eda_baseline::profile(df)),
+            Arm::new(format!("create_report({name})"), || create_report(df, cfg).expect("report")),
+        ],
+    )?;
+    let speedup = ratio(pp.median, dp.median);
+    Ok((pp, dp, speedup))
+}
+
 /// Table 2: full-report time on the 15 Kaggle shapes, the Pandas-profiling
 /// baseline against DataPrep. The paper reports 4–20× speedups.
-fn table2(scale: f64) -> Result<(), CacheServed> {
+fn table2(scale: f64) -> Result<(), String> {
     println!("Table 2: create_report, baseline (PP) vs DataPrep; each frame fresh, default config");
     let cfg = Config::default();
     let mut rows = Vec::new();
@@ -117,16 +135,7 @@ fn table2(scale: f64) -> Result<(), CacheServed> {
         let spec = spec.scaled(scale);
         let df = generate(&spec, 42);
         let (n, c) = spec.nc_split();
-        let [pp, dp] = time(
-            FIGURE_REPS,
-            [
-                Arm::new("PP", || eda_baseline::profile(&df)),
-                Arm::new(format!("create_report({})", spec.name), || {
-                    create_report(&df, &cfg).expect("report")
-                }),
-            ],
-        )?;
-        let speedup = ratio(pp.median, dp.median);
+        let (pp, dp, speedup) = pp_vs_dataprep(&df, &cfg, &spec.name)?;
         speedups.push(speedup);
         rows.push(vec![
             spec.name.clone(),
@@ -155,7 +164,7 @@ fn table2(scale: f64) -> Result<(), CacheServed> {
 /// and `plot_missing(df, x)`) against the baseline's full report, both
 /// projected linearly to the full row count (both tools are linear in
 /// rows, Figure 6(b)).
-fn user_study(scale: f64) -> Result<(), CacheServed> {
+fn user_study(scale: f64) -> Result<(), String> {
     let rows = ((USER_STUDY_ROWS * scale) as usize).max(1000);
     println!("User-study shapes (Figure 7 stand-in): mean of plot(df, x) and plot_missing(df, x), cache off, vs the PP report; measured on {rows} rows, projected to full size");
     let cfg = uncached(&[]);
@@ -230,7 +239,7 @@ fn eligible_pair_columns<'a>(df: &'a DataFrame, cfg: &Config) -> Vec<&'a str> {
 /// [`MAX_PAIRS`] column pairs. The paper calls `plot_missing(df, x)` the
 /// costliest task, about twice a `plot`: the two are compared over the
 /// same columns.
-fn figure5(scale: f64) -> Result<(), CacheServed> {
+fn figure5(scale: f64) -> Result<(), String> {
     println!("Figure 5: fine-grained task latencies, cache off  [≤{MAX_PAIRS} pairs/dataset]");
     let cfg = uncached(&[]);
     // Indices into `times`: the table's four rows, then `plot(df, x)`
@@ -324,7 +333,7 @@ fn figure5(scale: f64) -> Result<(), CacheServed> {
 /// bitcoin shape. The paper finds Dask < Modin < Koalas/PySpark; the
 /// policies encode the first two (see [`EnginePolicy`]). Koalas/PySpark
 /// need a Spark runtime and are not run.
-fn figure6a(scale: f64) -> Result<(), CacheServed> {
+fn figure6a(scale: f64) -> Result<(), String> {
     let rows = ((F6A_ROWS * scale) as usize).max(1000);
     println!("Figure 6(a): engine comparison, plot(df) intermediates on bitcoin[{rows} rows]");
     let df = generate(&bitcoin_spec(rows), 42);
@@ -339,11 +348,9 @@ fn figure6a(scale: f64) -> Result<(), CacheServed> {
     let (graph, outputs, workers) = (&ctx.graph, &outputs, cfg.engine.workers);
     let arms = engines
         .map(|(name, policy)| Arm::new(name, move || policy.execute(graph, outputs, workers)));
-    let timed = time(FIGURE_REPS, arms)?;
-    let rows: Vec<Vec<String>> = engines
+    let rows: Vec<Vec<String>> = time(FIGURE_REPS, arms)?
         .iter()
-        .zip(&timed)
-        .map(|((name, _), t)| vec![name.to_string(), fmt_secs(t.median), t.tasks_run().to_string()])
+        .map(|t| vec![t.name.clone(), fmt_secs(t.median), t.tasks_run().to_string()])
         .collect();
     print_table(&["Engine", "Time", "Tasks run"], &rows);
     println!();
@@ -357,7 +364,7 @@ fn figure6a(scale: f64) -> Result<(), CacheServed> {
 /// both tools linear, DataPrep about 6× faster. Then the Figure 6(c)
 /// stand-in: the paper adds workers on an 8-node cluster, which one
 /// host cannot; the largest report runs on 1 → host-core workers.
-fn figure6bc(scale: f64) -> Result<(), CacheServed> {
+fn figure6bc(scale: f64) -> Result<(), String> {
     let mut sizes: Vec<usize> = (1..=F6B_POINTS)
         .map(|i| ((F6B_ROWS * scale * i as f64 / F6B_POINTS as f64) as usize).max(1000))
         .collect();
@@ -371,16 +378,7 @@ fn figure6bc(scale: f64) -> Result<(), CacheServed> {
     let mut ns_per_row = Vec::new();
     for &n in &sizes {
         let df = generate(&bitcoin_spec(n), 42);
-        let [pp, dp] = time(
-            FIGURE_REPS,
-            [
-                Arm::new("PP", || eda_baseline::profile(&df)),
-                Arm::new(format!("create_report(bitcoin[{n}])"), || {
-                    create_report(&df, &cfg).expect("report")
-                }),
-            ],
-        )?;
-        let speedup = ratio(pp.median, dp.median);
+        let (pp, dp, speedup) = pp_vs_dataprep(&df, &cfg, &format!("bitcoin[{n}]"))?;
         speedups.push(speedup);
         ns_per_row.push(dp.median.as_secs_f64() * 1e9 / n as f64);
         rows.push(vec![
@@ -429,7 +427,7 @@ fn figure6bc(scale: f64) -> Result<(), CacheServed> {
 /// The design choices of paper §5, each against its opponent on one
 /// frame: computation sharing (CSE on, or [`unshared_context`]), the
 /// two-phase boundary ([`CorrTiling`]), and the partition count.
-fn ablations(scale: f64) -> Result<(), CacheServed> {
+fn ablations(scale: f64) -> Result<(), String> {
     let spec = kaggle_spec_by_name("adult").expect("Table 2 spec").scaled(ABLATION_SCALE * scale);
     let df = generate(&spec, 42);
     println!(
@@ -437,20 +435,24 @@ fn ablations(scale: f64) -> Result<(), CacheServed> {
         spec.rows
     );
     let cfg = uncached(&[]);
-    let sharing = time(
+    let sharing = time_arms(
         ABLATION_REPS,
-        [
+        vec![
             Arm::new("CSE on", || Report::create(&df, &cfg).expect("report")),
             Arm::new("CSE off", || {
                 Report::from_context(unshared_context(&df, &cfg)).expect("report")
             }),
         ],
     )?;
-    let tiling = time(
+    let tiling = time_arms(
         ABLATION_REPS,
-        [
-            Arm::new("per worker", || CorrTiling::PerWorker.matrices(&df, &cfg).expect("corr")),
-            Arm::new("per pair", || CorrTiling::PerPair.matrices(&df, &cfg).expect("corr")),
+        vec![
+            Arm::new("tiles per worker", || {
+                CorrTiling::PerWorker.matrices(&df, &cfg).expect("corr")
+            }),
+            Arm::new("one task per pair", || {
+                CorrTiling::PerPair.matrices(&df, &cfg).expect("corr")
+            }),
         ],
     )?;
     let configs: Vec<Config> =
@@ -458,33 +460,26 @@ fn ablations(scale: f64) -> Result<(), CacheServed> {
     let arms = configs
         .iter()
         .map(|cfg| {
-            let name = format!("npartitions {}", cfg.engine.npartitions);
+            let name = format!("engine.npartitions={}", cfg.engine.npartitions);
             Arm::new(name, || create_report(&df, cfg).expect("report"))
         })
         .collect();
     let partitions = time_arms(ABLATION_REPS, arms)?;
 
-    let mut rows = Vec::new();
-    let mut push = |choice: &str, call: &str, arms: Vec<String>, timed: &[Timing]| {
-        for (arm, t) in arms.into_iter().zip(timed) {
-            rows.push(vec![
-                choice.to_string(),
-                call.to_string(),
-                arm,
-                fmt_secs(t.median),
-                t.tasks_run().to_string(),
-            ]);
-        }
-    };
-    push("sharing", "create_report", vec!["CSE on".into(), "CSE off".into()], &sharing);
-    push(
-        "two-phase boundary",
-        "plot_correlation(df) matrices",
-        vec!["tiles per worker".into(), "one task per pair".into()],
-        &tiling,
-    );
-    let parts = NPARTITIONS.iter().map(|n| format!("engine.npartitions={n}")).collect();
-    push("partitioning", "create_report", parts, &partitions);
+    let choices = [
+        ("sharing", "create_report", sharing),
+        ("two-phase boundary", "plot_correlation(df) matrices", tiling),
+        ("partitioning", "create_report", partitions),
+    ];
+    let rows: Vec<Vec<String>> = choices
+        .iter()
+        .flat_map(|(choice, call, timed)| {
+            timed.iter().map(move |t| {
+                let (median, tasks) = (fmt_secs(t.median), t.tasks_run().to_string());
+                vec![choice.to_string(), call.to_string(), t.name.clone(), median, tasks]
+            })
+        })
+        .collect();
     print_table(&["Design choice", "Call", "Arm", "Median", "Tasks run"], &rows);
     Ok(())
 }

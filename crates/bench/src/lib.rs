@@ -180,6 +180,8 @@ impl<'a> Arm<'a> {
 /// An arm's result over its repetitions.
 #[derive(Debug)]
 pub struct Timing {
+    /// The arm's name.
+    pub name: String,
     /// The median wall time of one call.
     pub median: Duration,
     /// The last call's run statistics (`None` for the baseline).
@@ -193,33 +195,12 @@ impl Timing {
     }
 }
 
-/// A timed call the result cache served at least in part: its time is
-/// partly a lookup, not the work it stands for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheServed {
-    /// The arm whose call was served.
-    pub arm: String,
-    /// Tasks the cache answered.
-    pub hits: usize,
-}
-
-impl std::fmt::Display for CacheServed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} task(s) served by the result cache; a timed call must run on a fresh frame or with engine.cache_budget_bytes=0",
-            self.arm, self.hits
-        )
-    }
-}
-
-impl std::error::Error for CacheServed {}
-
 /// Time every arm `reps` times and return each arm's median, in arm
 /// order. Repetition `r` runs the arms first to last when `r` is even
 /// and last to first when it is odd, so no arm always runs first. Fails
-/// on the first call whose run reports a result-cache hit.
-pub fn time_arms(reps: usize, mut arms: Vec<Arm<'_>>) -> Result<Vec<Timing>, CacheServed> {
+/// on the first call whose run reports a result-cache hit: its time
+/// would be partly a lookup, not the work it stands for.
+pub fn time_arms(reps: usize, mut arms: Vec<Arm<'_>>) -> Result<Vec<Timing>, String> {
     let n = arms.len();
     let mut times = vec![Vec::with_capacity(reps); n];
     let mut stats = vec![None; n];
@@ -229,13 +210,19 @@ pub fn time_arms(reps: usize, mut arms: Vec<Arm<'_>>) -> Result<Vec<Timing>, Cac
             let (elapsed, run) = (arms[i].call)();
             let hits = run.as_ref().map_or(0, |s| s.cache_hits);
             if hits > 0 {
-                return Err(CacheServed { arm: arms[i].name.clone(), hits });
+                return Err(format!(
+                    "{}: {hits} task(s) served by the result cache; a timed call must run on a fresh frame or with engine.cache_budget_bytes=0",
+                    arms[i].name
+                ));
             }
             times[i].push(elapsed);
             stats[i] = run;
         }
     }
-    Ok(times.into_iter().zip(stats).map(|(t, stats)| Timing { median: median(t), stats }).collect())
+    let timings = arms.into_iter().zip(times).zip(stats);
+    Ok(timings
+        .map(|((arm, t), stats)| Timing { name: arm.name, median: median(t), stats })
+        .collect())
 }
 
 /// The median of `times` (the mean of the middle two for an even count).
@@ -249,7 +236,7 @@ fn median(mut times: Vec<Duration>) -> Duration {
 }
 
 /// Time one invocation.
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
@@ -435,8 +422,7 @@ mod tests {
         let on = Config::default();
         let served = time_arms(2, vec![Arm::new("plot(df, x)", || plot(&df, &on))]);
         let served = served.expect_err("the second call is served by the cache");
-        assert_eq!(served.arm, "plot(df, x)");
-        assert!(served.hits > 0);
+        assert!(served.starts_with("plot(df, x): "), "{served}");
 
         let off = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).expect("config");
         let timed = time_arms(2, vec![Arm::new("plot(df, x)", || plot(&df, &off))]).expect("cold");
@@ -460,7 +446,7 @@ mod tests {
         let timed = time_arms(3, vec![arm("a"), arm("b")]).expect("no cache");
         assert_eq!(*order.borrow(), ["a", "b", "b", "a", "a", "b"]);
         assert_eq!(timed.len(), 2);
-        assert_eq!(timed[1].tasks_run(), 1);
+        assert_eq!((timed[1].name.as_str(), timed[1].tasks_run()), ("b", 1));
 
         let ms = Duration::from_millis;
         assert_eq!(median(vec![ms(5), ms(1), ms(3)]), ms(3));
