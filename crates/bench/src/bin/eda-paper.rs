@@ -51,9 +51,10 @@ const F6A_ROWS: f64 = 1_000_000.0;
 const F6B_ROWS: f64 = 200_000.0;
 const F6B_POINTS: usize = 5;
 /// The ablations' frame: Table 2's adult shape at this multiple of its
-/// rows (147,000), so that all of `NPARTITIONS` take effect: a context
-/// caps the partition count at one per 8,192 rows.
+/// rows (147,000).
 const ABLATION_SCALE: f64 = 3.0;
+/// The partition ablation's arms: the frame cut into each count through
+/// `ComputeContext::partitioned`.
 const NPARTITIONS: [usize; 5] = [1, 2, 4, 8, 16];
 const THRESHOLDS: [f64; 4] = [0.5, 1.0, 2.0, 5.0];
 
@@ -455,13 +456,23 @@ fn ablations(scale: f64) -> Result<(), String> {
             }),
         ],
     )?;
-    let configs: Vec<Config> =
-        NPARTITIONS.iter().map(|n| uncached(&[("engine.npartitions", &n.to_string())])).collect();
-    let arms = configs
-        .iter()
-        .map(|cfg| {
-            let name = format!("engine.npartitions={}", cfg.engine.npartitions);
-            Arm::new(name, || create_report(&df, cfg).expect("report"))
+    // An arm that silently held fewer partitions than its label would
+    // time another arm twice.
+    for n in NPARTITIONS {
+        let held = ComputeContext::partitioned(&df, &cfg, n).pf.npartitions();
+        if held != n {
+            return Err(format!("ablation arm partitions={n}: the context holds {held}"));
+        }
+    }
+    let picked = ComputeContext::new(&df, &cfg).pf.npartitions();
+    let (df, cfg) = (&df, &cfg);
+    let arms = NPARTITIONS
+        .into_iter()
+        .map(|n| {
+            let name = format!("partitions={n}{}", if n == picked { " *" } else { "" });
+            Arm::new(name, move || {
+                Report::from_context(ComputeContext::partitioned(df, cfg, n)).expect("report")
+            })
         })
         .collect();
     let partitions = time_arms(ABLATION_REPS, arms)?;
@@ -481,5 +492,6 @@ fn ablations(scale: f64) -> Result<(), String> {
         })
         .collect();
     print_table(&["Design choice", "Call", "Arm", "Median", "Tasks run"], &rows);
+    println!("* the partition count ComputeContext::new picks for this frame");
     Ok(())
 }

@@ -12,7 +12,7 @@
 //! | Figure 6(a) | engine comparison on the bitcoin shape ([`EnginePolicy`]) |
 //! | Figure 6(b) | report time vs data size, both tools |
 //! | Figure 6(c) stand-in | the largest 6(b) report on 1 → host-core workers |
-//! | ablations | CSE on/off ([`unshared_context`]), [`CorrTiling`], `engine.npartitions` |
+//! | ablations | CSE on/off ([`unshared_context`]), [`CorrTiling`], the partition count (`ComputeContext::partitioned`) |
 //!
 //! Every timed call goes through [`time_arms`], which alternates the
 //! order of the compared arms, reports medians and refuses a call the

@@ -495,7 +495,7 @@ mod tests {
         let a = plot(&df, &["price"], &cfg).unwrap();
         let stats = a.stats.unwrap();
         // Rough bound: 5 kernels × (npartitions maps + reduces) + sources.
-        let nparts = cfg.engine.npartitions;
+        let nparts = ComputeContext::new(&df, &cfg).pf.npartitions();
         assert!(
             stats.tasks_run <= 5 * (2 * nparts) + nparts,
             "ran {} tasks",

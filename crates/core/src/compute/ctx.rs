@@ -81,9 +81,33 @@ pub struct ComputeContext<'a> {
     semantics: Vec<OnceCell<SemanticType>>,
 }
 
+/// Rows per partition: a frame is cut into `rows / ROWS_PER_PARTITION`
+/// partitions, at least one and at most [`MAX_PARTITIONS`]. The count
+/// follows the frame alone, never the host or `engine.workers`: where a
+/// partition ends decides the order partials merge in, so a count that
+/// followed the cores printed another skewness on 4 cores than on 2.
+/// And "Dask is slow on tiny data" (§5.2): a small frame stays whole.
+pub const ROWS_PER_PARTITION: usize = 8192;
+
+/// The most partitions a frame is cut into. Two: the digest-pinned tests
+/// (`tests/render_pages.rs`, `tests/strings_as_codes.rs`) always ran at
+/// two, and one moves the skewness they print at 17,000 rows; on two
+/// cores the 300,000-row overview costs the same at two as at four, in
+/// under half the tasks (EXPERIMENTS.md, "Partition count from the
+/// rows"); a wider host still runs columns and kernels side by side.
+pub const MAX_PARTITIONS: usize = 2;
+
 impl<'a> ComputeContext<'a> {
-    /// Precompute the partition layout and set up an empty graph.
-    pub fn new(df: &'a DataFrame, config: &Config) -> ComputeContext<'a> {
+    /// Precompute the partition layout ([`ROWS_PER_PARTITION`]) and set
+    /// up an empty graph.
+    pub fn new(df: &'a DataFrame, config: &Config) -> Self {
+        Self::partitioned(df, config, (df.nrows() / ROWS_PER_PARTITION).clamp(1, MAX_PARTITIONS))
+    }
+
+    /// [`Self::new`] with the frame cut into `n` partitions whatever its
+    /// size (fewer only when its rows run out first): for tests of the
+    /// cut, and the partition ablation.
+    pub fn partitioned(df: &'a DataFrame, config: &Config, n: usize) -> Self {
         // Hook the stats kernels, which do not know the scheduler, up to its
         // cooperative-cancellation probe, once per process. With no
         // governed run active the probe reads a thread-local `None` and
@@ -91,14 +115,7 @@ impl<'a> ComputeContext<'a> {
         static HOOK: std::sync::Once = std::sync::Once::new();
         HOOK.call_once(|| eda_stats::interrupt::register(govern::interrupted));
         // Stage 1 of Figure 4: precompute chunk-size information.
-        // "Dask is slow on tiny data" (§5.2): scheduling many partitions
-        // of a small frame is pure overhead, so the partition count is
-        // capped at one partition per ~8K rows.
-        let npartitions = config
-            .engine
-            .npartitions
-            .min((df.nrows() / 8192).max(1));
-        let pf = PartitionedFrame::from_frame(df, npartitions);
+        let pf = PartitionedFrame::from_frame(df, n);
         let mut graph = TaskGraph::new();
         // Stage 2 begins: partition sources enter the graph.
         let sources = pf.source_nodes(&mut graph);
@@ -239,6 +256,27 @@ mod tests {
             Column::from_f64((0..100).map(|i| i as f64).collect()),
         )])
         .unwrap()
+    }
+
+    #[test]
+    fn the_partition_count_follows_the_rows_alone() {
+        let expected = [(0, 1), (8_191, 1), (16_384, 2), (24_576, 2), (1_000_000, 2)];
+        let frames: Vec<(DataFrame, usize)> = expected
+            .iter()
+            .map(|&(rows, parts)| {
+                let x = Column::from_f64(vec![0.5; rows]);
+                (DataFrame::new(vec![("x".into(), x)]).unwrap(), parts)
+            })
+            .collect();
+        for workers in ["1", "2", "64"] {
+            let cfg = Config::from_pairs(vec![("engine.workers", workers)]).unwrap();
+            for (df, parts) in &frames {
+                let ctx = ComputeContext::new(df, &cfg);
+                let what = format!("{} rows, {workers} workers", df.nrows());
+                assert_eq!(ctx.pf.npartitions(), *parts, "{what}");
+                assert_eq!(ctx.sources.len(), *parts, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -784,10 +784,7 @@ mod tests {
     fn concatenated_payloads_keep_no_growth_slack() {
         let df = frame();
         let cfg = Config::default();
-        let mut ctx = ComputeContext::new(&df, &cfg);
-        // The 8192-rows-per-partition cap would leave one partition.
-        ctx.pf = eda_taskgraph::PartitionedFrame::from_frame(&df, 3);
-        ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
+        let mut ctx = ComputeContext::partitioned(&df, &cfg, 3);
         let gather = numeric_gather(&mut ctx, "num2");
         let pairs = pair_values(&mut ctx, "num", "num2");
         let kept = sorted_values(&mut ctx, "num2", Rows::ValidIn("num".into()));
@@ -805,11 +802,8 @@ mod tests {
         // `num` is null where i % 10 == 0, `cat` where i % 13 == 0; rows 0
         // and 130 are null in both. Three partitions, four spectrum bins.
         let df = frame();
-        let cfg = Config::from_pairs(vec![("engine.npartitions", "3")]).unwrap();
-        let mut ctx = ComputeContext::new(&df, &cfg);
-        // The 8192-rows-per-partition cap would leave one partition.
-        ctx.pf = eda_taskgraph::PartitionedFrame::from_frame(&df, 3);
-        ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
+        let cfg = Config::default();
+        let mut ctx = ComputeContext::partitioned(&df, &cfg, 3);
         let node = null_counts(&mut ctx, 4);
         let out = ctx.execute_checked(&[node]).unwrap();
         let c = un::<NullCounts>(&out[0]);

@@ -192,13 +192,11 @@ pub struct TypeDetectionConfig {
     pub low_cardinality: usize,
 }
 
-/// Execution-engine parameters: the seven `engine.*` keys. Every public
+/// Execution-engine parameters: the six `engine.*` keys. Every public
 /// call is one scheduler run; `sample_rows` bounds what it computes
 /// over, and the two deadlines bound how long it may take.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Data partitions for the parallel phase.
-    pub npartitions: usize,
     /// Worker threads.
     pub workers: usize,
     /// When non-zero and the frame is larger, compute on a systematic
@@ -314,7 +312,6 @@ impl Default for Config {
             },
             types: TypeDetectionConfig { low_cardinality: 10 },
             engine: EngineConfig {
-                npartitions: default_npartitions(),
                 workers: default_workers(),
                 sample_rows: 0,
                 task_deadline_ms: 0,
@@ -329,10 +326,6 @@ impl Default for Config {
 
 fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn default_npartitions() -> usize {
-    (default_workers() * 2).max(2)
 }
 
 impl Config {
@@ -407,7 +400,6 @@ impl Config {
             "insight.trend" => self.insight.trend = f64_of(key, value)?,
             "insight.autocorr" => self.insight.autocorr = f64_of(key, value)?,
             "types.low_cardinality" => self.types.low_cardinality = usize_of(key, value)?,
-            "engine.npartitions" => self.engine.npartitions = usize_of(key, value)?.max(1),
             "engine.workers" => self.engine.workers = usize_of(key, value)?.max(1),
             "engine.sample_rows" => self.engine.sample_rows = usize_of(key, value)?,
             "engine.task_deadline_ms" => {
@@ -498,7 +490,7 @@ mod tests {
 
     #[test]
     fn unknown_key_errors() {
-        // A typo, and the six engine keys that left with their mechanisms.
+        // A typo, and the seven engine keys that left with their mechanisms.
         let mut c = Config::default();
         for key in [
             "nope.nothing",
@@ -508,6 +500,7 @@ mod tests {
             "engine.task_retries",
             "engine.eager_finish",
             "engine.memory_budget_bytes",
+            "engine.npartitions",
         ] {
             let e = c.set(key, "1").unwrap_err();
             assert!(

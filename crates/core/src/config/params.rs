@@ -50,8 +50,7 @@ pub const PARAMS: &[ParamSpec] = &[
     ParamSpec { key: "insight.trend", default: "0.3", description: "Normalized |trend slope| that triggers the trend insight" },
     ParamSpec { key: "insight.autocorr", default: "0.5", description: "|autocorrelation| that triggers the autocorrelated insight" },
     ParamSpec { key: "types.low_cardinality", default: "10", description: "Max distinct values for an integer column to be categorical" },
-    ParamSpec { key: "engine.npartitions", default: "2*cores", description: "Data partitions for the parallel phase" },
-    ParamSpec { key: "engine.workers", default: "cores", description: "Worker threads" },
+    ParamSpec { key: "engine.workers", default: "cores", description: "Worker threads; changes speed only: the frame's partitions, and so every printed number, are the same at any count" },
     ParamSpec { key: "engine.sample_rows", default: "0", description: "Compute on ~this many sampled rows when the frame is larger (0 = exact)" },
     ParamSpec { key: "engine.task_deadline_ms", default: "0", description: "Per-task wall-clock budget in ms; an over-budget task degrades only its own section and the rest of the report completes, where a run deadline stops everything still queued (0 = unlimited)" },
     ParamSpec { key: "engine.profile", default: "false", description: "Trace every task and add a Performance tab (worker Gantt, slowest tasks) to HTML output" },
@@ -88,13 +87,12 @@ mod tests {
         }
     }
 
-    /// A default as `Config::set` takes it: `cores` and `2*cores`
-    /// resolved on the running host.
+    /// A default as `Config::set` takes it: `cores` resolved on the
+    /// running host.
     fn resolved(default: &str) -> String {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         match default {
             "cores" => cores.to_string(),
-            "2*cores" => (2 * cores).to_string(),
             d => d.to_string(),
         }
     }

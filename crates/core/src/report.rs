@@ -283,12 +283,11 @@ mod tests {
         ])
         .unwrap();
         let cfg = Config::from_pairs(vec![
-            ("engine.npartitions", "3"),
             ("engine.profile", "true"),
             ("engine.cache_budget_bytes", "0"),
         ])
         .unwrap();
-        let report = Report::create(&df, &cfg).unwrap();
+        let report = Report::from_context(ComputeContext::partitioned(&df, &cfg, 3)).unwrap();
         assert!(report.failed_sections().is_empty());
         let trace = report.stats.trace.as_ref().expect("profiled run");
         let ran = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();

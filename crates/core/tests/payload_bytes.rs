@@ -74,17 +74,17 @@ fn priced<T: HeapSize + Send + Sync + 'static>(build: impl FnOnce() -> T) -> (us
 /// a run without the cache.
 fn planned(frame: &DataFrame, plan: impl Fn(&mut ComputeContext<'_>) -> NodeId) -> (usize, usize) {
     let config = |budget: &str| {
-        let pairs = [("engine.workers", "1"), ("engine.npartitions", "3")];
-        Config::from_pairs(pairs.into_iter().chain([("engine.cache_budget_bytes", budget)]))
+        Config::from_pairs([("engine.workers", "1"), ("engine.cache_budget_bytes", budget)])
             .unwrap()
     };
-    let mut ctx = ComputeContext::new(frame, &config("0"));
+    let mut ctx = ComputeContext::partitioned(frame, &config("0"), 3);
     assert_eq!(ctx.pf.npartitions(), 3);
     let node = plan(&mut ctx);
     let (_, real) = measured(|| ctx.execute_checked(&[node]).unwrap().remove(0));
 
     let cache = Arc::new(ResultCache::new(1 << 30));
-    let mut ctx = ComputeContext::new(frame, &config("1073741824")).with_cache(Arc::clone(&cache));
+    let mut ctx =
+        ComputeContext::partitioned(frame, &config("1073741824"), 3).with_cache(Arc::clone(&cache));
     let node = plan(&mut ctx);
     ctx.execute_checked(&[node]).unwrap();
     let (_, charged) = cache.get(ctx.pf.dataset_id, ctx.graph.task(node).key).expect("cached");

@@ -12,7 +12,6 @@ use eda_core::compute::ComputeContext;
 use eda_core::Config;
 use eda_dataframe::{Column, DataFrame};
 use eda_stats::quantile;
-use eda_taskgraph::PartitionedFrame;
 use proptest::prelude::*;
 
 const ROWS: usize = 60;
@@ -94,10 +93,7 @@ fn check(df: &DataFrame) -> Result<(), String> {
         ])
         .unwrap();
         for parts in 1..=3 {
-            let mut ctx = ComputeContext::new(df, &cfg);
-            // Small frames stay one partition unless told otherwise.
-            ctx.pf = PartitionedFrame::from_frame(df, parts);
-            ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
+            let mut ctx = ComputeContext::partitioned(df, &cfg, parts);
             let mut planned = Vec::new();
             for y in ["yf", "yi", "yc", "yn"] {
                 for rows in &selections {

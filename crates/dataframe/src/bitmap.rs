@@ -48,6 +48,21 @@ impl Bitmap {
         Bitmap { bytes: Arc::new(bytes), offset: 0, len }
     }
 
+    /// The first `len` bits of `bytes`, packed LSB-first as a bitmap
+    /// stores them: the buffer is kept, not re-packed. Bytes past the
+    /// `len` bits are dropped, missing ones read as clear, and the unused
+    /// bits of the last byte are cleared.
+    pub fn from_packed(mut bytes: Vec<u8>, len: usize) -> Self {
+        bytes.resize(len.div_ceil(8), 0);
+        let tail = len % 8;
+        if tail != 0 {
+            if let Some(last) = bytes.last_mut() {
+                *last &= (1u8 << tail) - 1;
+            }
+        }
+        Bitmap { bytes: Arc::new(bytes), offset: 0, len }
+    }
+
     /// Build from an iterator of booleans (also available through the
     /// `FromIterator` impl below; the inherent method reads better at
     /// call sites that already have a `Bitmap` in scope).
@@ -468,6 +483,19 @@ impl HeapSize for Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_packed_keeps_the_bytes_and_clears_the_tail() {
+        let packed = Bitmap::from_packed(vec![0b1011_0101, 0xFF], 11);
+        let bits = [true, false, true, false, true, true, false, true, true, true, true];
+        assert_eq!(packed, Bitmap::from_iter(bits));
+        assert_eq!(packed.count_set(), 8);
+        // Short input reads as clear; long input is cut at `len`.
+        let short = Bitmap::from_packed(vec![0xFF], 11);
+        assert_eq!((short.len(), short.count_set()), (11, 8));
+        let long = Bitmap::from_packed(vec![0xFF; 4], 3);
+        assert_eq!((long.len(), long.count_set()), (3, 3));
+    }
 
     #[test]
     fn empty_bitmap() {

@@ -84,12 +84,12 @@ pub fn encode_i64_rle(values: &[i64]) -> Vec<u8> {
     out
 }
 
-/// Decode `count` i64 values from a page with encoding id `enc`.
+/// Decode `count` i64 values from a page with encoding id `enc`,
+/// appended to `out` (whose spare capacity they fill first).
 ///
 /// `count` comes from the file's footer, so nothing is allocated for it
 /// until the page is known to hold that many values.
-pub fn decode_i64(enc: u8, buf: &[u8], count: usize) -> Result<Vec<i64>> {
-    let mut out = Vec::new();
+pub fn decode_i64(enc: u8, buf: &[u8], count: usize, mut out: Vec<i64>) -> Result<Vec<i64>> {
     match enc {
         super::ENC_RAW => {
             if count.checked_mul(8) != Some(buf.len()) {
@@ -117,18 +117,20 @@ pub fn decode_i64(enc: u8, buf: &[u8], count: usize) -> Result<Vec<i64>> {
         }
         super::ENC_RLE => {
             let mut pos = 0;
-            while out.len() < count {
+            let mut left = count;
+            while left > 0 {
                 let run = read_varint(buf, &mut pos)?;
                 let v = unzigzag(read_varint(buf, &mut pos)?);
                 let run = usize::try_from(run)
                     .ok()
-                    .filter(|r| *r > 0 && *r <= count - out.len())
+                    .filter(|r| *r > 0 && *r <= left)
                     .ok_or_else(|| corrupt("rle run overruns page", pos))?;
                 // A run's length is bounded by the footer's count alone,
                 // never by the page's size: memory for it may not exist.
                 out.try_reserve(run)
                     .map_err(|_| corrupt("rle run exceeds available memory", pos))?;
                 out.extend(std::iter::repeat_n(v, run));
+                left -= run;
             }
             if pos != buf.len() {
                 return Err(corrupt("trailing bytes after rle page", pos));
@@ -148,12 +150,12 @@ pub fn encode_f64_raw(values: &[f64]) -> Vec<u8> {
     out
 }
 
-/// Decode a raw f64 page.
-pub fn decode_f64(buf: &[u8], count: usize) -> Result<Vec<f64>> {
+/// Decode a raw f64 page of `count` values, appended to `out`.
+pub fn decode_f64(buf: &[u8], count: usize, mut out: Vec<f64>) -> Result<Vec<f64>> {
     if count.checked_mul(8) != Some(buf.len()) {
         return Err(corrupt("raw f64 page length mismatch", 0));
     }
-    let mut out = Vec::with_capacity(count);
+    out.reserve_exact(count);
     for chunk in buf.chunks_exact(8) {
         let mut b = [0u8; 8];
         b.copy_from_slice(chunk);
@@ -183,12 +185,13 @@ pub fn pack_bits<I: IntoIterator<Item = bool>>(bits: I) -> Vec<u8> {
     out
 }
 
-/// Unpack `count` LSB-first bits.
-pub fn unpack_bits(buf: &[u8], count: usize) -> Result<Vec<bool>> {
+/// Unpack `count` LSB-first bits, appended to `out`.
+pub fn unpack_bits(buf: &[u8], count: usize, mut out: Vec<bool>) -> Result<Vec<bool>> {
     if buf.len() != count.div_ceil(8) {
         return Err(corrupt("bit page length mismatch", 0));
     }
-    Ok((0..count).map(|i| buf.get(i / 8).is_some_and(|byte| byte & (1 << (i % 8)) != 0)).collect())
+    out.extend((0..count).map(|i| buf.get(i / 8).is_some_and(|byte| byte & (1 << (i % 8)) != 0)));
+    Ok(out)
 }
 
 /// Bytes [`write_varint`] takes for `v`.
@@ -254,12 +257,17 @@ pub fn encode_str(codes: &[u32], dict: &StrDict) -> (u8, Vec<u8>) {
 }
 
 /// Decode the `count` strings of a page with encoding id `enc` as a
-/// dictionary and one code per string. A dictionary page is read as
+/// dictionary and one code per string, the codes appended to `codes`. A dictionary page is read as
 /// stored — its entries checked (UTF-8, bounds) once each, not once per
 /// row — and a plain page is interned value by value; either way the
 /// entries come out distinct, so a page that repeats a dictionary entry
 /// still decodes to a well-formed column.
-pub fn decode_str(enc: u8, buf: &[u8], count: usize) -> Result<(StrDict, Vec<u32>)> {
+pub fn decode_str(
+    enc: u8,
+    buf: &[u8],
+    count: usize,
+    mut codes: Vec<u32>,
+) -> Result<(StrDict, Vec<u32>)> {
     let mut pos = 0;
     let read_one = |pos: &mut usize| -> Result<&str> {
         let len = read_varint(buf, pos)? as usize;
@@ -273,7 +281,7 @@ pub fn decode_str(enc: u8, buf: &[u8], count: usize) -> Result<(StrDict, Vec<u32
     };
     check_count(count, buf)?;
     let mut dict = DictBuilder::new();
-    let mut codes = Vec::with_capacity(count);
+    codes.reserve_exact(count);
     match enc {
         super::ENC_RAW => {
             for _ in 0..count {
@@ -364,7 +372,11 @@ mod tests {
                 (ENC_DELTA, encode_i64_delta(&values)),
                 (ENC_RLE, encode_i64_rle(&values)),
             ] {
-                assert_eq!(decode_i64(enc, &page, values.len()).unwrap(), values, "enc {enc}");
+                assert_eq!(
+                    decode_i64(enc, &page, values.len(), Vec::new()).unwrap(),
+                    values,
+                    "enc {enc}"
+                );
             }
         }
     }
@@ -380,7 +392,7 @@ mod tests {
     #[test]
     fn f64_pages_are_bit_exact() {
         let values = vec![0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE];
-        let decoded = decode_f64(&encode_f64_raw(&values), values.len()).unwrap();
+        let decoded = decode_f64(&encode_f64_raw(&values), values.len(), Vec::new()).unwrap();
         for (a, b) in values.iter().zip(&decoded) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -392,7 +404,7 @@ mod tests {
             let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             let packed = pack_bits(bits.iter().copied());
             assert_eq!(packed.len(), n.div_ceil(8));
-            assert_eq!(unpack_bits(&packed, n).unwrap(), bits);
+            assert_eq!(unpack_bits(&packed, n, Vec::new()).unwrap(), bits);
         }
     }
 
@@ -419,7 +431,7 @@ mod tests {
     }
 
     fn decoded(enc: u8, page: &[u8], count: usize) -> Vec<String> {
-        let (dict, codes) = decode_str(enc, page, count).unwrap();
+        let (dict, codes) = decode_str(enc, page, count, Vec::new()).unwrap();
         codes.iter().map(|&c| dict.get(c).unwrap().to_string()).collect()
     }
 
@@ -429,7 +441,11 @@ mod tests {
         for (enc, page) in both_pages(&values) {
             assert_eq!(decoded(enc, &page, values.len()), values, "enc {enc}");
             // Distinct entries either way: four strings, four entries.
-            assert_eq!(decode_str(enc, &page, values.len()).unwrap().0.len(), 4, "enc {enc}");
+            assert_eq!(
+                decode_str(enc, &page, values.len(), Vec::new()).unwrap().0.len(),
+                4,
+                "enc {enc}"
+            );
         }
     }
 
@@ -475,20 +491,21 @@ mod tests {
     fn a_repeated_dictionary_entry_decodes_to_distinct_entries() {
         // dict = ["a", "a", "b"], indices 0 1 2 1.
         let page = [3, 1, b'a', 1, b'a', 1, b'b', 0, 1, 2, 1];
-        let (dict, codes) = decode_str(ENC_DICT, &page, 4).unwrap();
+        let (dict, codes) = decode_str(ENC_DICT, &page, 4, Vec::new()).unwrap();
         assert_eq!(dict.iter().collect::<Vec<_>>(), ["a", "b"]);
         assert_eq!(codes, [0, 0, 1, 0]);
     }
 
     #[test]
     fn mutated_string_pages_are_corrupt_not_columns() {
-        let message = |enc: u8, page: &[u8], count: usize| match decode_str(enc, page, count) {
-            Err(Error::Malformed { message, .. }) => message,
-            other => panic!("expected a corrupt page, got {other:?}"),
-        };
+        let message =
+            |enc: u8, page: &[u8], count: usize| match decode_str(enc, page, count, Vec::new()) {
+                Err(Error::Malformed { message, .. }) => message,
+                other => panic!("expected a corrupt page, got {other:?}"),
+            };
         // dict = ["a", "b"], indices 0 1 0.
         let good = [2, 1, b'a', 1, b'b', 0, 1, 0];
-        assert!(decode_str(ENC_DICT, &good, 3).is_ok());
+        assert!(decode_str(ENC_DICT, &good, 3, Vec::new()).is_ok());
         let with = |at: usize, byte: u8| {
             let mut page = good.to_vec();
             page[at] = byte;
@@ -504,7 +521,7 @@ mod tests {
         assert!(message(ENC_DICT, &with(1, 9), 3).contains("unexpected end of page"), "an entry longer than the page");
         // The plain page: a bad value, a value cut short, a byte too many.
         let plain = [1, b'a', 2, b'b', b'c'];
-        assert!(decode_str(ENC_RAW, &plain, 2).is_ok());
+        assert!(decode_str(ENC_RAW, &plain, 2, Vec::new()).is_ok());
         assert!(message(ENC_RAW, &[1, b'a', 2, 0xc3, b'c'], 2).contains("not valid UTF-8"));
         assert!(message(ENC_RAW, &plain[..4], 2).contains("unexpected end of page"));
         assert!(message(ENC_RAW, &plain, 1).contains("trailing bytes"));
@@ -512,14 +529,14 @@ mod tests {
 
     #[test]
     fn corrupt_pages_error_not_panic() {
-        assert!(decode_i64(ENC_RAW, &[1, 2, 3], 1).is_err());
-        assert!(decode_i64(ENC_RLE, &[], 3).is_err());
-        assert!(decode_i64(99, &[], 0).is_err());
-        assert!(decode_f64(&[0; 7], 1).is_err());
-        assert!(unpack_bits(&[], 9).is_err());
-        assert!(decode_str(ENC_DICT, &[1, 0], 1).is_err());
+        assert!(decode_i64(ENC_RAW, &[1, 2, 3], 1, Vec::new()).is_err());
+        assert!(decode_i64(ENC_RLE, &[], 3, Vec::new()).is_err());
+        assert!(decode_i64(99, &[], 0, Vec::new()).is_err());
+        assert!(decode_f64(&[0; 7], 1, Vec::new()).is_err());
+        assert!(unpack_bits(&[], 9, Vec::new()).is_err());
+        assert!(decode_str(ENC_DICT, &[1, 0], 1, Vec::new()).is_err());
         let bad_utf8 = [2u8, 0xff, 0xfe];
-        assert!(decode_str(ENC_RAW, &bad_utf8, 1).is_err());
+        assert!(decode_str(ENC_RAW, &bad_utf8, 1, Vec::new()).is_err());
     }
 
     #[test]
@@ -529,11 +546,17 @@ mod tests {
         let page = encode_i64_rle(&[7; 41]);
         for count in [1usize << 40, 1 << 61, usize::MAX] {
             for enc in [ENC_RAW, ENC_DELTA, ENC_RLE] {
-                assert!(decode_i64(enc, &page, count).is_err(), "i64 enc {enc}, count {count}");
+                assert!(
+                    decode_i64(enc, &page, count, Vec::new()).is_err(),
+                    "i64 enc {enc}, count {count}"
+                );
             }
-            assert!(decode_f64(&[0; 8], count).is_err());
+            assert!(decode_f64(&[0; 8], count, Vec::new()).is_err());
             for enc in [ENC_RAW, ENC_DICT] {
-                assert!(decode_str(enc, &[1, b'a', 0], count).is_err(), "str enc {enc}");
+                assert!(
+                    decode_str(enc, &[1, b'a', 0], count, Vec::new()).is_err(),
+                    "str enc {enc}"
+                );
             }
         }
         // One run as long as the hostile count, and a dictionary that
@@ -541,9 +564,9 @@ mod tests {
         let mut run = Vec::new();
         write_varint(&mut run, 1 << 61);
         write_varint(&mut run, zigzag(7));
-        assert!(decode_i64(ENC_RLE, &run, 1 << 61).is_err());
+        assert!(decode_i64(ENC_RLE, &run, 1 << 61, Vec::new()).is_err());
         let mut dict = vec![0xff; 7];
         dict.extend([0x7f, 1, b'a', 0]);
-        assert!(decode_str(ENC_DICT, &dict, 1).is_err());
+        assert!(decode_str(ENC_DICT, &dict, 1, Vec::new()).is_err());
     }
 }

@@ -52,70 +52,69 @@ fn project(file: &mut File, info: &EdafInfo, columns: &[&str]) -> Result<DataFra
 }
 
 fn decode_column(info: &ColumnInfo, block: &[u8], nrows: usize) -> Result<Column> {
+    let valid_count = info.valid_count as usize;
     let (validity, page) = if info.has_validity {
-        let bitmap_len = nrows.div_ceil(8);
-        if block.len() < bitmap_len {
-            return Err(corrupt("column block shorter than its validity bitmap", info.offset));
+        let (bits, page) = block
+            .split_at_checked(nrows.div_ceil(8))
+            .ok_or_else(|| corrupt("column block shorter than its validity bitmap", info.offset))?;
+        let validity = Bitmap::from_packed(bits.to_vec(), nrows);
+        if validity.count_set() != valid_count {
+            return Err(corrupt("validity bitmap disagrees with valid_count", info.offset));
         }
-        let (bits, page) = block.split_at(bitmap_len);
-        (Some(unpack_bits(bits, nrows)?), page)
+        (Some(validity), page)
+    } else if valid_count != nrows {
+        return Err(corrupt("column without validity must be fully valid", info.offset));
     } else {
         (None, block)
     };
-    let valid_count = info.valid_count as usize;
-    if let Some(v) = &validity {
-        if v.iter().filter(|&&b| b).count() != valid_count {
-            return Err(corrupt("validity bitmap disagrees with valid_count", info.offset));
-        }
-    } else if valid_count != nrows {
-        return Err(corrupt("column without validity must be fully valid", info.offset));
-    }
 
-    // Scatter the valid values back into full-length vectors, filling
-    // null slots with type defaults (what CSV builders store there).
-    let validity = validity.as_deref();
+    // A column with nulls decodes its valid values into the front of one
+    // vector with room for every row, then spreads them over their rows
+    // ([`spread`]). That room is safe to take up front: the bitmap just
+    // read holds a bit per row. Without nulls the decoder sizes the
+    // vector itself, once the page is known to hold `nrows` values.
+    let room = if validity.is_some() { nrows } else { 0 };
     let col = match info.dtype {
         DataType::Float64 => {
-            let (vals, validity) = scatter(validity, decode_f64(page, valid_count)?, nrows, 0.0);
-            Column::from_f64_validity(vals, validity)
+            let vals = decode_f64(page, valid_count, Vec::with_capacity(room))?;
+            Column::from_f64_validity(spread(vals, validity.as_ref(), 0.0), validity)
         }
         DataType::Int64 => {
-            let (vals, validity) = scatter(validity, decode_i64(info.encoding, page, valid_count)?, nrows, 0);
-            Column::from_i64_validity(vals, validity)
+            let vals = decode_i64(info.encoding, page, valid_count, Vec::with_capacity(room))?;
+            Column::from_i64_validity(spread(vals, validity.as_ref(), 0), validity)
         }
         DataType::Str => {
             // The page's dictionary becomes the column's; no string is
             // built per row.
-            let (dict, codes) = decode_str(info.encoding, page, valid_count)?;
-            let (codes, validity) = scatter(validity, codes, nrows, 0);
-            Column::from_codes(Arc::new(dict), codes, validity)?
+            let (dict, codes) =
+                decode_str(info.encoding, page, valid_count, Vec::with_capacity(room))?;
+            Column::from_codes(Arc::new(dict), spread(codes, validity.as_ref(), 0), validity)?
         }
         DataType::Bool => {
-            let (vals, validity) = scatter(validity, unpack_bits(page, valid_count)?, nrows, false);
-            Column::from_bool_validity(vals, validity)
+            let vals = unpack_bits(page, valid_count, Vec::with_capacity(room))?;
+            Column::from_bool_validity(spread(vals, validity.as_ref(), false), validity)
         }
     };
     Ok(col)
 }
 
-/// `valid_values` spread over `nrows` slots, `default` under the nulls.
-fn scatter<T: Clone>(
-    validity: Option<&[bool]>,
-    valid_values: Vec<T>,
-    nrows: usize,
-    default: T,
-) -> (Vec<T>, Option<Bitmap>) {
-    match validity {
-        None => (valid_values, None),
-        Some(bits) => {
-            let mut out = Vec::with_capacity(nrows);
-            let mut it = valid_values.into_iter();
-            for &valid in bits {
-                out.push(if valid { it.next().unwrap_or_else(|| default.clone()) } else { default.clone() });
-            }
-            (out, Some(bits.iter().copied().collect()))
+/// The valid values at the front of `values` moved to the rows
+/// `validity` marks valid, `default` under the nulls (what CSV builders
+/// store there), in place: back to front, each value moves into a slot
+/// that holds a default. `values` holds one value per set bit.
+fn spread<T: Copy>(mut values: Vec<T>, validity: Option<&Bitmap>, default: T) -> Vec<T> {
+    let Some(validity) = validity else {
+        return values;
+    };
+    let mut next = values.len();
+    values.resize(validity.len(), default);
+    for row in (0..validity.len()).rev() {
+        if validity.get(row) {
+            next -= 1;
+            values.swap(next, row);
         }
     }
+    values
 }
 
 /// Rebuild `col` exactly as decoding a written file would: null slots
@@ -126,19 +125,17 @@ pub(super) fn normalize_nulls(col: &Column) -> Column {
     let Some(bitmap) = col.validity() else {
         return col.clone();
     };
-    let bits: Vec<bool> = (0..col.len()).map(|i| bitmap.get(i)).collect();
-    fn kept<T: Copy>(values: &[T], bits: &[bool]) -> Vec<T> {
-        values.iter().zip(bits).filter_map(|(&v, &valid)| valid.then_some(v)).collect()
+    fn zeroed<T: Copy>(values: &[T], validity: &Bitmap, default: T) -> Vec<T> {
+        let row = |(i, &v): (usize, &T)| if validity.get(i) { v } else { default };
+        values.iter().enumerate().map(row).collect()
     }
+    let validity = Some(bitmap.clone());
     if let Some(values) = col.f64_values() {
-        let (vals, validity) = scatter(Some(&bits), kept(values, &bits), col.len(), 0.0);
-        Column::from_f64_validity(vals, validity)
+        Column::from_f64_validity(zeroed(values, bitmap, 0.0), validity)
     } else if let Some(values) = col.i64_values() {
-        let (vals, validity) = scatter(Some(&bits), kept(values, &bits), col.len(), 0);
-        Column::from_i64_validity(vals, validity)
+        Column::from_i64_validity(zeroed(values, bitmap, 0), validity)
     } else if let Some(values) = col.bool_values() {
-        let (vals, validity) = scatter(Some(&bits), kept(values, &bits), col.len(), false);
-        Column::from_bool_validity(vals, validity)
+        Column::from_bool_validity(zeroed(values, bitmap, false), validity)
     } else {
         col.clone()
     }

@@ -106,11 +106,6 @@ impl TaskGraph {
         TaskGraph { dedup: false, fault: inject::armed(), ..Default::default() }
     }
 
-    /// Attach a fault injector explicitly.
-    pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
-        self.fault = Some(injector);
-    }
-
     /// The attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
         self.fault.as_ref()

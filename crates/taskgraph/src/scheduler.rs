@@ -709,6 +709,12 @@ mod tests {
         (g, d)
     }
 
+    /// [`diamond`] with `injector` armed while it is built.
+    fn faulted_diamond(injector: Arc<FaultInjector>) -> (TaskGraph, NodeId) {
+        let _armed = inject::arm(injector);
+        diamond()
+    }
+
     #[test]
     fn diamond_runs_at_every_worker_count() {
         let (g, out) = diamond();
@@ -979,8 +985,7 @@ mod tests {
 
     #[test]
     fn injected_panic_via_graph_injector() {
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::panic_on("dbl"));
+        let (g, out) = faulted_diamond(FaultInjector::panic_on("dbl"));
         let r = run_plain(&g, &[out], 2);
         let err = r.outcomes[0].error().expect("sum skipped");
         assert_eq!(err.root_cause().1, "dbl");
@@ -989,8 +994,7 @@ mod tests {
 
     #[test]
     fn injected_garbage_fails_downstream_consumer() {
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::new(vec![FaultPlan {
+        let (g, out) = faulted_diamond(FaultInjector::new(vec![FaultPlan {
             target: FaultTarget::NameContains("inc".into()),
             mode: FaultMode::Garbage,
         }]));
@@ -1005,8 +1009,7 @@ mod tests {
 
     #[test]
     fn injected_stall_plus_deadline_times_out() {
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::stall_on("inc", Duration::from_millis(20)));
+        let (g, out) = faulted_diamond(FaultInjector::stall_on("inc", Duration::from_millis(20)));
         let opts = ExecOptions { deadline: Some(Duration::from_millis(2)), ..Default::default() };
         let r = run(&g, &[out], 2, &opts);
         let err = r.outcomes[0].error().expect("sum skipped");
@@ -1115,8 +1118,7 @@ mod tests {
     fn failed_and_skipped_tasks_never_populate_the_cache() {
         let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
         let opts = cache_opts(&cache);
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::panic_on("dbl"));
+        let (g, out) = faulted_diamond(FaultInjector::panic_on("dbl"));
         let r = run(&g, &[out], 1, &opts);
         assert!(r.outcomes[0].is_failed());
         // `inc` succeeded and was cached; `dbl` failed and `sum` was
@@ -1133,8 +1135,7 @@ mod tests {
     fn pool_never_caches_faulted_tasks() {
         let cache = Arc::new(crate::cache::ResultCache::new(1 << 20));
         let opts = cache_opts(&cache);
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::panic_on("dbl"));
+        let (g, out) = faulted_diamond(FaultInjector::panic_on("dbl"));
         let r = run(&g, &[out], 2, &opts);
         assert!(r.outcomes[0].is_failed());
         assert_eq!(cache.len(), 1);
@@ -1204,8 +1205,7 @@ mod tests {
         // duration. A wedged task observes its attempt token, wakes at
         // the deadline, and the worker is reclaimed in milliseconds, not
         // the 30s wedge.
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::wedge_on("inc", Duration::from_secs(30)));
+        let (g, out) = faulted_diamond(FaultInjector::wedge_on("inc", Duration::from_secs(30)));
         let opts = ExecOptions { deadline: Some(Duration::from_millis(30)), ..Default::default() };
         let started = Instant::now();
         let r = run(&g, &[out], 2, &opts);
@@ -1218,8 +1218,7 @@ mod tests {
 
     #[test]
     fn cancel_wakes_wedged_task_mid_run() {
-        let (mut g, out) = diamond();
-        g.set_fault_injector(FaultInjector::wedge_on("inc", Duration::from_secs(30)));
+        let (g, out) = faulted_diamond(FaultInjector::wedge_on("inc", Duration::from_secs(30)));
         let token = CancelToken::with_deadline(Duration::from_millis(30));
         let opts = ExecOptions { cancel: Some(token), ..Default::default() };
         let started = Instant::now();

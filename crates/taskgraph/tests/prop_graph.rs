@@ -15,8 +15,8 @@ use eda_taskgraph::graph::{NodeId, Payload, TaskGraph};
 use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::scheduler::{run, ExecOptions, ExecResult};
 use eda_taskgraph::{
-    CacheHandle, FaultInjector, FaultMode, FaultPlan, FaultTarget, PartitionedFrame, ResultCache,
-    SpanStatus,
+    inject, CacheHandle, FaultInjector, FaultMode, FaultPlan, FaultTarget, PartitionedFrame,
+    ResultCache, SpanStatus,
 };
 use proptest::prelude::*;
 
@@ -118,11 +118,14 @@ proptest! {
     fn all_worker_counts_agree(spec in arb_dag(), poisoned in any::<usize>()) {
         // One node panics on every dispatch; each worker count then runs
         // the graph cold and again warm against its own fresh cache.
-        let (mut g, nodes) = build(&spec, true);
-        g.set_fault_injector(FaultInjector::new(vec![FaultPlan {
-            target: FaultTarget::Node(poisoned % g.len()),
-            mode: FaultMode::Panic,
-        }]));
+        let len = build(&spec, true).0.len();
+        let (g, nodes) = {
+            let _armed = inject::arm(FaultInjector::new(vec![FaultPlan {
+                target: FaultTarget::Node(poisoned % len),
+                mode: FaultMode::Panic,
+            }]));
+            build(&spec, true)
+        };
         let outputs = vec![*nodes.last().expect("non-empty"), nodes[0]];
         let cold_and_warm = |workers: usize| {
             let cache = Arc::new(ResultCache::new(1 << 20));

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use eda_taskgraph::graph::Payload;
 use eda_taskgraph::scheduler::{run, ExecOptions, ExecResult};
-use eda_taskgraph::{FaultInjector, NodeId, SpanStatus, TaskGraph, TaskKey};
+use eda_taskgraph::{inject, FaultInjector, NodeId, SpanStatus, TaskGraph, TaskKey};
 
 fn get(p: &Payload) -> i64 {
     *p.downcast_ref::<i64>().expect("i64")
@@ -80,8 +80,10 @@ fn untraced_runs_attach_no_trace() {
 
 #[test]
 fn skipped_nodes_get_spans_too() {
-    let (mut g, outs) = layered_graph();
-    g.set_fault_injector(FaultInjector::panic_on("add"));
+    let (g, outs) = {
+        let _armed = inject::arm(FaultInjector::panic_on("add"));
+        layered_graph()
+    };
     let r = run(&g, &outs, 2, &traced());
     assert!(r.stats.tasks_failed >= 1);
     assert!(r.stats.tasks_skipped >= 1);

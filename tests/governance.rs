@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use eda_core::compute::correlation::{numeric_columns, plan_matrix_nodes, plan_matrix_tiles};
 use eda_core::compute::ComputeContext;
-use eda_core::{create_report, plot, Config, SectionStatus};
+use eda_core::{create_report, plot, Config, Report, SectionStatus};
 use eda_dataframe::{Column, DataFrame};
 use eda_render::layout::render_report_html;
 use eda_taskgraph::{inject, FaultInjector, ResultCache};
@@ -94,19 +94,16 @@ fn run_deadline_stops_inflight_report_promptly() {
     let ms = deadline.as_millis().to_string();
     let inputs = [
         (frame(200_000), cfg(&[("engine.workers", "4"), ("engine.run_deadline_ms", &ms)]), false),
-        (
-            one_slice,
-            cfg(&[
-                ("engine.workers", "1"),
-                ("engine.npartitions", "1"),
-                ("engine.run_deadline_ms", &ms),
-            ]),
-            true,
-        ),
+        (one_slice, cfg(&[("engine.workers", "1"), ("engine.run_deadline_ms", &ms)]), true),
     ];
     for (df, config, inline) in &inputs {
         let started = Instant::now();
-        let report = create_report(df, config).expect("cancelled run degrades, not errors");
+        let report = if *inline {
+            Report::from_context(ComputeContext::partitioned(df, config, 1))
+        } else {
+            create_report(df, config)
+        };
+        let report = report.expect("cancelled run degrades, not errors");
         let reclaim = started.elapsed().saturating_sub(deadline);
 
         // Target ~100ms; the bound is generous for loaded CI machines but

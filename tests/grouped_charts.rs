@@ -9,6 +9,8 @@
 //! than every chart keeps, ties at each cut, and nulls on both sides;
 //! a Bool and a low-cardinality Int64 column are categorical too.
 
+use eda_core::compute::bivariate::compute_bivariate;
+use eda_core::compute::ComputeContext;
 use eda_core::{plot, Config, Inter, Intermediates, SemanticType, TaskKind};
 use eda_dataframe::{Column, DataFrame};
 use eda_stats::quantile::BoxPlot;
@@ -17,9 +19,9 @@ use eda_stats::quantile::BoxPlot;
 mod counts_oracle;
 use counts_oracle::Counts;
 
-/// Rows of the frame: three partitions at `engine.npartitions=3` (the
-/// context keeps one partition per 8,192 rows at most).
+/// Rows of the frame, cut into [`PARTITIONS`].
 const ROWS: usize = 30_000;
+const PARTITIONS: usize = 3;
 
 /// Each row's index into `counts` (`None` once the counts run out),
 /// spread over the rows by a stride coprime with `ROWS`, so every
@@ -87,8 +89,7 @@ fn data() -> Data {
 }
 
 fn config() -> Config {
-    Config::from_pairs(vec![("engine.npartitions", "3"), ("engine.cache_budget_bytes", "0")])
-        .unwrap()
+    Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap()
 }
 
 /// Every row's display form of `column`.
@@ -112,11 +113,14 @@ fn tie_at_cut(rows: &[Option<String>], k: usize) -> bool {
     matches!((ranked.get(k - 1), ranked.get(k)), (Some(kept), Some(dropped)) if kept.1 == dropped.1)
 }
 
-/// The charts of `plot(df, [x, y])`.
+/// The charts of `plot(df, [x, y])`, planned on the frame cut into
+/// [`PARTITIONS`].
 fn charts(d: &Data, x: &str, y: &str, cfg: &Config) -> Intermediates {
-    let analysis = plot(&d.df, &[x, y], cfg).unwrap();
-    assert!(analysis.status.is_ok(), "{x} × {y}: {:?}", analysis.status);
-    analysis.intermediates
+    let mut ctx = ComputeContext::partitioned(&d.df, cfg, PARTITIONS);
+    assert_eq!(ctx.pf.npartitions(), PARTITIONS);
+    let node = compute_bivariate(&mut ctx, x, y).unwrap();
+    let (intermediates, _) = ctx.run_section(node).unwrap_or_else(|e| panic!("{x} × {y}: {e}"));
+    intermediates
 }
 
 fn check_numeric_categorical(d: &Data, cat: &str, num_first: bool, cfg: &Config) {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use dataprep_eda::core::compute::ctx::un;
 use dataprep_eda::core::compute::kernels::{self, Rows};
-use dataprep_eda::core::compute::missing::compute_missing_impact;
+use dataprep_eda::core::compute::missing::{compute_missing_impact, compute_missing_pair};
 use dataprep_eda::core::compute::ComputeContext;
 use dataprep_eda::core::dtype::detect;
 use dataprep_eda::core::insights::similarity_insight;
@@ -197,36 +197,59 @@ fn histogram_ks(a: &Histogram, b: &Histogram) -> Option<f64> {
     Some(d)
 }
 
+/// `plot_missing(df, columns)`'s intermediates and insights: the public
+/// call, or with `parts`, its plan on the frame cut into that many
+/// partitions.
+fn missing(
+    df: &DataFrame,
+    columns: &[&str],
+    cfg: &Config,
+    parts: Option<usize>,
+) -> (Intermediates, Vec<Insight>) {
+    let what = format!("plot_missing(df, {columns:?})");
+    let Some(parts) = parts else {
+        let got = plot_missing(df, columns, cfg).unwrap();
+        assert!(got.status.is_ok(), "{what}: {:?}", got.status);
+        return (got.intermediates, got.insights);
+    };
+    let mut ctx = ComputeContext::partitioned(df, cfg, parts);
+    let node = match columns {
+        [x] => compute_missing_impact(&mut ctx, x),
+        [x, y] => compute_missing_pair(&mut ctx, x, y),
+        _ => panic!("{what}: one or two columns"),
+    };
+    node.and_then(|node| ctx.run_section(node)).unwrap_or_else(|e| panic!("{what}: {e}"))
+}
+
 /// `plot_missing(df, [x])` and `plot_missing(df, [x, y])` for every `y`
 /// in `ys` equal the oracle, and the payloads underneath subtract to it:
-/// the whole after table, not just the bars the chart shows.
-fn assert_matches_oracle(df: &DataFrame, x: &str, ys: &[&str], cfg: &Config) {
+/// the whole after table, not just the bars the chart shows. With
+/// `parts`, both run on the frame cut into that many partitions
+/// ([`missing`]).
+fn assert_matches_oracle(df: &DataFrame, x: &str, ys: &[&str], cfg: &Config, parts: Option<usize>) {
     let oracle = Oracle::new(df, x, cfg);
-    let got = plot_missing(df, &[x], cfg).unwrap();
-    assert!(got.status.is_ok(), "plot_missing(df, {x}): {:?}", got.status);
+    let (got, got_insights) = missing(df, &[x], cfg, parts);
     let (ims, insights) = oracle.impact(x);
-    assert_eq!(
-        intermediates_to_json(&got.intermediates),
-        intermediates_to_json(&ims),
-        "plot_missing(df, {x})"
-    );
-    assert_eq!(insights_to_json(&got.insights), insights_to_json(&insights), "plot_missing(df, {x})");
+    assert_eq!(intermediates_to_json(&got), intermediates_to_json(&ims), "plot_missing(df, {x})");
+    assert_eq!(insights_to_json(&got_insights), insights_to_json(&insights), "plot_missing(df, {x})");
     for &y in ys.iter().filter(|&&y| y != x) {
-        let got = plot_missing(df, &[x, y], cfg).unwrap();
-        assert!(got.status.is_ok(), "plot_missing(df, {x}, {y}): {:?}", got.status);
+        let (got, got_insights) = missing(df, &[x, y], cfg, parts);
         let (ims, insights) = oracle.pair(y);
         assert_eq!(
-            intermediates_to_json(&got.intermediates),
+            intermediates_to_json(&got),
             intermediates_to_json(&ims),
             "plot_missing(df, {x}, {y})"
         );
         assert_eq!(
-            insights_to_json(&got.insights),
+            insights_to_json(&got_insights),
             insights_to_json(&insights),
             "plot_missing(df, {x}, {y})"
         );
 
-        let mut ctx = ComputeContext::new(df, &oracle.cfg);
+        let mut ctx = match parts {
+            Some(parts) => ComputeContext::partitioned(df, &oracle.cfg, parts),
+            None => ComputeContext::new(df, &oracle.cfg),
+        };
         let nodes = [Rows::All, Rows::NullIn(x.to_string())].map(|rows| kernels::freq(&mut ctx, y, rows));
         let outs = ctx.execute_checked(&nodes).unwrap();
         let after = un::<CatFreq>(&outs[0]).minus(un::<CatFreq>(&outs[1]));
@@ -260,7 +283,7 @@ fn datagen_shapes_match_the_oracle_for_every_x() {
             let df = shape(name, rows, seed);
             let cfg = Config::default();
             for x in df.names() {
-                assert_matches_oracle(&df, x, &ys, &cfg);
+                assert_matches_oracle(&df, x, &ys, &cfg, None);
             }
         }
     }
@@ -268,20 +291,17 @@ fn datagen_shapes_match_the_oracle_for_every_x() {
 
 #[test]
 fn partition_count_does_not_change_the_comparison() {
-    // Past 4 × 8192 rows the frame really is cut into four partitions,
-    // each with its own share of every column's nulls.
+    // Four partitions of 8,250 rows, each with its own share of every
+    // column's nulls.
     let df = shape("adult", 33_000, 7);
-    let base = plot_missing(&df, &["num0"], &config(&[("engine.npartitions", "1")])).unwrap();
-    for nparts in ["1", "4"] {
-        let cfg = config(&[("engine.npartitions", nparts)]);
+    let cfg = Config::default();
+    let (base, _) = missing(&df, &["num0"], &cfg, Some(1));
+    for parts in [1, 4] {
         for x in ["num0", "cat1", "num2"] {
-            assert_matches_oracle(&df, x, &["num3", "num1", "cat5", "cat4"], &cfg);
+            assert_matches_oracle(&df, x, &["num3", "num1", "cat5", "cat4"], &cfg, Some(parts));
         }
-        let again = plot_missing(&df, &["num0"], &cfg).unwrap();
-        assert_eq!(
-            intermediates_to_json(&again.intermediates),
-            intermediates_to_json(&base.intermediates)
-        );
+        let (again, _) = missing(&df, &["num0"], &cfg, Some(parts));
+        assert_eq!(intermediates_to_json(&again), intermediates_to_json(&base), "{parts} partitions");
     }
 }
 
@@ -329,16 +349,16 @@ fn hostile_frames_match_the_oracle() {
     let masks: [&dyn Fn(usize) -> bool; 4] = [&|_| true, &|_| false, &|i| i % 3 == 1, &|i| i < 70];
     for x_null in masks {
         let df = hostile(200, x_null);
-        assert_matches_oracle(&df, "x", &HOSTILE_YS, &cfg);
+        assert_matches_oracle(&df, "x", &HOSTILE_YS, &cfg, None);
         // All-null columns as x drop every row of everything else.
-        assert_matches_oracle(&df, "void_cat", &HOSTILE_YS, &cfg);
+        assert_matches_oracle(&df, "void_cat", &HOSTILE_YS, &cfg, None);
         // A categorical x with nulls of its own.
-        assert_matches_oracle(&df, "cat", &HOSTILE_YS, &cfg);
+        assert_matches_oracle(&df, "cat", &HOSTILE_YS, &cfg, None);
     }
     // One row, null in x and not.
     for x_is_null in [true, false] {
         let df = hostile(1, |_| x_is_null);
-        assert_matches_oracle(&df, "x", &HOSTILE_YS, &cfg);
+        assert_matches_oracle(&df, "x", &HOSTILE_YS, &cfg, None);
     }
 }
 
@@ -361,7 +381,7 @@ fn values_on_bin_edges_match_the_oracle() {
     .unwrap();
     for bins in ["8", "16", "64"] {
         let cfg = config(&[("hist.bins", bins)]);
-        assert_matches_oracle(&df, "x", &["full", "nested", "mixed", "ints"], &cfg);
+        assert_matches_oracle(&df, "x", &["full", "nested", "mixed", "ints"], &cfg, None);
     }
 }
 
@@ -442,7 +462,7 @@ proptest! {
     fn random_null_masks_match_the_oracle(df in arb_frame()) {
         let cfg = Config::default();
         for x in ["x", "f", "s"] {
-            assert_matches_oracle(&df, x, &["x", "f", "i", "few", "s"], &cfg);
+            assert_matches_oracle(&df, x, &["x", "f", "i", "few", "s"], &cfg, None);
         }
     }
 }

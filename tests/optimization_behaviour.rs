@@ -127,15 +127,17 @@ fn two_phase_boundary_does_not_change_correlations() {
 
 #[test]
 fn partition_count_does_not_change_results() {
+    // Titanic's 891 rows are one partition by default; cut them into
+    // one to eight.
     let df = dataset();
-    let base = plot(&df, &["num0"], &Config::default()).unwrap();
-    for nparts in ["1", "3", "7"] {
-        let cfg = Config::from_pairs(vec![("engine.npartitions", nparts)]).unwrap();
-        let other = plot(&df, &["num0"], &cfg).unwrap();
-        assert_eq!(
-            base.intermediates, other.intermediates,
-            "results changed with npartitions={nparts}"
-        );
+    let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+    let base = plot(&df, &["num0"], &cfg).unwrap();
+    for nparts in 1..=8 {
+        let mut ctx = ComputeContext::partitioned(&df, &cfg, nparts);
+        assert_eq!(ctx.pf.npartitions(), nparts);
+        let node = compute_univariate(&mut ctx, "num0").unwrap();
+        let (cut, _) = ctx.run_section(node).unwrap();
+        assert_eq!(base.intermediates, cut, "results changed with {nparts} partitions");
     }
 }
 
@@ -154,10 +156,8 @@ fn worker_count_does_not_change_overview_payloads() {
         let mut expected: Option<String> = None;
         for workers in ["1", "2", "4"] {
             // Cache off, so every worker count computes its own payloads.
-            // (The partition count is capped at one per 8192 rows.)
             let cfg = Config::from_pairs(vec![
                 ("engine.workers", workers),
-                ("engine.npartitions", "2"),
                 ("engine.cache_budget_bytes", "0"),
             ])
             .unwrap();

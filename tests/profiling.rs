@@ -114,12 +114,9 @@ fn profile_off_keeps_reports_trace_free() {
 #[test]
 fn reduce_spans_fall_in_their_kernels_family() {
     let df = bitcoin_df();
-    let cfg = Config::from_pairs(vec![
-        ("engine.profile", "true"),
-        ("engine.npartitions", "4"),
-        ("engine.cache_budget_bytes", "0"),
-    ])
-    .unwrap();
+    let cfg =
+        Config::from_pairs(vec![("engine.profile", "true"), ("engine.cache_budget_bytes", "0")])
+            .unwrap();
     let report = create_report(&df, &cfg).expect("report").stats;
     let missing = plot_missing(&df, &[], &cfg).expect("missing").stats.expect("stats");
     let pair = plot(&df, &["open", "close"], &cfg).expect("N×N plot").stats.expect("stats");

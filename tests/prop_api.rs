@@ -4,7 +4,9 @@
 
 use dataprep_eda::prelude::*;
 use eda_bench::unshared_context;
+use eda_core::compute::missing::compute_missing_overview;
 use eda_core::compute::univariate::compute_univariate;
+use eda_core::compute::ComputeContext;
 use eda_dataframe::Column;
 use proptest::prelude::*;
 
@@ -104,14 +106,15 @@ proptest! {
 
     #[test]
     fn partitioning_never_changes_results(df in arb_frame(), nparts in 1usize..9) {
-        let base = plot_missing(&df, &[], &Config::default()).unwrap();
-        let cfg = Config::from_pairs(vec![(
-            "engine.npartitions",
-            &nparts.to_string() as &str,
-        )])
-        .unwrap();
-        let other = plot_missing(&df, &[], &cfg).unwrap();
-        prop_assert_eq!(base.intermediates, other.intermediates);
+        // Cache off, so the base computes its own intermediates.
+        let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+        let base = plot_missing(&df, &[], &cfg).unwrap();
+        let mut ctx = ComputeContext::partitioned(&df, &cfg, nparts);
+        // At least three rows, so every count above one really cuts.
+        prop_assert_eq!(ctx.pf.npartitions() > 1, nparts > 1);
+        let node = compute_missing_overview(&mut ctx);
+        let (cut, _) = ctx.run_section(node).unwrap();
+        prop_assert_eq!(base.intermediates, cut);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use dataprep_eda::taskgraph::key::Fnv1a;
 const SEED: u64 = 42;
 
 fn config() -> Config {
-    Config::from_pairs(vec![("engine.workers", "2"), ("engine.npartitions", "2")]).unwrap()
+    Config::from_pairs(vec![("engine.workers", "2")]).unwrap()
 }
 
 /// The shape's frame as a workload reads it: generated, written as CSV,

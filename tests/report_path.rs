@@ -115,7 +115,6 @@ fn pair_r_equals_the_matrix_cell() {
     for workers in ["1", "4"] {
         let cfg = Config::from_pairs(vec![
             ("engine.workers", workers),
-            ("engine.npartitions", "3"),
             ("engine.cache_budget_bytes", "0"),
         ])
         .unwrap();
@@ -165,18 +164,13 @@ fn count_based_nullity_views_equal_the_indicator_vector_functions() {
         shape("credit", 300, 5),
     ];
     for df in &frames {
-        for (npartitions, bins) in [("1", "20"), ("3", "7"), ("8", "64")] {
+        for (npartitions, bins) in [(1, "20"), (3, "7"), (8, "64")] {
             let cfg = Config::from_pairs(vec![
-                ("engine.npartitions", npartitions),
                 ("spectrum.bins", bins),
                 ("engine.cache_budget_bytes", "0"),
             ])
             .unwrap();
-            let mut ctx = ComputeContext::new(df, &cfg);
-            // The 8192-rows-per-partition cap would leave these small
-            // frames in one partition.
-            ctx.pf = eda_taskgraph::PartitionedFrame::from_frame(df, cfg.engine.npartitions);
-            ctx.sources = ctx.pf.source_nodes(&mut ctx.graph);
+            let mut ctx = ComputeContext::partitioned(df, &cfg, npartitions);
             let node = compute_missing_overview(&mut ctx);
             let (ims, _) = ctx.run_section(node).unwrap();
 

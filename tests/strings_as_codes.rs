@@ -37,7 +37,6 @@ fn shape(name: &str) -> DataFrame {
 fn config(workers: usize) -> Config {
     Config::from_pairs(vec![
         ("engine.workers", workers.to_string().as_str()),
-        ("engine.npartitions", "2"),
         // Every call computes: a digest must not depend on what an earlier
         // test left in the session cache.
         ("engine.cache_budget_bytes", "0"),
