@@ -257,11 +257,11 @@ pub fn encode_str(codes: &[u32], dict: &StrDict) -> (u8, Vec<u8>) {
 }
 
 /// Decode the `count` strings of a page with encoding id `enc` as a
-/// dictionary and one code per string, the codes appended to `codes`. A dictionary page is read as
-/// stored — its entries checked (UTF-8, bounds) once each, not once per
-/// row — and a plain page is interned value by value; either way the
-/// entries come out distinct, so a page that repeats a dictionary entry
-/// still decodes to a well-formed column.
+/// dictionary and one code per string, the codes appended to `codes`. A
+/// dictionary page is read as stored — its entries checked (UTF-8,
+/// bounds) once each, not once per row — and a plain page is interned
+/// value by value; either way the entries come out distinct, so a page
+/// that repeats a dictionary entry still decodes to a well-formed column.
 pub fn decode_str(
     enc: u8,
     buf: &[u8],
