@@ -8,7 +8,7 @@
 //! `--scale` multiplies every section's size; at 1 each runs at the
 //! sizes of the constants below. `--commit` names the tree the numbers
 //! were taken at, for the header. Every call is timed by
-//! [`eda_bench::time_arms`]: each section's arms alternate, medians are
+//! [`eda_bench::time_arms`]: each section's arms rotate, medians are
 //! printed, and the run exits non-zero if the result cache served any
 //! timed call. A call therefore runs either on a frame no earlier timed
 //! call touched (Table 2 and the Figure 6(b) sweep, at the default
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
         println!("commit: {commit}");
     }
     println!(
-        "timing: median of {ABLATION_REPS} alternating repetitions per ablation arm, {FIGURE_REPS} elsewhere; no timed call served by the result cache"
+        "timing: median of {ABLATION_REPS} rotating repetitions per ablation arm, {FIGURE_REPS} elsewhere; no timed call served by the result cache"
     );
     let sections: [Section; 6] = [table2, user_study, figure5, figure6a, figure6bc, ablations];
     for section in sections {
@@ -432,7 +432,7 @@ fn ablations(scale: f64) -> Result<(), String> {
     let spec = kaggle_spec_by_name("adult").expect("Table 2 spec").scaled(ABLATION_SCALE * scale);
     let df = generate(&spec, 42);
     println!(
-        "Ablations (paper §5) on adult[{} rows], cache off, median of {ABLATION_REPS} alternating repetitions",
+        "Ablations (paper §5) on adult[{} rows], cache off, median of {ABLATION_REPS} rotating repetitions",
         spec.rows
     );
     let cfg = uncached(&[]);

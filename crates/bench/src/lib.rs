@@ -14,7 +14,7 @@
 //! | Figure 6(c) stand-in | the largest 6(b) report on 1 → host-core workers |
 //! | ablations | CSE on/off ([`unshared_context`]), [`CorrTiling`], the partition count (`ComputeContext::partitioned`) |
 //!
-//! Every timed call goes through [`time_arms`], which alternates the
+//! Every timed call goes through [`time_arms`], which rotates the
 //! order of the compared arms, reports medians and refuses a call the
 //! result cache served.
 
@@ -196,8 +196,9 @@ impl Timing {
 }
 
 /// Time every arm `reps` times and return each arm's median, in arm
-/// order. Repetition `r` runs the arms first to last when `r` is even
-/// and last to first when it is odd, so no arm always runs first. Fails
+/// order. Repetition `r` runs arm `(r + k) mod n` in position `k`, so
+/// over a multiple of `n` repetitions every arm runs in every position
+/// equally often. Fails
 /// on the first call whose run reports a result-cache hit: its time
 /// would be partly a lookup, not the work it stands for.
 pub fn time_arms(reps: usize, mut arms: Vec<Arm<'_>>) -> Result<Vec<Timing>, String> {
@@ -206,7 +207,7 @@ pub fn time_arms(reps: usize, mut arms: Vec<Arm<'_>>) -> Result<Vec<Timing>, Str
     let mut stats = vec![None; n];
     for rep in 0..reps {
         for k in 0..n {
-            let i = if rep % 2 == 0 { k } else { n - 1 - k };
+            let i = (rep + k) % n;
             let (elapsed, run) = (arms[i].call)();
             let hits = run.as_ref().map_or(0, |s| s.cache_hits);
             if hits > 0 {
@@ -451,6 +452,26 @@ mod tests {
         let ms = Duration::from_millis;
         assert_eq!(median(vec![ms(5), ms(1), ms(3)]), ms(3));
         assert_eq!(median(vec![ms(4), ms(1), ms(2), ms(3)]), Duration::from_micros(2500));
+    }
+
+    #[test]
+    fn every_arm_runs_in_every_position_equally_often() {
+        let order = RefCell::new(Vec::new());
+        let arms = (0..5)
+            .map(|i| {
+                let order = &order;
+                Arm::new(format!("{i}"), move || {
+                    order.borrow_mut().push(i);
+                    ((), ExecStats::default())
+                })
+            })
+            .collect();
+        time_arms(10, arms).expect("no cache");
+        let mut runs = [[0; 5]; 5];
+        for (slot, &arm) in order.borrow().iter().enumerate() {
+            runs[arm][slot % 5] += 1;
+        }
+        assert_eq!(runs, [[2; 5]; 5], "runs[arm][position]");
     }
 
     #[test]

@@ -79,6 +79,9 @@ pub struct ComputeContext<'a> {
     /// Each column's semantic type, detected on first use
     /// ([`ComputeContext::semantic`]).
     semantics: Vec<OnceCell<SemanticType>>,
+    /// `config.compute_hash()`, taken once: every planned node mixes it
+    /// into its key ([`ComputeContext::params`]).
+    config_hash: u64,
 }
 
 /// Rows per partition: a frame is cut into `rows / ROWS_PER_PARTITION`
@@ -135,6 +138,7 @@ impl<'a> ComputeContext<'a> {
             cache_override: None,
             cancel,
             semantics: vec![OnceCell::new(); df.ncols()],
+            config_hash: config.compute_hash(),
         }
     }
 
@@ -181,7 +185,7 @@ impl<'a> ComputeContext<'a> {
     /// Parameter-hash base mixing in the config, so config changes never
     /// share nodes with differently-configured builds.
     pub fn params(&self, extra: u64) -> u64 {
-        self.config.compute_hash() ^ extra.rotate_left(17)
+        self.config_hash ^ extra.rotate_left(17)
     }
 
     /// Plan a section node named `name`: `finish` turns the payloads of
@@ -194,7 +198,7 @@ impl<'a> ComputeContext<'a> {
         deps: Vec<NodeId>,
         finish: impl Fn(&[Payload]) -> Section + Send + Sync + 'static,
     ) -> NodeId {
-        let params = self.params(TaskKey::params(&name) ^ self.config.insight.thresholds_hash());
+        let params = self.params(TaskKey::params(&name) ^ self.config.thresholds_hash());
         self.graph.op(name, params, deps, finish)
     }
 

@@ -13,31 +13,33 @@ mod params;
 pub use howto::{howto_for, HowToEntry, HowToGuide};
 pub use params::{describe, PARAMS};
 
+use std::hash::Hasher;
+
 use crate::error::{EdaError, EdaResult};
 
 /// Histogram parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistConfig {
     /// Number of bins.
     pub bins: usize,
 }
 
 /// KDE plot parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KdeConfig {
     /// Grid resolution of the density curve.
     pub grid: usize,
 }
 
 /// Normal Q-Q plot parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QqConfig {
     /// Maximum number of plotted quantile points.
     pub points: usize,
 }
 
 /// Box-plot parameters (univariate, binned, and categorical variants).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BoxConfig {
     /// Maximum outlier points materialized per box.
     pub max_outliers: usize,
@@ -48,42 +50,42 @@ pub struct BoxConfig {
 }
 
 /// Bar-chart parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BarConfig {
     /// Number of bars (top categories); the rest aggregate into "Other".
     pub ngroups: usize,
 }
 
 /// Pie-chart parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PieConfig {
     /// Number of slices; the rest aggregate into "Other".
     pub slices: usize,
 }
 
 /// Word-cloud / word-frequency parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WordConfig {
     /// Number of top words reported.
     pub top: usize,
 }
 
 /// Scatter-plot parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScatterConfig {
     /// Maximum number of points drawn (reservoir-style thinning above it).
     pub sample: usize,
 }
 
 /// Hexbin parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HexbinConfig {
     /// Hexagons across the x-range.
     pub gridsize: usize,
 }
 
 /// Crosstab-style parameters shared by heat map, nested and stacked bars.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CrosstabConfig {
     /// Category groups on x.
     pub ngroups_x: usize,
@@ -92,7 +94,7 @@ pub struct CrosstabConfig {
 }
 
 /// Multi-line chart parameters (N×C bivariate).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LineConfig {
     /// Category groups (one line each).
     pub ngroups: usize,
@@ -101,14 +103,14 @@ pub struct LineConfig {
 }
 
 /// Missing-spectrum parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpectrumConfig {
     /// Number of row bins.
     pub bins: usize,
 }
 
 /// Time-series parameters (`ts.*`; the paper's §7 future-work task).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TsConfig {
     /// Resampled points on the time axis.
     pub points: usize,
@@ -121,7 +123,7 @@ pub struct TsConfig {
 /// Violin-plot parameters (`violin.*`). Off by default: the violin is
 /// the community-suggested addition to `plot(df, x)` the paper's §3.2
 /// describes, enabled with `("violin.enabled", "true")`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ViolinConfig {
     /// Whether the univariate numeric panel includes a violin plot.
     pub enabled: bool,
@@ -129,7 +131,7 @@ pub struct ViolinConfig {
 
 /// Insight thresholds (paper §4.2.2: "each insight has its own,
 /// user-definable threshold").
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InsightConfig {
     /// Missing-rate fraction above which a column is flagged.
     pub missing: f64,
@@ -158,35 +160,8 @@ pub struct InsightConfig {
     pub autocorr: f64,
 }
 
-impl InsightConfig {
-    /// A stable hash of every threshold. [`Config::compute_hash`] leaves
-    /// them out, since no statistic reads them; the section nodes that
-    /// find insights mix this into their keys.
-    pub fn thresholds_hash(&self) -> u64 {
-        use std::hash::Hasher;
-        let mut h = eda_taskgraph::key::Fnv1a::new();
-        for t in [
-            self.missing,
-            self.skew,
-            self.uniform_p,
-            self.high_cardinality,
-            self.correlation,
-            self.outlier,
-            self.similarity_ks,
-            self.infinite,
-            self.zeros,
-            self.negatives,
-            self.trend,
-            self.autocorr,
-        ] {
-            h.write_u64(t.to_bits());
-        }
-        h.finish()
-    }
-}
-
 /// Semantic type-detection parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TypeDetectionConfig {
     /// Max distinct values for an integer column to read as categorical.
     pub low_cardinality: usize,
@@ -195,7 +170,7 @@ pub struct TypeDetectionConfig {
 /// Execution-engine parameters: the six `engine.*` keys. Every public
 /// call is one scheduler run; `sample_rows` bounds what it computes
 /// over, and the two deadlines bound how long it may take.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineConfig {
     /// Worker threads.
     pub workers: usize,
@@ -230,7 +205,7 @@ pub struct EngineConfig {
 }
 
 /// Figure-size parameters consumed by the render layer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DisplayConfig {
     /// Figure width in pixels.
     pub width: usize,
@@ -280,52 +255,33 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// Every [`PARAMS`] row's default, applied to a blank config.
     fn default() -> Self {
-        Config {
-            hist: HistConfig { bins: 50 },
-            kde: KdeConfig { grid: 200 },
-            qq: QqConfig { points: 100 },
-            box_plot: BoxConfig { max_outliers: 50, bins: 10, ngroups: 10 },
-            bar: BarConfig { ngroups: 10 },
-            pie: PieConfig { slices: 6 },
-            word: WordConfig { top: 30 },
-            scatter: ScatterConfig { sample: 1000 },
-            hexbin: HexbinConfig { gridsize: 20 },
-            crosstab: CrosstabConfig { ngroups_x: 10, ngroups_y: 5 },
-            line: LineConfig { ngroups: 5, bins: 20 },
-            spectrum: SpectrumConfig { bins: 20 },
-            ts: TsConfig { points: 100, window: 7, max_lag: 24 },
-            violin: ViolinConfig { enabled: false },
-            insight: InsightConfig {
-                missing: 0.05,
-                skew: 1.0,
-                uniform_p: 0.99,
-                high_cardinality: 0.5,
-                correlation: 0.8,
-                outlier: 0.05,
-                similarity_ks: 0.05,
-                infinite: 0.0,
-                zeros: 0.5,
-                negatives: 0.0,
-                trend: 0.3,
-                autocorr: 0.5,
-            },
-            types: TypeDetectionConfig { low_cardinality: 10 },
-            engine: EngineConfig {
-                workers: default_workers(),
-                sample_rows: 0,
-                task_deadline_ms: 0,
-                profile: false,
-                cache_budget_bytes: 256 << 20,
-                run_deadline_ms: 0,
-            },
-            display: DisplayConfig { width: 450, height: 300 },
+        let mut cfg = Config {
+            hist: HistConfig::default(),
+            kde: KdeConfig::default(),
+            qq: QqConfig::default(),
+            box_plot: BoxConfig::default(),
+            bar: BarConfig::default(),
+            pie: PieConfig::default(),
+            word: WordConfig::default(),
+            scatter: ScatterConfig::default(),
+            hexbin: HexbinConfig::default(),
+            crosstab: CrosstabConfig::default(),
+            line: LineConfig::default(),
+            spectrum: SpectrumConfig::default(),
+            ts: TsConfig::default(),
+            violin: ViolinConfig::default(),
+            insight: InsightConfig::default(),
+            types: TypeDetectionConfig::default(),
+            engine: EngineConfig::default(),
+            display: DisplayConfig::default(),
+        };
+        for p in PARAMS {
+            (p.slot)(&mut cfg).set(p.key, p.default).expect("every registry default parses");
         }
+        cfg
     }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 impl Config {
@@ -344,117 +300,38 @@ impl Config {
 
     /// Override one parameter by its string key.
     pub fn set(&mut self, key: &str, value: &str) -> EdaResult<()> {
-        fn usize_of(key: &str, v: &str) -> EdaResult<usize> {
-            v.trim().parse().map_err(|_| EdaError::Config {
-                key: key.to_string(),
-                message: format!("expected a non-negative integer, got {v:?}"),
-            })
-        }
-        fn f64_of(key: &str, v: &str) -> EdaResult<f64> {
-            v.trim().parse().map_err(|_| EdaError::Config {
-                key: key.to_string(),
-                message: format!("expected a number, got {v:?}"),
-            })
-        }
-        fn bool_of(key: &str, v: &str) -> EdaResult<bool> {
-            match v.trim() {
-                "true" | "True" => Ok(true),
-                "false" | "False" => Ok(false),
-                _ => Err(EdaError::Config {
-                    key: key.to_string(),
-                    message: format!("expected true/false, got {v:?}"),
-                }),
-            }
-        }
-        match key {
-            "hist.bins" => self.hist.bins = usize_of(key, value)?.max(1),
-            "kde.grid" => self.kde.grid = usize_of(key, value)?.max(2),
-            "qq.points" => self.qq.points = usize_of(key, value)?.max(2),
-            "box.max_outliers" => self.box_plot.max_outliers = usize_of(key, value)?,
-            "box.bins" => self.box_plot.bins = usize_of(key, value)?.max(1),
-            "box.ngroups" => self.box_plot.ngroups = usize_of(key, value)?.max(1),
-            "bar.ngroups" => self.bar.ngroups = usize_of(key, value)?.max(1),
-            "pie.slices" => self.pie.slices = usize_of(key, value)?.max(1),
-            "word.top" => self.word.top = usize_of(key, value)?.max(1),
-            "scatter.sample" => self.scatter.sample = usize_of(key, value)?.max(1),
-            "hexbin.gridsize" => self.hexbin.gridsize = usize_of(key, value)?.max(2),
-            "crosstab.ngroups_x" => self.crosstab.ngroups_x = usize_of(key, value)?.max(1),
-            "crosstab.ngroups_y" => self.crosstab.ngroups_y = usize_of(key, value)?.max(1),
-            "line.ngroups" => self.line.ngroups = usize_of(key, value)?.max(1),
-            "line.bins" => self.line.bins = usize_of(key, value)?.max(1),
-            "spectrum.bins" => self.spectrum.bins = usize_of(key, value)?.max(1),
-            "ts.points" => self.ts.points = usize_of(key, value)?.max(2),
-            "ts.window" => self.ts.window = usize_of(key, value)?.max(1),
-            "ts.max_lag" => self.ts.max_lag = usize_of(key, value)?.max(1),
-            "violin.enabled" => self.violin.enabled = bool_of(key, value)?,
-            "insight.missing" => self.insight.missing = f64_of(key, value)?,
-            "insight.skew" => self.insight.skew = f64_of(key, value)?,
-            "insight.uniform_p" => self.insight.uniform_p = f64_of(key, value)?,
-            "insight.high_cardinality" => self.insight.high_cardinality = f64_of(key, value)?,
-            "insight.correlation" => self.insight.correlation = f64_of(key, value)?,
-            "insight.outlier" => self.insight.outlier = f64_of(key, value)?,
-            "insight.similarity_ks" => self.insight.similarity_ks = f64_of(key, value)?,
-            "insight.infinite" => self.insight.infinite = f64_of(key, value)?,
-            "insight.zeros" => self.insight.zeros = f64_of(key, value)?,
-            "insight.negatives" => self.insight.negatives = f64_of(key, value)?,
-            "insight.trend" => self.insight.trend = f64_of(key, value)?,
-            "insight.autocorr" => self.insight.autocorr = f64_of(key, value)?,
-            "types.low_cardinality" => self.types.low_cardinality = usize_of(key, value)?,
-            "engine.workers" => self.engine.workers = usize_of(key, value)?.max(1),
-            "engine.sample_rows" => self.engine.sample_rows = usize_of(key, value)?,
-            "engine.task_deadline_ms" => {
-                self.engine.task_deadline_ms = usize_of(key, value)? as u64
-            }
-            "engine.profile" => self.engine.profile = bool_of(key, value)?,
-            "engine.cache_budget_bytes" => {
-                self.engine.cache_budget_bytes = usize_of(key, value)?
-            }
-            "engine.run_deadline_ms" => {
-                self.engine.run_deadline_ms = usize_of(key, value)? as u64
-            }
-            "display.width" => self.display.width = usize_of(key, value)?.max(50),
-            "display.height" => self.display.height = usize_of(key, value)?.max(50),
-            _ => {
-                return Err(EdaError::Config {
-                    key: key.to_string(),
-                    message: "unknown parameter (see Config docs / how-to guide)".into(),
-                })
-            }
-        }
-        Ok(())
+        let spec = describe(key).ok_or_else(|| EdaError::Config {
+            key: key.to_string(),
+            message: "unknown parameter (see Config docs / how-to guide)".into(),
+        })?;
+        (spec.slot)(self).set(key, value)
     }
 
     /// A stable hash of every parameter that affects computed results —
     /// used in task keys so that differently-configured computations never
-    /// share graph nodes.
+    /// share graph nodes. It covers every section but `insight`, `engine`
+    /// and `display`: no statistic reads them.
     pub fn compute_hash(&self) -> u64 {
-        use eda_taskgraph::key::Fnv1a;
-        use std::hash::{Hash, Hasher};
-        // FNV with a fixed seed, like the task keys it feeds into: the
-        // hash must come out identical in every process or cross-call
-        // cache keys would never line up after a restart.
-        let mut h = Fnv1a::new();
-        self.hist.bins.hash(&mut h);
-        self.kde.grid.hash(&mut h);
-        self.qq.points.hash(&mut h);
-        self.box_plot.max_outliers.hash(&mut h);
-        self.box_plot.bins.hash(&mut h);
-        self.box_plot.ngroups.hash(&mut h);
-        self.bar.ngroups.hash(&mut h);
-        self.pie.slices.hash(&mut h);
-        self.word.top.hash(&mut h);
-        self.scatter.sample.hash(&mut h);
-        self.hexbin.gridsize.hash(&mut h);
-        self.crosstab.ngroups_x.hash(&mut h);
-        self.crosstab.ngroups_y.hash(&mut h);
-        self.line.ngroups.hash(&mut h);
-        self.line.bins.hash(&mut h);
-        self.spectrum.bins.hash(&mut h);
-        self.ts.points.hash(&mut h);
-        self.ts.window.hash(&mut h);
-        self.ts.max_lag.hash(&mut h);
-        self.violin.enabled.hash(&mut h);
-        self.types.low_cardinality.hash(&mut h);
+        self.hash_sections(|section| !matches!(section, "insight" | "engine" | "display"))
+    }
+
+    /// A stable hash of every `insight.*` threshold. The section nodes
+    /// that find insights mix it into their keys.
+    pub fn thresholds_hash(&self) -> u64 {
+        self.hash_sections(|section| section == "insight")
+    }
+
+    /// Hash the fields of the [`PARAMS`] rows whose section is `hashed`,
+    /// in table order. FNV with a fixed seed, like the task keys it feeds
+    /// into: the hash must come out identical in every process or
+    /// cross-call cache keys would never line up after a restart.
+    fn hash_sections(&self, hashed: impl Fn(&str) -> bool) -> u64 {
+        let mut h = eda_taskgraph::key::Fnv1a::new();
+        // A row's slot borrows its field mutably: walk a copy.
+        let mut cfg = self.clone();
+        for p in PARAMS.iter().filter(|p| p.key.split_once('.').is_some_and(|(s, _)| hashed(s))) {
+            (p.slot)(&mut cfg).hash(&mut h);
+        }
         h.finish()
     }
 }
@@ -479,6 +356,9 @@ mod tests {
         assert_eq!(c.insight.skew, 2.5);
         c.set("engine.profile", "true").unwrap();
         assert!(c.engine.profile);
+        c.set("engine.workers", "1").unwrap();
+        c.set("engine.workers", "cores").unwrap();
+        assert_eq!(c.engine.workers, Config::default().engine.workers);
     }
 
     #[test]

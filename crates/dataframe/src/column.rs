@@ -13,6 +13,7 @@
 //! in one arena shared by every window of the column.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::bitmap::{Bitmap, Selection};

@@ -11,6 +11,8 @@
 //! A frozen dictionary is immutable and `Arc`-shared by every window of
 //! its column; [`DictBuilder`] is the only way to make one.
 
+use std::hash::Hasher;
+
 use crate::fingerprint::Fnv;
 use crate::heap::HeapSize;
 

@@ -21,34 +21,49 @@
 //! Hashing is fixed-seed FNV-1a, so fingerprints are stable across
 //! processes — a prerequisite for any cache that outlives one run.
 
+use std::hash::Hasher;
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Minimal fixed-seed FNV-1a accumulator (no `std::hash::Hasher` plumbing;
-/// fingerprints hash raw bytes and integers, not `Hash` impls).
+/// A fixed-seed FNV-1a hasher: deterministic across processes and
+/// platforms, unlike [`std::collections::hash_map::DefaultHasher`], whose
+/// initial state is unspecified. It hashes fingerprints here and task
+/// keys in `eda-taskgraph`; speed is fine for that material.
 #[derive(Debug, Clone)]
-pub(crate) struct Fnv(u64);
+pub struct Fnv(u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Fnv {
+    /// A hasher starting from the standard FNV offset basis.
+    pub fn new() -> Fnv {
         Fnv(FNV_OFFSET)
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
     #[inline]
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
+    /// Little-endian on every platform, so a fingerprint does not
+    /// depend on the host's byte order.
     #[inline]
-    pub(crate) fn write_u64(&mut self, v: u64) {
+    fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -4,6 +4,7 @@
 //! building the per-partition views used by `eda-taskgraph` is O(#columns),
 //! never O(#rows).
 
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::bitmap::{Bitmap, Selection};

@@ -42,7 +42,7 @@ pub mod dict;
 pub mod display;
 pub mod dtype;
 pub mod error;
-pub(crate) mod fingerprint;
+pub mod fingerprint;
 pub mod frame;
 pub mod heap;
 pub mod value;

@@ -78,7 +78,7 @@ impl Default for IngestOptions {
         IngestOptions {
             csv: CsvOptions::default(),
             chunk_bytes: DEFAULT_CHUNK_BYTES,
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }

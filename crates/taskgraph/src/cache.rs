@@ -28,9 +28,7 @@
 //! later runs.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::graph::Payload;
 use crate::key::TaskKey;
@@ -60,7 +58,7 @@ struct Entry {
 
 impl std::fmt::Debug for ResultCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         f.debug_struct("ResultCache")
             .field("budget_bytes", &self.budget_bytes)
             .field("entries", &inner.map.len())
@@ -77,6 +75,13 @@ impl ResultCache {
         ResultCache { budget_bytes, inner: Mutex::new(Inner::default()) }
     }
 
+    /// The cache's state. A poisoned lock is recovered: the one thing that
+    /// can panic under the guard is a dropped payload's destructor, and
+    /// every update has settled `total_bytes` before it drops one.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether the cache admits anything at all.
     pub fn enabled(&self) -> bool {
         self.budget_bytes > 0
@@ -88,7 +93,7 @@ impl ResultCache {
         if !self.enabled() {
             return None;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.map.get_mut(&(fingerprint, key))?;
@@ -100,7 +105,7 @@ impl ResultCache {
     /// its LRU position stays put, so a planner may ask before it decides
     /// what to run.
     pub fn contains(&self, fingerprint: u64, key: TaskKey) -> bool {
-        self.enabled() && self.inner.lock().map.contains_key(&(fingerprint, key))
+        self.enabled() && self.lock().map.contains_key(&(fingerprint, key))
     }
 
     /// Insert the payload of `(fingerprint, key)`, evicting
@@ -111,7 +116,7 @@ impl ResultCache {
         if !self.enabled() || bytes > self.budget_bytes {
             return 0;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner
@@ -144,7 +149,7 @@ impl ResultCache {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     /// Whether the cache holds no entries.
@@ -154,7 +159,7 @@ impl ResultCache {
 
     /// Estimated bytes currently held.
     pub fn total_bytes(&self) -> usize {
-        self.inner.lock().total_bytes
+        self.lock().total_bytes
     }
 }
 

@@ -14,43 +14,9 @@
 
 use std::hash::{Hash, Hasher};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A fixed-seed FNV-1a hasher: deterministic across processes and
-/// platforms, unlike [`std::collections::hash_map::DefaultHasher`] whose
-/// initial state is unspecified. Speed is fine for key material (tens of
-/// bytes per task).
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// A hasher starting from the standard FNV offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a(FNV_OFFSET)
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
+/// The fixed-seed FNV-1a hasher task keys are hashed with: the one
+/// `eda-dataframe` fingerprints frames with.
+pub use eda_dataframe::fingerprint::Fnv as Fnv1a;
 
 /// A structural identity for one task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

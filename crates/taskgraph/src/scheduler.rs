@@ -735,12 +735,12 @@ mod tests {
         // workers they can only finish on three distinct threads. A
         // `warm` source before them outlasts `POOL_AFTER` when asked to.
         let graph_of = |parties: usize, warm_up: Duration| {
-            let seen: Arc<parking_lot::Mutex<Vec<ThreadId>>> = Arc::default();
+            let seen: Arc<std::sync::Mutex<Vec<ThreadId>>> = Arc::default();
             let barrier = Arc::new(std::sync::Barrier::new(parties));
             let mut g = TaskGraph::new();
             let warm_seen = Arc::clone(&seen);
             let warm = g.source("warm", TaskKey::leaf("warm", 0), move || {
-                warm_seen.lock().push(current().id());
+                warm_seen.lock().unwrap().push(current().id());
                 std::thread::sleep(warm_up);
                 0i64
             });
@@ -748,7 +748,7 @@ mod tests {
             for i in 0..3 {
                 let (seen, barrier) = (Arc::clone(&seen), Arc::clone(&barrier));
                 outs.push(g.source("who", TaskKey::leaf("who", i), move || {
-                    seen.lock().push(current().id());
+                    seen.lock().unwrap().push(current().id());
                     barrier.wait();
                     0i64
                 }));
@@ -761,7 +761,7 @@ mod tests {
         for workers in [0, 1, 3] {
             let (g, outs, seen) = graph_of(1, Duration::ZERO);
             let r = super::run(&g, &outs, workers, &ExecOptions::default());
-            assert_eq!(*seen.lock(), vec![current().id(); 4], "workers={workers}");
+            assert_eq!(*seen.lock().unwrap(), vec![current().id(); 4], "workers={workers}");
             assert_eq!(r.stats.workers, workers.max(1));
         }
 
@@ -769,7 +769,7 @@ mod tests {
         let (g, outs, seen) = graph_of(3, 2 * POOL_AFTER);
         let r = super::run(&g, &outs, 3, &ExecOptions::default());
         assert_eq!(r.stats.workers, 3);
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         assert_eq!(seen.first(), Some(&current().id()));
         let threads: std::collections::HashSet<ThreadId> = seen.iter().skip(1).copied().collect();
         assert_eq!(threads.len(), 3);
