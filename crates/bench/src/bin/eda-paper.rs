@@ -400,7 +400,7 @@ fn figure6bc(scale: f64) -> Result<(), String> {
 
     let largest = sizes[sizes.len() - 1];
     let df = generate(&bitcoin_spec(largest), 42);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = eda_taskgraph::scheduler::cores();
     println!();
     println!("Figure 6(c) stand-in: create_report on {largest} rows vs engine.workers, cache off");
     let configs: Vec<Config> =

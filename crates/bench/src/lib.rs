@@ -315,7 +315,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 
 /// One-line machine context printed in the driver's header.
 pub fn machine_context() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = eda_taskgraph::scheduler::cores();
     format!(
         "host_cores: {cores}; paper testbed: 8-core E7-4830, 64 GB — absolute times differ, shapes should hold"
     )

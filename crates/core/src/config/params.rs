@@ -58,9 +58,7 @@ impl Slot<'_> {
         let count = |v: &str| v.parse::<usize>().map_err(|_| bad("a non-negative integer"));
         match (self, value.trim()) {
             (Slot::Count(field, floor), v) => *field = count(v)?.max(floor),
-            (Slot::Workers(field), "cores") => {
-                *field = std::thread::available_parallelism().map_or(1, |n| n.get())
-            }
+            (Slot::Workers(field), "cores") => *field = eda_taskgraph::scheduler::cores(),
             (Slot::Workers(field), v) => *field = count(v)?.max(1),
             (Slot::Millis(field), v) => *field = count(v)? as u64,
             (Slot::Number(field), v) => *field = v.parse().map_err(|_| bad("a number"))?,
@@ -158,9 +156,8 @@ mod tests {
     /// A default as `Config::set` takes it: `cores` resolved on the
     /// running host.
     fn resolved(default: &str) -> String {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         match default {
-            "cores" => cores.to_string(),
+            "cores" => eda_taskgraph::scheduler::cores().to_string(),
             d => d.to_string(),
         }
     }

@@ -73,12 +73,12 @@ impl ColumnBuilder {
                 }
                 None => false,
             },
-            ColumnBuilder::I64(b) => match field.trim().parse::<i64>() {
-                Ok(v) => {
+            ColumnBuilder::I64(b) => match parse_i64(field.trim()) {
+                Some(v) => {
                     b.push(v);
                     true
                 }
-                Err(_) => false,
+                None => false,
             },
             ColumnBuilder::Str(b) => {
                 b.push(field);
@@ -91,6 +91,32 @@ impl ColumnBuilder {
                 }
                 None => false,
             },
+        }
+    }
+
+    /// Append `field` when it spells a number of this builder's type as
+    /// it stands — untrimmed, and not NaN. `false`, with nothing
+    /// appended, for anything else: every null spelling of the built-in
+    /// lexicon, whose only numbers are `nan` and `NaN`, lands there, so a
+    /// caller may try this before its null check when it has no extra
+    /// null spellings.
+    pub(crate) fn push_number(&mut self, field: &str) -> bool {
+        match self {
+            ColumnBuilder::F64(b) => match field.parse::<f64>() {
+                Ok(v) if !v.is_nan() => {
+                    b.push(v);
+                    true
+                }
+                _ => false,
+            },
+            ColumnBuilder::I64(b) => match parse_i64(field) {
+                Some(v) => {
+                    b.push(v);
+                    true
+                }
+                None => false,
+            },
+            ColumnBuilder::Str(_) | ColumnBuilder::Bool(_) => false,
         }
     }
 
@@ -108,6 +134,22 @@ impl ColumnBuilder {
 /// Parse a float field, accepting common CSV spellings.
 pub(crate) fn parse_f64(field: &str) -> Option<f64> {
     field.trim().parse::<f64>().ok()
+}
+
+/// Parse an integer field exactly as `str::parse::<i64>` does. Up to 18
+/// ASCII digits after an optional sign cannot overflow, so they are
+/// folded directly; anything else goes to std.
+pub(crate) fn parse_i64(field: &str) -> Option<i64> {
+    let (negative, digits) = match field.as_bytes() {
+        [b'-', digits @ ..] => (true, digits),
+        [b'+', digits @ ..] => (false, digits),
+        digits => (false, digits),
+    };
+    if !(1..=18).contains(&digits.len()) || !digits.iter().all(u8::is_ascii_digit) {
+        return field.parse().ok();
+    }
+    let magnitude = digits.iter().fold(0i64, |acc, &d| acc * 10 + i64::from(d - b'0'));
+    Some(if negative { -magnitude } else { magnitude })
 }
 
 /// Parse a boolean field, accepting `true/false` in any case.

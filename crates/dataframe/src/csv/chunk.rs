@@ -15,15 +15,18 @@
 //!    hint from the header plus the first `infer_rows` data records.
 //! 3. **Per-chunk parse** ([`parse_chunk`]): one pass over the chunk's
 //!    text — records are found lazily, each field is lent by the
-//!    tokenizer as a slice of the text, null-checked once and parsed
-//!    straight into its column's typed builder at the hinted type; no
-//!    field is staged as a `String`. A column with a field that
-//!    contradicts the hint stops building and joins types for the rest
-//!    of the pass, and a second pass over the same text then builds just
-//!    those columns at the joined type: one pass when the sample was
-//!    right, two when it was not. Chunks are independent, so this is the
-//!    step a worker pool parallelizes. Errors carry absolute 1-based
-//!    record numbers and absolute byte offsets.
+//!    tokenizer as a slice of the text and parsed straight into its
+//!    column's typed builder at the hinted type; no field is staged as a
+//!    `String`. A numeric column tries the number first, and only a
+//!    field that is no number (or is NaN) is null-checked and parsed
+//!    again: every field reads as it would with the null check first.
+//!    A column with a field that contradicts the hint stops building and
+//!    joins types for the rest of the pass, and a second pass over the
+//!    same text then builds just those columns at the joined type: one
+//!    pass when the sample was right, two when it was not. Chunks are
+//!    independent, so this is the step a worker pool parallelizes.
+//!    Errors carry absolute 1-based record numbers and absolute byte
+//!    offsets.
 //! 4. **Assembly in place** ([`Assembly`]): the record count fixes the
 //!    frame's length and each chunk's first row (`first_record` − 1,
 //!    minus the header), so every `Int64` / `Float64` / `Bool` column of
@@ -35,8 +38,9 @@
 //!    schema by [`Assembly::finish`]: `Str` columns concatenate by codes
 //!    in chunk order; an `Int64` column some chunk widened to `Float64`
 //!    is cast where it lies — the one lossless numeric promotion,
-//!    bit-identical to re-parsing the text (both round half-to-even) —
-//!    and the widened chunks' rows are laid over it; every other
+//!    bit-identical to re-parsing the text (both round half-to-even) but
+//!    for a zero, whose chunk is re-read since `-0` parses as the float
+//!    -0.0 — and the widened chunks' rows are laid over it; every other
 //!    promotion targets `Str` and must re-read the chunk's text to recover
 //!    the exact raw field spellings ("widening repair") — rare, and
 //!    bounded to the affected chunks.
@@ -381,15 +385,29 @@ impl Slot {
             }
             return;
         };
-        if is_null_field(field, extra_nulls) {
-            builder.push_null();
-        } else if !builder.push_parsed(field) {
+        if !push_field(builder, field, extra_nulls) {
             // Every earlier field parsed as the schema's type, so the join
             // from here on equals the join over the whole column.
             self.dtype = widen(self.dtype, infer_dtype(field, extra_nulls).unwrap_or(DataType::Str));
             self.builder = None;
         }
     }
+}
+
+/// Append `field` to `builder` as a null or as a value of its type;
+/// `false`, with nothing appended, when it is neither. Numbers first:
+/// without extra null spellings no null parses as a number but `nan` /
+/// `NaN`, which `push_number` refuses, so the common field skips the trim
+/// and the null lexicon.
+fn push_field(builder: &mut ColumnBuilder, field: &str, extra_nulls: &[String]) -> bool {
+    if extra_nulls.is_empty() && builder.push_number(field) {
+        return true;
+    }
+    if is_null_field(field, extra_nulls) {
+        builder.push_null();
+        return true;
+    }
+    builder.push_parsed(field)
 }
 
 /// Parse one chunk's text into typed columns.
@@ -445,9 +463,7 @@ pub fn parse_chunk(
         for record in data() {
             for_each_field(record, ncols, sep, |c, field| {
                 let Some(Some(builder)) = rebuilt.get_mut(c) else { return Ok(()) };
-                if is_null_field(field, &opts.extra_nulls) {
-                    builder.push_null();
-                } else if !builder.push_parsed(field) {
+                if !push_field(builder, field, &opts.extra_nulls) {
                     // The join guarantees parseability; a failure here is
                     // a logic error worth surfacing as a recoverable
                     // error rather than a panic.
@@ -494,8 +510,10 @@ pub fn global_schema<'a>(
 
 /// Whether a chunk column at `have` can fold into global dtype `want`
 /// without re-reading the chunk's text. i64 → f64 is the one lossless
-/// in-memory promotion; promotions into `Str` lost the raw spelling
-/// (`" 7"`, `"True"`, `"1.50"`) at parse time.
+/// in-memory promotion — but for a zero, which [`Assembly::finish`]
+/// re-reads, since `-0` parses as the integer 0 and the float -0.0;
+/// promotions into `Str` lost the raw spelling (`" 7"`, `"True"`,
+/// `"1.50"`) at parse time.
 pub fn needs_text_repair(have: DataType, want: DataType) -> bool {
     have != want && !(have == DataType::Int64 && want == DataType::Float64)
 }
@@ -702,15 +720,24 @@ impl Assembly {
             )));
         }
         let global = global_schema(&hint, rests.iter().map(|rest| &rest.dtypes));
-        for rest in &mut rests {
+        for (rest, rows) in rests.iter_mut().zip(starts.iter().zip(starts.iter().skip(1))) {
             // Widening repair: this chunk parsed a column as a narrower
-            // type before some other chunk forced Str; the exact raw
-            // spellings only exist in the source text.
-            let stale: Vec<bool> = rest
-                .dtypes
-                .iter()
-                .zip(&global)
-                .map(|(&have, &want)| needs_text_repair(have, want))
+            // type before some other chunk forced Str, or as integers
+            // with a zero among them (spelled `-0`, it reads -0.0 as a
+            // float) before some other chunk forced Float64; the exact
+            // raw spellings only exist in the source text.
+            let holds_zero = |placed: &Option<Placed>| match placed {
+                Some(Placed { values: Values::I64(ints), .. }) => {
+                    ints.get(*rows.0..*rows.1).is_some_and(|ints| ints.contains(&0))
+                }
+                _ => false,
+            };
+            let stale: Vec<bool> = (rest.dtypes.iter().zip(&global).zip(&placed))
+                .map(|((&have, &want), placed)| {
+                    needs_text_repair(have, want)
+                        || (have, want) == (DataType::Int64, DataType::Float64)
+                            && holds_zero(placed)
+                })
                 .collect();
             if stale.contains(&true) {
                 let fresh = reparse(rest.spec, &global)?;

@@ -4,7 +4,7 @@
 //! parses as is chosen, in the order bool → i64 → f64 → str. The lattice is
 //! a chain, so widening on later contradictions is a single step up.
 
-use crate::builder::{parse_bool, parse_f64};
+use crate::builder::{parse_bool, parse_f64, parse_i64};
 use crate::dtype::DataType;
 
 /// Whether trimmed text spells null: the built-in lexicon plus
@@ -31,7 +31,7 @@ pub fn infer_dtype(field: &str, extra_nulls: &[String]) -> Option<DataType> {
     }
     if parse_bool(t).is_some() {
         Some(DataType::Bool)
-    } else if t.parse::<i64>().is_ok() {
+    } else if parse_i64(t).is_some() {
         Some(DataType::Int64)
     } else if parse_f64(t).is_some() {
         Some(DataType::Float64)

@@ -49,7 +49,7 @@ use eda_dataframe::csv::chunk::{
 };
 use eda_dataframe::csv::CsvOptions;
 use eda_dataframe::{DataFrame, DataType, Error, HeapSize, Result};
-use eda_taskgraph::scheduler::{run, ExecOptions};
+use eda_taskgraph::scheduler::{cores, run, ExecOptions};
 use eda_taskgraph::{TaskGraph, TaskKey, TaskOutcome};
 
 use crate::source::ByteSource;
@@ -78,7 +78,7 @@ impl Default for IngestOptions {
         IngestOptions {
             csv: CsvOptions::default(),
             chunk_bytes: DEFAULT_CHUNK_BYTES,
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: cores(),
         }
     }
 }

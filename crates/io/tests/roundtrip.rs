@@ -19,7 +19,7 @@ use eda_dataframe::csv::chunk::{
     chunk_specs, parse_chunk, sample_schema, Assembly, ParsedChunk, DEFAULT_CHUNK_BYTES,
 };
 use eda_dataframe::csv::{fields, read_csv_str, records, CsvOptions, Separator};
-use eda_dataframe::{DataFrame, DataType, Result};
+use eda_dataframe::{DataFrame, DataType, Result, Value};
 use eda_io::chunked::{read_csv_chunked, read_csv_str_chunked, IngestOptions};
 use eda_io::stream::fold_csv;
 use proptest::prelude::*;
@@ -135,6 +135,13 @@ fn arb_csv() -> impl Strategy<Value = (String, usize)> {
 }
 
 fn assert_bit_identical(a: &DataFrame, b: &DataFrame, context: &str) {
+    assert_same_bytes(a, b, context);
+    assert_eq!(a, b, "{context}: logical equality");
+}
+
+/// Names, dtypes and every column's bytes: equal frames, NaN cells
+/// included (which logical equality never calls equal).
+fn assert_same_bytes(a: &DataFrame, b: &DataFrame, context: &str) {
     assert_eq!(a.names(), b.names(), "{context}: names");
     assert_eq!(a.nrows(), b.nrows(), "{context}: nrows");
     for name in a.names() {
@@ -146,7 +153,6 @@ fn assert_bit_identical(a: &DataFrame, b: &DataFrame, context: &str) {
             "{context}: bytes of {name}"
         );
     }
-    assert_eq!(a, b, "{context}: logical equality");
     assert_eq!(a.content_fingerprint(), b.content_fingerprint(), "{context}: frame bytes");
 }
 
@@ -398,5 +404,147 @@ fn exact_multiple_and_unterminated_files() {
             assert_eq!((streamed.chunks, streamed.rows), (want_chunks, 11), "{name}");
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Spellings a numeric column reads number first (`push_number` before
+/// the null check, when there are no extra null spellings) and must read
+/// exactly as the null check first would: the NaN spellings, of which
+/// only `nan` and `NaN` are null; infinities; padding, signs and leading
+/// zeros; an exponent past `f64::MAX`; integers of 18 digits (the exact
+/// fast path), 19 (std's, at and past the `i64` range) and 20; the numbers
+/// the extra null lexicon below claims; and what is no number at all.
+const SPELLINGS: [&str; 28] = [
+    "nan",
+    "NaN",
+    "NAN",
+    "-nan",
+    "inf",
+    "-infinity",
+    " 7 ",
+    "+5",
+    "-0",
+    "007",
+    "1e400",
+    "123456789012345678",
+    "-999999999999999999",
+    "1234567890123456789",
+    "9223372036854775807",
+    "-9223372036854775808",
+    "9223372036854775808",
+    "12345678901234567890",
+    "-999",
+    "0",
+    "1e3",
+    "2.5",
+    "",
+    "NA",
+    "null",
+    "+",
+    "-",
+    "1_000",
+];
+
+/// The built-in null lexicon, spelled out here rather than read from the
+/// reader: what a field may be when its cell is null.
+const NULL_SPELLINGS: [&str; 9] = ["", "NA", "N/A", "na", "null", "NULL", "None", "nan", "NaN"];
+
+/// Numeric extra nulls: each parses as a number, so with them the reader
+/// must check for nulls first.
+fn numeric_extra_nulls() -> Vec<String> {
+    ["-999", "0", "1e3"].map(String::from).to_vec()
+}
+
+/// A CSV of columns `i` and `f`, hinted `Int64` and `Float64` by their
+/// first `lead` rows (the sample), then rows of drawn spellings, some
+/// quoted (the quoting tokenizer) and one row possibly short of a field.
+fn arb_spelled_csv() -> impl Strategy<Value = (String, usize, Vec<(String, String)>)> {
+    let spelling = || (prop::sample::select(SPELLINGS.to_vec()), any::<bool>());
+    (1usize..4, prop::collection::vec((spelling(), spelling()), 0..40), 0usize..60).prop_map(
+        |(lead, rows, short_at)| {
+            let mut text = String::from("i,f\n");
+            for k in 0..lead {
+                text.push_str(&format!("{k},{k}.5\n"));
+            }
+            let quote = |(s, quoted): &(&str, bool)| {
+                if *quoted {
+                    format!("\"{s}\"")
+                } else {
+                    s.to_string()
+                }
+            };
+            for (r, (i, f)) in rows.iter().enumerate() {
+                if r == short_at {
+                    text.push_str(&format!("{}\n", quote(i)));
+                } else {
+                    text.push_str(&format!("{},{}\n", quote(i), quote(f)));
+                }
+            }
+            let spelled = rows.iter().map(|(i, f)| (i.0.to_string(), f.0.to_string())).collect();
+            (text, lead, spelled)
+        },
+    )
+}
+
+/// Every cell of a numeric column against std's own parse of its trimmed
+/// spelling: a null only where the spelling is null, and otherwise the
+/// value std reads, to the bit.
+fn check_against_std(df: &DataFrame, name: &str, lead: usize, spelled: &[&str], nulls: &[String]) {
+    for (r, spelling) in spelled.iter().enumerate() {
+        let t = spelling.trim();
+        let null = NULL_SPELLINGS.contains(&t) || nulls.iter().any(|n| n == t);
+        let context = format!("{name}, row {r}: {spelling:?}");
+        match df.get(lead + r, name).unwrap() {
+            Value::Null => assert!(null, "{context} read as null"),
+            Value::Int(v) => {
+                assert!(!null, "{context} not null");
+                assert_eq!(Ok(v), t.parse::<i64>(), "{context}");
+            }
+            Value::Float(v) => {
+                assert!(!null, "{context} not null");
+                assert_eq!(Some(v.to_bits()), t.parse::<f64>().ok().map(f64::to_bits), "{context}");
+            }
+            Value::Str(_) | Value::Bool(_) => return,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The numbers-first parse reads every spelling as the oracle (null
+    /// check first, then parse) does, frame and error, inline and chunked
+    /// at any chunk size, with and without numeric extra nulls — and every
+    /// numeric cell is what std reads from its text.
+    #[test]
+    fn number_spellings_read_as_the_oracle_reads_them(
+        (csv, lead, spelled) in arb_spelled_csv(),
+        chunk_bytes in 1usize..64,
+        workers in prop::sample::select(vec![1usize, 2]),
+    ) {
+        for extra_nulls in [Vec::new(), numeric_extra_nulls()] {
+            let csv_opts = CsvOptions { infer_rows: lead, extra_nulls: extra_nulls.clone(), ..CsvOptions::default() };
+            let want = oracle::read_csv_str(&csv, &csv_opts);
+            let opts = |chunk_bytes| IngestOptions { csv: csv_opts.clone(), ..opts(chunk_bytes, workers) };
+            let readers = [
+                ("read_csv_str".to_string(), read_csv_str(&csv, &csv_opts)),
+                ("1-chunk".to_string(), read_csv_str_chunked(&csv, &opts(DEFAULT_CHUNK_BYTES))),
+                (format!("chunk_bytes={chunk_bytes}"), read_csv_str_chunked(&csv, &opts(chunk_bytes))),
+                ("chunk_bytes=1".to_string(), read_csv_str_chunked(&csv, &opts(1))),
+            ];
+            for (reader, got) in readers {
+                let context = format!("{reader}, extra nulls {extra_nulls:?}");
+                match (&want, got) {
+                    (Ok(want), Ok(got)) => assert_same_bytes(want, &got, &context),
+                    (Err(want), Err(got)) => prop_assert_eq!(want, &got, "{}", context),
+                    (want, got) => prop_assert!(false, "{}: {:?} vs {:?}", context, want.is_ok(), got.is_ok()),
+                }
+            }
+            if let Ok(df) = &want {
+                let (i, f): (Vec<&str>, Vec<&str>) = spelled.iter().map(|(i, f)| (i.as_str(), f.as_str())).unzip();
+                check_against_std(df, "i", lead, &i, &extra_nulls);
+                check_against_std(df, "f", lead, &f, &extra_nulls);
+            }
+        }
     }
 }

@@ -70,7 +70,8 @@ impl TextStats {
     /// *distinct* string that occurs is measured and tokenised once, its
     /// words are interned and its words and blank flag weighted by its
     /// count; the per-row lengths still go through the sketch one by one,
-    /// in row order, so `lengths` is the per-row sketch to the bit.
+    /// in row order ([`Moments::extend`]), so `lengths` is the per-row
+    /// sketch to the bit.
     pub fn from_codes<'a>(codes: &[u32], ncodes: usize, label: impl Fn(u32) -> &'a str) -> TextStats {
         let mut counts = CodeCounts::new(ncodes);
         codes.iter().for_each(|&code| counts.push(code));
@@ -90,9 +91,7 @@ impl TextStats {
             t.count += n;
         }
         t.words = CatFreq::interned(dict, words);
-        for len in codes.iter().filter_map(|&code| lengths.get(code as usize)) {
-            t.lengths.push(*len);
-        }
+        t.lengths.extend(codes.iter().filter_map(|&code| lengths.get(code as usize).copied()));
         t
     }
 
@@ -155,11 +154,11 @@ mod tests {
     }
 
     /// The per-row statistics of `values`: words from the oracle's owned
-    /// tokens, lengths pushed row by row.
+    /// tokens, lengths handed over row by row.
     fn per_row(values: &[Option<&str>]) -> (Counts, Moments, u64, u64) {
         let mut lengths = Moments::new();
         let valid = || values.iter().flatten();
-        valid().for_each(|v| lengths.push(v.chars().count() as f64));
+        lengths.extend(valid().map(|v| v.chars().count() as f64));
         let blank = valid().filter(|v| v.trim().is_empty()).count() as u64;
         (word_counts(values.iter().copied()), lengths, blank, valid().count() as u64)
     }

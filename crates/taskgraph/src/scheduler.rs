@@ -31,7 +31,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
@@ -88,6 +88,15 @@ impl ExecResult {
         // TaskOutcome::unwrap: the documented panic.
         self.outcomes.iter().map(|o| o.clone().unwrap()).collect()
     }
+}
+
+/// The host's core count, `1` when it cannot be read: the `cores` default
+/// of `engine.workers` and of every other worker count. Read once per
+/// process; `available_parallelism` consults the cgroup CPU quota on
+/// every call, tens of microseconds on Linux.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// How long a run with `workers > 1` stays on the calling thread before
