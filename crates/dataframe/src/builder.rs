@@ -95,11 +95,12 @@ impl ColumnBuilder {
     }
 
     /// Append `field` when it spells a number of this builder's type as
-    /// it stands — untrimmed, and not NaN. `false`, with nothing
-    /// appended, for anything else: every null spelling of the built-in
-    /// lexicon, whose only numbers are `nan` and `NaN`, lands there, so a
-    /// caller may try this before its null check when it has no extra
-    /// null spellings.
+    /// it stands — untrimmed, not NaN, and not an integer `-0` (whose
+    /// sign only a float keeps, so the caller's slower path notes it).
+    /// `false`, with nothing appended, for anything else: every null
+    /// spelling of the built-in lexicon, whose only numbers are `nan` and
+    /// `NaN`, lands there, so a caller may try this before its null check
+    /// when it has no extra null spellings.
     pub(crate) fn push_number(&mut self, field: &str) -> bool {
         match self {
             ColumnBuilder::F64(b) => match field.parse::<f64>() {
@@ -110,11 +111,11 @@ impl ColumnBuilder {
                 _ => false,
             },
             ColumnBuilder::I64(b) => match parse_i64(field) {
-                Some(v) => {
+                Some(v) if v != 0 || !field.starts_with('-') => {
                     b.push(v);
                     true
                 }
-                None => false,
+                _ => false,
             },
             ColumnBuilder::Str(_) | ColumnBuilder::Bool(_) => false,
         }

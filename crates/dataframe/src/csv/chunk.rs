@@ -39,8 +39,8 @@
 //!    in chunk order; an `Int64` column some chunk widened to `Float64`
 //!    is cast where it lies — the one lossless numeric promotion,
 //!    bit-identical to re-parsing the text (both round half-to-even) but
-//!    for a zero, whose chunk is re-read since `-0` parses as the float
-//!    -0.0 — and the widened chunks' rows are laid over it; every other
+//!    for `-0`, the integer 0 and the float -0.0, whose chunk is re-read
+//!    — and the widened chunks' rows are laid over it; every other
 //!    promotion targets `Str` and must re-read the chunk's text to recover
 //!    the exact raw field spellings ("widening repair") — rare, and
 //!    bounded to the affected chunks.
@@ -230,6 +230,10 @@ pub struct ParsedChunk {
     pub columns: Vec<Column>,
     /// Data rows in this chunk.
     pub nrows: usize,
+    /// Per schema slot, whether an `Int64` column read a zero spelled
+    /// with a minus sign (`-0`): the integer 0 but the float -0.0, so the
+    /// column is re-read, not cast, if it widens to `Float64`.
+    pub negative_zeros: Vec<bool>,
 }
 
 impl ParsedChunk {
@@ -237,7 +241,7 @@ impl ParsedChunk {
     /// `hint`: every column but those that parsed at their hinted
     /// `Int64`, `Float64` or `Bool` type, which it wrote in place.
     pub fn into_rest(self, hint: &[DataType]) -> ChunkRest {
-        let ParsedChunk { spec, dtypes, columns, nrows } = self;
+        let ParsedChunk { spec, dtypes, columns, nrows, negative_zeros } = self;
         let columns = columns
             .into_iter()
             .zip(&dtypes)
@@ -246,7 +250,7 @@ impl ParsedChunk {
                 (!hint.get(c).is_some_and(|&want| written_in_place(want, have))).then_some(col)
             })
             .collect();
-        ChunkRest { spec, dtypes, columns, nrows }
+        ChunkRest { spec, dtypes, columns, nrows, negative_zeros }
     }
 }
 
@@ -263,6 +267,8 @@ pub struct ChunkRest {
     pub columns: Vec<Option<Column>>,
     /// Data rows in this chunk.
     pub nrows: usize,
+    /// As [`ParsedChunk::negative_zeros`].
+    pub negative_zeros: Vec<bool>,
 }
 
 /// The records of one chunk as `(record number, byte offset, text)`,
@@ -281,13 +287,13 @@ fn records(text: &str, spec: ChunkSpec) -> impl Iterator<Item = (usize, u64, &st
 
 impl HeapSize for ParsedChunk {
     fn heap_bytes(&self) -> usize {
-        self.dtypes.heap_bytes() + self.columns.heap_bytes()
+        self.dtypes.heap_bytes() + self.columns.heap_bytes() + self.negative_zeros.heap_bytes()
     }
 }
 
 impl HeapSize for ChunkRest {
     fn heap_bytes(&self) -> usize {
-        self.dtypes.heap_bytes() + self.columns.heap_bytes()
+        self.dtypes.heap_bytes() + self.columns.heap_bytes() + self.negative_zeros.heap_bytes()
     }
 }
 
@@ -373,6 +379,8 @@ struct Slot {
     /// The column so far; `None` from the first field that does not parse
     /// as `dtype`, after which the pass only joins types for this column.
     builder: Option<ColumnBuilder>,
+    /// Whether the `Int64` builder took a zero spelled `-0`.
+    negative_zero: bool,
 }
 
 impl Slot {
@@ -385,13 +393,25 @@ impl Slot {
             }
             return;
         };
-        if !push_field(builder, field, extra_nulls) {
+        if extra_nulls.is_empty() && builder.push_number(field) {
+            return;
+        }
+        if !push_checked(builder, field, extra_nulls) {
             // Every earlier field parsed as the schema's type, so the join
             // from here on equals the join over the whole column.
             self.dtype = widen(self.dtype, infer_dtype(field, extra_nulls).unwrap_or(DataType::Str));
             self.builder = None;
+        } else if self.dtype == DataType::Int64 {
+            // `push_number` refuses a `-0`, so only here can one land.
+            self.negative_zero |= spells_negative_zero(field);
         }
     }
+}
+
+/// Whether an integer field is a zero with a minus sign (`-0`, ` -00`).
+fn spells_negative_zero(field: &str) -> bool {
+    let digits = field.trim().strip_prefix('-');
+    digits.is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b == b'0'))
 }
 
 /// Append `field` to `builder` as a null or as a value of its type;
@@ -400,9 +420,13 @@ impl Slot {
 /// `NaN`, which `push_number` refuses, so the common field skips the trim
 /// and the null lexicon.
 fn push_field(builder: &mut ColumnBuilder, field: &str, extra_nulls: &[String]) -> bool {
-    if extra_nulls.is_empty() && builder.push_number(field) {
-        return true;
-    }
+    extra_nulls.is_empty() && builder.push_number(field)
+        || push_checked(builder, field, extra_nulls)
+}
+
+/// [`push_field`] without the number first: the null check, then the
+/// trimmed parse.
+fn push_checked(builder: &mut ColumnBuilder, field: &str, extra_nulls: &[String]) -> bool {
     if is_null_field(field, extra_nulls) {
         builder.push_null();
         return true;
@@ -438,7 +462,7 @@ pub fn parse_chunk(
     let mut slots: Vec<Slot> = (0..ncols)
         .map(|c| {
             let dtype = schema.get(c).copied().unwrap_or(DataType::Str);
-            Slot { dtype, builder: Some(ColumnBuilder::for_dtype(dtype)) }
+            Slot { dtype, builder: Some(ColumnBuilder::for_dtype(dtype)), negative_zero: false }
         })
         .collect();
     let mut nrows = 0;
@@ -481,13 +505,14 @@ pub fn parse_chunk(
     }
 
     let dtypes = slots.iter().map(|slot| slot.dtype).collect();
+    let negative_zeros = slots.iter().map(|slot| slot.negative_zero).collect();
     let columns = slots
         .into_iter()
         .zip(rebuilt)
         .filter_map(|(slot, rebuilt)| slot.builder.or(rebuilt))
         .map(ColumnBuilder::finish)
         .collect();
-    Ok(ParsedChunk { spec, dtypes, columns, nrows })
+    Ok(ParsedChunk { spec, dtypes, columns, nrows, negative_zeros })
 }
 
 /// Join of per-chunk schemas: the widened global schema. Because
@@ -510,10 +535,10 @@ pub fn global_schema<'a>(
 
 /// Whether a chunk column at `have` can fold into global dtype `want`
 /// without re-reading the chunk's text. i64 → f64 is the one lossless
-/// in-memory promotion — but for a zero, which [`Assembly::finish`]
-/// re-reads, since `-0` parses as the integer 0 and the float -0.0;
-/// promotions into `Str` lost the raw spelling (`" 7"`, `"True"`,
-/// `"1.50"`) at parse time.
+/// in-memory promotion — but for `-0`, the integer 0 and the float
+/// -0.0, which [`Assembly::finish`] re-reads
+/// ([`ParsedChunk::negative_zeros`]); promotions into `Str` lost the raw
+/// spelling (`" 7"`, `"True"`, `"1.50"`) at parse time.
 pub fn needs_text_repair(have: DataType, want: DataType) -> bool {
     have != want && !(have == DataType::Int64 && want == DataType::Float64)
 }
@@ -720,23 +745,16 @@ impl Assembly {
             )));
         }
         let global = global_schema(&hint, rests.iter().map(|rest| &rest.dtypes));
-        for (rest, rows) in rests.iter_mut().zip(starts.iter().zip(starts.iter().skip(1))) {
+        for rest in &mut rests {
             // Widening repair: this chunk parsed a column as a narrower
             // type before some other chunk forced Str, or as integers
-            // with a zero among them (spelled `-0`, it reads -0.0 as a
-            // float) before some other chunk forced Float64; the exact
-            // raw spellings only exist in the source text.
-            let holds_zero = |placed: &Option<Placed>| match placed {
-                Some(Placed { values: Values::I64(ints), .. }) => {
-                    ints.get(*rows.0..*rows.1).is_some_and(|ints| ints.contains(&0))
-                }
-                _ => false,
-            };
-            let stale: Vec<bool> = (rest.dtypes.iter().zip(&global).zip(&placed))
-                .map(|((&have, &want), placed)| {
+            // with a `-0` among them (-0.0 as a float) before some other
+            // chunk forced Float64; the exact raw spellings only exist in
+            // the source text.
+            let stale: Vec<bool> = (rest.dtypes.iter().zip(&global).zip(&rest.negative_zeros))
+                .map(|((&have, &want), &negative_zero)| {
                     needs_text_repair(have, want)
-                        || (have, want) == (DataType::Int64, DataType::Float64)
-                            && holds_zero(placed)
+                        || negative_zero && (have, want) == (DataType::Int64, DataType::Float64)
                 })
                 .collect();
             if stale.contains(&true) {

@@ -323,6 +323,8 @@ fn streamed_chunks_fold_to_the_ingested_frame() {
             dtypes: columns.iter().map(|c| c.dtype()).collect(),
             columns,
             nrows: frame.nrows(),
+            // No field of this input spells `-0`.
+            negative_zeros: vec![false; names.len()],
         };
         assembly.write(rests.len(), &parsed)?;
         rests.push(parsed.into_rest(&hint));
@@ -404,6 +406,24 @@ fn exact_multiple_and_unterminated_files() {
             assert_eq!((streamed.chunks, streamed.rows), (want_chunks, 11), "{name}");
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A chunk that read `-0` as the integer 0 is re-read, not cast, when
+/// another chunk widens the column to `Float64`: the text reads -0.0, as
+/// one chunk over the whole text does.
+#[test]
+fn a_widened_negative_zero_keeps_its_sign() {
+    let csv = "n\n1\n-0\n2.5\n";
+    let csv_opts = CsvOptions { infer_rows: 1, ..CsvOptions::default() };
+    let want = oracle::read_csv_str(csv, &csv_opts).unwrap();
+    for chunk_bytes in [1, 5, DEFAULT_CHUNK_BYTES] {
+        let opts = IngestOptions { csv: csv_opts.clone(), ..opts(chunk_bytes, 1) };
+        let got = read_csv_str_chunked(csv, &opts).unwrap();
+        assert_bit_identical(&want, &got, &format!("chunk_bytes={chunk_bytes}"));
+        let n: Vec<u64> =
+            got.column("n").unwrap().f64_values().unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(n, [1.0, -0.0, 2.5].map(f64::to_bits));
     }
 }
 
