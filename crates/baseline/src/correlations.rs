@@ -2,7 +2,7 @@
 //! own pass over every pair (PP computes them independently).
 
 use eda_dataframe::DataFrame;
-use eda_stats::corr::{spearman_from_ranks, upper_triangle, CorrMatrix, CorrMethod};
+use eda_stats::corr::{pearson, upper_triangle, CorrMatrix, CorrMethod};
 use eda_stats::rank::ranks;
 
 /// The three matrices Pandas-profiling shows (PhiK/Cramér's V disabled,
@@ -41,9 +41,9 @@ fn one_matrix(df: &DataFrame, method: CorrMethod) -> CorrMatrix {
 /// preparation shared between cells or methods.
 ///
 /// Columns are full-length with NaN marking nulls and each pair uses
-/// its pairwise-complete rows. Spearman is rank-once
-/// (`spearman_from_ranks`): every column is ranked a single time, over
-/// its own non-null rows.
+/// its pairwise-complete rows. Spearman is rank-once: every column is
+/// ranked a single time, over its own non-null rows, and a cell is
+/// [`pearson`] of two rank vectors.
 pub fn matrix(columns: &[(String, Vec<f64>)], method: CorrMethod) -> CorrMatrix {
     let spearman = method == CorrMethod::Spearman;
     let ranked: Vec<Vec<f64>> =
@@ -54,7 +54,7 @@ pub fn matrix(columns: &[(String, Vec<f64>)], method: CorrMethod) -> CorrMatrix 
         columns.iter().map(|(_, v)| v.as_slice()).collect()
     };
     let cell = |(i, j): (usize, usize)| match method {
-        CorrMethod::Spearman => spearman_from_ranks(inputs[i], inputs[j]),
+        CorrMethod::Spearman => pearson(inputs[i], inputs[j]),
         _ => method.compute(inputs[i], inputs[j]),
     };
     let labels = columns.iter().map(|(n, _)| n.clone()).collect();
@@ -65,7 +65,6 @@ pub fn matrix(columns: &[(String, Vec<f64>)], method: CorrMethod) -> CorrMatrix 
 mod tests {
     use super::*;
     use eda_dataframe::Column;
-    use eda_stats::corr::spearman;
     use proptest::prelude::*;
 
     fn column(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -82,11 +81,11 @@ mod tests {
         #[test]
         fn spearman_matrix_rank_once_equals_per_pair(cols in prop::collection::vec(column(3), 2..5)) {
             // Equal-length NaN-free columns: ranking each column once must
-            // agree with re-ranking every pair from scratch.
+            // agree with ranking both columns again for every pair.
             let named = named(&cols);
             let m = matrix(&named, CorrMethod::Spearman);
             for (i, j) in upper_triangle(named.len()) {
-                match (m.get(i, j), spearman(&named[i].1, &named[j].1)) {
+                match (m.get(i, j), CorrMethod::Spearman.compute(&named[i].1, &named[j].1)) {
                     (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
                     (a, b) => prop_assert_eq!(a, b),
                 }
@@ -108,7 +107,7 @@ mod tests {
             let named = named(&cols);
             let m = matrix(&named, CorrMethod::Spearman);
             for (i, j) in upper_triangle(named.len()) {
-                let rank_once = spearman_from_ranks(&ranks(&named[i].1), &ranks(&named[j].1));
+                let rank_once = CorrMethod::Spearman.compute(&named[i].1, &named[j].1);
                 match (m.get(i, j), rank_once) {
                     (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-12, "{a} vs {b}"),
                     (a, b) => prop_assert_eq!(a, b),

@@ -127,39 +127,21 @@ fn stride_sample(df: &DataFrame, target: usize) -> Option<(DataFrame, Insight)> 
     Some((sampled, note))
 }
 
-/// What the sampler needs of a call's result: an [`Analysis`] is one
-/// section, a [`Report`] several.
-trait Sections {
-    /// Put a sampling notice first among the insights.
-    fn note(&mut self, note: Insight);
-}
-
-impl Sections for Analysis {
-    fn note(&mut self, note: Insight) {
-        self.insights.insert(0, note);
-    }
-}
-
-impl Sections for Report {
-    fn note(&mut self, note: Insight) {
-        self.insights.insert(0, note);
-    }
-}
-
 /// Every public call's path around its compute step `run`: when
 /// `engine.sample_rows` is set and the frame is larger, analyze the
-/// sample and put its notice first; otherwise analyze the frame. Either
-/// way `run` runs once.
-fn sampled<T: Sections>(
+/// sample and put its notice first among the result's `insights`;
+/// otherwise analyze the frame. Either way `run` runs once.
+fn sampled<T>(
     df: &DataFrame,
     config: &Config,
+    insights: impl FnOnce(&mut T) -> &mut Vec<Insight>,
     run: impl FnOnce(&DataFrame) -> EdaResult<T>,
 ) -> EdaResult<T> {
     let Some((sample, note)) = stride_sample(df, config.engine.sample_rows) else {
         return run(df);
     };
     let mut out = run(&sample)?;
-    out.note(note);
+    insights(&mut out).insert(0, note);
     Ok(out)
 }
 
@@ -178,7 +160,7 @@ fn analyze(
     config: &Config,
     compute: impl FnOnce(&mut ComputeContext<'_>) -> EdaResult<Computed>,
 ) -> EdaResult<Analysis> {
-    sampled(df, config, |df| {
+    let run = |df: &DataFrame| {
         let mut ctx = ComputeContext::new(df, config);
         let (task, node) = compute(&mut ctx)?;
         let (intermediates, insights, status) = match node.and_then(|n| ctx.run_section(n)) {
@@ -189,7 +171,8 @@ fn analyze(
             Err(e) => return Err(e),
         };
         Ok(Analysis { task, intermediates, insights, stats: ctx.last_stats, status })
-    })
+    };
+    sampled(df, config, |a: &mut Analysis| &mut a.insights, run)
 }
 
 fn check_columns(function: &'static str, columns: &[&str], max: usize) -> EdaResult<()> {
@@ -291,7 +274,7 @@ pub fn plot_timeseries(
 ///
 /// Sampled like the `plot*` calls.
 pub fn create_report(df: &DataFrame, config: &Config) -> EdaResult<Report> {
-    sampled(df, config, |df| Report::create(df, config))
+    sampled(df, config, |r: &mut Report| &mut r.insights, |df| Report::create(df, config))
 }
 
 #[cfg(test)]

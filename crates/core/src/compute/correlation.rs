@@ -307,7 +307,7 @@ mod tests {
         let labels: Vec<String> = names.to_vec();
         let ranked: Vec<Vec<f64>> = columns.iter().map(|(_, v)| eda_stats::rank::ranks(v)).collect();
         let cell = |m: CorrMethod, (i, j): (usize, usize)| match m {
-            CorrMethod::Spearman => eda_stats::corr::spearman_from_ranks(&ranked[i], &ranked[j]),
+            CorrMethod::Spearman => eda_stats::corr::pearson(&ranked[i], &ranked[j]),
             _ => m.compute(&columns[i].1, &columns[j].1),
         };
         let pairs = upper_triangle(columns.len());
@@ -480,15 +480,16 @@ mod tests {
 
     #[test]
     fn rank_once_spearman_exact_without_nulls() {
-        // On NaN-free columns the pandas and SciPy semantics coincide.
+        // On NaN-free columns the matrix cell (a centered dot product over
+        // the prep's ranks) is the loose pair's rank-once Spearman.
         let df = frame();
         let names = vec!["a".to_string(), "b".to_string()];
         let spearman = &matrices(&df, &names, None)[1];
         assert_eq!(spearman.method, CorrMethod::Spearman);
         let (a, b) = (df.column("a").unwrap(), df.column("b").unwrap());
-        let per_pair =
-            eda_stats::corr::spearman(&a.to_f64_nan().unwrap(), &b.to_f64_nan().unwrap());
-        assert!((spearman.get(0, 1).unwrap() - per_pair.unwrap()).abs() < 1e-12);
+        let pair =
+            CorrMethod::Spearman.compute(&a.to_f64_nan().unwrap(), &b.to_f64_nan().unwrap());
+        assert!((spearman.get(0, 1).unwrap() - pair.unwrap()).abs() < 1e-12);
     }
 
     #[test]

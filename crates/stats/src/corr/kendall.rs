@@ -9,59 +9,16 @@
 //! with `n0 = n(n-1)/2`, `n1`/`n2` tie pair counts in x/y, `n3` joint-tie
 //! pairs, `D` discordant pairs — the same formulation SciPy uses.
 //!
-//! Two entry points build that sequence and share everything after it:
-//! [`kendall_tau`] for one pair of raw columns (it sorts the pair's
-//! complete rows), and `kendall_cell` for two columns prepared by
-//! [`super::ColumnPrep`], which needs no comparison sort — the sequence is
-//! read out of the two columns' own sort orders, skipping rows where
-//! either is NaN. Both hand a sequence of dense `u32` tie-group indices to
-//! the one inversion counter, a counting tree that neither sorts nor
-//! branches on the data, so on the same rows they agree bit for bit.
+//! One entry point builds that sequence, `kendall_cell`, for two columns
+//! prepared by [`super::ColumnPrep`]: a matrix cell, a vector entry and a
+//! loose pair ([`super::CorrMethod::compute`]) all run it. It needs no
+//! comparison sort — the sequence is read out of the two columns' own sort
+//! orders, skipping rows where either is NaN — and hands a sequence of
+//! dense `u32` tie-group indices to the inversion counter, a counting tree
+//! that neither sorts nor branches on the data.
 
-use super::complete_pairs;
-use super::prep::{order_key, Sorted, NAN_GROUP};
+use super::prep::{Sorted, NAN_GROUP};
 use crate::interrupt::{interrupted, CHECK_INTERVAL};
-
-/// Kendall's tau-b over pairwise-complete observations.
-///
-/// Returns `None` when fewer than 2 complete pairs remain or either side is
-/// entirely tied (and for more than `u32::MAX` rows, which the counter's
-/// `u32` counts cannot hold).
-pub fn kendall_tau(x: &[f64], y: &[f64]) -> Option<f64> {
-    let (xs, ys) = complete_pairs(x, y);
-    let n = xs.len();
-    if n < 2 || u32::try_from(n).is_err() {
-        return None;
-    }
-    // Knight's order: the rows as integer keys, sorted by (x, y).
-    let mut rows: Vec<(i64, i64)> =
-        xs.iter().zip(&ys).map(|(&a, &b)| (order_key(a), order_key(b))).collect();
-    rows.sort_unstable();
-    let n1 = tie_pairs(rows.chunk_by(|a, b| a.0 == b.0));
-    let n3 = tie_pairs(rows.chunk_by(|a, b| a == b));
-    if interrupted() {
-        return None;
-    }
-    // Dense-rank y: its keys sorted with their position in Knight's order.
-    let mut by_y: Vec<(i64, u32)> = rows.iter().zip(0u32..).map(|(row, at)| (row.1, at)).collect();
-    by_y.sort_unstable();
-    if interrupted() {
-        return None;
-    }
-    let mut seq = vec![0u32; n];
-    let mut groups = 0u32;
-    // No poll: one linear pass over the sorted rows; the sorts above cannot poll
-    for group in by_y.chunk_by(|a, b| a.0 == b.0) {
-        for &(_, at) in group {
-            if let Some(slot) = seq.get_mut(at as usize) {
-                *slot = groups;
-            }
-        }
-        groups += 1;
-    }
-    let (discordant, n2) = count_inversions(&seq, groups as usize, &mut Vec::new())?;
-    tau_b(n as u64, n1, n2, n3, discordant)
-}
 
 /// `k choose 2`.
 pub(super) fn pairs(k: u64) -> u64 {
@@ -174,8 +131,8 @@ pub struct KendallScratch {
 }
 
 /// Kendall's tau-b of two prepared columns over the rows where neither is
-/// NaN. Equal to [`kendall_tau`] on the same data bit for bit (the integer
-/// counts are the same), without a comparison sort per pair: Knight's
+/// NaN (`None` when fewer than 2 remain or either side is entirely tied),
+/// without a comparison sort per pair: Knight's
 /// sequence — y ordered by `(x, y)` — is y's tie group of each kept row,
 /// visited in x's order when x has no ties, and otherwise scattered in
 /// *y's* order into one cursor per x tie group (stable, so every group
@@ -260,23 +217,29 @@ pub(super) fn kendall_cell(x: &Sorted, y: &Sorted, scratch: &mut KendallScratch)
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::corr::CorrMethod;
     use crate::oracle::{
         inversions_fenwick, inversions_quadratic, kendall_tau_fenwick, kendall_tau_quadratic,
     };
-    use super::*;
+
+    /// A loose pair, as `CorrMethod::compute` takes it.
+    fn tau(x: &[f64], y: &[f64]) -> Option<f64> {
+        CorrMethod::KendallTau.compute(x, y)
+    }
 
     #[test]
     fn perfect_agreement() {
         let x = [1.0, 2.0, 3.0, 4.0, 5.0];
         let y = [10.0, 20.0, 30.0, 40.0, 50.0];
-        assert!((kendall_tau(&x, &y).unwrap() - 1.0).abs() < 1e-12);
+        assert!((tau(&x, &y).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn perfect_disagreement() {
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = [4.0, 3.0, 2.0, 1.0];
-        assert!((kendall_tau(&x, &y).unwrap() + 1.0).abs() < 1e-12);
+        assert!((tau(&x, &y).unwrap() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -284,7 +247,7 @@ mod tests {
         // scipy.stats.kendalltau([1,2,3,4,5], [2,1,4,3,5]).statistic == 0.6
         let x = [1.0, 2.0, 3.0, 4.0, 5.0];
         let y = [2.0, 1.0, 4.0, 3.0, 5.0];
-        assert!((kendall_tau(&x, &y).unwrap() - 0.6).abs() < 1e-12);
+        assert!((tau(&x, &y).unwrap() - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -292,22 +255,22 @@ mod tests {
         // scipy.stats.kendalltau([1,2,2,3], [1,2,3,4]) ≈ 0.9128709291752769
         let x = [1.0, 2.0, 2.0, 3.0];
         let y = [1.0, 2.0, 3.0, 4.0];
-        let tau = kendall_tau(&x, &y).unwrap();
+        let tau = tau(&x, &y).unwrap();
         assert!((tau - 0.912_870_929_175_276_9).abs() < 1e-12, "tau = {tau}");
     }
 
     #[test]
     fn degenerate_cases() {
-        assert_eq!(kendall_tau(&[], &[]), None);
-        assert_eq!(kendall_tau(&[1.0], &[1.0]), None);
-        assert_eq!(kendall_tau(&[2.0, 2.0], &[1.0, 3.0]), None);
+        assert_eq!(tau(&[], &[]), None);
+        assert_eq!(tau(&[1.0], &[1.0]), None);
+        assert_eq!(tau(&[2.0, 2.0], &[1.0, 3.0]), None);
     }
 
     #[test]
     fn nan_pairs_dropped() {
         let x = [1.0, f64::NAN, 2.0, 3.0];
         let y = [1.0, 99.0, 2.0, 3.0];
-        assert!((kendall_tau(&x, &y).unwrap() - 1.0).abs() < 1e-12);
+        assert!((tau(&x, &y).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -315,7 +278,7 @@ mod tests {
         // Deterministic pseudo-random data with plenty of ties.
         let x: Vec<f64> = (0..300).map(|i| ((i * 37 + 11) % 23) as f64).collect();
         let y: Vec<f64> = (0..300).map(|i| ((i * 53 + 7) % 19) as f64).collect();
-        let fast = kendall_tau(&x, &y).unwrap();
+        let fast = tau(&x, &y).unwrap();
         let naive = kendall_tau_quadratic(&x, &y).unwrap();
         assert!((fast - naive).abs() < 1e-12, "{fast} vs {naive}");
     }
@@ -324,7 +287,7 @@ mod tests {
     fn fast_matches_naive_continuous() {
         let x: Vec<f64> = (0..200).map(|i| ((i * 97 + 13) % 541) as f64 / 7.0).collect();
         let y: Vec<f64> = (0..200).map(|i| ((i * 31 + 29) % 769) as f64 / 11.0).collect();
-        let fast = kendall_tau(&x, &y).unwrap();
+        let fast = tau(&x, &y).unwrap();
         let naive = kendall_tau_quadratic(&x, &y).unwrap();
         assert!((fast - naive).abs() < 1e-12);
     }
@@ -333,8 +296,8 @@ mod tests {
     fn symmetry() {
         let x = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0];
         let y = [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0];
-        let a = kendall_tau(&x, &y).unwrap();
-        let b = kendall_tau(&y, &x).unwrap();
+        let a = tau(&x, &y).unwrap();
+        let b = tau(&y, &x).unwrap();
         assert!((a - b).abs() < 1e-12);
     }
 
@@ -351,7 +314,8 @@ mod tests {
         let x: Vec<f64> = (0..300).map(|i| ((i * 37 + 11) % 23) as f64).collect();
         let y: Vec<f64> = (0..300).map(|i| ((i * 53 + 7) % 19) as f64).collect();
         let fast = cell(&x, &y).unwrap();
-        assert_eq!(fast, kendall_tau(&x, &y).unwrap());
+        // The oracle sums the same integer pair counts: the same bits.
+        assert_eq!(fast, kendall_tau_fenwick(&x, &y).unwrap());
         // Either column's sort order can drive the cell.
         assert_eq!(fast, cell(&y, &x).unwrap());
     }
@@ -360,7 +324,7 @@ mod tests {
     fn prepped_matches_plain_continuous() {
         let x: Vec<f64> = (0..200).map(|i| ((i * 97 + 13) % 541) as f64 / 7.0).collect();
         let y: Vec<f64> = (0..200).map(|i| ((i * 31 + 29) % 769) as f64 / 11.0).collect();
-        assert_eq!(cell(&x, &y), kendall_tau(&x, &y));
+        assert_eq!(cell(&x, &y), kendall_tau_fenwick(&x, &y));
     }
 
     #[test]
@@ -419,8 +383,9 @@ mod tests {
                 for (yname, y) in &columns {
                     let what = format!("n={n} {xname} ~ {yname}");
                     let got = cell(x, y);
-                    assert_eq!(got, kendall_tau(x, y), "{what}");
+                    assert_eq!(got, tau(x, y), "{what}");
                     assert_eq!(got, cell(y, x), "{what}: argument order");
+                    assert_eq!(got, kendall_tau_fenwick(x, y), "{what}: Fenwick oracle");
                     match (got, kendall_tau_quadratic(x, y)) {
                         (Some(g), Some(o)) => assert!((g - o).abs() < 1e-12, "{what}: {g} vs {o}"),
                         (g, o) => assert_eq!(g, o, "{what}"),

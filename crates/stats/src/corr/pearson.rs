@@ -63,24 +63,6 @@ impl PearsonPartial {
         }
     }
 
-    /// Accumulate one pair; NaN on either side is skipped.
-    #[inline]
-    pub fn push(&mut self, x: f64, y: f64) {
-        if x.is_nan() || y.is_nan() {
-            return;
-        }
-        self.n += 1;
-        let n = self.n as f64;
-        let dx = x - self.mean_x;
-        let dy = y - self.mean_y;
-        self.mean_x += dx / n;
-        self.mean_y += dy / n;
-        // Note: uses the updated mean for one side (standard co-moment trick).
-        self.m2x += dx * (x - self.mean_x);
-        self.m2y += dy * (y - self.mean_y);
-        self.cxy += dx * (y - self.mean_y);
-    }
-
     /// Merge another partial into this one.
     pub fn merge(&mut self, other: &PearsonPartial) {
         if other.n == 0 {
@@ -189,7 +171,7 @@ fn pearson_chunk(x: &[f64], y: &[f64]) -> PearsonPartial {
     let n = reduce_sum(&s.n);
     let (tdx, tdy) = (reduce_sum(&s.dx), reduce_sum(&s.dy));
     // Σd² − (Σd)²/n is ≥ 0 up to rounding; the clamp keeps a NaN (from an
-    // infinite value) as the streaming update has it.
+    // infinite value), so such a coefficient is NaN rather than `None`.
     let clamp = |m2: f64| if m2 < 0.0 { 0.0 } else { m2 };
     let (sx, sy) = shift;
     PearsonPartial {
@@ -207,6 +189,7 @@ eda_dataframe::no_heap!(PearsonPartial);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::pearson_two_pass;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
@@ -280,23 +263,20 @@ mod tests {
     fn merge_equals_single_pass() {
         let x: Vec<f64> = (0..500).map(|i| ((i * 17) % 83) as f64).collect();
         let y: Vec<f64> = (0..500).map(|i| ((i * 29) % 97) as f64 + 0.5).collect();
-        let whole = {
-            let mut p = PearsonPartial::new();
-            for (a, b) in x.iter().zip(&y) {
-                p.push(*a, *b);
-            }
-            p
-        };
+        let mut whole = PearsonPartial::new();
+        whole.push_slices(&x, &y);
+        // Chunks of 77 pairs: each ends in a partial lane block.
         let mut merged = PearsonPartial::new();
         for (cx, cy) in x.chunks(77).zip(y.chunks(77)) {
             let mut part = PearsonPartial::new();
-            for (a, b) in cx.iter().zip(cy) {
-                part.push(*a, *b);
-            }
+            part.push_slices(cx, cy);
             merged.merge(&part);
         }
         assert_eq!(merged.n, whole.n);
-        assert!((merged.finish().unwrap() - whole.finish().unwrap()).abs() < 1e-12);
+        let oracle = pearson_two_pass(&x, &y).unwrap();
+        for r in [merged.finish().unwrap(), whole.finish().unwrap()] {
+            assert!(close(r, oracle, 1e-12), "{r} vs {oracle}");
+        }
     }
 
     #[test]
@@ -308,18 +288,16 @@ mod tests {
 
     #[test]
     fn pearson_chunk_matches_scalar() {
+        // One chunk against the oracle's two scalar passes.
         let x = data(701);
         let y: Vec<f64> = x.iter().enumerate().map(|(i, v)| v * 0.5 + (i % 7) as f64).collect();
-        let mut scalar = PearsonPartial::new();
-        for (a, b) in x.iter().zip(&y) {
-            scalar.push(*a, *b);
-        }
         let vector = pearson_chunk(&x, &y);
-        assert_eq!(vector.n, scalar.n);
-        let (sf, vf) = (scalar.finish().unwrap(), vector.finish().unwrap());
-        assert!(close(sf, vf, 1e-12), "{sf} vs {vf}");
-        let ((mx, my), (wx, wy)) = (vector.means(), scalar.means());
-        assert!(close(mx, wx, 1e-12) && close(my, wy, 1e-12));
+        assert_eq!(vector.n, 701);
+        let (want, got) = (pearson_two_pass(&x, &y).unwrap(), vector.finish().unwrap());
+        assert!(close(got, want, 1e-12), "{got} vs {want}");
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let (mx, my) = vector.means();
+        assert!(close(mx, mean(&x), 1e-12) && close(my, mean(&y), 1e-12));
     }
 
     #[test]

@@ -13,15 +13,14 @@
 //! either column is NaN), and a Pearson or Spearman cell of two NaN-free
 //! columns is one dot product of two centered vectors
 //! ([`crate::vector::centered_dot`]). The NaN rule for those two: a pair
-//! touching a column with NaN goes to the per-pair kernels, which center
-//! on each pair's complete observations (Spearman on the ranks kept here)
-//! in one masked lane pass over the raw values, with no copy.
+//! touching a column with NaN goes to [`pearson`] (Spearman over the ranks
+//! kept here), which centers on the pair's complete observations in one
+//! masked lane pass over the raw values, with no copy.
 
 use eda_dataframe::HeapSize;
 
 use super::kendall::{kendall_cell, pairs, KendallScratch};
 use super::pearson::pearson;
-use super::spearman::spearman_from_ranks;
 use super::CorrMethod;
 use crate::rank::ranks;
 use crate::vector::centered_dot;
@@ -72,7 +71,7 @@ pub struct ColumnPrep {
 
 /// Map a non-NaN float to an integer with the same order, `-0.0` and
 /// `0.0` mapping to one key (they compare equal, so they tie).
-pub(super) fn order_key(v: f64) -> i64 {
+fn order_key(v: f64) -> i64 {
     let bits = (v + 0.0).to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
@@ -218,7 +217,7 @@ impl ColumnPrep {
     }
 
     /// Whether the column is NaN-free, i.e. its Pearson and Spearman cells
-    /// take the centered dot products rather than the per-pair kernels.
+    /// take the centered dot products rather than [`pearson`].
     pub fn is_complete(&self) -> bool {
         self.spread.is_some()
     }
@@ -289,9 +288,8 @@ fn cell(method: CorrMethod, a: Col<'_>, b: Col<'_>, scratch: &mut KendallScratch
             finish(n, sa.rank_m2, sb.rank_m2, c)
         }
         (CorrMethod::Pearson, None) => pearson(a.values, b.values),
-        (CorrMethod::Spearman, None) => {
-            spearman_from_ranks(&a.prep.centered_ranks, &b.prep.centered_ranks)
-        }
+        // Pearson is shift-invariant: the centered ranks serve as ranks.
+        (CorrMethod::Spearman, None) => pearson(&a.prep.centered_ranks, &b.prep.centered_ranks),
     }
 }
 
@@ -328,7 +326,7 @@ pub fn upper_triangle(m: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corr::{kendall_tau, spearman};
+    use crate::oracle::{kendall_tau_fenwick, spearman_rank_once};
 
     fn one(method: CorrMethod, x: &[f64], y: &[f64]) -> Option<f64> {
         let (px, py) = (ColumnPrep::prepare(x), ColumnPrep::prepare(y));
@@ -483,12 +481,9 @@ mod tests {
         for (seed, n, modulus) in [(1, 500, 40), (2, 1000, 1 << 20), (3, 17, 5), (4, 2, 9)] {
             let (x, y) = (lcg(seed, n, modulus), lcg(seed + 100, n, modulus));
             agree(one(CorrMethod::Pearson, &x, &y), pearson(&x, &y), "pearson");
-            agree(one(CorrMethod::Spearman, &x, &y), spearman(&x, &y), "spearman");
-            agree(
-                one(CorrMethod::Spearman, &x, &y),
-                spearman_from_ranks(&ranks(&x), &ranks(&y)),
-                "spearman from ranks",
-            );
+            let spearman = one(CorrMethod::Spearman, &x, &y);
+            agree(spearman, CorrMethod::Spearman.compute(&x, &y), "spearman");
+            agree(spearman, spearman_rank_once(&x, &y), "spearman oracle");
         }
     }
 
@@ -505,18 +500,22 @@ mod tests {
             ("signed zeros", vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0]),
             ("ramp", ramp.clone()),
         ];
-        // The streaming update, whatever shape `pearson` dispatches to:
-        // where squares overflow, only it defines the `None` rules.
-        let welford = |x: &[f64], y: &[f64]| {
-            let mut p = crate::corr::PearsonPartial::new();
-            x.iter().zip(y).for_each(|(a, b)| p.push(*a, *b));
-            p.finish()
-        };
+        // Where a side is infinite, `pearson` defines the `None` rules (a
+        // NaN moment is kept, where the oracle calls an all-inf side
+        // constant). Where squares overflow, neither shape defines the
+        // coefficient: the centered dot product reads 0 for `huge ~ ramp`
+        // where `pearson` and the oracle read NaN. Only `None`-ness, and a
+        // value both read as finite, must agree.
         for (name, x) in &cases {
             for (other, y) in &cases {
                 let what = format!("{name} ~ {other}");
-                agree(one(CorrMethod::Pearson, x, y), welford(x, y), &what);
-                agree(one(CorrMethod::Spearman, x, y), spearman(x, y), &what);
+                match (one(CorrMethod::Pearson, x, y), pearson(x, y)) {
+                    (Some(g), Some(w)) if g.is_finite() && w.is_finite() => {
+                        agree(Some(g), Some(w), &what)
+                    }
+                    (g, w) => assert_eq!(g.is_some(), w.is_some(), "{what}: {g:?} vs {w:?}"),
+                }
+                agree(one(CorrMethod::Spearman, x, y), spearman_rank_once(x, y), &what);
             }
         }
         for method in CorrMethod::ALL {
@@ -535,15 +534,13 @@ mod tests {
         y[77] = f64::NAN;
         assert_eq!(one(CorrMethod::Pearson, &x, &y), pearson(&x, &y));
         // Kendall has no fallback: the cell skips the NaN rows itself and
-        // lands on the pair kernel's bits.
-        assert_eq!(one(CorrMethod::KendallTau, &x, &y), kendall_tau(&x, &y));
-        assert_eq!(one(CorrMethod::KendallTau, &y, &x), kendall_tau(&x, &y));
+        // lands on the bits of the oracle's integer pair counts.
+        assert_eq!(one(CorrMethod::KendallTau, &x, &y), kendall_tau_fenwick(&x, &y));
+        assert_eq!(one(CorrMethod::KendallTau, &y, &x), kendall_tau_fenwick(&x, &y));
         // Rank-once: each column ranked over its own non-NaN rows.
-        agree(
-            one(CorrMethod::Spearman, &x, &y),
-            spearman_from_ranks(&ranks(&x), &ranks(&y)),
-            "rank-once spearman",
-        );
+        let spearman = one(CorrMethod::Spearman, &x, &y);
+        agree(spearman, spearman_rank_once(&x, &y), "rank-once spearman");
+        agree(spearman, CorrMethod::Spearman.compute(&x, &y), "spearman pair");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod vector;
 #[path = "../tests/oracle/mod.rs"]
 mod oracle;
 
-pub use corr::{kendall_tau, pearson, spearman, CorrMatrix, CorrMethod};
+pub use corr::{pearson, CorrMatrix, CorrMethod};
 pub use freq::{CatFreq, CodeCounts, FreqSummary};
 pub use histogram::Histogram;
 pub use kde::kde_grid;

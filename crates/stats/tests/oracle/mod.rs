@@ -1,9 +1,9 @@
 //! Independent oracles, shared by `prop_kernels.rs`, the unit tests of
 //! `eda-stats` (whose crate root includes this file by path) and the
 //! workspace's own tests. Nothing here calls into `eda_stats`.
-//! For Kendall, the O(n²) double loop is the one check both production
-//! entry points are held against, and the Fenwick tree counts inversions
-//! at sizes the double loop is too slow for. For Pearson and rank-once
+//! For Kendall, the O(n²) double loop is the check the production cell
+//! is held against, and the Fenwick tree counts inversions at sizes the
+//! double loop is too slow for. For Pearson and rank-once
 //! Spearman, a two-pass compensated co-moment — no streaming update, no
 //! lanes, no chunks; for a column's moments, the same two passes. For the
 //! KDE curve, the direct sum over every (value, grid point) pair. For
@@ -211,19 +211,22 @@ pub fn kendall_tau_quadratic(x: &[f64], y: &[f64]) -> Option<f64> {
     if n < 2 {
         return None;
     }
+    // By comparison, not subtraction: `inf - inf` is NaN, and the product
+    // of two tiny differences underflows to zero.
+    let sign = |a: f64, b: f64| i8::from(a > b) - i8::from(a < b);
     let (mut concordant, mut discordant, mut tx, mut ty) = (0i64, 0i64, 0u64, 0u64);
     for i in 0..n {
         for j in i + 1..n {
-            let dx = xs[i] - xs[j];
-            let dy = ys[i] - ys[j];
-            if dx == 0.0 && dy == 0.0 {
+            let dx = sign(xs[i], xs[j]);
+            let dy = sign(ys[i], ys[j]);
+            if dx == 0 && dy == 0 {
                 tx += 1;
                 ty += 1;
-            } else if dx == 0.0 {
+            } else if dx == 0 {
                 tx += 1;
-            } else if dy == 0.0 {
+            } else if dy == 0 {
                 ty += 1;
-            } else if dx * dy > 0.0 {
+            } else if dx == dy {
                 concordant += 1;
             } else {
                 discordant += 1;

@@ -9,7 +9,7 @@
 mod oracle;
 
 use eda_stats::corr::{corr_cells, Col, ColumnPrep, CorrMethod};
-use eda_stats::corr::{kendall_tau, pearson, spearman, PearsonPartial};
+use eda_stats::corr::{pearson, PearsonPartial};
 use eda_dataframe::{Column, Selection};
 use eda_stats::freq::CatFreq;
 use eda_stats::histogram::Histogram;
@@ -128,11 +128,11 @@ proptest! {
         let n = x.len().min(y.len());
         let cut = ((n as f64) * split) as usize;
         let mut whole = PearsonPartial::new();
-        for i in 0..n { whole.push(x[i], y[i]); }
+        whole.push_slices(&x[..n], &y[..n]);
         let mut a = PearsonPartial::new();
-        for i in 0..cut { a.push(x[i], y[i]); }
+        a.push_slices(&x[..cut], &y[..cut]);
         let mut b = PearsonPartial::new();
-        for i in cut..n { b.push(x[i], y[i]); }
+        b.push_slices(&x[cut..n], &y[cut..n]);
         a.merge(&b);
         match (whole.finish(), a.finish()) {
             (Some(rw), Some(rm)) => prop_assert!((rw - rm).abs() < 1e-6),
@@ -161,7 +161,7 @@ proptest! {
         // the production counter.
         let fenwick = oracle::kendall_tau_fenwick(&xs, &ys);
         for naive in [fenwick, oracle::kendall_tau_quadratic(&xs, &ys)] {
-            match (kendall_tau(&xs, &ys), naive) {
+            match (CorrMethod::KendallTau.compute(&xs, &ys), naive) {
                 (Some(f), Some(s)) => prop_assert!((f - s).abs() < 1e-9, "{f} vs {s}"),
                 (None, None) => {}
                 other => prop_assert!(false, "definedness mismatch: {other:?}"),
@@ -176,7 +176,8 @@ proptest! {
         let ys = &y[..n];
         // exp is strictly monotone: Spearman must not change.
         let mapped: Vec<f64> = xs.iter().map(|v| (v / 1.0e6).exp()).collect();
-        if let (Some(r1), Some(r2)) = (spearman(xs, ys), spearman(&mapped, ys)) {
+        let spearman = |x: &[f64]| CorrMethod::Spearman.compute(x, ys);
+        if let (Some(r1), Some(r2)) = (spearman(xs), spearman(&mapped)) {
             prop_assert!((r1 - r2).abs() < 1e-9);
         } // exp can collapse distinct tiny values at fp precision
     }
@@ -402,6 +403,85 @@ fn a_nan_first_row_in_every_chunk() {
         }
         for len in LENGTHS {
             check_against_oracle(&x[..len], &y[..len]).unwrap();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `CorrMethod::compute` against the oracles on hostile pairs
+// ---------------------------------------------------------------------------
+
+/// [`families`] plus columns no generator draws: one distinct value,
+/// one `inf` and one `-inf` among finite values, magnitudes near 1e300,
+/// and signed zeros among a few small integers.
+fn hostile(seed: u64) -> Vec<Vec<f64>> {
+    let mut columns = families(seed);
+    let len = columns[0].len();
+    let signed = |i: usize| ((i * 7919 % 23) as f64 - 11.0) / 11.0;
+    let infinite = |(i, &v): (usize, &f64)| match i {
+        3 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        _ => v,
+    };
+    columns.push(vec![7.5; len]);
+    columns.push(columns[0].iter().enumerate().map(infinite).collect());
+    columns.push((0..len).map(|i| 1e300 * signed(i)).collect());
+    columns.push(
+        (0..len).map(|i| if i % 3 == 0 { -0.0 } else { (4.0 * signed(i)).round() }).collect(),
+    );
+    columns
+}
+
+/// Every method's `compute(x, y)` against its oracle over the slices'
+/// common prefix: the same `None`-ness, and within 1e-12 where both are
+/// finite. Where a Pearson's squares overflow (1e300) the two shapes read
+/// NaN or 0, and neither defines the coefficient.
+fn check_compute(x: &[f64], y: &[f64]) -> Result<(), String> {
+    let n = x.len().min(y.len());
+    let (xs, ys) = (&x[..n], &y[..n]);
+    // The double loop is too slow past a few hundred rows; the Fenwick
+    // oracle counts the same pairs by other means.
+    let kendall = if n <= 400 {
+        oracle::kendall_tau_quadratic(xs, ys)
+    } else {
+        oracle::kendall_tau_fenwick(xs, ys)
+    };
+    for (method, want) in [
+        (CorrMethod::Pearson, oracle::pearson_two_pass(xs, ys)),
+        (CorrMethod::Spearman, oracle::spearman_rank_once(xs, ys)),
+        (CorrMethod::KendallTau, kendall),
+    ] {
+        let what = format!("{method:?}, {} ~ {} rows", x.len(), y.len());
+        match (method.compute(x, y), want) {
+            (Some(g), Some(w))
+                if method == CorrMethod::Pearson && !(g.is_finite() && w.is_finite()) => {}
+            (Some(g), Some(w)) => prop_assert!((g - w).abs() <= 1e-12, "{what}: {g} vs {w}"),
+            (g, w) => prop_assert_eq!(g, w, "{what}"),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn compute_matches_the_oracles_on_hostile_pairs(
+        seed in 0u64..1 << 40,
+        fx in 0usize..9,
+        fy in 0usize..9,
+        dx in prop::sample::select(vec![0.0, 0.01, 0.1, 0.5, 0.95, 1.0]),
+        dy in prop::sample::select(vec![0.0, 0.01, 0.1, 0.5, 0.95, 1.0]),
+    ) {
+        let (a, b) = (hostile(seed), hostile(seed + 1));
+        for len in LENGTHS {
+            // NaN at independent rows: rank-once Spearman is not the
+            // per-pair form here.
+            let x = holes(&a[fx][..len], seed, dx);
+            let y = holes(&b[fy][..len], seed ^ 0x5851_f42d, dy);
+            check_compute(&x, &y)?;
+            check_compute(&x, &y[..len / 2])?;
+            check_compute(&x[..len.saturating_sub(3)], &y)?;
         }
     }
 }

@@ -15,8 +15,11 @@
 //!
 //! Single-column tasks also print their stats tables and charts to the
 //! terminal (ASCII), mirroring the notebook experience of the paper's
-//! Figure 1 for shell users.
+//! Figure 1 for shell users. A reader that stops early (`| head`) ends
+//! that printing, not the call: the `-o` page is still written.
 
+use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 
 use dataprep_eda::prelude::*;
@@ -97,6 +100,8 @@ fn run() -> Result<(), String> {
 
     let columns: Vec<&str> = args.positional[1..].iter().map(String::as_str).collect();
 
+    // What the call prints, written to stdout once the call is done.
+    let mut terminal = String::new();
     let html = match args.command.as_str() {
         "report" => {
             let report = create_report(&df, &config).map_err(|e| e.to_string())?;
@@ -107,7 +112,7 @@ fn run() -> Result<(), String> {
                 report.stats.elapsed.as_secs_f64()
             );
             for i in &report.insights {
-                println!("insight: {}", i.message);
+                let _ = writeln!(terminal, "insight: {}", i.message);
             }
             render_report_html(&report, &config.display)
         }
@@ -118,12 +123,7 @@ fn run() -> Result<(), String> {
                 _ => plot_missing(&df, &columns, &config),
             }
             .map_err(|e| e.to_string())?;
-            for (name, inter) in analysis.intermediates.iter() {
-                print!("{}", ascii::render(name, inter));
-            }
-            for i in &analysis.insights {
-                println!("insight: {}", i.message);
-            }
+            print_analysis(&mut terminal, &analysis);
             render_analysis_html(&analysis, &config.display)
         }
         "ts" => {
@@ -132,22 +132,36 @@ fn run() -> Result<(), String> {
             };
             let analysis =
                 plot_timeseries(&df, time, value, &config).map_err(|e| e.to_string())?;
-            for (name, inter) in analysis.intermediates.iter() {
-                print!("{}", ascii::render(name, inter));
-            }
-            for i in &analysis.insights {
-                println!("insight: {}", i.message);
-            }
+            print_analysis(&mut terminal, &analysis);
             render_analysis_html(&analysis, &config.display)
         }
         other => return Err(format!("unknown command {other:?}\n\n{}", usage())),
     };
 
+    let mut stdout = io::stdout().lock();
+    match stdout.write_all(terminal.as_bytes()).and_then(|()| stdout.flush()) {
+        // The reader went away: nothing more to print, the page still counts.
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            return Err(format!("writing to stdout: {e}"));
+        }
+        _ => {}
+    }
     if let Some(out) = &args.output {
         std::fs::write(out, html).map_err(|e| format!("writing {out}: {e}"))?;
         eprintln!("wrote {out}");
     }
     Ok(())
+}
+
+/// An analysis as the terminal shows it: its charts in ASCII, then its
+/// insights.
+fn print_analysis(terminal: &mut String, analysis: &Analysis) {
+    for (name, inter) in analysis.intermediates.iter() {
+        terminal.push_str(&ascii::render(name, inter));
+    }
+    for i in &analysis.insights {
+        let _ = writeln!(terminal, "insight: {}", i.message);
+    }
 }
 
 fn main() -> ExitCode {

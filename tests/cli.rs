@@ -1,5 +1,5 @@
 //! The `dataprep` binary end to end: a report, a plot, a `.edaf`
-//! conversion and an unknown column, each on a small CSV.
+//! conversion, an unknown column and a closed stdout, each on a small CSV.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -95,4 +95,24 @@ fn an_unknown_column_fails_and_names_it() {
     assert!(!succeeded(&out));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("nosuchcol"), "{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_still_writes_the_page() {
+    let dir = workdir("closed-stdout");
+    let csv = sales_csv(&dir);
+    let page = dir.join("plot.html");
+    // The reader is gone before the binary starts: its first write to
+    // stdout fails with `BrokenPipe`.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_dataprep"))
+        .args([Path::new("plot"), &csv, Path::new("price"), Path::new("-o"), &page])
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(succeeded(&out), "{stderr}");
+    assert!(std::fs::read_to_string(&page).unwrap().contains("<svg"));
 }

@@ -1,5 +1,5 @@
 //! The report path's exactness contracts: shared-prep correlation cells
-//! against the pair kernels on generated columns, count-based nullity
+//! against the oracles and `CorrMethod::compute` on generated columns, count-based nullity
 //! views against the baseline's indicator-vector functions, and output
 //! bytes that do not depend on `engine.workers`.
 
@@ -9,11 +9,7 @@ use eda_core::compute::missing::compute_missing_overview;
 use eda_core::compute::ComputeContext;
 use eda_core::json::{inter_to_json, intermediates_to_json};
 use eda_datagen::{generate, kaggle_spec_by_name};
-use eda_stats::corr::{
-    corr_cells, kendall_tau, pearson, spearman_from_ranks, upper_triangle, Col, ColumnPrep,
-    CorrMethod,
-};
-use eda_stats::rank::ranks;
+use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMethod};
 
 fn shape(name: &str, rows: usize, seed: u64) -> DataFrame {
     let mut spec = kaggle_spec_by_name(name).unwrap();
@@ -21,9 +17,9 @@ fn shape(name: &str, rows: usize, seed: u64) -> DataFrame {
     generate(&spec, seed)
 }
 
-/// The O(n²) tau-b the kernel crate's own tests are held against.
+/// The oracles the kernel crate's own tests are held against.
 #[path = "../crates/stats/tests/oracle/mod.rs"]
-mod kendall_oracle;
+mod stats_oracle;
 
 #[test]
 fn cells_match_the_pair_kernels_on_generated_columns() {
@@ -58,10 +54,15 @@ fn cells_match_the_pair_kernels(df: &DataFrame, with_nulls: usize) {
     };
     for (k, &(i, j)) in pairs.iter().enumerate() {
         let (x, y) = (&columns[i], &columns[j]);
-        assert_eq!(kendall[k], kendall_tau(x, y), "kendall ({i}, {j})");
-        close(kendall[k], kendall_oracle::kendall_tau_quadratic(x, y), "kendall oracle");
-        close(pearsons[k], pearson(x, y), "pearson");
-        close(spearmans[k], spearman_from_ranks(&ranks(x), &ranks(y)), "spearman");
+        // Same integer pair counts as the Fenwick oracle: the same bits.
+        assert_eq!(kendall[k], stats_oracle::kendall_tau_fenwick(x, y), "kendall ({i}, {j})");
+        close(kendall[k], stats_oracle::kendall_tau_quadratic(x, y), "kendall oracle");
+        close(pearsons[k], stats_oracle::pearson_two_pass(x, y), "pearson");
+        close(spearmans[k], stats_oracle::spearman_rank_once(x, y), "spearman");
+        let cells = [pearsons[k], spearmans[k], kendall[k]];
+        for (method, cell) in CorrMethod::ALL.into_iter().zip(cells) {
+            close(cell, method.compute(x, y), method.name());
+        }
     }
 }
 
