@@ -61,6 +61,11 @@ pub fn matrix(columns: &[(String, Vec<f64>)], method: CorrMethod) -> CorrMatrix 
     CorrMatrix::from_upper(labels, method, upper_triangle(columns.len()).into_iter().map(cell))
 }
 
+/// The independent oracles `eda-stats`' kernels are held against.
+#[cfg(test)]
+#[path = "../../stats/tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,18 +82,34 @@ mod tests {
         cols.iter().enumerate().map(|(i, c)| (format!("c{i}"), c[..n].to_vec())).collect()
     }
 
+    /// SciPy's per-pair Spearman: the pair's complete rows, ranked again
+    /// for the pair alone.
+    fn per_pair(x: &[f64], y: &[f64]) -> Option<f64> {
+        let (xs, ys): (Vec<f64>, Vec<f64>) =
+            x.iter().zip(y).filter(|(a, b)| !a.is_nan() && !b.is_nan()).unzip();
+        oracle::spearman_rank_once(&xs, &ys)
+    }
+
+    /// Same `None`-ness, and within `tol` where both are present.
+    fn close(got: Option<f64>, want: Option<f64>, tol: f64) -> Result<(), String> {
+        match (got, want) {
+            (Some(a), Some(b)) => prop_assert!((a - b).abs() < tol, "{a} vs {b}"),
+            (a, b) => prop_assert_eq!(a, b),
+        }
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn spearman_matrix_rank_once_equals_per_pair(cols in prop::collection::vec(column(3), 2..5)) {
             // Equal-length NaN-free columns: ranking each column once must
-            // agree with ranking both columns again for every pair.
+            // agree with re-ranking every pair from scratch.
             let named = named(&cols);
             let m = matrix(&named, CorrMethod::Spearman);
             for (i, j) in upper_triangle(named.len()) {
-                match (m.get(i, j), CorrMethod::Spearman.compute(&named[i].1, &named[j].1)) {
-                    (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
-                    (a, b) => prop_assert_eq!(a, b),
-                }
+                let (x, y) = (&named[i].1, &named[j].1);
+                close(m.get(i, j), oracle::spearman_rank_once(x, y), 1e-9)?;
+                close(m.get(i, j), per_pair(x, y), 1e-9)?;
             }
         }
 
@@ -107,11 +128,7 @@ mod tests {
             let named = named(&cols);
             let m = matrix(&named, CorrMethod::Spearman);
             for (i, j) in upper_triangle(named.len()) {
-                let rank_once = CorrMethod::Spearman.compute(&named[i].1, &named[j].1);
-                match (m.get(i, j), rank_once) {
-                    (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-12, "{a} vs {b}"),
-                    (a, b) => prop_assert_eq!(a, b),
-                }
+                close(m.get(i, j), oracle::spearman_rank_once(&named[i].1, &named[j].1), 1e-12)?;
             }
         }
     }

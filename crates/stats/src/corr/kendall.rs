@@ -9,13 +9,14 @@
 //! with `n0 = n(n-1)/2`, `n1`/`n2` tie pair counts in x/y, `n3` joint-tie
 //! pairs, `D` discordant pairs — the same formulation SciPy uses.
 //!
-//! One entry point builds that sequence, `kendall_cell`, for two columns
-//! prepared by [`super::ColumnPrep`]: a matrix cell, a vector entry and a
-//! loose pair ([`super::CorrMethod::compute`]) all run it. It needs no
-//! comparison sort — the sequence is read out of the two columns' own sort
-//! orders, skipping rows where either is NaN — and hands a sequence of
-//! dense `u32` tie-group indices to the inversion counter, a counting tree
-//! that neither sorts nor branches on the data.
+//! One entry point builds that sequence, `kendall_cell`, from two
+//! columns' sort orders (`Sorted`, which every [`super::ColumnPrep`]
+//! holds): a matrix cell, a vector entry and a loose pair
+//! ([`super::CorrMethod::compute`], which builds just the two `Sorted`s)
+//! all run it. It needs no comparison sort — the sequence is read out of
+//! the two columns' own sort orders, skipping rows where either is NaN —
+//! and hands a sequence of dense `u32` tie-group indices to the inversion
+//! counter, a counting tree that neither sorts nor branches on the data.
 
 use super::prep::{Sorted, NAN_GROUP};
 use crate::interrupt::{interrupted, CHECK_INTERVAL};

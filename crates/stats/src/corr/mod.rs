@@ -14,6 +14,9 @@ mod pearson;
 mod prep;
 mod spearman;
 
+use kendall::{kendall_cell, KendallScratch};
+use prep::Sorted;
+
 pub use matrix::CorrMatrix;
 pub use pearson::{pearson, PearsonPartial};
 pub use prep::{corr_cells, upper_triangle, Col, ColumnPrep};
@@ -46,7 +49,8 @@ impl CorrMethod {
     /// This coefficient over the two slices' common prefix, NaN marking a
     /// null: [`pearson`]; Spearman in pandas' rank-once form (each slice
     /// ranked over its own non-NaN rows, then [`pearson`] of the ranks);
-    /// Kendall's tau-b by the matrix cell over two [`ColumnPrep`]s.
+    /// Kendall's tau-b by the matrix cell over the two slices' sort
+    /// orders, the part of a [`ColumnPrep`] it reads.
     pub fn compute(self, x: &[f64], y: &[f64]) -> Option<f64> {
         let n = x.len().min(y.len());
         let (x, y) = (x.get(..n).unwrap_or(x), y.get(..n).unwrap_or(y));
@@ -54,9 +58,7 @@ impl CorrMethod {
             CorrMethod::Pearson => pearson(x, y),
             CorrMethod::Spearman => spearman::rank_once(x, y),
             CorrMethod::KendallTau => {
-                let (px, py) = (ColumnPrep::prepare(x), ColumnPrep::prepare(y));
-                let cols = [Col { values: x, prep: &px }, Col { values: y, prep: &py }];
-                corr_cells(self, &cols, &[(0, 1)]).into_iter().next().flatten()
+                kendall_cell(&Sorted::of(x), &Sorted::of(y), &mut KendallScratch::default())
             }
         }
     }

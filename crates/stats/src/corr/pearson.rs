@@ -87,10 +87,7 @@ impl PearsonPartial {
 
     /// The correlation coefficient, `None` when degenerate.
     pub fn finish(&self) -> Option<f64> {
-        if self.n < 2 || self.m2x <= 0.0 || self.m2y <= 0.0 {
-            return None;
-        }
-        Some(self.cxy / (self.m2x * self.m2y).sqrt())
+        coefficient(self.n, self.m2x, self.m2y, self.cxy)
     }
 
     /// Means `(mean_x, mean_y)` of the accumulated pairs.
@@ -107,6 +104,26 @@ impl PearsonPartial {
     pub fn comoment(&self) -> f64 {
         self.cxy
     }
+}
+
+/// `cxy / sqrt(m2x · m2y)` from `n` pairs' centered moments: `None` below
+/// two pairs or when a side has no spread; NaN when a moment is not
+/// finite (squares past `f64::MAX`, or infinite values), where the
+/// quotient would read an arbitrary 0. Where only the product overflows
+/// or underflows, the two roots are taken apart. Every Pearson shape —
+/// the lane pass, a centered-dot matrix cell, φ — ends here.
+pub(super) fn coefficient(n: u64, m2x: f64, m2y: f64, cxy: f64) -> Option<f64> {
+    if n < 2 || m2x <= 0.0 || m2y <= 0.0 {
+        return None;
+    }
+    let m2 = m2x * m2y;
+    Some(if m2.is_normal() {
+        cxy / m2.sqrt()
+    } else if m2x.is_finite() && m2y.is_finite() {
+        cxy / (m2x.sqrt() * m2y.sqrt())
+    } else {
+        f64::NAN
+    })
 }
 
 /// Shifted sums of one chunk, one accumulator per lane.

@@ -20,7 +20,7 @@
 use eda_dataframe::HeapSize;
 
 use super::kendall::{kendall_cell, pairs, KendallScratch};
-use super::pearson::pearson;
+use super::pearson::{coefficient, pearson};
 use super::CorrMethod;
 use crate::rank::ranks;
 use crate::vector::centered_dot;
@@ -81,7 +81,10 @@ fn order_key(v: f64) -> i64 {
 /// An LSD radix sort of `u32` rows against one array of keys (`order_key`
 /// as an unsigned integer of the same order): a stable counting scatter
 /// per key byte, least significant first, skipping every byte all keys
-/// share. The rows enter in ascending order and each pass is stable, so
+/// share, and every byte below the top one that is the same across the
+/// negative keys and the same across the others (a function of the sign
+/// bit, as the low bytes of integer values of both signs are). The rows
+/// enter in ascending order and each pass is stable, so
 /// equal keys stay in row order — exactly what sorting `(key, row)` pairs
 /// gives. Scratch is the key array and a second row buffer, 12 bytes a
 /// row on top of the result; both are allocated after the result, so
@@ -94,12 +97,20 @@ pub(super) fn argsort(values: &[f64]) -> Vec<u32> {
     let mut keys: Vec<u64> = Vec::with_capacity(values.len());
     // Occurrences of each value of each byte, over the kept rows.
     let mut counts = [[0usize; 256]; 8];
+    // OR and AND of the negative keys, and of the others.
+    let (mut neg_or, mut neg_and, mut pos_or, mut pos_and) = (0u64, u64::MAX, 0u64, u64::MAX);
     for (row, &v) in (0u32..).zip(values) {
         if v.is_nan() {
             keys.push(0);
             continue;
         }
         let key = order_key(v) as u64 ^ SIGN;
+        // All ones for a key with the sign bit set (a non-negative value).
+        let upper = 0u64.wrapping_sub(key >> 63);
+        neg_or |= key & !upper;
+        neg_and &= key | upper;
+        pos_or |= key & upper;
+        pos_and &= key | !upper;
         for (shift, count) in (0..64).step_by(8).zip(&mut counts) {
             if let Some(c) = count.get_mut((key >> shift) as u8 as usize) {
                 *c += 1;
@@ -109,11 +120,16 @@ pub(super) fn argsort(values: &[f64]) -> Vec<u32> {
         perm.push(row);
     }
     let mut scratch = vec![0u32; kept];
+    // The bits that differ within the negative keys or within the others
+    // (an empty side has `or` 0 and `and` all ones, so none).
+    let varying = (neg_or & !neg_and) | (pos_or & !pos_and);
     // Whether the rows sorted so far are in `scratch` rather than `perm`.
     let mut in_scratch = false;
     for (shift, count) in (0..64).step_by(8).zip(&counts) {
-        if count.contains(&kept) {
-            // Every key has the same byte here: the pass would move nothing.
+        if count.contains(&kept) || (shift < 56 && (varying >> shift) as u8 == 0) {
+            // Every key has the same byte here, or keys that agree on the
+            // sign bit agree on it: keys that tie above it tie here, so
+            // the pass would not change the order.
             continue;
         }
         let mut next = [0usize; 256];
@@ -156,6 +172,41 @@ fn mean_of(values: &[f64]) -> f64 {
     }
 }
 
+impl Sorted {
+    /// Argsort the non-NaN rows of `values` and number their tie groups.
+    /// Empty (no rows, no groups) for a column whose row ids do not fit
+    /// `u32`.
+    pub(super) fn of(values: &[f64]) -> Sorted {
+        if u32::try_from(values.len()).is_err() {
+            return Sorted::default();
+        }
+        // What the caller keeps is allocated before the sort's scratch,
+        // which is freed on its return (see `argsort`).
+        let mut dense = vec![NAN_GROUP; values.len()];
+        let perm = argsort(values);
+        // Non-NaN values have equal order keys exactly when they are equal.
+        let value_of = |row: u32| values.get(row as usize);
+        let mut group_starts = Vec::new();
+        let mut tie_pairs = 0u64;
+        let mut start = 0;
+        // No poll: one linear pass over the sorted rows; the sort above cannot poll
+        for group in perm.chunk_by(|&a, &b| value_of(a) == value_of(b)) {
+            let id = group_starts.len() as u32;
+            group_starts.push(start as u32);
+            for &row in group {
+                if let Some(d) = dense.get_mut(row as usize) {
+                    *d = id;
+                }
+            }
+            tie_pairs += pairs(group.len() as u64);
+            start += group.len();
+        }
+        group_starts.push(perm.len() as u32);
+        group_starts.shrink_to_fit();
+        Sorted { perm, dense, group_starts, tie_pairs }
+    }
+}
+
 impl ColumnPrep {
     /// Build the shared state for one column (NaN marks a null).
     pub fn prepare(values: &[f64]) -> ColumnPrep {
@@ -170,38 +221,23 @@ impl ColumnPrep {
             return ColumnPrep { centered_ranks, sorted: Sorted::default(), spread: None };
         }
 
-        // What the prep keeps is allocated before the sort's scratch, which
-        // is freed on its return (see `argsort`).
-        let mut dense = vec![NAN_GROUP; n];
+        // Allocated before the sort's scratch, like `Sorted::dense`.
         let mut centered_ranks = vec![f64::NAN; n];
-        let perm = argsort(values);
-        // Non-NaN values have equal order keys exactly when they are equal.
-        let value_of = |row: u32| values.get(row as usize);
-
+        let sorted = Sorted::of(values);
+        let (perm, group_starts) = (&sorted.perm, &sorted.group_starts);
         let kept = perm.len();
-        let mut group_starts = Vec::new();
-        let mut tie_pairs = 0u64;
         let half = (kept as f64 + 1.0) / 2.0;
-        let mut start = 0;
-        // No poll: one linear pass over the sorted rows; the sort above cannot poll
-        for group in perm.chunk_by(|&a, &b| value_of(a) == value_of(b)) {
-            let id = group_starts.len() as u32;
-            group_starts.push(start as u32);
-            // 1-based positions start+1 ..= start+len share their mean.
-            let rank = start as f64 + (group.len() as f64 + 1.0) / 2.0 - half;
-            for &row in group {
-                if let Some(d) = dense.get_mut(row as usize) {
-                    *d = id;
-                }
+        // No poll: one linear pass over the sorted rows
+        for (&start, &end) in group_starts.iter().zip(group_starts.iter().skip(1)) {
+            let (start, end) = (start as usize, end as usize);
+            // 1-based positions start+1 ..= end share their mean.
+            let rank = start as f64 + ((end - start) as f64 + 1.0) / 2.0 - half;
+            for &row in perm.get(start..end).unwrap_or(&[]) {
                 if let Some(r) = centered_ranks.get_mut(row as usize) {
                     *r = rank;
                 }
             }
-            tie_pairs += pairs(group.len() as u64);
-            start += group.len();
         }
-        group_starts.push(kept as u32);
-        group_starts.shrink_to_fit();
 
         let spread = (kept == n).then(|| {
             let mean = if n == 0 { 0.0 } else { mean_of(values) };
@@ -212,7 +248,6 @@ impl ColumnPrep {
             let rank_m2 = centered_dot(&centered_ranks, 0.0, &centered_ranks, 0.0);
             Spread { mean, m2, rank_m2 }
         });
-        let sorted = Sorted { perm, dense, group_starts, tie_pairs };
         ColumnPrep { centered_ranks, sorted, spread }
     }
 
@@ -262,15 +297,6 @@ pub struct Col<'a> {
     pub prep: &'a ColumnPrep,
 }
 
-/// `c / sqrt(m2a · m2b)` under the `None` rules of
-/// [`super::PearsonPartial::finish`].
-fn finish(n: usize, m2a: f64, m2b: f64, c: f64) -> Option<f64> {
-    if n < 2 || m2a <= 0.0 || m2b <= 0.0 {
-        return None;
-    }
-    Some(c / (m2a * m2b).sqrt())
-}
-
 /// One coefficient from two prepared columns.
 fn cell(method: CorrMethod, a: Col<'_>, b: Col<'_>, scratch: &mut KendallScratch) -> Option<f64> {
     let n = a.values.len();
@@ -281,11 +307,11 @@ fn cell(method: CorrMethod, a: Col<'_>, b: Col<'_>, scratch: &mut KendallScratch
     match (method, both) {
         (CorrMethod::KendallTau, _) => kendall_cell(&a.prep.sorted, &b.prep.sorted, scratch),
         (CorrMethod::Pearson, Some((sa, sb))) => {
-            finish(n, sa.m2, sb.m2, centered_dot(a.values, sa.mean, b.values, sb.mean))
+            coefficient(n as u64, sa.m2, sb.m2, centered_dot(a.values, sa.mean, b.values, sb.mean))
         }
         (CorrMethod::Spearman, Some((sa, sb))) => {
             let c = centered_dot(&a.prep.centered_ranks, 0.0, &b.prep.centered_ranks, 0.0);
-            finish(n, sa.rank_m2, sb.rank_m2, c)
+            coefficient(n as u64, sa.rank_m2, sb.rank_m2, c)
         }
         (CorrMethod::Pearson, None) => pearson(a.values, b.values),
         // Pearson is shift-invariant: the centered ranks serve as ranks.
@@ -326,7 +352,7 @@ pub fn upper_triangle(m: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{kendall_tau_fenwick, spearman_rank_once};
+    use crate::oracle::{kendall_tau_fenwick, pearson_two_pass, spearman_rank_once};
 
     fn one(method: CorrMethod, x: &[f64], y: &[f64]) -> Option<f64> {
         let (px, py) = (ColumnPrep::prepare(x), ColumnPrep::prepare(y));
@@ -420,6 +446,18 @@ mod tests {
             ),
             // ... and in their top byte only.
             ("top byte", (0..300).map(|i| f64::from_bits((i * 31 % 127) << 56)).collect()),
+            // Small integers of both signs: the low bytes are all zeros
+            // or all ones, by sign, and their passes are skipped.
+            ("signed integers", (0..500).map(|i| f64::from(i * 7919 % 41 - 20)).collect()),
+            // A low byte that is one value on either side but two across
+            // the positive keys: its pass must run.
+            (
+                "low byte by value",
+                (0..300)
+                    .map(|i| f64::from_bits(0x4000_0000_0000_0000 | (i % 3) << 52 | (i % 2)))
+                    .map(|v| if v > 2.5 { -v } else { v })
+                    .collect(),
+            ),
         ];
         let mut wide = lcg(6, 65_537, 1 << 40);
         wide.iter_mut().step_by(97).for_each(|v| *v = f64::NAN);
@@ -490,8 +528,10 @@ mod tests {
     #[test]
     fn degenerate_columns_keep_the_none_rules() {
         let ramp: Vec<f64> = (0..6).map(f64::from).collect();
-        let cases: [(&str, Vec<f64>); 8] = [
+        let cases: [(&str, Vec<f64>); 9] = [
             ("constant", vec![0.1; 6]),
+            // Finite second moments whose product overflows.
+            ("1e100 scale", vec![1e100, 3e100, 2e100, 5e100, 4e100, 6e100]),
             ("huge", vec![1e300, -2e300, 3e300, 1e300, 0.0, 2e300]),
             ("huge offset", vec![1e300, 1e300 + 1e285, 1e300 - 1e285, 1e300, 1e300, 1e300]),
             ("inf", vec![1.0, f64::INFINITY, 3.0, 4.0, 5.0, 6.0]),
@@ -500,24 +540,27 @@ mod tests {
             ("signed zeros", vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0]),
             ("ramp", ramp.clone()),
         ];
-        // Where a side is infinite, `pearson` defines the `None` rules (a
-        // NaN moment is kept, where the oracle calls an all-inf side
-        // constant). Where squares overflow, neither shape defines the
-        // coefficient: the centered dot product reads 0 for `huge ~ ramp`
-        // where `pearson` and the oracle read NaN. Only `None`-ness, and a
-        // value both read as finite, must agree.
+        // Where squares overflow or a side is infinite, every shape reads
+        // NaN (where only the product of the moments overflows, each is
+        // rooted apart). The oracle keeps the rules of `pearson`, except
+        // that it calls an all-inf side constant (`None`) where the
+        // moments of `inf - inf` are NaN.
+        let all_inf = |v: &[f64]| v.iter().all(|v| v.is_infinite());
         for (name, x) in &cases {
             for (other, y) in &cases {
                 let what = format!("{name} ~ {other}");
-                match (one(CorrMethod::Pearson, x, y), pearson(x, y)) {
-                    (Some(g), Some(w)) if g.is_finite() && w.is_finite() => {
-                        agree(Some(g), Some(w), &what)
-                    }
-                    (g, w) => assert_eq!(g.is_some(), w.is_some(), "{what}: {g:?} vs {w:?}"),
+                let cell = one(CorrMethod::Pearson, x, y);
+                agree(cell, pearson(x, y), &what);
+                if !all_inf(x) && !all_inf(y) {
+                    agree(cell, pearson_two_pass(x, y), &format!("{what}, oracle"));
                 }
                 agree(one(CorrMethod::Spearman, x, y), spearman_rank_once(x, y), &what);
             }
         }
+        let reversed: Vec<f64> = cases[1].1.iter().rev().copied().collect();
+        let scaled = one(CorrMethod::Pearson, &cases[1].1, &reversed);
+        let unit = pearson(&[1.0, 3.0, 2.0, 5.0, 4.0, 6.0], &[6.0, 4.0, 5.0, 2.0, 3.0, 1.0]);
+        agree(scaled, unit, "1e100 scale against unit scale");
         for method in CorrMethod::ALL {
             assert_eq!(one(method, &[], &[]), None);
             assert_eq!(one(method, &[1.0], &[2.0]), None);

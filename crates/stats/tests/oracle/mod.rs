@@ -40,7 +40,9 @@ fn compensated_sum(values: impl Iterator<Item = f64>) -> f64 {
 /// Pearson over the pairwise-complete rows by two passes: the means, then
 /// the centered sums with the compensated correction term
 /// (`Σd² − (Σd)²/n`, Björck). `None` under the rules every Pearson path
-/// keeps: fewer than two complete pairs, or a side constant on them.
+/// keeps: fewer than two complete pairs, or a side constant on them; NaN
+/// where a sum of squares is not finite, and the two roots taken apart
+/// where only their product overflows or underflows.
 pub fn pearson_two_pass(x: &[f64], y: &[f64]) -> Option<f64> {
     let (xs, ys) = complete_pairs(x, y);
     let n = xs.len();
@@ -57,7 +59,14 @@ pub fn pearson_two_pass(x: &[f64], y: &[f64]) -> Option<f64> {
     let sxx = compensated_sum(dx.iter().map(|d| d * d)) - sx * sx / nf;
     let syy = compensated_sum(dy.iter().map(|d| d * d)) - sy * sy / nf;
     let sxy = compensated_sum(dx.iter().zip(&dy).map(|(a, b)| a * b)) - sx * sy / nf;
-    Some(sxy / (sxx * syy).sqrt())
+    let m2 = sxx * syy;
+    Some(if m2.is_normal() {
+        sxy / m2.sqrt()
+    } else if sxx.is_finite() && syy.is_finite() {
+        sxy / (sxx.sqrt() * syy.sqrt())
+    } else {
+        f64::NAN
+    })
 }
 
 /// A column's moments and value-quality counters, kept the way a
