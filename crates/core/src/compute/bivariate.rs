@@ -5,12 +5,15 @@
 //! * C×C → nested bar chart, stacked bar chart, heat map.
 //!
 //! Every variant ends in one section node, `section:bivariate:<x>:<y>`.
+//! Each reads the rows once per column statistic (`moments`, `freq`) and
+//! once for what the pair's charts share: the complete pairs (N×N), the
+//! numeric values grouped by category (N×C) or the crosstab (C×C). Every
+//! other chart is derived from those payloads and reads no row.
 //! In the categorical variants the groups a chart shows depend on data:
 //! they are the head of the categorical column's `freq_summary` node. The
 //! grouped kernels and the section read that node as a dependency, so the
 //! group choice is graph work and planning executes nothing.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use eda_stats::freq::FreqSummary;
@@ -44,7 +47,7 @@ pub fn compute_bivariate(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> EdaR
     }
 }
 
-/// N×N: scatter, hexbin, binned box plot.
+/// N×N: scatter, hexbin, binned box plot, all from the one pair gather.
 fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -> NodeId {
     let deps = vec![
         kernels::pair_values(ctx, x, y),
@@ -56,7 +59,7 @@ fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -
     let config = Arc::clone(&ctx.config);
     ctx.section(name, deps, move |outs| {
         let pairs = un::<Vec<(f64, f64)>>(&outs[0]);
-        let hex_cells = un::<HashMap<(i64, i64), u64>>(&outs[1]);
+        let hex_cells = un::<Vec<((i64, i64), u64)>>(&outs[1]);
         let binned = un::<Vec<Vec<f64>>>(&outs[2]);
         let momx = un::<Moments>(&outs[3]);
         let momy = un::<Moments>(&outs[4]);
@@ -70,15 +73,12 @@ fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -
 
         // Hexbin: axial cells back to data coordinates.
         let (sx, sy) = hex_scales(momx, momy, config.hexbin.gridsize);
-        let mut cells: Vec<((i64, i64), u64)> = hex_cells.iter().map(|(k, v)| (*k, *v)).collect();
-        cells.sort_unstable_by_key(|(k, _)| *k);
-        let mut centers = Vec::with_capacity(cells.len());
-        let mut counts = Vec::with_capacity(cells.len());
-        for ((q, r), c) in cells {
-            let (nx, ny) = hex_center(q, r);
-            centers.push((momx.min + nx * sx, momy.min + ny * sy));
-            counts.push(c);
-        }
+        let (centers, counts) = (hex_cells.iter())
+            .map(|&((q, r), count)| {
+                let (nx, ny) = hex_center(q, r);
+                ((momx.min + nx * sx, momy.min + ny * sy), count)
+            })
+            .unzip();
         ims.push(
             "hexbin_plot",
             Inter::Hexbin { centers, counts, radius: sx },
@@ -107,14 +107,14 @@ fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -
 /// N×C (either order): categorical box plot + multi-line chart.
 /// `cat`/`num` are already disambiguated by the caller.
 fn numeric_categorical(ctx: &mut ComputeContext<'_>, name: &str, cat: &str, num: &str) -> NodeId {
-    // The groups are the head of the summary's top list.
+    // The groups are the head of the summary's top list: one grouping as
+    // wide as the wider chart, of which each chart takes its head.
     let summary = kernels::freq_summary(ctx, cat, Rows::All);
     let (box_groups, line_groups) = (ctx.config.box_plot.ngroups, ctx.config.line.ngroups);
-    let deps = vec![
-        kernels::grouped_numeric(ctx, cat, num, summary, box_groups),
-        kernels::multi_line(ctx, cat, num, summary, line_groups, ctx.config.line.bins),
-        summary,
-    ];
+    let grouped = kernels::grouped_numeric(ctx, cat, num, summary, box_groups.max(line_groups));
+    let bins = ctx.config.line.bins;
+    let deps =
+        vec![grouped, kernels::multi_line(ctx, (cat, num), grouped, line_groups, bins), summary];
     let config = Arc::clone(&ctx.config);
     ctx.section(name, deps, move |outs| {
         let groups = un::<Vec<Vec<f64>>>(&outs[0]);
@@ -123,6 +123,7 @@ fn numeric_categorical(ctx: &mut ComputeContext<'_>, name: &str, cat: &str, num:
         let (box_top, line_top) = (freq.labels(box_groups), freq.labels(line_groups));
 
         let mut ims = Intermediates::new();
+        // The zip stops at the box chart's `box_groups` labels.
         let mut boxes: Vec<(String, BoxPlot)> = box_top
             .into_iter()
             .zip(groups)
@@ -201,6 +202,8 @@ fn categorical_categorical(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use crate::config::Config;
     use crate::compute::ctx::Section;
     use eda_dataframe::{Column, DataFrame};
@@ -342,5 +345,71 @@ mod tests {
         assert_eq!(boxes.len(), cfg.box_plot.bins);
         // Labels are bin ranges.
         assert!(boxes[0].0.starts_with('['));
+    }
+
+    /// How many planned tasks of each name read a partition, for
+    /// `plot(df, x, y)` over two partitions.
+    fn row_readers(df: &DataFrame, x: &str, y: &str) -> BTreeMap<String, usize> {
+        let cfg = Config::default();
+        let mut ctx = ComputeContext::partitioned(df, &cfg, 2);
+        compute_bivariate(&mut ctx, x, y).unwrap();
+        let mut readers = BTreeMap::new();
+        for task in (0..ctx.graph.len()).map(|id| ctx.graph.task(id)) {
+            if task.deps.iter().any(|dep| ctx.sources.contains(dep)) {
+                *readers.entry(task.name.clone()).or_insert(0) += 1;
+            }
+        }
+        readers
+    }
+
+    #[test]
+    fn each_pair_view_reads_its_rows_once() {
+        let df = frame();
+        let once = |names: &[&str]| names.iter().map(|n| (n.to_string(), 2)).collect();
+        let nn = ["moments:price", "moments:size", "pair_values:size:price"];
+        assert_eq!(row_readers(&df, "size", "price"), once(&nn));
+        let nc = ["freq:city", "grouped_numeric:city:price", "moments:price"];
+        assert_eq!(row_readers(&df, "price", "city"), once(&nc));
+        assert_eq!(row_readers(&df, "city", "price"), once(&nc));
+        let cc = ["crosstab:city:type", "freq:city", "freq:type"];
+        assert_eq!(row_readers(&df, "city", "type"), once(&cc));
+    }
+
+    #[test]
+    fn grid_views_skip_infinite_pairs() {
+        // Scatter and the pair list keep the two infinite x; hexbin and
+        // the binned boxes bin the 198 finite pairs only.
+        let n = 200;
+        let x = |i: usize| match i {
+            7 => f64::INFINITY,
+            9 => f64::NEG_INFINITY,
+            _ => (i * 37 % 101) as f64,
+        };
+        let df = DataFrame::new(vec![
+            ("x".into(), Column::from_f64((0..n).map(x).collect())),
+            ("y".into(), Column::from_f64((0..n).map(|i| (i % 50) as f64 * 0.5).collect())),
+        ])
+        .unwrap();
+        let cfg = Config::default();
+        let mut ctx = ComputeContext::new(&df, &cfg);
+        let (ims, _) = section(&mut ctx, "x", "y");
+        let Some(Inter::Scatter { points, .. }) = ims.get("scatter_plot") else { panic!() };
+        assert_eq!(points.iter().filter(|(a, _)| a.is_infinite()).count(), 2);
+        let Some(Inter::Hexbin { centers, counts, radius }) = ims.get("hexbin_plot") else {
+            panic!()
+        };
+        assert_eq!(counts.iter().sum::<u64>(), 198);
+        let (ymin, ymax) = (0.0, 24.5);
+        let (_, sy) = hex_scales(
+            &Moments::from_slice(&[0.0, 100.0]),
+            &Moments::from_slice(&[ymin, ymax]),
+            cfg.hexbin.gridsize,
+        );
+        for &(cx, cy) in centers {
+            assert!((-radius..=100.0 + radius).contains(&cx), "center x {cx}");
+            assert!((ymin - sy..=ymax + sy).contains(&cy), "center y {cy}");
+        }
+        let Some(Inter::Boxes(boxes)) = ims.get("binned_box_plot") else { panic!() };
+        assert_eq!(boxes.iter().map(|(_, b)| b.n).sum::<usize>(), 198);
     }
 }

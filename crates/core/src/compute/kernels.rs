@@ -1,19 +1,24 @@
 //! Graph-building kernels.
 //!
-//! Each function adds a map/tree-reduce sub-plan to the context's graph
-//! and returns the node holding the reduced result. Structural keys cover
-//! the kernel name, the column(s), the relevant config, and — for the
+//! Each function adds a sub-plan to the context's graph and returns the
+//! node holding its result. A partition kernel maps every partition and
+//! tree-reduces the partials; a derived kernel is one task over other
+//! kernels' results and reads no row. Structural keys cover the kernel
+//! name, the column(s), the relevant config, and — for the
 //! missing-impact variants — the [`Rows`] they aggregate, so two
 //! visualizations needing the same statistic share one plan and different
 //! configurations never collide.
 //!
-//! Kernels whose bin grid depends on data extrema (histogram, hexbin,
-//! binned boxes, multi-line) take the reduced [`Moments`] node as an extra
-//! dependency and read `min`/`max` from its payload at *execution* time,
-//! which keeps everything inside one lazy graph (no eager pre-pass). The
-//! grouped kernels (grouped numeric values, multi-line, crosstab) read
-//! their groups the same way, off the `freq_summary` node of their
-//! categorical column(s).
+//! A bin grid that depends on data extrema is read off the reduced
+//! [`Moments`] node at *execution* time, which keeps everything inside
+//! one lazy graph (no eager pre-pass): the histogram is a partition
+//! kernel with the moments as an extra dependency; hexbin and the binned
+//! boxes bin the pair gather ([`pair_values`]), and the multi-line chart
+//! the [`grouped_numeric`] groups, as derived kernels. The grouped
+//! partition kernels (grouped numeric values, crosstab) read their groups
+//! the same way, off the `freq_summary` node of their categorical
+//! column(s). So a two-column plot reads its rows once per column
+//! statistic and once for the pair (N×N) or the grouping (N×C).
 //!
 //! A numeric column is sorted once, by its `corr_prep` node
 //! ([`plan_corr_prep`]): the correlation cells read that argsort's ranks
@@ -35,7 +40,7 @@ use eda_stats::text::TextStats;
 use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::ops;
 use eda_taskgraph::partition::payload_frame;
-use eda_taskgraph::NodeId;
+use eda_taskgraph::{NodeId, Payload};
 
 use super::cat::{self, Slots};
 use super::ctx::{un, ComputeContext};
@@ -307,8 +312,10 @@ fn concat<T: Clone>(values: &mut Vec<T>, more: &[T]) {
     values.extend_from_slice(more);
 }
 
-/// Gathered complete pairs of two numeric columns (feeds Spearman/Kendall
-/// — rank statistics need the full columns — and the scatter sampler).
+/// Gathered complete pairs of two numeric columns in row order: the rows
+/// where neither side is null or NaN (infinities stay). The one row pass
+/// of an N×N `plot(df, x, y)` — the scatter sampler, [`hexbin`] and
+/// [`binned_numeric`] read it — and of `plot_timeseries`.
 pub fn pair_values(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let (xn, yn) = (x.to_string(), y.to_string());
     let params = ctx.params(TaskKey::params(&format!("pairs:{x}:{y}")));
@@ -319,19 +326,19 @@ pub fn pair_values(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
         &ctx.sources,
         &[],
         move |df, _| {
-            let xs = col(df, &xn).numeric_iter().expect("numeric");
-            let ys = col(df, &yn).numeric_iter().expect("numeric");
-            let pairs: Vec<(f64, f64)> = xs
-                .zip(ys)
-                .filter_map(|(a, b)| match (a, b) {
-                    (Some(a), Some(b)) if !a.is_nan() && !b.is_nan() => Some((a, b)),
-                    _ => None,
-                })
-                .collect();
-            pairs
+            let (xs, ys) = (nan_marked(col(df, &xn)), nan_marked(col(df, &yn)));
+            let pairs = xs.iter().zip(ys.iter()).map(|(&a, &b)| (a, b));
+            pairs.filter(|(a, b)| !a.is_nan() && !b.is_nan()).collect::<Vec<(f64, f64)>>()
         },
         |values, more| concat(values, more),
     )
+}
+
+/// The pairs of a [`pair_values`] payload that a grid view bins: both
+/// sides finite, as [`Histogram::push`] keeps a value.
+fn finite_pairs(pairs: &Payload) -> impl Iterator<Item = (f64, f64)> + '_ {
+    let pairs = un::<Vec<(f64, f64)>>(pairs).iter().copied();
+    pairs.filter(|(a, b)| a.is_finite() && b.is_finite())
 }
 
 /// Row-aligned numeric values of a column with nulls as NaN, gathered in
@@ -432,27 +439,19 @@ pub fn grouped_numeric(
             let mut groups: Vec<Vec<f64>> = vec![Vec::new(); keep.len()];
             let cats = col(df, &cn).display_encoded();
             let mut slots = Slots::new(cat::codes(&cats).1, &keep);
-            let nums = col(df, &nn).numeric_iter().expect("numeric");
-            for (c, v) in cat::opt_codes(&cats).zip(nums) {
-                if let (Some(c), Some(v)) = (c, v) {
-                    if let Some(group) = slots.get(c).and_then(|at| groups.get_mut(at)) {
-                        if !v.is_nan() {
-                            group.push(v);
-                        }
-                    }
+            let nums = nan_marked(col(df, &nn));
+            for (c, &v) in cat::opt_codes(&cats).zip(nums.iter()) {
+                let group = c.and_then(|c| slots.get(c)).and_then(|at| groups.get_mut(at));
+                if let Some(group) = group.filter(|_| !v.is_nan()) {
+                    group.push(v);
                 }
             }
             groups
         },
-        |groups, more| extend_groups(groups, more),
+        |groups: &mut Vec<Vec<f64>>, more| {
+            groups.iter_mut().zip(more).for_each(|(dst, src)| dst.extend_from_slice(src));
+        },
     )
-}
-
-/// Append each group of `more` to the same group of `groups`.
-fn extend_groups(groups: &mut [Vec<f64>], more: &[Vec<f64>]) {
-    for (dst, src) in groups.iter_mut().zip(more) {
-        dst.extend_from_slice(src);
-    }
 }
 
 /// Cross-tabulated counts of two categorical columns over their most
@@ -498,86 +497,42 @@ pub fn crosstab(
     )
 }
 
-/// Per-x-bin collections of y values for the binned box plot (N×N).
-/// Bin grid from x's reduced moments at execution time.
-pub fn binned_numeric(
-    ctx: &mut ComputeContext<'_>,
-    x: &str,
-    y: &str,
-    bins: usize,
-) -> NodeId {
-    let mx = moments(ctx, x);
-    let (xn, yn) = (x.to_string(), y.to_string());
+/// Per-x-bin collections of y values for the binned box plot (N×N): the
+/// finite pairs of [`pair_values`], binned on x's reduced moments.
+pub fn binned_numeric(ctx: &mut ComputeContext<'_>, x: &str, y: &str, bins: usize) -> NodeId {
+    let deps = vec![pair_values(ctx, x, y), moments(ctx, x)];
     let params = ctx.params(TaskKey::params(&format!("binned:{x}:{y}:{bins}")));
-    ops::map_reduce(
-        &mut ctx.graph,
-        &format!("binned_numeric:{x}:{y}"),
-        params,
-        &ctx.sources,
-        &[mx],
-        move |df, extra| {
-            let mom = un::<Moments>(&extra[0]);
-            let mut groups: Vec<Vec<f64>> = vec![Vec::new(); bins.max(1)];
-            let width = (mom.max - mom.min) / bins.max(1) as f64;
-            let xs = col(df, &xn).numeric_iter().expect("numeric");
-            let ys = col(df, &yn).numeric_iter().expect("numeric");
-            for (a, b) in xs.zip(ys) {
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a.is_nan() || b.is_nan() || width <= 0.0 {
-                        if width <= 0.0 && !b.is_nan() {
-                            groups[0].push(b);
-                        }
-                        continue;
-                    }
-                    let mut idx = ((a - mom.min) / width) as usize;
-                    if idx >= groups.len() {
-                        idx = groups.len() - 1;
-                    }
-                    groups[idx].push(b);
-                }
-            }
-            groups
-        },
-        |groups, more| extend_groups(groups, more),
-    )
+    ctx.graph.op(&format!("binned_numeric:{x}:{y}"), params, deps, move |inputs| {
+        let mom = un::<Moments>(&inputs[1]);
+        let mut groups: Vec<Vec<f64>> = vec![Vec::new(); bins.max(1)];
+        let last = groups.len() - 1;
+        let width = (mom.max - mom.min) / groups.len() as f64;
+        for (a, b) in finite_pairs(&inputs[0]) {
+            // A constant x puts every pair in the first box.
+            let at = if width > 0.0 { (((a - mom.min) / width) as usize).min(last) } else { 0 };
+            groups[at].push(b);
+        }
+        groups
+    })
 }
 
-/// Hexagonal binning of two numeric columns (pointy-top axial grid over
-/// the data ranges; ranges from the reduced moments at execution time).
+/// Hexagonal binning of the finite pairs of [`pair_values`] (pointy-top
+/// axial grid over the ranges of the reduced moments): the count of each
+/// occupied cell, in cell order.
 pub fn hexbin(ctx: &mut ComputeContext<'_>, x: &str, y: &str, gridsize: usize) -> NodeId {
-    let mx = moments(ctx, x);
-    let my = moments(ctx, y);
-    let (xn, yn) = (x.to_string(), y.to_string());
+    let deps = vec![pair_values(ctx, x, y), moments(ctx, x), moments(ctx, y)];
     let params = ctx.params(TaskKey::params(&format!("hexbin:{x}:{y}:{gridsize}")));
-    ops::map_reduce(
-        &mut ctx.graph,
-        &format!("hexbin:{x}:{y}"),
-        params,
-        &ctx.sources,
-        &[mx, my],
-        move |df, extra| {
-            let (momx, momy) = (un::<Moments>(&extra[0]), un::<Moments>(&extra[1]));
-            let mut cells: HashMap<(i64, i64), u64> = HashMap::new();
-            let xs = col(df, &xn).numeric_iter().expect("numeric");
-            let ys = col(df, &yn).numeric_iter().expect("numeric");
-            let (sx, sy) = hex_scales(momx, momy, gridsize);
-            for (a, b) in xs.zip(ys) {
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a.is_nan() || b.is_nan() {
-                        continue;
-                    }
-                    let q = hex_cell((a - momx.min) / sx, (b - momy.min) / sy);
-                    *cells.entry(q).or_insert(0) += 1;
-                }
-            }
-            cells
-        },
-        |cells, more| {
-            for (k, v) in more {
-                *cells.entry(*k).or_insert(0) += v;
-            }
-        },
-    )
+    ctx.graph.op(&format!("hexbin:{x}:{y}"), params, deps, move |inputs| {
+        let (momx, momy) = (un::<Moments>(&inputs[1]), un::<Moments>(&inputs[2]));
+        let (sx, sy) = hex_scales(momx, momy, gridsize);
+        let mut cells: HashMap<(i64, i64), u64> = HashMap::new();
+        for (a, b) in finite_pairs(&inputs[0]) {
+            *cells.entry(hex_cell((a - momx.min) / sx, (b - momy.min) / sy)).or_insert(0) += 1;
+        }
+        let mut cells: Vec<((i64, i64), u64)> = cells.into_iter().collect();
+        cells.sort_unstable_by_key(|&(cell, _)| cell);
+        cells
+    })
 }
 
 /// Data-unit scale factors for the hex grid.
@@ -617,46 +572,28 @@ pub fn hex_center(q: i64, r: i64) -> (f64, f64) {
 }
 
 /// Per-category histograms over shared bins for the multi-line chart: one
-/// histogram for each of the `ngroups` most frequent categories of `cat`,
-/// in the order of `summary`, its `freq_summary` node. Each map task reads
-/// the summary and `num`'s moments (the bin range) as dependencies.
+/// histogram of each of the first `ngroups` groups of `grouped`, the
+/// [`grouped_numeric`] node of `cat` and `num` (planned with at least that
+/// many groups), binned on `num`'s moments.
 pub fn multi_line(
     ctx: &mut ComputeContext<'_>,
-    cat: &str,
-    num: &str,
-    summary: NodeId,
+    (cat, num): (&str, &str),
+    grouped: NodeId,
     ngroups: usize,
     bins: usize,
 ) -> NodeId {
-    let m = moments(ctx, num);
-    let (cn, nn) = (cat.to_string(), num.to_string());
+    let deps = vec![grouped, moments(ctx, num)];
     let params = ctx.params(TaskKey::params(&format!("multiline:{cat}:{num}:{bins}:{ngroups}")));
-    ops::map_reduce(
-        &mut ctx.graph,
-        &format!("multi_line:{cat}:{num}"),
-        params,
-        &ctx.sources,
-        &[m, summary],
-        move |df, extra| {
-            let mom = un::<Moments>(&extra[0]);
-            let keep = un::<FreqSummary>(&extra[1]).labels(ngroups);
-            let mut hists = vec![Histogram::new(mom.min, mom.max, bins); keep.len()];
-            let cats = col(df, &cn).display_encoded();
-            let mut slots = Slots::new(cat::codes(&cats).1, &keep);
-            let nums = col(df, &nn).numeric_iter().expect("numeric");
-            for (c, v) in cat::opt_codes(&cats).zip(nums) {
-                if let (Some(c), Some(v)) = (c, v) {
-                    if let Some(h) = slots.get(c).and_then(|at| hists.get_mut(at)) {
-                        h.push(v);
-                    }
-                }
-            }
-            hists
-        },
-        |hists: &mut Vec<Histogram>, more| {
-            hists.iter_mut().zip(more).for_each(|(dst, src)| dst.merge(src));
-        },
-    )
+    ctx.graph.op(&format!("multi_line:{cat}:{num}"), params, deps, move |inputs| {
+        let mom = un::<Moments>(&inputs[1]);
+        let groups = un::<Vec<Vec<f64>>>(&inputs[0]).iter().take(ngroups);
+        let hist = |values: &Vec<f64>| {
+            let mut h = Histogram::new(mom.min, mom.max, bins);
+            h.fill_slice(values);
+            h
+        };
+        groups.map(hist).collect::<Vec<Histogram>>()
+    })
 }
 
 #[cfg(test)]
@@ -857,8 +794,9 @@ mod tests {
 
     #[test]
     fn hexbin_conserves_points() {
-        let cells: HashMap<(i64, i64), u64> = run_one(|ctx| hexbin(ctx, "num", "num2", 8));
-        let total: u64 = cells.values().sum();
+        let cells: Vec<((i64, i64), u64)> = run_one(|ctx| hexbin(ctx, "num", "num2", 8));
+        assert!(cells.windows(2).all(|w| w[0].0 < w[1].0));
+        let total: u64 = cells.iter().map(|(_, n)| n).sum();
         assert_eq!(total, 180);
         assert!(cells.len() > 1);
     }
@@ -867,7 +805,8 @@ mod tests {
     fn multi_line_shares_bins() {
         let h: Vec<Histogram> = run_one(|ctx| {
             let summary = freq_summary(ctx, "cat", Rows::All);
-            multi_line(ctx, "cat", "num", summary, 2, 8)
+            let grouped = grouped_numeric(ctx, "cat", "num", summary, 3);
+            multi_line(ctx, ("cat", "num"), grouped, 2, 8)
         });
         assert_eq!(h.len(), 2);
         let (h0, h1) = (&h[0], &h[1]);

@@ -22,7 +22,7 @@
 //!   plot are computed once).
 //! * [`scheduler`] — the executor: one entry point, [`scheduler::run`],
 //!   that runs ready tasks as their dependencies complete — on the
-//!   calling thread with one worker, on a pool of threads (crossbeam
+//!   calling thread with one worker, on a pool of threads (std `mpsc`
 //!   channels) with more. It isolates panics per task
 //!   ([`outcome::TaskOutcome`]), skips dependents of failed nodes instead
 //!   of aborting the run, and supports per-task deadlines.

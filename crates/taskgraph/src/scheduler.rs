@@ -31,11 +31,10 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{self, Receiver, RecvError, Sender};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel;
 
 use crate::cache::CacheHandle;
 use crate::govern::{self, CancelToken};
@@ -357,8 +356,8 @@ type Job = (NodeId, Vec<TaskOutcome>);
 /// that take [`Job`]s off one channel and send `(node, worker, result)`
 /// back on another.
 struct Pool<'scope> {
-    jobs: channel::Sender<Job>,
-    done: channel::Receiver<(NodeId, usize, Executed)>,
+    jobs: Sender<Job>,
+    done: Receiver<(NodeId, usize, Executed)>,
     in_flight: usize,
     handles: Vec<ScopedJoinHandle<'scope, ()>>,
 }
@@ -369,13 +368,16 @@ impl<'scope> Pool<'scope> {
         workers: usize,
         execute: &'env (dyn Fn(NodeId, &[TaskOutcome]) -> Executed + Sync),
     ) -> Pool<'scope> {
-        let (jobs, jobs_rx) = channel::unbounded::<Job>();
-        let (done_tx, done) = channel::unbounded();
+        let (jobs, jobs_rx) = mpsc::channel::<Job>();
+        // The workers share the one receiver: whoever holds the lock takes
+        // the next job.
+        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
+        let (done_tx, done) = mpsc::channel();
         let handles = (0..workers)
             .map(|worker| {
-                let (jobs_rx, done_tx) = (jobs_rx.clone(), done_tx.clone());
+                let (jobs_rx, done_tx) = (Arc::clone(&jobs_rx), done_tx.clone());
                 scope.spawn(move || {
-                    while let Ok((id, inputs)) = jobs_rx.recv() {
+                    while let Ok((id, inputs)) = next_job(&jobs_rx) {
                         if done_tx.send((id, worker, execute(id, &inputs))).is_err() {
                             break;
                         }
@@ -416,6 +418,15 @@ impl<'scope> Pool<'scope> {
             let _ = handle.join();
         }
     }
+}
+
+/// The next job off the shared receiver. The guard drops on return, so
+/// the lock is not held while the job runs (a `while let` over the lock
+/// would hold it through the loop body). A `recv` cannot leave the
+/// receiver half-updated, so a lock poisoned by a worker that died
+/// holding it is taken as it is.
+fn next_job(jobs: &Mutex<Receiver<Job>>) -> Result<Job, RecvError> {
+    jobs.lock().unwrap_or_else(PoisonError::into_inner).recv()
 }
 
 /// A `Failed` outcome recording a broken executor invariant at `id`

@@ -12,7 +12,9 @@
 //! vectors and the pair fits moved, by at most 1.4e-12). Both were
 //! re-pinned again when `Moments` became a block-wise two-pass
 //! (EXPERIMENTS.md, "Both per-value loops of `bigfile_overview`": only
-//! two `skewed` insight values moved, by 5.8e-15 relative).
+//! two `skewed` insight values moved, by 5.8e-15 relative). The N×N
+//! `plot(df, x, y)` digests were recorded later, at the commit before
+//! hexbin and the binned boxes came to read the pair gather.
 //!
 //! The partition count is pinned (it otherwise follows the host's core
 //! count), so the digests are the same on every machine.
@@ -96,11 +98,24 @@ fn digest(df: &DataFrame, cfg: &Config) -> u64 {
     d.0.finish()
 }
 
-fn pinned(name: &str, want: u64, want_file: u64) {
+/// `plot(df, x, y)` for N×N pairs (scatter, hexbin, binned boxes), pinned
+/// apart from [`digest`]: float and integer columns, with and without
+/// nulls, and no infinity.
+fn numeric_pairs_digest(df: &DataFrame, cfg: &Config) -> u64 {
+    let mut d = Digest(Fnv1a::new());
+    for cols in [["num0", "num1"], ["num2", "num3"], ["num3", "num0"]] {
+        d.analysis(&plot(df, &cols, cfg).unwrap());
+    }
+    d.0.finish()
+}
+
+fn pinned(name: &str, (want, want_pairs): (u64, u64), want_file: u64) {
     let df = shape(name);
     for workers in [1, 2, 4, 7] {
         let got = digest(&df, &config(workers));
         assert_eq!(got, want, "{name}, engine.workers = {workers}: {got:#018x}");
+        let got = numeric_pairs_digest(&df, &config(workers));
+        assert_eq!(got, want_pairs, "{name} N×N, engine.workers = {workers}: {got:#018x}");
     }
     // The same frame from `.edaf`.
     let path = std::env::temp_dir().join(format!("strings_as_codes_{name}.edaf"));
@@ -115,16 +130,17 @@ fn pinned(name: &str, want: u64, want_file: u64) {
     assert_eq!(file.finish(), want_file, "{name}.edaf: {:#018x}", file.finish());
     assert_eq!(loaded, df);
     assert_eq!(digest(&loaded, &config(2)), want, "{name} from .edaf");
+    assert_eq!(numeric_pairs_digest(&loaded, &config(2)), want_pairs, "{name} N×N from .edaf");
 }
 
 #[test]
 fn conflicts_outputs_are_pinned() {
-    pinned("conflicts", 0xf660_3e26_892f_142b, 0xae39_f769_76ba_f6bb);
+    pinned("conflicts", (0xf660_3e26_892f_142b, 0x5786_b92e_309b_6d73), 0xae39_f769_76ba_f6bb);
 }
 
 #[test]
 fn adult_outputs_are_pinned() {
-    pinned("adult", 0x1394_6ea4_3e38_366f, 0xb560_d983_6791_1fd7);
+    pinned("adult", (0x1394_6ea4_3e38_366f, 0xee30_6275_ffc9_5d7a), 0xb560_d983_6791_1fd7);
 }
 
 /// Categorical columns that are not strings (a bool, a low-cardinality
