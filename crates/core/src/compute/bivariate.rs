@@ -51,8 +51,8 @@ pub fn compute_bivariate(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> EdaR
 fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -> NodeId {
     let deps = vec![
         kernels::pair_values(ctx, x, y),
-        kernels::hexbin(ctx, x, y, ctx.config.hexbin.gridsize),
-        kernels::binned_numeric(ctx, x, y, ctx.config.box_plot.bins),
+        kernels::hexbin(ctx, x, y),
+        kernels::binned_numeric(ctx, x, y),
         kernels::moments(ctx, x),
         kernels::moments(ctx, y),
     ];
@@ -111,10 +111,8 @@ fn numeric_categorical(ctx: &mut ComputeContext<'_>, name: &str, cat: &str, num:
     // wide as the wider chart, of which each chart takes its head.
     let summary = kernels::freq_summary(ctx, cat, Rows::All);
     let (box_groups, line_groups) = (ctx.config.box_plot.ngroups, ctx.config.line.ngroups);
-    let grouped = kernels::grouped_numeric(ctx, cat, num, summary, box_groups.max(line_groups));
-    let bins = ctx.config.line.bins;
-    let deps =
-        vec![grouped, kernels::multi_line(ctx, (cat, num), grouped, line_groups, bins), summary];
+    let grouped = kernels::grouped_numeric(ctx, cat, num, summary);
+    let deps = vec![grouped, kernels::multi_line(ctx, (cat, num), grouped), summary];
     let config = Arc::clone(&ctx.config);
     ctx.section(name, deps, move |outs| {
         let groups = un::<Vec<Vec<f64>>>(&outs[0]);
@@ -159,7 +157,7 @@ fn categorical_categorical(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y:
     let fy = kernels::freq_summary(ctx, y, Rows::All);
     let ngroups = (ctx.config.crosstab.ngroups_x, ctx.config.crosstab.ngroups_y);
     // One crosstab feeds all three charts (shared computation).
-    let ct = kernels::crosstab(ctx, (x, y), (fx, fy), ngroups);
+    let ct = kernels::crosstab(ctx, (x, y), (fx, fy));
     ctx.section(name, vec![ct, fx, fy], move |outs| {
         // One row of `keep_y.len()` counts per kept x category.
         let counts = un::<Vec<u64>>(&outs[0]);

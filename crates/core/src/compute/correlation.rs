@@ -36,7 +36,6 @@ use std::sync::Arc;
 
 use eda_stats::corr::{corr_cells, upper_triangle, Col, ColumnPrep, CorrMatrix, CorrMethod};
 use eda_stats::regression::LinearFit;
-use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::NodeId;
 
 use crate::dtype::SemanticType;
@@ -96,8 +95,11 @@ pub fn tile_bounds(npairs: usize, tiles: usize) -> Vec<(usize, usize)> {
 
 /// Plan `method` over `pairs` (indices into `columns`) as `tiles`
 /// `corr_matrix` tasks; their payloads, concatenated in order, are the
-/// coefficients of `pairs` in order. `scope` keeps the keys of different
-/// pair lists over the same columns apart.
+/// coefficients of `pairs` in order. A tile is named
+/// `corr_matrix:<method>:<lo>-<hi>:<scope>`: neither the config nor the
+/// inputs say which pairs it holds — `engine.workers` sets the tiling, and
+/// a matrix and a vector read the same columns — so its range and `scope`,
+/// which names the pair list, keep the keys of different tiles apart.
 fn plan_cells(
     ctx: &mut ComputeContext<'_>,
     columns: &[(NodeId, NodeId)],
@@ -113,12 +115,8 @@ fn plan_cells(
         .into_iter()
         .map(|(lo, hi)| {
             let tile = pairs[lo..hi].to_vec();
-            let params = ctx.params(TaskKey::params(&format!(
-                "corrtile:{}:{scope}:{lo}:{hi}",
-                method.name()
-            )));
-            let name = format!("corr_matrix:{}:{lo}", method.name());
-            ctx.graph.op(&name, params, deps.clone(), move |inputs| {
+            let name = format!("corr_matrix:{}:{lo}-{hi}:{scope}", method.name());
+            ctx.op(&name, deps.clone(), move |inputs| {
                 let (gathers, preps) = inputs.split_at(m);
                 let cols: Vec<Col<'_>> = gathers
                     .iter()
@@ -154,10 +152,8 @@ pub fn plan_matrix_tiles(
         .map(|&method| {
             let tile_nodes = plan_cells(ctx, &columns, method, &pairs, tiles, "matrix");
             let labels = Arc::clone(&labels);
-            let params =
-                ctx.params(TaskKey::params(&format!("corrassemble:{}", method.name())));
             let name = format!("corr_assemble:{}", method.name());
-            ctx.graph.op(&name, params, tile_nodes, move |tiles| {
+            ctx.op(&name, tile_nodes, move |tiles| {
                 let upper = tiles.iter().flat_map(|t| un::<Vec<Option<f64>>>(t).iter().copied());
                 CorrMatrix::from_upper(labels.to_vec(), method, upper)
             })

@@ -9,16 +9,23 @@
 //! Every call ends in one *section node* ([`ComputeContext::section`]):
 //! the finish that turns its statistics into a [`Section`] is a task like
 //! any other, so it is cached, traced and shared.
+//!
+//! A planned task's identity is formed here and nowhere else: its key is
+//! its name, the config hash and its inputs' keys ([`ComputeContext::op`],
+//! [`ComputeContext::map_reduce`]). A kernel reads its settings from
+//! [`ComputeContext::config`], so what the config holds is in the key
+//! once, and the name carries only what neither the config nor the
+//! inputs say.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use eda_dataframe::DataFrame;
+use eda_dataframe::{DataFrame, HeapSize};
 use eda_taskgraph::graph::Payload;
 use eda_taskgraph::outcome::{root_failure, TaskOutcome};
 use eda_taskgraph::scheduler::{self, ExecOptions};
 use eda_taskgraph::govern::{self, CancelToken};
-use eda_taskgraph::key::TaskKey;
+use eda_taskgraph::ops;
 use eda_taskgraph::{CacheHandle, ExecStats, NodeId, PartitionedFrame, ResultCache, TaskGraph};
 
 use crate::config::Config;
@@ -79,9 +86,9 @@ pub struct ComputeContext<'a> {
     /// Each column's semantic type, detected on first use
     /// ([`ComputeContext::semantic`]).
     semantics: Vec<OnceCell<SemanticType>>,
-    /// `config.compute_hash()`, taken once: every planned node mixes it
-    /// into its key ([`ComputeContext::params`]).
-    config_hash: u64,
+    /// `config.compute_hash()`, taken once: the parameter slot of every
+    /// planned task's key ([`ComputeContext::op`]).
+    pub(crate) config_hash: u64,
 }
 
 /// Rows per partition: a frame is cut into `rows / ROWS_PER_PARTITION`
@@ -182,23 +189,42 @@ impl<'a> ComputeContext<'a> {
         })
     }
 
-    /// Parameter-hash base mixing in the config, so config changes never
-    /// share nodes with differently-configured builds.
-    pub fn params(&self, extra: u64) -> u64 {
-        self.config_hash ^ extra.rotate_left(17)
+    /// Plan one task named `name`: `f` turns the payloads of `deps`, in
+    /// order, into its result. Its key is the name, the config hash and
+    /// the keys of `deps` (`TaskKey::derived`), so two plans of the same
+    /// statistic share one node and a differently configured plan never
+    /// does.
+    pub fn op<T, F>(&mut self, name: &str, deps: Vec<NodeId>, f: F) -> NodeId
+    where
+        T: HeapSize + Send + Sync + 'static,
+        F: Fn(&[Payload]) -> T + Send + Sync + 'static,
+    {
+        self.graph.op(name, self.config_hash, deps, f)
+    }
+
+    /// Plan a partition kernel named `name`: `map` over every partition
+    /// (with the payloads of `extra`), the partials tree-reduced by
+    /// `merge` in tasks named `<name>/reduce`. Keyed as [`Self::op`].
+    pub fn map_reduce<T, M, C>(&mut self, name: &str, extra: &[NodeId], map: M, merge: C) -> NodeId
+    where
+        T: HeapSize + Clone + Send + Sync + 'static,
+        M: Fn(&DataFrame, &[Payload]) -> T + Send + Sync + 'static,
+        C: Fn(&mut T, &T) + Send + Sync + 'static,
+    {
+        ops::map_reduce(&mut self.graph, name, self.config_hash, &self.sources, extra, map, merge)
     }
 
     /// Plan a section node named `name`: `finish` turns the payloads of
-    /// `deps`, in order, into the [`Section`]. Its key mixes every
-    /// `insight.*` threshold besides [`Self::params`], so a cached section
-    /// never serves insights found under other thresholds.
+    /// `deps`, in order, into the [`Section`]. Keyed as [`Self::op`] with
+    /// every `insight.*` threshold mixed in, so a cached section never
+    /// serves insights found under other thresholds.
     pub fn section(
         &mut self,
         name: &str,
         deps: Vec<NodeId>,
         finish: impl Fn(&[Payload]) -> Section + Send + Sync + 'static,
     ) -> NodeId {
-        let params = self.params(TaskKey::params(&name) ^ self.config.thresholds_hash());
+        let params = self.config_hash ^ self.config.thresholds_hash().rotate_left(17);
         self.graph.op(name, params, deps, finish)
     }
 
@@ -395,12 +421,16 @@ mod tests {
     fn params_mixes_config() {
         let df = frame();
         let a_cfg = Config::default();
-        let ctx = ComputeContext::new(&df, &a_cfg);
+        let mut ctx = ComputeContext::new(&df, &a_cfg);
         let mut b_cfg = Config::default();
         b_cfg.set("hist.bins", "99").unwrap();
-        let ctx2 = ComputeContext::new(&df, &b_cfg);
-        assert_ne!(ctx.params(1), ctx2.params(1));
-        assert_ne!(ctx.params(1), ctx.params(2));
+        let mut ctx2 = ComputeContext::new(&df, &b_cfg);
+        let key = |ctx: &mut ComputeContext<'_>, name: &str| {
+            let node = ctx.op(name, ctx.sources.clone(), |inputs| inputs.len());
+            ctx.graph.task(node).key
+        };
+        assert_ne!(key(&mut ctx, "a"), key(&mut ctx2, "a"));
+        assert_ne!(key(&mut ctx, "a"), key(&mut ctx, "b"));
     }
 
     /// Planning only adds nodes: whichever call is planned, no run has

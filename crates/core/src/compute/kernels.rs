@@ -2,12 +2,14 @@
 //!
 //! Each function adds a sub-plan to the context's graph and returns the
 //! node holding its result. A partition kernel maps every partition and
-//! tree-reduces the partials; a derived kernel is one task over other
-//! kernels' results and reads no row. Structural keys cover the kernel
-//! name, the column(s), the relevant config, and — for the
-//! missing-impact variants — the [`Rows`] they aggregate, so two
-//! visualizations needing the same statistic share one plan and different
-//! configurations never collide.
+//! tree-reduces the partials ([`ComputeContext::map_reduce`]); a derived
+//! kernel is one task over other kernels' results and reads no row
+//! ([`ComputeContext::op`]). A task's key is its name, the config hash and
+//! its inputs' keys: the name spells the kernel, the column(s) and — for
+//! the missing-impact variants — the [`Rows`] it aggregates, and a kernel
+//! reads every setting (bins, grid size, group counts) from the config,
+//! never from an argument. So two visualizations needing the same
+//! statistic share one plan and different configurations never collide.
 //!
 //! A bin grid that depends on data extrema is read off the reduced
 //! [`Moments`] node at *execution* time, which keeps everything inside
@@ -37,7 +39,6 @@ use eda_stats::missing::{spectrum_ranges, NullCounts};
 use eda_stats::moments::Moments;
 use eda_stats::quantile;
 use eda_stats::text::TextStats;
-use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::ops;
 use eda_taskgraph::partition::payload_frame;
 use eda_taskgraph::{NodeId, Payload};
@@ -66,8 +67,8 @@ pub enum Rows {
 }
 
 impl Rows {
-    /// Key/name suffix: the same kernel over different rows is a
-    /// different task.
+    /// Name suffix: the same kernel over different rows is a different
+    /// task.
     fn tag(&self) -> String {
         match self {
             Rows::All => String::new(),
@@ -108,12 +109,8 @@ fn nan_marked(c: &Column) -> Cow<'_, [f64]> {
 /// read from (`eda_stats::missing::ColMeta::numeric`).
 pub fn moments(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("moments:{column}")));
-    ops::map_reduce(
-        &mut ctx.graph,
+    ctx.map_reduce(
         &format!("moments:{column}"),
-        params,
-        &ctx.sources,
         &[],
         move |df, _| Moments::of(col(df, &name)).expect("numeric"),
         Moments::merge,
@@ -126,8 +123,7 @@ pub fn moments(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
 /// values from the gather payload, the prep does not copy them.
 pub fn plan_corr_prep(ctx: &mut ComputeContext<'_>, name: &str) -> (NodeId, NodeId) {
     let gather = numeric_gather(ctx, name);
-    let params = ctx.params(TaskKey::params(&format!("corrprep:{name}")));
-    let prep = ctx.graph.op("corr_prep", params, vec![gather], |inputs| {
+    let prep = ctx.op("corr_prep", vec![gather], |inputs| {
         ColumnPrep::prepare(un::<Vec<f64>>(&inputs[0]))
     });
     (gather, prep)
@@ -152,12 +148,11 @@ pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> 
         deps.push(validity(ctx, x));
         bit
     });
-    let params = ctx.params(TaskKey::params(&format!("sorted:{column}{}", rows.tag())));
-    ctx.graph.op(&format!("sorted_values:{column}{}", rows.tag()), params, deps, move |inputs| {
+    ctx.op(&format!("sorted_values:{column}{}", rows.tag()), deps, move |inputs| {
         let values = un::<Vec<f64>>(&inputs[0]);
         let mask = inputs.get(2).map(un::<Bitmap>).zip(keep);
         let selected = |row: usize| mask.is_none_or(|(mask, bit)| mask.get(row) == bit);
-        let mut sorted: Vec<f64> = match un::<ColumnPrep>(&inputs[1]).ascending(values) {
+        let sorted: Vec<f64> = match un::<ColumnPrep>(&inputs[1]).ascending(values) {
             // Exact-size: one allocation, no regrowth.
             Some(ascending) if mask.is_none() => ascending.map(|(_, v)| v).collect(),
             Some(ascending) => ascending.filter(|&(row, _)| selected(row)).map(|(_, v)| v).collect(),
@@ -167,10 +162,7 @@ pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> 
                 quantile::sorted_values(&chosen.map(|(_, &v)| v).collect::<Vec<f64>>())
             }
         };
-        // A filtered collect grows by doubling: the cached payload keeps
-        // no slack.
-        sorted.shrink_to_fit();
-        sorted
+        trimmed(sorted)
     })
 }
 
@@ -178,23 +170,20 @@ pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> 
 /// the row is non-null: each partition's validity window, joined.
 pub fn validity(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("validity:{column}")));
-    ops::map_reduce(
-        &mut ctx.graph,
+    ctx.map_reduce(
         &format!("validity:{column}"),
-        params,
-        &ctx.sources,
         &[],
         move |df, _| col(df, &name).validity_mask(),
         Bitmap::extend_from,
     )
 }
 
-/// Histogram over a numeric column. Bin range comes from the reduced
-/// moments payload at execution time, so the whole thing stays lazy.
-pub fn histogram(ctx: &mut ComputeContext<'_>, column: &str, bins: usize) -> NodeId {
+/// Histogram over a numeric column in `hist.bins` bins. Bin range comes
+/// from the reduced moments payload at execution time, so the whole thing
+/// stays lazy.
+pub fn histogram(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let m = moments(ctx, column);
-    histogram_with_range(ctx, column, bins, Rows::All, m)
+    histogram_with_range(ctx, column, Rows::All, m)
 }
 
 /// Histogram of `rows` whose bin range comes from an explicit moments
@@ -203,17 +192,12 @@ pub fn histogram(ctx: &mut ComputeContext<'_>, column: &str, bins: usize) -> Nod
 pub fn histogram_with_range(
     ctx: &mut ComputeContext<'_>,
     column: &str,
-    bins: usize,
     rows: Rows,
     m: NodeId,
 ) -> NodeId {
-    let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("hist:{column}:{bins}{}", rows.tag())));
-    ops::map_reduce(
-        &mut ctx.graph,
+    let (name, bins) = (column.to_string(), ctx.config.hist.bins);
+    ctx.map_reduce(
         &format!("histogram:{column}{}", rows.tag()),
-        params,
-        &ctx.sources,
         &[m],
         move |df, extra| {
             let mom = un::<Moments>(&extra[0]);
@@ -233,12 +217,8 @@ pub fn histogram_with_range(
 /// counted by the codes of its display forms.
 pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
     let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("freq:{column}{}", rows.tag())));
-    ops::map_reduce(
-        &mut ctx.graph,
+    ctx.map_reduce(
         &format!("freq:{column}{}", rows.tag()),
-        params,
-        &ctx.sources,
         &[],
         move |df, _| CatFreq::of(col(df, &name), rows.select(df)),
         CatFreq::merge,
@@ -258,8 +238,7 @@ pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> N
     let c = &ctx.config;
     let shown = [c.bar.ngroups, c.pie.slices, c.box_plot.ngroups, c.line.ngroups, c.crosstab.ngroups_x];
     let keep = shown.into_iter().fold(c.crosstab.ngroups_y, usize::max);
-    let params = ctx.params(TaskKey::params(&name));
-    ctx.graph.op(&name, params, vec![table], move |inputs| {
+    ctx.op(&name, vec![table], move |inputs| {
         #[cfg(test)]
         SUMMARIES.with(|n| n.set(n.get() + 1));
         un::<CatFreq>(&inputs[0]).summary(keep)
@@ -272,12 +251,8 @@ pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> N
 /// still make sense).
 pub fn text_stats(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("text:{column}")));
-    ops::map_reduce(
-        &mut ctx.graph,
+    ctx.map_reduce(
         &format!("text_stats:{column}"),
-        params,
-        &ctx.sources,
         &[],
         move |df, _| cat::text_stats(&col(df, &name).display_encoded()),
         TextStats::merge,
@@ -289,12 +264,8 @@ pub fn text_stats(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
 /// null, gathered with NaN at its nulls when it has.
 pub fn pearson_partial(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let (xn, yn) = (x.to_string(), y.to_string());
-    let params = ctx.params(TaskKey::params(&format!("pearson:{x}:{y}")));
-    ops::map_reduce(
-        &mut ctx.graph,
+    ctx.map_reduce(
         &format!("pearson:{x}:{y}"),
-        params,
-        &ctx.sources,
         &[],
         move |df, _| {
             let mut p = PearsonPartial::new();
@@ -312,23 +283,28 @@ fn concat<T: Clone>(values: &mut Vec<T>, more: &[T]) {
     values.extend_from_slice(more);
 }
 
+/// `values` without the slack its last doubling left: a list built by
+/// `push` or a filtered `collect` is charged by capacity once cached.
+fn trimmed<T>(mut values: Vec<T>) -> Vec<T> {
+    values.shrink_to_fit();
+    values
+}
+
 /// Gathered complete pairs of two numeric columns in row order: the rows
 /// where neither side is null or NaN (infinities stay). The one row pass
 /// of an N×N `plot(df, x, y)` — the scatter sampler, [`hexbin`] and
 /// [`binned_numeric`] read it — and of `plot_timeseries`.
 pub fn pair_values(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let (xn, yn) = (x.to_string(), y.to_string());
-    let params = ctx.params(TaskKey::params(&format!("pairs:{x}:{y}")));
-    ops::map_reduce(
-        &mut ctx.graph,
+    ctx.map_reduce(
         &format!("pair_values:{x}:{y}"),
-        params,
-        &ctx.sources,
         &[],
         move |df, _| {
             let (xs, ys) = (nan_marked(col(df, &xn)), nan_marked(col(df, &yn)));
             let pairs = xs.iter().zip(ys.iter()).map(|(&a, &b)| (a, b));
-            pairs.filter(|(a, b)| !a.is_nan() && !b.is_nan()).collect::<Vec<(f64, f64)>>()
+            let pairs = pairs.filter(|(a, b)| !a.is_nan() && !b.is_nan()).collect();
+            // One partition's list is the payload itself.
+            trimmed(pairs)
         },
         |values, more| concat(values, more),
     )
@@ -346,12 +322,8 @@ fn finite_pairs(pairs: &Payload) -> impl Iterator<Item = (f64, f64)> + '_ {
 /// columns) and the eager correlation-matrix finish.
 pub fn numeric_gather(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
-    let params = ctx.params(TaskKey::params(&format!("gather:{column}")));
-    ops::map_reduce(
-        &mut ctx.graph,
+    ctx.map_reduce(
         &format!("numeric_gather:{column}"),
-        params,
-        &ctx.sources,
         &[],
         move |df, _| col(df, &name).to_f64_nan().expect("numeric"),
         |values, more| concat(values, more),
@@ -360,26 +332,27 @@ pub fn numeric_gather(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
 
 /// Integer nullity aggregates of the whole frame ([`NullCounts`]): nulls
 /// per column, rows where both columns of a pair are null, and nulls per
-/// spectrum bin (`bins` row ranges). Each partition counts its own
-/// validity windows a 64-row word at a time and the counts add up, so no
-/// row-length indicator is ever built. Feeds the four `plot_missing(df)`
-/// views.
-pub fn null_counts(ctx: &mut ComputeContext<'_>, bins: usize) -> NodeId {
+/// spectrum bin (`spectrum.bins` row ranges). Each partition counts its
+/// own validity windows a 64-row word at a time and the counts add up, so
+/// no row-length indicator is ever built. Feeds the four
+/// `plot_missing(df)` views.
+pub fn null_counts(ctx: &mut ComputeContext<'_>) -> NodeId {
+    let bins = ctx.config.spectrum.bins;
     let ranges = Arc::new(spectrum_ranges(ctx.pf.nrows(), bins));
-    let params = ctx.params(TaskKey::params(&format!("nulls:{bins}")));
     let op = format!("nulls:{bins}");
     // A partition's counts need its first row, so the map is planned here;
     // the partials reduce like any other kernel's.
-    let mapped: Vec<NodeId> = (ctx.sources.iter().enumerate())
-        .map(|(i, &p)| {
+    let mapped: Vec<NodeId> = (0..ctx.sources.len())
+        .map(|i| {
             let (first_row, _) = ctx.pf.meta.range(i);
             let ranges = Arc::clone(&ranges);
-            ctx.graph.op(&op, params, vec![p], move |inputs| {
+            ctx.op(&op, vec![ctx.sources[i]], move |inputs| {
                 count_nulls(payload_frame(&inputs[0]), first_row, &ranges)
             })
         })
         .collect();
-    ops::tree_reduce(&mut ctx.graph, &format!("{op}/reduce"), params, &mapped, NullCounts::merge)
+    let reduce = format!("{op}/reduce");
+    ops::tree_reduce(&mut ctx.graph, &reduce, ctx.config_hash, &mapped, NullCounts::merge)
 }
 
 /// [`NullCounts`] of one partition whose first row is row `first_row` of
@@ -415,7 +388,8 @@ fn count_nulls(df: &DataFrame, first_row: usize, ranges: &[(usize, usize)]) -> N
 }
 
 /// Numeric values of `num` grouped by the (display) categories of `cat`:
-/// one group for each of the `ngroups` most frequent categories, in the
+/// one group for each of the `max(box.ngroups, line.ngroups)` most
+/// frequent categories — as many as the wider N×C chart shows — in the
 /// order of `summary`, the `freq_summary` node of `cat`. Each map task
 /// reads that summary as a dependency and picks the groups itself, so the
 /// group choice is graph work like the grouping.
@@ -424,15 +398,11 @@ pub fn grouped_numeric(
     cat: &str,
     num: &str,
     summary: NodeId,
-    ngroups: usize,
 ) -> NodeId {
     let (cn, nn) = (cat.to_string(), num.to_string());
-    let params = ctx.params(TaskKey::params(&format!("grouped:{cat}:{num}:{ngroups}")));
-    ops::map_reduce(
-        &mut ctx.graph,
+    let ngroups = ctx.config.box_plot.ngroups.max(ctx.config.line.ngroups);
+    ctx.map_reduce(
         &format!("grouped_numeric:{cat}:{num}"),
-        params,
-        &ctx.sources,
         &[summary],
         move |df, extra| {
             let keep = un::<FreqSummary>(&extra[0]).labels(ngroups);
@@ -446,34 +416,29 @@ pub fn grouped_numeric(
                     group.push(v);
                 }
             }
-            groups
+            groups.into_iter().map(trimmed).collect::<Vec<Vec<f64>>>()
         },
         |groups: &mut Vec<Vec<f64>>, more| {
-            groups.iter_mut().zip(more).for_each(|(dst, src)| dst.extend_from_slice(src));
+            groups.iter_mut().zip(more).for_each(|(dst, src)| concat(dst, src));
         },
     )
 }
 
 /// Cross-tabulated counts of two categorical columns over their most
-/// frequent categories: the first `ngroups.0` of `summaries.0` (the
-/// `freq_summary` node of `c1`) are the rows, the first `ngroups.1` of
-/// `summaries.1` the columns, row-major. Each map task reads both
-/// summaries and picks the categories itself; rows outside either list
-/// are not counted.
+/// frequent categories: the first `crosstab.ngroups_x` of `summaries.0`
+/// (the `freq_summary` node of `c1`) are the rows, the first
+/// `crosstab.ngroups_y` of `summaries.1` the columns, row-major. Each map
+/// task reads both summaries and picks the categories itself; rows
+/// outside either list are not counted.
 pub fn crosstab(
     ctx: &mut ComputeContext<'_>,
     (c1, c2): (&str, &str),
     summaries: (NodeId, NodeId),
-    ngroups: (usize, usize),
 ) -> NodeId {
     let (n1, n2) = (c1.to_string(), c2.to_string());
-    let params =
-        ctx.params(TaskKey::params(&format!("crosstab:{c1}:{c2}:{}:{}", ngroups.0, ngroups.1)));
-    ops::map_reduce(
-        &mut ctx.graph,
+    let ngroups = (ctx.config.crosstab.ngroups_x, ctx.config.crosstab.ngroups_y);
+    ctx.map_reduce(
         &format!("crosstab:{c1}:{c2}"),
-        params,
-        &ctx.sources,
         &[summaries.0, summaries.1],
         move |df, extra| {
             let k1 = un::<FreqSummary>(&extra[0]).labels(ngroups.0);
@@ -498,31 +463,32 @@ pub fn crosstab(
 }
 
 /// Per-x-bin collections of y values for the binned box plot (N×N): the
-/// finite pairs of [`pair_values`], binned on x's reduced moments.
-pub fn binned_numeric(ctx: &mut ComputeContext<'_>, x: &str, y: &str, bins: usize) -> NodeId {
+/// finite pairs of [`pair_values`], binned on x's reduced moments into
+/// `box.bins` bins by the histogram's rule ([`Histogram::bin`]; a
+/// constant x is one bin).
+pub fn binned_numeric(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let deps = vec![pair_values(ctx, x, y), moments(ctx, x)];
-    let params = ctx.params(TaskKey::params(&format!("binned:{x}:{y}:{bins}")));
-    ctx.graph.op(&format!("binned_numeric:{x}:{y}"), params, deps, move |inputs| {
+    let bins = ctx.config.box_plot.bins;
+    ctx.op(&format!("binned_numeric:{x}:{y}"), deps, move |inputs| {
         let mom = un::<Moments>(&inputs[1]);
-        let mut groups: Vec<Vec<f64>> = vec![Vec::new(); bins.max(1)];
-        let last = groups.len() - 1;
-        let width = (mom.max - mom.min) / groups.len() as f64;
+        let grid = Histogram::new(mom.min, mom.max, bins);
+        let mut groups: Vec<Vec<f64>> = vec![Vec::new(); grid.nbins()];
         for (a, b) in finite_pairs(&inputs[0]) {
-            // A constant x puts every pair in the first box.
-            let at = if width > 0.0 { (((a - mom.min) / width) as usize).min(last) } else { 0 };
-            groups[at].push(b);
+            if let Some(group) = grid.bin(a).and_then(|at| groups.get_mut(at)) {
+                group.push(b);
+            }
         }
-        groups
+        groups.into_iter().map(trimmed).collect::<Vec<Vec<f64>>>()
     })
 }
 
 /// Hexagonal binning of the finite pairs of [`pair_values`] (pointy-top
 /// axial grid over the ranges of the reduced moments): the count of each
 /// occupied cell, in cell order.
-pub fn hexbin(ctx: &mut ComputeContext<'_>, x: &str, y: &str, gridsize: usize) -> NodeId {
+pub fn hexbin(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let deps = vec![pair_values(ctx, x, y), moments(ctx, x), moments(ctx, y)];
-    let params = ctx.params(TaskKey::params(&format!("hexbin:{x}:{y}:{gridsize}")));
-    ctx.graph.op(&format!("hexbin:{x}:{y}"), params, deps, move |inputs| {
+    let gridsize = ctx.config.hexbin.gridsize;
+    ctx.op(&format!("hexbin:{x}:{y}"), deps, move |inputs| {
         let (momx, momy) = (un::<Moments>(&inputs[1]), un::<Moments>(&inputs[2]));
         let (sx, sy) = hex_scales(momx, momy, gridsize);
         let mut cells: HashMap<(i64, i64), u64> = HashMap::new();
@@ -572,19 +538,17 @@ pub fn hex_center(q: i64, r: i64) -> (f64, f64) {
 }
 
 /// Per-category histograms over shared bins for the multi-line chart: one
-/// histogram of each of the first `ngroups` groups of `grouped`, the
-/// [`grouped_numeric`] node of `cat` and `num` (planned with at least that
-/// many groups), binned on `num`'s moments.
+/// `line.bins`-bin histogram of each of the first `line.ngroups` groups of
+/// `grouped`, the [`grouped_numeric`] node of `cat` and `num`, binned on
+/// `num`'s moments.
 pub fn multi_line(
     ctx: &mut ComputeContext<'_>,
     (cat, num): (&str, &str),
     grouped: NodeId,
-    ngroups: usize,
-    bins: usize,
 ) -> NodeId {
     let deps = vec![grouped, moments(ctx, num)];
-    let params = ctx.params(TaskKey::params(&format!("multiline:{cat}:{num}:{bins}:{ngroups}")));
-    ctx.graph.op(&format!("multi_line:{cat}:{num}"), params, deps, move |inputs| {
+    let (ngroups, bins) = (ctx.config.line.ngroups, ctx.config.line.bins);
+    ctx.op(&format!("multi_line:{cat}:{num}"), deps, move |inputs| {
         let mom = un::<Moments>(&inputs[1]);
         let groups = un::<Vec<Vec<f64>>>(&inputs[0]).iter().take(ngroups);
         let hist = |values: &Vec<f64>| {
@@ -648,8 +612,17 @@ mod tests {
     fn run_one<T: Send + Sync + 'static + Clone>(
         build: impl Fn(&mut ComputeContext<'_>) -> NodeId,
     ) -> T {
+        run_with(&[], build)
+    }
+
+    /// [`run_one`] under the default config with `settings` applied: a
+    /// kernel reads its bins and group counts from there.
+    fn run_with<T: Send + Sync + 'static + Clone>(
+        settings: &[(&str, &str)],
+        build: impl Fn(&mut ComputeContext<'_>) -> NodeId,
+    ) -> T {
         let df = frame();
-        let cfg = Config::default();
+        let cfg = Config::from_pairs(settings.to_vec()).unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
         let node = build(&mut ctx);
         let out = ctx.execute_checked(&[node]).unwrap();
@@ -690,7 +663,7 @@ mod tests {
 
     #[test]
     fn histogram_covers_all_values() {
-        let h: Histogram = run_one(|ctx| histogram(ctx, "num", 10));
+        let h: Histogram = run_with(&[("hist.bins", "10")], |ctx| histogram(ctx, "num"));
         assert_eq!(h.total(), 180);
         assert_eq!(h.nbins(), 10);
         assert_eq!(h.min, 1.0);
@@ -719,19 +692,40 @@ mod tests {
 
     #[test]
     fn concatenated_payloads_keep_no_growth_slack() {
+        fn exact<T>(what: &str, values: &[Vec<T>]) {
+            for v in values {
+                assert_eq!(v.capacity(), v.len(), "{what}");
+            }
+        }
         let df = frame();
         let cfg = Config::default();
-        let mut ctx = ComputeContext::partitioned(&df, &cfg, 3);
-        let gather = numeric_gather(&mut ctx, "num2");
-        let pairs = pair_values(&mut ctx, "num", "num2");
-        let kept = sorted_values(&mut ctx, "num2", Rows::ValidIn("num".into()));
-        let outs = ctx.execute_checked(&[gather, pairs, kept]).unwrap();
-        let gather = un::<Vec<f64>>(&outs[0]);
-        assert_eq!((gather.len(), gather.capacity()), (200, 200));
-        let pairs = un::<Vec<(f64, f64)>>(&outs[1]);
-        assert_eq!((pairs.len(), pairs.capacity()), (180, 180));
-        let kept = un::<Vec<f64>>(&outs[2]);
-        assert_eq!((kept.len(), kept.capacity()), (180, 180));
+        // One partition's map task is the root; three concatenate.
+        for parts in [1, 3] {
+            let mut ctx = ComputeContext::partitioned(&df, &cfg, parts);
+            let gather = numeric_gather(&mut ctx, "num2");
+            let pairs = pair_values(&mut ctx, "num", "num2");
+            let kept = sorted_values(&mut ctx, "num2", Rows::ValidIn("num".into()));
+            let binned = binned_numeric(&mut ctx, "num", "num2");
+            let summary = freq_summary(&mut ctx, "cat", Rows::All);
+            let grouped = grouped_numeric(&mut ctx, "cat", "num", summary);
+            let outs = ctx.execute_checked(&[gather, pairs, kept, binned, grouped]).unwrap();
+            let what = |payload: &str| format!("{payload}, {parts} partitions");
+            let gather = un::<Vec<f64>>(&outs[0]);
+            assert_eq!(gather.len(), 200);
+            exact(&what("gather"), std::slice::from_ref(gather));
+            let pairs = un::<Vec<(f64, f64)>>(&outs[1]);
+            assert_eq!(pairs.len(), 180);
+            exact(&what("pairs"), std::slice::from_ref(pairs));
+            let kept = un::<Vec<f64>>(&outs[2]);
+            assert_eq!(kept.len(), 180);
+            exact(&what("kept"), std::slice::from_ref(kept));
+            for (payload, node) in [("binned boxes", &outs[3]), ("groups", &outs[4])] {
+                let groups = un::<Vec<Vec<f64>>>(node);
+                assert!(groups.iter().any(|g| !g.is_empty()), "{}", what(payload));
+                exact(&what(payload), std::slice::from_ref(groups));
+                exact(&what(payload), groups);
+            }
+        }
     }
 
     #[test]
@@ -739,9 +733,9 @@ mod tests {
         // `num` is null where i % 10 == 0, `cat` where i % 13 == 0; rows 0
         // and 130 are null in both. Three partitions, four spectrum bins.
         let df = frame();
-        let cfg = Config::default();
+        let cfg = Config::from_pairs(vec![("spectrum.bins", "4")]).unwrap();
         let mut ctx = ComputeContext::partitioned(&df, &cfg, 3);
-        let node = null_counts(&mut ctx, 4);
+        let node = null_counts(&mut ctx);
         let out = ctx.execute_checked(&[node]).unwrap();
         let c = un::<NullCounts>(&out[0]);
         assert_eq!(c.rows, 200);
@@ -758,9 +752,10 @@ mod tests {
 
     #[test]
     fn grouped_numeric_respects_keep() {
-        let g: Vec<Vec<f64>> = run_one(|ctx| {
+        let two = [("box.ngroups", "2"), ("line.ngroups", "2")];
+        let g: Vec<Vec<f64>> = run_with(&two, |ctx| {
             let summary = freq_summary(ctx, "cat", Rows::All);
-            grouped_numeric(ctx, "cat", "num", summary, 2)
+            grouped_numeric(ctx, "cat", "num", summary)
         });
         // The four categories tie at 46 rows, so the two kept are g0 and
         // g1, in that order: `cat` is g{i % 4} and `num` is i, so a
@@ -777,16 +772,18 @@ mod tests {
         // cat × cat is degenerate but exercises the kernel: rows g0 and
         // g1 (the four categories tie at 46), column g0; a row's category
         // is one of them, so only the g0 × g0 cell counts.
-        let c: Vec<u64> = run_one(|ctx| {
+        let groups = [("crosstab.ngroups_x", "2"), ("crosstab.ngroups_y", "1")];
+        let c: Vec<u64> = run_with(&groups, |ctx| {
             let summary = freq_summary(ctx, "cat", Rows::All);
-            crosstab(ctx, ("cat", "cat"), (summary, summary), (2, 1))
+            crosstab(ctx, ("cat", "cat"), (summary, summary))
         });
         assert_eq!(c, [46, 0]);
     }
 
     #[test]
     fn binned_numeric_covers_pairs() {
-        let g: Vec<Vec<f64>> = run_one(|ctx| binned_numeric(ctx, "num", "num2", 5));
+        let g: Vec<Vec<f64>> =
+            run_with(&[("box.bins", "5")], |ctx| binned_numeric(ctx, "num", "num2"));
         assert_eq!(g.len(), 5);
         let total: usize = g.iter().map(Vec::len).sum();
         assert_eq!(total, 180);
@@ -794,7 +791,8 @@ mod tests {
 
     #[test]
     fn hexbin_conserves_points() {
-        let cells: Vec<((i64, i64), u64)> = run_one(|ctx| hexbin(ctx, "num", "num2", 8));
+        let cells: Vec<((i64, i64), u64)> =
+            run_with(&[("hexbin.gridsize", "8")], |ctx| hexbin(ctx, "num", "num2"));
         assert!(cells.windows(2).all(|w| w[0].0 < w[1].0));
         let total: u64 = cells.iter().map(|(_, n)| n).sum();
         assert_eq!(total, 180);
@@ -803,10 +801,11 @@ mod tests {
 
     #[test]
     fn multi_line_shares_bins() {
-        let h: Vec<Histogram> = run_one(|ctx| {
+        let settings = [("box.ngroups", "3"), ("line.ngroups", "2"), ("line.bins", "8")];
+        let h: Vec<Histogram> = run_with(&settings, |ctx| {
             let summary = freq_summary(ctx, "cat", Rows::All);
-            let grouped = grouped_numeric(ctx, "cat", "num", summary, 3);
-            multi_line(ctx, ("cat", "num"), grouped, 2, 8)
+            let grouped = grouped_numeric(ctx, "cat", "num", summary);
+            multi_line(ctx, ("cat", "num"), grouped)
         });
         assert_eq!(h.len(), 2);
         let (h0, h1) = (&h[0], &h[1]);
@@ -826,7 +825,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(ctx.graph.len(), before);
         // The histogram reuses the same moments node.
-        let _h = histogram(&mut ctx, "num", 10);
+        let _h = histogram(&mut ctx, "num");
         let c = moments(&mut ctx, "num");
         assert_eq!(a, c);
     }
@@ -860,11 +859,11 @@ mod tests {
     #[test]
     fn dropped_histogram_subtracts_to_the_kept_rows() {
         let df = frame();
-        let cfg = Config::default();
+        let cfg = Config::from_pairs(vec![("hist.bins", "7")]).unwrap();
         let mut ctx = ComputeContext::new(&df, &cfg);
         let m = moments(&mut ctx, "num2");
-        let before = histogram_with_range(&mut ctx, "num2", 7, Rows::All, m);
-        let dropped = histogram_with_range(&mut ctx, "num2", 7, Rows::NullIn("num".into()), m);
+        let before = histogram_with_range(&mut ctx, "num2", Rows::All, m);
+        let dropped = histogram_with_range(&mut ctx, "num2", Rows::NullIn("num".into()), m);
         let outs = ctx.execute_checked(&[before, dropped]).unwrap();
         let after = un::<Histogram>(&outs[0]).minus(un::<Histogram>(&outs[1]));
         let mut direct = Histogram::new(0.0, 398.0, 7);

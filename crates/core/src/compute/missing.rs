@@ -35,7 +35,7 @@ use super::kernels::{self, Rows};
 /// section does is arithmetic on `columns²` integers.
 pub fn compute_missing_overview(ctx: &mut ComputeContext<'_>) -> NodeId {
     let bins = ctx.config.spectrum.bins;
-    let counts = kernels::null_counts(ctx, bins);
+    let counts = kernels::null_counts(ctx);
     let names = ctx.df.names().to_vec();
     ctx.section("section:missing", vec![counts], move |outs| {
         let counts = un::<NullCounts>(&outs[0]);
@@ -75,8 +75,8 @@ fn plan_compare(ctx: &mut ComputeContext<'_>, name: &str, x: &str, sem: Semantic
     let sides = [Rows::All, Rows::NullIn(x.to_string())];
     match sem {
         SemanticType::Numerical => {
-            let (m, bins) = (kernels::moments(ctx, name), ctx.config.hist.bins);
-            sides.map(|rows| kernels::histogram_with_range(ctx, name, bins, rows, m))
+            let m = kernels::moments(ctx, name);
+            sides.map(|rows| kernels::histogram_with_range(ctx, name, rows, m))
         }
         SemanticType::Categorical => {
             let [all, dropped] = sides;

@@ -67,7 +67,7 @@ pub fn plan_overview(ctx: &mut ComputeContext<'_>) -> OverviewPlan {
         .map(|name| match ctx.semantic(&name).expect("iterating frame names") {
             SemanticType::Numerical => OverviewColumnPlan::Numeric {
                 moments: kernels::moments(ctx, &name),
-                hist: kernels::histogram(ctx, &name, ctx.config.hist.bins),
+                hist: kernels::histogram(ctx, &name),
                 name,
             },
             SemanticType::Categorical => OverviewColumnPlan::Categorical {

@@ -25,7 +25,6 @@ use eda_stats::qq::{normal_quantile, normal_qq_points};
 use eda_stats::quantile::{quantile_sorted, BoxPlot};
 use eda_stats::text::TextStats;
 use eda_taskgraph::graph::Payload;
-use eda_taskgraph::key::TaskKey;
 use eda_taskgraph::NodeId;
 
 use crate::config::Config;
@@ -50,12 +49,11 @@ const KDE_SAMPLE: usize = 5000;
 fn plan_numeric(ctx: &mut ComputeContext<'_>, column: &str) -> Vec<NodeId> {
     let sorted = kernels::sorted_values(ctx, column, Rows::All);
     let grid = ctx.config.kde.grid;
-    let params = ctx.params(TaskKey::params(&format!("kde:{column}")));
-    let kde = ctx.graph.op(&format!("kde:{column}"), params, vec![sorted], move |inputs| {
+    let kde = ctx.op(&format!("kde:{column}"), vec![sorted], move |inputs| {
         kde_grid(&stride_sample(un::<Vec<f64>>(&inputs[0]), KDE_SAMPLE), grid)
     });
     let moments = kernels::moments(ctx, column);
-    vec![moments, sorted, kernels::histogram(ctx, column, ctx.config.hist.bins), kde]
+    vec![moments, sorted, kernels::histogram(ctx, column), kde]
 }
 
 /// Distinct count of an ascending-sorted slice (run count).

@@ -418,9 +418,9 @@ mod tests {
 
     #[test]
     fn default_compute_hash_is_pinned() {
-        // Feeds every task key (`ComputeContext::params`): a value that
-        // changed from one process to the next would make every
-        // cross-call cache key miss. 64-bit targets.
+        // The parameter slot of every task key (`ComputeContext::op`): a
+        // value that changed from one process to the next would make
+        // every cross-call cache key miss. 64-bit targets.
         assert_eq!(Config::default().compute_hash(), 0x40ca_122f_b969_1b1b);
     }
 }

@@ -61,37 +61,38 @@ impl Histogram {
         self.min >= self.max
     }
 
-    /// Accumulate one value. Non-finite values are ignored.
+    /// The bin `value` falls in: bins are left-closed and the last one is
+    /// right-closed too, so `max` lands in the last bin. `None` for a
+    /// non-finite value and one outside `[min, max]`; a degenerate range's
+    /// one bin holds `min` alone.
     #[inline]
-    pub fn push(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
+    pub fn bin(&self, value: f64) -> Option<usize> {
+        if !value.is_finite() || value < self.min {
+            return None;
         }
         if self.is_degenerate() {
-            if value == self.min {
-                if let Some(count) = self.counts.first_mut() {
-                    *count += 1;
-                }
-            } else if value < self.min {
-                self.underflow += 1;
-            } else {
-                self.overflow += 1;
-            }
-            return;
-        }
-        if value < self.min {
-            self.underflow += 1;
-            return;
+            return (value == self.min).then_some(0);
         }
         if value > self.max {
-            self.overflow += 1;
-            return;
+            return None;
         }
         let width = (self.max - self.min) / self.nbins() as f64;
-        // The maximum falls into the last bin (right-closed final bin).
-        let idx = (((value - self.min) / width) as usize).min(self.nbins().saturating_sub(1));
-        if let Some(count) = self.counts.get_mut(idx) {
-            *count += 1;
+        Some((((value - self.min) / width) as usize).min(self.nbins().saturating_sub(1)))
+    }
+
+    /// Accumulate one value into its [`Histogram::bin`], or the underflow
+    /// or overflow count. Non-finite values are ignored.
+    #[inline]
+    pub fn push(&mut self, value: f64) {
+        match self.bin(value) {
+            Some(idx) => {
+                if let Some(count) = self.counts.get_mut(idx) {
+                    *count += 1;
+                }
+            }
+            None if !value.is_finite() => {}
+            None if value < self.min => self.underflow += 1,
+            None => self.overflow += 1,
         }
     }
 
@@ -187,6 +188,35 @@ mod tests {
         h.extend([0.0, 1.9, 2.0, 5.5, 9.9, 10.0]);
         assert_eq!(h.counts, vec![2, 1, 1, 0, 2]);
         assert_eq!(h.total(), 6);
+    }
+
+    #[test]
+    fn bin_boundaries() {
+        let h = Histogram::new(0.0, 10.0, 5);
+        // Every edge opens its bin; `max` closes the last one.
+        for (edge, bin) in [(0.0, 0), (2.0, 1), (4.0, 2), (6.0, 3), (8.0, 4), (10.0, 4)] {
+            assert_eq!(h.bin(edge), Some(bin), "edge {edge}");
+        }
+        assert_eq!(h.bin(1.999_999), Some(0));
+        assert_eq!(h.bin(10.0_f64.next_down()), Some(4));
+        for outside in [-1e-12, 0.0_f64.next_down(), 10.0_f64.next_up(), -5.0, 1e300] {
+            assert_eq!(h.bin(outside), None, "{outside}");
+        }
+        for odd in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(h.bin(odd), None, "{odd}");
+        }
+        // A degenerate range is one bin holding its one point.
+        let point = Histogram::new(3.0, 3.0, 5);
+        assert_eq!(point.nbins(), 1);
+        assert_eq!(point.bin(3.0), Some(0));
+        for other in [3.0_f64.next_down(), 3.0_f64.next_up(), f64::NAN, f64::INFINITY] {
+            assert_eq!(point.bin(other), None, "{other}");
+        }
+        // `push` counts exactly what `bin` places.
+        let mut filled = Histogram::new(0.0, 10.0, 5);
+        filled.extend([0.0, 2.0, 10.0, 10.5, -0.5, f64::NAN, f64::INFINITY]);
+        assert_eq!(filled.counts, vec![1, 1, 0, 0, 1]);
+        assert_eq!((filled.underflow, filled.overflow), (1, 1));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! `create_report` on the same frame: row `x` of each matrix the result
 //! cache holds is read off it, so no `corr_matrix` task runs, and the
 //! vector is byte-equal to the one its own row tiles compute. Every case
-//! runs at one worker and at two, over a private cache.
+//! runs at one worker and at two, over a private cache; one shares its
+//! cache across four tilings.
 
 use std::sync::Arc;
 
@@ -192,6 +193,35 @@ fn one_cached_method_is_served_alone() {
             assert_eq!(v.ran("corr_matrix:KendallTau:"), tiles, "{x} at {workers} workers");
             assert!(v.spans.contains(&("corr_assemble:Spearman".to_string(), true)), "{x}");
             assert_eq!(v.json, computed(&df, workers, x).json, "{x} at {workers} workers");
+        }
+    }
+}
+
+/// `engine.workers` sets the tiling and is outside the config hash, so
+/// one cache sees the tiles of every worker count: a tile's key carries
+/// its pair range, and no tiling is served another's cells.
+#[test]
+fn tilings_share_one_cache_without_mixing_tiles() {
+    let df = frame();
+    let cache = Arc::new(ResultCache::new(64 << 20));
+    let overview = |cfg: &Config, cache: Option<&Arc<ResultCache>>| {
+        let ctx = ComputeContext::new(&df, cfg);
+        let mut ctx = match cache {
+            Some(cache) => ctx.with_cache(Arc::clone(cache)),
+            None => ctx,
+        };
+        let node = compute_correlation_overview(&mut ctx).unwrap();
+        let (ims, insights) = ctx.run_section(node).unwrap();
+        (intermediates_to_json(&ims), insights)
+    };
+    for workers in [1, 2, 3, 5] {
+        let (cached, uncached) = (config(workers, true), config(workers, false));
+        assert_eq!(overview(&cached, Some(&cache)), overview(&uncached, None), "{workers} workers");
+        for x in ["a", "ties"] {
+            let v = vector(&df, &cached, Some(&cache), x);
+            let fresh = vector(&df, &uncached, None, x);
+            let what = format!("{x} at {workers} workers");
+            assert_eq!((v.json, v.insights), (fresh.json, fresh.insights), "{what}");
         }
     }
 }

@@ -185,7 +185,8 @@ fn task_deadline_stops_a_kendall_tile_mid_count() {
     let nodes = plan_matrix_tiles(&mut ctx, &names, 1);
     ctx.execute_checked(&nodes).expect("ungoverned run succeeds");
     let trace = ctx.last_stats.as_ref().unwrap().trace.clone().unwrap();
-    let three_pairs = trace.span_named("corr_matrix:KendallTau:0").expect("tile span").duration();
+    let tile = trace.span_named("corr_matrix:KendallTau:0-3:matrix").expect("tile span");
+    let three_pairs = tile.duration();
 
     // Governed: the default tiling puts each of the 3 pairs in its own
     // tile (new task keys, so nothing of them is cached); the deadline is

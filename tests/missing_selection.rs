@@ -69,15 +69,14 @@ impl<'a> Oracle<'a> {
     /// `y`'s histogram over every row and over the kept rows, both on
     /// the range of the former.
     fn histograms(&self, y: &str) -> (Histogram, Histogram) {
-        let bins = self.cfg.hist.bins;
         let mut ctx = ComputeContext::new(self.df, &self.cfg);
         let m = kernels::moments(&mut ctx, y);
-        let h = kernels::histogram_with_range(&mut ctx, y, bins, Rows::All, m);
+        let h = kernels::histogram_with_range(&mut ctx, y, Rows::All, m);
         let outs = ctx.execute_checked(&[m, h]).unwrap();
         let mut kept = ComputeContext::new(&self.kept, &self.cfg);
         let before = un::<Moments>(&outs[0]).clone();
         let range = kept.graph.value("before_range", TaskKey::unique(), before);
-        let h = kernels::histogram_with_range(&mut kept, y, bins, Rows::All, range);
+        let h = kernels::histogram_with_range(&mut kept, y, Rows::All, range);
         let after = kept.execute_checked(&[h]).unwrap();
         (un::<Histogram>(&outs[1]).clone(), un::<Histogram>(&after[0]).clone())
     }
