@@ -345,16 +345,18 @@ mod tests {
         assert!(boxes[0].0.starts_with('['));
     }
 
-    /// How many planned tasks of each name read a partition, for
-    /// `plot(df, x, y)` over two partitions.
+    /// How many partition reads the planned tasks of each name make — a
+    /// (task, partition) pair each — for `plot(df, x, y)` over two
+    /// partitions.
     fn row_readers(df: &DataFrame, x: &str, y: &str) -> BTreeMap<String, usize> {
         let cfg = Config::default();
         let mut ctx = ComputeContext::partitioned(df, &cfg, 2);
         compute_bivariate(&mut ctx, x, y).unwrap();
         let mut readers = BTreeMap::new();
         for task in (0..ctx.graph.len()).map(|id| ctx.graph.task(id)) {
-            if task.deps.iter().any(|dep| ctx.sources.contains(dep)) {
-                *readers.entry(task.name.clone()).or_insert(0) += 1;
+            let reads = task.deps.iter().filter(|dep| ctx.sources.contains(dep)).count();
+            if reads > 0 {
+                *readers.entry(task.name.clone()).or_insert(0) += reads;
             }
         }
         readers

@@ -12,10 +12,16 @@
 //!
 //! A planned task's identity is formed here and nowhere else: its key is
 //! its name, the config hash and its inputs' keys ([`ComputeContext::op`],
-//! [`ComputeContext::map_reduce`]). A kernel reads its settings from
-//! [`ComputeContext::config`], so what the config holds is in the key
-//! once, and the name carries only what neither the config nor the
-//! inputs say.
+//! [`ComputeContext::map_reduce`], [`ComputeContext::gather`]). A kernel
+//! reads its settings from [`ComputeContext::config`], so what the config
+//! holds is in the key once, and the name carries only what neither the
+//! config nor the inputs say.
+//!
+//! The partitions are read here too: a kernel that reads rows gets them
+//! as frames, one per partition map task ([`ComputeContext::map_reduce`])
+//! or all of them, in row order, in one task
+//! ([`ComputeContext::gather`]), and never plans on a partition source
+//! itself.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -26,6 +32,7 @@ use eda_taskgraph::outcome::{root_failure, TaskOutcome};
 use eda_taskgraph::scheduler::{self, ExecOptions};
 use eda_taskgraph::govern::{self, CancelToken};
 use eda_taskgraph::ops;
+use eda_taskgraph::partition::payload_frame;
 use eda_taskgraph::{CacheHandle, ExecStats, NodeId, PartitionedFrame, ResultCache, TaskGraph};
 
 use crate::config::Config;
@@ -88,7 +95,7 @@ pub struct ComputeContext<'a> {
     semantics: Vec<OnceCell<SemanticType>>,
     /// `config.compute_hash()`, taken once: the parameter slot of every
     /// planned task's key ([`ComputeContext::op`]).
-    pub(crate) config_hash: u64,
+    config_hash: u64,
 }
 
 /// Rows per partition: a frame is cut into `rows / ROWS_PER_PARTITION`
@@ -212,6 +219,25 @@ impl<'a> ComputeContext<'a> {
         C: Fn(&mut T, &T) + Send + Sync + 'static,
     {
         ops::map_reduce(&mut self.graph, name, self.config_hash, &self.sources, extra, map, merge)
+    }
+
+    /// Plan a gather named `name`: one task over every partition, in row
+    /// order, and the payloads of `extra`; `f` gets the partitions'
+    /// frames and those payloads. For a kernel whose partials would only
+    /// be concatenated (or need their partition's first row): it reads
+    /// the rows once and copies each gathered value once, with no reduce
+    /// and no cached partial. Keyed as [`Self::op`].
+    pub fn gather<T, F>(&mut self, name: &str, extra: &[NodeId], f: F) -> NodeId
+    where
+        T: HeapSize + Send + Sync + 'static,
+        F: Fn(&[&DataFrame], &[Payload]) -> T + Send + Sync + 'static,
+    {
+        let parts = self.sources.len();
+        let deps = self.sources.iter().chain(extra).copied().collect();
+        self.op(name, deps, move |inputs| {
+            let (frames, extra) = inputs.split_at(parts);
+            f(&frames.iter().map(payload_frame).collect::<Vec<_>>(), extra)
+        })
     }
 
     /// Plan a section node named `name`: `finish` turns the payloads of

@@ -1,10 +1,20 @@
 //! Graph-building kernels.
 //!
 //! Each function adds a sub-plan to the context's graph and returns the
-//! node holding its result. A partition kernel maps every partition and
-//! tree-reduces the partials ([`ComputeContext::map_reduce`]); a derived
-//! kernel is one task over other kernels' results and reads no row
-//! ([`ComputeContext::op`]). A task's key is its name, the config hash and
+//! node holding its result, in one of three shapes:
+//!
+//! - a *partition kernel* maps every partition to a small aggregate and
+//!   tree-reduces the partials ([`ComputeContext::map_reduce`]): moments,
+//!   histograms, frequency tables, text stats, Pearson partials, crosstabs;
+//! - a *gather* is one task that reads every partition in row order
+//!   ([`ComputeContext::gather`]): the kernels whose partials would only
+//!   be concatenated ([`numeric_gather`], [`validity`], [`pair_values`],
+//!   [`grouped_numeric`]) and [`null_counts`], whose count of a partition
+//!   needs its first row;
+//! - a *derived kernel* is one task over other kernels' results and reads
+//!   no row ([`ComputeContext::op`]).
+//!
+//! A task's key is its name, the config hash and
 //! its inputs' keys: the name spells the kernel, the column(s) and — for
 //! the missing-impact variants — the [`Rows`] it aggregates, and a kernel
 //! reads every setting (bins, grid size, group counts) from the config,
@@ -29,7 +39,6 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use eda_dataframe::{Bitmap, Column, DataFrame, Selection};
 use eda_stats::corr::{upper_triangle, ColumnPrep, PearsonPartial};
@@ -39,8 +48,6 @@ use eda_stats::missing::{spectrum_ranges, NullCounts};
 use eda_stats::moments::Moments;
 use eda_stats::quantile;
 use eda_stats::text::TextStats;
-use eda_taskgraph::ops;
-use eda_taskgraph::partition::payload_frame;
 use eda_taskgraph::{NodeId, Payload};
 
 use super::cat::{self, Slots};
@@ -170,12 +177,21 @@ pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> 
 /// the row is non-null: each partition's validity window, joined.
 pub fn validity(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
-    ctx.map_reduce(
-        &format!("validity:{column}"),
-        &[],
-        move |df, _| col(df, &name).validity_mask(),
-        Bitmap::extend_from,
-    )
+    ctx.gather(&format!("validity:{column}"), &[], move |frames, _| {
+        if let [df] = frames {
+            return col(df, &name).validity_mask();
+        }
+        let rows = frames.iter().map(|df| df.nrows()).sum::<usize>();
+        // Empty with room for every row: the joined mask keeps no slack.
+        let mut mask = Bitmap::from_packed(Vec::with_capacity(rows.div_ceil(8)), 0);
+        for df in frames {
+            match col(df, &name).validity() {
+                Some(window) => mask.extend_from(window),
+                None => mask.extend_filled(df.nrows(), true),
+            }
+        }
+        mask
+    })
 }
 
 /// Histogram over a numeric column in `hist.bins` bins. Bin range comes
@@ -276,13 +292,6 @@ pub fn pearson_partial(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId
     )
 }
 
-/// Append `more` to `values` in one exact allocation: a concatenated
-/// payload keeps no growth slack.
-fn concat<T: Clone>(values: &mut Vec<T>, more: &[T]) {
-    values.reserve_exact(more.len());
-    values.extend_from_slice(more);
-}
-
 /// `values` without the slack its last doubling left: a list built by
 /// `push` or a filtered `collect` is charged by capacity once cached.
 fn trimmed<T>(mut values: Vec<T>) -> Vec<T> {
@@ -296,18 +305,15 @@ fn trimmed<T>(mut values: Vec<T>) -> Vec<T> {
 /// [`binned_numeric`] read it — and of `plot_timeseries`.
 pub fn pair_values(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let (xn, yn) = (x.to_string(), y.to_string());
-    ctx.map_reduce(
-        &format!("pair_values:{x}:{y}"),
-        &[],
-        move |df, _| {
+    ctx.gather(&format!("pair_values:{x}:{y}"), &[], move |frames, _| {
+        let mut pairs = Vec::with_capacity(frames.iter().map(|df| df.nrows()).sum());
+        for df in frames {
             let (xs, ys) = (nan_marked(col(df, &xn)), nan_marked(col(df, &yn)));
-            let pairs = xs.iter().zip(ys.iter()).map(|(&a, &b)| (a, b));
-            let pairs = pairs.filter(|(a, b)| !a.is_nan() && !b.is_nan()).collect();
-            // One partition's list is the payload itself.
-            trimmed(pairs)
-        },
-        |values, more| concat(values, more),
-    )
+            let complete = xs.iter().zip(ys.iter()).map(|(&a, &b)| (a, b));
+            pairs.extend(complete.filter(|(a, b)| !a.is_nan() && !b.is_nan()));
+        }
+        trimmed(pairs)
+    })
 }
 
 /// The pairs of a [`pair_values`] payload that a grid view bins: both
@@ -322,37 +328,37 @@ fn finite_pairs(pairs: &Payload) -> impl Iterator<Item = (f64, f64)> + '_ {
 /// columns) and the eager correlation-matrix finish.
 pub fn numeric_gather(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
-    ctx.map_reduce(
-        &format!("numeric_gather:{column}"),
-        &[],
-        move |df, _| col(df, &name).to_f64_nan().expect("numeric"),
-        |values, more| concat(values, more),
-    )
+    ctx.gather(&format!("numeric_gather:{column}"), &[], move |frames, _| {
+        let mut values = Vec::with_capacity(frames.iter().map(|df| df.nrows()).sum());
+        for df in frames {
+            col(df, &name).extend_f64_nan(&mut values).expect("numeric");
+        }
+        values
+    })
 }
 
 /// Integer nullity aggregates of the whole frame ([`NullCounts`]): nulls
 /// per column, rows where both columns of a pair are null, and nulls per
-/// spectrum bin (`spectrum.bins` row ranges). Each partition counts its
-/// own validity windows a 64-row word at a time and the counts add up, so
+/// spectrum bin (`spectrum.bins` row ranges). One gather counts each
+/// partition's validity windows a 64-row word at a time — a partition's
+/// first row is the sum of the rows before it — and adds the counts up, so
 /// no row-length indicator is ever built. Feeds the four
 /// `plot_missing(df)` views.
 pub fn null_counts(ctx: &mut ComputeContext<'_>) -> NodeId {
     let bins = ctx.config.spectrum.bins;
-    let ranges = Arc::new(spectrum_ranges(ctx.pf.nrows(), bins));
-    let op = format!("nulls:{bins}");
-    // A partition's counts need its first row, so the map is planned here;
-    // the partials reduce like any other kernel's.
-    let mapped: Vec<NodeId> = (0..ctx.sources.len())
-        .map(|i| {
-            let (first_row, _) = ctx.pf.meta.range(i);
-            let ranges = Arc::clone(&ranges);
-            ctx.op(&op, vec![ctx.sources[i]], move |inputs| {
-                count_nulls(payload_frame(&inputs[0]), first_row, &ranges)
-            })
-        })
-        .collect();
-    let reduce = format!("{op}/reduce");
-    ops::tree_reduce(&mut ctx.graph, &reduce, ctx.config_hash, &mapped, NullCounts::merge)
+    ctx.gather(&format!("nulls:{bins}"), &[], move |frames, _| {
+        let ranges = spectrum_ranges(frames.iter().map(|df| df.nrows()).sum(), bins);
+        let counts = frames.iter().scan(0, |first_row, df| {
+            let counts = count_nulls(df, *first_row, &ranges);
+            *first_row += df.nrows();
+            Some(counts)
+        });
+        let total = counts.reduce(|mut total, more| {
+            total.merge(&more);
+            total
+        });
+        total.expect("a frame has at least one partition")
+    })
 }
 
 /// [`NullCounts`] of one partition whose first row is row `first_row` of
@@ -390,9 +396,9 @@ fn count_nulls(df: &DataFrame, first_row: usize, ranges: &[(usize, usize)]) -> N
 /// Numeric values of `num` grouped by the (display) categories of `cat`:
 /// one group for each of the `max(box.ngroups, line.ngroups)` most
 /// frequent categories — as many as the wider N×C chart shows — in the
-/// order of `summary`, the `freq_summary` node of `cat`. Each map task
-/// reads that summary as a dependency and picks the groups itself, so the
-/// group choice is graph work like the grouping.
+/// order of `summary`, the `freq_summary` node of `cat`. The gather reads
+/// that summary as a dependency and picks the groups itself, so the group
+/// choice is graph work like the grouping.
 pub fn grouped_numeric(
     ctx: &mut ComputeContext<'_>,
     cat: &str,
@@ -401,12 +407,10 @@ pub fn grouped_numeric(
 ) -> NodeId {
     let (cn, nn) = (cat.to_string(), num.to_string());
     let ngroups = ctx.config.box_plot.ngroups.max(ctx.config.line.ngroups);
-    ctx.map_reduce(
-        &format!("grouped_numeric:{cat}:{num}"),
-        &[summary],
-        move |df, extra| {
-            let keep = un::<FreqSummary>(&extra[0]).labels(ngroups);
-            let mut groups: Vec<Vec<f64>> = vec![Vec::new(); keep.len()];
+    ctx.gather(&format!("grouped_numeric:{cat}:{num}"), &[summary], move |frames, extra| {
+        let keep = un::<FreqSummary>(&extra[0]).labels(ngroups);
+        let mut groups: Vec<Vec<f64>> = vec![Vec::new(); keep.len()];
+        for df in frames {
             let cats = col(df, &cn).display_encoded();
             let mut slots = Slots::new(cat::codes(&cats).1, &keep);
             let nums = nan_marked(col(df, &nn));
@@ -416,12 +420,9 @@ pub fn grouped_numeric(
                     group.push(v);
                 }
             }
-            groups.into_iter().map(trimmed).collect::<Vec<Vec<f64>>>()
-        },
-        |groups: &mut Vec<Vec<f64>>, more| {
-            groups.iter_mut().zip(more).for_each(|(dst, src)| concat(dst, src));
-        },
-    )
+        }
+        groups.into_iter().map(trimmed).collect::<Vec<Vec<f64>>>()
+    })
 }
 
 /// Cross-tabulated counts of two categorical columns over their most
@@ -697,9 +698,10 @@ mod tests {
                 assert_eq!(v.capacity(), v.len(), "{what}");
             }
         }
+        use eda_dataframe::HeapSize;
         let df = frame();
         let cfg = Config::default();
-        // One partition's map task is the root; three concatenate.
+        // A gather reads one partition or concatenates three.
         for parts in [1, 3] {
             let mut ctx = ComputeContext::partitioned(&df, &cfg, parts);
             let gather = numeric_gather(&mut ctx, "num2");
@@ -708,7 +710,9 @@ mod tests {
             let binned = binned_numeric(&mut ctx, "num", "num2");
             let summary = freq_summary(&mut ctx, "cat", Rows::All);
             let grouped = grouped_numeric(&mut ctx, "cat", "num", summary);
-            let outs = ctx.execute_checked(&[gather, pairs, kept, binned, grouped]).unwrap();
+            let mask = validity(&mut ctx, "num");
+            let nodes = [gather, pairs, kept, binned, grouped, mask];
+            let outs = ctx.execute_checked(&nodes).unwrap();
             let what = |payload: &str| format!("{payload}, {parts} partitions");
             let gather = un::<Vec<f64>>(&outs[0]);
             assert_eq!(gather.len(), 200);
@@ -725,6 +729,38 @@ mod tests {
                 exact(&what(payload), std::slice::from_ref(groups));
                 exact(&what(payload), groups);
             }
+            // One partition's mask shares the column's buffer; three are
+            // joined into a buffer of exactly their bytes.
+            let mask = un::<Bitmap>(&outs[5]);
+            assert_eq!(mask.len(), 200);
+            assert_eq!(mask.count_unset(), 20);
+            let joined = 2 * size_of::<usize>() + size_of::<Vec<u8>>() + 200usize.div_ceil(8);
+            assert!(mask.heap_bytes() <= joined, "{}", what("validity"));
+        }
+    }
+
+    #[test]
+    fn a_gather_leaves_one_cache_entry() {
+        use eda_taskgraph::ResultCache;
+        use std::sync::Arc;
+        type Plan = fn(&mut ComputeContext<'_>) -> NodeId;
+        let plans: [(&str, Plan); 4] = [
+            ("numeric_gather", |ctx| numeric_gather(ctx, "num")),
+            ("validity", |ctx| validity(ctx, "num")),
+            ("pair_values", |ctx| pair_values(ctx, "num", "num2")),
+            ("null_counts", null_counts),
+        ];
+        let df = frame();
+        let cfg = Config::default();
+        for (kernel, plan) in plans {
+            // Two partitions: no per-partition partial, no reduce.
+            let cache = Arc::new(ResultCache::new(1 << 20));
+            let mut ctx = ComputeContext::partitioned(&df, &cfg, 2).with_cache(Arc::clone(&cache));
+            let node = plan(&mut ctx);
+            ctx.execute_checked(&[node]).unwrap();
+            assert_eq!(cache.len(), 1, "{kernel}");
+            // The two partition sources and the gather.
+            assert_eq!(ctx.last_stats.as_ref().unwrap().tasks_run, 3, "{kernel}");
         }
     }
 

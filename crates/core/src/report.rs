@@ -291,7 +291,7 @@ mod tests {
         assert!(report.failed_sections().is_empty());
         let trace = report.stats.trace.as_ref().expect("profiled run");
         let ran = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
-        assert_eq!(ran("numeric_gather:a"), 3, "one gather per partition");
+        assert_eq!(ran("numeric_gather:a"), 1, "one gather over the partitions");
         assert_eq!(ran("corr_prep"), 3, "one argsort per numeric column");
         for column in ["a", "b", "c"] {
             assert_eq!(ran(&format!("sorted_values:{column}")), 1, "{column}");

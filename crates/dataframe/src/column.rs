@@ -789,13 +789,27 @@ impl Column {
     }
 
     /// Reinterpret the column as floats with nulls mapped to NaN.
-    /// Only valid for numeric columns. The window's values are copied (or
-    /// cast) as one slice, then NaN is written at each null row, found a
-    /// validity word at a time.
+    /// Only valid for numeric columns.
     pub fn to_f64_nan(&self) -> Result<Vec<f64>> {
-        let (mut out, validity): (Vec<f64>, _) = match self {
-            Column::Float64(d) => (d.as_slice().to_vec(), &d.validity),
-            Column::Int64(d) => (d.as_slice().iter().map(|&v| v as f64).collect(), &d.validity),
+        let mut out = Vec::with_capacity(self.len());
+        self.extend_f64_nan(&mut out)?;
+        Ok(out)
+    }
+
+    /// Append [`Column::to_f64_nan`] of the column to `out`: the window's
+    /// values are copied (or cast) as one slice, then NaN is written at
+    /// each null row, found a validity word at a time.
+    pub fn extend_f64_nan(&self, out: &mut Vec<f64>) -> Result<()> {
+        let start = out.len();
+        let validity = match self {
+            Column::Float64(d) => {
+                out.extend_from_slice(d.as_slice());
+                &d.validity
+            }
+            Column::Int64(d) => {
+                out.extend(d.as_slice().iter().map(|&v| v as f64));
+                &d.validity
+            }
             other => {
                 return Err(Error::TypeMismatch {
                     context: "to_f64_nan".into(),
@@ -806,12 +820,12 @@ impl Column {
         };
         if let Some(bm) = validity {
             bm.for_each_unset(|row| {
-                if let Some(v) = out.get_mut(row) {
+                if let Some(v) = out.get_mut(start + row) {
                     *v = f64::NAN;
                 }
             });
         }
-        Ok(out)
+        Ok(())
     }
 }
 

@@ -21,7 +21,7 @@ use crate::partition::payload_frame;
 /// gets log-depth critical paths. A single input is returned unchanged;
 /// empty input panics (callers always have ≥1 partition).
 #[expect(clippy::indexing_slicing, reason = "a task body gets one input per dependency")]
-pub fn tree_reduce<T, C>(
+fn tree_reduce<T, C>(
     graph: &mut TaskGraph,
     op: &str,
     params: u64,

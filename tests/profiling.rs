@@ -109,8 +109,8 @@ fn profile_off_keeps_reports_trace_free() {
 
 /// A reduce task is named `<op>/reduce`, so its span counts in its
 /// kernel's family — the name up to its first `:`, as `eda-e2e` buckets
-/// task time: `histogram:open/reduce` is a `histogram` span, `nulls:…`
-/// a `nulls` one.
+/// task time: `histogram:open/reduce` is a `histogram` span. (`nulls:…`
+/// is one gather and runs no reduce.)
 #[test]
 fn reduce_spans_fall_in_their_kernels_family() {
     let df = bitcoin_df();
@@ -118,7 +118,7 @@ fn reduce_spans_fall_in_their_kernels_family() {
         Config::from_pairs(vec![("engine.profile", "true"), ("engine.cache_budget_bytes", "0")])
             .unwrap();
     let report = create_report(&df, &cfg).expect("report").stats;
-    let missing = plot_missing(&df, &[], &cfg).expect("missing").stats.expect("stats");
+    let missing = plot_missing(&df, &["open"], &cfg).expect("missing").stats.expect("stats");
     let pair = plot(&df, &["open", "close"], &cfg).expect("N×N plot").stats.expect("stats");
     for (call, stats) in [("create_report", report), ("plot_missing", missing), ("plot", pair)] {
         let trace = stats.trace.expect("profiled run carries a trace");
