@@ -21,7 +21,7 @@ use eda_stats::freq::FreqSummary;
 use eda_stats::kde::kde_grid;
 use eda_stats::missing::ColMeta;
 use eda_stats::moments::Moments;
-use eda_stats::qq::{normal_quantile, normal_qq_points};
+use eda_stats::qq::normal_qq_points;
 use eda_stats::quantile::{quantile_sorted, BoxPlot};
 use eda_stats::text::TextStats;
 use eda_taskgraph::graph::Payload;
@@ -121,10 +121,11 @@ fn numeric_section(column: &str, config: &Config, rows: usize, outs: &[Payload])
         );
     }
     ims.push("kde_plot", Inter::Kde { xs: xs.clone(), ys: ys.clone() });
-    ims.push(
-        "qq_plot",
-        Inter::QQ(qq_from_sorted(sorted, config.qq.points)),
-    );
+    // Fitted to the moments of the sorted values, the stats table's rule
+    // read in one fixed order: the payload's own bits follow where the
+    // partitions cut the rows, and the plot must not.
+    let fit = Moments::from_slice(sorted);
+    ims.push("qq_plot", Inter::QQ(normal_qq_points(sorted, &fit, config.qq.points)));
     if let Some(bp) = box_plot {
         ims.push("box_plot", Inter::Boxes(vec![(column.to_string(), bp)]));
     }
@@ -205,34 +206,6 @@ pub fn stride_sample(values: &[f64], k: usize) -> Vec<f64> {
     }
     let (last, steps) = (values.len() - 1, k.saturating_sub(1).max(1));
     (0..k).filter_map(|i| values.get(i * last / steps).copied()).collect()
-}
-
-/// Q-Q points straight from pre-sorted data (avoids re-sorting).
-pub fn qq_from_sorted(sorted: &[f64], max_points: usize) -> Vec<(f64, f64)> {
-    let n = sorted.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    // Reuse the generic implementation on a bounded sample when huge.
-    if n > 100_000 {
-        return normal_qq_points(&stride_sample(sorted, 50_000), max_points);
-    }
-    let mean = sorted.iter().sum::<f64>() / n as f64;
-    let var = sorted.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64;
-    let std = var.sqrt();
-    if std <= 0.0 {
-        return Vec::new();
-    }
-    let k = n.min(max_points.max(2));
-    (0..k)
-        .map(|i| {
-            let p = (i as f64 + 0.5) / k as f64;
-            (
-                mean + std * normal_quantile(p),
-                quantile_sorted(sorted, p).expect("non-empty"),
-            )
-        })
-        .collect()
 }
 
 /// Compact number formatting for stats tables.
@@ -548,15 +521,21 @@ mod tests {
     }
 
     #[test]
-    fn qq_from_sorted_matches_generic() {
-        let vals: Vec<f64> = (0..500).map(|i| (i as f64).sqrt() * 3.0).collect();
-        let fast = qq_from_sorted(&vals, 50);
-        let generic = normal_qq_points(&vals, 50);
-        assert_eq!(fast.len(), generic.len());
-        for (a, b) in fast.iter().zip(&generic) {
-            assert!((a.0 - b.0).abs() < 1e-9);
-            assert!((a.1 - b.1).abs() < 1e-9);
-        }
+    fn qq_plot_fits_the_finite_values() {
+        // One infinity among 1,000 finite values: the fitted normal is the
+        // stats table's mean and std, so every theoretical quantile is
+        // finite and the middle one is the mean.
+        let mut values: Vec<f64> = (0..1000).map(|i| 50.0 + ((i * 37) % 25) as f64).collect();
+        values.push(f64::INFINITY);
+        let df = DataFrame::new(vec![("x".into(), Column::from_f64(values))]).unwrap();
+        let cfg = Config::from_pairs(vec![("qq.points", "101")]).unwrap();
+        let (ims, _) = section(&mut ComputeContext::new(&df, &cfg), "x");
+        let Some(Inter::QQ(points)) = ims.get("qq_plot") else { panic!("no qq_plot") };
+        assert_eq!(points.len(), 101);
+        assert!(points.iter().all(|(theoretical, _)| theoretical.is_finite()), "{points:?}");
+        let Some(Inter::StatsTable(rows)) = ims.get("stats") else { panic!("no stats") };
+        let mean = rows.iter().find(|row| row.label == "mean").expect("mean row");
+        assert_eq!(fmt_num(points[50].0), mean.value);
     }
 
     #[test]

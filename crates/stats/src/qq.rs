@@ -5,7 +5,8 @@
 //! standard normal inverse CDF (relative error < 1.15e-9), and
 //! [`normal_qq_points`] pairs theoretical quantiles with sample quantiles.
 
-use crate::quantile::sorted_values;
+use crate::moments::Moments;
+use crate::quantile::quantile_sorted;
 
 /// Inverse CDF (quantile function) of the standard normal distribution.
 ///
@@ -84,34 +85,28 @@ pub fn normal_cdf(x: f64) -> f64 {
     }
 }
 
-/// Q-Q points against the normal distribution fitted to the sample's mean
-/// and standard deviation.
+/// Q-Q points of an ascending `sorted` sample against the normal
+/// distribution fitted to `moments`' mean and standard deviation — the
+/// finite values' ones, as the stats table prints them, so an infinite
+/// value moves the sample quantiles it reaches and nothing else.
 ///
 /// At most `max_points` evenly spaced probability levels are evaluated, so
 /// huge columns still render a small plot. Returns `(theoretical, sample)`
 /// pairs; empty when the data is degenerate.
-pub fn normal_qq_points(values: &[f64], max_points: usize) -> Vec<(f64, f64)> {
-    let sorted = sorted_values(values);
+pub fn normal_qq_points(sorted: &[f64], moments: &Moments, max_points: usize) -> Vec<(f64, f64)> {
     let n = sorted.len();
-    if n < 2 {
+    let Some(std) = moments.std().filter(|&std| std > 0.0 && n >= 2) else {
         return Vec::new();
-    }
-    let mean = sorted.iter().sum::<f64>() / n as f64;
-    let var = sorted.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64;
-    let std = var.sqrt();
-    if std <= 0.0 {
-        return Vec::new();
-    }
+    };
     let k = n.min(max_points.max(2));
     (0..k)
         .map(|i| {
             // Hazen plotting positions over the reduced point set.
             let p = (i as f64 + 0.5) / k as f64;
-            let theoretical = mean + std * normal_quantile(p);
+            let theoretical = moments.mean + std * normal_quantile(p);
             // `sorted` is non-empty (n >= 2 above); a NaN point is
             // dropped by the renderer if the invariant ever breaks.
-            let sample = crate::quantile::quantile_sorted(&sorted, p).unwrap_or(f64::NAN);
-            (theoretical, sample)
+            (theoretical, quantile_sorted(sorted, p).unwrap_or(f64::NAN))
         })
         .collect()
 }
@@ -161,7 +156,7 @@ mod tests {
             let u = (i as f64 + 0.5) / 100.0;
             vals.push(normal_quantile(u) * 2.0 + 10.0);
         }
-        let pts = normal_qq_points(&vals, 50);
+        let pts = normal_qq_points(&vals, &Moments::from_slice(&vals), 50);
         assert_eq!(pts.len(), 50);
         for (t, s) in pts {
             assert!((t - s).abs() < 0.3, "({t}, {s})");
@@ -170,15 +165,19 @@ mod tests {
 
     #[test]
     fn qq_points_degenerate_cases() {
-        assert!(normal_qq_points(&[], 10).is_empty());
-        assert!(normal_qq_points(&[1.0], 10).is_empty());
-        assert!(normal_qq_points(&[2.0; 10], 10).is_empty());
+        let qq = |vals: &[f64]| normal_qq_points(vals, &Moments::from_slice(vals), 10);
+        assert!(qq(&[]).is_empty());
+        assert!(qq(&[1.0]).is_empty());
+        assert!(qq(&[2.0; 10]).is_empty());
+        // One finite value and an infinity: no spread to fit.
+        assert!(qq(&[1.0, f64::INFINITY]).is_empty());
     }
 
     #[test]
     fn qq_respects_max_points() {
+        let qq = |vals: &[f64]| normal_qq_points(vals, &Moments::from_slice(vals), 64);
         let vals: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        assert_eq!(normal_qq_points(&vals, 64).len(), 64);
-        assert_eq!(normal_qq_points(&[1.0, 2.0, 3.0], 64).len(), 3);
+        assert_eq!(qq(&vals).len(), 64);
+        assert_eq!(qq(&[1.0, 2.0, 3.0]).len(), 3);
     }
 }
