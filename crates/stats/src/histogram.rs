@@ -61,10 +61,11 @@ impl Histogram {
         self.min >= self.max
     }
 
-    /// The bin `value` falls in: bins are left-closed and the last one is
-    /// right-closed too, so `max` lands in the last bin. `None` for a
-    /// non-finite value and one outside `[min, max]`; a degenerate range's
-    /// one bin holds `min` alone.
+    /// The bin `value` falls in: bins are left-closed at their printed
+    /// [`Histogram::edges`] and the last one is right-closed too, so `max`
+    /// lands in the last bin. `None` for a non-finite value and one
+    /// outside `[min, max]`; a degenerate range's one bin holds `min`
+    /// alone.
     #[inline]
     pub fn bin(&self, value: f64) -> Option<usize> {
         if !value.is_finite() || value < self.min {
@@ -76,8 +77,29 @@ impl Histogram {
         if value > self.max {
             return None;
         }
-        let width = (self.max - self.min) / self.nbins() as f64;
-        Some((((value - self.min) / width) as usize).min(self.nbins().saturating_sub(1)))
+        let last = self.nbins() - 1;
+        let guess = (((value - self.min) / self.width()) as usize).min(last);
+        // The quotient can round across an edge, either way by one bin:
+        // the edge as printed decides.
+        Some(if value < self.edge(guess) {
+            guess.saturating_sub(1)
+        } else if guess < last && value >= self.edge(guess + 1) {
+            guess + 1
+        } else {
+            guess
+        })
+    }
+
+    /// Width of one bin of a non-degenerate range.
+    fn width(&self) -> f64 {
+        (self.max - self.min) / self.nbins() as f64
+    }
+
+    /// Edge `i` of a non-degenerate range, `min + width·i`: the one
+    /// expression [`Histogram::edges`] prints and [`Histogram::bin`]
+    /// places values by.
+    fn edge(&self, i: usize) -> f64 {
+        self.min + self.width() * i as f64
     }
 
     /// Accumulate one value into its [`Histogram::bin`], or the underflow
@@ -156,10 +178,7 @@ impl Histogram {
         if self.is_degenerate() {
             return vec![self.min, self.min];
         }
-        let width = (self.max - self.min) / self.nbins() as f64;
-        (0..=self.nbins())
-            .map(|i| self.min + width * i as f64)
-            .collect()
+        (0..=self.nbins()).map(|i| self.edge(i)).collect()
     }
 
     /// Normalized bin heights (sum to 1), or zeros when empty.
@@ -211,6 +230,20 @@ mod tests {
         assert_eq!(point.bin(3.0), Some(0));
         for other in [3.0_f64.next_down(), 3.0_f64.next_up(), f64::NAN, f64::INFINITY] {
             assert_eq!(point.bin(other), None, "{other}");
+        }
+        // A value equal to a printed edge opens its bin, and the value just
+        // below it stays in the bin before, on grids whose edges are
+        // inexact too (`[0.1, 1.5]` in 20: edges 1, 3 and 15 used to land
+        // one bin low).
+        for (lo, hi, bins) in [(0.1, 1.5, 20), (0.3, 7.7, 9), (-2.2, 0.7, 13), (1e-3, 0.1, 50)] {
+            let h = Histogram::new(lo, hi, bins);
+            let edges = h.edges();
+            assert_eq!(h.bin(edges[0]), Some(0));
+            for (i, &edge) in edges.iter().enumerate().take(bins).skip(1) {
+                assert_eq!(h.bin(edge), Some(i), "[{lo}, {hi}] in {bins}: edge {i} = {edge}");
+                assert_eq!(h.bin(edge.next_down()), Some(i - 1), "below edge {i} = {edge}");
+            }
+            assert_eq!(h.bin(hi), Some(bins - 1));
         }
         // `push` counts exactly what `bin` places.
         let mut filled = Histogram::new(0.0, 10.0, 5);
