@@ -38,7 +38,6 @@
 //! values along it.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use eda_dataframe::{Bitmap, Column, DataFrame, Selection};
 use eda_stats::corr::{upper_triangle, ColumnPrep, PearsonPartial};
@@ -486,19 +485,47 @@ pub fn binned_numeric(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId 
 /// Hexagonal binning of the finite pairs of [`pair_values`] (pointy-top
 /// axial grid over the ranges of the reduced moments): the count of each
 /// occupied cell, in cell order.
+///
+/// The cells are counted in a dense array over the axial box of the
+/// range's corners: normalizing is monotone, so every point lies between
+/// them, and a cube-rounded cell is within one of its point's axial
+/// coordinates (a corner's too), hence the margin of two. A grid whose box
+/// could outnumber the pairs — a huge `hexbin.gridsize` — is not
+/// allocated: its cells are sorted and counted in runs instead.
 pub fn hexbin(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let deps = vec![pair_values(ctx, x, y), moments(ctx, x), moments(ctx, y)];
     let gridsize = ctx.config.hexbin.gridsize;
     ctx.op(&format!("hexbin:{x}:{y}"), deps, move |inputs| {
         let (momx, momy) = (un::<Moments>(&inputs[1]), un::<Moments>(&inputs[2]));
         let (sx, sy) = hex_scales(momx, momy, gridsize);
-        let mut cells: HashMap<(i64, i64), u64> = HashMap::new();
-        for (a, b) in finite_pairs(&inputs[0]) {
-            *cells.entry(hex_cell((a - momx.min) / sx, (b - momy.min) / sy)).or_insert(0) += 1;
+        let cell = |(a, b): (f64, f64)| hex_cell((a - momx.min) / sx, (b - momy.min) / sy);
+        let cells = finite_pairs(&inputs[0]).map(cell);
+        // The box is under (g + 5)² cells: q spans about 0.91·g, r 0.67·g.
+        let side = gridsize.max(2).saturating_add(5);
+        if side.saturating_mul(side) > un::<Vec<(f64, f64)>>(&inputs[0]).len().max(1 << 12) {
+            let mut cells: Vec<(i64, i64)> = cells.collect();
+            cells.sort_unstable();
+            let runs = cells.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64));
+            return trimmed(runs.collect());
         }
-        let mut cells: Vec<((i64, i64), u64)> = cells.into_iter().collect();
-        cells.sort_unstable_by_key(|&(cell, _)| cell);
-        cells
+        if momx.count == 0 || momy.count == 0 {
+            // No finite value on a side: no pair to bin, no corner to box.
+            return Vec::new();
+        }
+        let (xs, ys) = ([momx.min, momx.max], [momy.min, momy.max]);
+        let corners: Vec<(i64, i64)> = xs.iter().flat_map(|&a| ys.map(|b| cell((a, b)))).collect();
+        let low = |axis: fn(&(i64, i64)) -> i64| corners.iter().map(axis).min().unwrap_or(0) - 2;
+        let high = |axis: fn(&(i64, i64)) -> i64| corners.iter().map(axis).max().unwrap_or(0) + 2;
+        let (q0, r0) = (low(|c| c.0), low(|c| c.1));
+        let height = (high(|c| c.1) - r0 + 1) as usize;
+        let mut counts = vec![0u64; (high(|c| c.0) - q0 + 1) as usize * height];
+        for (q, r) in cells {
+            counts[(q - q0) as usize * height + (r - r0) as usize] += 1;
+        }
+        // Index order is (q, r) order.
+        let at = |i: usize| (q0 + (i / height) as i64, r0 + (i % height) as i64);
+        let occupied = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+        trimmed(occupied.map(|(i, &n)| (at(i), n)).collect())
     })
 }
 
@@ -833,6 +860,33 @@ mod tests {
         let total: u64 = cells.iter().map(|(_, n)| n).sum();
         assert_eq!(total, 180);
         assert!(cells.len() > 1);
+    }
+
+    #[test]
+    fn hexbin_counts_each_cell_of_its_pairs() {
+        // Gridsize 8 counts in the dense box, 5,000 (a box of millions of
+        // cells for 180 pairs) by sorting: both are the map of the cells.
+        let df = frame();
+        for gridsize in [8, 5000] {
+            let cfg = Config::from_pairs(vec![("hexbin.gridsize", &*gridsize.to_string())]).unwrap();
+            let mut ctx = ComputeContext::new(&df, &cfg);
+            let nodes = [
+                hexbin(&mut ctx, "num", "num2"),
+                pair_values(&mut ctx, "num", "num2"),
+                moments(&mut ctx, "num"),
+                moments(&mut ctx, "num2"),
+            ];
+            let outs = ctx.execute_checked(&nodes).unwrap();
+            let (mx, my) = (un::<Moments>(&outs[2]), un::<Moments>(&outs[3]));
+            let (sx, sy) = hex_scales(mx, my, gridsize);
+            let mut want = std::collections::BTreeMap::new();
+            for &(a, b) in un::<Vec<(f64, f64)>>(&outs[1]) {
+                *want.entry(hex_cell((a - mx.min) / sx, (b - my.min) / sy)).or_insert(0u64) += 1;
+            }
+            let cells = un::<Vec<((i64, i64), u64)>>(&outs[0]);
+            assert_eq!(*cells, want.into_iter().collect::<Vec<_>>(), "gridsize {gridsize}");
+            assert_eq!(cells.capacity(), cells.len());
+        }
     }
 
     #[test]
