@@ -15,13 +15,8 @@
 //! [`ComputeContext::map_reduce`], [`ComputeContext::gather`]). A kernel
 //! reads its settings from [`ComputeContext::config`], so what the config
 //! holds is in the key once, and the name carries only what neither the
-//! config nor the inputs say.
-//!
-//! The partitions are read here too: a kernel that reads rows gets them
-//! as frames, one per partition map task ([`ComputeContext::map_reduce`])
-//! or all of them, in row order, in one task
-//! ([`ComputeContext::gather`]), and never plans on a partition source
-//! itself.
+//! config nor the inputs say. A kernel reads rows only as the frames these
+//! hand it, never from a partition source.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -221,12 +216,9 @@ impl<'a> ComputeContext<'a> {
         ops::map_reduce(&mut self.graph, name, self.config_hash, &self.sources, extra, map, merge)
     }
 
-    /// Plan a gather named `name`: one task over every partition, in row
-    /// order, and the payloads of `extra`; `f` gets the partitions'
-    /// frames and those payloads. For a kernel whose partials would only
-    /// be concatenated (or need their partition's first row): it reads
-    /// the rows once and copies each gathered value once, with no reduce
-    /// and no cached partial. Keyed as [`Self::op`].
+    /// Plan a gather named `name`: one task that `f`s the partitions'
+    /// frames, in row order, and the payloads of `extra` — no partial, no
+    /// reduce. Keyed as [`Self::op`].
     pub fn gather<T, F>(&mut self, name: &str, extra: &[NodeId], f: F) -> NodeId
     where
         T: HeapSize + Send + Sync + 'static,

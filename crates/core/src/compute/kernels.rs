@@ -1,20 +1,12 @@
 //! Graph-building kernels.
 //!
 //! Each function adds a sub-plan to the context's graph and returns the
-//! node holding its result, in one of three shapes:
-//!
-//! - a *partition kernel* maps every partition to a small aggregate and
-//!   tree-reduces the partials ([`ComputeContext::map_reduce`]): moments,
-//!   histograms, frequency tables, text stats, Pearson partials, crosstabs;
-//! - a *gather* is one task that reads every partition in row order
-//!   ([`ComputeContext::gather`]): the kernels whose partials would only
-//!   be concatenated ([`numeric_gather`], [`validity`], [`pair_values`],
-//!   [`grouped_numeric`]) and [`null_counts`], whose count of a partition
-//!   needs its first row;
-//! - a *derived kernel* is one task over other kernels' results and reads
-//!   no row ([`ComputeContext::op`]).
-//!
-//! A task's key is its name, the config hash and
+//! node holding its result. A partition kernel maps every partition and
+//! tree-reduces the partials ([`ComputeContext::map_reduce`]); a gather —
+//! a kernel whose partials would only be concatenated, or [`null_counts`] —
+//! reads every partition in one task ([`ComputeContext::gather`]); a derived
+//! kernel is one task over other kernels' results and reads no row
+//! ([`ComputeContext::op`]). A task's key is its name, the config hash and
 //! its inputs' keys: the name spells the kernel, the column(s) and — for
 //! the missing-impact variants — the [`Rows`] it aggregates, and a kernel
 //! reads every setting (bins, grid size, group counts) from the config,
@@ -177,18 +169,10 @@ pub fn sorted_values(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> 
 pub fn validity(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
     ctx.gather(&format!("validity:{column}"), &[], move |frames, _| {
-        if let [df] = frames {
-            return col(df, &name).validity_mask();
-        }
-        let rows = frames.iter().map(|df| df.nrows()).sum::<usize>();
         // Empty with room for every row: the joined mask keeps no slack.
-        let mut mask = Bitmap::from_packed(Vec::with_capacity(rows.div_ceil(8)), 0);
-        for df in frames {
-            match col(df, &name).validity() {
-                Some(window) => mask.extend_from(window),
-                None => mask.extend_filled(df.nrows(), true),
-            }
-        }
+        let bytes = frames.iter().map(|df| df.nrows()).sum::<usize>().div_ceil(8);
+        let mut mask = Bitmap::from_packed(Vec::with_capacity(bytes), 0);
+        frames.iter().for_each(|df| mask.extend_from(&col(df, &name).validity_mask()));
         mask
     })
 }
@@ -329,34 +313,28 @@ pub fn numeric_gather(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
     ctx.gather(&format!("numeric_gather:{column}"), &[], move |frames, _| {
         let mut values = Vec::with_capacity(frames.iter().map(|df| df.nrows()).sum());
-        for df in frames {
-            col(df, &name).extend_f64_nan(&mut values).expect("numeric");
-        }
+        frames.iter().for_each(|df| col(df, &name).extend_f64_nan(&mut values).expect("numeric"));
         values
     })
 }
 
 /// Integer nullity aggregates of the whole frame ([`NullCounts`]): nulls
 /// per column, rows where both columns of a pair are null, and nulls per
-/// spectrum bin (`spectrum.bins` row ranges). One gather counts each
-/// partition's validity windows a 64-row word at a time — a partition's
-/// first row is the sum of the rows before it — and adds the counts up, so
+/// spectrum bin (`spectrum.bins` row ranges). Each partition's validity
+/// windows are counted a 64-row word at a time and the counts add up, so
 /// no row-length indicator is ever built. Feeds the four
 /// `plot_missing(df)` views.
 pub fn null_counts(ctx: &mut ComputeContext<'_>) -> NodeId {
     let bins = ctx.config.spectrum.bins;
     ctx.gather(&format!("nulls:{bins}"), &[], move |frames, _| {
         let ranges = spectrum_ranges(frames.iter().map(|df| df.nrows()).sum(), bins);
-        let counts = frames.iter().scan(0, |first_row, df| {
-            let counts = count_nulls(df, *first_row, &ranges);
+        let mut counts = frames.iter().scan(0, |first_row, df| {
             *first_row += df.nrows();
-            Some(counts)
+            Some(count_nulls(df, *first_row - df.nrows(), &ranges))
         });
-        let total = counts.reduce(|mut total, more| {
-            total.merge(&more);
-            total
-        });
-        total.expect("a frame has at least one partition")
+        let mut total = counts.next().expect("a frame has at least one partition");
+        counts.for_each(|more| total.merge(&more));
+        total
     })
 }
 
@@ -484,14 +462,9 @@ pub fn binned_numeric(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId 
 
 /// Hexagonal binning of the finite pairs of [`pair_values`] (pointy-top
 /// axial grid over the ranges of the reduced moments): the count of each
-/// occupied cell, in cell order.
-///
-/// The cells are counted in a dense array over the axial box of the
-/// range's corners: normalizing is monotone, so every point lies between
-/// them, and a cube-rounded cell is within one of its point's axial
-/// coordinates (a corner's too), hence the margin of two. A grid whose box
-/// could outnumber the pairs — a huge `hexbin.gridsize` — is not
-/// allocated: its cells are sorted and counted in runs instead.
+/// occupied cell, in cell order: counted in a dense array over the axial
+/// box of the range's corners, or, for a box that could outnumber the
+/// pairs (a huge `hexbin.gridsize`), by sorting the cells.
 pub fn hexbin(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let deps = vec![pair_values(ctx, x, y), moments(ctx, x), moments(ctx, y)];
     let gridsize = ctx.config.hexbin.gridsize;
@@ -501,24 +474,22 @@ pub fn hexbin(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
         let cell = |(a, b): (f64, f64)| hex_cell((a - momx.min) / sx, (b - momy.min) / sy);
         let cells = finite_pairs(&inputs[0]).map(cell);
         // The box is under (g + 5)² cells: q spans about 0.91·g, r 0.67·g.
+        // With no finite value on a side there is no pair, nor a box.
         let side = gridsize.max(2).saturating_add(5);
-        if side.saturating_mul(side) > un::<Vec<(f64, f64)>>(&inputs[0]).len().max(1 << 12) {
+        let pairs = un::<Vec<(f64, f64)>>(&inputs[0]).len();
+        if momx.count == 0 || momy.count == 0 || side.saturating_mul(side) > pairs.max(1 << 12) {
             let mut cells: Vec<(i64, i64)> = cells.collect();
             cells.sort_unstable();
             let runs = cells.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64));
             return trimmed(runs.collect());
         }
-        if momx.count == 0 || momy.count == 0 {
-            // No finite value on a side: no pair to bin, no corner to box.
-            return Vec::new();
-        }
-        let (xs, ys) = ([momx.min, momx.max], [momy.min, momy.max]);
-        let corners: Vec<(i64, i64)> = xs.iter().flat_map(|&a| ys.map(|b| cell((a, b)))).collect();
-        let low = |axis: fn(&(i64, i64)) -> i64| corners.iter().map(axis).min().unwrap_or(0) - 2;
-        let high = |axis: fn(&(i64, i64)) -> i64| corners.iter().map(axis).max().unwrap_or(0) + 2;
-        let (q0, r0) = (low(|c| c.0), low(|c| c.1));
-        let height = (high(|c| c.1) - r0 + 1) as usize;
-        let mut counts = vec![0u64; (high(|c| c.0) - q0 + 1) as usize * height];
+        // q is least at (min x, max y) and most at (max x, min y), r least
+        // at min y (row 0) and most at max y: normalizing is monotone, and a
+        // cube-rounded cell is within one of its point's axial coordinates
+        // (a corner's too), hence a margin of two.
+        let ((q0, r1), (q1, _)) = (cell((momx.min, momy.max)), cell((momx.max, momy.min)));
+        let (q0, r0, height) = (q0 - 2, -2, (r1 + 5) as usize);
+        let mut counts = vec![0u64; (q1 + 3 - q0) as usize * height];
         for (q, r) in cells {
             counts[(q - q0) as usize * height + (r - r0) as usize] += 1;
         }
@@ -756,13 +727,12 @@ mod tests {
                 exact(&what(payload), std::slice::from_ref(groups));
                 exact(&what(payload), groups);
             }
-            // One partition's mask shares the column's buffer; three are
-            // joined into a buffer of exactly their bytes.
+            // The partitions' windows are joined into exactly their bytes.
             let mask = un::<Bitmap>(&outs[5]);
             assert_eq!(mask.len(), 200);
             assert_eq!(mask.count_unset(), 20);
             let joined = 2 * size_of::<usize>() + size_of::<Vec<u8>>() + 200usize.div_ceil(8);
-            assert!(mask.heap_bytes() <= joined, "{}", what("validity"));
+            assert_eq!(mask.heap_bytes(), joined, "{}", what("validity"));
         }
     }
 

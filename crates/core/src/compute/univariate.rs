@@ -121,9 +121,8 @@ fn numeric_section(column: &str, config: &Config, rows: usize, outs: &[Payload])
         );
     }
     ims.push("kde_plot", Inter::Kde { xs: xs.clone(), ys: ys.clone() });
-    // Fitted to the moments of the sorted values, the stats table's rule
-    // read in one fixed order: the payload's own bits follow where the
-    // partitions cut the rows, and the plot must not.
+    // The stats table's rule over the sorted values, in one fixed order:
+    // the payload's bits follow where the partitions cut the rows.
     let fit = Moments::from_slice(sorted);
     ims.push("qq_plot", Inter::QQ(normal_qq_points(sorted, &fit, config.qq.points)));
     if let Some(bp) = box_plot {

@@ -788,28 +788,20 @@ impl Column {
         })
     }
 
-    /// Reinterpret the column as floats with nulls mapped to NaN.
-    /// Only valid for numeric columns.
+    /// A numeric column as floats with NaN at its nulls.
     pub fn to_f64_nan(&self) -> Result<Vec<f64>> {
         let mut out = Vec::with_capacity(self.len());
-        self.extend_f64_nan(&mut out)?;
-        Ok(out)
+        self.extend_f64_nan(&mut out).map(|()| out)
     }
 
-    /// Append [`Column::to_f64_nan`] of the column to `out`: the window's
-    /// values are copied (or cast) as one slice, then NaN is written at
-    /// each null row, found a validity word at a time.
+    /// Append [`Column::to_f64_nan`] to `out`: the window's values are
+    /// copied (or cast) as one slice, then NaN is written at each null
+    /// row, found a validity word at a time.
     pub fn extend_f64_nan(&self, out: &mut Vec<f64>) -> Result<()> {
         let start = out.len();
-        let validity = match self {
-            Column::Float64(d) => {
-                out.extend_from_slice(d.as_slice());
-                &d.validity
-            }
-            Column::Int64(d) => {
-                out.extend(d.as_slice().iter().map(|&v| v as f64));
-                &d.validity
-            }
+        match self {
+            Column::Float64(d) => out.extend_from_slice(d.as_slice()),
+            Column::Int64(d) => out.extend(d.as_slice().iter().map(|&v| v as f64)),
             other => {
                 return Err(Error::TypeMismatch {
                     context: "to_f64_nan".into(),
@@ -817,8 +809,8 @@ impl Column {
                     got: other.dtype().name(),
                 })
             }
-        };
-        if let Some(bm) = validity {
+        }
+        if let Some(bm) = self.validity() {
             bm.for_each_unset(|row| {
                 if let Some(v) = out.get_mut(start + row) {
                     *v = f64::NAN;

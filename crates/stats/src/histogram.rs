@@ -77,29 +77,18 @@ impl Histogram {
         if value > self.max {
             return None;
         }
-        let last = self.nbins() - 1;
-        let guess = (((value - self.min) / self.width()) as usize).min(last);
-        // The quotient can round across an edge, either way by one bin:
-        // the edge as printed decides.
-        Some(if value < self.edge(guess) {
-            guess.saturating_sub(1)
-        } else if guess < last && value >= self.edge(guess + 1) {
-            guess + 1
-        } else {
-            guess
-        })
+        let width = (self.max - self.min) / self.nbins() as f64;
+        let guess = (((value - self.min) / width) as usize).min(self.nbins() - 1);
+        // The quotient can round across an edge: the edge as printed decides.
+        let below = usize::from(value < self.edge(guess));
+        let above = usize::from(guess + 1 < self.nbins() && value >= self.edge(guess + 1));
+        Some(guess + above - below)
     }
 
-    /// Width of one bin of a non-degenerate range.
-    fn width(&self) -> f64 {
-        (self.max - self.min) / self.nbins() as f64
-    }
-
-    /// Edge `i` of a non-degenerate range, `min + width·i`: the one
-    /// expression [`Histogram::edges`] prints and [`Histogram::bin`]
-    /// places values by.
+    /// Edge `i` of a non-degenerate range, `min + width·i`, as
+    /// [`Histogram::edges`] prints it and [`Histogram::bin`] places by it.
     fn edge(&self, i: usize) -> f64 {
-        self.min + self.width() * i as f64
+        self.min + (self.max - self.min) / self.nbins() as f64 * i as f64
     }
 
     /// Accumulate one value into its [`Histogram::bin`], or the underflow
