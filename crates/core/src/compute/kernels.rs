@@ -328,9 +328,9 @@ pub fn null_counts(ctx: &mut ComputeContext<'_>) -> NodeId {
     let bins = ctx.config.spectrum.bins;
     ctx.gather(&format!("nulls:{bins}"), &[], move |frames, _| {
         let ranges = spectrum_ranges(frames.iter().map(|df| df.nrows()).sum(), bins);
-        let mut counts = frames.iter().scan(0, |first_row, df| {
-            *first_row += df.nrows();
-            Some(count_nulls(df, *first_row - df.nrows(), &ranges))
+        let mut counts = frames.iter().scan(0, |next_row, df| {
+            let first_row = std::mem::replace(next_row, *next_row + df.nrows());
+            Some(count_nulls(df, first_row, &ranges))
         });
         let mut total = counts.next().expect("a frame has at least one partition");
         counts.for_each(|more| total.merge(&more));

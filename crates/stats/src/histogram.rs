@@ -77,17 +77,18 @@ impl Histogram {
         if value > self.max {
             return None;
         }
-        let width = (self.max - self.min) / self.nbins() as f64;
-        let guess = (((value - self.min) / width) as usize).min(self.nbins() - 1);
-        // The quotient can round across an edge: the edge as printed decides.
-        let below = usize::from(value < self.edge(guess));
-        let above = usize::from(guess + 1 < self.nbins() && value >= self.edge(guess + 1));
-        Some(guess + above - below)
+        // A guess off by at most one bin, which the printed edges correct.
+        let last = self.nbins() as i64 - 1;
+        let per_unit = self.nbins() as f64 / (self.max - self.min);
+        let guess = (((value - self.min) * per_unit) as i64).min(last);
+        let below = i64::from(value < self.edge(guess));
+        let above = i64::from(guess < last && value >= self.edge(guess + 1));
+        Some((guess + above - below) as usize)
     }
 
     /// Edge `i` of a non-degenerate range, `min + width·i`, as
     /// [`Histogram::edges`] prints it and [`Histogram::bin`] places by it.
-    fn edge(&self, i: usize) -> f64 {
+    fn edge(&self, i: i64) -> f64 {
         self.min + (self.max - self.min) / self.nbins() as f64 * i as f64
     }
 
@@ -167,7 +168,7 @@ impl Histogram {
         if self.is_degenerate() {
             return vec![self.min, self.min];
         }
-        (0..=self.nbins()).map(|i| self.edge(i)).collect()
+        (0..=self.nbins() as i64).map(|i| self.edge(i)).collect()
     }
 
     /// Normalized bin heights (sum to 1), or zeros when empty.

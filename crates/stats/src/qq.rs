@@ -94,17 +94,16 @@ pub fn normal_cdf(x: f64) -> f64 {
 /// huge columns still render a small plot. Returns `(theoretical, sample)`
 /// pairs; empty when the data is degenerate.
 pub fn normal_qq_points(sorted: &[f64], moments: &Moments, max_points: usize) -> Vec<(f64, f64)> {
-    let n = sorted.len();
-    let Some(std) = moments.std().filter(|&std| std > 0.0 && n >= 2) else {
+    let Some(std) = moments.std().filter(|&std| std > 0.0) else {
         return Vec::new();
     };
-    let k = n.min(max_points.max(2));
+    let k = sorted.len().min(max_points.max(2));
     (0..k)
         .map(|i| {
             // Hazen plotting positions over the reduced point set.
             let p = (i as f64 + 0.5) / k as f64;
             let theoretical = moments.mean + std * normal_quantile(p);
-            // `sorted` is non-empty (n >= 2 above); a NaN point is
+            // `sorted` is non-empty (k ≤ its length); a NaN point is
             // dropped by the renderer if the invariant ever breaks.
             (theoretical, quantile_sorted(sorted, p).unwrap_or(f64::NAN))
         })
