@@ -6,8 +6,9 @@
 //!    lazy graph can be built without inspecting delayed data (the paper's
 //!    fix for repartitioning, §5.2).
 //! 2. **Graph construction**: each statistic becomes a map/tree-reduce
-//!    sub-plan over the partitions; structural keys collapse shared
-//!    subcomputations across visualizations.
+//!    sub-plan over the partitions (or, when its partials would only be
+//!    concatenated, one gather task over all of them); structural keys
+//!    collapse shared subcomputations across visualizations.
 //! 3. **Dask phase**: the engine executes the graph partition-parallel.
 //! 4. **Pandas phase**: small-data finishing computations (filtering a
 //!    correlation matrix, assembling chart data, insights) run on the
