@@ -62,6 +62,18 @@ pub struct Task {
     /// returns plus its [`HeapSize`]. The scheduler prices each payload
     /// once, where the body returns, for the cache and the trace alike.
     pub price: fn(&Payload) -> usize,
+    /// A partial of a reduce planned with it ([`crate::ops::map_reduce`]):
+    /// a later plan reads it only through that reduce's result, so the
+    /// scheduler neither caches nor looks it up.
+    pub(crate) partial: bool,
+}
+
+impl Task {
+    /// Whether the result cache holds this task's payload: a derived task
+    /// that is not a partial. A source holds its payload by construction.
+    pub(crate) fn cached(&self) -> bool {
+        !self.deps.is_empty() && !self.partial
+    }
 }
 
 impl std::fmt::Debug for Task {
@@ -70,6 +82,7 @@ impl std::fmt::Debug for Task {
             .field("name", &self.name)
             .field("key", &self.key)
             .field("deps", &self.deps)
+            .field("partial", &self.partial)
             .finish_non_exhaustive()
     }
 }
@@ -179,11 +192,20 @@ impl TaskGraph {
         }
         let id = self.tasks.len();
         let run: TaskFn = Arc::new(move |inputs: &[Payload]| -> Payload { Arc::new(f(inputs)) });
-        self.tasks.push(Task { name: name.to_string(), key, deps, run, price: price::<T> });
+        let task =
+            Task { name: name.to_string(), key, deps, run, price: price::<T>, partial: false };
+        self.tasks.push(task);
         if self.dedup {
             self.by_key.insert(key, id);
         }
         id
+    }
+
+    /// Mark `id` a partial ([`Task::partial`]). Panics if this graph did
+    /// not issue `id`.
+    #[expect(clippy::indexing_slicing, reason = "node ids are indices this graph issued")]
+    pub(crate) fn mark_partial(&mut self, id: NodeId) {
+        self.tasks[id].partial = true;
     }
 
     /// Indegree (number of dependencies) per live node, zero for the

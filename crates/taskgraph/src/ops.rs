@@ -18,8 +18,12 @@ use crate::partition::payload_frame;
 /// clones its left input and `merge`s the right one into it.
 ///
 /// The reduce tasks form a balanced binary tree, so a parallel executor
-/// gets log-depth critical paths. A single input is returned unchanged;
-/// empty input panics (callers always have ≥1 partition).
+/// gets log-depth critical paths. Every node below the root — the inputs
+/// and the inner reduces — is marked a partial
+/// ([`crate::graph::Task::partial`]), so only the root's result is
+/// cached. A single input is returned unchanged and unmarked (a
+/// one-partition frame's map is its root); empty input panics (callers
+/// always have ≥1 partition).
 #[expect(clippy::indexing_slicing, reason = "a task body gets one input per dependency")]
 fn tree_reduce<T, C>(
     graph: &mut TaskGraph,
@@ -39,6 +43,8 @@ where
         if let [root] = *layer {
             return root;
         }
+        // Every node below the root is read only by the reduce above it.
+        layer.iter().for_each(|&id| graph.mark_partial(id));
         let mut next = Vec::with_capacity(layer.len().div_ceil(2));
         for pair in layer.chunks(2) {
             match *pair {
@@ -61,7 +67,9 @@ where
 /// every mergeable statistic. `map` gets a partition's frame and the
 /// payloads of `extra` (nodes every map task also depends on, such as the
 /// reduced moments a bin grid comes from); the reduce tasks are named
-/// `<op>/reduce`.
+/// `<op>/reduce`. Over two or more partitions the maps and the inner
+/// reduces are partials ([`crate::graph::Task`]'s `partial`): only the
+/// root's result is cached.
 #[expect(clippy::indexing_slicing, reason = "a task body gets one input per dependency")]
 pub fn map_reduce<T, M, C>(
     graph: &mut TaskGraph,

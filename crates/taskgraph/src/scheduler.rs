@@ -181,10 +181,11 @@ struct Plan {
 
 impl Plan {
     /// Mark what is live along a reverse DFS from `outputs`, probing
-    /// `cache` (when one is attached and enabled) on the way. Only
-    /// derived nodes (with dependencies) are probed: sources hold their
-    /// payload by construction, so caching them buys nothing and would
-    /// pin input data in the cache.
+    /// `cache` (when one is attached and enabled) on the way. Only the
+    /// nodes the cache holds ([`crate::graph::Task::cached`]) are probed:
+    /// sources hold their payload by construction, so caching them buys
+    /// nothing and would pin input data in the cache, and a partial is
+    /// never inserted.
     fn build(graph: &TaskGraph, outputs: &[NodeId], cache: Option<&CacheHandle>) -> Plan {
         let mut plan = Plan { live: vec![false; graph.len()], hits: BTreeMap::new(), misses: 0 };
         let cache = cache.filter(|handle| handle.cache.enabled());
@@ -195,7 +196,7 @@ impl Plan {
                 _ => continue,
             }
             let task = graph.task(id);
-            if let Some(handle) = cache.filter(|_| !task.deps.is_empty()) {
+            if let Some(handle) = cache.filter(|_| task.cached()) {
                 if let Some(found) = handle.cache.get(handle.fingerprint, task.key) {
                     plan.hits.insert(id, found);
                     continue; // upstream cone satisfied; don't traverse
@@ -444,12 +445,13 @@ fn failed(graph: &TaskGraph, id: NodeId, failure: TaskFailure, elapsed: Duration
 }
 
 /// Insert a successful derived result into the cache, returning the
-/// evictions it forced. Only `Ok` outcomes of nodes with dependencies are
-/// admitted — failed, timed-out, and skipped tasks never populate the
-/// cache, so fault-injected runs cannot poison later ones. A run whose
-/// cancel token has fired stops inserting entirely: kernels may be
-/// bailing mid-slice by then, and a degraded run must never seed later
-/// healthy ones. `bytes` is the payload's price.
+/// evictions it forced. Only `Ok` outcomes of the nodes the cache holds
+/// ([`crate::graph::Task::cached`]: not a source, not a partial of a
+/// reduce) are admitted — failed, timed-out, and skipped tasks never
+/// populate the cache, so fault-injected runs cannot poison later ones.
+/// A run whose cancel token has fired stops inserting entirely: kernels
+/// may be bailing mid-slice by then, and a degraded run must never seed
+/// later healthy ones. `bytes` is the payload's price.
 fn cache_insert(
     opts: &ExecOptions,
     graph: &TaskGraph,
@@ -464,7 +466,7 @@ fn cache_insert(
         return 0;
     }
     let task = graph.task(id);
-    if task.deps.is_empty() {
+    if !task.cached() {
         return 0;
     }
     match outcome {
