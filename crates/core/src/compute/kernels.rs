@@ -187,7 +187,8 @@ pub fn histogram(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
 
 /// Histogram of `rows` whose bin range comes from an explicit moments
 /// node — the before/after comparisons of `plot_missing` bin the dropped
-/// rows on the *before* range so the two sides subtract bin by bin.
+/// rows on the *before* range so the two sides subtract bin by bin. Each
+/// partition's rows are counted by [`Histogram::fill_column`].
 pub fn histogram_with_range(
     ctx: &mut ComputeContext<'_>,
     column: &str,
@@ -201,11 +202,7 @@ pub fn histogram_with_range(
         move |df, extra| {
             let mom = un::<Moments>(&extra[0]);
             let mut h = Histogram::new(mom.min, mom.max, bins);
-            let c = col(df, &name);
-            match (c.dense_f64(), rows.select(df)) {
-                (Some(vals), Selection::All) => h.fill_slice(vals),
-                (_, rows) => c.for_each_numeric_in(rows, |v| h.push(v)).expect("numeric"),
-            }
+            h.fill_column(col(df, &name), rows.select(df)).expect("numeric");
             h
         },
         Histogram::merge,
@@ -442,14 +439,14 @@ pub fn crosstab(
 
 /// Per-x-bin collections of y values for the binned box plot (N×N): the
 /// finite pairs of [`pair_values`], binned on x's reduced moments into
-/// `box.bins` bins by the histogram's rule ([`Histogram::bin`]; a
+/// `box.bins` bins on the histogram's grid ([`Histogram::grid`]; a
 /// constant x is one bin).
 pub fn binned_numeric(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId {
     let deps = vec![pair_values(ctx, x, y), moments(ctx, x)];
     let bins = ctx.config.box_plot.bins;
     ctx.op(&format!("binned_numeric:{x}:{y}"), deps, move |inputs| {
         let mom = un::<Moments>(&inputs[1]);
-        let grid = Histogram::new(mom.min, mom.max, bins);
+        let grid = Histogram::new(mom.min, mom.max, bins).grid();
         let mut groups: Vec<Vec<f64>> = vec![Vec::new(); grid.nbins()];
         for (a, b) in finite_pairs(&inputs[0]) {
             if let Some(group) = grid.bin(a).and_then(|at| groups.get_mut(at)) {
@@ -759,6 +756,73 @@ mod tests {
             // The two partition sources and the gather.
             assert_eq!(ctx.last_stats.as_ref().unwrap().tasks_run, 3, "{kernel}");
         }
+    }
+
+    #[test]
+    fn a_partition_kernel_leaves_one_cache_entry() {
+        use eda_taskgraph::ResultCache;
+        use std::sync::Arc;
+        type Plan = fn(&mut ComputeContext<'_>) -> NodeId;
+        // Each kernel, after the nodes it reads when it reads any.
+        let plans: [(&str, Option<Plan>, Plan); 6] = [
+            ("moments", None, |ctx| moments(ctx, "num")),
+            ("histogram", Some(|ctx| moments(ctx, "num")), |ctx| histogram(ctx, "num")),
+            ("freq", None, |ctx| freq(ctx, "cat", Rows::All)),
+            ("text_stats", None, |ctx| text_stats(ctx, "cat")),
+            ("pearson", None, |ctx| pearson_partial(ctx, "num", "num2")),
+            ("crosstab", Some(|ctx| freq_summary(ctx, "cat", Rows::All)), |ctx| {
+                let summary = freq_summary(ctx, "cat", Rows::All);
+                crosstab(ctx, ("cat", "cat"), (summary, summary))
+            }),
+        ];
+        let df = frame();
+        let cfg = Config::default();
+        for partitions in [2, 1] {
+            for (kernel, inputs, plan) in plans {
+                let cache = Arc::new(ResultCache::new(1 << 20));
+                let mut ctx = ComputeContext::partitioned(&df, &cfg, partitions)
+                    .with_cache(Arc::clone(&cache));
+                if let Some(inputs) = inputs {
+                    let inputs = inputs(&mut ctx);
+                    ctx.execute_checked(&[inputs]).unwrap();
+                }
+                let before = cache.len();
+                let node = plan(&mut ctx);
+                ctx.execute_checked(&[node]).unwrap();
+                // The reduce alone: its map partials are never inserted.
+                assert_eq!(cache.len() - before, 1, "{kernel} at {partitions} partitions");
+                ctx.execute_checked(&[node]).unwrap();
+                let reissued = ctx.last_stats.as_ref().unwrap();
+                assert_eq!(reissued.tasks_run, 0, "{kernel} at {partitions} partitions");
+            }
+        }
+    }
+
+    #[test]
+    fn an_evicted_reduce_reruns_its_maps() {
+        use eda_taskgraph::ResultCache;
+        use std::sync::Arc;
+        let df = frame();
+        let cfg = Config::default();
+        let uncached = {
+            let mut ctx = ComputeContext::partitioned(&df, &cfg, 2);
+            let node = moments(&mut ctx, "num");
+            format!("{:?}", un::<Moments>(&ctx.execute_checked(&[node]).unwrap()[0]))
+        };
+        // Room for one `Moments`: the second column's evicts the first's.
+        let cache = Arc::new(ResultCache::new(std::mem::size_of::<Moments>()));
+        let mut ctx = ComputeContext::partitioned(&df, &cfg, 2).with_cache(Arc::clone(&cache));
+        let (num, num2) = (moments(&mut ctx, "num"), moments(&mut ctx, "num2"));
+        ctx.execute_checked(&[num]).unwrap();
+        ctx.execute_checked(&[num2]).unwrap();
+        assert_eq!(ctx.last_stats.as_ref().unwrap().cache_evictions, 1);
+        assert_eq!(cache.len(), 1);
+        let again = ctx.execute_checked(&[num]).unwrap();
+        let stats = ctx.last_stats.as_ref().unwrap();
+        assert_eq!(stats.cache_hits, 0);
+        // The two partition sources, both maps and the reduce.
+        assert_eq!(stats.tasks_run, 5);
+        assert_eq!(format!("{:?}", un::<Moments>(&again[0])), uncached);
     }
 
     #[test]

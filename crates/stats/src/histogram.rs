@@ -6,7 +6,10 @@
 //! bin grid and partials merge by element-wise addition. This mirrors how
 //! the paper computes one histogram across Dask partitions.
 
-use eda_dataframe::HeapSize;
+use eda_dataframe::{Column, HeapSize, Result, Selection};
+
+use crate::interrupt::{interrupted, CHECK_INTERVAL};
+use crate::moments::valid_runs;
 
 /// A histogram over `[min, max]` with equal-width bins.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,42 +64,31 @@ impl Histogram {
         self.min >= self.max
     }
 
-    /// The bin `value` falls in: bins are left-closed at their printed
-    /// [`Histogram::edges`] and the last one is right-closed too, so `max`
-    /// lands in the last bin. `None` for a non-finite value and one
-    /// outside `[min, max]`; a degenerate range's one bin holds `min`
-    /// alone.
+    /// The bin `value` falls in ([`Grid::bin`]).
     #[inline]
     pub fn bin(&self, value: f64) -> Option<usize> {
-        if !value.is_finite() || value < self.min {
-            return None;
-        }
-        if self.is_degenerate() {
-            return (value == self.min).then_some(0);
-        }
-        if value > self.max {
-            return None;
-        }
-        // A guess off by at most one bin, which the printed edges correct.
-        let last = self.nbins() as i64 - 1;
-        let per_unit = self.nbins() as f64 / (self.max - self.min);
-        let guess = (((value - self.min) * per_unit) as i64).min(last);
-        let below = i64::from(value < self.edge(guess));
-        let above = i64::from(guess < last && value >= self.edge(guess + 1));
-        Some((guess + above - below) as usize)
+        self.grid().bin(value)
     }
 
-    /// Edge `i` of a non-degenerate range, `min + width·i`, as
-    /// [`Histogram::edges`] prints it and [`Histogram::bin`] places by it.
-    fn edge(&self, i: i64) -> f64 {
-        self.min + (self.max - self.min) / self.nbins() as f64 * i as f64
+    /// This histogram's bin grid, its scale and edge width taken once: a
+    /// caller that bins many values without counting them takes it once
+    /// too.
+    pub fn grid(&self) -> Grid {
+        let (span, nbins) = (self.max - self.min, self.nbins() as f64);
+        Grid {
+            min: self.min,
+            max: self.max,
+            width: span / nbins,
+            per_unit: nbins / span,
+            last: self.nbins() as i64 - 1,
+        }
     }
 
-    /// Accumulate one value into its [`Histogram::bin`], or the underflow
-    /// or overflow count. Non-finite values are ignored.
+    /// Count `value` in its bin of `grid` (this histogram's), or in the
+    /// underflow or overflow count. Non-finite values are ignored.
     #[inline]
-    pub fn push(&mut self, value: f64) {
-        match self.bin(value) {
+    fn count(&mut self, grid: &Grid, value: f64) {
+        match grid.bin(value) {
             Some(idx) => {
                 if let Some(count) = self.counts.get_mut(idx) {
                     *count += 1;
@@ -108,22 +100,44 @@ impl Histogram {
         }
     }
 
-    /// Accumulate many values. Polls the cooperative-interruption probe
-    /// every [`crate::interrupt::CHECK_INTERVAL`] values and bails early
-    /// when it fires (the partial grid is discarded by the scheduler).
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for (i, v) in values.into_iter().enumerate() {
-            if i % crate::interrupt::CHECK_INTERVAL == 0 && crate::interrupt::interrupted() {
-                return;
-            }
-            self.push(v);
-        }
+    /// Accumulate one value into its [`Histogram::bin`], or the underflow
+    /// or overflow count. Non-finite values are ignored.
+    #[inline]
+    pub fn push(&mut self, value: f64) {
+        self.count(&self.grid(), value);
     }
 
-    /// Accumulate a contiguous slice — the columnar-window entry point,
-    /// [`Histogram::extend`] over its values.
+    /// Accumulate many values on a grid taken once. Polls the
+    /// cooperative-interruption probe every [`CHECK_INTERVAL`] values and
+    /// bails early when it fires (the partial grid is discarded by the
+    /// scheduler).
+    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
+        Fill::new(self).run(values);
+    }
+
+    /// Accumulate a contiguous slice — [`Histogram::extend`] over its
+    /// values.
     pub fn fill_slice(&mut self, values: &[f64]) {
         self.extend(values.iter().copied());
+    }
+
+    /// Accumulate the non-null values in `rows` of a numeric column window
+    /// (ints widened) as one [`Histogram::extend`]: with every row
+    /// selected, a run between nulls at a time (the walk of
+    /// [`crate::Moments::of`]; a null-free window is one run), else a
+    /// selected row at a time. An error for a column that is not numeric.
+    pub fn fill_column(&mut self, column: &Column, rows: Selection<'_>) -> Result<()> {
+        let mut fill = Fill::new(self);
+        match (rows, column.f64_values(), column.i64_values()) {
+            (Selection::All, Some(floats), _) => valid_runs(column, |run| {
+                fill.run(floats.get(run).unwrap_or_default().iter().copied());
+            }),
+            (Selection::All, None, Some(ints)) => valid_runs(column, |run| {
+                fill.run(ints.get(run).unwrap_or_default().iter().map(|&v| v as f64));
+            }),
+            (rows, _, _) => column.for_each_numeric_in(rows, |v| fill.run([v]))?,
+        }
+        Ok(())
     }
 
     /// Merge a partial built over the identical bin grid.
@@ -168,7 +182,8 @@ impl Histogram {
         if self.is_degenerate() {
             return vec![self.min, self.min];
         }
-        (0..=self.nbins() as i64).map(|i| self.edge(i)).collect()
+        let grid = self.grid();
+        (0..=self.nbins() as i64).map(|i| grid.edge(i)).collect()
     }
 
     /// Normalized bin heights (sum to 1), or zeros when empty.
@@ -178,6 +193,89 @@ impl Histogram {
             return vec![0.0; self.nbins()];
         }
         self.counts.iter().map(|&c| c as f64 / total).collect()
+    }
+}
+
+/// A histogram's bin grid ([`Histogram::grid`]): bins are left-closed at
+/// their printed [`Histogram::edges`] and the last one is right-closed
+/// too, so `max` lands in the last bin.
+#[derive(Debug, Clone, Copy)]
+pub struct Grid {
+    min: f64,
+    max: f64,
+    /// `(max − min) / nbins`.
+    width: f64,
+    /// `nbins / (max − min)`.
+    per_unit: f64,
+    /// The last bin.
+    last: i64,
+}
+
+impl Grid {
+    /// Number of bins.
+    pub fn nbins(&self) -> usize {
+        (self.last + 1) as usize
+    }
+
+    /// The bin `value` falls in. `None` for a non-finite value and one
+    /// outside `[min, max]`; a degenerate range's one bin holds `min`
+    /// alone.
+    #[inline]
+    pub fn bin(&self, value: f64) -> Option<usize> {
+        if !value.is_finite() || value < self.min {
+            return None;
+        }
+        if self.min >= self.max {
+            return (value == self.min).then_some(0);
+        }
+        if value > self.max {
+            return None;
+        }
+        // A guess off by at most one bin, which the printed edges correct.
+        let guess = (((value - self.min) * self.per_unit) as i64).min(self.last);
+        let below = i64::from(value < self.edge(guess));
+        let above = i64::from(guess < self.last && value >= self.edge(guess + 1));
+        Some((guess + above - below) as usize)
+    }
+
+    /// Edge `i` of a non-degenerate range, `min + width·i`, as
+    /// [`Histogram::edges`] prints it and [`Grid::bin`] places by it.
+    #[inline]
+    fn edge(&self, i: i64) -> f64 {
+        self.min + self.width * i as f64
+    }
+}
+
+/// One fill of a histogram: its grid taken once, and the interruption
+/// probe polled every [`CHECK_INTERVAL`] values over every run it counts.
+struct Fill<'h> {
+    hist: &'h mut Histogram,
+    grid: Grid,
+    /// Values left before the next poll.
+    until_poll: usize,
+    stopped: bool,
+}
+
+impl<'h> Fill<'h> {
+    fn new(hist: &'h mut Histogram) -> Self {
+        let grid = hist.grid();
+        Fill { hist, grid, until_poll: 0, stopped: false }
+    }
+
+    /// Count `values`, until the probe fires.
+    #[inline]
+    fn run(&mut self, values: impl IntoIterator<Item = f64>) {
+        for value in values {
+            if self.until_poll == 0 {
+                if self.stopped || interrupted() {
+                    self.stopped = true;
+                    return;
+                }
+                self.until_poll = CHECK_INTERVAL;
+            }
+            self.until_poll -= 1;
+            self.hist.count(&self.grid, value);
+        }
     }
 }
 

@@ -281,7 +281,7 @@ impl Fold {
 
 /// The runs of valid rows of a column window, in order: the rows between
 /// its nulls (some runs empty).
-fn valid_runs(column: &Column, mut f: impl FnMut(Range<usize>)) {
+pub(crate) fn valid_runs(column: &Column, mut f: impl FnMut(Range<usize>)) {
     let mut start = 0;
     if let Some(validity) = column.validity() {
         validity.for_each_unset(|null| {
