@@ -27,7 +27,7 @@ use crate::error::EdaResult;
 use crate::intermediate::{Inter, Intermediates};
 
 use super::ctx::{un, ComputeContext};
-use super::kernels::{self, hex_center, hex_scales, Rows};
+use super::kernels::{self, hex_center, hex_scales};
 use super::univariate::{fmt_num, thin_scatter};
 
 /// Plan `plot(df, x, y)`, dispatching on the semantic type pair.
@@ -109,7 +109,7 @@ fn numeric_numeric(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -
 fn numeric_categorical(ctx: &mut ComputeContext<'_>, name: &str, cat: &str, num: &str) -> NodeId {
     // The groups are the head of the summary's top list: one grouping as
     // wide as the wider chart, of which each chart takes its head.
-    let summary = kernels::freq_summary(ctx, cat, Rows::All);
+    let summary = kernels::freq_summary(ctx, cat);
     let (box_groups, line_groups) = (ctx.config.box_plot.ngroups, ctx.config.line.ngroups);
     let grouped = kernels::grouped_numeric(ctx, cat, num, summary);
     let deps = vec![grouped, kernels::multi_line(ctx, (cat, num), grouped), summary];
@@ -153,8 +153,8 @@ fn numeric_categorical(ctx: &mut ComputeContext<'_>, name: &str, cat: &str, num:
 
 /// C×C: nested bars, stacked bars, heat map from one crosstab.
 fn categorical_categorical(ctx: &mut ComputeContext<'_>, name: &str, x: &str, y: &str) -> NodeId {
-    let fx = kernels::freq_summary(ctx, x, Rows::All);
-    let fy = kernels::freq_summary(ctx, y, Rows::All);
+    let fx = kernels::freq_summary(ctx, x);
+    let fy = kernels::freq_summary(ctx, y);
     let ngroups = (ctx.config.crosstab.ngroups_x, ctx.config.crosstab.ngroups_y);
     // One crosstab feeds all three charts (shared computation).
     let ct = kernels::crosstab(ctx, (x, y), (fx, fy));

@@ -19,10 +19,11 @@
 //! kernel with the moments as an extra dependency; hexbin and the binned
 //! boxes bin the pair gather ([`pair_values`]), and the multi-line chart
 //! the [`grouped_numeric`] groups, as derived kernels. The grouped
-//! partition kernels (grouped numeric values, crosstab) read their groups
-//! the same way, off the `freq_summary` node of their categorical
-//! column(s). So a two-column plot reads its rows once per column
-//! statistic and once for the pair (N×N) or the grouping (N×C).
+//! partition kernels (grouped numeric values, crosstab, and
+//! [`top_counts`], the dropped side of a categorical comparison) read
+//! their groups the same way, off the `freq_summary` node of their
+//! categorical column(s). So a two-column plot reads its rows once per
+//! column statistic and once for the pair (N×N) or the grouping (N×C).
 //!
 //! A numeric column is sorted once, by its `corr_prep` node
 //! ([`plan_corr_prep`]): the correlation cells read that argsort's ranks
@@ -48,9 +49,11 @@ use super::ctx::{un, ComputeContext};
 ///
 /// `plot_missing(df, x)` compares every column before and after dropping
 /// the rows where `x` is null. Counts subtract exactly, so the *after*
-/// side is planned as the same kernel over only the rows `x` drops
+/// side is planned as counts over only the rows `x` drops
 /// ([`Rows::NullIn`]: O(nulls(x)) per column, empty for a partition where
-/// `x` has no nulls) and derived as `after = before − dropped`; order
+/// `x` has no nulls) on the *before* side's bins or bars — a histogram on
+/// the *before* range, [`top_counts`] of the *before* top categories —
+/// and derived as `after = before − dropped`; order
 /// statistics, which do not subtract, read the rows `x` keeps
 /// ([`Rows::ValidIn`]). Either way the rows are read in place through a
 /// [`Selection`] — no kernel copies a filtered partition.
@@ -209,28 +212,28 @@ pub fn histogram_with_range(
     )
 }
 
-/// Frequency table ([`CatFreq::of`] per partition) of any column's `rows`,
-/// counted by the codes of its display forms.
-pub fn freq(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
+/// Frequency table ([`CatFreq::of`] per partition) of any column, counted
+/// by the codes of its display forms.
+pub fn freq(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
     let name = column.to_string();
     ctx.map_reduce(
-        &format!("freq:{column}{}", rows.tag()),
+        &format!("freq:{column}"),
         &[],
-        move |df, _| CatFreq::of(col(df, &name), rows.select(df)),
+        move |df, _| CatFreq::of(col(df, &name), Selection::All),
         CatFreq::merge,
     )
 }
 
-/// What a finish shows of `column`'s frequency table over `rows`
+/// What a finish shows of `column`'s frequency table
 /// ([`CatFreq::summary`]): one more task on the `freq` node, so the
 /// selection of the top categories runs on a worker, once per call however
 /// many panels read it, and not at all when the result cache has it.
 /// It keeps as many categories as the widest chart configured shows. A
 /// categorical column's row and null counts are read off its payload
 /// (`eda_stats::missing::ColMeta::categorical`).
-pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> NodeId {
-    let name = format!("freq_summary:{column}{}", rows.tag());
-    let table = freq(ctx, column, rows);
+pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str) -> NodeId {
+    let name = format!("freq_summary:{column}");
+    let table = freq(ctx, column);
     let c = &ctx.config;
     let shown = [c.bar.ngroups, c.pie.slices, c.box_plot.ngroups, c.line.ngroups, c.crosstab.ngroups_x];
     let keep = shown.into_iter().fold(c.crosstab.ngroups_y, usize::max);
@@ -239,6 +242,40 @@ pub fn freq_summary(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows) -> N
         SUMMARIES.with(|n| n.set(n.get() + 1));
         un::<CatFreq>(&inputs[0]).summary(keep)
     })
+}
+
+/// How many of `column`'s `rows` fall in each of the first `bar.ngroups`
+/// categories of `summary` (the column's `freq_summary` node), in its
+/// order: the bars of a comparison, whatever the column's cardinality.
+/// Each map task reads the summary and picks the categories itself, as
+/// [`crosstab`] does; a row of any other category is not counted.
+pub fn top_counts(ctx: &mut ComputeContext<'_>, column: &str, rows: Rows, summary: NodeId) -> NodeId {
+    let name = column.to_string();
+    let ngroups = ctx.config.bar.ngroups;
+    ctx.map_reduce(
+        &format!("top_counts:{column}{}", rows.tag()),
+        &[summary],
+        move |df, extra| {
+            let keep = un::<FreqSummary>(&extra[0]).labels(ngroups);
+            let mut counts = vec![0u64; keep.len()];
+            let encoded = col(df, &name).display_encoded();
+            let mut slots = Slots::new(cat::codes(&encoded).1, &keep);
+            let count = |code| {
+                if let Some(n) = slots.get(code).and_then(|at| counts.get_mut(at)) {
+                    *n += 1;
+                }
+            };
+            encoded.for_each_code_in(rows.select(df), count).expect("an encoded column");
+            counts
+        },
+        add_counts,
+    )
+}
+
+/// Add a partial of counts over the same categories, element by element.
+#[expect(clippy::ptr_arg, reason = "a merge takes the partial's own type")]
+fn add_counts(sum: &mut Vec<u64>, more: &Vec<u64>) {
+    sum.iter_mut().zip(more).for_each(|(x, y)| *x += y);
 }
 
 /// Text statistics over a categorical column: each distinct value that
@@ -433,7 +470,7 @@ pub fn crosstab(
             }
             counts
         },
-        |sum: &mut Vec<u64>, more| sum.iter_mut().zip(more).for_each(|(x, y)| *x += y),
+        add_counts,
     )
 }
 
@@ -630,7 +667,7 @@ mod tests {
         // Read off the payloads the panels request, not counted again.
         let m: Moments = run_one(|ctx| moments(ctx, "num"));
         assert_eq!(ColMeta::numeric(200, &m), ColMeta { len: 200, nulls: 20 });
-        let s: FreqSummary = run_one(|ctx| freq_summary(ctx, "cat", Rows::All));
+        let s: FreqSummary = run_one(|ctx| freq_summary(ctx, "cat"));
         assert_eq!(ColMeta::categorical(s.total, s.nulls), ColMeta { len: 200, nulls: 16 });
     }
 
@@ -668,7 +705,7 @@ mod tests {
 
     #[test]
     fn freq_counts_categories() {
-        let t: CatFreq = run_one(|ctx| freq(ctx, "cat", Rows::All));
+        let t: CatFreq = run_one(|ctx| freq(ctx, "cat"));
         assert_eq!(t.distinct(), 4);
         assert_eq!(t.total() + t.nulls(), 200);
     }
@@ -703,7 +740,7 @@ mod tests {
             let pairs = pair_values(&mut ctx, "num", "num2");
             let kept = sorted_values(&mut ctx, "num2", Rows::ValidIn("num".into()));
             let binned = binned_numeric(&mut ctx, "num", "num2");
-            let summary = freq_summary(&mut ctx, "cat", Rows::All);
+            let summary = freq_summary(&mut ctx, "cat");
             let grouped = grouped_numeric(&mut ctx, "cat", "num", summary);
             let mask = validity(&mut ctx, "num");
             let nodes = [gather, pairs, kept, binned, grouped, mask];
@@ -764,15 +801,19 @@ mod tests {
         use std::sync::Arc;
         type Plan = fn(&mut ComputeContext<'_>) -> NodeId;
         // Each kernel, after the nodes it reads when it reads any.
-        let plans: [(&str, Option<Plan>, Plan); 6] = [
+        let plans: [(&str, Option<Plan>, Plan); 7] = [
             ("moments", None, |ctx| moments(ctx, "num")),
             ("histogram", Some(|ctx| moments(ctx, "num")), |ctx| histogram(ctx, "num")),
-            ("freq", None, |ctx| freq(ctx, "cat", Rows::All)),
+            ("freq", None, |ctx| freq(ctx, "cat")),
             ("text_stats", None, |ctx| text_stats(ctx, "cat")),
             ("pearson", None, |ctx| pearson_partial(ctx, "num", "num2")),
-            ("crosstab", Some(|ctx| freq_summary(ctx, "cat", Rows::All)), |ctx| {
-                let summary = freq_summary(ctx, "cat", Rows::All);
+            ("crosstab", Some(|ctx| freq_summary(ctx, "cat")), |ctx| {
+                let summary = freq_summary(ctx, "cat");
                 crosstab(ctx, ("cat", "cat"), (summary, summary))
+            }),
+            ("top_counts", Some(|ctx| freq_summary(ctx, "cat")), |ctx| {
+                let summary = freq_summary(ctx, "cat");
+                top_counts(ctx, "cat", Rows::NullIn("num".into()), summary)
             }),
         ];
         let df = frame();
@@ -851,7 +892,7 @@ mod tests {
     fn grouped_numeric_respects_keep() {
         let two = [("box.ngroups", "2"), ("line.ngroups", "2")];
         let g: Vec<Vec<f64>> = run_with(&two, |ctx| {
-            let summary = freq_summary(ctx, "cat", Rows::All);
+            let summary = freq_summary(ctx, "cat");
             grouped_numeric(ctx, "cat", "num", summary)
         });
         // The four categories tie at 46 rows, so the two kept are g0 and
@@ -871,7 +912,7 @@ mod tests {
         // is one of them, so only the g0 × g0 cell counts.
         let groups = [("crosstab.ngroups_x", "2"), ("crosstab.ngroups_y", "1")];
         let c: Vec<u64> = run_with(&groups, |ctx| {
-            let summary = freq_summary(ctx, "cat", Rows::All);
+            let summary = freq_summary(ctx, "cat");
             crosstab(ctx, ("cat", "cat"), (summary, summary))
         });
         assert_eq!(c, [46, 0]);
@@ -927,7 +968,7 @@ mod tests {
     fn multi_line_shares_bins() {
         let settings = [("box.ngroups", "3"), ("line.ngroups", "2"), ("line.bins", "8")];
         let h: Vec<Histogram> = run_with(&settings, |ctx| {
-            let summary = freq_summary(ctx, "cat", Rows::All);
+            let summary = freq_summary(ctx, "cat");
             let grouped = grouped_numeric(ctx, "cat", "num", summary);
             multi_line(ctx, ("cat", "num"), grouped)
         });
@@ -960,24 +1001,53 @@ mod tests {
         let cfg = Config::default();
         let mut ctx = ComputeContext::new(&df, &cfg);
         // `num` is null where i % 10 == 0 (20 rows), `cat` where i % 13 == 0.
-        let all = freq(&mut ctx, "cat", Rows::All);
-        let dropped = freq(&mut ctx, "cat", Rows::NullIn("num".into()));
-        let by_cat = freq(&mut ctx, "cat", Rows::NullIn("cat".into()));
-        let kept = sorted_values(&mut ctx, "num2", Rows::ValidIn("num".into()));
+        let summary = freq_summary(&mut ctx, "cat");
+        let rows = [Rows::All, Rows::NullIn("num".into()), Rows::ValidIn("num".into()), Rows::NullIn("cat".into())];
+        let [all, dropped, kept, by_cat] = rows.map(|rows| top_counts(&mut ctx, "cat", rows, summary));
+        let sorted_kept = sorted_values(&mut ctx, "num2", Rows::ValidIn("num".into()));
         let whole = sorted_values(&mut ctx, "num2", Rows::All);
-        assert_eq!(
-            [all, dropped, by_cat, kept, whole].iter().collect::<std::collections::HashSet<_>>().len(),
-            5
-        );
-        let outs = ctx.execute_checked(&[all, dropped, by_cat, kept, whole]).unwrap();
-        let (all, dropped, by_cat) =
-            (un::<CatFreq>(&outs[0]), un::<CatFreq>(&outs[1]), un::<CatFreq>(&outs[2]));
-        assert_eq!(all.total() + all.nulls(), 200);
-        // Rows 0 and 130 are null in both columns.
-        assert_eq!((dropped.total(), dropped.nulls()), (18, 2));
-        assert_eq!((by_cat.total(), by_cat.nulls()), (0, 16));
-        assert_eq!(un::<Vec<f64>>(&outs[3]).len(), 180);
-        assert_eq!(un::<Vec<f64>>(&outs[4]).len(), 200);
+        let nodes = [all, dropped, kept, by_cat, sorted_kept, whole];
+        assert_eq!(nodes.iter().collect::<std::collections::HashSet<_>>().len(), 6);
+        let outs = ctx.execute_checked(&nodes).unwrap();
+        let counts = |at: usize| un::<Vec<u64>>(&outs[at]).clone();
+        // The four categories tie at 46, so the bars are g0..g3; rows 0 and
+        // 130 are null in both columns, and i % 10 == 0 is g0 or g2.
+        assert_eq!(counts(0), [46, 46, 46, 46]);
+        assert_eq!(counts(1), [9, 0, 9, 0]);
+        assert_eq!(counts(3), [0, 0, 0, 0]);
+        let split: Vec<u64> = counts(1).iter().zip(counts(2)).map(|(d, k)| d + k).collect();
+        assert_eq!(split, counts(0));
+        assert_eq!(un::<Vec<f64>>(&outs[4]).len(), 180);
+        assert_eq!(un::<Vec<f64>>(&outs[5]).len(), 200);
+    }
+
+    #[test]
+    fn top_counts_count_the_shown_categories_at_any_partition_count() {
+        // `cat` is a string column, one dictionary; `few`, an integer
+        // column, is encoded per partition. Two bars each: rows of the
+        // other categories are not counted.
+        let base = frame();
+        let few = Column::from_opt_i64((0..200).map(|i| (i % 7 != 3).then_some(i % 3)).collect());
+        let kept = ["num", "cat"].map(|n| (n.to_string(), base.column(n).unwrap().clone()));
+        let df = DataFrame::new([kept.to_vec(), vec![("few".into(), few)]].concat()).unwrap();
+        let cfg = Config::from_pairs(vec![("bar.ngroups", "2")]).unwrap();
+        // Row by row: the rows `num` drops (i % 10 == 0) showing `bar`.
+        let dropped = |column: &str, bar: &str| {
+            let c = df.column(column).unwrap();
+            let shows = |i: usize| c.is_valid(i) && c.get(i).unwrap().to_string() == bar;
+            (0..200).filter(|&i| i % 10 == 0 && shows(i)).count() as u64
+        };
+        for parts in [1, 2, 3] {
+            let mut ctx = ComputeContext::partitioned(&df, &cfg, parts);
+            for column in ["cat", "few"] {
+                let summary = freq_summary(&mut ctx, column);
+                let counts = top_counts(&mut ctx, column, Rows::NullIn("num".into()), summary);
+                let outs = ctx.execute_checked(&[summary, counts]).unwrap();
+                let bars = un::<FreqSummary>(&outs[0]).labels(2);
+                let want: Vec<u64> = bars.iter().map(|bar| dropped(column, bar)).collect();
+                assert_eq!(un::<Vec<u64>>(&outs[1]), &want, "{column} at {parts} partitions");
+            }
+        }
     }
 
     #[test]

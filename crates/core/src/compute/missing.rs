@@ -6,15 +6,17 @@
 //!   before vs after dropping the rows where `x` is null. The paper's
 //!   Figure 5 calls this the most expensive fine-grained task because "it
 //!   computes two frequency distributions for each column". Here the
-//!   second one covers only the rows `x` drops ([`Rows::NullIn`]) and
-//!   `after = before − dropped`, exact because counts are integers; the
+//!   second one is not a distribution: it counts only the rows `x` drops
+//!   ([`Rows::NullIn`]) in the *before* side's bins — the histogram's, or
+//!   the bars of the top categories ([`kernels::top_counts`]) — and
+//!   `after = before − dropped`, exact because counts are integers. The
 //!   *before* node is the one `plot(df, x)` and `create_report` plan too.
 //! * `plot_missing(df, x, y)` → histogram, PDF, CDF, box plot of `y`
 //!   before vs after dropping `x`'s missing rows.
 
 use std::sync::Arc;
 
-use eda_stats::freq::{CatFreq, FreqSummary};
+use eda_stats::freq::FreqSummary;
 use eda_stats::histogram::Histogram;
 use eda_stats::hypothesis::ks_distance_sorted;
 use eda_stats::missing::{spectrum_ranges, MissingSpectrum, MissingSummary, NullCounts};
@@ -67,20 +69,21 @@ pub fn compute_missing_overview(ctx: &mut ComputeContext<'_>) -> NodeId {
 }
 
 /// Plan one column's comparison for dropping `x`'s null rows: its
-/// distribution over every row (*before*), and over only the rows `x`
-/// drops. Numeric columns bin both on the *before* range so the
-/// histograms subtract bin by bin; of a categorical column's *before*
-/// table only the summary is read — the node its own panel plans.
+/// distribution over every row (*before*), and the rows `x` drops counted
+/// the same way. Numeric columns bin both on the *before* range so the
+/// histograms subtract bin by bin; a categorical column's *before* side is
+/// its summary — the node its own panel plans — and the dropped rows are
+/// counted in the categories it shows.
 fn plan_compare(ctx: &mut ComputeContext<'_>, name: &str, x: &str, sem: SemanticType) -> [NodeId; 2] {
-    let sides = [Rows::All, Rows::NullIn(x.to_string())];
+    let dropped = Rows::NullIn(x.to_string());
     match sem {
         SemanticType::Numerical => {
             let m = kernels::moments(ctx, name);
-            sides.map(|rows| kernels::histogram_with_range(ctx, name, rows, m))
+            [Rows::All, dropped].map(|rows| kernels::histogram_with_range(ctx, name, rows, m))
         }
         SemanticType::Categorical => {
-            let [all, dropped] = sides;
-            [kernels::freq_summary(ctx, name, all), kernels::freq(ctx, name, dropped)]
+            let summary = kernels::freq_summary(ctx, name);
+            [summary, kernels::top_counts(ctx, name, dropped, summary)]
         }
     }
 }
@@ -94,14 +97,13 @@ fn compare_histogram(before: &Histogram, after: &Histogram) -> Inter {
 }
 
 /// Bars for the `ngroups` most frequent categories *before*; what remains
-/// of each after the drop is its count minus its dropped rows — `ngroups`
-/// lookups in the dropped table, whatever the column's cardinality.
-fn compare_bars(before: &FreqSummary, dropped: &CatFreq, ngroups: usize) -> Inter {
-    let gone = dropped.counts_of(before, ngroups);
+/// of each after the drop is its count minus its dropped rows, `dropped`
+/// in the same order.
+fn compare_bars(before: &FreqSummary, dropped: &[u64], ngroups: usize) -> Inter {
     Inter::CompareBars {
         categories: before.labels(ngroups),
         before: before.top(ngroups).map(|(_, n)| n).collect(),
-        after: before.top(ngroups).zip(gone).map(|((_, n), gone)| n - gone).collect(),
+        after: before.top(ngroups).zip(dropped).map(|((_, n), gone)| n - gone).collect(),
     }
 }
 
@@ -140,7 +142,7 @@ pub fn compute_missing_impact(ctx: &mut ComputeContext<'_>, x: &str) -> EdaResul
                 }
                 SemanticType::Categorical => ims.push(
                     format!("compare_bars:{name}"),
-                    compare_bars(un(&sides[0]), un(&sides[1]), config.bar.ngroups),
+                    compare_bars(un(&sides[0]), un::<Vec<u64>>(&sides[1]), config.bar.ngroups),
                 ),
             }
         }
@@ -166,7 +168,7 @@ pub fn compute_missing_pair(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> E
         let mut ims = Intermediates::new();
         if sem == SemanticType::Categorical {
             // Categorical y: before/after bars only.
-            let bars = compare_bars(un(&outs[0]), un(&outs[1]), config.bar.ngroups);
+            let bars = compare_bars(un(&outs[0]), un::<Vec<u64>>(&outs[1]), config.bar.ngroups);
             ims.push("compare_bars", bars);
             return (ims, Vec::new());
         }

@@ -15,7 +15,7 @@ use crate::dtype::SemanticType;
 use crate::intermediate::{Inter, Intermediates, StatRow};
 
 use super::ctx::{un, ComputeContext};
-use super::kernels::{self, Rows};
+use super::kernels;
 use super::univariate::bar_from_freq;
 
 /// Per-column plan entry of the overview. A column's null count is read
@@ -71,7 +71,7 @@ pub fn plan_overview(ctx: &mut ComputeContext<'_>) -> OverviewPlan {
                 name,
             },
             SemanticType::Categorical => OverviewColumnPlan::Categorical {
-                freq: kernels::freq_summary(ctx, &name, Rows::All),
+                freq: kernels::freq_summary(ctx, &name),
                 name,
             },
         })

@@ -81,7 +81,7 @@ pub fn compute_univariate(ctx: &mut ComputeContext<'_>, column: &str) -> EdaResu
             // column's nulls: [`ColMeta::categorical`]), and the
             // word/length statistics.
             let deps = vec![
-                kernels::freq_summary(ctx, &column, Rows::All),
+                kernels::freq_summary(ctx, &column),
                 kernels::text_stats(ctx, &column),
             ];
             ctx.section(&name, deps, move |outs| categorical_section(&column, &config, outs))

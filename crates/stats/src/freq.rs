@@ -2,8 +2,8 @@
 //!
 //! Two forms. [`CodeCounts`] is what the engine computes: a dictionary-
 //! encoded column is counted as a histogram over its codes, partials add
-//! and subtract element by element, and strings are looked up only for
-//! the few categories a chart shows. [`CatFreq`] is that histogram with
+//! element by element, and strings are looked up only for the few
+//! categories a chart shows. [`CatFreq`] is that histogram with
 //! its dictionary: the one categorical partial, built over a column window
 //! by [`CatFreq::of`] whether the window is a graph partition or a
 //! streamed CSV chunk — and the word table of [`crate::text::TextStats`],
@@ -11,10 +11,12 @@
 //! finish reads off it. Both rank categories the same way (count
 //! descending, then name) and sum entropy in that order, so every
 //! representation of one table agrees to the last bit.
+//!
+//! What `plot_missing(df, x)` needs of the rows `x` drops is their counts
+//! in the few categories its chart shows: the engine counts just those
+//! (`top_counts` in `eda-core`), not a table of the dropped rows.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use eda_dataframe::{Column, DictBuilder, HeapSize, Selection, StrDict};
@@ -110,19 +112,6 @@ impl CodeCounts {
         self.nulls += other.nulls;
     }
 
-    /// The table of the rows that remain once the rows counted in
-    /// `dropped` (a subset of the rows counted here, over the same
-    /// dictionary) are removed. Counts are integers, so this equals
-    /// counting the remaining rows from scratch.
-    pub fn minus(&self, dropped: &CodeCounts) -> CodeCounts {
-        let mut out = self.clone();
-        for (mine, theirs) in out.counts.iter_mut().zip(&dropped.counts) {
-            *mine = mine.saturating_sub(*theirs);
-        }
-        out.nulls = out.nulls.saturating_sub(dropped.nulls);
-        out
-    }
-
     /// The codes that occur, with their counts, in code order.
     pub fn nonzero(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         (0u32..).zip(&self.counts).filter(|(_, &n)| n > 0).map(|(code, &n)| (code, n))
@@ -161,7 +150,7 @@ impl CodeCounts {
 
 /// Frequency table of a column: occurrences per dictionary code, and the
 /// dictionary. Partials over windows of one string column share its
-/// dictionary (the same `Arc`) and add or subtract element by element;
+/// dictionary (the same `Arc`) and add element by element;
 /// partials whose dictionaries differ (each partition of a bool or integer
 /// column interns its own display forms, each CSV chunk its own strings)
 /// are re-coded entry by entry, never row by row.
@@ -198,23 +187,6 @@ impl CatFreq {
         self.dict.get(code).unwrap_or_default()
     }
 
-    /// `other`'s counts under this table's codes (categories this table's
-    /// dictionary does not have are left out).
-    fn aligned<'a>(&self, other: &'a CatFreq) -> Cow<'a, CodeCounts> {
-        if Arc::ptr_eq(&self.dict, &other.dict) {
-            return Cow::Borrowed(&other.counts);
-        }
-        let mine: HashMap<&str, u32> = self.dict.iter().zip(0u32..).collect();
-        let mut counts = CodeCounts::new(self.dict.len());
-        for (code, n) in other.counts.nonzero() {
-            if let Some(slot) = mine.get(other.label(code)).and_then(|&c| counts.counts.get_mut(c as usize)) {
-                *slot += n;
-            }
-        }
-        counts.nulls = other.counts.nulls;
-        Cow::Owned(counts)
-    }
-
     /// Merge another partial into this one.
     pub fn merge(&mut self, other: &CatFreq) {
         if Arc::ptr_eq(&self.dict, &other.dict) {
@@ -231,12 +203,6 @@ impl CatFreq {
             }
         }
         *self = CatFreq::interned(dict, counts);
-    }
-
-    /// The table of the rows that remain once the rows counted in
-    /// `dropped` (a subset of the rows counted here) are removed.
-    pub fn minus(&self, dropped: &CatFreq) -> CatFreq {
-        CatFreq { dict: Arc::clone(&self.dict), counts: self.counts.minus(&self.aligned(dropped)) }
     }
 
     /// Null rows observed alongside the categories.
@@ -281,25 +247,6 @@ impl CatFreq {
             entropy: entropy_of(&desc),
             chi_square: chi_square_uniform(&desc),
         }
-    }
-
-    /// This table's counts of the `k` most frequent categories of
-    /// `summary` (of other rows of the same column), in its order: `k`
-    /// reads when the two share a dictionary, one pass over the categories
-    /// that occur here when they do not.
-    pub fn counts_of(&self, summary: &FreqSummary, k: usize) -> Vec<u64> {
-        let top = summary.top.iter().take(k);
-        if Arc::ptr_eq(&self.dict, &summary.dict) {
-            return top.map(|&(code, _)| self.counts.count(code)).collect();
-        }
-        let slots: HashMap<&str, usize> = summary.top(k).map(|(label, _)| label).zip(0..).collect();
-        let mut counts = vec![0; slots.len()];
-        for (code, n) in self.counts.nonzero() {
-            if let Some(count) = slots.get(self.label(code)).and_then(|&slot| counts.get_mut(slot)) {
-                *count += n;
-            }
-        }
-        counts
     }
 }
 
@@ -437,29 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn minus_subtracts_counts_and_drops_emptied_categories() {
-        // `SAMPLE` as counts per code over the dictionary a, b, c.
-        let dict = ["a", "b", "c"];
-        let label = |code: u32| dict[code as usize];
-        let count = |rows: &[u32], nulls: u64| {
-            let mut c = CodeCounts::new(dict.len());
-            rows.iter().for_each(|&code| c.push(code));
-            c.nulls = nulls;
-            c
-        };
-        let before = count(&[0, 1, 0, 2, 0, 1], 1);
-        assert_eq!(code_table(&before, label), Counts::of(SAMPLE));
-        let after = before.minus(&count(&[0, 2, 1, 1], 1));
-        assert_eq!(code_table(&after, label), Counts::of([Some("a"), Some("a")]));
-        // "b" and "c" are gone, not present with a zero count.
-        assert_eq!(after.distinct(), 1);
-        assert_eq!(after.nonzero().collect::<Vec<_>>(), [(0, 2)]);
-        assert_eq!(after.nulls, 0);
-        assert_eq!(before.minus(&CodeCounts::new(dict.len())), before);
-        assert_eq!(before.minus(&before), CodeCounts::new(dict.len()));
-    }
-
-    #[test]
     fn mode() {
         assert_eq!(sample().summary(1).mode(), Some(("a", 3)));
         assert_eq!(CatFreq::of(&column(&[None, None]), Selection::All).summary(1).mode(), None);
@@ -540,19 +464,16 @@ mod tests {
                 codes.top_k(k, label).into_iter().map(|(c, n)| (label(c).to_string(), n)).collect();
             assert_eq!(top, table.top_k(k), "k = {k}");
         }
-        // Partials add and subtract element by element: dropping rows
-        // leaves the table counted from the rows kept.
-        let mut dropped = CodeCounts::new(dict.len());
-        [2u32, 4, 4, 4].iter().for_each(|&c| dropped.push(c));
-        dropped.nulls = 1;
-        let after = codes.minus(&dropped);
-        let mut kept = Counts::of([0u32, 2, 0, 3].iter().map(|&c| Some(label(c))));
-        kept.nulls = 1;
-        assert_eq!(code_table(&after, label), kept);
-        assert_eq!(after.distinct(), 3, "ß is gone, not present with a zero count");
-        let mut back = after.clone();
-        back.add(&dropped);
-        assert_eq!(back, codes);
+        // Partials add element by element: two halves of the rows add up
+        // to the table of them all.
+        let (mut first, mut second) = (CodeCounts::new(dict.len()), CodeCounts::new(dict.len()));
+        [0u32, 2, 0, 3].iter().for_each(|&c| first.push(c));
+        [2u32, 4, 4, 4].iter().for_each(|&c| second.push(c));
+        (first.nulls, second.nulls) = (1, 1);
+        let mut both = first.clone();
+        both.add(&second);
+        assert_eq!(code_table(&both, label), table);
+        assert_eq!(first.distinct(), 3, "unused codes are not categories");
         // A table still being interned grows to the codes it is given.
         let mut growing = CodeCounts::default();
         rows.iter().for_each(|&c| growing.add_n(c, 1));
@@ -578,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn foreign_dictionaries_merge_and_subtract_by_name() {
+    fn foreign_dictionaries_merge_by_name() {
         // Two partitions of an integer column: each interns its own forms.
         let a = CatFreq::of(&Column::from_opt_i64(vec![Some(1), Some(2), Some(1), None]), Selection::All);
         let b = CatFreq::of(&Column::from_i64(vec![3, 2, 2]), Selection::All);
@@ -590,15 +511,7 @@ mod tests {
         other_way.merge(&a);
         assert_eq!(table(&other_way), want);
         assert_eq!(top(&both, 9), top(&other_way, 9));
-        assert_eq!(table(&both.minus(&b)), table(&a));
-        assert_eq!(both.minus(&both).distinct(), 0);
-        // The counts elsewhere of a summary's top categories: by name
-        // across dictionaries, by code within one.
-        let summary = both.summary(2);
-        assert_eq!(summary.top(2).collect::<Vec<_>>(), [("2", 3), ("1", 2)]);
-        assert_eq!(b.counts_of(&summary, 2), [2, 0]);
-        assert_eq!(a.counts_of(&summary, 1), [1]);
-        assert_eq!(both.counts_of(&summary, 2), [3, 2]);
+        assert_eq!(both.summary(2).top(2).collect::<Vec<_>>(), [("2", 3), ("1", 2)]);
     }
 
     #[test]
@@ -616,7 +529,7 @@ mod tests {
         assert_eq!(s.chi_square, chi_square_uniform(&want.counts_desc()));
         // Asking for more than there is gives all there is.
         assert_eq!(top(&freq, 99), pairs(&[("b", 3), ("a", 2), ("c", 1)]));
-        // No row at all (`Rows::NullIn` of a column without nulls):
+        // No row at all (the null rows of a column without nulls):
         // nothing to show, and no statistic to divide by.
         let none = CatFreq::of(&column, Column::from_i64(vec![0; 7]).null_rows()).summary(5);
         assert_eq!((none.top(5).count(), none.mode(), none.distinct, none.total), (0, None, 0, 0));

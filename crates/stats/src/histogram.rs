@@ -1,9 +1,9 @@
 //! Fixed-bin histograms with mergeable partials.
 //!
 //! The bin range is fixed at construction — in the two-phase pipeline the
-//! global `[min, max]` comes from a first-pass [`crate::Moments`] (or the
-//! precomputed chunk metadata), after which every partition fills the same
-//! bin grid and partials merge by element-wise addition. This mirrors how
+//! global `[min, max]` comes from a first-pass [`crate::Moments`], after
+//! which every partition fills the same bin grid and partials merge by
+//! element-wise addition. This mirrors how
 //! the paper computes one histogram across Dask partitions.
 
 use eda_dataframe::{Column, HeapSize, Result, Selection};

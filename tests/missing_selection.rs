@@ -5,10 +5,10 @@
 //! whole-column kernels on the copy, assemble the same charts. Every
 //! comparison is on the intermediates' JSON, byte for byte.
 //!
-//! Every histogram bins a value with `(v − min) / width`, whether its
-//! window is read as a slice or row by row, so a value on a bin edge
-//! leaves `before` from the bin it was counted in;
-//! `edge_values_stay_in_their_before_bin` checks that by itself.
+//! Every histogram puts a value in the bin its printed edges bound
+//! (`Grid::bin`), whether its window is read as a slice or row by row,
+//! so a value on a bin edge leaves `before` from the bin it was counted
+//! in; `edge_values_stay_in_their_before_bin` checks that by itself.
 
 use std::sync::Arc;
 
@@ -84,7 +84,7 @@ impl<'a> Oracle<'a> {
     fn freqs(&self, y: &str) -> (Counts, Counts) {
         let counts = |df: &DataFrame| {
             let mut ctx = ComputeContext::new(df, &self.cfg);
-            let node = kernels::freq(&mut ctx, y, Rows::All);
+            let node = kernels::freq(&mut ctx, y);
             table(un::<CatFreq>(&ctx.execute_checked(&[node]).unwrap()[0]))
         };
         (counts(self.df), counts(&self.kept))
@@ -222,9 +222,10 @@ fn missing(
 
 /// `plot_missing(df, [x])` and `plot_missing(df, [x, y])` for every `y`
 /// in `ys` equal the oracle, and the payloads underneath subtract to it:
-/// the whole after table, not just the bars the chart shows. With
-/// `parts`, both run on the frame cut into that many partitions
-/// ([`missing`]).
+/// `y`'s dropped rows in each category the bars show (`top_counts`, for
+/// a numeric `y` too) are its *before* count less its count in the kept
+/// rows. With `parts`, both run on the frame cut into that many
+/// partitions ([`missing`]).
 fn assert_matches_oracle(df: &DataFrame, x: &str, ys: &[&str], cfg: &Config, parts: Option<usize>) {
     let oracle = Oracle::new(df, x, cfg);
     let (got, got_insights) = missing(df, &[x], cfg, parts);
@@ -249,10 +250,12 @@ fn assert_matches_oracle(df: &DataFrame, x: &str, ys: &[&str], cfg: &Config, par
             Some(parts) => ComputeContext::partitioned(df, &oracle.cfg, parts),
             None => ComputeContext::new(df, &oracle.cfg),
         };
-        let nodes = [Rows::All, Rows::NullIn(x.to_string())].map(|rows| kernels::freq(&mut ctx, y, rows));
-        let outs = ctx.execute_checked(&nodes).unwrap();
-        let after = un::<CatFreq>(&outs[0]).minus(un::<CatFreq>(&outs[1]));
-        assert_eq!(table(&after), oracle.freqs(y).1, "freq({y}) minus the rows {x} drops");
+        let summary = kernels::freq_summary(&mut ctx, y);
+        let dropped = kernels::top_counts(&mut ctx, y, Rows::NullIn(x.to_string()), summary);
+        let outs = ctx.execute_checked(&[dropped]).unwrap();
+        let (before, kept) = oracle.freqs(y);
+        let want: Vec<u64> = before.top_k(cfg.bar.ngroups).iter().map(|(c, n)| n - kept.count(c)).collect();
+        assert_eq!(un::<Vec<u64>>(&outs[0]), &want, "top_counts({y}) over the rows {x} drops");
     }
 }
 
@@ -521,8 +524,35 @@ fn second_x_reuses_every_before_node_and_no_dropped_one() {
 
     // The keys themselves: same kernel, same column, different rows.
     let mut ctx = ComputeContext::new(&df, &cfg);
+    let summary = kernels::freq_summary(&mut ctx, "cat2");
     let nodes = [Rows::All, Rows::NullIn("num0".into()), Rows::NullIn("cat1".into()), Rows::ValidIn("num0".into())]
-        .map(|rows| kernels::freq(&mut ctx, "cat2", rows));
+        .map(|rows| kernels::top_counts(&mut ctx, "cat2", rows, summary));
     let keys: std::collections::HashSet<_> = nodes.iter().map(|&n| ctx.graph.task(n).key).collect();
     assert_eq!(keys.len(), nodes.len());
+}
+
+#[test]
+fn a_dropped_side_is_priced_by_the_bars_it_draws() {
+    // 12,000 distinct names over two partitions, a sixth of them dropped
+    // by `x`: the dropped side of `name` holds one count per bar, not one
+    // per dictionary entry.
+    let n = 12_000;
+    let df = DataFrame::new(vec![
+        ("x".into(), Column::from_opt_f64((0..n).map(|i| (i % 6 != 0).then_some(i as f64)).collect())),
+        ("name".into(), Column::from_string((0..n).map(|i| format!("name {i}")).collect())),
+    ])
+    .unwrap();
+    let cfg = config(&[("engine.profile", "true")]);
+    let cache = Arc::new(ResultCache::new(64 << 20));
+    let mut ctx = ComputeContext::partitioned(&df, &cfg, 2).with_cache(cache);
+    let node = compute_missing_impact(&mut ctx, "x").unwrap();
+    ctx.run_section(node).unwrap();
+    let trace = ctx.last_stats.unwrap().trace.expect("profiled run");
+    let dropped: Vec<_> = trace.spans.iter().filter(|s| s.name.contains(":name|nullsof:x")).collect();
+    assert!(dropped.iter().any(|s| s.name.ends_with("/reduce")), "{dropped:?}");
+    // A payload's price is its value and its heap: here a `Vec<u64>`.
+    let bound = size_of::<Vec<u64>>() + 8 * cfg.bar.ngroups;
+    for span in dropped {
+        assert!(span.payload_bytes <= bound, "{}: {} bytes, over {bound}", span.name, span.payload_bytes);
+    }
 }

@@ -11,7 +11,7 @@
 //! (a null spelling) and infinities.
 
 use dataprep_eda::core::compute::ctx::un;
-use dataprep_eda::core::compute::kernels::{self, Rows};
+use dataprep_eda::core::compute::kernels;
 use dataprep_eda::core::compute::ComputeContext;
 use dataprep_eda::core::load::load_csv;
 use dataprep_eda::dataframe::csv::chunk::DEFAULT_CHUNK_BYTES;
@@ -78,7 +78,7 @@ fn graph_stats(df: &DataFrame, workers: usize) -> Vec<(String, ColumnStats)> {
             if numeric {
                 kernels::moments(&mut ctx, name)
             } else {
-                kernels::freq(&mut ctx, name, Rows::All)
+                kernels::freq(&mut ctx, name)
             }
         })
         .collect();

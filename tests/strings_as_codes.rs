@@ -322,10 +322,6 @@ mod differential {
             if k > 0 {
                 prop_assert_eq!(summary.mode().map(|(c, n)| (c.to_string(), n)), want.mode());
             }
-            // The counts another table of the column has of those
-            // categories, by code or by name.
-            let counts: Vec<u64> = summary.top(k).map(|(c, _)| want.count(c)).collect();
-            prop_assert_eq!(got.counts_of(&summary, k), counts);
         }
         Ok(())
     }
@@ -367,7 +363,6 @@ mod differential {
                 (|x| x.null_rows(), |case, i| case.x[i].is_none()),
                 (|x| x.valid_rows(), |case, i| case.x[i].is_some()),
             ];
-            let mut whole = Vec::new();
             for (select, keep) in selections {
                 let want: Vec<Counts> =
                     windows.iter().map(|&(lo, hi)| oracle(&case, lo, hi, |i| keep(&case, i)).0).collect();
@@ -380,20 +375,28 @@ mod differential {
                     let all = merged(&want, Counts::merge);
                     assert_same_table(&merged(&got, CatFreq::merge), &all)?;
                     assert_same_table(&merged(got.iter().rev(), CatFreq::merge), &all)?;
-                    whole.push((merged(&got, CatFreq::merge), all));
                 }
             }
-            // after = before − dropped, between shared and foreign tables
-            // alike: (All) − (NullIn x) is (ValidIn x).
-            let [all_s, all_f, dropped_s, dropped_f, kept_s, _] = &whole[..] else { unreachable!() };
-            for before in [all_s, all_f] {
-                for dropped in [dropped_s, dropped_f] {
-                    assert_same_table(&before.0.minus(&dropped.0), &kept_s.1)?;
-                    // What `compare_bars` reads: the dropped rows of the
-                    // categories the *before* summary shows.
-                    let summary = before.0.summary(3);
-                    let want: Vec<u64> = before.1.top_k(3).iter().map(|(c, _)| dropped.1.count(c)).collect();
-                    prop_assert_eq!(dropped.0.counts_of(&summary, 3), want);
+
+            // What `compare_bars` reads, through the graph at one, two and
+            // three partitions: the rows a column drops, counted in the
+            // categories the *before* summary shows, are the *before* count
+            // less the count in the rows it keeps. `s` has one dictionary;
+            // `x`, an integer column, is encoded per partition.
+            let x_shown: Vec<Option<String>> = case.x.iter().map(|v| v.map(|v| v.to_string())).collect();
+            let df = DataFrame::new(vec![("s".into(), column.clone()), ("x".into(), x.clone())]).unwrap();
+            let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
+            for (y, by, values, drops) in [("s", "x", &case.values, &x_shown), ("x", "s", &x_shown, &case.values)] {
+                let before = Counts::of(values.iter().map(Option::as_deref));
+                let kept = values.iter().zip(drops).filter(|(_, d)| d.is_some()).map(|(v, _)| v.as_deref());
+                let kept = Counts::of(kept);
+                let want: Vec<u64> = before.top_k(cfg.bar.ngroups).iter().map(|(c, n)| n - kept.count(c)).collect();
+                for parts in 1..=3 {
+                    let mut ctx = ComputeContext::partitioned(&df, &cfg, parts);
+                    let summary = kernels::freq_summary(&mut ctx, y);
+                    let dropped = kernels::top_counts(&mut ctx, y, Rows::NullIn(by.into()), summary);
+                    let outs = ctx.execute_checked(&[dropped]).unwrap();
+                    prop_assert_eq!(un::<Vec<u64>>(&outs[0]), &want, "{} at {} partitions", y, parts);
                 }
             }
 
@@ -452,7 +455,7 @@ mod differential {
         let cfg = Config::from_pairs(vec![("engine.cache_budget_bytes", "0")]).unwrap();
         let entropy = |df: &DataFrame| {
             let mut ctx = ComputeContext::new(df, &cfg);
-            let node = kernels::freq_summary(&mut ctx, "city", Rows::All);
+            let node = kernels::freq_summary(&mut ctx, "city");
             let bits = un::<FreqSummary>(&ctx.execute_checked(&[node]).unwrap()[0]).entropy.to_bits();
             let stats = plot(df, &["city"], &cfg).unwrap();
             let Some(Inter::StatsTable(rows)) = stats.get("stats") else { panic!("stats table") };
